@@ -270,7 +270,7 @@ func BenchmarkEventChannelLocal(b *testing.B) {
 }
 
 // BenchmarkEventChannelFederated measures a one-way cross-node event push
-// (operation 2's one-way half), including gob framing and the TCP hop.
+// (operation 2's one-way half), including event framing and the TCP hop.
 func BenchmarkEventChannelFederated(b *testing.B) {
 	producerORB := orb.New("bench-prod")
 	defer producerORB.Shutdown()

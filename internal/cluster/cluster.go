@@ -9,9 +9,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -543,11 +541,6 @@ func (c *Cluster) configSnapshot() core.Config {
 	return core.Config{}
 }
 
-// decodeEvent gob-decodes a live event payload.
-func decodeEvent(payload []byte, out any) error {
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(out)
-}
-
 // tapRelease observes job releases on one application node's channel. Only
 // locally pushed events count: a federated re-delivery of a relocated
 // release carries the home node's source name and is skipped.
@@ -556,8 +549,8 @@ func (c *Cluster) tapRelease(node string) eventchan.Handler {
 		if !c.hub.Active() || ev.Source != node {
 			return
 		}
-		var trg live.Trigger
-		if err := decodeEvent(ev.Payload, &trg); err != nil {
+		trg, err := live.DecodeTrigger(ev.Payload)
+		if err != nil {
 			return
 		}
 		c.emit(core.WatchEvent{
@@ -574,8 +567,8 @@ func (c *Cluster) tapAccept(node string) eventchan.Handler {
 		if !c.hub.Active() || ev.Source != node {
 			return
 		}
-		var dec live.Accept
-		if err := decodeEvent(ev.Payload, &dec); err != nil || dec.Ok {
+		dec, err := live.DecodeAccept(ev.Payload)
+		if err != nil || dec.Ok {
 			return
 		}
 		c.emit(core.WatchEvent{
@@ -591,8 +584,8 @@ func (c *Cluster) tapDone(node string) eventchan.Handler {
 		if !c.hub.Active() || ev.Source != node {
 			return
 		}
-		var done live.Done
-		if err := decodeEvent(ev.Payload, &done); err != nil {
+		done, err := live.DecodeDone(ev.Payload)
+		if err != nil {
 			return
 		}
 		resp := time.Duration(done.DoneNanos - done.ArrivalNanos)

@@ -18,9 +18,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -43,15 +41,6 @@ const DefaultHeartbeatTimeout = 500 * time.Millisecond
 // taps and the dead-letter tracker filter on the pushing node's name, so a
 // redelivery never double-counts as a fresh release.
 const redeliverySource = "failover"
-
-// encodeEvent gob-encodes a live event payload (the redelivery push path).
-func encodeEvent(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // NodeHealth is one node's liveness as seen by the failure detector.
 type NodeHealth struct {
@@ -128,8 +117,8 @@ func (d *detector) halt() {
 // onBeat records one heartbeat. Beats from a node already declared dead are
 // counted but do not resurrect it — only RecoverNode does.
 func (d *detector) onBeat(ev eventchan.Event) {
-	var hb live.Heartbeat
-	if err := decodeEvent(ev.Payload, &hb); err != nil {
+	hb, err := live.DecodeHeartbeat(ev.Payload)
+	if err != nil {
 		return
 	}
 	d.mu.Lock()
@@ -306,8 +295,8 @@ func (tr *tracker) hopHandler(node string) eventchan.Handler {
 		if ev.Source != node {
 			return
 		}
-		var trg live.Trigger
-		if err := decodeEvent(ev.Payload, &trg); err != nil {
+		trg, err := live.DecodeTrigger(ev.Payload)
+		if err != nil {
 			return
 		}
 		if trg.Stage < 0 || trg.Stage >= len(trg.Placement) {
@@ -345,8 +334,8 @@ func (tr *tracker) doneHandler(node string) eventchan.Handler {
 		if ev.Source != node {
 			return
 		}
-		var done live.Done
-		if err := decodeEvent(ev.Payload, &done); err != nil {
+		done, err := live.DecodeDone(ev.Payload)
+		if err != nil {
 			return
 		}
 		tr.mu.Lock()
@@ -461,12 +450,8 @@ func (c *Cluster) redeliverLocked(trg live.Trigger) bool {
 	if trg.Stage == 0 {
 		evType = live.EvRelease
 	}
-	payload, err := encodeEvent(trg)
-	if err != nil {
-		return false
-	}
-	err = c.Apps[target].Channel.Push(eventchan.Event{
-		Type: evType, Source: redeliverySource, Payload: payload,
+	err := c.Apps[target].Channel.Push(eventchan.Event{
+		Type: evType, Source: redeliverySource, Payload: live.AppendTrigger(nil, &trg),
 	})
 	return err == nil
 }

@@ -67,7 +67,7 @@ const (
 var ErrBackpressure = errors.New("eventchan: remote sink queue full")
 
 // Event is one typed event. Payload encoding is up to the producing
-// component (the live binding uses encoding/gob).
+// component (the live binding uses its fixed-layout codec, live/codec.go).
 type Event struct {
 	// Type routes the event to subscribers (e.g. "TaskArrive", "Accept").
 	Type string

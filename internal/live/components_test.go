@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -224,15 +225,15 @@ func TestEventCodecRoundTrip(t *testing.T) {
 		Task: "t", Job: 42, Stage: 1,
 		Placement: []sched.PlacedStage{{Stage: 0, Proc: 2, Util: 0.25}},
 	}
-	var out Trigger
-	if err := decode(encode(in), &out); err != nil {
+	out, err := DecodeTrigger(AppendTrigger(nil, &in))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Task != in.Task || out.Job != in.Job || len(out.Placement) != 1 || out.Placement[0].Proc != 2 {
 		t.Errorf("round trip = %+v", out)
 	}
-	if err := decode([]byte("garbage"), &out); err == nil {
-		t.Error("garbage decoded")
+	if _, err := DecodeTrigger([]byte("garbage")); !errors.Is(err, ErrPayload) {
+		t.Errorf("garbage decoded: err = %v, want ErrPayload", err)
 	}
 }
 
@@ -285,7 +286,7 @@ func TestCollector(t *testing.T) {
 
 	base := time.Now().UnixNano()
 	push := func(task string, resp time.Duration) {
-		_ = node.Channel.Push(eventchan.Event{Type: EvDone, Payload: encode(Done{
+		_ = node.Channel.Push(eventchan.Event{Type: EvDone, Payload: AppendDone(nil, &Done{
 			Task:         task,
 			Job:          0,
 			ArrivalNanos: base,

@@ -31,4 +31,8 @@ var (
 	// failover reconfiguration is running; submits are deferred and
 	// replayed instead of failing.
 	ErrFailoverInProgress = errors.New("live: failover in progress")
+	// ErrPayload marks an event payload the codec refuses: truncated, the
+	// wrong type, a length that overruns the bytes, trailing bytes, or a
+	// payload in another format (a gob payload from an older build).
+	ErrPayload = errors.New("live: malformed event payload")
 )

@@ -10,12 +10,13 @@
 // and for the runnable daemons and examples. The schedulability experiments
 // (Figures 5 and 6) use the deterministic simulation binding in
 // internal/core instead.
+//
+// Event payloads (the types below) travel in the fixed binary layout of
+// codec.go. Only the cold ORB request/reply facets (reconfig, location) speak
+// gob, through the helpers in facetgob.go.
 package live
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"time"
 
 	"repro/internal/sched"
@@ -182,26 +183,6 @@ type Done struct {
 	// ArrivalNanos and DoneNanos bound the response time.
 	ArrivalNanos int64
 	DoneNanos    int64
-}
-
-// encode gob-encodes an event payload.
-func encode(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		// Payload types are closed over in this package; failure to encode
-		// one is a programming error.
-		panic(fmt.Sprintf("live: encode %T: %v", v, err))
-	}
-	return buf.Bytes()
-}
-
-// decode gob-decodes an event payload into out, returning false (and
-// logging nothing) on corrupt payloads so handlers can drop them.
-func decode(payload []byte, out any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return fmt.Errorf("live: decode %T: %w", out, err)
-	}
-	return nil
 }
 
 // nowNanos returns the current wall clock as UnixNano. Live deadlines use

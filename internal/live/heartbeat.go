@@ -90,7 +90,7 @@ func (hb *HeartbeatBeacon) run(ch *eventchan.Channel, node string, proc int, per
 			return
 		case <-ticker.C:
 		}
-		_ = ch.PushUnbatched(eventchan.Event{Type: EvHeartbeat, Payload: encode(Heartbeat{
+		_ = ch.PushUnbatched(eventchan.Event{Type: EvHeartbeat, Payload: AppendHeartbeat(nil, &Heartbeat{
 			Node:      node,
 			Proc:      proc,
 			Seq:       hb.seq.Add(1),

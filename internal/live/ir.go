@@ -135,8 +135,8 @@ func (ir *IdleResetter) Passivate() error {
 
 // onComplete records a local subjob completion.
 func (ir *IdleResetter) onComplete(ev eventchan.Event) {
-	var c Complete
-	if err := decode(ev.Payload, &c); err != nil {
+	c, err := DecodeComplete(ev.Payload)
+	if err != nil {
 		return
 	}
 	ir.mu.Lock()
@@ -162,7 +162,7 @@ func (ir *IdleResetter) onIdle() {
 	if len(reports) == 0 {
 		return
 	}
-	_ = ch.Push(eventchan.Event{Type: EvIdleReset, Payload: encode(IdleReset{
+	_ = ch.Push(eventchan.Event{Type: EvIdleReset, Payload: AppendIdleReset(nil, &IdleReset{
 		Proc:    proc,
 		Entries: reports,
 	})})

@@ -167,8 +167,8 @@ func NewCollector(tasks []*sched.Task) *Collector {
 // Attach subscribes the collector to a node's Done events.
 func (c *Collector) Attach(ch *eventchan.Channel) {
 	ch.Subscribe(EvDone, func(ev eventchan.Event) {
-		var done Done
-		if err := decode(ev.Payload, &done); err != nil {
+		done, err := DecodeDone(ev.Payload)
+		if err != nil {
 			return
 		}
 		resp := time.Duration(done.DoneNanos - done.ArrivalNanos)

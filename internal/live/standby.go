@@ -75,23 +75,32 @@ func (s *StandbyAC) Activate(ctx *ccm.Context) error {
 		return fmt.Errorf("%w: standby activated before configuration", ErrNotConfigured)
 	}
 	s.mu.Unlock()
-	s.sub = ctx.Events.Subscribe(EvReplicate, s.onReplicate)
+	// Subscribe outside the lock (delivery holds the channel's shard lock
+	// while onReplicate takes s.mu), then publish the handle under it:
+	// activation runs on an ORB dispatch goroutine, shutdown on the owner's.
+	sub := ctx.Events.Subscribe(EvReplicate, s.onReplicate)
+	s.mu.Lock()
+	s.sub = sub
+	s.mu.Unlock()
 	return nil
 }
 
 // Passivate detaches from the stream. The mirror ledger stays readable.
 func (s *StandbyAC) Passivate() error {
-	if s.sub != nil {
-		s.sub.Cancel()
-		s.sub = nil
+	s.mu.Lock()
+	sub := s.sub
+	s.sub = nil
+	s.mu.Unlock()
+	if sub != nil {
+		sub.Cancel()
 	}
 	return nil
 }
 
 // onReplicate applies one replicated ledger mutation.
 func (s *StandbyAC) onReplicate(ev eventchan.Event) {
-	var rec RepRecord
-	if err := decode(ev.Payload, &rec); err != nil {
+	rec, err := DecodeRepRecord(ev.Payload)
+	if err != nil {
 		return
 	}
 	s.mu.Lock()

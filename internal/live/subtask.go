@@ -56,8 +56,6 @@ type Subtask struct {
 	// that is "release the task"; on a replica it is "release the duplicate
 	// task").
 	ReleaseHandle core.OpStats
-	// Executed counts subjobs run by this instance.
-	Executed int64
 }
 
 var _ ccm.Component = (*Subtask)(nil)
@@ -148,17 +146,16 @@ func (s *Subtask) Reconfigure(attrs map[string]string) error {
 
 var _ ccm.Reconfigurable = (*Subtask)(nil)
 
-// onTrigger filters events for this instance and submits the subjob.
+// onTrigger filters events for this instance and submits the subjob. Every
+// subtask on the node sees every Release or Trigger event, so the filter
+// reads the encoded header in place; only the addressed instance decodes.
 func (s *Subtask) onTrigger(ev eventchan.Event) {
 	start := time.Now()
-	var trg Trigger
-	if err := decode(ev.Payload, &trg); err != nil {
+	if !triggerAddressedTo(ev.Payload, s.task, s.stage, s.proc) {
 		return
 	}
-	if trg.Task != s.task || trg.Stage != s.stage {
-		return
-	}
-	if trg.Stage >= len(trg.Placement) || trg.Placement[trg.Stage].Proc != s.proc {
+	trg, err := DecodeTrigger(ev.Payload)
+	if err != nil {
 		return
 	}
 	s.executor.Submit(int(s.priority.Load()), func() { s.run(trg) })
@@ -170,12 +167,11 @@ func (s *Subtask) onTrigger(ev eventchan.Event) {
 // run executes one subjob and drives the completion protocol.
 func (s *Subtask) run(trg Trigger) {
 	BusyWait(time.Duration(float64(s.exec) * s.scale))
-	s.Executed++
 
 	// Paper: "Both F/I Subtask and Last Subtask components call the
 	// Complete method of the local IR component" — a local event here.
 	deadline := time.Unix(0, trg.ArrivalNanos).Add(s.deadline)
-	_ = s.ch.Push(eventchan.Event{Type: EvComplete, Payload: encode(Complete{
+	_ = s.ch.Push(eventchan.Event{Type: EvComplete, Payload: AppendComplete(nil, &Complete{
 		Ref:           sched.JobRef{Task: trg.Task, Job: trg.Job},
 		Stage:         s.stage,
 		Kind:          s.kind,
@@ -183,7 +179,7 @@ func (s *Subtask) run(trg Trigger) {
 	})})
 
 	if s.last {
-		_ = s.ch.Push(eventchan.Event{Type: EvDone, Payload: encode(Done{
+		_ = s.ch.Push(eventchan.Event{Type: EvDone, Payload: AppendDone(nil, &Done{
 			Task:         trg.Task,
 			Job:          trg.Job,
 			ArrivalNanos: trg.ArrivalNanos,
@@ -191,7 +187,6 @@ func (s *Subtask) run(trg Trigger) {
 		})})
 		return
 	}
-	next := trg
-	next.Stage = trg.Stage + 1
-	_ = s.ch.Push(eventchan.Event{Type: EvTrigger, Payload: encode(next)})
+	trg.Stage++
+	_ = s.ch.Push(eventchan.Event{Type: EvTrigger, Payload: AppendTrigger(nil, &trg)})
 }

@@ -365,7 +365,7 @@ func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 
 	adm.Outcome = core.AdmissionPending
 	adm.Reason = "admission decision round trip in flight"
-	err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: encode(TaskArrive{
+	err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: AppendTaskArrive(nil, &TaskArrive{
 		Task:         taskID,
 		Job:          job,
 		Proc:         proc,
@@ -453,7 +453,7 @@ func (te *TaskEffector) SubmitBatch(taskIDs []string) ([]core.Admission, error) 
 
 	var firstErr error
 	for _, p := range pushes {
-		err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: encode(p.ev)})
+		err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: AppendTaskArrive(nil, &p.ev)})
 		if err == nil {
 			continue
 		}
@@ -507,24 +507,14 @@ func TransportOverloaded(err error) bool {
 // clears the hold and publishes the Release event, which the federation
 // routes to the node hosting the assigned first stage.
 func (te *TaskEffector) onAccept(ev eventchan.Event) {
-	var dec Accept
-	if err := decode(ev.Payload, &dec); err != nil {
+	if te.closed.Load() || !te.homeOf(ev.Payload) {
 		return
 	}
-	if te.closed.Load() {
+	dec, err := DecodeAccept(ev.Payload)
+	if err != nil {
 		return
 	}
-	tt, known := te.lookupTask(dec.Task)
-	if !known {
-		return
-	}
-	t := tt.task.Load()
 	te.mu.Lock()
-	if t.Subtasks[0].Processor != te.proc {
-		// Not the home effector for this task.
-		te.mu.Unlock()
-		return
-	}
 	ref := sched.JobRef{Task: dec.Task, Job: dec.Job}
 	if _, held := te.waiting[ref]; !held {
 		// Duplicate or stale decision.
@@ -555,6 +545,26 @@ func (te *TaskEffector) onAccept(ev eventchan.Event) {
 	te.release(te.ch.Load(), dec.Task, dec.Job, dec.Placement, dec.ArrivalNanos)
 }
 
+// homeOf reports whether an Accept payload decides a task whose home
+// (arrival) processor is this effector's. Every effector sees every Accept;
+// the ones that are not home answer from the payload's header, without
+// decoding the placement or copying the task ID.
+func (te *TaskEffector) homeOf(payload []byte) bool {
+	id, ok := acceptTask(payload)
+	tp := te.tasks.Load()
+	if !ok || tp == nil {
+		return false
+	}
+	tt, known := (*tp)[string(id)] // indexing by string(id) does not copy
+	if !known {
+		return false
+	}
+	home := tt.task.Load().Subtasks[0].Processor
+	te.mu.Lock()
+	defer te.mu.Unlock()
+	return home == te.proc
+}
+
 // release publishes the Release event that starts the first subtask. The
 // event channel delivers it locally and across the federation; the subtask
 // component on the assigned processor picks it up.
@@ -562,7 +572,7 @@ func (te *TaskEffector) release(ch *eventchan.Channel, task string, job int64, p
 	if ch == nil {
 		return
 	}
-	_ = ch.Push(eventchan.Event{Type: EvRelease, Payload: encode(Trigger{
+	_ = ch.Push(eventchan.Event{Type: EvRelease, Payload: AppendTrigger(nil, &Trigger{
 		Task:         task,
 		Job:          job,
 		Stage:        0,

@@ -30,7 +30,7 @@ func benchTE(tb testing.TB) *TaskEffector {
 	if _, err := te.Arrive("p"); err != nil {
 		tb.Fatal(err)
 	}
-	te.onAccept(eventchan.Event{Type: EvAccept, Payload: encode(Accept{
+	te.onAccept(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &Accept{
 		Task: "p", Job: 0, Ok: true,
 		Placement:       []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.05}},
 		PerTaskDecision: true,

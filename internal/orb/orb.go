@@ -4,8 +4,9 @@
 // named servants over persistent TCP connections with connection reuse.
 //
 // The wire protocol is a simple length-prefixed framing (see message.go);
-// argument bodies are opaque byte slices, encoded by callers (the live
-// components use encoding/gob). The broker preserves the properties the
+// argument bodies are opaque byte slices, encoded by callers (the event plane
+// carries the live binding's fixed-layout payloads; the cold request/reply
+// facets and the deployment tools use encoding/gob). The broker preserves the properties the
 // paper's services rely on: low per-call overhead, in-order delivery per
 // connection, and concurrent dispatch of independent requests.
 package orb
