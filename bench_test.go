@@ -412,21 +412,16 @@ func BenchmarkEventFanout(b *testing.B) {
 	}
 }
 
-// --- Event plane: federated throughput, batched vs pre-refactor path ---
+// --- Event plane: federated throughput, group commit vs one push per event ---
 
 // benchEventPlane measures end-to-end federated event throughput: pubs
 // goroutines push b.N events total through one gateway to a remote
 // consumer, and the benchmark ends when the last event is delivered.
-// batched selects the event plane (group-commit gateway batches over the
-// batching ORB writer); otherwise both layers use the pre-refactor
-// single-message reference paths (PushUnbatched over the legacy locked
-// writer), so the ratio between the two modes is the event-plane speedup.
+// batched selects Push (the gateway's group commit); otherwise every event
+// goes out as its own scalar ORB push (PushUrgent), so the ratio between
+// the two modes is what the gateway batching buys.
 func benchEventPlane(b *testing.B, pubs int, batched bool) {
-	var prodOpts []orb.Option
-	if !batched {
-		prodOpts = append(prodOpts, orb.WithLegacyWriter())
-	}
-	producerORB := orb.New("plane-prod", prodOpts...)
+	producerORB := orb.New("plane-prod")
 	defer producerORB.Shutdown()
 	consumerORB := orb.New("plane-cons")
 	addr, err := consumerORB.Listen("127.0.0.1:0")
@@ -438,7 +433,7 @@ func benchEventPlane(b *testing.B, pubs int, batched bool) {
 	// Block policy: publishers throttle to the gateway's drain rate instead
 	// of ballooning the pending backlog, so the measurement is of the
 	// transport, not of the garbage collector.
-	producer := eventchan.New("plane-prod", producerORB, eventchan.WithSinkPolicy(eventchan.Block), eventchan.WithSinkQueueDepth(1<<16))
+	producer := eventchan.New("plane-prod", producerORB, eventchan.WithSinkPolicy(eventchan.Block))
 	consumer := eventchan.New("plane-cons", consumerORB)
 	total := int64(b.N)
 	var got atomic.Int64
@@ -451,7 +446,7 @@ func benchEventPlane(b *testing.B, pubs int, batched bool) {
 	producer.AddRemoteSink("E", addr.String())
 	push := (*eventchan.Channel).Push
 	if !batched {
-		push = (*eventchan.Channel).PushUnbatched
+		push = (*eventchan.Channel).PushUrgent
 	}
 	payload := []byte("0123456789abcdef")
 
@@ -487,9 +482,8 @@ func benchEventPlane(b *testing.B, pubs int, batched bool) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkEventPlane is the scaling series behind the event-plane refactor:
-// compare batched vs single at each publisher count; the acceptance bar is
-// batched ≥ 5× single at 64 publishers.
+// BenchmarkEventPlane is the scaling series behind the gateway's group
+// commit: compare batched vs single at each publisher count.
 func BenchmarkEventPlane(b *testing.B) {
 	for _, pubs := range []int{1, 8, 64} {
 		pubs := pubs
@@ -499,68 +493,59 @@ func BenchmarkEventPlane(b *testing.B) {
 }
 
 // BenchmarkORBOneWayStream isolates the transport half: a stream of one-way
-// invocations on one pooled connection, batched writer vs the legacy locked
-// writer, at 1 and 16 concurrent senders.
+// invocations on one pooled connection through the batched writer, at 1 and
+// 16 concurrent senders.
 func BenchmarkORBOneWayStream(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts []orb.Option
-	}{
-		{"batched", nil},
-		{"legacy", []orb.Option{orb.WithLegacyWriter()}},
-	} {
-		mode := mode
-		for _, senders := range []int{1, 16} {
-			senders := senders
-			b.Run(fmt.Sprintf("%s/senders=%d", mode.name, senders), func(b *testing.B) {
-				server := orb.New("stream-server")
-				addr, err := server.Listen("127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
+	for _, senders := range []int{1, 16} {
+		senders := senders
+		b.Run(fmt.Sprintf("batched/senders=%d", senders), func(b *testing.B) {
+			server := orb.New("stream-server")
+			addr, err := server.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer server.Shutdown()
+			total := int64(b.N)
+			var got atomic.Int64
+			done := make(chan struct{})
+			server.RegisterServant("sink", func(op string, arg []byte) ([]byte, error) {
+				if got.Add(1) == total {
+					close(done)
 				}
-				defer server.Shutdown()
-				total := int64(b.N)
-				var got atomic.Int64
-				done := make(chan struct{})
-				server.RegisterServant("sink", func(op string, arg []byte) ([]byte, error) {
-					if got.Add(1) == total {
-						close(done)
-					}
-					return nil, nil
-				})
-				client := orb.New("stream-client", mode.opts...)
-				defer client.Shutdown()
-				payload := []byte("0123456789abcdef")
-				runtime.GC()
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for s := 0; s < senders; s++ {
-					n := b.N / senders
-					if s < b.N%senders {
-						n++
-					}
-					wg.Add(1)
-					go func(n int) {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							if err := client.InvokeOneWay(addr.String(), "sink", "push", payload); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(n)
-				}
-				wg.Wait()
-				select {
-				case <-done:
-				case <-time.After(2 * time.Minute):
-					b.Fatalf("dispatched %d/%d one-ways", got.Load(), total)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
+				return nil, nil
 			})
-		}
+			client := orb.New("stream-client")
+			defer client.Shutdown()
+			payload := []byte("0123456789abcdef")
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for s := 0; s < senders; s++ {
+				n := b.N / senders
+				if s < b.N%senders {
+					n++
+				}
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if err := client.InvokeOneWay(addr.String(), "sink", "push", payload); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(n)
+			}
+			wg.Wait()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Minute):
+				b.Fatalf("dispatched %d/%d one-ways", got.Load(), total)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
+		})
 	}
 }
 
@@ -589,7 +574,7 @@ func BenchmarkAblationAUBvsDS(b *testing.B) {
 // configuration over a Figure 5 workload: the cost of the DES substrate
 // itself. jobs/sec and allocs/job ride along as custom metrics for the
 // cross-machine perf trajectory. The pre-pool engine (retained in
-// internal/des reference.go) ran this at ~30.8k allocs/op; the pooled core
+// internal/des reference_test.go) ran this at ~30.8k allocs/op; the pooled core
 // is the same workload at ~1.1k — see BENCH_baseline.json for the guarded
 // values.
 func BenchmarkSimulation(b *testing.B) {

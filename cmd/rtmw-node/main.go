@@ -24,7 +24,6 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/eventchan"
 	"repro/internal/live"
-	"repro/internal/orb"
 )
 
 func main() {
@@ -40,10 +39,6 @@ func run() error {
 		proc       = flag.Int("proc", 0, "application processor index (-1 for the task manager)")
 		listen     = flag.String("listen", "127.0.0.1:0", "ORB listen address")
 		execScale  = flag.Float64("execscale", 1.0, "subtask execution time multiplier")
-		sendQueue  = flag.Int("sendqueue", orb.DefaultSendQueueDepth, "ORB per-connection send queue depth (frames)")
-		wbatch     = flag.Int("writebatch", orb.DefaultWriteBatch, "max ORB frames coalesced per flush")
-		sinkQueue  = flag.Int("sinkqueue", eventchan.DefaultSinkQueueDepth, "event gateway pending queue depth per peer (events)")
-		sinkBatch  = flag.Int("sinkbatch", eventchan.DefaultSinkBatch, "max events coalesced per federated push")
 		sinkPolicy = flag.String("sinkpolicy", "block", "full-sink overflow policy: block (throttle pushers) or drop (shed with backpressure error)")
 	)
 	flag.Parse()
@@ -58,9 +53,7 @@ func run() error {
 	}
 
 	node, err := live.NewNode(*name, *proc, *listen, *execScale,
-		live.WithORBOptions(orb.WithSendQueueDepth(*sendQueue), orb.WithWriteBatch(*wbatch)),
-		live.WithChannelOptions(eventchan.WithSinkQueueDepth(*sinkQueue), eventchan.WithSinkBatch(*sinkBatch), eventchan.WithSinkPolicy(policy)),
-	)
+		live.WithChannelOptions(eventchan.WithSinkPolicy(policy)))
 	if err != nil {
 		return err
 	}
@@ -71,8 +64,6 @@ func run() error {
 	deploy.NewNodeManager(node.ORB, registry, node.Container, node.Channel)
 
 	fmt.Printf("rtmw-node %s (processor %d) listening on %s\n", *name, *proc, node.Addr)
-	fmt.Printf("event plane: sendqueue=%d writebatch=%d sinkqueue=%d sinkbatch=%d\n",
-		*sendQueue, *wbatch, *sinkQueue, *sinkBatch)
 	fmt.Println("waiting for deployment; press Ctrl-C to stop")
 
 	sig := make(chan os.Signal, 1)
@@ -81,9 +72,9 @@ func run() error {
 
 	fmt.Println("shutting down")
 	ts := node.TransportStats()
-	fmt.Printf("transport: %d frames in %d flushes (%.1f frames/flush), %d bytes, %d overloads; %d events pushed, %d forwarded in %d batches (%d dropped)\n",
+	fmt.Printf("transport: %d frames in %d flushes (%.1f frames/flush), %d bytes; %d events pushed, %d forwarded in %d batches (%d dropped)\n",
 		ts.ORB.FramesSent, ts.ORB.Flushes, framesPerFlush(ts.ORB.FramesSent, ts.ORB.Flushes),
-		ts.ORB.BytesSent, ts.ORB.Overloads,
+		ts.ORB.BytesSent,
 		ts.Events.Pushed, ts.Events.Forwarded, ts.Events.ForwardBatches, ts.Events.ForwardDropped)
 	return node.Close()
 }

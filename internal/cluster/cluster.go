@@ -39,9 +39,6 @@ type Options struct {
 	ExecScale float64
 	// Seed drives the arrival generators.
 	Seed int64
-	// NodeOptions tune every node's transport plane (ORB send queue and
-	// write batch, gateway sink queue and batch).
-	NodeOptions []live.NodeOption
 	// HeartbeatTimeout is the heartbeat silence span after which the failure
 	// detector declares an application node dead (default
 	// DefaultHeartbeatTimeout).
@@ -70,11 +67,10 @@ type Cluster struct {
 	launcher  *orb.ORB
 	seed      int64
 
-	// registry, execScale and nodeOpts are retained from Start so
-	// RecoverNode can assemble a replacement node identically.
+	// registry and execScale are retained from Start so RecoverNode can
+	// assemble a replacement node identically.
 	registry  *ccm.Registry
 	execScale float64
-	nodeOpts  []live.NodeOption
 
 	// detector and tracker are the failure plane (failover.go).
 	detector *detector
@@ -141,7 +137,6 @@ func Start(opts Options) (*Cluster, error) {
 		cfg:       opts.Config,
 		registry:  registry,
 		execScale: opts.ExecScale,
-		nodeOpts:  opts.NodeOptions,
 	}
 	c.cfgVal.Store(opts.Config)
 	c.setTasks(tasks)
@@ -150,7 +145,7 @@ func Start(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 
-	c.Manager, err = live.NewNode("manager", -1, "127.0.0.1:0", opts.ExecScale, opts.NodeOptions...)
+	c.Manager, err = live.NewNode("manager", -1, "127.0.0.1:0", opts.ExecScale)
 	if err != nil {
 		return fail(err)
 	}
@@ -160,7 +155,7 @@ func Start(opts Options) (*Cluster, error) {
 	appDecls := make([]deploy.Node, opts.Workload.Processors)
 	for i := 0; i < opts.Workload.Processors; i++ {
 		name := fmt.Sprintf("app%d", i)
-		node, err := live.NewNode(name, i, "127.0.0.1:0", opts.ExecScale, opts.NodeOptions...)
+		node, err := live.NewNode(name, i, "127.0.0.1:0", opts.ExecScale)
 		if err != nil {
 			return fail(err)
 		}

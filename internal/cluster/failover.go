@@ -378,6 +378,26 @@ func (tr *tracker) deactivate(proc int) {
 	tr.mu.Unlock()
 }
 
+// headedFor reports whether any tracked job that arrived at or after
+// sinceNanos will still push a hop addressed to proc: one with a remaining
+// stage placed there. A redelivered job does not count — redelivery remapped
+// every remaining stage off dead processors.
+func (tr *tracker) headedFor(proc int, sinceNanos int64) bool {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for _, j := range tr.jobs {
+		if j.redelivered || j.arrivalNanos < sinceNanos {
+			continue
+		}
+		for s := j.nextStage; s < len(j.placement); s++ {
+			if j.placement[s].Proc == proc {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // stats snapshots the redelivery counters.
 func (tr *tracker) stats() (redelivered, lost int64) {
 	tr.mu.Lock()
@@ -505,6 +525,32 @@ func (c *Cluster) pruneSinks(addr string) {
 	}
 }
 
+// drainFailedOver lets the jobs still holding a pre-failover placement
+// through processor i run out while the tracker redelivers their Triggers,
+// so RecoverNode can stop redelivery before the routes to the replacement
+// exist without losing a Trigger pushed in between. It waits only if i was
+// failed over, which it reports: the failover pruned i from every task, so no
+// new placement names it, whereas after a bare KillNode every new job does
+// and the wait would never end. Jobs past the longest task deadline are
+// skipped, and the wait ends that long after entry at the latest.
+func (c *Cluster) drainFailedOver(i int) bool {
+	c.failMu.Lock()
+	failedOver := c.failedOver[i]
+	c.failMu.Unlock()
+	if c.tracker == nil || !failedOver {
+		return failedOver
+	}
+	var maxDeadline time.Duration
+	for _, t := range c.Tasks() {
+		maxDeadline = max(maxDeadline, t.Deadline)
+	}
+	giveUp := time.Now().Add(maxDeadline)
+	for now := time.Now(); now.Before(giveUp) && c.tracker.headedFor(i, now.Add(-maxDeadline).UnixNano()); now = time.Now() {
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
 // RecoverNode replaces a dead application node with a fresh one (same name
 // and processor slot, new address) and redeploys its slice of the running
 // plan — which Delta.Apply kept truthful across reconfigurations and
@@ -513,23 +559,37 @@ func (c *Cluster) pruneSinks(addr string) {
 // capacity: tasks re-homed away by a failover stay where they are, and its
 // replica slots make it a failover target again. Emits WatchNodeRecovered.
 func (c *Cluster) RecoverNode(i int) error {
+	if i < 0 || i >= len(c.Apps) {
+		return fmt.Errorf("cluster: recover node: no processor %d", i)
+	}
+	// Outside the configuration lock: a slow drain must not hold up Failover,
+	// Reconfigure or Close.
+	drained := c.drainFailedOver(i)
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
 	if c.stopped {
 		return fmt.Errorf("cluster: recover node: %w", core.ErrStopped)
 	}
-	if i < 0 || i >= len(c.Apps) {
-		return fmt.Errorf("cluster: recover node: no processor %d", i)
-	}
 	c.failMu.Lock()
 	dead := c.deadProcs[i]
 	busy := c.failoverActive
+	failedOver := c.failedOver[i]
 	c.failMu.Unlock()
 	if busy {
 		return fmt.Errorf("cluster: recover node: %w", live.ErrFailoverInProgress)
 	}
 	if !dead {
 		return fmt.Errorf("cluster: recover node: processor %d is not down", i)
+	}
+	if failedOver && !drained { // a failover of i finished in between
+		c.drainFailedOver(i)
+	}
+	// Stop redelivery before any route points at the replacement: once the
+	// survivors' gateways reach it, a pre-failover Trigger still addressed to
+	// this processor runs there, and redelivering it to a survivor as well
+	// would complete the job twice.
+	if c.tracker != nil {
+		c.tracker.deactivate(i)
 	}
 
 	old := c.Apps[i]
@@ -551,7 +611,7 @@ func (c *Cluster) RecoverNode(i int) error {
 		c.failMu.Unlock()
 	}
 
-	node, err := live.NewNode(old.Name, i, "127.0.0.1:0", c.execScale, c.nodeOpts...)
+	node, err := live.NewNode(old.Name, i, "127.0.0.1:0", c.execScale)
 	if err != nil {
 		return err
 	}
@@ -566,6 +626,11 @@ func (c *Cluster) RecoverNode(i int) error {
 	defer cancel()
 	if err := deploy.NewLauncher(c.launcher).RedeployNode(ctx, c.Plan, old.Name); err != nil {
 		// The slot stays marked dead; a retry can replace the node again.
+		if c.tracker != nil && failedOver {
+			for _, trg := range c.tracker.activate(i) {
+				c.redeliver(trg)
+			}
+		}
 		_ = node.Close()
 		c.Apps[i] = old
 		for j := range c.Plan.Nodes {
@@ -584,7 +649,6 @@ func (c *Cluster) RecoverNode(i int) error {
 	node.Channel.Subscribe(live.EvDone, c.tapDone(node.Name))
 	if c.tracker != nil {
 		c.tracker.attach(node)
-		c.tracker.deactivate(i)
 	}
 
 	c.failMu.Lock()

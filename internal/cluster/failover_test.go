@@ -323,3 +323,163 @@ func TestFailoverErrorSurface(t *testing.T) {
 		t.Errorf("Reconfigure after recovery: %v", err)
 	}
 }
+
+// TestRecoverNodeMidChainExactlyOnce is the regression test for the traced
+// "job completed twice" failover bug: jobs admitted before the kill carry a
+// placement whose second stage is on the killed processor, and they keep
+// finishing their first stage — each pushing a Trigger addressed to that
+// processor — all through the failover and into the recovery. Every one of
+// those Triggers must be executed exactly once: redelivered to a survivor or
+// run by the replacement, never both (RecoverNode used to wire the routes to
+// the replacement while the tracker was still redelivering) and never
+// neither (stopping redelivery first, without letting those jobs run out,
+// loses the Triggers pushed before the routes exist).
+func TestRecoverNodeMidChainExactlyOnce(t *testing.T) {
+	w, err := spec.Parse([]byte(`{
+	  "name": "midchain",
+	  "processors": 3,
+	  "tasks": [
+	    {"id": "chain", "kind": "aperiodic", "deadline": "5s", "meanInterarrival": "1s",
+	     "subtasks": [
+	       {"exec": "1ms", "processor": 0, "replicas": [2]},
+	       {"exec": "100us", "processor": 1, "replicas": [2]}
+	     ]}
+	  ]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{AC: core.StrategyPerJob, IR: core.StrategyNone, LB: core.StrategyNone}
+	c, err := Start(Options{Workload: w, Config: cfg, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	watch, err := c.Watch(core.WatchOptions{Buffer: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Queue ~400 ms of first-stage work on processor 0, and wait until every
+	// job is released so all of them hold the pre-failover placement.
+	const jobs = 400
+	ids := make([]string, jobs)
+	for i := range ids {
+		ids[i] = "chain"
+	}
+	if _, err := c.SubmitBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	if !settle(t, 10*time.Second, func() bool { return c.Snapshot().Released == jobs }) {
+		t.Fatalf("released %d/%d jobs", c.Snapshot().Released, jobs)
+	}
+
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Failover(1); err != nil {
+		t.Fatal(err)
+	}
+	midChain := jobs - c.Snapshot().Completed
+	if midChain == 0 {
+		t.Fatal("no job was mid-chain at recovery; the handoff was not exercised")
+	}
+	if err := c.RecoverNode(1); err != nil {
+		t.Fatal(err)
+	}
+
+	settle(t, 20*time.Second, func() bool { return c.Snapshot().Completed >= jobs })
+	// Let a doubled completion, if any, land before reading the stream back.
+	time.Sleep(200 * time.Millisecond)
+	if s := c.Snapshot(); s.Completed != jobs {
+		t.Errorf("released %d jobs, completed %d (%d were mid-chain at recovery)", jobs, s.Completed, midChain)
+	}
+	if _, lost := c.RedeliveryStats(); lost != 0 {
+		t.Errorf("redelivery lost %d jobs", lost)
+	}
+	watch.Cancel()
+	if watch.Dropped() != 0 {
+		t.Fatalf("watch dropped %d events", watch.Dropped())
+	}
+	completed := make(map[int64]int, jobs)
+	for ev := range watch.Events() {
+		if ev.Kind == core.WatchCompleted {
+			completed[ev.Job]++
+		}
+	}
+	if len(completed) != jobs {
+		t.Errorf("%d distinct jobs completed, want %d", len(completed), jobs)
+	}
+	for job, n := range completed {
+		if n != 1 {
+			t.Errorf("job chain/%d completed %d times", job, n)
+		}
+	}
+}
+
+// TestRecoverNodeWithoutFailoverDoesNotWait pins that RecoverNode returns
+// promptly when the processor was killed but never failed over. No task was
+// re-homed, so every new job still names the dead processor and there is no
+// set of pre-failover jobs to wait out. A drain here would never end.
+func TestRecoverNodeWithoutFailoverDoesNotWait(t *testing.T) {
+	w, err := spec.Parse([]byte(`{
+	  "name": "norehome",
+	  "processors": 3,
+	  "tasks": [
+	    {"id": "chain", "kind": "aperiodic", "deadline": "3s", "meanInterarrival": "1s",
+	     "subtasks": [
+	       {"exec": "100us", "processor": 0, "replicas": [2]},
+	       {"exec": "100us", "processor": 1, "replicas": [2]}
+	     ]}
+	  ]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{AC: core.StrategyPerJob, IR: core.StrategyNone, LB: core.StrategyNone}
+	c, err := Start(Options{Workload: w, Config: cfg, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	// Keep arrivals running: each one finishes its first stage on the
+	// surviving processor 0 and is then headed for the dead processor 1.
+	stop := make(chan struct{})
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+				_, _ = c.Submit("chain")
+			}
+		}
+	}()
+	defer func() { close(stop); <-submitted }()
+	if !settle(t, 5*time.Second, func() bool { return c.tracker.headedFor(1, 0) }) {
+		t.Fatal("no job headed for the dead processor; the wait was not exercised")
+	}
+
+	recovered := make(chan error, 1)
+	go func() { recovered <- c.RecoverNode(1) }()
+	select {
+	case err := <-recovered:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RecoverNode without a failover is still blocked after 2s (task deadline 3s)")
+	}
+
+	// The recovered processor executes second stages again.
+	before := c.Snapshot().Completed
+	if !settle(t, 5*time.Second, func() bool { return c.Snapshot().Completed > before }) {
+		t.Error("no job completed through the recovered processor")
+	}
+}

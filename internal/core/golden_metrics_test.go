@@ -38,7 +38,7 @@ func (g gk) diff(t *testing.T, label string, k KindMetrics) {
 
 // goldenMetricsTable holds bit-exact Metrics captured from the seed
 // simulation engine (the pre-pool container/heap + closure implementation,
-// retained as internal/des reference.go) running one-minute Figure 5/6
+// retained as internal/des reference_test.go) running one-minute Figure 5/6
 // sweeps. The pooled engine must reproduce every field exactly: the typed
 // event rewrite preserves (time, seq) event ordering, RNG draw order, and
 // float accumulation order byte for byte, so any divergence here is a

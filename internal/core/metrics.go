@@ -54,19 +54,6 @@ func (m *Metrics) kind(k sched.TaskKind) *KindMetrics {
 	return &m.Aperiodic
 }
 
-// buckets returns every bucket a task's jobs account into.
-func (m *Metrics) buckets(t *sched.Task) [3]*KindMetrics {
-	if m.perTask == nil {
-		m.perTask = make(map[string]*KindMetrics)
-	}
-	b, ok := m.perTask[t.ID]
-	if !ok {
-		b = &KindMetrics{}
-		m.perTask[t.ID] = b
-	}
-	return [3]*KindMetrics{&m.Total, m.kind(t.Kind), b}
-}
-
 // Task returns the accounting for one task (zero value if it never
 // arrived). The returned copy is safe to retain.
 func (m *Metrics) Task(id string) KindMetrics {
@@ -87,11 +74,9 @@ func (m *Metrics) TaskIDs() []string {
 }
 
 // MetricAcc is a cached per-task accumulator: the three buckets a task's
-// jobs account into plus the task's per-job constants, so the simulation's
-// hot path skips the map lookups behind JobArrived/JobReleased/JobSkipped/
-// JobCompleted. The recorded values are identical to the per-call entry
-// points (the utilization is the same deterministic float sum, computed
-// once).
+// jobs account into (total, per kind, per task) plus the task's per-job
+// constants, so the simulation's hot path records a job without a map
+// lookup.
 type MetricAcc struct {
 	buckets  [3]*KindMetrics
 	util     float64
@@ -101,7 +86,16 @@ type MetricAcc struct {
 // Acc returns an accumulator handle for the task, creating its per-task
 // bucket. The handle stays valid for the lifetime of the Metrics value.
 func (m *Metrics) Acc(t *sched.Task) *MetricAcc {
-	return &MetricAcc{buckets: m.buckets(t), util: t.TotalUtil(), deadline: t.Deadline}
+	if m.perTask == nil {
+		m.perTask = make(map[string]*KindMetrics)
+	}
+	b, ok := m.perTask[t.ID]
+	if !ok {
+		b = &KindMetrics{}
+		m.perTask[t.ID] = b
+	}
+	buckets := [3]*KindMetrics{&m.Total, m.kind(t.Kind), b}
+	return &MetricAcc{buckets: buckets, util: t.TotalUtil(), deadline: t.Deadline}
 }
 
 // Arrived records a job arrival.
@@ -131,46 +125,6 @@ func (a *MetricAcc) Skipped() {
 func (a *MetricAcc) Completed(response time.Duration) {
 	missed := response > a.deadline
 	for _, b := range a.buckets {
-		b.Completed++
-		b.TotalResponse += response
-		if response > b.MaxResponse {
-			b.MaxResponse = response
-		}
-		if missed {
-			b.Missed++
-		}
-	}
-}
-
-// JobArrived records a job arrival.
-func (m *Metrics) JobArrived(t *sched.Task) {
-	u := t.TotalUtil()
-	for _, b := range m.buckets(t) {
-		b.Arrived++
-		b.ArrivedUtil += u
-	}
-}
-
-// JobReleased records an accepted, released job.
-func (m *Metrics) JobReleased(t *sched.Task) {
-	u := t.TotalUtil()
-	for _, b := range m.buckets(t) {
-		b.Released++
-		b.ReleasedUtil += u
-	}
-}
-
-// JobSkipped records a job that was not released.
-func (m *Metrics) JobSkipped(t *sched.Task) {
-	for _, b := range m.buckets(t) {
-		b.Skipped++
-	}
-}
-
-// JobCompleted records a finished job and its response time.
-func (m *Metrics) JobCompleted(t *sched.Task, response time.Duration) {
-	missed := response > t.Deadline
-	for _, b := range m.buckets(t) {
 		b.Completed++
 		b.TotalResponse += response
 		if response > b.MaxResponse {

@@ -32,7 +32,7 @@
 //     a fresh closure.
 //
 // The paper-simple implementation (heap-allocated timers boxed through
-// container/heap) is retained in reference.go; a differential property test
+// container/heap) is retained in reference_test.go; a differential property test
 // proves the two produce identical (time, seq) firing traces.
 package des
 

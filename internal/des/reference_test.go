@@ -7,8 +7,7 @@ package des
 // (TestEngineDifferential / TestProcessorDifferential drive random
 // schedule/cancel/preempt sequences through both implementations and assert
 // identical (time, seq, fired) traces) and the baseline for the engine
-// microbenchmarks — the same retained-reference pattern as
-// sched.referenceAdmissible and orb.WithLegacyWriter.
+// microbenchmarks. It is an oracle, not product, so it lives in a test file.
 
 import (
 	"container/heap"

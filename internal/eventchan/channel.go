@@ -11,14 +11,13 @@
 //   - The subscriber table is sharded by event type hash, so concurrent
 //     publishers of unrelated types never contend on one lock; handler
 //     lists are copy-on-write, so fan-out iterates without copying.
-//   - Local delivery is synchronous in the pusher's goroutine by default;
-//     SubscribeBuffered decouples a slow consumer behind its own bounded
-//     queue with an explicit drop-or-block overflow policy.
+//   - Local delivery is synchronous in the pusher's goroutine.
 //   - Remote forwarding batches: each peer gateway has a bounded pending
 //     queue flushed by whichever pusher arrives first (group commit), so a
 //     burst of events crosses the ORB as a few batch pushes instead of one
-//     invocation each. A full pending queue fails Push with
-//     ErrBackpressure instead of blocking without bound.
+//     invocation each. A full pending queue either fails Push with
+//     ErrBackpressure or throttles the pusher, per the channel's
+//     OverflowPolicy.
 package eventchan
 
 import (
@@ -35,9 +34,9 @@ import (
 // peer gateways can push events to it.
 const ServantKey = "eventchannel"
 
-// Operations of the channel servant: the scalar push (the original
-// single-message path, kept as the reference) and the batch push the
-// gateway's group-commit forwarder uses.
+// Operations of the channel servant: the scalar push (PushUrgent, and
+// batches of one) and the batch push the gateway's group-commit forwarder
+// uses.
 const (
 	opPush      = "push"
 	opPushBatch = "pushbatch"
@@ -48,13 +47,12 @@ const (
 // same-shard collisions of hot types unlikely.
 const numShards = 32
 
-// Gateway batching defaults, overridable with WithSinkQueueDepth and
-// WithSinkBatch.
+// Gateway batching limits.
 const (
-	// DefaultSinkQueueDepth bounds a remote sink's pending-event queue.
-	DefaultSinkQueueDepth = 8192
-	// DefaultSinkBatch caps the events coalesced into one gateway push.
-	DefaultSinkBatch = 256
+	// sinkQueueDepth bounds a remote sink's pending-event queue.
+	sinkQueueDepth = 8192
+	// sinkBatchCap caps the events coalesced into one gateway push.
+	sinkBatchCap = 256
 	// maxBatchBytes caps a batch's encoded size, well under the ORB's
 	// frame limit, so coalescing can never construct an unsendable frame
 	// out of individually valid events.
@@ -81,13 +79,12 @@ type Event struct {
 	Payload []byte
 }
 
-// Handler consumes events. Direct (Subscribe) handlers run synchronously in
-// the delivery goroutine and must not block; buffered (SubscribeBuffered)
-// handlers run in the subscription's own goroutine.
+// Handler consumes events. Handlers run synchronously in the delivery
+// goroutine and must not block.
 type Handler func(Event)
 
-// OverflowPolicy selects what a buffered subscription does when its queue is
-// full.
+// OverflowPolicy selects what Push does when a remote sink's pending queue
+// is full (see WithSinkPolicy).
 type OverflowPolicy int
 
 const (
@@ -99,72 +96,15 @@ const (
 )
 
 // Subscription is one consumer registration; Cancel removes it. The zero
-// value is invalid — Subscribe and SubscribeBuffered return live ones.
+// value is invalid — Subscribe returns live ones.
 type Subscription struct {
 	ch        *Channel
 	eventType string
 	h         Handler
-	// queue is nil for direct (synchronous) subscriptions.
-	queue   chan Event
-	policy  OverflowPolicy
-	dropped atomic.Int64
-	cancel  chan struct{}
-	once    sync.Once
 }
 
-// Dropped returns how many events this subscription discarded under the
-// DropNewest policy.
-func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
-
-// Cancel removes the subscription. A buffered subscription's goroutine
-// drains what it already accepted, then exits; Cancel does not wait for it.
-func (s *Subscription) Cancel() {
-	s.once.Do(func() {
-		s.ch.removeSub(s)
-		close(s.cancel)
-	})
-}
-
-// deliver routes one event per the subscription mode and policy.
-func (s *Subscription) deliver(ev Event) {
-	if s.queue == nil {
-		s.h(ev)
-		return
-	}
-	if s.policy == Block {
-		select {
-		case s.queue <- ev:
-		case <-s.cancel:
-		}
-		return
-	}
-	select {
-	case s.queue <- ev:
-	default:
-		s.dropped.Add(1)
-		s.ch.subDropped.Add(1)
-	}
-}
-
-// loop is a buffered subscription's delivery goroutine.
-func (s *Subscription) loop() {
-	defer s.ch.wg.Done()
-	for {
-		select {
-		case ev := <-s.queue:
-			s.h(ev)
-		case <-s.cancel:
-			for {
-				select {
-				case ev := <-s.queue:
-					s.h(ev)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
+// Cancel removes the subscription. It is idempotent.
+func (s *Subscription) Cancel() { s.ch.removeSub(s) }
 
 // shard is one slice of the subscriber and gateway tables. The slices it
 // holds are copy-on-write: readers grab them under RLock and iterate lock-
@@ -212,9 +152,6 @@ type PlaneStats struct {
 	ForwardDropped int64
 	// ForwardErrors counts failed gateway pushes (each may cover a batch).
 	ForwardErrors int64
-	// SubscriberDropped counts events discarded by DropNewest buffered
-	// subscriptions.
-	SubscriberDropped int64
 }
 
 // Channel is one node's local event channel plus its gateway state.
@@ -231,38 +168,13 @@ type Channel struct {
 	sinksMu sync.Mutex
 	sinks   map[string]*sink // addr → shared gateway state
 
-	closed atomic.Bool
-	// lifeMu serializes buffered-subscription startup (closed check +
-	// wg.Add) against Close's closed store + wg.Wait.
-	lifeMu     sync.Mutex
-	wg         sync.WaitGroup // buffered-subscription goroutines
-	pushed     atomic.Int64
-	forwarded  atomic.Int64
-	subDropped atomic.Int64
+	closed    atomic.Bool
+	pushed    atomic.Int64
+	forwarded atomic.Int64
 }
 
 // Option configures a Channel.
 type Option func(*Channel)
-
-// WithSinkQueueDepth bounds each remote sink's pending queue (default
-// DefaultSinkQueueDepth). A full queue fails Push with ErrBackpressure.
-func WithSinkQueueDepth(n int) Option {
-	return func(c *Channel) {
-		if n > 0 {
-			c.sinkDepth = n
-		}
-	}
-}
-
-// WithSinkBatch caps the events coalesced into one gateway push (default
-// DefaultSinkBatch).
-func WithSinkBatch(n int) Option {
-	return func(c *Channel) {
-		if n > 0 {
-			c.sinkBatch = n
-		}
-	}
-}
 
 // WithSinkPolicy selects what Push does when a remote sink's pending queue
 // is full: DropNewest (the default) sheds the event with ErrBackpressure;
@@ -277,8 +189,8 @@ func New(node string, o *orb.ORB, opts ...Option) *Channel {
 	c := &Channel{
 		node:      node,
 		orb:       o,
-		sinkDepth: DefaultSinkQueueDepth,
-		sinkBatch: DefaultSinkBatch,
+		sinkDepth: sinkQueueDepth,
+		sinkBatch: sinkBatchCap,
 		seed:      maphash.MakeSeed(),
 		sinks:     make(map[string]*sink),
 	}
@@ -308,49 +220,11 @@ func (c *Channel) Subscribe(eventType string, h Handler) *Subscription {
 	if h == nil {
 		panic("eventchan: nil handler")
 	}
-	s := &Subscription{ch: c, eventType: eventType, h: h, cancel: make(chan struct{})}
+	s := &Subscription{ch: c, eventType: eventType, h: h}
 	c.addSub(s)
 	if c.closed.Load() {
 		// Close may have scanned the shards before addSub landed; make the
 		// late registration inert.
-		s.Cancel()
-	}
-	return s
-}
-
-// SubscribeBuffered registers a consumer behind its own bounded queue of the
-// given depth, drained by a dedicated goroutine, decoupling a slow handler
-// from the pushers. policy selects the overflow behavior: DropNewest sheds
-// (counted) or Block applies backpressure to the pusher.
-func (c *Channel) SubscribeBuffered(eventType string, depth int, policy OverflowPolicy, h Handler) *Subscription {
-	if h == nil {
-		panic("eventchan: nil handler")
-	}
-	if depth <= 0 {
-		depth = 1
-	}
-	s := &Subscription{
-		ch:        c,
-		eventType: eventType,
-		h:         h,
-		queue:     make(chan Event, depth),
-		policy:    policy,
-		cancel:    make(chan struct{}),
-	}
-	// Serialize against Close: never wg.Add after Close's wg.Wait started,
-	// and never start a delivery goroutine Close cannot reap.
-	c.lifeMu.Lock()
-	if c.closed.Load() {
-		c.lifeMu.Unlock()
-		s.Cancel()
-		return s
-	}
-	c.wg.Add(1)
-	c.lifeMu.Unlock()
-	go s.loop()
-	c.addSub(s)
-	if c.closed.Load() {
-		// Close may have scanned the shards before addSub landed.
 		s.Cancel()
 	}
 	return s
@@ -466,15 +340,17 @@ func (c *Channel) Push(ev Event) error {
 	return c.push(ev, (*Channel).sinkPush)
 }
 
-// PushUnbatched is the pre-batching reference path: synchronous local
-// fan-out plus one scalar ORB push per (event, sink). It is kept for
-// differential tests and as the event-plane benchmark baseline.
-func (c *Channel) PushUnbatched(ev Event) error {
+// PushUrgent is Push for events that must not wait behind — or be shed
+// with — a sink's pending backlog: it bypasses the gateway queue and sends
+// one scalar ORB push per sink straight away, so it overtakes queued events
+// and never returns ErrBackpressure. Heartbeats use it to keep failure
+// detection latency independent of event load.
+func (c *Channel) PushUrgent(ev Event) error {
 	return c.push(ev, (*Channel).forwardSingle)
 }
 
 // push is the shared delivery pipeline; forward selects the gateway path
-// (batched group commit, or the scalar reference).
+// (group commit through the pending queue, or the immediate scalar push).
 func (c *Channel) push(ev Event, forward func(*Channel, *sink, Event) error) error {
 	if ev.Source == "" {
 		ev.Source = c.node
@@ -494,7 +370,7 @@ func (c *Channel) push(ev Event, forward func(*Channel, *sink, Event) error) err
 	sh.mu.RUnlock()
 
 	for _, s := range subs {
-		s.deliver(ev)
+		s.h(ev)
 	}
 	var firstErr error
 	for _, snk := range sinks {
@@ -610,22 +486,16 @@ func (c *Channel) flushBatch(snk *sink, batch []Event) error {
 	if err != nil {
 		// Field lengths are validated at Push and batches are chunked under
 		// the frame limit, but a single oversized event can still fail here
-		// — exactly as it would on the scalar reference path.
+		// — exactly as it would on the scalar path.
 		snk.errs.Add(1)
 		return err
 	}
 	c.forwarded.Add(int64(len(batch)))
 	snk.batches.Add(1)
 	snk.events.Add(int64(len(batch)))
-	// Fail-fast send first: it observes (and counts, in the ORB's
-	// TransportStats.Overloads) writer-queue saturation. The batch is not
-	// shed on overload — delivery falls back to the bounded-blocking send;
-	// this sink's own pending queue is the shedding layer.
-	err = c.orb.TryInvokeOneWay(snk.addr, ServantKey, op, body)
-	if errors.Is(err, orb.ErrOverloaded) {
-		err = c.orb.InvokeOneWay(snk.addr, ServantKey, op, body)
-	}
-	if err != nil {
+	// A saturated ORB writer queue blocks here rather than shedding the
+	// batch: this sink's own pending queue is the only shedding layer.
+	if err = c.orb.InvokeOneWay(snk.addr, ServantKey, op, body); err != nil {
 		snk.errs.Add(1)
 		return fmt.Errorf("eventchan %s: forward %d event(s) to %s: %w", c.node, len(batch), snk.addr, err)
 	}
@@ -669,7 +539,7 @@ func (c *Channel) servant(op string, arg []byte) ([]byte, error) {
 				lastType, have = ev.Type, true
 			}
 			for _, s := range subs {
-				s.deliver(ev)
+				s.h(ev)
 			}
 		}
 		return nil, nil
@@ -685,20 +555,14 @@ func (c *Channel) deliverLocal(ev Event) {
 	subs := sh.subs[ev.Type]
 	sh.mu.RUnlock()
 	for _, s := range subs {
-		s.deliver(ev)
+		s.h(ev)
 	}
 }
 
-// Close stops accepting pushes and cancels every subscription, waiting for
-// buffered delivery goroutines to drain. The owning ORB's shutdown tears
-// down the transport.
+// Close stops accepting pushes and cancels every subscription. The owning
+// ORB's shutdown tears down the transport.
 func (c *Channel) Close() {
-	// Setting closed under lifeMu orders it against buffered-subscription
-	// startup: a subscriber either saw closed and never wg.Add'd, or its
-	// Add is visible before the wg.Wait below.
-	c.lifeMu.Lock()
 	c.closed.Store(true)
-	c.lifeMu.Unlock()
 	// Wake pushers blocked on full sinks so they observe the close.
 	c.sinksMu.Lock()
 	for _, snk := range c.sinks {
@@ -719,7 +583,6 @@ func (c *Channel) Close() {
 			s.Cancel()
 		}
 	}
-	c.wg.Wait()
 }
 
 // Stats returns the local-push and remote-forward counters.
@@ -727,13 +590,11 @@ func (c *Channel) Stats() (pushed, forwarded int64) {
 	return c.pushed.Load(), c.forwarded.Load()
 }
 
-// PlaneStats snapshots the event-plane counters across all sinks and
-// subscriptions.
+// PlaneStats snapshots the event-plane counters across all sinks.
 func (c *Channel) PlaneStats() PlaneStats {
 	ps := PlaneStats{
-		Pushed:            c.pushed.Load(),
-		Forwarded:         c.forwarded.Load(),
-		SubscriberDropped: c.subDropped.Load(),
+		Pushed:    c.pushed.Load(),
+		Forwarded: c.forwarded.Load(),
 	}
 	c.sinksMu.Lock()
 	defer c.sinksMu.Unlock()

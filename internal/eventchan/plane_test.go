@@ -94,9 +94,9 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 // TestBatchedVsUnbatchedDifferential pushes the same event sequence through
-// the batched gateway path and the pre-refactor scalar path and asserts the
-// consumer observes the same events either way: batching is a transport
-// optimization, not a semantic change.
+// the batched gateway path (Push) and the scalar path (PushUrgent) and
+// asserts the consumer observes the same events either way: batching is a
+// transport optimization, not a semantic change.
 func TestBatchedVsUnbatchedDifferential(t *testing.T) {
 	const n = 200
 	run := func(push func(*Channel, Event) error) map[string]int {
@@ -131,7 +131,7 @@ func TestBatchedVsUnbatchedDifferential(t *testing.T) {
 	}
 
 	batched := run((*Channel).Push)
-	unbatched := run((*Channel).PushUnbatched)
+	unbatched := run((*Channel).PushUrgent)
 	if len(batched) != n || len(unbatched) != n {
 		t.Fatalf("distinct events: batched %d, unbatched %d, want %d", len(batched), len(unbatched), n)
 	}
@@ -142,54 +142,48 @@ func TestBatchedVsUnbatchedDifferential(t *testing.T) {
 	}
 }
 
-// TestBufferedSubscriptionPolicies covers both overflow policies of the
-// per-subscriber bounded delivery queue.
-func TestBufferedSubscriptionPolicies(t *testing.T) {
-	ch, _ := newNode(t, "n")
+// TestPushUrgentOvertakesFullSink pins why PushUrgent exists: with a sink's
+// pending queue full under DropNewest, Push is shed with ErrBackpressure
+// while PushUrgent still reaches the peer.
+func TestPushUrgentOvertakesFullSink(t *testing.T) {
+	producer, _ := newNode(t, "p-urgent")
+	consumer, addr := newNode(t, "c-urgent")
+	producer.sinkDepth = 2
+	got := make(chan string, 1)
+	consumer.Subscribe("E", func(ev Event) { got <- string(ev.Payload) })
+	producer.AddRemoteSink("E", addr)
 
-	// DropNewest: a stuck handler fills the queue; further pushes shed.
-	release := make(chan struct{})
-	var delivered atomic.Int64
-	sub := ch.SubscribeBuffered("D", 2, DropNewest, func(Event) {
-		<-release
-		delivered.Add(1)
-	})
-	for i := 0; i < 10; i++ {
-		if err := ch.Push(Event{Type: "D"}); err != nil {
-			t.Fatal(err)
+	// Fill the pending queue behind a flush that is marked in flight, so
+	// nothing drains it for the duration of the test.
+	producer.sinksMu.Lock()
+	snk := producer.sinks[addr]
+	producer.sinksMu.Unlock()
+	snk.mu.Lock()
+	snk.flushing = true
+	snk.mu.Unlock()
+	for i := 0; i < producer.sinkDepth; i++ {
+		if err := producer.Push(Event{Type: "E", Payload: []byte("queued")}); err != nil {
+			t.Fatalf("push %d into a non-full queue: %v", i, err)
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for sub.Dropped() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if sub.Dropped() == 0 {
-		t.Error("DropNewest subscription never dropped on a full queue")
-	}
-	close(release)
 
-	// Block: every event is eventually delivered, pushers just wait.
-	var got atomic.Int64
-	all := make(chan struct{})
-	ch.SubscribeBuffered("B", 1, Block, func(Event) {
-		if got.Add(1) == 50 {
-			close(all)
-		}
-	})
-	go func() {
-		for i := 0; i < 50; i++ {
-			_ = ch.Push(Event{Type: "B"})
-		}
-	}()
+	if err := producer.Push(Event{Type: "E", Payload: []byte("shed")}); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("Push on a full sink = %v, want ErrBackpressure", err)
+	}
+	if err := producer.PushUrgent(Event{Type: "E", Payload: []byte("urgent")}); err != nil {
+		t.Fatalf("PushUrgent on a full sink: %v", err)
+	}
 	select {
-	case <-all:
+	case p := <-got:
+		if p != "urgent" {
+			t.Fatalf("consumer saw %q first, want the urgent event", p)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatalf("Block policy delivered %d/50 events", got.Load())
+		t.Fatal("urgent event never crossed the gateway")
 	}
-	if ps := ch.PlaneStats(); ps.SubscriberDropped != sub.Dropped() {
-		t.Errorf("PlaneStats.SubscriberDropped = %d, want %d", ps.SubscriberDropped, sub.Dropped())
+	if ps := producer.PlaneStats(); ps.ForwardDropped != 1 {
+		t.Errorf("ForwardDropped = %d, want 1", ps.ForwardDropped)
 	}
-	ch.Close()
 }
 
 // TestSinkBlockPolicyDeliversAll verifies the gateway's Block overflow
@@ -198,7 +192,8 @@ func TestBufferedSubscriptionPolicies(t *testing.T) {
 func TestSinkBlockPolicyDeliversAll(t *testing.T) {
 	o := orb.New("p-block")
 	t.Cleanup(o.Shutdown)
-	producer := New("p-block", o, WithSinkQueueDepth(2), WithSinkBatch(1), WithSinkPolicy(Block))
+	producer := New("p-block", o, WithSinkPolicy(Block))
+	producer.sinkDepth, producer.sinkBatch = 2, 1
 	consumer, addr := newNode(t, "c-block")
 
 	const pubs, per = 4, 200
@@ -297,13 +292,7 @@ func TestEventPlaneChurnStress(t *testing.T) {
 				default:
 				}
 				typ := types[i%len(types)]
-				var sub *Subscription
-				if i%2 == 0 {
-					sub = producer.Subscribe(typ, func(Event) { local.Add(1) })
-				} else {
-					sub = producer.SubscribeBuffered(typ, 16, DropNewest, func(Event) { local.Add(1) })
-				}
-				sub.Cancel()
+				producer.Subscribe(typ, func(Event) { local.Add(1) }).Cancel()
 			}
 		}(i)
 	}

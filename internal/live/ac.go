@@ -24,11 +24,6 @@ const (
 	AttrProcessors = "Processors"
 	AttrWorkload   = "Workload"
 	AttrProcessor  = "Processor"
-	// AttrACShards sets the number of admission-plane shards the controller's
-	// ledger is split into (clamped to [1, min(Processors, 64)]). When absent
-	// it defaults to min(Processors, 8). Shard count 1 reproduces the
-	// historical serial admission plane bit for bit.
-	AttrACShards = "AC_Shards"
 	// AttrEpoch carries the reconfiguration epoch stamped by the
 	// coordinator into every Reconfigure attribute set: components adopt it
 	// so stale cross-epoch decisions are recognizable.
@@ -163,21 +158,8 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
-	shards := 0
-	if _, ok := attrs[AttrACShards]; ok {
-		if shards, err = attrInt(attrs, AttrACShards); err != nil {
-			return err
-		}
-		if shards < 1 {
-			return fmt.Errorf("live: ac: attribute %q must be at least 1, got %d", AttrACShards, shards)
-		}
-	}
-	if shards == 0 {
-		shards = procs
-		if shards > 8 {
-			shards = 8
-		}
-	}
+	// The ledger is split into min(Processors, 8) admission-plane shards.
+	shards := min(procs, 8)
 	replicate := false
 	if _, ok := attrs[AttrReplicate]; ok {
 		if replicate, err = attrBool(attrs, AttrReplicate); err != nil {

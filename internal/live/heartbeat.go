@@ -18,9 +18,8 @@ const DefaultHeartbeatPeriod = 25 * time.Millisecond
 // HeartbeatBeacon is the liveness beacon component: one instance runs on
 // each application node and periodically pushes an EvHeartbeat event, which
 // the federation routes to the manager's failure detector. Beacons bypass
-// the gateway's group-commit batching (PushUnbatched) so detection latency
-// is bounded by the beacon period plus one network hop, not by batch
-// residency.
+// the gateway's pending queue (PushUrgent) so detection latency is bounded
+// by the beacon period plus one network hop, not by batch residency.
 type HeartbeatBeacon struct {
 	mu     sync.Mutex
 	proc   int
@@ -90,7 +89,7 @@ func (hb *HeartbeatBeacon) run(ch *eventchan.Channel, node string, proc int, per
 			return
 		case <-ticker.C:
 		}
-		_ = ch.PushUnbatched(eventchan.Event{Type: EvHeartbeat, Payload: AppendHeartbeat(nil, &Heartbeat{
+		_ = ch.PushUrgent(eventchan.Event{Type: EvHeartbeat, Payload: AppendHeartbeat(nil, &Heartbeat{
 			Node:      node,
 			Proc:      proc,
 			Seq:       hb.seq.Add(1),

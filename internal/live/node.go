@@ -46,18 +46,11 @@ type NodeOption func(*nodeConfig)
 
 // nodeConfig collects the transport options a NodeOption may set.
 type nodeConfig struct {
-	orbOpts  []orb.Option
 	chanOpts []eventchan.Option
 }
 
-// WithORBOptions forwards options to the node's ORB (send-queue depth,
-// write-batch cap, legacy writer).
-func WithORBOptions(opts ...orb.Option) NodeOption {
-	return func(c *nodeConfig) { c.orbOpts = append(c.orbOpts, opts...) }
-}
-
-// WithChannelOptions forwards options to the node's event channel (sink
-// queue depth, sink batch cap).
+// WithChannelOptions forwards options to the node's event channel (the
+// full-sink overflow policy).
 func WithChannelOptions(opts ...eventchan.Option) NodeOption {
 	return func(c *nodeConfig) { c.chanOpts = append(c.chanOpts, opts...) }
 }
@@ -65,7 +58,7 @@ func WithChannelOptions(opts ...eventchan.Option) NodeOption {
 // NodeTransportStats combines a node's write-path and event-plane counters
 // for overload accounting.
 type NodeTransportStats struct {
-	// ORB counts frames, flushes, bytes and refused overload sends.
+	// ORB counts frames, flushes and bytes.
 	ORB orb.TransportStats
 	// Events counts pushes, forwards, federation batches and drops.
 	Events eventchan.PlaneStats
@@ -73,8 +66,7 @@ type NodeTransportStats struct {
 
 // NewNode assembles and starts a node listening on bindAddr (use
 // "127.0.0.1:0" for tests). execScale compresses subtask execution times;
-// pass 1.0 for real time. Options tune the transport plane; defaults suit
-// tests and examples.
+// pass 1.0 for real time.
 func NewNode(name string, proc int, bindAddr string, execScale float64, opts ...NodeOption) (*Node, error) {
 	if execScale <= 0 {
 		return nil, fmt.Errorf("live: node %s: execScale must be positive, got %g", name, execScale)
@@ -89,7 +81,7 @@ func NewNode(name string, proc int, bindAddr string, execScale float64, opts ...
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	o := orb.New(name, cfg.orbOpts...)
+	o := orb.New(name)
 	addr, err := o.Listen(bindAddr)
 	if err != nil {
 		return nil, err

@@ -10,7 +10,6 @@ import (
 	"repro/internal/ccm"
 	"repro/internal/core"
 	"repro/internal/eventchan"
-	"repro/internal/orb"
 	"repro/internal/sched"
 	"repro/internal/spec"
 )
@@ -496,11 +495,11 @@ func (te *TaskEffector) sweepWaitingLocked(nowNanos int64) {
 	}
 }
 
-// TransportOverloaded reports whether err is an explicit backpressure signal
-// from the event plane (a full ORB send queue or gateway sink queue) rather
-// than a transport failure: the operation was shed, not broken.
+// TransportOverloaded reports whether err is the event plane's explicit
+// backpressure signal (a full gateway sink queue) rather than a transport
+// failure: the operation was shed, not broken.
 func TransportOverloaded(err error) bool {
-	return errors.Is(err, orb.ErrOverloaded) || errors.Is(err, eventchan.ErrBackpressure)
+	return errors.Is(err, eventchan.ErrBackpressure)
 }
 
 // onAccept handles a decision event. Only the task's home effector acts: it

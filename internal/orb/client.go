@@ -23,11 +23,10 @@ func (e *RemoteError) Error() string { return "orb: remote exception: " + e.Mess
 
 // clientConn is one pooled outbound connection with request/reply
 // correlation: the readLoop demultiplexes replies to waiting invokers by
-// request id. All writes go through the connection's frame sender (the
-// batched writer, or the legacy locked writer in reference mode).
+// request id. All writes go through the connection's batched writer.
 type clientConn struct {
 	conn   net.Conn
-	writer frameSender
+	writer *connWriter
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -36,7 +35,7 @@ type clientConn struct {
 }
 
 // newClientConn wraps an established connection. The owner must attach a
-// frame sender and start readLoop in a goroutine it tracks.
+// writer and start readLoop in a goroutine it tracks.
 func newClientConn(conn net.Conn) *clientConn {
 	return &clientConn{
 		conn:    conn,
@@ -91,12 +90,12 @@ func (c *clientConn) readLoop() {
 }
 
 // send frames and transmits one message. Transport failures tear the
-// connection down; validation errors and overloads leave it healthy.
-func (c *clientConn) send(m message, block bool) error {
+// connection down; validation errors leave it healthy.
+func (c *clientConn) send(m message) error {
 	if c.broken() {
 		return ErrConnectionClosed
 	}
-	if err := c.writer.send(m, block); err != nil {
+	if err := c.writer.send(m); err != nil {
 		if errors.Is(err, ErrConnectionClosed) {
 			c.close()
 		}
@@ -118,7 +117,7 @@ func (c *clientConn) invoke(ctx context.Context, key, op string, arg []byte) ([]
 	c.waiting[id] = ch
 	c.mu.Unlock()
 
-	err := c.send(message{kind: msgRequest, id: id, key: key, op: op, body: arg}, true)
+	err := c.send(message{kind: msgRequest, id: id, key: key, op: op, body: arg})
 	if err != nil {
 		c.mu.Lock()
 		delete(c.waiting, id)
@@ -143,13 +142,11 @@ func (c *clientConn) invoke(ctx context.Context, key, op string, arg []byte) ([]
 	}
 }
 
-// oneWay sends a request without reply correlation. block selects the
-// backpressure policy on a full send queue: wait for space, or fail fast
-// with ErrOverloaded.
-func (c *clientConn) oneWay(key, op string, arg []byte, block bool) error {
+// oneWay sends a request without reply correlation.
+func (c *clientConn) oneWay(key, op string, arg []byte) error {
 	c.mu.Lock()
 	c.nextID++
 	id := c.nextID
 	c.mu.Unlock()
-	return c.send(message{kind: msgOneWay, id: id, key: key, op: op, body: arg}, block)
+	return c.send(message{kind: msgOneWay, id: id, key: key, op: op, body: arg})
 }

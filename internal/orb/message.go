@@ -82,17 +82,6 @@ func appendFrame(dst []byte, m message) ([]byte, error) {
 	return dst, nil
 }
 
-// writeMessage frames and writes m in one call: the pre-batching reference
-// path, kept for the batched writer's differential tests.
-func writeMessage(w io.Writer, m message) error {
-	buf, err := appendFrame(nil, m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // readMessage reads one framed message.
 func readMessage(r io.Reader) (message, error) {
 	var lenBuf [4]byte

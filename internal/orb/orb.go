@@ -25,45 +25,16 @@ import (
 // Returning an error sends an exception reply to the caller.
 type Handler func(op string, arg []byte) ([]byte, error)
 
-// Option configures an ORB.
-type Option func(*ORB)
-
-// WithInvokeTimeout sets the default deadline applied to Invoke calls that
-// have no earlier context deadline. The default is five seconds.
-func WithInvokeTimeout(d time.Duration) Option {
-	return func(o *ORB) { o.invokeTimeout = d }
-}
-
-// WithSendQueueDepth bounds each connection's send queue (default
-// DefaultSendQueueDepth). A full queue blocks two-way senders and fails
-// non-blocking one-way senders with ErrOverloaded.
-func WithSendQueueDepth(n int) Option {
-	return func(o *ORB) { o.sendDepth = n }
-}
-
-// WithWriteBatch caps how many frames one flush coalesces (default
-// DefaultWriteBatch).
-func WithWriteBatch(n int) Option {
-	return func(o *ORB) { o.writeBatch = n }
-}
-
-// WithLegacyWriter selects the pre-batching write path — one locked write
-// syscall per message, no send queue. Kept as the reference behavior for
-// differential tests and the event-plane benchmark baseline.
-func WithLegacyWriter() Option {
-	return func(o *ORB) { o.legacyWrites = true }
-}
+// invokeTimeout is the deadline applied to dials and to Invoke calls whose
+// context carries none.
+const invokeTimeout = 5 * time.Second
 
 // ORB is one node's object request broker: a server endpoint hosting
 // servants plus a client-side connection pool. The zero value is not usable;
 // call New.
 type ORB struct {
-	name          string
-	invokeTimeout time.Duration
-	sendDepth     int
-	writeBatch    int
-	legacyWrites  bool
-	stats         transportStats
+	name  string
+	stats transportStats
 
 	mu       sync.Mutex
 	servants map[string]Handler
@@ -76,34 +47,19 @@ type ORB struct {
 }
 
 // New returns an ORB named for diagnostics.
-func New(name string, opts ...Option) *ORB {
-	o := &ORB{
-		name:          name,
-		invokeTimeout: 5 * time.Second,
-		sendDepth:     DefaultSendQueueDepth,
-		writeBatch:    DefaultWriteBatch,
-		servants:      make(map[string]Handler),
-		clients:       make(map[string]*clientConn),
-		inbound:       make(map[net.Conn]struct{}),
+func New(name string) *ORB {
+	return &ORB{
+		name:     name,
+		servants: make(map[string]Handler),
+		clients:  make(map[string]*clientConn),
+		inbound:  make(map[net.Conn]struct{}),
 	}
-	for _, opt := range opts {
-		opt(o)
-	}
-	return o
 }
 
 // TransportStats snapshots the write-path counters across all of the ORB's
 // connections: frames, flush syscalls (their ratio is the achieved batching
-// factor), bytes, and refused overload sends.
+// factor) and bytes.
 func (o *ORB) TransportStats() TransportStats { return o.stats.snapshot() }
-
-// newSender builds the configured write path for one connection.
-func (o *ORB) newSender(conn net.Conn) frameSender {
-	if o.legacyWrites {
-		return &legacyWriter{conn: conn, stats: &o.stats}
-	}
-	return newConnWriter(conn, o.sendDepth, o.writeBatch, &o.stats, &o.wg)
-}
 
 // Name returns the ORB's diagnostic name.
 func (o *ORB) Name() string { return o.name }
@@ -188,12 +144,12 @@ func (o *ORB) acceptLoop(ln net.Listener) {
 }
 
 // serveConn reads requests off one inbound connection and dispatches them.
-// Replies go through the connection's frame sender, so concurrent handlers
+// Replies go through the connection's batched writer, so concurrent handlers
 // cannot interleave frames and bursts of replies coalesce into one flush.
 func (o *ORB) serveConn(conn net.Conn) {
 	defer conn.Close()
-	sender := o.newSender(conn)
-	defer sender.close()
+	w := newConnWriter(conn, sendQueueDepth, writeBatch, &o.stats, &o.wg)
+	defer w.close()
 	for {
 		msg, err := readMessage(conn)
 		if err != nil {
@@ -204,7 +160,7 @@ func (o *ORB) serveConn(conn net.Conn) {
 			o.wg.Add(1)
 			go func(m message) {
 				defer o.wg.Done()
-				o.dispatch(sender, m)
+				o.dispatch(w, m)
 			}(msg)
 		default:
 			// Unexpected message kind on a server connection; drop it.
@@ -213,7 +169,7 @@ func (o *ORB) serveConn(conn net.Conn) {
 }
 
 // dispatch invokes the servant and, for two-way requests, writes the reply.
-func (o *ORB) dispatch(sender frameSender, m message) {
+func (o *ORB) dispatch(w *connWriter, m message) {
 	h, ok := o.lookup(m.key)
 	var (
 		body []byte
@@ -238,16 +194,15 @@ func (o *ORB) dispatch(sender frameSender, m message) {
 	// Replies block on a full queue (bounded by the queue depth, never
 	// dropped); write errors are ignored — the peer tears the connection
 	// down and retries.
-	_ = sender.send(reply, true)
+	_ = w.send(reply)
 }
 
 // Invoke performs a two-way invocation on the servant key at addr. The
-// context bounds the call; without a deadline the ORB's invoke timeout
-// applies.
+// context bounds the call; without a deadline invokeTimeout applies.
 func (o *ORB) Invoke(ctx context.Context, addr, key, op string, arg []byte) ([]byte, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.invokeTimeout)
+		ctx, cancel = context.WithTimeout(ctx, invokeTimeout)
 		defer cancel()
 	}
 	cc, err := o.client(addr)
@@ -265,19 +220,7 @@ func (o *ORB) InvokeOneWay(addr, key, op string, arg []byte) error {
 	if err != nil {
 		return err
 	}
-	return cc.oneWay(key, op, arg, true)
-}
-
-// TryInvokeOneWay is InvokeOneWay with fail-fast overload semantics: when
-// the connection's bounded send queue is full it returns ErrOverloaded
-// immediately instead of blocking, so best-effort paths can shed load
-// explicitly.
-func (o *ORB) TryInvokeOneWay(addr, key, op string, arg []byte) error {
-	cc, err := o.client(addr)
-	if err != nil {
-		return err
-	}
-	return cc.oneWay(key, op, arg, false)
+	return cc.oneWay(key, op, arg)
 }
 
 // client returns (dialing if necessary) the pooled connection to addr.
@@ -295,7 +238,7 @@ func (o *ORB) client(addr string) (*clientConn, error) {
 	o.mu.Unlock()
 
 	// Dial outside the lock; racing dials are reconciled below.
-	nc, err := net.DialTimeout("tcp", addr, o.invokeTimeout)
+	nc, err := net.DialTimeout("tcp", addr, invokeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("orb %s: dial %s: %w", o.name, addr, err)
 	}
@@ -311,7 +254,7 @@ func (o *ORB) client(addr string) (*clientConn, error) {
 		nc.Close()
 		return cur, nil
 	}
-	fresh.writer = o.newSender(nc)
+	fresh.writer = newConnWriter(nc, sendQueueDepth, writeBatch, &o.stats, &o.wg)
 	o.clients[addr] = fresh
 	o.wg.Add(1)
 	go func() {

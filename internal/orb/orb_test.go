@@ -5,12 +5,24 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// writeMessage frames and writes m in one call: the pre-batching reference
+// path the batched writer's differential test compares against.
+func writeMessage(w io.Writer, m message) error {
+	buf, err := appendFrame(nil, m)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
 
 // newPair returns a listening server ORB and a client ORB, cleaned up with
 // the test.

@@ -1,25 +1,17 @@
 package orb
 
 import (
-	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
 )
 
-// ErrOverloaded reports that a bounded send queue was full when a
-// non-blocking send was attempted. It is the ORB's explicit backpressure
-// signal: callers on best-effort paths (event pushes) may drop and count,
-// instead of blocking behind a slow peer.
-var ErrOverloaded = errors.New("orb: send queue overloaded")
-
-// Batched-writer defaults, overridable with WithSendQueueDepth and
-// WithWriteBatch.
 const (
-	// DefaultSendQueueDepth bounds the per-connection send queue.
-	DefaultSendQueueDepth = 1024
-	// DefaultWriteBatch caps the frames coalesced into one flush.
-	DefaultWriteBatch = 128
+	// sendQueueDepth bounds the per-connection send queue; a full queue
+	// blocks senders until the writer drains.
+	sendQueueDepth = 1024
+	// writeBatch caps the frames coalesced into one flush.
+	writeBatch = 128
 )
 
 // maxPooledFrame bounds the capacity of buffers returned to the frame pool,
@@ -58,16 +50,13 @@ type TransportStats struct {
 	Flushes int64
 	// BytesSent counts payload bytes written.
 	BytesSent int64
-	// Overloads counts sends refused with ErrOverloaded.
-	Overloads int64
 }
 
 // transportStats is the atomic accumulator behind TransportStats.
 type transportStats struct {
-	frames    atomic.Int64
-	flushes   atomic.Int64
-	bytes     atomic.Int64
-	overloads atomic.Int64
+	frames  atomic.Int64
+	flushes atomic.Int64
+	bytes   atomic.Int64
 }
 
 func (s *transportStats) snapshot() TransportStats {
@@ -75,21 +64,7 @@ func (s *transportStats) snapshot() TransportStats {
 		FramesSent: s.frames.Load(),
 		Flushes:    s.flushes.Load(),
 		BytesSent:  s.bytes.Load(),
-		Overloads:  s.overloads.Load(),
 	}
-}
-
-// frameSender abstracts the two write paths: the batched connWriter and the
-// pre-batching legacyWriter reference implementation.
-type frameSender interface {
-	// send frames and transmits m. block selects the policy when the send
-	// queue is full: wait for space (true) or fail with ErrOverloaded
-	// (false). Frame-validation errors leave the connection healthy;
-	// transport failures are (or wrap) ErrConnectionClosed.
-	send(m message, block bool) error
-	// close releases the sender's resources. It does not close the
-	// underlying connection unless the sender owns a failed one.
-	close()
 }
 
 // connWriter owns every write on one connection: senders enqueue framed
@@ -108,12 +83,6 @@ type connWriter struct {
 
 // newConnWriter starts the writer goroutine, tracked by wg.
 func newConnWriter(conn net.Conn, depth, maxBatch int, stats *transportStats, wg *sync.WaitGroup) *connWriter {
-	if depth <= 0 {
-		depth = DefaultSendQueueDepth
-	}
-	if maxBatch <= 0 {
-		maxBatch = DefaultWriteBatch
-	}
 	w := &connWriter{
 		conn:     conn,
 		queue:    make(chan *[]byte, depth),
@@ -129,8 +98,10 @@ func newConnWriter(conn net.Conn, depth, maxBatch int, stats *transportStats, wg
 	return w
 }
 
-// send implements frameSender.
-func (w *connWriter) send(m message, block bool) error {
+// send frames m and enqueues it, waiting for queue space when the queue is
+// full. Frame-validation errors leave the connection healthy; a stopped
+// writer reports ErrConnectionClosed.
+func (w *connWriter) send(m message) error {
 	f := getFrame()
 	enc, err := appendFrame(*f, m)
 	if err != nil {
@@ -139,31 +110,21 @@ func (w *connWriter) send(m message, block bool) error {
 	}
 	*f = enc
 	// Check for death first: a closed done and a non-full queue are both
-	// ready, and the blocking select below would pick between them at
-	// random — enqueueing onto a writer that already drained reports a
-	// phantom success.
+	// ready, and the select below would pick between them at random —
+	// enqueueing onto a writer that already drained reports a phantom
+	// success.
 	select {
 	case <-w.done:
 		putFrame(f)
 		return ErrConnectionClosed
 	default:
 	}
-	if block {
-		select {
-		case w.queue <- f:
-			return nil
-		case <-w.done:
-			putFrame(f)
-			return ErrConnectionClosed
-		}
-	}
 	select {
 	case w.queue <- f:
 		return nil
-	default:
-		w.stats.overloads.Add(1)
+	case <-w.done:
 		putFrame(f)
-		return ErrOverloaded
+		return ErrConnectionClosed
 	}
 }
 
@@ -233,32 +194,3 @@ func (w *connWriter) drain() {
 		}
 	}
 }
-
-// legacyWriter is the pre-batching reference path: one locked Write per
-// message. It is kept selectable (WithLegacyWriter) so differential tests
-// and benchmarks can compare the batched plane against the original
-// single-message behavior.
-type legacyWriter struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	stats *transportStats
-}
-
-func (l *legacyWriter) send(m message, _ bool) error {
-	frame, err := appendFrame(nil, m)
-	if err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.conn.Write(frame); err != nil {
-		l.conn.Close()
-		return errors.Join(ErrConnectionClosed, err)
-	}
-	l.stats.frames.Add(1)
-	l.stats.flushes.Add(1)
-	l.stats.bytes.Add(int64(len(frame)))
-	return nil
-}
-
-func (l *legacyWriter) close() {}

@@ -70,7 +70,7 @@ func TestBatchedWriterDifferential(t *testing.T) {
 	var wg sync.WaitGroup
 	w := newConnWriter(client, 16, 8, &stats, &wg)
 	for _, m := range msgs {
-		if err := w.send(m, true); err != nil {
+		if err := w.send(m); err != nil {
 			t.Errorf("send %+v: %v", m, err)
 		}
 	}
@@ -86,43 +86,6 @@ func TestBatchedWriterDifferential(t *testing.T) {
 	}
 	if stats.flushes.Load() > stats.frames.Load() {
 		t.Errorf("flushes %d > frames %d", stats.flushes.Load(), stats.frames.Load())
-	}
-}
-
-// TestWriterOverloadFailFast verifies the explicit backpressure contract: a
-// full bounded queue fails non-blocking sends with ErrOverloaded (and counts
-// them) instead of blocking forever.
-func TestWriterOverloadFailFast(t *testing.T) {
-	// A pipe with no reader: the first flush blocks, so the queue fills.
-	client, server := net.Pipe()
-
-	var stats transportStats
-	var wg sync.WaitGroup
-	w := newConnWriter(client, 4, 1, &stats, &wg)
-	defer func() {
-		// Close the pipe first: the writer may be parked in the blocked
-		// flush, and only a conn close unblocks it so wg.Wait can return.
-		client.Close()
-		server.Close()
-		w.close()
-		wg.Wait()
-	}()
-
-	m := message{kind: msgOneWay, id: 1, key: "k", op: "o", body: []byte("x")}
-	overloads := 0
-	for i := 0; i < 16; i++ {
-		if err := w.send(m, false); err != nil {
-			if err != ErrOverloaded {
-				t.Fatalf("send error = %v, want ErrOverloaded", err)
-			}
-			overloads++
-		}
-	}
-	if overloads == 0 {
-		t.Error("no sends were refused on a full queue")
-	}
-	if stats.overloads.Load() != int64(overloads) {
-		t.Errorf("overload counter = %d, want %d", stats.overloads.Load(), overloads)
 	}
 }
 
@@ -173,7 +136,7 @@ func TestWriterConcurrentIntegrity(t *testing.T) {
 			for i := 0; i < perSender; i++ {
 				id := uint64(s*perSender + i + 1)
 				m := message{kind: msgOneWay, id: id, key: "k", op: "o", body: []byte("payload")}
-				if err := w.send(m, true); err != nil {
+				if err := w.send(m); err != nil {
 					t.Errorf("send %d: %v", id, err)
 					return
 				}
