@@ -29,7 +29,7 @@ func BenchmarkFigure5(b *testing.B) {
 		combo := combo
 		b.Run(combo.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := rtmw.RunFigure5(rtmw.FigureOptions{
+				results, err := experiments.RunFigure5(experiments.FigureOptions{
 					Sets:    10,
 					Horizon: 5 * time.Minute,
 					Combos:  []rtmw.Config{combo},
@@ -52,7 +52,7 @@ func BenchmarkFigure6(b *testing.B) {
 		combo := combo
 		b.Run(combo.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, err := rtmw.RunFigure6(rtmw.FigureOptions{
+				results, err := experiments.RunFigure6(experiments.FigureOptions{
 					Sets:    10,
 					Horizon: 5 * time.Minute,
 					Combos:  []rtmw.Config{combo},
@@ -351,7 +351,7 @@ func BenchmarkFigureRunner(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				results, err := rtmw.RunFigure5(rtmw.FigureOptions{
+				results, err := experiments.RunFigure5(experiments.FigureOptions{
 					Sets:    2,
 					Horizon: 30 * time.Second,
 					Workers: workers,
@@ -692,7 +692,7 @@ func BenchmarkReconfigure(b *testing.B) {
 // allocations are deterministic per workload and guarded by benchguard;
 // jobs/sec rides along for the cross-machine perf trajectory.
 func BenchmarkChurn(b *testing.B) {
-	opts := rtmw.ChurnOptions{
+	opts := experiments.ChurnOptions{
 		Combos:  []rtmw.Config{{AC: rtmw.StrategyPerJob, IR: rtmw.StrategyPerJob, LB: rtmw.StrategyPerJob}},
 		Sets:    1,
 		Horizon: 30 * time.Second,
@@ -705,7 +705,7 @@ func BenchmarkChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := rtmw.RunChurn(opts)
+		results, err := experiments.RunChurn(opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,398 +1,123 @@
-// Command rtmw-bench regenerates the paper's evaluation artifacts:
+// Command rtmw-bench regenerates the paper's evaluation artifacts and this
+// repo's own sweeps: one subcommand per entry of the experiment registry
+// (internal/experiments), plus "all". Run it without arguments for the list.
 //
-//	rtmw-bench table1            Table 1 criteria → strategy mapping
-//	rtmw-bench figure5           accepted utilization ratio, balanced workloads
-//	rtmw-bench figure6           accepted utilization ratio, imbalanced workloads
-//	rtmw-bench overhead          Figure 7/8 service overhead table (live, TCP)
-//	rtmw-bench ablation          AUB vs deferrable-server admission (Section 2)
-//	rtmw-bench scale             large-scenario throughput sweep (pooled DES core)
-//	rtmw-bench reconfig          mid-run strategy swap: quiesce latency + zero job loss
-//	rtmw-bench churn             open-world task churn: AddTasks/RemoveTasks under load (sim sweep + live smoke)
-//	rtmw-bench failover          kill-a-node chaos sweep: heartbeat detection, zero-loss failover, recovery (live)
-//	rtmw-bench autopilot         closed-loop controller vs every static combination on regime-change scenarios
-//	rtmw-bench scenario          declarative scenario spec against sim and/or live bindings
-//	rtmw-bench all               everything above (except scenario, which needs a spec)
+//	rtmw-bench [flags] <subcommand> [subcommand flags]
 //
-// Figure runs accept -sets and -horizon; overhead accepts -duration and
-// -pings; the scale sweep accepts -points (PROCSxTASKS pairs) and -horizon
-// (defaulting to 2s of virtual time — its workloads use shorter deadlines
-// than the figures). The figure and ablation sweeps fan their independent
-// trials over -parallel workers (results are bit-identical to a serial run).
-// Output goes to stdout; add -csv for machine-readable series or -json for
-// structured documents. With -json, the JSON documents are the only stdout
-// output (the human-readable tables move to stderr), so stdout redirects to
-// a valid .json file.
+// Each subcommand's summary names the flags it reads. A zero -horizon means
+// the experiment's own default. Sweeps fan their independent trials over
+// -parallel workers; results are bit-identical to a serial run. A subcommand
+// with flags of its own takes them after its name and stays out of "all".
 //
-// The scenario subcommand takes its own flags after the subcommand name:
+// Tables go to stdout. With -json, every subcommand's JSON document goes to
+// stdout instead — each carrying its name under "experiment" — and the tables
+// move to stderr, so stdout redirects to a valid stream of JSON documents.
 //
-//	rtmw-bench scenario -spec scenarios/flashcrowd.json -binding both
-//	rtmw-bench scenario -spec scenarios/tenant-churn.json -binding sim -record run.jsonl
-//	rtmw-bench scenario -replay run.jsonl -json
-//
-// It exits non-zero when any binding violates the spec's invariant block. A
-// missing or unknown subcommand prints usage and exits 2, so a misspelled
-// CI invocation fails instead of silently no-opping.
+// The exit status is 1 when a run fails or an experiment with an acceptance
+// verdict does not pass, and 2 — after a usage line — for a missing or
+// unknown subcommand or bad flags, so a misspelled CI invocation fails
+// instead of silently no-opping.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
+	"strings"
 	"time"
 
-	"repro/internal/configengine"
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/scenario"
 )
 
-// errUsage marks invocation errors (bad subcommand, bad flags): main prints
-// usage and exits 2, distinguishing caller mistakes from run failures.
-var errUsage = errors.New("usage")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	if err := run(); err != nil {
-		if errors.Is(err, errUsage) {
-			fmt.Fprintln(os.Stderr, err)
-			flag.Usage()
-			os.Exit(2)
+// run is main with its arguments and writers passed in; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	registry := experiments.Registry()
+	names := make([]string, 0, len(registry)+1)
+	for _, e := range registry {
+		names = append(names, e.Name)
+	}
+	names = append(names, "all")
+
+	var p experiments.Params
+	fs := flag.NewFlagSet("rtmw-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&p.Sets, "sets", 10, "random task sets per sweep point")
+	fs.DurationVar(&p.Horizon, "horizon", 0, "virtual workload duration per run (0 = the experiment's default)")
+	fs.DurationVar(&p.Duration, "duration", 5*time.Second, "live overhead run duration")
+	fs.IntVar(&p.Pings, "pings", 1000, "event round trips for the communication-delay estimate")
+	fs.IntVar(&p.Parallel, "parallel", 1, "concurrent trial workers for the sweeps (0 = one per CPU)")
+	fs.StringVar(&p.Points, "points", "5x100,50x10000,200x50000", "scale sweep points as PROCSxTASKS pairs")
+	fs.StringVar(&p.From, "from", "T_N_N", "reconfig experiment: starting AC_IR_LB combination")
+	fs.StringVar(&p.To, "to", "J_J_J", "reconfig experiment: target AC_IR_LB combination")
+	fs.BoolVar(&p.NoLive, "nolive", false, "skip the live-cluster legs of churn and autopilot")
+	fs.BoolVar(&p.CSV, "csv", false, "also print CSV series for figures")
+	jsonOut := fs.Bool("json", false, "print JSON documents to stdout and move the tables to stderr")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: rtmw-bench [flags] <subcommand> [subcommand flags]")
+		for _, e := range registry {
+			fmt.Fprintf(stderr, "  %-10s %s\n", e.Name, e.Summary)
 		}
-		log.Fatal(err)
+		fmt.Fprintln(stderr, "  all        every subcommand above that takes no flags of its own")
+		fs.PrintDefaults()
 	}
-}
+	usage := func(msg string) int {
+		fmt.Fprintf(stderr, "rtmw-bench: %s: want one of %s\n", msg, strings.Join(names, " | "))
+		fs.Usage()
+		return 2
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2 // the flag set has printed the error and the usage
+	}
+	if fs.NArg() == 0 {
+		return usage("missing subcommand")
+	}
+	name := fs.Arg(0)
+	p.Args = fs.Args()[1:]
 
-func run() error {
-	var (
-		sets     = flag.Int("sets", 10, "random task sets per figure point")
-		horizon  = flag.Duration("horizon", 5*time.Minute, "virtual workload duration per run")
-		duration = flag.Duration("duration", 5*time.Second, "live overhead run duration")
-		pings    = flag.Int("pings", 1000, "event round trips for the communication-delay estimate")
-		parallel = flag.Int("parallel", 1, "concurrent trial workers for figure/ablation sweeps (0 = one per CPU)")
-		points   = flag.String("points", "5x100,50x10000,200x50000", "scale sweep points as PROCSxTASKS pairs")
-		fromCfg  = flag.String("from", "T_N_N", "reconfig experiment: starting AC_IR_LB combination")
-		toCfg    = flag.String("to", "J_J_J", "reconfig experiment: target AC_IR_LB combination")
-		noLive   = flag.Bool("nolive", false, "churn experiment: skip the live-cluster smoke")
-		csv      = flag.Bool("csv", false, "also print CSV series for figures")
-		jsonOut  = flag.Bool("json", false, "also print JSON documents for figures, the ablation, and the scale sweep")
-	)
-	flag.Parse()
-	cmd := flag.Arg(0)
-	if cmd == "" {
-		return fmt.Errorf("%w: missing subcommand: table1 | figure5 | figure6 | overhead | ablation | scale | reconfig | churn | failover | autopilot | scenario | all", errUsage)
-	}
-	horizonSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "horizon" {
-			horizonSet = true
+	var selected []experiments.Entry
+	for _, e := range registry {
+		if e.Name == name || name == "all" && !e.OwnArgs {
+			selected = append(selected, e)
 		}
-	})
-
-	workers := *parallel
-	if workers < 1 {
-		workers = experiments.ResolveWorkers(workers)
 	}
-	figOpts := experiments.FigureOptions{Sets: *sets, Horizon: *horizon, Workers: workers}
-	ovOpts := experiments.OverheadOptions{Duration: *duration, PingCount: *pings}
+	if len(selected) == 0 {
+		return usage(fmt.Sprintf("unknown subcommand %q", name))
+	}
 
-	// With -json, human-readable tables move to stderr so stdout stays a
-	// valid JSON stream (the CI perf-trajectory artifact redirects it).
-	tableW := io.Writer(os.Stdout)
+	tables := stdout
 	if *jsonOut {
-		tableW = os.Stderr
+		tables = stderr
 	}
-
-	renderFigure := func(name, title string, run func(experiments.FigureOptions) ([]experiments.ComboResult, error)) error {
-		results, err := run(figOpts)
+	for _, e := range selected {
+		fmt.Fprintf(stderr, "running %s...\n", e.Name)
+		rep, err := e.Run(p)
 		if err != nil {
-			return err
+			fmt.Fprintln(stderr, "rtmw-bench:", err)
+			if errors.Is(err, experiments.ErrUsage) {
+				fs.Usage()
+				return 2
+			}
+			return 1
 		}
-		fmt.Fprintln(tableW, experiments.RenderFigure(title, results))
-		if *csv {
-			fmt.Fprintln(tableW, experiments.RenderCSV(results))
-		}
+		rep.WriteTable(tables)
 		if *jsonOut {
-			doc, err := experiments.RenderFigureJSON(name, results)
+			doc, err := json.MarshalIndent(rep, "", "  ")
 			if err != nil {
-				return err
+				fmt.Fprintf(stderr, "rtmw-bench: encode %s: %v\n", e.Name, err)
+				return 1
 			}
-			fmt.Println(doc)
-		}
-		return nil
-	}
-	runFigure5 := func() error {
-		return renderFigure("figure5",
-			fmt.Sprintf("Figure 5: accepted utilization ratio, random balanced workloads (%d sets, %v, %d workers)", *sets, *horizon, workers),
-			experiments.RunFigure5)
-	}
-	runFigure6 := func() error {
-		return renderFigure("figure6",
-			fmt.Sprintf("Figure 6: accepted utilization ratio, imbalanced workloads (%d sets, %v, %d workers)", *sets, *horizon, workers),
-			experiments.RunFigure6)
-	}
-	runOverhead := func() error {
-		fmt.Fprintf(os.Stderr, "running live overhead measurement (%v + %d pings)...\n", *duration, *pings)
-		rep, err := experiments.RunOverhead(ovOpts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.RenderOverhead(rep))
-		return nil
-	}
-	runTable1 := func() error {
-		fmt.Println(configengine.RenderTable1())
-		fmt.Println("Valid strategy combinations (Figure 2): 15 of 18; AC-per-task with IR-per-job is contradictory.")
-		return nil
-	}
-	runScale := func() error {
-		pts, err := experiments.ParseScalePoints(*points)
-		if err != nil {
-			return err
-		}
-		opts := experiments.ScaleOptions{Points: pts}
-		if horizonSet {
-			opts.Horizon = *horizon
-		}
-		results, err := experiments.RunScale(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tableW, experiments.RenderScale(
-			fmt.Sprintf("Scale sweep: simulated middleware throughput by platform size (points %s)", *points), results))
-		if *jsonOut {
-			doc, err := experiments.RenderScaleJSON(results)
-			if err != nil {
-				return err
-			}
-			fmt.Println(doc)
-		}
-		return nil
-	}
-	runReconfig := func() error {
-		from, err := core.ParseConfig(*fromCfg)
-		if err != nil {
-			return fmt.Errorf("-from: %w", err)
-		}
-		to, err := core.ParseConfig(*toCfg)
-		if err != nil {
-			return fmt.Errorf("-to: %w", err)
-		}
-		opts := experiments.ReconfigOptions{From: from, To: to, Sets: *sets, Workers: workers}
-		if horizonSet {
-			opts.Horizon = *horizon
-		} else {
-			opts.Horizon = 2 * time.Minute
-		}
-		results, err := experiments.RunReconfig(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tableW, experiments.RenderReconfig(
-			fmt.Sprintf("Reconfiguration: %s -> %s at %v of %v (%d sets)", from, to, opts.Horizon/2, opts.Horizon, *sets), results))
-		if *jsonOut {
-			doc, err := experiments.RenderReconfigJSON(results)
-			if err != nil {
-				return err
-			}
-			fmt.Println(doc)
-		}
-		return nil
-	}
-	runChurn := func() error {
-		opts := experiments.ChurnOptions{Sets: *sets, Workers: workers}
-		if horizonSet {
-			opts.Horizon = *horizon
-		} else {
-			opts.Horizon = 2 * time.Minute
-		}
-		results, err := experiments.RunChurn(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tableW, experiments.RenderChurn(
-			fmt.Sprintf("Open-world churn: tenants joining/leaving over %v (%d sets, %d workers)", opts.Horizon, *sets, workers), results))
-		var liveSmoke *experiments.ChurnLiveResult
-		if !*noLive {
-			fmt.Fprintln(os.Stderr, "running live churn smoke...")
-			liveSmoke, err = experiments.RunChurnLive(experiments.ChurnLiveOptions{})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(tableW, experiments.RenderChurnLive(liveSmoke))
-		}
-		if *jsonOut {
-			doc, err := experiments.RenderChurnJSON(results, liveSmoke)
-			if err != nil {
-				return err
-			}
-			fmt.Println(doc)
-		}
-		return nil
-	}
-	runFailover := func() error {
-		fmt.Fprintln(os.Stderr, "running kill-a-node failover sweep (live clusters)...")
-		results, err := experiments.RunFailover(experiments.FailoverOptions{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tableW, experiments.RenderFailover(
-			"Failover: heartbeat detection, zero-loss node failover and recovery (one live cluster per victim)", results))
-		if *jsonOut {
-			doc, err := experiments.RenderFailoverJSON(results)
-			if err != nil {
-				return err
-			}
-			fmt.Println(doc)
-		}
-		if !experiments.FailoverPassed(results) {
-			return fmt.Errorf("failover sweep failed its zero-loss obligations (lost jobs, dirty audit, or missing failure-plane events)")
-		}
-		return nil
-	}
-	runAblation := func() error {
-		results, err := experiments.RunAblationAUBvsDS(experiments.AblationOptions{Seeds: 10, Workers: workers})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tableW, experiments.RenderAblation(results))
-		if *jsonOut {
-			doc, err := experiments.RenderAblationJSON(results)
-			if err != nil {
-				return err
-			}
-			fmt.Println(doc)
-		}
-		return nil
-	}
-
-	runAutopilot := func() error {
-		opts := experiments.AutopilotOptions{Workers: workers, Live: !*noLive}
-		if !*noLive {
-			fmt.Fprintln(os.Stderr, "running autopilot sweep (sim statics + controller, plus live leg)...")
-		}
-		rep, err := experiments.RunAutopilot(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tableW, experiments.RenderAutopilot(rep))
-		if *jsonOut {
-			doc, err := experiments.RenderAutopilotJSON(rep)
-			if err != nil {
-				return err
-			}
-			fmt.Println(doc)
-		}
-		if !experiments.AutopilotPassed(rep) {
-			return fmt.Errorf("autopilot failed acceptance: controller must beat every static combination on >= 2 scenarios with clean invariants")
-		}
-		return nil
-	}
-
-	runScenario := func() error {
-		fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
-		specPath := fs.String("spec", "", "scenario spec file (JSON)")
-		bindingF := fs.String("binding", "both", "binding(s) to run: sim | live | both")
-		record := fs.String("record", "", "record the run to a journal file (single binding only)")
-		replay := fs.String("replay", "", "replay a journal file in the sim instead of running a spec")
-		timescale := fs.Float64("timescale", 0, "live wall-clock compression factor (0 = the spec's)")
-		if err := fs.Parse(flag.Args()[1:]); err != nil {
-			return fmt.Errorf("%w: scenario: %v", errUsage, err)
-		}
-		if *replay != "" {
-			data, err := os.ReadFile(*replay)
-			if err != nil {
-				return err
-			}
-			j, err := scenario.DecodeJournal(data)
-			if err != nil {
-				return err
-			}
-			rr, err := scenario.Replay(j)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(tableW, "Replayed %q (%s journal): arrived %d, released %d, completed %d, missed %d, lost %d, ratio %.3f\n",
-				rr.Scenario, j.Header.Binding, rr.Arrived, rr.Released, rr.Completed, rr.Missed, rr.Lost, rr.Ratio)
-			if *jsonOut {
-				fmt.Println(string(rr.MetricsJSON))
-			}
-			return nil
-		}
-		if *specPath == "" {
-			return fmt.Errorf("%w: scenario: -spec or -replay is required", errUsage)
-		}
-		data, err := os.ReadFile(*specPath)
-		if err != nil {
-			return err
-		}
-		s, err := scenario.Parse(data)
-		if err != nil {
-			return err
-		}
-		var bindings []string
-		switch *bindingF {
-		case "sim":
-			bindings = []string{scenario.BindingSim}
-		case "live":
-			bindings = []string{scenario.BindingLive}
-		case "both":
-			bindings = []string{scenario.BindingSim, scenario.BindingLive}
-		default:
-			return fmt.Errorf("%w: scenario: -binding must be sim, live or both, got %q", errUsage, *bindingF)
-		}
-		rep, err := experiments.RunScenario(experiments.ScenarioOptions{
-			Spec: s, Bindings: bindings, TimeScale: *timescale, RecordPath: *record,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(tableW, experiments.RenderScenario(rep))
-		if *jsonOut {
-			doc, err := experiments.RenderScenarioJSON(rep)
-			if err != nil {
-				return err
-			}
-			fmt.Println(doc)
+			fmt.Fprintln(stdout, string(doc))
 		}
 		if !rep.Passed() {
-			return fmt.Errorf("scenario %q violated its invariant block", s.Name)
+			fmt.Fprintf(stderr, "rtmw-bench: %s did not pass its acceptance verdict (see its table)\n", e.Name)
+			return 1
 		}
-		return nil
 	}
-
-	switch cmd {
-	case "table1":
-		return runTable1()
-	case "figure5":
-		return runFigure5()
-	case "figure6":
-		return runFigure6()
-	case "overhead":
-		return runOverhead()
-	case "ablation":
-		return runAblation()
-	case "scale":
-		return runScale()
-	case "reconfig":
-		return runReconfig()
-	case "churn":
-		return runChurn()
-	case "failover":
-		return runFailover()
-	case "autopilot":
-		return runAutopilot()
-	case "scenario":
-		return runScenario()
-	case "all":
-		for _, f := range []func() error{runTable1, runFigure5, runFigure6, runOverhead, runAblation, runScale, runReconfig, runChurn, runFailover, runAutopilot} {
-			if err := f(); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown subcommand %q", errUsage, cmd)
-	}
+	return 0
 }

@@ -273,90 +273,33 @@ func (c *Cluster) Submit(taskID string) (core.Admission, error) {
 	return te.SubmitJob(taskID)
 }
 
-// SubmitBatch injects one arrival per named task, grouping the arrivals by
-// home task effector so each group takes the effector lock once and its
-// "Task Arrive" events push back to back — the gateway's group-commit
-// forwarder coalesces them into a few ORB frames instead of one invocation
-// each. IDs are validated up front; an unknown task fails the whole batch
-// before any arrival is injected. If a group nevertheless fails mid-flight
-// (e.g. its task was removed concurrently), the returned slice is still
-// complete and faithful: injected arrivals keep their admissions, the
-// failed group's entries resolve as Rejected with the error in Reason, and
-// the first error is returned alongside.
+// SubmitBatch injects one arrival per named task, in order, through Submit.
+// IDs are validated up front; an unknown task fails the whole batch before
+// any arrival is injected. If an arrival nevertheless fails mid-flight (its
+// task was removed concurrently, its home node died), the returned slice is
+// still complete and faithful: injected arrivals keep their admissions, the
+// failed entry resolves as Rejected with the error in Reason, and the first
+// error is returned alongside.
 func (c *Cluster) SubmitBatch(taskIDs []string) ([]core.Admission, error) {
-	type group struct {
-		ids  []string
-		idxs []int
-	}
-	groups := make(map[int]*group)
-	order := make([]int, 0, 4)
-	for i, id := range taskIDs {
-		proc, err := c.homeProc(id)
-		if err != nil {
+	for _, id := range taskIDs {
+		if _, err := c.homeProc(id); err != nil {
 			return nil, err
 		}
-		g, ok := groups[proc]
-		if !ok {
-			g = &group{}
-			groups[proc] = g
-			order = append(order, proc)
-		}
-		g.ids = append(g.ids, id)
-		g.idxs = append(g.idxs, i)
 	}
 	out := make([]core.Admission, len(taskIDs))
-	for i, id := range taskIDs {
-		out[i] = core.Admission{Task: id, Job: -1}
-	}
-	c.failMu.Lock()
-	if c.failoverActive {
-		// Defer the whole batch, as a quiesce defers arrivals; the replay
-		// after the failover re-injects them one by one.
-		c.deferredSubmits = append(c.deferredSubmits, taskIDs...)
-		c.failMu.Unlock()
-		for i := range out {
-			out[i].Outcome = core.AdmissionPending
-			out[i].Reason = "failover in progress: arrival deferred"
-		}
-		return out, nil
-	}
-	dead := make(map[int]bool, len(c.deadProcs))
-	for p := range c.deadProcs {
-		dead[p] = true
-	}
-	c.failMu.Unlock()
 	var firstErr error
-	failGroup := func(g *group, err error) {
-		for _, idx := range g.idxs {
-			out[idx].Outcome = core.AdmissionRejected
-			out[idx].Reason = err.Error()
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, proc := range order {
-		g := groups[proc]
-		if dead[proc] {
-			failGroup(g, fmt.Errorf("cluster: submit batch: processor %d: %w", proc, live.ErrNodeDown))
-			continue
-		}
-		te, err := c.TE(proc)
+	for i, id := range taskIDs {
+		adm, err := c.Submit(id)
 		if err != nil {
-			failGroup(g, err)
-			continue
+			if adm.Outcome != core.AdmissionRejected {
+				adm.Outcome = core.AdmissionRejected
+				adm.Reason = err.Error()
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
 		}
-		adms, err := te.SubmitBatch(g.ids)
-		if err != nil && adms == nil {
-			failGroup(g, err)
-			continue
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		for i, adm := range adms {
-			out[g.idxs[i]] = adm
-		}
+		out[i] = adm
 	}
 	return out, firstErr
 }

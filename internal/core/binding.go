@@ -91,26 +91,28 @@ type Admission struct {
 // implement.
 type ReconfigReport struct {
 	// From and To are the strategy combinations before and after the swap.
-	From, To Config
+	From Config `json:"from"`
+	To   Config `json:"to"`
 	// Epoch is the epoch entered by the swap (the Accept events decided
 	// after it carry this stamp).
-	Epoch int64
+	Epoch int64 `json:"epoch"`
 	// At is the virtual time of the swap (simulation binding only).
-	At time.Duration
+	At time.Duration `json:"at_ns"`
 	// Quiesce is how long admission was quiesced: the window during which
 	// new arrivals were deferred while in-flight decisions drained. Virtual
 	// time in the simulation binding, wall-clock in the live binding.
-	Quiesce time.Duration
+	Quiesce time.Duration `json:"quiesce_ns"`
 	// Deferred is the number of arrivals queued during the quiesce and
 	// replayed — and decided — under the new configuration.
-	Deferred int64
+	Deferred int64 `json:"deferred"`
 	// InFlightBefore and InFlightAfter count released-but-uncompleted jobs
 	// on both sides of the swap; the protocol preserves them all.
-	InFlightBefore, InFlightAfter int64
+	InFlightBefore int64 `json:"inflight_before"`
+	InFlightAfter  int64 `json:"inflight_after"`
 	// ReservationsReleased is the number of ledger contributions withdrawn
 	// by the reservation rebase (AC leaving per-task).
-	ReservationsReleased int
+	ReservationsReleased int `json:"reservations_released"`
 	// NodeTimings records the per-node component swap durations of the live
 	// protocol, keyed by node name (nil in the simulation binding).
-	NodeTimings map[string]time.Duration
+	NodeTimings map[string]time.Duration `json:"node_timings_ns,omitempty"`
 }

@@ -37,10 +37,10 @@ type Decision struct {
 // the AUB synthetic-utilization ledger and the per-task decision memory, and
 // is driven by "Task Arrive" and "Idle Resetting" events.
 //
-// Concurrency: Arrive, ArriveBatch, ExpireJob, IdleReset, and Location are
-// safe to call from multiple goroutines. Aperiodic arrivals under LB-none
-// run lock-free in the controller (the sharded ledger provides the admission
-// atomicity); periodic-task flows serialize on an internal mutex protecting
+// Concurrency: Arrive, ExpireJob, IdleReset, and Location are safe to call
+// from multiple goroutines. Aperiodic arrivals under LB-none run lock-free
+// in the controller (the sharded ledger provides the admission atomicity);
+// periodic-task flows serialize on an internal mutex protecting
 // the per-task decision memory. Reconfigure and RemoveTask mutate the
 // strategy configuration and decision memory and must not run concurrently
 // with arrivals — callers quiesce first (the live binding holds its
@@ -319,71 +319,6 @@ func (c *Controller) Arrive(t *sched.Task, job int64, now time.Duration) Decisio
 	default:
 		return Decision{}
 	}
-}
-
-// BatchArrival is one "Task Arrive" event of an ArriveBatch call.
-type BatchArrival struct {
-	Task *sched.Task
-	Job  int64
-	Now  time.Duration
-}
-
-// ArriveBatch processes a batch of arrivals and returns one decision per
-// arrival, in order. When every arrival is aperiodic and load balancing is
-// off, the batch is admitted through the ledger's grouped batch path — each
-// admission shard's lock is taken at most once for the whole batch — with
-// decisions identical to submitting the arrivals sequentially. Any other
-// strategy mix falls back to per-arrival Arrive calls.
-func (c *Controller) ArriveBatch(arrivals []BatchArrival) []Decision {
-	out := make([]Decision, len(arrivals))
-	grouped := c.cfg.LB == StrategyNone
-	if grouped {
-		for i := range arrivals {
-			if arrivals[i].Task.Kind != sched.Aperiodic {
-				grouped = false
-				break
-			}
-		}
-	}
-	if !grouped {
-		for i := range arrivals {
-			out[i] = c.Arrive(arrivals[i].Task, arrivals[i].Job, arrivals[i].Now)
-		}
-		return out
-	}
-	cands := make([]sched.BatchCandidate, len(arrivals))
-	for i := range arrivals {
-		t := arrivals[i].Task
-		cands[i] = sched.BatchCandidate{
-			Ref:       sched.JobRef{Task: t.ID, Job: arrivals[i].Job},
-			Kind:      t.Kind,
-			Placement: c.cachedHome(t),
-			Expiry:    arrivals[i].Now + t.Deadline,
-		}
-	}
-	var t0 time.Time
-	if c.timing != nil {
-		t0 = time.Now()
-	}
-	decisions := c.ledger.TestAndAddBatch(cands)
-	if c.timing != nil {
-		c.timing.Test.Add(time.Since(t0))
-	}
-	atomic.AddInt64(&c.Stats.Tests, int64(len(arrivals)))
-	accepts := int64(0)
-	for i, ok := range decisions {
-		if !ok {
-			out[i] = Decision{Tested: true}
-			continue
-		}
-		accepts++
-		// Under LB-none the placement is the home placement, so the first
-		// stage never moves off the arrival processor.
-		out[i] = Decision{Accept: true, Placement: cands[i].Placement, Tested: true}
-	}
-	atomic.AddInt64(&c.Stats.Accepts, accepts)
-	atomic.AddInt64(&c.Stats.Rejects, int64(len(arrivals))-accepts)
-	return out
 }
 
 // arrivePerTask handles periodic arrivals under per-task admission control.

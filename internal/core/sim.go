@@ -350,8 +350,7 @@ func (s *SimSystem) Submit(taskID string) (Admission, error) {
 
 // SubmitBatch injects one arrival per named task at the current virtual
 // time. The IDs are validated up front, so either every arrival is injected
-// or none is. On the simulation binding the batch is a convenience; on the
-// live binding it amortizes transport round trips.
+// or none is.
 func (s *SimSystem) SubmitBatch(taskIDs []string) ([]Admission, error) {
 	if s.stopped {
 		return nil, fmt.Errorf("core: sim: submit batch: %w", ErrStopped)

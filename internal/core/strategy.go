@@ -84,6 +84,10 @@ func (c Config) String() string {
 	return c.AC.String() + "_" + c.IR.String() + "_" + c.LB.String()
 }
 
+// MarshalText encodes the configuration as its tuple string, so a Config
+// field of a JSON document reads "T_N_J".
+func (c Config) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
 // ParseConfig parses a tuple such as "J_T_N" (case-insensitive).
 func ParseConfig(s string) (Config, error) {
 	parts := strings.Split(strings.TrimSpace(s), "_")

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/sched"
@@ -65,11 +65,11 @@ func (o AblationOptions) withDefaults() AblationOptions {
 // AblationResult is one technique's outcome.
 type AblationResult struct {
 	// Technique is "AUB" or "DS".
-	Technique string
+	Technique string `json:"technique"`
 	// AcceptedRatio is the accepted utilization ratio averaged over seeds.
-	AcceptedRatio float64
+	AcceptedRatio float64 `json:"accepted_ratio"`
 	// PerSeed holds the per-seed ratios.
-	PerSeed []float64
+	PerSeed []float64 `json:"per_seed"`
 }
 
 // aperiodicStream is one pre-generated arrival stream.
@@ -251,15 +251,14 @@ func replayDS(opts AblationOptions, events []arrivalEvent) (float64, error) {
 	return accepted / offered, nil
 }
 
-// RenderAblation formats the comparison.
-func RenderAblation(results []AblationResult) string {
-	var b strings.Builder
-	b.WriteString("Ablation: AUB vs deferrable-server admission (aperiodic streams)\n")
-	fmt.Fprintf(&b, "%-10s %-10s %s\n", "technique", "ratio", "per-seed")
+// writeAblation formats the comparison.
+func writeAblation(w io.Writer, results []AblationResult) {
+	fmt.Fprintln(w, "Ablation: AUB vs deferrable-server admission (aperiodic streams)")
+	fmt.Fprintf(w, "%-10s %-10s %s\n", "technique", "ratio", "per-seed")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-10s %-10.3f %v\n", r.Technique, r.AcceptedRatio, roundSlice(r.PerSeed))
+		fmt.Fprintf(w, "%-10s %-10.3f %v\n", r.Technique, r.AcceptedRatio, roundSlice(r.PerSeed))
 	}
-	return b.String()
+	fmt.Fprintln(w)
 }
 
 // roundSlice trims floats for printing.

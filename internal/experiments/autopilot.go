@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
+	"io"
 	"time"
 
 	"repro/internal/core"
@@ -33,8 +32,6 @@ type AutopilotOptions struct {
 	// Live additionally runs the controller on the live loopback cluster
 	// for scenarios that define a live leg.
 	Live bool
-	// TimeScale overrides the live compression factor (zero: spec default).
-	TimeScale float64
 }
 
 // AutopilotRun is one scenario execution's slim outcome row.
@@ -82,15 +79,21 @@ type AutopilotScenarioReport struct {
 
 // AutopilotReport is the experiment outcome across scenarios.
 type AutopilotReport struct {
+	Experiment string `json:"experiment"`
+	// Verdict is Passed, stored so the JSON document carries it.
+	Verdict   bool                       `json:"passed"`
 	Scenarios []*AutopilotScenarioReport `json:"scenarios"`
 }
 
-// AutopilotPassed is the experiment's acceptance verdict: the controller
-// beats every static combination on at least two scenarios, and every
-// controller run (both bindings) satisfied its invariant block — zero
-// admitted-job loss, clean ledger audit, bounded actuations.
-func AutopilotPassed(rep *AutopilotReport) bool {
-	if rep == nil || len(rep.Scenarios) == 0 {
+// Passed is the experiment's acceptance verdict: the controller beats every
+// static combination on at least two scenarios, and every controller run
+// (both bindings) satisfied its invariant block — zero admitted-job loss,
+// clean ledger audit, bounded actuations.
+func (rep *AutopilotReport) Passed() bool { return rep.Verdict }
+
+// verdict computes Passed once every scenario has run.
+func (rep *AutopilotReport) verdict() bool {
+	if len(rep.Scenarios) == 0 {
 		return false
 	}
 	beaten := 0
@@ -299,7 +302,7 @@ func RunAutopilot(opts AutopilotOptions) (*AutopilotReport, error) {
 	workers := ResolveWorkers(opts.Workers)
 	combos := core.AllCombinations()
 
-	rep := &AutopilotReport{}
+	rep := &AutopilotReport{Experiment: "autopilot"}
 	for _, sc := range scenarios {
 		sr := &AutopilotScenarioReport{
 			Scenario:    sc.name,
@@ -338,7 +341,7 @@ func RunAutopilot(opts AutopilotOptions) (*AutopilotReport, error) {
 		sr.AutopilotMiss = simRes.MissRate
 
 		if opts.Live && sc.live {
-			liveRes, err := scenario.RunLive(pilotSpec, opts.TimeScale, nil)
+			liveRes, err := scenario.RunLive(pilotSpec, 0, nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: autopilot %s live: %w", sc.name, err)
 			}
@@ -356,19 +359,19 @@ func RunAutopilot(opts AutopilotOptions) (*AutopilotReport, error) {
 		}
 		rep.Scenarios = append(rep.Scenarios, sr)
 	}
+	rep.Verdict = rep.verdict()
 	return rep, nil
 }
 
-// RenderAutopilot formats the report as per-scenario tables plus the
-// acceptance verdict.
-func RenderAutopilot(rep *AutopilotReport) string {
-	var b strings.Builder
+// WriteTable formats the report as per-scenario tables plus the acceptance
+// verdict.
+func (rep *AutopilotReport) WriteTable(w io.Writer) {
 	for _, sc := range rep.Scenarios {
-		fmt.Fprintf(&b, "Scenario %q (horizon %v)\n", sc.Scenario, autopilotHorizon)
+		fmt.Fprintf(w, "Scenario %q (horizon %v)\n", sc.Scenario, autopilotHorizon)
 		if sc.Description != "" {
-			fmt.Fprintf(&b, "  %s\n", sc.Description)
+			fmt.Fprintf(w, "  %s\n", sc.Description)
 		}
-		fmt.Fprintf(&b, "%-10s %-5s %8s %9s %7s %5s %9s %5s %7s %8s\n",
+		fmt.Fprintf(w, "%-10s %-5s %8s %9s %7s %5s %9s %5s %7s %8s\n",
 			"combo", "bind", "arrived", "completed", "missed", "lost", "missrate", "acts", "ledger", "verdict")
 		rows := make([]AutopilotRun, 0, len(sc.Static)+len(sc.Autopilot))
 		rows = append(rows, sc.Static...)
@@ -382,42 +385,23 @@ func RenderAutopilot(rep *AutopilotReport) string {
 			if !r.Passed {
 				verdict = "FAIL"
 			}
-			fmt.Fprintf(&b, "%-10s %-5s %8d %9d %7d %5d %9.4f %5d %7s %8s\n",
+			fmt.Fprintf(w, "%-10s %-5s %8d %9d %7d %5d %9.4f %5d %7s %8s\n",
 				r.Combo, r.Binding, r.Arrived, r.Completed, r.Missed, r.Lost,
 				r.MissRate, r.Actuations, ledger, verdict)
 			for _, v := range r.Violations {
-				fmt.Fprintf(&b, "           violation: %s\n", v)
+				fmt.Fprintf(w, "           violation: %s\n", v)
 			}
 		}
 		outcome := "does NOT beat"
 		if sc.Beaten {
 			outcome = "beats"
 		}
-		fmt.Fprintf(&b, "autopilot %.4f %s best static %s at %.4f\n\n",
+		fmt.Fprintf(w, "autopilot %.4f %s best static %s at %.4f\n\n",
 			sc.AutopilotMiss, outcome, sc.BestStatic, sc.BestStaticMiss)
 	}
 	verdict := "FAIL"
-	if AutopilotPassed(rep) {
+	if rep.Verdict {
 		verdict = "PASS"
 	}
-	fmt.Fprintf(&b, "autopilot acceptance: %s (controller must beat every static combo on >= 2 scenarios with clean invariants)\n", verdict)
-	return b.String()
-}
-
-// RenderAutopilotJSON emits the report as an indented JSON document.
-func RenderAutopilotJSON(rep *AutopilotReport) (string, error) {
-	doc := struct {
-		Experiment string                     `json:"experiment"`
-		Passed     bool                       `json:"passed"`
-		Scenarios  []*AutopilotScenarioReport `json:"scenarios"`
-	}{
-		Experiment: "autopilot",
-		Passed:     AutopilotPassed(rep),
-		Scenarios:  rep.Scenarios,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("experiments: encode autopilot: %w", err)
-	}
-	return string(out), nil
+	fmt.Fprintf(w, "autopilot acceptance: %s (controller must beat every static combo on >= 2 scenarios with clean invariants)\n\n", verdict)
 }

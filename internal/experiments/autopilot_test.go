@@ -43,10 +43,10 @@ func TestRunAutopilotBeatsStatics(t *testing.T) {
 		}
 	}
 	if beaten < 2 {
-		t.Errorf("autopilot beat every static on %d scenarios, need >= 2\n%s", beaten, RenderAutopilot(rep))
+		t.Errorf("autopilot beat every static on %d scenarios, need >= 2\n%s", beaten, tableOf(rep))
 	}
-	if !AutopilotPassed(rep) {
-		t.Errorf("AutopilotPassed = false\n%s", RenderAutopilot(rep))
+	if !rep.Passed() {
+		t.Errorf("Passed = false\n%s", tableOf(rep))
 	}
 }
 

@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -16,9 +15,10 @@ import (
 )
 
 // ChurnOptions parameterizes the open-world churn sweep: random Figure 5
-// workloads run under each strategy combination while tenants — small groups
-// of tasks — join and leave the running binding on fixed schedules, the
-// tenant-churn / rolling-fleet shape open CPS deployments actually see. Each
+// workloads run under each strategy combination while tenants — groups of
+// three tasks — join every Horizon/12 and leave every Horizon/8 (departures
+// lag joins, so the task set grows and shrinks), the tenant-churn /
+// rolling-fleet shape open CPS deployments actually see. Each
 // join goes through AddTasks (EDMS re-assignment + ledger registration) and
 // a SubmitBatch burst; each departure goes through RemoveTasks (ledger
 // withdrawal). Every run finishes with the ledger invariant audit, and the
@@ -33,17 +33,6 @@ type ChurnOptions struct {
 	Sets int
 	// Horizon is the workload duration (default 2 minutes).
 	Horizon time.Duration
-	// AddEvery is the interval between tenant joins (default Horizon/12).
-	AddEvery time.Duration
-	// RemoveEvery is the interval between tenant departures (default
-	// Horizon/8): departures lag joins, so the task set grows and shrinks.
-	RemoveEvery time.Duration
-	// TenantTasks is the number of tasks per joining tenant (default 3).
-	TenantTasks int
-	// LinkDelay and ACDelay configure the simulated delays; zero uses the
-	// calibrated defaults.
-	LinkDelay time.Duration
-	ACDelay   time.Duration
 	// Workers bounds concurrent trials, as in FigureOptions.
 	Workers int
 }
@@ -63,47 +52,53 @@ func (o ChurnOptions) withDefaults() ChurnOptions {
 	if o.Horizon == 0 {
 		o.Horizon = 2 * time.Minute
 	}
-	if o.AddEvery == 0 {
-		o.AddEvery = o.Horizon / 12
-	}
-	if o.RemoveEvery == 0 {
-		o.RemoveEvery = o.Horizon / 8
-	}
-	if o.TenantTasks == 0 {
-		o.TenantTasks = 3
-	}
 	return o
 }
 
 // ChurnResult is one (combo, set) trial's outcome.
 type ChurnResult struct {
 	// Combo and Set identify the trial.
-	Combo core.Config
-	Set   int
+	Combo core.Config `json:"combo"`
+	Set   int         `json:"set"`
 	// TasksAdded and TasksRemoved count the tasks that joined and left
 	// mid-run; BatchSubmitted counts the arrivals injected through
 	// SubmitBatch bursts at each join.
-	TasksAdded     int
-	TasksRemoved   int
-	BatchSubmitted int
+	TasksAdded     int `json:"tasks_added"`
+	TasksRemoved   int `json:"tasks_removed"`
+	BatchSubmitted int `json:"batch_submitted"`
 	// Arrived, Released, Skipped and Completed are the run totals across the
 	// churning task set.
-	Arrived, Released, Skipped, Completed int64
+	Arrived   int64 `json:"arrived"`
+	Released  int64 `json:"released"`
+	Skipped   int64 `json:"skipped"`
+	Completed int64 `json:"completed"`
 	// Lost is Released − Completed after the drain: admitted jobs that never
 	// finished. The open-world protocol guarantees zero.
-	Lost int64
+	Lost int64 `json:"lost"`
 	// Ratio is the run's accepted utilization ratio.
-	Ratio float64
+	Ratio float64 `json:"accepted_ratio"`
 	// WatchEvents and WatchDropped are the lifecycle events observed (and
 	// shed) by the trial's watch stream; OrderOK reports that the stream's
 	// sequence numbers were strictly increasing.
-	WatchEvents  int64
-	WatchDropped int64
-	OrderOK      bool
+	WatchEvents  int64 `json:"watch_events"`
+	WatchDropped int64 `json:"watch_dropped"`
+	OrderOK      bool  `json:"watch_order_ok"`
 	// Wall is the wall-clock run time; JobsPerSec the throughput.
-	Wall       time.Duration
-	JobsPerSec float64
+	Wall       time.Duration `json:"wall_ns"`
+	JobsPerSec float64       `json:"jobs_per_sec"`
 }
+
+// ChurnReport is the churn experiment's outcome: the sim sweep and, unless
+// skipped, the live smoke.
+type ChurnReport struct {
+	Experiment string           `json:"experiment"`
+	Results    []ChurnResult    `json:"results"`
+	Live       *ChurnLiveResult `json:"live,omitempty"`
+	title      string
+}
+
+// Passed is always true: the sweep's guarantees fail the run as errors.
+func (*ChurnReport) Passed() bool { return true }
 
 // tenantTasks synthesizes one joining tenant's task group: small one- or
 // two-stage tasks (mostly aperiodic, the paper's open-environment shape)
@@ -181,8 +176,6 @@ func runChurnTrial(trial int, combo core.Config, set int, opts ChurnOptions) (Ch
 	sim, err := core.NewSimSystem(core.SimConfig{
 		Strategies: combo,
 		NumProcs:   numProcs,
-		LinkDelay:  opts.LinkDelay,
-		ACDelay:    opts.ACDelay,
 		Horizon:    opts.Horizon,
 		Seed:       p.Seed ^ 0x5DEECE66D,
 	}, tasks)
@@ -222,9 +215,10 @@ func runChurnTrial(trial int, combo core.Config, set int, opts ChurnOptions) (Ch
 		}
 	}
 	tenant := 0
-	for at := opts.AddEvery; at < opts.Horizon; at += opts.AddEvery {
+	addEvery, removeEvery := opts.Horizon/12, opts.Horizon/8
+	for at := addEvery; at < opts.Horizon; at += addEvery {
 		if err := sim.At(at, func() {
-			ts, ids := tenantTasks(trial, tenant, opts.TenantTasks, numProcs, rng)
+			ts, ids := tenantTasks(trial, tenant, 3, numProcs, rng)
 			tenant++
 			if err := sim.AddTasks(ts); err != nil {
 				fail(err)
@@ -242,7 +236,7 @@ func runChurnTrial(trial int, combo core.Config, set int, opts ChurnOptions) (Ch
 			return res, err
 		}
 	}
-	for at := opts.RemoveEvery; at < opts.Horizon; at += opts.RemoveEvery {
+	for at := removeEvery; at < opts.Horizon; at += removeEvery {
 		if err := sim.At(at, func() {
 			if len(tenants) == 0 {
 				return
@@ -285,84 +279,75 @@ func runChurnTrial(trial int, combo core.Config, set int, opts ChurnOptions) (Ch
 	return res, nil
 }
 
-// RenderChurn formats the sweep as a table.
-func RenderChurn(title string, results []ChurnResult) string {
-	var b strings.Builder
-	b.WriteString(title)
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-8s %-4s %6s %6s %8s %9s %9s %6s %7s %9s %8s\n",
+// WriteTable formats the sweep as a table, followed by the live smoke's
+// outcome line when it ran.
+func (rep *ChurnReport) WriteTable(w io.Writer) {
+	fmt.Fprintln(w, rep.title)
+	fmt.Fprintf(w, "%-8s %-4s %6s %6s %8s %9s %9s %6s %7s %9s %8s\n",
 		"combo", "set", "added", "gone", "arrived", "released", "completed", "lost", "ratio", "watch-ev", "order")
-	for _, r := range results {
+	for _, r := range rep.Results {
 		order := "ok"
 		if !r.OrderOK {
 			order = "BROKEN"
 		}
-		fmt.Fprintf(&b, "%-8s %-4d %6d %6d %8d %9d %9d %6d %7.3f %9d %8s\n",
+		fmt.Fprintf(w, "%-8s %-4d %6d %6d %8d %9d %9d %6d %7.3f %9d %8s\n",
 			r.Combo, r.Set, r.TasksAdded, r.TasksRemoved, r.Arrived, r.Released,
 			r.Completed, r.Lost, r.Ratio, r.WatchEvents, order)
 	}
-	return b.String()
+	fmt.Fprintln(w)
+	if r := rep.Live; r != nil {
+		ledger := "clean"
+		if !r.LedgerClean {
+			ledger = "INCONSISTENT"
+		}
+		fmt.Fprintf(w,
+			"Live churn smoke (%s): %d tasks joined, %d left, epoch %d; arrived %d, released %d, completed %d, lost %d; ledger %s; %d watch events in %v\n\n",
+			r.Config, r.TasksAdded, r.TasksRemoved, r.Epoch,
+			r.Arrived, r.Released, r.Completed, r.Lost, ledger, r.WatchEvents, r.Wall.Round(time.Millisecond))
+	}
 }
 
 // ChurnLiveOptions parameterizes the live churn smoke: a small real cluster
-// (TCP loopback) that adds tenants, bursts arrivals at them, removes them
-// again, and audits the admission ledger afterwards.
+// (TCP loopback, T_T_T) that adds two tenants of two tasks each, bursts
+// arrivals at them, removes them again, and audits the admission ledger
+// afterwards.
 type ChurnLiveOptions struct {
-	// Config is the strategy combination (default T_T_T).
-	Config core.Config
-	// Tenants is the number of joining tenants (default 2); TenantTasks the
-	// tasks per tenant (default 2).
-	Tenants     int
-	TenantTasks int
 	// Settle is the pause after each lifecycle phase, letting arrivals and
 	// completions flow (default 150ms).
 	Settle time.Duration
 }
 
-func (o ChurnLiveOptions) withDefaults() ChurnLiveOptions {
-	if (o.Config == core.Config{}) {
-		o.Config = core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyPerTask}
-	}
-	if o.Tenants == 0 {
-		o.Tenants = 2
-	}
-	if o.TenantTasks == 0 {
-		o.TenantTasks = 2
-	}
-	if o.Settle == 0 {
-		o.Settle = 150 * time.Millisecond
-	}
-	return o
-}
-
 // ChurnLiveResult is the live smoke's outcome.
 type ChurnLiveResult struct {
 	// Config is the combination under test.
-	Config core.Config
+	Config core.Config `json:"config"`
 	// TasksAdded and TasksRemoved count the tenant tasks cycled through the
 	// running deployment; Epoch is the final reconfiguration epoch (one per
 	// lifecycle delta).
-	TasksAdded   int
-	TasksRemoved int
-	Epoch        int64
+	TasksAdded   int   `json:"tasks_added"`
+	TasksRemoved int   `json:"tasks_removed"`
+	Epoch        int64 `json:"epoch"`
 	// Arrived, Released, Skipped and Completed are the final counters.
-	Arrived, Released, Skipped, Completed int64
+	Arrived   int64 `json:"arrived"`
+	Released  int64 `json:"released"`
+	Skipped   int64 `json:"skipped"`
+	Completed int64 `json:"completed"`
 	// Lost is Released − Completed after the drain (zero on success).
-	Lost int64
+	Lost int64 `json:"lost"`
 	// LedgerClean reports the post-run ledger invariant audit.
-	LedgerClean bool
+	LedgerClean bool `json:"ledger_clean"`
 	// WatchEvents counts lifecycle events observed on the live watch stream.
-	WatchEvents int64
+	WatchEvents int64 `json:"watch_events"`
 	// Wall is the smoke's wall-clock duration.
-	Wall time.Duration
+	Wall time.Duration `json:"wall_ns"`
 }
 
 // RunChurnLive executes the live churn smoke on an in-process cluster.
 func RunChurnLive(opts ChurnLiveOptions) (*ChurnLiveResult, error) {
-	opts = opts.withDefaults()
-	if err := opts.Config.Validate(); err != nil {
-		return nil, err
+	if opts.Settle == 0 {
+		opts.Settle = 150 * time.Millisecond
 	}
+	cfg := core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyPerTask}
 	base := []*sched.Task{
 		{
 			ID: "flow", Kind: sched.Periodic,
@@ -382,7 +367,7 @@ func RunChurnLive(opts ChurnLiveOptions) (*ChurnLiveResult, error) {
 	}
 	w := spec.FromTasks("churn-live", 2, base)
 	start := time.Now()
-	c, err := cluster.Start(cluster.Options{Workload: w, Config: opts.Config, Seed: 11})
+	c, err := cluster.Start(cluster.Options{Workload: w, Config: cfg, Seed: 11})
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +386,7 @@ func RunChurnLive(opts ChurnLiveOptions) (*ChurnLiveResult, error) {
 		}
 	}()
 
-	res := &ChurnLiveResult{Config: opts.Config}
+	res := &ChurnLiveResult{Config: cfg}
 	if _, err := c.SubmitBatch([]string{"flow", "alert", "alert"}); err != nil {
 		return nil, err
 	}
@@ -409,8 +394,8 @@ func RunChurnLive(opts ChurnLiveOptions) (*ChurnLiveResult, error) {
 
 	var tenantIDs [][]string
 	rng := rand.New(rand.NewSource(17))
-	for n := 0; n < opts.Tenants; n++ {
-		ts, ids := tenantTasks(0, n, opts.TenantTasks, 2, rng)
+	for n := 0; n < 2; n++ {
+		ts, ids := tenantTasks(0, n, 2, 2, rng)
 		if err := c.AddTasks(ts); err != nil {
 			return nil, err
 		}
@@ -455,101 +440,4 @@ func RunChurnLive(opts ChurnLiveOptions) (*ChurnLiveResult, error) {
 	res.WatchEvents = watchEvents.Load()
 	res.Wall = time.Since(start)
 	return res, nil
-}
-
-// RenderChurnLive formats the live smoke's outcome.
-func RenderChurnLive(r *ChurnLiveResult) string {
-	ledger := "clean"
-	if !r.LedgerClean {
-		ledger = "INCONSISTENT"
-	}
-	return fmt.Sprintf(
-		"Live churn smoke (%s): %d tasks joined, %d left, epoch %d; arrived %d, released %d, completed %d, lost %d; ledger %s; %d watch events in %v\n",
-		r.Config, r.TasksAdded, r.TasksRemoved, r.Epoch,
-		r.Arrived, r.Released, r.Completed, r.Lost, ledger, r.WatchEvents, r.Wall.Round(time.Millisecond))
-}
-
-// churnJSON is the machine-readable form of one churn trial.
-type churnJSON struct {
-	Combo          string  `json:"combo"`
-	Set            int     `json:"set"`
-	TasksAdded     int     `json:"tasks_added"`
-	TasksRemoved   int     `json:"tasks_removed"`
-	BatchSubmitted int     `json:"batch_submitted"`
-	Arrived        int64   `json:"arrived"`
-	Released       int64   `json:"released"`
-	Skipped        int64   `json:"skipped"`
-	Completed      int64   `json:"completed"`
-	Lost           int64   `json:"lost"`
-	Ratio          float64 `json:"accepted_ratio"`
-	WatchEvents    int64   `json:"watch_events"`
-	WatchDropped   int64   `json:"watch_dropped"`
-	OrderOK        bool    `json:"watch_order_ok"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	JobsPerSec     float64 `json:"jobs_per_sec"`
-}
-
-// churnLiveJSON is the machine-readable form of the live smoke.
-type churnLiveJSON struct {
-	Config       string  `json:"config"`
-	TasksAdded   int     `json:"tasks_added"`
-	TasksRemoved int     `json:"tasks_removed"`
-	Epoch        int64   `json:"epoch"`
-	Arrived      int64   `json:"arrived"`
-	Released     int64   `json:"released"`
-	Completed    int64   `json:"completed"`
-	Lost         int64   `json:"lost"`
-	LedgerClean  bool    `json:"ledger_clean"`
-	WatchEvents  int64   `json:"watch_events"`
-	WallSeconds  float64 `json:"wall_seconds"`
-}
-
-// RenderChurnJSON emits the sweep (and, when non-nil, the live smoke) as an
-// indented JSON document for the CI perf-trajectory artifact.
-func RenderChurnJSON(results []ChurnResult, liveSmoke *ChurnLiveResult) (string, error) {
-	doc := struct {
-		Experiment string         `json:"experiment"`
-		Results    []churnJSON    `json:"results"`
-		Live       *churnLiveJSON `json:"live,omitempty"`
-	}{Experiment: "churn"}
-	for _, r := range results {
-		doc.Results = append(doc.Results, churnJSON{
-			Combo:          r.Combo.String(),
-			Set:            r.Set,
-			TasksAdded:     r.TasksAdded,
-			TasksRemoved:   r.TasksRemoved,
-			BatchSubmitted: r.BatchSubmitted,
-			Arrived:        r.Arrived,
-			Released:       r.Released,
-			Skipped:        r.Skipped,
-			Completed:      r.Completed,
-			Lost:           r.Lost,
-			Ratio:          r.Ratio,
-			WatchEvents:    r.WatchEvents,
-			WatchDropped:   r.WatchDropped,
-			OrderOK:        r.OrderOK,
-			WallSeconds:    r.Wall.Seconds(),
-			JobsPerSec:     r.JobsPerSec,
-		})
-	}
-	if liveSmoke != nil {
-		doc.Live = &churnLiveJSON{
-			Config:       liveSmoke.Config.String(),
-			TasksAdded:   liveSmoke.TasksAdded,
-			TasksRemoved: liveSmoke.TasksRemoved,
-			Epoch:        liveSmoke.Epoch,
-			Arrived:      liveSmoke.Arrived,
-			Released:     liveSmoke.Released,
-			Completed:    liveSmoke.Completed,
-			Lost:         liveSmoke.Lost,
-			LedgerClean:  liveSmoke.LedgerClean,
-			WatchEvents:  liveSmoke.WatchEvents,
-			WallSeconds:  liveSmoke.Wall.Seconds(),
-		}
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("experiments: encode churn: %w", err)
-	}
-	return string(out), nil
 }

@@ -34,16 +34,9 @@ func TestChurnSweepSmall(t *testing.T) {
 			t.Errorf("%s set %d: no batch submissions", r.Combo, r.Set)
 		}
 	}
-	table := RenderChurn("churn", results)
+	table := tableOf(&ChurnReport{title: "churn", Results: results})
 	if !strings.Contains(table, "T_N_N") || !strings.Contains(table, "J_J_J") {
 		t.Errorf("table missing combos:\n%s", table)
-	}
-	doc, err := RenderChurnJSON(results, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(doc, `"experiment": "churn"`) || !strings.Contains(doc, `"watch_order_ok": true`) {
-		t.Errorf("JSON missing fields:\n%s", doc)
 	}
 }
 
@@ -70,13 +63,6 @@ func TestChurnLiveSmoke(t *testing.T) {
 	}
 	if res.WatchEvents == 0 {
 		t.Error("live watch stream observed nothing")
-	}
-	doc, err := RenderChurnJSON(nil, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(doc, `"ledger_clean": true`) {
-		t.Errorf("live JSON missing audit:\n%s", doc)
 	}
 	if res.Config != (core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyPerTask}) {
 		t.Errorf("default live config = %s", res.Config)

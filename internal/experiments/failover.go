@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
+	"io"
 	"sync/atomic"
 	"time"
 
@@ -13,48 +12,12 @@ import (
 	"repro/internal/spec"
 )
 
-// FailoverOptions parameterizes the kill-a-node sweep: each trial starts a
-// fresh live cluster, pumps traffic, abruptly kills one application node
-// with admitted jobs in flight, waits for the heartbeat detector to declare
-// it dead, runs the zero-loss failover, recovers the node, and audits the
-// admission state. One trial per victim processor by default, so every
-// placement geometry (home, replica target, bystander) is exercised.
-type FailoverOptions struct {
-	// Config is the strategy combination (default T_T_T).
-	Config core.Config
-	// Victims lists the processors to kill, one trial each (default every
-	// processor of the built-in three-processor workload).
-	Victims []int
-	// Bursts is the number of warm-up submit bursts before the kill and the
-	// number after the failover and after the recovery (default 3).
-	Bursts int
-	// Settle is the pause between bursts (default 50ms).
-	Settle time.Duration
-	// HeartbeatTimeout is the detector's silence span (default the cluster's
-	// DefaultHeartbeatTimeout); the detection-latency column measures it.
-	HeartbeatTimeout time.Duration
-	// Seed drives the cluster's arrival generators.
-	Seed int64
-}
-
-func (o FailoverOptions) withDefaults() FailoverOptions {
-	if (o.Config == core.Config{}) {
-		o.Config = core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyPerTask}
-	}
-	if len(o.Victims) == 0 {
-		o.Victims = []int{0, 1, 2}
-	}
-	if o.Bursts == 0 {
-		o.Bursts = 3
-	}
-	if o.Settle == 0 {
-		o.Settle = 50 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 23
-	}
-	return o
-}
+// failoverBursts is the number of submit bursts before the kill, after the
+// failover and after the recovery; failoverSettle the pause between bursts.
+const (
+	failoverBursts = 3
+	failoverSettle = 50 * time.Millisecond
+)
 
 // failoverTasks is the sweep's fixed workload: three processors, every stage
 // placed on any processor declares a replica elsewhere, so no single node
@@ -90,77 +53,96 @@ func failoverTasks() []*sched.Task {
 // FailoverTrialResult is one kill-a-node trial's outcome.
 type FailoverTrialResult struct {
 	// Victim is the killed processor; Node its node name.
-	Victim int
-	Node   string
+	Victim int    `json:"victim"`
+	Node   string `json:"node"`
 	// InFlightAtKill is Released − Completed the instant before the kill:
 	// the admitted jobs the failover must not lose.
-	InFlightAtKill int64
+	InFlightAtKill int64 `json:"in_flight_at_kill"`
 	// Detection is kill → the heartbeat detector's WatchNodeDown
 	// declaration; FailoverLatency is the failover transaction's duration
 	// (Quiesce the admission-quiesce span within it); TotalOutage is kill →
 	// failover complete, the span a task homed on the victim had no home.
-	Detection       time.Duration
-	FailoverLatency time.Duration
-	Quiesce         time.Duration
-	TotalOutage     time.Duration
+	Detection       time.Duration `json:"detection_ns"`
+	FailoverLatency time.Duration `json:"failover_ns"`
+	Quiesce         time.Duration `json:"quiesce_ns"`
+	TotalOutage     time.Duration `json:"total_outage_ns"`
 	// Redelivered counts stranded jobs re-pushed onto survivors;
 	// RedeliveryLost counts stranded jobs with no surviving replica (zero
 	// here by construction); ReplayedSubmits the submissions deferred during
 	// the transaction.
-	Redelivered     int
-	RedeliveryLost  int
-	ReplayedSubmits int
+	Redelivered     int `json:"redelivered"`
+	RedeliveryLost  int `json:"redelivery_lost"`
+	ReplayedSubmits int `json:"replayed_submits"`
 	// Rehomed counts the stage moves off the dead processor; Withdrawn the
 	// tasks lost with it (zero here by construction).
-	Rehomed   int
-	Withdrawn int
+	Rehomed   int `json:"rehomed_stages"`
+	Withdrawn int `json:"withdrawn_tasks"`
 	// Recovery is the RecoverNode duration (fresh node + redeploy).
-	Recovery time.Duration
+	Recovery time.Duration `json:"recovery_ns"`
 	// Epoch is the final configuration epoch (the failover bumps it once).
-	Epoch int64
+	Epoch int64 `json:"epoch"`
 	// Arrived through Lost are the run totals after drain and settle; Lost
 	// is Released − Completed, the zero-loss verdict.
-	Arrived, Released, Skipped, Completed, Lost int64
+	Arrived   int64 `json:"arrived"`
+	Released  int64 `json:"released"`
+	Skipped   int64 `json:"skipped"`
+	Completed int64 `json:"completed"`
+	Lost      int64 `json:"lost"`
 	// AuditClean reports the post-run admission-state audit (active ledger
 	// and warm-standby mirror).
-	AuditClean bool
+	AuditClean bool `json:"audit_clean"`
 	// NodeDownSeen and NodeRecoveredSeen report the watch stream carried the
 	// failure-plane lifecycle events; WatchEvents counts all events.
-	NodeDownSeen      bool
-	NodeRecoveredSeen bool
-	WatchEvents       int64
+	NodeDownSeen      bool  `json:"node_down_seen"`
+	NodeRecoveredSeen bool  `json:"node_recovered_seen"`
+	WatchEvents       int64 `json:"watch_events"`
 	// Wall is the trial's wall-clock duration.
-	Wall time.Duration
+	Wall time.Duration `json:"wall_ns"`
 }
 
-// RunFailover executes the kill-a-node sweep, one live cluster per victim.
-func RunFailover(opts FailoverOptions) ([]FailoverTrialResult, error) {
-	opts = opts.withDefaults()
-	if err := opts.Config.Validate(); err != nil {
-		return nil, err
-	}
-	results := make([]FailoverTrialResult, 0, len(opts.Victims))
-	for _, victim := range opts.Victims {
-		r, err := runFailoverTrial(victim, opts)
+// FailoverReport is the sweep's outcome, one result per victim.
+type FailoverReport struct {
+	Experiment string `json:"experiment"`
+	// Verdict is Passed, stored so the JSON document carries it.
+	Verdict bool                  `json:"passed"`
+	Results []FailoverTrialResult `json:"results"`
+}
+
+// RunFailover executes the kill-a-node sweep: each trial starts a fresh live
+// cluster (T_T_T), pumps traffic, abruptly kills one application node with
+// admitted jobs in flight, waits for the heartbeat detector to declare it
+// dead, runs the zero-loss failover, recovers the node, and audits the
+// admission state. One trial per processor of the built-in workload, so every
+// placement geometry (home, replica target, bystander) is exercised.
+func RunFailover() (*FailoverReport, error) {
+	rep := &FailoverReport{Experiment: "failover", Verdict: true}
+	for victim := 0; victim < 3; victim++ {
+		r, err := runFailoverTrial(victim)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: failover victim %d: %w", victim, err)
 		}
-		results = append(results, r)
+		rep.Results = append(rep.Results, r)
+		if r.Lost != 0 || !r.AuditClean || r.RedeliveryLost != 0 || r.Withdrawn != 0 ||
+			!r.NodeDownSeen || !r.NodeRecoveredSeen {
+			rep.Verdict = false
+		}
 	}
-	return results, nil
+	return rep, nil
 }
 
-func runFailoverTrial(victim int, opts FailoverOptions) (FailoverTrialResult, error) {
+// Passed reports whether every trial met the sweep's hard obligations: zero
+// admitted-job loss, a clean admission-state audit, no task withdrawn, and
+// both failure-plane watch events observed.
+func (rep *FailoverReport) Passed() bool { return rep.Verdict }
+
+func runFailoverTrial(victim int) (FailoverTrialResult, error) {
 	res := FailoverTrialResult{Victim: victim}
 	tasks := failoverTasks()
-	if victim < 0 || victim >= 3 {
-		return res, fmt.Errorf("victim %d outside the workload's 3 processors", victim)
-	}
 	w := spec.FromTasks("failover", 3, tasks)
 	start := time.Now()
 	c, err := cluster.Start(cluster.Options{
-		Workload: w, Config: opts.Config, Seed: opts.Seed,
-		HeartbeatTimeout: opts.HeartbeatTimeout,
+		Workload: w, Seed: 23,
+		Config: core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyPerTask},
 	})
 	if err != nil {
 		return res, err
@@ -204,11 +186,11 @@ func runFailoverTrial(victim int, opts FailoverOptions) (FailoverTrialResult, er
 		_, err := c.SubmitBatch(ids)
 		return err
 	}
-	for i := 0; i < opts.Bursts; i++ {
+	for i := 0; i < failoverBursts; i++ {
 		if err := burst(2); err != nil {
 			return res, err
 		}
-		time.Sleep(opts.Settle)
+		time.Sleep(failoverSettle)
 	}
 
 	// A final burst with no settle, so the kill lands with jobs mid-chain.
@@ -246,22 +228,22 @@ func runFailoverTrial(victim int, opts FailoverOptions) (FailoverTrialResult, er
 
 	// Traffic against the re-homed placement, then recover the node and
 	// pump again: the recovered node must serve its old processor.
-	for i := 0; i < opts.Bursts; i++ {
+	for i := 0; i < failoverBursts; i++ {
 		if err := burst(2); err != nil {
 			return res, err
 		}
-		time.Sleep(opts.Settle)
+		time.Sleep(failoverSettle)
 	}
 	recoverAt := time.Now()
 	if err := c.RecoverNode(victim); err != nil {
 		return res, err
 	}
 	res.Recovery = time.Since(recoverAt)
-	for i := 0; i < opts.Bursts; i++ {
+	for i := 0; i < failoverBursts; i++ {
 		if err := burst(2); err != nil {
 			return res, err
 		}
-		time.Sleep(opts.Settle)
+		time.Sleep(failoverSettle)
 	}
 
 	c.Drain(5 * time.Second)
@@ -288,107 +270,22 @@ func runFailoverTrial(victim int, opts FailoverOptions) (FailoverTrialResult, er
 	return res, nil
 }
 
-// FailoverPassed reports whether every trial met the sweep's hard
-// obligations: zero admitted-job loss, a clean admission-state audit, no
-// task withdrawn, and both failure-plane watch events observed.
-func FailoverPassed(results []FailoverTrialResult) bool {
-	for _, r := range results {
-		if r.Lost != 0 || !r.AuditClean || r.RedeliveryLost != 0 || r.Withdrawn != 0 ||
-			!r.NodeDownSeen || !r.NodeRecoveredSeen {
-			return false
-		}
-	}
-	return len(results) > 0
-}
-
-// RenderFailover formats the sweep as a table.
-func RenderFailover(title string, results []FailoverTrialResult) string {
-	var b strings.Builder
-	b.WriteString(title)
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-7s %-9s %9s %9s %9s %9s %6s %7s %8s %9s %6s %6s %6s\n",
+// WriteTable formats the sweep as a table.
+func (rep *FailoverReport) WriteTable(w io.Writer) {
+	fmt.Fprintln(w, "Failover: heartbeat detection, zero-loss node failover and recovery (one live cluster per victim)")
+	fmt.Fprintf(w, "%-7s %-9s %9s %9s %9s %9s %6s %7s %8s %9s %6s %6s %6s\n",
 		"victim", "inflight", "detect", "failover", "quiesce", "recover",
 		"redel", "rehomed", "arrived", "completed", "lost", "audit", "epoch")
-	for _, r := range results {
+	for _, r := range rep.Results {
 		audit := "clean"
 		if !r.AuditClean {
 			audit = "DIRTY"
 		}
-		fmt.Fprintf(&b, "%-7d %-9d %9s %9s %9s %9s %6d %7d %8d %9d %6d %6s %6d\n",
+		fmt.Fprintf(w, "%-7d %-9d %9s %9s %9s %9s %6d %7d %8d %9d %6d %6s %6d\n",
 			r.Victim, r.InFlightAtKill,
 			r.Detection.Round(time.Millisecond), r.FailoverLatency.Round(time.Millisecond),
 			r.Quiesce.Round(time.Millisecond), r.Recovery.Round(time.Millisecond),
 			r.Redelivered, r.Rehomed, r.Arrived, r.Completed, r.Lost, audit, r.Epoch)
 	}
-	return b.String()
-}
-
-// failoverJSON is the machine-readable form of one trial.
-type failoverJSON struct {
-	Victim            int     `json:"victim"`
-	Node              string  `json:"node"`
-	InFlightAtKill    int64   `json:"in_flight_at_kill"`
-	DetectionMS       float64 `json:"detection_ms"`
-	FailoverMS        float64 `json:"failover_ms"`
-	QuiesceMS         float64 `json:"quiesce_ms"`
-	TotalOutageMS     float64 `json:"total_outage_ms"`
-	RecoveryMS        float64 `json:"recovery_ms"`
-	Redelivered       int     `json:"redelivered"`
-	RedeliveryLost    int     `json:"redelivery_lost"`
-	ReplayedSubmits   int     `json:"replayed_submits"`
-	Rehomed           int     `json:"rehomed_stages"`
-	Withdrawn         int     `json:"withdrawn_tasks"`
-	Epoch             int64   `json:"epoch"`
-	Arrived           int64   `json:"arrived"`
-	Released          int64   `json:"released"`
-	Skipped           int64   `json:"skipped"`
-	Completed         int64   `json:"completed"`
-	Lost              int64   `json:"lost"`
-	AuditClean        bool    `json:"audit_clean"`
-	NodeDownSeen      bool    `json:"node_down_seen"`
-	NodeRecoveredSeen bool    `json:"node_recovered_seen"`
-	WatchEvents       int64   `json:"watch_events"`
-	WallSeconds       float64 `json:"wall_seconds"`
-}
-
-// RenderFailoverJSON emits the sweep as an indented JSON document.
-func RenderFailoverJSON(results []FailoverTrialResult) (string, error) {
-	doc := struct {
-		Experiment string         `json:"experiment"`
-		Passed     bool           `json:"passed"`
-		Results    []failoverJSON `json:"results"`
-	}{Experiment: "failover", Passed: FailoverPassed(results)}
-	for _, r := range results {
-		doc.Results = append(doc.Results, failoverJSON{
-			Victim:            r.Victim,
-			Node:              r.Node,
-			InFlightAtKill:    r.InFlightAtKill,
-			DetectionMS:       float64(r.Detection) / float64(time.Millisecond),
-			FailoverMS:        float64(r.FailoverLatency) / float64(time.Millisecond),
-			QuiesceMS:         float64(r.Quiesce) / float64(time.Millisecond),
-			TotalOutageMS:     float64(r.TotalOutage) / float64(time.Millisecond),
-			RecoveryMS:        float64(r.Recovery) / float64(time.Millisecond),
-			Redelivered:       r.Redelivered,
-			RedeliveryLost:    r.RedeliveryLost,
-			ReplayedSubmits:   r.ReplayedSubmits,
-			Rehomed:           r.Rehomed,
-			Withdrawn:         r.Withdrawn,
-			Epoch:             r.Epoch,
-			Arrived:           r.Arrived,
-			Released:          r.Released,
-			Skipped:           r.Skipped,
-			Completed:         r.Completed,
-			Lost:              r.Lost,
-			AuditClean:        r.AuditClean,
-			NodeDownSeen:      r.NodeDownSeen,
-			NodeRecoveredSeen: r.NodeRecoveredSeen,
-			WatchEvents:       r.WatchEvents,
-			WallSeconds:       r.Wall.Seconds(),
-		})
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("experiments: encode failover: %w", err)
-	}
-	return string(out), nil
+	fmt.Fprintln(w)
 }

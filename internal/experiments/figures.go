@@ -1,8 +1,9 @@
-// Package experiments regenerates the paper's evaluation artifacts: the
+// Package experiments regenerates the paper's evaluation artifacts — the
 // accepted-utilization-ratio comparisons of Figures 5 and 6 over all 15
 // valid strategy combinations, and the service overhead accounting of
-// Figures 7 and 8. Each runner returns structured results and a renderer
-// prints the same rows/series the paper reports.
+// Figures 7 and 8 — plus this repo's own sweeps. Every experiment is one
+// Registry entry whose Report renders the rows the paper reports as a table
+// and, marshaled, as a JSON document (the result structs carry the tags).
 package experiments
 
 import (
@@ -22,11 +23,6 @@ type FigureOptions struct {
 	Sets int
 	// Horizon is the per-run workload duration (the paper runs 5 minutes).
 	Horizon time.Duration
-	// LinkDelay and ACDelay configure the simulated communication and
-	// manager-side processing delays; zero values use the defaults
-	// calibrated from the paper's Figure 8 measurements.
-	LinkDelay time.Duration
-	ACDelay   time.Duration
 	// Combos restricts the strategy combinations; nil runs all 15.
 	Combos []core.Config
 	// Workers bounds how many (combo, set) trials run concurrently. Zero or
@@ -55,14 +51,14 @@ func (o FigureOptions) withDefaults() FigureOptions {
 // averaged over the task sets.
 type ComboResult struct {
 	// Combo is the AC_IR_LB tuple.
-	Combo core.Config
+	Combo core.Config `json:"combo"`
 	// Mean is the average accepted utilization ratio over all sets.
-	Mean float64
+	Mean float64 `json:"mean"`
 	// PerSet holds the per-task-set ratios.
-	PerSet []float64
+	PerSet []float64 `json:"per_set"`
 	// Jobs is the total number of job arrivals simulated across the sets —
 	// the denominator for jobs/sec perf-trajectory metrics.
-	Jobs int64
+	Jobs int64 `json:"jobs"`
 }
 
 // RunFigure5 reproduces Section 7.1: random balanced workloads over 5
@@ -102,8 +98,6 @@ func runFigure(params func(set int) workload.Params, opts FigureOptions) ([]Comb
 		sim, err := core.NewSimSystem(core.SimConfig{
 			Strategies: combo,
 			NumProcs:   workload.MaxProc(tasks) + 1,
-			LinkDelay:  opts.LinkDelay,
-			ACDelay:    opts.ACDelay,
 			Horizon:    opts.Horizon,
 			Seed:       p.Seed ^ 0x5DEECE66D,
 		}, tasks)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -17,24 +18,19 @@ type OverheadOptions struct {
 	// Duration is how long the measured workload runs (the paper ran 5
 	// minutes; the compressed default is 5 seconds).
 	Duration time.Duration
-	// TimeScale compresses the Section 7.3 workload's periods, deadlines
-	// and execution times uniformly (synthetic utilization is invariant).
-	// Default 0.05.
-	TimeScale float64
 	// PingCount is the number of event round trips used to estimate the
 	// one-way communication delay, as in the paper (1000).
 	PingCount int
-	// Set selects the random workload seed set.
-	Set int
 }
+
+// overheadTimeScale compresses the Section 7.3 workload's periods, deadlines
+// and execution times uniformly (synthetic utilization is invariant).
+const overheadTimeScale = 0.05
 
 // withDefaults fills unset options.
 func (o OverheadOptions) withDefaults() OverheadOptions {
 	if o.Duration == 0 {
 		o.Duration = 5 * time.Second
-	}
-	if o.TimeScale == 0 {
-		o.TimeScale = 0.05
 	}
 	if o.PingCount == 0 {
 		o.PingCount = 1000
@@ -45,37 +41,41 @@ func (o OverheadOptions) withDefaults() OverheadOptions {
 // OpResult is one measured operation (mean/max over its samples).
 type OpResult struct {
 	// Name describes the operation.
-	Name string
+	Name string `json:"name"`
 	// Mean and Max are the observed statistics.
-	Mean time.Duration
-	Max  time.Duration
+	Mean time.Duration `json:"mean_ns"`
+	Max  time.Duration `json:"max_ns"`
 	// Count is the number of samples.
-	Count int64
+	Count int64 `json:"samples"`
 }
 
 // OverheadReport collects the Figure 7 primitive operations and the Figure 8
 // composite delay rows.
 type OverheadReport struct {
+	Experiment string `json:"experiment"`
 	// Ops are the primitive operations (numbered as in Figure 7):
 	// 1 hold task + push event, 2 communication delay, 3 generate
 	// deployment plan, 4 admission test, 5 release the task, 6 release the
 	// duplicate task, 7 report completed subtask, 8 update synthetic
 	// utilization.
-	Ops map[int]OpResult
+	Ops map[int]OpResult `json:"ops"`
 	// Rows are the composite service delays in the paper's Figure 8 order.
-	Rows []OverheadRow
+	Rows []OverheadRow `json:"rows"`
 }
+
+// Passed is always true: the overhead table is a measurement.
+func (*OverheadReport) Passed() bool { return true }
 
 // OverheadRow is one Figure 8 line: a service delay composed from operation
 // costs.
 type OverheadRow struct {
 	// Name matches the paper's row label.
-	Name string
+	Name string `json:"name"`
 	// Formula lists the composed operation numbers, e.g. "1+2+4+2+5".
-	Formula string
+	Formula string `json:"formula"`
 	// Mean and Max are sums of the component means and maxes.
-	Mean time.Duration
-	Max  time.Duration
+	Mean time.Duration `json:"mean_ns"`
+	Max  time.Duration `json:"max_ns"`
 }
 
 // RunOverhead reproduces the Section 7.3 methodology: a random workload on 3
@@ -88,11 +88,11 @@ type OverheadRow struct {
 func RunOverhead(opts OverheadOptions) (*OverheadReport, error) {
 	opts = opts.withDefaults()
 
-	tasks, err := workload.Generate(workload.OverheadParams(opts.Set))
+	tasks, err := workload.Generate(workload.OverheadParams(0))
 	if err != nil {
 		return nil, err
 	}
-	scaled := workload.Scale(tasks, opts.TimeScale)
+	scaled := workload.Scale(tasks, overheadTimeScale)
 	w := spec.FromTasks("overhead", workload.MaxProc(scaled)+1, scaled)
 
 	withLB, err := measureRun(w, core.Config{AC: core.StrategyPerJob, IR: core.StrategyPerJob, LB: core.StrategyPerJob}, opts)
@@ -115,7 +115,7 @@ func RunOverhead(opts OverheadOptions) (*OverheadReport, error) {
 		8: withLB.reset.named("update synthetic utilization"),
 	}
 
-	rep := &OverheadReport{Ops: ops}
+	rep := &OverheadReport{Experiment: "overhead", Ops: ops}
 	compose := func(name, formula string, nums ...int) {
 		var mean, maxSum time.Duration
 		for _, n := range nums {
@@ -178,7 +178,7 @@ func merge(a, b statSummary) statSummary {
 // measureRun deploys one cluster, drives the workload, and harvests the
 // primitive operation timings.
 func measureRun(w *spec.Workload, cfg core.Config, opts OverheadOptions) (*runStats, error) {
-	c, err := cluster.Start(cluster.Options{Workload: w, Config: cfg, Seed: int64(opts.Set) + 1})
+	c, err := cluster.Start(cluster.Options{Workload: w, Config: cfg, Seed: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -295,21 +295,20 @@ func measureCommDelay(c *cluster.Cluster, count int) (statSummary, error) {
 	}, nil
 }
 
-// RenderOverhead formats the report like the paper's Figures 7 and 8.
-func RenderOverhead(rep *OverheadReport) string {
-	var b strings.Builder
-	b.WriteString("Figure 7: measured operation costs\n")
-	fmt.Fprintf(&b, "%-4s %-38s %10s %10s %8s\n", "op", "operation", "mean", "max", "samples")
+// WriteTable formats the report like the paper's Figures 7 and 8.
+func (rep *OverheadReport) WriteTable(w io.Writer) {
+	fmt.Fprintln(w, "Figure 7: measured operation costs")
+	fmt.Fprintf(w, "%-4s %-38s %10s %10s %8s\n", "op", "operation", "mean", "max", "samples")
 	for i := 1; i <= 8; i++ {
 		op := rep.Ops[i]
-		fmt.Fprintf(&b, "%-4d %-38s %10s %10s %8d\n", i, op.Name, us(op.Mean), us(op.Max), op.Count)
+		fmt.Fprintf(w, "%-4d %-38s %10s %10s %8d\n", i, op.Name, us(op.Mean), us(op.Max), op.Count)
 	}
-	b.WriteString("\nFigure 8: service overheads (µs)\n")
-	fmt.Fprintf(&b, "%-34s %-14s %10s %10s\n", "service", "composition", "mean", "max")
+	fmt.Fprintln(w, "\nFigure 8: service overheads (µs)")
+	fmt.Fprintf(w, "%-34s %-14s %10s %10s\n", "service", "composition", "mean", "max")
 	for _, row := range rep.Rows {
-		fmt.Fprintf(&b, "%-34s %-14s %10s %10s\n", row.Name, row.Formula, us(row.Mean), us(row.Max))
+		fmt.Fprintf(w, "%-34s %-14s %10s %10s\n", row.Name, row.Formula, us(row.Mean), us(row.Max))
 	}
-	return b.String()
+	fmt.Fprintln(w)
 }
 
 // us renders a duration in whole microseconds, the paper's unit.

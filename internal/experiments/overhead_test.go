@@ -70,7 +70,7 @@ func TestOverheadReportShape(t *testing.T) {
 		t.Errorf("AC without LB mean %v != composed %v", rows["AC without LB"].Mean, wantACNoLB)
 	}
 
-	out := RenderOverhead(rep)
+	out := tableOf(rep)
 	for _, want := range []string{"Figure 7", "Figure 8", "AC without LB", "(1+2+4+2+5)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered report missing %q", want)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"fmt"
 	"runtime"
 	"sync"
 )
@@ -70,63 +68,4 @@ func runTrials(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// comboJSON is the machine-readable form of one ComboResult; the combo is
-// emitted as its AC_IR_LB tuple string.
-type comboJSON struct {
-	Combo  string    `json:"combo"`
-	Mean   float64   `json:"mean"`
-	PerSet []float64 `json:"per_set"`
-}
-
-// figureJSON is the top-level JSON document for one figure series.
-type figureJSON struct {
-	Figure  string      `json:"figure"`
-	Results []comboJSON `json:"results"`
-}
-
-// RenderFigureJSON emits a figure series as an indented JSON document for
-// machine consumption (the -json mode of rtmw-bench).
-func RenderFigureJSON(name string, results []ComboResult) (string, error) {
-	doc := figureJSON{Figure: name, Results: make([]comboJSON, 0, len(results))}
-	for _, r := range results {
-		doc.Results = append(doc.Results, comboJSON{
-			Combo:  r.Combo.String(),
-			Mean:   r.Mean,
-			PerSet: r.PerSet,
-		})
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("experiments: encode %s: %w", name, err)
-	}
-	return string(out), nil
-}
-
-// ablationJSON is the machine-readable form of one ablation technique row.
-type ablationJSON struct {
-	Technique     string    `json:"technique"`
-	AcceptedRatio float64   `json:"accepted_ratio"`
-	PerSeed       []float64 `json:"per_seed"`
-}
-
-// RenderAblationJSON emits the AUB-vs-DS comparison as indented JSON.
-func RenderAblationJSON(results []AblationResult) (string, error) {
-	doc := struct {
-		Ablation string         `json:"ablation"`
-		Results  []ablationJSON `json:"results"`
-	}{Ablation: "AUB-vs-DS"}
-	for _, r := range results {
-		doc.Results = append(doc.Results, ablationJSON{
-			Technique:     r.Technique,
-			AcceptedRatio: r.AcceptedRatio,
-			PerSeed:       r.PerSeed,
-		})
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("experiments: encode ablation: %w", err)
-	}
-	return string(out), nil
 }

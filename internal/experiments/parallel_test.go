@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,32 +153,5 @@ func TestResolveWorkers(t *testing.T) {
 	}
 	if got := ResolveWorkers(-2); got < 1 {
 		t.Errorf("ResolveWorkers(-2) = %d, want ≥ 1", got)
-	}
-}
-
-// TestRenderJSON sanity-checks the machine-readable renderers.
-func TestRenderJSON(t *testing.T) {
-	results, err := RunFigure5(FigureOptions{Sets: 2, Horizon: 20 * time.Second, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := RenderFigureJSON("figure5", results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, `"figure": "figure5"`) || !strings.Contains(out, `"combo": "J_J_J"`) {
-		t.Errorf("figure JSON missing fields:\n%s", out)
-	}
-
-	ab, err := RunAblationAUBvsDS(AblationOptions{Horizon: 15 * time.Second, Seeds: 2, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	abOut, err := RenderAblationJSON(ab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(abOut, `"technique": "AUB"`) || !strings.Contains(abOut, `"technique": "DS"`) {
-		t.Errorf("ablation JSON missing fields:\n%s", abOut)
 	}
 }

@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
+	"io"
 	"time"
 
 	"repro/internal/core"
@@ -11,8 +10,8 @@ import (
 )
 
 // ReconfigOptions parameterizes the reconfiguration experiment: random
-// Figure 5 workloads run under the From combination, swap to To at SwitchAt
-// through the epoch-versioned quiesce protocol, and finish under the new
+// Figure 5 workloads run under the From combination, swap to To at half the
+// horizon through the epoch-versioned quiesce protocol, and finish under the new
 // configuration. The experiment measures the cost of reconfiguring a loaded
 // system: quiesce latency, arrivals deferred across the swap, in-flight
 // jobs preserved, and — the hard guarantee — that no admitted job is lost.
@@ -25,12 +24,6 @@ type ReconfigOptions struct {
 	Sets int
 	// Horizon is the workload duration (default 2 minutes).
 	Horizon time.Duration
-	// SwitchAt is the virtual reconfiguration instant (default Horizon/2).
-	SwitchAt time.Duration
-	// LinkDelay and ACDelay configure the simulated delays; zero uses the
-	// calibrated defaults.
-	LinkDelay time.Duration
-	ACDelay   time.Duration
 	// Workers bounds concurrent trials, as in FigureOptions.
 	Workers int
 }
@@ -49,27 +42,27 @@ func (o ReconfigOptions) withDefaults() ReconfigOptions {
 	if o.Horizon == 0 {
 		o.Horizon = 2 * time.Minute
 	}
-	if o.SwitchAt == 0 {
-		o.SwitchAt = o.Horizon / 2
-	}
 	return o
 }
 
 // ReconfigResult is one task set's outcome.
 type ReconfigResult struct {
 	// Set is the task-set number.
-	Set int
+	Set int `json:"set"`
 	// Report is the swap's protocol report (quiesce latency, deferred
 	// arrivals, in-flight jobs preserved, reservations rebased).
-	Report core.ReconfigReport
+	Report core.ReconfigReport `json:"report"`
 	// Arrived, Released, Skipped and Completed are the run totals across
 	// both configurations.
-	Arrived, Released, Skipped, Completed int64
+	Arrived   int64 `json:"arrived"`
+	Released  int64 `json:"released"`
+	Skipped   int64 `json:"skipped"`
+	Completed int64 `json:"completed"`
 	// Lost is Released − Completed after the drain: admitted jobs that
 	// never finished. The protocol guarantees zero.
-	Lost int64
+	Lost int64 `json:"lost"`
 	// Ratio is the run's overall accepted utilization ratio.
-	Ratio float64
+	Ratio float64 `json:"ratio"`
 }
 
 // RunReconfig executes the reconfiguration experiment.
@@ -95,15 +88,13 @@ func RunReconfig(opts ReconfigOptions) ([]ReconfigResult, error) {
 		sim, err := core.NewSimSystem(core.SimConfig{
 			Strategies: opts.From,
 			NumProcs:   workload.MaxProc(tasks) + 1,
-			LinkDelay:  opts.LinkDelay,
-			ACDelay:    opts.ACDelay,
 			Horizon:    opts.Horizon,
 			Seed:       p.Seed ^ 0x5DEECE66D,
 		}, tasks)
 		if err != nil {
 			return fmt.Errorf("experiments: reconfig set %d: %w", set, err)
 		}
-		rep, err := sim.ScheduleReconfig(opts.SwitchAt, opts.To)
+		rep, err := sim.ScheduleReconfig(opts.Horizon/2, opts.To)
 		if err != nil {
 			return fmt.Errorf("experiments: reconfig set %d: %w", set, err)
 		}
@@ -126,62 +117,15 @@ func RunReconfig(opts ReconfigOptions) ([]ReconfigResult, error) {
 	return results, nil
 }
 
-// RenderReconfig formats the experiment as a table.
-func RenderReconfig(title string, results []ReconfigResult) string {
-	var b strings.Builder
-	b.WriteString(title)
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-4s %-8s %-8s %10s %9s %9s %9s %6s %7s\n",
+// writeReconfig formats the experiment as a table.
+func writeReconfig(w io.Writer, title string, results []ReconfigResult) {
+	fmt.Fprintln(w, title)
+	fmt.Fprintf(w, "%-4s %-8s %-8s %10s %9s %9s %9s %6s %7s\n",
 		"set", "from", "to", "quiesce", "deferred", "inflight", "released", "lost", "ratio")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-4d %-8s %-8s %10s %9d %9d %9d %6d %7.3f\n",
+		fmt.Fprintf(w, "%-4d %-8s %-8s %10s %9d %9d %9d %6d %7.3f\n",
 			r.Set, r.Report.From, r.Report.To, r.Report.Quiesce,
 			r.Report.Deferred, r.Report.InFlightBefore, r.Released, r.Lost, r.Ratio)
 	}
-	return b.String()
-}
-
-// reconfigJSON is the machine-readable form of one result.
-type reconfigJSON struct {
-	Set            int     `json:"set"`
-	From           string  `json:"from"`
-	To             string  `json:"to"`
-	Epoch          int64   `json:"epoch"`
-	QuiesceNanos   int64   `json:"quiesce_nanos"`
-	Deferred       int64   `json:"deferred"`
-	InFlightBefore int64   `json:"inflight_before"`
-	InFlightAfter  int64   `json:"inflight_after"`
-	Released       int64   `json:"released"`
-	Completed      int64   `json:"completed"`
-	Lost           int64   `json:"lost"`
-	Ratio          float64 `json:"ratio"`
-}
-
-// RenderReconfigJSON emits the experiment as an indented JSON document.
-func RenderReconfigJSON(results []ReconfigResult) (string, error) {
-	doc := struct {
-		Experiment string         `json:"experiment"`
-		Results    []reconfigJSON `json:"results"`
-	}{Experiment: "reconfig"}
-	for _, r := range results {
-		doc.Results = append(doc.Results, reconfigJSON{
-			Set:            r.Set,
-			From:           r.Report.From.String(),
-			To:             r.Report.To.String(),
-			Epoch:          r.Report.Epoch,
-			QuiesceNanos:   int64(r.Report.Quiesce),
-			Deferred:       r.Report.Deferred,
-			InFlightBefore: r.Report.InFlightBefore,
-			InFlightAfter:  r.Report.InFlightAfter,
-			Released:       r.Released,
-			Completed:      r.Completed,
-			Lost:           r.Lost,
-			Ratio:          r.Ratio,
-		})
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("experiments: encode reconfig: %w", err)
-	}
-	return string(out), nil
+	fmt.Fprintln(w)
 }

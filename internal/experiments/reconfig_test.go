@@ -35,18 +35,10 @@ func TestRunReconfigZeroLoss(t *testing.T) {
 		}
 	}
 
-	table := RenderReconfig("title", results)
-	if !strings.Contains(table, "title") || !strings.Contains(table, "T_N_N") {
-		t.Errorf("table = %q", table)
-	}
-	doc, err := RenderReconfigJSON(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"experiment": "reconfig"`, `"lost": 0`, `"from": "T_N_N"`} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("JSON missing %s", want)
-		}
+	var table strings.Builder
+	writeReconfig(&table, "title", results)
+	if !strings.Contains(table.String(), "title") || !strings.Contains(table.String(), "T_N_N") {
+		t.Errorf("table = %q", table.String())
 	}
 }
 

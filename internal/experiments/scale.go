@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -14,9 +14,9 @@ import (
 // sweep.
 type ScalePoint struct {
 	// Procs is the number of application processors.
-	Procs int
+	Procs int `json:"procs"`
 	// Tasks is the number of end-to-end tasks in the generated workload.
-	Tasks int
+	Tasks int `json:"tasks"`
 }
 
 func (p ScalePoint) String() string { return fmt.Sprintf("%dx%d", p.Procs, p.Tasks) }
@@ -36,12 +36,6 @@ type ScaleOptions struct {
 	// Combo is the strategy combination under test (default J_J_J, the
 	// fully dynamic configuration that stresses every service).
 	Combo core.Config
-	// LinkDelay and ACDelay configure the simulated delays; zero uses the
-	// calibrated defaults.
-	LinkDelay time.Duration
-	ACDelay   time.Duration
-	// Set selects the workload seed (as a figure task-set number).
-	Set int
 }
 
 func (o ScaleOptions) withDefaults() ScaleOptions {
@@ -61,21 +55,21 @@ func (o ScaleOptions) withDefaults() ScaleOptions {
 // the wall-clock throughput the substrate sustained doing it.
 type ScaleResult struct {
 	// Point is the (procs, tasks) configuration.
-	Point ScalePoint
+	Point ScalePoint `json:"point"`
 	// Jobs counts job arrivals; Released and Completed count admitted and
 	// finished jobs.
-	Jobs      int64
-	Released  int64
-	Completed int64
+	Jobs      int64 `json:"jobs"`
+	Released  int64 `json:"released"`
+	Completed int64 `json:"completed"`
 	// Ratio is the accepted utilization ratio (the paper's headline metric).
-	Ratio float64
+	Ratio float64 `json:"accepted_ratio"`
 	// Events is the number of discrete events the engine fired.
-	Events int64
+	Events int64 `json:"events"`
 	// Wall is the wall-clock time the run took.
-	Wall time.Duration
+	Wall time.Duration `json:"wall_ns"`
 	// JobsPerSec and EventsPerSec are the wall-clock throughputs.
-	JobsPerSec   float64
-	EventsPerSec float64
+	JobsPerSec   float64 `json:"jobs_per_sec"`
+	EventsPerSec float64 `json:"events_per_sec"`
 }
 
 // RunScale executes the scalability sweep serially (each point is itself a
@@ -85,7 +79,7 @@ func RunScale(opts ScaleOptions) ([]ScaleResult, error) {
 	opts = opts.withDefaults()
 	results := make([]ScaleResult, 0, len(opts.Points))
 	for _, pt := range opts.Points {
-		params := workload.ScaleParams(pt.Procs, pt.Tasks, opts.Set)
+		params := workload.ScaleParams(pt.Procs, pt.Tasks, 0)
 		tasks, err := workload.Generate(params)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scale %s: %w", pt, err)
@@ -93,8 +87,6 @@ func RunScale(opts ScaleOptions) ([]ScaleResult, error) {
 		sim, err := core.NewSimSystem(core.SimConfig{
 			Strategies: opts.Combo,
 			NumProcs:   pt.Procs,
-			LinkDelay:  opts.LinkDelay,
-			ACDelay:    opts.ACDelay,
 			Horizon:    opts.Horizon,
 			Seed:       params.Seed ^ 0x5DEECE66D,
 		}, tasks)
@@ -122,60 +114,17 @@ func RunScale(opts ScaleOptions) ([]ScaleResult, error) {
 	return results, nil
 }
 
-// RenderScale formats the sweep as a throughput table.
-func RenderScale(title string, results []ScaleResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-12s %10s %10s %10s %7s %12s %14s %14s %10s\n",
+// writeScale formats the sweep as a throughput table.
+func writeScale(w io.Writer, title string, results []ScaleResult) {
+	fmt.Fprintf(w, "%s\n", title)
+	fmt.Fprintf(w, "%-12s %10s %10s %10s %7s %12s %14s %14s %10s\n",
 		"procsxtasks", "jobs", "released", "events", "ratio", "wall", "jobs/sec", "events/sec", "")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-12s %10d %10d %10d %7.3f %12s %14.0f %14.0f\n",
+		fmt.Fprintf(w, "%-12s %10d %10d %10d %7.3f %12s %14.0f %14.0f\n",
 			r.Point, r.Jobs, r.Released, r.Events, r.Ratio,
 			r.Wall.Round(time.Millisecond), r.JobsPerSec, r.EventsPerSec)
 	}
-	return b.String()
-}
-
-// scaleJSON is the machine-readable form of one scale point.
-type scaleJSON struct {
-	Procs        int     `json:"procs"`
-	Tasks        int     `json:"tasks"`
-	Jobs         int64   `json:"jobs"`
-	Released     int64   `json:"released"`
-	Completed    int64   `json:"completed"`
-	Ratio        float64 `json:"accepted_ratio"`
-	Events       int64   `json:"events"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	JobsPerSec   float64 `json:"jobs_per_sec"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// RenderScaleJSON emits the sweep as an indented JSON document (the -json
-// mode of rtmw-bench, consumed by the CI perf-trajectory artifact).
-func RenderScaleJSON(results []ScaleResult) (string, error) {
-	doc := struct {
-		Sweep   string      `json:"sweep"`
-		Results []scaleJSON `json:"results"`
-	}{Sweep: "scale"}
-	for _, r := range results {
-		doc.Results = append(doc.Results, scaleJSON{
-			Procs:        r.Point.Procs,
-			Tasks:        r.Point.Tasks,
-			Jobs:         r.Jobs,
-			Released:     r.Released,
-			Completed:    r.Completed,
-			Ratio:        r.Ratio,
-			Events:       r.Events,
-			WallSeconds:  r.Wall.Seconds(),
-			JobsPerSec:   r.JobsPerSec,
-			EventsPerSec: r.EventsPerSec,
-		})
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("experiments: encode scale sweep: %w", err)
-	}
-	return string(out), nil
+	fmt.Fprintln(w)
 }
 
 // ParseScalePoints parses a comma-separated list of PROCSxTASKS pairs, e.g.

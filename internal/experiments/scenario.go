@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/scenario"
@@ -29,23 +29,20 @@ type ScenarioOptions struct {
 
 // ScenarioReport is the execution's outcome across bindings.
 type ScenarioReport struct {
-	// Spec is the executed scenario.
-	Spec *scenario.Spec
-	// Results holds one entry per binding, in execution order.
-	Results []*scenario.Result
+	Experiment string `json:"experiment"`
+	// Verdict is Passed, stored so the JSON document carries it.
+	Verdict bool `json:"passed"`
+	// Spec is the executed scenario; each result names it, its configuration
+	// and its seed.
+	Spec *scenario.Spec `json:"-"`
 	// RecordPath echoes the written journal, when recording.
-	RecordPath string
+	RecordPath string `json:"journal,omitempty"`
+	// Results holds one entry per binding, in execution order.
+	Results []*scenario.Result `json:"results"`
 }
 
 // Passed reports whether every binding satisfied the invariant block.
-func (r *ScenarioReport) Passed() bool {
-	for _, res := range r.Results {
-		if !res.Passed {
-			return false
-		}
-	}
-	return len(r.Results) > 0
-}
+func (r *ScenarioReport) Passed() bool { return r.Verdict }
 
 // RunScenario executes a scenario spec against the requested bindings,
 // recording a journal when asked. Execution errors abort; invariant
@@ -68,7 +65,7 @@ func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
 		return nil, fmt.Errorf("experiments: scenario: recording requires exactly one binding, got %d", len(bindings))
 	}
 
-	rep := &ScenarioReport{Spec: opts.Spec, RecordPath: opts.RecordPath}
+	rep := &ScenarioReport{Experiment: "scenario", Verdict: true, Spec: opts.Spec, RecordPath: opts.RecordPath}
 	for _, b := range bindings {
 		var rec *scenario.Recorder
 		var recFile *os.File
@@ -103,19 +100,19 @@ func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
 			return nil, fmt.Errorf("experiments: scenario %q on %s: %w", opts.Spec.Name, b, err)
 		}
 		rep.Results = append(rep.Results, res)
+		rep.Verdict = rep.Verdict && res.Passed
 	}
 	return rep, nil
 }
 
-// RenderScenario formats the report as a table plus per-binding verdicts.
-func RenderScenario(rep *ScenarioReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scenario %q (%s, horizon %v, seed %d)\n",
+// WriteTable formats the report as a table plus per-binding verdicts.
+func (rep *ScenarioReport) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "Scenario %q (%s, horizon %v, seed %d)\n",
 		rep.Spec.Name, rep.Spec.Config, time.Duration(rep.Spec.Horizon), rep.Spec.Seed)
 	if rep.Spec.Description != "" {
-		fmt.Fprintf(&b, "  %s\n", rep.Spec.Description)
+		fmt.Fprintf(w, "  %s\n", rep.Spec.Description)
 	}
-	fmt.Fprintf(&b, "%-6s %8s %9s %9s %6s %7s %9s %6s %8s %7s %8s\n",
+	fmt.Fprintf(w, "%-6s %8s %9s %9s %6s %7s %9s %6s %8s %7s %8s\n",
 		"bind", "arrived", "released", "completed", "lost", "ratio", "missrate", "epoch", "watch-ev", "ledger", "verdict")
 	for _, r := range rep.Results {
 		ledger := "clean"
@@ -126,41 +123,81 @@ func RenderScenario(rep *ScenarioReport) string {
 		if !r.Passed {
 			verdict = "FAIL"
 		}
-		fmt.Fprintf(&b, "%-6s %8d %9d %9d %6d %7.3f %9.4f %6d %8d %7s %8s\n",
+		fmt.Fprintf(w, "%-6s %8d %9d %9d %6d %7.3f %9.4f %6d %8d %7s %8s\n",
 			r.Binding, r.Arrived, r.Released, r.Completed, r.Lost, r.Ratio,
 			r.MissRate, r.Epoch, r.WatchEvents, ledger, verdict)
 		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "       violation: %s\n", v)
+			fmt.Fprintf(w, "       violation: %s\n", v)
 		}
 	}
 	if rep.RecordPath != "" {
-		fmt.Fprintf(&b, "journal recorded to %s\n", rep.RecordPath)
+		fmt.Fprintf(w, "journal recorded to %s\n", rep.RecordPath)
 	}
-	return b.String()
+	fmt.Fprintln(w)
 }
 
-// RenderScenarioJSON emits the report as an indented JSON document.
-func RenderScenarioJSON(rep *ScenarioReport) (string, error) {
-	doc := struct {
-		Experiment string             `json:"experiment"`
-		Scenario   string             `json:"scenario"`
-		Config     string             `json:"config"`
-		Seed       int64              `json:"seed"`
-		Passed     bool               `json:"passed"`
-		Journal    string             `json:"journal,omitempty"`
-		Results    []*scenario.Result `json:"results"`
-	}{
-		Experiment: "scenario",
-		Scenario:   rep.Spec.Name,
-		Config:     rep.Spec.Config,
-		Seed:       rep.Spec.Seed,
-		Passed:     rep.Passed(),
-		Journal:    rep.RecordPath,
-		Results:    rep.Results,
+// runScenarioArgs is the registry entry: it parses the subcommand's own
+// flags from p.Args, then runs the spec or replays the journal they name.
+func runScenarioArgs(p Params) (Report, error) {
+	fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
+	specPath := fs.String("spec", "", "scenario spec file (JSON)")
+	bindingF := fs.String("binding", "both", "binding(s) to run: sim | live | both")
+	record := fs.String("record", "", "record the run to a journal file (single binding only)")
+	replay := fs.String("replay", "", "replay a journal file in the sim instead of running a spec")
+	timescale := fs.Float64("timescale", 0, "live wall-clock compression factor (0 = the spec's)")
+	if err := fs.Parse(p.Args); err != nil {
+		return nil, fmt.Errorf("%w: scenario: %v", ErrUsage, err)
 	}
-	out, err := json.MarshalIndent(doc, "", "  ")
+	if *replay != "" {
+		data, err := os.ReadFile(*replay)
+		if err != nil {
+			return nil, err
+		}
+		j, err := scenario.DecodeJournal(data)
+		if err != nil {
+			return nil, err
+		}
+		rr, err := scenario.Replay(j)
+		return replayReport{rr, j.Header.Binding}, err
+	}
+	if *specPath == "" {
+		return nil, fmt.Errorf("%w: scenario: -spec or -replay is required", ErrUsage)
+	}
+	data, err := os.ReadFile(*specPath)
 	if err != nil {
-		return "", fmt.Errorf("experiments: encode scenario: %w", err)
+		return nil, err
 	}
-	return string(out), nil
+	s, err := scenario.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	var bindings []string
+	switch *bindingF {
+	case "sim":
+		bindings = []string{scenario.BindingSim}
+	case "live":
+		bindings = []string{scenario.BindingLive}
+	case "both":
+		bindings = []string{scenario.BindingSim, scenario.BindingLive}
+	default:
+		return nil, fmt.Errorf("%w: scenario: -binding must be sim, live or both, got %q", ErrUsage, *bindingF)
+	}
+	return RunScenario(ScenarioOptions{Spec: s, Bindings: bindings, TimeScale: *timescale, RecordPath: *record})
 }
+
+// replayReport is a journal replay: its JSON document is the canonical
+// metrics document itself, the byte-identity artifact replays are compared
+// by, so it carries no "experiment" key.
+type replayReport struct {
+	*scenario.ReplayResult
+	binding string
+}
+
+func (r replayReport) WriteTable(w io.Writer) {
+	fmt.Fprintf(w, "Replayed %q (%s journal): arrived %d, released %d, completed %d, missed %d, lost %d, ratio %.3f\n",
+		r.Scenario, r.binding, r.Arrived, r.Released, r.Completed, r.Missed, r.Lost, r.Ratio)
+}
+
+func (replayReport) Passed() bool { return true }
+
+func (r replayReport) MarshalJSON() ([]byte, error) { return r.MetricsJSON, nil }

@@ -52,11 +52,11 @@ func TestRunScenarioSim(t *testing.T) {
 		t.Fatalf("recorded journal invalid: %v", err)
 	}
 
-	table := RenderScenario(rep)
+	table := tableOf(rep)
 	if !strings.Contains(table, "exp-mini") || !strings.Contains(table, "PASS") {
 		t.Fatalf("table missing content:\n%s", table)
 	}
-	doc, err := RenderScenarioJSON(rep)
+	doc, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRunScenarioSim(t *testing.T) {
 			Binding string `json:"binding"`
 		} `json:"results"`
 	}
-	if err := json.Unmarshal([]byte(doc), &parsed); err != nil {
+	if err := json.Unmarshal(doc, &parsed); err != nil {
 		t.Fatalf("JSON output invalid: %v", err)
 	}
 	if parsed.Experiment != "scenario" || !parsed.Passed || len(parsed.Results) != 1 || parsed.Results[0].Binding != "sim" {

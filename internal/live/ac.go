@@ -504,10 +504,7 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 
 // Resume is phase two's tail: admission reopens and every arrival buffered
 // during the quiesce is decided — in arrival order — under the new
-// configuration. The replay goes through the controller's batch admission
-// path, so a burst of buffered aperiodic arrivals under LB-none takes each
-// admission shard's lock once instead of once per arrival. It returns the
-// number of replayed arrivals.
+// configuration. It returns the number of replayed arrivals.
 func (ac *AdmissionController) Resume() (int, error) {
 	ac.mu.Lock()
 	if !ac.quiesced {
@@ -525,55 +522,10 @@ func (ac *AdmissionController) Resume() (int, error) {
 	if ac.closed {
 		return 0, nil
 	}
-	ac.replayRLocked(deferred)
+	for _, arr := range deferred {
+		ac.decideRLocked(arr)
+	}
 	return len(deferred), nil
-}
-
-// replayRLocked decides a buffered arrival batch under the current
-// configuration. Caller holds mu shared.
-func (ac *AdmissionController) replayRLocked(arrs []TaskArrive) {
-	if len(arrs) == 0 {
-		return
-	}
-	start := time.Now()
-	batch := make([]core.BatchArrival, 0, len(arrs))
-	kept := make([]TaskArrive, 0, len(arrs))
-	for _, arr := range arrs {
-		t, ok := ac.tasks[arr.Task]
-		if !ok {
-			continue
-		}
-		batch = append(batch, core.BatchArrival{Task: t, Job: arr.Job, Now: time.Duration(arr.ArrivalNanos)})
-		kept = append(kept, arr)
-	}
-	decisions := ac.ctrl.ArriveBatch(batch)
-	elapsed := time.Since(start)
-	for i, d := range decisions {
-		arr := kept[i]
-		t := batch[i].Task
-		ref := sched.JobRef{Task: arr.Task, Job: arr.Job}
-		ac.replicateDecision(t, ref, arr.ArrivalNanos, d)
-		if d.Accept && !d.Reserved {
-			ac.scheduleExpiry(ref, time.Unix(0, arr.ArrivalNanos).Add(t.Deadline))
-		}
-		perTask := t.Kind == sched.Periodic &&
-			ac.cfg.AC == core.StrategyPerTask &&
-			ac.cfg.LB != core.StrategyPerJob
-		out := Accept{
-			Task:            arr.Task,
-			Job:             arr.Job,
-			Ok:              d.Accept,
-			Placement:       d.Placement,
-			Relocated:       d.Relocated,
-			PerTaskDecision: perTask,
-			ArrivalNanos:    arr.ArrivalNanos,
-			Epoch:           ac.epoch,
-		}
-		ac.DecisionDelay.Add(elapsed / time.Duration(len(decisions)))
-		if ac.ch != nil {
-			_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &out)})
-		}
-	}
 }
 
 // reconfigServant exposes the coordination half of the protocol over the

@@ -389,89 +389,6 @@ func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 	return adm, err
 }
 
-// SubmitBatch injects one arrival per named task in order, amortizing the
-// transport: cached decisions settle on the lock-free fast path, then the
-// lock is taken once to hold the undecided arrivals, and their "Task
-// Arrive" events push back to back so the gateway's group-commit forwarder
-// coalesces them into a few ORB frames instead of one invocation each. IDs
-// are validated up front: an unknown task fails the whole batch before any
-// arrival is injected. A transport error on an individual push resolves
-// that entry's Admission as Rejected (no watch event will ever answer it)
-// with the error in Reason; the first such error is also returned.
-func (te *TaskEffector) SubmitBatch(taskIDs []string) ([]core.Admission, error) {
-	start := time.Now()
-	if te.closed.Load() {
-		return nil, fmt.Errorf("live: task effector passivated: %w", core.ErrStopped)
-	}
-	records := make([]*teTask, len(taskIDs))
-	for i, id := range taskIDs {
-		tt, ok := te.lookupTask(id)
-		if !ok {
-			return nil, fmt.Errorf("live: te: %w: %q", core.ErrUnknownTask, id)
-		}
-		records[i] = tt
-	}
-	type pendingPush struct {
-		idx int
-		ev  TaskArrive
-		ref sched.JobRef
-	}
-	out := make([]core.Admission, len(taskIDs))
-	var pending []int
-	decided := *te.decided.Load()
-	for i, id := range taskIDs {
-		if dec, ok := decided[id]; ok {
-			out[i] = te.settleCached(id, records[i], dec)
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return out, nil
-	}
-
-	var pushes []pendingPush
-	arrival := nowNanos()
-	te.mu.Lock()
-	for _, i := range pending {
-		id := taskIDs[i]
-		job := records[i].nextJob.Add(1) - 1
-		atomic.AddInt64(&te.Stats.Arrived, 1)
-		out[i] = core.Admission{Task: id, Job: job}
-		ref := sched.JobRef{Task: id, Job: job}
-		te.waiting[ref] = arrival
-		out[i].Outcome = core.AdmissionPending
-		out[i].Reason = "admission decision round trip in flight"
-		pushes = append(pushes, pendingPush{idx: i, ref: ref, ev: TaskArrive{
-			Task: id, Job: job, Proc: te.proc, ArrivalNanos: arrival,
-		}})
-	}
-	te.sweepWaitingLocked(arrival)
-	te.mu.Unlock()
-	ch := te.ch.Load()
-
-	var firstErr error
-	for _, p := range pushes {
-		err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: AppendTaskArrive(nil, &p.ev)})
-		if err == nil {
-			continue
-		}
-		te.mu.Lock()
-		delete(te.waiting, p.ref)
-		te.mu.Unlock()
-		if TransportOverloaded(err) {
-			atomic.AddInt64(&te.Stats.Overloaded, 1)
-		}
-		out[p.idx].Outcome = core.AdmissionRejected
-		out[p.idx].Reason = "arrival shed: " + err.Error()
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	te.HoldPush.Add(time.Since(start))
-	return out, firstErr
-}
-
 // minWaitingSweep is the smallest waiting-map size that triggers a sweep.
 const minWaitingSweep = 128
 

@@ -946,8 +946,8 @@ func (l *Ledger) Admissible(placement []PlacedStage) bool {
 	for _, p := range placement {
 		if p.Util < 0 {
 			// Negative candidates void the monotonicity the fast path
-			// relies on; fall back to the reference evaluation.
-			return l.referenceAdmissible(placement)
+			// relies on; AddJob rejects them, so the test does too.
+			return false
 		}
 	}
 	if l.candDelta == nil {

@@ -130,6 +130,12 @@ func TestLedgerAddJobErrors(t *testing.T) {
 	if err := l.AddJob(JobRef{Task: "y", Job: 0}, Periodic, neg, false, time.Second); err == nil {
 		t.Error("AddJob accepted negative utilization")
 	}
+	if l.Admissible(neg) {
+		t.Error("Admissible accepted negative utilization")
+	}
+	if NewShardedLedger(2, 2).Admissible(neg) {
+		t.Error("sharded Admissible accepted negative utilization")
+	}
 }
 
 func TestLedgerPermanentReservation(t *testing.T) {

@@ -237,15 +237,9 @@ func (sl *ShardedLedger) Admissible(placement []PlacedStage) bool {
 	for _, p := range placement {
 		if p.Util < 0 {
 			// Negative candidates void the monotonicity both the violated
-			// short-circuit and the group evaluation rely on; take every lock
-			// and run the full-scan reference.
-			all := sl.allMask()
-			sl.lockMask(all)
-			sl.crossMu.Lock()
-			ok := sl.referenceAdmissibleAll(placement)
-			sl.crossMu.Unlock()
-			sl.unlockMask(all)
-			return ok
+			// short-circuit and the group evaluation rely on; TestAndAdd
+			// rejects them, so the test does too.
+			return false
 		}
 	}
 	mask := sl.maskOf(placement)
@@ -636,73 +630,4 @@ func (sl *ShardedLedger) testAndAddMulti(mask uint64, ref JobRef, kind TaskKind,
 	sl.unlockMask(mask)
 	sl.putScratch(sc)
 	return ok, err
-}
-
-// BatchCandidate is one job of a TestAndAddBatch.
-type BatchCandidate struct {
-	Ref       JobRef
-	Kind      TaskKind
-	Placement []PlacedStage
-	Permanent bool
-	Expiry    time.Duration
-}
-
-// TestAndAddBatch admits a batch of candidates, returning one decision per
-// candidate (parallel to cands). When every candidate is single-shard and no
-// cross job is registered, the batch is grouped by target shard so each
-// shard lock is taken once per batch; candidates on distinct shards then
-// commute exactly (disjoint processors, disjoint signature groups, and
-// admission can never create a violation), so the decisions equal the
-// sequential submission order's. Any cross-shard candidate or registered
-// cross job falls back to in-order submission, where that reordering
-// argument does not hold.
-func (sl *ShardedLedger) TestAndAddBatch(cands []BatchCandidate) []bool {
-	out := make([]bool, len(cands))
-	grouped := sl.crossCount.Load() == 0
-	var shardOf []int
-	if grouped {
-		shardOf = make([]int, len(cands))
-		for i := range cands {
-			if len(cands[i].Placement) == 0 {
-				grouped = false
-				break
-			}
-			if sl.validatePlacement(cands[i].Ref, cands[i].Placement) != nil {
-				grouped = false
-				break
-			}
-			mask := sl.maskOf(cands[i].Placement)
-			if bits.OnesCount64(mask) != 1 {
-				grouped = false
-				break
-			}
-			shardOf[i] = bits.TrailingZeros64(mask)
-		}
-	}
-	if !grouped {
-		for i := range cands {
-			ok, _ := sl.TestAndAdd(cands[i].Ref, cands[i].Kind, cands[i].Placement, cands[i].Permanent, cands[i].Expiry)
-			out[i] = ok
-		}
-		return out
-	}
-	for s := 0; s < sl.nshards; s++ {
-		first := true
-		for i := range cands {
-			if shardOf[i] != s {
-				continue
-			}
-			if first {
-				sl.shards[s].mu.Lock()
-				first = false
-			}
-			ok, _ := sl.testAndAddShardLocked(&sl.shards[s], 1<<uint(s),
-				cands[i].Ref, cands[i].Kind, cands[i].Placement, cands[i].Permanent, cands[i].Expiry)
-			out[i] = ok
-		}
-		if !first {
-			sl.shards[s].mu.Unlock()
-		}
-	}
-	return out
 }

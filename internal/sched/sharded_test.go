@@ -228,70 +228,6 @@ func TestShardedLedgerSingleShardBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedBatchEquivalence pins the SubmitBatch grouping contract: a
-// mixed-shard batch admitted with per-shard lock grouping produces exactly
-// the same decisions and ledger state as submitting the same candidates
-// sequentially — and a registered cross-shard job forces the strict in-order
-// fallback without changing the outcome.
-func TestShardedBatchEquivalence(t *testing.T) {
-	const procs, shards = 8, 4
-	build := func(withCross bool) (*ShardedLedger, []BatchCandidate) {
-		rng := rand.New(rand.NewSource(7))
-		sl := NewShardedLedger(procs, shards)
-		if withCross {
-			// A cross-shard job spanning processors 0 and 7 disables grouping.
-			ok, err := sl.TestAndAdd(JobRef{Task: "cross", Job: 0}, Aperiodic,
-				[]PlacedStage{{Stage: 0, Proc: 0, Util: 0.2}, {Stage: 1, Proc: 7, Util: 0.2}}, false, time.Hour)
-			if err != nil || !ok {
-				t.Fatalf("seeding cross job: ok=%v err=%v", ok, err)
-			}
-		}
-		var cands []BatchCandidate
-		for i := 0; i < 40; i++ {
-			// Single-shard placements scattered over all shards; utilizations
-			// large enough that later candidates get rejected.
-			base := 2 * rng.Intn(shards)
-			pl := []PlacedStage{
-				{Stage: 0, Proc: base, Util: 0.15 + 0.2*rng.Float64()},
-				{Stage: 1, Proc: base + 1, Util: 0.15 + 0.2*rng.Float64()},
-			}
-			cands = append(cands, BatchCandidate{
-				Ref: JobRef{Task: fmt.Sprintf("b%d", i%5), Job: int64(i)}, Kind: Aperiodic,
-				Placement: pl, Expiry: time.Hour,
-			})
-		}
-		return sl, cands
-	}
-	for _, withCross := range []bool{false, true} {
-		name := "grouped"
-		if withCross {
-			name = "fallback-with-cross-job"
-		}
-		t.Run(name, func(t *testing.T) {
-			batched, cands := build(withCross)
-			sequential, _ := build(withCross)
-			got := batched.TestAndAddBatch(cands)
-			want := make([]bool, len(cands))
-			for i, c := range cands {
-				want[i], _ = sequential.TestAndAdd(c.Ref, c.Kind, c.Placement, c.Permanent, c.Expiry)
-			}
-			for i := range cands {
-				if got[i] != want[i] {
-					t.Fatalf("candidate %d: batch decision %v, sequential %v", i, got[i], want[i])
-				}
-			}
-			for p := 0; p < procs; p++ {
-				if bu, su := batched.Util(p), sequential.Util(p); math.Float64bits(bu) != math.Float64bits(su) {
-					t.Fatalf("processor %d: batch util %g, sequential %g", p, bu, su)
-				}
-			}
-			if err := batched.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // concurrentWorkload runs an admission-only mixed workload (TestAndAdd with
 // single- and cross-shard placements, MarkComplete, ResetReported, expiry,
 // withdrawal, RemoveTask) from several goroutines against a journaling

@@ -40,7 +40,6 @@ import (
 	"repro/internal/configengine"
 	"repro/internal/core"
 	"repro/internal/deploy"
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/spec"
@@ -96,8 +95,8 @@ func AssignEDMSPriorities(tasks []*Task) { sched.AssignEDMSPriorities(tasks) }
 // Ingestion is admission-aware: Submit injects one job arrival and returns a
 // typed Admission (job number plus the decision state — per-task cached
 // decisions resolve synchronously, everything else is Pending until the
-// decision round trip completes), and SubmitBatch injects bulk arrivals,
-// amortizing transport round trips on the live binding.
+// decision round trip completes), and SubmitBatch injects bulk arrivals in
+// order after validating every ID up front.
 //
 // The task set is dynamic: AddTasks registers tasks on the running binding
 // (EDMS priorities re-assigned over the union, AUB-ledger admission from the
@@ -330,77 +329,15 @@ func RemoveTasksDelta(plan *DeploymentPlan, ids []string) (*ReconfigDeltaPlan, e
 	return configengine.RemoveTasksDelta(plan, ids)
 }
 
-// Experiment re-exports: regenerate the paper's tables and figures. The
-// figure and ablation runners fan their independent (combo, set) / seed
-// trials over a bounded worker pool when Workers is set; results are
-// bit-identical to a serial run.
-type (
-	// FigureOptions parameterizes the Figure 5/6 experiments.
-	FigureOptions = experiments.FigureOptions
-	// ComboResult is one strategy combination's accepted utilization ratio.
-	ComboResult = experiments.ComboResult
-	// OverheadOptions parameterizes the Figure 7/8 overhead measurement.
-	OverheadOptions = experiments.OverheadOptions
-	// OverheadReport is the measured overhead accounting.
-	OverheadReport = experiments.OverheadReport
-	// AblationOptions parameterizes the AUB-vs-deferrable-server ablation.
-	AblationOptions = experiments.AblationOptions
-	// AblationResult is one admission technique's outcome in the ablation.
-	AblationResult = experiments.AblationResult
-	// ScaleOptions parameterizes the large-scenario throughput sweep over
-	// the pooled simulation core.
-	ScaleOptions = experiments.ScaleOptions
-	// ScalePoint is one (processors, tasks) configuration of the sweep.
-	ScalePoint = experiments.ScalePoint
-	// ScaleResult is one scale point's virtual workload and wall-clock
-	// throughput.
-	ScaleResult = experiments.ScaleResult
-	// ReconfigOptions parameterizes the mid-run reconfiguration experiment.
-	ReconfigOptions = experiments.ReconfigOptions
-	// ReconfigResult is one task set's reconfiguration outcome.
-	ReconfigResult = experiments.ReconfigResult
-	// ChurnOptions parameterizes the open-world churn sweep (tasks joining
-	// and leaving a running binding under every strategy combination).
-	ChurnOptions = experiments.ChurnOptions
-	// ChurnResult is one churn trial's outcome.
-	ChurnResult = experiments.ChurnResult
-	// ChurnLiveOptions parameterizes the live churn smoke.
-	ChurnLiveOptions = experiments.ChurnLiveOptions
-	// ChurnLiveResult is the live churn smoke's outcome.
-	ChurnLiveResult = experiments.ChurnLiveResult
-)
-
-// Experiment runners and renderers.
+// Paper artifacts that are plain functions of the library: the large-scenario
+// workload parameters and the Table 1 rendering. The experiment harness that
+// regenerates the figures is tooling, not library surface: it lives in
+// internal/experiments behind cmd/rtmw-bench.
 var (
-	RunFigure5         = experiments.RunFigure5
-	RunFigure6         = experiments.RunFigure6
-	RunOverhead        = experiments.RunOverhead
-	RunAblationAUBvsDS = experiments.RunAblationAUBvsDS
-	RunScale           = experiments.RunScale
-	RunReconfig        = experiments.RunReconfig
-	RunChurn           = experiments.RunChurn
-	RunChurnLive       = experiments.RunChurnLive
-	RenderChurn        = experiments.RenderChurn
-	RenderChurnLive    = experiments.RenderChurnLive
-	RenderChurnJSON    = experiments.RenderChurnJSON
-	RenderReconfig     = experiments.RenderReconfig
-	RenderReconfigJSON = experiments.RenderReconfigJSON
-	RenderScale        = experiments.RenderScale
-	RenderScaleJSON    = experiments.RenderScaleJSON
-	ParseScalePoints   = experiments.ParseScalePoints
 	// ScaleWorkloadParams builds the large-scenario workload parameters for
 	// one (procs, tasks, set) scale point.
 	ScaleWorkloadParams = workload.ScaleParams
-	RenderFigure        = experiments.RenderFigure
-	RenderCSV           = experiments.RenderCSV
-	RenderFigureJSON    = experiments.RenderFigureJSON
-	RenderAblation      = experiments.RenderAblation
-	RenderAblationJSON  = experiments.RenderAblationJSON
-	RenderOverhead      = experiments.RenderOverhead
 	RenderTable1        = configengine.RenderTable1
-	// ResolveWorkers normalizes a Workers option (values below 1 select one
-	// worker per CPU).
-	ResolveWorkers = experiments.ResolveWorkers
 )
 
 // Scenario engine re-exports: declarative JSON specs composing arrival
@@ -430,10 +367,6 @@ type (
 	// ArrivalShape is a time-varying arrival process (flash crowd,
 	// diurnal tide, MMPP burst, correlated spike, constant Poisson).
 	ArrivalShape = workload.Shape
-	// ScenarioOptions parameterizes a scenario run across bindings.
-	ScenarioOptions = experiments.ScenarioOptions
-	// ScenarioReport is a scenario run's per-binding results.
-	ScenarioReport = experiments.ScenarioReport
 )
 
 // Typed scenario-spec failures, discriminated with errors.Is. Every
@@ -448,12 +381,6 @@ var (
 // ParseScenario decodes and validates a JSON scenario specification,
 // rejecting unknown fields.
 func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data) }
-
-// RunScenario executes a scenario spec against the selected bindings
-// (simulation and/or live cluster), optionally recording a journal.
-func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
-	return experiments.RunScenario(opts)
-}
 
 // ReadScenarioJournal decodes a recorded scenario journal.
 func ReadScenarioJournal(data []byte) (*ScenarioJournal, error) {
@@ -484,15 +411,6 @@ type (
 	AutopilotWindowStats = autopilot.WindowStats
 	// AutopilotRegime is the controller's traffic classification.
 	AutopilotRegime = autopilot.Regime
-	// AutopilotSweepOptions parameterizes the autopilot-vs-static
-	// regime-change experiment sweep.
-	AutopilotSweepOptions = experiments.AutopilotOptions
-	// AutopilotReport is the sweep's per-scenario comparison.
-	AutopilotReport = experiments.AutopilotReport
-	// AutopilotScenarioReport is one scenario's static-vs-autopilot rows.
-	AutopilotScenarioReport = experiments.AutopilotScenarioReport
-	// AutopilotRunResult is one strategy's outcome in a sweep scenario.
-	AutopilotRunResult = experiments.AutopilotRun
 )
 
 // Traffic regimes recognized by the autopilot's classifier.
@@ -505,25 +423,6 @@ const (
 // NewAutopilot builds a controller from the given options; attach it to a
 // binding with AttachSim (virtual time) or Start (wall clock).
 func NewAutopilot(opts AutopilotOptions) (*Autopilot, error) { return autopilot.New(opts) }
-
-// RunAutopilot runs the regime-change scenario sweep: every static strategy
-// combination against the closed-loop controller, on the simulation binding
-// and optionally the live cluster.
-func RunAutopilot(opts AutopilotSweepOptions) (*AutopilotReport, error) {
-	return experiments.RunAutopilot(opts)
-}
-
-// RenderAutopilot renders the sweep comparison as a text table.
-func RenderAutopilot(rep *AutopilotReport) string { return experiments.RenderAutopilot(rep) }
-
-// RenderAutopilotJSON renders the sweep comparison as indented JSON.
-func RenderAutopilotJSON(rep *AutopilotReport) (string, error) {
-	return experiments.RenderAutopilotJSON(rep)
-}
-
-// AutopilotBeatStatics reports whether the closed-loop controller beat every
-// static strategy on at least two scenarios with all invariants intact.
-func AutopilotBeatStatics(rep *AutopilotReport) bool { return experiments.AutopilotPassed(rep) }
 
 // DefaultLinkDelay is the simulated one-way communication delay, calibrated
 // to the paper's measured 322 µs mean on its 100 Mbps testbed.
