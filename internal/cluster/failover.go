@@ -470,7 +470,7 @@ func (c *Cluster) redeliverLocked(trg live.Trigger) bool {
 	if trg.Stage == 0 {
 		evType = live.EvRelease
 	}
-	err := c.Apps[target].Channel.Push(eventchan.Event{
+	err := c.Apps[target].Channel.PushTo(target, eventchan.Event{
 		Type: evType, Source: redeliverySource, Payload: live.AppendTrigger(nil, &trg),
 	})
 	return err == nil

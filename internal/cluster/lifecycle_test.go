@@ -175,10 +175,17 @@ func TestClusterSubmitBatchAmortizes(t *testing.T) {
 	if adms[0].Task != "flow" || adms[0].Job != 0 || adms[2].Job != 1 {
 		t.Errorf("batch order/jobs = %+v", adms)
 	}
-	for _, adm := range adms {
-		if adm.Outcome != core.AdmissionPending {
-			t.Errorf("first-round outcome = %v, want pending", adm.Outcome)
+	// A task's first arrival waits for the admission controller. A repeat
+	// within the batch may already find the first one's per-task decision
+	// cached — whether the Accept wins that race is not this test's business.
+	seen := make(map[string]bool)
+	for i, adm := range adms {
+		repeat := seen[adm.Task]
+		seen[adm.Task] = true
+		if adm.Outcome == core.AdmissionPending || repeat && adm.Outcome == core.AdmissionAccepted {
+			continue
 		}
+		t.Errorf("first-round outcome of %s (entry %d) = %v, want pending", adm.Task, i, adm.Outcome)
 	}
 
 	// Wait for the per-task decision to come back and be cached, then the

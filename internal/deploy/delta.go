@@ -202,14 +202,9 @@ func (l *Launcher) ExecuteReconfig(ctx context.Context, d *Delta) (*ReconfigOutc
 		if skip[conn.SourceNode] || skip[conn.SinkNode] {
 			continue
 		}
-		req := ConnectRequest{EventType: conn.EventType, SinkAddr: addr[conn.SinkNode]}
-		body, err := gobEncode(req)
-		if err != nil {
-			return fail(err)
-		}
 		t0 := time.Now()
-		if err := l.invoke(ctx, addr[conn.SourceNode], opConnect, body); err != nil {
-			return fail(fmt.Errorf("deploy: reconfig: connect %s %s->%s: %w", conn.EventType, conn.SourceNode, conn.SinkNode, err))
+		if err := l.connect(ctx, d.Plan, conn); err != nil {
+			return fail(fmt.Errorf("deploy: reconfig: %w", err))
 		}
 		out.NodeTimings[conn.SourceNode] += time.Since(t0)
 	}

@@ -51,13 +51,8 @@ func (l *Launcher) Execute(ctx context.Context, p *Plan) error {
 		}
 	}
 	for _, conn := range p.Connections {
-		req := ConnectRequest{EventType: conn.EventType, SinkAddr: addr[conn.SinkNode]}
-		body, err := gobEncode(req)
-		if err != nil {
-			return err
-		}
-		if err := l.invoke(ctx, addr[conn.SourceNode], opConnect, body); err != nil {
-			return fmt.Errorf("deploy: connect %s %s->%s: %w", conn.EventType, conn.SourceNode, conn.SinkNode, err)
+		if err := l.connect(ctx, p, conn); err != nil {
+			return fmt.Errorf("deploy: %w", err)
 		}
 	}
 	for _, n := range p.Nodes {
@@ -107,17 +102,32 @@ func (l *Launcher) RedeployNode(ctx context.Context, p *Plan, node string) error
 		if conn.SourceNode != node && conn.SinkNode != node {
 			continue
 		}
-		req := ConnectRequest{EventType: conn.EventType, SinkAddr: addr[conn.SinkNode]}
-		body, err := gobEncode(req)
-		if err != nil {
-			return err
-		}
-		if err := l.invoke(ctx, addr[conn.SourceNode], opConnect, body); err != nil {
-			return fmt.Errorf("deploy: redeploy: connect %s %s->%s: %w", conn.EventType, conn.SourceNode, conn.SinkNode, err)
+		if err := l.connect(ctx, p, conn); err != nil {
+			return fmt.Errorf("deploy: redeploy: %w", err)
 		}
 	}
 	if err := l.invoke(ctx, addr[node], opActivate, nil); err != nil {
 		return fmt.Errorf("deploy: redeploy: activate node %s: %w", node, err)
+	}
+	return nil
+}
+
+// connect asks the connection's source node to forward the event type to its
+// sink node, telling the gateway which processor the sink is so addressed
+// events skip it when they are for another.
+func (l *Launcher) connect(ctx context.Context, p *Plan, conn Connection) error {
+	src, _ := p.NodeByName(conn.SourceNode)
+	sink, _ := p.NodeByName(conn.SinkNode)
+	body, err := gobEncode(ConnectRequest{
+		EventType: conn.EventType,
+		SinkAddr:  sink.Address,
+		SinkProc:  sink.Processor + 1,
+	})
+	if err != nil {
+		return err
+	}
+	if err := l.invoke(ctx, src.Address, opConnect, body); err != nil {
+		return fmt.Errorf("connect %s %s->%s: %w", conn.EventType, conn.SourceNode, conn.SinkNode, err)
 	}
 	return nil
 }

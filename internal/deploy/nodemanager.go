@@ -51,6 +51,10 @@ type ConnectRequest struct {
 	EventType string
 	// SinkAddr is the peer channel's ORB address.
 	SinkAddr string
+	// SinkProc is the sink node's Node.Processor plus one, so the zero value
+	// — a request that does not say, or a sink on the manager — means
+	// unknown, and the gateway then forwards every addressed event there.
+	SinkProc int
 }
 
 // NodeManager is the per-node deployment servant: the counterpart of
@@ -88,7 +92,11 @@ func (nm *NodeManager) dispatch(op string, arg []byte) ([]byte, error) {
 		if err := gobDecode(arg, &req); err != nil {
 			return nil, err
 		}
-		nm.channel.AddRemoteSink(req.EventType, req.SinkAddr)
+		proc := eventchan.NoProcessor
+		if req.SinkProc > 0 {
+			proc = req.SinkProc - 1
+		}
+		nm.channel.AddProcessorSink(req.EventType, req.SinkAddr, proc)
 		return nil, nil
 	case opReconfigure:
 		var req ReconfigRequest

@@ -18,6 +18,10 @@
 //     invocation each. A full pending queue either fails Push with
 //     ErrBackpressure or throttles the pusher, per the channel's
 //     OverflowPolicy.
+//   - A sink may know which application processor its peer is. PushTo
+//     forwards an event only one processor acts on to that processor's sink
+//     (and to sinks of unknown processor) instead of to every sink of the
+//     type; the other copies would have been discarded on arrival.
 package eventchan
 
 import (
@@ -115,6 +119,11 @@ type shard struct {
 	sinks map[string][]*sink
 }
 
+// NoProcessor is the processor of a sink that was added without one: the
+// gateway does not know which processor the peer is (the manager node is
+// none), so every addressed push is still forwarded to it.
+const NoProcessor = -1
+
 // sink is the gateway state for one peer address, shared by every event
 // type forwarded there so cross-type bursts batch together. Forwarding is
 // group commit: a pusher appends to pending and, if no flush is in flight,
@@ -122,6 +131,9 @@ type shard struct {
 // mid-flight piggyback and return immediately.
 type sink struct {
 	addr string
+	// proc is the application processor the peer is, or NoProcessor. PushTo
+	// skips sinks known to be some other processor.
+	proc atomic.Int64
 
 	mu sync.Mutex
 	// full is signaled by the flusher whenever it takes the backlog, waking
@@ -265,12 +277,24 @@ func (c *Channel) removeSub(s *Subscription) {
 // no-op. Sinks for the same address share one batching queue across event
 // types.
 func (c *Channel) AddRemoteSink(eventType, addr string) {
+	c.AddProcessorSink(eventType, addr, NoProcessor)
+}
+
+// AddProcessorSink is AddRemoteSink for a peer known to be application
+// processor proc, which lets PushTo leave it out of events addressed to
+// another processor. The processor belongs to the address, not to the event
+// type; NoProcessor leaves what is already known about the address alone.
+func (c *Channel) AddProcessorSink(eventType, addr string, proc int) {
 	c.sinksMu.Lock()
 	snk, ok := c.sinks[addr]
 	if !ok {
 		snk = &sink{addr: addr}
+		snk.proc.Store(NoProcessor)
 		snk.full.L = &snk.mu
 		c.sinks[addr] = snk
+	}
+	if proc != NoProcessor {
+		snk.proc.Store(int64(proc))
 	}
 	c.sinksMu.Unlock()
 
@@ -337,7 +361,18 @@ func (c *Channel) RemoveRemoteSink(addr string) {
 // same peer, in which case a transport failure surfaces on the pusher that
 // performed the flush and in ForwardErrors.
 func (c *Channel) Push(ev Event) error {
-	return c.push(ev, (*Channel).sinkPush)
+	return c.push(ev, NoProcessor, (*Channel).sinkPush)
+}
+
+// PushTo is Push for an event only processor proc acts on: local delivery is
+// the same, and the gateway forwards to the sinks that are proc or whose
+// processor is unknown, skipping those known to be another processor. The
+// destination is not carried on the wire — consumers filter on the payload
+// exactly as they do for Push — so a skipped copy is one its receiver would
+// have discarded. With no sink left for proc (never wired, or removed) the
+// event is forwarded nowhere and PushTo returns nil.
+func (c *Channel) PushTo(proc int, ev Event) error {
+	return c.push(ev, proc, (*Channel).sinkPush)
 }
 
 // PushUrgent is Push for events that must not wait behind — or be shed
@@ -346,12 +381,14 @@ func (c *Channel) Push(ev Event) error {
 // and never returns ErrBackpressure. Heartbeats use it to keep failure
 // detection latency independent of event load.
 func (c *Channel) PushUrgent(ev Event) error {
-	return c.push(ev, (*Channel).forwardSingle)
+	return c.push(ev, NoProcessor, (*Channel).forwardSingle)
 }
 
-// push is the shared delivery pipeline; forward selects the gateway path
-// (group commit through the pending queue, or the immediate scalar push).
-func (c *Channel) push(ev Event, forward func(*Channel, *sink, Event) error) error {
+// push is the shared delivery pipeline; to restricts forwarding to one
+// processor's sinks (NoProcessor: all of them) and forward selects the
+// gateway path (group commit through the pending queue, or the immediate
+// scalar push).
+func (c *Channel) push(ev Event, to int, forward func(*Channel, *sink, Event) error) error {
 	if ev.Source == "" {
 		ev.Source = c.node
 	}
@@ -374,6 +411,11 @@ func (c *Channel) push(ev Event, forward func(*Channel, *sink, Event) error) err
 	}
 	var firstErr error
 	for _, snk := range sinks {
+		if to != NoProcessor {
+			if p := int(snk.proc.Load()); p != NoProcessor && p != to {
+				continue
+			}
+		}
 		if err := forward(c, snk, ev); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -493,8 +535,10 @@ func (c *Channel) flushBatch(snk *sink, batch []Event) error {
 	c.forwarded.Add(int64(len(batch)))
 	snk.batches.Add(1)
 	snk.events.Add(int64(len(batch)))
-	// A saturated ORB writer queue blocks here rather than shedding the
-	// batch: this sink's own pending queue is the only shedding layer.
+	// The invocation writes the frame to the socket before it returns unless
+	// another sender's flush carries it. A full ORB pending list blocks here
+	// rather than shedding the batch: this sink's own pending queue is the
+	// only shedding layer.
 	if err = c.orb.InvokeOneWay(snk.addr, ServantKey, op, body); err != nil {
 		snk.errs.Add(1)
 		return fmt.Errorf("eventchan %s: forward %d event(s) to %s: %w", c.node, len(batch), snk.addr, err)

@@ -57,7 +57,11 @@ type OverheadReport struct {
 	// 1 hold task + push event, 2 communication delay, 3 generate
 	// deployment plan, 4 admission test, 5 release the task, 6 release the
 	// duplicate task, 7 report completed subtask, 8 update synthetic
-	// utilization.
+	// utilization. Operation 1 is TaskEffector.HoldPush and, since the ORB
+	// writes on the sender's goroutine, contains the TaskArrive's socket
+	// write (and 7 the IdleReset report's); the hop that write starts is
+	// shorter by the writer hand-off it replaced, which shows in a job's
+	// decision wait and in operation 2, half a ping round trip.
 	Ops map[int]OpResult `json:"ops"`
 	// Rows are the composite service delays in the paper's Figure 8 order.
 	Rows []OverheadRow `json:"rows"`

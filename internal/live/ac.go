@@ -299,8 +299,9 @@ func (ac *AdmissionController) decideRLocked(arr TaskArrive) {
 	}
 	ac.DecisionDelay.Add(time.Since(start))
 	if ac.ch != nil {
-		// Best effort: a dead effector node surfaces in its own metrics.
-		_ = ac.ch.Push(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &out)})
+		// Best effort: a dead effector node surfaces in its own metrics. Only
+		// the arrival processor's effector holds the wait (homeOf).
+		_ = ac.ch.PushTo(arr.Proc, eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &out)})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ccm"
+	"repro/internal/core"
 	"repro/internal/eventchan"
 	"repro/internal/sched"
 )
@@ -303,5 +304,85 @@ func TestCollector(t *testing.T) {
 	}
 	if got := c.MeanResponse(); got != 45*time.Millisecond {
 		t.Errorf("MeanResponse = %v", got)
+	}
+}
+
+// TestStageProcShortPlacement: a Trigger off the wire may carry a placement
+// shorter than its task has stages. The next stage then has no processor to
+// address, and the event must be broadcast (where every subtask's filter
+// drops it), not index past the slice.
+func TestStageProcShortPlacement(t *testing.T) {
+	placement := []sched.PlacedStage{{Stage: 0, Proc: 2}}
+	if got := stageProc(placement, 0); got != 2 {
+		t.Errorf("stageProc(stage 0) = %d, want 2", got)
+	}
+	for _, s := range []int{1, -1} {
+		if got := stageProc(placement, s); got != eventchan.NoProcessor {
+			t.Errorf("stageProc(stage %d) = %d, want NoProcessor", s, got)
+		}
+	}
+	if got := stageProc(nil, 0); got != eventchan.NoProcessor {
+		t.Errorf("stageProc(nil, 0) = %d, want NoProcessor", got)
+	}
+}
+
+// TestPassivateWaitsForReleaseInFlight: a decision that found the effector
+// open must have published its Release before Passivate returns, because the
+// node's channel and transport are torn down right after (Node.Close, a
+// killed node) and a Release counted but refused by a closed ORB is a lost
+// job. Decisions arriving after Passivate are ignored.
+func TestPassivateWaitsForReleaseInFlight(t *testing.T) {
+	te := NewTaskEffector()
+	if err := te.Configure(map[string]string{AttrProcessor: "0", AttrWorkload: testWorkloadJSON}); err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode("te-test", 0, "127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if err := te.Activate(&ccm.Context{Node: "te-test", ORB: node.ORB, Events: node.Channel}); err != nil {
+		t.Fatal(err)
+	}
+	entered, proceed := make(chan struct{}), make(chan struct{})
+	node.Channel.Subscribe(EvRelease, func(eventchan.Event) {
+		close(entered)
+		<-proceed
+	})
+	accept := func(job int64) {
+		_ = node.Channel.Push(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &Accept{
+			Task: "p", Job: job, Ok: true, Placement: []sched.PlacedStage{{Stage: 0, Proc: 0}},
+		})})
+	}
+	for i := 0; i < 2; i++ {
+		if adm, err := te.SubmitJob("p"); err != nil || adm.Outcome != core.AdmissionPending {
+			t.Fatalf("SubmitJob = %+v, %v; want a pending hold", adm, err)
+		}
+	}
+	go accept(0)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the decision never released its job")
+	}
+	passivated := make(chan struct{})
+	go func() {
+		_ = te.Passivate()
+		close(passivated)
+	}()
+	select {
+	case <-passivated:
+		t.Fatal("Passivate returned while a Release was being published")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(proceed)
+	select {
+	case <-passivated:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Passivate never returned")
+	}
+	accept(1)
+	if got := te.StatsSnapshot().Released; got != 1 {
+		t.Errorf("released %d jobs, want 1: the decision after Passivate must be ignored", got)
 	}
 }

@@ -164,6 +164,17 @@ func (s *Subtask) onTrigger(ev eventchan.Event) {
 	}
 }
 
+// stageProc is the processor a placement runs stage s on — the node a
+// Release or Trigger for that stage is addressed to. A placement that does
+// not reach s addresses no one in particular: the event is broadcast, and no
+// subtask's filter accepts it.
+func stageProc(placement []sched.PlacedStage, s int) int {
+	if s < 0 || s >= len(placement) {
+		return eventchan.NoProcessor
+	}
+	return placement[s].Proc
+}
+
 // run executes one subjob and drives the completion protocol.
 func (s *Subtask) run(trg Trigger) {
 	BusyWait(time.Duration(float64(s.exec) * s.scale))
@@ -188,5 +199,7 @@ func (s *Subtask) run(trg Trigger) {
 		return
 	}
 	trg.Stage++
-	_ = s.ch.Push(eventchan.Event{Type: EvTrigger, Payload: AppendTrigger(nil, &trg)})
+	// Only the next stage's processor acts on the trigger
+	// (triggerAddressedTo); the gateway skips the other candidates' nodes.
+	_ = s.ch.PushTo(stageProc(trg.Placement, trg.Stage), eventchan.Event{Type: EvTrigger, Payload: AppendTrigger(nil, &trg)})
 }

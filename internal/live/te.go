@@ -68,12 +68,23 @@ type TaskEffector struct {
 	epoch  int64
 	ch     atomic.Pointer[eventchan.Channel]
 	active bool
-	closed atomic.Bool
+	// closing orders Passivate after the releases in flight: the two paths
+	// that release (a cached SubmitJob, onAccept) hold it shared, so a
+	// decision that found the effector open has published its Release —
+	// local delivery and, the ORB flushing on the sender, the socket write —
+	// before Passivate returns and the node's channel and transport are torn
+	// down. Without it a dying node counted and locally delivered a
+	// relocated Release that its closed ORB then refused.
+	closing sync.RWMutex
+	closed  atomic.Bool
 
 	// Stats counts the effector's view of the workload. Fields are updated
 	// atomically; use StatsSnapshot for a consistent copy.
 	Stats TEStats
 	// HoldPush measures the paper's operation 1 (hold task + push event).
+	// The push includes the TaskArrive's socket write when the connection to
+	// the manager was idle (the ORB's sender-side flush); the hop the paper
+	// counts as operation 2 is shorter by the hand-off that write replaced.
 	HoldPush core.OpStats
 }
 
@@ -273,7 +284,9 @@ func (te *TaskEffector) Reconfigure(attrs map[string]string) error {
 
 // Passivate stops accepting arrivals.
 func (te *TaskEffector) Passivate() error {
+	te.closing.Lock()
 	te.closed.Store(true)
+	te.closing.Unlock()
 	return nil
 }
 
@@ -328,16 +341,21 @@ func (te *TaskEffector) settleCached(taskID string, tt *teTask, dec *Accept) cor
 	return adm
 }
 
+// errPassivated is SubmitJob's refusal once the effector is closed.
+func errPassivated() error {
+	return fmt.Errorf("live: task effector passivated: %w", core.ErrStopped)
+}
+
 // SubmitJob injects one job arrival and returns its typed Admission: cached
 // per-task decisions resolve synchronously (Accepted or Rejected) on the
-// lock-free fast path, every other arrival pushes a "Task Arrive" event and
+// fast path, every other arrival pushes a "Task Arrive" event and
 // returns Pending — the terminal outcome travels back as an Accept event and
 // surfaces on the binding's watch stream.
 func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 	start := time.Now()
 	adm := core.Admission{Task: taskID, Job: -1}
 	if te.closed.Load() {
-		return adm, fmt.Errorf("live: task effector passivated: %w", core.ErrStopped)
+		return adm, errPassivated()
 	}
 	tt, ok := te.lookupTask(taskID)
 	if !ok {
@@ -347,6 +365,11 @@ func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 	// Per-task fast path: a cached decision releases or skips immediately,
 	// never touching te.mu.
 	if dec, ok := te.cachedDecision(taskID); ok {
+		te.closing.RLock()
+		defer te.closing.RUnlock()
+		if te.closed.Load() {
+			return adm, errPassivated()
+		}
 		return te.settleCached(taskID, tt, dec), nil
 	}
 
@@ -423,7 +446,12 @@ func TransportOverloaded(err error) bool {
 // clears the hold and publishes the Release event, which the federation
 // routes to the node hosting the assigned first stage.
 func (te *TaskEffector) onAccept(ev eventchan.Event) {
-	if te.closed.Load() || !te.homeOf(ev.Payload) {
+	if !te.homeOf(ev.Payload) {
+		return
+	}
+	te.closing.RLock()
+	defer te.closing.RUnlock()
+	if te.closed.Load() {
 		return
 	}
 	dec, err := DecodeAccept(ev.Payload)
@@ -462,9 +490,11 @@ func (te *TaskEffector) onAccept(ev eventchan.Event) {
 }
 
 // homeOf reports whether an Accept payload decides a task whose home
-// (arrival) processor is this effector's. Every effector sees every Accept;
-// the ones that are not home answer from the payload's header, without
-// decoding the placement or copying the task ID.
+// (arrival) processor is this effector's. The admission controller addresses
+// an Accept to the arrival processor, but a gateway that does not know which
+// processor a sink is still broadcasts, so an effector may see any Accept;
+// one that is not home answers from the payload's header, without decoding
+// the placement or copying the task ID.
 func (te *TaskEffector) homeOf(payload []byte) bool {
 	id, ok := acceptTask(payload)
 	tp := te.tasks.Load()
@@ -482,13 +512,13 @@ func (te *TaskEffector) homeOf(payload []byte) bool {
 }
 
 // release publishes the Release event that starts the first subtask. The
-// event channel delivers it locally and across the federation; the subtask
-// component on the assigned processor picks it up.
+// event channel delivers it locally and forwards it to the assigned
+// processor's node, where the subtask component picks it up.
 func (te *TaskEffector) release(ch *eventchan.Channel, task string, job int64, placement []sched.PlacedStage, arrivalNanos int64) {
 	if ch == nil {
 		return
 	}
-	_ = ch.Push(eventchan.Event{Type: EvRelease, Payload: AppendTrigger(nil, &Trigger{
+	_ = ch.PushTo(stageProc(placement, 0), eventchan.Event{Type: EvRelease, Payload: AppendTrigger(nil, &Trigger{
 		Task:         task,
 		Job:          job,
 		Stage:        0,

@@ -23,7 +23,7 @@ func (e *RemoteError) Error() string { return "orb: remote exception: " + e.Mess
 
 // clientConn is one pooled outbound connection with request/reply
 // correlation: the readLoop demultiplexes replies to waiting invokers by
-// request id. All writes go through the connection's batched writer.
+// request id. All writes go through the connection's group-commit writer.
 type clientConn struct {
 	conn   net.Conn
 	writer *connWriter

@@ -6,9 +6,15 @@
 // The wire protocol is a simple length-prefixed framing (see message.go);
 // argument bodies are opaque byte slices, encoded by callers (the event plane
 // carries the live binding's fixed-layout payloads; the cold request/reply
-// facets and the deployment tools use encoding/gob). The broker preserves the properties the
-// paper's services rely on: low per-call overhead, in-order delivery per
-// connection, and concurrent dispatch of independent requests.
+// facets and the deployment tools use encoding/gob). The broker preserves the
+// properties the paper's services rely on: low per-call overhead and
+// concurrent dispatch of independent requests.
+//
+// Ordering: the frames of one connection are written and read in the order
+// their senders entered the writer, but each is dispatched on its own
+// goroutine, so two one-way invocations on one connection may reach their
+// servant in either order. A servant that needs order must carry a sequence
+// number in the payload and resequence.
 package orb
 
 import (
@@ -143,9 +149,10 @@ func (o *ORB) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn reads requests off one inbound connection and dispatches them.
-// Replies go through the connection's batched writer, so concurrent handlers
-// cannot interleave frames and bursts of replies coalesce into one flush.
+// serveConn reads requests off one inbound connection and dispatches them,
+// one goroutine per frame. Replies go through the connection's group-commit
+// writer, so concurrent handlers cannot interleave frames and bursts of
+// replies coalesce into one flush.
 func (o *ORB) serveConn(conn net.Conn) {
 	defer conn.Close()
 	w := newConnWriter(conn, sendQueueDepth, writeBatch, &o.stats, &o.wg)
@@ -191,9 +198,8 @@ func (o *ORB) dispatch(w *connWriter, m message) {
 		reply.status = statusOK
 		reply.body = body
 	}
-	// Replies block on a full queue (bounded by the queue depth, never
-	// dropped); write errors are ignored — the peer tears the connection
-	// down and retries.
+	// Replies block on a full pending list (never dropped); write errors
+	// are ignored — the peer tears the connection down and retries.
 	_ = w.send(reply)
 }
 
@@ -213,8 +219,11 @@ func (o *ORB) Invoke(ctx context.Context, addr, key, op string, arg []byte) ([]b
 }
 
 // InvokeOneWay sends a request without waiting for a reply (the event-push
-// pattern of the federated event channel). A full send queue applies
-// backpressure by blocking until the writer drains or the connection dies.
+// pattern of the federated event channel). The caller that finds the
+// connection idle writes the frame to the socket itself before returning; one
+// that finds a flush in flight leaves the frame with it. A full pending list
+// applies backpressure by blocking until the flusher takes the backlog or the
+// connection dies.
 func (o *ORB) InvokeOneWay(addr, key, op string, arg []byte) error {
 	cc, err := o.client(addr)
 	if err != nil {

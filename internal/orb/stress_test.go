@@ -149,3 +149,38 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	}
 	t.Fatal("client never reconnected to the restarted server")
 }
+
+// TestShutdownDuringOneWaySends shuts an ORB down while goroutines it does
+// not own are writing through its connections: senders flush on their own
+// goroutines and register each flush with the ORB's wait group, so Shutdown
+// must neither hang on a flush in progress nor race a late registration.
+// Every send ends with nil or an error, promptly.
+func TestShutdownDuringOneWaySends(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		server, addr, client := newPair(t)
+		server.RegisterServant("sink", func(op string, arg []byte) ([]byte, error) { return nil, nil })
+		if err := client.InvokeOneWay(addr, "sink", "op", nil); err != nil {
+			t.Fatal(err)
+		}
+		var senders sync.WaitGroup
+		for s := 0; s < 8; s++ {
+			senders.Add(1)
+			go func() {
+				defer senders.Done()
+				for i := 0; i < 200; i++ {
+					if client.InvokeOneWay(addr, "sink", "op", []byte("x")) != nil {
+						return
+					}
+				}
+			}()
+		}
+		client.Shutdown()
+		done := make(chan struct{})
+		go func() { senders.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("senders still blocked after Shutdown returned")
+		}
+	}
+}

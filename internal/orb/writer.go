@@ -7,16 +7,15 @@ import (
 )
 
 const (
-	// sendQueueDepth bounds the per-connection send queue; a full queue
-	// blocks senders until the writer drains.
+	// sendQueueDepth bounds the per-connection pending list; a full list
+	// blocks senders until the flusher takes the backlog.
 	sendQueueDepth = 1024
 	// writeBatch caps the frames coalesced into one flush.
 	writeBatch = 128
+	// maxPooledFrame bounds the capacity of buffers returned to the frame
+	// pool, so one oversized payload does not pin a large allocation forever.
+	maxPooledFrame = 64 << 10
 )
-
-// maxPooledFrame bounds the capacity of buffers returned to the frame pool,
-// so one oversized payload does not pin a large allocation forever.
-const maxPooledFrame = 64 << 10
 
 // framePool recycles frame buffers across connections and messages.
 var framePool = sync.Pool{New: func() any {
@@ -67,40 +66,52 @@ func (s *transportStats) snapshot() TransportStats {
 	}
 }
 
-// connWriter owns every write on one connection: senders enqueue framed
-// messages onto a bounded queue, and a single goroutine drains it,
-// coalescing whatever is queued (up to the batch cap) into one
-// net.Buffers flush — a writev on TCP — so n concurrent senders cost one
-// syscall, not n. Frame buffers are pool-recycled after each flush.
+// connWriter owns every write on one connection, by group commit (the idiom
+// of eventchan's sink): a sender appends its framed message to a bounded
+// pending list and, if no flush is in flight, writes the backlog itself while
+// senders arriving mid-flush append and return — n concurrent senders cost
+// one syscall, a lone sender no goroutine hand-off. Frames are pool-recycled.
 type connWriter struct {
 	conn     net.Conn
-	queue    chan *[]byte
-	done     chan struct{}
+	depth    int
 	maxBatch int
 	stats    *transportStats
-	once     sync.Once
+	// flushes counts flushes in progress, so the owner's Wait covers them. A
+	// flush registers under mu while closed is false, so before close and
+	// before the Wait that follows it.
+	flushes *sync.WaitGroup
+
+	mu sync.Mutex
+	// space wakes senders blocked on a full list: backlog taken, or closed.
+	space    sync.Cond
+	pending  []*[]byte
+	flushing bool
+	closed   bool
+	// batch, vec and bufs are the flusher's: the frames it took, their write
+	// vector and the header WriteTo consumes, kept so a flush allocates none.
+	batch []*[]byte
+	vec   [][]byte
+	bufs  net.Buffers
 }
 
-// newConnWriter starts the writer goroutine, tracked by wg.
+// newConnWriter returns the writer for conn; flushes register with wg.
 func newConnWriter(conn net.Conn, depth, maxBatch int, stats *transportStats, wg *sync.WaitGroup) *connWriter {
 	w := &connWriter{
 		conn:     conn,
-		queue:    make(chan *[]byte, depth),
-		done:     make(chan struct{}),
+		depth:    depth,
 		maxBatch: maxBatch,
 		stats:    stats,
+		flushes:  wg,
+		vec:      make([][]byte, 0, maxBatch),
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w.loop()
-	}()
+	w.space.L = &w.mu
 	return w
 }
 
-// send frames m and enqueues it, waiting for queue space when the queue is
-// full. Frame-validation errors leave the connection healthy; a stopped
-// writer reports ErrConnectionClosed.
+// send frames m, appends it to the pending list (waiting while the list is
+// full) and flushes, unless a flush is in flight: that flush then carries the
+// frame and send returns at once. Frame-validation errors leave the connection
+// healthy; a closed writer or a failed write reports ErrConnectionClosed.
 func (w *connWriter) send(m message) error {
 	f := getFrame()
 	enc, err := appendFrame(*f, m)
@@ -109,88 +120,77 @@ func (w *connWriter) send(m message) error {
 		return err
 	}
 	*f = enc
-	// Check for death first: a closed done and a non-full queue are both
-	// ready, and the select below would pick between them at random —
-	// enqueueing onto a writer that already drained reports a phantom
-	// success.
-	select {
-	case <-w.done:
+	w.mu.Lock()
+	for len(w.pending) >= w.depth && !w.closed {
+		w.space.Wait()
+	}
+	if w.closed {
+		w.mu.Unlock()
 		putFrame(f)
 		return ErrConnectionClosed
-	default:
 	}
-	select {
-	case w.queue <- f:
+	w.pending = append(w.pending, f)
+	if w.flushing {
+		w.mu.Unlock()
 		return nil
-	case <-w.done:
-		putFrame(f)
-		return ErrConnectionClosed
 	}
-}
-
-// close stops the writer goroutine; queued frames are discarded.
-func (w *connWriter) close() {
-	w.once.Do(func() { close(w.done) })
-}
-
-// loop is the writer goroutine: take one frame (blocking), opportunistically
-// coalesce everything else already queued, flush once.
-func (w *connWriter) loop() {
-	frames := make([]*[]byte, 0, w.maxBatch)
-	backing := make([][]byte, 0, w.maxBatch)
-	for {
-		frames = frames[:0]
-		select {
-		case f := <-w.queue:
-			frames = append(frames, f)
-		case <-w.done:
-			w.drain()
-			return
-		}
-	coalesce:
-		for len(frames) < w.maxBatch {
-			select {
-			case f := <-w.queue:
-				frames = append(frames, f)
-			default:
-				break coalesce
-			}
-		}
-		backing = backing[:0]
-		var total int64
-		for _, f := range frames {
-			backing = append(backing, *f)
-			total += int64(len(*f))
-		}
-		// One vectored write for the whole batch. net.Buffers consumes the
-		// header copy, not `backing` itself.
-		bufs := net.Buffers(backing)
-		_, err := bufs.WriteTo(w.conn)
-		for _, f := range frames {
+	w.flushing = true
+	w.flushes.Add(1)
+	for err == nil && len(w.pending) > 0 {
+		// Take the head of the backlog and slide the rest down.
+		n := min(len(w.pending), w.maxBatch)
+		w.batch = append(w.batch[:0], w.pending[:n]...)
+		w.pending = w.pending[:copy(w.pending, w.pending[n:])]
+		w.space.Broadcast()
+		w.mu.Unlock()
+		err = w.write(w.batch)
+		for _, f := range w.batch {
 			putFrame(f)
 		}
-		if err != nil {
-			// The connection is gone: close it so the peer's and our read
-			// loops observe the failure, then stop.
-			w.conn.Close()
-			w.close()
-			w.drain()
-			return
-		}
+		w.mu.Lock()
+	}
+	w.flushing = false
+	w.mu.Unlock()
+	w.flushes.Done()
+	if err != nil {
+		// Close the connection so both ends' read loops see the failure.
+		w.conn.Close()
+		w.close()
+		return ErrConnectionClosed
+	}
+	return nil
+}
+
+// write hands one batch to the kernel in a single syscall: conn.Write for a
+// lone frame, one net.Buffers flush (a writev on TCP) for several.
+func (w *connWriter) write(frames []*[]byte) (err error) {
+	var total int64
+	w.vec = w.vec[:0]
+	for _, f := range frames {
+		w.vec = append(w.vec, *f)
+		total += int64(len(*f))
+	}
+	if len(frames) == 1 {
+		_, err = w.conn.Write(w.vec[0])
+	} else {
+		w.bufs = w.vec
+		_, err = w.bufs.WriteTo(w.conn)
+	}
+	if err == nil {
 		w.stats.frames.Add(int64(len(frames)))
 		w.stats.flushes.Add(1)
 		w.stats.bytes.Add(total)
 	}
+	return err
 }
 
-// drain recycles whatever was queued when the writer stopped.
-func (w *connWriter) drain() {
-	for {
-		select {
-		case f := <-w.queue:
-			putFrame(f)
-		default:
-			return
-		}
-	}
+// close stops the writer: pending frames are discarded (to the collector,
+// not the pool) and blocked senders fail. A flush blocked in the kernel
+// returns when the owner closes conn.
+func (w *connWriter) close() {
+	w.mu.Lock()
+	w.closed = true
+	w.pending = nil
+	w.space.Broadcast()
+	w.mu.Unlock()
 }
