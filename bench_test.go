@@ -300,23 +300,40 @@ func BenchmarkEventChannelFederated(b *testing.B) {
 // BenchmarkAdmissionTestScaling measures operation 4 as the current task
 // set grows, supporting the paper's Section 3 argument that the centralized
 // admission controller's computation "is significantly lower than task
-// execution times" and does not bottleneck the architecture. With the
-// indexed ledger the jobs collapse into one signature group per processor,
-// so the per-test cost should stay flat as the in-flight count grows —
-// compare ns/op across the sub-benchmarks to see the superlinear win over
-// the full scan.
+// execution times" and does not bottleneck the architecture. The test's cost
+// follows the signature groups indexed under the candidate's processors, not
+// the jobs: the jobs= rows hold the groups at five (single-stage jobs
+// collapse into one group per processor) and should stay flat as the
+// in-flight count grows; the groups= rows hold two jobs per group and grow
+// the number of distinct three-stage signatures that all visit the
+// candidate's processor, and should grow about linearly. Every row must read
+// 0 allocs/op at steady state.
 func BenchmarkAdmissionTestScaling(b *testing.B) {
-	for _, n := range []int{10, 100, 1000, 10000, 100000} {
-		n := n
-		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
+	cand := []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.01}}
+	run := func(name string, procs int, fill func(*sched.ShardedLedger)) {
+		b.Run(name, func(b *testing.B) {
 			ctrl, err := core.NewController(core.Config{
 				AC: core.StrategyPerJob, IR: core.StrategyNone, LB: core.StrategyNone,
-			}, 5)
+			}, procs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Fill the ledger with n in-flight single-stage jobs.
 			ledger := ctrl.Ledger()
+			fill(ledger)
+			if !ledger.Admissible(cand) {
+				b.Fatal("candidate rejected: the scan would stop at the first failing group")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ledger.Admissible(cand)
+			}
+		})
+	}
+	for _, n := range []int{10, 100, 1000, 10000, 100000} {
+		n := n
+		run(fmt.Sprintf("jobs=%d", n), 5, func(ledger *sched.ShardedLedger) {
+			// n in-flight single-stage jobs.
 			for i := 0; i < n; i++ {
 				ref := sched.JobRef{Task: "bg", Job: int64(i)}
 				pl := []sched.PlacedStage{{Stage: 0, Proc: i % 5, Util: 0.4 / float64(n) * 5}}
@@ -324,11 +341,32 @@ func BenchmarkAdmissionTestScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			cand := []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.01}}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ledger.Admissible(cand)
+		})
+	}
+	// 34 processors make C(33,2) = 528 signatures {0, a, b}; processor 0 ends
+	// at utilization 0.2 and no other exceeds it, so every job's condition
+	// holds and an accepting test evaluates every group.
+	const groupProcs = 34
+	for _, groups := range []int{8, 64, 512} {
+		groups := groups
+		run(fmt.Sprintf("groups=%d", groups), groupProcs, func(ledger *sched.ShardedLedger) {
+			x := 0.2 / float64(2*groups)
+			n := 0
+			for a := 1; a < groupProcs && n < groups; a++ {
+				for c := a + 1; c < groupProcs && n < groups; c++ {
+					for j := 0; j < 2; j++ {
+						ref := sched.JobRef{Task: "bg", Job: int64(2*n + j)}
+						pl := []sched.PlacedStage{
+							{Stage: 0, Proc: 0, Util: x},
+							{Stage: 1, Proc: a, Util: x},
+							{Stage: 2, Proc: c, Util: x},
+						}
+						if err := ledger.AddJob(ref, sched.Aperiodic, pl, false, time.Hour); err != nil {
+							b.Fatal(err)
+						}
+					}
+					n++
+				}
 			}
 		})
 	}

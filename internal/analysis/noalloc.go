@@ -16,8 +16,12 @@ import (
 // value passed where an interface is expected), and unbounded append.
 // Append is allowed in exactly the two amortized scratch-reuse shapes the
 // hot paths use: `x = append(x, ...)` (including `x = append(x[:0], ...)`)
-// where the result lands back in the same variable or field, and
+// where the result lands back in the same variable or field and x outlives
+// the call (a field, a package variable, a parameter), and
 // `return append(p, ...)` where p is a parameter (caller-owned buffer).
+// A slice declared in the function body (say, sliced from a local array)
+// starts from its declared capacity on every call, so growing it is a
+// per-call allocation, not an amortized one, and is flagged.
 // One-time lazy scratch growth must carry an explicit
 // `//rtmw:ignore noalloc <reason>`.
 //
@@ -45,7 +49,7 @@ func runNoAlloc(pass *Pass) error {
 }
 
 func checkNoAlloc(pass *Pass, fn *ast.FuncDecl) {
-	allowedAppends := collectAllowedAppends(pass, fn)
+	appends := classifyAppends(pass, fn)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -72,13 +76,13 @@ func checkNoAlloc(pass *Pass, fn *ast.FuncDecl) {
 				}
 			}
 		case *ast.CallExpr:
-			checkNoAllocCall(pass, n, allowedAppends)
+			checkNoAllocCall(pass, n, appends)
 		}
 		return true
 	})
 }
 
-func checkNoAllocCall(pass *Pass, call *ast.CallExpr, allowedAppends map[*ast.CallExpr]bool) {
+func checkNoAllocCall(pass *Pass, call *ast.CallExpr, appends map[*ast.CallExpr]appendShape) {
 	tv, ok := pass.Info.Types[call.Fun]
 	if !ok {
 		return
@@ -90,7 +94,12 @@ func checkNoAllocCall(pass *Pass, call *ast.CallExpr, allowedAppends map[*ast.Ca
 		name := builtinName(call.Fun)
 		switch name {
 		case "append":
-			if !allowedAppends[call] {
+			switch appends[call] {
+			case appendLocal:
+				pass.Reportf(call.Pos(),
+					"append to %s, declared in the function body, re-grows on every call (want a field, package variable or parameter that outlives the call)",
+					exprText(sliceBase(call.Args[0])))
+			case appendUnbounded:
 				pass.Reportf(call.Pos(),
 					"unbounded append: result does not land back in its source (want `x = append(x, ...)` or `return append(param, ...)`)")
 			}
@@ -189,10 +198,25 @@ func boxes(t types.Type) bool {
 	}
 }
 
-// collectAllowedAppends finds append calls in the two sanctioned amortized
-// shapes (see the analyzer doc).
-func collectAllowedAppends(pass *Pass, fn *ast.FuncDecl) map[*ast.CallExpr]bool {
-	allowed := make(map[*ast.CallExpr]bool)
+// appendShape classifies an append call by where its result goes.
+type appendShape int
+
+const (
+	// appendUnbounded is every append not recognized below: the result does
+	// not land back in its source.
+	appendUnbounded appendShape = iota
+	// appendAmortized is one of the two sanctioned shapes (see the analyzer
+	// doc).
+	appendAmortized
+	// appendLocal is `x = append(x, ...)` on a variable declared in the
+	// function body.
+	appendLocal
+)
+
+// classifyAppends finds the append calls of fn in a recognized shape; calls
+// absent from the result are appendUnbounded.
+func classifyAppends(pass *Pass, fn *ast.FuncDecl) map[*ast.CallExpr]appendShape {
+	shapes := make(map[*ast.CallExpr]appendShape)
 	params := make(map[types.Object]bool)
 	if fn.Type.Params != nil {
 		for _, field := range fn.Type.Params.List {
@@ -216,8 +240,14 @@ func collectAllowedAppends(pass *Pass, fn *ast.FuncDecl) map[*ast.CallExpr]bool 
 				if !ok || len(call.Args) == 0 {
 					continue
 				}
-				if n.Tok.String() == "=" && exprText(n.Lhs[i]) == exprText(sliceBase(call.Args[0])) {
-					allowed[call] = true
+				base := sliceBase(call.Args[0])
+				if n.Tok.String() != "=" || exprText(n.Lhs[i]) != exprText(base) {
+					continue
+				}
+				if declaredInBody(pass, fn, base) {
+					shapes[call] = appendLocal
+				} else {
+					shapes[call] = appendAmortized
 				}
 			}
 		case *ast.ReturnStmt:
@@ -227,13 +257,26 @@ func collectAllowedAppends(pass *Pass, fn *ast.FuncDecl) map[*ast.CallExpr]bool 
 					continue
 				}
 				if ident, ok := sliceBase(call.Args[0]).(*ast.Ident); ok && params[pass.Info.Uses[ident]] {
-					allowed[call] = true
+					shapes[call] = appendAmortized
 				}
 			}
 		}
 		return true
 	})
-	return allowed
+	return shapes
+}
+
+// declaredInBody reports whether e is a plain variable declared inside fn's
+// body: neither a parameter, a named result or the receiver (all declared in
+// the signature), nor a package variable, nor a field reached through a
+// selector.
+func declaredInBody(pass *Pass, fn *ast.FuncDecl, e ast.Expr) bool {
+	ident, ok := e.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	v, ok := pass.Info.Uses[ident].(*types.Var)
+	return ok && fn.Body.Pos() <= v.Pos() && v.Pos() < fn.Body.End()
 }
 
 func appendCall(pass *Pass, e ast.Expr) (*ast.CallExpr, bool) {

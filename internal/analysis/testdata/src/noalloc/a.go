@@ -50,6 +50,44 @@ func paramAppend(buf []int, v int) []int {
 	return append(buf, v)
 }
 
+var pkgScratch []int
+
+//rtmw:noalloc
+func outlivingAppend(buf []int, v int) (out []int) {
+	buf = append(buf, v) // a parameter is the caller's buffer
+	pkgScratch = append(pkgScratch[:0], v)
+	out = append(out, v) // a named result is declared in the signature
+	return buf
+}
+
+//rtmw:noalloc
+func localAppend(e *engine, vs []int) int {
+	var seenBuf [4]int
+	seen := seenBuf[:0]
+	var fresh []int
+	for _, v := range vs {
+		seen = append(seen, v)   // want `append to seen, declared in the function body, re-grows on every call`
+		fresh = append(fresh, v) // want `append to fresh, declared in the function body`
+	}
+	// An alias is not followed back to the field it was cut from: append to
+	// the field, or say why in an ignore.
+	alias := e.scratch[:0]
+	alias = append(alias, 1) // want `append to alias, declared in the function body`
+	e.scratch = alias
+	return len(seen) + len(fresh)
+}
+
+//rtmw:noalloc
+func boundedLocalAppend(a, b int) int {
+	var buf [2]int
+	pair := buf[:0]
+	//rtmw:ignore noalloc two appends into a two-slot array never outgrow it
+	pair = append(pair, a)
+	//rtmw:ignore noalloc two appends into a two-slot array never outgrow it
+	pair = append(pair, b)
+	return len(pair)
+}
+
 //rtmw:noalloc
 func returnForeignAppend(e *engine, v int) []int {
 	return append(e.scratch, v) // want `unbounded append`

@@ -207,6 +207,10 @@ type sigGroup struct {
 	// cachedSum is Σ_p count[p]·f(util[p]) under the current utilizations,
 	// recomputed whenever a constituent processor's utilization changes.
 	cachedSum float64
+	// scanned is the Ledger.scan value of the last admission test that
+	// evaluated the group, so a group indexed under several perturbed
+	// processors is evaluated once per test.
+	scanned uint64
 }
 
 // Ledger is the synthetic-utilization ledger maintained by the admission
@@ -268,6 +272,10 @@ type Ledger struct {
 	// signature-group visit. Zeroed (for the touched processors) on exit.
 	candDelta []float64
 	candTerm  []float64
+	// scan numbers the admission tests; see sigGroup.scanned. Starting at
+	// zero and incrementing before use, it never equals the stamp of a fresh
+	// or recycled group by accident: stamps only ever hold earlier values.
+	scan uint64
 }
 
 // NewLedger returns an empty ledger over numProcs processors numbered
@@ -933,12 +941,15 @@ func (l *Ledger) Relocate(ref JobRef, placement []PlacedStage) error {
 // Admissible evaluates the AUB admission test for a candidate job with the
 // given placement: with the candidate's contributions tentatively added,
 // condition (1) must continue to hold for the candidate and for every
-// in-flight job in the current task set. It does not modify the ledger.
+// in-flight job in the current task set. It leaves the ledger's accounting
+// as it found it; it does write its scratch and the scan stamps, so like
+// every other method it needs the caller's serialization.
 //
 // The evaluation is indexed: jobs visiting none of the candidate's
 // processors keep their cached (already ≤ 1, else the violated counter
 // short-circuits) sums untouched, and the perturbed jobs are evaluated once
-// per distinct processor-visit signature instead of once per job. The
+// per distinct processor-visit signature instead of once per job, so the
+// cost is linear in the groups indexed under the perturbed processors. The
 // decision is equivalent to the full-scan referenceAdmissible.
 //
 //rtmw:noalloc
@@ -1003,27 +1014,16 @@ func (l *Ledger) admitScan(placement []PlacedStage, delta, tent []float64, touch
 	// the violated counter already vouches for. Unperturbed processors use
 	// the cached term (term[p] = AUBTerm(util[p]) by invariant), so the
 	// evaluation is bit-identical to recomputing every term.
-	var seenBuf [16]*sigGroup
-	seen := seenBuf[:0]
+	l.scan++
 	for _, pp := range touched {
 		if delta[pp] == 0 {
 			continue
 		}
 		for _, g := range l.procGroups[pp] {
-			if g.counted == 0 {
+			if g.counted == 0 || g.scanned == l.scan {
 				continue
 			}
-			visited := false
-			for _, s := range seen {
-				if s == g {
-					visited = true
-					break
-				}
-			}
-			if visited {
-				continue
-			}
-			seen = append(seen, g)
+			g.scanned = l.scan
 			var s float64
 			for qi, q := range g.procs {
 				t := l.term[q]

@@ -419,3 +419,209 @@ func TestAdmissibleNeverBreaksCondition(t *testing.T) {
 		t.Fatal("no jobs admitted; test is vacuous")
 	}
 }
+
+// addManyGroups fills a ledger with groups distinct three-stage signatures
+// {0, a, b}, 1 ≤ a < b < procs in lexicographic order, two in-flight jobs
+// each, so that every signature group is indexed under processor 0. Processor
+// 0 ends at synthetic utilization 0.2 and no other exceeds it, which leaves
+// every job's condition (≤ 3·f(0.2) = 0.675) comfortably satisfied.
+func addManyGroups(tb testing.TB, procs, groups int, add func(JobRef, []PlacedStage) error) {
+	tb.Helper()
+	x := 0.2 / float64(2*groups)
+	n := 0
+	for a := 1; a < procs && n < groups; a++ {
+		for b := a + 1; b < procs && n < groups; b++ {
+			for j := 0; j < 2; j++ {
+				ref := JobRef{Task: "bg", Job: int64(2*n + j)}
+				pl := place(PlacedStage{Stage: 0, Proc: 0, Util: x},
+					PlacedStage{Stage: 1, Proc: a, Util: x},
+					PlacedStage{Stage: 2, Proc: b, Util: x})
+				if err := add(ref, pl); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			n++
+		}
+	}
+	if n < groups {
+		tb.Fatalf("%d processors make only %d {0,a,b} signatures, want %d", procs, n, groups)
+	}
+}
+
+// ownFeasible reports whether a candidate with distinct processors satisfies
+// its own condition under the tentative utilizations, i.e. whether a
+// rejection must have come from a perturbed in-flight job.
+func ownFeasible(l *Ledger, cand []PlacedStage) bool {
+	utils := make([]float64, len(cand))
+	for i, p := range cand {
+		utils[i] = l.Util(p.Proc) + p.Util
+	}
+	return PathFeasible(utils)
+}
+
+// TestAdmissibleManyGroups runs the admission test where one processor
+// indexes 66 signature groups, past anything a fixed-size visited list would
+// hold: the test must not allocate, must agree with the full-scan reference
+// on each way a decision can fall, and must evaluate a group indexed under
+// two perturbed processors, and a group record recycled between two tests.
+func TestAdmissibleManyGroups(t *testing.T) {
+	const procs, groups = 13, 66
+	l := NewLedger(procs)
+	addManyGroups(t, procs, groups, func(ref JobRef, pl []PlacedStage) error {
+		return l.AddJob(ref, Aperiodic, pl, false, time.Hour)
+	})
+	if got := len(l.procGroups[0]); got != groups {
+		t.Fatalf("processor 0 indexes %d groups, want %d", got, groups)
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// stamped counts the groups the most recent test evaluated.
+	stamped := func() int {
+		n := 0
+		for _, g := range l.groups {
+			if g.scanned == l.scan {
+				n++
+			}
+		}
+		return n
+	}
+
+	tests := []struct {
+		name string
+		cand []PlacedStage
+		want bool
+		// own is whether the candidate's own condition holds; false rejects
+		// before any group is looked at.
+		own bool
+		// evaluated is the number of groups an accepting scan visits.
+		evaluated int
+	}{
+		{name: "accept", cand: place(PlacedStage{Proc: 0, Util: 0.01}),
+			want: true, own: true, evaluated: groups},
+		{name: "reject by own sum", cand: place(PlacedStage{Proc: 0, Util: 0.5})},
+		// f(0.57) = 0.948 leaves the candidate feasible alone, but every
+		// {0,a,b} job adds its two other stages on top.
+		{name: "reject by perturbed group", cand: place(PlacedStage{Proc: 0, Util: 0.37}), own: true},
+		// Processors 1 and 2 index 11 groups each and share {0,1,2}: 21
+		// distinct groups, the shared one evaluated once.
+		{name: "accept on two processors",
+			cand: place(PlacedStage{Stage: 0, Proc: 1, Util: 0.01}, PlacedStage{Stage: 1, Proc: 2, Util: 0.01}),
+			want: true, own: true, evaluated: 21},
+		// Only {0,1,2} fails, and only with both tentative terms applied:
+		// 0.225 + 2·f(0.333) = 1.06, against 0.68 with either one alone.
+		{name: "reject by group on both processors",
+			cand: place(PlacedStage{Stage: 0, Proc: 1, Util: 0.3}, PlacedStage{Stage: 1, Proc: 2, Util: 0.3}),
+			own:  true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := ownFeasible(l, tt.cand); got != tt.own {
+				t.Fatalf("candidate's own condition = %v, want %v", got, tt.own)
+			}
+			got, ref := l.Admissible(tt.cand), l.referenceAdmissible(tt.cand)
+			if got != tt.want || ref != tt.want {
+				t.Errorf("Admissible = %v, reference = %v, want %v", got, ref, tt.want)
+			}
+			if tt.want && stamped() != tt.evaluated {
+				t.Errorf("test evaluated %d groups, want %d", stamped(), tt.evaluated)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { l.Admissible(tt.cand) }); allocs != 0 {
+				t.Errorf("Admissible allocates %v times per call, want 0", allocs)
+			}
+		})
+	}
+
+	t.Run("recycled group", func(t *testing.T) {
+		// Stamp every group, then retire {0,1,2}: its record goes to the free
+		// list carrying the stamp of the test that just ran.
+		cand := place(PlacedStage{Proc: 0, Util: 0.05})
+		if !l.Admissible(cand) {
+			t.Fatal("light candidate rejected")
+		}
+		old := l.groups["0:1,1:1,2:1"]
+		if old == nil || old.scanned != l.scan {
+			t.Fatal("group {0,1,2} missing or not evaluated")
+		}
+		// {0,1,2} is the first signature addManyGroups makes: jobs 0 and 1.
+		l.ExpireJob(JobRef{Task: "bg", Job: 0})
+		l.ExpireJob(JobRef{Task: "bg", Job: 1})
+		if len(l.freeGroups) != 1 || l.freeGroups[0] != old {
+			t.Fatal("group {0,1,2} was not recycled")
+		}
+		// A job with a new signature takes the record over. It sits just
+		// under the bound (0.225 + 2·f(0.3) = 0.95) and is the only job the
+		// candidate breaks (f(0.25) + 2·f(0.3) = 1.02).
+		heavy := JobRef{Task: "heavy", Job: 0}
+		w := (0.3 - l.Util(3)) / 2
+		if err := l.AddJob(heavy, Aperiodic, place(
+			PlacedStage{Stage: 0, Proc: 0, Util: 0},
+			PlacedStage{Stage: 1, Proc: 3, Util: w},
+			PlacedStage{Stage: 2, Proc: 3, Util: w}), false, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		if l.groups["0:1,3:2"] != old {
+			t.Fatal("new signature did not reuse the recycled record")
+		}
+		if !l.Admissible(nil) {
+			t.Fatal("ledger violated before the candidate")
+		}
+		if !ownFeasible(l, cand) {
+			t.Fatal("candidate infeasible on its own")
+		}
+		if got, ref := l.Admissible(cand), l.referenceAdmissible(cand); got || ref {
+			t.Errorf("Admissible = %v, reference = %v, want both false: the recycled group must be evaluated", got, ref)
+		}
+		l.ExpireJob(heavy)
+		if got, ref := l.Admissible(cand), l.referenceAdmissible(cand); !got || !ref {
+			t.Errorf("Admissible = %v, reference = %v after the heavy job expired, want both true", got, ref)
+		}
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestShardedAdmissibleManyGroups reaches the same scan through a sharded
+// ledger with more than one shard: single-shard jobs live in the owning
+// shard's plain Ledger, so its Admissible and TestAndAdd must decide as the
+// plain ledger does at 66 groups on the candidate's processor, without
+// allocating.
+func TestShardedAdmissibleManyGroups(t *testing.T) {
+	const procs, groups = 13, 66
+	plain := NewLedger(2 * procs)
+	// Two contiguous blocks: shard 0 owns processors 0..12.
+	sl := NewShardedLedger(2*procs, 2)
+	addManyGroups(t, procs, groups, func(ref JobRef, pl []PlacedStage) error {
+		if err := plain.AddJob(ref, Aperiodic, pl, false, time.Hour); err != nil {
+			return err
+		}
+		return sl.AddJob(ref, Aperiodic, pl, false, time.Hour)
+	})
+	if got := len(sl.shards[0].l.procGroups[0]); got != groups {
+		t.Fatalf("shard 0 indexes %d groups on processor 0, want %d", got, groups)
+	}
+	for _, cand := range [][]PlacedStage{
+		place(PlacedStage{Proc: 0, Util: 0.01}),
+		place(PlacedStage{Proc: 0, Util: 0.5}),
+		place(PlacedStage{Proc: 0, Util: 0.37}),
+		place(PlacedStage{Stage: 0, Proc: 1, Util: 0.3}, PlacedStage{Stage: 1, Proc: 2, Util: 0.3}),
+	} {
+		want := plain.Admissible(cand)
+		if got := sl.Admissible(cand); got != want {
+			t.Errorf("sharded Admissible(%v) = %v, plain = %v", cand, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { sl.Admissible(cand) }); allocs != 0 {
+			t.Errorf("sharded Admissible(%v) allocates %v times per call, want 0", cand, allocs)
+		}
+		ref := JobRef{Task: "cand", Job: 0}
+		got, err := sl.TestAndAdd(ref, Aperiodic, cand, false, time.Hour)
+		if err != nil || got != want {
+			t.Errorf("TestAndAdd(%v) = %v, %v, plain Admissible = %v", cand, got, err, want)
+		}
+		sl.WithdrawJob(ref)
+	}
+	if err := sl.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

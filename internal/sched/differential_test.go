@@ -7,21 +7,49 @@ import (
 	"time"
 )
 
+// diffShape sizes the ledgers differentialHarness builds.
+type diffShape struct {
+	procs                int
+	minStages, maxStages int
+	// tasks is the number of task names jobs are spread over; RemoveTask
+	// withdraws one name's jobs at a time.
+	tasks int
+	// prefill jobs are added before the random operations start.
+	prefill int
+	// addUtil, moveUtil and candUtil bound the per-stage utilization of
+	// added jobs, relocated jobs and admission candidates.
+	addUtil, moveUtil, candUtil float64
+}
+
+// narrowShape keeps a handful of signature groups per processor and runs
+// overloaded most of the time: the violated short-circuit and the
+// candidate's own condition decide. wideShape is the regime of the
+// simulation sweep: light multi-stage jobs over more processors, so every
+// processor indexes well over 16 groups and the perturbed-group scan decides.
+var (
+	narrowShape = diffShape{procs: 6, minStages: 1, maxStages: 3, tasks: 5,
+		addUtil: 0.6, moveUtil: 0.4, candUtil: 0.5}
+	wideShape = diffShape{procs: 12, minStages: 2, maxStages: 5, tasks: 40, prefill: 90,
+		addUtil: 0.008, moveUtil: 0.008, candUtil: 0.2}
+)
+
 // differentialHarness drives one ledger through a random operation sequence
 // and, after every mutation, asserts that the indexed Admissible agrees with
 // the full-scan referenceAdmissible on a batch of random candidate
-// placements, and that CheckInvariants (which audits every index) holds.
-func differentialHarness(t *testing.T, seed int64, ops int) {
+// placements, and that CheckInvariants (which audits every index) holds. It
+// returns the largest number of signature groups any processor indexed and
+// how many candidates were accepted and rejected.
+func differentialHarness(t *testing.T, seed int64, ops int, shape diffShape) (maxGroups, accepted, rejected int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	const procs = 6
+	procs := shape.procs
 	l := NewLedger(procs)
 
 	var live []JobRef
 	nextJob := int64(0)
 
 	randPlacement := func(maxUtil float64) []PlacedStage {
-		stages := 1 + rng.Intn(3)
+		stages := shape.minStages + rng.Intn(shape.maxStages-shape.minStages+1)
 		pl := make([]PlacedStage, stages)
 		for s := range pl {
 			pl[s] = PlacedStage{Stage: s, Proc: rng.Intn(procs), Util: rng.Float64() * maxUtil}
@@ -34,33 +62,49 @@ func differentialHarness(t *testing.T, seed int64, ops int) {
 		if err := l.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d step %d after %s: %v", seed, step, op, err)
 		}
+		for p := range l.procGroups {
+			maxGroups = max(maxGroups, len(l.procGroups[p]))
+		}
 		for q := 0; q < 4; q++ {
-			cand := randPlacement(0.5)
+			cand := randPlacement(shape.candUtil)
 			fast := l.Admissible(cand)
 			ref := l.referenceAdmissible(cand)
 			if fast != ref {
 				t.Fatalf("seed %d step %d after %s: Admissible(%v) = %v, reference = %v",
 					seed, step, op, cand, fast, ref)
 			}
+			if fast {
+				accepted++
+			} else {
+				rejected++
+			}
 		}
+	}
+
+	// addJob deliberately skips the admission check so overloaded (violating)
+	// states are exercised too.
+	addJob := func(step int) {
+		ref := JobRef{Task: fmt.Sprintf("t%d", rng.Intn(shape.tasks)), Job: nextJob}
+		nextJob++
+		kind := Aperiodic
+		if rng.Intn(2) == 0 {
+			kind = Periodic
+		}
+		permanent := rng.Intn(5) == 0
+		if err := l.AddJob(ref, kind, randPlacement(shape.addUtil), permanent, time.Duration(step)*time.Millisecond); err != nil {
+			t.Fatalf("seed %d step %d: AddJob: %v", seed, step, err)
+		}
+		live = append(live, ref)
+	}
+	for i := 0; i < shape.prefill; i++ {
+		addJob(0)
 	}
 
 	for step := 0; step < ops; step++ {
 		var op string
 		switch rng.Intn(10) {
-		case 0, 1, 2: // AddJob, deliberately without an admission check so
-			// overloaded (violating) states are exercised too.
-			ref := JobRef{Task: fmt.Sprintf("t%d", rng.Intn(5)), Job: nextJob}
-			nextJob++
-			kind := Aperiodic
-			if rng.Intn(2) == 0 {
-				kind = Periodic
-			}
-			permanent := rng.Intn(5) == 0
-			if err := l.AddJob(ref, kind, randPlacement(0.6), permanent, time.Duration(step)*time.Millisecond); err != nil {
-				t.Fatalf("seed %d step %d: AddJob: %v", seed, step, err)
-			}
-			live = append(live, ref)
+		case 0, 1, 2:
+			addJob(step)
 			op = "AddJob"
 		case 3, 4: // ExpireJob (sometimes of an unknown job).
 			ref := JobRef{Task: "nope", Job: -1}
@@ -75,7 +119,7 @@ func differentialHarness(t *testing.T, seed int64, ops int) {
 			if len(live) == 0 {
 				continue
 			}
-			l.MarkComplete(live[rng.Intn(len(live))], rng.Intn(3))
+			l.MarkComplete(live[rng.Intn(len(live))], rng.Intn(shape.maxStages))
 			op = "MarkComplete"
 		case 6: // ResetEntry via CompletedOn, as the idle resetters do.
 			proc := rng.Intn(procs)
@@ -87,19 +131,19 @@ func differentialHarness(t *testing.T, seed int64, ops int) {
 			if len(live) == 0 {
 				continue
 			}
-			l.ResetEntry(EntryRef{Ref: live[rng.Intn(len(live))], Stage: rng.Intn(3), Proc: rng.Intn(procs)})
+			l.ResetEntry(EntryRef{Ref: live[rng.Intn(len(live))], Stage: rng.Intn(shape.maxStages), Proc: rng.Intn(procs)})
 			op = "ResetEntry-raw"
 		case 8: // Relocate a live job.
 			if len(live) == 0 {
 				continue
 			}
 			ref := live[rng.Intn(len(live))]
-			if err := l.Relocate(ref, randPlacement(0.4)); err != nil {
+			if err := l.Relocate(ref, randPlacement(shape.moveUtil)); err != nil {
 				t.Fatalf("seed %d step %d: Relocate(%s): %v", seed, step, ref, err)
 			}
 			op = "Relocate"
 		case 9: // RemoveTask withdraws every job of one task name.
-			task := fmt.Sprintf("t%d", rng.Intn(5))
+			task := fmt.Sprintf("t%d", rng.Intn(shape.tasks))
 			l.RemoveTask(task)
 			kept := live[:0]
 			for _, ref := range live {
@@ -112,18 +156,33 @@ func differentialHarness(t *testing.T, seed int64, ops int) {
 		}
 		checkAgreement(step, op)
 	}
+	return maxGroups, accepted, rejected
 }
 
 // TestLedgerDifferentialAdmissible is the differential property test for the
 // indexed admission fast path: random AddJob/ExpireJob/MarkComplete/
 // ResetEntry/Relocate/RemoveTask sequences must leave the indexed Admissible
 // decision-equivalent to the full-scan reference on every query, with all
-// ledger indexes passing CheckInvariants at every step.
+// ledger indexes passing CheckInvariants at every step. The wide subtests
+// must actually reach the perturbed-group scan at group counts the narrow
+// ones never build.
 func TestLedgerDifferentialAdmissible(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			differentialHarness(t, seed, 120)
+			differentialHarness(t, seed, 120, narrowShape)
+		})
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("wide/seed=%d", seed), func(t *testing.T) {
+			groups, accepted, rejected := differentialHarness(t, seed, 120, wideShape)
+			if groups <= 16 {
+				t.Errorf("at most %d groups on one processor, want more than 16", groups)
+			}
+			if accepted == 0 || rejected == 0 {
+				t.Errorf("%d candidates accepted, %d rejected: want both outcomes", accepted, rejected)
+			}
 		})
 	}
 }

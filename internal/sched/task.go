@@ -28,9 +28,11 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -194,11 +196,11 @@ func (t *Task) Clone() *Task {
 func AssignEDMSPriorities(tasks []*Task) {
 	order := make([]*Task, len(tasks))
 	copy(order, tasks)
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Deadline != order[j].Deadline {
-			return order[i].Deadline < order[j].Deadline
+	slices.SortStableFunc(order, func(a, b *Task) int {
+		if c := cmp.Compare(a.Deadline, b.Deadline); c != 0 {
+			return c
 		}
-		return order[i].ID < order[j].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 	for i, t := range order {
 		t.Priority = i + 1

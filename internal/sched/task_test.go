@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -124,6 +127,40 @@ func TestAssignEDMSPriorities(t *testing.T) {
 	for _, tk := range tasks {
 		if tk.Priority != want[tk.ID] {
 			t.Errorf("task %s priority = %d, want %d", tk.ID, tk.Priority, want[tk.ID])
+		}
+	}
+}
+
+// TestAssignEDMSPrioritiesMatchesSliceStable pins the ordering on a set the
+// size of the simulation sweep's: 10 000 tasks whose deadlines collide
+// heavily, plus repeated IDs so full (Deadline, ID) ties exercise stability.
+// The reference is the sort.SliceStable call the function used to make.
+func TestAssignEDMSPrioritiesMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tasks := make([]*Task, 10000)
+	for i := range tasks {
+		tasks[i] = &Task{
+			ID:       fmt.Sprintf("t%d", rng.Intn(8000)),
+			Kind:     Aperiodic,
+			Deadline: time.Duration(1+rng.Intn(300)) * 10 * time.Millisecond,
+			Subtasks: []Subtask{{Exec: time.Millisecond}},
+		}
+	}
+	order := append([]*Task(nil), tasks...)
+	sort.SliceStable(order, func(i, j int) bool {
+		if order[i].Deadline != order[j].Deadline {
+			return order[i].Deadline < order[j].Deadline
+		}
+		return order[i].ID < order[j].ID
+	})
+	want := make(map[*Task]int, len(order))
+	for i, tk := range order {
+		want[tk] = i + 1
+	}
+	AssignEDMSPriorities(tasks)
+	for i, tk := range tasks {
+		if tk.Priority != want[tk] {
+			t.Fatalf("task %d (%s, deadline %v) priority = %d, want %d", i, tk.ID, tk.Deadline, tk.Priority, want[tk])
 		}
 	}
 }
