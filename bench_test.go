@@ -748,7 +748,7 @@ func BenchmarkChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 		r := results[0]
-		if r.Lost != 0 || !r.OrderOK || r.TasksAdded == 0 || r.TasksRemoved == 0 {
+		if r.Lost != 0 || !r.WatchOrdered || r.TasksAdded == 0 || r.TasksRemoved == 0 {
 			b.Fatalf("bad churn trial: %+v", r)
 		}
 		jobs += r.Arrived

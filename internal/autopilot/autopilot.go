@@ -126,8 +126,10 @@ type Options struct {
 	// actuation with the actuation time and the config transition — the
 	// scenario recorder uses it to journal actuations as replayable
 	// reconfigure ops. OnShed is the analogue for an overload shed: it runs
-	// after the RemoveTasks call so the caller can journal the removal and
-	// retire the tasks from its own bookkeeping.
+	// just before the RemoveTasks call, so a caller submitting arrivals from
+	// another goroutine journals the removal and retires the tasks from its
+	// own bookkeeping first, and never submits to a task the binding has
+	// dropped. A failed removal is retried on a later tick; the hook runs again.
 	OnAction func(at time.Duration, from, to core.Config)
 	OnShed   func(at time.Duration, ids []string)
 }
@@ -553,6 +555,9 @@ func (a *Autopilot) actuate(now time.Duration, regime Regime, trigger string, to
 		}
 	}
 	if shed {
+		if a.opts.OnShed != nil {
+			a.opts.OnShed(now, a.opts.OverloadShed)
+		}
 		if err := a.bind.RemoveTasks(a.opts.OverloadShed); err != nil {
 			d.Err = err.Error()
 		} else {
@@ -565,9 +570,6 @@ func (a *Autopilot) actuate(now time.Duration, regime Regime, trigger string, to
 				if t := a.tasks[id]; t != nil {
 					t.removed = true
 				}
-			}
-			if a.opts.OnShed != nil {
-				a.opts.OnShed(now, a.opts.OverloadShed)
 			}
 		}
 	}

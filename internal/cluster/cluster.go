@@ -62,10 +62,10 @@ type Cluster struct {
 	// back in, so the plan always describes the running configuration.
 	Plan *deploy.Plan
 
-	collector *live.Collector
-	drivers   []*live.Driver
-	launcher  *orb.ORB
-	seed      int64
+	done     completions
+	drivers  []*live.Driver
+	launcher *orb.ORB
+	seed     int64
 
 	// registry and execScale are retained from Start so RecoverNode can
 	// assemble a replacement node identically.
@@ -176,29 +176,15 @@ func Start(opts Options) (*Cluster, error) {
 		return fail(err)
 	}
 
-	c.collector = live.NewCollector(tasks)
-	for _, app := range c.Apps {
-		c.collector.Attach(app.Channel)
-	}
-
-	// Watch taps: the hub observes releases on every application node's
-	// channel (local pushes only — a federated re-delivery of a relocated
-	// release would double-count), rejections on the manager's channel, and
-	// completions on the last-stage nodes. The handlers are inert until the
-	// first Watch subscribes.
-	for _, app := range c.Apps {
-		app.Channel.Subscribe(live.EvRelease, c.tapRelease(app.Name))
-		app.Channel.Subscribe(live.EvDone, c.tapDone(app.Name))
-	}
-	c.Manager.Channel.Subscribe(live.EvAccept, c.tapAccept(c.Manager.Name))
-
-	// Failure plane: the dead-letter tracker tails every application node's
-	// local job hops, and the detector tails the heartbeat stream on the
-	// manager.
+	// Observation and failure planes: every application node's local job
+	// hops feed the watch hub, the completion accounting and the dead-letter
+	// tracker; rejections are observed on the manager's channel, where the
+	// detector also tails the heartbeat stream.
 	c.tracker = newTracker(c)
 	for _, app := range c.Apps {
-		c.tracker.attach(app)
+		c.observe(app)
 	}
+	c.Manager.Channel.Subscribe(live.EvAccept, c.tapAccept(c.Manager.Name))
 	timeout := opts.HeartbeatTimeout
 	if timeout <= 0 {
 		timeout = DefaultHeartbeatTimeout
@@ -516,10 +502,46 @@ func (c *Cluster) tapAccept(node string) eventchan.Handler {
 	}
 }
 
-// tapDone observes job completions on one application node's channel.
-func (c *Cluster) tapDone(node string) eventchan.Handler {
+// observe attaches the cluster's observers to one application node's
+// channel — at Start, and again when RecoverNode replaces the node. Only
+// locally pushed events count (ev.Source is the node): the federated copy of
+// a relocated release or a trigger carries the origin's name, so each hop is
+// seen exactly once. The watch emissions are inert until a Watch subscribes.
+func (c *Cluster) observe(app *live.Node) {
+	hop := c.tracker.hopHandler(app.Name)
+	app.Channel.Subscribe(live.EvRelease, c.tapRelease(app.Name))
+	app.Channel.Subscribe(live.EvRelease, hop)
+	app.Channel.Subscribe(live.EvTrigger, hop)
+	app.Channel.Subscribe(live.EvDone, c.observeDone(app.Name))
+}
+
+// completions is the cluster's job-completion accounting (see observeDone).
+type completions struct {
+	completed, missed, totalResp atomic.Int64
+}
+
+// Completed returns the number of completed jobs observed.
+func (d *completions) Completed() int64 { return d.completed.Load() }
+
+// Missed returns the number of completed jobs over their task's deadline
+// (tasks added after Start included). Live response times carry real network
+// and scheduling noise; the exact guarantees are checked on the simulation.
+func (d *completions) Missed() int64 { return d.missed.Load() }
+
+// MeanResponse returns the mean observed response time.
+func (d *completions) MeanResponse() time.Duration {
+	n := d.completed.Load()
+	if n == 0 {
+		return 0
+	}
+	return time.Duration(d.totalResp.Load() / n)
+}
+
+// observeDone is the one subscriber to a node's Done events: one decode, then
+// count it against the current deadline index, retire the tracker entry, emit.
+func (c *Cluster) observeDone(node string) eventchan.Handler {
 	return func(ev eventchan.Event) {
-		if !c.hub.Active() || ev.Source != node {
+		if ev.Source != node {
 			return
 		}
 		done, err := live.DecodeDone(ev.Payload)
@@ -527,23 +549,33 @@ func (c *Cluster) tapDone(node string) eventchan.Handler {
 			return
 		}
 		resp := time.Duration(done.DoneNanos - done.ArrivalNanos)
+		c.taskMu.RLock()
+		dl, ok := c.deadlines[done.Task]
+		c.taskMu.RUnlock()
+		missed := ok && resp > dl
+		c.done.totalResp.Add(int64(resp))
+		if missed {
+			c.done.missed.Add(1)
+		}
+		c.done.completed.Add(1)
+		c.tracker.retire(sched.JobRef{Task: done.Task, Job: done.Job})
+		if !c.hub.Active() {
+			return
+		}
 		out := core.WatchEvent{
 			Kind: core.WatchCompleted, Task: done.Task, Job: done.Job,
 			Response: resp, Config: c.configSnapshot(),
 		}
 		c.emit(out)
-		c.taskMu.RLock()
-		dl, ok := c.deadlines[done.Task]
-		c.taskMu.RUnlock()
-		if ok && resp > dl {
+		if missed {
 			out.Kind = core.WatchDeadlineMiss
 			c.emit(out)
 		}
 	}
 }
 
-// Snapshot aggregates the effectors' and collector's counters with the
-// active configuration and reconfiguration epoch.
+// Snapshot aggregates the effectors' counters and the completion count with
+// the active configuration and reconfiguration epoch.
 func (c *Cluster) Snapshot() core.BindingSnapshot {
 	snap := core.BindingSnapshot{Config: c.Config()}
 	if ac, err := c.AC(); err == nil {
@@ -555,8 +587,8 @@ func (c *Cluster) Snapshot() core.BindingSnapshot {
 	return snap
 }
 
-// counters sums the effector-side job counters and the collector's
-// completions. A killed node's effector keeps answering from memory (its
+// counters sums the effector-side job counters and reads the completion
+// count. A killed node's effector keeps answering from memory (its
 // container retains instances past shutdown), and RecoverNode banks the dead
 // effector's totals into lostStats before the replacement zeroes them, so
 // the sums stay monotonic across node loss and recovery.
@@ -580,10 +612,7 @@ func (c *Cluster) counters() (arrived, released, skipped, completed, shed int64)
 		shed += s.Overloaded
 	}
 	c.failMu.Unlock()
-	if c.collector != nil {
-		completed = c.collector.Completed()
-	}
-	return arrived, released, skipped, completed, shed
+	return arrived, released, skipped, c.done.Completed(), shed
 }
 
 // Reconfigure swaps the cluster's AC/IR/LB strategy combination on the
@@ -636,8 +665,7 @@ func (c *Cluster) Reconfigure(to core.Config) (*core.ReconfigReport, error) {
 	}, nil
 }
 
-// inFlight counts released-but-uncompleted jobs from the effector and
-// collector counters.
+// inFlight counts released-but-uncompleted jobs.
 func (c *Cluster) inFlight() int64 {
 	_, released, _, completed, _ := c.counters()
 	return released - completed
@@ -650,46 +678,35 @@ func (c *Cluster) Stop() error {
 	return nil
 }
 
-// Collector returns the completion collector.
-func (c *Cluster) Collector() *live.Collector { return c.collector }
+// Collector returns the completion accounting.
+func (c *Cluster) Collector() *completions { return &c.done }
+
+// component looks a component instance up on a node by ID and types it.
+func component[T any](n *live.Node, id string) (T, error) {
+	comp, ok := n.Container.Lookup(id)
+	if t, typed := comp.(T); ok && typed {
+		return t, nil
+	}
+	var none T
+	if !ok {
+		return none, fmt.Errorf("cluster: no %s on node %s", id, n.Name)
+	}
+	return none, fmt.Errorf("cluster: %s has unexpected type %T", id, comp)
+}
 
 // TE returns the task effector on application processor i.
 func (c *Cluster) TE(i int) (*live.TaskEffector, error) {
-	comp, ok := c.Apps[i].Container.Lookup(fmt.Sprintf("TE-%d", i))
-	if !ok {
-		return nil, fmt.Errorf("cluster: no task effector on processor %d", i)
-	}
-	te, ok := comp.(*live.TaskEffector)
-	if !ok {
-		return nil, fmt.Errorf("cluster: TE-%d has unexpected type %T", i, comp)
-	}
-	return te, nil
+	return component[*live.TaskEffector](c.Apps[i], fmt.Sprintf("TE-%d", i))
 }
 
 // IR returns the idle resetter on application processor i.
 func (c *Cluster) IR(i int) (*live.IdleResetter, error) {
-	comp, ok := c.Apps[i].Container.Lookup(fmt.Sprintf("IR-%d", i))
-	if !ok {
-		return nil, fmt.Errorf("cluster: no idle resetter on processor %d", i)
-	}
-	ir, ok := comp.(*live.IdleResetter)
-	if !ok {
-		return nil, fmt.Errorf("cluster: IR-%d has unexpected type %T", i, comp)
-	}
-	return ir, nil
+	return component[*live.IdleResetter](c.Apps[i], fmt.Sprintf("IR-%d", i))
 }
 
 // AC returns the central admission controller.
 func (c *Cluster) AC() (*live.AdmissionController, error) {
-	comp, ok := c.Manager.Container.Lookup("Central-AC")
-	if !ok {
-		return nil, fmt.Errorf("cluster: no Central-AC on manager")
-	}
-	ac, ok := comp.(*live.AdmissionController)
-	if !ok {
-		return nil, fmt.Errorf("cluster: Central-AC has unexpected type %T", comp)
-	}
-	return ac, nil
+	return component[*live.AdmissionController](c.Manager, "Central-AC")
 }
 
 // Subtasks returns every subtask component instance across the cluster,
@@ -698,10 +715,8 @@ func (c *Cluster) Subtasks() map[string]*live.Subtask {
 	out := make(map[string]*live.Subtask)
 	for _, app := range c.Apps {
 		for _, id := range app.Container.InstanceIDs() {
-			if comp, ok := app.Container.Lookup(id); ok {
-				if st, ok := comp.(*live.Subtask); ok {
-					out[id] = st
-				}
+			if st, err := component[*live.Subtask](app, id); err == nil {
+				out[id] = st
 			}
 		}
 	}
@@ -750,24 +765,22 @@ func (c *Cluster) TransportStats() map[string]live.NodeTransportStats {
 	return out
 }
 
-// Drain waits until every application executor is idle or the timeout
-// expires, so in-flight jobs finish before measurement collection.
+// Drain waits until the cluster has drained — every application executor
+// idle and every released job completed (a completion is counted a moment
+// after its executor goes idle, through the node's local Done event) — or the
+// timeout expires, and reports whether it got there.
 func (c *Cluster) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		idle := true
+	for {
+		drained := c.inFlight() == 0
 		for _, app := range c.Apps {
-			if !app.Executor.Idle() {
-				idle = false
-				break
-			}
+			drained = drained && app.Executor.Idle()
 		}
-		if idle {
-			return true
+		if drained || !time.Now().Before(deadline) {
+			return drained
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return false
 }
 
 // Close stops drivers, closes watch streams and tears every node down.

@@ -250,8 +250,8 @@ type trackedJob struct {
 	redelivered bool
 }
 
-// tracker is the dead-letter plane: it tails every application node's local
-// Release/Trigger/Done pushes so that, at failover time, the set of jobs
+// tracker is the dead-letter plane: Cluster.observe feeds it every
+// application node's local Release/Trigger/Done pushes so that, at failover time, the set of jobs
 // stranded on the dead processor — and the exact stage to resume each from —
 // is known without any node's cooperation.
 type tracker struct {
@@ -274,17 +274,6 @@ func newTracker(c *Cluster) *tracker {
 		jobs:   make(map[sched.JobRef]*trackedJob),
 		active: make(map[int]bool),
 	}
-}
-
-// attach subscribes the tracker to one application node's channel. Only
-// locally pushed events are tracked (ev.Source == node): the federated copy
-// of a release or trigger carries the origin's name and is skipped, so each
-// hop is recorded exactly once.
-func (tr *tracker) attach(app *live.Node) {
-	hop := tr.hopHandler(app.Name)
-	app.Channel.Subscribe(live.EvRelease, hop)
-	app.Channel.Subscribe(live.EvTrigger, hop)
-	app.Channel.Subscribe(live.EvDone, tr.doneHandler(app.Name))
 }
 
 // hopHandler records a job entering a stage. If the stage's processor has
@@ -328,20 +317,11 @@ func (tr *tracker) hopHandler(node string) eventchan.Handler {
 	}
 }
 
-// doneHandler retires a completed job.
-func (tr *tracker) doneHandler(node string) eventchan.Handler {
-	return func(ev eventchan.Event) {
-		if ev.Source != node {
-			return
-		}
-		done, err := live.DecodeDone(ev.Payload)
-		if err != nil {
-			return
-		}
-		tr.mu.Lock()
-		delete(tr.jobs, sched.JobRef{Task: done.Task, Job: done.Job})
-		tr.mu.Unlock()
-	}
+// retire forgets a completed job.
+func (tr *tracker) retire(ref sched.JobRef) {
+	tr.mu.Lock()
+	delete(tr.jobs, ref)
+	tr.mu.Unlock()
 }
 
 // activate marks a processor's failover complete and collects every job
@@ -419,12 +399,7 @@ func (tr *tracker) count(ok bool) {
 // RedeliveryStats reports how many stranded jobs the failover plane re-pushed
 // onto survivors, and how many had no surviving route (their task was
 // withdrawn by the failover).
-func (c *Cluster) RedeliveryStats() (redelivered, lost int64) {
-	if c.tracker == nil {
-		return 0, 0
-	}
-	return c.tracker.stats()
-}
+func (c *Cluster) RedeliveryStats() (redelivered, lost int64) { return c.tracker.stats() }
 
 // redeliver re-pushes one stranded job onto the survivors: stages still
 // placed on dead processors are remapped to their post-failover homes, and
@@ -432,17 +407,10 @@ func (c *Cluster) RedeliveryStats() (redelivered, lost int64) {
 // stage-host's channel. The push carries a synthetic source so the watch
 // taps and the tracker do not count it as a fresh hop; the subtask
 // components route purely on the payload placement, so exactly one survivor
-// executes it. Returns false if the job's task did not survive the failover.
-func (c *Cluster) redeliver(trg live.Trigger) bool {
-	ok := c.redeliverLocked(trg)
-	if c.tracker != nil {
-		c.tracker.count(ok)
-	}
-	return ok
-}
-
-// redeliverLocked is redeliver without the outcome accounting.
-func (c *Cluster) redeliverLocked(trg live.Trigger) bool {
+// executes it. Returns false — and the tracker counts the job lost — if the
+// job's task did not survive the failover.
+func (c *Cluster) redeliver(trg live.Trigger) (ok bool) {
+	defer func() { c.tracker.count(ok) }()
 	var task *sched.Task
 	for _, t := range c.Tasks() {
 		if t.ID == trg.Task {
@@ -537,7 +505,7 @@ func (c *Cluster) drainFailedOver(i int) bool {
 	c.failMu.Lock()
 	failedOver := c.failedOver[i]
 	c.failMu.Unlock()
-	if c.tracker == nil || !failedOver {
+	if !failedOver {
 		return failedOver
 	}
 	var maxDeadline time.Duration
@@ -588,9 +556,7 @@ func (c *Cluster) RecoverNode(i int) error {
 	// survivors' gateways reach it, a pre-failover Trigger still addressed to
 	// this processor runs there, and redelivering it to a survivor as well
 	// would complete the job twice.
-	if c.tracker != nil {
-		c.tracker.deactivate(i)
-	}
+	c.tracker.deactivate(i)
 
 	old := c.Apps[i]
 	// Bank the dead effector's counters: the replacement starts at zero and
@@ -626,7 +592,7 @@ func (c *Cluster) RecoverNode(i int) error {
 	defer cancel()
 	if err := deploy.NewLauncher(c.launcher).RedeployNode(ctx, c.Plan, old.Name); err != nil {
 		// The slot stays marked dead; a retry can replace the node again.
-		if c.tracker != nil && failedOver {
+		if failedOver {
 			for _, trg := range c.tracker.activate(i) {
 				c.redeliver(trg)
 			}
@@ -641,15 +607,7 @@ func (c *Cluster) RecoverNode(i int) error {
 		return err
 	}
 
-	// Re-attach the observation planes to the replacement channel.
-	if c.collector != nil {
-		c.collector.Attach(node.Channel)
-	}
-	node.Channel.Subscribe(live.EvRelease, c.tapRelease(node.Name))
-	node.Channel.Subscribe(live.EvDone, c.tapDone(node.Name))
-	if c.tracker != nil {
-		c.tracker.attach(node)
-	}
+	c.observe(node)
 
 	c.failMu.Lock()
 	delete(c.deadProcs, i)
@@ -665,26 +623,26 @@ func (c *Cluster) RecoverNode(i int) error {
 // FailoverReport describes one completed failover transaction.
 type FailoverReport struct {
 	// Node and Proc identify the failed node.
-	Node string
-	Proc int
+	Node string `json:"node"`
+	Proc int    `json:"proc"`
 	// Epoch is the post-failover configuration epoch; replication records
 	// stamped below it are fenced out of the standby mirror.
-	Epoch int64
+	Epoch int64 `json:"epoch"`
 	// Duration is the whole transaction's wall time (delta synthesis through
 	// redelivery); Quiesce is the admission-quiesce span within it.
-	Duration time.Duration
-	Quiesce  time.Duration
+	Duration time.Duration `json:"duration_ns"`
+	Quiesce  time.Duration `json:"quiesce_ns"`
 	// Redelivered counts stranded jobs re-pushed onto survivors at failover;
 	// Lost counts stranded jobs whose task did not survive (no replica).
-	Redelivered int
-	Lost        int
+	Redelivered int `json:"redelivered"`
+	Lost        int `json:"redelivery_lost"`
 	// ReplayedSubmits counts submissions deferred during the failover and
 	// replayed after it.
-	ReplayedSubmits int
+	ReplayedSubmits int `json:"replayed_submits"`
 	// Rehomed maps task IDs to the stages that moved off the dead processor
 	// (stage → new processor); Withdrawn lists tasks lost with the node.
-	Rehomed   map[string]map[int]int
-	Withdrawn []string
+	Rehomed   map[string]map[int]int `json:"rehomed,omitempty"`
+	Withdrawn []string               `json:"withdrawn,omitempty"`
 }
 
 // Failover removes a dead processor from the running deployment with no
@@ -778,13 +736,11 @@ func (c *Cluster) runFailover(proc int) (*FailoverReport, error) {
 	}
 
 	redelivered, lost := 0, 0
-	if c.tracker != nil {
-		for _, trg := range c.tracker.activate(proc) {
-			if c.redeliver(trg) {
-				redelivered++
-			} else {
-				lost++
-			}
+	for _, trg := range c.tracker.activate(proc) {
+		if c.redeliver(trg) {
+			redelivered++
+		} else {
+			lost++
 		}
 	}
 	return &FailoverReport{
@@ -802,15 +758,7 @@ func (c *Cluster) runFailover(proc int) (*FailoverReport, error) {
 
 // Standby returns the warm-standby admission mirror on the manager.
 func (c *Cluster) Standby() (*live.StandbyAC, error) {
-	comp, ok := c.Manager.Container.Lookup("Standby-AC")
-	if !ok {
-		return nil, fmt.Errorf("cluster: no Standby-AC on manager")
-	}
-	sb, ok := comp.(*live.StandbyAC)
-	if !ok {
-		return nil, fmt.Errorf("cluster: Standby-AC has unexpected type %T", comp)
-	}
-	return sb, nil
+	return component[*live.StandbyAC](c.Manager, "Standby-AC")
 }
 
 // AuditAdmissionState checks the active admission controller's ledger and

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/eventchan"
 	"repro/internal/live"
 	"repro/internal/sched"
 )
@@ -197,4 +198,44 @@ func TestClusterSubmitBatchAmortizes(t *testing.T) {
 		t.Error("per-task cached decision never resolved a submit synchronously")
 	}
 	c.Drain(2 * time.Second)
+}
+
+// TestDoneObserverCountsLateJoinerMiss pins the completion accounting the one
+// Done observer keeps: completions, mean response, and deadline misses judged
+// against the deadline index AddTasks refreshes. The collector this replaced
+// kept the deadline map it was built with at Start, so a task that joined
+// later never had a miss counted.
+func TestDoneObserverCountsLateJoinerMiss(t *testing.T) {
+	c := startCluster(t, core.Config{AC: core.StrategyPerTask, IR: core.StrategyNone, LB: core.StrategyNone})
+	base := time.Now().UnixNano()
+	done := func(task string, resp time.Duration) {
+		t.Helper()
+		err := c.Apps[0].Channel.Push(eventchan.Event{Type: live.EvDone, Payload: live.AppendDone(nil, &live.Done{
+			Task: task, ArrivalNanos: base, DoneNanos: base + int64(resp),
+		})})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	done("alert", 10*time.Millisecond) // deadline 60ms: met
+	done("alert", 80*time.Millisecond) // missed
+	if got := c.Collector(); got.Completed() != 2 || got.Missed() != 1 || got.MeanResponse() != 45*time.Millisecond {
+		t.Fatalf("completed %d, missed %d, mean %v; want 2, 1, 45ms", got.Completed(), got.Missed(), got.MeanResponse())
+	}
+
+	late := &sched.Task{
+		ID: "late", Kind: sched.Aperiodic,
+		Deadline: time.Millisecond, MeanInterarrival: 40 * time.Millisecond,
+		Subtasks: []sched.Subtask{{Index: 0, Exec: 10 * time.Microsecond, Processor: 0}},
+	}
+	if err := c.AddTasks([]*sched.Task{late}); err != nil {
+		t.Fatal(err)
+	}
+	done("late", 5*time.Millisecond) // a job of the late joiner, 4ms over its deadline
+	if got := c.Collector(); got.Completed() != 3 || got.Missed() != 2 {
+		t.Errorf("after the late joiner's job: completed %d, missed %d; want 3, 2", got.Completed(), got.Missed())
+	}
+	if snap := c.Snapshot(); snap.Completed != 3 {
+		t.Errorf("Snapshot.Completed = %d, want 3", snap.Completed)
+	}
 }

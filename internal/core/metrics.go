@@ -7,29 +7,31 @@ import (
 	"repro/internal/sched"
 )
 
-// KindMetrics aggregates per-task-kind job accounting.
+// KindMetrics aggregates per-task-kind job accounting. The JSON form, with
+// durations as integer nanoseconds, is the scenario engine's canonical metrics
+// document: field order and keys are part of the replay byte-identity pin.
 type KindMetrics struct {
 	// Arrived counts job arrivals at task effectors.
-	Arrived int64
+	Arrived int64 `json:"arrived"`
 	// Released counts jobs released for execution (accepted).
-	Released int64
+	Released int64 `json:"released"`
 	// Skipped counts jobs not released: rejected by the admission test or
 	// belonging to a rejected per-task periodic task.
-	Skipped int64
+	Skipped int64 `json:"skipped"`
 	// Completed counts jobs whose last subtask finished.
-	Completed int64
+	Completed int64 `json:"completed"`
 	// Missed counts completed jobs whose response time exceeded the
 	// end-to-end deadline.
-	Missed int64
+	Missed int64 `json:"missed"`
 	// ArrivedUtil and ReleasedUtil accumulate per-job synthetic utilization
 	// (Σ C/D over stages) over arrived and released jobs; their quotient is
 	// the paper's accepted utilization ratio.
-	ArrivedUtil  float64
-	ReleasedUtil float64
+	ArrivedUtil  float64 `json:"arrived_util"`
+	ReleasedUtil float64 `json:"released_util"`
 	// TotalResponse and MaxResponse aggregate response times of completed
 	// jobs.
-	TotalResponse time.Duration
-	MaxResponse   time.Duration
+	TotalResponse time.Duration `json:"total_response_ns"`
+	MaxResponse   time.Duration `json:"max_response_ns"`
 }
 
 // Metrics is the experiment-facing accounting kept by a simulation run. The

@@ -85,14 +85,10 @@ type arrivalEvent struct {
 // reports both accepted utilization ratios.
 func RunAblationAUBvsDS(opts AblationOptions) ([]AblationResult, error) {
 	opts = opts.withDefaults()
-	workers := opts.Workers
-	if workers < 0 {
-		workers = ResolveWorkers(workers)
-	}
 	aub := AblationResult{Technique: "AUB", PerSeed: make([]float64, opts.Seeds)}
 	ds := AblationResult{Technique: "DS", PerSeed: make([]float64, opts.Seeds)}
 
-	err := runTrials(opts.Seeds, workers, func(seed int) error {
+	err := runTrials(opts.Seeds, opts.Workers, func(seed int) error {
 		tasks, events, err := ablationStream(opts, int64(seed))
 		if err != nil {
 			return err

@@ -47,7 +47,7 @@ func TestAblationAUBvsDS(t *testing.T) {
 		t.Errorf("AUB %.3f vs DS %.3f differ by %.3f — not comparable", aub.AcceptedRatio, ds.AcceptedRatio, diff)
 	}
 
-	out := tableOf(series[AblationResult]{"ablation", results, writeAblation})
+	out := tableOf(series[AblationResult]{Experiment: "ablation", Results: results, table: writeAblation})
 	if !strings.Contains(out, "AUB") || !strings.Contains(out, "DS") {
 		t.Errorf("render missing techniques:\n%s", out)
 	}

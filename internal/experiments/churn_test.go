@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // TestChurnSweepSmall runs a compressed churn sweep and pins the open-world
@@ -27,11 +25,14 @@ func TestChurnSweepSmall(t *testing.T) {
 		if r.Lost != 0 {
 			t.Errorf("%s set %d: lost %d admitted jobs", r.Combo, r.Set, r.Lost)
 		}
-		if !r.OrderOK {
+		if !r.WatchOrdered {
 			t.Errorf("%s set %d: watch stream out of order", r.Combo, r.Set)
 		}
 		if r.BatchSubmitted == 0 {
 			t.Errorf("%s set %d: no batch submissions", r.Combo, r.Set)
+		}
+		if len(r.Violations) != 0 {
+			t.Errorf("%s set %d: invariants violated: %v", r.Combo, r.Set, r.Violations)
 		}
 	}
 	table := tableOf(&ChurnReport{title: "churn", Results: results})
@@ -44,12 +45,9 @@ func TestChurnSweepSmall(t *testing.T) {
 // through a live cluster under the quiesce protocol with zero job loss and
 // a clean post-run ledger.
 func TestChurnLiveSmoke(t *testing.T) {
-	res, err := RunChurnLive(ChurnLiveOptions{Settle: 100 * time.Millisecond})
+	res, err := RunChurnLive()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.TasksAdded == 0 || res.TasksRemoved != res.TasksAdded {
-		t.Errorf("churn counts: %+v", res)
 	}
 	if res.Lost != 0 {
 		t.Errorf("lost %d admitted jobs", res.Lost)
@@ -57,14 +55,17 @@ func TestChurnLiveSmoke(t *testing.T) {
 	if !res.LedgerClean {
 		t.Error("ledger audit failed after live churn")
 	}
-	// One epoch per lifecycle delta: Tenants adds + Tenants removals.
+	// One epoch per lifecycle delta: liveTenants adds + liveTenants removals.
 	if res.Epoch != 4 {
 		t.Errorf("final epoch = %d, want 4", res.Epoch)
 	}
 	if res.WatchEvents == 0 {
 		t.Error("live watch stream observed nothing")
 	}
-	if res.Config != (core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyPerTask}) {
+	if len(res.Violations) != 0 {
+		t.Errorf("invariants violated: %v", res.Violations)
+	}
+	if res.Config != "T_T_T" {
 		t.Errorf("default live config = %s", res.Config)
 	}
 }

@@ -36,10 +36,10 @@ type FigureOptions struct {
 // withDefaults fills unset options.
 func (o FigureOptions) withDefaults() FigureOptions {
 	if o.Sets == 0 {
-		o.Sets = 10
+		o.Sets = paperSets
 	}
 	if o.Horizon == 0 {
-		o.Horizon = 5 * time.Minute
+		o.Horizon = paperHorizon
 	}
 	if len(o.Combos) == 0 {
 		o.Combos = core.AllCombinations()
@@ -79,15 +79,11 @@ func RunFigure6(opts FigureOptions) ([]ComboResult, error) {
 // and aggregates the ratios in deterministic (combo, set) order.
 func runFigure(params func(set int) workload.Params, opts FigureOptions) ([]ComboResult, error) {
 	opts = opts.withDefaults()
-	workers := opts.Workers
-	if workers < 0 {
-		workers = ResolveWorkers(workers)
-	}
 
 	// One slot per trial, indexed combo-major so assembly is a simple walk.
 	ratios := make([]float64, len(opts.Combos)*opts.Sets)
 	jobs := make([]int64, len(ratios))
-	err := runTrials(len(ratios), workers, func(i int) error {
+	err := runTrials(len(ratios), opts.Workers, func(i int) error {
 		combo := opts.Combos[i/opts.Sets]
 		set := i % opts.Sets
 		p := params(set)
@@ -132,6 +128,59 @@ func runFigure(params func(set int) workload.Params, opts FigureOptions) ([]Comb
 		})
 	}
 	return results, nil
+}
+
+// paperSets and paperHorizon are the paper's parameters for Figures 5 and 6:
+// ten random task sets, five minutes each.
+const (
+	paperSets    = 10
+	paperHorizon = 5 * time.Minute
+)
+
+// figure5Findings checks Section 7.1's findings against a run over all 15
+// combinations and returns the ones the results contradict.
+func figure5Findings(results []ComboResult) []string {
+	var failed []string
+	// Finding 1: IR per job significantly outperforms IR per task or no IR.
+	irJ, irT, irN := MeanOf(results, "*_J_*"), MeanOf(results, "*_T_*"), MeanOf(results, "*_N_*")
+	if irJ <= irT || irJ <= irN {
+		failed = append(failed, fmt.Sprintf("IR per job mean %.3f not above per-task %.3f / none %.3f", irJ, irT, irN))
+	}
+	// Finding 2: idle resetting or load balancing increases admitted utilization.
+	if lbT, lbN := MeanOf(results, "*_*_T"), MeanOf(results, "*_*_N"); lbT <= lbN {
+		failed = append(failed, fmt.Sprintf("LB per task mean %.3f not above no-LB %.3f", lbT, lbN))
+	}
+	if irT <= irN {
+		failed = append(failed, fmt.Sprintf("IR per task mean %.3f not above no-IR %.3f", irT, irN))
+	}
+	// Finding 3: J_J_* configurations outperform all others.
+	if best := Best(results).Combo.String(); !strings.HasPrefix(best, "J_J_") {
+		failed = append(failed, fmt.Sprintf("best combo %s, want a J_J_* configuration", best))
+	}
+	return failed
+}
+
+// figure6Findings checks Section 7.2's finding the same way: on an imbalanced
+// workload LB per task improves significantly on no LB while LB per task and
+// per job are comparable — within every AC/IR group, as Figure 6's bar triples.
+func figure6Findings(results []ComboResult) []string {
+	var failed []string
+	mean := make(map[string]float64, len(results))
+	for _, r := range results {
+		mean[r.Combo.String()] = r.Mean
+	}
+	for _, group := range []string{"T_N", "T_T", "J_N", "J_T", "J_J"} {
+		none, perTask, perJob := mean[group+"_N"], mean[group+"_T"], mean[group+"_J"]
+		if perTask <= none {
+			failed = append(failed, fmt.Sprintf("group %s: LB per task %.3f not above no-LB %.3f", group, perTask, none))
+		}
+		// "Not much difference between load balancing per task vs per job":
+		// a generous band rather than a strict ordering.
+		if diff := perTask - perJob; diff > 0.15 || diff < -0.15 {
+			failed = append(failed, fmt.Sprintf("group %s: per-task %.3f vs per-job %.3f differ by more than 0.15", group, perTask, perJob))
+		}
+	}
+	return failed
 }
 
 // MeanOf returns the mean ratio of the combos whose tuple matches the

@@ -6,23 +6,45 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
-// fullOpts runs the paper's full parameters (10 sets, 5 simulated minutes);
-// the DES makes this cheap in wall-clock time.
-func fullOpts() FigureOptions {
-	return FigureOptions{Sets: 10, Horizon: 5 * time.Minute}
+// reproduction runs a figure's registry entry at the paper's full parameters
+// (10 sets, 5 simulated minutes — the flags' zero values; the DES makes this
+// cheap in wall-clock time) and asserts through the entry's verdict: the
+// paper's findings are what Passed reports, so rtmw-bench exits non-zero on
+// the same regression this test fails on.
+func reproduction(t *testing.T, name string) []ComboResult {
+	t.Helper()
+	for _, e := range Registry() {
+		if e.Name != name {
+			continue
+		}
+		rep, err := e.Run(Params{Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := rep.(series[ComboResult])
+		if s.Verdict == nil {
+			t.Fatal("a full-parameter run carries no verdict")
+		}
+		if !rep.Passed() {
+			t.Errorf("paper findings not reproduced:\n%s", tableOf(rep))
+		}
+		if len(s.Results) != 15 {
+			t.Fatalf("got %d combos, want 15", len(s.Results))
+		}
+		return s.Results
+	}
+	t.Fatalf("no registry entry %q", name)
+	return nil
 }
 
+// TestFigure5Shape: Section 7.1's findings (figure5Findings) hold — IR per
+// job above per task above none, LB per task above none, a J_J_* combination
+// best.
 func TestFigure5Shape(t *testing.T) {
-	results, err := RunFigure5(fullOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 15 {
-		t.Fatalf("got %d combos, want 15", len(results))
-	}
-	for _, r := range results {
+	for _, r := range reproduction(t, "figure5") {
 		if r.Mean <= 0 || r.Mean > 1 {
 			t.Errorf("%s: mean ratio %g out of (0, 1]", r.Combo, r.Mean)
 		}
@@ -30,60 +52,34 @@ func TestFigure5Shape(t *testing.T) {
 			t.Errorf("%s: %d per-set results, want 10", r.Combo, len(r.PerSet))
 		}
 	}
-
-	// Paper finding 1: enabling IR per job significantly outperforms IR per
-	// task or no IR.
-	irJ, irT, irN := MeanOf(results, "*_J_*"), MeanOf(results, "*_T_*"), MeanOf(results, "*_N_*")
-	if irJ <= irT || irJ <= irN {
-		t.Errorf("IR per job mean %.3f not above per-task %.3f / none %.3f", irJ, irT, irN)
-	}
-
-	// Paper finding 2: enabling idle resetting or load balancing increases
-	// admitted utilization.
-	if lbOn := MeanOf(results, "*_*_T"); lbOn <= MeanOf(results, "*_*_N") {
-		t.Errorf("LB per task mean %.3f not above no-LB %.3f", lbOn, MeanOf(results, "*_*_N"))
-	}
-	if irT <= irN {
-		t.Errorf("IR per task mean %.3f not above no-IR %.3f", irT, irN)
-	}
-
-	// Paper finding 3: J_J_* configurations outperform all others; J_J_J
-	// averages highest.
-	best := Best(results)
-	if !strings.HasPrefix(best.Combo.String(), "J_J_") {
-		t.Errorf("best combo %s, want a J_J_* configuration", best.Combo)
-	}
 }
 
+// TestFigure6Shape: Section 7.2's finding (figure6Findings) holds within
+// every AC/IR group — LB per task well above no LB, per task and per job
+// comparable.
 func TestFigure6Shape(t *testing.T) {
-	results, err := RunFigure6(fullOpts())
+	reproduction(t, "figure6")
+}
+
+// TestFigureFindingsCatchRegressions: the verdict functions name what a
+// contradicting result breaks, and a smoke-sized run carries no verdict.
+func TestFigureFindingsCatchRegressions(t *testing.T) {
+	var flat []ComboResult
+	for _, c := range core.AllCombinations() {
+		flat = append(flat, ComboResult{Combo: c, Mean: 0.5})
+	}
+	if got := figure5Findings(flat); len(got) != 4 {
+		t.Errorf("figure5Findings on a flat result = %q, want all four findings", got)
+	}
+	if got := figure6Findings(flat); len(got) != 5 {
+		t.Errorf("figure6Findings on a flat result = %q, want one per group", got)
+	}
+	rep, err := figureEntry("figure5", "s", "t", workload.Figure5Params, figure5Findings).Run(Params{Sets: 1, Horizon: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 15 {
-		t.Fatalf("got %d combos, want 15", len(results))
-	}
-
-	// Paper finding: with an imbalanced workload, LB per task provides a
-	// significant improvement over no LB, while LB per task and per job are
-	// comparable. Check within every AC/IR group, as the paper's Figure 6
-	// bar triples do.
-	byName := make(map[string]float64, len(results))
-	for _, r := range results {
-		byName[r.Combo.String()] = r.Mean
-	}
-	for _, group := range []string{"T_N", "T_T", "J_N", "J_T", "J_J"} {
-		none := byName[group+"_N"]
-		perTask := byName[group+"_T"]
-		perJob := byName[group+"_J"]
-		if perTask <= none {
-			t.Errorf("group %s: LB per task %.3f not above no-LB %.3f", group, perTask, none)
-		}
-		// "Not much difference between load balancing per task vs per job":
-		// allow a generous band rather than a strict ordering.
-		if diff := perTask - perJob; diff > 0.15 || diff < -0.15 {
-			t.Errorf("group %s: per-task %.3f vs per-job %.3f differ by more than 0.15", group, perTask, perJob)
-		}
+	if rep.(series[ComboResult]).Verdict != nil || !rep.Passed() {
+		t.Error("a smoke-sized run carries a verdict")
 	}
 }
 

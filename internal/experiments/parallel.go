@@ -23,7 +23,7 @@ func ResolveWorkers(workers int) int {
 }
 
 // runTrials executes fn(i) for every i in [0, n) on at most workers
-// concurrent goroutines. With workers ≤ 1 it degenerates to a plain serial
+// concurrent goroutines (a negative count means one per CPU). With workers ≤ 1 it degenerates to a plain serial
 // loop on the calling goroutine (no goroutines spawned, deterministic
 // failure point). Every trial runs regardless of other trials' failures —
 // results land in caller-owned slots — and the error of the lowest-indexed
@@ -32,6 +32,9 @@ func ResolveWorkers(workers int) int {
 func runTrials(n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
+	}
+	if workers < 0 {
+		workers = ResolveWorkers(workers)
 	}
 	if workers > n {
 		workers = n

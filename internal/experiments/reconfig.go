@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
+	"repro/internal/spec"
 	"repro/internal/workload"
 )
 
@@ -45,27 +47,42 @@ func (o ReconfigOptions) withDefaults() ReconfigOptions {
 	return o
 }
 
-// ReconfigResult is one task set's outcome.
+// ReconfigResult is one task set's outcome: the scenario result — run totals
+// across both configurations, Lost (admitted jobs that never finished; the
+// protocol guarantees zero), the invariant verdict — whose single Reconfigs
+// entry is the swap's protocol report.
 type ReconfigResult struct {
 	// Set is the task-set number.
 	Set int `json:"set"`
-	// Report is the swap's protocol report (quiesce latency, deferred
-	// arrivals, in-flight jobs preserved, reservations rebased).
-	Report core.ReconfigReport `json:"report"`
-	// Arrived, Released, Skipped and Completed are the run totals across
-	// both configurations.
-	Arrived   int64 `json:"arrived"`
-	Released  int64 `json:"released"`
-	Skipped   int64 `json:"skipped"`
-	Completed int64 `json:"completed"`
-	// Lost is Released − Completed after the drain: admitted jobs that
-	// never finished. The protocol guarantees zero.
-	Lost int64 `json:"lost"`
-	// Ratio is the run's overall accepted utilization ratio.
-	Ratio float64 `json:"ratio"`
+	*scenario.Result
 }
 
-// RunReconfig executes the reconfiguration experiment.
+// Report is the swap's protocol report: quiesce latency, deferred arrivals,
+// in-flight jobs preserved, reservations rebased.
+func (r ReconfigResult) Report() core.ReconfigReport { return r.Reconfigs[0] }
+
+// trialSpec is the scenario an experiment runs per trial: the workload under
+// cfg with arrivals following each task's natural process, the given
+// injections, real time on the live binding, and the invariants every mid-run
+// operation must keep — no admitted job lost, a clean ledger audit, an
+// ordered watch stream.
+func trialSpec(name, cfg string, seed int64, w scenario.WorkloadRef, horizon time.Duration, inj []scenario.Injection) *scenario.Spec {
+	return &scenario.Spec{
+		Name: name, Config: cfg, Horizon: spec.Duration(horizon), Seed: seed, Workload: w, Injections: inj,
+		Invariants: &scenario.Invariants{ZeroAdmittedLoss: true, LedgerAudit: true, WatchOrdering: true},
+		Live:       scenario.LiveSettings{TimeScale: 1},
+	}
+}
+
+// figure5Trial is trialSpec over Figure 5 task set number set.
+func figure5Trial(name string, cfg core.Config, set int, horizon time.Duration, inj []scenario.Injection) *scenario.Spec {
+	seed := workload.Figure5Params(set).Seed ^ 0x5DEECE66D
+	return trialSpec(name, cfg.String(), seed, scenario.WorkloadRef{Figure5: &set}, horizon, inj)
+}
+
+// RunReconfig executes the reconfiguration experiment: per task set, one
+// scenario whose only injection is the mid-horizon reconfigure. An invalid
+// combination is rejected before anything runs.
 func RunReconfig(opts ReconfigOptions) ([]ReconfigResult, error) {
 	opts = opts.withDefaults()
 	if err := opts.From.Validate(); err != nil {
@@ -74,41 +91,15 @@ func RunReconfig(opts ReconfigOptions) ([]ReconfigResult, error) {
 	if err := opts.To.Validate(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers < 0 {
-		workers = ResolveWorkers(workers)
-	}
 	results := make([]ReconfigResult, opts.Sets)
-	err := runTrials(opts.Sets, workers, func(set int) error {
-		p := workload.Figure5Params(set)
-		tasks, err := workload.Generate(p)
+	err := runTrials(opts.Sets, opts.Workers, func(set int) error {
+		r, err := scenario.RunSim(figure5Trial("reconfig", opts.From, set, opts.Horizon, []scenario.Injection{
+			{At: spec.Duration(opts.Horizon / 2), Kind: scenario.InjectReconfigure, To: opts.To.String()},
+		}), nil)
 		if err != nil {
 			return fmt.Errorf("experiments: reconfig set %d: %w", set, err)
 		}
-		sim, err := core.NewSimSystem(core.SimConfig{
-			Strategies: opts.From,
-			NumProcs:   workload.MaxProc(tasks) + 1,
-			Horizon:    opts.Horizon,
-			Seed:       p.Seed ^ 0x5DEECE66D,
-		}, tasks)
-		if err != nil {
-			return fmt.Errorf("experiments: reconfig set %d: %w", set, err)
-		}
-		rep, err := sim.ScheduleReconfig(opts.Horizon/2, opts.To)
-		if err != nil {
-			return fmt.Errorf("experiments: reconfig set %d: %w", set, err)
-		}
-		m := sim.Run()
-		results[set] = ReconfigResult{
-			Set:       set,
-			Report:    *rep,
-			Arrived:   m.Total.Arrived,
-			Released:  m.Total.Released,
-			Skipped:   m.Total.Skipped,
-			Completed: m.Total.Completed,
-			Lost:      m.Total.Released - m.Total.Completed,
-			Ratio:     m.AcceptedUtilizationRatio(),
-		}
+		results[set] = ReconfigResult{set, r}
 		return nil
 	})
 	if err != nil {
@@ -123,9 +114,10 @@ func writeReconfig(w io.Writer, title string, results []ReconfigResult) {
 	fmt.Fprintf(w, "%-4s %-8s %-8s %10s %9s %9s %9s %6s %7s\n",
 		"set", "from", "to", "quiesce", "deferred", "inflight", "released", "lost", "ratio")
 	for _, r := range results {
+		rep := r.Report()
 		fmt.Fprintf(w, "%-4d %-8s %-8s %10s %9d %9d %9d %6d %7.3f\n",
-			r.Set, r.Report.From, r.Report.To, r.Report.Quiesce,
-			r.Report.Deferred, r.Report.InFlightBefore, r.Released, r.Lost, r.Ratio)
+			r.Set, rep.From, rep.To, rep.Quiesce, rep.Deferred, rep.InFlightBefore, r.Released, r.Lost, r.Ratio)
+		writeViolations(w, r.Violations)
 	}
 	fmt.Fprintln(w)
 }

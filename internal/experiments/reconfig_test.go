@@ -21,14 +21,14 @@ func TestRunReconfigZeroLoss(t *testing.T) {
 		if r.Lost != 0 {
 			t.Errorf("set %d lost %d admitted jobs", r.Set, r.Lost)
 		}
-		if r.Report.Epoch != 1 {
-			t.Errorf("set %d epoch = %d", r.Set, r.Report.Epoch)
+		if r.Report().Epoch != 1 {
+			t.Errorf("set %d epoch = %d", r.Set, r.Report().Epoch)
 		}
-		if r.Report.From.String() != "T_N_N" || r.Report.To.String() != "J_J_J" {
-			t.Errorf("set %d combos = %s -> %s", r.Set, r.Report.From, r.Report.To)
+		if r.Report().From.String() != "T_N_N" || r.Report().To.String() != "J_J_J" {
+			t.Errorf("set %d combos = %s -> %s", r.Set, r.Report().From, r.Report().To)
 		}
-		if r.Report.Quiesce <= 0 {
-			t.Errorf("set %d quiesce = %v", r.Set, r.Report.Quiesce)
+		if r.Report().Quiesce <= 0 {
+			t.Errorf("set %d quiesce = %v", r.Set, r.Report().Quiesce)
 		}
 		if r.Released == 0 || r.Ratio <= 0 {
 			t.Errorf("set %d inert: %+v", r.Set, r)

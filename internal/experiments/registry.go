@@ -63,15 +63,15 @@ func Registry() []Entry {
 	return []Entry{
 		{Name: "table1", Summary: "Table 1 criteria → strategy mapping", Run: runTable1},
 		figureEntry("figure5", "accepted utilization ratio, balanced workloads (-sets, -horizon, -parallel, -csv)",
-			"Figure 5: accepted utilization ratio, random balanced workloads", workload.Figure5Params),
+			"Figure 5: accepted utilization ratio, random balanced workloads", workload.Figure5Params, figure5Findings),
 		figureEntry("figure6", "accepted utilization ratio, imbalanced workloads (-sets, -horizon, -parallel, -csv)",
-			"Figure 6: accepted utilization ratio, imbalanced workloads", workload.Figure6Params),
+			"Figure 6: accepted utilization ratio, imbalanced workloads", workload.Figure6Params, figure6Findings),
 		{Name: "overhead", Summary: "Figure 7/8 service overhead table (live, TCP; -duration, -pings)", Run: func(p Params) (Report, error) {
 			return RunOverhead(OverheadOptions{Duration: p.Duration, PingCount: p.Pings})
 		}},
 		{Name: "ablation", Summary: "AUB vs deferrable-server admission, Section 2 (-parallel)", Run: func(p Params) (Report, error) {
 			results, err := RunAblationAUBvsDS(AblationOptions{Seeds: 10, Workers: ResolveWorkers(p.Parallel)})
-			return series[AblationResult]{"ablation", results, writeAblation}, err
+			return series[AblationResult]{Experiment: "ablation", Results: results, table: writeAblation}, err
 		}},
 		{Name: "scale", Summary: "large-scenario throughput sweep over the pooled DES core (-points, -horizon default 2s)", Run: func(p Params) (Report, error) {
 			pts, err := ParseScalePoints(p.Points)
@@ -80,11 +80,11 @@ func Registry() []Entry {
 			}
 			results, err := RunScale(ScaleOptions{Points: pts, Horizon: p.Horizon})
 			title := fmt.Sprintf("Scale sweep: simulated middleware throughput by platform size (points %s)", p.Points)
-			return series[ScaleResult]{"scale", results, func(w io.Writer, rs []ScaleResult) { writeScale(w, title, rs) }}, err
+			return series[ScaleResult]{Experiment: "scale", Results: results, table: func(w io.Writer, rs []ScaleResult) { writeScale(w, title, rs) }}, err
 		}},
 		{Name: "reconfig", Summary: "mid-run strategy swap: quiesce latency + zero job loss (-from, -to, -sets, -horizon default 2m)", Run: runReconfig},
 		{Name: "churn", Summary: "open-world task churn: AddTasks/RemoveTasks under load, sim sweep + live smoke (-sets, -horizon default 2m, -nolive)", Run: runChurn},
-		{Name: "failover", Summary: "kill-a-node chaos sweep: heartbeat detection, zero-loss failover, recovery (live)", Run: func(Params) (Report, error) {
+		{Name: "failover", Summary: "kill-a-node chaos sweep: zero-loss failover, recovery (live)", Run: func(Params) (Report, error) {
 			return RunFailover()
 		}},
 		{Name: "autopilot", Summary: "closed-loop controller vs every static combination on regime-change scenarios (-nolive)", Run: func(p Params) (Report, error) {
@@ -95,16 +95,18 @@ func Registry() []Entry {
 	}
 }
 
-// series is the report of a sweep that is a list of rows and has no verdict:
-// the rows are the JSON document's "results" and table renders them.
+// series is the report of a sweep that is a list of rows: the rows are the
+// JSON document's "results" and table renders them. A sweep that only
+// measures has a nil Verdict: it passes, and its document has no "passed" key.
 type series[T any] struct {
 	Experiment string `json:"experiment"`
+	Verdict    *bool  `json:"passed,omitempty"`
 	Results    []T    `json:"results"`
 	table      func(io.Writer, []T)
 }
 
 func (s series[T]) WriteTable(w io.Writer) { s.table(w, s.Results) }
-func (series[T]) Passed() bool             { return true }
+func (s series[T]) Passed() bool           { return s.Verdict == nil || *s.Verdict }
 
 // table1Report is Table 1 plus the Figure 2 list of valid combinations.
 type table1Report struct {
@@ -123,17 +125,36 @@ func (r table1Report) WriteTable(w io.Writer) {
 
 func (table1Report) Passed() bool { return true }
 
-func figureEntry(name, summary, title string, params func(set int) workload.Params) Entry {
+// figureEntry is a Figure 5/6 reproduction. A run at the paper's parameters
+// or beyond (paperSets task sets of paperHorizon each) carries a verdict:
+// findings lists the paper's findings the results contradict, and there must
+// be none. Anything smaller is a smoke run and carries none — several
+// findings are statistical and do not separate over a few short sets.
+func figureEntry(name, summary, title string, params func(set int) workload.Params, findings func([]ComboResult) []string) Entry {
 	return Entry{Name: name, Summary: summary, Run: func(p Params) (Report, error) {
 		opts := FigureOptions{Sets: p.Sets, Horizon: p.Horizon, Workers: ResolveWorkers(p.Parallel)}.withDefaults()
 		results, err := runFigure(params, opts)
+		if err != nil {
+			return nil, err
+		}
 		title := fmt.Sprintf("%s (%d sets, %v, %d workers)", title, opts.Sets, opts.Horizon, opts.Workers)
-		return series[ComboResult]{name, results, func(w io.Writer, rs []ComboResult) {
+		rep := series[ComboResult]{Experiment: name, Results: results}
+		var failed []string
+		if opts.Sets >= paperSets && opts.Horizon >= paperHorizon {
+			failed = findings(results)
+			ok := len(failed) == 0
+			rep.Verdict = &ok
+		}
+		rep.table = func(w io.Writer, rs []ComboResult) {
 			fmt.Fprintln(w, RenderFigure(title, rs))
+			for _, f := range failed {
+				fmt.Fprintf(w, "not reproduced: %s\n", f)
+			}
 			if p.CSV {
 				fmt.Fprintln(w, RenderCSV(rs))
 			}
-		}}, err
+		}
+		return rep, nil
 	}}
 }
 
@@ -148,8 +169,12 @@ func runReconfig(p Params) (Report, error) {
 	}
 	opts := ReconfigOptions{From: from, To: to, Sets: p.Sets, Horizon: p.Horizon, Workers: ResolveWorkers(p.Parallel)}.withDefaults()
 	results, err := RunReconfig(opts)
+	ok := true
+	for _, r := range results {
+		ok = ok && r.Passed
+	}
 	title := fmt.Sprintf("Reconfiguration: %s -> %s at %v of %v (%d sets)", from, to, opts.Horizon/2, opts.Horizon, opts.Sets)
-	return series[ReconfigResult]{"reconfig", results, func(w io.Writer, rs []ReconfigResult) { writeReconfig(w, title, rs) }}, err
+	return series[ReconfigResult]{"reconfig", &ok, results, func(w io.Writer, rs []ReconfigResult) { writeReconfig(w, title, rs) }}, err
 }
 
 func runChurn(p Params) (Report, error) {
@@ -158,12 +183,16 @@ func runChurn(p Params) (Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &ChurnReport{Experiment: "churn", Results: results,
+	rep := &ChurnReport{Experiment: "churn", Verdict: true, Results: results,
 		title: fmt.Sprintf("Open-world churn: tenants joining/leaving over %v (%d sets, %d workers)", opts.Horizon, opts.Sets, opts.Workers)}
+	for _, r := range results {
+		rep.Verdict = rep.Verdict && r.Passed
+	}
 	if !p.NoLive {
-		if rep.Live, err = RunChurnLive(ChurnLiveOptions{}); err != nil {
+		if rep.Live, err = RunChurnLive(); err != nil {
 			return nil, err
 		}
+		rep.Verdict = rep.Verdict && rep.Live.Passed
 	}
 	return rep, nil
 }

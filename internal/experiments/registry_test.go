@@ -35,7 +35,7 @@ func TestRenderJSON(t *testing.T) {
 		"ablation": {`"technique":"AUB"`, `"technique":"DS"`},
 		"scale":    {`"point":{"procs":5,"tasks":100}`, `"jobs_per_sec":`},
 		"reconfig": {`"from":"T_N_N"`, `"to":"J_J_J"`, `"lost":0`, `"quiesce_ns":`},
-		"churn":    {`"watch_order_ok":true`, `"combo":"T_N_N"`},
+		"churn":    {`"watch_ordered":true`, `"combo":"T_N_N"`},
 		"scenario": {`"binding":"sim"`, `"passed":true`},
 	}
 	seen := make(map[string]bool)

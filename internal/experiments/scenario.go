@@ -126,14 +126,19 @@ func (rep *ScenarioReport) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "%-6s %8d %9d %9d %6d %7.3f %9.4f %6d %8d %7s %8s\n",
 			r.Binding, r.Arrived, r.Released, r.Completed, r.Lost, r.Ratio,
 			r.MissRate, r.Epoch, r.WatchEvents, ledger, verdict)
-		for _, v := range r.Violations {
-			fmt.Fprintf(w, "       violation: %s\n", v)
-		}
+		writeViolations(w, r.Violations)
 	}
 	if rep.RecordPath != "" {
 		fmt.Fprintf(w, "journal recorded to %s\n", rep.RecordPath)
 	}
 	fmt.Fprintln(w)
+}
+
+// writeViolations lists a run's broken invariants under its table row.
+func writeViolations(w io.Writer, violations []string) {
+	for _, v := range violations {
+		fmt.Fprintf(w, "       violation: %s\n", v)
+	}
 }
 
 // runScenarioArgs is the registry entry: it parses the subcommand's own

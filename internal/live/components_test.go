@@ -272,41 +272,6 @@ func TestAttrHelpers(t *testing.T) {
 	}
 }
 
-func TestCollector(t *testing.T) {
-	tasks := []*sched.Task{{
-		ID: "t", Kind: sched.Aperiodic, Deadline: 50 * time.Millisecond,
-		Subtasks: []sched.Subtask{{Exec: time.Millisecond}},
-	}}
-	node, err := NewNode("coll-test", 0, "127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	c := NewCollector(tasks)
-	c.Attach(node.Channel)
-
-	base := time.Now().UnixNano()
-	push := func(task string, resp time.Duration) {
-		_ = node.Channel.Push(eventchan.Event{Type: EvDone, Payload: AppendDone(nil, &Done{
-			Task:         task,
-			Job:          0,
-			ArrivalNanos: base,
-			DoneNanos:    base + int64(resp),
-		})})
-	}
-	push("t", 10*time.Millisecond) // met
-	push("t", 80*time.Millisecond) // missed
-	if c.Completed() != 2 {
-		t.Errorf("Completed = %d", c.Completed())
-	}
-	if c.Missed() != 1 {
-		t.Errorf("Missed = %d", c.Missed())
-	}
-	if got := c.MeanResponse(); got != 45*time.Millisecond {
-		t.Errorf("MeanResponse = %v", got)
-	}
-}
-
 // TestStageProcShortPlacement: a Trigger off the wire may carry a placement
 // shorter than its task has stages. The next stage then has no processor to
 // address, and the event must be broadcast (where every subtask's filter

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/ccm"
-	"repro/internal/eventchan"
 	"repro/internal/sched"
 )
 
@@ -143,70 +142,4 @@ func (d *Driver) exp(mean time.Duration) time.Duration {
 	}
 	d.rngMu.Unlock()
 	return time.Duration(-float64(mean) * d.scale * math.Log(u))
-}
-
-// Collector aggregates job completions from the nodes' local Done events.
-type Collector struct {
-	mu        sync.Mutex
-	completed int64
-	missed    int64
-	totalResp time.Duration
-	maxResp   time.Duration
-	deadlines map[string]time.Duration
-}
-
-// NewCollector builds a collector knowing each task's end-to-end deadline.
-func NewCollector(tasks []*sched.Task) *Collector {
-	dl := make(map[string]time.Duration, len(tasks))
-	for _, t := range tasks {
-		dl[t.ID] = t.Deadline
-	}
-	return &Collector{deadlines: dl}
-}
-
-// Attach subscribes the collector to a node's Done events.
-func (c *Collector) Attach(ch *eventchan.Channel) {
-	ch.Subscribe(EvDone, func(ev eventchan.Event) {
-		done, err := DecodeDone(ev.Payload)
-		if err != nil {
-			return
-		}
-		resp := time.Duration(done.DoneNanos - done.ArrivalNanos)
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.completed++
-		c.totalResp += resp
-		if resp > c.maxResp {
-			c.maxResp = resp
-		}
-		if dl, ok := c.deadlines[done.Task]; ok && resp > dl {
-			c.missed++
-		}
-	})
-}
-
-// Completed returns the number of completed jobs observed.
-func (c *Collector) Completed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.completed
-}
-
-// Missed returns the number of completed jobs over deadline. Live-binding
-// response times include real network and scheduling noise; the exact
-// guarantee experiments run on the simulation binding.
-func (c *Collector) Missed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.missed
-}
-
-// MeanResponse returns the mean observed response time.
-func (c *Collector) MeanResponse() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.completed == 0 {
-		return 0
-	}
-	return c.totalResp / time.Duration(c.completed)
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	wspec "repro/internal/spec"
@@ -42,18 +41,6 @@ type JournalHeader struct {
 	Workload  *wspec.Workload `json:"workload"`
 }
 
-// JournalOp is one applied (post-filter) timeline operation, in the
-// scenario's virtual timebase.
-type JournalOp struct {
-	At    wspec.Duration   `json:"at"`
-	Op    string           `json:"op"`
-	Tasks []string         `json:"tasks,omitempty"`
-	Add   []wspec.TaskSpec `json:"add,omitempty"`
-	IDs   []string         `json:"ids,omitempty"`
-	To    string           `json:"to,omitempty"`
-	Node  *int             `json:"node,omitempty"`
-}
-
 // JournalEvent is one observed watch event. Events are observational —
 // replay reconstructs the run from the ops alone — but they make the
 // journal a complete incident record.
@@ -70,14 +57,14 @@ type JournalEvent struct {
 type journalLine struct {
 	Type   string         `json:"type"`
 	Header *JournalHeader `json:"header,omitempty"`
-	Op     *JournalOp     `json:"op,omitempty"`
+	Op     *Op            `json:"op,omitempty"`
 	Event  *JournalEvent  `json:"event,omitempty"`
 }
 
 // Journal is a decoded recording.
 type Journal struct {
 	Header JournalHeader
-	Ops    []JournalOp
+	Ops    []Op
 	Events []JournalEvent
 }
 
@@ -108,8 +95,8 @@ func (r *Recorder) write(line journalLine) {
 	r.err = r.enc.Encode(line)
 }
 
-// Op records one applied timeline operation.
-func (r *Recorder) Op(op JournalOp) { r.write(journalLine{Type: "op", Op: &op}) }
+// Op records one applied (post-filter) timeline operation.
+func (r *Recorder) Op(op Op) { r.write(journalLine{Type: "op", Op: &op}) }
 
 // Event records one observed watch event.
 func (r *Recorder) Event(ev core.WatchEvent) {
@@ -147,24 +134,15 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			return nil, fmt.Errorf("scenario: journal line %d: %w", n, err)
 		}
-		switch line.Type {
-		case "header":
-			if line.Header == nil {
-				return nil, fmt.Errorf("scenario: journal line %d: empty header", n)
-			}
+		switch {
+		case line.Type == "header" && line.Header != nil:
 			j.Header = *line.Header
-		case "op":
-			if line.Op == nil {
-				return nil, fmt.Errorf("scenario: journal line %d: empty op", n)
-			}
+		case line.Type == "op" && line.Op != nil:
 			j.Ops = append(j.Ops, *line.Op)
-		case "event":
-			if line.Event == nil {
-				return nil, fmt.Errorf("scenario: journal line %d: empty event", n)
-			}
+		case line.Type == "event" && line.Event != nil:
 			j.Events = append(j.Events, *line.Event)
 		default:
-			return nil, fmt.Errorf("scenario: journal line %d: unknown type %q", n, line.Type)
+			return nil, fmt.Errorf("scenario: journal line %d: unknown type %q or empty body", n, line.Type)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -182,139 +160,30 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 	return j, nil
 }
 
-// ReplayResult is a deterministic re-execution's outcome: the run counters
-// plus the canonical metrics document. Because the simulation is a
-// deterministic function of (workload, config, seed, op timeline), replays
-// of the same journal yield byte-identical MetricsJSON — the property the
-// offline incident-reproduction path rests on.
-type ReplayResult struct {
-	Scenario  string
-	Arrived   int64
-	Released  int64
-	Skipped   int64
-	Completed int64
-	Missed    int64
-	Lost      int64
-	Ratio     float64
-	// MetricsJSON is the canonical (indented, key-sorted, per-task sorted)
-	// metrics document; byte-compare it across replays.
-	MetricsJSON []byte
-}
+// ReplayResult is a deterministic re-execution's outcome: the simulation
+// run's Result, without a verdict (a journal carries no invariant block).
+// Because the simulation is a deterministic function of (workload, config,
+// seed, op timeline), replays of the same journal yield byte-identical
+// MetricsJSON — the property the offline incident-reproduction path rests on.
+type ReplayResult = Result
 
 // Replay re-executes a journal's op timeline in the simulation binding:
 // the header's workload, configuration and seed rebuild the sim in
-// open-loop mode, and the recorded ops are scheduled verbatim at their
-// virtual times. A journal recorded from a sim run reproduces that run
-// exactly; one recorded from a live run reproduces the live arrival
-// timeline under the simulator's deterministic execution model.
+// open-loop mode, and the recorded ops go through the same apply that
+// performed them, at their virtual times. A journal recorded from a sim run
+// reproduces that run exactly; one recorded from a live run reproduces the
+// live arrival timeline under the simulator's deterministic execution model.
 func Replay(j *Journal) (*ReplayResult, error) {
-	cfg, err := core.ParseConfig(j.Header.Config)
+	h := j.Header
+	tasks, err := h.Workload.SchedTasks()
 	if err != nil {
 		return nil, fmt.Errorf("scenario: replay: %w", err)
 	}
-	tasks, err := j.Header.Workload.SchedTasks()
-	if err != nil {
+	res := &Result{Scenario: h.Scenario, Binding: BindingSim, Config: h.Config, Horizon: h.Horizon, Seed: h.Seed}
+	if err := runSim(res, tasks, h.Workload.Processors, j.Ops, nil, nil); err != nil {
 		return nil, fmt.Errorf("scenario: replay: %w", err)
 	}
-	sim, err := core.NewSimSystem(core.SimConfig{
-		Strategies:       cfg,
-		NumProcs:         j.Header.Workload.Processors,
-		Horizon:          time.Duration(j.Header.Horizon),
-		Seed:             j.Header.Seed,
-		ExternalArrivals: true,
-	}, tasks)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: replay: %w", err)
-	}
-	var cbErr error
-	fail := func(err error) {
-		if err != nil && cbErr == nil {
-			cbErr = err
-		}
-	}
-	for i, op := range j.Ops {
-		op := op
-		i := i
-		var fn func()
-		switch op.Op {
-		case OpSubmit:
-			fn = func() { _, err := sim.SubmitBatch(op.Tasks); fail(err) }
-		case InjectAddTasks:
-			fn = func() {
-				added, err := injectionTasks(Injection{Kind: InjectAddTasks, Tasks: op.Add}, j.Header.Workload.Processors)
-				if err != nil {
-					fail(err)
-					return
-				}
-				fail(sim.AddTasks(added))
-			}
-		case InjectRemoveTasks:
-			fn = func() { fail(sim.RemoveTasks(op.IDs)) }
-		case InjectReconfigure:
-			fn = func() {
-				to, err := core.ParseConfig(op.To)
-				if err != nil {
-					fail(err)
-					return
-				}
-				_, err = sim.Reconfigure(to)
-				fail(err)
-			}
-		case InjectKillNode, InjectRecoverNode:
-			// Node faults are live-binding events; the simulation has no node
-			// model, so a replayed fault is a timeline marker only.
-			fn = func() {}
-		default:
-			return nil, fmt.Errorf("scenario: replay: op %d: unknown kind %q", i, op.Op)
-		}
-		if err := sim.At(time.Duration(op.At), fn); err != nil {
-			return nil, fmt.Errorf("scenario: replay: op %d: %w", i, err)
-		}
-	}
-	m := sim.Run()
-	if err := sim.Stop(); err != nil {
-		return nil, err
-	}
-	if cbErr != nil {
-		return nil, fmt.Errorf("scenario: replay: %w", cbErr)
-	}
-	doc, err := CanonicalMetricsJSON(j.Header.Scenario, m)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplayResult{
-		Scenario:    j.Header.Scenario,
-		Arrived:     m.Total.Arrived,
-		Released:    m.Total.Released,
-		Skipped:     m.Total.Skipped,
-		Completed:   m.Total.Completed,
-		Missed:      m.Total.Missed,
-		Lost:        m.Total.Released - m.Total.Completed,
-		Ratio:       m.AcceptedUtilizationRatio(),
-		MetricsJSON: doc,
-	}, nil
-}
-
-// metricsKindJSON is the canonical serialization of one accounting bucket.
-type metricsKindJSON struct {
-	Arrived       int64   `json:"arrived"`
-	Released      int64   `json:"released"`
-	Skipped       int64   `json:"skipped"`
-	Completed     int64   `json:"completed"`
-	Missed        int64   `json:"missed"`
-	ArrivedUtil   float64 `json:"arrived_util"`
-	ReleasedUtil  float64 `json:"released_util"`
-	TotalResponse int64   `json:"total_response_ns"`
-	MaxResponse   int64   `json:"max_response_ns"`
-}
-
-func kindJSON(k core.KindMetrics) metricsKindJSON {
-	return metricsKindJSON{
-		Arrived: k.Arrived, Released: k.Released, Skipped: k.Skipped,
-		Completed: k.Completed, Missed: k.Missed,
-		ArrivedUtil: k.ArrivedUtil, ReleasedUtil: k.ReleasedUtil,
-		TotalResponse: int64(k.TotalResponse), MaxResponse: int64(k.MaxResponse),
-	}
+	return res, nil
 }
 
 // CanonicalMetricsJSON renders a metrics value as a canonical document:
@@ -324,22 +193,17 @@ func kindJSON(k core.KindMetrics) metricsKindJSON {
 func CanonicalMetricsJSON(scenario string, m *core.Metrics) ([]byte, error) {
 	type taskEntry struct {
 		ID string `json:"id"`
-		metricsKindJSON
+		core.KindMetrics
 	}
 	doc := struct {
-		Scenario  string          `json:"scenario"`
-		Total     metricsKindJSON `json:"total"`
-		Periodic  metricsKindJSON `json:"periodic"`
-		Aperiodic metricsKindJSON `json:"aperiodic"`
-		Tasks     []taskEntry     `json:"tasks"`
-	}{
-		Scenario:  scenario,
-		Total:     kindJSON(m.Total),
-		Periodic:  kindJSON(m.Periodic),
-		Aperiodic: kindJSON(m.Aperiodic),
-	}
+		Scenario  string           `json:"scenario"`
+		Total     core.KindMetrics `json:"total"`
+		Periodic  core.KindMetrics `json:"periodic"`
+		Aperiodic core.KindMetrics `json:"aperiodic"`
+		Tasks     []taskEntry      `json:"tasks"`
+	}{Scenario: scenario, Total: m.Total, Periodic: m.Periodic, Aperiodic: m.Aperiodic}
 	for _, id := range m.TaskIDs() {
-		doc.Tasks = append(doc.Tasks, taskEntry{ID: id, metricsKindJSON: kindJSON(m.Task(id))})
+		doc.Tasks = append(doc.Tasks, taskEntry{id, m.Task(id)})
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -365,28 +229,19 @@ func jsonUnmarshalStrict(data []byte, v any) error {
 }
 
 // RecordHeader builds the journal header for a spec about to run on a
-// binding. The workload snapshot is taken from the compiled initial task
-// set, unscaled.
+// binding. The workload snapshot is the spec's initial task set, unscaled.
 func RecordHeader(s *Spec, bindingName string, timeScale float64) (JournalHeader, error) {
-	c, err := compile(s)
+	c, err := s.check()
 	if err != nil {
 		return JournalHeader{}, err
 	}
-	return JournalHeader{
-		Scenario: s.Name,
-		Binding:  bindingName,
-		Config:   s.Config,
-		Horizon:  s.Horizon,
-		Seed:     s.Seed,
-		TimeScale: func() float64 {
-			if bindingName == BindingLive {
-				if timeScale > 0 {
-					return timeScale
-				}
-				return s.timeScale()
-			}
-			return 0
-		}(),
+	h := JournalHeader{
+		Scenario: s.Name, Binding: bindingName, Config: s.Config,
+		Horizon: s.Horizon, Seed: s.Seed,
 		Workload: wspec.FromTasks(s.Name, c.procs, c.tasks),
-	}, nil
+	}
+	if bindingName == BindingLive {
+		h.TimeScale = s.timeScale(timeScale)
+	}
+	return h, nil
 }

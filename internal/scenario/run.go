@@ -6,12 +6,13 @@ package scenario
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/autopilot"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/sched"
 	wspec "repro/internal/spec"
 	"repro/internal/workload"
 )
@@ -62,6 +63,11 @@ type Result struct {
 	LedgerClean  bool  `json:"ledger_clean"`
 	// Wall is the execution's wall-clock time.
 	Wall time.Duration `json:"wall_ns"`
+	// Reconfigs is what each reconfigure op of the timeline cost, in order
+	// (the autopilot's own actuations are in Decisions); NodeFaults what each
+	// kill_node op did, on the live binding — the simulation has no node model.
+	Reconfigs  []core.ReconfigReport `json:"reconfigs,omitempty"`
+	NodeFaults []NodeFault           `json:"node_faults,omitempty"`
 	// Actuations, RegimeChanges and Decisions describe the autopilot when
 	// the spec enables it: total Reconfigure actuations, classified regime
 	// transitions, and the controller's decision journal.
@@ -78,9 +84,27 @@ type Result struct {
 	Passed     bool     `json:"passed"`
 }
 
-// evaluate applies the spec's invariant block to a finished run, returning
-// the violations. Live runs use the block's live overrides where present.
-func evaluate(inv *Invariants, binding string, r *Result) []string {
+// NodeFault is what one node loss cost: a kill_node op and, when the
+// timeline has one, the recover_node op that followed it.
+type NodeFault struct {
+	// InFlightAtKill is Released − Completed the instant before the kill:
+	// the admitted jobs the failover must not lose.
+	InFlightAtKill int64 `json:"in_flight_at_kill"`
+	// Failover is the failover transaction's report; it names the processor.
+	Failover cluster.FailoverReport `json:"failover"`
+	// Recovery is how long RecoverNode took (fresh node plus redeploy); zero
+	// when the node was never recovered.
+	Recovery time.Duration `json:"recovery_ns"`
+	// DownSeen and RecoveredSeen report that the watch stream carried the
+	// node's WatchNodeDown and WatchNodeRecovered events.
+	DownSeen      bool `json:"node_down_seen"`
+	RecoveredSeen bool `json:"node_recovered_seen"`
+}
+
+// judge applies the spec's invariant block to the finished run, filling
+// Violations and Passed. Live runs use the block's live overrides where
+// present.
+func (r *Result) judge(inv *Invariants) {
 	var v []string
 	if inv.ZeroAdmittedLoss && r.Lost != 0 {
 		v = append(v, fmt.Sprintf("zeroAdmittedLoss: %d admitted jobs lost (released %d, completed %d)", r.Lost, r.Released, r.Completed))
@@ -91,14 +115,16 @@ func evaluate(inv *Invariants, binding string, r *Result) []string {
 	if inv.WatchOrdering && !r.WatchOrdered {
 		v = append(v, "watchOrdering: watch stream delivered out-of-order sequence numbers")
 	}
-	maxMiss := inv.MaxMissRate
-	minArrived := inv.MinArrived
-	if binding == BindingLive && inv.Live != nil {
-		if inv.Live.MaxMissRate != nil {
-			maxMiss = inv.Live.MaxMissRate
+	maxMiss, minArrived, maxAct := inv.MaxMissRate, inv.MinArrived, inv.MaxActuations
+	if live := inv.Live; r.Binding == BindingLive && live != nil {
+		if live.MaxMissRate != nil {
+			maxMiss = live.MaxMissRate
 		}
-		if inv.Live.MinArrived != nil {
-			minArrived = *inv.Live.MinArrived
+		if live.MinArrived != nil {
+			minArrived = *live.MinArrived
+		}
+		if live.MaxActuations != nil {
+			maxAct = live.MaxActuations
 		}
 	}
 	if maxMiss != nil && r.MissRate > *maxMiss {
@@ -110,166 +136,330 @@ func evaluate(inv *Invariants, binding string, r *Result) []string {
 	if inv.MaxWatchDropped != nil && r.WatchDropped > *inv.MaxWatchDropped {
 		v = append(v, fmt.Sprintf("maxWatchDropped: %d events dropped, cap %d", r.WatchDropped, *inv.MaxWatchDropped))
 	}
-	maxAct := inv.MaxActuations
-	if binding == BindingLive && inv.Live != nil && inv.Live.MaxActuations != nil {
-		maxAct = inv.Live.MaxActuations
-	}
 	if maxAct != nil && r.Actuations > *maxAct {
 		v = append(v, fmt.Sprintf("maxActuations: autopilot actuated %d times, cap %d", r.Actuations, *maxAct))
 	}
-	return v
-}
-
-// watchProbe consumes a binding's watch stream concurrently: it counts
-// events and deadline misses, checks strict Seq ordering, and forwards
-// every event to the recorder when one is attached.
-type watchProbe struct {
-	stream  *core.WatchStream
-	events  atomic.Int64
-	misses  atomic.Int64
-	ordered atomic.Bool
-	done    chan struct{}
-}
-
-func newWatchProbe(stream *core.WatchStream, rec *Recorder) *watchProbe {
-	p := &watchProbe{stream: stream, done: make(chan struct{})}
-	p.ordered.Store(true)
-	go func() {
-		defer close(p.done)
-		var lastSeq int64
-		for ev := range stream.Events() {
-			if ev.Seq <= lastSeq {
-				p.ordered.Store(false)
-			}
-			lastSeq = ev.Seq
-			p.events.Add(1)
-			if ev.Kind == core.WatchDeadlineMiss {
-				p.misses.Add(1)
-			}
-			if rec != nil {
-				rec.Event(ev)
-			}
-		}
-	}()
-	return p
-}
-
-// finish cancels the stream, waits for the consumer, and fills the result's
-// watch fields.
-func (p *watchProbe) finish(r *Result) {
-	p.stream.Cancel()
-	<-p.done
-	r.WatchEvents = p.events.Load()
-	r.WatchDropped = p.stream.Dropped()
-	r.WatchOrdered = p.ordered.Load()
+	r.Violations, r.Passed = v, len(v) == 0
 }
 
 // scenarioWatchBuffer sizes the run's watch stream: scenarios burst tens of
 // thousands of lifecycle events, and a recording run must not shed any.
 const scenarioWatchBuffer = 1 << 16
 
-// RunSim executes the scenario on the deterministic simulation binding.
-// Arrivals are open-loop (ExternalArrivals), driven entirely by the
-// compiled timeline through At callbacks, so two runs of the same spec are
-// identical event-for-event. When rec is non-nil the applied (post-filter)
-// ops and the watch stream are recorded.
-func RunSim(s *Spec, rec *Recorder) (*Result, error) {
-	if err := s.Validate(); err != nil {
+// binding is the op surface apply drives; *core.SimSystem and
+// *cluster.Cluster both satisfy it.
+type binding interface {
+	Watch(opts core.WatchOptions) (*core.WatchStream, error)
+	SubmitBatch(ids []string) ([]core.Admission, error)
+	AddTasks(tasks []*sched.Task) error
+	RemoveTasks(ids []string) error
+	Reconfigure(to core.Config) (*core.ReconfigReport, error)
+	Snapshot() core.BindingSnapshot
+}
+
+// nodeBinding is the node-fault surface, which only the live cluster has;
+// without it a node fault is a journaled timeline marker and nothing else.
+type nodeBinding interface {
+	KillNode(i int) error
+	Failover(proc int) (*cluster.FailoverReport, error)
+	RecoverNode(i int) error
+}
+
+// run is one execution's state: the binding, the active task set, the
+// recorder, the watch consumer, and what the ops returned. Its apply is the only
+// code that performs a timeline op, whichever of RunSim, RunLive and Replay feeds it.
+type run struct {
+	b     binding
+	procs int
+	// scale is the live time compression and origin the wall-clock instant
+	// of scenario time zero; 1 and 0 on the simulation.
+	scale  float64
+	origin time.Duration
+	rec    *Recorder
+	res    *Result
+
+	// The watch consumer's tallies, read once it has exited.
+	stream     *core.WatchStream
+	watched    chan struct{}
+	events     int64
+	ordered    bool
+	down, back map[string]bool
+
+	// mu guards what follows: on the live binding the autopilot's goroutine
+	// retires shed tasks while the timeline filters against them.
+	mu        sync.Mutex
+	active    map[string]bool
+	reconfigs []*core.ReconfigReport // the sim fills a report once its swap runs
+	err       error                  // first failed op of a sim run, whose callbacks cannot return one
+}
+
+// newRun starts a run on a built binding: every initial task is active and
+// the watch stream is being consumed.
+func newRun(b binding, res *Result, tasks []*sched.Task, procs int, scale float64, rec *Recorder) (*run, error) {
+	stream, err := b.Watch(core.WatchOptions{Buffer: scenarioWatchBuffer})
+	if err != nil {
 		return nil, err
 	}
+	r := &run{
+		b: b, procs: procs, scale: scale, rec: rec, res: res,
+		stream: stream, watched: make(chan struct{}), ordered: true,
+		down: make(map[string]bool), back: make(map[string]bool),
+		active: make(map[string]bool, len(tasks)),
+	}
+	for _, t := range tasks {
+		r.active[t.ID] = true
+	}
+	go r.watch()
+	return r, nil
+}
+
+// watch consumes the binding's watch stream, recording it when asked to.
+func (r *run) watch() {
+	defer close(r.watched)
+	var lastSeq int64
+	for ev := range r.stream.Events() {
+		r.ordered = r.ordered && ev.Seq > lastSeq
+		lastSeq = ev.Seq
+		r.events++
+		switch ev.Kind {
+		case core.WatchNodeDown:
+			r.down[ev.Task] = true
+		case core.WatchNodeRecovered:
+			r.back[ev.Task] = true
+		}
+		if r.rec != nil {
+			r.rec.Event(ev)
+		}
+	}
+}
+
+// journal records an applied op.
+func (r *run) journal(op Op) {
+	if r.rec != nil {
+		r.rec.Op(op)
+	}
+}
+
+// activeOf returns the IDs that name an active task, in order.
+func (r *run) activeOf(ids []string) []string {
+	out := make([]string, 0, len(ids))
+	for _, id := range ids {
+		if r.active[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// retire takes tasks out of the active set: their remaining arrivals are
+// filtered rather than submitted into an error.
+func (r *run) retire(ids []string) {
+	for _, id := range ids {
+		delete(r.active, id)
+	}
+}
+
+// apply performs one timeline op: filter it against the active task set,
+// journal what is left, make the one binding call the kind stands for, and
+// keep what the call returned. A new injection kind is one case here.
+func (r *run) apply(op Op) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	nodes, hasNodes := r.b.(nodeBinding)
+	switch op.Op {
+	case OpSubmit:
+		ids := r.activeOf(op.Tasks)
+		r.res.FilteredArrivals += len(op.Tasks) - len(ids)
+		if len(ids) == 0 {
+			return nil
+		}
+		op.Tasks = ids
+		r.journal(op)
+		_, err := r.b.SubmitBatch(ids)
+		return err
+	case InjectAddTasks:
+		added, err := injectionTasks(op.Add, r.procs)
+		if err != nil {
+			return err
+		}
+		r.journal(op)
+		if r.scale != 1 {
+			added = workload.Scale(added, 1/r.scale)
+		}
+		if err := r.b.AddTasks(added); err != nil {
+			return err
+		}
+		for _, t := range added {
+			r.active[t.ID] = true
+		}
+	case InjectRemoveTasks:
+		ids := r.activeOf(op.IDs)
+		if len(ids) == 0 {
+			return nil
+		}
+		op.IDs = ids
+		r.journal(op)
+		if err := r.b.RemoveTasks(ids); err != nil {
+			return err
+		}
+		r.retire(ids)
+	case InjectReconfigure:
+		to, err := core.ParseConfig(op.To)
+		if err != nil {
+			return err
+		}
+		r.journal(op)
+		rep, err := r.b.Reconfigure(to)
+		if err != nil {
+			return err
+		}
+		r.reconfigs = append(r.reconfigs, rep)
+	case InjectKillNode:
+		// Kill the node abruptly, then run the failover synchronously so the
+		// timeline's ordering stays deterministic: every later op sees the
+		// post-failover placement. Tasks the failover withdrew (no surviving
+		// replica) leave the active set.
+		r.journal(op)
+		if !hasNodes {
+			return nil
+		}
+		inFlight := r.b.Snapshot().InFlight
+		if err := nodes.KillNode(*op.Node); err != nil {
+			return err
+		}
+		rep, err := nodes.Failover(*op.Node)
+		if err != nil {
+			return err
+		}
+		r.retire(rep.Withdrawn)
+		r.res.NodeFaults = append(r.res.NodeFaults, NodeFault{InFlightAtKill: inFlight, Failover: *rep})
+	case InjectRecoverNode:
+		r.journal(op)
+		if !hasNodes {
+			return nil
+		}
+		start := time.Now()
+		if err := nodes.RecoverNode(*op.Node); err != nil {
+			return err
+		}
+		// Validation made a node's kills and recovers alternate, so its latest
+		// fault is the one this op ends.
+		for i := len(r.res.NodeFaults) - 1; i >= 0; i-- {
+			if f := &r.res.NodeFaults[i]; f.Failover.Proc == *op.Node {
+				f.Recovery = time.Since(start)
+				break
+			}
+		}
+	default:
+		return fmt.Errorf("scenario: unknown op kind %q", op.Op)
+	}
+	return nil
+}
+
+// autopilot builds the spec's controller with its actuations journaled as
+// replayable ops in the scenario timebase (at is the binding's clock). A shed
+// retires its victims from the active set before the controller removes
+// them, so the timeline never submits to a task the binding has just dropped.
+func (r *run) autopilot(a *AutopilotSpec) (*autopilot.Autopilot, error) {
+	opts, err := a.options()
+	if err != nil {
+		return nil, err
+	}
+	scenarioTime := func(at time.Duration) wspec.Duration {
+		return wspec.Duration(float64(at-r.origin) * r.scale)
+	}
+	opts = opts.Scale(r.scale)
+	opts.OnAction = func(at time.Duration, from, to core.Config) {
+		r.journal(Op{At: scenarioTime(at), Op: InjectReconfigure, To: to.String()})
+	}
+	opts.OnShed = func(at time.Duration, ids []string) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if ids = r.activeOf(ids); len(ids) > 0 {
+			r.journal(Op{At: scenarioTime(at), Op: InjectRemoveTasks, IDs: ids})
+			r.retire(ids)
+		}
+	}
+	return autopilot.New(opts)
+}
+
+// finish closes the run's books once the binding has drained; missed is the
+// binding's own miss count, which its snapshot lacks.
+func (r *run) finish(ap *autopilot.Autopilot, missed int64) {
+	res, snap := r.res, r.b.Snapshot()
+	res.Arrived, res.Released, res.Skipped, res.Completed = snap.Arrived, snap.Released, snap.Skipped, snap.Completed
+	res.Missed, res.Lost, res.Epoch = missed, snap.Released-snap.Completed, snap.Epoch
+	if res.Completed > 0 {
+		res.MissRate = float64(res.Missed) / float64(res.Completed)
+	}
+	r.stream.Cancel()
+	<-r.watched
+	res.WatchEvents, res.WatchDropped, res.WatchOrdered = r.events, r.stream.Dropped(), r.ordered
+	for i := range res.NodeFaults {
+		f := &res.NodeFaults[i]
+		f.DownSeen = r.down[f.Failover.Node]
+		f.RecoveredSeen = f.Recovery > 0 && r.back[f.Failover.Node]
+	}
+	for _, rep := range r.reconfigs {
+		res.Reconfigs = append(res.Reconfigs, *rep)
+	}
+	if ap != nil {
+		st := ap.Stats()
+		res.Actuations, res.RegimeChanges, res.Decisions = st.Actuations, st.RegimeChanges, ap.Journal()
+	}
+}
+
+// RunSim executes the scenario on the deterministic simulation binding.
+// Arrivals are open-loop (ExternalArrivals), driven entirely by the compiled
+// timeline, so two runs of the same spec are identical event-for-event. When
+// rec is non-nil the applied (post-filter) ops and the watch stream are recorded.
+func RunSim(s *Spec, rec *Recorder) (*Result, error) {
 	c, err := compile(s)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := core.ParseConfig(s.Config)
-	if err != nil {
+	res := &Result{Scenario: s.Name, Binding: BindingSim, Config: s.Config, Horizon: s.Horizon, Seed: s.Seed}
+	if err := runSim(res, c.tasks, c.procs, c.ops, s.Autopilot, rec); err != nil {
 		return nil, err
+	}
+	res.judge(s.Invariants)
+	return res, nil
+}
+
+// runSim is the simulation driver, shared by RunSim (compiled ops) and
+// Replay (a journal's ops): it builds the open-loop simulation res
+// identifies, schedules apply for every op at its virtual time, runs, and
+// fills res.
+func runSim(res *Result, tasks []*sched.Task, procs int, ops []Op, auto *AutopilotSpec, rec *Recorder) error {
+	cfg, err := core.ParseConfig(res.Config)
+	if err != nil {
+		return err
 	}
 	sim, err := core.NewSimSystem(core.SimConfig{
 		Strategies:       cfg,
-		NumProcs:         c.procs,
-		Horizon:          time.Duration(s.Horizon),
-		Seed:             s.Seed,
+		NumProcs:         procs,
+		Horizon:          time.Duration(res.Horizon),
+		Seed:             res.Seed,
 		ExternalArrivals: true,
-	}, c.tasks)
+	}, tasks)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	stream, err := sim.Watch(core.WatchOptions{Buffer: scenarioWatchBuffer})
+	r, err := newRun(sim, res, tasks, procs, 1, rec)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	probe := newWatchProbe(stream, rec)
-
-	res := &Result{
-		Scenario: s.Name, Binding: BindingSim, Config: s.Config,
-		Horizon: s.Horizon, Seed: s.Seed, Ops: len(c.ops),
-	}
-	active := make(map[string]bool, len(c.tasks))
-	for _, t := range c.tasks {
-		active[t.ID] = true
-	}
-	var cbErr error
-	fail := func(err error) {
-		if err != nil && cbErr == nil {
-			cbErr = err
-		}
-	}
-	for _, op := range c.ops {
-		op := op
-		var fn func()
-		switch op.Kind {
-		case InjectAddTasks:
-			fn = func() {
-				added, err := injectionTasks(Injection{Kind: InjectAddTasks, Tasks: op.Add}, c.procs)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if rec != nil {
-					rec.Op(JournalOp{At: wspec.Duration(op.At), Op: InjectAddTasks, Add: op.Add})
-				}
-				if err := sim.AddTasks(added); err != nil {
-					fail(err)
-					return
-				}
-				for _, t := range added {
-					active[t.ID] = true
-				}
+	res.Ops = len(ops)
+	for i, op := range ops {
+		// An At callback cannot return an error: the first one sticks and
+		// fails the run after it.
+		err := sim.At(time.Duration(op.At), func() {
+			if err := r.apply(op); err != nil && r.err == nil {
+				r.err = err
 			}
-		case InjectReconfigure:
-			fn = func() {
-				to, err := core.ParseConfig(op.To)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if rec != nil {
-					rec.Op(JournalOp{At: wspec.Duration(op.At), Op: InjectReconfigure, To: op.To})
-				}
-				if _, err := sim.Reconfigure(to); err != nil {
-					fail(err)
-				}
-			}
-		case InjectKillNode, InjectRecoverNode:
-			// The simulation has no node model: a node fault is recorded as a
-			// timeline marker and otherwise ignored. Run the spec on the live
-			// binding to exercise the failure path.
-			fn = func() {
-				if rec != nil {
-					node := op.Node
-					rec.Op(JournalOp{At: wspec.Duration(op.At), Op: op.Kind, Node: &node})
-				}
-			}
-		default:
-			fn = func() {
-				_, err := applyOp(sim, op, active, res, rec)
-				fail(err)
-			}
-		}
-		if err := sim.At(op.At, fn); err != nil {
-			return nil, err
+		})
+		if err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
 		}
 	}
 
@@ -277,141 +467,41 @@ func RunSim(s *Spec, rec *Recorder) (*Result, error) {
 	// shared instant its decision tick runs after that instant's arrivals —
 	// the controller sees the freshest window, and a recorded actuation
 	// lands after the same-instant ops in the journal, which is exactly the
-	// order Replay re-schedules.
+	// order Replay re-schedules. Its hooks run on the engine thread, inside
+	// the tick callback.
 	var ap *autopilot.Autopilot
-	if s.Autopilot != nil && s.Autopilot.Enabled {
-		opts, err := s.Autopilot.options()
-		if err != nil {
-			return nil, err
+	if auto != nil && auto.Enabled {
+		if ap, err = r.autopilot(auto); err != nil {
+			return err
 		}
-		opts.OnAction = func(at time.Duration, from, to core.Config) {
-			if rec != nil {
-				rec.Op(JournalOp{At: wspec.Duration(at), Op: InjectReconfigure, To: to.String()})
-			}
-		}
-		// An overload shed runs on the engine thread (inside the tick
-		// callback), so retiring the victims from the active set here is
-		// race-free, and later timeline arrivals for them are filtered
-		// exactly as a remove_tasks injection's would be.
-		opts.OnShed = func(at time.Duration, ids []string) {
-			if rec != nil {
-				rec.Op(JournalOp{At: wspec.Duration(at), Op: InjectRemoveTasks, IDs: ids})
-			}
-			for _, id := range ids {
-				active[id] = false
-			}
-		}
-		if ap, err = autopilot.New(opts); err != nil {
-			return nil, err
-		}
-		if err := ap.AttachSim(sim, time.Duration(s.Autopilot.At), time.Duration(s.Horizon)); err != nil {
-			return nil, err
+		if err := ap.AttachSim(sim, time.Duration(auto.At), time.Duration(res.Horizon)); err != nil {
+			return err
 		}
 	}
 
 	start := time.Now()
 	m := sim.Run() // panics on ledger inconsistency; audited again below
 	res.Wall = time.Since(start)
-	ledgerErr := sim.Controller().Ledger().CheckInvariants()
-	snap := sim.Snapshot()
-	if err := sim.Stop(); err != nil {
-		return nil, err
-	}
-	probe.finish(res)
-	if cbErr != nil {
-		return nil, cbErr
-	}
-
-	res.Arrived = m.Total.Arrived
-	res.Released = m.Total.Released
-	res.Skipped = m.Total.Skipped
-	res.Completed = m.Total.Completed
-	res.Missed = m.Total.Missed
-	res.Lost = m.Total.Released - m.Total.Completed
+	res.LedgerClean = sim.Controller().Ledger().CheckInvariants() == nil
+	r.finish(ap, m.Total.Missed)
 	res.Ratio = m.AcceptedUtilizationRatio()
-	res.MissRate = m.Total.MissRatio()
-	res.Epoch = snap.Epoch
-	res.LedgerClean = ledgerErr == nil
-	if ap != nil {
-		st := ap.Stats()
-		res.Actuations = st.Actuations
-		res.RegimeChanges = st.RegimeChanges
-		res.Decisions = ap.Journal()
+	if err := sim.Stop(); err != nil {
+		return err
 	}
-	if res.MetricsJSON, err = CanonicalMetricsJSON(s.Name, m); err != nil {
-		return nil, err
+	if r.err != nil {
+		return r.err
 	}
-	res.Violations = evaluate(s.Invariants, BindingSim, res)
-	res.Passed = len(res.Violations) == 0
-	return res, nil
-}
-
-// binding is the op surface applyOp drives — the subset of the unified
-// Binding interface both executors share.
-type binding interface {
-	SubmitBatch(ids []string) ([]core.Admission, error)
-	RemoveTasks(ids []string) error
-}
-
-// applyOp applies one timeline op to a binding, filtering against the
-// active task set, recording the post-filter op, and updating the result's
-// counters. AddTasks and Reconfigure differ per binding (task scaling,
-// config types), so the callers handle those kinds before delegating here.
-func applyOp(b binding, op Op, active map[string]bool, res *Result, rec *Recorder) (bool, error) {
-	switch op.Kind {
-	case OpSubmit:
-		ids := make([]string, 0, len(op.Tasks))
-		for _, id := range op.Tasks {
-			if active[id] {
-				ids = append(ids, id)
-			} else {
-				res.FilteredArrivals++
-			}
-		}
-		if len(ids) == 0 {
-			return false, nil
-		}
-		if rec != nil {
-			rec.Op(JournalOp{At: wspec.Duration(op.At), Op: OpSubmit, Tasks: ids})
-		}
-		if _, err := b.SubmitBatch(ids); err != nil {
-			return false, err
-		}
-		return true, nil
-	case InjectRemoveTasks:
-		ids := make([]string, 0, len(op.IDs))
-		for _, id := range op.IDs {
-			if active[id] {
-				ids = append(ids, id)
-			}
-		}
-		if len(ids) == 0 {
-			return false, nil
-		}
-		if rec != nil {
-			rec.Op(JournalOp{At: wspec.Duration(op.At), Op: InjectRemoveTasks, IDs: ids})
-		}
-		if err := b.RemoveTasks(ids); err != nil {
-			return false, err
-		}
-		for _, id := range ids {
-			delete(active, id)
-		}
-		return true, nil
-	}
-	return false, fmt.Errorf("scenario: applyOp: unexpected op kind %q", op.Kind)
+	res.MetricsJSON, err = CanonicalMetricsJSON(res.Scenario, m)
+	return err
 }
 
 // RunLive executes the scenario on the live loopback cluster. The workload
 // and every joining task are compressed by the time-scale factor (zero
 // means the spec's setting), the timeline plays back against the wall clock
-// at the same compression, and the run drains and settles before the
-// invariant check. When rec is non-nil, ops are recorded in the scenario's
-// unscaled virtual timebase so the journal replays into the simulation.
+// at the same compression, and the run drains before the invariant check.
+// When rec is non-nil, ops are recorded in the scenario's unscaled virtual
+// timebase so the journal replays into the simulation.
 func RunLive(s *Spec, timeScale float64, rec *Recorder) (*Result, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	c, err := compile(s)
 	if err != nil {
 		return nil, err
@@ -420,57 +510,34 @@ func RunLive(s *Spec, timeScale float64, rec *Recorder) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scale := timeScale
-	if scale <= 0 {
-		scale = s.timeScale()
-	}
+	scale := s.timeScale(timeScale)
+	wall := func(at wspec.Duration) time.Duration { return time.Duration(float64(at) / scale) }
 
-	w := wspec.FromTasks(s.Name, c.procs, workload.Scale(c.tasks, 1/scale))
 	start := time.Now()
-	cl, err := cluster.Start(cluster.Options{Workload: w, Config: cfg, Seed: s.Seed})
+	cl, err := cluster.Start(cluster.Options{
+		Workload: wspec.FromTasks(s.Name, c.procs, workload.Scale(c.tasks, 1/scale)),
+		Config:   cfg, Seed: s.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-
-	stream, err := cl.Watch(core.WatchOptions{Buffer: scenarioWatchBuffer})
-	if err != nil {
-		return nil, err
-	}
-	probe := newWatchProbe(stream, rec)
-
 	res := &Result{
 		Scenario: s.Name, Binding: BindingLive, Config: s.Config,
 		Horizon: s.Horizon, Seed: s.Seed, TimeScale: scale, Ops: len(c.ops),
 	}
-	active := make(map[string]bool, len(c.tasks))
-	for _, t := range c.tasks {
-		active[t.ID] = true
+	r, err := newRun(cl, res, c.tasks, c.procs, scale, rec)
+	if err != nil {
+		return nil, err
 	}
-
 	base := time.Now()
+	r.origin = time.Duration(base.UnixNano())
 
-	// The live controller runs on the wall clock: options scale by the same
-	// compression as the workload, and recorded actuations convert back to
-	// the scenario timebase so a live journal replays into the simulation.
+	// The live controller runs on the wall clock, its options compressed like
+	// the workload, on a goroutine of its own.
 	var ap *autopilot.Autopilot
 	if s.Autopilot != nil && s.Autopilot.Enabled {
-		opts, err := s.Autopilot.options()
-		if err != nil {
-			return nil, err
-		}
-		opts = opts.Scale(scale)
-		// Shedding is sim-only in the declarative runner: this loop owns the
-		// active-task set, and the controller goroutine removing tasks
-		// mid-timeline would race it (see AutopilotSpec.OverloadShed).
-		opts.OverloadShed = nil
-		baseNano := time.Duration(base.UnixNano())
-		opts.OnAction = func(at time.Duration, from, to core.Config) {
-			if rec != nil {
-				rec.Op(JournalOp{At: wspec.Duration(float64(at-baseNano) * scale), Op: InjectReconfigure, To: to.String()})
-			}
-		}
-		if ap, err = autopilot.New(opts); err != nil {
+		if ap, err = r.autopilot(s.Autopilot); err != nil {
 			return nil, err
 		}
 		if err := ap.Start(cl); err != nil {
@@ -480,117 +547,29 @@ func RunLive(s *Spec, timeScale float64, rec *Recorder) (*Result, error) {
 	}
 
 	for _, op := range c.ops {
-		wall := base.Add(time.Duration(float64(op.At) / scale))
-		if d := time.Until(wall); d > 0 {
-			time.Sleep(d)
-		}
-		switch op.Kind {
-		case InjectAddTasks:
-			added, err := injectionTasks(Injection{Kind: InjectAddTasks, Tasks: op.Add}, c.procs)
-			if err != nil {
-				return nil, err
-			}
-			if rec != nil {
-				rec.Op(JournalOp{At: wspec.Duration(op.At), Op: InjectAddTasks, Add: op.Add})
-			}
-			if err := cl.AddTasks(workload.Scale(added, 1/scale)); err != nil {
-				return nil, err
-			}
-			for _, t := range added {
-				active[t.ID] = true
-			}
-		case InjectReconfigure:
-			to, err := core.ParseConfig(op.To)
-			if err != nil {
-				return nil, err
-			}
-			if rec != nil {
-				rec.Op(JournalOp{At: wspec.Duration(op.At), Op: InjectReconfigure, To: op.To})
-			}
-			if _, err := cl.Reconfigure(to); err != nil {
-				return nil, err
-			}
-		case InjectKillNode:
-			// Kill the node abruptly, then run the failover synchronously so
-			// the timeline's ordering stays deterministic: every later op sees
-			// the post-failover placement. Tasks the failover withdrew (no
-			// surviving replica) leave the active set, so their remaining
-			// arrivals are filtered rather than submitted into an error.
-			if rec != nil {
-				node := op.Node
-				rec.Op(JournalOp{At: wspec.Duration(op.At), Op: InjectKillNode, Node: &node})
-			}
-			if err := cl.KillNode(op.Node); err != nil {
-				return nil, err
-			}
-			report, err := cl.Failover(op.Node)
-			if err != nil {
-				return nil, err
-			}
-			for _, id := range report.Withdrawn {
-				delete(active, id)
-			}
-		case InjectRecoverNode:
-			if rec != nil {
-				node := op.Node
-				rec.Op(JournalOp{At: wspec.Duration(op.At), Op: InjectRecoverNode, Node: &node})
-			}
-			if err := cl.RecoverNode(op.Node); err != nil {
-				return nil, err
-			}
-		default:
-			if _, err := applyOp(cl, op, active, res, rec); err != nil {
-				return nil, err
-			}
+		time.Sleep(time.Until(base.Add(wall(op.At))))
+		if err := r.apply(op); err != nil {
+			return nil, err
 		}
 	}
-
-	// Play out the remaining horizon, then drain and settle: completions
-	// propagate through local Done events, so wait until the released and
-	// completed counters agree (or the deadline passes — counted as loss).
-	if d := time.Until(base.Add(time.Duration(float64(time.Duration(s.Horizon)) / scale))); d > 0 {
-		time.Sleep(d)
-	}
-	// Halt the controller at the horizon so the drain's emptying queues
-	// don't read as one more regime change.
+	// Play out the remaining horizon, halt the controller there so the
+	// drain's emptying queues don't read as one more regime change, and
+	// drain: an admitted job still unfinished at the deadline counts as lost.
+	time.Sleep(time.Until(base.Add(wall(s.Horizon))))
 	if ap != nil {
 		ap.Stop()
-		st := ap.Stats()
-		res.Actuations = st.Actuations
-		res.RegimeChanges = st.RegimeChanges
-		res.Decisions = ap.Journal()
 	}
-	cl.Drain(5 * time.Second)
-	settleDeadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(settleDeadline) {
-		snap := cl.Snapshot()
-		if snap.Released == snap.Completed {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	cl.Drain(10 * time.Second)
 	res.Wall = time.Since(start)
 
-	snap := cl.Snapshot()
-	res.Arrived = snap.Arrived
-	res.Released = snap.Released
-	res.Skipped = snap.Skipped
-	res.Completed = snap.Completed
-	res.Lost = snap.Released - snap.Completed
-	res.Epoch = snap.Epoch
-	if snap.Arrived > 0 {
-		res.Ratio = float64(snap.Released) / float64(snap.Arrived)
-	}
 	// The live audit covers the active ledger and the warm-standby mirror:
 	// replication is synchronous on the manager's local channel, so a clean
 	// run must leave both consistent.
 	res.LedgerClean = cl.AuditAdmissionState() == nil
-	probe.finish(res)
-	res.Missed = probe.misses.Load()
-	if res.Completed > 0 {
-		res.MissRate = float64(res.Missed) / float64(res.Completed)
+	r.finish(ap, cl.Collector().Missed())
+	if res.Arrived > 0 {
+		res.Ratio = float64(res.Released) / float64(res.Arrived)
 	}
-	res.Violations = evaluate(s.Invariants, BindingLive, res)
-	res.Passed = len(res.Violations) == 0
+	res.judge(s.Invariants)
 	return res, nil
 }

@@ -2,7 +2,8 @@
 // arrival shapes, mid-run injections and expected-invariant blocks — are
 // specified as JSON files and executed against either middleware binding
 // (the deterministic simulation or the live loopback cluster) from the same
-// spec, replacing the bespoke Go harness each experiment used to need.
+// spec, replacing the bespoke Go harness each experiment used to need: the
+// churn, reconfig and failover experiments are specs built in Go.
 //
 // A spec composes four layers:
 //
@@ -207,9 +208,8 @@ type AutopilotSpec struct {
 	MissHigh   float64 `json:"missHigh,omitempty"`
 	RejectHigh float64 `json:"rejectHigh,omitempty"`
 	// OverloadShed names tasks the controller removes (once) when it first
-	// actuates in the overload regime. Simulation binding only: the live
-	// runner's timeline loop owns the active-task bookkeeping, so it strips
-	// this field rather than race the controller goroutine against it.
+	// actuates in the overload regime; their later arrivals are filtered as a
+	// remove_tasks injection's would be.
 	OverloadShed []string `json:"overloadShed,omitempty"`
 }
 
@@ -343,138 +343,167 @@ func Parse(data []byte) (*Spec, error) {
 // that exists at some point of the scenario, and the invariant block is
 // present and non-empty.
 func (s *Spec) Validate() error {
+	_, err := s.check()
+	return err
+}
+
+// check is Validate, handing back the layout it checked references against
+// so that compile does not resolve the workload a second time.
+func (s *Spec) check() (*compiled, error) {
 	if s.Name == "" {
-		return fmt.Errorf("%w: missing name", ErrSpec)
+		return nil, fmt.Errorf("%w: missing name", ErrSpec)
 	}
 	if s.Horizon <= 0 {
-		return fmt.Errorf("%w: horizon must be positive, got %v", ErrSpec, time.Duration(s.Horizon))
+		return nil, fmt.Errorf("%w: horizon must be positive, got %v", ErrSpec, time.Duration(s.Horizon))
 	}
 	if _, err := core.ParseConfig(s.Config); err != nil {
-		return fmt.Errorf("%w: config: %v", ErrSpec, err)
+		return nil, fmt.Errorf("%w: config: %v", ErrSpec, err)
 	}
-	tasks, procs, err := s.Workload.resolve()
+	l, err := s.layout()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if s.Live.TimeScale < 0 {
-		return fmt.Errorf("%w: live.timeScale must be non-negative", ErrSpec)
+		return nil, fmt.Errorf("%w: live.timeScale must be non-negative", ErrSpec)
 	}
-
-	// The task-ID universe: initial workload tasks plus every add_tasks
-	// injection's tasks.
-	universe := make(map[string]bool, len(tasks))
-	for _, t := range tasks {
-		universe[t.ID] = true
-	}
-	for i, inj := range s.Injections {
-		if inj.Kind != InjectAddTasks {
-			continue
-		}
-		added, err := injectionTasks(inj, procs)
-		if err != nil {
-			return fmt.Errorf("%w: injection %d: %v", ErrSpec, i, err)
-		}
-		for _, t := range added {
-			if universe[t.ID] {
-				return fmt.Errorf("%w: injection %d re-adds task %q", ErrSpec, i, t.ID)
-			}
-			universe[t.ID] = true
-		}
-	}
-
-	claimed := make(map[string]int, len(universe))
-	defaultBlocks := 0
 	for i, b := range s.Arrivals {
 		sh := b.Shape.shape()
 		switch sh.Kind {
 		case workload.ShapeConstant, workload.ShapeFlashCrowd, workload.ShapeDiurnal,
 			workload.ShapeMMPP, workload.ShapeSpike, workload.ShapeNatural:
 			if err := sh.Validate(); err != nil {
-				return fmt.Errorf("%w: arrivals[%d]: %v", ErrSpec, i, err)
+				return nil, fmt.Errorf("%w: arrivals[%d]: %v", ErrSpec, i, err)
 			}
 		default:
-			return fmt.Errorf("%w: arrivals[%d]: %q", ErrUnknownShape, i, b.Shape.Kind)
-		}
-		if len(b.Tasks) == 0 {
-			defaultBlocks++
-			if defaultBlocks > 1 {
-				return fmt.Errorf("%w: more than one default (all-tasks) arrival block", ErrSpec)
-			}
-			continue
-		}
-		for _, id := range b.Tasks {
-			if !universe[id] {
-				return fmt.Errorf("%w: arrivals[%d] references unknown task %q", ErrSpec, i, id)
-			}
-			if prev, dup := claimed[id]; dup {
-				return fmt.Errorf("%w: task %q claimed by arrival blocks %d and %d", ErrSpec, id, prev, i)
-			}
-			claimed[id] = i
+			return nil, fmt.Errorf("%w: arrivals[%d]: %q", ErrUnknownShape, i, b.Shape.Kind)
 		}
 	}
 
 	for i, inj := range s.Injections {
 		if inj.At < 0 || inj.At > s.Horizon {
-			return fmt.Errorf("%w: injection %d at %v outside [0, %v]", ErrSpec, i, time.Duration(inj.At), time.Duration(s.Horizon))
+			return nil, fmt.Errorf("%w: injection %d at %v outside [0, %v]", ErrSpec, i, time.Duration(inj.At), time.Duration(s.Horizon))
 		}
 		switch inj.Kind {
 		case InjectAddTasks:
-			// Validated above while building the universe.
+			// Validated by layout.
 		case InjectRemoveTasks, InjectSubmitStorm:
 			if len(inj.IDs) == 0 {
-				return fmt.Errorf("%w: injection %d (%s) names no ids", ErrSpec, i, inj.Kind)
+				return nil, fmt.Errorf("%w: injection %d (%s) names no ids", ErrSpec, i, inj.Kind)
 			}
 			for _, id := range inj.IDs {
-				if !universe[id] {
-					return fmt.Errorf("%w: injection %d (%s) references unknown task %q", ErrSpec, i, inj.Kind, id)
+				if _, ok := l.index[id]; !ok {
+					return nil, fmt.Errorf("%w: injection %d (%s) references unknown task %q", ErrSpec, i, inj.Kind, id)
 				}
 			}
 			if inj.Count < 0 {
-				return fmt.Errorf("%w: injection %d: negative count", ErrSpec, i)
+				return nil, fmt.Errorf("%w: injection %d: negative count", ErrSpec, i)
 			}
 		case InjectReconfigure:
 			to, err := core.ParseConfig(inj.To)
 			if err != nil {
-				return fmt.Errorf("%w: injection %d: to: %v", ErrSpec, i, err)
+				return nil, fmt.Errorf("%w: injection %d: to: %v", ErrSpec, i, err)
 			}
 			if err := to.Validate(); err != nil {
-				return fmt.Errorf("%w: injection %d: %v", ErrSpec, i, err)
+				return nil, fmt.Errorf("%w: injection %d: %v", ErrSpec, i, err)
 			}
 		case InjectKillNode, InjectRecoverNode:
 			if inj.Node == nil {
-				return fmt.Errorf("%w: injection %d (%s) sets no node", ErrSpec, i, inj.Kind)
+				return nil, fmt.Errorf("%w: injection %d (%s) sets no node", ErrSpec, i, inj.Kind)
 			}
-			if n := *inj.Node; n < 0 || n >= procs {
-				return fmt.Errorf("%w: injection %d (%s) node %d outside [0, %d)", ErrSpec, i, inj.Kind, n, procs)
+			if n := *inj.Node; n < 0 || n >= l.procs {
+				return nil, fmt.Errorf("%w: injection %d (%s) node %d outside [0, %d)", ErrSpec, i, inj.Kind, n, l.procs)
 			}
 		default:
-			return fmt.Errorf("%w: injection %d: %q", ErrUnknownInjection, i, inj.Kind)
+			return nil, fmt.Errorf("%w: injection %d: %q", ErrUnknownInjection, i, inj.Kind)
 		}
 	}
 	if err := s.validateNodeFaults(); err != nil {
-		return err
+		return nil, err
 	}
 
 	if s.Invariants == nil || s.Invariants.empty() {
-		return fmt.Errorf("%w (scenario %q)", ErrMissingInvariants, s.Name)
+		return nil, fmt.Errorf("%w (scenario %q)", ErrMissingInvariants, s.Name)
 	}
 	if s.Invariants.MaxMissRate != nil && (*s.Invariants.MaxMissRate < 0 || *s.Invariants.MaxMissRate > 1) {
-		return fmt.Errorf("%w: maxMissRate %g outside [0, 1]", ErrSpec, *s.Invariants.MaxMissRate)
+		return nil, fmt.Errorf("%w: maxMissRate %g outside [0, 1]", ErrSpec, *s.Invariants.MaxMissRate)
 	}
 	if s.Invariants.MaxActuations != nil && *s.Invariants.MaxActuations < 0 {
-		return fmt.Errorf("%w: maxActuations must be non-negative", ErrSpec)
+		return nil, fmt.Errorf("%w: maxActuations must be non-negative", ErrSpec)
 	}
 	if s.Autopilot != nil {
 		if err := s.Autopilot.validate(s.Horizon); err != nil {
-			return err
+			return nil, err
 		}
 		for _, id := range s.Autopilot.OverloadShed {
-			if !universe[id] {
-				return fmt.Errorf("%w: autopilot.overloadShed references unknown task %q", ErrSpec, id)
+			if _, ok := l.index[id]; !ok {
+				return nil, fmt.Errorf("%w: autopilot.overloadShed references unknown task %q", ErrSpec, id)
 			}
 		}
 	}
-	return nil
+	return l, nil
+}
+
+// compiled is a spec lowered to an executable form. layout fills everything
+// but the ops: what check tests references against and compile generates
+// arrivals over.
+type compiled struct {
+	tasks []*sched.Task // initial workload
+	procs int
+	// all is every task the scenario ever has, in deterministic order — the
+	// initial ones, then each add_tasks injection's in injection order — and
+	// index a task ID's position in it.
+	all   []*sched.Task
+	index map[string]int
+	// block maps a task ID to the arrival block naming it; every other task
+	// takes defaultBlock, the block naming no tasks (-1: none, so the task's
+	// natural process).
+	block        map[string]int
+	defaultBlock int
+	ops          []Op
+}
+
+func (s *Spec) layout() (*compiled, error) {
+	tasks, procs, err := s.Workload.resolve()
+	if err != nil {
+		return nil, err
+	}
+	l := &compiled{tasks: tasks, procs: procs, all: tasks[:len(tasks):len(tasks)], defaultBlock: -1}
+	for i, inj := range s.Injections {
+		if inj.Kind != InjectAddTasks {
+			continue
+		}
+		added, err := injectionTasks(inj.Tasks, procs)
+		if err != nil {
+			return nil, fmt.Errorf("%w: injection %d: %v", ErrSpec, i, err)
+		}
+		l.all = append(l.all, added...)
+	}
+	l.index = make(map[string]int, len(l.all))
+	for i, t := range l.all {
+		if _, dup := l.index[t.ID]; dup {
+			return nil, fmt.Errorf("%w: an add_tasks injection re-adds task %q", ErrSpec, t.ID)
+		}
+		l.index[t.ID] = i
+	}
+	l.block = make(map[string]int, len(l.all))
+	for i, b := range s.Arrivals {
+		if len(b.Tasks) == 0 {
+			if l.defaultBlock >= 0 {
+				return nil, fmt.Errorf("%w: more than one default (all-tasks) arrival block", ErrSpec)
+			}
+			l.defaultBlock = i
+		}
+		for _, id := range b.Tasks {
+			if _, ok := l.index[id]; !ok {
+				return nil, fmt.Errorf("%w: arrivals[%d] references unknown task %q", ErrSpec, i, id)
+			}
+			if prev, dup := l.block[id]; dup {
+				return nil, fmt.Errorf("%w: task %q claimed by arrival blocks %d and %d", ErrSpec, id, prev, i)
+			}
+			l.block[id] = i
+		}
+	}
+	return l, nil
 }
 
 // validateNodeFaults checks that each node's kill/recover injections
@@ -483,89 +512,68 @@ func (s *Spec) Validate() error {
 // spec that would double-kill a node or recover a live one fails at parse
 // time rather than mid-run.
 func (s *Spec) validateNodeFaults() error {
-	type fault struct {
-		at   wspec.Duration
-		kind string
-		node int
-		idx  int
-	}
-	var faults []fault
+	var faults []int // injection indexes
 	for i, inj := range s.Injections {
 		if inj.Kind == InjectKillNode || inj.Kind == InjectRecoverNode {
-			faults = append(faults, fault{at: inj.At, kind: inj.Kind, node: *inj.Node, idx: i})
+			faults = append(faults, i)
 		}
 	}
-	sort.SliceStable(faults, func(i, j int) bool { return faults[i].at < faults[j].at })
+	sort.SliceStable(faults, func(i, j int) bool { return s.Injections[faults[i]].At < s.Injections[faults[j]].At })
 	dead := make(map[int]bool)
-	for _, f := range faults {
-		switch f.kind {
-		case InjectKillNode:
-			if dead[f.node] {
-				return fmt.Errorf("%w: injection %d kills node %d twice without a recover", ErrSpec, f.idx, f.node)
-			}
-			dead[f.node] = true
-		case InjectRecoverNode:
-			if !dead[f.node] {
-				return fmt.Errorf("%w: injection %d recovers node %d before any kill", ErrSpec, f.idx, f.node)
-			}
-			delete(dead, f.node)
+	for _, i := range faults {
+		kill, node := s.Injections[i].Kind == InjectKillNode, *s.Injections[i].Node
+		switch {
+		case kill && dead[node]:
+			return fmt.Errorf("%w: injection %d kills node %d twice without a recover", ErrSpec, i, node)
+		case !kill && !dead[node]:
+			return fmt.Errorf("%w: injection %d recovers node %d before any kill", ErrSpec, i, node)
 		}
+		dead[node] = kill
 	}
 	return nil
 }
 
 // resolve materializes the referenced task set and its processor count.
 func (w WorkloadRef) resolve() ([]*sched.Task, int, error) {
-	set := 0
-	count := 0
-	if w.Figure5 != nil {
-		count++
-	}
-	if w.Figure6 != nil {
-		count++
-	}
-	if w.Inline != nil {
-		count++
-	}
-	if count != 1 {
-		return nil, 0, fmt.Errorf("%w: workload must set exactly one of figure5, figure6, inline", ErrSpec)
-	}
+	var params func(set int) workload.Params
+	var set *int
 	switch {
-	case w.Figure5 != nil:
-		set = *w.Figure5
-		tasks, err := workload.Generate(workload.Figure5Params(set))
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: workload figure5 set %d: %v", ErrSpec, set, err)
-		}
-		return tasks, workload.MaxProc(tasks) + 1, nil
-	case w.Figure6 != nil:
-		set = *w.Figure6
-		tasks, err := workload.Generate(workload.Figure6Params(set))
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: workload figure6 set %d: %v", ErrSpec, set, err)
-		}
-		return tasks, workload.MaxProc(tasks) + 1, nil
-	default:
+	case w.Figure5 != nil && w.Figure6 == nil && w.Inline == nil:
+		params, set = workload.Figure5Params, w.Figure5
+	case w.Figure6 != nil && w.Figure5 == nil && w.Inline == nil:
+		params, set = workload.Figure6Params, w.Figure6
+	case w.Inline != nil && w.Figure5 == nil && w.Figure6 == nil:
 		tasks, err := w.Inline.SchedTasks()
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: inline workload: %v", ErrSpec, err)
 		}
 		return tasks, w.Inline.Processors, nil
+	default:
+		return nil, 0, fmt.Errorf("%w: workload must set exactly one of figure5, figure6, inline", ErrSpec)
 	}
+	tasks, err := workload.Generate(params(*set))
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: workload figure set %d: %v", ErrSpec, *set, err)
+	}
+	return tasks, workload.MaxProc(tasks) + 1, nil
 }
 
 // injectionTasks converts an add_tasks injection's task specs to validated
 // scheduling-model tasks, bounded by the scenario's processor count.
-func injectionTasks(inj Injection, procs int) ([]*sched.Task, error) {
-	if len(inj.Tasks) == 0 {
+func injectionTasks(specs []wspec.TaskSpec, procs int) ([]*sched.Task, error) {
+	if len(specs) == 0 {
 		return nil, fmt.Errorf("add_tasks injection has no tasks")
 	}
-	w := &wspec.Workload{Name: "injection", Processors: procs, Tasks: inj.Tasks}
+	w := &wspec.Workload{Name: "injection", Processors: procs, Tasks: specs}
 	return w.SchedTasks()
 }
 
-// timeScale resolves the live compression factor.
-func (s *Spec) timeScale() float64 {
+// timeScale resolves the live compression factor: the override when
+// positive, else the spec's setting, else the default.
+func (s *Spec) timeScale(override float64) float64 {
+	if override > 0 {
+		return override
+	}
 	if s.Live.TimeScale > 0 {
 		return s.Live.TimeScale
 	}

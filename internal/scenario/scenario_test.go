@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	wspec "repro/internal/spec"
 )
@@ -193,16 +192,16 @@ func TestCompileDeterministicAndOrdered(t *testing.T) {
 	stormArrivals := 0
 	for i, op := range a.ops {
 		bop := b.ops[i]
-		if op.At != bop.At || op.Kind != bop.Kind || len(op.Tasks) != len(bop.Tasks) {
+		if op.At != bop.At || op.Op != bop.Op || len(op.Tasks) != len(bop.Tasks) {
 			t.Fatalf("compile nondeterministic at op %d: %+v vs %+v", i, op, bop)
 		}
 		if i > 0 && op.At < a.ops[i-1].At {
 			t.Fatalf("ops out of order at %d: %v after %v", i, op.At, a.ops[i-1].At)
 		}
-		if op.Kind == InjectReconfigure {
+		if op.Op == InjectReconfigure {
 			reconfigSeen = true
 		}
-		if op.Kind == OpSubmit && op.At == time.Duration(s.Horizon/2) {
+		if op.Op == OpSubmit && op.At == s.Horizon/2 {
 			if !reconfigSeen {
 				t.Fatal("arrival op at the injection instant ran before the reconfigure")
 			}
@@ -215,9 +214,6 @@ func TestCompileDeterministicAndOrdered(t *testing.T) {
 	}
 	if stormArrivals < 3 {
 		t.Fatalf("submit storm lost arrivals: %d of 3", stormArrivals)
-	}
-	if a.arrivals == 0 {
-		t.Fatal("compile produced no arrivals")
 	}
 	if !strings.HasPrefix(a.tasks[0].ID, "A") && !strings.HasPrefix(a.tasks[0].ID, "P") {
 		t.Fatalf("unexpected workload task %q", a.tasks[0].ID)
@@ -270,22 +266,22 @@ func TestNodeFaultValidationAndCompile(t *testing.T) {
 	}
 	kills, recovers := 0, 0
 	for i, op := range tl.ops {
-		switch op.Kind {
+		switch op.Op {
 		case InjectKillNode:
 			kills++
-			if op.Node != 1 && op.Node != 2 {
-				t.Errorf("kill op targets node %d", op.Node)
+			if *op.Node != 1 && *op.Node != 2 {
+				t.Errorf("kill op targets node %d", *op.Node)
 			}
 		case InjectRecoverNode:
 			recovers++
-			if op.Node != 1 {
-				t.Errorf("recover op targets node %d", op.Node)
+			if *op.Node != 1 {
+				t.Errorf("recover op targets node %d", *op.Node)
 			}
 		case OpSubmit:
 			// Faults sort ahead of arrivals at the same instant, so a
 			// same-tick arrival always sees the post-fault cluster.
 			for j := i + 1; j < len(tl.ops); j++ {
-				if tl.ops[j].At == op.At && tl.ops[j].Kind == InjectKillNode {
+				if tl.ops[j].At == op.At && tl.ops[j].Op == InjectKillNode {
 					t.Fatalf("kill op at %v ordered after an arrival at the same instant", op.At)
 				}
 			}

@@ -10,46 +10,36 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/sched"
 	wspec "repro/internal/spec"
 	"repro/internal/workload"
 )
 
-// OpSubmit is the compiled arrival operation; the injection kinds reuse
-// their spec names.
+// OpSubmit is the arrival operation; the injection kinds reuse their spec
+// names.
 const OpSubmit = "submit"
 
-// Op is one compiled timeline operation, in the scenario's virtual
-// timebase. The op list is the scenario's entire input: executing it
-// against a binding needs no further randomness, which is what makes the
-// timeline recordable and replayable.
+// Op is one timeline operation in the scenario's virtual timebase — the one
+// type the compiler emits, apply performs, the recorder writes (it is the
+// journal's "op" line) and Replay feeds back. The op list is the scenario's
+// entire input: executing it against a binding needs no further randomness,
+// which is what makes the timeline recordable and replayable.
 type Op struct {
 	// At is the operation's scenario time.
-	At time.Duration
-	// Kind is OpSubmit or an injection kind.
-	Kind string
+	At wspec.Duration `json:"at"`
+	// Op is OpSubmit or an injection kind.
+	Op string `json:"op"`
 	// Tasks are the arriving task IDs (OpSubmit; repeats mean multiple
 	// arrivals at the same instant).
-	Tasks []string
-	// Add carries the joining task specs (add_tasks), in the scenario's
-	// unscaled timebase — the live executor scales them at apply time.
-	Add []wspec.TaskSpec
+	Tasks []string `json:"tasks,omitempty"`
+	// Add carries the joining task specs (add_tasks), unscaled — the live
+	// binding scales them at apply time.
+	Add []wspec.TaskSpec `json:"add,omitempty"`
 	// IDs name the departing tasks (remove_tasks).
-	IDs []string
+	IDs []string `json:"ids,omitempty"`
 	// To is the target combination (reconfigure).
-	To string
+	To string `json:"to,omitempty"`
 	// Node is the target processor (kill_node, recover_node).
-	Node int
-}
-
-// compiled is a spec lowered to an executable form.
-type compiled struct {
-	tasks []*sched.Task // initial workload
-	procs int
-	ops   []Op
-	// arrivals is the total compiled arrival count (before the executor's
-	// liveness filtering).
-	arrivals int
+	Node *int `json:"node,omitempty"`
 }
 
 // taskSeed derives a per-(block, task) rng seed from the scenario seed, so
@@ -60,90 +50,41 @@ func taskSeed(seed int64, blockIdx int, taskID string) int64 {
 	return seed ^ int64(h.Sum64()) ^ (int64(blockIdx+1) * int64(0x9E3779B97F4A7C15&0x7FFFFFFFFFFFFFFF))
 }
 
-// compile lowers a validated spec to its deterministic op timeline:
+// compile validates a spec and lowers it to its deterministic op timeline:
 // per-task arrival instants from the assigned shapes (tasks no block claims
 // follow their natural process), submit storms expanded to arrival bursts,
 // and the structural injections interleaved. Ops are sorted by time;
 // injections order before arrivals at the same instant, so a task added at
 // t receives its t arrivals and a task removed at t does not.
 func compile(s *Spec) (*compiled, error) {
-	tasks, procs, err := s.Workload.resolve()
+	l, err := s.check()
 	if err != nil {
 		return nil, err
 	}
 	horizon := time.Duration(s.Horizon)
 
-	// The task universe in deterministic order: initial tasks, then each
-	// add_tasks injection's tasks in injection order.
-	type member struct {
-		task *sched.Task
-		idx  int
-	}
-	universe := make(map[string]member, len(tasks))
-	order := 0
-	for _, t := range tasks {
-		universe[t.ID] = member{task: t, idx: order}
-		order++
-	}
-	allIDs := make([]string, 0, len(tasks))
-	for _, t := range tasks {
-		allIDs = append(allIDs, t.ID)
-	}
-	for _, inj := range s.Injections {
-		if inj.Kind != InjectAddTasks {
-			continue
-		}
-		added, err := injectionTasks(inj, procs)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range added {
-			universe[t.ID] = member{task: t, idx: order}
-			order++
-			allIDs = append(allIDs, t.ID)
-		}
-	}
-
-	// Shape assignment: explicit block > default block > natural.
-	claimed := make(map[string]int, len(universe))
-	defaultBlock := -1
-	for i, b := range s.Arrivals {
-		if len(b.Tasks) == 0 {
-			defaultBlock = i
-			continue
-		}
-		for _, id := range b.Tasks {
-			claimed[id] = i
-		}
-	}
-
-	// Per-task arrival instants.
+	// Per-task arrival instants. Shape assignment: explicit block > default
+	// block > natural.
 	type arrival struct {
 		at  time.Duration
 		idx int
 		id  string
 	}
 	var events []arrival
-	for _, id := range allIDs {
-		m := universe[id]
-		blockIdx := -1
-		sh := workload.Shape{Kind: workload.ShapeNatural}
-		if bi, ok := claimed[id]; ok {
-			blockIdx = bi
-			sh = s.Arrivals[bi].Shape.shape()
-		} else if defaultBlock >= 0 {
-			blockIdx = defaultBlock
-			sh = s.Arrivals[defaultBlock].Shape.shape()
+	for idx, t := range l.all {
+		blockIdx, claimed := l.block[t.ID]
+		if !claimed {
+			blockIdx = l.defaultBlock
 		}
-		rng := rand.New(rand.NewSource(taskSeed(s.Seed, blockIdx, id)))
+		rng := rand.New(rand.NewSource(taskSeed(s.Seed, blockIdx, t.ID)))
 		var times []time.Duration
-		if sh.Kind == workload.ShapeNatural {
-			times = workload.NaturalTimes(m.task, horizon, rng)
+		if blockIdx < 0 || s.Arrivals[blockIdx].Shape.Kind == string(workload.ShapeNatural) {
+			times = workload.NaturalTimes(t, horizon, rng)
 		} else {
-			times = sh.Times(horizon, rng)
+			times = s.Arrivals[blockIdx].Shape.shape().Times(horizon, rng)
 		}
 		for _, at := range times {
-			events = append(events, arrival{at: at, idx: m.idx, id: id})
+			events = append(events, arrival{at: at, idx: idx, id: t.ID})
 		}
 	}
 
@@ -157,9 +98,8 @@ func compile(s *Spec) (*compiled, error) {
 			count = 1
 		}
 		for _, id := range inj.IDs {
-			m := universe[id]
 			for k := 0; k < count; k++ {
-				events = append(events, arrival{at: time.Duration(inj.At), idx: m.idx, id: id})
+				events = append(events, arrival{at: time.Duration(inj.At), idx: l.index[id], id: id})
 			}
 		}
 	}
@@ -176,17 +116,8 @@ func compile(s *Spec) (*compiled, error) {
 	// times.
 	var ops []Op
 	for _, inj := range s.Injections {
-		switch inj.Kind {
-		case InjectAddTasks:
-			ops = append(ops, Op{At: time.Duration(inj.At), Kind: InjectAddTasks, Add: inj.Tasks})
-		case InjectRemoveTasks:
-			ops = append(ops, Op{At: time.Duration(inj.At), Kind: InjectRemoveTasks, IDs: inj.IDs})
-		case InjectReconfigure:
-			ops = append(ops, Op{At: time.Duration(inj.At), Kind: InjectReconfigure, To: inj.To})
-		case InjectKillNode:
-			ops = append(ops, Op{At: time.Duration(inj.At), Kind: InjectKillNode, Node: *inj.Node})
-		case InjectRecoverNode:
-			ops = append(ops, Op{At: time.Duration(inj.At), Kind: InjectRecoverNode, Node: *inj.Node})
+		if inj.Kind != InjectSubmitStorm { // storms became arrivals above
+			ops = append(ops, Op{At: inj.At, Op: inj.Kind, Add: inj.Tasks, IDs: inj.IDs, To: inj.To, Node: inj.Node})
 		}
 	}
 	for i := 0; i < len(events); {
@@ -198,10 +129,11 @@ func compile(s *Spec) (*compiled, error) {
 		for _, e := range events[i:j] {
 			ids = append(ids, e.id)
 		}
-		ops = append(ops, Op{At: events[i].at, Kind: OpSubmit, Tasks: ids})
+		ops = append(ops, Op{At: wspec.Duration(events[i].at), Op: OpSubmit, Tasks: ids})
 		i = j
 	}
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].At < ops[j].At })
 
-	return &compiled{tasks: tasks, procs: procs, ops: ops, arrivals: len(events)}, nil
+	l.ops = ops
+	return l, nil
 }
