@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -192,7 +193,31 @@ func (j *jobRec) signature() (string, []int, map[int]int) {
 // signature. The AUB condition of a job depends only on its signature (the
 // per-processor terms are shared by all jobs), so one cached sum serves the
 // whole group and Admissible touches groups, not jobs.
+//
+// The four fields the admission scan reads to pass a group by come first, so
+// the skip touches one cache line of the record.
 type sigGroup struct {
+	// counted is the number of member jobs that are in flight and active —
+	// exactly the jobs the admission test must cover.
+	counted int
+	// scanned is the Ledger.scan value of the last admission test that
+	// summed the group, so a group indexed under several perturbed
+	// processors is summed once per test.
+	scanned uint64
+	// cachedSum is an upper bound on Σ_p count[p]·f(util[p]) under the
+	// current utilizations, written only by refreshGroupSum (always a fresh
+	// sum, never an incremental adjustment). It is exact after any of the
+	// group's processors grew, after the group's 0 → counted transition, and
+	// after every utilization change made while Ledger.violated > 0; a
+	// processor that shrinks while nothing is violated leaves it stale, which
+	// only ever leaves it too high. For a counted group it lies on the same
+	// side of 1 as the fresh sum, so Ledger.violated is an exact count.
+	cachedSum float64
+	// maxCount is the signature's largest per-processor entry count, as a
+	// float64 for the scan's bound: a candidate raises the group's sum by at
+	// most maxCount times the total growth of the perturbed terms.
+	maxCount float64
+
 	sig    string
 	procs  []int // sorted distinct processors of the signature
 	counts []int // active entries per processor, parallel to procs
@@ -201,17 +226,14 @@ type sigGroup struct {
 	procPos []int
 	// members is the number of jobRecs pointing at this group.
 	members int
-	// counted is the number of member jobs that are in flight and active —
-	// exactly the jobs the admission test must cover.
-	counted int
-	// cachedSum is Σ_p count[p]·f(util[p]) under the current utilizations,
-	// recomputed whenever a constituent processor's utilization changes.
-	cachedSum float64
-	// scanned is the Ledger.scan value of the last admission test that
-	// evaluated the group, so a group indexed under several perturbed
-	// processors is evaluated once per test.
-	scanned uint64
 }
+
+// boundMargin is the slack admitScan keeps below 1 when it passes a group on
+// its cached bound instead of summing it. The bound and the exact sum are
+// both sums of at most eight products of magnitude ≤ 1, so they differ from
+// the real-number values by a few ulps (~1e-15); the margin is six orders of
+// magnitude above that, and a group within it of the bound is simply summed.
+const boundMargin = 1e-9
 
 // Ledger is the synthetic-utilization ledger maintained by the admission
 // controller. It tracks, per processor, the sum of C/D contributions of the
@@ -241,9 +263,10 @@ type Ledger struct {
 	taskJobs    []map[int64]*jobRec  // jobs per interned task ID
 	groups      map[string]*sigGroup // signature → group
 	procGroups  [][]*sigGroup        // groups whose signature visits proc (swap-remove via sigGroup.procPos)
-	// violated counts groups with counted > 0 whose cachedSum already
-	// exceeds 1: while any exist, no candidate is admissible (adding
-	// utilization can only grow a group's sum).
+	// violated counts groups with counted > 0 whose sum already exceeds 1
+	// (for a counted group cachedSum and the fresh sum agree on that): while
+	// any exist, no candidate is admissible (adding utilization can only
+	// grow a group's sum).
 	violated int
 
 	// Record pools: entry, jobRec and sigGroup records cycle through free
@@ -489,13 +512,20 @@ func (l *Ledger) addUtil(proc int, amount float64) {
 
 // settleProc finalizes a processor after raw utilization adjustments:
 // clamps tiny negative floating-point residue to zero, recaches the AUB
-// term, and refreshes the cached sums of every signature group visiting the
-// processor.
+// term, and refreshes the cached sums of the signature groups visiting the
+// processor — unless the term did not grow and nothing is violated. Then
+// every fresh sum can only have fallen (floating-point sums of products are
+// monotone in each term), so no counted group can have crossed 1 and the
+// cached sums, now stale, are still upper bounds: the walk is skipped.
 func (l *Ledger) settleProc(proc int) {
 	if l.util[proc] < 0 && l.util[proc] > -1e-9 {
 		l.util[proc] = 0
 	}
+	old := l.term[proc]
 	l.term[proc] = AUBTerm(l.util[proc])
+	if l.term[proc] <= old && l.violated == 0 {
+		return
+	}
 	for _, g := range l.procGroups[proc] {
 		l.refreshGroupSum(g)
 	}
@@ -514,15 +544,29 @@ func touchProc(procs []int, proc int) []int {
 // refreshGroupSum recomputes a group's cached AUB sum from the current
 // per-processor terms (a fresh deterministic sum over the sorted signature,
 // never an incremental adjustment, so the cache cannot drift), maintaining
-// the violated counter.
+// the violated counter. It is the only writer of cachedSum.
 func (l *Ledger) refreshGroupSum(g *sigGroup) {
 	was := g.counted > 0 && g.cachedSum > 1
+	// freshSum spelled out: calling it puts this function past the inlining
+	// budget, and settleProc's walk over a processor's groups is the hottest
+	// loop of a simulation run.
 	var s float64
 	for i, p := range g.procs {
 		s += float64(g.counts[i]) * l.term[p]
 	}
 	g.cachedSum = s
 	l.flipViolated(g, was)
+}
+
+// freshSum is Σ_p count[p]·f(util[p]) over the group's sorted processors
+// under the current terms: what refreshGroupSum would cache. The audit and
+// the tests hold cachedSum against it.
+func (l *Ledger) freshSum(g *sigGroup) float64 {
+	var s float64
+	for i, p := range g.procs {
+		s += float64(g.counts[i]) * l.term[p]
+	}
+	return s
 }
 
 // flipViolated adjusts the violated counter after a group's counted or
@@ -536,12 +580,18 @@ func (l *Ledger) flipViolated(g *sigGroup, was bool) {
 	}
 }
 
-// setCounted flips a job's membership in its group's counted tally.
+// setCounted flips a job's membership in its group's counted tally. A group
+// gaining its first counted job is refreshed first: while uncounted its
+// cachedSum may have gone stale above 1 (its processors shrank with nothing
+// violated), and from here on it feeds the violated counter.
 func (l *Ledger) setCounted(rec *jobRec, counted bool) {
 	g := rec.group
 	if g == nil || rec.counted == counted {
 		rec.counted = counted && g != nil
 		return
+	}
+	if counted && g.counted == 0 {
+		l.refreshGroupSum(g)
 	}
 	was := g.counted > 0 && g.cachedSum > 1
 	if counted {
@@ -572,6 +622,7 @@ func (l *Ledger) leaveGroup(rec *jobRec) {
 		g.counts = g.counts[:0]
 		g.counted = 0
 		g.cachedSum = 0
+		g.maxCount = 0
 		l.freeGroups = append(l.freeGroups, g)
 	}
 	rec.group = nil
@@ -595,6 +646,7 @@ func (l *Ledger) reindex(rec *jobRec) {
 				g.sig = l.internSig(sig)
 				g.procs = append(g.procs[:0], l.sigProcs...)
 				g.counts = append(g.counts[:0], l.sigCounts...)
+				g.maxCount = float64(slices.Max(g.counts))
 				l.groups[g.sig] = g
 				l.procGroupAdd(g)
 				// Fill the cache; with no counted members yet the
@@ -947,10 +999,12 @@ func (l *Ledger) Relocate(ref JobRef, placement []PlacedStage) error {
 //
 // The evaluation is indexed: jobs visiting none of the candidate's
 // processors keep their cached (already ≤ 1, else the violated counter
-// short-circuits) sums untouched, and the perturbed jobs are evaluated once
-// per distinct processor-visit signature instead of once per job, so the
-// cost is linear in the groups indexed under the perturbed processors. The
-// decision is equivalent to the full-scan referenceAdmissible.
+// short-circuits) sums untouched, and the perturbed jobs are looked at once
+// per distinct processor-visit signature instead of once per job — passed on
+// the cached bound where it leaves room for the candidate, summed afresh
+// otherwise — so the cost is linear in the groups indexed under the
+// perturbed processors. The decision is equivalent to the full-scan
+// referenceAdmissible.
 //
 //rtmw:noalloc
 func (l *Ledger) Admissible(placement []PlacedStage) bool {
@@ -1009,11 +1063,21 @@ func (l *Ledger) admitScan(placement []PlacedStage, delta, tent []float64, touch
 		return false
 	}
 
-	// Re-evaluate only the signature groups that visit a perturbed
-	// processor; every other in-flight job's sum is its cached sum, which
-	// the violated counter already vouches for. Unperturbed processors use
-	// the cached term (term[p] = AUBTerm(util[p]) by invariant), so the
-	// evaluation is bit-identical to recomputing every term.
+	// Look only at the signature groups that visit a perturbed processor;
+	// every other in-flight job's sum is at most its cached sum, which the
+	// violated counter already vouches for. A perturbed group's sum grows by
+	// Σ count[q]·(tent[q] − term[q]) ≤ maxCount·grow, so one whose cached
+	// upper bound leaves room for that (and boundMargin for rounding) cannot
+	// exceed 1 and is passed without summing. Every other group is summed
+	// afresh, so each rejection — and each acceptance the bound cannot give —
+	// comes from a fresh sum; unperturbed processors use the cached term
+	// (term[p] = AUBTerm(util[p]) by invariant), so that sum is bit-identical
+	// to recomputing every term. An Inf or NaN bound (a processor at or past
+	// full utilization) fails the comparison and falls through to the sum.
+	var grow float64
+	for _, pp := range touched {
+		grow += tent[pp] - l.term[pp]
+	}
 	l.scan++
 	for _, pp := range touched {
 		if delta[pp] == 0 {
@@ -1021,6 +1085,9 @@ func (l *Ledger) admitScan(placement []PlacedStage, delta, tent []float64, touch
 		}
 		for _, g := range l.procGroups[pp] {
 			if g.counted == 0 || g.scanned == l.scan {
+				continue
+			}
+			if g.cachedSum+g.maxCount*grow <= 1-boundMargin {
 				continue
 			}
 			g.scanned = l.scan
@@ -1105,10 +1172,11 @@ func (l *Ledger) ActiveJobs() []JobRef {
 // CheckInvariants recomputes per-processor utilization from entry records
 // and verifies it matches the running sums within tolerance, that no
 // utilization is negative, and that every index (per-processor entries,
-// task→jobs, signature groups with their cached sums and the violated
-// counter) agrees with the ground-truth records. It also cross-checks the
-// indexed Admissible against referenceAdmissible on the empty candidate.
-// Property tests call it after random operation sequences.
+// task→jobs, signature groups with their cached upper-bound sums and the
+// violated counter, recounted from fresh sums) agrees with the ground-truth
+// records. It also cross-checks the indexed Admissible against
+// referenceAdmissible on the empty candidate. Property tests call it after
+// random operation sequences.
 func (l *Ledger) CheckInvariants() error {
 	recomputed := make([]float64, len(l.util))
 	activeEntries := 0
@@ -1201,12 +1269,17 @@ func (l *Ledger) CheckInvariants() error {
 		if len(g.counts) != len(g.procs) {
 			return fmt.Errorf("sched: group %q has %d counts for %d processors", sig, len(g.counts), len(g.procs))
 		}
-		var s float64
-		for i, p := range g.procs {
-			s += float64(g.counts[i]) * l.term[p]
+		s := l.freshSum(g)
+		// cachedSum is an upper bound on the fresh sum, and for a counted
+		// group on the same side of 1 (see sigGroup.cachedSum).
+		if s > g.cachedSum+1e-9 {
+			return fmt.Errorf("sched: group %q cached sum %g below the fresh sum %g", sig, g.cachedSum, s)
 		}
-		if math.Abs(s-g.cachedSum) > 1e-9 && !(math.IsInf(s, 1) && math.IsInf(g.cachedSum, 1)) {
-			return fmt.Errorf("sched: group %q cached sum %g, recomputed %g", sig, g.cachedSum, s)
+		if g.counted > 0 && (g.cachedSum > 1) != (s > 1) {
+			return fmt.Errorf("sched: counted group %q cached sum %g and fresh sum %g on opposite sides of 1", sig, g.cachedSum, s)
+		}
+		if want := float64(slices.Max(g.counts)); g.maxCount != want {
+			return fmt.Errorf("sched: group %q max count %g, signature has %g", sig, g.maxCount, want)
 		}
 		for i, p := range g.procs {
 			pg := l.procGroups[p]
@@ -1214,7 +1287,7 @@ func (l *Ledger) CheckInvariants() error {
 				return fmt.Errorf("sched: group %q missing from processor %d group index", sig, p)
 			}
 		}
-		if g.counted > 0 && g.cachedSum > 1 {
+		if g.counted > 0 && s > 1 {
 			wantViolated++
 		}
 	}

@@ -462,11 +462,15 @@ func ownFeasible(l *Ledger, cand []PlacedStage) bool {
 // TestAdmissibleManyGroups runs the admission test where one processor
 // indexes 66 signature groups, past anything a fixed-size visited list would
 // hold: the test must not allocate, must agree with the full-scan reference
-// on each way a decision can fall, and must evaluate a group indexed under
-// two perturbed processors, and a group record recycled between two tests.
+// on each way a decision can fall, must pass on the cached bound exactly the
+// groups the bound can vouch for and sum the rest — a group indexed under two
+// perturbed processors once, and a group record recycled between two tests.
 func TestAdmissibleManyGroups(t *testing.T) {
 	const procs, groups = 13, 66
-	l := NewLedger(procs)
+	// One processor more than the signatures use: a candidate stage placed on
+	// it perturbs no group but counts toward the growth the bound allows for.
+	const spare = procs
+	l := NewLedger(procs + 1)
 	addManyGroups(t, procs, groups, func(ref JobRef, pl []PlacedStage) error {
 		return l.AddJob(ref, Aperiodic, pl, false, time.Hour)
 	})
@@ -476,8 +480,20 @@ func TestAdmissibleManyGroups(t *testing.T) {
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// stamped counts the groups the most recent test evaluated.
-	stamped := func() int {
+	// met counts the distinct counted groups indexed under the candidate's
+	// processors, summed those the most recent test stamped.
+	met := func(cand []PlacedStage) int {
+		seen := make(map[*sigGroup]bool)
+		for _, p := range cand {
+			for _, g := range l.procGroups[p.Proc] {
+				if g.counted > 0 {
+					seen[g] = true
+				}
+			}
+		}
+		return len(seen)
+	}
+	summed := func() int {
 		n := 0
 		for _, g := range l.groups {
 			if g.scanned == l.scan {
@@ -494,25 +510,39 @@ func TestAdmissibleManyGroups(t *testing.T) {
 		// own is whether the candidate's own condition holds; false rejects
 		// before any group is looked at.
 		own bool
-		// evaluated is the number of groups an accepting scan visits.
-		evaluated int
+		// met and summed are the groups an accepting scan comes across and
+		// the ones among them it cannot pass on the cached bound.
+		met, summed int
 	}{
+		// Every group sums to 0.29 and the candidate adds 0.015.
 		{name: "accept", cand: place(PlacedStage{Proc: 0, Util: 0.01}),
-			want: true, own: true, evaluated: groups},
+			want: true, own: true, met: groups, summed: 0},
 		{name: "reject by own sum", cand: place(PlacedStage{Proc: 0, Util: 0.5})},
 		// f(0.57) = 0.948 leaves the candidate feasible alone, but every
 		// {0,a,b} job adds its two other stages on top.
 		{name: "reject by perturbed group", cand: place(PlacedStage{Proc: 0, Util: 0.37}), own: true},
 		// Processors 1 and 2 index 11 groups each and share {0,1,2}: 21
-		// distinct groups, the shared one evaluated once.
+		// distinct groups.
 		{name: "accept on two processors",
 			cand: place(PlacedStage{Stage: 0, Proc: 1, Util: 0.01}, PlacedStage{Stage: 1, Proc: 2, Util: 0.01}),
-			want: true, own: true, evaluated: 21},
+			want: true, own: true, met: 21, summed: 0},
 		// Only {0,1,2} fails, and only with both tentative terms applied:
 		// 0.225 + 2·f(0.333) = 1.06, against 0.68 with either one alone.
 		{name: "reject by group on both processors",
 			cand: place(PlacedStage{Stage: 0, Proc: 1, Util: 0.3}, PlacedStage{Stage: 1, Proc: 2, Util: 0.3}),
 			own:  true},
+		// The stage on the spare processor grows the candidate's terms by
+		// f(0.5) = 0.75, which no group's 0.29 leaves room for: the bound
+		// passes nothing, and every group's fresh sum (the spare processor
+		// is not in it) accepts.
+		{name: "accept with every group past the bound",
+			cand: place(PlacedStage{Stage: 0, Proc: 0, Util: 0.01}, PlacedStage{Stage: 1, Proc: spare, Util: 0.5}),
+			want: true, own: true, met: groups, summed: groups},
+		// The same on two perturbed processors: {0,1,2} is summed once.
+		{name: "accept on two processors past the bound",
+			cand: place(PlacedStage{Stage: 0, Proc: 1, Util: 0.01}, PlacedStage{Stage: 1, Proc: 2, Util: 0.01},
+				PlacedStage{Stage: 2, Proc: spare, Util: 0.5}),
+			want: true, own: true, met: 21, summed: 21},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -523,8 +553,8 @@ func TestAdmissibleManyGroups(t *testing.T) {
 			if got != tt.want || ref != tt.want {
 				t.Errorf("Admissible = %v, reference = %v, want %v", got, ref, tt.want)
 			}
-			if tt.want && stamped() != tt.evaluated {
-				t.Errorf("test evaluated %d groups, want %d", stamped(), tt.evaluated)
+			if tt.want && (met(tt.cand) != tt.met || summed() != tt.summed) {
+				t.Errorf("test met %d groups and summed %d, want %d and %d", met(tt.cand), summed(), tt.met, tt.summed)
 			}
 			if allocs := testing.AllocsPerRun(100, func() { l.Admissible(tt.cand) }); allocs != 0 {
 				t.Errorf("Admissible allocates %v times per call, want 0", allocs)
@@ -533,15 +563,16 @@ func TestAdmissibleManyGroups(t *testing.T) {
 	}
 
 	t.Run("recycled group", func(t *testing.T) {
-		// Stamp every group, then retire {0,1,2}: its record goes to the free
-		// list carrying the stamp of the test that just ran.
+		// Stamp every group (the spare-processor stage puts them all past
+		// the bound), then retire {0,1,2}: its record goes to the free list
+		// carrying the stamp of the test that just ran.
 		cand := place(PlacedStage{Proc: 0, Util: 0.05})
-		if !l.Admissible(cand) {
+		if !l.Admissible(place(PlacedStage{Stage: 0, Proc: 0, Util: 0.01}, PlacedStage{Stage: 1, Proc: spare, Util: 0.5})) {
 			t.Fatal("light candidate rejected")
 		}
 		old := l.groups["0:1,1:1,2:1"]
 		if old == nil || old.scanned != l.scan {
-			t.Fatal("group {0,1,2} missing or not evaluated")
+			t.Fatal("group {0,1,2} missing or not summed")
 		}
 		// {0,1,2} is the first signature addManyGroups makes: jobs 0 and 1.
 		l.ExpireJob(JobRef{Task: "bg", Job: 0})
@@ -570,11 +601,49 @@ func TestAdmissibleManyGroups(t *testing.T) {
 			t.Fatal("candidate infeasible on its own")
 		}
 		if got, ref := l.Admissible(cand), l.referenceAdmissible(cand); got || ref {
-			t.Errorf("Admissible = %v, reference = %v, want both false: the recycled group must be evaluated", got, ref)
+			t.Errorf("Admissible = %v, reference = %v, want both false: the recycled group must be summed", got, ref)
 		}
 		l.ExpireJob(heavy)
 		if got, ref := l.Admissible(cand), l.referenceAdmissible(cand); !got || !ref {
 			t.Errorf("Admissible = %v, reference = %v after the heavy job expired, want both true", got, ref)
+		}
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// The one hazard of a cached sum that may be stale: a group left
+	// uncounted while its processor shrank keeps a sum above 1, and an
+	// in-flight job that joins it without growing the processor (a zero
+	// utilization stage) must find it refreshed, not flagged violated.
+	t.Run("stale uncounted group joined", func(t *testing.T) {
+		l := NewLedger(1)
+		add := func(task string, util float64) JobRef {
+			ref := JobRef{Task: task, Job: 0}
+			if err := l.AddJob(ref, Aperiodic, place(PlacedStage{Proc: 0, Util: util}), false, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			return ref
+		}
+		l.MarkComplete(add("done", 0.3), 0)
+		heavy := add("heavy", 0.4)
+		l.MarkComplete(heavy, 0)
+		l.ExpireJob(heavy)
+		g := l.groups["0:1"]
+		if g == nil || g.counted != 0 || g.cachedSum <= 1 || l.violated != 0 {
+			t.Fatalf("want group {0} uncounted with a stale sum above 1 and nothing violated, got %+v, violated %d", g, l.violated)
+		}
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		add("joiner", 0)
+		if g.counted != 1 || g.cachedSum != AUBTerm(l.Util(0)) || l.violated != 0 {
+			t.Errorf("after the join: counted %d, cached sum %g (fresh %g), violated %d; want 1, the fresh sum, 0",
+				g.counted, g.cachedSum, AUBTerm(l.Util(0)), l.violated)
+		}
+		cand := place(PlacedStage{Proc: 0, Util: 0.1})
+		if got, ref := l.Admissible(cand), l.referenceAdmissible(cand); !got || !ref {
+			t.Errorf("Admissible = %v, reference = %v, want both true", got, ref)
 		}
 		if err := l.CheckInvariants(); err != nil {
 			t.Fatal(err)

@@ -19,6 +19,10 @@ type diffShape struct {
 	// addUtil, moveUtil and candUtil bound the per-stage utilization of
 	// added jobs, relocated jobs and admission candidates.
 	addUtil, moveUtil, candUtil float64
+	// admitOnly adds and relocates a job only where Admissible accepts its
+	// placement, as the admission controller does, so no job's condition is
+	// ever violated.
+	admitOnly bool
 }
 
 // narrowShape keeps a handful of signature groups per processor and runs
@@ -26,22 +30,53 @@ type diffShape struct {
 // candidate's own condition decide. wideShape is the regime of the
 // simulation sweep: light multi-stage jobs over more processors, so every
 // processor indexes well over 16 groups and the perturbed-group scan decides.
+// saturatedShape is the regime the cached upper bounds live in: every job
+// comes in through the admission test, so nothing is ever violated, shrinking
+// processors leave cached sums stale across runs of ExpireJob and ResetEntry,
+// and few enough signatures that MarkComplete empties a group's counted tally
+// and a later job fills it again.
 var (
 	narrowShape = diffShape{procs: 6, minStages: 1, maxStages: 3, tasks: 5,
 		addUtil: 0.6, moveUtil: 0.4, candUtil: 0.5}
 	wideShape = diffShape{procs: 12, minStages: 2, maxStages: 5, tasks: 40, prefill: 90,
 		addUtil: 0.008, moveUtil: 0.008, candUtil: 0.2}
+	saturatedShape = diffShape{procs: 5, minStages: 1, maxStages: 3, tasks: 12, prefill: 60,
+		addUtil: 0.12, moveUtil: 0.08, candUtil: 0.15, admitOnly: true}
 )
+
+// opSource supplies the harness's choices: a seeded generator in the tests,
+// the fuzzer's bytes in FuzzLedgerOps.
+type opSource interface {
+	Intn(n int) int
+	Float64() float64
+}
+
+// byteSource reads choices off a byte string, and zeros once it is used up.
+// Float64 reaches both ends of [0, 1], so stages of zero utilization occur.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) next() int {
+	if len(s.b) == 0 {
+		return 0
+	}
+	v := s.b[0]
+	s.b = s.b[1:]
+	return int(v)
+}
+
+func (s *byteSource) Intn(n int) int { return (s.next()<<8 | s.next()) % n }
+
+func (s *byteSource) Float64() float64 { return float64(s.next()) / 255 }
 
 // differentialHarness drives one ledger through a random operation sequence
 // and, after every mutation, asserts that the indexed Admissible agrees with
 // the full-scan referenceAdmissible on a batch of random candidate
 // placements, and that CheckInvariants (which audits every index) holds. It
-// returns the largest number of signature groups any processor indexed and
-// how many candidates were accepted and rejected.
-func differentialHarness(t *testing.T, seed int64, ops int, shape diffShape) (maxGroups, accepted, rejected int) {
+// returns the largest number of signature groups any processor indexed, how
+// many candidates were accepted and rejected, and how many times a step left
+// a group's cached sum stale (strictly above its fresh sum).
+func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (maxGroups, accepted, rejected, stale int) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
 	procs := shape.procs
 	l := NewLedger(procs)
 
@@ -60,18 +95,23 @@ func differentialHarness(t *testing.T, seed int64, ops int, shape diffShape) (ma
 	checkAgreement := func(step int, op string) {
 		t.Helper()
 		if err := l.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d step %d after %s: %v", seed, step, op, err)
+			t.Fatalf("step %d after %s: %v", step, op, err)
 		}
 		for p := range l.procGroups {
 			maxGroups = max(maxGroups, len(l.procGroups[p]))
+		}
+		for _, g := range l.groups {
+			if g.cachedSum > l.freshSum(g) {
+				stale++
+			}
 		}
 		for q := 0; q < 4; q++ {
 			cand := randPlacement(shape.candUtil)
 			fast := l.Admissible(cand)
 			ref := l.referenceAdmissible(cand)
 			if fast != ref {
-				t.Fatalf("seed %d step %d after %s: Admissible(%v) = %v, reference = %v",
-					seed, step, op, cand, fast, ref)
+				t.Fatalf("step %d after %s: Admissible(%v) = %v, reference = %v",
+					step, op, cand, fast, ref)
 			}
 			if fast {
 				accepted++
@@ -81,8 +121,8 @@ func differentialHarness(t *testing.T, seed int64, ops int, shape diffShape) (ma
 		}
 	}
 
-	// addJob deliberately skips the admission check so overloaded (violating)
-	// states are exercised too.
+	// addJob skips the admission check unless the shape asks for it, so
+	// overloaded (violating) states are exercised too.
 	addJob := func(step int) {
 		ref := JobRef{Task: fmt.Sprintf("t%d", rng.Intn(shape.tasks)), Job: nextJob}
 		nextJob++
@@ -91,8 +131,12 @@ func differentialHarness(t *testing.T, seed int64, ops int, shape diffShape) (ma
 			kind = Periodic
 		}
 		permanent := rng.Intn(5) == 0
-		if err := l.AddJob(ref, kind, randPlacement(shape.addUtil), permanent, time.Duration(step)*time.Millisecond); err != nil {
-			t.Fatalf("seed %d step %d: AddJob: %v", seed, step, err)
+		pl := randPlacement(shape.addUtil)
+		if shape.admitOnly && !l.Admissible(pl) {
+			return
+		}
+		if err := l.AddJob(ref, kind, pl, permanent, time.Duration(step)*time.Millisecond); err != nil {
+			t.Fatalf("step %d: AddJob: %v", step, err)
 		}
 		live = append(live, ref)
 	}
@@ -138,8 +182,12 @@ func differentialHarness(t *testing.T, seed int64, ops int, shape diffShape) (ma
 				continue
 			}
 			ref := live[rng.Intn(len(live))]
-			if err := l.Relocate(ref, randPlacement(shape.moveUtil)); err != nil {
-				t.Fatalf("seed %d step %d: Relocate(%s): %v", seed, step, ref, err)
+			// Admissible with the job's old stages still in place is more
+			// than the move needs, so an accepted move violates nothing.
+			if pl := randPlacement(shape.moveUtil); !shape.admitOnly || l.Admissible(pl) {
+				if err := l.Relocate(ref, pl); err != nil {
+					t.Fatalf("step %d: Relocate(%s): %v", step, ref, err)
+				}
 			}
 			op = "Relocate"
 		case 9: // RemoveTask withdraws every job of one task name.
@@ -156,7 +204,7 @@ func differentialHarness(t *testing.T, seed int64, ops int, shape diffShape) (ma
 		}
 		checkAgreement(step, op)
 	}
-	return maxGroups, accepted, rejected
+	return maxGroups, accepted, rejected, stale
 }
 
 // TestLedgerDifferentialAdmissible is the differential property test for the
@@ -165,18 +213,17 @@ func differentialHarness(t *testing.T, seed int64, ops int, shape diffShape) (ma
 // decision-equivalent to the full-scan reference on every query, with all
 // ledger indexes passing CheckInvariants at every step. The wide subtests
 // must actually reach the perturbed-group scan at group counts the narrow
-// ones never build.
+// ones never build, and the saturated ones must actually leave cached sums
+// stale.
 func TestLedgerDifferentialAdmissible(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			differentialHarness(t, seed, 120, narrowShape)
+			differentialHarness(t, rand.New(rand.NewSource(seed)), 120, narrowShape)
 		})
 	}
 	for seed := int64(0); seed < 10; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("wide/seed=%d", seed), func(t *testing.T) {
-			groups, accepted, rejected := differentialHarness(t, seed, 120, wideShape)
+			groups, accepted, rejected, _ := differentialHarness(t, rand.New(rand.NewSource(seed)), 120, wideShape)
 			if groups <= 16 {
 				t.Errorf("at most %d groups on one processor, want more than 16", groups)
 			}
@@ -185,6 +232,40 @@ func TestLedgerDifferentialAdmissible(t *testing.T) {
 			}
 		})
 	}
+	for seed := int64(0); seed < 10; seed++ {
+		t.Run(fmt.Sprintf("saturated/seed=%d", seed), func(t *testing.T) {
+			_, accepted, rejected, stale := differentialHarness(t, rand.New(rand.NewSource(seed)), 300, saturatedShape)
+			if accepted == 0 || rejected == 0 {
+				t.Errorf("%d candidates accepted, %d rejected: want both outcomes", accepted, rejected)
+			}
+			if stale == 0 {
+				t.Error("no cached sum was ever stale: the shape does not reach the regime it is for")
+			}
+		})
+	}
+}
+
+// FuzzLedgerOps decodes the input into the harness's operation sequence —
+// the first byte picks the shape, the rest are its choices — and holds it to
+// the same per-step agreement. The seed corpus is one generated byte string
+// per shape.
+func FuzzLedgerOps(f *testing.F) {
+	shapes := []diffShape{narrowShape, wideShape, saturatedShape}
+	for i := range shapes {
+		data := make([]byte, 4096)
+		rand.New(rand.NewSource(int64(i))).Read(data)
+		data[0] = byte(i)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		shape := shapes[int(data[0])%len(shapes)]
+		// A step reads some forty bytes (an operation and four candidates).
+		ops := min(len(data)/40, 200)
+		differentialHarness(t, &byteSource{data[1:]}, ops, shape)
+	})
 }
 
 // TestLedgerAdmissibleOverload pins the violated-counter behavior: once any

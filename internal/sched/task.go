@@ -191,19 +191,27 @@ func (t *Task) Clone() *Task {
 // AssignEDMSPriorities assigns End-to-end Deadline Monotonic Scheduling
 // priorities to the tasks in place: a subtask has higher priority (smaller
 // value) if it belongs to a task with a shorter end-to-end deadline. Ties
-// are broken by task ID so the assignment is deterministic. Priorities start
-// at one.
+// are broken by task ID and then by position in tasks, so the assignment is
+// deterministic — the order is total, and the one a stable sort on
+// (Deadline, ID) gives, without a stable sort's cost. Priorities start at
+// one.
 func AssignEDMSPriorities(tasks []*Task) {
-	order := make([]*Task, len(tasks))
-	copy(order, tasks)
-	slices.SortStableFunc(order, func(a, b *Task) int {
-		if c := cmp.Compare(a.Deadline, b.Deadline); c != 0 {
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		ta, tb := tasks[a], tasks[b]
+		if c := cmp.Compare(ta.Deadline, tb.Deadline); c != 0 {
 			return c
 		}
-		return strings.Compare(a.ID, b.ID)
+		if c := strings.Compare(ta.ID, tb.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
 	for i, t := range order {
-		t.Priority = i + 1
+		tasks[t].Priority = i + 1
 	}
 }
 

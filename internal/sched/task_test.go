@@ -133,8 +133,8 @@ func TestAssignEDMSPriorities(t *testing.T) {
 
 // TestAssignEDMSPrioritiesMatchesSliceStable pins the ordering on a set the
 // size of the simulation sweep's: 10 000 tasks whose deadlines collide
-// heavily, plus repeated IDs so full (Deadline, ID) ties exercise stability.
-// The reference is the sort.SliceStable call the function used to make.
+// heavily, plus repeated IDs so full (Deadline, ID) ties fall to the position
+// tie-break. The reference is the stable sort the function used to make.
 func TestAssignEDMSPrioritiesMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tasks := make([]*Task, 10000)
