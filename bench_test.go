@@ -817,6 +817,38 @@ func BenchmarkSimHotPath(b *testing.B) {
 	}
 }
 
+// simBuildSink keeps BenchmarkSimBuild's result alive.
+var simBuildSink *rtmw.SimSystem
+
+// BenchmarkSimBuild measures what a simulation request costs before its first
+// event: NewSimSystem over the repo benchmark's sim-sweep shape (validate,
+// clone, EDMS priorities, name index). allocs/op is enforced in
+// BENCH_baseline.json: the build is three slabs and one index whatever the
+// task count, so a per-task allocation shows as thousands.
+func BenchmarkSimBuild(b *testing.B) {
+	const procs, numTasks = 50, 10_000
+	b.Run(fmt.Sprintf("procs=%d/tasks=%d", procs, numTasks), func(b *testing.B) {
+		tasks, err := rtmw.GenerateWorkload(rtmw.ScaleWorkloadParams(procs, numTasks, 0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := rtmw.SimConfig{
+			Strategies: rtmw.Config{AC: rtmw.StrategyPerJob, IR: rtmw.StrategyPerJob, LB: rtmw.StrategyPerJob},
+			NumProcs:   procs,
+			Seed:       1,
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sim, err := rtmw.NewSimBinding(cfg, tasks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			simBuildSink = sim
+		}
+	})
+}
+
 // BenchmarkFailover measures the node-loss survival cycle on a live
 // three-processor cluster with full replica coverage: per iteration a burst
 // of submissions is followed by a hard node kill, the zero-loss failover

@@ -44,8 +44,9 @@ type Metrics struct {
 	Periodic  KindMetrics
 	Aperiodic KindMetrics
 
-	// perTask accumulates per-task buckets, created lazily.
-	perTask map[string]*KindMetrics
+	// perTask holds each active task's accumulator, whose first bucket is the
+	// task's own accounting; created lazily.
+	perTask map[string]*MetricAcc
 }
 
 // kind returns the per-kind bucket.
@@ -59,8 +60,8 @@ func (m *Metrics) kind(k sched.TaskKind) *KindMetrics {
 // Task returns the accounting for one task (zero value if it never
 // arrived). The returned copy is safe to retain.
 func (m *Metrics) Task(id string) KindMetrics {
-	if b, ok := m.perTask[id]; ok {
-		return *b
+	if a, ok := m.perTask[id]; ok {
+		return a.task
 	}
 	return KindMetrics{}
 }
@@ -75,29 +76,35 @@ func (m *Metrics) TaskIDs() []string {
 	return out
 }
 
-// MetricAcc is a cached per-task accumulator: the three buckets a task's
-// jobs account into (total, per kind, per task) plus the task's per-job
-// constants, so the simulation's hot path records a job without a map
-// lookup.
+// MetricAcc is a cached per-task accumulator: the task's own bucket, pointers
+// to the three buckets its jobs account into (total, per kind, per task) and
+// the task's per-job constants, in one object, so the simulation's hot path
+// records a job without a map lookup and a task's first job allocates once.
 type MetricAcc struct {
+	task     KindMetrics
 	buckets  [3]*KindMetrics
 	util     float64
 	deadline time.Duration
 }
 
 // Acc returns an accumulator handle for the task, creating its per-task
-// bucket. The handle stays valid for the lifetime of the Metrics value.
+// bucket on first use. A later handle for the same ID (a task re-registered
+// after removal) carries the new task's constants and accounts into the first
+// handle's bucket. The handle stays valid for the lifetime of the Metrics
+// value.
 func (m *Metrics) Acc(t *sched.Task) *MetricAcc {
-	if m.perTask == nil {
-		m.perTask = make(map[string]*KindMetrics)
+	a := &MetricAcc{util: t.TotalUtil(), deadline: t.Deadline}
+	own := &a.task
+	if first, ok := m.perTask[t.ID]; ok {
+		own = &first.task
+	} else {
+		if m.perTask == nil {
+			m.perTask = make(map[string]*MetricAcc)
+		}
+		m.perTask[t.ID] = a
 	}
-	b, ok := m.perTask[t.ID]
-	if !ok {
-		b = &KindMetrics{}
-		m.perTask[t.ID] = b
-	}
-	buckets := [3]*KindMetrics{&m.Total, m.kind(t.Kind), b}
-	return &MetricAcc{buckets: buckets, util: t.TotalUtil(), deadline: t.Deadline}
+	a.buckets = [3]*KindMetrics{&m.Total, m.kind(t.Kind), own}
+	return a
 }
 
 // Arrived records a job arrival.

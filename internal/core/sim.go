@@ -211,27 +211,53 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One counting pass sizes three slabs (tasks, subtasks, replica lists), so
+	// a request costs the same few allocations whatever its task count. Each
+	// clone's Subtasks and Replicas are three-index sub-slices of the slabs:
+	// cap == len, so an append reallocates instead of writing into a neighbour.
+	var nSub, nRep int
+	for _, t := range tasks {
+		nSub += len(t.Subtasks)
+		for i := range t.Subtasks {
+			nRep += len(t.Subtasks[i].Replicas)
+		}
+	}
+	slab := make([]sched.Task, len(tasks))
+	subs := make([]sched.Subtask, nSub)
+	reps := make([]int, nRep)
 	cloned := make([]*sched.Task, len(tasks))
-	seen := make(map[string]bool, len(tasks))
+	taskIdx := make(map[string]int32, len(tasks))
 	for i, t := range tasks {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		if seen[t.ID] {
+		if _, dup := taskIdx[t.ID]; dup {
 			return nil, fmt.Errorf("core: duplicate task ID %q", t.ID)
 		}
-		seen[t.ID] = true
-		for _, st := range t.Subtasks {
-			for _, p := range st.Candidates() {
-				if p >= cfg.NumProcs {
-					return nil, fmt.Errorf("core: task %s references processor %d but sim has %d", t.ID, p, cfg.NumProcs)
-				}
-			}
+		taskIdx[t.ID] = int32(i)
+		if err := checkProcs(t, cfg.NumProcs); err != nil {
+			return nil, err
 		}
 		if t.Kind == sched.Aperiodic && t.MeanInterarrival <= 0 {
 			return nil, fmt.Errorf("core: aperiodic task %s has no mean interarrival time", t.ID)
 		}
-		cloned[i] = t.Clone()
+		c := &slab[i]
+		*c = *t
+		n := len(t.Subtasks)
+		c.Subtasks = subs[:n:n]
+		subs = subs[n:]
+		for j := range t.Subtasks {
+			st := t.Subtasks[j]
+			if r := len(st.Replicas); r > 0 {
+				copy(reps, st.Replicas)
+				st.Replicas = reps[:r:r]
+				reps = reps[r:]
+			} else {
+				st.Replicas = nil
+			}
+			c.Subtasks[j] = st
+		}
+		cloned[i] = c
 	}
 	sched.AssignEDMSPriorities(cloned)
 
@@ -243,14 +269,11 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 		links:   des.NewLink(eng, cfg.LinkDelay),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		tasks:   cloned,
-		taskIdx: make(map[string]int32, len(cloned)),
+		taskIdx: taskIdx,
 		te:      make([]teState, len(cloned)),
 		nextJob: make([]int64, len(cloned)),
 		accs:    make([]*MetricAcc, len(cloned)),
 		removed: make([]bool, len(cloned)),
-	}
-	for i, t := range cloned {
-		s.taskIdx[t.ID] = int32(i)
 	}
 	s.procs = make([]*des.Processor, cfg.NumProcs)
 	s.irs = make([]*IdleResetter, cfg.NumProcs)
@@ -263,6 +286,26 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 		}
 	}
 	return s, nil
+}
+
+// checkProcs rejects a task that names a processor the simulation does not
+// have, looking at each stage's home processor and then its replicas.
+func checkProcs(t *sched.Task, numProcs int) error {
+	outOfRange := func(p int) error {
+		return fmt.Errorf("core: task %s references processor %d but sim has %d", t.ID, p, numProcs)
+	}
+	for i := range t.Subtasks {
+		st := &t.Subtasks[i]
+		if st.Processor >= numProcs {
+			return outOfRange(st.Processor)
+		}
+		for _, p := range st.Replicas {
+			if p >= numProcs {
+				return outOfRange(p)
+			}
+		}
+	}
+	return nil
 }
 
 // Metrics returns the run's accounting. Valid after Run.
@@ -297,6 +340,9 @@ func (s *SimSystem) Run() *Metrics {
 	if !s.started {
 		s.started = true
 		if !s.cfg.ExternalArrivals {
+			// At most one first arrival per task: size the event arena once
+			// instead of growing it by doubling under the loop.
+			s.eng.Reserve(len(s.tasks))
 			for i := range s.tasks {
 				if !s.removed[i] {
 					s.scheduleFirstArrival(int32(i), 0)
@@ -393,12 +439,8 @@ func (s *SimSystem) AddTasks(tasks []*sched.Task) error {
 			return fmt.Errorf("core: sim: add tasks: %w: %q", ErrTaskExists, t.ID)
 		}
 		seen[t.ID] = true
-		for _, st := range t.Subtasks {
-			for _, p := range st.Candidates() {
-				if p >= s.cfg.NumProcs {
-					return fmt.Errorf("core: task %s references processor %d but sim has %d", t.ID, p, s.cfg.NumProcs)
-				}
-			}
+		if err := checkProcs(t, s.cfg.NumProcs); err != nil {
+			return err
 		}
 		if t.Kind == sched.Aperiodic && t.MeanInterarrival <= 0 {
 			return fmt.Errorf("core: aperiodic task %s has no mean interarrival time", t.ID)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -322,5 +325,174 @@ func TestSimMixedWorkloadInvariants(t *testing.T) {
 		if m.Periodic.Arrived+m.Aperiodic.Arrived != m.Total.Arrived {
 			t.Errorf("%s: kind split does not sum", combo)
 		}
+	}
+}
+
+// manyTasks returns n valid tasks over procs processors: two or three stages
+// each, every other stage replicated, every fourth task aperiodic.
+func manyTasks(n, procs int) []*sched.Task {
+	tasks := make([]*sched.Task, n)
+	for i := range tasks {
+		t := &sched.Task{
+			ID: fmt.Sprintf("t%d", i), Kind: sched.Periodic,
+			Period: time.Second, Deadline: time.Second + time.Duration(i)*time.Microsecond,
+		}
+		if i%4 == 3 {
+			t.Kind, t.Period, t.MeanInterarrival = sched.Aperiodic, 0, time.Second
+		}
+		for s := 0; s < 2+i%2; s++ {
+			st := sched.Subtask{Index: s, Exec: time.Millisecond, Processor: (i + s) % procs}
+			if s%2 == 1 {
+				st.Replicas = []int{(i + s + 1) % procs, (i + s + 2) % procs}
+			}
+			t.Subtasks = append(t.Subtasks, st)
+		}
+		tasks[i] = t
+	}
+	return tasks
+}
+
+// TestNewSimSystemClonesItsInput holds the slab clone to what Task.Clone gave:
+// nothing the caller does to its tasks afterwards reaches the simulation, and
+// nothing done to one clone reaches its neighbour in the slab.
+func TestNewSimSystemClonesItsInput(t *testing.T) {
+	in := manyTasks(8, 4)
+	in[2].Subtasks[0].Replicas = []int{} // empty, not nil: cloned as nil, like Task.Clone
+	want := make([]*sched.Task, len(in))
+	for i, task := range in {
+		want[i] = task.Clone()
+	}
+	s := mustSim(t, simCfg(Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone}, 4), in)
+	sched.AssignEDMSPriorities(want)
+
+	for _, task := range in {
+		task.Deadline = time.Hour
+		task.ID += "-renamed"
+		for i := range task.Subtasks {
+			task.Subtasks[i].Processor = 3
+			task.Subtasks[i].Exec = time.Hour
+			for k := range task.Subtasks[i].Replicas {
+				task.Subtasks[i].Replicas[k] = 3
+			}
+		}
+		task.Subtasks = append(task.Subtasks, sched.Subtask{})
+	}
+	if !reflect.DeepEqual(s.tasks, want) {
+		t.Fatalf("the simulation's tasks changed with the caller's:\n got %+v\nwant %+v", s.tasks[0], want[0])
+	}
+
+	// cap == len on every sub-slice of the slabs: an append reallocates
+	// instead of writing into the next task's storage.
+	for i, task := range s.tasks {
+		if cap(task.Subtasks) != len(task.Subtasks) {
+			t.Errorf("task %d: Subtasks has cap %d for len %d", i, cap(task.Subtasks), len(task.Subtasks))
+		}
+		for j, st := range task.Subtasks {
+			if st.Replicas != nil && cap(st.Replicas) != len(st.Replicas) {
+				t.Errorf("task %d stage %d: Replicas has cap %d for len %d", i, j, cap(st.Replicas), len(st.Replicas))
+			}
+			if st.Replicas == nil != (len(want[i].Subtasks[j].Replicas) == 0) {
+				t.Errorf("task %d stage %d: Replicas nil = %v, Task.Clone's nil = %v", i, j, st.Replicas == nil, want[i].Subtasks[j].Replicas == nil)
+			}
+		}
+	}
+	for _, task := range s.tasks {
+		task.Subtasks = append(task.Subtasks, sched.Subtask{Index: 99, Processor: 99})
+		for j := range task.Subtasks {
+			task.Subtasks[j].Replicas = append(task.Subtasks[j].Replicas, 99)
+		}
+	}
+	for i, task := range s.tasks {
+		for j, w := range want[i].Subtasks {
+			got := task.Subtasks[j]
+			if got.Index != w.Index || got.Processor != w.Processor || got.Exec != w.Exec ||
+				!slices.Equal(got.Replicas[:len(w.Replicas)], w.Replicas) {
+				t.Errorf("task %d stage %d: an append to a neighbour overwrote it: %+v, want %+v", i, j, got, w)
+			}
+		}
+	}
+}
+
+// TestNewSimSystemValidationOrder pins which fault is reported, and in which
+// words, with the offending task last among a thousand valid ones: per task
+// Validate, then the duplicate ID, then the processors (stage by stage, home
+// before replicas), then the aperiodic mean; the first offending task wins.
+func TestNewSimSystemValidationOrder(t *testing.T) {
+	const procs = 50
+	bad := func(edit func(*sched.Task)) *sched.Task {
+		task := &sched.Task{
+			ID: "bad", Kind: sched.Periodic, Period: time.Second, Deadline: time.Second,
+			Subtasks: []sched.Subtask{
+				{Index: 0, Exec: time.Millisecond, Processor: 1, Replicas: []int{2, 3}},
+				{Index: 1, Exec: time.Millisecond, Processor: 4},
+			},
+		}
+		edit(task)
+		return task
+	}
+	aperiodicNoMean := func(task *sched.Task) { task.Kind, task.Period = sched.Aperiodic, 0 }
+	for _, tc := range []struct {
+		name string
+		last []*sched.Task
+		want string
+	}{
+		{"duplicate ID", []*sched.Task{bad(func(task *sched.Task) { task.ID = "t7" })},
+			`core: duplicate task ID "t7"`},
+		{"home processor out of range", []*sched.Task{bad(func(task *sched.Task) { task.Subtasks[1].Processor = procs })},
+			"core: task bad references processor 50 but sim has 50"},
+		{"replica out of range", []*sched.Task{bad(func(task *sched.Task) { task.Subtasks[0].Replicas[1] = 99 })},
+			"core: task bad references processor 99 but sim has 50"},
+		{"aperiodic without mean interarrival", []*sched.Task{bad(aperiodicNoMean)},
+			"core: aperiodic task bad has no mean interarrival time"},
+		{"Task.Validate failure", []*sched.Task{bad(func(task *sched.Task) { task.Deadline = 0 })},
+			"sched: task bad: non-positive deadline 0s"},
+
+		{"Validate before duplicate", []*sched.Task{bad(func(task *sched.Task) { task.ID, task.Subtasks[0].Exec = "t7", 0 })},
+			"sched: task t7: subtask 0 has non-positive execution time 0s"},
+		{"duplicate before processors", []*sched.Task{bad(func(task *sched.Task) { task.ID, task.Subtasks[0].Processor = "t7", 70 })},
+			`core: duplicate task ID "t7"`},
+		{"processors before aperiodic mean", []*sched.Task{bad(func(task *sched.Task) { aperiodicNoMean(task); task.Subtasks[1].Processor = 70 })},
+			"core: task bad references processor 70 but sim has 50"},
+		{"an earlier stage's replica before a later stage's home", []*sched.Task{bad(func(task *sched.Task) { task.Subtasks[0].Replicas[0], task.Subtasks[1].Processor = 60, 70 })},
+			"core: task bad references processor 60 but sim has 50"},
+		{"home before replicas", []*sched.Task{bad(func(task *sched.Task) { task.Subtasks[0].Processor, task.Subtasks[0].Replicas[0] = 80, 60 })},
+			"core: task bad references processor 80 but sim has 50"},
+		{"the first offending task", []*sched.Task{bad(aperiodicNoMean), bad(func(task *sched.Task) { task.ID = "" })},
+			"core: aperiodic task bad has no mean interarrival time"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tasks := append(manyTasks(1000, procs), tc.last...)
+			s, err := NewSimSystem(simCfg(Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone}, procs), tasks)
+			if err == nil || err.Error() != tc.want || s != nil {
+				t.Fatalf("NewSimSystem = %v, %v; want nil and %q", s, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestNewSimSystemAllocsFlat keeps the build's allocations independent of the
+// task count: three slabs, a pointer slice, the name index and the per-task
+// state arrays, plus what fifty processors cost. One allocation per task, were
+// it to come back, would read as thousands. The name index is the one part
+// that is not a single allocation: a Go map of 10 000 strings is about 16
+// tables of two allocations each where one of 1 000 is two tables (33 against
+// 5 on go1.24), which is the whole difference the test allows for.
+func TestNewSimSystemAllocsFlat(t *testing.T) {
+	const procs = 50
+	cfg := simCfg(Config{AC: StrategyPerJob, IR: StrategyPerJob, LB: StrategyPerJob}, procs)
+	build := func(n int) float64 {
+		tasks := manyTasks(n, procs)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewSimSystem(cfg, tasks); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := build(1000), build(10000)
+	if small >= 300 || large >= 300 {
+		t.Errorf("NewSimSystem allocates %v times for 1000 tasks and %v for 10000, want under 300 for both", small, large)
+	}
+	if d := large - small; d >= 48 || d <= -48 {
+		t.Errorf("NewSimSystem allocates %v times for 1000 tasks and %v for 10000: the count follows the task count", small, large)
 	}
 }

@@ -18,8 +18,9 @@ type traceRec struct {
 // TestEngineDifferential drives random schedule/cancel/step/run-until
 // sequences through the pooled engine and the retained reference engine and
 // asserts identical (time, seq, fired) behavior, including nested scheduling
-// from inside callbacks and handles cancelled long after their slots have
-// been recycled.
+// from inside callbacks, handles cancelled long after their slots have been
+// recycled, and Reserve calls (which the reference has no counterpart for)
+// at random points.
 func TestEngineDifferential(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -67,6 +68,11 @@ func TestEngineDifferential(t *testing.T) {
 
 		ops := 200 + rng.Intn(400)
 		for op := 0; op < ops; op++ {
+			// Reserve only moves storage: wherever it lands, the trace, the
+			// handles and the counters below must not notice.
+			if rng.Intn(16) == 0 {
+				eng.Reserve(rng.Intn(64))
+			}
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3:
 				schedule(eng.Now() + time.Duration(rng.Intn(500))*time.Millisecond)
@@ -254,3 +260,59 @@ func TestTimerHandleSafetyAfterRecycle(t *testing.T) {
 		t.Errorf("fired %d events, want 2", fired)
 	}
 }
+
+// TestReserveKeepsHandlesAndAllocatesOnce pins Reserve's two promises: timer
+// handles taken before it moved the arena still cancel and report Pending
+// correctly afterwards, and scheduling the reserved number of events then
+// grows nothing.
+func TestReserveKeepsHandlesAndAllocatesOnce(t *testing.T) {
+	e := NewEngine()
+	fired := map[string]bool{}
+	keep := e.At(3*time.Millisecond, func() { fired["keep"] = true })
+	drop := e.At(2*time.Millisecond, func() { fired["drop"] = true })
+	gone := e.At(time.Millisecond, func() { fired["gone"] = true })
+	e.Step() // gone fires; its slot goes to the free list
+
+	// AllocsPerRun below calls its function twice: once to warm up, once to
+	// measure.
+	const n = 4096
+	before := &e.slots[0]
+	e.Reserve(2 * n)
+	if &e.slots[0] == before {
+		t.Fatal("Reserve did not move a three-slot arena: the test is not testing a move")
+	}
+	if !keep.Pending() || !drop.Pending() || gone.Pending() {
+		t.Errorf("after Reserve: keep pending %v, drop pending %v, fired handle pending %v; want true, true, false",
+			keep.Pending(), drop.Pending(), gone.Pending())
+	}
+	if !drop.Cancel() || drop.Cancel() || drop.Pending() {
+		t.Error("a handle from before Reserve did not cancel exactly once")
+	}
+	if gone.Cancel() {
+		t.Error("a fired handle cancelled something after Reserve")
+	}
+	if got := e.PendingCount(); got != 1 {
+		t.Errorf("PendingCount = %d, want 1", got)
+	}
+
+	var h recordingHandler
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			e.AtEvent(time.Second+time.Duration(i), &h, Event{})
+		}
+	}); allocs != 0 {
+		t.Errorf("scheduling the reserved events allocated %v times", allocs)
+	}
+	e.Run()
+	if !fired["keep"] || fired["drop"] || !fired["gone"] {
+		t.Errorf("fired %v, want keep and gone only", fired)
+	}
+	if h.n != 2*n {
+		t.Errorf("typed events fired %d times, want %d", h.n, 2*n)
+	}
+}
+
+// recordingHandler counts the typed events it is handed.
+type recordingHandler struct{ n int }
+
+func (h *recordingHandler) HandleEvent(Event) { h.n++ }

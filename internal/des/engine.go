@@ -38,6 +38,7 @@ package des
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -162,6 +163,20 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Fired returns the number of callbacks executed so far. Intended for tests
 // and instrumentation.
 func (e *Engine) Fired() int64 { return e.fired }
+
+// Reserve makes room for n more scheduled events than are outstanding now:
+// the slot arena, the pending heap and the free list are each sized once, so
+// scheduling those events grows nothing. A caller that knows how many events
+// it is about to schedule (a simulation's first arrivals) saves the arena's
+// growth by doubling and the copies that come with it. Timer handles address
+// slots by index, so the ones taken before the arena moved stay valid.
+func (e *Engine) Reserve(n int) {
+	// Free slots are taken before the arena grows.
+	e.slots = slices.Grow(e.slots, max(n-len(e.free), 0))
+	e.heap = slices.Grow(e.heap, n)
+	// Every slot can be on the free list at once.
+	e.free = slices.Grow(e.free, cap(e.slots)-len(e.free))
+}
 
 // alloc takes a free slot, growing the arena when the free list is empty.
 //

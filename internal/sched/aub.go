@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -126,6 +127,11 @@ type jobKey struct {
 // jobRec groups the entries of one admitted job.
 type jobRec struct {
 	entries []*entry
+	// key is the job's place in Ledger.jobs, and prevT/nextT link it into its
+	// task's list (Ledger.taskHead): the per-task index is threaded through
+	// the records themselves, so a task's first job allocates no index.
+	key          jobKey
+	prevT, nextT *jobRec
 	// group is the signature group the job currently belongs to; nil while
 	// the job has no active contribution.
 	group *sigGroup
@@ -243,7 +249,7 @@ const boundMargin = 1e-9
 //
 // Internally the ledger is fully indexed so the admission hot path never
 // scans the job map: per-processor entry sets serve CompletedOn, a
-// task→jobs index serves RemoveTask, and jobs are aggregated into
+// task→jobs list serves RemoveTask, and jobs are aggregated into
 // processor-visit signature groups with cached AUB sums so Admissible only
 // re-evaluates the groups whose processors a candidate perturbs.
 //
@@ -260,7 +266,7 @@ type Ledger struct {
 	taskNames []string
 
 	procEntries [][]*entry           // active entries per processor (swap-remove via entry.procPos)
-	taskJobs    []map[int64]*jobRec  // jobs per interned task ID
+	taskHead    []*jobRec            // per interned task ID, its jobs, newest first (jobRec.prevT/nextT)
 	groups      map[string]*sigGroup // signature → group
 	procGroups  [][]*sigGroup        // groups whose signature visits proc (swap-remove via sigGroup.procPos)
 	// violated counts groups with counted > 0 whose sum already exceeds 1
@@ -271,7 +277,8 @@ type Ledger struct {
 
 	// Record pools: entry, jobRec and sigGroup records cycle through free
 	// lists instead of the heap, so steady-state admission traffic (admit →
-	// reset/expire → forget) allocates nothing once the pools warm up.
+	// reset/expire → forget) allocates nothing once the pools warm up, and
+	// the entry and jobRec pools warm up poolChunk records at a time.
 	// Recycling happens only in forgetJob/leaveGroup, after every index has
 	// dropped its pointer.
 	freeEntries []*entry
@@ -319,26 +326,44 @@ func NewLedger(numProcs int) *Ledger {
 // NumProcs returns the number of processors the ledger tracks.
 func (l *Ledger) NumProcs() int { return len(l.util) }
 
+// poolChunk is how many records an empty entry or jobRec pool allocates at
+// once: a run in which most jobs are a task's first pays the allocator once
+// per 64 records instead of once per record.
+const poolChunk = 64
+
+// refill restocks an empty record pool with poolChunk records cut from one
+// allocation.
+func refill[T any](free []*T) []*T {
+	chunk := make([]T, poolChunk)
+	free = slices.Grow(free, poolChunk)
+	for i := range chunk {
+		free = append(free, &chunk[i])
+	}
+	return free
+}
+
 // allocEntry takes a zeroed entry from the pool.
 func (l *Ledger) allocEntry() *entry {
-	if n := len(l.freeEntries); n > 0 {
-		e := l.freeEntries[n-1]
-		l.freeEntries = l.freeEntries[:n-1]
-		*e = entry{}
-		return e
+	if len(l.freeEntries) == 0 {
+		l.freeEntries = refill(l.freeEntries)
 	}
-	return &entry{}
+	n := len(l.freeEntries)
+	e := l.freeEntries[n-1]
+	l.freeEntries = l.freeEntries[:n-1]
+	*e = entry{}
+	return e
 }
 
 // allocRec takes an empty job record from the pool, keeping its entries
 // capacity.
 func (l *Ledger) allocRec() *jobRec {
-	if n := len(l.freeRecs); n > 0 {
-		r := l.freeRecs[n-1]
-		l.freeRecs = l.freeRecs[:n-1]
-		return r
+	if len(l.freeRecs) == 0 {
+		l.freeRecs = refill(l.freeRecs)
 	}
-	return &jobRec{}
+	n := len(l.freeRecs)
+	r := l.freeRecs[n-1]
+	l.freeRecs = l.freeRecs[:n-1]
+	return r
 }
 
 // allocGroup takes an empty signature group from the pool.
@@ -352,7 +377,7 @@ func (l *Ledger) allocGroup() *sigGroup {
 }
 
 // internTask returns the dense ID for a task name, creating one (with its
-// empty per-task job index) on first use.
+// empty per-task job list) on first use.
 func (l *Ledger) internTask(task string) int32 {
 	if tid, ok := l.taskIDs[task]; ok {
 		return tid
@@ -360,19 +385,31 @@ func (l *Ledger) internTask(task string) int32 {
 	tid := int32(len(l.taskNames))
 	l.taskIDs[task] = tid
 	l.taskNames = append(l.taskNames, task)
-	l.taskJobs = append(l.taskJobs, nil)
+	l.taskHead = append(l.taskHead, nil)
 	return tid
 }
 
 // lookupJob resolves a public job reference against the interned indexes.
-func (l *Ledger) lookupJob(ref JobRef) (*jobRec, jobKey, bool) {
+func (l *Ledger) lookupJob(ref JobRef) (*jobRec, bool) {
 	tid, ok := l.taskIDs[ref.Task]
 	if !ok {
-		return nil, jobKey{}, false
+		return nil, false
 	}
-	k := jobKey{tid, ref.Job}
-	rec, ok := l.jobs[k]
-	return rec, k, ok
+	rec, ok := l.jobs[jobKey{tid, ref.Job}]
+	return rec, ok
+}
+
+// indexJob enters a new job record into the job map and at the head of its
+// task's list.
+func (l *Ledger) indexJob(k jobKey, rec *jobRec) {
+	rec.key = k
+	l.jobs[k] = rec
+	head := l.taskHead[k.tid]
+	rec.prevT, rec.nextT = nil, head
+	if head != nil {
+		head.prevT = rec
+	}
+	l.taskHead[k.tid] = rec
 }
 
 // procEntryAdd appends an active entry to its processor's index, recording
@@ -662,20 +699,23 @@ func (l *Ledger) reindex(rec *jobRec) {
 
 // forgetJob removes a job record and all its index state. The caller has
 // already settled the job's utilization contributions.
-func (l *Ledger) forgetJob(k jobKey, rec *jobRec) {
+func (l *Ledger) forgetJob(rec *jobRec) {
 	l.leaveGroup(rec)
 	for _, e := range rec.entries {
 		if e.removed == 0 {
 			l.procEntryRemove(e)
 		}
 	}
-	delete(l.jobs, k)
-	if jobs := l.taskJobs[k.tid]; jobs != nil {
-		// The emptied inner map is kept: the task's next job reuses it (and
-		// its buckets), so steady-state admit/expire churn does not
-		// reallocate the index. RemoveTask drops the whole map.
-		delete(jobs, k.job)
+	delete(l.jobs, rec.key)
+	if rec.prevT != nil {
+		rec.prevT.nextT = rec.nextT
+	} else {
+		l.taskHead[rec.key.tid] = rec.nextT
 	}
+	if rec.nextT != nil {
+		rec.nextT.prevT = rec.prevT
+	}
+	rec.prevT, rec.nextT = nil, nil
 	// Every index has dropped the record; recycle it and its entries.
 	for i, e := range rec.entries {
 		l.freeEntries = append(l.freeEntries, e)
@@ -726,13 +766,7 @@ func (l *Ledger) AddJob(ref JobRef, kind TaskKind, placement []PlacedStage, perm
 	for _, p := range touched {
 		l.settleProc(p)
 	}
-	l.jobs[k] = rec
-	jobs := l.taskJobs[k.tid]
-	if jobs == nil {
-		jobs = make(map[int64]*jobRec)
-		l.taskJobs[k.tid] = jobs
-	}
-	jobs[k.job] = rec
+	l.indexJob(k, rec)
 	l.reindex(rec)
 	return nil
 }
@@ -743,14 +777,22 @@ func (l *Ledger) AddJob(ref JobRef, kind TaskKind, placement []PlacedStage, perm
 // jobs made only of permanent entries are left in place. It returns the
 // number of contributions removed.
 func (l *Ledger) ExpireJob(ref JobRef) int {
-	rec, k, ok := l.lookupJob(ref)
-	if !ok {
-		return 0
-	}
-	n := 0
-	permanentOnly := true
 	var touchedBuf [8]int
-	touched := touchedBuf[:0]
+	n, _, _, _ := l.expireInto(ref, touchedBuf[:0])
+	return n
+}
+
+// expireInto is ExpireJob for a caller that has its own bookkeeping to settle
+// (the sharded plane): besides the count it returns touched with the
+// processors whose utilization fell appended, and reports whether the job was
+// found and whether it is still in the ledger afterwards (a permanent
+// reservation is).
+func (l *Ledger) expireInto(ref JobRef, touched []int) (n int, _ []int, found, kept bool) {
+	rec, ok := l.lookupJob(ref)
+	if !ok {
+		return 0, touched, false, false
+	}
+	permanentOnly := true
 	for _, e := range rec.entries {
 		if e.permanent {
 			continue
@@ -768,9 +810,9 @@ func (l *Ledger) ExpireJob(ref JobRef) int {
 		l.settleProc(p)
 	}
 	if !permanentOnly {
-		l.forgetJob(k, rec)
+		l.forgetJob(rec)
 	}
-	return n
+	return n, touched, true, permanentOnly
 }
 
 // WithdrawJob removes every remaining contribution of one job — including
@@ -781,10 +823,15 @@ func (l *Ledger) ExpireJob(ref JobRef) int {
 // contributions under the new strategy. It returns the number of
 // contributions removed.
 func (l *Ledger) WithdrawJob(ref JobRef) int {
-	rec, k, ok := l.lookupJob(ref)
+	rec, ok := l.lookupJob(ref)
 	if !ok {
 		return 0
 	}
+	return l.withdrawRec(rec)
+}
+
+// withdrawRec is WithdrawJob after the job lookup.
+func (l *Ledger) withdrawRec(rec *jobRec) int {
 	n := 0
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
@@ -800,46 +847,31 @@ func (l *Ledger) WithdrawJob(ref JobRef) int {
 	for _, p := range touched {
 		l.settleProc(p)
 	}
-	l.forgetJob(k, rec)
+	l.forgetJob(rec)
 	return n
 }
 
-// RemoveTask withdraws a permanent per-task reservation entirely (the task
-// left the system). It returns the number of contributions removed.
+// RemoveTask withdraws every job of the task, a permanent per-task
+// reservation included (the task left the system). It returns the number of
+// contributions removed.
 func (l *Ledger) RemoveTask(task string) int {
 	tid, ok := l.taskIDs[task]
 	if !ok {
 		return 0
 	}
-	n := 0
-	// Withdraw in job order, not map order: the per-processor subtraction
+	// Withdraw in job order, not list order: the per-processor subtraction
 	// sequence determines the exact floating-point residue, and a
 	// deterministic order keeps independently driven ledgers (shards, replay
 	// harnesses, golden runs) bit-identical.
-	jobIDs := make([]int64, 0, len(l.taskJobs[tid]))
-	for job := range l.taskJobs[tid] {
-		jobIDs = append(jobIDs, job)
+	var recs []*jobRec
+	for rec := l.taskHead[tid]; rec != nil; rec = rec.nextT {
+		recs = append(recs, rec)
 	}
-	sort.Slice(jobIDs, func(i, j int) bool { return jobIDs[i] < jobIDs[j] })
-	for _, job := range jobIDs {
-		rec := l.taskJobs[tid][job]
-		var touchedBuf [8]int
-		touched := touchedBuf[:0]
-		for _, e := range rec.entries {
-			if e.removed == 0 {
-				e.removed = RemovedWithdrawal
-				l.procEntryRemove(e)
-				l.util[e.proc] -= e.amount
-				touched = touchProc(touched, e.proc)
-				n++
-			}
-		}
-		for _, p := range touched {
-			l.settleProc(p)
-		}
-		l.forgetJob(jobKey{tid, job}, rec)
+	slices.SortFunc(recs, func(a, b *jobRec) int { return cmp.Compare(a.key.job, b.key.job) })
+	n := 0
+	for _, rec := range recs {
+		n += l.withdrawRec(rec)
 	}
-	l.taskJobs[tid] = nil
 	return n
 }
 
@@ -847,7 +879,7 @@ func (l *Ledger) RemoveTask(task string) int {
 // executing, making its contribution eligible for idle resetting. Unknown
 // references are ignored (the job may already have expired).
 func (l *Ledger) MarkComplete(ref JobRef, stage int) {
-	rec, _, ok := l.lookupJob(ref)
+	rec, ok := l.lookupJob(ref)
 	if !ok {
 		return
 	}
@@ -878,7 +910,7 @@ func (l *Ledger) markCompleteRec(rec *jobRec, stage int) {
 // admission strategy must keep the reservation, which is exactly why the
 // AC-per-task/IR-per-job combination is invalid.
 func (l *Ledger) ResetEntry(r EntryRef) bool {
-	rec, _, ok := l.lookupJob(r.Ref)
+	rec, ok := l.lookupJob(r.Ref)
 	if !ok {
 		return false
 	}
@@ -910,7 +942,7 @@ func (l *Ledger) resetEntryRec(rec *jobRec, r EntryRef) bool {
 // standalone methods remain the granular API (and the differential property
 // test's ground truth).
 func (l *Ledger) ResetReported(r EntryRef) bool {
-	rec, _, ok := l.lookupJob(r.Ref)
+	rec, ok := l.lookupJob(r.Ref)
 	if !ok {
 		return false
 	}
@@ -954,7 +986,7 @@ func (l *Ledger) CompletedOn(proc int, includePeriodic bool) []EntryRef {
 // by AC-per-task with LB-per-job, where an admitted task's reservation
 // follows the jobs). Completed/removed entries are left as-is.
 func (l *Ledger) Relocate(ref JobRef, placement []PlacedStage) error {
-	rec, _, ok := l.lookupJob(ref)
+	rec, ok := l.lookupJob(ref)
 	if !ok {
 		return fmt.Errorf("sched: relocate: job %s not in ledger", ref)
 	}
@@ -1218,17 +1250,26 @@ func (l *Ledger) CheckInvariants() error {
 		return fmt.Errorf("sched: processor index holds %d entries, records hold %d", indexed, activeEntries)
 	}
 
+	// Every task's list: back links consistent, each record filed under its
+	// own key, and together exactly the job map. The bound ends the walk on a
+	// cycle whatever the links say.
 	taskIndexed := 0
-	for tid, jobs := range l.taskJobs {
-		for job, rec := range jobs {
-			taskIndexed++
-			if l.jobs[jobKey{int32(tid), job}] != rec {
-				return fmt.Errorf("sched: task index entry %s/%d does not match job map", l.taskNames[tid], job)
+	for tid, head := range l.taskHead {
+		var prev *jobRec
+		for rec := head; rec != nil; prev, rec = rec, rec.nextT {
+			if taskIndexed++; taskIndexed > len(l.jobs) {
+				return fmt.Errorf("sched: task lists hold more than the job map's %d jobs (cycle or stale record in task %s)", len(l.jobs), l.taskNames[tid])
+			}
+			if rec.prevT != prev {
+				return fmt.Errorf("sched: task list of %s: job %d has a wrong back link", l.taskNames[tid], rec.key.job)
+			}
+			if rec.key.tid != int32(tid) || l.jobs[rec.key] != rec {
+				return fmt.Errorf("sched: task list entry %s/%d does not match job map", l.taskNames[tid], rec.key.job)
 			}
 		}
 	}
 	if taskIndexed != len(l.jobs) {
-		return fmt.Errorf("sched: task index holds %d jobs, job map holds %d", taskIndexed, len(l.jobs))
+		return fmt.Errorf("sched: task lists hold %d jobs, job map holds %d", taskIndexed, len(l.jobs))
 	}
 
 	members := make(map[*sigGroup]int)

@@ -73,9 +73,11 @@ func (s *byteSource) Float64() float64 { return float64(s.next()) / 255 }
 // the full-scan referenceAdmissible on a batch of random candidate
 // placements, and that CheckInvariants (which audits every index) holds. It
 // returns the largest number of signature groups any processor indexed, how
-// many candidates were accepted and rejected, and how many times a step left
-// a group's cached sum stale (strictly above its fresh sum).
-func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (maxGroups, accepted, rejected, stale int) {
+// many candidates were accepted and rejected, how many times a step left a
+// group's cached sum stale (strictly above its fresh sum), and how many
+// RemoveTask calls withdrew a task holding several jobs (the per-task list
+// walked past its head).
+func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (maxGroups, accepted, rejected, stale, removedMany int) {
 	t.Helper()
 	procs := shape.procs
 	l := NewLedger(procs)
@@ -199,12 +201,15 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 					kept = append(kept, ref)
 				}
 			}
+			if len(live)-len(kept) > 1 {
+				removedMany++
+			}
 			live = kept
 			op = "RemoveTask"
 		}
 		checkAgreement(step, op)
 	}
-	return maxGroups, accepted, rejected, stale
+	return maxGroups, accepted, rejected, stale, removedMany
 }
 
 // TestLedgerDifferentialAdmissible is the differential property test for the
@@ -216,14 +221,19 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 // ones never build, and the saturated ones must actually leave cached sums
 // stale.
 func TestLedgerDifferentialAdmissible(t *testing.T) {
+	removedMany := 0
 	for seed := int64(0); seed < 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			differentialHarness(t, rand.New(rand.NewSource(seed)), 120, narrowShape)
+			_, _, _, _, many := differentialHarness(t, rand.New(rand.NewSource(seed)), 120, narrowShape)
+			removedMany += many
 		})
+	}
+	if removedMany < 30 {
+		t.Errorf("RemoveTask met a task holding several jobs %d times over 30 seeds, want at least one a seed", removedMany)
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("wide/seed=%d", seed), func(t *testing.T) {
-			groups, accepted, rejected, _ := differentialHarness(t, rand.New(rand.NewSource(seed)), 120, wideShape)
+			groups, accepted, rejected, _, _ := differentialHarness(t, rand.New(rand.NewSource(seed)), 120, wideShape)
 			if groups <= 16 {
 				t.Errorf("at most %d groups on one processor, want more than 16", groups)
 			}
@@ -234,7 +244,7 @@ func TestLedgerDifferentialAdmissible(t *testing.T) {
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("saturated/seed=%d", seed), func(t *testing.T) {
-			_, accepted, rejected, stale := differentialHarness(t, rand.New(rand.NewSource(seed)), 300, saturatedShape)
+			_, accepted, rejected, stale, _ := differentialHarness(t, rand.New(rand.NewSource(seed)), 300, saturatedShape)
 			if accepted == 0 || rejected == 0 {
 				t.Errorf("%d candidates accepted, %d rejected: want both outcomes", accepted, rejected)
 			}

@@ -62,7 +62,7 @@ func (sh *ledgerShard) endWrite()   { sh.epoch.Add(1) }
 
 // routeStripe is one stripe of the job→shard-mask index consulted by
 // reference-keyed operations (expiry, withdrawal, completion) to find the
-// shards holding a job.
+// shards holding a job. A one-shard ledger keeps no routes: see routeGet.
 type routeStripe struct {
 	mu sync.Mutex //rtmw:lockrank 3 indexed
 	m  map[JobRef]uint64
@@ -165,8 +165,9 @@ type ShardedLedgerStats struct {
 // ShardedLedger is the sharded synthetic-utilization ledger: a drop-in
 // admission plane with the Ledger method set plus the atomic TestAndAdd
 // admission path, safe for concurrent use. With one shard every operation
-// delegates to a single plain Ledger, making decisions and floating-point
-// state bit-identical to the unsharded ledger.
+// delegates to a single plain Ledger under its lock — no route map, no cross
+// registry — making decisions and floating-point state bit-identical to the
+// unsharded ledger.
 type ShardedLedger struct {
 	numProcs  int
 	nshards   int
@@ -249,8 +250,10 @@ func NewShardedLedger(numProcs, shards int) *ShardedLedger {
 	}
 	sl.cross.jobs = make(map[JobRef]*crossRec)
 	sl.cross.byProc = make([][]*crossRec, numProcs)
-	for i := range sl.routes {
-		sl.routes[i].m = make(map[JobRef]uint64)
+	if shards > 1 {
+		for i := range sl.routes {
+			sl.routes[i].m = make(map[JobRef]uint64)
+		}
 	}
 	sl.scratch.New = func() any {
 		return &multiScratch{
@@ -404,8 +407,16 @@ func (sl *ShardedLedger) stripeFor(ref JobRef) *routeStripe {
 	return &sl.routes[h&(routeStripeCount-1)]
 }
 
-// routeGet returns the shard mask a job was recorded under.
+// routeGet returns the shard mask a job was recorded under. With one shard
+// there is nothing to look up: every job the ledger holds is in shard 0, so
+// the answer is always "shard 0, if anywhere", no route is ever stored
+// (routePutIfAbsent, routeSet and routeDelete return at once), and whether
+// the job exists — a double admission, an unknown reference — is decided by
+// the shard's own job index under its lock, as in the plain Ledger.
 func (sl *ShardedLedger) routeGet(ref JobRef) (uint64, bool) {
+	if sl.nshards == 1 {
+		return 1, true
+	}
 	st := sl.stripeFor(ref)
 	st.mu.Lock()
 	mask, ok := st.m[ref]
@@ -417,6 +428,9 @@ func (sl *ShardedLedger) routeGet(ref JobRef) (uint64, bool) {
 // routed (a double admission). Stripe locks are leaves: callers hold the
 // involved shard locks.
 func (sl *ShardedLedger) routePutIfAbsent(ref JobRef, mask uint64) bool {
+	if sl.nshards == 1 {
+		return true
+	}
 	st := sl.stripeFor(ref)
 	st.mu.Lock()
 	if _, ok := st.m[ref]; ok {
@@ -430,6 +444,9 @@ func (sl *ShardedLedger) routePutIfAbsent(ref JobRef, mask uint64) bool {
 
 // routeSet unconditionally records a job's shard mask (relocation).
 func (sl *ShardedLedger) routeSet(ref JobRef, mask uint64) {
+	if sl.nshards == 1 {
+		return
+	}
 	st := sl.stripeFor(ref)
 	st.mu.Lock()
 	st.m[ref] = mask
@@ -438,6 +455,9 @@ func (sl *ShardedLedger) routeSet(ref JobRef, mask uint64) {
 
 // routeDelete forgets a job's route.
 func (sl *ShardedLedger) routeDelete(ref JobRef) {
+	if sl.nshards == 1 {
+		return
+	}
 	st := sl.stripeFor(ref)
 	st.mu.Lock()
 	delete(st.m, ref)

@@ -388,7 +388,7 @@ func (sl *ShardedLedger) addMultiLocked(mask uint64, ref JobRef, kind TaskKind, 
 	// half-apply.
 	for m := mask; m != 0; m &= m - 1 {
 		s := bits.TrailingZeros64(m)
-		if _, _, ok := sl.shards[s].l.lookupJob(ref); ok {
+		if _, ok := sl.shards[s].l.lookupJob(ref); ok {
 			sl.routeDelete(ref)
 			return fmt.Errorf("sched: job %s already in ledger", ref)
 		}

@@ -175,21 +175,24 @@ func (sl *ShardedLedger) CheckInvariants() error {
 		}
 	}
 
-	routed := make(map[JobRef]uint64)
-	for i := range sl.routes {
-		st := &sl.routes[i]
-		st.mu.Lock()
-		for ref, mask := range st.m {
-			routed[ref] = mask
+	// One shard keeps no routes (see routeGet), so there are none to compare.
+	if sl.nshards > 1 {
+		routed := make(map[JobRef]uint64)
+		for i := range sl.routes {
+			st := &sl.routes[i]
+			st.mu.Lock()
+			for ref, mask := range st.m {
+				routed[ref] = mask
+			}
+			st.mu.Unlock()
 		}
-		st.mu.Unlock()
-	}
-	if len(routed) != len(shardMask) {
-		return fmt.Errorf("sched: route map holds %d jobs, shards hold %d", len(routed), len(shardMask))
-	}
-	for ref, want := range shardMask {
-		if got, ok := routed[ref]; !ok || got != want {
-			return fmt.Errorf("sched: job %s routed to mask %#x, shards hold %#x", ref, routed[ref], want)
+		if len(routed) != len(shardMask) {
+			return fmt.Errorf("sched: route map holds %d jobs, shards hold %d", len(routed), len(shardMask))
+		}
+		for ref, want := range shardMask {
+			if got, ok := routed[ref]; !ok || got != want {
+				return fmt.Errorf("sched: job %s routed to mask %#x, shards hold %#x", ref, routed[ref], want)
+			}
 		}
 	}
 
@@ -221,7 +224,7 @@ func (sl *ShardedLedger) CheckInvariants() error {
 		partials := 0
 		for m := cr.mask; m != 0; m &= m - 1 {
 			l := sl.shards[bits.TrailingZeros64(m)].l
-			rec, _, ok := l.lookupJob(ref)
+			rec, ok := l.lookupJob(ref)
 			if !ok {
 				return fmt.Errorf("sched: cross job %s missing its partial in shard %d", ref, bits.TrailingZeros64(m))
 			}

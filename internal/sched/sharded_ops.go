@@ -67,28 +67,20 @@ func (sl *ShardedLedger) ExpireJob(ref JobRef) int {
 }
 
 func (sl *ShardedLedger) expireSingleLocked(sh *ledgerShard, ref JobRef) int {
-	rec, _, ok := sh.l.lookupJob(ref)
-	if !ok {
-		return 0
-	}
 	var touchedBuf [8]int
-	touched := touchedBuf[:0]
-	for _, e := range rec.entries {
-		if !e.permanent && e.removed == 0 {
-			touched = touchProc(touched, e.proc)
-		}
-	}
 	sh.beginWrite()
-	n := sh.l.ExpireJob(ref)
-	for _, p := range touched {
-		sl.syncProc(p)
+	n, touched, found, kept := sh.l.expireInto(ref, touchedBuf[:0])
+	if found {
+		for _, p := range touched {
+			sl.syncProc(p)
+		}
+		sl.pushViolated(sh)
+		if !kept {
+			sl.routeDelete(ref)
+		}
+		sl.settleCrossProcs(touched)
+		sl.journalAppend(ledgerOp{kind: opExpireJob, ref: ref, n: n})
 	}
-	sl.pushViolated(sh)
-	if _, _, still := sh.l.lookupJob(ref); !still {
-		sl.routeDelete(ref)
-	}
-	sl.settleCrossProcs(touched)
-	sl.journalAppend(ledgerOp{kind: opExpireJob, ref: ref, n: n})
 	sh.endWrite()
 	return n
 }
@@ -156,7 +148,7 @@ func (sl *ShardedLedger) WithdrawJob(ref JobRef) int {
 }
 
 func (sl *ShardedLedger) withdrawSingleLocked(sh *ledgerShard, ref JobRef) int {
-	rec, _, ok := sh.l.lookupJob(ref)
+	rec, ok := sh.l.lookupJob(ref)
 	if !ok {
 		return 0
 	}
@@ -468,7 +460,7 @@ type entrySnap struct {
 // utilization without recording a removal — the job is moving, not ending.
 // Returns nil when the job is unknown.
 func (l *Ledger) extractJob(ref JobRef) []entrySnap {
-	rec, k, ok := l.lookupJob(ref)
+	rec, ok := l.lookupJob(ref)
 	if !ok {
 		return nil
 	}
@@ -493,7 +485,7 @@ func (l *Ledger) extractJob(ref JobRef) []entrySnap {
 	for _, p := range touched {
 		l.settleProc(p)
 	}
-	l.forgetJob(k, rec)
+	l.forgetJob(rec)
 	return snaps
 }
 
@@ -528,13 +520,7 @@ func (l *Ledger) importJob(ref JobRef, snaps []entrySnap) {
 	for _, p := range touched {
 		l.settleProc(p)
 	}
-	l.jobs[k] = rec
-	jobs := l.taskJobs[k.tid]
-	if jobs == nil {
-		jobs = make(map[int64]*jobRec)
-		l.taskJobs[k.tid] = jobs
-	}
-	jobs[k.job] = rec
+	l.indexJob(k, rec)
 	l.reindex(rec)
 }
 
@@ -597,16 +583,12 @@ func (sl *ShardedLedger) Relocate(ref JobRef, placement []PlacedStage) error {
 }
 
 func (sl *ShardedLedger) relocateLocked(oldMask, lockM uint64, ref JobRef, placement []PlacedStage) error {
-	if len(placement) == 0 {
-		// No stage can move; the plain ledger is a no-op after the lookup.
-		sl.journalAppend(ledgerOp{kind: opRelocate, ref: ref, placement: placement})
-		return nil
-	}
-	if bits.OnesCount64(oldMask) == 1 && sl.maskOf(placement)&^oldMask == 0 {
+	if bits.OnesCount64(oldMask) == 1 && (len(placement) == 0 || sl.maskOf(placement)&^oldMask == 0) {
 		// Same-shard relocation: pure delegation, bit-identical to the plain
-		// ledger (the only path a one-shard ledger ever takes).
+		// ledger (the only path a one-shard ledger ever takes, which is why
+		// the job is looked up here: one shard has no route to vouch for it).
 		sh := &sl.shards[bits.TrailingZeros64(oldMask)]
-		rec, _, ok := sh.l.lookupJob(ref)
+		rec, ok := sh.l.lookupJob(ref)
 		if !ok {
 			return fmt.Errorf("sched: relocate: job %s not in ledger", ref)
 		}
@@ -632,6 +614,11 @@ func (sl *ShardedLedger) relocateLocked(oldMask, lockM uint64, ref JobRef, place
 		}
 		sh.endWrite()
 		return err
+	}
+	if len(placement) == 0 {
+		// No stage can move; the plain ledger is a no-op after the lookup.
+		sl.journalAppend(ledgerOp{kind: opRelocate, ref: ref, placement: placement})
+		return nil
 	}
 
 	byStage := make(map[int]PlacedStage, len(placement))

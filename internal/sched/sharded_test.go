@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -385,30 +387,176 @@ func replayJournal(t *testing.T, sl *ShardedLedger, procs int) *Ledger {
 // sharded ledger actually decided must replay exactly on a plain sequential
 // ledger, ending in an identical state.
 func TestShardedLedgerConcurrentLinearizable(t *testing.T) {
-	const procs, shards, workers, opsPer = 8, 4, 4, 150
-	for seed := int64(0); seed < 3; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			sl := concurrentWorkload(t, seed, procs, shards, workers, opsPer)
+	const procs, workers, opsPer = 8, 4, 150
+	// One shard keeps no route map: there the shard's own job index, under
+	// its lock, is all that orders a lookup against an admission.
+	for _, shards := range []int{4, 1} {
+		for seed := int64(0); seed < 3; seed++ {
+			name := fmt.Sprintf("seed=%d", seed)
+			if shards == 1 {
+				name = "shards=1/" + name
+			}
+			t.Run(name, func(t *testing.T) {
+				sl := concurrentWorkload(t, seed, procs, shards, workers, opsPer)
+				if err := sl.CheckInvariants(); err != nil {
+					t.Fatalf("post-run audit: %v", err)
+				}
+				l := replayJournal(t, sl, procs)
+				for p := 0; p < procs; p++ {
+					if pu, su := l.Util(p), sl.Util(p); math.Float64bits(pu) != math.Float64bits(su) {
+						t.Fatalf("processor %d: replay util %g, sharded %g", p, pu, su)
+					}
+				}
+				pa, sa := l.ActiveJobs(), sl.ActiveJobs()
+				if len(pa) != len(sa) {
+					t.Fatalf("replay has %d active jobs, sharded %d", len(pa), len(sa))
+				}
+				for i := range pa {
+					if pa[i] != sa[i] {
+						t.Fatalf("active jobs diverge at %d: %v vs %v", i, pa[i], sa[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// utilBits is a ledger's utilizations as bit patterns, for exact comparison.
+func utilBits(sl *ShardedLedger) []uint64 {
+	out := make([]uint64, sl.NumProcs())
+	for p, u := range sl.Utils() {
+		out[p] = math.Float64bits(u)
+	}
+	return out
+}
+
+// TestShardedDoubleAdmissionRefused pins the refusal a one-shard ledger now
+// takes from the shard's own job index (it keeps no route to find the first
+// admission in): a second TestAndAdd or AddJob of a reference fails with the
+// same error as with several shards, and changes nothing.
+func TestShardedDoubleAdmissionRefused(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sl := NewShardedLedger(8, shards)
+			ref := JobRef{Task: "dup", Job: 3}
+			pl := place(PlacedStage{Stage: 0, Proc: 0, Util: 0.1}, PlacedStage{Stage: 1, Proc: 1, Util: 0.2})
+			if ok, err := sl.TestAndAdd(ref, Aperiodic, pl, false, time.Hour); !ok || err != nil {
+				t.Fatalf("first TestAndAdd = %v, %v", ok, err)
+			}
+			before := utilBits(sl)
+			const want = "sched: job dup#3 already in ledger"
+			if ok, err := sl.TestAndAdd(ref, Aperiodic, pl, false, time.Hour); ok || err == nil || err.Error() != want {
+				t.Errorf("second TestAndAdd = %v, %v; want false, %q", ok, err, want)
+			}
+			// Elsewhere in the ledger too: the reference is what is taken.
+			other := place(PlacedStage{Stage: 0, Proc: 7, Util: 0.1})
+			if err := sl.AddJob(ref, Periodic, other, true, 0); err == nil || err.Error() != want {
+				t.Errorf("AddJob of an admitted reference = %v, want %q", err, want)
+			}
+			if got := utilBits(sl); !slices.Equal(got, before) {
+				t.Errorf("utilizations moved: %x, were %x", got, before)
+			}
 			if err := sl.CheckInvariants(); err != nil {
-				t.Fatalf("post-run audit: %v", err)
+				t.Fatal(err)
 			}
-			l := replayJournal(t, sl, procs)
-			for p := 0; p < procs; p++ {
-				if pu, su := l.Util(p), sl.Util(p); math.Float64bits(pu) != math.Float64bits(su) {
-					t.Fatalf("processor %d: replay util %g, sharded %g", p, pu, su)
-				}
+			if got := sl.ExpireJob(ref); got != 2 {
+				t.Errorf("ExpireJob removed %d contributions, want the first admission's 2", got)
 			}
-			pa, sa := l.ActiveJobs(), sl.ActiveJobs()
-			if len(pa) != len(sa) {
-				t.Fatalf("replay has %d active jobs, sharded %d", len(pa), len(sa))
-			}
-			for i := range pa {
-				if pa[i] != sa[i] {
-					t.Fatalf("active jobs diverge at %d: %v vs %v", i, pa[i], sa[i])
-				}
+			if err := sl.CheckInvariants(); err != nil {
+				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestShardedUnknownReference holds every reference-keyed operation to the
+// same answer for a job the ledger does not hold, with one shard (nothing
+// routed: the shard's lookup says so) as with four (no route).
+func TestShardedUnknownReference(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sl := NewShardedLedger(8, shards)
+			if err := sl.AddJob(JobRef{Task: "here", Job: 0}, Aperiodic, place(PlacedStage{Stage: 0, Proc: 2, Util: 0.3}), false, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			before := utilBits(sl)
+			// A task the ledger never saw, and a job number it never saw of a
+			// task it knows.
+			for _, ref := range []JobRef{{Task: "nope", Job: 0}, {Task: "here", Job: 9}} {
+				if n := sl.ExpireJob(ref); n != 0 {
+					t.Errorf("ExpireJob(%s) = %d, want 0", ref, n)
+				}
+				if n := sl.WithdrawJob(ref); n != 0 {
+					t.Errorf("WithdrawJob(%s) = %d, want 0", ref, n)
+				}
+				if sl.ResetReported(EntryRef{Ref: ref, Stage: 0, Proc: 2}) {
+					t.Errorf("ResetReported(%s) released utilization", ref)
+				}
+				if sl.ResetEntry(EntryRef{Ref: ref, Stage: 0, Proc: 2}) {
+					t.Errorf("ResetEntry(%s) released utilization", ref)
+				}
+				sl.MarkComplete(ref, 0)
+				want := "sched: relocate: job " + ref.String() + " not in ledger"
+				for _, pl := range [][]PlacedStage{place(PlacedStage{Stage: 0, Proc: 1, Util: 0.1}), nil} {
+					if err := sl.Relocate(ref, pl); err == nil || err.Error() != want {
+						t.Errorf("Relocate(%s, %v) = %v, want %q", ref, pl, err, want)
+					}
+				}
+			}
+			if got := utilBits(sl); !slices.Equal(got, before) {
+				t.Errorf("utilizations moved: %x, were %x", got, before)
+			}
+			if got := sl.ActiveJobs(); len(got) != 1 {
+				t.Errorf("active jobs %v, want the one added", got)
+			}
+			if err := sl.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestShardedRouteAudit pins both halves of the route audit: with several
+// shards a route that disagrees with where the shards hold the job fails
+// CheckInvariants, and with one shard there is no route to disagree.
+func TestShardedRouteAudit(t *testing.T) {
+	ref := JobRef{Task: "r", Job: 1}
+	pl := place(PlacedStage{Stage: 0, Proc: 0, Util: 0.1})
+	for _, tc := range []struct {
+		name    string
+		corrupt func(sl *ShardedLedger)
+		want    string
+	}{
+		{"wrong mask", func(sl *ShardedLedger) { sl.routeSet(ref, 1<<2) }, "routed to mask 0x4, shards hold 0x1"},
+		{"missing", func(sl *ShardedLedger) { sl.routeDelete(ref) }, "route map holds 0 jobs, shards hold 1"},
+		{"stale", func(sl *ShardedLedger) { sl.routeSet(JobRef{Task: "gone", Job: 0}, 1) }, "route map holds 2 jobs, shards hold 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sl := NewShardedLedger(8, 4)
+			if err := sl.AddJob(ref, Aperiodic, pl, false, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			if err := sl.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(sl)
+			if err := sl.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	one := NewShardedLedger(8, 1)
+	if err := one.AddJob(ref, Aperiodic, pl, false, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	one.routeSet(ref, 1<<2)
+	for i := range one.routes {
+		if n := len(one.routes[i].m); n != 0 {
+			t.Errorf("one-shard ledger keeps %d routes in stripe %d", n, i)
+		}
+	}
+	if err := one.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

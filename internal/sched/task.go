@@ -196,22 +196,27 @@ func (t *Task) Clone() *Task {
 // (Deadline, ID) gives, without a stable sort's cost. Priorities start at
 // one.
 func AssignEDMSPriorities(tasks []*Task) {
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
+	// Sort (deadline, index) keys, not indices: a comparison reads two
+	// adjacent keys and reaches the tasks only when their deadlines tie.
+	type key struct {
+		deadline time.Duration
+		idx      int
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		ta, tb := tasks[a], tasks[b]
-		if c := cmp.Compare(ta.Deadline, tb.Deadline); c != 0 {
+	order := make([]key, len(tasks))
+	for i, t := range tasks {
+		order[i] = key{t.Deadline, i}
+	}
+	slices.SortFunc(order, func(a, b key) int {
+		if c := cmp.Compare(a.deadline, b.deadline); c != 0 {
 			return c
 		}
-		if c := strings.Compare(ta.ID, tb.ID); c != 0 {
+		if c := strings.Compare(tasks[a.idx].ID, tasks[b.idx].ID); c != 0 {
 			return c
 		}
-		return cmp.Compare(a, b)
+		return cmp.Compare(a.idx, b.idx)
 	})
-	for i, t := range order {
-		tasks[t].Priority = i + 1
+	for i, k := range order {
+		tasks[k.idx].Priority = i + 1
 	}
 }
 
