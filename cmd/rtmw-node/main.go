@@ -72,9 +72,9 @@ func run() error {
 
 	fmt.Println("shutting down")
 	ts := node.TransportStats()
-	fmt.Printf("transport: %d frames in %d flushes (%.1f frames/flush), %d bytes; %d events pushed, %d forwarded in %d batches (%d dropped)\n",
+	fmt.Printf("transport: %d frames in %d flushes (%.1f frames/flush), %d bytes, %d inbound frames dropped; %d events pushed, %d forwarded in %d batches (%d dropped)\n",
 		ts.ORB.FramesSent, ts.ORB.Flushes, framesPerFlush(ts.ORB.FramesSent, ts.ORB.Flushes),
-		ts.ORB.BytesSent,
+		ts.ORB.BytesSent, ts.ORB.FramesDropped,
 		ts.Events.Pushed, ts.Events.Forwarded, ts.Events.ForwardBatches, ts.Events.ForwardDropped)
 	return node.Close()
 }

@@ -1,0 +1,64 @@
+package cluster
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/core"
+)
+
+// TestSubmitStormDrains is the no-mutual-block proof for one-way servants
+// running on their connection's reader: 20 000 J_J_J submissions back to
+// back — every TaskArrive, Accept, Release, Trigger and IdleReset handled on
+// a reader, many of them writing to another node from there, with socket
+// buffers and pending lists filling — must all be decided and every admitted
+// job must complete, inside the timeout, with clean ledgers. Two readers
+// blocked on each other's full sockets would stop the count short.
+func TestSubmitStormDrains(t *testing.T) {
+	const jobs = 20_000
+	cfg := core.Config{AC: core.StrategyPerJob, IR: core.StrategyPerJob, LB: core.StrategyPerJob}
+	// A deadline longer than the storm, so no hold goes stale and a decision
+	// that arrives is a decision that counts; and stages heavy enough on
+	// paper (1/2000 of a processor each, run at 20 us) that about a thousand jobs
+	// fill the AUB bound: the ledger stays small and the storm is an overload,
+	// admitting more as idle resets make room.
+	wl, ids := benchShape(t, false, 30*time.Millisecond, time.Minute)
+	c, err := Start(Options{Workload: wl, Config: cfg, ExecScale: 1.0 / 1500, Seed: 1, HeartbeatTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	for i := 0; i < jobs; i++ {
+		if _, err := c.Submit(ids[i%len(ids)]); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(90 * time.Second)
+	decided := func() bool {
+		s := c.Snapshot()
+		return s.Released+s.Skipped == jobs
+	}
+	for !decided() && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !decided() || !c.Drain(time.Until(deadline)) {
+		t.Fatalf("storm did not drain: %+v", c.Snapshot())
+	}
+	s := c.Snapshot()
+	if s.Arrived != jobs || s.Shed != 0 || s.Completed != s.Released {
+		t.Errorf("after the storm: %+v", s)
+	}
+	if s.Released == 0 {
+		t.Error("the storm admitted nothing")
+	}
+	t.Logf("%d submitted: %d released and completed, %d refused", jobs, s.Released, s.Skipped)
+	if err := c.AuditAdmissionState(); err != nil {
+		t.Error(err)
+	}
+	if sb, err := c.Standby(); err != nil {
+		t.Error(err)
+	} else if st := sb.Stats(); st.OutOfOrder != 0 {
+		t.Errorf("standby saw %d replication records out of order: %+v", st.OutOfOrder, st)
+	}
+}

@@ -84,7 +84,11 @@ type Event struct {
 }
 
 // Handler consumes events. Handlers run synchronously in the delivery
-// goroutine and must not block.
+// goroutine and must not block. For an event from a peer that goroutine is the
+// reader of the peer's ORB connection, which delivers that peer's events one
+// at a time in the order it pushed them: a handler may push further events
+// (the reader then writes them), but must not wait for a later event from the
+// same peer (orb package comment, the servant rule).
 type Handler func(Event)
 
 // OverflowPolicy selects what Push does when a remote sink's pending queue
@@ -179,6 +183,9 @@ type Channel struct {
 
 	sinksMu sync.Mutex
 	sinks   map[string]*sink // addr → shared gateway state
+
+	// names interns the Type and Source of received events.
+	names orb.Interner
 
 	closed    atomic.Bool
 	pushed    atomic.Int64
@@ -377,9 +384,11 @@ func (c *Channel) PushTo(proc int, ev Event) error {
 
 // PushUrgent is Push for events that must not wait behind — or be shed
 // with — a sink's pending backlog: it bypasses the gateway queue and sends
-// one scalar ORB push per sink straight away, so it overtakes queued events
-// and never returns ErrBackpressure. Heartbeats use it to keep failure
-// detection latency independent of event load.
+// one scalar ORB push per sink straight away, so it overtakes the events
+// queued on this side and never returns ErrBackpressure. On the wire and at
+// the peer it keeps its place: the connection delivers in order, so it is
+// handled after the frames already written. Heartbeats use it to keep failure
+// detection latency independent of the sender's event backlog.
 func (c *Channel) PushUrgent(ev Event) error {
 	return c.push(ev, NoProcessor, (*Channel).forwardSingle)
 }
@@ -548,21 +557,23 @@ func (c *Channel) flushBatch(snk *sink, batch []Event) error {
 
 // servant receives pushes from peer gateways and delivers them locally only
 // (no re-forwarding: the deployment engine configures a single-hop
-// federation, so events cannot loop).
+// federation, so events cannot loop). Pushes are one-way, so it runs on the
+// peer connection's reader: a peer's events reach the subscribers in the
+// order that peer pushed them.
 func (c *Channel) servant(op string, arg []byte) ([]byte, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("eventchan %s: closed", c.node)
 	}
 	switch op {
 	case opPush:
-		ev, err := decodeEvent(arg)
+		ev, err := decodeEvent(&c.names, arg)
 		if err != nil {
 			return nil, err
 		}
 		c.deliverLocal(ev)
 		return nil, nil
 	case opPushBatch:
-		events, err := decodeBatch(arg)
+		events, err := decodeBatch(&c.names, arg)
 		if err != nil {
 			return nil, err
 		}

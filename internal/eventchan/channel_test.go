@@ -177,7 +177,7 @@ func TestEventCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode(%+v): %v", ev, err)
 		}
-		got, err := decodeEvent(enc)
+		got, err := decodeEvent(new(orb.Interner), enc)
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", ev, err)
 		}
@@ -185,10 +185,10 @@ func TestEventCodecRoundTrip(t *testing.T) {
 			t.Errorf("round trip = %+v, want %+v", got, ev)
 		}
 	}
-	if _, err := decodeEvent([]byte{0}); err == nil {
+	if _, err := decodeEvent(new(orb.Interner), []byte{0}); err == nil {
 		t.Error("truncated event accepted")
 	}
-	if _, err := decodeEvent([]byte{0, 5, 'a'}); err == nil {
+	if _, err := decodeEvent(new(orb.Interner), []byte{0, 5, 'a'}); err == nil {
 		t.Error("short event field accepted")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/orb"
 )
 
 // maxFieldLen bounds the Type and Source fields, whose lengths travel as
@@ -47,29 +49,18 @@ func encodeEvent(ev Event) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeEvent parses the wire form.
-func decodeEvent(b []byte) (Event, error) {
-	typ, rest, err := readLV(b)
+// decodeEvent parses the wire form. Type and Source come from the small fixed
+// vocabulary names interns, so a received event allocates neither.
+func decodeEvent(names *orb.Interner, b []byte) (Event, error) {
+	typ, rest, err := names.LV(b)
 	if err != nil {
-		return Event{}, err
+		return Event{}, fmt.Errorf("eventchan: event type: %w", err)
 	}
-	src, rest, err := readLV(rest)
+	src, rest, err := names.LV(rest)
 	if err != nil {
-		return Event{}, err
+		return Event{}, fmt.Errorf("eventchan: event source: %w", err)
 	}
 	return Event{Type: typ, Source: src, Payload: rest}, nil
-}
-
-// readLV decodes one uint16 length-prefixed string.
-func readLV(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errors.New("eventchan: truncated event header")
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	if len(b) < 2+n {
-		return "", nil, errors.New("eventchan: truncated event field")
-	}
-	return string(b[2 : 2+n]), b[2+n:], nil
 }
 
 // encodeBatch flattens a batch of events for one gateway push:
@@ -103,7 +94,7 @@ func encodeBatch(events []Event) ([]byte, error) {
 }
 
 // decodeBatch parses a batch envelope.
-func decodeBatch(b []byte) ([]Event, error) {
+func decodeBatch(names *orb.Interner, b []byte) ([]Event, error) {
 	if len(b) < 4 {
 		return nil, errors.New("eventchan: truncated batch header")
 	}
@@ -124,7 +115,7 @@ func decodeBatch(b []byte) ([]Event, error) {
 		if n < 0 || len(rest) < n {
 			return nil, errors.New("eventchan: truncated batch entry")
 		}
-		ev, err := decodeEvent(rest[:n])
+		ev, err := decodeEvent(names, rest[:n])
 		if err != nil {
 			return nil, err
 		}

@@ -32,7 +32,7 @@ func TestEncodeEventFieldTooLong(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeEvent(0xFFFF-byte fields): %v", err)
 	}
-	got, err := decodeEvent(enc)
+	got, err := decodeEvent(new(orb.Interner), enc)
 	if err != nil || got.Type != max || got.Source != max {
 		t.Fatalf("round trip at the limit failed: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encodeBatch(%d events): %v", len(batch), err)
 		}
-		got, err := decodeBatch(enc)
+		got, err := decodeBatch(new(orb.Interner), enc)
 		if err != nil {
 			t.Fatalf("decodeBatch(%d events): %v", len(batch), err)
 		}
@@ -79,7 +79,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		{0, 0, 0, 1, 0, 0, 0, 9, 0},
 		{0xFF, 0xFF, 0xFF, 0xFF},
 	} {
-		if _, err := decodeBatch(corrupt); err == nil {
+		if _, err := decodeBatch(new(orb.Interner), corrupt); err == nil {
 			t.Errorf("decodeBatch(%v) accepted corrupt input", corrupt)
 		}
 	}
@@ -88,7 +88,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeBatch(append(enc, 0xAB)); err == nil {
+	if _, err := decodeBatch(new(orb.Interner), append(enc, 0xAB)); err == nil {
 		t.Error("decodeBatch accepted trailing bytes")
 	}
 }

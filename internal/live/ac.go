@@ -86,9 +86,11 @@ type AdmissionController struct {
 
 	// Replication state: when replicate is set, every ledger mutation is
 	// published as an EvReplicate record stamped with the current epoch and
-	// a strictly increasing sequence (repSeq, advanced atomically because
-	// decisions emit under the shared lock).
+	// a strictly increasing sequence. Decisions emit under the shared lock,
+	// so repMu covers taking the next repSeq and handing the record to the
+	// channel as one step: records enter the channel in Seq order.
 	replicate bool
+	repMu     sync.Mutex
 	repSeq    int64
 
 	// DecisionDelay measures operation time from TaskArrive receipt to
@@ -315,8 +317,11 @@ func (ac *AdmissionController) replicateRLocked(rec RepRecord) {
 		return
 	}
 	rec.Epoch = ac.epoch
-	rec.Seq = atomic.AddInt64(&ac.repSeq, 1)
+	ac.repMu.Lock()
+	ac.repSeq++
+	rec.Seq = ac.repSeq
 	_ = ac.ch.Push(eventchan.Event{Type: EvReplicate, Payload: AppendRepRecord(nil, &rec)})
+	ac.repMu.Unlock()
 }
 
 // replicateDecision emits the ledger mutation (if any) implied by one

@@ -23,11 +23,13 @@ import (
 // stale) and ignorable, exactly the property the replication stream's
 // epoch stamping exists to provide.
 //
-// Ordering: records carry an AC-local strictly increasing Seq. Records for
-// one job are causally ordered by the AC itself (a job is admitted before
-// it can expire or reset); records for different jobs commute on the
-// ledger, so the mirror applies them as they arrive and tracks the highest
-// Seq seen for observability.
+// Ordering: records carry an AC-local Seq that rises by one per record. The
+// AC hands them to its channel in Seq order and the ORB delivers one-way
+// frames in order per connection, so they arrive in Seq order; the mirror
+// does not resequence. A record whose Seq is not the successor of the highest
+// one seen (a gap or a regression) is still applied, and counted in
+// StandbyStats.OutOfOrder: a nonzero count says the transport broke its
+// contract and the mirror may differ from the ledger it tails.
 type StandbyAC struct {
 	mu     sync.Mutex
 	ledger *sched.Ledger
@@ -35,8 +37,10 @@ type StandbyAC struct {
 
 	// minEpoch is the fence: records stamped with an older epoch are ignored.
 	minEpoch int64
-	// lastSeq is the highest replication Seq applied.
-	lastSeq int64
+	// lastSeq is the highest replication Seq received; outOfOrder counts the
+	// records after the first that were not its successor on arrival.
+	lastSeq    int64
+	outOfOrder int64
 	// applied counts applied records; ignored counts records dropped by the
 	// epoch fence; failed counts records whose ledger mutation errored
 	// (duplicate admit after a promote race — benign, but counted).
@@ -108,12 +112,14 @@ func (s *StandbyAC) onReplicate(ev eventchan.Event) {
 	if s.ledger == nil {
 		return
 	}
+	// Sequence first: a fenced record still took its place in the stream.
+	if s.lastSeq != 0 && rec.Seq != s.lastSeq+1 {
+		s.outOfOrder++
+	}
+	s.lastSeq = max(s.lastSeq, rec.Seq)
 	if rec.Epoch < s.minEpoch {
 		s.ignored++
 		return
-	}
-	if rec.Seq > s.lastSeq {
-		s.lastSeq = rec.Seq
 	}
 	switch rec.Kind {
 	case RepAdmit:
@@ -183,10 +189,13 @@ type StandbyStats struct {
 	Applied int64
 	Ignored int64
 	Failed  int64
-	// LastSeq is the highest replication sequence applied; MinEpoch the
+	// LastSeq is the highest replication sequence received; MinEpoch the
 	// current fence.
 	LastSeq  int64
 	MinEpoch int64
+	// OutOfOrder counts records that arrived with a Seq other than
+	// LastSeq+1: a gap (records lost or still to come) or a regression.
+	OutOfOrder int64
 	// ActiveJobs is the mirror ledger's live job count.
 	ActiveJobs int
 }
@@ -196,11 +205,12 @@ func (s *StandbyAC) Stats() StandbyStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StandbyStats{
-		Applied:  s.applied,
-		Ignored:  s.ignored,
-		Failed:   s.failed,
-		LastSeq:  s.lastSeq,
-		MinEpoch: s.minEpoch,
+		Applied:    s.applied,
+		Ignored:    s.ignored,
+		Failed:     s.failed,
+		LastSeq:    s.lastSeq,
+		MinEpoch:   s.minEpoch,
+		OutOfOrder: s.outOfOrder,
 	}
 	if s.ledger != nil {
 		st.ActiveJobs = len(s.ledger.ActiveJobs())

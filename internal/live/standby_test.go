@@ -131,4 +131,21 @@ func TestStandbyACMirrorsFencesAndPromotes(t *testing.T) {
 	if st = sb.Stats(); st.ActiveJobs != 1 {
 		t.Errorf("fresh mirror missed the late record: %+v", st)
 	}
+
+	// Seq 1..9 arrived in order, the fenced record included. A gap and a
+	// regression are each counted, and still applied.
+	if st.OutOfOrder != 0 || st.LastSeq != 9 {
+		t.Fatalf("in-order stream counted out of order: %+v", st)
+	}
+	for _, seq := range []int64{12, 11} {
+		pushRep(t, node, RepRecord{
+			Epoch: 5, Seq: seq, Kind: RepAdmit, Ref: sched.JobRef{Task: "ooo", Job: seq},
+			TaskKind:    sched.Aperiodic,
+			Placement:   []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.01}},
+			ExpiryNanos: int64(expiry),
+		})
+	}
+	if st = sb.Stats(); st.OutOfOrder != 2 || st.LastSeq != 12 || st.ActiveJobs != 3 {
+		t.Errorf("after a gap and a regression: %+v", st)
+	}
 }

@@ -70,13 +70,15 @@ func (c *clientConn) close() {
 
 // readLoop demultiplexes replies until the connection fails.
 func (c *clientConn) readLoop() {
+	fr := newFrameReader(c.conn)
 	for {
-		m, err := readMessage(c.conn)
+		m, err := fr.readMessage()
 		if err != nil {
 			c.close()
 			return
 		}
 		if m.kind != msgReply {
+			c.writer.stats.dropped.Add(1)
 			continue
 		}
 		c.mu.Lock()

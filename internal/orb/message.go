@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -82,33 +83,69 @@ func appendFrame(dst []byte, m message) ([]byte, error) {
 	return dst, nil
 }
 
-// readMessage reads one framed message.
-func readMessage(r io.Reader) (message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// readBufSize is each connection's read buffer: a burst of small frames (a
+// live event is 100-200 bytes) costs one read instead of two per frame.
+const readBufSize = 16 << 10
+
+// bodyChunk is the least a frame body's first allocation may be when the
+// body has not arrived yet; see readMessage.
+const bodyChunk = 4 << 10
+
+// frameReader is the receive half of one connection: every frame is read
+// through one buffer, by one goroutine, in the order it was written. names
+// interns the servant keys and operations the connection carries.
+type frameReader struct {
+	br    *bufio.Reader
+	names Interner
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, readBufSize)}
+}
+
+// readMessage reads one framed message. The body is a fresh slice the caller
+// may keep. A length prefix is only a claim: the body's buffer starts at what
+// has arrived (at least bodyChunk) and doubles as the rest does, so a peer
+// that sends four bytes cannot make the reader allocate maxFrame.
+func (fr *frameReader) readMessage() (message, error) {
+	hdr, err := fr.br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return message{}, err
 	}
-	total := binary.BigEndian.Uint32(lenBuf[:])
+	total := int(binary.BigEndian.Uint32(hdr))
 	if total < 9 || total > maxFrame {
 		return message{}, fmt.Errorf("orb: invalid frame length %d", total)
 	}
-	buf := make([]byte, total)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return message{}, err
+	fr.br.Discard(4) // cannot fail: Peek buffered them
+	buf := make([]byte, min(total, max(fr.br.Buffered(), bodyChunk)))
+	for n := 0; ; {
+		if _, err := io.ReadFull(fr.br, buf[n:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return message{}, err
+		}
+		if n = len(buf); n == total {
+			break
+		}
+		grown := make([]byte, min(total, 2*n))
+		copy(grown, buf)
+		buf = grown
 	}
 	m := message{kind: buf[0], id: binary.BigEndian.Uint64(buf[1:9])}
 	payload := buf[9:]
 	switch m.kind {
 	case msgRequest, msgOneWay:
-		key, rest, err := readLVString(payload)
-		if err != nil {
+		if m.key, payload, err = fr.names.LV(payload); err != nil {
 			return message{}, err
 		}
-		op, rest, err := readLVString(rest)
-		if err != nil {
+		if m.op, payload, err = fr.names.LV(payload); err != nil {
 			return message{}, err
 		}
-		m.key, m.op, m.body = key, op, rest
+		m.body = payload
 	case msgReply:
 		if len(payload) < 1 {
 			return message{}, errors.New("orb: truncated reply")
@@ -119,16 +156,4 @@ func readMessage(r io.Reader) (message, error) {
 		return message{}, fmt.Errorf("orb: unknown message kind %d", m.kind)
 	}
 	return m, nil
-}
-
-// readLVString decodes a uint16 length-prefixed string.
-func readLVString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errors.New("orb: truncated string header")
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	if len(b) < 2+n {
-		return "", nil, errors.New("orb: truncated string body")
-	}
-	return string(b[2 : 2+n]), b[2+n:], nil
 }

@@ -10,11 +10,19 @@
 // properties the paper's services rely on: low per-call overhead and
 // concurrent dispatch of independent requests.
 //
-// Ordering: the frames of one connection are written and read in the order
-// their senders entered the writer, but each is dispatched on its own
-// goroutine, so two one-way invocations on one connection may reach their
-// servant in either order. A servant that needs order must carry a sequence
-// number in the payload and resequence.
+// Ordering: the one-way frames of one connection are written, read and
+// dispatched in the order their senders entered the writer: the connection's
+// reading goroutine runs each one-way servant call itself, one after the
+// other. Two-way requests are dispatched concurrently, each on its own
+// goroutine, and may overtake or be overtaken by anything else on the
+// connection.
+//
+// The servant rule that buys this: a one-way call runs on its connection's
+// reader, so it must not wait for a later frame of the same connection — a
+// reply, an acknowledgement, another event — because nothing reads that frame
+// until the call returns. It may write (push events, invoke one-way on any
+// ORB); in the event plane those writes are acyclic per connection
+// (DESIGN.md "One reader per connection"). A servant that must wait takes requests.
 package orb
 
 import (
@@ -28,7 +36,10 @@ import (
 
 // Handler is a servant's dispatch entry point: it receives the operation
 // name and the marshaled argument, and returns the marshaled result.
-// Returning an error sends an exception reply to the caller.
+// Returning an error sends an exception reply to the caller. One-way
+// invocations of one connection arrive one at a time, in order, on that
+// connection's reader (see the package comment for what they must not do);
+// requests arrive concurrently.
 type Handler func(op string, arg []byte) ([]byte, error)
 
 // invokeTimeout is the deadline applied to dials and to Invoke calls whose
@@ -62,9 +73,9 @@ func New(name string) *ORB {
 	}
 }
 
-// TransportStats snapshots the write-path counters across all of the ORB's
+// TransportStats snapshots the transport counters across all of the ORB's
 // connections: frames, flush syscalls (their ratio is the achieved batching
-// factor) and bytes.
+// factor) and bytes written, and inbound frames dropped.
 func (o *ORB) TransportStats() TransportStats { return o.stats.snapshot() }
 
 // Name returns the ORB's diagnostic name.
@@ -149,28 +160,35 @@ func (o *ORB) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn reads requests off one inbound connection and dispatches them,
-// one goroutine per frame. Replies go through the connection's group-commit
-// writer, so concurrent handlers cannot interleave frames and bursts of
-// replies coalesce into one flush.
+// serveConn is one inbound connection's reader: it reads every frame through
+// one buffer and runs one-way frames itself, in arrival order, so their
+// servant calls are written, read and dispatched in order per connection;
+// requests get a goroutine each and run concurrently. Shutdown waits for the
+// reader, and so for the one-way call it is in. Replies go through the
+// connection's group-commit writer, so concurrent handlers cannot interleave
+// frames and bursts of replies coalesce into one flush.
 func (o *ORB) serveConn(conn net.Conn) {
 	defer conn.Close()
 	w := newConnWriter(conn, sendQueueDepth, writeBatch, &o.stats, &o.wg)
 	defer w.close()
+	fr := newFrameReader(conn)
 	for {
-		msg, err := readMessage(conn)
+		msg, err := fr.readMessage()
 		if err != nil {
 			return
 		}
 		switch msg.kind {
-		case msgRequest, msgOneWay:
+		case msgOneWay:
+			o.dispatch(w, msg)
+		case msgRequest:
 			o.wg.Add(1)
 			go func(m message) {
 				defer o.wg.Done()
 				o.dispatch(w, m)
 			}(msg)
 		default:
-			// Unexpected message kind on a server connection; drop it.
+			// A reply on a server connection: the peer is confused.
+			o.stats.dropped.Add(1)
 		}
 	}
 }

@@ -206,7 +206,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		if err := writeMessage(&buf, m); err != nil {
 			t.Fatalf("write %+v: %v", m, err)
 		}
-		got, err := readMessage(&buf)
+		got, err := newFrameReader(&buf).readMessage()
 		if err != nil {
 			t.Fatalf("read %+v: %v", m, err)
 		}
@@ -221,7 +221,7 @@ func TestMessageCorruption(t *testing.T) {
 	// Oversized length prefix.
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readMessage(&buf); err == nil {
+	if _, err := newFrameReader(&buf).readMessage(); err == nil {
 		t.Error("oversized frame accepted")
 	}
 	// Unknown kind.
@@ -236,7 +236,7 @@ func TestMessageCorruption(t *testing.T) {
 	}
 	raw := b3.Bytes()
 	half := bytes.NewReader(raw[:len(raw)-2])
-	if _, err := readMessage(half); err == nil {
+	if _, err := newFrameReader(half).readMessage(); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }

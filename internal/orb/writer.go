@@ -38,9 +38,9 @@ func putFrame(f *[]byte) {
 	framePool.Put(f)
 }
 
-// TransportStats is a snapshot of an ORB's batched-writer counters, across
-// all of its connections (inbound reply writers and outbound client
-// writers).
+// TransportStats is a snapshot of an ORB's transport counters, across all of
+// its connections (inbound reply writers and outbound client writers, and
+// the inbound readers).
 type TransportStats struct {
 	// FramesSent counts frames handed to the kernel.
 	FramesSent int64
@@ -49,6 +49,10 @@ type TransportStats struct {
 	Flushes int64
 	// BytesSent counts payload bytes written.
 	BytesSent int64
+	// FramesDropped counts well-formed inbound frames of a kind the receiving
+	// end does not serve (a reply on a server connection, a request on a client
+	// one).
+	FramesDropped int64
 }
 
 // transportStats is the atomic accumulator behind TransportStats.
@@ -56,13 +60,15 @@ type transportStats struct {
 	frames  atomic.Int64
 	flushes atomic.Int64
 	bytes   atomic.Int64
+	dropped atomic.Int64
 }
 
 func (s *transportStats) snapshot() TransportStats {
 	return TransportStats{
-		FramesSent: s.frames.Load(),
-		Flushes:    s.flushes.Load(),
-		BytesSent:  s.bytes.Load(),
+		FramesSent:    s.frames.Load(),
+		Flushes:       s.flushes.Load(),
+		BytesSent:     s.bytes.Load(),
+		FramesDropped: s.dropped.Load(),
 	}
 }
 

@@ -116,8 +116,9 @@ func TestWriterConcurrentIntegrity(t *testing.T) {
 		close(accepted)
 		defer conn.Close()
 		<-startReading
+		fr := newFrameReader(conn)
 		for {
-			m, err := readMessage(conn)
+			m, err := fr.readMessage()
 			if err != nil {
 				close(seen)
 				return
@@ -252,8 +253,9 @@ func TestWriterBlocksAtDepthAndResumes(t *testing.T) {
 
 	ids := make(chan uint64, depth+extra+1)
 	go func() {
+		fr := newFrameReader(peer)
 		for {
-			m, err := readMessage(peer)
+			m, err := fr.readMessage()
 			if err != nil {
 				close(ids)
 				return
