@@ -136,13 +136,9 @@ func BenchmarkAdmissionTest(b *testing.B) {
 	}
 }
 
-// BenchmarkAdmissionParallel measures aggregate admission throughput on the
-// sharded ledger: every worker runs a TestAndAdd + WithdrawJob churn loop on
-// its own processor (single-shard candidates, the steady-state fast path),
-// so with more shards than contending workers the shard locks never collide.
-// Sub-benchmarks sweep the shard count; run with -cpu 1,4 to sweep the
-// goroutine axis. shards=1 is the serial admission plane — its ratio to the
-// multi-shard rows at -cpu 4 is the sharding speedup. submits/sec is the
+// BenchmarkAdmissionParallel measures aggregate admission throughput with
+// every worker contending for the ledger's one mutex: each runs a TestAndAdd
+// + WithdrawJob churn loop on its own processor. submits/sec is the
 // aggregate throughput metric; allocs/op must stay 0 on the steady state.
 func BenchmarkAdmissionParallel(b *testing.B) {
 	const procs = 8
@@ -159,34 +155,29 @@ func BenchmarkAdmissionParallel(b *testing.B) {
 			placement: []sched.PlacedStage{{Stage: 0, Proc: w % procs, Util: 0.001}},
 		}
 	}
-	for _, shards := range []int{1, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			ledger := sched.NewShardedLedger(procs, shards)
-			var worker atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				st := &states[int(worker.Add(1)-1)%len(states)]
-				job := int64(0)
-				for pb.Next() {
-					ref := sched.JobRef{Task: st.task, Job: job}
-					job++
-					ok, err := ledger.TestAndAdd(ref, sched.Aperiodic, st.placement, false, time.Hour)
-					if err != nil || !ok {
-						b.Errorf("admission failed: ok=%v err=%v", ok, err)
-						return
-					}
-					if n := ledger.WithdrawJob(ref); n != 1 {
-						b.Errorf("withdraw removed %d contributions", n)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submits/sec")
-		})
-	}
+	ledger := sched.NewShardedLedger(procs, 1)
+	var worker atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		st := &states[int(worker.Add(1)-1)%len(states)]
+		job := int64(0)
+		for pb.Next() {
+			ref := sched.JobRef{Task: st.task, Job: job}
+			job++
+			ok, err := ledger.TestAndAdd(ref, sched.Aperiodic, st.placement, false, time.Hour)
+			if err != nil || !ok {
+				b.Errorf("admission failed: ok=%v err=%v", ok, err)
+				return
+			}
+			if n := ledger.WithdrawJob(ref); n != 1 {
+				b.Errorf("withdraw removed %d contributions", n)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submits/sec")
 }
 
 // BenchmarkLocationPlan measures operation 3: the load balancer's greedy

@@ -2,7 +2,7 @@
 // over Go packages, go-vet style:
 //
 //	go run ./cmd/rtmw-vet ./...
-//	go run ./cmd/rtmw-vet -only lockorder,atomicfield ./internal/sched
+//	go run ./cmd/rtmw-vet -only noalloc,atomicfield ./internal/sched
 //	go run ./cmd/rtmw-vet -list
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure. The binary is

@@ -1,10 +1,10 @@
 // Package analysis is rtmw-vet: a small, dependency-free static-analysis
 // framework plus the analyzers that machine-check invariants this repo
 // otherwise documents only in comments and pins only at runtime — the
-// ascending shard-lock order of sched.ShardedLedger, the allocation-free
-// hot paths guarded by benchguard, byte-identical record/replay that map
-// iteration order silently breaks, and fields that must be accessed through
-// sync/atomic at every site or not at all.
+// allocation-free hot paths guarded by benchguard, byte-identical
+// record/replay that map iteration order silently breaks, fields that must
+// be accessed through sync/atomic at every site or not at all, and sentinel
+// errors that must stay matchable with errors.Is.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
 // go/analysis (Analyzer, Pass, Reportf, analysistest-style fixtures) but is
@@ -24,11 +24,6 @@
 //	    On a function: map iteration without a sort is flagged inside it.
 //	//rtmw:deterministic file
 //	    Before the package clause: the whole file is determinism-critical.
-//	//rtmw:lockrank <rank> [indexed]
-//	    On a mutex-typed struct field: participates in the lock-order
-//	    lattice. Lower ranks must be acquired first; `indexed` marks a
-//	    striped/sharded lock whose instances may only be acquired in
-//	    ascending index order.
 //	//rtmw:ignore <analyzer> <reason>
 //	    On the flagged line or the line directly above: suppress one
 //	    analyzer's diagnostics for that line. The reason is mandatory.
@@ -40,7 +35,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -92,7 +86,7 @@ func (d Diagnostic) String() string {
 // Directive is one parsed //rtmw: comment.
 type Directive struct {
 	Pos  token.Pos
-	Kind string   // "noalloc", "deterministic", "lockrank", "ignore"
+	Kind string   // "noalloc", "deterministic", "ignore"
 	Args []string // whitespace-split arguments after the kind
 }
 
@@ -249,7 +243,6 @@ var Suite []*Analyzer
 func init() {
 	Suite = []*Analyzer{
 		Directives,
-		LockOrder,
 		NoAlloc,
 		MapOrder,
 		AtomicField,
@@ -273,8 +266,8 @@ func Lookup(name string) *Analyzer {
 var Directives = &Analyzer{
 	Name: "directive",
 	Doc: "check that every //rtmw: annotation parses: known kind, required " +
-		"arguments (ignore needs an analyzer name and a reason, lockrank an " +
-		"integer rank), and analyzer names that actually exist",
+		"arguments (ignore needs an analyzer name and a reason), and " +
+		"analyzer names that actually exist",
 	Run: runDirectives,
 }
 
@@ -298,17 +291,6 @@ func checkDirective(pass *Pass, d Directive) {
 	case "deterministic":
 		if len(d.Args) > 1 || (len(d.Args) == 1 && d.Args[0] != "file") {
 			pass.Reportf(d.Pos, "//rtmw:deterministic takes no argument or the single word `file`")
-		}
-	case "lockrank":
-		if len(d.Args) < 1 || len(d.Args) > 2 {
-			pass.Reportf(d.Pos, "//rtmw:lockrank wants `<rank> [indexed]`")
-			return
-		}
-		if _, err := strconv.Atoi(d.Args[0]); err != nil {
-			pass.Reportf(d.Pos, "//rtmw:lockrank rank %q is not an integer", d.Args[0])
-		}
-		if len(d.Args) == 2 && d.Args[1] != "indexed" {
-			pass.Reportf(d.Pos, "//rtmw:lockrank second argument must be `indexed`, got %q", d.Args[1])
 		}
 	case "ignore":
 		if len(d.Args) < 2 {

@@ -12,7 +12,6 @@ func fixture(name string) string {
 	return filepath.Join("testdata", "src", name)
 }
 
-func TestLockOrder(t *testing.T)   { analysistest.Run(t, fixture("lockorder"), analysis.LockOrder) }
 func TestNoAlloc(t *testing.T)     { analysistest.Run(t, fixture("noalloc"), analysis.NoAlloc) }
 func TestMapOrder(t *testing.T)    { analysistest.Run(t, fixture("maporder"), analysis.MapOrder) }
 func TestAtomicField(t *testing.T) { analysistest.Run(t, fixture("atomicfield"), analysis.AtomicField) }
@@ -24,7 +23,7 @@ func TestDirectives(t *testing.T) { analysistest.Run(t, fixture("directive"), an
 // TestLookup pins the analyzer registry the -only flag and //rtmw:ignore
 // grammar check resolve against.
 func TestLookup(t *testing.T) {
-	for _, name := range []string{"lockorder", "noalloc", "maporder", "atomicfield", "sentinelwrap", "directive"} {
+	for _, name := range []string{"noalloc", "maporder", "atomicfield", "sentinelwrap", "directive"} {
 		if analysis.Lookup(name) == nil {
 			t.Errorf("Lookup(%q) = nil", name)
 		}
@@ -32,8 +31,8 @@ func TestLookup(t *testing.T) {
 	if analysis.Lookup("nope") != nil {
 		t.Errorf("Lookup(nope) != nil")
 	}
-	if len(analysis.Suite) != 6 {
-		t.Errorf("Suite has %d analyzers, want 6", len(analysis.Suite))
+	if len(analysis.Suite) != 5 {
+		t.Errorf("Suite has %d analyzers, want 5", len(analysis.Suite))
 	}
 }
 

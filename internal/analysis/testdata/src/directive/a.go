@@ -16,11 +16,5 @@ func badDeterministicArg() {}
 //rtmw:noalloc really // want `takes no arguments`
 func badNoallocArg() {}
 
-type s struct {
-	a int //rtmw:lockrank nine // want `rank "nine" is not an integer`
-	b int //rtmw:lockrank 2 sharded // want `second argument must be .indexed.`
-	c int //rtmw:lockrank 1 indexed
-}
-
 //rtmw:noalloc
 func wellFormed() {}

@@ -17,48 +17,78 @@ import (
 func TestSubmitStormDrains(t *testing.T) {
 	const jobs = 20_000
 	cfg := core.Config{AC: core.StrategyPerJob, IR: core.StrategyPerJob, LB: core.StrategyPerJob}
-	// A deadline longer than the storm, so no hold goes stale and a decision
-	// that arrives is a decision that counts; and stages heavy enough on
-	// paper (1/2000 of a processor each, run at 20 us) that about a thousand jobs
-	// fill the AUB bound: the ledger stays small and the storm is an overload,
-	// admitting more as idle resets make room.
-	wl, ids := benchShape(t, false, 30*time.Millisecond, time.Minute)
-	c, err := Start(Options{Workload: wl, Config: cfg, ExecScale: 1.0 / 1500, Seed: 1, HeartbeatTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	for _, tc := range []struct {
+		name      string
+		exec      time.Duration
+		execScale float64
+		// allAdmitted cases must admit every job and decide the last one
+		// within decideWithin of the last submit.
+		allAdmitted  bool
+		decideWithin time.Duration
+	}{
+		// A deadline longer than the storm, so no hold goes stale and a
+		// decision that arrives is a decision that counts; and stages heavy
+		// enough on paper (1/2000 of a processor each, run at 20 us) that
+		// about a thousand jobs fill the AUB bound: the ledger stays small and
+		// the storm is an overload, admitting more as idle resets make room.
+		{name: "overload", exec: 30 * time.Millisecond, execScale: 1.0 / 1500},
+		// 30 us stages on the same minute deadline: every job fits, so the
+		// ledger holds thousands in flight, and a decision must not cost more
+		// as they pile up (the multi-shard ledger re-summed every in-flight
+		// job spanning two shards per decision: 17–18 s to decide this storm).
+		{name: "all-admitted", exec: 30 * time.Microsecond, execScale: 1, allAdmitted: true, decideWithin: 10 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wl, ids := benchShape(t, false, tc.exec, time.Minute)
+			c, err := Start(Options{Workload: wl, Config: cfg, ExecScale: tc.execScale, Seed: 1, HeartbeatTimeout: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
 
-	for i := 0; i < jobs; i++ {
-		if _, err := c.Submit(ids[i%len(ids)]); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	deadline := time.Now().Add(90 * time.Second)
-	decided := func() bool {
-		s := c.Snapshot()
-		return s.Released+s.Skipped == jobs
-	}
-	for !decided() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !decided() || !c.Drain(time.Until(deadline)) {
-		t.Fatalf("storm did not drain: %+v", c.Snapshot())
-	}
-	s := c.Snapshot()
-	if s.Arrived != jobs || s.Shed != 0 || s.Completed != s.Released {
-		t.Errorf("after the storm: %+v", s)
-	}
-	if s.Released == 0 {
-		t.Error("the storm admitted nothing")
-	}
-	t.Logf("%d submitted: %d released and completed, %d refused", jobs, s.Released, s.Skipped)
-	if err := c.AuditAdmissionState(); err != nil {
-		t.Error(err)
-	}
-	if sb, err := c.Standby(); err != nil {
-		t.Error(err)
-	} else if st := sb.Stats(); st.OutOfOrder != 0 {
-		t.Errorf("standby saw %d replication records out of order: %+v", st.OutOfOrder, st)
+			for i := 0; i < jobs; i++ {
+				if _, err := c.Submit(ids[i%len(ids)]); err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+			}
+			lastSubmit := time.Now()
+			deadline := lastSubmit.Add(90 * time.Second)
+			decided := func() bool {
+				s := c.Snapshot()
+				return s.Released+s.Skipped == jobs
+			}
+			for !decided() && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			decidedIn := time.Since(lastSubmit)
+			if !decided() || !c.Drain(time.Until(deadline)) {
+				t.Fatalf("storm did not drain: %+v", c.Snapshot())
+			}
+			s := c.Snapshot()
+			if s.Arrived != jobs || s.Shed != 0 || s.Completed != s.Released {
+				t.Errorf("after the storm: %+v", s)
+			}
+			if s.Released == 0 {
+				t.Error("the storm admitted nothing")
+			}
+			if tc.allAdmitted {
+				if s.Released != jobs || s.Skipped != 0 {
+					t.Errorf("%d of %d released, %d refused; want every job admitted", s.Released, jobs, s.Skipped)
+				}
+				if decidedIn > tc.decideWithin {
+					t.Errorf("last decision %v after the last submit, want within %v", decidedIn, tc.decideWithin)
+				}
+			}
+			t.Logf("%d submitted: %d released and completed, %d refused; all decided %v after the last submit",
+				jobs, s.Released, s.Skipped, decidedIn.Round(time.Millisecond))
+			if err := c.AuditAdmissionState(); err != nil {
+				t.Error(err)
+			}
+			if sb, err := c.Standby(); err != nil {
+				t.Error(err)
+			} else if st := sb.Stats(); st.OutOfOrder != 0 {
+				t.Errorf("standby saw %d replication records out of order: %+v", st.OutOfOrder, st)
+			}
+		})
 	}
 }

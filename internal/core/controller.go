@@ -38,13 +38,14 @@ type Decision struct {
 // is driven by "Task Arrive" and "Idle Resetting" events.
 //
 // Concurrency: Arrive, ExpireJob, IdleReset, and Location are safe to call
-// from multiple goroutines. Aperiodic arrivals under LB-none run lock-free
-// in the controller (the sharded ledger provides the admission atomicity);
-// periodic-task flows serialize on an internal mutex protecting
-// the per-task decision memory. Reconfigure and RemoveTask mutate the
-// strategy configuration and decision memory and must not run concurrently
-// with arrivals — callers quiesce first (the live binding holds its
-// reconfiguration write lock; the DES engine is single-threaded).
+// from multiple goroutines. Every ledger operation takes the ledger's one
+// mutex (test and commit are one critical section there); aperiodic
+// arrivals take no other lock, and periodic-task flows also serialize on
+// an internal mutex protecting the per-task decision memory. Reconfigure
+// and RemoveTask mutate the strategy configuration and decision memory and
+// must not run concurrently with arrivals — callers quiesce first (the live
+// binding holds its reconfiguration write lock; the DES engine is
+// single-threaded).
 type Controller struct {
 	cfg    Config
 	ledger *sched.ShardedLedger
@@ -112,18 +113,7 @@ type ControllerStats struct {
 
 // NewController returns a controller for the given strategy configuration
 // over numProcs application processors. The configuration must be valid.
-// The admission plane runs unsharded (a single-shard ledger), which keeps
-// every ledger mutation bit-identical to the historical serial controller.
 func NewController(cfg Config, numProcs int) (*Controller, error) {
-	return NewControllerSharded(cfg, numProcs, 1)
-}
-
-// NewControllerSharded returns a controller whose admission plane is split
-// into the given number of shards (clamped to [1, min(numProcs, 64)]).
-// Concurrent submissions whose placements stay inside one shard's processor
-// block admit in parallel without a global lock; shards == 1 behaves exactly
-// like NewController.
-func NewControllerSharded(cfg Config, numProcs, shards int) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -132,7 +122,7 @@ func NewControllerSharded(cfg Config, numProcs, shards int) (*Controller, error)
 	}
 	c := &Controller{
 		cfg:          cfg,
-		ledger:       sched.NewShardedLedger(numProcs, shards),
+		ledger:       sched.NewShardedLedger(numProcs, 1),
 		admitted:     make(map[string]bool),
 		rejected:     make(map[string]bool),
 		placements:   make(map[string][]sched.PlacedStage),
@@ -199,8 +189,8 @@ func (c *Controller) Reconfigure(cfg Config) (int, error) {
 	return released, nil
 }
 
-// Ledger exposes the sharded synthetic-utilization ledger for
-// instrumentation and the idle-resetting path.
+// Ledger exposes the synthetic-utilization ledger for instrumentation and
+// the idle-resetting path.
 func (c *Controller) Ledger() *sched.ShardedLedger { return c.ledger }
 
 // Reservations snapshots the permanent per-task reservation references

@@ -3,7 +3,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,17 +37,6 @@ const (
 // reconfiguration coordination facet (Quiesce / Resume / Epoch / Config).
 const ReconfigServantKey = "reconfig"
 
-// acTimerStripes is the number of independently locked expiry-timer maps.
-const acTimerStripes = 16
-
-// acTimerStripe is one lock-striped slice of the pending expiry timers, so
-// concurrent decisions scheduling and firing expiries do not serialize on a
-// single map lock.
-type acTimerStripe struct {
-	mu sync.Mutex
-	m  map[sched.JobRef]*time.Timer
-}
-
 // AdmissionController is the live AC component (paper Section 5): it
 // consumes "Task Arrive" events from task effectors and "Idle Resetting"
 // events from idle resetters, runs the load balancer's Location computation
@@ -56,9 +44,8 @@ type acTimerStripe struct {
 // publishes "Accept" events. One instance is deployed on the central task
 // manager node.
 //
-// Concurrency: decisions no longer serialize on a component-wide mutex. The
-// admission test and ledger commit are synchronized inside the sharded
-// ledger (concurrent single-shard candidates admit in parallel), so mu is a
+// Concurrency: decisions serialize on the ledger's one mutex, which makes
+// the admission test and the commit one critical section. mu is a
 // read-write reconfiguration lock: decision, expiry, and idle-reset paths
 // hold it shared, while Configure / Quiesce / Reconfigure / Resume /
 // Passivate hold it exclusively — a swap begins only after every in-flight
@@ -69,9 +56,13 @@ type AdmissionController struct {
 	ctrl   *core.Controller
 	tasks  map[string]*sched.Task
 	ch     *eventchan.Channel
-	timers [acTimerStripes]acTimerStripe
 	active bool
 	closed bool
+
+	// timerMu guards timers, the pending deadline-expiry timer of every
+	// accepted job; decisions and firing timers hold mu only shared.
+	timerMu sync.Mutex
+	timers  map[sched.JobRef]*time.Timer
 
 	// Reconfiguration state: while quiesced, TaskArrive events buffer in
 	// deferred instead of being decided; Resume replays them under the
@@ -113,28 +104,12 @@ var (
 
 // NewAdmissionController returns an unconfigured AC component.
 func NewAdmissionController() *AdmissionController {
-	ac := &AdmissionController{}
-	for i := range ac.timers {
-		ac.timers[i].m = make(map[sched.JobRef]*time.Timer)
-	}
-	return ac
+	return &AdmissionController{timers: make(map[sched.JobRef]*time.Timer)}
 }
 
-// timerStripe returns the expiry-timer stripe owning ref.
-func (ac *AdmissionController) timerStripe(ref sched.JobRef) *acTimerStripe {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(ref.Task))
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(ref.Job >> (8 * i))
-	}
-	_, _ = h.Write(b[:])
-	return &ac.timers[h.Sum32()%acTimerStripes]
-}
-
-// Configure parses the strategy tuple, processor count, shard count, and
-// workload. It is the one-shot pre-activation stage; live strategy changes
-// go through Reconfigure.
+// Configure parses the strategy tuple, processor count and workload. It is
+// the one-shot pre-activation stage; live strategy changes go through
+// Reconfigure.
 func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	ac.mu.RLock()
 	active := ac.active
@@ -160,8 +135,6 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
-	// The ledger is split into min(Processors, 8) admission-plane shards.
-	shards := min(procs, 8)
 	replicate := false
 	if _, ok := attrs[AttrReplicate]; ok {
 		if replicate, err = attrBool(attrs, AttrReplicate); err != nil {
@@ -180,7 +153,7 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
-	ctrl, err := core.NewControllerSharded(cfg, procs, shards)
+	ctrl, err := core.NewController(cfg, procs)
 	if err != nil {
 		return err
 	}
@@ -231,15 +204,12 @@ func (ac *AdmissionController) Passivate() error {
 	ac.mu.Lock()
 	ac.closed = true
 	ac.mu.Unlock()
-	for i := range ac.timers {
-		st := &ac.timers[i]
-		st.mu.Lock()
-		for ref, tm := range st.m {
-			tm.Stop()
-			delete(st.m, ref)
-		}
-		st.mu.Unlock()
+	ac.timerMu.Lock()
+	for _, tm := range ac.timers {
+		tm.Stop()
 	}
+	clear(ac.timers)
+	ac.timerMu.Unlock()
 	return nil
 }
 
@@ -272,7 +242,7 @@ func (ac *AdmissionController) onTaskArrive(ev eventchan.Event) {
 
 // decideRLocked runs one arrival end to end: decision, expiry scheduling,
 // and the epoch-stamped Accept push. Caller holds mu shared; concurrent
-// decisions synchronize inside the sharded ledger and the timer stripes.
+// decisions synchronize inside the ledger and on timerMu.
 func (ac *AdmissionController) decideRLocked(arr TaskArrive) {
 	start := time.Now()
 	t, ok := ac.tasks[arr.Task]
@@ -347,10 +317,9 @@ func (ac *AdmissionController) replicateDecision(t *sched.Task, ref sched.JobRef
 
 // scheduleExpiry registers the deadline-expiry timer for an accepted job.
 func (ac *AdmissionController) scheduleExpiry(ref sched.JobRef, at time.Time) {
-	st := ac.timerStripe(ref)
-	st.mu.Lock()
-	st.m[ref] = time.AfterFunc(time.Until(at), func() { ac.expire(ref) })
-	st.mu.Unlock()
+	ac.timerMu.Lock()
+	ac.timers[ref] = time.AfterFunc(time.Until(at), func() { ac.expire(ref) })
+	ac.timerMu.Unlock()
 }
 
 // Epoch returns the current reconfiguration epoch.
@@ -489,17 +458,14 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 			}
 			ac.ctrl.RemoveTask(id)
 			ac.replicateRLocked(RepRecord{Kind: RepWithdraw, Task: id})
-			for i := range ac.timers {
-				st := &ac.timers[i]
-				st.mu.Lock()
-				for ref, tm := range st.m {
-					if ref.Task == id {
-						tm.Stop()
-						delete(st.m, ref)
-					}
+			ac.timerMu.Lock()
+			for ref, tm := range ac.timers {
+				if ref.Task == id {
+					tm.Stop()
+					delete(ac.timers, ref)
 				}
-				st.mu.Unlock()
 			}
+			ac.timerMu.Unlock()
 		}
 		ac.tasks = newTasks
 	}
@@ -570,10 +536,9 @@ func (ac *AdmissionController) expire(ref sched.JobRef) {
 	if ac.closed {
 		return
 	}
-	st := ac.timerStripe(ref)
-	st.mu.Lock()
-	delete(st.m, ref)
-	st.mu.Unlock()
+	ac.timerMu.Lock()
+	delete(ac.timers, ref)
+	ac.timerMu.Unlock()
 	if ac.ctrl.ExpireJob(ref) > 0 {
 		ac.replicateRLocked(RepRecord{Kind: RepExpire, Ref: ref})
 	}
@@ -613,10 +578,10 @@ func (ac *AdmissionController) ResetsApplied() int64 {
 	return atomic.LoadInt64(&ac.ctrl.Stats.IdleResets)
 }
 
-// AuditLedger runs the admission ledger's invariant audit. The audit itself
-// takes every admission shard's lock in the global lock order, so it is safe
-// to run while decisions and expiry timers are still live; the shared
-// component lock only pins the controller against reconfiguration.
+// AuditLedger runs the admission ledger's invariant audit. The audit holds
+// the ledger's mutex, so it is safe to run while decisions and expiry timers
+// are still live; the shared component lock only pins the controller against
+// reconfiguration.
 func (ac *AdmissionController) AuditLedger() error {
 	ac.mu.RLock()
 	defer ac.mu.RUnlock()

@@ -738,13 +738,8 @@ func (l *Ledger) AddJob(ref JobRef, kind TaskKind, placement []PlacedStage, perm
 	if _, ok := l.jobs[k]; ok {
 		return fmt.Errorf("sched: job %s already in ledger", ref)
 	}
-	for _, p := range placement {
-		if p.Proc < 0 || p.Proc >= len(l.util) {
-			return fmt.Errorf("sched: job %s stage %d placed on unknown processor %d", ref, p.Stage, p.Proc)
-		}
-		if p.Util < 0 {
-			return fmt.Errorf("sched: job %s stage %d has negative utilization %g", ref, p.Stage, p.Util)
-		}
+	if err := l.checkPlacement(ref, placement); err != nil {
+		return err
 	}
 	rec := l.allocRec()
 	var touchedBuf [8]int
@@ -771,27 +766,33 @@ func (l *Ledger) AddJob(ref JobRef, kind TaskKind, placement []PlacedStage, perm
 	return nil
 }
 
+// checkPlacement is AddJob's argument check: every stage on a known
+// processor, no negative utilization.
+func (l *Ledger) checkPlacement(ref JobRef, placement []PlacedStage) error {
+	for _, p := range placement {
+		if p.Proc < 0 || p.Proc >= len(l.util) {
+			return fmt.Errorf("sched: job %s stage %d placed on unknown processor %d", ref, p.Stage, p.Proc)
+		}
+		if p.Util < 0 {
+			return fmt.Errorf("sched: job %s stage %d has negative utilization %g", ref, p.Stage, p.Util)
+		}
+	}
+	return nil
+}
+
 // ExpireJob removes all remaining contributions of the job because its
 // absolute deadline passed, and forgets the job. Permanent entries are not
 // removed by expiry (per-task reservations outlive individual deadlines);
 // jobs made only of permanent entries are left in place. It returns the
 // number of contributions removed.
 func (l *Ledger) ExpireJob(ref JobRef) int {
-	var touchedBuf [8]int
-	n, _, _, _ := l.expireInto(ref, touchedBuf[:0])
-	return n
-}
-
-// expireInto is ExpireJob for a caller that has its own bookkeeping to settle
-// (the sharded plane): besides the count it returns touched with the
-// processors whose utilization fell appended, and reports whether the job was
-// found and whether it is still in the ledger afterwards (a permanent
-// reservation is).
-func (l *Ledger) expireInto(ref JobRef, touched []int) (n int, _ []int, found, kept bool) {
 	rec, ok := l.lookupJob(ref)
 	if !ok {
-		return 0, touched, false, false
+		return 0
 	}
+	n := 0
+	var touchedBuf [8]int
+	touched := touchedBuf[:0]
 	permanentOnly := true
 	for _, e := range rec.entries {
 		if e.permanent {
@@ -812,7 +813,7 @@ func (l *Ledger) expireInto(ref JobRef, touched []int) (n int, _ []int, found, k
 	if !permanentOnly {
 		l.forgetJob(rec)
 	}
-	return n, touched, true, permanentOnly
+	return n
 }
 
 // WithdrawJob removes every remaining contribution of one job — including
@@ -861,7 +862,7 @@ func (l *Ledger) RemoveTask(task string) int {
 	}
 	// Withdraw in job order, not list order: the per-processor subtraction
 	// sequence determines the exact floating-point residue, and a
-	// deterministic order keeps independently driven ledgers (shards, replay
+	// deterministic order keeps independently driven ledgers (replay
 	// harnesses, golden runs) bit-identical.
 	var recs []*jobRec
 	for rec := l.taskHead[tid]; rec != nil; rec = rec.nextT {

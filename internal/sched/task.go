@@ -17,14 +17,10 @@
 //
 // # Concurrency
 //
-// The plain Ledger is not safe for concurrent use; callers serialize access
-// (the simulation core is single-goroutine by construction). ShardedLedger
-// is the concurrent admission plane: it partitions processors into shards,
-// each with its own lock, and is safe for concurrent use by any number of
-// goroutines. Its internal lock-ordering invariant — shard mutexes in
-// ascending shard index, then crossMu, then route-stripe/journal leaf
-// mutexes — is documented at the top of sharded.go; any new whole-ledger
-// operation must follow it.
+// The plain Ledger is not safe for concurrent use. ShardedLedger is that
+// Ledger behind one mutex: every method is one critical section, so it is
+// safe for any number of goroutines, and the paper's single centralized
+// admission controller decides one candidate at a time on both bindings.
 package sched
 
 import (
