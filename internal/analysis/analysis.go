@@ -1,7 +1,7 @@
 // Package analysis is rtmw-vet: a small, dependency-free static-analysis
 // framework plus the analyzers that machine-check invariants this repo
 // otherwise documents only in comments and pins only at runtime — the
-// allocation-free hot paths guarded by benchguard, byte-identical
+// allocation-free hot paths pinned by testing.AllocsPerRun, byte-identical
 // record/replay that map iteration order silently breaks, fields that must
 // be accessed through sync/atomic at every site or not at all, and sentinel
 // errors that must stay matchable with errors.Is.

@@ -6,9 +6,12 @@ import (
 )
 
 // NoAlloc rejects per-call allocation constructs inside functions annotated
-// `//rtmw:noalloc` — the static complement to benchguard's 0 allocs/op
-// runtime pins on the des event loop, Ledger.Admissible/TestAndAdd, the
-// autopilot ingest/tick path, and the TE cached-submit path.
+// `//rtmw:noalloc` — the static complement to the tier-1 AllocsPerRun pins
+// at 0 on the des event loop (TestReserveKeepsHandlesAndAllocatesOnce),
+// Ledger.Admissible/TestAndAdd (TestAdmissibleManyGroups,
+// TestShardedAdmitWithdrawAllocFree) and the autopilot ingest/tick path
+// (TestAutopilotHotPathsAllocFree), and to BenchmarkTECachedSubmit on the
+// TE cached-submit path.
 //
 // Flagged: closure literals, calls into package fmt, make/new,
 // &composite-literal, slice/map composite literals, string concatenation,
@@ -26,7 +29,7 @@ import (
 // `//rtmw:ignore noalloc <reason>`.
 //
 // The check is intraprocedural: callees are vetted by their own annotation
-// (or by benchguard), not transitively.
+// (or by an AllocsPerRun test), not transitively.
 var NoAlloc = &Analyzer{
 	Name: "noalloc",
 	Doc: "reject per-call allocation constructs (closures, fmt, boxing, " +

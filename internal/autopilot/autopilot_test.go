@@ -445,3 +445,26 @@ func TestRingDecay(t *testing.T) {
 		t.Fatalf("sum after silence = %d, want 0", got)
 	}
 }
+
+// TestAutopilotHotPathsAllocFree holds the controller's two hot paths to zero
+// allocations once every task estimator exists: ingest runs once per job
+// lifecycle event, tick once per decision window.
+func TestAutopilotHotPathsAllocFree(t *testing.T) {
+	ap, events := warmAutopilot(t, Options{})
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		ap.ingest(events[i%len(events)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("ingest allocates %v times per event, want 0", allocs)
+	}
+
+	ap, events = warmTickAutopilot(t)
+	now := events[len(events)-1].At
+	if allocs := testing.AllocsPerRun(100, func() {
+		now += ap.opts.Tick
+		ap.tick(now)
+	}); allocs != 0 {
+		t.Errorf("tick allocates %v times, want 0", allocs)
+	}
+}

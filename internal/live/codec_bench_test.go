@@ -37,7 +37,7 @@ func benchPayload[T any](b *testing.B, name string, v T, app func([]byte, *T) []
 var sinkBytes []byte
 
 // BenchmarkPayloadCodec measures the per-event payload codec on the four
-// types of the per-job path. BENCH_baseline.json enforces the allocs/op
+// types of the per-job path. TestPayloadCodecAllocs holds the allocs/op
 // columns: one buffer per encode; per decode, one backing array per slice and
 // one copy per non-empty string.
 func BenchmarkPayloadCodec(b *testing.B) {

@@ -391,6 +391,43 @@ func TestPayloadHeaderFilters(t *testing.T) {
 	}
 }
 
+// checkCodecAllocs fails t unless one Append of v allocates what growing one
+// buffer does and one Decode of it decodeAllocs times. Growing a buffer is
+// one allocation, two under the race detector, whose build does not fuse
+// slices.Grow's append and make.
+func checkCodecAllocs[T any](t *testing.T, name string, v T, app func([]byte, *T) []byte, dec func([]byte) (T, error), decodeAllocs float64) {
+	t.Helper()
+	enc := app(nil, &v)
+	grow := testing.AllocsPerRun(100, func() { sinkBytes = slices.Grow([]byte(nil), len(enc)) })
+	if allocs := testing.AllocsPerRun(100, func() { sinkBytes = app(nil, &v) }); allocs != grow {
+		t.Errorf("%s: encode allocates %v times, want %v (one buffer)", name, allocs, grow)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := dec(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != decodeAllocs {
+		t.Errorf("%s: decode allocates %v times, want %v", name, allocs, decodeAllocs)
+	}
+}
+
+// TestPayloadCodecAllocs holds the four payload types of the per-job path to
+// their allocation counts: one buffer per encode; per decode, one backing
+// array per slice and one copy per non-empty string. BenchmarkPayloadCodec
+// times the same values.
+func TestPayloadCodecAllocs(t *testing.T) {
+	const now = 1790000000000000000
+	checkCodecAllocs(t, "TaskArrive", TaskArrive{Task: "task-017", Job: 4211, Proc: 2, ArrivalNanos: now},
+		AppendTaskArrive, DecodeTaskArrive, 1)
+	checkCodecAllocs(t, "Accept", Accept{Task: "task-017", Job: 4211, Ok: true, Placement: benchPlacement, ArrivalNanos: now, Epoch: 3},
+		AppendAccept, DecodeAccept, 2)
+	checkCodecAllocs(t, "Trigger", Trigger{Task: "task-017", Job: 4211, Stage: 1, Placement: benchPlacement, ArrivalNanos: now},
+		AppendTrigger, DecodeTrigger, 2)
+	checkCodecAllocs(t, "RepRecord", RepRecord{Epoch: 3, Seq: 90210, Kind: RepAdmit, Ref: sched.JobRef{Task: "task-017", Job: 4211},
+		TaskKind: sched.Aperiodic, Placement: benchPlacement, ExpiryNanos: now},
+		AppendRepRecord, DecodeRepRecord, 3)
+}
+
 // allocatedBytes returns the heap bytes f allocates. A background goroutine
 // of the test binary can add to one reading, so it keeps the smallest of a
 // few and stops early once a reading is within the caller's bound.

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,6 +102,36 @@ func TestOneWayDelivery(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Errorf("calls = %d, want 1", calls.Load())
+	}
+}
+
+// TestOneWayFrameAllocs holds a one-way frame on a warm loopback connection,
+// sender and receiver together, to one allocation: the received body. Under
+// the race detector framing also pays an unfused buffer grow and the pool
+// drops frames at random, so it reads 2-3 and is held to 4.
+func TestOneWayFrameAllocs(t *testing.T) {
+	server, addr, client := newPair(t)
+	got := make(chan struct{}, 1)
+	server.RegisterServant("sink", func(op string, arg []byte) ([]byte, error) {
+		got <- struct{}{}
+		return nil, nil
+	})
+	payload := []byte("0123456789abcdef")
+	frame := func() {
+		if err := client.InvokeOneWay(addr, "sink", "push", payload); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	for i := 0; i < 100; i++ {
+		frame()
+	}
+	want := 1.0
+	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		want = 4
+	}
+	if allocs := testing.AllocsPerRun(1000, frame); allocs > want {
+		t.Errorf("a one-way frame allocates %v times, want at most %v", allocs, want)
 	}
 }
 

@@ -291,6 +291,31 @@ func utilBits(sl *ShardedLedger) []uint64 {
 	return out
 }
 
+// TestShardedAdmitWithdrawAllocFree holds the admission round trip the AC
+// runs per job — TestAndAdd, then WithdrawJob — to zero allocations once the
+// task's job list exists. The repo benchmark's sched.admit_* rows time it.
+func TestShardedAdmitWithdrawAllocFree(t *testing.T) {
+	sl := NewShardedLedger(8, 1)
+	placement := place(PlacedStage{Stage: 0, Proc: 3, Util: 0.001})
+	job := int64(0)
+	admitWithdraw := func() {
+		ref := JobRef{Task: "churn", Job: job}
+		job++
+		if ok, err := sl.TestAndAdd(ref, Aperiodic, placement, false, time.Hour); !ok || err != nil {
+			t.Fatalf("TestAndAdd(%v) = %v, %v", ref, ok, err)
+		}
+		if n := sl.WithdrawJob(ref); n != 1 {
+			t.Fatalf("WithdrawJob(%v) removed %d contributions, want 1", ref, n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, admitWithdraw); allocs != 0 {
+		t.Errorf("TestAndAdd + WithdrawJob allocates %v times per job, want 0", allocs)
+	}
+	if err := sl.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShardedDoubleAdmissionRefused pins the refusal the locked ledger takes
 // from the ledger's own job index: a second TestAndAdd or AddJob of a
 // reference fails with one error, whatever (ignored) shard count the ledger

@@ -33,14 +33,10 @@
 package rtmw
 
 import (
-	"time"
-
-	"repro/internal/autopilot"
 	"repro/internal/cluster"
 	"repro/internal/configengine"
 	"repro/internal/core"
 	"repro/internal/deploy"
-	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/workload"
@@ -54,8 +50,6 @@ type (
 	Subtask = sched.Subtask
 	// TaskKind distinguishes periodic from aperiodic tasks.
 	TaskKind = sched.TaskKind
-	// JobRef identifies one release of a task.
-	JobRef = sched.JobRef
 )
 
 // Task kinds.
@@ -81,13 +75,6 @@ const (
 
 // ParseConfig parses an "AC_IR_LB" tuple such as "J_T_N" and validates it.
 func ParseConfig(s string) (Config, error) { return core.ParseConfig(s) }
-
-// AllCombinations returns the 15 valid strategy combinations in the paper's
-// figure order.
-func AllCombinations() []Config { return core.AllCombinations() }
-
-// AssignEDMSPriorities assigns End-to-end Deadline Monotonic priorities.
-func AssignEDMSPriorities(tasks []*Task) { sched.AssignEDMSPriorities(tasks) }
 
 // Binding is the open-world surface both middleware bindings implement: the
 // deterministic simulation (*SimSystem) and the live cluster (*Cluster).
@@ -196,9 +183,6 @@ type (
 	SimConfig = core.SimConfig
 	// SimSystem is a configured simulation.
 	SimSystem = core.SimSystem
-	// Metrics is a run's accounting; its AcceptedUtilizationRatio is the
-	// paper's headline metric.
-	Metrics = core.Metrics
 )
 
 // NewSimBinding builds the simulation binding of the middleware over the
@@ -209,40 +193,20 @@ func NewSimBinding(cfg SimConfig, tasks []*Task) (*SimSystem, error) {
 	return core.NewSimSystem(cfg, tasks)
 }
 
-// Workload specification re-exports.
-type (
-	// Workload is the JSON workload specification file model.
-	Workload = spec.Workload
-	// TaskSpec describes one task in a workload specification.
-	TaskSpec = spec.TaskSpec
-	// SubtaskSpec describes one stage in a workload specification.
-	SubtaskSpec = spec.SubtaskSpec
-)
+// Workload is the JSON workload specification file model.
+type Workload = spec.Workload
 
 // ParseWorkload decodes and validates a JSON workload specification.
 func ParseWorkload(data []byte) (*Workload, error) { return spec.Parse(data) }
 
-// WorkloadFromTasks builds a specification from model tasks.
-func WorkloadFromTasks(name string, processors int, tasks []*Task) *Workload {
-	return spec.FromTasks(name, processors, tasks)
-}
-
 // Random workload generation re-exports (the paper's Section 7 setups).
 type WorkloadParams = workload.Params
 
-// Workload parameter constructors for the paper's experiments.
-var (
-	Figure5Params  = workload.Figure5Params
-	Figure6Params  = workload.Figure6Params
-	OverheadParams = workload.OverheadParams
-)
+// Figure6Params builds the paper's imbalanced Figure 6 workload parameters.
+var Figure6Params = workload.Figure6Params
 
 // GenerateWorkload produces a random task set per the parameters.
 func GenerateWorkload(p WorkloadParams) ([]*Task, error) { return workload.Generate(p) }
-
-// ScaleWorkload multiplies every duration in the tasks by factor, keeping
-// synthetic utilizations invariant.
-func ScaleWorkload(tasks []*Task, factor float64) []*Task { return workload.Scale(tasks, factor) }
 
 // Configuration engine re-exports.
 type (
@@ -269,17 +233,11 @@ const (
 // MapAnswers applies Table 1 to select a valid strategy combination.
 func MapAnswers(a Answers) MappingResult { return configengine.MapAnswers(a) }
 
-// DefaultAnswers returns the engine's defaults (everything per task).
-func DefaultAnswers() Answers { return configengine.DefaultAnswers() }
-
 // GeneratePlan emits the XML deployment plan for a workload under a
 // strategy combination.
 func GeneratePlan(name string, w *Workload, cfg Config, manager DeploymentNode, apps []DeploymentNode) (*DeploymentPlan, error) {
 	return configengine.GeneratePlan(name, w, cfg, manager, apps)
 }
-
-// ParsePlan decodes an XML deployment plan.
-func ParsePlan(data []byte) (*DeploymentPlan, error) { return deploy.Parse(data) }
 
 // Live cluster re-exports: the real-transport binding.
 type (
@@ -298,16 +256,11 @@ type (
 // the open-world AddTasks/RemoveTasks deltas.
 func StartLiveBinding(opts ClusterOptions) (*Cluster, error) { return cluster.Start(opts) }
 
-// Reconfiguration-delta re-exports: the configuration engine emits minimal
-// deltas against a running deployment's plan, and the plan launcher
-// executes them (rtmw-config's reconfigure subcommand is the CLI form).
-type (
-	// ReconfigDeltaPlan is a reconfiguration transaction for a running
-	// deployment.
-	ReconfigDeltaPlan = deploy.Delta
-	// ReconfigOutcome reports an executed reconfiguration transaction.
-	ReconfigOutcome = deploy.ReconfigOutcome
-)
+// ReconfigDeltaPlan is a reconfiguration transaction for a running
+// deployment: the configuration engine emits minimal deltas against a running
+// deployment's plan, and the plan launcher executes them (rtmw-config's
+// reconfigure subcommand is the CLI form).
+type ReconfigDeltaPlan = deploy.Delta
 
 // ReconfigDelta computes the minimal reconfiguration transaction that moves
 // the running deployment described by plan to the target combination.
@@ -315,115 +268,8 @@ func ReconfigDelta(plan *DeploymentPlan, to Config) (*ReconfigDeltaPlan, error) 
 	return configengine.ReconfigDelta(plan, to)
 }
 
-// AddTasksDelta computes the reconfiguration transaction that registers new
-// tasks on the running deployment described by plan: the union workload with
-// re-assigned EDMS priorities, the added tasks' subtask component installs,
-// and the new federation routes, executed under the quiesce protocol.
-func AddTasksDelta(plan *DeploymentPlan, add []*Task) (*ReconfigDeltaPlan, error) {
-	return configengine.AddTasksDelta(plan, add)
-}
-
-// RemoveTasksDelta computes the reconfiguration transaction that withdraws
-// tasks from the running deployment described by plan.
-func RemoveTasksDelta(plan *DeploymentPlan, ids []string) (*ReconfigDeltaPlan, error) {
-	return configengine.RemoveTasksDelta(plan, ids)
-}
-
-// Paper artifacts that are plain functions of the library: the large-scenario
-// workload parameters and the Table 1 rendering. The experiment harness that
-// regenerates the figures is tooling, not library surface: it lives in
-// internal/experiments behind cmd/rtmw-bench.
-var (
-	// ScaleWorkloadParams builds the large-scenario workload parameters for
-	// one (procs, tasks, set) scale point.
-	ScaleWorkloadParams = workload.ScaleParams
-	RenderTable1        = configengine.RenderTable1
-)
-
-// Scenario engine re-exports: declarative JSON specs composing arrival
-// shapes, mid-run injections and expected-invariant blocks, executed
-// against either binding from one file, with deterministic record/replay.
-type (
-	// Scenario is a parsed declarative scenario specification.
-	Scenario = scenario.Spec
-	// ScenarioWorkloadRef selects the scenario's initial workload (a
-	// Figure 5/6 generated set or an inline specification).
-	ScenarioWorkloadRef = scenario.WorkloadRef
-	// ScenarioArrivalBlock binds an arrival shape to a set of tasks.
-	ScenarioArrivalBlock = scenario.ArrivalBlock
-	// ScenarioShape is the JSON form of an arrival shape.
-	ScenarioShape = scenario.ShapeSpec
-	// ScenarioInjection is one mid-run structural operation.
-	ScenarioInjection = scenario.Injection
-	// ScenarioInvariants is a spec's expected-invariant block.
-	ScenarioInvariants = scenario.Invariants
-	// ScenarioResult is one binding's execution outcome and verdict.
-	ScenarioResult = scenario.Result
-	// ScenarioJournal is a decoded record/replay journal.
-	ScenarioJournal = scenario.Journal
-	// ScenarioReplayResult is a journal replay's outcome with its
-	// canonical metrics document.
-	ScenarioReplayResult = scenario.ReplayResult
-	// ArrivalShape is a time-varying arrival process (flash crowd,
-	// diurnal tide, MMPP burst, correlated spike, constant Poisson).
-	ArrivalShape = workload.Shape
-)
-
-// Typed scenario-spec failures, discriminated with errors.Is. Every
-// rejection wraps ErrScenarioSpec.
-var (
-	ErrScenarioSpec      = scenario.ErrSpec
-	ErrUnknownShape      = scenario.ErrUnknownShape
-	ErrUnknownInjection  = scenario.ErrUnknownInjection
-	ErrMissingInvariants = scenario.ErrMissingInvariants
-)
-
-// ParseScenario decodes and validates a JSON scenario specification,
-// rejecting unknown fields.
-func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data) }
-
-// ReadScenarioJournal decodes a recorded scenario journal.
-func ReadScenarioJournal(data []byte) (*ScenarioJournal, error) {
-	return scenario.DecodeJournal(data)
-}
-
-// ReplayScenarioJournal re-executes a journal's op timeline in the
-// deterministic simulation binding; replays of the same journal yield
-// byte-identical canonical metrics documents.
-func ReplayScenarioJournal(j *ScenarioJournal) (*ScenarioReplayResult, error) {
-	return scenario.Replay(j)
-}
-
-// Autopilot re-exports: the closed-loop controller that tails a binding's
-// watch stream, estimates the traffic regime online, and reconfigures the
-// running system with flap-free hysteresis.
-type (
-	// Autopilot is the closed-loop traffic controller.
-	Autopilot = autopilot.Autopilot
-	// AutopilotOptions parameterizes the controller (window sizes,
-	// regime thresholds, policy targets, hysteresis).
-	AutopilotOptions = autopilot.Options
-	// AutopilotDecision is one journaled controller decision.
-	AutopilotDecision = autopilot.Decision
-	// AutopilotStats is a snapshot of the controller's counters.
-	AutopilotStats = autopilot.Stats
-	// AutopilotWindowStats is one decision window's traffic summary.
-	AutopilotWindowStats = autopilot.WindowStats
-	// AutopilotRegime is the controller's traffic classification.
-	AutopilotRegime = autopilot.Regime
-)
-
-// Traffic regimes recognized by the autopilot's classifier.
-const (
-	RegimeCalm     = autopilot.RegimeCalm
-	RegimeBurst    = autopilot.RegimeBurst
-	RegimeOverload = autopilot.RegimeOverload
-)
-
-// NewAutopilot builds a controller from the given options; attach it to a
-// binding with AttachSim (virtual time) or Start (wall clock).
-func NewAutopilot(opts AutopilotOptions) (*Autopilot, error) { return autopilot.New(opts) }
-
-// DefaultLinkDelay is the simulated one-way communication delay, calibrated
-// to the paper's measured 322 µs mean on its 100 Mbps testbed.
-const DefaultLinkDelay = 322 * time.Microsecond
+// RenderTable1 renders the paper's Table 1 (the configuration engine's
+// question-to-strategy mapping). The experiment harness that regenerates the
+// figures is tooling, not library surface: it lives in internal/experiments
+// behind cmd/rtmw-bench.
+var RenderTable1 = configengine.RenderTable1

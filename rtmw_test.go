@@ -6,6 +6,11 @@ import (
 	"time"
 
 	rtmw "repro"
+	"repro/internal/configengine"
+	"repro/internal/core"
+	"repro/internal/deploy"
+	"repro/internal/spec"
+	"repro/internal/workload"
 )
 
 // TestFacadeSimulationQuickstart exercises the README quickstart path
@@ -187,17 +192,17 @@ func TestFacadeConfigEngine(t *testing.T) {
 	if _, err := rtmw.ParseConfig("T_J_N"); err == nil {
 		t.Error("facade accepted the contradictory T_J_N configuration")
 	}
-	if got := len(rtmw.AllCombinations()); got != 15 {
+	if got := len(core.AllCombinations()); got != 15 {
 		t.Errorf("AllCombinations = %d, want 15", got)
 	}
 }
 
 func TestFacadeWorkloadRoundTrip(t *testing.T) {
-	tasks, err := rtmw.GenerateWorkload(rtmw.Figure5Params(0))
+	tasks, err := rtmw.GenerateWorkload(workload.Figure5Params(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := rtmw.WorkloadFromTasks("fig5", 5, tasks)
+	w := spec.FromTasks("fig5", 5, tasks)
 	data, err := w.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -209,9 +214,9 @@ func TestFacadeWorkloadRoundTrip(t *testing.T) {
 	if len(w2.Tasks) != len(tasks) {
 		t.Errorf("round trip lost tasks: %d vs %d", len(w2.Tasks), len(tasks))
 	}
-	scaled := rtmw.ScaleWorkload(tasks, 0.5)
+	scaled := workload.Scale(tasks, 0.5)
 	if scaled[0].Deadline != tasks[0].Deadline/2 {
-		t.Error("ScaleWorkload did not halve deadlines")
+		t.Error("workload.Scale did not halve deadlines")
 	}
 }
 
@@ -224,7 +229,7 @@ func TestFacadePlanGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := rtmw.GeneratePlan("p", w, rtmw.MapAnswers(rtmw.DefaultAnswers()).Config,
+	plan, err := rtmw.GeneratePlan("p", w, rtmw.MapAnswers(configengine.DefaultAnswers()).Config,
 		rtmw.DeploymentNode{Name: "m", Address: "127.0.0.1:1", Processor: -1},
 		[]rtmw.DeploymentNode{{Name: "a0", Address: "127.0.0.1:2", Processor: 0}})
 	if err != nil {
@@ -234,7 +239,7 @@ func TestFacadePlanGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan2, err := rtmw.ParsePlan(data)
+	plan2, err := deploy.Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
