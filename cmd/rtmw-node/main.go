@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/ccm"
 	"repro/internal/deploy"
-	"repro/internal/eventchan"
 	"repro/internal/live"
 )
 
@@ -35,25 +34,14 @@ func main() {
 
 func run() error {
 	var (
-		name       = flag.String("name", "node", "node name")
-		proc       = flag.Int("proc", 0, "application processor index (-1 for the task manager)")
-		listen     = flag.String("listen", "127.0.0.1:0", "ORB listen address")
-		execScale  = flag.Float64("execscale", 1.0, "subtask execution time multiplier")
-		sinkPolicy = flag.String("sinkpolicy", "block", "full-sink overflow policy: block (throttle pushers) or drop (shed with backpressure error)")
+		name      = flag.String("name", "node", "node name")
+		proc      = flag.Int("proc", 0, "application processor index (-1 for the task manager)")
+		listen    = flag.String("listen", "127.0.0.1:0", "ORB listen address")
+		execScale = flag.Float64("execscale", 1.0, "subtask execution time multiplier")
 	)
 	flag.Parse()
 
-	policy := eventchan.Block
-	switch *sinkPolicy {
-	case "block":
-	case "drop":
-		policy = eventchan.DropNewest
-	default:
-		return fmt.Errorf("invalid -sinkpolicy %q (want block or drop)", *sinkPolicy)
-	}
-
-	node, err := live.NewNode(*name, *proc, *listen, *execScale,
-		live.WithChannelOptions(eventchan.WithSinkPolicy(policy)))
+	node, err := live.NewNode(*name, *proc, *listen, *execScale)
 	if err != nil {
 		return err
 	}
@@ -72,10 +60,10 @@ func run() error {
 
 	fmt.Println("shutting down")
 	ts := node.TransportStats()
-	fmt.Printf("transport: %d frames in %d flushes (%.1f frames/flush), %d bytes, %d inbound frames dropped; %d events pushed, %d forwarded in %d batches (%d dropped)\n",
+	fmt.Printf("transport: %d frames in %d flushes (%.1f frames/flush), %d bytes, %d inbound frames dropped; %d events pushed, %d forwarded (%d failed)\n",
 		ts.ORB.FramesSent, ts.ORB.Flushes, framesPerFlush(ts.ORB.FramesSent, ts.ORB.Flushes),
 		ts.ORB.BytesSent, ts.ORB.FramesDropped,
-		ts.Events.Pushed, ts.Events.Forwarded, ts.Events.ForwardBatches, ts.Events.ForwardDropped)
+		ts.Events.Pushed, ts.Events.Forwarded, ts.Events.ForwardErrors)
 	return node.Close()
 }
 

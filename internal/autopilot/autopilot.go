@@ -1,12 +1,11 @@
 // Package autopilot closes the control loop the paper leaves to an
 // operator: it tails a binding's Watch stream into lock-free sliding-window
 // estimators (per-task arrival rate and burstiness via a two-state
-// MMPP/Markov-modulated fit, deadline-miss and rejection rates), detects
-// regime shifts with an EWMA mean plus a two-sided CUSUM change detector,
-// and maps the detected regime to a strategy configuration through a policy
-// engine with hysteresis — minimum regime dwell time, a cooldown after every
-// actuation, and action deduplication — so the controller provably never
-// flaps. The same controller drives both bindings: in the simulation its
+// MMPP/Markov-modulated fit, deadline-miss and rejection rates), classifies
+// the window into a traffic regime, and maps the regime to a strategy
+// configuration through a policy engine with hysteresis — minimum regime
+// dwell time, a cooldown after every actuation, and action deduplication —
+// so the controller provably never flaps. The same controller drives both bindings: in the simulation its
 // ticks ride SimSystem.At (virtual time, deterministic and replayable); on
 // the live cluster a goroutine ticks on the wall clock.
 //
@@ -66,9 +65,8 @@ func (r Regime) String() string {
 type Options struct {
 	// Tick is the decision cadence.
 	Tick time.Duration
-	// Window is the sliding estimator window; Buckets its ring resolution.
-	Window  time.Duration
-	Buckets int
+	// Window is the sliding estimator window.
+	Window time.Duration
 
 	// MinDwell is how long a classified regime must persist before the
 	// policy may act on it; Cooldown the minimum gap after an actuation
@@ -111,17 +109,6 @@ type Options struct {
 	// once per controller lifetime (removal is not reversible from here).
 	OverloadShed []string
 
-	// EWMAAlpha smooths the estimator means; CUSUMSlack and CUSUMThreshold
-	// parameterize the change detector (normalized units).
-	EWMAAlpha      float64
-	CUSUMSlack     float64
-	CUSUMThreshold float64
-
-	// WatchBuffer sizes the controller's Watch subscription.
-	WatchBuffer int
-	// JournalCap bounds the decision journal (oldest entries dropped).
-	JournalCap int
-
 	// OnAction, if set, is called synchronously after every successful
 	// actuation with the actuation time and the config transition — the
 	// scenario recorder uses it to journal actuations as replayable
@@ -141,9 +128,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Window <= 0 {
 		o.Window = time.Second
-	}
-	if o.Buckets <= 0 {
-		o.Buckets = 8
 	}
 	if o.MinDwell <= 0 {
 		o.MinDwell = 500 * time.Millisecond
@@ -171,21 +155,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RejectHigh <= 0 {
 		o.RejectHigh = 0.5
-	}
-	if o.EWMAAlpha <= 0 {
-		o.EWMAAlpha = 0.2
-	}
-	if o.CUSUMSlack <= 0 {
-		o.CUSUMSlack = 0.25
-	}
-	if o.CUSUMThreshold <= 0 {
-		o.CUSUMThreshold = 2
-	}
-	if o.WatchBuffer <= 0 {
-		o.WatchBuffer = 1 << 15
-	}
-	if o.JournalCap <= 0 {
-		o.JournalCap = 256
 	}
 	return o
 }
@@ -223,13 +192,23 @@ func (o Options) validate() error {
 	return nil
 }
 
-// minSamples is the windowed event count below which the miss and rejection
-// ratios are considered too noisy to classify overload from.
-const minSamples = 8
-
-// minRateFloor floors MMPP base rates and CUSUM normalization so near-idle
-// tasks don't produce unbounded ratios (events/sec).
-const minRateFloor = 1.0
+const (
+	// minSamples is the windowed event count below which the miss and
+	// rejection ratios are considered too noisy to classify overload from.
+	minSamples = 8
+	// minRateFloor floors MMPP base rates so near-idle tasks don't produce
+	// unbounded ratios (events/sec).
+	minRateFloor = 1.0
+	// ringBuckets is every estimator ring's resolution: Window/ringBuckets
+	// per bucket.
+	ringBuckets = 8
+	// ewmaAlpha smooths the per-task MMPP base rates.
+	ewmaAlpha = 0.2
+	// watchBuffer sizes the controller's Watch subscription.
+	watchBuffer = 1 << 15
+	// journalCap bounds the decision journal (oldest entries dropped).
+	journalCap = 256
+)
 
 // WindowStats is one tick's view of the sliding window, recorded with every
 // decision so the journal explains what the controller saw.
@@ -278,9 +257,7 @@ type Stats struct {
 	// Events is total Watch events ingested; Ticks total decision ticks.
 	Events int64 `json:"events"`
 	Ticks  int64 `json:"ticks"`
-	// ShiftAlarms counts CUSUM change alarms; RegimeChanges classified
-	// regime transitions (actuated or not).
-	ShiftAlarms   int64 `json:"shift_alarms"`
+	// RegimeChanges counts classified regime transitions (actuated or not).
 	RegimeChanges int64 `json:"regime_changes"`
 	// Actuations counts successful Reconfigure calls; ActuationErrors
 	// failed ones; Sheds tasks removed by overload shedding.
@@ -316,8 +293,6 @@ type Autopilot struct {
 	completions *ring
 	misses      *ring
 
-	detector cusum
-
 	// Policy state (driver goroutine only).
 	regime      Regime
 	regimeSince time.Duration
@@ -330,7 +305,6 @@ type Autopilot struct {
 	// Counters (atomic: read by Stats from any goroutine).
 	events             atomic.Int64
 	ticks              atomic.Int64
-	shiftAlarms        atomic.Int64
 	regimeChanges      atomic.Int64
 	actuations         atomic.Int64
 	actuationErrors    atomic.Int64
@@ -360,11 +334,10 @@ func New(opts Options) (*Autopilot, error) {
 	a := &Autopilot{
 		opts:        opts,
 		tasks:       make(map[string]*taskEst),
-		arrivals:    newRing(opts.Window, opts.Buckets),
-		rejects:     newRing(opts.Window, opts.Buckets),
-		completions: newRing(opts.Window, opts.Buckets),
-		misses:      newRing(opts.Window, opts.Buckets),
-		detector:    cusum{alpha: opts.EWMAAlpha, k: opts.CUSUMSlack, h: opts.CUSUMThreshold},
+		arrivals:    newRing(opts.Window, ringBuckets),
+		rejects:     newRing(opts.Window, ringBuckets),
+		completions: newRing(opts.Window, ringBuckets),
+		misses:      newRing(opts.Window, ringBuckets),
 		regime:      RegimeCalm,
 	}
 	a.curRegime.Store(int32(RegimeCalm))
@@ -409,7 +382,7 @@ func (a *Autopilot) ingest(ev core.WatchEvent) {
 func (a *Autopilot) taskFor(id string) *taskEst {
 	t, ok := a.tasks[id]
 	if !ok {
-		t = &taskEst{id: id, arrivals: newRing(a.opts.Window, a.opts.Buckets)}
+		t = &taskEst{id: id, arrivals: newRing(a.opts.Window, ringBuckets)}
 		a.tasks[id] = t
 	}
 	return t
@@ -444,7 +417,7 @@ func (a *Autopilot) window(now time.Duration) WindowStats {
 			continue
 		}
 		t.arrivals.advance(now)
-		if t.observe(o.EWMAAlpha, o.BurstEnter, o.BurstExit, minRateFloor) {
+		if t.observe(o.BurstEnter, o.BurstExit) {
 			st.BurstTasks++
 		}
 	}
@@ -488,17 +461,13 @@ func (a *Autopilot) target(r Regime) core.Config {
 	}
 }
 
-// tick runs one decision round at `now`: summarize the window, update the
-// change detector, classify, and actuate if — and only if — the hysteresis
-// gate opens.
+// tick runs one decision round at `now`: summarize the window, classify,
+// and actuate if — and only if — the hysteresis gate opens.
 //
 //rtmw:noalloc
 func (a *Autopilot) tick(now time.Duration) {
 	a.ticks.Add(1)
 	st := a.window(now)
-	if a.detector.update(st.AggRate, minRateFloor) {
-		a.shiftAlarms.Add(1)
-	}
 	regime, trigger := a.classify(st)
 	if regime != a.regime {
 		a.regime = regime
@@ -580,7 +549,7 @@ func (a *Autopilot) actuate(now time.Duration, regime Regime, trigger string, to
 func (a *Autopilot) record(d Decision) {
 	a.journalMu.Lock()
 	defer a.journalMu.Unlock()
-	if len(a.journal) >= a.opts.JournalCap {
+	if len(a.journal) >= journalCap {
 		copy(a.journal, a.journal[1:])
 		a.journal = a.journal[:len(a.journal)-1]
 	}
@@ -601,7 +570,6 @@ func (a *Autopilot) Stats() Stats {
 	s := Stats{
 		Events:             a.events.Load(),
 		Ticks:              a.ticks.Load(),
-		ShiftAlarms:        a.shiftAlarms.Load(),
 		RegimeChanges:      a.regimeChanges.Load(),
 		Actuations:         a.actuations.Load(),
 		ActuationErrors:    a.actuationErrors.Load(),

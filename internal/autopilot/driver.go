@@ -23,7 +23,7 @@ func (a *Autopilot) attach(b Binding, now time.Duration) error {
 	if a.started {
 		return fmt.Errorf("autopilot: already attached")
 	}
-	stream, err := b.Watch(core.WatchOptions{Buffer: a.opts.WatchBuffer})
+	stream, err := b.Watch(core.WatchOptions{Buffer: watchBuffer})
 	if err != nil {
 		return fmt.Errorf("autopilot: watch: %w", err)
 	}

@@ -96,22 +96,18 @@ type taskEst struct {
 	id       string
 	arrivals *ring
 	baseRate float64
-	// burstRate tracks the elevated state's EWMA level while in burst; kept
-	// for the decision journal.
-	burstRate float64
-	inBurst   bool
-	removed   bool
+	inBurst  bool
+	removed  bool
 }
 
 // observe folds the current windowed rate into the MMPP fit and returns
-// whether the task is in its burst state. minRate floors the base level so a
-// near-idle task's first few arrivals don't read as an infinite ratio.
-func (t *taskEst) observe(alpha, burstEnter, burstExit, minRate float64) bool {
+// whether the task is in its burst state. The base level is floored at
+// minRateFloor so a near-idle task's first few arrivals don't read as an
+// infinite ratio.
+func (t *taskEst) observe(burstEnter, burstExit float64) bool {
 	r := t.arrivals.rate()
-	base := math.Max(t.baseRate, minRate)
 	if t.inBurst {
-		t.burstRate += alpha * (r - t.burstRate)
-		if r < burstExit*base {
+		if r < burstExit*math.Max(t.baseRate, minRateFloor) {
 			t.inBurst = false
 		}
 		return t.inBurst
@@ -119,45 +115,8 @@ func (t *taskEst) observe(alpha, burstEnter, burstExit, minRate float64) bool {
 	if t.baseRate == 0 {
 		t.baseRate = r
 	} else {
-		t.baseRate += alpha * (r - t.baseRate)
+		t.baseRate += ewmaAlpha * (r - t.baseRate)
 	}
-	if r > burstEnter*math.Max(t.baseRate, minRate) {
-		t.inBurst = true
-		t.burstRate = r
-	}
+	t.inBurst = r > burstEnter*math.Max(t.baseRate, minRateFloor)
 	return t.inBurst
-}
-
-// cusum is a two-sided CUSUM change detector over the normalized deviation
-// of a signal from its EWMA mean: S+ accumulates positive drift, S-
-// negative, each leaking by the slack k per step; crossing the threshold h
-// raises a shift alarm and re-anchors the mean at the current level so the
-// detector re-arms for the next regime.
-type cusum struct {
-	alpha  float64 // EWMA smoothing for the running mean
-	k      float64 // slack per step, in normalized units
-	h      float64 // alarm threshold, in normalized units
-	mean   float64
-	sPos   float64
-	sNeg   float64
-	primed bool
-}
-
-// update folds one observation in and reports whether a shift alarm fired.
-func (c *cusum) update(x, minLevel float64) bool {
-	if !c.primed {
-		c.mean = x
-		c.primed = true
-		return false
-	}
-	dev := (x - c.mean) / math.Max(math.Abs(c.mean), minLevel)
-	c.mean += c.alpha * (x - c.mean)
-	c.sPos = math.Max(0, c.sPos+dev-c.k)
-	c.sNeg = math.Max(0, c.sNeg-dev-c.k)
-	if c.sPos > c.h || c.sNeg > c.h {
-		c.sPos, c.sNeg = 0, 0
-		c.mean = x
-		return true
-	}
-	return false
 }

@@ -581,7 +581,7 @@ func (c *Cluster) Snapshot() core.BindingSnapshot {
 	if ac, err := c.AC(); err == nil {
 		snap.Epoch = ac.Epoch()
 	}
-	snap.Arrived, snap.Released, snap.Skipped, snap.Completed, snap.Shed = c.counters()
+	snap.Arrived, snap.Released, snap.Skipped, snap.Completed = c.counters()
 	snap.InFlight = snap.Released - snap.Completed
 	snap.WatchDropped = c.hub.Dropped()
 	return snap
@@ -592,7 +592,7 @@ func (c *Cluster) Snapshot() core.BindingSnapshot {
 // container retains instances past shutdown), and RecoverNode banks the dead
 // effector's totals into lostStats before the replacement zeroes them, so
 // the sums stay monotonic across node loss and recovery.
-func (c *Cluster) counters() (arrived, released, skipped, completed, shed int64) {
+func (c *Cluster) counters() (arrived, released, skipped, completed int64) {
 	for i := range c.Apps {
 		te, err := c.TE(i)
 		if err != nil {
@@ -602,17 +602,15 @@ func (c *Cluster) counters() (arrived, released, skipped, completed, shed int64)
 		arrived += s.Arrived
 		released += s.Released
 		skipped += s.Skipped
-		shed += s.Overloaded
 	}
 	c.failMu.Lock()
 	for _, s := range c.lostStats {
 		arrived += s.Arrived
 		released += s.Released
 		skipped += s.Skipped
-		shed += s.Overloaded
 	}
 	c.failMu.Unlock()
-	return arrived, released, skipped, c.done.Completed(), shed
+	return arrived, released, skipped, c.done.Completed()
 }
 
 // Reconfigure swaps the cluster's AC/IR/LB strategy combination on the
@@ -667,7 +665,7 @@ func (c *Cluster) Reconfigure(to core.Config) (*core.ReconfigReport, error) {
 
 // inFlight counts released-but-uncompleted jobs.
 func (c *Cluster) inFlight() int64 {
-	_, released, _, completed, _ := c.counters()
+	_, released, _, completed := c.counters()
 	return released - completed
 }
 
@@ -753,7 +751,7 @@ func (c *Cluster) StopDrivers() {
 
 // TransportStats snapshots every node's transport-plane counters, keyed by
 // node name — the overload accounting surface for scale experiments: how
-// well writes batched, and whether backpressure shed any events.
+// well writes batched, and whether any forward failed.
 func (c *Cluster) TransportStats() map[string]live.NodeTransportStats {
 	out := make(map[string]live.NodeTransportStats, len(c.Apps)+1)
 	if c.Manager != nil {

@@ -572,7 +572,6 @@ func (c *Cluster) RecoverNode(i int) error {
 		prev.Released += s.Released
 		prev.Skipped += s.Skipped
 		prev.Relocated += s.Relocated
-		prev.Overloaded += s.Overloaded
 		c.lostStats[i] = prev
 		c.failMu.Unlock()
 	}

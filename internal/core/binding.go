@@ -31,10 +31,6 @@ type BindingSnapshot struct {
 	// subscriptions because a consumer's buffer was full — visible sensor
 	// loss without needing a live subscription of one's own.
 	WatchDropped int64
-	// Shed counts arrivals refused by explicit transport backpressure
-	// before reaching admission control (always zero in the simulation,
-	// whose channels never shed).
-	Shed int64
 }
 
 // AdmissionOutcome is the resolution state of one submitted arrival.

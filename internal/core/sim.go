@@ -565,14 +565,13 @@ func (s *SimSystem) reassignPriorities() {
 // job accounting.
 func (s *SimSystem) Snapshot() BindingSnapshot {
 	return BindingSnapshot{
-		Config:    s.cfg.Strategies,
-		Epoch:     s.epoch,
-		Arrived:   s.metrics.Total.Arrived,
-		Released:  s.metrics.Total.Released,
-		Skipped:   s.metrics.Total.Skipped,
-		Completed: s.metrics.Total.Completed,
-		InFlight:  s.inFlight,
-		// Shed stays zero: the sim's in-memory planes never refuse work.
+		Config:       s.cfg.Strategies,
+		Epoch:        s.epoch,
+		Arrived:      s.metrics.Total.Arrived,
+		Released:     s.metrics.Total.Released,
+		Skipped:      s.metrics.Total.Skipped,
+		Completed:    s.metrics.Total.Completed,
+		InFlight:     s.inFlight,
 		WatchDropped: s.hub.Dropped(),
 	}
 }

@@ -20,6 +20,12 @@ func newNode(t *testing.T, name string) (*Channel, string) {
 	return New(name, o), addr.String()
 }
 
+// Stats is the tests' shorthand for the push and forward counters.
+func (c *Channel) Stats() (pushed, forwarded int64) {
+	ps := c.PlaneStats()
+	return ps.Pushed, ps.Forwarded
+}
+
 func TestLocalDelivery(t *testing.T) {
 	ch, _ := newNode(t, "n1")
 	var got []Event

@@ -16,7 +16,7 @@ const maxFieldLen = 0xFFFF
 var errFieldTooLong = errors.New("eventchan: event field exceeds 65535 bytes")
 
 // validateEvent checks the length-prefix bounds without encoding, so Push
-// can fail fast before an event enters any queue.
+// can fail before it delivers anything.
 func validateEvent(ev Event) error {
 	if len(ev.Type) > maxFieldLen {
 		return fmt.Errorf("%w (Type is %d bytes)", errFieldTooLong, len(ev.Type))
@@ -49,81 +49,19 @@ func encodeEvent(ev Event) ([]byte, error) {
 	return buf, nil
 }
 
+// errMalformed is wrapped by every decodeEvent error.
+var errMalformed = errors.New("eventchan: malformed event")
+
 // decodeEvent parses the wire form. Type and Source come from the small fixed
 // vocabulary names interns, so a received event allocates neither.
 func decodeEvent(names *orb.Interner, b []byte) (Event, error) {
 	typ, rest, err := names.LV(b)
 	if err != nil {
-		return Event{}, fmt.Errorf("eventchan: event type: %w", err)
+		return Event{}, fmt.Errorf("%w: type: %w", errMalformed, err)
 	}
 	src, rest, err := names.LV(rest)
 	if err != nil {
-		return Event{}, fmt.Errorf("eventchan: event source: %w", err)
+		return Event{}, fmt.Errorf("%w: source: %w", errMalformed, err)
 	}
 	return Event{Type: typ, Source: src, Payload: rest}, nil
-}
-
-// encodeBatch flattens a batch of events for one gateway push:
-//
-//	uint32 count | count × (uint32 eventLen | encoded event)
-func encodeBatch(events []Event) ([]byte, error) {
-	size := 4
-	for _, ev := range events {
-		if err := validateEvent(ev); err != nil {
-			return nil, err
-		}
-		size += 4 + 2 + len(ev.Type) + 2 + len(ev.Source) + len(ev.Payload)
-	}
-	buf := make([]byte, 4, size)
-	binary.BigEndian.PutUint32(buf, uint32(len(events)))
-	for _, ev := range events {
-		evLen := 2 + len(ev.Type) + 2 + len(ev.Source) + len(ev.Payload)
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(evLen))
-		buf = append(buf, hdr[:]...)
-		var lv [2]byte
-		binary.BigEndian.PutUint16(lv[:], uint16(len(ev.Type)))
-		buf = append(buf, lv[:]...)
-		buf = append(buf, ev.Type...)
-		binary.BigEndian.PutUint16(lv[:], uint16(len(ev.Source)))
-		buf = append(buf, lv[:]...)
-		buf = append(buf, ev.Source...)
-		buf = append(buf, ev.Payload...)
-	}
-	return buf, nil
-}
-
-// decodeBatch parses a batch envelope.
-func decodeBatch(names *orb.Interner, b []byte) ([]Event, error) {
-	if len(b) < 4 {
-		return nil, errors.New("eventchan: truncated batch header")
-	}
-	count := int(binary.BigEndian.Uint32(b))
-	rest := b[4:]
-	// Each event costs at least its 4-byte length prefix; reject absurd
-	// counts before allocating.
-	if count > len(rest)/4 {
-		return nil, fmt.Errorf("eventchan: implausible batch count %d for %d bytes", count, len(rest))
-	}
-	events := make([]Event, 0, count)
-	for i := 0; i < count; i++ {
-		if len(rest) < 4 {
-			return nil, errors.New("eventchan: truncated batch entry header")
-		}
-		n := int(binary.BigEndian.Uint32(rest))
-		rest = rest[4:]
-		if n < 0 || len(rest) < n {
-			return nil, errors.New("eventchan: truncated batch entry")
-		}
-		ev, err := decodeEvent(names, rest[:n])
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, ev)
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("eventchan: %d trailing bytes after batch", len(rest))
-	}
-	return events, nil
 }

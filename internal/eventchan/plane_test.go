@@ -44,162 +44,25 @@ func TestEncodeEventFieldTooLong(t *testing.T) {
 	}
 }
 
-func TestBatchCodecRoundTrip(t *testing.T) {
-	batches := [][]Event{
-		nil,
-		{{Type: "A", Source: "n1", Payload: []byte("one")}},
-		{
-			{Type: "A", Source: "n1", Payload: []byte("one")},
-			{Type: "", Source: "", Payload: nil},
-			{Type: "B", Source: "n2", Payload: make([]byte, 2048)},
-		},
-	}
-	for _, batch := range batches {
-		enc, err := encodeBatch(batch)
-		if err != nil {
-			t.Fatalf("encodeBatch(%d events): %v", len(batch), err)
-		}
-		got, err := decodeBatch(new(orb.Interner), enc)
-		if err != nil {
-			t.Fatalf("decodeBatch(%d events): %v", len(batch), err)
-		}
-		if len(got) != len(batch) {
-			t.Fatalf("round trip = %d events, want %d", len(got), len(batch))
-		}
-		for i := range batch {
-			if got[i].Type != batch[i].Type || got[i].Source != batch[i].Source ||
-				string(got[i].Payload) != string(batch[i].Payload) {
-				t.Errorf("event %d = %+v, want %+v", i, got[i], batch[i])
-			}
-		}
-	}
-	for _, corrupt := range [][]byte{
-		{},
-		{0, 0, 0, 5},
-		{0, 0, 0, 1, 0, 0, 0, 9, 0},
-		{0xFF, 0xFF, 0xFF, 0xFF},
-	} {
-		if _, err := decodeBatch(new(orb.Interner), corrupt); err == nil {
-			t.Errorf("decodeBatch(%v) accepted corrupt input", corrupt)
-		}
-	}
-	// Trailing garbage after the declared count is rejected.
-	enc, err := encodeBatch([]Event{{Type: "A"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeBatch(new(orb.Interner), append(enc, 0xAB)); err == nil {
-		t.Error("decodeBatch accepted trailing bytes")
-	}
-}
-
-// TestBatchedVsUnbatchedDifferential pushes the same event sequence through
-// the batched gateway path (Push) and the scalar path (PushUrgent) and
-// asserts the consumer observes the same events either way: batching is a
-// transport optimization, not a semantic change.
-func TestBatchedVsUnbatchedDifferential(t *testing.T) {
-	const n = 200
-	run := func(push func(*Channel, Event) error) map[string]int {
-		producer, _ := newNode(t, "p")
-		consumer, addr := newNode(t, "c")
-		var mu sync.Mutex
-		got := make(map[string]int, n)
-		var count atomic.Int64
-		done := make(chan struct{})
-		consumer.Subscribe("E", func(ev Event) {
-			mu.Lock()
-			got[string(ev.Payload)]++
-			mu.Unlock()
-			if count.Add(1) == n {
-				close(done)
-			}
-		})
-		producer.AddRemoteSink("E", addr)
-		for i := 0; i < n; i++ {
-			if err := push(producer, Event{Type: "E", Payload: []byte(fmt.Sprintf("ev-%d", i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d/%d events crossed the gateway", count.Load(), n)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return got
-	}
-
-	batched := run((*Channel).Push)
-	unbatched := run((*Channel).PushUrgent)
-	if len(batched) != n || len(unbatched) != n {
-		t.Fatalf("distinct events: batched %d, unbatched %d, want %d", len(batched), len(unbatched), n)
-	}
-	for k, v := range unbatched {
-		if batched[k] != v {
-			t.Errorf("event %q: batched delivered %d, unbatched %d", k, batched[k], v)
-		}
-	}
-}
-
-// TestPushUrgentOvertakesFullSink pins why PushUrgent exists: with a sink's
-// pending queue full under DropNewest, Push is shed with ErrBackpressure
-// while PushUrgent still reaches the peer.
-func TestPushUrgentOvertakesFullSink(t *testing.T) {
-	producer, _ := newNode(t, "p-urgent")
-	consumer, addr := newNode(t, "c-urgent")
-	producer.sinkDepth = 2
-	got := make(chan string, 1)
-	consumer.Subscribe("E", func(ev Event) { got <- string(ev.Payload) })
-	producer.AddRemoteSink("E", addr)
-
-	// Fill the pending queue behind a flush that is marked in flight, so
-	// nothing drains it for the duration of the test.
-	producer.sinksMu.Lock()
-	snk := producer.sinks[addr]
-	producer.sinksMu.Unlock()
-	snk.mu.Lock()
-	snk.flushing = true
-	snk.mu.Unlock()
-	for i := 0; i < producer.sinkDepth; i++ {
-		if err := producer.Push(Event{Type: "E", Payload: []byte("queued")}); err != nil {
-			t.Fatalf("push %d into a non-full queue: %v", i, err)
-		}
-	}
-
-	if err := producer.Push(Event{Type: "E", Payload: []byte("shed")}); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("Push on a full sink = %v, want ErrBackpressure", err)
-	}
-	if err := producer.PushUrgent(Event{Type: "E", Payload: []byte("urgent")}); err != nil {
-		t.Fatalf("PushUrgent on a full sink: %v", err)
-	}
-	select {
-	case p := <-got:
-		if p != "urgent" {
-			t.Fatalf("consumer saw %q first, want the urgent event", p)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("urgent event never crossed the gateway")
-	}
-	if ps := producer.PlaneStats(); ps.ForwardDropped != 1 {
-		t.Errorf("ForwardDropped = %d, want 1", ps.ForwardDropped)
-	}
-}
-
-// TestSinkBlockPolicyDeliversAll verifies the gateway's Block overflow
-// policy: a tiny pending queue throttles concurrent pushers instead of
-// shedding, and every event still crosses the federation exactly once.
+// TestSinkBlockPolicyDeliversAll verifies that concurrent pushers to one peer
+// lose nothing: every event of 4 publishers crosses the federation exactly
+// once. A full connection blocks its pushers in the ORB writer
+// (orb.TestWriterBlocksAtDepthAndResumes); nothing on the way sheds.
 func TestSinkBlockPolicyDeliversAll(t *testing.T) {
-	o := orb.New("p-block")
-	t.Cleanup(o.Shutdown)
-	producer := New("p-block", o, WithSinkPolicy(Block))
-	producer.sinkDepth, producer.sinkBatch = 2, 1
+	producer, _ := newNode(t, "p-block")
 	consumer, addr := newNode(t, "c-block")
 
 	const pubs, per = 4, 200
-	var got atomic.Int64
+	var (
+		mu   sync.Mutex
+		seen = make(map[string]int, pubs*per)
+		got  atomic.Int64
+	)
 	done := make(chan struct{})
-	consumer.Subscribe("E", func(Event) {
+	consumer.Subscribe("E", func(ev Event) {
+		mu.Lock()
+		seen[string(ev.Payload)]++
+		mu.Unlock()
 		if got.Add(1) == pubs*per {
 			close(done)
 		}
@@ -210,31 +73,38 @@ func TestSinkBlockPolicyDeliversAll(t *testing.T) {
 	var errs atomic.Int64
 	for p := 0; p < pubs; p++ {
 		wg.Add(1)
-		go func() {
+		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := producer.Push(Event{Type: "E", Payload: []byte("x")}); err != nil {
+				if err := producer.Push(Event{Type: "E", Payload: fmt.Appendf(nil, "%d/%d", p, i)}); err != nil {
 					errs.Add(1)
 					return
 				}
 			}
-		}()
+		}(p)
 	}
 	wg.Wait()
 	if errs.Load() != 0 {
-		t.Fatalf("%d pushes failed under Block policy", errs.Load())
+		t.Fatalf("%d pushes failed", errs.Load())
 	}
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatalf("delivered %d/%d events", got.Load(), pubs*per)
 	}
-	if ps := producer.PlaneStats(); ps.ForwardDropped != 0 {
-		t.Errorf("Block policy dropped %d events", ps.ForwardDropped)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != pubs*per {
+		t.Errorf("%d distinct events delivered, want %d", len(seen), pubs*per)
 	}
-	// Close wakes any pusher blocked on a full sink (exercised here only
-	// for the no-waiter case; the churn test covers concurrent closes).
-	producer.Close()
+	for ev, n := range seen {
+		if n != 1 {
+			t.Errorf("event %s delivered %d times", ev, n)
+		}
+	}
+	if ps := producer.PlaneStats(); ps.Forwarded != pubs*per || ps.ForwardErrors != 0 {
+		t.Errorf("plane stats %+v, want %d forwarded and no errors", ps, pubs*per)
+	}
 }
 
 // TestSubscriptionCancelStopsDelivery verifies Cancel removes the consumer
@@ -262,7 +132,7 @@ func TestSubscriptionCancelStopsDelivery(t *testing.T) {
 
 // TestEventPlaneChurnStress publishes from many goroutines across several
 // event types while subscribers churn (subscribe/unsubscribe mid-stream) on
-// the sharded table and a federated sink receives batched pushes — the
+// the sharded table and a federated sink receives concurrent pushes — the
 // -race workout for the whole plane.
 func TestEventPlaneChurnStress(t *testing.T) {
 	producer, _ := newNode(t, "p")
@@ -305,7 +175,7 @@ func TestEventPlaneChurnStress(t *testing.T) {
 			defer pubWG.Done()
 			for i := 0; i < perPub; i++ {
 				ev := Event{Type: types[(p+i)%len(types)], Payload: []byte{byte(i)}}
-				if err := producer.Push(ev); err != nil && !errors.Is(err, ErrBackpressure) {
+				if err := producer.Push(ev); err != nil {
 					pushErrs.Add(1)
 					return
 				}
@@ -317,13 +187,13 @@ func TestEventPlaneChurnStress(t *testing.T) {
 	churnWG.Wait()
 
 	if pushErrs.Load() != 0 {
-		t.Fatalf("%d pushes failed with non-backpressure errors", pushErrs.Load())
+		t.Fatalf("%d pushes failed", pushErrs.Load())
 	}
 	pushed, forwarded := producer.Stats()
 	if pushed != publishers*perPub {
 		t.Errorf("pushed = %d, want %d", pushed, publishers*perPub)
 	}
-	// Every T0 push was either forwarded or counted as dropped backpressure.
+	// Every T0 push was forwarded.
 	ps := producer.PlaneStats()
 	wantT0 := int64(0)
 	for p := 0; p < publishers; p++ {
@@ -333,11 +203,8 @@ func TestEventPlaneChurnStress(t *testing.T) {
 			}
 		}
 	}
-	if forwarded+ps.ForwardDropped != wantT0 {
-		t.Errorf("forwarded %d + dropped %d != %d T0 pushes", forwarded, ps.ForwardDropped, wantT0)
-	}
-	if ps.ForwardBatches > forwarded {
-		t.Errorf("batches %d > forwarded events %d", ps.ForwardBatches, forwarded)
+	if forwarded != wantT0 {
+		t.Errorf("forwarded %d != %d T0 pushes", forwarded, wantT0)
 	}
 	// The remote side eventually observes every successfully forwarded event.
 	deadline := time.Now().Add(10 * time.Second)

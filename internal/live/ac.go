@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventchan"
 	"repro/internal/sched"
-	"repro/internal/spec"
 )
 
 // Attribute names shared with the deployment plans. AC_Strategy, IR_Strategy
@@ -141,15 +140,7 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 			return err
 		}
 	}
-	wl, err := attrString(attrs, AttrWorkload)
-	if err != nil {
-		return err
-	}
-	w, err := spec.Parse([]byte(wl))
-	if err != nil {
-		return err
-	}
-	tasks, err := w.SchedTasks()
+	index, err := attrWorkload(attrs, true)
 	if err != nil {
 		return err
 	}
@@ -158,10 +149,6 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 		return err
 	}
 	ctrl.EnableTiming()
-	index := make(map[string]*sched.Task, len(tasks))
-	for _, t := range tasks {
-		index[t.ID] = t
-	}
 	// Publish under the lock the event handlers read through: ORB dispatch
 	// goroutines carry no other happens-before edge to them.
 	ac.mu.Lock()
@@ -373,20 +360,9 @@ func (ac *AdmissionController) Quiesce() (int64, error) {
 // admission decisions.
 func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 	// Parse the new task set outside the lock; nothing mutates on error.
-	var newTasks map[string]*sched.Task
-	if wl, ok := attrs[AttrWorkload]; ok && wl != "" {
-		w, err := spec.Parse([]byte(wl))
-		if err != nil {
-			return err
-		}
-		tasks, err := w.SchedTasks()
-		if err != nil {
-			return err
-		}
-		newTasks = make(map[string]*sched.Task, len(tasks))
-		for _, t := range tasks {
-			newTasks[t.ID] = t
-		}
+	newTasks, err := attrWorkload(attrs, false)
+	if err != nil {
+		return err
 	}
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
@@ -397,7 +373,6 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 		return ErrNotQuiesced
 	}
 	cfg := ac.cfg
-	var err error
 	if _, ok := attrs[AttrACStrategy]; ok {
 		if cfg.AC, err = parseStrategyAttr(attrs, AttrACStrategy); err != nil {
 			return err
@@ -661,21 +636,9 @@ func (lb *LoadBalancer) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
-	wl, err := attrString(attrs, AttrWorkload)
+	index, err := attrWorkload(attrs, true)
 	if err != nil {
 		return err
-	}
-	w, err := spec.Parse([]byte(wl))
-	if err != nil {
-		return err
-	}
-	tasks, err := w.SchedTasks()
-	if err != nil {
-		return err
-	}
-	index := make(map[string]*sched.Task, len(tasks))
-	for _, t := range tasks {
-		index[t.ID] = t
 	}
 	lb.mu.Lock()
 	lb.strategy = strategy
@@ -721,20 +684,9 @@ func (lb *LoadBalancer) Passivate() error { return nil }
 // advertised strategy and task index in sync for the Location facet and
 // diagnostics.
 func (lb *LoadBalancer) Reconfigure(attrs map[string]string) error {
-	var newTasks map[string]*sched.Task
-	if wl, ok := attrs[AttrWorkload]; ok && wl != "" {
-		w, err := spec.Parse([]byte(wl))
-		if err != nil {
-			return err
-		}
-		tasks, err := w.SchedTasks()
-		if err != nil {
-			return err
-		}
-		newTasks = make(map[string]*sched.Task, len(tasks))
-		for _, t := range tasks {
-			newTasks[t.ID] = t
-		}
+	newTasks, err := attrWorkload(attrs, false)
+	if err != nil {
+		return err
 	}
 	if _, ok := attrs[AttrLBStrategy]; ok {
 		strategy, err := parseStrategyAttr(attrs, AttrLBStrategy)

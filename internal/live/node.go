@@ -8,6 +8,8 @@ import (
 	"repro/internal/ccm"
 	"repro/internal/eventchan"
 	"repro/internal/orb"
+	"repro/internal/sched"
+	"repro/internal/spec"
 )
 
 // Service names components resolve from the container context.
@@ -41,52 +43,28 @@ type Node struct {
 	Executor  *Executor
 }
 
-// NodeOption tunes a node's transport stack at assembly time.
-type NodeOption func(*nodeConfig)
-
-// nodeConfig collects the transport options a NodeOption may set.
-type nodeConfig struct {
-	chanOpts []eventchan.Option
-}
-
-// WithChannelOptions forwards options to the node's event channel (the
-// full-sink overflow policy).
-func WithChannelOptions(opts ...eventchan.Option) NodeOption {
-	return func(c *nodeConfig) { c.chanOpts = append(c.chanOpts, opts...) }
-}
-
 // NodeTransportStats combines a node's write-path and event-plane counters
 // for overload accounting.
 type NodeTransportStats struct {
 	// ORB counts frames, flushes and bytes.
 	ORB orb.TransportStats
-	// Events counts pushes, forwards, federation batches and drops.
+	// Events counts pushes, forwards and failed forwards.
 	Events eventchan.PlaneStats
 }
 
 // NewNode assembles and starts a node listening on bindAddr (use
 // "127.0.0.1:0" for tests). execScale compresses subtask execution times;
 // pass 1.0 for real time.
-func NewNode(name string, proc int, bindAddr string, execScale float64, opts ...NodeOption) (*Node, error) {
+func NewNode(name string, proc int, bindAddr string, execScale float64) (*Node, error) {
 	if execScale <= 0 {
 		return nil, fmt.Errorf("live: node %s: execScale must be positive, got %g", name, execScale)
-	}
-	var cfg nodeConfig
-	// Live nodes default the gateway to the Block policy: the event plane
-	// carries control events (Accept, Release, Trigger) whose silent loss
-	// strands admitted jobs, so a full sink throttles pushers instead of
-	// shedding. Deployments that prefer shedding pass
-	// WithChannelOptions(eventchan.WithSinkPolicy(eventchan.DropNewest)).
-	cfg.chanOpts = append(cfg.chanOpts, eventchan.WithSinkPolicy(eventchan.Block))
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 	o := orb.New(name)
 	addr, err := o.Listen(bindAddr)
 	if err != nil {
 		return nil, err
 	}
-	ch := eventchan.New(name, o, cfg.chanOpts...)
+	ch := eventchan.New(name, o)
 	exec := NewExecutor()
 	ctx := &ccm.Context{
 		Node:   name,
@@ -176,6 +154,32 @@ func attrDuration(attrs map[string]string, key string) (time.Duration, error) {
 		return 0, fmt.Errorf("live: attribute %q: %w", key, err)
 	}
 	return d, nil
+}
+
+// attrWorkload parses the Workload attribute (a spec document) into a task
+// index by ID. When the attribute is optional and absent or empty the index
+// is nil; when it is required that fails as attrString does.
+func attrWorkload(attrs map[string]string, required bool) (map[string]*sched.Task, error) {
+	if !required && attrs[AttrWorkload] == "" {
+		return nil, nil
+	}
+	wl, err := attrString(attrs, AttrWorkload)
+	if err != nil {
+		return nil, err
+	}
+	w, err := spec.Parse([]byte(wl))
+	if err != nil {
+		return nil, err
+	}
+	tasks, err := w.SchedTasks()
+	if err != nil {
+		return nil, err
+	}
+	index := make(map[string]*sched.Task, len(tasks))
+	for _, t := range tasks {
+		index[t.ID] = t
+	}
+	return index, nil
 }
 
 // attrBool fetches an optional boolean attribute (default false).

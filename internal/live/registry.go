@@ -118,10 +118,8 @@ func (d *Driver) generate(t *sched.Task) {
 			return
 		case <-timer.C:
 		}
-		if _, err := d.te.Arrive(t.ID); err != nil && !TransportOverloaded(err) {
-			// Overload means the plane shed this arrival (counted by the
-			// TE); keep generating. Any other error is terminal.
-			return
+		if _, err := d.te.Arrive(t.ID); err != nil {
+			return // every arrival error is terminal
 		}
 		var gap time.Duration
 		if t.Kind == sched.Periodic {

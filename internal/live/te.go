@@ -1,7 +1,6 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventchan"
 	"repro/internal/sched"
-	"repro/internal/spec"
 )
 
 // teTask is the effector's per-task record: the (swappable) task definition
@@ -53,9 +51,9 @@ type TaskEffector struct {
 	tasks   atomic.Pointer[map[string]*teTask]
 	decided atomic.Pointer[map[string]*Accept]
 	// waiting holds arrivals awaiting a decision, by arrival time
-	// (UnixNano). Holds whose TaskArrive was lost in a batched gateway
-	// flush (the failure surfaces on the flusher, not on piggybacked
-	// pushers) would otherwise leak: sweepWaiting purges holds past every
+	// (UnixNano). Holds whose TaskArrive was lost in another sender's ORB
+	// flush (the failure surfaces on that flusher, not on the senders it
+	// carried) would otherwise leak: sweepWaiting purges holds past every
 	// possible deadline.
 	waiting map[sched.JobRef]int64
 	// maxDeadline bounds how long any hold can still get a decision.
@@ -98,9 +96,6 @@ type TEStats struct {
 	Skipped int64
 	// Relocated counts released jobs whose first stage moved to a replica.
 	Relocated int64
-	// Overloaded counts arrivals whose TaskArrive push was refused by
-	// transport backpressure (the event plane shed the load explicitly).
-	Overloaded int64
 }
 
 var _ ccm.Component = (*TaskEffector)(nil)
@@ -166,15 +161,7 @@ func (te *TaskEffector) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
-	wl, err := attrString(attrs, AttrWorkload)
-	if err != nil {
-		return err
-	}
-	w, err := spec.Parse([]byte(wl))
-	if err != nil {
-		return err
-	}
-	tasks, err := w.SchedTasks()
+	tasks, err := attrWorkload(attrs, true)
 	if err != nil {
 		return err
 	}
@@ -227,19 +214,9 @@ func (te *TaskEffector) Activate(ctx *ccm.Context) error {
 // dropped — their in-flight jobs keep executing on the subtask components,
 // which drain independently.
 func (te *TaskEffector) Reconfigure(attrs map[string]string) error {
-	var newTasks []*sched.Task
-	haveWorkload := false
-	if wl, ok := attrs[AttrWorkload]; ok && wl != "" {
-		w, err := spec.Parse([]byte(wl))
-		if err != nil {
-			return err
-		}
-		tasks, err := w.SchedTasks()
-		if err != nil {
-			return err
-		}
-		newTasks = tasks
-		haveWorkload = true
+	newTasks, err := attrWorkload(attrs, false)
+	if err != nil {
+		return err
 	}
 	te.mu.Lock()
 	defer te.mu.Unlock()
@@ -255,7 +232,7 @@ func (te *TaskEffector) Reconfigure(attrs map[string]string) error {
 	} else {
 		te.epoch++
 	}
-	if haveWorkload {
+	if newTasks != nil {
 		old := *te.tasks.Load()
 		index := make(map[string]*teTask, len(newTasks))
 		var maxDL time.Duration
@@ -300,11 +277,10 @@ func (te *TaskEffector) Proc() int {
 // StatsSnapshot returns a copy of the counters.
 func (te *TaskEffector) StatsSnapshot() TEStats {
 	return TEStats{
-		Arrived:    atomic.LoadInt64(&te.Stats.Arrived),
-		Released:   atomic.LoadInt64(&te.Stats.Released),
-		Skipped:    atomic.LoadInt64(&te.Stats.Skipped),
-		Relocated:  atomic.LoadInt64(&te.Stats.Relocated),
-		Overloaded: atomic.LoadInt64(&te.Stats.Overloaded),
+		Arrived:   atomic.LoadInt64(&te.Stats.Arrived),
+		Released:  atomic.LoadInt64(&te.Stats.Released),
+		Skipped:   atomic.LoadInt64(&te.Stats.Skipped),
+		Relocated: atomic.LoadInt64(&te.Stats.Relocated),
 	}
 }
 
@@ -394,19 +370,15 @@ func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 		ArrivalNanos: arrival,
 	})})
 	if err != nil {
-		// The arrival failed (shed or transport loss): no Accept will
-		// answer this hold, so release it — a late decision for the ref is
-		// dropped as stale by onAccept. The outcome is terminal: no watch
-		// event will ever resolve this admission, so it must not read as
-		// pending.
+		// The arrival was lost in transport: no Accept will answer this
+		// hold, so release it — a late decision for the ref is dropped as
+		// stale by onAccept. The outcome is terminal: no watch event will
+		// ever resolve this admission, so it must not read as pending.
 		te.mu.Lock()
 		delete(te.waiting, ref)
 		te.mu.Unlock()
-		if TransportOverloaded(err) {
-			atomic.AddInt64(&te.Stats.Overloaded, 1)
-		}
 		adm.Outcome = core.AdmissionRejected
-		adm.Reason = "arrival shed: " + err.Error()
+		adm.Reason = "arrival not delivered: " + err.Error()
 	}
 	te.HoldPush.Add(time.Since(start))
 	return adm, err
@@ -433,13 +405,6 @@ func (te *TaskEffector) sweepWaitingLocked(nowNanos int64) {
 	if te.sweepAt < minWaitingSweep {
 		te.sweepAt = minWaitingSweep
 	}
-}
-
-// TransportOverloaded reports whether err is the event plane's explicit
-// backpressure signal (a full gateway sink queue) rather than a transport
-// failure: the operation was shed, not broken.
-func TransportOverloaded(err error) bool {
-	return errors.Is(err, eventchan.ErrBackpressure)
 }
 
 // onAccept handles a decision event. Only the task's home effector acts: it

@@ -72,11 +72,12 @@ func (s *transportStats) snapshot() TransportStats {
 	}
 }
 
-// connWriter owns every write on one connection, by group commit (the idiom
-// of eventchan's sink): a sender appends its framed message to a bounded
-// pending list and, if no flush is in flight, writes the backlog itself while
-// senders arriving mid-flush append and return — n concurrent senders cost
-// one syscall, a lone sender no goroutine hand-off. Frames are pool-recycled.
+// connWriter owns every write on one connection, by group commit: a sender
+// appends its framed message to a bounded pending list and, if no flush is in
+// flight, writes the backlog itself while senders arriving mid-flush append
+// and return — n concurrent senders cost one syscall, a lone sender no
+// goroutine hand-off. Frames are pool-recycled. It is the event plane's only
+// queue: the event channel hands each forwarded event straight to it.
 type connWriter struct {
 	conn     net.Conn
 	depth    int
