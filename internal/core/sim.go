@@ -231,10 +231,11 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := taskIdx[t.ID]; dup {
+		// One hash per task: a duplicate ID does not grow the index.
+		taskIdx[t.ID] = int32(i)
+		if len(taskIdx) != i+1 {
 			return nil, fmt.Errorf("core: duplicate task ID %q", t.ID)
 		}
-		taskIdx[t.ID] = int32(i)
 		if err := checkProcs(t, cfg.NumProcs); err != nil {
 			return nil, err
 		}

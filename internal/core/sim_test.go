@@ -471,12 +471,14 @@ func TestNewSimSystemValidationOrder(t *testing.T) {
 }
 
 // TestNewSimSystemAllocsFlat keeps the build's allocations independent of the
-// task count: three slabs, a pointer slice, the name index and the per-task
-// state arrays, plus what fifty processors cost. One allocation per task, were
-// it to come back, would read as thousands. The name index is the one part
-// that is not a single allocation: a Go map of 10 000 strings is about 16
-// tables of two allocations each where one of 1 000 is two tables (33 against
-// 5 on go1.24), which is the whole difference the test allows for.
+// task count: three slabs, a pointer slice, the name index, the EDMS sort's
+// two key slices (the (deadline, index) keys and the radix passes' scratch
+// copy) and the per-task state arrays, plus what fifty processors cost. One
+// allocation per task, were it to come back, would read as thousands. The
+// name index is the one part that is not a single allocation: a Go map of
+// 10 000 strings is about 16 tables of two allocations each where one of
+// 1 000 is two tables (33 against 5 on go1.24), which is the whole
+// difference the test allows for.
 func TestNewSimSystemAllocsFlat(t *testing.T) {
 	const procs = 50
 	cfg := simCfg(Config{AC: StrategyPerJob, IR: StrategyPerJob, LB: StrategyPerJob}, procs)

@@ -24,7 +24,6 @@
 package sched
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -187,30 +186,65 @@ func (t *Task) Clone() *Task {
 // AssignEDMSPriorities assigns End-to-end Deadline Monotonic Scheduling
 // priorities to the tasks in place: a subtask has higher priority (smaller
 // value) if it belongs to a task with a shorter end-to-end deadline. Ties
-// are broken by task ID and then by position in tasks, so the assignment is
-// deterministic — the order is total, and the one a stable sort on
-// (Deadline, ID) gives, without a stable sort's cost. Priorities start at
-// one.
+// are broken by task ID and then by position in tasks, so the order is total
+// and deterministic: the one a stable sort on (Deadline, ID) gives.
+// Priorities start at one.
+//
+// The order costs linear time in the deadlines. The (deadline, index) keys
+// start in input order and take one stable LSD radix pass per byte of the
+// deadline span (max − min): none when every deadline is equal, at most four
+// when the span is under 2^32 ns (≈ 4.29 s). Only inside a run of equal
+// deadlines are keys compared, by ID, with a stable sort, so equal IDs keep
+// input order.
 func AssignEDMSPriorities(tasks []*Task) {
-	// Sort (deadline, index) keys, not indices: a comparison reads two
-	// adjacent keys and reaches the tasks only when their deadlines tie.
+	if len(tasks) == 0 {
+		return
+	}
 	type key struct {
 		deadline time.Duration
 		idx      int
 	}
 	order := make([]key, len(tasks))
+	lo, hi := tasks[0].Deadline, tasks[0].Deadline
 	for i, t := range tasks {
 		order[i] = key{t.Deadline, i}
+		lo, hi = min(lo, t.Deadline), max(hi, t.Deadline)
 	}
-	slices.SortFunc(order, func(a, b key) int {
-		if c := cmp.Compare(a.deadline, b.deadline); c != 0 {
-			return c
+	// Offsets from lo as unsigned: the span of any two int64s fits in uint64.
+	span := uint64(hi) - uint64(lo)
+	var tmp []key
+	if span > 0 {
+		tmp = make([]key, len(tasks))
+	}
+	for shift := 0; shift < 64 && span>>shift != 0; shift += 8 {
+		var start [256]int
+		for _, k := range order {
+			start[byte((uint64(k.deadline)-uint64(lo))>>shift)]++
 		}
-		if c := strings.Compare(tasks[a.idx].ID, tasks[b.idx].ID); c != 0 {
-			return c
+		sum := 0
+		for b, c := range start {
+			start[b] = sum
+			sum += c
 		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+		for _, k := range order {
+			b := byte((uint64(k.deadline) - uint64(lo)) >> shift)
+			tmp[start[b]] = k
+			start[b]++
+		}
+		order, tmp = tmp, order
+	}
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && order[j].deadline == order[i].deadline {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortStableFunc(order[i:j], func(a, b key) int {
+				return strings.Compare(tasks[a.idx].ID, tasks[b.idx].ID)
+			})
+		}
+		i = j
+	}
 	for i, k := range order {
 		tasks[k.idx].Priority = i + 1
 	}

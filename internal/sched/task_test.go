@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -131,37 +132,83 @@ func TestAssignEDMSPriorities(t *testing.T) {
 	}
 }
 
-// TestAssignEDMSPrioritiesMatchesSliceStable pins the ordering on a set the
-// size of the simulation sweep's: 10 000 tasks whose deadlines collide
-// heavily, plus repeated IDs so full (Deadline, ID) ties fall to the position
-// tie-break. The reference is the stable sort the function used to make.
+// TestAssignEDMSPrioritiesMatchesSliceStable pins the ordering against the
+// stable sort on (Deadline, ID) the function used to make, on inputs that
+// reach every part of the radix sort: no keys, one key, zero passes (every
+// deadline equal), spans of one, two, four and eight bytes, and full
+// (Deadline, ID) ties that fall to input position.
 func TestAssignEDMSPrioritiesMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	tasks := make([]*Task, 10000)
-	for i := range tasks {
-		tasks[i] = &Task{
-			ID:       fmt.Sprintf("t%d", rng.Intn(8000)),
-			Kind:     Aperiodic,
-			Deadline: time.Duration(1+rng.Intn(300)) * 10 * time.Millisecond,
-			Subtasks: []Subtask{{Exec: time.Millisecond}},
+	// distinct returns n distinct deadlines: lo, hi and n-2 drawn between.
+	distinct := func(n int, lo, hi time.Duration) []time.Duration {
+		span := uint64(hi) - uint64(lo)
+		seen := map[time.Duration]bool{lo: true, hi: true}
+		out := []time.Duration{hi, lo}
+		for len(out) < n {
+			off := rng.Uint64()
+			if span < math.MaxUint64 {
+				off %= span + 1
+			}
+			if d := time.Duration(uint64(lo) + off); !seen[d] {
+				seen[d] = true
+				out = append(out, d)
+			}
 		}
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
 	}
-	order := append([]*Task(nil), tasks...)
-	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Deadline != order[j].Deadline {
-			return order[i].Deadline < order[j].Deadline
+	// tied draws n deadlines from the first k multiples of step.
+	tied := func(n, k int, step time.Duration) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = time.Duration(1+rng.Intn(k)) * step
 		}
-		return order[i].ID < order[j].ID
-	})
-	want := make(map[*Task]int, len(order))
-	for i, tk := range order {
-		want[tk] = i + 1
+		return out
 	}
-	AssignEDMSPriorities(tasks)
-	for i, tk := range tasks {
-		if tk.Priority != want[tk] {
-			t.Fatalf("task %d (%s, deadline %v) priority = %d, want %d", i, tk.ID, tk.Deadline, tk.Priority, want[tk])
-		}
+	for _, tc := range []struct {
+		name      string
+		deadlines []time.Duration
+		ids       int // IDs are drawn from t0..t<ids-1>
+	}{
+		{"10 000 heavily tied", tied(10000, 300, 10*time.Millisecond), 8000},
+		{"n=0", nil, 1},
+		{"n=1", []time.Duration{time.Second}, 1},
+		{"all deadlines equal", tied(500, 1, time.Second), 200},
+		{"1-byte span", distinct(200, time.Second, time.Second+255), 1000},
+		{"2-byte span", distinct(2000, time.Second, time.Second+math.MaxUint16), 1000},
+		{"4-byte span", distinct(2000, time.Second, time.Second+math.MaxUint32), 1000},
+		{"8-byte span from 1ns to MaxInt64", distinct(2000, 1, math.MaxInt64), 1000},
+		{"full int64 range", distinct(2000, math.MinInt64, math.MaxInt64), 1000},
+		{"equal (Deadline, ID) pairs", tied(300, 3, time.Second), 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tasks := make([]*Task, len(tc.deadlines))
+			for i, d := range tc.deadlines {
+				tasks[i] = &Task{
+					ID:       fmt.Sprintf("t%d", rng.Intn(tc.ids)),
+					Kind:     Aperiodic,
+					Deadline: d,
+					Subtasks: []Subtask{{Exec: time.Millisecond}},
+				}
+			}
+			order := append([]*Task(nil), tasks...)
+			sort.SliceStable(order, func(i, j int) bool {
+				if order[i].Deadline != order[j].Deadline {
+					return order[i].Deadline < order[j].Deadline
+				}
+				return order[i].ID < order[j].ID
+			})
+			want := make(map[*Task]int, len(order))
+			for i, tk := range order {
+				want[tk] = i + 1
+			}
+			AssignEDMSPriorities(tasks)
+			for i, tk := range tasks {
+				if tk.Priority != want[tk] {
+					t.Fatalf("task %d (%s, deadline %v) priority = %d, want %d", i, tk.ID, tk.Deadline, tk.Priority, want[tk])
+				}
+			}
+		})
 	}
 }
 

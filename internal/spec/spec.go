@@ -99,12 +99,13 @@ func (w *Workload) Encode() ([]byte, error) {
 }
 
 // SchedTasks converts the specification to validated scheduling-model tasks
-// with EDMS priorities assigned.
+// with unique IDs and EDMS priorities assigned.
 func (w *Workload) SchedTasks() ([]*sched.Task, error) {
 	if w.Processors <= 0 {
 		return nil, fmt.Errorf("spec: workload needs a positive processor count, got %d", w.Processors)
 	}
 	out := make([]*sched.Task, 0, len(w.Tasks))
+	ids := make(map[string]struct{}, len(w.Tasks))
 	for _, ts := range w.Tasks {
 		t := &sched.Task{
 			ID:               ts.ID,
@@ -144,6 +145,13 @@ func (w *Workload) SchedTasks() ([]*sched.Task, error) {
 		}
 		if err := t.Validate(); err != nil {
 			return nil, err
+		}
+		// Deployment names a stage's instance by its task's ID, so two tasks
+		// sharing one would collide or install twice; the simulation binding
+		// rejects the same set.
+		ids[t.ID] = struct{}{}
+		if len(ids) == len(out) {
+			return nil, fmt.Errorf("spec: duplicate task ID %q", t.ID)
 		}
 		out = append(out, t)
 	}

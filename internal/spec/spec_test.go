@@ -1,6 +1,9 @@
 package spec
 
 import (
+	"bytes"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -32,6 +35,12 @@ const sampleJSON = `{
     }
   ]
 }`
+
+// duplicateIDJSON names two tasks "a" whose stages sit on different
+// processors, so nothing but the ID check can reject it.
+const duplicateIDJSON = `{"processors": 2, "tasks": [
+  {"id": "a", "kind": "aperiodic", "deadline": "1s", "subtasks": [{"exec": "1ms", "processor": 0}]},
+  {"id": "a", "kind": "aperiodic", "deadline": "2s", "subtasks": [{"exec": "1ms", "processor": 1}]}]}`
 
 func TestParseSample(t *testing.T) {
 	w, err := Parse([]byte(sampleJSON))
@@ -81,6 +90,7 @@ func TestParseErrors(t *testing.T) {
 			"period": "xyz", "deadline": "1s", "subtasks": [{"exec": "1ms", "processor": 0}]}]}`},
 		{"missing subtasks", `{"processors": 1, "tasks": [{"id": "x", "kind": "periodic",
 			"period": "1s", "deadline": "1s", "subtasks": []}]}`},
+		{"duplicate task ID", duplicateIDJSON},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -148,4 +158,58 @@ func TestDurationNumericJSON(t *testing.T) {
 	if err := d.UnmarshalJSON([]byte(`true`)); err == nil {
 		t.Error("bool accepted as duration")
 	}
+}
+
+// FuzzParseWorkload holds the decoder in front of the EDMS order: no input
+// panics it; Encode's output parses and encodes to itself; and an accepted
+// workload has unique task IDs whose priorities are 1..n in the stable
+// (Deadline, ID) order.
+func FuzzParseWorkload(f *testing.F) {
+	f.Add([]byte(sampleJSON))
+	f.Add([]byte(`{"processors": 1, "tasks": [
+  {"id": "long", "kind": "periodic", "period": 9223372036854775807, "deadline": 9223372036854775807,
+   "subtasks": [{"exec": 1, "processor": 0}]},
+  {"id": "short", "kind": "aperiodic", "deadline": 1, "subtasks": [{"exec": 1, "processor": 0}]}]}`))
+	f.Add([]byte(duplicateIDJSON))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := Parse(data)
+		if err != nil {
+			return
+		}
+		enc, err := w.Encode()
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		w2, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("Parse rejects Encode's output: %v\n%s", err, enc)
+		}
+		if enc2, err := w2.Encode(); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("Encode is not a fixed point (err %v):\n%s\nthen\n%s", err, enc, enc2)
+		}
+
+		tasks, err := w.SchedTasks()
+		if err != nil {
+			t.Fatalf("SchedTasks rejects a parsed workload: %v", err)
+		}
+		ids := make(map[string]bool, len(tasks))
+		for _, tk := range tasks {
+			if ids[tk.ID] {
+				t.Fatalf("accepted duplicate task ID %q", tk.ID)
+			}
+			ids[tk.ID] = true
+		}
+		order := slices.Clone(tasks)
+		sort.SliceStable(order, func(i, j int) bool {
+			if order[i].Deadline != order[j].Deadline {
+				return order[i].Deadline < order[j].Deadline
+			}
+			return order[i].ID < order[j].ID
+		})
+		for i, tk := range order {
+			if tk.Priority != i+1 {
+				t.Fatalf("task %q (deadline %v) has priority %d, want %d", tk.ID, tk.Deadline, tk.Priority, i+1)
+			}
+		}
+	})
 }
