@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,8 @@ type Decision struct {
 	Accept bool
 	// Placement is the processor assignment for each stage of the job. It is
 	// nil when Accept is false. Callers must treat it as read-only: under
-	// LB-none it aliases the controller's cached per-task home placement.
+	// LB-none, and for a periodic task under LB-per-task, it aliases the
+	// controller's per-task memory.
 	Placement []sched.PlacedStage
 	// Relocated reports whether the first stage was assigned away from the
 	// task's home (arrival) processor, so the release must go to the
@@ -37,40 +39,41 @@ type Decision struct {
 // the AUB synthetic-utilization ledger and the per-task decision memory, and
 // is driven by "Task Arrive" and "Idle Resetting" events.
 //
+// Per-task state is keyed by the task's sched.TaskRef. The calls that name a
+// task (Arrive, ExpireJob, IdleReset, RemoveTask, Location) are the name
+// edge: each resolves the name through the task table once and runs the
+// ref-keyed core the simulation binding calls directly.
+//
 // Concurrency: Arrive, ExpireJob, IdleReset, and Location are safe to call
 // from multiple goroutines. Every ledger operation takes the ledger's one
 // mutex (test and commit are one critical section there); aperiodic
-// arrivals take no other lock, and periodic-task flows also serialize on
-// an internal mutex protecting the per-task decision memory. Reconfigure
-// and RemoveTask mutate the strategy configuration and decision memory and
-// must not run concurrently with arrivals — callers quiesce first (the live
-// binding holds its reconfiguration write lock; the DES engine is
-// single-threaded).
+// arrivals take no other lock past a task's first arrival, and periodic-task
+// flows also serialize on an internal mutex protecting the per-task decision
+// memory. Reconfigure and RemoveTask mutate the strategy configuration and
+// decision memory and must not run concurrently with arrivals — callers
+// quiesce first (the live binding holds its reconfiguration write lock; the
+// DES engine is single-threaded).
 type Controller struct {
 	cfg    Config
 	ledger *sched.ShardedLedger
+	// tasks is the binding's task table, shared with the ledger.
+	tasks *sched.TaskTable
 
-	// taskMu guards the per-task decision memory below. Every periodic-task
-	// flow (per-task AC decisions, LB-per-task placement memoization) holds
-	// it; aperiodic arrivals never touch these maps.
+	// taskMu guards the per-task decision memory in the records (every field
+	// but task and home). Every periodic-task flow holds it.
 	taskMu sync.Mutex
-	// admitted and rejected record the per-task AC decision for periodic
-	// tasks: once admitted, jobs release without re-testing; once rejected,
-	// the task is not re-tested (the test runs only "when a task first
-	// arrives").
-	admitted map[string]bool
-	rejected map[string]bool
-	// placements records the per-task LB assignment, fixed at first arrival
-	// under LB-per-task.
-	placements map[string][]sched.PlacedStage
-	// reservations maps an admitted per-task periodic task to the job
-	// reference holding its permanent ledger contribution.
-	reservations map[string]sched.JobRef
-	// homePlace caches each task's home placement (a pure function of the
-	// task's subtasks) keyed by task ID, so LB-none decisions do not allocate
-	// per arrival and need no lock. Cached slices are handed out read-only;
-	// RemoveTask invalidates.
-	homePlace sync.Map
+
+	// recs indexes the per-task records by ref. Readers load it without a
+	// lock. recMu serializes creating a record: the creator re-checks the
+	// slot, grows the index by copying it when the ref is past its end, and
+	// publishes the record with an atomic store, so concurrent first arrivals
+	// of one task create one record.
+	recs  atomic.Pointer[[]atomic.Pointer[taskRec]]
+	recMu sync.Mutex
+	// slab and stages are the chunks records and their home placements are
+	// cut from, under recMu.
+	slab   []taskRec
+	stages []sched.PlacedStage
 
 	// scratch pools balanced-placement accumulators (*[]float64, one slot per
 	// processor), so concurrent balanced placements neither allocate nor
@@ -85,6 +88,34 @@ type Controller struct {
 	// clock (EnableTiming). OpStats adds are internally synchronized.
 	timing *Timing
 }
+
+// taskRec is the controller's memory of one task incarnation (one ref),
+// created at the first arrival that needs it: under LB-none, or for a
+// periodic task under per-task admission or balancing. Tasks that never get
+// there cost nothing.
+type taskRec struct {
+	// task is the incarnation's definition, for its name, and ref its key.
+	task *sched.Task
+	ref  sched.TaskRef
+	// home places every stage on its home processor: a pure function of the
+	// task, filled before the record is published and read-only after.
+	home []sched.PlacedStage
+	// placement is a periodic task's LB-per-task assignment, fixed at its
+	// first arrival and handed out read-only. admitted and rejected are the
+	// per-task AC decision (the test runs only "when a task first arrives");
+	// an admitted task's permanent reservation is held under job resJob.
+	placement []sched.PlacedStage
+	resJob    int64
+	admitted  bool
+	rejected  bool
+}
+
+// Record and home-placement chunk sizes: a run in which most tasks arrive
+// once pays the allocator once per chunk.
+const (
+	recChunk   = 64
+	stageChunk = 256
+)
 
 // ControllerStats counts controller activity.
 type ControllerStats struct {
@@ -114,6 +145,11 @@ type ControllerStats struct {
 // NewController returns a controller for the given strategy configuration
 // over numProcs application processors. The configuration must be valid.
 func NewController(cfg Config, numProcs int) (*Controller, error) {
+	return newController(cfg, numProcs, sched.NewTaskTable(nil, nil))
+}
+
+// newController is NewController over a binding's task table.
+func newController(cfg Config, numProcs int, tasks *sched.TaskTable) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -121,12 +157,9 @@ func NewController(cfg Config, numProcs int) (*Controller, error) {
 		return nil, fmt.Errorf("core: controller needs at least one processor, got %d", numProcs)
 	}
 	c := &Controller{
-		cfg:          cfg,
-		ledger:       sched.NewShardedLedger(numProcs, 1),
-		admitted:     make(map[string]bool),
-		rejected:     make(map[string]bool),
-		placements:   make(map[string][]sched.PlacedStage),
-		reservations: make(map[string]sched.JobRef),
+		cfg:    cfg,
+		ledger: sched.NewShardedLedgerFor(tasks, numProcs),
+		tasks:  tasks,
 	}
 	c.scratch.New = func() any {
 		buf := make([]float64, numProcs)
@@ -165,23 +198,22 @@ func (c *Controller) Reconfigure(cfg Config) (int, error) {
 	c.taskMu.Lock()
 	defer c.taskMu.Unlock()
 	released := 0
+	recs := c.records()
 	if c.cfg.AC == StrategyPerTask && cfg.AC != StrategyPerTask {
 		// Withdraw in sorted task order so the ledger's floating-point
 		// subtraction sequence is reproducible run to run.
-		tasks := make([]string, 0, len(c.reservations))
-		for task := range c.reservations {
-			tasks = append(tasks, task)
+		sort.Slice(recs, func(i, j int) bool { return recs[i].task.ID < recs[j].task.ID })
+		for _, r := range recs {
+			if r.admitted {
+				released += c.ledger.WithdrawKey(sched.JobKey{Task: r.ref, Job: r.resJob})
+			}
+			r.admitted, r.rejected = false, false
 		}
-		sort.Strings(tasks)
-		for _, task := range tasks {
-			released += c.ledger.WithdrawJob(c.reservations[task])
-			delete(c.reservations, task)
-		}
-		clear(c.admitted)
-		clear(c.rejected)
 	}
 	if c.cfg.LB != cfg.LB {
-		clear(c.placements)
+		for _, r := range recs {
+			r.placement = nil
+		}
 	}
 	c.cfg = cfg
 	atomic.AddInt64(&c.Stats.Reconfigs, 1)
@@ -200,31 +232,94 @@ func (c *Controller) Ledger() *sched.ShardedLedger { return c.ledger }
 func (c *Controller) Reservations() []sched.JobRef {
 	c.taskMu.Lock()
 	defer c.taskMu.Unlock()
-	refs := make([]sched.JobRef, 0, len(c.reservations))
-	for _, ref := range c.reservations {
-		refs = append(refs, ref)
+	refs := []sched.JobRef{}
+	for _, r := range c.records() {
+		if r.admitted {
+			refs = append(refs, sched.JobRef{Task: r.task.ID, Job: r.resJob})
+		}
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].Task < refs[j].Task })
 	return refs
 }
 
-// homePlacement places every stage on its home processor.
-func homePlacement(t *sched.Task) []sched.PlacedStage {
-	out := make([]sched.PlacedStage, len(t.Subtasks))
-	for i, st := range t.Subtasks {
-		out[i] = sched.PlacedStage{Stage: i, Proc: st.Processor, Util: t.StageUtil(i)}
+// loadRecord returns the task's record, or nil before its first arrival
+// that needs one.
+//
+//rtmw:noalloc
+func (c *Controller) loadRecord(ref sched.TaskRef) *taskRec {
+	if idx := c.recs.Load(); idx != nil && int(ref) < len(*idx) {
+		return (*idx)[ref].Load()
+	}
+	return nil
+}
+
+// record returns the task's record, creating it on first use.
+//
+//rtmw:noalloc
+func (c *Controller) record(ref sched.TaskRef, t *sched.Task) *taskRec {
+	if r := c.loadRecord(ref); r != nil {
+		return r
+	}
+	return c.newRecord(ref, t)
+}
+
+// newRecord is record's slow path: under recMu it re-checks the slot, cuts
+// the record and its home placement from the chunks, and publishes it.
+func (c *Controller) newRecord(ref sched.TaskRef, t *sched.Task) *taskRec {
+	c.recMu.Lock()
+	defer c.recMu.Unlock()
+	idx := c.recs.Load()
+	if idx == nil || int(ref) >= len(*idx) {
+		var old []atomic.Pointer[taskRec]
+		if idx != nil {
+			old = *idx
+		}
+		grown := make([]atomic.Pointer[taskRec], max(2*len(old), int(ref)+1, recChunk))
+		for i := range old {
+			grown[i].Store(old[i].Load())
+		}
+		idx = &grown
+		c.recs.Store(idx)
+	} else if r := (*idx)[ref].Load(); r != nil {
+		return r
+	}
+	if len(c.slab) == 0 {
+		c.slab = make([]taskRec, recChunk)
+	}
+	r := &c.slab[0]
+	c.slab = c.slab[1:]
+	n := len(t.Subtasks)
+	if len(c.stages) < n {
+		c.stages = make([]sched.PlacedStage, max(stageChunk, n))
+	}
+	r.task, r.ref, r.home = t, ref, homePlacement(c.stages[:n:n], t)
+	c.stages = c.stages[n:]
+	(*idx)[ref].Store(r)
+	return r
+}
+
+// records lists the live records in ref order.
+func (c *Controller) records() []*taskRec {
+	idx := c.recs.Load()
+	if idx == nil {
+		return nil
+	}
+	var out []*taskRec
+	for i := range *idx {
+		if r := (*idx)[i].Load(); r != nil {
+			out = append(out, r)
+		}
 	}
 	return out
 }
 
-// cachedHome returns the task's home placement from the per-task cache,
-// computing it on first use. The returned slice is shared and read-only.
-func (c *Controller) cachedHome(t *sched.Task) []sched.PlacedStage {
-	if p, ok := c.homePlace.Load(t.ID); ok {
-		return p.([]sched.PlacedStage)
+// homePlacement places every stage of t on its home processor, into out
+// (len(t.Subtasks) long).
+func homePlacement(out []sched.PlacedStage, t *sched.Task) []sched.PlacedStage {
+	for i, st := range t.Subtasks {
+		out[i] = sched.PlacedStage{Stage: i, Proc: st.Processor, Util: t.StageUtil(i)}
 	}
-	p, _ := c.homePlace.LoadOrStore(t.ID, homePlacement(t))
-	return p.([]sched.PlacedStage)
+	return out
 }
 
 // balancedPlacement implements the paper's load balancing heuristic: each
@@ -258,54 +353,52 @@ func (c *Controller) balancedPlacement(t *sched.Task) []sched.PlacedStage {
 
 // placeFor computes the placement for an arriving job per the LB strategy.
 // Callers hold taskMu when t is periodic (the per-task memo paths).
-func (c *Controller) placeFor(t *sched.Task, job int64) []sched.PlacedStage {
+func (c *Controller) placeFor(ref sched.TaskRef, t *sched.Task) []sched.PlacedStage {
 	switch c.cfg.LB {
-	case StrategyNone:
-		return c.cachedHome(t)
 	case StrategyPerTask:
 		// Periodic tasks are assigned once, at first arrival; every
 		// aperiodic arrival is an independent task with a single release and
 		// is assigned at that arrival.
-		if t.Kind == sched.Periodic {
-			if p, ok := c.placements[t.ID]; ok {
-				return clonePlacement(p)
-			}
-			p := c.balancedPlacement(t)
-			c.placements[t.ID] = clonePlacement(p)
-			return p
+		if t.Kind != sched.Periodic {
+			return c.balancedPlacement(t)
 		}
-		return c.balancedPlacement(t)
+		r := c.record(ref, t)
+		if r.placement == nil {
+			r.placement = c.balancedPlacement(t)
+		}
+		return r.placement
 	case StrategyPerJob:
 		return c.balancedPlacement(t)
 	default:
-		return c.cachedHome(t)
+		return c.record(ref, t).home
 	}
-}
-
-func clonePlacement(p []sched.PlacedStage) []sched.PlacedStage {
-	return append([]sched.PlacedStage(nil), p...)
 }
 
 // Arrive processes a "Task Arrive" event for job number job of task t at
 // virtual time now, and returns the admission decision. For accepted jobs
 // whose contributions expire (everything except per-task periodic
 // reservations), the caller must arrange to call ExpireJob at now +
-// t.Deadline.
+// t.Deadline. A task name the controller has not seen gets a fresh ref.
 func (c *Controller) Arrive(t *sched.Task, job int64, now time.Duration) Decision {
+	return c.arrive(sched.JobKey{Task: c.tasks.Intern(t), Job: job}, t, now)
+}
+
+// arrive is Arrive for job k of task t, k.Task being t's ref.
+func (c *Controller) arrive(k sched.JobKey, t *sched.Task, now time.Duration) Decision {
 	if t.Kind == sched.Aperiodic {
 		// Every aperiodic arrival is an independent task with one release:
 		// it is tested regardless of the AC strategy, and it touches no
 		// per-task decision memory, so it proceeds without taskMu.
-		return c.testAndAdmit(t, sched.JobRef{Task: t.ID, Job: job}, now, false)
+		return c.testAndAdmit(t, k, now, false)
 	}
 
 	c.taskMu.Lock()
 	defer c.taskMu.Unlock()
 	switch c.cfg.AC {
 	case StrategyPerJob:
-		return c.testAndAdmit(t, sched.JobRef{Task: t.ID, Job: job}, now, false)
+		return c.testAndAdmit(t, k, now, false)
 	case StrategyPerTask:
-		return c.arrivePerTask(t, job, now)
+		return c.arrivePerTask(t, k, now)
 	default:
 		return Decision{}
 	}
@@ -313,22 +406,21 @@ func (c *Controller) Arrive(t *sched.Task, job int64, now time.Duration) Decisio
 
 // arrivePerTask handles periodic arrivals under per-task admission control.
 // Caller holds taskMu.
-func (c *Controller) arrivePerTask(t *sched.Task, job int64, now time.Duration) Decision {
-	if c.rejected[t.ID] {
+func (c *Controller) arrivePerTask(t *sched.Task, k sched.JobKey, now time.Duration) Decision {
+	r := c.record(k.Task, t)
+	if r.rejected {
 		atomic.AddInt64(&c.Stats.Rejects, 1)
 		return Decision{}
 	}
-	if !c.admitted[t.ID] {
+	if !r.admitted {
 		// First arrival: test once and reserve the task's synthetic
 		// utilization for its lifetime (permanent contribution under the
-		// first arrival's job reference).
-		ref := sched.JobRef{Task: t.ID, Job: job}
-		d := c.testAndAdmit(t, ref, now, true)
+		// first arrival's job number).
+		d := c.testAndAdmit(t, k, now, true)
 		if d.Accept {
-			c.admitted[t.ID] = true
-			c.reservations[t.ID] = ref
+			r.admitted, r.resJob = true, k.Job
 		} else {
-			c.rejected[t.ID] = true
+			r.rejected = true
 		}
 		return d
 	}
@@ -336,15 +428,13 @@ func (c *Controller) arrivePerTask(t *sched.Task, job int64, now time.Duration) 
 	// Subsequent jobs of an admitted task release without re-testing. Under
 	// LB-per-job the assignment plan may still change: the reservation
 	// follows the job to the new placement.
-	placement := c.placeFor(t, job)
+	placement := c.placeFor(k.Task, t)
 	if c.cfg.LB == StrategyPerJob {
-		if err := c.ledger.Relocate(c.reservations[t.ID], placement); err != nil {
+		if err := c.ledger.RelocateKey(sched.JobKey{Task: k.Task, Job: r.resJob}, placement); err != nil {
 			// The reservation is always present for admitted tasks; an error
 			// here is a programming bug worth surfacing loudly in tests.
 			panic(fmt.Sprintf("core: relocate reservation for admitted task %s: %v", t.ID, err))
 		}
-	} else if p, ok := c.placements[t.ID]; ok {
-		placement = clonePlacement(p)
 	}
 	atomic.AddInt64(&c.Stats.Accepts, 1)
 	d := Decision{
@@ -363,12 +453,12 @@ func (c *Controller) arrivePerTask(t *sched.Task, job int64, now time.Duration) 
 // commit are one atomic ledger operation (TestAndAdd), so two concurrent
 // candidates can never both pass a test that only has room for one. Callers
 // hold taskMu when t is periodic.
-func (c *Controller) testAndAdmit(t *sched.Task, ref sched.JobRef, now time.Duration, permanent bool) Decision {
+func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Duration, permanent bool) Decision {
 	var t0 time.Time
 	if c.timing != nil {
 		t0 = time.Now()
 	}
-	placement := c.placeFor(t, ref.Job)
+	placement := c.placeFor(k.Task, t)
 	var t1 time.Time
 	if c.timing != nil {
 		t1 = time.Now()
@@ -379,17 +469,13 @@ func (c *Controller) testAndAdmit(t *sched.Task, ref sched.JobRef, now time.Dura
 		expiry = 0
 	}
 	atomic.AddInt64(&c.Stats.Tests, 1)
-	admitted, _ := c.ledger.TestAndAdd(ref, t.Kind, placement, permanent, expiry)
+	admitted, _ := c.ledger.TestAndAddKey(k, t.Kind, placement, permanent, expiry)
 	if c.timing != nil {
 		c.timing.Test.Add(time.Since(t1))
 	}
 	if !admitted {
 		atomic.AddInt64(&c.Stats.Rejects, 1)
 		return Decision{Tested: true}
-	}
-	// Remember the placement for LB-per-task reuse by later jobs.
-	if c.cfg.LB == StrategyPerTask && t.Kind == sched.Periodic {
-		c.placements[t.ID] = clonePlacement(placement)
 	}
 	atomic.AddInt64(&c.Stats.Accepts, 1)
 	d := Decision{
@@ -411,17 +497,17 @@ func (c *Controller) testAndAdmit(t *sched.Task, ref sched.JobRef, now time.Dura
 // path itself uses the internal (memoizing) placement.
 func (c *Controller) Location(t *sched.Task, job int64) []sched.PlacedStage {
 	switch c.cfg.LB {
-	case StrategyNone:
-		return homePlacement(t)
 	case StrategyPerTask:
 		if t.Kind == sched.Periodic {
 			c.taskMu.Lock()
-			p, ok := c.placements[t.ID]
-			if ok {
-				p = clonePlacement(p)
+			var p []sched.PlacedStage
+			if ref, ok := c.tasks.Lookup(t.ID); ok {
+				if r := c.loadRecord(ref); r != nil {
+					p = slices.Clone(r.placement)
+				}
 			}
 			c.taskMu.Unlock()
-			if ok {
+			if p != nil {
 				return p
 			}
 		}
@@ -429,7 +515,7 @@ func (c *Controller) Location(t *sched.Task, job int64) []sched.PlacedStage {
 	case StrategyPerJob:
 		return c.balancedPlacement(t)
 	default:
-		return homePlacement(t)
+		return homePlacement(make([]sched.PlacedStage, len(t.Subtasks)), t)
 	}
 }
 
@@ -438,27 +524,40 @@ func (c *Controller) Location(t *sched.Task, job int64) []sched.PlacedStage {
 // number of contributions removed (zero for jobs already fully reset or
 // unknown), so callers can account expiry work without rescanning.
 func (c *Controller) ExpireJob(ref sched.JobRef) int {
-	n := c.ledger.ExpireJob(ref)
+	tr, ok := c.tasks.Lookup(ref.Task)
+	if !ok {
+		return 0
+	}
+	return c.expire(sched.JobKey{Task: tr, Job: ref.Job})
+}
+
+// expire is ExpireJob by key.
+func (c *Controller) expire(k sched.JobKey) int {
+	n := c.ledger.ExpireKey(k)
 	atomic.AddInt64(&c.Stats.Expiries, int64(n))
 	return n
 }
 
 // RemoveTask withdraws a task from the system entirely: its remaining ledger
 // contributions (including a permanent per-task reservation) are released
-// through the ledger's task index, and the controller's per-task decision
-// memory is cleared so a task re-registered under the same name is treated
-// as new. It returns the number of contributions removed. The caller must
-// quiesce arrivals first (see the Controller comment).
+// through the ledger's task index, the controller forgets its per-task
+// decision memory, and the name is unbound, so a task re-registered under it
+// gets a fresh ref and is treated as new. It returns the number of
+// contributions removed. The caller must quiesce arrivals first (see the
+// Controller comment).
 func (c *Controller) RemoveTask(task string) int {
-	n := c.ledger.RemoveTask(task)
+	tr, ok := c.tasks.Lookup(task)
+	if !ok {
+		return 0
+	}
+	c.tasks.Drop(task)
+	n := c.ledger.RemoveTaskRef(tr)
 	atomic.AddInt64(&c.Stats.TaskRemovals, int64(n))
-	c.taskMu.Lock()
-	delete(c.admitted, task)
-	delete(c.rejected, task)
-	delete(c.placements, task)
-	delete(c.reservations, task)
-	c.taskMu.Unlock()
-	c.homePlace.Delete(task)
+	c.recMu.Lock()
+	if idx := c.recs.Load(); idx != nil && int(tr) < len(*idx) {
+		(*idx)[tr].Store(nil)
+	}
+	c.recMu.Unlock()
 	return n
 }
 
@@ -466,13 +565,19 @@ func (c *Controller) RemoveTask(task string) int {
 // marked complete and their contributions removed per the resetting rule. It
 // returns the number of contributions actually removed.
 func (c *Controller) IdleReset(reports []sched.EntryRef) int {
+	return idleReset(c, reports, (*sched.ShardedLedger).ResetReported)
+}
+
+// idleReset applies a report through reset: the ledger's ResetReported, by
+// name on the live binding or by key (ResetReportedKey) in the simulation.
+func idleReset[J comparable](c *Controller, reports []sched.Entry[J], reset func(*sched.ShardedLedger, sched.Entry[J]) bool) int {
 	var t0 time.Time
 	if c.timing != nil {
 		t0 = time.Now()
 	}
 	n := 0
 	for _, r := range reports {
-		if c.ledger.ResetReported(r) {
+		if reset(c.ledger, r) {
 			n++
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,4 +273,100 @@ func TestIdleResetPath(t *testing.T) {
 func within(got, want float64) bool {
 	d := got - want
 	return d < 1e-9 && d > -1e-9
+}
+
+// TestControllerConcurrentFirstArrivals sends eight goroutines through the
+// first arrivals of the same aperiodic and periodic tasks at once. Each
+// task's record is created once: every decision under LB-none hands out the
+// same home placement. And per task the decisions are the ones a serial run
+// makes: all accepted on the home processors, tested per job under J_N_N and
+// exactly once (the reservation) under T_N_N.
+func TestControllerConcurrentFirstArrivals(t *testing.T) {
+	const procs, workers = 4, 8
+	var tasks []*sched.Task
+	for i := 0; i < 8; i++ {
+		tasks = append(tasks,
+			aperiodicTask(fmt.Sprintf("a%d", i), i%procs, time.Microsecond, time.Second),
+			periodicTask(fmt.Sprintf("p%d", i), i%procs, time.Microsecond, time.Second))
+	}
+	type summary struct {
+		accepted, tested, reserved int
+		placement                  []sched.PlacedStage
+	}
+	// summarize folds one task's decisions, one per worker.
+	summarize := func(t *testing.T, ds []Decision) summary {
+		t.Helper()
+		var s summary
+		for _, d := range ds {
+			if d.Accept {
+				s.accepted++
+			}
+			if d.Tested {
+				s.tested++
+			}
+			if d.Reserved {
+				s.reserved++
+			}
+			if s.placement == nil {
+				s.placement = d.Placement
+			} else if &d.Placement[0] != &s.placement[0] {
+				t.Errorf("decisions hand out two home placements: %v at %p and %p", d.Placement, &d.Placement[0], &s.placement[0])
+			}
+		}
+		return s
+	}
+	for _, combo := range []Config{
+		{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone},
+		{AC: StrategyPerTask, IR: StrategyNone, LB: StrategyNone},
+	} {
+		t.Run(combo.String(), func(t *testing.T) {
+			// got[i][w] is worker w's arrival of task i, job w·len(tasks)+i.
+			run := func(c *Controller, concurrent bool) [][]Decision {
+				got := make([][]Decision, len(tasks))
+				for i := range got {
+					got[i] = make([]Decision, workers)
+				}
+				arrive := func(w int) {
+					for i, task := range tasks {
+						got[i][w] = c.Arrive(task, int64(w*len(tasks)+i), 0)
+					}
+				}
+				if !concurrent {
+					for w := 0; w < workers; w++ {
+						arrive(w)
+					}
+					return got
+				}
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						arrive(w)
+					}()
+				}
+				close(start)
+				wg.Wait()
+				return got
+			}
+			want := run(mustController(t, combo, procs), false)
+			c := mustController(t, combo, procs)
+			got := run(c, true)
+			for i, task := range tasks {
+				w, g := summarize(t, want[i]), summarize(t, got[i])
+				if w.accepted != workers || g.accepted != w.accepted || g.tested != w.tested || g.reserved != w.reserved ||
+					!slices.Equal(g.placement, w.placement) {
+					t.Errorf("%s: concurrent %+v, serial %+v", task.ID, g, w)
+				}
+			}
+			if n := len(c.records()); n != len(tasks) {
+				t.Errorf("%d records for %d tasks", n, len(tasks))
+			}
+			if err := c.Ledger().CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 }

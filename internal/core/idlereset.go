@@ -6,7 +6,7 @@ import (
 	"repro/internal/sched"
 )
 
-// IdleResetter is the per-processor IR component's bookkeeping: it records
+// idleResetter is the per-processor IR component's bookkeeping: it records
 // subjob completions reported by the local F/I and Last Subtask components
 // and, when the processor goes idle, produces the "Idle Resetting" report
 // for the admission controller.
@@ -17,20 +17,26 @@ import (
 // dropped (their contribution is removed by deadline expiry on the AC side
 // anyway).
 //
+// A job is named by J: sched.JobRef on the live binding, whose reports
+// travel between nodes by task name, and sched.JobKey in the simulation.
+//
 // IdleResetter is not safe for concurrent use; each binding confines one
 // instance to its processor's execution context.
-type IdleResetter struct {
+type idleResetter[J comparable] struct {
 	strategy Strategy
 	proc     int
-	pending  []completion
+	pending  []completion[J]
 
 	// Reports counts idle-resetting reports produced (non-empty only).
 	Reports int64
 }
 
+// IdleResetter is the IR bookkeeping over jobs named by task name.
+type IdleResetter = idleResetter[sched.JobRef]
+
 // completion is one locally recorded completed subjob.
-type completion struct {
-	ref      sched.JobRef
+type completion[J comparable] struct {
+	ref      J
 	stage    int
 	kind     sched.TaskKind
 	deadline time.Duration // absolute virtual deadline
@@ -39,18 +45,22 @@ type completion struct {
 // NewIdleResetter returns an IR component for the given processor using the
 // given strategy. With StrategyNone, Complete and Report do nothing.
 func NewIdleResetter(strategy Strategy, proc int) *IdleResetter {
-	return &IdleResetter{strategy: strategy, proc: proc}
+	return newIdleResetter[sched.JobRef](strategy, proc)
+}
+
+func newIdleResetter[J comparable](strategy Strategy, proc int) *idleResetter[J] {
+	return &idleResetter[J]{strategy: strategy, proc: proc}
 }
 
 // Strategy returns the resetter's configured strategy.
-func (ir *IdleResetter) Strategy() Strategy { return ir.strategy }
+func (ir *idleResetter[J]) Strategy() Strategy { return ir.strategy }
 
 // SetStrategy hot-swaps the resetting rule during a reconfiguration. The
 // pending set is refiltered under the new rule so the next Report never
 // leaks a completion the new strategy would not have recorded: switching to
 // per-task drops pending periodic subjobs, switching to none drops
 // everything.
-func (ir *IdleResetter) SetStrategy(s Strategy) {
+func (ir *idleResetter[J]) SetStrategy(s Strategy) {
 	if s == ir.strategy {
 		return
 	}
@@ -75,7 +85,7 @@ func (ir *IdleResetter) SetStrategy(s Strategy) {
 // StrategyNone nothing is recorded. Under StrategyPerTask only aperiodic
 // subjobs are recorded ("the idle resetting component is notified when
 // aperiodic subjobs complete"); under StrategyPerJob both kinds are.
-func (ir *IdleResetter) Complete(ref sched.JobRef, stage int, kind sched.TaskKind, deadline time.Duration) {
+func (ir *idleResetter[J]) Complete(ref J, stage int, kind sched.TaskKind, deadline time.Duration) {
 	switch ir.strategy {
 	case StrategyNone:
 		return
@@ -86,7 +96,7 @@ func (ir *IdleResetter) Complete(ref sched.JobRef, stage int, kind sched.TaskKin
 	case StrategyPerJob:
 		// Record everything.
 	}
-	ir.pending = append(ir.pending, completion{ref: ref, stage: stage, kind: kind, deadline: deadline})
+	ir.pending = append(ir.pending, completion[J]{ref: ref, stage: stage, kind: kind, deadline: deadline})
 }
 
 // Report returns the entries to push to the admission controller now that
@@ -94,7 +104,7 @@ func (ir *IdleResetter) Complete(ref sched.JobRef, stage int, kind sched.TaskKin
 // The pending set is cleared: each completion is reported at most once. A
 // nil result means there is nothing new to report and no event should be
 // pushed.
-func (ir *IdleResetter) Report(now time.Duration) []sched.EntryRef {
+func (ir *idleResetter[J]) Report(now time.Duration) []sched.Entry[J] {
 	return ir.ReportInto(now, nil)
 }
 
@@ -103,7 +113,7 @@ func (ir *IdleResetter) Report(now time.Duration) []sched.EntryRef {
 // reports without allocating. Semantics are identical to Report: buf is
 // returned unchanged when there is nothing pending, and the Reports counter
 // only advances when entries were produced.
-func (ir *IdleResetter) ReportInto(now time.Duration, buf []sched.EntryRef) []sched.EntryRef {
+func (ir *idleResetter[J]) ReportInto(now time.Duration, buf []sched.Entry[J]) []sched.Entry[J] {
 	if len(ir.pending) == 0 {
 		return buf
 	}
@@ -112,7 +122,7 @@ func (ir *IdleResetter) ReportInto(now time.Duration, buf []sched.EntryRef) []sc
 		if c.deadline <= now {
 			continue
 		}
-		out = append(out, sched.EntryRef{Ref: c.ref, Stage: c.stage, Proc: ir.proc})
+		out = append(out, sched.Entry[J]{Ref: c.ref, Stage: c.stage, Proc: ir.proc})
 	}
 	ir.pending = ir.pending[:0]
 	if len(out) > len(buf) {
@@ -122,4 +132,4 @@ func (ir *IdleResetter) ReportInto(now time.Duration, buf []sched.EntryRef) []sc
 }
 
 // PendingCount returns the number of completions waiting to be reported.
-func (ir *IdleResetter) PendingCount() int { return len(ir.pending) }
+func (ir *idleResetter[J]) PendingCount() int { return len(ir.pending) }

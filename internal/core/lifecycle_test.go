@@ -426,3 +426,64 @@ func TestSimWatchOrderingAndFiltering(t *testing.T) {
 		t.Errorf("filtered tasks = %+v", taskEvents)
 	}
 }
+
+// TestSimReaddedTaskKeepsItsContribution removes a task while its job is in
+// flight, re-adds the name and submits again: what is still pending for the
+// removed incarnation must not reach the new one's job of the same number.
+// Both used to resolve through the name, so the old expiry (J_N_N) or the old
+// idle report (J_J_N) withdrew the new job's contribution before its time.
+func TestSimReaddedTaskKeepsItsContribution(t *testing.T) {
+	const deadline = 100 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		oldExec  time.Duration
+		resubmit time.Duration // when the new incarnation's job 0 arrives
+		check    time.Duration // when its contribution must still be held
+	}{
+		// The old job's expiry fires at 100 ms; the new job's is at 106 ms.
+		{"expiry", Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone}, 10 * time.Millisecond, 6 * time.Millisecond, 101 * time.Millisecond},
+		// The old job completes at ~20.8 ms and its idle report lands at
+		// ~21.1 ms, after the new job was admitted (~21.0 ms) and before it
+		// is released (~21.3 ms).
+		{"idle report", Config{AC: StrategyPerJob, IR: StrategyPerJob, LB: StrategyNone}, 20 * time.Millisecond, 20500 * time.Microsecond, 21200 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := simCfg(tc.cfg, 1)
+			cfg.ExternalArrivals = true
+			sim := mustSim(t, cfg, []*sched.Task{aperiodicTask("a", 0, tc.oldExec, deadline)})
+			at := func(when time.Duration, fn func()) {
+				t.Helper()
+				if err := sim.At(when, fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			submit := func() {
+				if _, err := sim.Submit("a"); err != nil {
+					t.Error(err)
+				}
+			}
+			at(0, submit)
+			at(5*time.Millisecond, func() {
+				if err := sim.RemoveTasks([]string{"a"}); err != nil {
+					t.Error(err)
+				}
+			})
+			at(6*time.Millisecond, func() {
+				if err := sim.AddTasks([]*sched.Task{aperiodicTask("a", 0, 10*time.Millisecond, deadline)}); err != nil {
+					t.Error(err)
+				}
+			})
+			at(tc.resubmit, submit)
+			var util float64
+			at(tc.check, func() { util = sim.Controller().Ledger().Util(0) })
+			m := sim.Run()
+			if want := 0.1; !within(util, want) {
+				t.Errorf("Util(0) at %v = %g, want the new job's %g", tc.check, util, want)
+			}
+			if m.Total.Released != 2 || m.Total.Completed != 2 {
+				t.Errorf("released %d, completed %d; want both jobs", m.Total.Released, m.Total.Completed)
+			}
+		})
+	}
+}

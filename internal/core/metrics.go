@@ -44,10 +44,18 @@ type Metrics struct {
 	Periodic  KindMetrics
 	Aperiodic KindMetrics
 
-	// perTask holds each active task's accumulator, whose first bucket is the
-	// task's own accounting; created lazily.
-	perTask map[string]*MetricAcc
+	// accs holds every accumulator in creation order, in chunks of accChunk
+	// cut from one allocation each (only the last chunk has room left), so a
+	// handle stays put.
+	accs [][]MetricAcc
+	// byName maps each task name to the first accumulator made for it, whose
+	// own bucket is the name's. It is built on the first call that needs it
+	// and kept up from then on.
+	byName map[string]*MetricAcc
 }
+
+// accChunk is how many accumulators one allocation holds.
+const accChunk = 64
 
 // kind returns the per-kind bucket.
 func (m *Metrics) kind(k sched.TaskKind) *KindMetrics {
@@ -60,7 +68,7 @@ func (m *Metrics) kind(k sched.TaskKind) *KindMetrics {
 // Task returns the accounting for one task (zero value if it never
 // arrived). The returned copy is safe to retain.
 func (m *Metrics) Task(id string) KindMetrics {
-	if a, ok := m.perTask[id]; ok {
+	if a, ok := m.names()[id]; ok {
 		return a.task
 	}
 	return KindMetrics{}
@@ -68,12 +76,30 @@ func (m *Metrics) Task(id string) KindMetrics {
 
 // TaskIDs lists tasks with recorded activity.
 func (m *Metrics) TaskIDs() []string {
-	out := make([]string, 0, len(m.perTask))
-	for id := range m.perTask {
+	names := m.names()
+	out := make([]string, 0, len(names))
+	for id := range names {
 		out = append(out, id)
 	}
 	sort.Strings(out)
 	return out
+}
+
+// names returns the name index, building it on first use. A binding that
+// can give a name a second accumulator (a task re-registered after removal)
+// builds it before that, so the second one finds the first.
+func (m *Metrics) names() map[string]*MetricAcc {
+	if m.byName == nil {
+		m.byName = make(map[string]*MetricAcc)
+		for _, chunk := range m.accs {
+			for i := range chunk {
+				if a := &chunk[i]; m.byName[a.name] == nil {
+					m.byName[a.name] = a
+				}
+			}
+		}
+	}
+	return m.byName
 }
 
 // MetricAcc is a cached per-task accumulator: the task's own bucket, pointers
@@ -85,23 +111,29 @@ type MetricAcc struct {
 	buckets  [3]*KindMetrics
 	util     float64
 	deadline time.Duration
+	name     string
 }
 
-// Acc returns an accumulator handle for the task, creating its per-task
-// bucket on first use. A later handle for the same ID (a task re-registered
-// after removal) carries the new task's constants and accounts into the first
-// handle's bucket. The handle stays valid for the lifetime of the Metrics
-// value.
+// Acc returns a new accumulator handle for the task, cut from the current
+// chunk. A later handle for the same ID (a task re-registered after removal)
+// carries the new task's constants and accounts into the first handle's
+// bucket, provided the name index exists by then (see names). The handle
+// stays valid for the lifetime of the Metrics value.
 func (m *Metrics) Acc(t *sched.Task) *MetricAcc {
-	a := &MetricAcc{util: t.TotalUtil(), deadline: t.Deadline}
+	last := len(m.accs) - 1
+	if last < 0 || len(m.accs[last]) == cap(m.accs[last]) {
+		m.accs = append(m.accs, make([]MetricAcc, 0, accChunk))
+		last++
+	}
+	m.accs[last] = append(m.accs[last], MetricAcc{util: t.TotalUtil(), deadline: t.Deadline, name: t.ID})
+	a := &m.accs[last][len(m.accs[last])-1]
 	own := &a.task
-	if first, ok := m.perTask[t.ID]; ok {
-		own = &first.task
-	} else {
-		if m.perTask == nil {
-			m.perTask = make(map[string]*MetricAcc)
+	if m.byName != nil {
+		if first, ok := m.byName[t.ID]; ok {
+			own = &first.task
+		} else {
+			m.byName[t.ID] = a
 		}
-		m.perTask[t.ID] = a
 	}
 	a.buckets = [3]*KindMetrics{&m.Total, m.kind(t.Kind), own}
 	return a

@@ -70,6 +70,19 @@ type teState struct {
 	requested bool
 }
 
+// simTask is one task's runtime state in the simulation: its TE memory, next
+// job number and metric accumulator. It is created at the task's first
+// arrival, cut from a chunk of simChunk, so a task that never arrives costs
+// one nil pointer.
+type simTask struct {
+	te      teState
+	nextJob int64
+	acc     *MetricAcc
+}
+
+// simChunk is how many simTask records one allocation holds.
+const simChunk = 64
+
 // pendingJob is a job held in the task effector's waiting queue.
 type pendingJob struct {
 	job     int64
@@ -149,24 +162,25 @@ type relJob struct {
 // and task-effector state per node, and the centralized AC+LB controller on
 // the task manager node.
 //
-// Tasks are interned to dense indices at construction; all per-task runtime
-// state (TE memory, next job numbers, metric accumulators) lives in slices
-// indexed by that ID, and in-flight decisions, released jobs and idle
-// reports live in free-listed pools, so a steady-state arrival performs no
-// map lookups and no allocations in the simulation layer.
+// A task's index in tasks is its sched.TaskRef: task i of the workload holds
+// ref i, AddTasks appends, and no index is reused. The task table's name
+// index is the binding's name edge (Submit, AddTasks, RemoveTasks); the
+// controller and its ledger share the table and key everything on the ref,
+// as do the runtime state, events and pools here, so a steady-state arrival
+// performs no string-keyed lookup and no allocation in the simulation
+// layer.
 type SimSystem struct {
 	cfg     SimConfig
 	eng     *des.Engine
 	procs   []*des.Processor
-	irs     []*IdleResetter
+	irs     []*idleResetter[sched.JobKey]
 	links   *des.Link
 	ctrl    *Controller
 	rng     *rand.Rand
-	tasks   []*sched.Task
-	taskIdx map[string]int32
-	te      []teState
-	nextJob []int64
-	accs    []*MetricAcc
+	tab     *sched.TaskTable
+	tasks   []*sched.Task // tab's tasks, by ref
+	state   []*simTask    // by ref; nil until the task's first arrival
+	slab    []simTask
 	metrics Metrics
 	trace   []TraceEvent
 
@@ -195,7 +209,7 @@ type SimSystem struct {
 	freeJobs  []int32
 	decs      []Decision
 	freeDecs  []int32
-	irReports [][]sched.EntryRef
+	irReports [][]sched.Entry[sched.JobKey]
 	freeReps  []int32
 }
 
@@ -207,8 +221,7 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	if cfg.NumProcs <= 0 {
 		return nil, fmt.Errorf("core: sim needs at least one application processor")
 	}
-	ctrl, err := NewController(cfg.Strategies, cfg.NumProcs)
-	if err != nil {
+	if err := cfg.Strategies.Validate(); err != nil {
 		return nil, err
 	}
 	// One counting pass sizes three slabs (tasks, subtasks, replica lists), so
@@ -226,13 +239,13 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	subs := make([]sched.Subtask, nSub)
 	reps := make([]int, nRep)
 	cloned := make([]*sched.Task, len(tasks))
-	taskIdx := make(map[string]int32, len(tasks))
+	taskIdx := make(map[string]sched.TaskRef, len(tasks))
 	for i, t := range tasks {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
 		// One hash per task: a duplicate ID does not grow the index.
-		taskIdx[t.ID] = int32(i)
+		taskIdx[t.ID] = sched.TaskRef(i)
 		if len(taskIdx) != i+1 {
 			return nil, fmt.Errorf("core: duplicate task ID %q", t.ID)
 		}
@@ -261,6 +274,11 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 		cloned[i] = c
 	}
 	sched.AssignEDMSPriorities(cloned)
+	tab := sched.NewTaskTable(cloned, taskIdx)
+	ctrl, err := newController(cfg.Strategies, cfg.NumProcs, tab)
+	if err != nil {
+		return nil, err
+	}
 
 	eng := des.NewEngine()
 	s := &SimSystem{
@@ -269,18 +287,16 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 		ctrl:    ctrl,
 		links:   des.NewLink(eng, cfg.LinkDelay),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		tab:     tab,
 		tasks:   cloned,
-		taskIdx: taskIdx,
-		te:      make([]teState, len(cloned)),
-		nextJob: make([]int64, len(cloned)),
-		accs:    make([]*MetricAcc, len(cloned)),
+		state:   make([]*simTask, len(cloned)),
 		removed: make([]bool, len(cloned)),
 	}
 	s.procs = make([]*des.Processor, cfg.NumProcs)
-	s.irs = make([]*IdleResetter, cfg.NumProcs)
+	s.irs = make([]*idleResetter[sched.JobKey], cfg.NumProcs)
 	for i := 0; i < cfg.NumProcs; i++ {
 		s.procs[i] = des.NewProcessor(eng, i)
-		s.irs[i] = NewIdleResetter(cfg.Strategies.IR, i)
+		s.irs[i] = newIdleResetter[sched.JobKey](cfg.Strategies.IR, i)
 		if cfg.Strategies.IR != StrategyNone {
 			i := i
 			s.procs[i].SetIdleCallback(func() { s.reportIdle(i) })
@@ -318,15 +334,21 @@ func (s *SimSystem) Controller() *Controller { return s.ctrl }
 // Engine exposes the simulation engine (tests use it for clock access).
 func (s *SimSystem) Engine() *des.Engine { return s.eng }
 
-// acc returns (creating lazily, so idle tasks never appear in the per-task
-// metrics) the cached metric accumulator for a task.
-func (s *SimSystem) acc(ti int32) *MetricAcc {
-	a := s.accs[ti]
-	if a == nil {
-		a = s.metrics.Acc(s.tasks[ti])
-		s.accs[ti] = a
+// task returns a task's runtime state, creating it (and with it the task's
+// metric accumulator, so idle tasks never appear in the per-task metrics) at
+// its first arrival.
+func (s *SimSystem) task(ti int32) *simTask {
+	if st := s.state[ti]; st != nil {
+		return st
 	}
-	return a
+	if len(s.slab) == 0 {
+		s.slab = make([]simTask, simChunk)
+	}
+	st := &s.slab[0]
+	s.slab = s.slab[1:]
+	st.acc = s.metrics.Acc(s.tasks[ti])
+	s.state[ti] = st
+	return st
 }
 
 // Run executes the workload: arrivals from time zero to the horizon, then a
@@ -379,15 +401,16 @@ func (s *SimSystem) Submit(taskID string) (Admission, error) {
 	if s.stopped {
 		return adm, fmt.Errorf("core: sim: submit: %w", ErrStopped)
 	}
-	ti, ok := s.taskIdx[taskID]
+	tr, ok := s.tab.Lookup(taskID)
 	if !ok {
 		return adm, fmt.Errorf("core: sim: submit: %w: %q", ErrUnknownTask, taskID)
 	}
-	t := s.tasks[ti]
-	job := s.nextJob[ti]
-	s.nextJob[ti] = job + 1
+	ti := int32(tr)
+	t, st := s.tasks[ti], s.task(ti)
+	job := st.nextJob
+	st.nextJob = job + 1
 	now := s.eng.Now()
-	s.acc(ti).Arrived()
+	st.acc.Arrived()
 	s.record(TraceArrived, sched.JobRef{Task: t.ID, Job: job}, -1, t.Subtasks[0].Processor)
 
 	adm.Job = job
@@ -403,7 +426,7 @@ func (s *SimSystem) SubmitBatch(taskIDs []string) ([]Admission, error) {
 		return nil, fmt.Errorf("core: sim: submit batch: %w", ErrStopped)
 	}
 	for _, id := range taskIDs {
-		if _, ok := s.taskIdx[id]; !ok {
+		if _, ok := s.tab.Lookup(id); !ok {
 			return nil, fmt.Errorf("core: sim: submit batch: %w: %q", ErrUnknownTask, id)
 		}
 	}
@@ -418,15 +441,16 @@ func (s *SimSystem) SubmitBatch(taskIDs []string) ([]Admission, error) {
 	return out, nil
 }
 
-// AddTasks registers new tasks on the running binding: each task joins the
-// dense index (TE memory, job numbering, metric accumulators grow in place),
+// AddTasks registers new tasks on the running binding: each task gets the
+// next ref (its runtime state is created at its first arrival),
 // EDMS priorities are re-assigned over the whole active set — jobs already
 // queued keep the priority they were submitted with; subsequent releases use
 // the new assignment — and, when the run has started, the tasks' own arrival
 // processes are scheduled from the current virtual time. IDs are validated
 // against the active set before anything is registered, so the call is
-// all-or-nothing. A removed ID may be re-registered; it gets a fresh slot
-// and restarts job numbering at zero.
+// all-or-nothing. A removed ID may be re-registered; it gets a fresh ref
+// and restarts job numbering at zero, and nothing still pending for the
+// removed incarnation (an expiry, an idle report) can reach it.
 func (s *SimSystem) AddTasks(tasks []*sched.Task) error {
 	if s.stopped {
 		return fmt.Errorf("core: sim: add tasks: %w", ErrStopped)
@@ -436,7 +460,7 @@ func (s *SimSystem) AddTasks(tasks []*sched.Task) error {
 		if err := t.Validate(); err != nil {
 			return err
 		}
-		if _, ok := s.taskIdx[t.ID]; ok || seen[t.ID] {
+		if _, ok := s.tab.Lookup(t.ID); ok || seen[t.ID] {
 			return fmt.Errorf("core: sim: add tasks: %w: %q", ErrTaskExists, t.ID)
 		}
 		seen[t.ID] = true
@@ -447,17 +471,16 @@ func (s *SimSystem) AddTasks(tasks []*sched.Task) error {
 			return fmt.Errorf("core: aperiodic task %s has no mean interarrival time", t.ID)
 		}
 	}
+	// A re-registered name's accumulator must find its first incarnation's.
+	s.metrics.names()
 	base := int32(len(s.tasks))
 	now := s.eng.Now()
 	for _, t := range tasks {
-		c := t.Clone()
-		s.tasks = append(s.tasks, c)
-		s.taskIdx[c.ID] = int32(len(s.tasks) - 1)
-		s.te = append(s.te, teState{})
-		s.nextJob = append(s.nextJob, 0)
-		s.accs = append(s.accs, nil)
+		s.tab.Intern(t.Clone())
+		s.state = append(s.state, nil)
 		s.removed = append(s.removed, false)
 	}
+	s.tasks = s.tab.Tasks()
 	s.reassignPriorities()
 	for i := base; i < int32(len(s.tasks)); i++ {
 		if s.started && !s.cfg.ExternalArrivals {
@@ -488,18 +511,18 @@ func (s *SimSystem) RemoveTasks(ids []string) error {
 	tis := make([]int32, len(ids))
 	seen := make(map[string]bool, len(ids))
 	for i, id := range ids {
-		ti, ok := s.taskIdx[id]
+		tr, ok := s.tab.Lookup(id)
 		if !ok || seen[id] {
 			return fmt.Errorf("core: sim: remove tasks: %w: %q", ErrUnknownTask, id)
 		}
 		seen[id] = true
-		tis[i] = ti
+		tis[i] = int32(tr)
 	}
 	now := s.eng.Now()
 	for _, ti := range tis {
 		t := s.tasks[ti]
 		s.removed[ti] = true
-		delete(s.taskIdx, t.ID)
+		// Withdraws the ref's ledger state and unbinds the name.
 		s.ctrl.RemoveTask(t.ID)
 		if s.hub.Active() {
 			s.hub.Emit(WatchEvent{
@@ -675,8 +698,11 @@ func (s *SimSystem) swapConfig(idx int32) {
 	// under the old configuration. Any job somehow still waiting for a
 	// decision (none can be, after the quiesce window) joins the deferred
 	// replay so no arrival is ever dropped.
-	for i := range s.te {
-		st := &s.te[i]
+	for i, task := range s.state {
+		if task == nil {
+			continue
+		}
+		st := &task.te
 		for _, w := range st.waiting {
 			s.deferred = append(s.deferred, deferredArrival{task: int32(i), job: w.job, arrival: w.arrival})
 		}
@@ -765,7 +791,7 @@ func (s *SimSystem) HandleEvent(ev des.Event) {
 	case evDecide:
 		s.decide(ev.A, ev.N, ev.D)
 	case evExpire:
-		s.ctrl.ExpireJob(sched.JobRef{Task: s.tasks[ev.A].ID, Job: ev.N})
+		s.ctrl.expire(sched.JobKey{Task: sched.TaskRef(ev.A), Job: ev.N})
 	case evDeliver:
 		d := s.decs[ev.B]
 		s.freeDec(ev.B)
@@ -775,7 +801,7 @@ func (s *SimSystem) HandleEvent(ev des.Event) {
 	case evStageStart:
 		s.startStage(ev.A, ev.B)
 	case evIdleReport:
-		s.ctrl.IdleReset(s.irReports[ev.A])
+		idleReset(s.ctrl, s.irReports[ev.A], (*sched.ShardedLedger).ResetReportedKey)
 		s.freeReport(ev.A)
 	case evReconfigQuiesce:
 		s.beginQuiesce(ev.A)
@@ -799,8 +825,9 @@ func (s *SimSystem) arrive(ti int32) {
 	if now > s.cfg.Horizon {
 		return
 	}
-	job := s.nextJob[ti]
-	s.nextJob[ti] = job + 1
+	st := s.task(ti)
+	job := st.nextJob
+	st.nextJob = job + 1
 
 	// Schedule the next arrival.
 	var next time.Duration
@@ -813,7 +840,7 @@ func (s *SimSystem) arrive(ti int32) {
 		s.eng.AtEvent(next, s, des.Event{Kind: evArrive, A: ti})
 	}
 
-	s.acc(ti).Arrived()
+	st.acc.Arrived()
 	s.record(TraceArrived, sched.JobRef{Task: t.ID, Job: job}, -1, t.Subtasks[0].Processor)
 	s.routeArrival(ti, job, now)
 }
@@ -839,7 +866,7 @@ func (s *SimSystem) routeArrival(ti int32, job int64, arrival time.Duration) (Ad
 	// per-task admission control release (or skip) immediately, except when
 	// LB-per-job requires a fresh placement from the manager.
 	if t.Kind == sched.Periodic && s.cfg.Strategies.AC == StrategyPerTask {
-		st := &s.te[ti]
+		st := &s.state[ti].te
 		if st.decided && s.cfg.Strategies.LB != StrategyPerJob {
 			if st.accept {
 				s.release(ti, job, st.placement, arrival)
@@ -884,7 +911,7 @@ func (s *SimSystem) decide(ti int32, job int64, arrival time.Duration) {
 		s.links.SendEvent(s, des.Event{Kind: evDeliver, A: ti, B: di, N: job, D: arrival})
 		return
 	}
-	d := s.ctrl.Arrive(t, job, arrival)
+	d := s.ctrl.arrive(sched.JobKey{Task: sched.TaskRef(ti), Job: job}, t, arrival)
 	if d.Accept && !d.Reserved {
 		// One expiry event per accepted job: with the indexed ledger the
 		// event is an O(1) lookup (a no-op when idle resetting already
@@ -908,7 +935,7 @@ func (s *SimSystem) decide(ti int32, job int64, arrival time.Duration) {
 func (s *SimSystem) deliverDecision(ti int32, job int64, arrival time.Duration, d Decision) {
 	t := s.tasks[ti]
 	if t.Kind == sched.Periodic && s.cfg.Strategies.AC == StrategyPerTask {
-		st := &s.te[ti]
+		st := &s.state[ti].te
 		if !st.decided {
 			st.decided = true
 			st.accept = d.Accept
@@ -939,7 +966,7 @@ func (s *SimSystem) deliverDecision(ti int32, job int64, arrival time.Duration, 
 
 // skipJob accounts one not-released job and notifies watchers.
 func (s *SimSystem) skipJob(ti int32, job int64) {
-	s.acc(ti).Skipped()
+	s.state[ti].acc.Skipped()
 	s.record(TraceSkipped, sched.JobRef{Task: s.tasks[ti].ID, Job: job}, -1, -1)
 	if s.hub.Active() {
 		s.hub.Emit(WatchEvent{
@@ -951,7 +978,7 @@ func (s *SimSystem) skipJob(ti int32, job int64) {
 
 // release starts the job's first subjob on its assigned processor.
 func (s *SimSystem) release(ti int32, job int64, placement []sched.PlacedStage, arrival time.Duration) {
-	s.acc(ti).Released()
+	s.state[ti].acc.Released()
 	s.inFlight++
 	s.record(TraceReleased, sched.JobRef{Task: s.tasks[ti].ID, Job: job}, -1, placement[0].Proc)
 	if s.hub.Active() {
@@ -986,11 +1013,11 @@ func (s *SimSystem) stageDone(ji, stage int32) {
 	now := s.eng.Now()
 	proc := j.placement[stage].Proc
 	ref := sched.JobRef{Task: t.ID, Job: j.job}
-	s.irs[proc].Complete(ref, int(stage), t.Kind, j.arrival+t.Deadline)
+	s.irs[proc].Complete(sched.JobKey{Task: sched.TaskRef(ti), Job: j.job}, int(stage), t.Kind, j.arrival+t.Deadline)
 	s.record(TraceStageDone, ref, int(stage), proc)
 	if int(stage) == len(j.placement)-1 {
 		resp := now - j.arrival
-		s.acc(ti).Completed(resp)
+		s.state[ti].acc.Completed(resp)
 		s.inFlight--
 		s.record(TraceCompleted, ref, -1, proc)
 		if s.hub.Active() {

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 func simCfg(strategies Config, procs int) SimConfig {
@@ -496,5 +498,32 @@ func TestNewSimSystemAllocsFlat(t *testing.T) {
 	}
 	if d := large - small; d >= 48 || d <= -48 {
 		t.Errorf("NewSimSystem allocates %v times for 1000 tasks and %v for 10000: the count follows the task count", small, large)
+	}
+
+	// The bytes of one build at the sim-sweep shape: per-task state belongs
+	// to a task's first arrival, and moved into the build it would read as
+	// decision time. buildBytes is the build before task refs, when the TE
+	// memory, job counters and accumulator pointers were arrays sized at
+	// build (go1.24, amd64); the bound allows 3 % over it.
+	const buildBytes = 3706264
+	p := workload.ScaleParams(procs, 10000, 1)
+	p.TargetUtil = 0.9
+	tasks, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const builds = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		if _, err := NewSimSystem(cfg, tasks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / builds; got > buildBytes*103/100 {
+		t.Errorf("NewSimSystem allocates %d bytes at the sim-sweep shape, want at most %d (3 %% over %d)", got, buildBytes*103/100, buildBytes)
+	} else {
+		t.Logf("NewSimSystem allocates %d bytes at the sim-sweep shape (bound %d)", got, buildBytes*103/100)
 	}
 }

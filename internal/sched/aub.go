@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -87,21 +86,9 @@ type PlacedStage struct {
 	Util float64
 }
 
-// EntryRef names one ledger contribution: a (job, stage) pair and the
-// processor carrying its utilization. Idle resetters report these back to
-// the admission controller.
-type EntryRef struct {
-	// Ref is the owning job.
-	Ref JobRef
-	// Stage is the subtask index within the job.
-	Stage int
-	// Proc is the processor carrying the contribution.
-	Proc int
-}
-
 // entry is one live or historical contribution record.
 type entry struct {
-	ref       JobRef
+	key       JobKey
 	stage     int
 	proc      int
 	amount    float64
@@ -115,22 +102,13 @@ type entry struct {
 	procPos int
 }
 
-// jobKey indexes jobs in the ledger by interned task ID: hashing an (int32,
-// int64) pair on every admission/expiry/reset is markedly cheaper than
-// hashing the task-name string, and the interning table is consulted once
-// per public call.
-type jobKey struct {
-	tid int32
-	job int64
-}
-
 // jobRec groups the entries of one admitted job.
 type jobRec struct {
 	entries []*entry
 	// key is the job's place in Ledger.jobs, and prevT/nextT link it into its
 	// task's list (Ledger.taskHead): the per-task index is threaded through
 	// the records themselves, so a task's first job allocates no index.
-	key          jobKey
+	key          JobKey
 	prevT, nextT *jobRec
 	// group is the signature group the job currently belongs to; nil while
 	// the job has no active contribution.
@@ -163,36 +141,63 @@ func (j *jobRec) inFlight() bool {
 	return false
 }
 
-// signature returns the canonical processor-visit signature of the job's
-// active contributions: the multiset of processors its non-removed entries
-// occupy, encoded deterministically, plus the per-processor entry counts.
-// Jobs with equal signatures have identical AUB sums, so the ledger
-// evaluates each signature once per admission test instead of once per job.
-func (j *jobRec) signature() (string, []int, map[int]int) {
-	count := make(map[int]int)
+// appendSignature appends the job's processor-visit signature to procs and
+// counts: the distinct processors its active (non-removed) entries occupy,
+// sorted, with the number of entries on each. Jobs with equal signatures
+// have identical AUB sums, so the ledger evaluates each signature once per
+// admission test instead of once per job. Both come back empty for a job
+// with no active contribution.
+func appendSignature(procs, counts []int, j *jobRec) ([]int, []int) {
 	for _, e := range j.entries {
-		if e.removed == 0 {
-			count[e.proc]++
+		if e.removed != 0 {
+			continue
+		}
+		found := false
+		for i := range procs {
+			if procs[i] == e.proc {
+				counts[i]++
+				found = true
+				break
+			}
+		}
+		if !found {
+			procs = append(procs, e.proc)
+			counts = append(counts, 1)
 		}
 	}
-	if len(count) == 0 {
-		return "", nil, nil
+	// Insertion sort of the parallel arrays; a job has at most a handful of
+	// stages.
+	for i := 1; i < len(procs); i++ {
+		for k := i; k > 0 && procs[k] < procs[k-1]; k-- {
+			procs[k], procs[k-1] = procs[k-1], procs[k]
+			counts[k], counts[k-1] = counts[k-1], counts[k]
+		}
 	}
-	procs := make([]int, 0, len(count))
-	for p := range count {
-		procs = append(procs, p)
+	return procs, counts
+}
+
+// sigHash hashes a signature's (processor, count) pairs: the signature
+// groups' map key. Equal signatures hash equal; groups whose hashes collide
+// share a chain and are told apart by sameSig.
+func sigHash(procs, counts []int) uint64 {
+	h := uint64(len(procs))
+	for i, p := range procs {
+		h = (h ^ uint64(p)<<32 ^ uint64(counts[i])) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
 	}
-	sort.Ints(procs)
+	return h
+}
+
+// sigString renders a signature as "proc:count,...", for messages.
+func sigString(procs, counts []int) string {
 	var b strings.Builder
 	for i, p := range procs {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(strconv.Itoa(p))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(count[p]))
+		fmt.Fprintf(&b, "%d:%d", p, counts[i])
 	}
-	return b.String(), procs, count
+	return b.String()
 }
 
 // sigGroup aggregates every ledger job sharing one processor-visit
@@ -224,7 +229,10 @@ type sigGroup struct {
 	// most maxCount times the total growth of the perturbed terms.
 	maxCount float64
 
-	sig    string
+	// hash is sigHash of the signature, the group's key in Ledger.groups,
+	// and next chains the groups sharing that key.
+	hash   uint64
+	next   *sigGroup
 	procs  []int // sorted distinct processors of the signature
 	counts []int // active entries per processor, parallel to procs
 	// procPos holds, parallel to procs, the group's position in each
@@ -232,6 +240,11 @@ type sigGroup struct {
 	procPos []int
 	// members is the number of jobRecs pointing at this group.
 	members int
+}
+
+// sameSig reports whether the group's signature is exactly (procs, counts).
+func (g *sigGroup) sameSig(procs, counts []int) bool {
+	return slices.Equal(g.procs, procs) && slices.Equal(g.counts, counts)
 }
 
 // boundMargin is the slack admitScan keeps below 1 when it passes a group on
@@ -253,21 +266,26 @@ const boundMargin = 1e-9
 // processor-visit signature groups with cached AUB sums so Admissible only
 // re-evaluates the groups whose processors a candidate perturbs.
 //
+// Jobs are keyed by JobKey, the task's dense ref from the ledger's
+// TaskTable. The methods taking a JobRef or a task name are the name edge:
+// each resolves the name through the table once (AddJob binds an unknown
+// name to a fresh ref) and runs the key-keyed core. A name stays bound
+// across RemoveTask, so a task re-registered here keeps its ref; a binding
+// that wants a fresh one drops the name from the table.
+//
 // Ledger is not safe for concurrent use; the admission controller serializes
 // access (the paper's architecture is a single centralized AC).
 type Ledger struct {
 	util []float64
 	term []float64 // term[p] = AUBTerm(util[p]), maintained with util
-	jobs map[jobKey]*jobRec
-
-	// taskIDs interns task names to dense IDs (never removed; a task
-	// re-registered after RemoveTask reuses its ID) and taskNames maps back.
-	taskIDs   map[string]int32
-	taskNames []string
+	jobs map[JobKey]*jobRec
+	// tasks names the refs the jobs are keyed by; it is shared with the
+	// binding that hands the refs out.
+	tasks *TaskTable
 
 	procEntries [][]*entry           // active entries per processor (swap-remove via entry.procPos)
-	taskHead    []*jobRec            // per interned task ID, its jobs, newest first (jobRec.prevT/nextT)
-	groups      map[string]*sigGroup // signature → group
+	taskHead    []*jobRec            // per task ref, its jobs, newest first (jobRec.prevT/nextT); grown on demand
+	groups      map[uint64]*sigGroup // sigHash → groups with that hash, chained through sigGroup.next
 	procGroups  [][]*sigGroup        // groups whose signature visits proc (swap-remove via sigGroup.procPos)
 	// violated counts groups with counted > 0 whose sum already exceeds 1
 	// (for a counted group cachedSum and the fresh sum agree on that): while
@@ -285,16 +303,10 @@ type Ledger struct {
 	freeRecs    []*jobRec
 	freeGroups  []*sigGroup
 
-	// Signature scratch for reindex: parallel (proc, count) arrays and the
-	// encoding buffer, reused across calls so deriving a job's signature
-	// allocates only when a previously unseen signature creates a group.
+	// Signature scratch for reindex: parallel (proc, count) arrays reused
+	// across calls, so deriving a job's signature allocates nothing.
 	sigProcs  []int
 	sigCounts []int
-	sigBuf    []byte
-	// sigNames interns signature strings across group churn: a signature
-	// that disappears and reappears reuses the string materialized the
-	// first time. Bounded by the distinct signatures ever seen.
-	sigNames map[string]string
 
 	// candDelta/candTerm are Admissible's dense scratch: the candidate's
 	// per-processor utilization delta and the tentative AUB terms of the
@@ -309,18 +321,21 @@ type Ledger struct {
 }
 
 // NewLedger returns an empty ledger over numProcs processors numbered
-// 0..numProcs-1.
+// 0..numProcs-1, with a task table of its own.
 func NewLedger(numProcs int) *Ledger {
-	l := &Ledger{
+	return newLedger(NewTaskTable(nil, nil), numProcs)
+}
+
+func newLedger(tasks *TaskTable, numProcs int) *Ledger {
+	return &Ledger{
 		util:        make([]float64, numProcs),
 		term:        make([]float64, numProcs),
-		jobs:        make(map[jobKey]*jobRec),
-		taskIDs:     make(map[string]int32),
+		jobs:        make(map[JobKey]*jobRec),
+		tasks:       tasks,
 		procEntries: make([][]*entry, numProcs),
-		groups:      make(map[string]*sigGroup),
+		groups:      make(map[uint64]*sigGroup),
 		procGroups:  make([][]*sigGroup, numProcs),
 	}
-	return l
 }
 
 // NumProcs returns the number of processors the ledger tracks.
@@ -376,40 +391,37 @@ func (l *Ledger) allocGroup() *sigGroup {
 	return &sigGroup{}
 }
 
-// internTask returns the dense ID for a task name, creating one (with its
-// empty per-task job list) on first use.
-func (l *Ledger) internTask(task string) int32 {
-	if tid, ok := l.taskIDs[task]; ok {
-		return tid
-	}
-	tid := int32(len(l.taskNames))
-	l.taskIDs[task] = tid
-	l.taskNames = append(l.taskNames, task)
-	l.taskHead = append(l.taskHead, nil)
-	return tid
+// key resolves a name-keyed job reference to its key: the name edge's one
+// lookup.
+func (l *Ledger) key(ref JobRef) (JobKey, bool) {
+	tr, ok := l.tasks.Lookup(ref.Task)
+	return JobKey{Task: tr, Job: ref.Job}, ok
 }
 
-// lookupJob resolves a public job reference against the interned indexes.
+// lookupJob resolves a name-keyed job reference to its record.
 func (l *Ledger) lookupJob(ref JobRef) (*jobRec, bool) {
-	tid, ok := l.taskIDs[ref.Task]
+	k, ok := l.key(ref)
 	if !ok {
 		return nil, false
 	}
-	rec, ok := l.jobs[jobKey{tid, ref.Job}]
+	rec, ok := l.jobs[k]
 	return rec, ok
 }
 
 // indexJob enters a new job record into the job map and at the head of its
-// task's list.
-func (l *Ledger) indexJob(k jobKey, rec *jobRec) {
+// task's list, growing the per-task heads to cover the ref.
+func (l *Ledger) indexJob(k JobKey, rec *jobRec) {
+	if n := int(k.Task) + 1 - len(l.taskHead); n > 0 {
+		l.taskHead = append(l.taskHead, make([]*jobRec, n)...)
+	}
 	rec.key = k
 	l.jobs[k] = rec
-	head := l.taskHead[k.tid]
+	head := l.taskHead[k.Task]
 	rec.prevT, rec.nextT = nil, head
 	if head != nil {
 		head.prevT = rec
 	}
-	l.taskHead[k.tid] = rec
+	l.taskHead[k.Task] = rec
 }
 
 // procEntryAdd appends an active entry to its processor's index, recording
@@ -464,65 +476,34 @@ func (l *Ledger) procGroupRemove(g *sigGroup) {
 	}
 }
 
-// signatureInto computes rec's processor-visit signature into the ledger's
-// scratch buffers: the returned bytes are the canonical encoding (empty when
-// the job has no active contribution) and l.sigProcs/l.sigCounts hold the
-// sorted distinct processors with their entry counts. The encoding is
-// byte-identical to jobRec.signature's, without the per-call map, slice and
-// string allocations.
-func (l *Ledger) signatureInto(j *jobRec) []byte {
-	procs := l.sigProcs[:0]
-	counts := l.sigCounts[:0]
-	for _, e := range j.entries {
-		if e.removed != 0 {
-			continue
+// findGroup returns the registered group with signature (procs, counts)
+// under hash h, or nil.
+func (l *Ledger) findGroup(h uint64, procs, counts []int) *sigGroup {
+	for g := l.groups[h]; g != nil; g = g.next {
+		if g.sameSig(procs, counts) {
+			return g
 		}
-		found := false
-		for i := range procs {
-			if procs[i] == e.proc {
-				counts[i]++
-				found = true
+	}
+	return nil
+}
+
+// unlinkGroup takes a group off its hash chain.
+func (l *Ledger) unlinkGroup(g *sigGroup) {
+	if head := l.groups[g.hash]; head == g {
+		if g.next == nil {
+			delete(l.groups, g.hash)
+		} else {
+			l.groups[g.hash] = g.next
+		}
+	} else {
+		for p := head; p != nil; p = p.next {
+			if p.next == g {
+				p.next = g.next
 				break
 			}
 		}
-		if !found {
-			procs = append(procs, e.proc)
-			counts = append(counts, 1)
-		}
 	}
-	// Insertion sort of the parallel arrays; a job has at most a handful of
-	// stages.
-	for i := 1; i < len(procs); i++ {
-		for k := i; k > 0 && procs[k] < procs[k-1]; k-- {
-			procs[k], procs[k-1] = procs[k-1], procs[k]
-			counts[k], counts[k-1] = counts[k-1], counts[k]
-		}
-	}
-	buf := l.sigBuf[:0]
-	for i, p := range procs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, int64(p), 10)
-		buf = append(buf, ':')
-		buf = strconv.AppendInt(buf, int64(counts[i]), 10)
-	}
-	l.sigProcs, l.sigCounts, l.sigBuf = procs, counts, buf
-	return buf
-}
-
-// internSig returns the canonical string for a signature encoding,
-// materializing it at most once per distinct signature.
-func (l *Ledger) internSig(sig []byte) string {
-	if s, ok := l.sigNames[string(sig)]; ok {
-		return s
-	}
-	if l.sigNames == nil {
-		l.sigNames = make(map[string]string)
-	}
-	s := string(sig)
-	l.sigNames[s] = s
-	return s
+	g.next = nil
 }
 
 // Util returns the current synthetic utilization of the processor.
@@ -650,11 +631,10 @@ func (l *Ledger) leaveGroup(rec *jobRec) {
 	l.setCounted(rec, false)
 	g.members--
 	if g.members == 0 {
-		delete(l.groups, g.sig)
+		l.unlinkGroup(g)
 		l.procGroupRemove(g)
 		// Recycle: an empty group can never be violated (that requires
 		// counted > 0), so dropping it does not touch the violated counter.
-		g.sig = ""
 		g.procs = g.procs[:0]
 		g.counts = g.counts[:0]
 		g.counted = 0
@@ -670,21 +650,21 @@ func (l *Ledger) leaveGroup(rec *jobRec) {
 // updates of the same mutation so a newly created group caches the final
 // sums.
 func (l *Ledger) reindex(rec *jobRec) {
-	sig := l.signatureInto(rec)
-	// string(sig) in the comparison and map lookup below does not allocate;
-	// the signature is only materialized as a string when a new group is
-	// created.
-	if rec.group == nil || rec.group.sig != string(sig) {
+	procs, counts := appendSignature(l.sigProcs[:0], l.sigCounts[:0], rec)
+	l.sigProcs, l.sigCounts = procs, counts
+	if rec.group == nil || !rec.group.sameSig(procs, counts) {
 		l.leaveGroup(rec)
-		if len(sig) > 0 {
-			g, ok := l.groups[string(sig)]
-			if !ok {
+		if len(procs) > 0 {
+			h := sigHash(procs, counts)
+			g := l.findGroup(h, procs, counts)
+			if g == nil {
 				g = l.allocGroup()
-				g.sig = l.internSig(sig)
-				g.procs = append(g.procs[:0], l.sigProcs...)
-				g.counts = append(g.counts[:0], l.sigCounts...)
+				g.hash = h
+				g.procs = append(g.procs[:0], procs...)
+				g.counts = append(g.counts[:0], counts...)
 				g.maxCount = float64(slices.Max(g.counts))
-				l.groups[g.sig] = g
+				g.next = l.groups[h]
+				l.groups[h] = g
 				l.procGroupAdd(g)
 				// Fill the cache; with no counted members yet the
 				// violated flip inside is a no-op.
@@ -710,7 +690,7 @@ func (l *Ledger) forgetJob(rec *jobRec) {
 	if rec.prevT != nil {
 		rec.prevT.nextT = rec.nextT
 	} else {
-		l.taskHead[rec.key.tid] = rec.nextT
+		l.taskHead[rec.key.Task] = rec.nextT
 	}
 	if rec.nextT != nil {
 		rec.nextT.prevT = rec.prevT
@@ -732,13 +712,18 @@ func (l *Ledger) forgetJob(rec *jobRec) {
 // admission strategy reserves a periodic task's synthetic utilization for
 // its whole lifetime); otherwise expiry is the job's absolute deadline.
 // Adding an already-present job is an error: the admission controller must
-// not double-admit.
+// not double-admit. A task name the ledger's table does not know is bound to
+// a fresh ref.
 func (l *Ledger) AddJob(ref JobRef, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) error {
-	k := jobKey{l.internTask(ref.Task), ref.Job}
+	return l.addJob(JobKey{Task: l.tasks.intern(ref.Task, nil), Job: ref.Job}, kind, placement, permanent, expiry)
+}
+
+// addJob is AddJob by key.
+func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) error {
 	if _, ok := l.jobs[k]; ok {
-		return fmt.Errorf("sched: job %s already in ledger", ref)
+		return fmt.Errorf("sched: job %s already in ledger", l.tasks.jobRef(k))
 	}
-	if err := l.checkPlacement(ref, placement); err != nil {
+	if err := l.checkPlacement(k, placement); err != nil {
 		return err
 	}
 	rec := l.allocRec()
@@ -746,7 +731,7 @@ func (l *Ledger) AddJob(ref JobRef, kind TaskKind, placement []PlacedStage, perm
 	touched := touchedBuf[:0]
 	for _, p := range placement {
 		e := l.allocEntry()
-		e.ref = ref
+		e.key = k
 		e.stage = p.Stage
 		e.proc = p.Proc
 		e.amount = p.Util
@@ -768,13 +753,13 @@ func (l *Ledger) AddJob(ref JobRef, kind TaskKind, placement []PlacedStage, perm
 
 // checkPlacement is AddJob's argument check: every stage on a known
 // processor, no negative utilization.
-func (l *Ledger) checkPlacement(ref JobRef, placement []PlacedStage) error {
+func (l *Ledger) checkPlacement(k JobKey, placement []PlacedStage) error {
 	for _, p := range placement {
 		if p.Proc < 0 || p.Proc >= len(l.util) {
-			return fmt.Errorf("sched: job %s stage %d placed on unknown processor %d", ref, p.Stage, p.Proc)
+			return fmt.Errorf("sched: job %s stage %d placed on unknown processor %d", l.tasks.jobRef(k), p.Stage, p.Proc)
 		}
 		if p.Util < 0 {
-			return fmt.Errorf("sched: job %s stage %d has negative utilization %g", ref, p.Stage, p.Util)
+			return fmt.Errorf("sched: job %s stage %d has negative utilization %g", l.tasks.jobRef(k), p.Stage, p.Util)
 		}
 	}
 	return nil
@@ -786,7 +771,18 @@ func (l *Ledger) checkPlacement(ref JobRef, placement []PlacedStage) error {
 // jobs made only of permanent entries are left in place. It returns the
 // number of contributions removed.
 func (l *Ledger) ExpireJob(ref JobRef) int {
-	rec, ok := l.lookupJob(ref)
+	k, ok := l.key(ref)
+	if !ok {
+		return 0
+	}
+	return l.expireKey(k)
+}
+
+// expireKey is ExpireJob by key.
+//
+//rtmw:noalloc
+func (l *Ledger) expireKey(k JobKey) int {
+	rec, ok := l.jobs[k]
 	if !ok {
 		return 0
 	}
@@ -824,7 +820,16 @@ func (l *Ledger) ExpireJob(ref JobRef) int {
 // contributions under the new strategy. It returns the number of
 // contributions removed.
 func (l *Ledger) WithdrawJob(ref JobRef) int {
-	rec, ok := l.lookupJob(ref)
+	k, ok := l.key(ref)
+	if !ok {
+		return 0
+	}
+	return l.withdrawKey(k)
+}
+
+// withdrawKey is WithdrawJob by key.
+func (l *Ledger) withdrawKey(k JobKey) int {
+	rec, ok := l.jobs[k]
 	if !ok {
 		return 0
 	}
@@ -856,8 +861,16 @@ func (l *Ledger) withdrawRec(rec *jobRec) int {
 // reservation included (the task left the system). It returns the number of
 // contributions removed.
 func (l *Ledger) RemoveTask(task string) int {
-	tid, ok := l.taskIDs[task]
+	tr, ok := l.tasks.Lookup(task)
 	if !ok {
+		return 0
+	}
+	return l.removeTaskRef(tr)
+}
+
+// removeTaskRef is RemoveTask by ref.
+func (l *Ledger) removeTaskRef(tr TaskRef) int {
+	if int(tr) >= len(l.taskHead) {
 		return 0
 	}
 	// Withdraw in job order, not list order: the per-processor subtraction
@@ -865,10 +878,10 @@ func (l *Ledger) RemoveTask(task string) int {
 	// deterministic order keeps independently driven ledgers (replay
 	// harnesses, golden runs) bit-identical.
 	var recs []*jobRec
-	for rec := l.taskHead[tid]; rec != nil; rec = rec.nextT {
+	for rec := l.taskHead[tr]; rec != nil; rec = rec.nextT {
 		recs = append(recs, rec)
 	}
-	slices.SortFunc(recs, func(a, b *jobRec) int { return cmp.Compare(a.key.job, b.key.job) })
+	slices.SortFunc(recs, func(a, b *jobRec) int { return cmp.Compare(a.key.Job, b.key.Job) })
 	n := 0
 	for _, rec := range recs {
 		n += l.withdrawRec(rec)
@@ -915,13 +928,13 @@ func (l *Ledger) ResetEntry(r EntryRef) bool {
 	if !ok {
 		return false
 	}
-	return l.resetEntryRec(rec, r)
+	return l.resetEntryRec(rec, r.Stage, r.Proc)
 }
 
 // resetEntryRec is ResetEntry after the job lookup.
-func (l *Ledger) resetEntryRec(rec *jobRec, r EntryRef) bool {
+func (l *Ledger) resetEntryRec(rec *jobRec, stage, proc int) bool {
 	for _, e := range rec.entries {
-		if e.stage != r.Stage || e.proc != r.Proc {
+		if e.stage != stage || e.proc != proc {
 			continue
 		}
 		if e.permanent || !e.completed || e.removed != 0 {
@@ -943,12 +956,23 @@ func (l *Ledger) resetEntryRec(rec *jobRec, r EntryRef) bool {
 // standalone methods remain the granular API (and the differential property
 // test's ground truth).
 func (l *Ledger) ResetReported(r EntryRef) bool {
-	rec, ok := l.lookupJob(r.Ref)
+	k, ok := l.key(r.Ref)
+	if !ok {
+		return false
+	}
+	return l.resetReportedKey(Entry[JobKey]{Ref: k, Stage: r.Stage, Proc: r.Proc})
+}
+
+// resetReportedKey is ResetReported by key.
+//
+//rtmw:noalloc
+func (l *Ledger) resetReportedKey(r Entry[JobKey]) bool {
+	rec, ok := l.jobs[r.Ref]
 	if !ok {
 		return false
 	}
 	l.markCompleteRec(rec, r.Stage)
-	return l.resetEntryRec(rec, r)
+	return l.resetEntryRec(rec, r.Stage, r.Proc)
 }
 
 // CompletedOn returns the completed, still-active contributions on the given
@@ -969,7 +993,7 @@ func (l *Ledger) CompletedOn(proc int, includePeriodic bool) []EntryRef {
 		if !includePeriodic && e.kind == Periodic {
 			continue
 		}
-		out = append(out, EntryRef{Ref: e.ref, Stage: e.stage, Proc: e.proc})
+		out = append(out, EntryRef{Ref: l.tasks.jobRef(e.key), Stage: e.stage, Proc: e.proc})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Ref.Task != out[j].Ref.Task {
@@ -991,20 +1015,42 @@ func (l *Ledger) Relocate(ref JobRef, placement []PlacedStage) error {
 	if !ok {
 		return fmt.Errorf("sched: relocate: job %s not in ledger", ref)
 	}
-	byStage := make(map[int]PlacedStage, len(placement))
+	return l.relocateRec(rec, placement)
+}
+
+// relocateKey is Relocate by key.
+func (l *Ledger) relocateKey(k JobKey, placement []PlacedStage) error {
+	rec, ok := l.jobs[k]
+	if !ok {
+		return fmt.Errorf("sched: relocate: job %s not in ledger", l.tasks.jobRef(k))
+	}
+	return l.relocateRec(rec, placement)
+}
+
+// relocateRec is Relocate after the job lookup. A stage placed twice takes
+// its last placement.
+func (l *Ledger) relocateRec(rec *jobRec, placement []PlacedStage) error {
 	for _, p := range placement {
 		if p.Proc < 0 || p.Proc >= len(l.util) {
-			return fmt.Errorf("sched: relocate: job %s stage %d on unknown processor %d", ref, p.Stage, p.Proc)
+			return fmt.Errorf("sched: relocate: job %s stage %d on unknown processor %d", l.tasks.jobRef(rec.key), p.Stage, p.Proc)
 		}
-		byStage[p.Stage] = p
 	}
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
 	for _, e := range rec.entries {
-		p, ok := byStage[e.stage]
-		if !ok || e.removed != 0 || e.proc == p.Proc {
+		if e.removed != 0 {
 			continue
 		}
+		at := -1
+		for i, p := range placement {
+			if p.Stage == e.stage {
+				at = i
+			}
+		}
+		if at < 0 || e.proc == placement[at].Proc {
+			continue
+		}
+		p := placement[at]
 		l.procEntryRemove(e)
 		l.util[e.proc] -= e.amount
 		touched = touchProc(touched, e.proc)
@@ -1190,7 +1236,7 @@ func (l *Ledger) ActiveJobs() []JobRef {
 	var out []JobRef
 	for k, rec := range l.jobs {
 		if rec.active() {
-			out = append(out, JobRef{Task: l.taskNames[k.tid], Job: k.job})
+			out = append(out, l.tasks.jobRef(k))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -1219,7 +1265,7 @@ func (l *Ledger) CheckInvariants() error {
 				recomputed[e.proc] += e.amount
 				activeEntries++
 				if pe := l.procEntries[e.proc]; e.procPos < 0 || e.procPos >= len(pe) || pe[e.procPos] != e {
-					return fmt.Errorf("sched: active entry %s/%d missing from processor %d index", e.ref, e.stage, e.proc)
+					return fmt.Errorf("sched: active entry %s/%d missing from processor %d index", l.tasks.jobRef(e.key), e.stage, e.proc)
 				}
 			}
 		}
@@ -1240,10 +1286,10 @@ func (l *Ledger) CheckInvariants() error {
 		indexed += len(l.procEntries[p])
 		for _, e := range l.procEntries[p] {
 			if e.removed != 0 {
-				return fmt.Errorf("sched: removed entry %s/%d still in processor %d index", e.ref, e.stage, p)
+				return fmt.Errorf("sched: removed entry %s/%d still in processor %d index", l.tasks.jobRef(e.key), e.stage, p)
 			}
 			if e.proc != p {
-				return fmt.Errorf("sched: entry %s/%d indexed under processor %d but placed on %d", e.ref, e.stage, p, e.proc)
+				return fmt.Errorf("sched: entry %s/%d indexed under processor %d but placed on %d", l.tasks.jobRef(e.key), e.stage, p, e.proc)
 			}
 		}
 	}
@@ -1255,17 +1301,18 @@ func (l *Ledger) CheckInvariants() error {
 	// own key, and together exactly the job map. The bound ends the walk on a
 	// cycle whatever the links say.
 	taskIndexed := 0
-	for tid, head := range l.taskHead {
+	for tr, head := range l.taskHead {
 		var prev *jobRec
 		for rec := head; rec != nil; prev, rec = rec, rec.nextT {
+			name := l.tasks.Name(TaskRef(tr))
 			if taskIndexed++; taskIndexed > len(l.jobs) {
-				return fmt.Errorf("sched: task lists hold more than the job map's %d jobs (cycle or stale record in task %s)", len(l.jobs), l.taskNames[tid])
+				return fmt.Errorf("sched: task lists hold more than the job map's %d jobs (cycle or stale record in task %s)", len(l.jobs), name)
 			}
 			if rec.prevT != prev {
-				return fmt.Errorf("sched: task list of %s: job %d has a wrong back link", l.taskNames[tid], rec.key.job)
+				return fmt.Errorf("sched: task list of %s: job %d has a wrong back link", name, rec.key.Job)
 			}
-			if rec.key.tid != int32(tid) || l.jobs[rec.key] != rec {
-				return fmt.Errorf("sched: task list entry %s/%d does not match job map", l.taskNames[tid], rec.key.job)
+			if rec.key.Task != TaskRef(tr) || l.jobs[rec.key] != rec {
+				return fmt.Errorf("sched: task list entry %s/%d does not match job map", name, rec.key.Job)
 			}
 		}
 	}
@@ -1276,70 +1323,50 @@ func (l *Ledger) CheckInvariants() error {
 	members := make(map[*sigGroup]int)
 	counted := make(map[*sigGroup]int)
 	for k, rec := range l.jobs {
-		task := l.taskNames[k.tid]
-		sig, _, _ := rec.signature()
+		procs, counts := appendSignature(nil, nil, rec)
 		switch {
-		case sig == "" && rec.group != nil:
-			return fmt.Errorf("sched: inactive job %s/%d still grouped", task, k.job)
-		case sig != "" && rec.group == nil:
-			return fmt.Errorf("sched: active job %s/%d has no signature group", task, k.job)
-		case rec.group != nil && rec.group.sig != sig:
-			return fmt.Errorf("sched: job %s/%d grouped under %q, signature is %q", task, k.job, rec.group.sig, sig)
+		case len(procs) == 0 && rec.group != nil:
+			return fmt.Errorf("sched: inactive job %s still grouped", l.tasks.jobRef(k))
+		case len(procs) > 0 && rec.group == nil:
+			return fmt.Errorf("sched: active job %s has no signature group", l.tasks.jobRef(k))
+		case rec.group != nil && !rec.group.sameSig(procs, counts):
+			return fmt.Errorf("sched: job %s grouped under %v/%v, signature is %q",
+				l.tasks.jobRef(k), rec.group.procs, rec.group.counts, sigString(procs, counts))
 		}
 		if rec.group != nil {
 			members[rec.group]++
 			want := rec.inFlight() && rec.active()
 			if rec.counted != want {
-				return fmt.Errorf("sched: job %s/%d counted=%v, want %v", task, k.job, rec.counted, want)
+				return fmt.Errorf("sched: job %s counted=%v, want %v", l.tasks.jobRef(k), rec.counted, want)
 			}
 			if rec.counted {
 				counted[rec.group]++
 			}
 		}
 	}
-	wantViolated := 0
-	for sig, g := range l.groups {
-		if g.sig != sig {
-			return fmt.Errorf("sched: group keyed %q names itself %q", sig, g.sig)
-		}
-		if g.members != members[g] {
-			return fmt.Errorf("sched: group %q has %d members, records show %d", sig, g.members, members[g])
-		}
-		if g.counted != counted[g] {
-			return fmt.Errorf("sched: group %q counts %d in-flight jobs, records show %d", sig, g.counted, counted[g])
-		}
-		if len(g.counts) != len(g.procs) {
-			return fmt.Errorf("sched: group %q has %d counts for %d processors", sig, len(g.counts), len(g.procs))
-		}
-		s := l.freshSum(g)
-		// cachedSum is an upper bound on the fresh sum, and for a counted
-		// group on the same side of 1 (see sigGroup.cachedSum).
-		if s > g.cachedSum+1e-9 {
-			return fmt.Errorf("sched: group %q cached sum %g below the fresh sum %g", sig, g.cachedSum, s)
-		}
-		if g.counted > 0 && (g.cachedSum > 1) != (s > 1) {
-			return fmt.Errorf("sched: counted group %q cached sum %g and fresh sum %g on opposite sides of 1", sig, g.cachedSum, s)
-		}
-		if want := float64(slices.Max(g.counts)); g.maxCount != want {
-			return fmt.Errorf("sched: group %q max count %g, signature has %g", sig, g.maxCount, want)
-		}
-		for i, p := range g.procs {
-			pg := l.procGroups[p]
-			if i >= len(g.procPos) || g.procPos[i] < 0 || g.procPos[i] >= len(pg) || pg[g.procPos[i]] != g {
-				return fmt.Errorf("sched: group %q missing from processor %d group index", sig, p)
+	wantViolated, registered := 0, 0
+	for h, head := range l.groups {
+		for g := head; g != nil; g = g.next {
+			// Every registered group has a member job, so chains holding more
+			// groups than the job map has jobs have a cycle.
+			if registered++; registered > len(l.jobs) {
+				return fmt.Errorf("sched: group chains hold more than the job map's %d jobs (cycle under hash %#x)", len(l.jobs), h)
+			}
+			if err := l.checkGroup(h, g, members[g], counted[g]); err != nil {
+				return err
+			}
+			if g.counted > 0 && l.freshSum(g) > 1 {
+				wantViolated++
 			}
 		}
-		if g.counted > 0 && s > 1 {
-			wantViolated++
-		}
 	}
-	if len(members) != len(l.groups) {
-		return fmt.Errorf("sched: %d groups referenced by jobs, %d registered", len(members), len(l.groups))
+	if len(members) != registered {
+		return fmt.Errorf("sched: %d groups referenced by jobs, %d registered", len(members), registered)
 	}
 	for p := range l.procGroups {
 		for _, g := range l.procGroups[p] {
-			if l.groups[g.sig] != g {
-				return fmt.Errorf("sched: processor %d group index holds unregistered group %q", p, g.sig)
+			if l.findGroup(g.hash, g.procs, g.counts) != g {
+				return fmt.Errorf("sched: processor %d group index holds unregistered group %q", p, sigString(g.procs, g.counts))
 			}
 		}
 	}
@@ -1354,6 +1381,46 @@ func (l *Ledger) CheckInvariants() error {
 		// land on opposite sides, so only flag disagreements away from it.
 		if !l.nearAUBBoundary(1e-9) {
 			return fmt.Errorf("sched: indexed Admissible(nil)=%v disagrees with reference %v", fast, ref)
+		}
+	}
+	return nil
+}
+
+// checkGroup audits one registered group, found on the chain of hash h,
+// against the member and counted tallies the job records give it.
+func (l *Ledger) checkGroup(h uint64, g *sigGroup, members, counted int) error {
+	if len(g.counts) != len(g.procs) {
+		return fmt.Errorf("sched: group %v has %d counts for %d processors", g.procs, len(g.counts), len(g.procs))
+	}
+	sig := sigString(g.procs, g.counts)
+	if got := sigHash(g.procs, g.counts); g.hash != h || got != h {
+		return fmt.Errorf("sched: group %q filed under hash %#x, records %#x, hashes to %#x", sig, h, g.hash, got)
+	}
+	if l.findGroup(h, g.procs, g.counts) != g {
+		return fmt.Errorf("sched: signature %q registered twice", sig)
+	}
+	if g.members != members {
+		return fmt.Errorf("sched: group %q has %d members, records show %d", sig, g.members, members)
+	}
+	if g.counted != counted {
+		return fmt.Errorf("sched: group %q counts %d in-flight jobs, records show %d", sig, g.counted, counted)
+	}
+	s := l.freshSum(g)
+	// cachedSum is an upper bound on the fresh sum, and for a counted
+	// group on the same side of 1 (see sigGroup.cachedSum).
+	if s > g.cachedSum+1e-9 {
+		return fmt.Errorf("sched: group %q cached sum %g below the fresh sum %g", sig, g.cachedSum, s)
+	}
+	if g.counted > 0 && (g.cachedSum > 1) != (s > 1) {
+		return fmt.Errorf("sched: counted group %q cached sum %g and fresh sum %g on opposite sides of 1", sig, g.cachedSum, s)
+	}
+	if want := float64(slices.Max(g.counts)); g.maxCount != want {
+		return fmt.Errorf("sched: group %q max count %g, signature has %g", sig, g.maxCount, want)
+	}
+	for i, p := range g.procs {
+		pg := l.procGroups[p]
+		if i >= len(g.procPos) || g.procPos[i] < 0 || g.procPos[i] >= len(pg) || pg[g.procPos[i]] != g {
+			return fmt.Errorf("sched: group %q missing from processor %d group index", sig, p)
 		}
 	}
 	return nil

@@ -80,6 +80,27 @@ func TestRemovalReasonString(t *testing.T) {
 
 func place(stages ...PlacedStage) []PlacedStage { return stages }
 
+// allGroups lists every registered signature group, down each hash chain.
+func allGroups(l *Ledger) []*sigGroup {
+	var out []*sigGroup
+	for _, head := range l.groups {
+		for g := head; g != nil; g = g.next {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// groupOf returns the registered group whose signature renders as sig.
+func groupOf(l *Ledger, sig string) *sigGroup {
+	for _, g := range allGroups(l) {
+		if sigString(g.procs, g.counts) == sig {
+			return g
+		}
+	}
+	return nil
+}
+
 func TestLedgerAddAndExpire(t *testing.T) {
 	l := NewLedger(3)
 	ref := JobRef{Task: "t1", Job: 0}
@@ -495,7 +516,7 @@ func TestAdmissibleManyGroups(t *testing.T) {
 	}
 	summed := func() int {
 		n := 0
-		for _, g := range l.groups {
+		for _, g := range allGroups(l) {
 			if g.scanned == l.scan {
 				n++
 			}
@@ -570,7 +591,7 @@ func TestAdmissibleManyGroups(t *testing.T) {
 		if !l.Admissible(place(PlacedStage{Stage: 0, Proc: 0, Util: 0.01}, PlacedStage{Stage: 1, Proc: spare, Util: 0.5})) {
 			t.Fatal("light candidate rejected")
 		}
-		old := l.groups["0:1,1:1,2:1"]
+		old := groupOf(l, "0:1,1:1,2:1")
 		if old == nil || old.scanned != l.scan {
 			t.Fatal("group {0,1,2} missing or not summed")
 		}
@@ -591,7 +612,7 @@ func TestAdmissibleManyGroups(t *testing.T) {
 			PlacedStage{Stage: 2, Proc: 3, Util: w}), false, time.Hour); err != nil {
 			t.Fatal(err)
 		}
-		if l.groups["0:1,3:2"] != old {
+		if groupOf(l, "0:1,3:2") != old {
 			t.Fatal("new signature did not reuse the recycled record")
 		}
 		if !l.Admissible(nil) {
@@ -629,7 +650,7 @@ func TestAdmissibleManyGroups(t *testing.T) {
 		heavy := add("heavy", 0.4)
 		l.MarkComplete(heavy, 0)
 		l.ExpireJob(heavy)
-		g := l.groups["0:1"]
+		g := groupOf(l, "0:1")
 		if g == nil || g.counted != 0 || g.cachedSum <= 1 || l.violated != 0 {
 			t.Fatalf("want group {0} uncounted with a stale sum above 1 and nothing violated, got %+v, violated %d", g, l.violated)
 		}

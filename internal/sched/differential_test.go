@@ -2,7 +2,9 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -102,7 +104,7 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 		for p := range l.procGroups {
 			maxGroups = max(maxGroups, len(l.procGroups[p]))
 		}
-		for _, g := range l.groups {
+		for _, g := range allGroups(l) {
 			if g.cachedSum > l.freshSum(g) {
 				stale++
 			}
@@ -148,7 +150,7 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 
 	for step := 0; step < ops; step++ {
 		var op string
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0, 1, 2:
 			addJob(step)
 			op = "AddJob"
@@ -206,6 +208,57 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 			}
 			live = kept
 			op = "RemoveTask"
+		case 10: // Re-add a removed name, then replay the removed incarnation.
+			task := fmt.Sprintf("t%d", rng.Intn(shape.tasks))
+			old, ok := l.tasks.Lookup(task)
+			if !ok {
+				continue
+			}
+			// The new incarnation's job takes a number one of the old one's
+			// jobs had, so a stale key that resolved by name would hit it.
+			job := nextJob
+			kept := live[:0]
+			for _, ref := range live {
+				if ref.Task != task {
+					kept = append(kept, ref)
+				} else if job == nextJob {
+					job = ref.Job
+				}
+			}
+			if job == nextJob {
+				nextJob++
+			}
+			live = kept
+			l.RemoveTask(task)
+			l.tasks.Drop(task) // what a binding does, so the name gets a fresh ref
+			ref := JobRef{Task: task, Job: job}
+			pl := randPlacement(shape.addUtil)
+			if !shape.admitOnly || l.Admissible(pl) {
+				if err := l.AddJob(ref, Aperiodic, pl, false, time.Duration(step)*time.Millisecond); err != nil {
+					t.Fatalf("step %d: AddJob(%s) after re-adding the name: %v", step, ref, err)
+				}
+				live = append(live, ref)
+			}
+			utils, active := l.Utils(), l.ActiveJobs()
+			stale := JobKey{Task: old, Job: job}
+			if n := l.expireKey(stale); n != 0 {
+				t.Fatalf("step %d: ExpireJob of the removed incarnation's %s removed %d contributions", step, ref, n)
+			}
+			if l.resetReportedKey(Entry[JobKey]{Ref: stale, Stage: 0, Proc: pl[0].Proc}) {
+				t.Fatalf("step %d: ResetReported of the removed incarnation's %s released utilization", step, ref)
+			}
+			if err := l.relocateKey(stale, randPlacement(shape.moveUtil)); err == nil {
+				t.Fatalf("step %d: Relocate of the removed incarnation's %s found a job", step, ref)
+			}
+			for p, u := range l.Utils() {
+				if math.Float64bits(u) != math.Float64bits(utils[p]) {
+					t.Fatalf("step %d: replaying the removed incarnation moved processor %d: %g, was %g", step, p, u, utils[p])
+				}
+			}
+			if got := l.ActiveJobs(); !slices.Equal(got, active) {
+				t.Fatalf("step %d: replaying the removed incarnation changed the active jobs: %v, were %v", step, got, active)
+			}
+			op = "ReAdd"
 		}
 		checkAgreement(step, op)
 	}
@@ -214,7 +267,8 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 
 // TestLedgerDifferentialAdmissible is the differential property test for the
 // indexed admission fast path: random AddJob/ExpireJob/MarkComplete/
-// ResetEntry/Relocate/RemoveTask sequences must leave the indexed Admissible
+// ResetEntry/Relocate/RemoveTask sequences, and re-adds of a removed name
+// whose replayed stale operations must all be no-ops, must leave the indexed Admissible
 // decision-equivalent to the full-scan reference on every query, with all
 // ledger indexes passing CheckInvariants at every step. The wide subtests
 // must actually reach the perturbed-group scan at group counts the narrow
@@ -329,8 +383,8 @@ func TestLedgerAdmissibleSkipsUntouchedJobs(t *testing.T) {
 		}
 	}
 	// 500 jobs collapse into 3 signature groups.
-	if len(l.groups) != 3 {
-		t.Fatalf("got %d signature groups, want 3", len(l.groups))
+	if len(allGroups(l)) != 3 {
+		t.Fatalf("got %d signature groups, want 3", len(allGroups(l)))
 	}
 	// A candidate on the untouched processor 3 perturbs no group.
 	cand := []PlacedStage{{Stage: 0, Proc: 3, Util: 0.2}}

@@ -293,7 +293,8 @@ func utilBits(sl *ShardedLedger) []uint64 {
 
 // TestShardedAdmitWithdrawAllocFree holds the admission round trip the AC
 // runs per job — TestAndAdd, then WithdrawJob — to zero allocations once the
-// task's job list exists. The repo benchmark's sched.admit_* rows time it.
+// task's job list exists, and the simulation's by ref — admit, idle reset,
+// expire — too. The repo benchmark's sched.admit_* rows time the first.
 func TestShardedAdmitWithdrawAllocFree(t *testing.T) {
 	sl := NewShardedLedger(8, 1)
 	placement := place(PlacedStage{Stage: 0, Proc: 3, Util: 0.001})
@@ -311,8 +312,30 @@ func TestShardedAdmitWithdrawAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, admitWithdraw); allocs != 0 {
 		t.Errorf("TestAndAdd + WithdrawJob allocates %v times per job, want 0", allocs)
 	}
+	// The simulation's round trip by ref: admit, the idle report of the
+	// completed stage, then the deadline expiry.
+	tr, _ := sl.l.tasks.Lookup("churn")
+	admitResetExpire := func() {
+		k := JobKey{Task: tr, Job: job}
+		job++
+		if ok, err := sl.TestAndAddKey(k, Aperiodic, placement, false, time.Hour); !ok || err != nil {
+			t.Fatalf("TestAndAddKey(%v) = %v, %v", k, ok, err)
+		}
+		if !sl.ResetReportedKey(Entry[JobKey]{Ref: k, Stage: 0, Proc: 3}) {
+			t.Fatalf("ResetReportedKey(%v) released nothing", k)
+		}
+		if n := sl.ExpireKey(k); n != 0 {
+			t.Fatalf("ExpireKey(%v) removed %d contributions after the reset, want 0", k, n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, admitResetExpire); allocs != 0 {
+		t.Errorf("TestAndAddKey + ResetReportedKey + ExpireKey allocates %v times per job, want 0", allocs)
+	}
 	if err := sl.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if n := len(sl.ActiveJobs()); n != 0 {
+		t.Errorf("%d jobs left after the round trips", n)
 	}
 }
 

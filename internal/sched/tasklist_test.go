@@ -115,10 +115,10 @@ func TestCheckInvariantsAuditsTaskLists(t *testing.T) {
 		// The walk ends: a record met twice has a second predecessor.
 		{"cycle", func(l *Ledger, recs []*jobRec) { recs[0].nextT = recs[2] }, "wrong back link"},
 		{"dropped record", func(l *Ledger, recs []*jobRec) { recs[1].nextT = nil }, "task lists hold 3 jobs, job map holds 4"},
-		{"wrong key", func(l *Ledger, recs []*jobRec) { recs[1].key.job = 7 }, "does not match job map"},
+		{"wrong key", func(l *Ledger, recs []*jobRec) { recs[1].key.Job = 7 }, "does not match job map"},
 		{"wrong task", func(l *Ledger, recs []*jobRec) {
 			b, _ := l.lookupJob(JobRef{Task: "b", Job: 0})
-			l.taskHead[b.key.tid], l.taskHead[recs[0].key.tid] = l.taskHead[recs[0].key.tid], b
+			l.taskHead[b.key.Task], l.taskHead[recs[0].key.Task] = l.taskHead[recs[0].key.Task], b
 		}, "does not match job map"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
