@@ -357,9 +357,11 @@ func (c *Cluster) AddTasks(tasks []*sched.Task) error {
 // RemoveTasks withdraws tasks from the running deployment: under the same
 // quiesce protocol, the admission controller releases the departed tasks'
 // remaining ledger contributions (including per-task reservations) and every
-// task effector drops their holds and cached decisions. Jobs already
-// released keep executing on the still-installed subtask components — no
-// admitted job is lost — and those instances go inert once drained.
+// task effector drops their cached decisions. A job still awaiting its
+// decision is refused by the admission controller and skipped by its
+// effector. Jobs already released keep executing on the still-installed
+// subtask components — no admitted job is lost — and those instances go
+// inert once drained.
 func (c *Cluster) RemoveTasks(ids []string) error {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
@@ -484,8 +486,10 @@ func (c *Cluster) tapRelease(node string) eventchan.Handler {
 	}
 }
 
-// tapAccept observes rejection decisions on the manager's channel (accepted
-// decisions surface as releases on the application nodes).
+// tapAccept observes rejections: Accept decisions on the manager's channel,
+// as soon as the AC makes them, and the effectors' Skip events for the jobs
+// no Accept named. Accepted decisions surface as releases on the
+// application nodes.
 func (c *Cluster) tapAccept(node string) eventchan.Handler {
 	return func(ev eventchan.Event) {
 		if !c.hub.Active() || ev.Source != node {
@@ -513,6 +517,7 @@ func (c *Cluster) observe(app *live.Node) {
 	app.Channel.Subscribe(live.EvRelease, hop)
 	app.Channel.Subscribe(live.EvTrigger, hop)
 	app.Channel.Subscribe(live.EvDone, c.observeDone(app.Name))
+	app.Channel.Subscribe(live.EvSkip, c.tapAccept(app.Name))
 }
 
 // completions is the cluster's job-completion accounting (see observeDone).

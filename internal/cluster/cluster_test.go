@@ -175,3 +175,51 @@ func TestClusterStartValidation(t *testing.T) {
 		t.Error("Start accepted invalid config")
 	}
 }
+
+// TestClusterPerTaskRejectionWatchedPerJob pins the watch contract for
+// skips on the live binding: a periodic task that fails its per-task
+// admission test under T_N_N, submitted k times, yields k WatchRejected
+// events, whether a job was answered by the AC, held behind that answer or
+// settled from the cached rejection.
+func TestClusterPerTaskRejectionWatchedPerJob(t *testing.T) {
+	w, err := spec.Parse([]byte(`{"name": "hog", "processors": 1, "tasks": [
+	  {"id": "hog", "kind": "periodic", "period": "100ms", "deadline": "100ms",
+	   "subtasks": [{"exec": "95ms", "processor": 0}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Start(Options{Workload: w, Config: core.Config{AC: core.StrategyPerTask, IR: core.StrategyNone, LB: core.StrategyNone}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	watch, err := c.Watch(core.WatchOptions{Kinds: []core.WatchKind{core.WatchRejected}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 6
+	for i := 0; i < k; i++ {
+		if _, err := c.Submit("hog"); err != nil {
+			t.Fatal(err)
+		}
+		if i == k/2 {
+			// Let the first decision land, so the rest settle from the cache.
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	jobs := map[int64]bool{}
+	for timeout := time.After(5 * time.Second); len(jobs) < k; {
+		select {
+		case ev := <-watch.Events():
+			if jobs[ev.Job] {
+				t.Fatalf("job %d rejected twice", ev.Job)
+			}
+			jobs[ev.Job] = true
+		case <-timeout:
+			t.Fatalf("%d WatchRejected events for %d skipped jobs, want %d", len(jobs), k, k)
+		}
+	}
+	if s := c.Snapshot(); s.Arrived != k || s.Skipped != k {
+		t.Errorf("snapshot %+v, want %d arrivals, all skipped", s, k)
+	}
+}

@@ -106,7 +106,7 @@ func TestTaskEffectorSurvivesManagerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := te1.Arrive("alert"); err != nil {
+	if _, err := te1.SubmitJob("alert"); err != nil {
 		t.Fatalf("baseline arrival failed: %v", err)
 	}
 
@@ -121,7 +121,7 @@ func TestTaskEffectorSurvivesManagerLoss(t *testing.T) {
 	for time.Now().Before(deadline) {
 		done := make(chan error, 1)
 		go func() {
-			_, err := te1.Arrive("alert")
+			_, err := te1.SubmitJob("alert")
 			done <- err
 		}()
 		select {

@@ -263,6 +263,8 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 			ID: fmt.Sprintf("TE-%d", i), Node: nodeOf[i], Implementation: live.ImplTaskEffector,
 			ConfigProperties: []deploy.ConfigProperty{
 				deploy.StringProperty(live.AttrProcessor, strconv.Itoa(i)),
+				deploy.StringProperty(live.AttrACStrategy, cfg.AC.String()),
+				deploy.StringProperty(live.AttrLBStrategy, cfg.LB.String()),
 				deploy.StringProperty(live.AttrWorkload, workload),
 			},
 		})
@@ -327,7 +329,7 @@ func subtaskInstances(tasks []*sched.Task, nodeOf map[int]string) []deploy.Insta
 // a running deployment — described by the plan it was launched from — to the
 // target strategy combination: per-instance attribute updates for the
 // strategy-bearing components (the central AC and LB, every idle resetter,
-// and every task effector's cache reset) plus the federation routes the new
+// and every task effector's AC and LB) plus the federation routes the new
 // configuration needs that the plan does not already wire. The target is
 // validated through the same feasibility rules as a fresh configuration, so
 // a contradictory combination is rejected before anything touches the
@@ -376,9 +378,10 @@ func ReconfigDelta(p *deploy.Plan, to core.Config) (*deploy.Delta, error) {
 				Attrs: map[string]string{live.AttrIRStrategy: to.IR.String()},
 			})
 		case live.ImplTaskEffector:
-			// Epoch-only update: drops the cached per-task decisions.
+			// The hold rule and the per-task cache follow the AC and LB.
 			d.Updates = append(d.Updates, deploy.InstanceUpdate{
-				ID: inst.ID, Node: inst.Node, Attrs: map[string]string{},
+				ID: inst.ID, Node: inst.Node,
+				Attrs: map[string]string{live.AttrACStrategy: to.AC.String(), live.AttrLBStrategy: to.LB.String()},
 			})
 		}
 	}

@@ -376,11 +376,11 @@ func TestReconfigDelta(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"TE-0", "TE-1"} {
-		if te, ok := updates[id]; !ok || len(te) != 0 {
-			t.Errorf("%s update = %v (want epoch-only)", id, te)
+		if te, ok := updates[id]; !ok || len(te) != 2 || te[live.AttrACStrategy] != "J" || te[live.AttrLBStrategy] != "J" {
+			t.Errorf("%s update = %v (want the AC and LB strategies)", id, te)
 		}
 	}
-	// The AC update must come first: policy swaps before cache resets.
+	// The AC update must come first: policy swaps before the effectors'.
 	if d.Updates[0].ID != "Central-AC" {
 		t.Errorf("first update = %s, want Central-AC", d.Updates[0].ID)
 	}

@@ -378,9 +378,30 @@ func (c *Controller) placeFor(ref sched.TaskRef, t *sched.Task) []sched.PlacedSt
 // virtual time now, and returns the admission decision. For accepted jobs
 // whose contributions expire (everything except per-task periodic
 // reservations), the caller must arrange to call ExpireJob at now +
-// t.Deadline. A task name the controller has not seen gets a fresh ref.
+// t.Deadline; Decide says when. A task name the controller has not seen
+// gets a fresh ref.
 func (c *Controller) Arrive(t *sched.Task, job int64, now time.Duration) Decision {
 	return c.arrive(sched.JobKey{Task: c.tasks.Intern(t), Job: job}, t, now)
+}
+
+// Decide is the AC's decide step for job number job of task t, which
+// arrived at arrival and is decided at now. It returns the decision,
+// whether the task effector may cache it as the task's policy, and the
+// instant the job's contributions expire: never before now, and zero when
+// nothing expires (a rejection, or a permanent per-task reservation).
+func (c *Controller) Decide(t *sched.Task, job int64, arrival, now time.Duration) (Decision, bool, time.Duration) {
+	return c.decide(sched.JobKey{Task: c.tasks.Intern(t), Job: job}, t, arrival, now)
+}
+
+// decide is Decide for job k of task t, k.Task being t's ref.
+func (c *Controller) decide(k sched.JobKey, t *sched.Task, arrival, now time.Duration) (Decision, bool, time.Duration) {
+	d := c.arrive(k, t, arrival)
+	var expireAt time.Duration
+	if d.Accept && !d.Reserved {
+		expireAt = max(arrival+t.Deadline, now)
+	}
+	_, cached := c.cfg.perTask(t.Kind)
+	return d, cached, expireAt
 }
 
 // arrive is Arrive for job k of task t, k.Task being t's ref.

@@ -58,36 +58,18 @@ func (c SimConfig) withDefaults() SimConfig {
 	return c
 }
 
-// teState is the task effector's per-task memory on the arrival processor:
-// under per-task admission control it caches the decision so subsequent jobs
-// of an admitted periodic task are released immediately without a round trip
-// (the TE component's "Per-task" attribute).
-type teState struct {
-	decided   bool
-	accept    bool
-	placement []sched.PlacedStage
-	waiting   []pendingJob
-	requested bool
-}
-
-// simTask is one task's runtime state in the simulation: its TE memory, next
-// job number and metric accumulator. It is created at the task's first
-// arrival, cut from a chunk of simChunk, so a task that never arrives costs
-// one nil pointer.
+// simTask is one task's runtime state in the simulation: its task effector
+// state machine, next job number and metric accumulator. It is created at
+// the task's first arrival, cut from a chunk of simChunk, so a task that
+// never arrives costs one nil pointer.
 type simTask struct {
-	te      teState
+	eff     Effector
 	nextJob int64
 	acc     *MetricAcc
 }
 
 // simChunk is how many simTask records one allocation holds.
 const simChunk = 64
-
-// pendingJob is a job held in the task effector's waiting queue.
-type pendingJob struct {
-	job     int64
-	arrival time.Duration
-}
 
 // Typed simulation event kinds. Every hot-path transition of the simulated
 // middleware is a des.Event dispatched through SimSystem.HandleEvent, so
@@ -107,7 +89,7 @@ const (
 	// absolute deadline. A = task, N = job.
 	evExpire
 	// evDeliver applies the AC decision back at the task effector after one
-	// link delay. A = task, B = decision pool slot, N = job, D = arrival.
+	// link delay. A = task, B = decision pool slot, N = job.
 	evDeliver
 	// evStageDone is a subjob completion delivered by the simulated
 	// processor. A = released-job pool slot, B = stage.
@@ -144,6 +126,13 @@ type reconfigOp struct {
 	to         Config
 	report     *ReconfigReport
 	quiescedAt time.Duration
+}
+
+// verdict is a decide step's output parked while its "Accept" event crosses
+// the link: the decision and whether the task effector may cache it.
+type verdict struct {
+	d     Decision
+	cache bool
 }
 
 // relJob is one released, in-flight job in the pooled job table: the state
@@ -207,10 +196,12 @@ type SimSystem struct {
 	// Pools for in-flight event payloads too wide for a des.Event.
 	jobs      []relJob
 	freeJobs  []int32
-	decs      []Decision
+	decs      []verdict
 	freeDecs  []int32
 	irReports [][]sched.Entry[sched.JobKey]
 	freeReps  []int32
+	// acts is the effector's reusable action buffer.
+	acts []Action
 }
 
 // NewSimSystem builds a simulation over the given tasks. Tasks are cloned;
@@ -347,6 +338,7 @@ func (s *SimSystem) task(ti int32) *simTask {
 	st := &s.slab[0]
 	s.slab = s.slab[1:]
 	st.acc = s.metrics.Acc(s.tasks[ti])
+	st.eff.Epoch(s.epoch, s.cfg.Strategies, s.tasks[ti].Kind)
 	s.state[ti] = st
 	return st
 }
@@ -405,16 +397,11 @@ func (s *SimSystem) Submit(taskID string) (Admission, error) {
 	if !ok {
 		return adm, fmt.Errorf("core: sim: submit: %w: %q", ErrUnknownTask, taskID)
 	}
-	ti := int32(tr)
-	t, st := s.tasks[ti], s.task(ti)
-	job := st.nextJob
-	st.nextJob = job + 1
-	now := s.eng.Now()
-	st.acc.Arrived()
-	s.record(TraceArrived, sched.JobRef{Task: t.ID, Job: job}, -1, t.Subtasks[0].Processor)
-
-	adm.Job = job
-	adm.Outcome, adm.Reason, adm.Placement = s.routeArrival(ti, job, now)
+	a, deferred := s.admit(int32(tr), s.eng.Now())
+	adm = a.Admission(taskID)
+	if deferred {
+		adm.Reason = "reconfiguration quiesce: arrival deferred"
+	}
 	return adm, nil
 }
 
@@ -486,12 +473,7 @@ func (s *SimSystem) AddTasks(tasks []*sched.Task) error {
 		if s.started && !s.cfg.ExternalArrivals {
 			s.scheduleFirstArrival(i, now)
 		}
-		if s.hub.Active() {
-			s.hub.Emit(WatchEvent{
-				Kind: WatchTaskAdded, Task: s.tasks[i].ID, Job: -1,
-				At: now, Config: s.cfg.Strategies, Epoch: s.epoch,
-			})
-		}
+		s.emit(WatchTaskAdded, i, -1, nil, 0)
 	}
 	return nil
 }
@@ -518,18 +500,12 @@ func (s *SimSystem) RemoveTasks(ids []string) error {
 		seen[id] = true
 		tis[i] = int32(tr)
 	}
-	now := s.eng.Now()
 	for _, ti := range tis {
 		t := s.tasks[ti]
 		s.removed[ti] = true
 		// Withdraws the ref's ledger state and unbinds the name.
 		s.ctrl.RemoveTask(t.ID)
-		if s.hub.Active() {
-			s.hub.Emit(WatchEvent{
-				Kind: WatchTaskRemoved, Task: t.ID, Job: -1,
-				At: now, Config: s.cfg.Strategies, Epoch: s.epoch,
-			})
-		}
+		s.emit(WatchTaskRemoved, ti, -1, nil, 0)
 	}
 	s.reassignPriorities()
 	return nil
@@ -679,11 +655,11 @@ func (s *SimSystem) beginQuiesce(idx int32) {
 
 // swapConfig atomically installs the target configuration once the quiesce
 // window has drained every in-flight decision round trip: the controller
-// rebases its ledger and decision memory, task-effector per-task caches
-// reset (they were decided under the old configuration), idle resetters
-// swap their rule, and the deferred arrivals replay — with their original
-// arrival times — under the new configuration. No admitted job is touched:
-// released jobs keep executing on their old placements.
+// rebases its ledger and decision memory, the task effectors enter the new
+// epoch (forgetting decisions made under the old configuration), idle
+// resetters swap their rule, and the deferred arrivals replay — with their
+// original arrival times — under the new configuration. No admitted job is
+// touched: released jobs keep executing on their old placements.
 func (s *SimSystem) swapConfig(idx int32) {
 	op := &s.reconfigs[idx]
 	from := s.cfg.Strategies
@@ -693,24 +669,11 @@ func (s *SimSystem) swapConfig(idx int32) {
 		panic(fmt.Sprintf("core: sim: reconfigure to %s: %v", op.to, err))
 	}
 	s.cfg.Strategies = op.to
-
-	// Reset effector memory: per-task decisions and placements were made
-	// under the old configuration. Any job somehow still waiting for a
-	// decision (none can be, after the quiesce window) joins the deferred
-	// replay so no arrival is ever dropped.
+	s.epoch++
 	for i, task := range s.state {
-		if task == nil {
-			continue
+		if task != nil {
+			task.eff.Epoch(s.epoch, op.to, s.tasks[i].Kind)
 		}
-		st := &task.te
-		for _, w := range st.waiting {
-			s.deferred = append(s.deferred, deferredArrival{task: int32(i), job: w.job, arrival: w.arrival})
-		}
-		st.waiting = st.waiting[:0]
-		st.decided = false
-		st.accept = false
-		st.placement = nil
-		st.requested = false
 	}
 
 	// Idle resetters swap their rule; processors gain or drop the idle
@@ -725,7 +688,6 @@ func (s *SimSystem) swapConfig(idx int32) {
 		}
 	}
 
-	s.epoch++
 	s.quiescing = false
 	deferred := s.deferred
 	s.deferred = nil
@@ -741,12 +703,7 @@ func (s *SimSystem) swapConfig(idx int32) {
 		ReservationsReleased: released,
 	}
 	s.reports = append(s.reports, *op.report)
-	if s.hub.Active() {
-		s.hub.Emit(WatchEvent{
-			Kind: WatchReconfigured, Task: "", Job: -1,
-			At: s.eng.Now(), Config: op.to, Epoch: s.epoch,
-		})
-	}
+	s.emit(WatchReconfigured, -1, -1, nil, 0)
 	for _, d := range deferred {
 		s.routeArrival(d.task, d.job, d.arrival)
 	}
@@ -793,9 +750,12 @@ func (s *SimSystem) HandleEvent(ev des.Event) {
 	case evExpire:
 		s.ctrl.expire(sched.JobKey{Task: sched.TaskRef(ev.A), Job: ev.N})
 	case evDeliver:
-		d := s.decs[ev.B]
+		v := s.decs[ev.B]
 		s.freeDec(ev.B)
-		s.deliverDecision(ev.A, ev.N, ev.D, d)
+		s.acts = s.state[ev.A].eff.Decided(ev.N, v.d, v.cache, s.epoch, s.acts[:0])
+		for _, a := range s.acts {
+			s.do(ev.A, a)
+		}
 	case evStageDone:
 		s.stageDone(ev.A, ev.B)
 	case evStageStart:
@@ -825,155 +785,98 @@ func (s *SimSystem) arrive(ti int32) {
 	if now > s.cfg.Horizon {
 		return
 	}
-	st := s.task(ti)
-	job := st.nextJob
-	st.nextJob = job + 1
-
-	// Schedule the next arrival.
-	var next time.Duration
-	if t.Kind == sched.Periodic {
-		next = now + t.Period
-	} else {
+	next := now + t.Period
+	if t.Kind == sched.Aperiodic {
 		next = now + s.exp(t.MeanInterarrival)
 	}
 	if next <= s.cfg.Horizon {
 		s.eng.AtEvent(next, s, des.Event{Kind: evArrive, A: ti})
 	}
+	s.admit(ti, now)
+}
 
+// admit numbers the next job of task ti, arrived at now, accounts it and
+// routes it.
+func (s *SimSystem) admit(ti int32, now time.Duration) (Action, bool) {
+	t, st := s.tasks[ti], s.task(ti)
+	job := st.nextJob
+	st.nextJob++
 	st.acc.Arrived()
 	s.record(TraceArrived, sched.JobRef{Task: t.ID, Job: job}, -1, t.Subtasks[0].Processor)
-	s.routeArrival(ti, job, now)
+	return s.routeArrival(ti, job, now)
 }
 
-// routeArrival runs the task effector's decision routing for one arrived
-// job: while admission is quiesced the arrival defers; otherwise the TE's
-// per-task fast path applies or a "Task Arrive" round trip starts. Deferred
-// arrivals replay through this same path — with their original arrival
-// times — once the reconfiguration swap installs the new configuration.
-//
-// It returns the arrival's immediate resolution — Accepted/Rejected when
-// the per-task cache decided synchronously, Pending otherwise — which is
-// exactly what Submit reports as the typed Admission, so the fast-path
-// predicate lives in one place. The workload's own arrivals ignore it.
-func (s *SimSystem) routeArrival(ti int32, job int64, arrival time.Duration) (AdmissionOutcome, string, []sched.PlacedStage) {
+// routeArrival hands one arrived job to its task effector: while admission
+// is quiesced the arrival defers (deferred reports it); otherwise the
+// effector's action is carried out and returned, so Submit can report the
+// arrival's immediate resolution. Deferred arrivals replay through this same
+// path — with their original arrival times — once the reconfiguration swap
+// installs the new configuration.
+func (s *SimSystem) routeArrival(ti int32, job int64, arrival time.Duration) (a Action, deferred bool) {
 	if s.quiescing {
 		s.deferred = append(s.deferred, deferredArrival{task: ti, job: job, arrival: arrival})
-		return AdmissionPending, "reconfiguration quiesce: arrival deferred", nil
+		return Action{Kind: ActHold, Job: job, Arrival: arrival}, true
 	}
-	t := s.tasks[ti]
-
-	// The TE's Per-task fast path: jobs of a decided periodic task under
-	// per-task admission control release (or skip) immediately, except when
-	// LB-per-job requires a fresh placement from the manager.
-	if t.Kind == sched.Periodic && s.cfg.Strategies.AC == StrategyPerTask {
-		st := &s.state[ti].te
-		if st.decided && s.cfg.Strategies.LB != StrategyPerJob {
-			if st.accept {
-				s.release(ti, job, st.placement, arrival)
-				return AdmissionAccepted, "", st.placement
-			}
-			s.skipJob(ti, job)
-			return AdmissionRejected, "per-task admission decision cached as rejected", nil
-		}
-		if !st.decided {
-			// Hold the job until the first decision returns; only one "Task
-			// Arrive" round trip is outstanding per task.
-			st.waiting = append(st.waiting, pendingJob{job: job, arrival: arrival})
-			if !st.requested {
-				st.requested = true
-				s.requestDecision(ti, job, arrival)
-			}
-			return AdmissionPending, "admission decision round trip in flight", nil
-		}
-		// Decided + LB-per-job: round trip for the new placement.
-	}
-
-	s.requestDecision(ti, job, arrival)
-	return AdmissionPending, "admission decision round trip in flight", nil
+	a = s.state[ti].eff.Arrive(job, arrival)
+	s.do(ti, a)
+	return a, false
 }
 
-// requestDecision models the TE pushing a "Task Arrive" event to the AC; the
-// manager-side decision and the "Accept" event back are chained typed
-// events.
-func (s *SimSystem) requestDecision(ti int32, job int64, arrival time.Duration) {
-	s.links.SendEvent(s, des.Event{Kind: evManagerArrive, A: ti, N: job, D: arrival})
+// do carries out one effector action for task ti: a request is the TE
+// pushing a "Task Arrive" event to the AC, whose decision and "Accept" event
+// back are chained typed events.
+func (s *SimSystem) do(ti int32, a Action) {
+	switch a.Kind {
+	case ActRequest:
+		s.links.SendEvent(s, des.Event{Kind: evManagerArrive, A: ti, N: a.Job, D: a.Arrival})
+	case ActRelease:
+		s.release(ti, a.Job, a.Placement, a.Arrival)
+	case ActSkip:
+		s.skipJob(ti, a.Job)
+	}
 }
 
-// decide runs the manager-side admission decision and pushes the "Accept"
-// (or reject) event back to the releasing task effector.
+// decide runs the manager-side decide step and pushes the "Accept" (or
+// reject) event back to the releasing task effector.
 func (s *SimSystem) decide(ti int32, job int64, arrival time.Duration) {
-	t := s.tasks[ti]
-	if s.removed[ti] {
-		// The task was withdrawn while this round trip was in flight: deliver
-		// a rejection through the normal path, so waiting queues drain and
-		// the arrival is accounted exactly once.
-		di := s.allocDec(Decision{})
-		s.links.SendEvent(s, des.Event{Kind: evDeliver, A: ti, B: di, N: job, D: arrival})
-		return
-	}
-	d := s.ctrl.arrive(sched.JobKey{Task: sched.TaskRef(ti), Job: job}, t, arrival)
-	if d.Accept && !d.Reserved {
-		// One expiry event per accepted job: with the indexed ledger the
-		// event is an O(1) lookup (a no-op when idle resetting already
-		// drained the job), so the drain tail stays cheap even at large
-		// in-flight job counts. A deferred arrival replayed after a
-		// reconfiguration can carry a deadline already in the past; its
-		// expiry then fires immediately instead of scheduling backwards.
-		expireAt := arrival + t.Deadline
-		if now := s.eng.Now(); expireAt < now {
-			expireAt = now
+	var v verdict
+	// A task withdrawn while this round trip was in flight gets a rejection
+	// through the normal path, so the arrival is accounted exactly once.
+	if !s.removed[ti] {
+		var expireAt time.Duration
+		v.d, v.cache, expireAt = s.ctrl.decide(sched.JobKey{Task: sched.TaskRef(ti), Job: job}, s.tasks[ti], arrival, s.eng.Now())
+		if expireAt > 0 {
+			// One expiry event per accepted job: with the indexed ledger the
+			// event is an O(1) lookup (a no-op when idle resetting already
+			// drained the job), so the drain tail stays cheap even at large
+			// in-flight job counts.
+			s.eng.AtEvent(expireAt, s, des.Event{Kind: evExpire, A: ti, N: job})
 		}
-		s.eng.AtEvent(expireAt, s, des.Event{Kind: evExpire, A: ti, N: job})
 	}
-	// "Accept" event back to the releasing task effector; the decision waits
-	// in the pool while the event crosses the link.
-	di := s.allocDec(d)
-	s.links.SendEvent(s, des.Event{Kind: evDeliver, A: ti, B: di, N: job, D: arrival})
-}
-
-// deliverDecision applies the AC decision at the task effector(s).
-func (s *SimSystem) deliverDecision(ti int32, job int64, arrival time.Duration, d Decision) {
-	t := s.tasks[ti]
-	if t.Kind == sched.Periodic && s.cfg.Strategies.AC == StrategyPerTask {
-		st := &s.state[ti].te
-		if !st.decided {
-			st.decided = true
-			st.accept = d.Accept
-			st.placement = d.Placement
-			// Release or drop everything held in the waiting queue.
-			waiting := st.waiting
-			st.waiting = nil
-			for _, w := range waiting {
-				if d.Accept {
-					s.release(ti, w.job, d.Placement, w.arrival)
-				} else {
-					s.skipJob(ti, w.job)
-				}
-			}
-			// Keep the drained queue's capacity for any later use.
-			st.waiting = waiting[:0]
-			return
-		}
-		// LB-per-job refresh for an already-admitted task.
-		st.placement = d.Placement
-	}
-	if d.Accept {
-		s.release(ti, job, d.Placement, arrival)
-	} else {
-		s.skipJob(ti, job)
-	}
+	// The decision waits in the pool while the event crosses the link.
+	di := s.allocDec(v)
+	s.links.SendEvent(s, des.Event{Kind: evDeliver, A: ti, B: di, N: job})
 }
 
 // skipJob accounts one not-released job and notifies watchers.
 func (s *SimSystem) skipJob(ti int32, job int64) {
 	s.state[ti].acc.Skipped()
 	s.record(TraceSkipped, sched.JobRef{Task: s.tasks[ti].ID, Job: job}, -1, -1)
-	if s.hub.Active() {
-		s.hub.Emit(WatchEvent{
-			Kind: WatchRejected, Task: s.tasks[ti].ID, Job: job,
-			At: s.eng.Now(), Config: s.cfg.Strategies, Epoch: s.epoch,
-		})
+	s.emit(WatchRejected, ti, job, nil, 0)
+}
+
+// emit publishes a watch event for job job of task ti (-1 for none),
+// stamped with the virtual time, configuration and epoch, when a stream is
+// open.
+func (s *SimSystem) emit(kind WatchKind, ti int32, job int64, placement []sched.PlacedStage, resp time.Duration) {
+	if !s.hub.Active() {
+		return
 	}
+	ev := WatchEvent{Kind: kind, Job: job, At: s.eng.Now(), Placement: placement, Response: resp, Config: s.cfg.Strategies, Epoch: s.epoch}
+	if ti >= 0 {
+		ev.Task = s.tasks[ti].ID
+	}
+	s.hub.Emit(ev)
 }
 
 // release starts the job's first subjob on its assigned processor.
@@ -981,13 +884,7 @@ func (s *SimSystem) release(ti int32, job int64, placement []sched.PlacedStage, 
 	s.state[ti].acc.Released()
 	s.inFlight++
 	s.record(TraceReleased, sched.JobRef{Task: s.tasks[ti].ID, Job: job}, -1, placement[0].Proc)
-	if s.hub.Active() {
-		s.hub.Emit(WatchEvent{
-			Kind: WatchAdmitted, Task: s.tasks[ti].ID, Job: job,
-			At: s.eng.Now(), Placement: placement,
-			Config: s.cfg.Strategies, Epoch: s.epoch,
-		})
-	}
+	s.emit(WatchAdmitted, ti, job, placement, 0)
 	ji := s.allocJob(ti, job, arrival, placement)
 	s.startStage(ji, 0)
 }
@@ -1020,17 +917,9 @@ func (s *SimSystem) stageDone(ji, stage int32) {
 		s.state[ti].acc.Completed(resp)
 		s.inFlight--
 		s.record(TraceCompleted, ref, -1, proc)
-		if s.hub.Active() {
-			ev := WatchEvent{
-				Kind: WatchCompleted, Task: t.ID, Job: j.job,
-				At: now, Response: resp,
-				Config: s.cfg.Strategies, Epoch: s.epoch,
-			}
-			s.hub.Emit(ev)
-			if resp > t.Deadline {
-				ev.Kind = WatchDeadlineMiss
-				s.hub.Emit(ev)
-			}
+		s.emit(WatchCompleted, ti, j.job, nil, resp)
+		if resp > t.Deadline {
+			s.emit(WatchDeadlineMiss, ti, j.job, nil, resp)
 		}
 		s.freeJob(ji)
 		return
@@ -1077,20 +966,20 @@ func (s *SimSystem) freeJob(ji int32) {
 	s.freeJobs = append(s.freeJobs, ji)
 }
 
-// allocDec parks a decision while its "Accept" event crosses the link.
-func (s *SimSystem) allocDec(d Decision) int32 {
+// allocDec parks a verdict while its "Accept" event crosses the link.
+func (s *SimSystem) allocDec(v verdict) int32 {
 	if n := len(s.freeDecs); n > 0 {
 		di := s.freeDecs[n-1]
 		s.freeDecs = s.freeDecs[:n-1]
-		s.decs[di] = d
+		s.decs[di] = v
 		return di
 	}
-	s.decs = append(s.decs, d)
+	s.decs = append(s.decs, v)
 	return int32(len(s.decs) - 1)
 }
 
 func (s *SimSystem) freeDec(di int32) {
-	s.decs[di] = Decision{}
+	s.decs[di] = verdict{}
 	s.freeDecs = append(s.freeDecs, di)
 }
 

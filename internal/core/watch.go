@@ -20,8 +20,9 @@ const (
 	// admission decision, or the per-task cached fast path).
 	WatchAdmitted WatchKind = iota + 1
 	// WatchRejected fires when a job is skipped: the admission test rejected
-	// it, its task's cached per-task decision was a rejection, or its task was
-	// removed while the job awaited a decision.
+	// it, its task's cached per-task decision was a rejection, its task was
+	// removed while the job awaited a decision, or the request the job waited
+	// on was lost (live binding). Each skipped job gets one.
 	WatchRejected
 	// WatchCompleted fires when a job's last subjob finishes.
 	WatchCompleted

@@ -116,15 +116,8 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	if active {
 		return fmt.Errorf("%w: AC is activated; use Reconfigure", ErrAlreadyActive)
 	}
-	var cfg core.Config
-	var err error
-	if cfg.AC, err = parseStrategyAttr(attrs, AttrACStrategy); err != nil {
-		return err
-	}
-	if cfg.IR, err = parseStrategyAttr(attrs, AttrIRStrategy); err != nil {
-		return err
-	}
-	if cfg.LB, err = parseStrategyAttr(attrs, AttrLBStrategy); err != nil {
+	cfg, err := parseStrategies(attrs, core.Config{})
+	if err != nil {
 		return err
 	}
 	if err := cfg.Validate(); err != nil {
@@ -227,34 +220,25 @@ func (ac *AdmissionController) onTaskArrive(ev eventchan.Event) {
 	ac.decideRLocked(arr)
 }
 
-// decideRLocked runs one arrival end to end: decision, expiry scheduling,
-// and the epoch-stamped Accept push. Caller holds mu shared; concurrent
+// decideRLocked runs one arrival end to end: the controller's decide step,
+// the expiry timer it asks for, and the epoch-stamped Accept push. A task
+// that left the workload while its arrival was in flight is refused, so the
+// effector holding the job settles it. Caller holds mu shared; concurrent
 // decisions synchronize inside the ledger and on timerMu.
 func (ac *AdmissionController) decideRLocked(arr TaskArrive) {
 	start := time.Now()
-	t, ok := ac.tasks[arr.Task]
-	if !ok {
-		return
-	}
-	d := ac.ctrl.Arrive(t, arr.Job, time.Duration(arr.ArrivalNanos))
-	ref := sched.JobRef{Task: arr.Task, Job: arr.Job}
-	ac.replicateDecision(t, ref, arr.ArrivalNanos, d)
-	if d.Accept && !d.Reserved {
-		ac.scheduleExpiry(ref, time.Unix(0, arr.ArrivalNanos).Add(t.Deadline))
-	}
-	perTask := t.Kind == sched.Periodic &&
-		ac.cfg.AC == core.StrategyPerTask &&
-		ac.cfg.LB != core.StrategyPerJob
-
-	out := Accept{
-		Task:            arr.Task,
-		Job:             arr.Job,
-		Ok:              d.Accept,
-		Placement:       d.Placement,
-		Relocated:       d.Relocated,
-		PerTaskDecision: perTask,
-		ArrivalNanos:    arr.ArrivalNanos,
-		Epoch:           ac.epoch,
+	out := Accept{Task: arr.Task, Job: arr.Job, ArrivalNanos: arr.ArrivalNanos, Epoch: ac.epoch}
+	if t, ok := ac.tasks[arr.Task]; ok {
+		now := nowNanos()
+		d, cache, expireAt := ac.ctrl.Decide(t, arr.Job, time.Duration(arr.ArrivalNanos), time.Duration(now))
+		ref := sched.JobRef{Task: arr.Task, Job: arr.Job}
+		ac.replicateDecision(t, ref, arr.ArrivalNanos, d)
+		if expireAt > 0 {
+			ac.timerMu.Lock()
+			ac.timers[ref] = time.AfterFunc(time.Duration(int64(expireAt)-now), func() { ac.expire(ref) })
+			ac.timerMu.Unlock()
+		}
+		out.Ok, out.Placement, out.PerTaskDecision = d.Accept, d.Placement, cache
 	}
 	ac.DecisionDelay.Add(time.Since(start))
 	if ac.ch != nil {
@@ -300,13 +284,6 @@ func (ac *AdmissionController) replicateDecision(t *sched.Task, ref sched.JobRef
 	case ac.cfg.LB == core.StrategyPerJob:
 		ac.replicateRLocked(RepRecord{Kind: RepRelocate, Task: t.ID, Placement: d.Placement})
 	}
-}
-
-// scheduleExpiry registers the deadline-expiry timer for an accepted job.
-func (ac *AdmissionController) scheduleExpiry(ref sched.JobRef, at time.Time) {
-	ac.timerMu.Lock()
-	ac.timers[ref] = time.AfterFunc(time.Until(at), func() { ac.expire(ref) })
-	ac.timerMu.Unlock()
 }
 
 // Epoch returns the current reconfiguration epoch.
@@ -372,21 +349,9 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 	if !ac.quiesced {
 		return ErrNotQuiesced
 	}
-	cfg := ac.cfg
-	if _, ok := attrs[AttrACStrategy]; ok {
-		if cfg.AC, err = parseStrategyAttr(attrs, AttrACStrategy); err != nil {
-			return err
-		}
-	}
-	if _, ok := attrs[AttrIRStrategy]; ok {
-		if cfg.IR, err = parseStrategyAttr(attrs, AttrIRStrategy); err != nil {
-			return err
-		}
-	}
-	if _, ok := attrs[AttrLBStrategy]; ok {
-		if cfg.LB, err = parseStrategyAttr(attrs, AttrLBStrategy); err != nil {
-			return err
-		}
+	cfg, err := parseStrategies(attrs, ac.cfg)
+	if err != nil {
+		return err
 	}
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidStrategy, err)
@@ -587,6 +552,23 @@ func (ac *AdmissionController) CompletedOn(proc int, includePeriodic bool) []sch
 		return nil
 	}
 	return ac.ctrl.Ledger().CompletedOn(proc, includePeriodic)
+}
+
+// parseStrategies reads the strategy attributes present in attrs over cfg.
+func parseStrategies(attrs map[string]string, cfg core.Config) (core.Config, error) {
+	for _, a := range [...]struct {
+		key string
+		dst *core.Strategy
+	}{{AttrACStrategy, &cfg.AC}, {AttrIRStrategy, &cfg.IR}, {AttrLBStrategy, &cfg.LB}} {
+		if _, ok := attrs[a.key]; ok {
+			s, err := parseStrategyAttr(attrs, a.key)
+			if err != nil {
+				return cfg, err
+			}
+			*a.dst = s
+		}
+	}
+	return cfg, nil
 }
 
 // parseStrategyAttr reads one N/T/J attribute; unparseable values wrap

@@ -97,12 +97,11 @@ func DecodeTaskArrive(b []byte) (TaskArrive, error) {
 //
 //rtmw:noalloc
 func AppendAccept(dst []byte, v *Accept) []byte {
-	dst = slices.Grow(dst, 1+maxString(v.Task)+4*maxInt+3+len(v.Placement)*maxPlacedStage)
+	dst = slices.Grow(dst, 1+maxString(v.Task)+4*maxInt+2+len(v.Placement)*maxPlacedStage)
 	dst = append(dst, tagAccept)
 	dst = appendString(dst, v.Task)
 	dst = binary.AppendVarint(dst, v.Job)
 	dst = appendBool(dst, v.Ok)
-	dst = appendBool(dst, v.Relocated)
 	dst = appendBool(dst, v.PerTaskDecision)
 	dst = binary.AppendVarint(dst, v.ArrivalNanos)
 	dst = binary.AppendVarint(dst, v.Epoch)
@@ -116,7 +115,6 @@ func DecodeAccept(b []byte) (Accept, error) {
 		Task:            r.str(),
 		Job:             r.varint(),
 		Ok:              r.bool(),
-		Relocated:       r.bool(),
 		PerTaskDecision: r.bool(),
 		ArrivalNanos:    r.varint(),
 		Epoch:           r.varint(),

@@ -55,12 +55,12 @@ var payloadCodecs = []payloadCodec{
 			return TaskArrive{Task: g.str(), Job: g.i64(), Proc: g.int(), ArrivalNanos: g.i64()}
 		}),
 	codecOf("Accept", AppendAccept, DecodeAccept,
-		Accept{Task: "t1", Job: -1, Ok: true, Placement: goldenPlacement, Relocated: true, ArrivalNanos: 1000, Epoch: 7},
-		"02"+"027431"+"01"+"01"+"01"+"00"+"d00f"+"0e"+
+		Accept{Task: "t1", Job: -1, Ok: true, Placement: goldenPlacement, PerTaskDecision: true, ArrivalNanos: 1000, Epoch: 7},
+		"02"+"027431"+"01"+"01"+"01"+"d00f"+"0e"+
 			"02"+"0002"+"000000000000d03f"+"0204"+"000000000000e03f",
 		func(g *gen) Accept {
 			return Accept{Task: g.str(), Job: g.i64(), Ok: g.bool(), Placement: g.placement(),
-				Relocated: g.bool(), PerTaskDecision: g.bool(), ArrivalNanos: g.i64(), Epoch: g.i64()}
+				PerTaskDecision: g.bool(), ArrivalNanos: g.i64(), Epoch: g.i64()}
 		}),
 	codecOf("Trigger", AppendTrigger, DecodeTrigger,
 		Trigger{Task: "t1", Job: 3, Stage: 1, Placement: goldenPlacement, ArrivalNanos: 1000},

@@ -23,6 +23,12 @@ const testWorkloadJSON = `{
   ]
 }`
 
+// teAttrs configures an effector on processor proc under admission control
+// ac and no load balancing.
+func teAttrs(proc, ac string) map[string]string {
+	return map[string]string{AttrProcessor: proc, AttrACStrategy: ac, AttrLBStrategy: "N", AttrWorkload: testWorkloadJSON}
+}
+
 func acAttrs() map[string]string {
 	return map[string]string{
 		AttrACStrategy: "J",
@@ -82,26 +88,28 @@ func TestAdmissionControllerActivateRequiresConfigure(t *testing.T) {
 
 func TestTaskEffectorConfigure(t *testing.T) {
 	te := NewTaskEffector()
-	attrs := map[string]string{AttrProcessor: "1", AttrWorkload: testWorkloadJSON}
-	if err := te.Configure(attrs); err != nil {
+	if err := te.Configure(teAttrs("1", "T")); err != nil {
 		t.Fatal(err)
 	}
 	if te.Proc() != 1 {
 		t.Errorf("Proc() = %d", te.Proc())
 	}
-	if err := NewTaskEffector().Configure(map[string]string{AttrProcessor: "0"}); err == nil {
-		t.Error("Configure without workload succeeded")
+	for _, drop := range []string{AttrWorkload, AttrACStrategy, AttrLBStrategy} {
+		attrs := teAttrs("0", "T")
+		delete(attrs, drop)
+		if err := NewTaskEffector().Configure(attrs); err == nil {
+			t.Errorf("Configure without %s succeeded", drop)
+		}
 	}
-	if err := NewTaskEffector().Configure(map[string]string{
-		AttrProcessor: "zero", AttrWorkload: testWorkloadJSON,
-	}); err == nil {
+	attrs := teAttrs("zero", "T")
+	if err := NewTaskEffector().Configure(attrs); err == nil {
 		t.Error("Configure with bad processor succeeded")
 	}
 }
 
 func TestTaskEffectorArriveUnknownTask(t *testing.T) {
 	te := NewTaskEffector()
-	if err := te.Configure(map[string]string{AttrProcessor: "0", AttrWorkload: testWorkloadJSON}); err != nil {
+	if err := te.Configure(teAttrs("0", "J")); err != nil {
 		t.Fatal(err)
 	}
 	node, err := NewNode("te-test", 0, "127.0.0.1:0", 1)
@@ -112,13 +120,13 @@ func TestTaskEffectorArriveUnknownTask(t *testing.T) {
 	if err := te.Activate(&ccm.Context{Node: "te-test", ORB: node.ORB, Events: node.Channel}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := te.Arrive("ghost"); err == nil {
+	if _, err := te.SubmitJob("ghost"); err == nil {
 		t.Error("Arrive(ghost) succeeded")
 	}
 	if err := te.Passivate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := te.Arrive("p"); err == nil {
+	if _, err := te.SubmitJob("p"); err == nil {
 		t.Error("Arrive after Passivate succeeded")
 	}
 }
@@ -298,7 +306,7 @@ func TestStageProcShortPlacement(t *testing.T) {
 // job. Decisions arriving after Passivate are ignored.
 func TestPassivateWaitsForReleaseInFlight(t *testing.T) {
 	te := NewTaskEffector()
-	if err := te.Configure(map[string]string{AttrProcessor: "0", AttrWorkload: testWorkloadJSON}); err != nil {
+	if err := te.Configure(teAttrs("0", "J")); err != nil {
 		t.Fatal(err)
 	}
 	node, err := NewNode("te-test", 0, "127.0.0.1:0", 1)

@@ -24,7 +24,7 @@ import (
 
 // Event type names routed through the federated event channel. TaskArrive,
 // Accept, Trigger and IdleReset cross the network (Figure 3's event
-// source/sink ports); Release, Complete and Done stay node-local.
+// source/sink ports); Release, Complete, Skip and Done stay node-local.
 const (
 	// EvTaskArrive flows TE → AC when a job arrives.
 	EvTaskArrive = "TaskArrive"
@@ -41,6 +41,10 @@ const (
 	// EvComplete is the local subtask → IR completion report (the paper's
 	// Complete method call).
 	EvComplete = "Complete"
+	// EvSkip is a local notification that the task effector skipped a job
+	// no Accept named (a cached rejection, a job held behind a rejected or
+	// lost request); its payload is an Accept with Ok false.
+	EvSkip = "Skip"
 	// EvDone is a local notification that a job's last subtask finished;
 	// drivers and metrics collectors subscribe to it.
 	EvDone = "Done"
@@ -73,9 +77,6 @@ type Accept struct {
 	Ok bool
 	// Placement assigns each stage to a processor (nil when rejected).
 	Placement []sched.PlacedStage
-	// Relocated reports that the first stage moved off the arrival
-	// processor, so the duplicate's TE must release it.
-	Relocated bool
 	// PerTaskDecision marks a decision that settles a periodic task under
 	// per-task admission control: the TE caches it.
 	PerTaskDecision bool

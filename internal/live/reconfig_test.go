@@ -146,14 +146,14 @@ func TestTEReconfigureDropsStaleDecisions(t *testing.T) {
 	}
 	defer node.Close()
 	te := NewTaskEffector()
-	if err := te.Configure(map[string]string{AttrProcessor: "0", AttrWorkload: testWorkloadJSON}); err != nil {
+	if err := te.Configure(teAttrs("0", "T")); err != nil {
 		t.Fatal(err)
 	}
 	if err := te.Activate(&ccm.Context{Node: "tere-test", ORB: node.ORB, Events: node.Channel}); err != nil {
 		t.Fatal(err)
 	}
 	// Arrive then deliver an epoch-0 per-task decision: it caches.
-	if _, err := te.Arrive("p"); err != nil {
+	if _, err := te.SubmitJob("p"); err != nil {
 		t.Fatal(err)
 	}
 	accept := func(job int64, epoch int64) {
@@ -165,40 +165,35 @@ func TestTEReconfigureDropsStaleDecisions(t *testing.T) {
 		})})
 	}
 	accept(0, 0)
-	cached := len(*te.decided.Load())
-	if cached != 1 {
-		t.Fatalf("decision not cached: %d", cached)
+	if !cached(te, "p") {
+		t.Fatal("decision not cached")
 	}
 
 	// Reconfigure to epoch 1: the cache clears.
 	if err := te.Reconfigure(map[string]string{AttrEpoch: "1"}); err != nil {
 		t.Fatal(err)
 	}
-	cached = len(*te.decided.Load())
-	if cached != 0 {
-		t.Fatalf("cache survived reconfigure: %d", cached)
+	if cached(te, "p") {
+		t.Fatal("cache survived reconfigure")
 	}
 
 	// A stale epoch-0 Accept for a held job releases it but is not cached.
-	if _, err := te.Arrive("p"); err != nil {
+	if _, err := te.SubmitJob("p"); err != nil {
 		t.Fatal(err)
 	}
 	accept(1, 0)
-	cached = len(*te.decided.Load())
-	released := te.StatsSnapshot().Released
-	if cached != 0 {
+	if cached(te, "p") {
 		t.Error("stale-epoch decision was cached")
 	}
-	if released != 2 {
+	if released := te.StatsSnapshot().Released; released != 2 {
 		t.Errorf("released = %d, want 2 (stale decision must still release its job)", released)
 	}
 	// A current-epoch Accept caches again.
-	if _, err := te.Arrive("p"); err != nil {
+	if _, err := te.SubmitJob("p"); err != nil {
 		t.Fatal(err)
 	}
 	accept(2, 1)
-	cached = len(*te.decided.Load())
-	if cached != 1 {
+	if !cached(te, "p") {
 		t.Error("current-epoch decision not cached")
 	}
 }

@@ -118,7 +118,7 @@ func (d *Driver) generate(t *sched.Task) {
 			return
 		case <-timer.C:
 		}
-		if _, err := d.te.Arrive(t.ID); err != nil {
+		if _, err := d.te.SubmitJob(t.ID); err != nil {
 			return // every arrival error is terminal
 		}
 		var gap time.Duration

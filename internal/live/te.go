@@ -12,21 +12,29 @@ import (
 	"repro/internal/sched"
 )
 
-// teTask is the effector's per-task record: the (swappable) task definition
-// and the job-number allocator. The record survives reconfigurations as long
-// as its task ID stays in the workload, so job numbering never restarts or
-// races across a swap.
+// teTask is the effector's per-task record: the (swappable) task definition,
+// the job-number allocator, and the task's state machine with, behind an
+// atomic pointer, the action its cached decision settles arrivals with. The
+// record survives reconfigurations as long as its task ID stays in the
+// workload, so job numbering never restarts or races across a swap.
 type teTask struct {
 	task    atomic.Pointer[sched.Task]
 	nextJob atomic.Int64
+	cached  atomic.Pointer[core.Action]
+	// gone marks a task that left the workload while jobs still awaited a
+	// decision: it takes no arrivals, and is dropped once they settle.
+	gone atomic.Bool
+
+	mu  sync.Mutex
+	eff core.Effector
 }
 
 // TaskEffector is the live TE component (paper Section 5): it holds arriving
 // tasks in a waiting queue, pushes "Task Arrive" events to the admission
 // controller, and releases jobs when the corresponding "Accept" event
-// arrives. Its Per-task behavior caches per-task admission decisions so
-// subsequent jobs of an admitted periodic task release immediately without
-// another round trip.
+// arrives. Each task's jobs go through a core.Effector, the state machine
+// the simulation drives too; this component carries out its actions as
+// pushes.
 //
 // One instance runs on each application processor. Accept events fan out to
 // every effector; the effector on the task's home (arrival) processor owns
@@ -34,38 +42,33 @@ type teTask struct {
 // to the node hosting the assigned first stage — when the first stage was
 // re-allocated, that is the duplicate's node (the paper's operation 6).
 //
-// Concurrency: the cached per-task fast path is lock-free — the task index
-// and the decision cache are copy-on-write maps behind atomic pointers, job
-// numbers come from per-task atomic counters, and the stats are atomic — so
-// a flood of cached releases never contends with first-admission arrivals
-// holding te.mu for the waiting queue. A cached submission racing a
-// reconfiguration may settle under the decision cached just before the swap;
-// that matches the decision-event semantics (a stale Accept still settles
-// its own job, it just is not re-cached as policy).
+// Concurrency: a cached decision settles an arrival lock-free — the task
+// index is a copy-on-write map behind an atomic pointer, job numbers come
+// from per-task atomic counters, and the stats are atomic. Other arrivals
+// and decisions drive their task's state machine under its lock, and push
+// after releasing it. A cached submission racing a reconfiguration may
+// settle under the decision cached just before the swap; that matches the
+// decision-event semantics (a stale Accept still settles its own job, it
+// just is not re-cached as policy).
 type TaskEffector struct {
 	mu   sync.Mutex
 	proc int
-	// tasks is the COW task index (task ID -> record); decided is the COW
-	// per-task decision cache (Accept.PerTaskDecision). Writers clone under
+	// cfg holds the AC and LB strategies (the TE's "Per-task" attribute);
+	// epoch is the reconfiguration epoch the state machines are in.
+	cfg   core.Config
+	epoch int64
+	// tasks is the COW task index (task ID -> record). Writers clone under
 	// te.mu; readers only Load.
-	tasks   atomic.Pointer[map[string]*teTask]
-	decided atomic.Pointer[map[string]*Accept]
-	// waiting holds arrivals awaiting a decision, by arrival time
-	// (UnixNano). Holds whose TaskArrive was lost in another sender's ORB
-	// flush (the failure surfaces on that flusher, not on the senders it
-	// carried) would otherwise leak: sweepWaiting purges holds past every
-	// possible deadline.
-	waiting map[sched.JobRef]int64
-	// maxDeadline bounds how long any hold can still get a decision.
-	maxDeadline time.Duration
-	// sweepAt is the waiting size that triggers the next amortized sweep.
-	sweepAt int
-	// epoch is the reconfiguration epoch this effector trusts: Accept
-	// events stamped with an older epoch release their job but are not
-	// cached as per-task decisions.
-	epoch  int64
-	ch     atomic.Pointer[eventchan.Channel]
-	active bool
+	tasks atomic.Pointer[map[string]*teTask]
+	// maxDeadline bounds how long a request can still get a decision, and
+	// sweepAt is when SubmitJob next looks for requests older than that:
+	// one whose Task Arrive was lost in another sender's ORB flush (the
+	// failure surfaces on that flusher, not on the senders it carried)
+	// would otherwise hold its jobs forever.
+	maxDeadline atomic.Int64
+	sweepAt     atomic.Int64
+	ch          atomic.Pointer[eventchan.Channel]
+	active      bool
 	// closing orders Passivate after the releases in flight: the two paths
 	// that release (a cached SubmitJob, onAccept) hold it shared, so a
 	// decision that found the effector open has published its Release —
@@ -92,7 +95,7 @@ type TEStats struct {
 	Arrived int64
 	// Released counts jobs this effector released.
 	Released int64
-	// Skipped counts jobs rejected by the admission controller.
+	// Skipped counts jobs this effector settled as not released.
 	Skipped int64
 	// Relocated counts released jobs whose first stage moved to a replica.
 	Relocated int64
@@ -101,15 +104,7 @@ type TEStats struct {
 var _ ccm.Component = (*TaskEffector)(nil)
 
 // NewTaskEffector returns an unconfigured TE component.
-func NewTaskEffector() *TaskEffector {
-	te := &TaskEffector{
-		waiting: make(map[sched.JobRef]int64),
-		sweepAt: minWaitingSweep,
-	}
-	empty := make(map[string]*Accept)
-	te.decided.Store(&empty)
-	return te
-}
+func NewTaskEffector() *TaskEffector { return &TaskEffector{} }
 
 // lookupTask resolves a task record from the COW index without locking.
 //
@@ -123,33 +118,8 @@ func (te *TaskEffector) lookupTask(taskID string) (*teTask, bool) {
 	return tt, ok
 }
 
-// cachedDecision returns the per-task cached decision, lock-free.
-//
-//rtmw:noalloc
-func (te *TaskEffector) cachedDecision(taskID string) (*Accept, bool) {
-	dec, ok := (*te.decided.Load())[taskID]
-	return dec, ok
-}
-
-// storeDecision publishes a cached decision copy-on-write. Caller holds
-// te.mu (writers serialize; readers stay lock-free).
-func (te *TaskEffector) storeDecision(taskID string, dec *Accept) {
-	old := *te.decided.Load()
-	next := make(map[string]*Accept, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[taskID] = dec
-	te.decided.Store(&next)
-}
-
-// clearDecisions drops the whole decision cache. Caller holds te.mu.
-func (te *TaskEffector) clearDecisions() {
-	empty := make(map[string]*Accept)
-	te.decided.Store(&empty)
-}
-
-// Configure parses the processor ID and workload.
+// Configure parses the processor ID, the AC and LB strategies and the
+// workload.
 func (te *TaskEffector) Configure(attrs map[string]string) error {
 	te.mu.Lock()
 	if te.active {
@@ -161,29 +131,73 @@ func (te *TaskEffector) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
-	tasks, err := attrWorkload(attrs, true)
+	cfg, err := parseStrategies(attrs, core.Config{})
 	if err != nil {
 		return err
 	}
-	index := make(map[string]*teTask, len(tasks))
-	var maxDL time.Duration
-	for _, t := range tasks {
-		tt := &teTask{}
-		tt.task.Store(t)
-		index[t.ID] = tt
-		if t.Deadline > maxDL {
-			maxDL = t.Deadline
-		}
+	if cfg.AC == 0 || cfg.LB == 0 {
+		return fmt.Errorf("%w: TE needs %s and %s", ErrInvalidStrategy, AttrACStrategy, AttrLBStrategy)
+	}
+	tasks, err := attrWorkload(attrs, true)
+	if err != nil {
+		return err
 	}
 	// Configuration and activation arrive over the ORB in dispatch
 	// goroutines; publish the fields under the lock (the index itself is
 	// an atomic pointer for the lock-free readers).
 	te.mu.Lock()
-	te.proc = proc
-	te.tasks.Store(&index)
-	te.maxDeadline = maxDL
-	te.mu.Unlock()
+	defer te.mu.Unlock()
+	te.proc, te.cfg = proc, cfg
+	te.installLocked(tasks)
 	return nil
+}
+
+// installLocked installs a task set (nil keeps the current one): surviving
+// tasks keep their record, and with it their job numbering and waiting
+// jobs; new tasks start at job zero; a departed task's record stays, marked
+// gone, while jobs still await its decision. Every record then enters
+// te.epoch under te.cfg. Caller holds te.mu.
+func (te *TaskEffector) installLocked(tasks map[string]*sched.Task) {
+	index := map[string]*teTask{}
+	if tp := te.tasks.Load(); tp != nil {
+		index = *tp
+	}
+	if tasks != nil {
+		old := index
+		index = make(map[string]*teTask, len(tasks))
+		var maxDL time.Duration
+		for id, t := range tasks {
+			tt, ok := old[id]
+			if !ok {
+				tt = &teTask{}
+			}
+			tt.task.Store(t)
+			tt.gone.Store(false)
+			index[id] = tt
+			maxDL = max(maxDL, t.Deadline)
+		}
+		for id, tt := range old {
+			if _, ok := index[id]; !ok && tt.waiting() > 0 {
+				tt.gone.Store(true)
+				index[id] = tt
+			}
+		}
+		te.maxDeadline.Store(int64(maxDL))
+	}
+	for _, tt := range index {
+		tt.mu.Lock()
+		tt.eff.Epoch(te.epoch, te.cfg, tt.task.Load().Kind)
+		tt.cached.Store(nil)
+		tt.mu.Unlock()
+	}
+	te.tasks.Store(&index)
+}
+
+// waiting reports how many of the task's jobs await a decision.
+func (tt *teTask) waiting() int {
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	return tt.eff.Waiting()
 }
 
 // Activate subscribes to Accept events.
@@ -199,20 +213,15 @@ func (te *TaskEffector) Activate(ctx *ccm.Context) error {
 	return nil
 }
 
-// Reconfigure is the effector's hot-swap stage: it drops the cached
-// per-task decisions (they were decided under the previous strategy
-// combination or task set) and adopts the coordinator's epoch so in-flight
-// Accept events from the old epoch release their jobs without being
-// re-cached. Jobs holding in the waiting queue stay held; the admission
-// controller replays their buffered arrivals under the new configuration.
-//
-// A Workload attribute swaps the effector's task set in place (the
-// open-world AddTasks/RemoveTasks delta): new tasks start their job
-// numbering at zero, tasks surviving the swap keep their job-number
-// allocator (their record is carried over, so numbering never restarts),
-// and holds, decisions and numbering of tasks no longer in the workload are
-// dropped — their in-flight jobs keep executing on the subtask components,
-// which drain independently.
+// Reconfigure is the effector's hot-swap stage: it adopts the
+// coordinator's epoch and any new AC and LB strategies, and every task's
+// state machine enters the epoch, dropping its cached decision (it was
+// decided under the previous strategy combination or task set), so an
+// in-flight Accept from the old epoch settles its own job without being
+// re-cached. Jobs waiting for a decision stay waiting; the admission
+// controller replays their buffered arrivals under the new configuration,
+// and refuses those of a task the swap removed. A Workload attribute swaps
+// the task set in place (the open-world AddTasks/RemoveTasks delta).
 func (te *TaskEffector) Reconfigure(attrs map[string]string) error {
 	newTasks, err := attrWorkload(attrs, false)
 	if err != nil {
@@ -223,39 +232,18 @@ func (te *TaskEffector) Reconfigure(attrs map[string]string) error {
 	if te.tasks.Load() == nil {
 		return fmt.Errorf("%w: TE reconfigured before configuration", ErrNotConfigured)
 	}
+	cfg, err := parseStrategies(attrs, te.cfg)
+	if err != nil {
+		return err
+	}
+	epoch := te.epoch + 1
 	if _, ok := attrs[AttrEpoch]; ok {
-		epoch, err := attrInt64(attrs, AttrEpoch)
-		if err != nil {
+		if epoch, err = attrInt64(attrs, AttrEpoch); err != nil {
 			return err
 		}
-		te.epoch = epoch
-	} else {
-		te.epoch++
 	}
-	if newTasks != nil {
-		old := *te.tasks.Load()
-		index := make(map[string]*teTask, len(newTasks))
-		var maxDL time.Duration
-		for _, t := range newTasks {
-			tt, ok := old[t.ID]
-			if !ok {
-				tt = &teTask{}
-			}
-			tt.task.Store(t)
-			index[t.ID] = tt
-			if t.Deadline > maxDL {
-				maxDL = t.Deadline
-			}
-		}
-		for ref := range te.waiting {
-			if _, ok := index[ref.Task]; !ok {
-				delete(te.waiting, ref)
-			}
-		}
-		te.tasks.Store(&index)
-		te.maxDeadline = maxDL
-	}
-	te.clearDecisions()
+	te.cfg, te.epoch = cfg, epoch
+	te.installLocked(newTasks)
 	return nil
 }
 
@@ -284,37 +272,16 @@ func (te *TaskEffector) StatsSnapshot() TEStats {
 	}
 }
 
-// Arrive is the application-facing entry point: one job of the named task
-// arrives at this processor (the task's home processor). It returns the
-// assigned job number. SubmitJob is the typed-outcome form.
-func (te *TaskEffector) Arrive(taskID string) (int64, error) {
-	adm, err := te.SubmitJob(taskID)
-	return adm.Job, err
-}
-
-// settleCached resolves one arrival against a cached per-task decision
-// without taking te.mu: job number from the task's atomic allocator, stats
+// settleCached resolves one arrival with the task's cached action without
+// taking a lock: job number from the task's atomic allocator, stats
 // atomically, and the release (if accepted) pushed directly.
 //
 //rtmw:noalloc
-func (te *TaskEffector) settleCached(taskID string, tt *teTask, dec *Accept) core.Admission {
-	job := tt.nextJob.Add(1) - 1
+func (te *TaskEffector) settleCached(taskID string, tt *teTask, a core.Action) core.Admission {
+	a.Job, a.Arrival = tt.nextJob.Add(1)-1, time.Duration(nowNanos())
 	atomic.AddInt64(&te.Stats.Arrived, 1)
-	adm := core.Admission{Task: taskID, Job: job}
-	if dec.Ok {
-		atomic.AddInt64(&te.Stats.Released, 1)
-		if dec.Relocated {
-			atomic.AddInt64(&te.Stats.Relocated, 1)
-		}
-		adm.Outcome = core.AdmissionAccepted
-		adm.Placement = dec.Placement
-		te.release(te.ch.Load(), taskID, job, dec.Placement, nowNanos())
-	} else {
-		atomic.AddInt64(&te.Stats.Skipped, 1)
-		adm.Outcome = core.AdmissionRejected
-		adm.Reason = "per-task admission decision cached as rejected"
-	}
-	return adm
+	_ = te.do(taskID, tt, a, -1)
+	return a.Admission(taskID)
 }
 
 // errPassivated is SubmitJob's refusal once the effector is closed.
@@ -322,11 +289,15 @@ func errPassivated() error {
 	return fmt.Errorf("live: task effector passivated: %w", core.ErrStopped)
 }
 
-// SubmitJob injects one job arrival and returns its typed Admission: cached
+// SubmitJob is the application-facing entry point: one job of the named
+// task arrives at this processor (the task's home processor). It returns
+// the job's typed Admission: cached
 // per-task decisions resolve synchronously (Accepted or Rejected) on the
-// fast path, every other arrival pushes a "Task Arrive" event and
-// returns Pending — the terminal outcome travels back as an Accept event and
-// surfaces on the binding's watch stream.
+// fast path; every other arrival is Pending, held behind its task's
+// outstanding request or pushing a "Task Arrive" event of its own — the
+// terminal outcome travels back as an Accept event and surfaces on the
+// binding's watch stream. An arrival whose push fails is skipped, and
+// SubmitJob returns the error.
 func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 	start := time.Now()
 	adm := core.Admission{Task: taskID, Job: -1}
@@ -334,84 +305,63 @@ func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 		return adm, errPassivated()
 	}
 	tt, ok := te.lookupTask(taskID)
-	if !ok {
+	if !ok || tt.gone.Load() {
 		return adm, fmt.Errorf("live: te: %w: %q", core.ErrUnknownTask, taskID)
 	}
 
 	// Per-task fast path: a cached decision releases or skips immediately,
-	// never touching te.mu.
-	if dec, ok := te.cachedDecision(taskID); ok {
+	// never touching a lock but the passivation guard.
+	if a := tt.cached.Load(); a != nil {
 		te.closing.RLock()
 		defer te.closing.RUnlock()
 		if te.closed.Load() {
 			return adm, errPassivated()
 		}
-		return te.settleCached(taskID, tt, dec), nil
+		return te.settleCached(taskID, tt, *a), nil
 	}
 
-	te.mu.Lock()
 	job := tt.nextJob.Add(1) - 1
 	atomic.AddInt64(&te.Stats.Arrived, 1)
 	arrival := nowNanos()
-	adm.Job = job
-	ref := sched.JobRef{Task: taskID, Job: job}
-	te.waiting[ref] = arrival
-	te.sweepWaitingLocked(arrival)
-	proc := te.proc
-	te.mu.Unlock()
-	ch := te.ch.Load()
-
-	adm.Outcome = core.AdmissionPending
-	adm.Reason = "admission decision round trip in flight"
-	err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: AppendTaskArrive(nil, &TaskArrive{
-		Task:         taskID,
-		Job:          job,
-		Proc:         proc,
-		ArrivalNanos: arrival,
-	})})
+	tt.mu.Lock()
+	a := tt.eff.Arrive(job, time.Duration(arrival))
+	tt.mu.Unlock()
+	adm = a.Admission(taskID)
+	err := te.do(taskID, tt, a, -1)
 	if err != nil {
-		// The arrival was lost in transport: no Accept will answer this
-		// hold, so release it — a late decision for the ref is dropped as
-		// stale by onAccept. The outcome is terminal: no watch event will
-		// ever resolve this admission, so it must not read as pending.
-		te.mu.Lock()
-		delete(te.waiting, ref)
-		te.mu.Unlock()
 		adm.Outcome = core.AdmissionRejected
 		adm.Reason = "arrival not delivered: " + err.Error()
 	}
 	te.HoldPush.Add(time.Since(start))
+	te.sweep(arrival)
 	return adm, err
 }
 
-// minWaitingSweep is the smallest waiting-map size that triggers a sweep.
-const minWaitingSweep = 128
-
-// sweepWaitingLocked amortizes hold cleanup: once the waiting map reaches
-// the watermark, holds older than the longest task deadline — which can no
-// longer receive a meaningful decision — are purged, and the watermark
-// doubles with the surviving population. Called with te.mu held.
-func (te *TaskEffector) sweepWaitingLocked(nowNanos int64) {
-	if len(te.waiting) < te.sweepAt || te.maxDeadline <= 0 {
+// sweep runs at most once per longest task deadline: every request that has
+// waited that long is declared lost, and the jobs waiting on it are skipped.
+func (te *TaskEffector) sweep(now int64) {
+	next := te.sweepAt.Load()
+	maxDL := te.maxDeadline.Load()
+	if now < next || maxDL <= 0 || !te.sweepAt.CompareAndSwap(next, now+maxDL) {
 		return
 	}
-	horizon := nowNanos - int64(te.maxDeadline)
-	for ref, arrived := range te.waiting {
-		if arrived < horizon {
-			delete(te.waiting, ref)
+	for id, tt := range *te.tasks.Load() {
+		tt.mu.Lock()
+		acts := tt.eff.Expire(time.Duration(now-maxDL), nil)
+		tt.mu.Unlock()
+		for _, a := range acts {
+			_ = te.do(id, tt, a, -1)
 		}
-	}
-	te.sweepAt = 2 * len(te.waiting)
-	if te.sweepAt < minWaitingSweep {
-		te.sweepAt = minWaitingSweep
 	}
 }
 
-// onAccept handles a decision event. Only the task's home effector acts: it
-// clears the hold and publishes the Release event, which the federation
-// routes to the node hosting the assigned first stage.
+// onAccept handles a decision event. Only the task's home effector acts: its
+// task's state machine settles the jobs the decision answers, and each
+// release is published as a Release event, which the federation routes to
+// the node hosting the assigned first stage.
 func (te *TaskEffector) onAccept(ev eventchan.Event) {
-	if !te.homeOf(ev.Payload) {
+	tt := te.homeOf(ev.Payload)
+	if tt == nil {
 		return
 	}
 	te.closing.RLock()
@@ -423,71 +373,87 @@ func (te *TaskEffector) onAccept(ev eventchan.Event) {
 	if err != nil {
 		return
 	}
-	te.mu.Lock()
-	ref := sched.JobRef{Task: dec.Task, Job: dec.Job}
-	if _, held := te.waiting[ref]; !held {
-		// Duplicate or stale decision.
-		te.mu.Unlock()
-		return
+	tt.mu.Lock()
+	acts := tt.eff.Decided(dec.Job, core.Decision{Accept: dec.Ok, Placement: dec.Placement}, dec.PerTaskDecision, dec.Epoch, nil)
+	if a, ok := tt.eff.Cached(); ok && tt.cached.Load() == nil {
+		c := a
+		tt.cached.Store(&c)
 	}
-	delete(te.waiting, ref)
-
-	if dec.PerTaskDecision && dec.Epoch == te.epoch {
-		// Same-epoch decisions become cached per-task policy; a stale
-		// decision from before a reconfiguration still settles its own job
-		// below but must not survive the swap as policy.
-		if _, ok := te.cachedDecision(dec.Task); !ok {
-			cached := dec
-			te.storeDecision(dec.Task, &cached)
-		}
+	tt.mu.Unlock()
+	for _, a := range acts {
+		_ = te.do(dec.Task, tt, a, dec.Job)
 	}
-	te.mu.Unlock()
-
-	if !dec.Ok {
-		atomic.AddInt64(&te.Stats.Skipped, 1)
-		return
-	}
-	atomic.AddInt64(&te.Stats.Released, 1)
-	if dec.Relocated {
-		atomic.AddInt64(&te.Stats.Relocated, 1)
-	}
-	te.release(te.ch.Load(), dec.Task, dec.Job, dec.Placement, dec.ArrivalNanos)
 }
 
-// homeOf reports whether an Accept payload decides a task whose home
-// (arrival) processor is this effector's. The admission controller addresses
-// an Accept to the arrival processor, but a gateway that does not know which
-// processor a sink is still broadcasts, so an effector may see any Accept;
-// one that is not home answers from the payload's header, without decoding
-// the placement or copying the task ID.
-func (te *TaskEffector) homeOf(payload []byte) bool {
+// do carries out one state-machine action for job a.Job of the task.
+// answered is the job the Accept being applied names (-1 for none): the
+// manager's watch tap reports that job's rejection, so only the other skips
+// are announced, as local EvSkip events. A request whose push fails is lost:
+// the jobs waiting on it are skipped, and the error is returned.
+func (te *TaskEffector) do(task string, tt *teTask, a core.Action, answered int64) error {
+	ch := te.ch.Load()
+	switch a.Kind {
+	case core.ActRequest:
+		te.mu.Lock()
+		proc := te.proc
+		te.mu.Unlock()
+		err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: AppendTaskArrive(nil, &TaskArrive{
+			Task:         task,
+			Job:          a.Job,
+			Proc:         proc,
+			ArrivalNanos: int64(a.Arrival),
+		})})
+		if err != nil {
+			tt.mu.Lock()
+			lost := tt.eff.Lost(a.Job, nil)
+			tt.mu.Unlock()
+			for _, s := range lost {
+				_ = te.do(task, tt, s, -1)
+			}
+		}
+		return err
+	case core.ActRelease:
+		atomic.AddInt64(&te.Stats.Released, 1)
+		if a.Placement[0].Proc != tt.task.Load().Subtasks[0].Processor {
+			atomic.AddInt64(&te.Stats.Relocated, 1)
+		}
+		// The channel delivers the Release locally and forwards it to the
+		// node of the first stage, where the subtask component picks it up.
+		_ = ch.PushTo(stageProc(a.Placement, 0), eventchan.Event{Type: EvRelease, Payload: AppendTrigger(nil, &Trigger{
+			Task: task, Job: a.Job, Placement: a.Placement, ArrivalNanos: int64(a.Arrival),
+		})})
+	case core.ActSkip:
+		atomic.AddInt64(&te.Stats.Skipped, 1)
+		if a.Job != answered {
+			_ = ch.Push(eventchan.Event{Type: EvSkip, Payload: AppendAccept(nil, &Accept{
+				Task: task, Job: a.Job, ArrivalNanos: int64(a.Arrival),
+			})})
+		}
+	}
+	return nil
+}
+
+// homeOf returns the record of the task an Accept payload decides when its
+// home (arrival) processor is this effector's, and nil otherwise. The
+// admission controller addresses an Accept to the arrival processor, but a
+// gateway that does not know which processor a sink is still broadcasts, so
+// an effector may see any Accept; one that is not home answers from the
+// payload's header, without decoding the placement or copying the task ID.
+func (te *TaskEffector) homeOf(payload []byte) *teTask {
 	id, ok := acceptTask(payload)
 	tp := te.tasks.Load()
 	if !ok || tp == nil {
-		return false
+		return nil
 	}
 	tt, known := (*tp)[string(id)] // indexing by string(id) does not copy
 	if !known {
-		return false
+		return nil
 	}
 	home := tt.task.Load().Subtasks[0].Processor
 	te.mu.Lock()
 	defer te.mu.Unlock()
-	return home == te.proc
-}
-
-// release publishes the Release event that starts the first subtask. The
-// event channel delivers it locally and forwards it to the assigned
-// processor's node, where the subtask component picks it up.
-func (te *TaskEffector) release(ch *eventchan.Channel, task string, job int64, placement []sched.PlacedStage, arrivalNanos int64) {
-	if ch == nil {
-		return
+	if home != te.proc {
+		return nil
 	}
-	_ = ch.PushTo(stageProc(placement, 0), eventchan.Event{Type: EvRelease, Payload: AppendTrigger(nil, &Trigger{
-		Task:         task,
-		Job:          job,
-		Stage:        0,
-		Placement:    placement,
-		ArrivalNanos: arrivalNanos,
-	})})
+	return tt
 }

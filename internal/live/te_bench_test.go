@@ -11,8 +11,8 @@ import (
 )
 
 // benchTE builds an activated effector with a cached per-task decision for
-// task "p" (task "a" stays undecided, so its submissions take the slow
-// path through te.mu and the event plane).
+// task "p" (task "a" is aperiodic, so its submissions take the slow path
+// through its state machine and the event plane).
 func benchTE(tb testing.TB) *TaskEffector {
 	tb.Helper()
 	node, err := NewNode("te-bench", 0, "127.0.0.1:0", 1)
@@ -21,13 +21,13 @@ func benchTE(tb testing.TB) *TaskEffector {
 	}
 	tb.Cleanup(func() { node.Close() })
 	te := NewTaskEffector()
-	if err := te.Configure(map[string]string{AttrProcessor: "0", AttrWorkload: testWorkloadJSON}); err != nil {
+	if err := te.Configure(teAttrs("0", "T")); err != nil {
 		tb.Fatal(err)
 	}
 	if err := te.Activate(&ccm.Context{Node: "te-bench", ORB: node.ORB, Events: node.Channel}); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := te.Arrive("p"); err != nil {
+	if _, err := te.SubmitJob("p"); err != nil {
 		tb.Fatal(err)
 	}
 	te.onAccept(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &Accept{
@@ -36,7 +36,7 @@ func benchTE(tb testing.TB) *TaskEffector {
 		PerTaskDecision: true,
 		Epoch:           0,
 	})})
-	if _, ok := te.cachedDecision("p"); !ok {
+	if !cached(te, "p") {
 		tb.Fatal("per-task decision was not cached")
 	}
 	return te
@@ -44,8 +44,8 @@ func benchTE(tb testing.TB) *TaskEffector {
 
 // BenchmarkTECachedSubmit measures the cached per-task Submit fast path:
 // solo, and racing a goroutine that continuously injects first-admission
-// (undecided) arrivals through the slow path. The slow path holds te.mu;
-// the cached path must not, so the two sub-benchmark times should stay in
+// (undecided) arrivals through the slow path. The slow path holds a task
+// lock; the cached path must not, so the two sub-benchmark times should stay in
 // the same ballpark.
 func BenchmarkTECachedSubmit(b *testing.B) {
 	cached := func(b *testing.B, te *TaskEffector) {
@@ -67,20 +67,15 @@ func BenchmarkTECachedSubmit(b *testing.B) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			n := 0
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				// Slow path: te.mu, waiting-map hold, TaskArrive push.
+				// Slow path: the task's lock and state machine, TaskArrive
+				// push. Unanswered requests expire after the longest deadline.
 				_, _ = te.SubmitJob("a")
-				if n++; n%1024 == 0 {
-					te.mu.Lock()
-					clear(te.waiting)
-					te.mu.Unlock()
-				}
 			}
 		}()
 		cached(b, te)
@@ -129,15 +124,13 @@ func TestTEConcurrentCachedSubmit(t *testing.T) {
 	if got, want := s.Released-base.Released, int64(workers*perWorker); got < want {
 		t.Errorf("Released delta = %d, want at least %d", got, want)
 	}
-	seen := make(map[int64]bool)
-	te.mu.Lock()
-	for ref := range te.waiting {
-		if ref.Task == "a" {
-			if seen[ref.Job] {
-				t.Errorf("job number %d assigned twice", ref.Job)
-			}
-			seen[ref.Job] = true
-		}
+	if tt, _ := te.lookupTask("a"); tt.nextJob.Load() != workers*perWorker {
+		t.Errorf("task a numbered %d jobs, want %d", tt.nextJob.Load(), workers*perWorker)
 	}
-	te.mu.Unlock()
+}
+
+// cached reports whether the effector holds a cached decision for task.
+func cached(te *TaskEffector, task string) bool {
+	tt, ok := te.lookupTask(task)
+	return ok && tt.cached.Load() != nil
 }
