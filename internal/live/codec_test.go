@@ -456,6 +456,8 @@ func FuzzDecodePayload(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(golden)
+		// A whole payload followed by a stray byte.
+		f.Add(append(bytes.Clone(golden), 0))
 		for i := range golden {
 			f.Add(golden[:i])
 			// Every length and count field (and every other byte) replaced
