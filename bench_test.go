@@ -84,7 +84,7 @@ func BenchmarkTable1Mapping(b *testing.B) {
 // 0 allocs/op; TestAdmissibleManyGroups holds the same scans to 0 in tier-1.
 func BenchmarkAdmissionTestScaling(b *testing.B) {
 	light := []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.01}}
-	run := func(name string, procs int, cand []sched.PlacedStage, fill func(*sched.ShardedLedger)) {
+	run := func(name string, procs int, cand []sched.PlacedStage, fill func(*sched.Ledger)) {
 		b.Run(name, func(b *testing.B) {
 			ctrl, err := core.NewController(core.Config{
 				AC: core.StrategyPerJob, IR: core.StrategyNone, LB: core.StrategyNone,
@@ -106,10 +106,10 @@ func BenchmarkAdmissionTestScaling(b *testing.B) {
 	}
 	for _, n := range []int{10, 100, 1000, 10000, 100000} {
 		n := n
-		run(fmt.Sprintf("jobs=%d", n), 5, light, func(ledger *sched.ShardedLedger) {
+		run(fmt.Sprintf("jobs=%d", n), 5, light, func(ledger *sched.Ledger) {
 			// n in-flight single-stage jobs.
 			for i := 0; i < n; i++ {
-				ref := sched.JobRef{Task: "bg", Job: int64(i)}
+				ref := sched.JobKey{Task: 0, Job: int64(i)}
 				pl := []sched.PlacedStage{{Stage: 0, Proc: i % 5, Util: 0.4 / float64(n) * 5}}
 				if err := ledger.AddJob(ref, sched.Aperiodic, pl, false, time.Hour); err != nil {
 					b.Fatal(err)
@@ -121,14 +121,14 @@ func BenchmarkAdmissionTestScaling(b *testing.B) {
 	// at utilization 0.2 and no other exceeds it, so every job's condition
 	// holds and an accepting test looks at every group.
 	const groupProcs = 34
-	fillGroups := func(groups int) func(*sched.ShardedLedger) {
-		return func(ledger *sched.ShardedLedger) {
+	fillGroups := func(groups int) func(*sched.Ledger) {
+		return func(ledger *sched.Ledger) {
 			x := 0.2 / float64(2*groups)
 			n := 0
 			for a := 1; a < groupProcs && n < groups; a++ {
 				for c := a + 1; c < groupProcs && n < groups; c++ {
 					for j := 0; j < 2; j++ {
-						ref := sched.JobRef{Task: "bg", Job: int64(2*n + j)}
+						ref := sched.JobKey{Task: 0, Job: int64(2*n + j)}
 						pl := []sched.PlacedStage{
 							{Stage: 0, Proc: 0, Util: x},
 							{Stage: 1, Proc: a, Util: x},

@@ -11,6 +11,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,10 +98,13 @@ type Cluster struct {
 	stopped bool
 
 	// taskMu guards the deployed task set, which the open-world lifecycle
-	// calls swap while submissions read it.
-	taskMu    sync.RWMutex
-	tasks     []*sched.Task
-	deadlines map[string]time.Duration
+	// calls swap while submissions read it. table is the plan's task
+	// identities: every incarnation the deployment ever held, by ref, so a
+	// draining job of a departed task still finds its deadline and name, and
+	// the current name bindings.
+	taskMu sync.RWMutex
+	tasks  []*sched.Task
+	table  *sched.TaskTable
 
 	// hub fans lifecycle events out to Watch streams; epoch and cfgVal
 	// mirror the reconfiguration epoch and active combination for event
@@ -122,11 +127,6 @@ func Start(opts Options) (*Cluster, error) {
 	if opts.ExecScale == 0 {
 		opts.ExecScale = 1
 	}
-	tasks, err := opts.Workload.SchedTasks()
-	if err != nil {
-		return nil, err
-	}
-
 	registry := ccm.NewRegistry()
 	if err := live.Register(registry); err != nil {
 		return nil, err
@@ -137,14 +137,15 @@ func Start(opts Options) (*Cluster, error) {
 		cfg:       opts.Config,
 		registry:  registry,
 		execScale: opts.ExecScale,
+		table:     sched.NewTaskTable(nil, nil),
 	}
 	c.cfgVal.Store(opts.Config)
-	c.setTasks(tasks)
 	fail := func(err error) (*Cluster, error) {
 		c.Close()
 		return nil, err
 	}
 
+	var err error
 	c.Manager, err = live.NewNode("manager", -1, "127.0.0.1:0", opts.ExecScale)
 	if err != nil {
 		return fail(err)
@@ -166,6 +167,9 @@ func Start(opts Options) (*Cluster, error) {
 
 	c.Plan, err = configengine.GeneratePlan("cluster", opts.Workload, opts.Config, managerDecl, appDecls)
 	if err != nil {
+		return fail(err)
+	}
+	if err := c.refreshTasks(); err != nil {
 		return fail(err)
 	}
 
@@ -201,19 +205,31 @@ func (c *Cluster) Tasks() []*sched.Task {
 	return c.tasks
 }
 
-// setTasks swaps the deployed task set and refreshes the deadline index
-// (departed tasks keep their deadline entries so draining completions still
-// account deadline misses).
-func (c *Cluster) setTasks(tasks []*sched.Task) {
+// setTasks swaps the deployed task set, each task bound to its ref
+// (live.ParseWorkload); Tasks lists them in ref order. Departed tasks keep
+// their refs' entries, so draining completions still account deadline
+// misses.
+func (c *Cluster) setTasks(byRef map[sched.TaskRef]*sched.Task) {
+	refs := slices.Sorted(maps.Keys(byRef))
+	tasks := make([]*sched.Task, len(refs))
 	c.taskMu.Lock()
 	defer c.taskMu.Unlock()
+	for _, t := range c.tasks {
+		c.table.Drop(t.ID)
+	}
+	for i, ref := range refs {
+		tasks[i] = byRef[ref]
+		c.table.Bind(ref, tasks[i])
+	}
 	c.tasks = tasks
-	if c.deadlines == nil {
-		c.deadlines = make(map[string]time.Duration, len(tasks))
+}
+
+// taskName returns the ID of the task holding ref, for watch events.
+func (c *Cluster) taskName(ref sched.TaskRef) string {
+	if t := c.table.Task(ref); t != nil {
+		return t.ID
 	}
-	for _, t := range tasks {
-		c.deadlines[t.ID] = t.Deadline
-	}
+	return ""
 }
 
 // Config returns the currently active strategy combination.
@@ -294,10 +310,8 @@ func (c *Cluster) SubmitBatch(taskIDs []string) ([]core.Admission, error) {
 func (c *Cluster) homeProc(taskID string) (int, error) {
 	c.taskMu.RLock()
 	defer c.taskMu.RUnlock()
-	for _, t := range c.tasks {
-		if t.ID == taskID {
-			return t.Subtasks[0].Processor, nil
-		}
+	if ref, ok := c.table.Lookup(taskID); ok {
+		return c.table.Task(ref).Subtasks[0].Processor, nil
 	}
 	return 0, fmt.Errorf("cluster: %w: %q", core.ErrUnknownTask, taskID)
 }
@@ -405,26 +419,18 @@ func (c *Cluster) executeDelta(delta *deploy.Delta) (*deploy.ReconfigOutcome, er
 }
 
 // refreshTasks re-reads the deployed task set (with its re-assigned EDMS
-// priorities) from the plan's admission controller instance. Callers hold
-// cfgMu.
+// priorities) and its refs from the plan's admission controller instance.
+// Callers hold cfgMu (or own the cluster, at Start).
 func (c *Cluster) refreshTasks() error {
 	for _, inst := range c.Plan.Instances {
 		if inst.Implementation != live.ImplAdmissionController {
 			continue
 		}
-		wl, ok := inst.Attrs()[live.AttrWorkload]
-		if !ok {
-			return fmt.Errorf("cluster: plan admission controller has no workload attribute")
-		}
-		w, err := spec.Parse([]byte(wl))
+		byRef, err := live.ParseWorkload(inst.Attrs(), true)
 		if err != nil {
-			return err
+			return fmt.Errorf("cluster: plan admission controller: %w", err)
 		}
-		tasks, err := w.SchedTasks()
-		if err != nil {
-			return err
-		}
-		c.setTasks(tasks)
+		c.setTasks(byRef)
 		return nil
 	}
 	return fmt.Errorf("cluster: plan has no admission controller instance")
@@ -480,7 +486,7 @@ func (c *Cluster) tapRelease(node string) eventchan.Handler {
 			return
 		}
 		c.emit(core.WatchEvent{
-			Kind: core.WatchAdmitted, Task: trg.Task, Job: trg.Job,
+			Kind: core.WatchAdmitted, Task: c.taskName(trg.Task), Job: trg.Job,
 			Placement: trg.Placement, Config: c.configSnapshot(),
 		})
 	}
@@ -500,7 +506,7 @@ func (c *Cluster) tapAccept(node string) eventchan.Handler {
 			return
 		}
 		c.emit(core.WatchEvent{
-			Kind: core.WatchRejected, Task: dec.Task, Job: dec.Job,
+			Kind: core.WatchRejected, Task: c.taskName(dec.Task), Job: dec.Job,
 			Epoch: dec.Epoch, Config: c.configSnapshot(),
 		})
 	}
@@ -554,21 +560,19 @@ func (c *Cluster) observeDone(node string) eventchan.Handler {
 			return
 		}
 		resp := time.Duration(done.DoneNanos - done.ArrivalNanos)
-		c.taskMu.RLock()
-		dl, ok := c.deadlines[done.Task]
-		c.taskMu.RUnlock()
-		missed := ok && resp > dl
+		t := c.table.Task(done.Task)
+		missed := t != nil && resp > t.Deadline
 		c.done.totalResp.Add(int64(resp))
 		if missed {
 			c.done.missed.Add(1)
 		}
 		c.done.completed.Add(1)
-		c.tracker.retire(sched.JobRef{Task: done.Task, Job: done.Job})
+		c.tracker.retire(sched.JobKey{Task: done.Task, Job: done.Job})
 		if !c.hub.Active() {
 			return
 		}
 		out := core.WatchEvent{
-			Kind: core.WatchCompleted, Task: done.Task, Job: done.Job,
+			Kind: core.WatchCompleted, Task: c.taskName(done.Task), Job: done.Job,
 			Response: resp, Config: c.configSnapshot(),
 		}
 		c.emit(out)

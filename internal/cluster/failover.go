@@ -258,7 +258,7 @@ type tracker struct {
 	c *Cluster
 
 	mu   sync.Mutex
-	jobs map[sched.JobRef]*trackedJob
+	jobs map[sched.JobKey]*trackedJob
 	// active marks processors whose failover completed: a trigger bound for
 	// one is stranded (its executor is gone) and redelivers immediately.
 	active map[int]bool
@@ -271,7 +271,7 @@ type tracker struct {
 func newTracker(c *Cluster) *tracker {
 	return &tracker{
 		c:      c,
-		jobs:   make(map[sched.JobRef]*trackedJob),
+		jobs:   make(map[sched.JobKey]*trackedJob),
 		active: make(map[int]bool),
 	}
 }
@@ -291,7 +291,7 @@ func (tr *tracker) hopHandler(node string) eventchan.Handler {
 		if trg.Stage < 0 || trg.Stage >= len(trg.Placement) {
 			return
 		}
-		ref := sched.JobRef{Task: trg.Task, Job: trg.Job}
+		ref := sched.JobKey{Task: trg.Task, Job: trg.Job}
 		var stranded *live.Trigger
 		tr.mu.Lock()
 		j := tr.jobs[ref]
@@ -318,7 +318,7 @@ func (tr *tracker) hopHandler(node string) eventchan.Handler {
 }
 
 // retire forgets a completed job.
-func (tr *tracker) retire(ref sched.JobRef) {
+func (tr *tracker) retire(ref sched.JobKey) {
 	tr.mu.Lock()
 	delete(tr.jobs, ref)
 	tr.mu.Unlock()
@@ -411,11 +411,10 @@ func (c *Cluster) RedeliveryStats() (redelivered, lost int64) { return c.tracker
 // job's task did not survive the failover.
 func (c *Cluster) redeliver(trg live.Trigger) (ok bool) {
 	defer func() { c.tracker.count(ok) }()
-	var task *sched.Task
-	for _, t := range c.Tasks() {
-		if t.ID == trg.Task {
-			task = t
-			break
+	task := c.table.Task(trg.Task)
+	if task != nil {
+		if cur, ok := c.table.Lookup(task.ID); !ok || cur != trg.Task {
+			task = nil
 		}
 	}
 	if task == nil || len(task.Subtasks) < len(trg.Placement) {

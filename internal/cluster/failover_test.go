@@ -577,16 +577,17 @@ func TestAddressedRoutingAcrossFailoverAndRecovery(t *testing.T) {
 
 	// The replacement listens on a new address; an event addressed to
 	// processor 1 must find it there, and only there.
+	const probeRef = sched.TaskRef(9999) // a ref no task holds
 	got := make(chan int, 4)
 	for _, proc := range []int{1, 2} {
 		c.Apps[proc].Channel.Subscribe(live.EvTrigger, func(ev eventchan.Event) {
-			if trg, err := live.DecodeTrigger(ev.Payload); err == nil && trg.Task == "probe" {
+			if trg, err := live.DecodeTrigger(ev.Payload); err == nil && trg.Task == probeRef {
 				got <- proc
 			}
 		})
 	}
 	for _, to := range []int{1, 2} {
-		probe := live.Trigger{Task: "probe", Stage: 1, Placement: []sched.PlacedStage{{Stage: 0, Proc: 0}, {Stage: 1, Proc: to}}}
+		probe := live.Trigger{Task: probeRef, Stage: 1, Placement: []sched.PlacedStage{{Stage: 0, Proc: 0}, {Stage: 1, Proc: to}}}
 		if err := c.Apps[0].Channel.PushTo(to, eventchan.Event{Type: live.EvTrigger, Payload: live.AppendTrigger(nil, &probe)}); err != nil {
 			t.Fatalf("probe to processor %d: %v", to, err)
 		}

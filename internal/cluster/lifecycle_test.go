@@ -94,6 +94,8 @@ func TestClusterAddRemoveTasksLive(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 
 	// Tenant leaves: ledger contributions withdrawn, submissions refused.
+	refA, _ := c.table.Lookup("tenant-a")
+	refB, _ := c.table.Lookup("tenant-b")
 	if err := c.RemoveTasks([]string{"tenant-a", "tenant-b"}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +136,16 @@ func TestClusterAddRemoveTasksLive(t *testing.T) {
 		t.Errorf("ledger audit after churn: %v", err)
 	}
 	for _, ref := range ac.ActiveLedgerJobs() {
-		if ref.Task == "tenant-a" || ref.Task == "tenant-b" {
+		if ref.Task == refA || ref.Task == refB {
 			t.Errorf("ledger holds contributions for removed task: %v", ref)
 		}
+	}
+	// The standby adopted each delta's refs table, so it mirrored the
+	// tenants' admissions too.
+	if sb, err := c.Standby(); err != nil {
+		t.Fatal(err)
+	} else if st := sb.Stats(); st.Failed != 0 || st.Applied == 0 {
+		t.Errorf("standby after churn: %+v", st)
 	}
 
 	// The watch stream observed the churn in order.
@@ -210,8 +219,9 @@ func TestDoneObserverCountsLateJoinerMiss(t *testing.T) {
 	base := time.Now().UnixNano()
 	done := func(task string, resp time.Duration) {
 		t.Helper()
+		ref, _ := c.table.Lookup(task)
 		err := c.Apps[0].Channel.Push(eventchan.Event{Type: live.EvDone, Payload: live.AppendDone(nil, &live.Done{
-			Task: task, ArrivalNanos: base, DoneNanos: base + int64(resp),
+			Task: ref, ArrivalNanos: base, DoneNanos: base + int64(resp),
 		})})
 		if err != nil {
 			t.Fatal(err)

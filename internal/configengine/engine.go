@@ -14,6 +14,8 @@ package configengine
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -224,6 +226,12 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 		return nil, err
 	}
 	workload := string(wlJSON)
+	// Task i of the workload holds ref i.
+	names := make([]string, len(tasks))
+	for i, t := range tasks {
+		names[i] = t.ID
+	}
+	refs := live.FormatTaskRefs(names)
 
 	p := &deploy.Plan{Name: name}
 	p.Nodes = append(p.Nodes, manager)
@@ -240,6 +248,7 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 			deploy.StringProperty(live.AttrLBStrategy, cfg.LB.String()),
 			deploy.StringProperty(live.AttrProcessors, strconv.Itoa(w.Processors)),
 			deploy.StringProperty(live.AttrWorkload, workload),
+			deploy.StringProperty(live.AttrTaskRefs, refs),
 			deploy.StringProperty(live.AttrReplicate, "true"),
 		},
 	})
@@ -248,12 +257,14 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 		ConfigProperties: []deploy.ConfigProperty{
 			deploy.StringProperty(live.AttrLBStrategy, cfg.LB.String()),
 			deploy.StringProperty(live.AttrWorkload, workload),
+			deploy.StringProperty(live.AttrTaskRefs, refs),
 		},
 	})
 	p.Instances = append(p.Instances, deploy.Instance{
 		ID: "Standby-AC", Node: manager.Name, Implementation: live.ImplStandbyAC,
 		ConfigProperties: []deploy.ConfigProperty{
 			deploy.StringProperty(live.AttrProcessors, strconv.Itoa(w.Processors)),
+			deploy.StringProperty(live.AttrTaskRefs, refs),
 		},
 	})
 
@@ -266,6 +277,7 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 				deploy.StringProperty(live.AttrACStrategy, cfg.AC.String()),
 				deploy.StringProperty(live.AttrLBStrategy, cfg.LB.String()),
 				deploy.StringProperty(live.AttrWorkload, workload),
+				deploy.StringProperty(live.AttrTaskRefs, refs),
 			},
 		})
 		p.Instances = append(p.Instances, deploy.Instance{
@@ -286,7 +298,7 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 	// Subtask component instances: home plus duplicates. EDMS priorities
 	// come from the deadline ordering (the engine "assigns priorities in
 	// order of tasks' end-to-end deadlines").
-	p.Instances = append(p.Instances, subtaskInstances(tasks, nodeOf)...)
+	p.Instances = append(p.Instances, subtaskInstances(tasks, names, nodeOf)...)
 
 	p.Connections = planConnections(tasks, cfg, manager.Name, nodeOf)
 	if err := p.Validate(); err != nil {
@@ -297,8 +309,13 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 
 // subtaskInstances builds the Sub-* component instance declarations for the
 // given tasks: one per (task, stage, candidate processor), home plus
-// duplicates, carrying the task's current EDMS priority.
-func subtaskInstances(tasks []*sched.Task, nodeOf map[int]string) []deploy.Instance {
+// duplicates, carrying the task's ref in the refs table names and its
+// current EDMS priority.
+func subtaskInstances(tasks []*sched.Task, names []string, nodeOf map[int]string) []deploy.Instance {
+	refOf := make(map[string]int, len(names))
+	for i, name := range names {
+		refOf[name] = i
+	}
 	var out []deploy.Instance
 	for _, t := range tasks {
 		for s, st := range t.Subtasks {
@@ -310,6 +327,7 @@ func subtaskInstances(tasks []*sched.Task, nodeOf map[int]string) []deploy.Insta
 					Implementation: live.ImplSubtask,
 					ConfigProperties: []deploy.ConfigProperty{
 						deploy.StringProperty(live.AttrTask, t.ID),
+						deploy.StringProperty(live.AttrTaskRef, strconv.Itoa(refOf[t.ID])),
 						deploy.StringProperty(live.AttrStage, strconv.Itoa(s)),
 						deploy.StringProperty(live.AttrExec, st.Exec.String()),
 						deploy.StringProperty(live.AttrPriority, strconv.Itoa(t.Priority)),
@@ -403,13 +421,14 @@ func ReconfigDelta(p *deploy.Plan, to core.Config) (*deploy.Delta, error) {
 
 // planState is the running deployment's configuration and task set, read
 // back from its plan: the admission controller instance, the active strategy
-// combination, the parsed workload, the scheduling-model tasks, and the
-// processor → node map.
+// combination, the parsed workload, the scheduling-model tasks, the task
+// refs table (live.ParseTaskRefs) and the processor → node map.
 type planState struct {
 	ac       *deploy.Instance
 	config   core.Config
 	workload *spec.Workload
 	tasks    []*sched.Task
+	names    []string
 	nodeOf   map[int]string
 }
 
@@ -450,26 +469,32 @@ func readPlanState(p *deploy.Plan) (*planState, error) {
 	if err != nil {
 		return nil, err
 	}
+	names, err := live.ParseTaskRefs(acAttrs[live.AttrTaskRefs])
+	if err != nil {
+		return nil, fmt.Errorf("configengine: plan %q: %w", p.Name, err)
+	}
 	nodeOf := make(map[int]string, len(p.Nodes))
 	for _, n := range p.Nodes {
 		if n.Processor >= 0 {
 			nodeOf[n.Processor] = n.Name
 		}
 	}
-	return &planState{ac: acInst, config: from, workload: w, tasks: tasks, nodeOf: nodeOf}, nil
+	return &planState{ac: acInst, config: from, workload: w, tasks: tasks, names: names, nodeOf: nodeOf}, nil
 }
 
 // taskSetDelta builds the shared shape of an open-world task-set
 // reconfiguration: the strategy combination is untouched; the AC, LB and
-// every TE adopt the new workload, and surviving subtask instances whose
-// EDMS priority changed under the re-assignment get priority updates.
-func taskSetDelta(p *deploy.Plan, st *planState, next []*sched.Task) (*deploy.Delta, error) {
+// every TE adopt the new workload with its refs table names, the warm
+// standby adopts the refs table (it mirrors only refs handed out), and
+// surviving subtask instances whose EDMS priority changed under the
+// re-assignment get priority updates.
+func taskSetDelta(p *deploy.Plan, st *planState, next []*sched.Task, names []string) (*deploy.Delta, error) {
 	nextSpec := spec.FromTasks(st.workload.Name, st.workload.Processors, next)
 	wlJSON, err := nextSpec.Encode()
 	if err != nil {
 		return nil, err
 	}
-	workload := string(wlJSON)
+	taskSet := map[string]string{live.AttrWorkload: string(wlJSON), live.AttrTaskRefs: live.FormatTaskRefs(names)}
 
 	d := &deploy.Delta{
 		Plan:        p,
@@ -482,26 +507,18 @@ func taskSetDelta(p *deploy.Plan, st *planState, next []*sched.Task) (*deploy.De
 	// Manager-hosted instances first (the AC must learn the new task set —
 	// and withdraw departed tasks' ledger contributions — before effector
 	// caches reset and refill).
-	d.Updates = append(d.Updates, deploy.InstanceUpdate{
-		ID: st.ac.ID, Node: st.ac.Node,
-		Attrs: map[string]string{live.AttrWorkload: workload},
-	})
+	d.Updates = append(d.Updates, deploy.InstanceUpdate{ID: st.ac.ID, Node: st.ac.Node, Attrs: maps.Clone(taskSet)})
 	prio := make(map[string]int, len(next))
 	for _, t := range next {
 		prio[t.ID] = t.Priority
 	}
 	for _, inst := range p.Instances {
 		switch inst.Implementation {
-		case live.ImplLoadBalancer:
-			d.Updates = append(d.Updates, deploy.InstanceUpdate{
-				ID: inst.ID, Node: inst.Node,
-				Attrs: map[string]string{live.AttrWorkload: workload},
-			})
-		case live.ImplTaskEffector:
-			d.Updates = append(d.Updates, deploy.InstanceUpdate{
-				ID: inst.ID, Node: inst.Node,
-				Attrs: map[string]string{live.AttrWorkload: workload},
-			})
+		case live.ImplLoadBalancer, live.ImplTaskEffector:
+			d.Updates = append(d.Updates, deploy.InstanceUpdate{ID: inst.ID, Node: inst.Node, Attrs: maps.Clone(taskSet)})
+		case live.ImplStandbyAC:
+			d.Updates = append(d.Updates, deploy.InstanceUpdate{ID: inst.ID, Node: inst.Node,
+				Attrs: map[string]string{live.AttrTaskRefs: taskSet[live.AttrTaskRefs]}})
 		case live.ImplSubtask:
 			attrs := inst.Attrs()
 			newPrio, ok := prio[attrs[live.AttrTask]]
@@ -565,12 +582,18 @@ func AddTasksDelta(p *deploy.Plan, add []*sched.Task) (*deploy.Delta, error) {
 	}
 	sched.AssignEDMSPriorities(union)
 
-	d, err := taskSetDelta(p, st, union)
+	// The added tasks take the next refs: a removed task added again under
+	// its old ID gets one it never held.
+	added := union[len(st.tasks):]
+	names := slices.Clone(st.names)
+	for _, t := range added {
+		names = append(names, t.ID)
+	}
+	d, err := taskSetDelta(p, st, union, names)
 	if err != nil {
 		return nil, err
 	}
-	added := union[len(st.tasks):]
-	d.Installs = subtaskInstances(added, st.nodeOf)
+	d.Installs = subtaskInstances(added, names, st.nodeOf)
 
 	// Federation routes the enlarged task set needs that the plan lacks.
 	have := make(map[deploy.Connection]bool, len(p.Connections))
@@ -627,7 +650,18 @@ func RemoveTasksDelta(p *deploy.Plan, ids []string) (*deploy.Delta, error) {
 		return nil, fmt.Errorf("configengine: remove tasks: cannot remove every task from the deployment")
 	}
 	sched.AssignEDMSPriorities(remaining)
-	return taskSetDelta(p, st, remaining)
+	return taskSetDelta(p, st, remaining, retire(st.names, ids))
+}
+
+// retire returns a copy of a refs table with the given tasks' refs retired.
+func retire(names, ids []string) []string {
+	out := slices.Clone(names)
+	for i, name := range out {
+		if slices.Contains(ids, name) {
+			out[i] = ""
+		}
+	}
+	return out
 }
 
 // FailoverOutcome describes the workload surgery a failover delta performs.
@@ -719,7 +753,7 @@ func FailoverDelta(p *deploy.Plan, deadProc int) (*deploy.Delta, *FailoverOutcom
 	}
 	sched.AssignEDMSPriorities(next)
 
-	d, err := taskSetDelta(p, st, next)
+	d, err := taskSetDelta(p, st, next, retire(st.names, out.Withdrawn))
 	if err != nil {
 		return nil, nil, err
 	}

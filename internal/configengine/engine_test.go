@@ -1,12 +1,15 @@
 package configengine
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/live"
+	"repro/internal/sched"
 	"repro/internal/spec"
 )
 
@@ -546,5 +549,105 @@ func TestFailoverDelta(t *testing.T) {
 	}
 	if _, _, err := FailoverDelta(p2, 1); err == nil {
 		t.Error("FailoverDelta produced a deployment with no surviving task")
+	}
+}
+
+// TestTaskRefsFreshAcrossReadd pins the ref assignment behind the live
+// binding's task identity: the plan hands each task a ref once, a task
+// removed and added again gets a ref never handed out before, and every
+// instance one delta updates receives the same name→ref table.
+func TestTaskRefsFreshAcrossReadd(t *testing.T) {
+	w := testWorkload(t)
+	tasks, err := w.SchedTasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	manager, apps := planNodes()
+	p, err := GeneratePlan("refs-test", w, core.Config{AC: core.StrategyPerJob, IR: core.StrategyPerJob, LB: core.StrategyPerJob}, manager, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tables returns the one refs table the plan's (or the delta's)
+	// instances hold, failing on a disagreement.
+	tables := func(what string, attrs []map[string]string) []string {
+		t.Helper()
+		var table string
+		n := 0
+		for _, a := range attrs {
+			if _, ok := a[live.AttrTaskRefs]; !ok {
+				continue
+			}
+			if n++; n > 1 && a[live.AttrTaskRefs] != table {
+				t.Fatalf("%s: instances disagree on the refs table: %s vs %s", what, a[live.AttrTaskRefs], table)
+			}
+			table = a[live.AttrTaskRefs]
+		}
+		if n != 5 { // the AC, the LB, the standby and two TEs
+			t.Fatalf("%s: %d instances carry the refs table, want 5", what, n)
+		}
+		names, err := live.ParseTaskRefs(table)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return names
+	}
+	planAttrs := func() []map[string]string {
+		var out []map[string]string
+		for _, inst := range p.Instances {
+			out = append(out, inst.Attrs())
+		}
+		return out
+	}
+	deltaAttrs := func(d *deploy.Delta) []map[string]string {
+		var out []map[string]string
+		for _, up := range d.Updates {
+			out = append(out, up.Attrs)
+		}
+		return out
+	}
+	subtaskRefs := func(insts []deploy.Instance, task string) []string {
+		var out []string
+		for _, inst := range insts {
+			if a := inst.Attrs(); inst.Implementation == live.ImplSubtask && a[live.AttrTask] == task {
+				out = append(out, a[live.AttrTaskRef])
+			}
+		}
+		return out
+	}
+	if got := tables("plan", planAttrs()); strings.Join(got, ",") != "flow,alert" {
+		t.Fatalf("plan refs %q, want flow 0 and alert 1", got)
+	}
+	if got := subtaskRefs(p.Instances, "alert"); strings.Join(got, ",") != "1" {
+		t.Errorf("alert's subtask instances carry refs %q, want 1", got)
+	}
+
+	handedOut := map[string]bool{"0": true, "1": true}
+	for round := 0; round < 2; round++ {
+		rm, err := RemoveTasksDelta(p, []string{"alert"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := tables("remove", deltaAttrs(rm))
+		if slices.Contains(names, "alert") || names[0] != "flow" {
+			t.Fatalf("round %d: refs after the removal %q: want alert retired and flow kept at 0", round, names)
+		}
+		rm.Apply(p)
+		add, err := AddTasksDelta(p, []*sched.Task{tasks[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = tables("add", deltaAttrs(add))
+		ref := slices.Index(names, "alert")
+		if ref < 0 || handedOut[strconv.Itoa(ref)] || names[0] != "flow" {
+			t.Fatalf("round %d: refs after the re-add %q: alert must take a ref never handed out (had %v)", round, names, handedOut)
+		}
+		if got := subtaskRefs(add.Installs, "alert"); len(got) == 0 || slices.ContainsFunc(got, func(r string) bool { return r != strconv.Itoa(ref) }) {
+			t.Errorf("round %d: the re-added alert's subtask installs carry refs %q, want %d", round, got, ref)
+		}
+		handedOut[strconv.Itoa(ref)] = true
+		add.Apply(p)
+		if got := tables("plan", planAttrs()); !slices.Equal(got, names) {
+			t.Errorf("round %d: plan refs %q after applying the delta, want %q", round, got, names)
+		}
 	}
 }

@@ -39,10 +39,12 @@ type Decision struct {
 // the AUB synthetic-utilization ledger and the per-task decision memory, and
 // is driven by "Task Arrive" and "Idle Resetting" events.
 //
-// Per-task state is keyed by the task's sched.TaskRef. The calls that name a
-// task (Arrive, ExpireJob, IdleReset, RemoveTask, Location) are the name
-// edge: each resolves the name through the task table once and runs the
-// ref-keyed core the simulation binding calls directly.
+// Per-task state is keyed by the task's sched.TaskRef, which the binding
+// hands out: Decide, ExpireKey, IdleResetKeys, RemoveTask and Location take
+// refs, and both bindings call only those. Arrive, ExpireJob and IdleReset
+// are the name edge the frozen benchmark probe drives: each resolves the
+// name through the controller's own task table and runs the ref-keyed core.
+// A controller is driven through one of the two, never both.
 //
 // Concurrency: Arrive, ExpireJob, IdleReset, and Location are safe to call
 // from multiple goroutines. Every ledger operation takes the ledger's one
@@ -55,8 +57,8 @@ type Decision struct {
 // DES engine is single-threaded).
 type Controller struct {
 	cfg    Config
-	ledger *sched.ShardedLedger
-	// tasks is the binding's task table, shared with the ledger.
+	ledger *sched.Ledger
+	// tasks binds the names of the name edge to refs.
 	tasks *sched.TaskTable
 
 	// taskMu guards the per-task decision memory in the records (every field
@@ -145,11 +147,6 @@ type ControllerStats struct {
 // NewController returns a controller for the given strategy configuration
 // over numProcs application processors. The configuration must be valid.
 func NewController(cfg Config, numProcs int) (*Controller, error) {
-	return newController(cfg, numProcs, sched.NewTaskTable(nil, nil))
-}
-
-// newController is NewController over a binding's task table.
-func newController(cfg Config, numProcs int, tasks *sched.TaskTable) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -158,8 +155,8 @@ func newController(cfg Config, numProcs int, tasks *sched.TaskTable) (*Controlle
 	}
 	c := &Controller{
 		cfg:    cfg,
-		ledger: sched.NewShardedLedgerFor(tasks, numProcs),
-		tasks:  tasks,
+		ledger: sched.NewLedger(numProcs),
+		tasks:  sched.NewTaskTable(nil, nil),
 	}
 	c.scratch.New = func() any {
 		buf := make([]float64, numProcs)
@@ -223,23 +220,35 @@ func (c *Controller) Reconfigure(cfg Config) (int, error) {
 
 // Ledger exposes the synthetic-utilization ledger for instrumentation and
 // the idle-resetting path.
-func (c *Controller) Ledger() *sched.ShardedLedger { return c.ledger }
+func (c *Controller) Ledger() *sched.Ledger { return c.ledger }
 
-// Reservations snapshots the permanent per-task reservation references
-// (AC-per-task only), sorted by task: the ledger jobs a strategy swap away
-// from per-task admission control will withdraw. The live AC's replication
-// stream uses it to mirror exactly those withdrawals on the warm standby.
-func (c *Controller) Reservations() []sched.JobRef {
+// Reservations snapshots the permanent per-task reservation keys (AC-per-task
+// only) in the order a strategy swap away from per-task admission control
+// withdraws them (by task name). The live AC's replication stream uses it to
+// mirror exactly those withdrawals on the warm standby.
+func (c *Controller) Reservations() []sched.JobKey {
 	c.taskMu.Lock()
 	defer c.taskMu.Unlock()
-	refs := []sched.JobRef{}
-	for _, r := range c.records() {
+	recs := c.records()
+	sort.Slice(recs, func(i, j int) bool { return recs[i].task.ID < recs[j].task.ID })
+	keys := []sched.JobKey{}
+	for _, r := range recs {
 		if r.admitted {
-			refs = append(refs, sched.JobRef{Task: r.task.ID, Job: r.resJob})
+			keys = append(keys, sched.JobKey{Task: r.ref, Job: r.resJob})
 		}
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Task < refs[j].Task })
-	return refs
+	return keys
+}
+
+// Reservation returns the key of the permanent per-task reservation task
+// tr holds (AC-per-task only), if it holds one.
+func (c *Controller) Reservation(tr sched.TaskRef) (sched.JobKey, bool) {
+	c.taskMu.Lock()
+	defer c.taskMu.Unlock()
+	if r := c.loadRecord(tr); r != nil && r.admitted {
+		return sched.JobKey{Task: tr, Job: r.resJob}, true
+	}
+	return sched.JobKey{}, false
 }
 
 // loadRecord returns the task's record, or nil before its first arrival
@@ -378,23 +387,19 @@ func (c *Controller) placeFor(ref sched.TaskRef, t *sched.Task) []sched.PlacedSt
 // virtual time now, and returns the admission decision. For accepted jobs
 // whose contributions expire (everything except per-task periodic
 // reservations), the caller must arrange to call ExpireJob at now +
-// t.Deadline; Decide says when. A task name the controller has not seen
-// gets a fresh ref.
+// t.Deadline. A task name the controller has not seen gets a fresh ref.
+// It is the name edge of Decide; the frozen benchmark probe
+// benchmark/probe_core.go calls it.
 func (c *Controller) Arrive(t *sched.Task, job int64, now time.Duration) Decision {
 	return c.arrive(sched.JobKey{Task: c.tasks.Intern(t), Job: job}, t, now)
 }
 
-// Decide is the AC's decide step for job number job of task t, which
-// arrived at arrival and is decided at now. It returns the decision,
+// Decide is the AC's decide step for job k of task t (k.Task is t's ref),
+// which arrived at arrival and is decided at now. It returns the decision,
 // whether the task effector may cache it as the task's policy, and the
 // instant the job's contributions expire: never before now, and zero when
 // nothing expires (a rejection, or a permanent per-task reservation).
-func (c *Controller) Decide(t *sched.Task, job int64, arrival, now time.Duration) (Decision, bool, time.Duration) {
-	return c.decide(sched.JobKey{Task: c.tasks.Intern(t), Job: job}, t, arrival, now)
-}
-
-// decide is Decide for job k of task t, k.Task being t's ref.
-func (c *Controller) decide(k sched.JobKey, t *sched.Task, arrival, now time.Duration) (Decision, bool, time.Duration) {
+func (c *Controller) Decide(k sched.JobKey, t *sched.Task, arrival, now time.Duration) (Decision, bool, time.Duration) {
 	d := c.arrive(k, t, arrival)
 	var expireAt time.Duration
 	if d.Accept && !d.Reserved {
@@ -451,7 +456,7 @@ func (c *Controller) arrivePerTask(t *sched.Task, k sched.JobKey, now time.Durat
 	// follows the job to the new placement.
 	placement := c.placeFor(k.Task, t)
 	if c.cfg.LB == StrategyPerJob {
-		if err := c.ledger.RelocateKey(sched.JobKey{Task: k.Task, Job: r.resJob}, placement); err != nil {
+		if err := c.ledger.Relocate(sched.JobKey{Task: k.Task, Job: r.resJob}, placement); err != nil {
 			// The reservation is always present for admitted tasks; an error
 			// here is a programming bug worth surfacing loudly in tests.
 			panic(fmt.Sprintf("core: relocate reservation for admitted task %s: %v", t.ID, err))
@@ -513,19 +518,17 @@ func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Durati
 }
 
 // Location answers the paper's LB "Location" call for inspection purposes:
-// it computes the placement the load balancer would propose for the given
-// arrival without mutating any per-task assignment memory. The admission
-// path itself uses the internal (memoizing) placement.
-func (c *Controller) Location(t *sched.Task, job int64) []sched.PlacedStage {
+// it computes the placement the load balancer would propose for an arrival
+// of task t (ref tr) without mutating any per-task assignment memory. The
+// admission path itself uses the internal (memoizing) placement.
+func (c *Controller) Location(tr sched.TaskRef, t *sched.Task) []sched.PlacedStage {
 	switch c.cfg.LB {
 	case StrategyPerTask:
 		if t.Kind == sched.Periodic {
 			c.taskMu.Lock()
 			var p []sched.PlacedStage
-			if ref, ok := c.tasks.Lookup(t.ID); ok {
-				if r := c.loadRecord(ref); r != nil {
-					p = slices.Clone(r.placement)
-				}
+			if r := c.loadRecord(tr); r != nil {
+				p = slices.Clone(r.placement)
 			}
 			c.taskMu.Unlock()
 			if p != nil {
@@ -540,39 +543,35 @@ func (c *Controller) Location(t *sched.Task, job int64) []sched.PlacedStage {
 	}
 }
 
-// ExpireJob removes the remaining contributions of a job whose absolute
-// deadline passed. Per-task reservations are unaffected. It returns the
-// number of contributions removed (zero for jobs already fully reset or
-// unknown), so callers can account expiry work without rescanning.
+// ExpireJob is ExpireKey for a job named by task name. Only the frozen
+// benchmark probe benchmark/probe_core.go calls it.
 func (c *Controller) ExpireJob(ref sched.JobRef) int {
 	tr, ok := c.tasks.Lookup(ref.Task)
 	if !ok {
 		return 0
 	}
-	return c.expire(sched.JobKey{Task: tr, Job: ref.Job})
+	return c.ExpireKey(sched.JobKey{Task: tr, Job: ref.Job})
 }
 
-// expire is ExpireJob by key.
-func (c *Controller) expire(k sched.JobKey) int {
-	n := c.ledger.ExpireKey(k)
+// ExpireKey removes the remaining contributions of a job whose absolute
+// deadline passed. Per-task reservations are unaffected. It returns the
+// number of contributions removed (zero for jobs already fully reset or
+// unknown), so callers can account expiry work without rescanning.
+func (c *Controller) ExpireKey(k sched.JobKey) int {
+	n := c.ledger.ExpireJob(k)
 	atomic.AddInt64(&c.Stats.Expiries, int64(n))
 	return n
 }
 
-// RemoveTask withdraws a task from the system entirely: its remaining ledger
-// contributions (including a permanent per-task reservation) are released
-// through the ledger's task index, the controller forgets its per-task
-// decision memory, and the name is unbound, so a task re-registered under it
-// gets a fresh ref and is treated as new. It returns the number of
-// contributions removed. The caller must quiesce arrivals first (see the
-// Controller comment).
-func (c *Controller) RemoveTask(task string) int {
-	tr, ok := c.tasks.Lookup(task)
-	if !ok {
-		return 0
-	}
-	c.tasks.Drop(task)
-	n := c.ledger.RemoveTaskRef(tr)
+// RemoveTask withdraws a task incarnation from the system entirely: its
+// remaining ledger contributions (including a permanent per-task
+// reservation) are released through the ledger's task index, and the
+// controller forgets its per-task decision memory. The ref is never handed
+// out again, so a task re-added under the same name is new. It returns the
+// number of contributions removed. The caller must quiesce arrivals first
+// (see the Controller comment).
+func (c *Controller) RemoveTask(tr sched.TaskRef) int {
+	n := c.ledger.RemoveTask(tr)
 	atomic.AddInt64(&c.Stats.TaskRemovals, int64(n))
 	c.recMu.Lock()
 	if idx := c.recs.Load(); idx != nil && int(tr) < len(*idx) {
@@ -582,23 +581,31 @@ func (c *Controller) RemoveTask(task string) int {
 	return n
 }
 
-// IdleReset processes an "Idle Resetting" event: the reported subjobs are
-// marked complete and their contributions removed per the resetting rule. It
-// returns the number of contributions actually removed.
+// IdleReset is IdleResetKeys for a report naming jobs by task name; an
+// entry of a name the controller does not know releases nothing. Only the
+// frozen benchmark probe benchmark/probe_core.go calls it.
 func (c *Controller) IdleReset(reports []sched.EntryRef) int {
-	return idleReset(c, reports, (*sched.ShardedLedger).ResetReported)
+	var buf [8]sched.Entry[sched.JobKey]
+	keys := buf[:0]
+	for _, r := range reports {
+		if tr, ok := c.tasks.Lookup(r.Ref.Task); ok {
+			keys = append(keys, sched.Entry[sched.JobKey]{Ref: sched.JobKey{Task: tr, Job: r.Ref.Job}, Stage: r.Stage, Proc: r.Proc})
+		}
+	}
+	return c.IdleResetKeys(keys)
 }
 
-// idleReset applies a report through reset: the ledger's ResetReported, by
-// name on the live binding or by key (ResetReportedKey) in the simulation.
-func idleReset[J comparable](c *Controller, reports []sched.Entry[J], reset func(*sched.ShardedLedger, sched.Entry[J]) bool) int {
+// IdleResetKeys processes an "Idle Resetting" event: the reported subjobs
+// are marked complete and their contributions removed per the resetting
+// rule. It returns the number of contributions actually removed.
+func (c *Controller) IdleResetKeys(reports []sched.Entry[sched.JobKey]) int {
 	var t0 time.Time
 	if c.timing != nil {
 		t0 = time.Now()
 	}
 	n := 0
 	for _, r := range reports {
-		if reset(c.ledger, r) {
+		if c.ledger.ResetReported(r) {
 			n++
 		}
 	}

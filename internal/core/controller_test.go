@@ -210,7 +210,7 @@ func TestLBPerTaskKeepsFirstAssignment(t *testing.T) {
 	}
 	// Clear the background load; per-task LB must still reuse the original
 	// assignment even though processor 0 now looks better.
-	c.Ledger().ExpireJob(sched.JobRef{Task: "bg", Job: 0})
+	c.ExpireJob(sched.JobRef{Task: "bg", Job: 0})
 	c.ExpireJob(sched.JobRef{Task: "p", Job: 0})
 	d1 := c.Arrive(tk, 1, time.Second)
 	if !d1.Accept || d1.Placement[0].Proc != 1 {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sched"
 )
 
-// idleResetter is the per-processor IR component's bookkeeping: it records
+// IdleResetter is the per-processor IR component's bookkeeping: it records
 // subjob completions reported by the local F/I and Last Subtask components
 // and, when the processor goes idle, produces the "Idle Resetting" report
 // for the admission controller.
@@ -17,26 +17,22 @@ import (
 // dropped (their contribution is removed by deadline expiry on the AC side
 // anyway).
 //
-// A job is named by J: sched.JobRef on the live binding, whose reports
-// travel between nodes by task name, and sched.JobKey in the simulation.
+// Jobs are named by sched.JobKey on both bindings.
 //
 // IdleResetter is not safe for concurrent use; each binding confines one
 // instance to its processor's execution context.
-type idleResetter[J comparable] struct {
+type IdleResetter struct {
 	strategy Strategy
 	proc     int
-	pending  []completion[J]
+	pending  []completion
 
 	// Reports counts idle-resetting reports produced (non-empty only).
 	Reports int64
 }
 
-// IdleResetter is the IR bookkeeping over jobs named by task name.
-type IdleResetter = idleResetter[sched.JobRef]
-
 // completion is one locally recorded completed subjob.
-type completion[J comparable] struct {
-	ref      J
+type completion struct {
+	ref      sched.JobKey
 	stage    int
 	kind     sched.TaskKind
 	deadline time.Duration // absolute virtual deadline
@@ -45,22 +41,18 @@ type completion[J comparable] struct {
 // NewIdleResetter returns an IR component for the given processor using the
 // given strategy. With StrategyNone, Complete and Report do nothing.
 func NewIdleResetter(strategy Strategy, proc int) *IdleResetter {
-	return newIdleResetter[sched.JobRef](strategy, proc)
-}
-
-func newIdleResetter[J comparable](strategy Strategy, proc int) *idleResetter[J] {
-	return &idleResetter[J]{strategy: strategy, proc: proc}
+	return &IdleResetter{strategy: strategy, proc: proc}
 }
 
 // Strategy returns the resetter's configured strategy.
-func (ir *idleResetter[J]) Strategy() Strategy { return ir.strategy }
+func (ir *IdleResetter) Strategy() Strategy { return ir.strategy }
 
 // SetStrategy hot-swaps the resetting rule during a reconfiguration. The
 // pending set is refiltered under the new rule so the next Report never
 // leaks a completion the new strategy would not have recorded: switching to
 // per-task drops pending periodic subjobs, switching to none drops
 // everything.
-func (ir *idleResetter[J]) SetStrategy(s Strategy) {
+func (ir *IdleResetter) SetStrategy(s Strategy) {
 	if s == ir.strategy {
 		return
 	}
@@ -85,7 +77,7 @@ func (ir *idleResetter[J]) SetStrategy(s Strategy) {
 // StrategyNone nothing is recorded. Under StrategyPerTask only aperiodic
 // subjobs are recorded ("the idle resetting component is notified when
 // aperiodic subjobs complete"); under StrategyPerJob both kinds are.
-func (ir *idleResetter[J]) Complete(ref J, stage int, kind sched.TaskKind, deadline time.Duration) {
+func (ir *IdleResetter) Complete(ref sched.JobKey, stage int, kind sched.TaskKind, deadline time.Duration) {
 	switch ir.strategy {
 	case StrategyNone:
 		return
@@ -96,7 +88,7 @@ func (ir *idleResetter[J]) Complete(ref J, stage int, kind sched.TaskKind, deadl
 	case StrategyPerJob:
 		// Record everything.
 	}
-	ir.pending = append(ir.pending, completion[J]{ref: ref, stage: stage, kind: kind, deadline: deadline})
+	ir.pending = append(ir.pending, completion{ref: ref, stage: stage, kind: kind, deadline: deadline})
 }
 
 // Report returns the entries to push to the admission controller now that
@@ -104,7 +96,7 @@ func (ir *idleResetter[J]) Complete(ref J, stage int, kind sched.TaskKind, deadl
 // The pending set is cleared: each completion is reported at most once. A
 // nil result means there is nothing new to report and no event should be
 // pushed.
-func (ir *idleResetter[J]) Report(now time.Duration) []sched.Entry[J] {
+func (ir *IdleResetter) Report(now time.Duration) []sched.Entry[sched.JobKey] {
 	return ir.ReportInto(now, nil)
 }
 
@@ -113,7 +105,7 @@ func (ir *idleResetter[J]) Report(now time.Duration) []sched.Entry[J] {
 // reports without allocating. Semantics are identical to Report: buf is
 // returned unchanged when there is nothing pending, and the Reports counter
 // only advances when entries were produced.
-func (ir *idleResetter[J]) ReportInto(now time.Duration, buf []sched.Entry[J]) []sched.Entry[J] {
+func (ir *IdleResetter) ReportInto(now time.Duration, buf []sched.Entry[sched.JobKey]) []sched.Entry[sched.JobKey] {
 	if len(ir.pending) == 0 {
 		return buf
 	}
@@ -122,7 +114,7 @@ func (ir *idleResetter[J]) ReportInto(now time.Duration, buf []sched.Entry[J]) [
 		if c.deadline <= now {
 			continue
 		}
-		out = append(out, sched.Entry[J]{Ref: c.ref, Stage: c.stage, Proc: ir.proc})
+		out = append(out, sched.Entry[sched.JobKey]{Ref: c.ref, Stage: c.stage, Proc: ir.proc})
 	}
 	ir.pending = ir.pending[:0]
 	if len(out) > len(buf) {
@@ -132,4 +124,4 @@ func (ir *idleResetter[J]) ReportInto(now time.Duration, buf []sched.Entry[J]) [
 }
 
 // PendingCount returns the number of completions waiting to be reported.
-func (ir *idleResetter[J]) PendingCount() int { return len(ir.pending) }
+func (ir *IdleResetter) PendingCount() int { return len(ir.pending) }

@@ -9,7 +9,7 @@ import (
 
 func TestIdleResetterNone(t *testing.T) {
 	ir := NewIdleResetter(StrategyNone, 0)
-	ir.Complete(sched.JobRef{Task: "a", Job: 0}, 0, sched.Aperiodic, time.Second)
+	ir.Complete(sched.JobKey{Task: 0, Job: 0}, 0, sched.Aperiodic, time.Second)
 	if ir.PendingCount() != 0 {
 		t.Error("StrategyNone recorded a completion")
 	}
@@ -20,21 +20,21 @@ func TestIdleResetterNone(t *testing.T) {
 
 func TestIdleResetterPerTaskFiltersPeriodic(t *testing.T) {
 	ir := NewIdleResetter(StrategyPerTask, 2)
-	ir.Complete(sched.JobRef{Task: "a", Job: 0}, 0, sched.Aperiodic, time.Second)
-	ir.Complete(sched.JobRef{Task: "p", Job: 0}, 0, sched.Periodic, time.Second)
+	ir.Complete(sched.JobKey{Task: 0, Job: 0}, 0, sched.Aperiodic, time.Second)
+	ir.Complete(sched.JobKey{Task: 3, Job: 0}, 0, sched.Periodic, time.Second)
 	if ir.PendingCount() != 1 {
 		t.Fatalf("PendingCount = %d, want 1 (aperiodic only)", ir.PendingCount())
 	}
 	got := ir.Report(0)
-	if len(got) != 1 || got[0].Ref.Task != "a" || got[0].Proc != 2 {
+	if len(got) != 1 || got[0].Ref.Task != 0 || got[0].Proc != 2 {
 		t.Errorf("Report = %v, want single aperiodic entry on proc 2", got)
 	}
 }
 
 func TestIdleResetterPerJobRecordsBoth(t *testing.T) {
 	ir := NewIdleResetter(StrategyPerJob, 0)
-	ir.Complete(sched.JobRef{Task: "a", Job: 0}, 0, sched.Aperiodic, time.Second)
-	ir.Complete(sched.JobRef{Task: "p", Job: 3}, 1, sched.Periodic, time.Second)
+	ir.Complete(sched.JobKey{Task: 0, Job: 0}, 0, sched.Aperiodic, time.Second)
+	ir.Complete(sched.JobKey{Task: 3, Job: 3}, 1, sched.Periodic, time.Second)
 	got := ir.Report(0)
 	if len(got) != 2 {
 		t.Fatalf("Report = %v, want 2 entries", got)
@@ -43,7 +43,7 @@ func TestIdleResetterPerJobRecordsBoth(t *testing.T) {
 
 func TestIdleResetterReportsOnce(t *testing.T) {
 	ir := NewIdleResetter(StrategyPerJob, 0)
-	ir.Complete(sched.JobRef{Task: "a", Job: 0}, 0, sched.Aperiodic, time.Second)
+	ir.Complete(sched.JobKey{Task: 0, Job: 0}, 0, sched.Aperiodic, time.Second)
 	if got := ir.Report(0); len(got) != 1 {
 		t.Fatalf("first Report = %v, want 1 entry", got)
 	}
@@ -57,15 +57,15 @@ func TestIdleResetterReportsOnce(t *testing.T) {
 
 func TestIdleResetterDropsExpired(t *testing.T) {
 	ir := NewIdleResetter(StrategyPerJob, 0)
-	ir.Complete(sched.JobRef{Task: "a", Job: 0}, 0, sched.Aperiodic, 500*time.Millisecond)
-	ir.Complete(sched.JobRef{Task: "b", Job: 0}, 0, sched.Aperiodic, 2*time.Second)
+	ir.Complete(sched.JobKey{Task: 0, Job: 0}, 0, sched.Aperiodic, 500*time.Millisecond)
+	ir.Complete(sched.JobKey{Task: 1, Job: 0}, 0, sched.Aperiodic, 2*time.Second)
 	got := ir.Report(time.Second)
-	if len(got) != 1 || got[0].Ref.Task != "b" {
+	if len(got) != 1 || got[0].Ref.Task != 1 {
 		t.Errorf("Report = %v, want only the unexpired entry", got)
 	}
 	// An all-expired pending set produces no report and does not bump the
 	// report counter.
-	ir.Complete(sched.JobRef{Task: "c", Job: 0}, 0, sched.Aperiodic, time.Second)
+	ir.Complete(sched.JobKey{Task: 2, Job: 0}, 0, sched.Aperiodic, time.Second)
 	if got := ir.Report(2 * time.Second); got != nil {
 		t.Errorf("Report of expired-only set = %v, want nil", got)
 	}

@@ -103,9 +103,10 @@ func assertNoStrandedLedgerEntries(t *testing.T, sim *SimSystem) {
 	if err := sim.Controller().Ledger().CheckInvariants(); err != nil {
 		t.Errorf("ledger audit: %v", err)
 	}
-	active := make(map[string]bool)
+	active := make(map[sched.TaskRef]bool)
 	for _, id := range sim.TaskIDs() {
-		active[id] = true
+		tr, _ := sim.tab.Lookup(id)
+		active[tr] = true
 	}
 	for _, ref := range sim.Controller().Ledger().ActiveJobs() {
 		if !active[ref.Task] {

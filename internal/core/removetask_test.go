@@ -36,7 +36,8 @@ func TestControllerRemoveTask(t *testing.T) {
 		t.Fatalf("ExpireJob removed %d permanent contributions, want 0", n)
 	}
 
-	if n := ctrl.RemoveTask("P1"); n != 1 {
+	// P1 is the first task the controller's name edge saw: ref 0.
+	if n := ctrl.RemoveTask(0); n != 1 {
 		t.Fatalf("RemoveTask removed %d contributions, want 1", n)
 	}
 	if got := ctrl.Ledger().Util(0); got != 0 {

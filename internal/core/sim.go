@@ -154,15 +154,15 @@ type relJob struct {
 // A task's index in tasks is its sched.TaskRef: task i of the workload holds
 // ref i, AddTasks appends, and no index is reused. The task table's name
 // index is the binding's name edge (Submit, AddTasks, RemoveTasks); the
-// controller and its ledger share the table and key everything on the ref,
-// as do the runtime state, events and pools here, so a steady-state arrival
+// controller and its ledger key everything on the ref, as do the runtime
+// state, events and pools here, so a steady-state arrival
 // performs no string-keyed lookup and no allocation in the simulation
 // layer.
 type SimSystem struct {
 	cfg     SimConfig
 	eng     *des.Engine
 	procs   []*des.Processor
-	irs     []*idleResetter[sched.JobKey]
+	irs     []*IdleResetter
 	links   *des.Link
 	ctrl    *Controller
 	rng     *rand.Rand
@@ -266,7 +266,7 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	}
 	sched.AssignEDMSPriorities(cloned)
 	tab := sched.NewTaskTable(cloned, taskIdx)
-	ctrl, err := newController(cfg.Strategies, cfg.NumProcs, tab)
+	ctrl, err := NewController(cfg.Strategies, cfg.NumProcs)
 	if err != nil {
 		return nil, err
 	}
@@ -284,10 +284,10 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 		removed: make([]bool, len(cloned)),
 	}
 	s.procs = make([]*des.Processor, cfg.NumProcs)
-	s.irs = make([]*idleResetter[sched.JobKey], cfg.NumProcs)
+	s.irs = make([]*IdleResetter, cfg.NumProcs)
 	for i := 0; i < cfg.NumProcs; i++ {
 		s.procs[i] = des.NewProcessor(eng, i)
-		s.irs[i] = newIdleResetter[sched.JobKey](cfg.Strategies.IR, i)
+		s.irs[i] = NewIdleResetter(cfg.Strategies.IR, i)
 		if cfg.Strategies.IR != StrategyNone {
 			i := i
 			s.procs[i].SetIdleCallback(func() { s.reportIdle(i) })
@@ -503,8 +503,10 @@ func (s *SimSystem) RemoveTasks(ids []string) error {
 	for _, ti := range tis {
 		t := s.tasks[ti]
 		s.removed[ti] = true
-		// Withdraws the ref's ledger state and unbinds the name.
-		s.ctrl.RemoveTask(t.ID)
+		// Unbind the name, so a re-added task gets a fresh ref, and withdraw
+		// the ref's ledger state.
+		s.tab.Drop(t.ID)
+		s.ctrl.RemoveTask(sched.TaskRef(ti))
 		s.emit(WatchTaskRemoved, ti, -1, nil, 0)
 	}
 	s.reassignPriorities()
@@ -748,7 +750,7 @@ func (s *SimSystem) HandleEvent(ev des.Event) {
 	case evDecide:
 		s.decide(ev.A, ev.N, ev.D)
 	case evExpire:
-		s.ctrl.expire(sched.JobKey{Task: sched.TaskRef(ev.A), Job: ev.N})
+		s.ctrl.ExpireKey(sched.JobKey{Task: sched.TaskRef(ev.A), Job: ev.N})
 	case evDeliver:
 		v := s.decs[ev.B]
 		s.freeDec(ev.B)
@@ -761,7 +763,7 @@ func (s *SimSystem) HandleEvent(ev des.Event) {
 	case evStageStart:
 		s.startStage(ev.A, ev.B)
 	case evIdleReport:
-		idleReset(s.ctrl, s.irReports[ev.A], (*sched.ShardedLedger).ResetReportedKey)
+		s.ctrl.IdleResetKeys(s.irReports[ev.A])
 		s.freeReport(ev.A)
 	case evReconfigQuiesce:
 		s.beginQuiesce(ev.A)
@@ -844,7 +846,7 @@ func (s *SimSystem) decide(ti int32, job int64, arrival time.Duration) {
 	// through the normal path, so the arrival is accounted exactly once.
 	if !s.removed[ti] {
 		var expireAt time.Duration
-		v.d, v.cache, expireAt = s.ctrl.decide(sched.JobKey{Task: sched.TaskRef(ti), Job: job}, s.tasks[ti], arrival, s.eng.Now())
+		v.d, v.cache, expireAt = s.ctrl.Decide(sched.JobKey{Task: sched.TaskRef(ti), Job: job}, s.tasks[ti], arrival, s.eng.Now())
 		if expireAt > 0 {
 			// One expiry event per accepted job: with the indexed ledger the
 			// event is an O(1) lookup (a no-op when idle resetting already

@@ -8,9 +8,14 @@ package deploy
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"sort"
 )
+
+// ErrPlan is wrapped by every error Parse returns: the bytes are not a
+// well-formed, valid deployment plan.
+var ErrPlan = errors.New("deploy: malformed plan")
 
 // TypeKindString is the CORBA TypeCode kind used for string-valued
 // configuration properties, echoing the paper's Figure 4 XML fragment.
@@ -120,14 +125,18 @@ type Connection struct {
 	SinkNode string `xml:"sinkNode"`
 }
 
-// Parse decodes and validates a plan.
+// Parse decodes and validates a plan. Every error wraps ErrPlan.
 func Parse(data []byte) (*Plan, error) {
 	var p Plan
 	if err := xml.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("deploy: parse plan: %w", err)
+		return nil, fmt.Errorf("%w: %v", ErrPlan, err)
+	}
+	// Encode writes no namespace, so a plan in one would not round-trip.
+	if p.XMLName.Space != "" {
+		return nil, fmt.Errorf("%w: root element in namespace %q", ErrPlan, p.XMLName.Space)
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrPlan, err)
 	}
 	return &p, nil
 }

@@ -76,6 +76,7 @@ type AblationResult struct {
 type arrivalEvent struct {
 	at   time.Duration
 	task *sched.Task
+	ref  sched.TaskRef // the task's index in the generated set
 	job  int64
 }
 
@@ -153,7 +154,7 @@ func ablationStream(opts AblationOptions, seed int64) ([]*sched.Task, []arrivalE
 	sched.AssignEDMSPriorities(tasks)
 
 	var events []arrivalEvent
-	for _, t := range tasks {
+	for i, t := range tasks {
 		now := time.Duration(0)
 		job := int64(0)
 		for {
@@ -165,7 +166,7 @@ func ablationStream(opts AblationOptions, seed int64) ([]*sched.Task, []arrivalE
 			if now > opts.Horizon {
 				break
 			}
-			events = append(events, arrivalEvent{at: now, task: t, job: job})
+			events = append(events, arrivalEvent{at: now, task: t, ref: sched.TaskRef(i), job: job})
 			job++
 		}
 	}
@@ -185,7 +186,7 @@ func replayAUB(opts AblationOptions, tasks []*sched.Task, events []arrivalEvent)
 	ledger := sched.NewLedger(opts.Procs)
 	type expiry struct {
 		at  time.Duration
-		ref sched.JobRef
+		ref sched.JobKey
 	}
 	var pending []expiry
 	var offered, accepted float64
@@ -211,7 +212,7 @@ func replayAUB(opts AblationOptions, tasks []*sched.Task, events []arrivalEvent)
 		if !ledger.Admissible(placement) {
 			continue
 		}
-		ref := sched.JobRef{Task: ev.task.ID, Job: ev.job}
+		ref := sched.JobKey{Task: ev.ref, Job: ev.job}
 		if err := ledger.AddJob(ref, sched.Aperiodic, placement, false, ev.at+ev.task.Deadline); err != nil {
 			continue
 		}

@@ -21,7 +21,12 @@ const (
 	AttrLBStrategy = "LB_Strategy"
 	AttrProcessors = "Processors"
 	AttrWorkload   = "Workload"
-	AttrProcessor  = "Processor"
+	// AttrTaskRefs travels with every Workload attribute: the deployment's
+	// task refs (ParseTaskRefs). The configuration engine hands each task a
+	// ref once, so a task removed and added again under its old ID gets a
+	// new one, and nothing addressed to the old incarnation reaches it.
+	AttrTaskRefs  = "TaskRefs"
+	AttrProcessor = "Processor"
 	// AttrEpoch carries the reconfiguration epoch stamped by the
 	// coordinator into every Reconfigure attribute set: components adopt it
 	// so stale cross-epoch decisions are recognizable.
@@ -53,7 +58,7 @@ type AdmissionController struct {
 	mu     sync.RWMutex
 	cfg    core.Config
 	ctrl   *core.Controller
-	tasks  map[string]*sched.Task
+	tasks  map[sched.TaskRef]*sched.Task
 	ch     *eventchan.Channel
 	active bool
 	closed bool
@@ -61,7 +66,7 @@ type AdmissionController struct {
 	// timerMu guards timers, the pending deadline-expiry timer of every
 	// accepted job; decisions and firing timers hold mu only shared.
 	timerMu sync.Mutex
-	timers  map[sched.JobRef]*time.Timer
+	timers  map[sched.JobKey]*time.Timer
 
 	// Reconfiguration state: while quiesced, TaskArrive events buffer in
 	// deferred instead of being decided; Resume replays them under the
@@ -103,7 +108,7 @@ var (
 
 // NewAdmissionController returns an unconfigured AC component.
 func NewAdmissionController() *AdmissionController {
-	return &AdmissionController{timers: make(map[sched.JobRef]*time.Timer)}
+	return &AdmissionController{timers: make(map[sched.JobKey]*time.Timer)}
 }
 
 // Configure parses the strategy tuple, processor count and workload. It is
@@ -133,7 +138,7 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 			return err
 		}
 	}
-	index, err := attrWorkload(attrs, true)
+	index, err := ParseWorkload(attrs, true)
 	if err != nil {
 		return err
 	}
@@ -230,12 +235,12 @@ func (ac *AdmissionController) decideRLocked(arr TaskArrive) {
 	out := Accept{Task: arr.Task, Job: arr.Job, ArrivalNanos: arr.ArrivalNanos, Epoch: ac.epoch}
 	if t, ok := ac.tasks[arr.Task]; ok {
 		now := nowNanos()
-		d, cache, expireAt := ac.ctrl.Decide(t, arr.Job, time.Duration(arr.ArrivalNanos), time.Duration(now))
-		ref := sched.JobRef{Task: arr.Task, Job: arr.Job}
-		ac.replicateDecision(t, ref, arr.ArrivalNanos, d)
+		k := sched.JobKey{Task: arr.Task, Job: arr.Job}
+		d, cache, expireAt := ac.ctrl.Decide(k, t, time.Duration(arr.ArrivalNanos), time.Duration(now))
+		ac.replicateDecision(t, k, arr.ArrivalNanos, d)
 		if expireAt > 0 {
 			ac.timerMu.Lock()
-			ac.timers[ref] = time.AfterFunc(time.Duration(int64(expireAt)-now), func() { ac.expire(ref) })
+			ac.timers[k] = time.AfterFunc(time.Duration(int64(expireAt)-now), func() { ac.expire(k) })
 			ac.timerMu.Unlock()
 		}
 		out.Ok, out.Placement, out.PerTaskDecision = d.Accept, d.Placement, cache
@@ -270,19 +275,21 @@ func (ac *AdmissionController) replicateRLocked(rec RepRecord) {
 // per-task reservations, expiring otherwise), and an untested accept under
 // LB-per-job relocated the task's reservation. Untested accepts under the
 // other balancers touch no ledger state. Caller holds mu shared.
-func (ac *AdmissionController) replicateDecision(t *sched.Task, ref sched.JobRef, arrivalNanos int64, d core.Decision) {
+func (ac *AdmissionController) replicateDecision(t *sched.Task, k sched.JobKey, arrivalNanos int64, d core.Decision) {
 	if !ac.replicate || !d.Accept {
 		return
 	}
 	switch {
 	case d.Tested:
-		rec := RepRecord{Kind: RepAdmit, Ref: ref, TaskKind: t.Kind, Placement: d.Placement, Permanent: d.Reserved}
+		rec := RepRecord{Kind: RepAdmit, Ref: k, TaskKind: t.Kind, Placement: d.Placement, Permanent: d.Reserved}
 		if !d.Reserved {
 			rec.ExpiryNanos = arrivalNanos + int64(t.Deadline)
 		}
 		ac.replicateRLocked(rec)
 	case ac.cfg.LB == core.StrategyPerJob:
-		ac.replicateRLocked(RepRecord{Kind: RepRelocate, Task: t.ID, Placement: d.Placement})
+		if res, ok := ac.ctrl.Reservation(k.Task); ok {
+			ac.replicateRLocked(RepRecord{Kind: RepRelocate, Ref: res, Placement: d.Placement})
+		}
 	}
 }
 
@@ -331,13 +338,14 @@ func (ac *AdmissionController) Quiesce() (int64, error) {
 // AddTasks/RemoveTasks delta): tasks joining the workload become admissible
 // at their next arrival, and tasks leaving it have their remaining ledger
 // contributions — including permanent per-task reservations — withdrawn
-// through the controller's task index and their pending expiry timers
-// cancelled. Jobs of departed tasks that were already released keep
-// executing; withdrawal only frees the synthetic utilization backing future
-// admission decisions.
+// through the controller's task index. Their pending expiry timers are left
+// to fire: they name the departed ref, which holds nothing any more, and a
+// task re-added under the same ID has a new one. Jobs of departed tasks that
+// were already released keep executing; withdrawal only frees the synthetic
+// utilization backing future admission decisions.
 func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 	// Parse the new task set outside the lock; nothing mutates on error.
-	newTasks, err := attrWorkload(attrs, false)
+	newTasks, err := ParseWorkload(attrs, false)
 	if err != nil {
 		return err
 	}
@@ -381,7 +389,7 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 	// A swap away from per-task admission withdraws the permanent
 	// reservations inside the controller; snapshot their refs first so the
 	// replication stream can mirror exactly those withdrawals.
-	var withdrawnReservations []sched.JobRef
+	var withdrawnReservations []sched.JobKey
 	if ac.replicate && ac.cfg.AC == core.StrategyPerTask && cfg.AC != core.StrategyPerTask {
 		withdrawnReservations = ac.ctrl.Reservations()
 	}
@@ -392,20 +400,11 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 		ac.replicateRLocked(RepRecord{Kind: RepWithdraw, Ref: ref})
 	}
 	if newTasks != nil {
-		for id := range ac.tasks {
-			if _, ok := newTasks[id]; ok {
-				continue
+		for ref := range ac.tasks {
+			if _, ok := newTasks[ref]; !ok {
+				ac.ctrl.RemoveTask(ref)
+				ac.replicateRLocked(RepRecord{Kind: RepRemove, Ref: sched.JobKey{Task: ref}})
 			}
-			ac.ctrl.RemoveTask(id)
-			ac.replicateRLocked(RepRecord{Kind: RepWithdraw, Task: id})
-			ac.timerMu.Lock()
-			for ref, tm := range ac.timers {
-				if ref.Task == id {
-					tm.Stop()
-					delete(ac.timers, ref)
-				}
-			}
-			ac.timerMu.Unlock()
 		}
 		ac.tasks = newTasks
 	}
@@ -470,17 +469,17 @@ func (ac *AdmissionController) reconfigServant(op string, arg []byte) ([]byte, e
 }
 
 // expire removes a job's contributions at its absolute deadline.
-func (ac *AdmissionController) expire(ref sched.JobRef) {
+func (ac *AdmissionController) expire(k sched.JobKey) {
 	ac.mu.RLock()
 	defer ac.mu.RUnlock()
 	if ac.closed {
 		return
 	}
 	ac.timerMu.Lock()
-	delete(ac.timers, ref)
+	delete(ac.timers, k)
 	ac.timerMu.Unlock()
-	if ac.ctrl.ExpireJob(ref) > 0 {
-		ac.replicateRLocked(RepRecord{Kind: RepExpire, Ref: ref})
+	if ac.ctrl.ExpireKey(k) > 0 {
+		ac.replicateRLocked(RepRecord{Kind: RepExpire, Ref: k})
 	}
 }
 
@@ -500,7 +499,7 @@ func (ac *AdmissionController) onIdleReset(ev eventchan.Event) {
 	}
 	// Time only the ledger apply, not decode or lock acquisition.
 	start := time.Now()
-	ac.ctrl.IdleReset(rep.Entries)
+	ac.ctrl.IdleResetKeys(rep.Entries)
 	elapsed := time.Since(start)
 	ac.replicateRLocked(RepRecord{Kind: RepReset, Entries: rep.Entries})
 	ac.mu.RUnlock()
@@ -531,27 +530,14 @@ func (ac *AdmissionController) AuditLedger() error {
 	return ac.ctrl.Ledger().CheckInvariants()
 }
 
-// ActiveLedgerJobs snapshots the ledger's active job references.
-func (ac *AdmissionController) ActiveLedgerJobs() []sched.JobRef {
+// ActiveLedgerJobs snapshots the ledger's active job keys.
+func (ac *AdmissionController) ActiveLedgerJobs() []sched.JobKey {
 	ac.mu.RLock()
 	defer ac.mu.RUnlock()
 	if ac.ctrl == nil {
 		return nil
 	}
 	return ac.ctrl.Ledger().ActiveJobs()
-}
-
-// CompletedOn exposes the ledger's per-processor view of completed,
-// still-active contributions (through the per-processor entry index), so
-// remote idle resetters and diagnostic tools can reconcile their local
-// pending sets against the manager's ledger.
-func (ac *AdmissionController) CompletedOn(proc int, includePeriodic bool) []sched.EntryRef {
-	ac.mu.RLock()
-	defer ac.mu.RUnlock()
-	if ac.ctrl == nil {
-		return nil
-	}
-	return ac.ctrl.Ledger().CompletedOn(proc, includePeriodic)
 }
 
 // parseStrategies reads the strategy attributes present in attrs over cfg.
@@ -597,7 +583,7 @@ type LoadBalancer struct {
 	strategy   core.Strategy
 	acInstance string
 	ac         *AdmissionController
-	tasks      map[string]*sched.Task
+	tasks      map[sched.TaskRef]*sched.Task
 }
 
 var _ ccm.Component = (*LoadBalancer)(nil)
@@ -618,7 +604,7 @@ func (lb *LoadBalancer) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
-	index, err := attrWorkload(attrs, true)
+	index, err := ParseWorkload(attrs, true)
 	if err != nil {
 		return err
 	}
@@ -666,7 +652,7 @@ func (lb *LoadBalancer) Passivate() error { return nil }
 // advertised strategy and task index in sync for the Location facet and
 // diagnostics.
 func (lb *LoadBalancer) Reconfigure(attrs map[string]string) error {
-	newTasks, err := attrWorkload(attrs, false)
+	newTasks, err := ParseWorkload(attrs, false)
 	if err != nil {
 		return err
 	}
@@ -705,10 +691,16 @@ func (lb *LoadBalancer) servant(op string, arg []byte) ([]byte, error) {
 		return nil, err
 	}
 	lb.mu.Lock()
-	t, ok := lb.tasks[taskID]
+	var ref sched.TaskRef
+	var t *sched.Task
+	for r, task := range lb.tasks {
+		if task.ID == taskID {
+			ref, t = r, task
+		}
+	}
 	ac := lb.ac
 	lb.mu.Unlock()
-	if !ok {
+	if t == nil {
 		return nil, fmt.Errorf("live: lb: unknown task %q", taskID)
 	}
 	if ac == nil {
@@ -718,5 +710,5 @@ func (lb *LoadBalancer) servant(op string, arg []byte) ([]byte, error) {
 	if ctrl == nil {
 		return nil, errors.New("live: lb: admission controller not configured")
 	}
-	return gobEncode(ctrl.Location(t, 0)), nil
+	return gobEncode(ctrl.Location(ref, t)), nil
 }

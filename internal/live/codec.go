@@ -13,13 +13,16 @@ import (
 // typed Append function and read back by a typed Decode function. Every
 // event on the per-job path goes through it, so it is fixed-cost (no
 // reflection, no type descriptors on the wire) and allocates only what the
-// decoded value keeps: one buffer per encode, one backing array per slice
-// and one copy per non-empty string per decode.
+// decoded value keeps: one buffer per encode, and per decode one backing
+// array per slice and one copy per non-empty string. Tasks travel as their
+// sched.TaskRef, so the only strings left are a RepRecord's Kind and a
+// Heartbeat's node name.
 //
 // Wire primitives:
 //
 //	tag     1 byte, the payload type (tagTaskArrive … tagDone)
-//	int     zig-zag varint (encoding/binary's Varint), minimal length only
+//	int     zig-zag varint (encoding/binary's Varint), minimal length only;
+//	        a task ref is an int in [0, 2^31)
 //	bool    1 byte, 0 or 1
 //	float   8 bytes, IEEE 754 bits, little endian
 //	string  uvarint byte length, then the bytes
@@ -50,7 +53,7 @@ const (
 // bytes remaining by them to bound a count before allocating.
 const (
 	minPlacedStage = 1 + 1 + 8     // Stage, Proc, Util
-	minEntryRef    = 1 + 1 + 1 + 1 // empty Task, Job, Stage, Proc
+	minEntry       = 1 + 1 + 1 + 1 // Task, Job, Stage, Proc
 )
 
 // Upper bounds on encoded field sizes, for sizing the buffer once.
@@ -61,22 +64,13 @@ const (
 
 func maxString(s string) int { return maxInt + len(s) }
 
-func maxEntries(entries []sched.EntryRef) int {
-	n := maxInt
-	for i := range entries {
-		n += maxString(entries[i].Ref.Task) + 3*maxInt
-	}
-	return n
-}
-
 // AppendTaskArrive appends the encoding of v to dst.
 //
 //rtmw:noalloc
 func AppendTaskArrive(dst []byte, v *TaskArrive) []byte {
-	dst = slices.Grow(dst, 1+maxString(v.Task)+3*maxInt)
+	dst = slices.Grow(dst, 1+4*maxInt)
 	dst = append(dst, tagTaskArrive)
-	dst = appendString(dst, v.Task)
-	dst = binary.AppendVarint(dst, v.Job)
+	dst = appendJob(dst, v.Task, v.Job)
 	dst = binary.AppendVarint(dst, int64(v.Proc))
 	return binary.AppendVarint(dst, v.ArrivalNanos)
 }
@@ -85,7 +79,7 @@ func AppendTaskArrive(dst []byte, v *TaskArrive) []byte {
 func DecodeTaskArrive(b []byte) (TaskArrive, error) {
 	r := open(b, tagTaskArrive)
 	return finish(&r, "TaskArrive", TaskArrive{
-		Task:         r.str(),
+		Task:         r.ref(),
 		Job:          r.varint(),
 		Proc:         r.int(),
 		ArrivalNanos: r.varint(),
@@ -97,10 +91,9 @@ func DecodeTaskArrive(b []byte) (TaskArrive, error) {
 //
 //rtmw:noalloc
 func AppendAccept(dst []byte, v *Accept) []byte {
-	dst = slices.Grow(dst, 1+maxString(v.Task)+4*maxInt+2+len(v.Placement)*maxPlacedStage)
+	dst = slices.Grow(dst, 1+5*maxInt+2+len(v.Placement)*maxPlacedStage)
 	dst = append(dst, tagAccept)
-	dst = appendString(dst, v.Task)
-	dst = binary.AppendVarint(dst, v.Job)
+	dst = appendJob(dst, v.Task, v.Job)
 	dst = appendBool(dst, v.Ok)
 	dst = appendBool(dst, v.PerTaskDecision)
 	dst = binary.AppendVarint(dst, v.ArrivalNanos)
@@ -112,7 +105,7 @@ func AppendAccept(dst []byte, v *Accept) []byte {
 func DecodeAccept(b []byte) (Accept, error) {
 	r := open(b, tagAccept)
 	return finish(&r, "Accept", Accept{
-		Task:            r.str(),
+		Task:            r.ref(),
 		Job:             r.varint(),
 		Ok:              r.bool(),
 		PerTaskDecision: r.bool(),
@@ -122,12 +115,12 @@ func DecodeAccept(b []byte) (Accept, error) {
 	})
 }
 
-// acceptTask returns the Task field of an Accept payload as a view into b,
-// reading only the header: the task effectors that do not own the task drop
-// the event without decoding (or allocating) the rest.
-func acceptTask(b []byte) ([]byte, bool) {
+// acceptTask returns the Task field of an Accept payload, reading only the
+// header: the task effectors that do not own the task drop the event
+// without decoding (or allocating) the rest.
+func acceptTask(b []byte) (sched.TaskRef, bool) {
 	r := open(b, tagAccept)
-	task := r.view()
+	task := r.ref()
 	return task, r.why == ""
 }
 
@@ -137,10 +130,9 @@ func acceptTask(b []byte) ([]byte, bool) {
 //
 //rtmw:noalloc
 func AppendTrigger(dst []byte, v *Trigger) []byte {
-	dst = slices.Grow(dst, 1+maxString(v.Task)+4*maxInt+len(v.Placement)*maxPlacedStage)
+	dst = slices.Grow(dst, 1+5*maxInt+len(v.Placement)*maxPlacedStage)
 	dst = append(dst, tagTrigger)
-	dst = appendString(dst, v.Task)
-	dst = binary.AppendVarint(dst, v.Job)
+	dst = appendJob(dst, v.Task, v.Job)
 	dst = binary.AppendVarint(dst, int64(v.Stage))
 	dst = appendPlacement(dst, v.Placement)
 	return binary.AppendVarint(dst, v.ArrivalNanos)
@@ -150,7 +142,7 @@ func AppendTrigger(dst []byte, v *Trigger) []byte {
 func DecodeTrigger(b []byte) (Trigger, error) {
 	r := open(b, tagTrigger)
 	return finish(&r, "Trigger", Trigger{
-		Task:         r.str(),
+		Task:         r.ref(),
 		Job:          r.varint(),
 		Stage:        r.int(),
 		Placement:    r.placement(),
@@ -163,9 +155,9 @@ func DecodeTrigger(b []byte) (Trigger, error) {
 // walks the encoded header and placement in place and allocates nothing;
 // only the one instance it selects goes on to DecodeTrigger, which also
 // validates the bytes this walk does not reach.
-func triggerAddressedTo(b []byte, task string, stage, proc int) bool {
+func triggerAddressedTo(b []byte, task sched.TaskRef, stage, proc int) bool {
 	r := open(b, tagTrigger)
-	if string(r.view()) != task {
+	if r.ref() != task {
 		return false
 	}
 	r.varint() // Job
@@ -188,7 +180,7 @@ func triggerAddressedTo(b []byte, task string, stage, proc int) bool {
 //
 //rtmw:noalloc
 func AppendIdleReset(dst []byte, v *IdleReset) []byte {
-	dst = slices.Grow(dst, 1+maxInt+maxEntries(v.Entries))
+	dst = slices.Grow(dst, 2*maxInt+4*maxInt*len(v.Entries))
 	dst = append(dst, tagIdleReset)
 	dst = binary.AppendVarint(dst, int64(v.Proc))
 	return appendEntries(dst, v.Entries)
@@ -207,9 +199,9 @@ func DecodeIdleReset(b []byte) (IdleReset, error) {
 //
 //rtmw:noalloc
 func AppendComplete(dst []byte, v *Complete) []byte {
-	dst = slices.Grow(dst, 1+maxString(v.Ref.Task)+4*maxInt)
+	dst = slices.Grow(dst, 1+5*maxInt)
 	dst = append(dst, tagComplete)
-	dst = appendJobRef(dst, v.Ref)
+	dst = appendJob(dst, v.Ref.Task, v.Ref.Job)
 	dst = binary.AppendVarint(dst, int64(v.Stage))
 	dst = binary.AppendVarint(dst, int64(v.Kind))
 	return binary.AppendVarint(dst, v.DeadlineNanos)
@@ -219,7 +211,7 @@ func AppendComplete(dst []byte, v *Complete) []byte {
 func DecodeComplete(b []byte) (Complete, error) {
 	r := open(b, tagComplete)
 	return finish(&r, "Complete", Complete{
-		Ref:           r.jobRef(),
+		Ref:           r.jobKey(),
 		Stage:         r.int(),
 		Kind:          sched.TaskKind(r.int()),
 		DeadlineNanos: r.varint(),
@@ -253,18 +245,16 @@ func DecodeHeartbeat(b []byte) (Heartbeat, error) {
 //
 //rtmw:noalloc
 func AppendRepRecord(dst []byte, v *RepRecord) []byte {
-	dst = slices.Grow(dst, 1+maxString(v.Kind)+maxString(v.Ref.Task)+maxString(v.Task)+
-		6*maxInt+1+len(v.Placement)*maxPlacedStage+maxEntries(v.Entries))
+	dst = slices.Grow(dst, 1+maxString(v.Kind)+8*maxInt+1+len(v.Placement)*maxPlacedStage+4*maxInt*len(v.Entries))
 	dst = append(dst, tagRepRecord)
 	dst = binary.AppendVarint(dst, v.Epoch)
 	dst = binary.AppendVarint(dst, v.Seq)
 	dst = appendString(dst, v.Kind)
-	dst = appendJobRef(dst, v.Ref)
+	dst = appendJob(dst, v.Ref.Task, v.Ref.Job)
 	dst = binary.AppendVarint(dst, int64(v.TaskKind))
 	dst = appendPlacement(dst, v.Placement)
 	dst = appendBool(dst, v.Permanent)
 	dst = binary.AppendVarint(dst, v.ExpiryNanos)
-	dst = appendString(dst, v.Task)
 	return appendEntries(dst, v.Entries)
 }
 
@@ -275,12 +265,11 @@ func DecodeRepRecord(b []byte) (RepRecord, error) {
 		Epoch:       r.varint(),
 		Seq:         r.varint(),
 		Kind:        r.str(),
-		Ref:         r.jobRef(),
+		Ref:         r.jobKey(),
 		TaskKind:    sched.TaskKind(r.int()),
 		Placement:   r.placement(),
 		Permanent:   r.bool(),
 		ExpiryNanos: r.varint(),
-		Task:        r.str(),
 		Entries:     r.entries(),
 	})
 }
@@ -289,10 +278,9 @@ func DecodeRepRecord(b []byte) (RepRecord, error) {
 //
 //rtmw:noalloc
 func AppendDone(dst []byte, v *Done) []byte {
-	dst = slices.Grow(dst, 1+maxString(v.Task)+3*maxInt)
+	dst = slices.Grow(dst, 1+4*maxInt)
 	dst = append(dst, tagDone)
-	dst = appendString(dst, v.Task)
-	dst = binary.AppendVarint(dst, v.Job)
+	dst = appendJob(dst, v.Task, v.Job)
 	dst = binary.AppendVarint(dst, v.ArrivalNanos)
 	return binary.AppendVarint(dst, v.DoneNanos)
 }
@@ -301,7 +289,7 @@ func AppendDone(dst []byte, v *Done) []byte {
 func DecodeDone(b []byte) (Done, error) {
 	r := open(b, tagDone)
 	return finish(&r, "Done", Done{
-		Task:         r.str(),
+		Task:         r.ref(),
 		Job:          r.varint(),
 		ArrivalNanos: r.varint(),
 		DoneNanos:    r.varint(),
@@ -323,9 +311,9 @@ func appendBool(dst []byte, v bool) []byte {
 }
 
 //rtmw:noalloc
-func appendJobRef(dst []byte, ref sched.JobRef) []byte {
-	dst = appendString(dst, ref.Task)
-	return binary.AppendVarint(dst, ref.Job)
+func appendJob(dst []byte, task sched.TaskRef, job int64) []byte {
+	dst = binary.AppendVarint(dst, int64(task))
+	return binary.AppendVarint(dst, job)
 }
 
 //rtmw:noalloc
@@ -341,11 +329,11 @@ func appendPlacement(dst []byte, placement []sched.PlacedStage) []byte {
 }
 
 //rtmw:noalloc
-func appendEntries(dst []byte, entries []sched.EntryRef) []byte {
+func appendEntries(dst []byte, entries []sched.Entry[sched.JobKey]) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for i := range entries {
 		e := &entries[i]
-		dst = appendJobRef(dst, e.Ref)
+		dst = appendJob(dst, e.Ref.Task, e.Ref.Job)
 		dst = binary.AppendVarint(dst, int64(e.Stage))
 		dst = binary.AppendVarint(dst, int64(e.Proc))
 	}
@@ -480,8 +468,18 @@ func (r *reader) count(minElem int) int {
 	return int(n)
 }
 
-func (r *reader) jobRef() sched.JobRef {
-	return sched.JobRef{Task: r.str(), Job: r.varint()}
+// ref reads a task ref: refs are never negative and fit in 32 bits.
+func (r *reader) ref() sched.TaskRef {
+	v := r.varint()
+	if v < 0 || int64(sched.TaskRef(v)) != v {
+		r.fail("task ref out of range")
+		return 0
+	}
+	return sched.TaskRef(v)
+}
+
+func (r *reader) jobKey() sched.JobKey {
+	return sched.JobKey{Task: r.ref(), Job: r.varint()}
 }
 
 func (r *reader) placement() []sched.PlacedStage {
@@ -496,14 +494,14 @@ func (r *reader) placement() []sched.PlacedStage {
 	return out
 }
 
-func (r *reader) entries() []sched.EntryRef {
-	n := r.count(minEntryRef)
+func (r *reader) entries() []sched.Entry[sched.JobKey] {
+	n := r.count(minEntry)
 	if n == 0 {
 		return nil
 	}
-	out := make([]sched.EntryRef, n)
+	out := make([]sched.Entry[sched.JobKey], n)
 	for i := range out {
-		out[i] = sched.EntryRef{Ref: r.jobRef(), Stage: r.int(), Proc: r.int()}
+		out[i] = sched.Entry[sched.JobKey]{Ref: r.jobKey(), Stage: r.int(), Proc: r.int()}
 	}
 	return out
 }

@@ -43,16 +43,16 @@ var sinkBytes []byte
 func BenchmarkPayloadCodec(b *testing.B) {
 	const now = 1790000000000000000
 	benchPayload(b, "TaskArrive",
-		TaskArrive{Task: "task-017", Job: 4211, Proc: 2, ArrivalNanos: now},
+		TaskArrive{Task: 17, Job: 4211, Proc: 2, ArrivalNanos: now},
 		AppendTaskArrive, DecodeTaskArrive)
 	benchPayload(b, "Accept",
-		Accept{Task: "task-017", Job: 4211, Ok: true, Placement: benchPlacement, ArrivalNanos: now, Epoch: 3},
+		Accept{Task: 17, Job: 4211, Ok: true, Placement: benchPlacement, ArrivalNanos: now, Epoch: 3},
 		AppendAccept, DecodeAccept)
 	benchPayload(b, "Trigger",
-		Trigger{Task: "task-017", Job: 4211, Stage: 1, Placement: benchPlacement, ArrivalNanos: now},
+		Trigger{Task: 17, Job: 4211, Stage: 1, Placement: benchPlacement, ArrivalNanos: now},
 		AppendTrigger, DecodeTrigger)
 	benchPayload(b, "RepRecord",
-		RepRecord{Epoch: 3, Seq: 90210, Kind: RepAdmit, Ref: sched.JobRef{Task: "task-017", Job: 4211},
+		RepRecord{Epoch: 3, Seq: 90210, Kind: RepAdmit, Ref: sched.JobKey{Task: 17, Job: 4211},
 			TaskKind: sched.Aperiodic, Placement: benchPlacement, ExpiryNanos: now},
 		AppendRepRecord, DecodeRepRecord)
 }

@@ -46,41 +46,41 @@ var goldenPlacement = []sched.PlacedStage{{Stage: 0, Proc: 1, Util: 0.25}, {Stag
 // payloadCodecs lists the eight payload types. The goldenHex column pins the
 // wire layout: a field reorder, a changed tag or a different integer coding
 // fails TestPayloadGoldenBytes. Reading guide for the first row:
-// 01 tag | 02 "t1" | 06 Job 3 (zig-zag) | 02 Proc 1 | d00f ArrivalNanos 1000.
+// 01 tag | 02 Task ref 1 (zig-zag) | 06 Job 3 | 02 Proc 1 | d00f ArrivalNanos 1000.
 var payloadCodecs = []payloadCodec{
 	codecOf("TaskArrive", AppendTaskArrive, DecodeTaskArrive,
-		TaskArrive{Task: "t1", Job: 3, Proc: 1, ArrivalNanos: 1000},
-		"01"+"027431"+"06"+"02"+"d00f",
+		TaskArrive{Task: 1, Job: 3, Proc: 1, ArrivalNanos: 1000},
+		"01"+"02"+"06"+"02"+"d00f",
 		func(g *gen) TaskArrive {
-			return TaskArrive{Task: g.str(), Job: g.i64(), Proc: g.int(), ArrivalNanos: g.i64()}
+			return TaskArrive{Task: g.ref(), Job: g.i64(), Proc: g.int(), ArrivalNanos: g.i64()}
 		}),
 	codecOf("Accept", AppendAccept, DecodeAccept,
-		Accept{Task: "t1", Job: -1, Ok: true, Placement: goldenPlacement, PerTaskDecision: true, ArrivalNanos: 1000, Epoch: 7},
-		"02"+"027431"+"01"+"01"+"01"+"d00f"+"0e"+
+		Accept{Task: 1, Job: -1, Ok: true, Placement: goldenPlacement, PerTaskDecision: true, ArrivalNanos: 1000, Epoch: 7},
+		"02"+"02"+"01"+"01"+"01"+"d00f"+"0e"+
 			"02"+"0002"+"000000000000d03f"+"0204"+"000000000000e03f",
 		func(g *gen) Accept {
-			return Accept{Task: g.str(), Job: g.i64(), Ok: g.bool(), Placement: g.placement(),
+			return Accept{Task: g.ref(), Job: g.i64(), Ok: g.bool(), Placement: g.placement(),
 				PerTaskDecision: g.bool(), ArrivalNanos: g.i64(), Epoch: g.i64()}
 		}),
 	codecOf("Trigger", AppendTrigger, DecodeTrigger,
-		Trigger{Task: "t1", Job: 3, Stage: 1, Placement: goldenPlacement, ArrivalNanos: 1000},
-		"03"+"027431"+"06"+"02"+
+		Trigger{Task: 1, Job: 3, Stage: 1, Placement: goldenPlacement, ArrivalNanos: 1000},
+		"03"+"02"+"06"+"02"+
 			"02"+"0002"+"000000000000d03f"+"0204"+"000000000000e03f"+"d00f",
 		func(g *gen) Trigger {
-			return Trigger{Task: g.str(), Job: g.i64(), Stage: g.int(), Placement: g.placement(), ArrivalNanos: g.i64()}
+			return Trigger{Task: g.ref(), Job: g.i64(), Stage: g.int(), Placement: g.placement(), ArrivalNanos: g.i64()}
 		}),
 	codecOf("IdleReset", AppendIdleReset, DecodeIdleReset,
-		IdleReset{Proc: 2, Entries: []sched.EntryRef{
-			{Ref: sched.JobRef{Task: "t1", Job: 3}, Stage: 0, Proc: 2},
-			{Ref: sched.JobRef{Task: "a", Job: 4}, Stage: 1, Proc: 2},
+		IdleReset{Proc: 2, Entries: []sched.Entry[sched.JobKey]{
+			{Ref: sched.JobKey{Task: 1, Job: 3}, Stage: 0, Proc: 2},
+			{Ref: sched.JobKey{Task: 4, Job: 4}, Stage: 1, Proc: 2},
 		}},
-		"04"+"04"+"02"+"027431"+"06"+"00"+"04"+"0161"+"08"+"02"+"04",
+		"04"+"04"+"02"+"02"+"06"+"00"+"04"+"08"+"08"+"02"+"04",
 		func(g *gen) IdleReset { return IdleReset{Proc: g.int(), Entries: g.entries()} }),
 	codecOf("Complete", AppendComplete, DecodeComplete,
-		Complete{Ref: sched.JobRef{Task: "t1", Job: 3}, Stage: 1, Kind: sched.Aperiodic, DeadlineNanos: 2000},
-		"05"+"027431"+"06"+"02"+"04"+"a01f",
+		Complete{Ref: sched.JobKey{Task: 1, Job: 3}, Stage: 1, Kind: sched.Aperiodic, DeadlineNanos: 2000},
+		"05"+"02"+"06"+"02"+"04"+"a01f",
 		func(g *gen) Complete {
-			return Complete{Ref: g.jobRef(), Stage: g.int(), Kind: sched.TaskKind(g.int()), DeadlineNanos: g.i64()}
+			return Complete{Ref: g.jobKey(), Stage: g.int(), Kind: sched.TaskKind(g.int()), DeadlineNanos: g.i64()}
 		}),
 	codecOf("Heartbeat", AppendHeartbeat, DecodeHeartbeat,
 		Heartbeat{Node: "app-1", Proc: 1, Seq: 9, SentNanos: 1000},
@@ -89,22 +89,22 @@ var payloadCodecs = []payloadCodec{
 			return Heartbeat{Node: g.str(), Proc: g.int(), Seq: g.i64(), SentNanos: g.i64()}
 		}),
 	codecOf("RepRecord", AppendRepRecord, DecodeRepRecord,
-		RepRecord{Epoch: 7, Seq: 12, Kind: RepAdmit, Ref: sched.JobRef{Task: "t1", Job: 3},
+		RepRecord{Epoch: 7, Seq: 12, Kind: RepAdmit, Ref: sched.JobKey{Task: 1, Job: 3},
 			TaskKind: sched.Periodic, Placement: goldenPlacement, Permanent: true, ExpiryNanos: 2000,
-			Task: "t1", Entries: []sched.EntryRef{{Ref: sched.JobRef{Task: "a", Job: 4}, Stage: 1, Proc: 2}}},
-		"07"+"0e"+"18"+"0561646d6974"+"027431"+"06"+"02"+
+			Entries: []sched.Entry[sched.JobKey]{{Ref: sched.JobKey{Task: 4, Job: 4}, Stage: 1, Proc: 2}}},
+		"07"+"0e"+"18"+"0561646d6974"+"02"+"06"+"02"+
 			"02"+"0002"+"000000000000d03f"+"0204"+"000000000000e03f"+
-			"01"+"a01f"+"027431"+"01"+"0161"+"08"+"02"+"04",
+			"01"+"a01f"+"01"+"08"+"08"+"02"+"04",
 		func(g *gen) RepRecord {
-			return RepRecord{Epoch: g.i64(), Seq: g.i64(), Kind: g.str(), Ref: g.jobRef(),
+			return RepRecord{Epoch: g.i64(), Seq: g.i64(), Kind: g.str(), Ref: g.jobKey(),
 				TaskKind: sched.TaskKind(g.int()), Placement: g.placement(), Permanent: g.bool(),
-				ExpiryNanos: g.i64(), Task: g.str(), Entries: g.entries()}
+				ExpiryNanos: g.i64(), Entries: g.entries()}
 		}),
 	codecOf("Done", AppendDone, DecodeDone,
-		Done{Task: "t1", Job: 3, ArrivalNanos: 1000, DoneNanos: 3000},
-		"08"+"027431"+"06"+"d00f"+"f02e",
+		Done{Task: 1, Job: 3, ArrivalNanos: 1000, DoneNanos: 3000},
+		"08"+"02"+"06"+"d00f"+"f02e",
 		func(g *gen) Done {
-			return Done{Task: g.str(), Job: g.i64(), ArrivalNanos: g.i64(), DoneNanos: g.i64()}
+			return Done{Task: g.ref(), Job: g.i64(), ArrivalNanos: g.i64(), DoneNanos: g.i64()}
 		}),
 }
 
@@ -112,7 +112,7 @@ var payloadCodecs = []payloadCodec{
 // boundaries, the extremes, empty and multi-byte strings, nil slices.
 type gen struct{ *rand.Rand }
 
-var edgeInts = []int64{0, 1, -1, 63, 64, -64, -65, 1 << 13, -(1 << 13) - 1, 1 << 31, -(1 << 31),
+var edgeInts = []int64{0, 1, -1, 63, 64, -64, -65, 1 << 13, -(1 << 13) - 1, 1<<31 - 1, 1 << 31, -(1 << 31),
 	1700000000000000000, math.MaxInt64, math.MinInt64}
 
 func (g *gen) i64() int64 {
@@ -152,7 +152,11 @@ func (g *gen) util() float64 {
 	}
 }
 
-func (g *gen) jobRef() sched.JobRef { return sched.JobRef{Task: g.str(), Job: g.i64()} }
+// ref draws a task ref: an edge value or arbitrary bits, cut to the 31 a
+// ref may use.
+func (g *gen) ref() sched.TaskRef { return sched.TaskRef(g.i64() & math.MaxInt32) }
+
+func (g *gen) jobKey() sched.JobKey { return sched.JobKey{Task: g.ref(), Job: g.i64()} }
 
 func (g *gen) placement() []sched.PlacedStage {
 	n := g.Intn(5)
@@ -166,14 +170,14 @@ func (g *gen) placement() []sched.PlacedStage {
 	return out
 }
 
-func (g *gen) entries() []sched.EntryRef {
+func (g *gen) entries() []sched.Entry[sched.JobKey] {
 	n := g.Intn(5)
 	if n == 0 {
 		return nil
 	}
-	out := make([]sched.EntryRef, n)
+	out := make([]sched.Entry[sched.JobKey], n)
 	for i := range out {
-		out[i] = sched.EntryRef{Ref: g.jobRef(), Stage: g.int(), Proc: g.int()}
+		out[i] = sched.Entry[sched.JobKey]{Ref: g.jobKey(), Stage: g.int(), Proc: g.int()}
 	}
 	return out
 }
@@ -206,17 +210,33 @@ func TestPayloadRoundTrip(t *testing.T) {
 func TestPayloadRoundTripEdges(t *testing.T) {
 	t.Run("negative job", func(t *testing.T) {
 		for _, job := range []int64{-1, -64, -65, math.MinInt64} {
-			got, err := DecodeTaskArrive(AppendTaskArrive(nil, &TaskArrive{Task: "t", Job: job}))
+			got, err := DecodeTaskArrive(AppendTaskArrive(nil, &TaskArrive{Task: 1, Job: job}))
 			if err != nil || got.Job != job {
 				t.Errorf("Job %d round-tripped as %d, err %v", job, got.Job, err)
 			}
 		}
 	})
+	// Task IDs no longer travel (payloads carry refs); the long-string case
+	// holds for the one name the wire still carries, a heartbeat's node.
 	t.Run("64 KiB task id", func(t *testing.T) {
 		id := strings.Repeat("tâche-", 1<<16/len("tâche-")+1)[:1<<16]
-		got, err := DecodeTrigger(AppendTrigger(nil, &Trigger{Task: id, Placement: goldenPlacement}))
-		if err != nil || got.Task != id || !reflect.DeepEqual(got.Placement, goldenPlacement) {
-			t.Errorf("64 KiB task id did not round-trip: len %d, err %v", len(got.Task), err)
+		got, err := DecodeHeartbeat(AppendHeartbeat(nil, &Heartbeat{Node: id, Seq: 1}))
+		if err != nil || got.Node != id {
+			t.Errorf("64 KiB node name did not round-trip: len %d, err %v", len(got.Node), err)
+		}
+	})
+	t.Run("extreme task refs", func(t *testing.T) {
+		for _, ref := range []sched.TaskRef{0, math.MaxInt32} {
+			got, err := DecodeDone(AppendDone(nil, &Done{Task: ref, Job: 1}))
+			if err != nil || got.Task != ref {
+				t.Errorf("ref %d round-tripped as %d, err %v", ref, got.Task, err)
+			}
+		}
+		// Refs are never negative; the decoder refuses one.
+		for _, ref := range []sched.TaskRef{-1, math.MinInt32} {
+			if got, err := DecodeDone(AppendDone(nil, &Done{Task: ref, Job: 1})); !errors.Is(err, ErrPayload) {
+				t.Errorf("ref %d decoded as %+v, err %v; want ErrPayload", ref, got, err)
+			}
 		}
 	})
 	t.Run("nil and empty slices", func(t *testing.T) {
@@ -224,7 +244,7 @@ func TestPayloadRoundTripEdges(t *testing.T) {
 		// decode as nil, as they did under gob: no handler tells them apart.
 		nilEnc := AppendRepRecord(nil, &RepRecord{Kind: RepReset})
 		emptyEnc := AppendRepRecord(nil, &RepRecord{Kind: RepReset,
-			Placement: []sched.PlacedStage{}, Entries: []sched.EntryRef{}})
+			Placement: []sched.PlacedStage{}, Entries: []sched.Entry[sched.JobKey]{}})
 		if !bytes.Equal(nilEnc, emptyEnc) {
 			t.Fatalf("nil and empty slices encode differently: %x vs %x", nilEnc, emptyEnc)
 		}
@@ -232,7 +252,7 @@ func TestPayloadRoundTripEdges(t *testing.T) {
 		if err != nil || got.Placement != nil || got.Entries != nil {
 			t.Errorf("empty slices decoded as %#v / %#v, err %v; want nil", got.Placement, got.Entries, err)
 		}
-		acc, err := DecodeAccept(AppendAccept(nil, &Accept{Task: "t", Placement: []sched.PlacedStage{}}))
+		acc, err := DecodeAccept(AppendAccept(nil, &Accept{Task: 1, Placement: []sched.PlacedStage{}}))
 		if err != nil || acc.Placement != nil {
 			t.Errorf("empty Placement decoded as %#v, err %v; want nil", acc.Placement, err)
 		}
@@ -256,7 +276,7 @@ func TestPayloadUtilBitPatterns(t *testing.T) {
 	for i, bits := range patterns {
 		in[i] = sched.PlacedStage{Stage: i, Proc: i, Util: math.Float64frombits(bits)}
 	}
-	got, err := DecodeTrigger(AppendTrigger(nil, &Trigger{Task: "t", Placement: in}))
+	got, err := DecodeTrigger(AppendTrigger(nil, &Trigger{Task: 1, Placement: in}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,10 +337,11 @@ func TestPayloadStrictness(t *testing.T) {
 		{"tag only", trigger[:1]},
 		{"another type's payload", golden("Done")},
 		{"trailing byte", append(bytes.Clone(trigger), 0)},
-		{"padded varint", append([]byte{tagTrigger, 0x82, 0x00}, trigger[2:]...)}, // length 2 as 82 00
+		{"padded varint", append([]byte{tagTrigger, 0x82, 0x00}, trigger[2:]...)}, // ref 1 as 82 00
 		{"11-byte varint", append([]byte{tagTrigger}, bytes.Repeat([]byte{0xff}, 11)...)},
-		{"string longer than payload", []byte{tagTrigger, 0x7f, 't'}},
-		{"count beyond payload", append(bytes.Clone(trigger[:6]), 0x7f)},
+		{"ref beyond 32 bits", append(binary.AppendVarint([]byte{tagTrigger}, 1<<31), trigger[2:]...)},
+		{"negative ref", append(binary.AppendVarint([]byte{tagTrigger}, -1), trigger[2:]...)},
+		{"count beyond payload", append(bytes.Clone(trigger[:4]), 0x7f)},
 		{"truncated float", trigger[:len(trigger)-4]},
 	}
 	for _, tc := range cases {
@@ -330,7 +351,7 @@ func TestPayloadStrictness(t *testing.T) {
 	}
 	// Accept's Ok flag is the byte after Task and Job.
 	badBool := bytes.Clone(accept)
-	badBool[5] = 2
+	badBool[3] = 2
 	if v, err := DecodeAccept(badBool); !errors.Is(err, ErrPayload) {
 		t.Errorf("bool 2: DecodeAccept = %+v, err %v; want ErrPayload", v, err)
 	}
@@ -342,52 +363,51 @@ func TestPayloadStrictness(t *testing.T) {
 
 // TestPayloadHeaderFilters: the in-place filters agree with a full decode.
 func TestPayloadHeaderFilters(t *testing.T) {
-	trg := Trigger{Task: "t1", Job: 3, Stage: 1, Placement: goldenPlacement, ArrivalNanos: 1000}
+	trg := Trigger{Task: 1, Job: 3, Stage: 1, Placement: goldenPlacement, ArrivalNanos: 1000}
 	enc := AppendTrigger(nil, &trg)
 	for _, tc := range []struct {
-		task        string
+		task        sched.TaskRef
 		stage, proc int
 		want        bool
 	}{
-		{"t1", 1, 2, true},
-		{"t1", 1, 1, false},  // stage 1 runs on proc 2
-		{"t1", 0, 1, false},  // the event is for stage 1
-		{"t2", 1, 2, false},  // another task
-		{"t", 1, 2, false},   // a prefix of the task ID
-		{"t1", -1, 2, false}, // no such stage
+		{1, 1, 2, true},
+		{1, 1, 1, false},  // stage 1 runs on proc 2
+		{1, 0, 1, false},  // the event is for stage 1
+		{2, 1, 2, false},  // another task
+		{1, -1, 2, false}, // no such stage
 	} {
 		if got := triggerAddressedTo(enc, tc.task, tc.stage, tc.proc); got != tc.want {
-			t.Errorf("triggerAddressedTo(%q, stage %d, proc %d) = %v, want %v", tc.task, tc.stage, tc.proc, got, tc.want)
+			t.Errorf("triggerAddressedTo(ref %d, stage %d, proc %d) = %v, want %v", tc.task, tc.stage, tc.proc, got, tc.want)
 		}
 	}
 	past := trg
 	past.Stage = len(trg.Placement) // a stage the placement does not cover
-	if triggerAddressedTo(AppendTrigger(nil, &past), "t1", past.Stage, 2) {
+	if triggerAddressedTo(AppendTrigger(nil, &past), 1, past.Stage, 2) {
 		t.Error("triggerAddressedTo accepted a stage beyond the placement")
 	}
 	for i := range enc {
-		if triggerAddressedTo(enc[:i], "t1", 1, 2) && i < len(enc)-2 {
+		if triggerAddressedTo(enc[:i], 1, 1, 2) && i < len(enc)-2 {
 			// The walk stops at the stage's Proc; only the trailing
 			// ArrivalNanos may be missing, and DecodeTrigger rejects that.
 			t.Errorf("triggerAddressedTo accepted a %d-byte truncation", i)
 		}
 	}
-	if triggerAddressedTo(AppendDone(nil, &Done{Task: "t1"}), "t1", 1, 2) {
+	if triggerAddressedTo(AppendDone(nil, &Done{Task: 1}), 1, 1, 2) {
 		t.Error("triggerAddressedTo accepted a Done payload")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { triggerAddressedTo(enc, "t1", 1, 2) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { triggerAddressedTo(enc, 1, 1, 2) }); allocs != 0 {
 		t.Errorf("triggerAddressedTo allocates %.0f times, want 0", allocs)
 	}
 
-	acc := AppendAccept(nil, &Accept{Task: "t1", Job: 3, Ok: true, Placement: goldenPlacement})
-	if id, ok := acceptTask(acc); !ok || string(id) != "t1" {
-		t.Errorf("acceptTask = %q, %v; want t1", id, ok)
+	acc := AppendAccept(nil, &Accept{Task: 300, Job: 3, Ok: true, Placement: goldenPlacement})
+	if ref, ok := acceptTask(acc); !ok || ref != 300 {
+		t.Errorf("acceptTask = %d, %v; want 300", ref, ok)
 	}
 	if _, ok := acceptTask(enc); ok {
 		t.Error("acceptTask accepted a Trigger payload")
 	}
 	if _, ok := acceptTask(acc[:2]); ok {
-		t.Error("acceptTask accepted a truncated task ID")
+		t.Error("acceptTask accepted a truncated task ref")
 	}
 }
 
@@ -413,19 +433,19 @@ func checkCodecAllocs[T any](t *testing.T, name string, v T, app func([]byte, *T
 
 // TestPayloadCodecAllocs holds the four payload types of the per-job path to
 // their allocation counts: one buffer per encode; per decode, one backing
-// array per slice and one copy per non-empty string. BenchmarkPayloadCodec
-// times the same values.
+// array per slice and one copy per non-empty string, and a task ref is no
+// string. BenchmarkPayloadCodec times the same values.
 func TestPayloadCodecAllocs(t *testing.T) {
 	const now = 1790000000000000000
-	checkCodecAllocs(t, "TaskArrive", TaskArrive{Task: "task-017", Job: 4211, Proc: 2, ArrivalNanos: now},
-		AppendTaskArrive, DecodeTaskArrive, 1)
-	checkCodecAllocs(t, "Accept", Accept{Task: "task-017", Job: 4211, Ok: true, Placement: benchPlacement, ArrivalNanos: now, Epoch: 3},
-		AppendAccept, DecodeAccept, 2)
-	checkCodecAllocs(t, "Trigger", Trigger{Task: "task-017", Job: 4211, Stage: 1, Placement: benchPlacement, ArrivalNanos: now},
-		AppendTrigger, DecodeTrigger, 2)
-	checkCodecAllocs(t, "RepRecord", RepRecord{Epoch: 3, Seq: 90210, Kind: RepAdmit, Ref: sched.JobRef{Task: "task-017", Job: 4211},
+	checkCodecAllocs(t, "TaskArrive", TaskArrive{Task: 17, Job: 4211, Proc: 2, ArrivalNanos: now},
+		AppendTaskArrive, DecodeTaskArrive, 0)
+	checkCodecAllocs(t, "Accept", Accept{Task: 17, Job: 4211, Ok: true, Placement: benchPlacement, ArrivalNanos: now, Epoch: 3},
+		AppendAccept, DecodeAccept, 1)
+	checkCodecAllocs(t, "Trigger", Trigger{Task: 17, Job: 4211, Stage: 1, Placement: benchPlacement, ArrivalNanos: now},
+		AppendTrigger, DecodeTrigger, 1)
+	checkCodecAllocs(t, "RepRecord", RepRecord{Epoch: 3, Seq: 90210, Kind: RepAdmit, Ref: sched.JobKey{Task: 17, Job: 4211},
 		TaskKind: sched.Aperiodic, Placement: benchPlacement, ExpiryNanos: now},
-		AppendRepRecord, DecodeRepRecord, 3)
+		AppendRepRecord, DecodeRepRecord, 2)
 }
 
 // allocatedBytes returns the heap bytes f allocates. A background goroutine
@@ -458,6 +478,13 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(golden)
 		// A whole payload followed by a stray byte.
 		f.Add(append(bytes.Clone(golden), 0))
+		// The payload under every other type's tag.
+		for _, other := range payloadCodecs {
+			if other.name != c.name {
+				o, _ := hex.DecodeString(other.goldenHex)
+				f.Add(append([]byte{o[0]}, golden[1:]...))
+			}
+		}
 		for i := range golden {
 			f.Add(golden[:i])
 			// Every length and count field (and every other byte) replaced
@@ -466,7 +493,7 @@ func FuzzDecodePayload(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// In memory a decoded EntryRef is ten times its smallest encoding
+		// In memory a decoded entry is eight times its smallest encoding
 		// and a PlacedStage 2.4 times; the constant covers the eight boxed
 		// results and error values.
 		bound := uint64(16*len(b) + 8192)

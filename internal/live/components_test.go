@@ -23,10 +23,13 @@ const testWorkloadJSON = `{
   ]
 }`
 
+// testTaskRefs gives testWorkloadJSON's tasks refs 0 (p) and 1 (a).
+const testTaskRefs = `["p","a"]`
+
 // teAttrs configures an effector on processor proc under admission control
 // ac and no load balancing.
 func teAttrs(proc, ac string) map[string]string {
-	return map[string]string{AttrProcessor: proc, AttrACStrategy: ac, AttrLBStrategy: "N", AttrWorkload: testWorkloadJSON}
+	return map[string]string{AttrProcessor: proc, AttrACStrategy: ac, AttrLBStrategy: "N", AttrWorkload: testWorkloadJSON, AttrTaskRefs: testTaskRefs}
 }
 
 func acAttrs() map[string]string {
@@ -36,6 +39,7 @@ func acAttrs() map[string]string {
 		AttrLBStrategy: "N",
 		AttrProcessors: "2",
 		AttrWorkload:   testWorkloadJSON,
+		AttrTaskRefs:   testTaskRefs,
 	}
 }
 
@@ -134,6 +138,7 @@ func TestTaskEffectorArriveUnknownTask(t *testing.T) {
 func subtaskAttrs() map[string]string {
 	return map[string]string{
 		AttrTask:      "p",
+		AttrTaskRef:   "0",
 		AttrStage:     "0",
 		AttrExec:      "5ms",
 		AttrPriority:  "2",
@@ -152,7 +157,7 @@ func TestSubtaskConfigure(t *testing.T) {
 		name   string
 		mutate func(map[string]string)
 	}{
-		{"missing task", func(m map[string]string) { delete(m, AttrTask) }},
+		{"missing task", func(m map[string]string) { delete(m, AttrTaskRef) }},
 		{"bad stage", func(m map[string]string) { m[AttrStage] = "x" }},
 		{"bad exec", func(m map[string]string) { m[AttrExec] = "fast" }},
 		{"bad kind", func(m map[string]string) { m[AttrKind] = "sometimes" }},
@@ -231,7 +236,7 @@ func TestRegisterAll(t *testing.T) {
 
 func TestEventCodecRoundTrip(t *testing.T) {
 	in := Trigger{
-		Task: "t", Job: 42, Stage: 1,
+		Task: 1, Job: 42, Stage: 1,
 		Placement: []sched.PlacedStage{{Stage: 0, Proc: 2, Util: 0.25}},
 	}
 	out, err := DecodeTrigger(AppendTrigger(nil, &in))
@@ -324,7 +329,7 @@ func TestPassivateWaitsForReleaseInFlight(t *testing.T) {
 	})
 	accept := func(job int64) {
 		_ = node.Channel.Push(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &Accept{
-			Task: "p", Job: job, Ok: true, Placement: []sched.PlacedStage{{Stage: 0, Proc: 0}},
+			Task: 0, Job: job, Ok: true, Placement: []sched.PlacedStage{{Stage: 0, Proc: 0}},
 		})})
 	}
 	for i := 0; i < 2; i++ {

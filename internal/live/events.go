@@ -12,7 +12,8 @@
 // internal/core instead.
 //
 // Event payloads (the types below) travel in the fixed binary layout of
-// codec.go. Only the cold ORB request/reply facets (reconfig, location) speak
+// codec.go. They name tasks by the sched.TaskRef the deployment plan hands
+// out (AttrTaskRefs); only a Heartbeat carries a name, its node's. Only the cold ORB request/reply facets (reconfig, location) speak
 // gob, through the helpers in facetgob.go.
 package live
 
@@ -59,7 +60,7 @@ const (
 // TaskArrive announces a job arrival to the admission controller.
 type TaskArrive struct {
 	// Task and Job identify the arrival.
-	Task string
+	Task sched.TaskRef
 	Job  int64
 	// Proc is the arrival processor.
 	Proc int
@@ -71,7 +72,7 @@ type TaskArrive struct {
 // Accept carries the admission decision back to the task effectors.
 type Accept struct {
 	// Task and Job identify the arrival the decision answers.
-	Task string
+	Task sched.TaskRef
 	Job  int64
 	// Ok reports whether the job may be released.
 	Ok bool
@@ -92,7 +93,7 @@ type Accept struct {
 // Trigger releases the next subtask in a chain.
 type Trigger struct {
 	// Task and Job identify the in-flight job.
-	Task string
+	Task sched.TaskRef
 	Job  int64
 	// Stage is the subtask to execute now.
 	Stage int
@@ -109,13 +110,13 @@ type IdleReset struct {
 	// Proc is the reporting processor.
 	Proc int
 	// Entries are the completed, unexpired contributions to remove.
-	Entries []sched.EntryRef
+	Entries []sched.Entry[sched.JobKey]
 }
 
 // Complete is the node-local subtask → IR completion report.
 type Complete struct {
 	// Ref and Stage identify the completed subjob.
-	Ref   sched.JobRef
+	Ref   sched.JobKey
 	Stage int
 	// Kind is the owning task's kind (IR-per-task filters on it).
 	Kind sched.TaskKind
@@ -144,8 +145,11 @@ const (
 	RepExpire = "expire"
 	// RepReset clears completed-and-reported contributions (idle reset).
 	RepReset = "reset"
-	// RepWithdraw removes every contribution of a departing task.
+	// RepWithdraw removes every contribution of one job, a permanent
+	// reservation included (a strategy swap away from per-task admission).
 	RepWithdraw = "withdraw"
+	// RepRemove removes every contribution of a departing task.
+	RepRemove = "remove"
 	// RepRelocate moves a task's permanent reservation to a new placement
 	// (AC-per-task with LB-per-job: the reservation follows the jobs).
 	RepRelocate = "relocate"
@@ -162,24 +166,23 @@ type RepRecord struct {
 	Seq int64
 	// Kind is one of the Rep* constants.
 	Kind string
-	// Ref identifies the job (RepAdmit, RepExpire).
-	Ref sched.JobRef
+	// Ref identifies the job (RepAdmit, RepExpire, RepWithdraw, RepRelocate)
+	// or, by its Task, the departing task (RepRemove).
+	Ref sched.JobKey
 	// TaskKind, Placement, Permanent and ExpiryNanos describe an admission
 	// (RepAdmit only). ExpiryNanos is zero for permanent reservations.
 	TaskKind    sched.TaskKind
 	Placement   []sched.PlacedStage
 	Permanent   bool
 	ExpiryNanos int64
-	// Task names the departing task (RepWithdraw).
-	Task string
 	// Entries are the contributions cleared by an idle reset (RepReset).
-	Entries []sched.EntryRef
+	Entries []sched.Entry[sched.JobKey]
 }
 
 // Done announces the completion of a job's last subtask.
 type Done struct {
 	// Task and Job identify the finished job.
-	Task string
+	Task sched.TaskRef
 	Job  int64
 	// ArrivalNanos and DoneNanos bound the response time.
 	ArrivalNanos int64

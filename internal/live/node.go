@@ -1,6 +1,7 @@
 package live
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"time"
@@ -156,10 +157,13 @@ func attrDuration(attrs map[string]string, key string) (time.Duration, error) {
 	return d, nil
 }
 
-// attrWorkload parses the Workload attribute (a spec document) into a task
-// index by ID. When the attribute is optional and absent or empty the index
-// is nil; when it is required that fails as attrString does.
-func attrWorkload(attrs map[string]string, required bool) (map[string]*sched.Task, error) {
+// ParseWorkload parses the Workload attribute (a spec document) into the
+// task set keyed by ref, each task's ref read from the TaskRefs attribute
+// that travels with it: the one join of the two attributes, for the
+// components and the cluster's task table alike. When the attribute is
+// optional and absent or empty the set is nil; when it is required that
+// fails as attrString does.
+func ParseWorkload(attrs map[string]string, required bool) (map[sched.TaskRef]*sched.Task, error) {
 	if !required && attrs[AttrWorkload] == "" {
 		return nil, nil
 	}
@@ -175,11 +179,43 @@ func attrWorkload(attrs map[string]string, required bool) (map[string]*sched.Tas
 	if err != nil {
 		return nil, err
 	}
-	index := make(map[string]*sched.Task, len(tasks))
-	for _, t := range tasks {
-		index[t.ID] = t
+	table, err := attrString(attrs, AttrTaskRefs)
+	if err != nil {
+		return nil, err
 	}
-	return index, nil
+	names, err := ParseTaskRefs(table)
+	if err != nil {
+		return nil, err
+	}
+	refOf := make(map[string]sched.TaskRef, len(names))
+	for i, name := range names {
+		refOf[name] = sched.TaskRef(i)
+	}
+	out := make(map[sched.TaskRef]*sched.Task, len(tasks))
+	for _, t := range tasks {
+		ref, ok := refOf[t.ID]
+		if !ok {
+			return nil, fmt.Errorf("live: attribute %q has no ref for task %q", AttrTaskRefs, t.ID)
+		}
+		out[ref] = t
+	}
+	return out, nil
+}
+
+// ParseTaskRefs decodes a TaskRefs attribute: a JSON array of task IDs in
+// which position i names the task holding ref i, and "" a retired ref.
+func ParseTaskRefs(s string) ([]string, error) {
+	var names []string
+	if err := json.Unmarshal([]byte(s), &names); err != nil {
+		return nil, fmt.Errorf("live: attribute %q: %w", AttrTaskRefs, err)
+	}
+	return names, nil
+}
+
+// FormatTaskRefs encodes a TaskRefs attribute (ParseTaskRefs).
+func FormatTaskRefs(names []string) string {
+	b, _ := json.Marshal(names) // a []string always marshals
+	return string(b)
 }
 
 // attrBool fetches an optional boolean attribute (default false).

@@ -158,7 +158,7 @@ func TestTEReconfigureDropsStaleDecisions(t *testing.T) {
 	}
 	accept := func(job int64, epoch int64) {
 		te.onAccept(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &Accept{
-			Task: "p", Job: job, Ok: true,
+			Task: 0, Job: job, Ok: true,
 			Placement:       []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.05}},
 			PerTaskDecision: true,
 			Epoch:           epoch,
@@ -202,8 +202,8 @@ func TestTEReconfigureDropsStaleDecisions(t *testing.T) {
 // refiltered and the strategy changes in place.
 func TestIRReconfigureSwapsRule(t *testing.T) {
 	ir := core.NewIdleResetter(core.StrategyPerJob, 0)
-	ir.Complete(sched.JobRef{Task: "p", Job: 0}, 0, sched.Periodic, 1e9)
-	ir.Complete(sched.JobRef{Task: "a", Job: 0}, 0, sched.Aperiodic, 1e9)
+	ir.Complete(sched.JobKey{Task: 0, Job: 0}, 0, sched.Periodic, 1e9)
+	ir.Complete(sched.JobKey{Task: 1, Job: 0}, 0, sched.Aperiodic, 1e9)
 	if ir.PendingCount() != 2 {
 		t.Fatalf("pending = %d", ir.PendingCount())
 	}

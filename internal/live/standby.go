@@ -30,6 +30,10 @@ import (
 // one seen (a gap or a regression) is still applied, and counted in
 // StandbyStats.OutOfOrder: a nonzero count says the transport broke its
 // contract and the mirror may differ from the ledger it tails.
+//
+// The mirror indexes jobs densely by task ref, so it admits only refs its
+// deployment has handed out: the TaskRefs table it is configured with, and
+// which every task-set delta pushes to it again.
 type StandbyAC struct {
 	mu     sync.Mutex
 	ledger *sched.Ledger
@@ -41,22 +45,30 @@ type StandbyAC struct {
 	// records after the first that were not its successor on arrival.
 	lastSeq    int64
 	outOfOrder int64
+	// refs is the length of the TaskRefs table: admits naming a ref at or
+	// beyond it are refused.
+	refs int
 	// applied counts applied records; ignored counts records dropped by the
-	// epoch fence; failed counts records whose ledger mutation errored
-	// (duplicate admit after a promote race — benign, but counted).
+	// epoch fence; failed counts records that did not decode, named a ref
+	// beyond the table, or whose ledger mutation errored (duplicate admit
+	// after a promote race — benign, but counted).
 	applied int64
 	ignored int64
 	failed  int64
 }
 
-var _ ccm.Component = (*StandbyAC)(nil)
+var (
+	_ ccm.Component      = (*StandbyAC)(nil)
+	_ ccm.Reconfigurable = (*StandbyAC)(nil)
+)
 
 // NewStandbyAC returns an unconfigured standby.
 func NewStandbyAC() *StandbyAC {
 	return &StandbyAC{}
 }
 
-// Configure sizes the mirror ledger from the Processors attribute.
+// Configure sizes the mirror ledger from the Processors attribute and reads
+// the TaskRefs table.
 func (s *StandbyAC) Configure(attrs map[string]string) error {
 	procs, err := attrInt(attrs, AttrProcessors)
 	if err != nil {
@@ -65,10 +77,42 @@ func (s *StandbyAC) Configure(attrs map[string]string) error {
 	if procs <= 0 {
 		return fmt.Errorf("live: standby: non-positive processor count %d", procs)
 	}
+	refs, err := attrTaskRefs(attrs)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	s.ledger = sched.NewLedger(procs)
+	s.refs = refs
 	s.mu.Unlock()
 	return nil
+}
+
+// Reconfigure adopts a task-set delta's TaskRefs table. Refs are never
+// reused, so the table only grows: a shorter one is ignored, since records
+// the AC sent under the longer one may still be in flight.
+func (s *StandbyAC) Reconfigure(attrs map[string]string) error {
+	if _, ok := attrs[AttrTaskRefs]; !ok {
+		return nil
+	}
+	refs, err := attrTaskRefs(attrs)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.refs = max(s.refs, refs)
+	s.mu.Unlock()
+	return nil
+}
+
+// attrTaskRefs returns the length of the TaskRefs table.
+func attrTaskRefs(attrs map[string]string) (int, error) {
+	table, err := attrString(attrs, AttrTaskRefs)
+	if err != nil {
+		return 0, err
+	}
+	names, err := ParseTaskRefs(table)
+	return len(names), err
 }
 
 // Activate subscribes to the replication stream.
@@ -104,12 +148,13 @@ func (s *StandbyAC) Passivate() error {
 // onReplicate applies one replicated ledger mutation.
 func (s *StandbyAC) onReplicate(ev eventchan.Event) {
 	rec, err := DecodeRepRecord(ev.Payload)
-	if err != nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ledger == nil {
+		return
+	}
+	if err != nil {
+		s.failed++
 		return
 	}
 	// Sequence first: a fenced record still took its place in the stream.
@@ -123,6 +168,10 @@ func (s *StandbyAC) onReplicate(ev eventchan.Event) {
 	}
 	switch rec.Kind {
 	case RepAdmit:
+		if int(rec.Ref.Task) >= s.refs {
+			s.failed++
+			return
+		}
 		if err := s.ledger.AddJob(rec.Ref, rec.TaskKind, rec.Placement, rec.Permanent, time.Duration(rec.ExpiryNanos)); err != nil {
 			s.failed++
 			return
@@ -134,22 +183,13 @@ func (s *StandbyAC) onReplicate(ev eventchan.Event) {
 			s.ledger.ResetReported(r)
 		}
 	case RepWithdraw:
-		if rec.Task != "" {
-			s.ledger.RemoveTask(rec.Task)
-		} else {
-			s.ledger.WithdrawJob(rec.Ref)
-		}
+		s.ledger.WithdrawKey(rec.Ref)
+	case RepRemove:
+		s.ledger.RemoveTask(rec.Ref.Task)
 	case RepRelocate:
-		// Under AC-per-task a task owns exactly one ledger job (its
-		// permanent reservation); resolve its ref on the mirror and move it.
-		for _, ref := range s.ledger.ActiveJobs() {
-			if ref.Task == rec.Task {
-				if err := s.ledger.Relocate(ref, rec.Placement); err != nil {
-					s.failed++
-					return
-				}
-				break
-			}
+		if err := s.ledger.Relocate(rec.Ref, rec.Placement); err != nil {
+			s.failed++
+			return
 		}
 	default:
 		s.failed++

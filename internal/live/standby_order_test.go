@@ -2,7 +2,6 @@ package live
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -35,11 +34,22 @@ func mirrorWorkload(workers int) string {
 	return `{"name": "mirror", "processors": 3, "tasks": [` + strings.Join(tasks, ",") + `]}`
 }
 
+// mirrorRefs is mirrorWorkload's TaskRefs table: worker w's periodic task
+// holds ref 2w and its aperiodic task ref 2w+1.
+func mirrorRefs(workers int) string {
+	var names []string
+	for w := 0; w < workers; w++ {
+		names = append(names, fmt.Sprintf("p%d", w), fmt.Sprintf("a%d", w))
+	}
+	return FormatTaskRefs(names)
+}
+
 // TestStandbyMirrorMatchesSourceOverORB is the replication-order property:
 // a real AdmissionController on one node replicates, over a real ORB
 // connection, to a StandbyAC on another, while concurrent workers drive it
 // with seeded random arrivals (admit, relocate), expiries and idle resets,
-// and the test swaps strategies and removes tasks between rounds (withdraw).
+// and the test swaps strategies (withdraw) and removes tasks (remove) between
+// rounds.
 // The records the standby's node receives must be the records the AC emitted,
 // in Seq order with none out of order, and the mirror ledger must hold the
 // source ledger's jobs and utilizations.
@@ -76,7 +86,7 @@ func TestStandbyMirrorMatchesSourceOverORB(t *testing.T) {
 			})
 
 			sb := NewStandbyAC()
-			if err := sb.Configure(map[string]string{AttrProcessors: "3"}); err != nil {
+			if err := sb.Configure(map[string]string{AttrProcessors: "3", AttrTaskRefs: mirrorRefs(workers)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := sb.Activate(&ccm.Context{Node: sbNode.Name, ORB: sbNode.ORB, Events: sbNode.Channel}); err != nil {
@@ -87,7 +97,8 @@ func TestStandbyMirrorMatchesSourceOverORB(t *testing.T) {
 			ac := NewAdmissionController()
 			if err := ac.Configure(map[string]string{
 				AttrACStrategy: "T", AttrIRStrategy: "T", AttrLBStrategy: "J",
-				AttrProcessors: "3", AttrWorkload: mirrorWorkload(workers), AttrReplicate: "true",
+				AttrProcessors: "3", AttrWorkload: mirrorWorkload(workers), AttrTaskRefs: mirrorRefs(workers),
+				AttrReplicate: "true",
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -107,13 +118,13 @@ func TestStandbyMirrorMatchesSourceOverORB(t *testing.T) {
 					go func(w int) {
 						defer wg.Done()
 						rng := rand.New(rand.NewSource(seed*1000 + int64(r*workers+w)))
-						var refs []sched.JobRef
+						var refs []sched.JobKey
 						for i := 0; i < 150; i++ {
 							switch op := rng.Intn(10); {
 							case op < 6:
-								task := fmt.Sprintf("%c%d", "pa"[rng.Intn(2)], w)
+								task := sched.TaskRef(2*w + rng.Intn(2))
 								jobs[w]++
-								ref := sched.JobRef{Task: task, Job: jobs[w]}
+								ref := sched.JobKey{Task: task, Job: jobs[w]}
 								refs = append(refs, ref)
 								arr := TaskArrive{Task: task, Job: ref.Job, Proc: w % 3, ArrivalNanos: time.Now().UnixNano()}
 								ac.onTaskArrive(eventchan.Event{Type: EvTaskArrive, Payload: AppendTaskArrive(nil, &arr)})
@@ -121,7 +132,7 @@ func TestStandbyMirrorMatchesSourceOverORB(t *testing.T) {
 								ac.expire(refs[rng.Intn(len(refs))])
 							case len(refs) > 0:
 								proc := rng.Intn(3)
-								rep := IdleReset{Proc: proc, Entries: []sched.EntryRef{
+								rep := IdleReset{Proc: proc, Entries: []sched.Entry[sched.JobKey]{
 									{Ref: refs[rng.Intn(len(refs))], Stage: rng.Intn(2), Proc: proc},
 								}}
 								ac.onIdleReset(eventchan.Event{Type: EvIdleReset, Payload: AppendIdleReset(nil, &rep)})
@@ -149,7 +160,7 @@ func TestStandbyMirrorMatchesSourceOverORB(t *testing.T) {
 			swap(map[string]string{AttrACStrategy: "J", AttrIRStrategy: "J"})
 			round(1) // J_J_J: every job tested, per-job resets
 			// The last worker's tasks leave: their contributions are withdrawn.
-			swap(map[string]string{AttrWorkload: mirrorWorkload(workers - 1)})
+			swap(map[string]string{AttrWorkload: mirrorWorkload(workers - 1), AttrTaskRefs: mirrorRefs(workers - 1)})
 			round(2)
 
 			ac.repMu.Lock()
@@ -185,7 +196,7 @@ func TestStandbyMirrorMatchesSourceOverORB(t *testing.T) {
 				}
 				kinds[rec.Kind]++
 			}
-			for _, k := range []string{RepAdmit, RepExpire, RepReset, RepWithdraw, RepRelocate} {
+			for _, k := range []string{RepAdmit, RepExpire, RepReset, RepWithdraw, RepRemove, RepRelocate} {
 				if kinds[k] == 0 {
 					t.Errorf("the run emitted no %s record: %v", k, kinds)
 				}
@@ -194,13 +205,6 @@ func TestStandbyMirrorMatchesSourceOverORB(t *testing.T) {
 			src := ac.Controller().Ledger()
 			mirror := sb.Promote()
 			want, got := src.ActiveJobs(), mirror.ActiveJobs()
-			byRef := func(refs []sched.JobRef) {
-				slices.SortFunc(refs, func(a, b sched.JobRef) int {
-					return cmp.Or(strings.Compare(a.Task, b.Task), cmp.Compare(a.Job, b.Job))
-				})
-			}
-			byRef(want)
-			byRef(got)
 			if !slices.Equal(want, got) {
 				t.Errorf("mirror holds %d jobs, source %d:\n mirror %v\n source %v", len(got), len(want), got, want)
 			}

@@ -2,6 +2,8 @@ package live
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -36,7 +38,10 @@ func TestStandbyACMirrorsFencesAndPromotes(t *testing.T) {
 	if err := sb.Configure(map[string]string{AttrProcessors: "0"}); err == nil {
 		t.Error("Configure accepted zero processors")
 	}
-	if err := sb.Configure(map[string]string{AttrProcessors: "2"}); err != nil {
+	if err := sb.Configure(map[string]string{AttrProcessors: "2"}); err == nil {
+		t.Error("Configure accepted a missing TaskRefs table")
+	}
+	if err := sb.Configure(map[string]string{AttrProcessors: "2", AttrTaskRefs: `["t0","t1","t2","t3","t4","t5","t6"]`}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sb.Activate(&ccm.Context{Node: "sb-test", ORB: node.ORB, Events: node.Channel}); err != nil {
@@ -45,7 +50,7 @@ func TestStandbyACMirrorsFencesAndPromotes(t *testing.T) {
 	defer sb.Passivate()
 
 	expiry := time.Duration(time.Now().Add(time.Hour).UnixNano())
-	refX := sched.JobRef{Task: "x", Job: 1}
+	refX := sched.JobKey{Task: 1, Job: 1}
 	pushRep(t, node, RepRecord{
 		Epoch: 0, Seq: 1, Kind: RepAdmit, Ref: refX, TaskKind: sched.Aperiodic,
 		Placement:   []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.1}, {Stage: 1, Proc: 1, Util: 0.2}},
@@ -65,7 +70,7 @@ func TestStandbyACMirrorsFencesAndPromotes(t *testing.T) {
 	// The epoch fence drops records from the deposed era.
 	sb.Fence(5)
 	pushRep(t, node, RepRecord{
-		Epoch: 2, Seq: 3, Kind: RepAdmit, Ref: sched.JobRef{Task: "stale", Job: 9},
+		Epoch: 2, Seq: 3, Kind: RepAdmit, Ref: sched.JobKey{Task: 2, Job: 9},
 		TaskKind:  sched.Aperiodic,
 		Placement: []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.1}},
 	})
@@ -83,12 +88,12 @@ func TestStandbyACMirrorsFencesAndPromotes(t *testing.T) {
 	for i, job := range []int64{10, 11} {
 		pushRep(t, node, RepRecord{
 			Epoch: 5, Seq: 4 + int64(i), Kind: RepAdmit,
-			Ref: sched.JobRef{Task: "y", Job: job}, TaskKind: sched.Aperiodic,
+			Ref: sched.JobKey{Task: 3, Job: job}, TaskKind: sched.Aperiodic,
 			Placement:   []sched.PlacedStage{{Stage: 0, Proc: 1, Util: 0.05}},
 			ExpiryNanos: int64(expiry),
 		})
 	}
-	pushRep(t, node, RepRecord{Epoch: 5, Seq: 6, Kind: RepWithdraw, Task: "y"})
+	pushRep(t, node, RepRecord{Epoch: 5, Seq: 6, Kind: RepRemove, Ref: sched.JobKey{Task: 3}})
 	if st = sb.Stats(); st.ActiveJobs != 0 || st.LastSeq != 6 {
 		t.Fatalf("after task withdrawal: %+v", st)
 	}
@@ -104,7 +109,7 @@ func TestStandbyACMirrorsFencesAndPromotes(t *testing.T) {
 
 	// Promote hands over the mirror and replaces it with a fresh ledger.
 	pushRep(t, node, RepRecord{
-		Epoch: 5, Seq: 8, Kind: RepAdmit, Ref: sched.JobRef{Task: "z", Job: 1},
+		Epoch: 5, Seq: 8, Kind: RepAdmit, Ref: sched.JobKey{Task: 4, Job: 1},
 		TaskKind: sched.Periodic, Permanent: true,
 		Placement: []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.3}},
 	})
@@ -120,7 +125,7 @@ func TestStandbyACMirrorsFencesAndPromotes(t *testing.T) {
 	}
 	// Late records land on the fresh ledger, not the promoted one.
 	pushRep(t, node, RepRecord{
-		Epoch: 5, Seq: 9, Kind: RepAdmit, Ref: sched.JobRef{Task: "late", Job: 1},
+		Epoch: 5, Seq: 9, Kind: RepAdmit, Ref: sched.JobKey{Task: 5, Job: 1},
 		TaskKind:    sched.Aperiodic,
 		Placement:   []sched.PlacedStage{{Stage: 0, Proc: 1, Util: 0.1}},
 		ExpiryNanos: int64(expiry),
@@ -139,7 +144,7 @@ func TestStandbyACMirrorsFencesAndPromotes(t *testing.T) {
 	}
 	for _, seq := range []int64{12, 11} {
 		pushRep(t, node, RepRecord{
-			Epoch: 5, Seq: seq, Kind: RepAdmit, Ref: sched.JobRef{Task: "ooo", Job: seq},
+			Epoch: 5, Seq: seq, Kind: RepAdmit, Ref: sched.JobKey{Task: 6, Job: seq},
 			TaskKind:    sched.Aperiodic,
 			Placement:   []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.01}},
 			ExpiryNanos: int64(expiry),
@@ -147,5 +152,57 @@ func TestStandbyACMirrorsFencesAndPromotes(t *testing.T) {
 	}
 	if st = sb.Stats(); st.OutOfOrder != 2 || st.LastSeq != 12 || st.ActiveJobs != 3 {
 		t.Errorf("after a gap and a regression: %+v", st)
+	}
+}
+
+// TestStandbyACRefusesRefsOutsideItsTable: the mirror indexes jobs densely by
+// task ref, so an admit record naming a negative ref, or one the deployment
+// never handed out, is counted as failed and allocates nothing per ref.
+func TestStandbyACRefusesRefsOutsideItsTable(t *testing.T) {
+	node, err := NewNode("sb-refs", -1, "127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	sb := NewStandbyAC()
+	if err := sb.Configure(map[string]string{AttrProcessors: "1", AttrTaskRefs: `["a","b"]`}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.Activate(&ccm.Context{Node: "sb-refs", ORB: node.ORB, Events: node.Channel}); err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Passivate()
+
+	admit := func(seq int64, ref sched.TaskRef) {
+		t.Helper()
+		pushRep(t, node, RepRecord{
+			Seq: seq, Kind: RepAdmit, Ref: sched.JobKey{Task: ref, Job: 0}, TaskKind: sched.Aperiodic,
+			Placement:   []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.1}},
+			ExpiryNanos: int64(time.Hour),
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	admit(1, -1)
+	admit(2, math.MaxInt32)
+	admit(3, 2)
+	runtime.ReadMemStats(&after)
+	if st := sb.Stats(); st.Failed != 3 || st.Applied != 0 || st.ActiveJobs != 0 {
+		t.Fatalf("after refs -1, MaxInt32 and 2 against a 2-ref table: %+v", st)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refused records allocated %d bytes", grew)
+	}
+
+	// A delta's longer table admits the new ref; a shorter one never
+	// shrinks it.
+	for _, refs := range []string{`["","b","a"]`, `["a"]`} {
+		if err := sb.Reconfigure(map[string]string{AttrTaskRefs: refs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	admit(4, 2)
+	if st := sb.Stats(); st.Failed != 3 || st.Applied != 1 || st.ActiveJobs != 1 {
+		t.Fatalf("after the table grew to 3 refs: %+v", st)
 	}
 }

@@ -12,9 +12,11 @@ import (
 	"repro/internal/sched"
 )
 
-// Subtask attribute names.
+// Subtask attribute names. Task names the instance's task for the plan's
+// readers; TaskRef is the task's identity on the wire.
 const (
 	AttrTask     = "Task"
+	AttrTaskRef  = "TaskRef"
 	AttrStage    = "Stage"
 	AttrExec     = "Exec"
 	AttrPriority = "Priority"
@@ -34,7 +36,7 @@ const (
 // One instance is deployed per (task, stage) on the stage's home processor
 // and on every replica processor (the duplicates in Figure 1).
 type Subtask struct {
-	task     string
+	task     sched.TaskRef
 	stage    int
 	exec     time.Duration
 	deadline time.Duration
@@ -63,12 +65,14 @@ var _ ccm.Component = (*Subtask)(nil)
 // NewSubtask returns an unconfigured subtask component.
 func NewSubtask() *Subtask { return &Subtask{} }
 
-// Configure parses the instance attributes.
+// Configure parses the instance attributes. The component knows its task by
+// AttrTaskRef alone; AttrTask stays in the plan for the configuration engine.
 func (s *Subtask) Configure(attrs map[string]string) error {
-	var err error
-	if s.task, err = attrString(attrs, AttrTask); err != nil {
+	ref, err := attrInt(attrs, AttrTaskRef)
+	if err != nil {
 		return err
 	}
+	s.task = sched.TaskRef(ref)
 	if s.stage, err = attrInt(attrs, AttrStage); err != nil {
 		return err
 	}
@@ -183,7 +187,7 @@ func (s *Subtask) run(trg Trigger) {
 	// Complete method of the local IR component" — a local event here.
 	deadline := time.Unix(0, trg.ArrivalNanos).Add(s.deadline)
 	_ = s.ch.Push(eventchan.Event{Type: EvComplete, Payload: AppendComplete(nil, &Complete{
-		Ref:           sched.JobRef{Task: trg.Task, Job: trg.Job},
+		Ref:           sched.JobKey{Task: trg.Task, Job: trg.Job},
 		Stage:         s.stage,
 		Kind:          s.kind,
 		DeadlineNanos: deadline.UnixNano(),

@@ -12,12 +12,14 @@ import (
 	"repro/internal/sched"
 )
 
-// teTask is the effector's per-task record: the (swappable) task definition,
-// the job-number allocator, and the task's state machine with, behind an
-// atomic pointer, the action its cached decision settles arrivals with. The
-// record survives reconfigurations as long as its task ID stays in the
-// workload, so job numbering never restarts or races across a swap.
+// teTask is the effector's per-task record: the task's ref, its (swappable)
+// definition, the job-number allocator, and the task's state machine with,
+// behind an atomic pointer, the action its cached decision settles arrivals
+// with. The record survives reconfigurations as long as its ref stays in the
+// workload, so job numbering never restarts or races across a swap; a task
+// re-added under its old ID has a new ref and a new record.
 type teTask struct {
+	ref     sched.TaskRef
 	task    atomic.Pointer[sched.Task]
 	nextJob atomic.Int64
 	cached  atomic.Pointer[core.Action]
@@ -57,9 +59,9 @@ type TaskEffector struct {
 	// epoch is the reconfiguration epoch the state machines are in.
 	cfg   core.Config
 	epoch int64
-	// tasks is the COW task index (task ID -> record). Writers clone under
-	// te.mu; readers only Load.
-	tasks atomic.Pointer[map[string]*teTask]
+	// tasks is the COW task index. Writers replace it under te.mu; readers
+	// only Load.
+	tasks atomic.Pointer[teIndex]
 	// maxDeadline bounds how long a request can still get a decision, and
 	// sweepAt is when SubmitJob next looks for requests older than that:
 	// one whose Task Arrive was lost in another sender's ORB flush (the
@@ -103,20 +105,16 @@ type TEStats struct {
 
 var _ ccm.Component = (*TaskEffector)(nil)
 
+// teIndex is the effector's task index: every record by ref, and the
+// current tasks' records by ID for SubmitJob, the one call that arrives by
+// name.
+type teIndex struct {
+	byRef  map[sched.TaskRef]*teTask
+	byName map[string]*teTask
+}
+
 // NewTaskEffector returns an unconfigured TE component.
 func NewTaskEffector() *TaskEffector { return &TaskEffector{} }
-
-// lookupTask resolves a task record from the COW index without locking.
-//
-//rtmw:noalloc
-func (te *TaskEffector) lookupTask(taskID string) (*teTask, bool) {
-	tp := te.tasks.Load()
-	if tp == nil {
-		return nil, false
-	}
-	tt, ok := (*tp)[taskID]
-	return tt, ok
-}
 
 // Configure parses the processor ID, the AC and LB strategies and the
 // workload.
@@ -138,7 +136,7 @@ func (te *TaskEffector) Configure(attrs map[string]string) error {
 	if cfg.AC == 0 || cfg.LB == 0 {
 		return fmt.Errorf("%w: TE needs %s and %s", ErrInvalidStrategy, AttrACStrategy, AttrLBStrategy)
 	}
-	tasks, err := attrWorkload(attrs, true)
+	tasks, err := ParseWorkload(attrs, true)
 	if err != nil {
 		return err
 	}
@@ -157,40 +155,43 @@ func (te *TaskEffector) Configure(attrs map[string]string) error {
 // jobs; new tasks start at job zero; a departed task's record stays, marked
 // gone, while jobs still await its decision. Every record then enters
 // te.epoch under te.cfg. Caller holds te.mu.
-func (te *TaskEffector) installLocked(tasks map[string]*sched.Task) {
-	index := map[string]*teTask{}
-	if tp := te.tasks.Load(); tp != nil {
-		index = *tp
+func (te *TaskEffector) installLocked(tasks map[sched.TaskRef]*sched.Task) {
+	index := te.tasks.Load()
+	if index == nil {
+		index = &teIndex{}
 	}
 	if tasks != nil {
-		old := index
-		index = make(map[string]*teTask, len(tasks))
+		old := index.byRef
+		index = &teIndex{
+			byRef:  make(map[sched.TaskRef]*teTask, len(tasks)),
+			byName: make(map[string]*teTask, len(tasks)),
+		}
 		var maxDL time.Duration
-		for id, t := range tasks {
-			tt, ok := old[id]
+		for ref, t := range tasks {
+			tt, ok := old[ref]
 			if !ok {
-				tt = &teTask{}
+				tt = &teTask{ref: ref}
 			}
 			tt.task.Store(t)
 			tt.gone.Store(false)
-			index[id] = tt
+			index.byRef[ref], index.byName[t.ID] = tt, tt
 			maxDL = max(maxDL, t.Deadline)
 		}
-		for id, tt := range old {
-			if _, ok := index[id]; !ok && tt.waiting() > 0 {
+		for ref, tt := range old {
+			if _, ok := index.byRef[ref]; !ok && tt.waiting() > 0 {
 				tt.gone.Store(true)
-				index[id] = tt
+				index.byRef[ref] = tt
 			}
 		}
 		te.maxDeadline.Store(int64(maxDL))
 	}
-	for _, tt := range index {
+	for _, tt := range index.byRef {
 		tt.mu.Lock()
 		tt.eff.Epoch(te.epoch, te.cfg, tt.task.Load().Kind)
 		tt.cached.Store(nil)
 		tt.mu.Unlock()
 	}
-	te.tasks.Store(&index)
+	te.tasks.Store(index)
 }
 
 // waiting reports how many of the task's jobs await a decision.
@@ -223,7 +224,7 @@ func (te *TaskEffector) Activate(ctx *ccm.Context) error {
 // and refuses those of a task the swap removed. A Workload attribute swaps
 // the task set in place (the open-world AddTasks/RemoveTasks delta).
 func (te *TaskEffector) Reconfigure(attrs map[string]string) error {
-	newTasks, err := attrWorkload(attrs, false)
+	newTasks, err := ParseWorkload(attrs, false)
 	if err != nil {
 		return err
 	}
@@ -280,7 +281,7 @@ func (te *TaskEffector) StatsSnapshot() TEStats {
 func (te *TaskEffector) settleCached(taskID string, tt *teTask, a core.Action) core.Admission {
 	a.Job, a.Arrival = tt.nextJob.Add(1)-1, time.Duration(nowNanos())
 	atomic.AddInt64(&te.Stats.Arrived, 1)
-	_ = te.do(taskID, tt, a, -1)
+	_ = te.do(tt, a, -1)
 	return a.Admission(taskID)
 }
 
@@ -304,8 +305,11 @@ func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 	if te.closed.Load() {
 		return adm, errPassivated()
 	}
-	tt, ok := te.lookupTask(taskID)
-	if !ok || tt.gone.Load() {
+	var tt *teTask
+	if index := te.tasks.Load(); index != nil {
+		tt = index.byName[taskID]
+	}
+	if tt == nil || tt.gone.Load() {
 		return adm, fmt.Errorf("live: te: %w: %q", core.ErrUnknownTask, taskID)
 	}
 
@@ -327,7 +331,7 @@ func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 	a := tt.eff.Arrive(job, time.Duration(arrival))
 	tt.mu.Unlock()
 	adm = a.Admission(taskID)
-	err := te.do(taskID, tt, a, -1)
+	err := te.do(tt, a, -1)
 	if err != nil {
 		adm.Outcome = core.AdmissionRejected
 		adm.Reason = "arrival not delivered: " + err.Error()
@@ -345,12 +349,12 @@ func (te *TaskEffector) sweep(now int64) {
 	if now < next || maxDL <= 0 || !te.sweepAt.CompareAndSwap(next, now+maxDL) {
 		return
 	}
-	for id, tt := range *te.tasks.Load() {
+	for _, tt := range te.tasks.Load().byRef {
 		tt.mu.Lock()
 		acts := tt.eff.Expire(time.Duration(now-maxDL), nil)
 		tt.mu.Unlock()
 		for _, a := range acts {
-			_ = te.do(id, tt, a, -1)
+			_ = te.do(tt, a, -1)
 		}
 	}
 }
@@ -381,7 +385,7 @@ func (te *TaskEffector) onAccept(ev eventchan.Event) {
 	}
 	tt.mu.Unlock()
 	for _, a := range acts {
-		_ = te.do(dec.Task, tt, a, dec.Job)
+		_ = te.do(tt, a, dec.Job)
 	}
 }
 
@@ -390,7 +394,7 @@ func (te *TaskEffector) onAccept(ev eventchan.Event) {
 // manager's watch tap reports that job's rejection, so only the other skips
 // are announced, as local EvSkip events. A request whose push fails is lost:
 // the jobs waiting on it are skipped, and the error is returned.
-func (te *TaskEffector) do(task string, tt *teTask, a core.Action, answered int64) error {
+func (te *TaskEffector) do(tt *teTask, a core.Action, answered int64) error {
 	ch := te.ch.Load()
 	switch a.Kind {
 	case core.ActRequest:
@@ -398,7 +402,7 @@ func (te *TaskEffector) do(task string, tt *teTask, a core.Action, answered int6
 		proc := te.proc
 		te.mu.Unlock()
 		err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: AppendTaskArrive(nil, &TaskArrive{
-			Task:         task,
+			Task:         tt.ref,
 			Job:          a.Job,
 			Proc:         proc,
 			ArrivalNanos: int64(a.Arrival),
@@ -408,7 +412,7 @@ func (te *TaskEffector) do(task string, tt *teTask, a core.Action, answered int6
 			lost := tt.eff.Lost(a.Job, nil)
 			tt.mu.Unlock()
 			for _, s := range lost {
-				_ = te.do(task, tt, s, -1)
+				_ = te.do(tt, s, -1)
 			}
 		}
 		return err
@@ -420,13 +424,13 @@ func (te *TaskEffector) do(task string, tt *teTask, a core.Action, answered int6
 		// The channel delivers the Release locally and forwards it to the
 		// node of the first stage, where the subtask component picks it up.
 		_ = ch.PushTo(stageProc(a.Placement, 0), eventchan.Event{Type: EvRelease, Payload: AppendTrigger(nil, &Trigger{
-			Task: task, Job: a.Job, Placement: a.Placement, ArrivalNanos: int64(a.Arrival),
+			Task: tt.ref, Job: a.Job, Placement: a.Placement, ArrivalNanos: int64(a.Arrival),
 		})})
 	case core.ActSkip:
 		atomic.AddInt64(&te.Stats.Skipped, 1)
 		if a.Job != answered {
 			_ = ch.Push(eventchan.Event{Type: EvSkip, Payload: AppendAccept(nil, &Accept{
-				Task: task, Job: a.Job, ArrivalNanos: int64(a.Arrival),
+				Task: tt.ref, Job: a.Job, ArrivalNanos: int64(a.Arrival),
 			})})
 		}
 	}
@@ -438,15 +442,15 @@ func (te *TaskEffector) do(task string, tt *teTask, a core.Action, answered int6
 // admission controller addresses an Accept to the arrival processor, but a
 // gateway that does not know which processor a sink is still broadcasts, so
 // an effector may see any Accept; one that is not home answers from the
-// payload's header, without decoding the placement or copying the task ID.
+// payload's header, without decoding the placement.
 func (te *TaskEffector) homeOf(payload []byte) *teTask {
-	id, ok := acceptTask(payload)
-	tp := te.tasks.Load()
-	if !ok || tp == nil {
+	ref, ok := acceptTask(payload)
+	index := te.tasks.Load()
+	if !ok || index == nil {
 		return nil
 	}
-	tt, known := (*tp)[string(id)] // indexing by string(id) does not copy
-	if !known {
+	tt := index.byRef[ref]
+	if tt == nil {
 		return nil
 	}
 	home := tt.task.Load().Subtasks[0].Processor

@@ -31,7 +31,7 @@ func benchTE(tb testing.TB) *TaskEffector {
 		tb.Fatal(err)
 	}
 	te.onAccept(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &Accept{
-		Task: "p", Job: 0, Ok: true,
+		Task: 0, Job: 0, Ok: true,
 		Placement:       []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.05}},
 		PerTaskDecision: true,
 		Epoch:           0,
@@ -124,13 +124,13 @@ func TestTEConcurrentCachedSubmit(t *testing.T) {
 	if got, want := s.Released-base.Released, int64(workers*perWorker); got < want {
 		t.Errorf("Released delta = %d, want at least %d", got, want)
 	}
-	if tt, _ := te.lookupTask("a"); tt.nextJob.Load() != workers*perWorker {
+	if tt := te.tasks.Load().byName["a"]; tt.nextJob.Load() != workers*perWorker {
 		t.Errorf("task a numbered %d jobs, want %d", tt.nextJob.Load(), workers*perWorker)
 	}
 }
 
 // cached reports whether the effector holds a cached decision for task.
 func cached(te *TaskEffector, task string) bool {
-	tt, ok := te.lookupTask(task)
-	return ok && tt.cached.Load() != nil
+	tt := te.tasks.Load().byName[task]
+	return tt != nil && tt.cached.Load() != nil
 }

@@ -46,7 +46,7 @@ func TestTEHoldsOneRequestPerTask(t *testing.T) {
 		t.Fatalf("%d submits before the first decision pushed %d Task Arrive events, want 1", n, got)
 	}
 	_ = node.Channel.Push(eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &Accept{
-		Task: "p", Job: 0, Ok: true, Placement: []sched.PlacedStage{{Stage: 0, Proc: 0}}, PerTaskDecision: true,
+		Task: 0, Job: 0, Ok: true, Placement: []sched.PlacedStage{{Stage: 0, Proc: 0}}, PerTaskDecision: true,
 	})})
 	if s := te.StatsSnapshot(); s.Released != n || releases.Load() != n {
 		t.Fatalf("released %d (%d Release events), want %d", s.Released, releases.Load(), n)
@@ -98,7 +98,8 @@ func TestTERemovedTaskInFlightIsRefused(t *testing.T) {
 		t.Fatalf("SubmitJob = %+v, %v", adm, err)
 	}
 	withoutP := map[string]string{AttrEpoch: "1", AttrWorkload: `{"name": "unit", "processors": 2, "tasks": [
-	  {"id": "a", "kind": "aperiodic", "deadline": "80ms", "subtasks": [{"exec": "4ms", "processor": 1}]}]}`}
+	  {"id": "a", "kind": "aperiodic", "deadline": "80ms", "subtasks": [{"exec": "4ms", "processor": 1}]}]}`,
+		AttrTaskRefs: `["","a"]`}
 	if err := ac.Reconfigure(withoutP); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestTERemovedTaskInFlightIsRefused(t *testing.T) {
 	if n, err := ac.Resume(); err != nil || n != 1 {
 		t.Fatalf("Resume = %d, %v; want the buffered arrival replayed", n, err)
 	}
-	if len(accepts) != 1 || accepts[0].Task != "p" || accepts[0].Ok {
+	if len(accepts) != 1 || accepts[0].Task != 0 || accepts[0].Ok {
 		t.Fatalf("accepts = %+v, want one refusal for p", accepts)
 	}
 	if s := te.StatsSnapshot(); s.Arrived != 1 || s.Skipped != 1 || s.Released != 0 {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -97,9 +97,6 @@ type entry struct {
 	expiry    time.Duration // absolute virtual deadline; 0 when permanent
 	completed bool
 	removed   RemovalReason // 0 while active
-	// procPos is the entry's position in procEntries[proc] while active,
-	// maintained by procEntryAdd/procEntryRemove.
-	procPos int
 }
 
 // jobRec groups the entries of one admitted job.
@@ -261,32 +258,32 @@ const boundMargin = 1e-9
 // the same records.
 //
 // Internally the ledger is fully indexed so the admission hot path never
-// scans the job map: per-processor entry sets serve CompletedOn, a
-// task→jobs list serves RemoveTask, and jobs are aggregated into
-// processor-visit signature groups with cached AUB sums so Admissible only
-// re-evaluates the groups whose processors a candidate perturbs.
+// scans the job map: a task→jobs list serves RemoveTask, and jobs are
+// aggregated into processor-visit signature groups with cached AUB sums so
+// Admissible only re-evaluates the groups whose processors a candidate
+// perturbs.
 //
-// Jobs are keyed by JobKey, the task's dense ref from the ledger's
-// TaskTable. The methods taking a JobRef or a task name are the name edge:
-// each resolves the name through the table once (AddJob binds an unknown
-// name to a fresh ref) and runs the key-keyed core. A name stays bound
-// across RemoveTask, so a task re-registered here keeps its ref; a binding
-// that wants a fresh one drops the name from the table.
+// Jobs are keyed by JobKey, the task's ref from the binding that hands refs
+// out; the ledger never sees a task name, except through the two probes of
+// the frozen benchmark (TestAndAdd, WithdrawJob).
 //
-// Ledger is not safe for concurrent use; the admission controller serializes
-// access (the paper's architecture is a single centralized AC).
+// Every exported method is one critical section under the ledger's mutex,
+// so one ledger serves any number of goroutines: the live AC's decisions,
+// expiry timers and idle reports, and the single-threaded simulation alike.
+// TestAndAddKey makes the admission test and the commit one section, which
+// is what the paper's single centralized AC needs.
 type Ledger struct {
+	mu   sync.Mutex
 	util []float64
 	term []float64 // term[p] = AUBTerm(util[p]), maintained with util
 	jobs map[JobKey]*jobRec
-	// tasks names the refs the jobs are keyed by; it is shared with the
-	// binding that hands the refs out.
-	tasks *TaskTable
+	// names binds the task names of TestAndAdd and WithdrawJob to refs of
+	// this ledger's own; nil until the first.
+	names map[string]TaskRef
 
-	procEntries [][]*entry           // active entries per processor (swap-remove via entry.procPos)
-	taskHead    []*jobRec            // per task ref, its jobs, newest first (jobRec.prevT/nextT); grown on demand
-	groups      map[uint64]*sigGroup // sigHash → groups with that hash, chained through sigGroup.next
-	procGroups  [][]*sigGroup        // groups whose signature visits proc (swap-remove via sigGroup.procPos)
+	taskHead   []*jobRec            // per task ref, its jobs, newest first (jobRec.prevT/nextT); grown on demand
+	groups     map[uint64]*sigGroup // sigHash → groups with that hash, chained through sigGroup.next
+	procGroups [][]*sigGroup        // groups whose signature visits proc (swap-remove via sigGroup.procPos)
 	// violated counts groups with counted > 0 whose sum already exceeds 1
 	// (for a counted group cachedSum and the fresh sum agree on that): while
 	// any exist, no candidate is admissible (adding utilization can only
@@ -321,22 +318,20 @@ type Ledger struct {
 }
 
 // NewLedger returns an empty ledger over numProcs processors numbered
-// 0..numProcs-1, with a task table of its own.
+// 0..numProcs-1.
 func NewLedger(numProcs int) *Ledger {
-	return newLedger(NewTaskTable(nil, nil), numProcs)
-}
-
-func newLedger(tasks *TaskTable, numProcs int) *Ledger {
 	return &Ledger{
-		util:        make([]float64, numProcs),
-		term:        make([]float64, numProcs),
-		jobs:        make(map[JobKey]*jobRec),
-		tasks:       tasks,
-		procEntries: make([][]*entry, numProcs),
-		groups:      make(map[uint64]*sigGroup),
-		procGroups:  make([][]*sigGroup, numProcs),
+		util:       make([]float64, numProcs),
+		term:       make([]float64, numProcs),
+		jobs:       make(map[JobKey]*jobRec),
+		groups:     make(map[uint64]*sigGroup),
+		procGroups: make([][]*sigGroup, numProcs),
 	}
 }
+
+// NewShardedLedger is NewLedger; shards is ignored. The frozen benchmark
+// probe benchmark/probe_sched.go calls it (ROADMAP item 1(a) renames it).
+func NewShardedLedger(numProcs, shards int) *Ledger { return NewLedger(numProcs) }
 
 // NumProcs returns the number of processors the ledger tracks.
 func (l *Ledger) NumProcs() int { return len(l.util) }
@@ -391,23 +386,6 @@ func (l *Ledger) allocGroup() *sigGroup {
 	return &sigGroup{}
 }
 
-// key resolves a name-keyed job reference to its key: the name edge's one
-// lookup.
-func (l *Ledger) key(ref JobRef) (JobKey, bool) {
-	tr, ok := l.tasks.Lookup(ref.Task)
-	return JobKey{Task: tr, Job: ref.Job}, ok
-}
-
-// lookupJob resolves a name-keyed job reference to its record.
-func (l *Ledger) lookupJob(ref JobRef) (*jobRec, bool) {
-	k, ok := l.key(ref)
-	if !ok {
-		return nil, false
-	}
-	rec, ok := l.jobs[k]
-	return rec, ok
-}
-
 // indexJob enters a new job record into the job map and at the head of its
 // task's list, growing the per-task heads to cover the ref.
 func (l *Ledger) indexJob(k JobKey, rec *jobRec) {
@@ -422,25 +400,6 @@ func (l *Ledger) indexJob(k JobKey, rec *jobRec) {
 		head.prevT = rec
 	}
 	l.taskHead[k.Task] = rec
-}
-
-// procEntryAdd appends an active entry to its processor's index, recording
-// its position for O(1) swap-removal.
-func (l *Ledger) procEntryAdd(e *entry) {
-	s := l.procEntries[e.proc]
-	e.procPos = len(s)
-	l.procEntries[e.proc] = append(s, e)
-}
-
-// procEntryRemove swap-removes an entry from its processor's index.
-func (l *Ledger) procEntryRemove(e *entry) {
-	s := l.procEntries[e.proc]
-	last := len(s) - 1
-	moved := s[last]
-	s[e.procPos] = moved
-	moved.procPos = e.procPos
-	s[last] = nil
-	l.procEntries[e.proc] = s[:last]
 }
 
 // procGroupAdd registers a group in the per-processor group index of every
@@ -511,11 +470,15 @@ func (l *Ledger) Util(proc int) float64 {
 	if proc < 0 || proc >= len(l.util) {
 		return 0
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return l.util[proc]
 }
 
 // Utils returns a copy of all per-processor synthetic utilizations.
 func (l *Ledger) Utils() []float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return append([]float64(nil), l.util...)
 }
 
@@ -681,11 +644,6 @@ func (l *Ledger) reindex(rec *jobRec) {
 // already settled the job's utilization contributions.
 func (l *Ledger) forgetJob(rec *jobRec) {
 	l.leaveGroup(rec)
-	for _, e := range rec.entries {
-		if e.removed == 0 {
-			l.procEntryRemove(e)
-		}
-	}
 	delete(l.jobs, rec.key)
 	if rec.prevT != nil {
 		rec.prevT.nextT = rec.nextT
@@ -707,21 +665,86 @@ func (l *Ledger) forgetJob(rec *jobRec) {
 	l.freeRecs = append(l.freeRecs, rec)
 }
 
-// AddJob records the contributions of an admitted job placed per placement.
-// When permanent is true the contributions never expire (the per-task
-// admission strategy reserves a periodic task's synthetic utilization for
-// its whole lifetime); otherwise expiry is the job's absolute deadline.
-// Adding an already-present job is an error: the admission controller must
-// not double-admit. A task name the ledger's table does not know is bound to
-// a fresh ref.
-func (l *Ledger) AddJob(ref JobRef, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) error {
-	return l.addJob(JobKey{Task: l.tasks.intern(ref.Task, nil), Job: ref.Job}, kind, placement, permanent, expiry)
+// AddJob records the contributions of an admitted job placed per placement,
+// without an admission test (tests, the ablation replay and the standby
+// mirror build ledger states with it, overloaded ones included). When
+// permanent is true the contributions never expire (the per-task admission
+// strategy reserves a periodic task's synthetic utilization for its whole
+// lifetime); otherwise expiry is the job's absolute deadline. Adding an
+// already-present job is an error: the admission controller must not
+// double-admit.
+func (l *Ledger) AddJob(k JobKey, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.addJob(k, kind, placement, permanent, expiry)
 }
 
-// addJob is AddJob by key.
+// TestAndAddKey runs the AUB admission test and, on success, records the
+// job, in one critical section — what an Admissible/AddJob pair cannot be,
+// since two concurrent candidates could both pass a test with room for one.
+// It returns whether the job was admitted; the error reports argument
+// problems or a double admission (both also rejections).
+//
+//rtmw:noalloc
+func (l *Ledger) TestAndAddKey(k JobKey, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) (bool, error) {
+	// admissible indexes its scratch by processor, so the placement is
+	// checked before it is tested.
+	if err := l.checkPlacement(k, placement); err != nil {
+		return false, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.admissible(placement) {
+		return false, nil
+	}
+	if err := l.addJob(k, kind, placement, permanent, expiry); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// TestAndAdd is TestAndAddKey for a job named by task name, each name bound
+// to a ref of the ledger's own on first use. Only the frozen benchmark probe
+// benchmark/probe_sched.go calls it.
+//
+//rtmw:noalloc
+func (l *Ledger) TestAndAdd(ref JobRef, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) (bool, error) {
+	return l.TestAndAddKey(JobKey{Task: l.nameRef(ref.Task), Job: ref.Job}, kind, placement, permanent, expiry)
+}
+
+// WithdrawJob is WithdrawKey for a job named by task name (see TestAndAdd).
+// Only the frozen benchmark probe benchmark/probe_sched.go calls it.
+func (l *Ledger) WithdrawJob(ref JobRef) int {
+	return l.WithdrawKey(JobKey{Task: l.nameRef(ref.Task), Job: ref.Job})
+}
+
+// nameRef returns the ref bound to a name, binding the next one on first
+// use.
+//
+//rtmw:noalloc
+func (l *Ledger) nameRef(name string) TaskRef {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	tr, ok := l.names[name]
+	if !ok {
+		if l.names == nil {
+			//rtmw:ignore noalloc one-time lazy index, amortized to zero over the ledger's life
+			l.names = make(map[string]TaskRef)
+		}
+		tr = TaskRef(len(l.names))
+		//rtmw:ignore noalloc a name's first use only
+		l.names[name] = tr
+	}
+	return tr
+}
+
+// addJob is AddJob under the lock.
 func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) error {
+	if k.Task < 0 {
+		return fmt.Errorf("sched: job %s has a negative task ref", k)
+	}
 	if _, ok := l.jobs[k]; ok {
-		return fmt.Errorf("sched: job %s already in ledger", l.tasks.jobRef(k))
+		return fmt.Errorf("sched: job %s already in ledger", k)
 	}
 	if err := l.checkPlacement(k, placement); err != nil {
 		return err
@@ -739,7 +762,6 @@ func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 		e.permanent = permanent
 		e.expiry = expiry
 		rec.entries = append(rec.entries, e)
-		l.procEntryAdd(e)
 		l.util[p.Proc] += p.Util
 		touched = touchProc(touched, p.Proc)
 	}
@@ -752,14 +774,15 @@ func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 }
 
 // checkPlacement is AddJob's argument check: every stage on a known
-// processor, no negative utilization.
+// processor, no negative utilization. It reads only the processor count,
+// which never changes, so it needs no lock.
 func (l *Ledger) checkPlacement(k JobKey, placement []PlacedStage) error {
 	for _, p := range placement {
 		if p.Proc < 0 || p.Proc >= len(l.util) {
-			return fmt.Errorf("sched: job %s stage %d placed on unknown processor %d", l.tasks.jobRef(k), p.Stage, p.Proc)
+			return fmt.Errorf("sched: job %s stage %d placed on unknown processor %d", k, p.Stage, p.Proc)
 		}
 		if p.Util < 0 {
-			return fmt.Errorf("sched: job %s stage %d has negative utilization %g", l.tasks.jobRef(k), p.Stage, p.Util)
+			return fmt.Errorf("sched: job %s stage %d has negative utilization %g", k, p.Stage, p.Util)
 		}
 	}
 	return nil
@@ -770,18 +793,11 @@ func (l *Ledger) checkPlacement(k JobKey, placement []PlacedStage) error {
 // removed by expiry (per-task reservations outlive individual deadlines);
 // jobs made only of permanent entries are left in place. It returns the
 // number of contributions removed.
-func (l *Ledger) ExpireJob(ref JobRef) int {
-	k, ok := l.key(ref)
-	if !ok {
-		return 0
-	}
-	return l.expireKey(k)
-}
-
-// expireKey is ExpireJob by key.
 //
 //rtmw:noalloc
-func (l *Ledger) expireKey(k JobKey) int {
+func (l *Ledger) ExpireJob(k JobKey) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	rec, ok := l.jobs[k]
 	if !ok {
 		return 0
@@ -797,7 +813,6 @@ func (l *Ledger) expireKey(k JobKey) int {
 		permanentOnly = false
 		if e.removed == 0 {
 			e.removed = RemovedExpiry
-			l.procEntryRemove(e)
 			l.util[e.proc] -= e.amount
 			touched = touchProc(touched, e.proc)
 			n++
@@ -812,23 +827,16 @@ func (l *Ledger) expireKey(k JobKey) int {
 	return n
 }
 
-// WithdrawJob removes every remaining contribution of one job — including
-// permanent per-task reservation entries, which ExpireJob deliberately skips
-// — and forgets the job. It is the reconfiguration rebase primitive: when
-// the admission strategy moves away from per-task control, each task's
+// WithdrawKey removes every remaining contribution of one job — including
+// permanent per-task reservation entries, which ExpireJob deliberately
+// skips — and forgets the job. It is the reconfiguration rebase primitive:
+// when the admission strategy moves away from per-task control, each task's
 // permanent reservation is withdrawn so the ledger reflects only per-job
 // contributions under the new strategy. It returns the number of
 // contributions removed.
-func (l *Ledger) WithdrawJob(ref JobRef) int {
-	k, ok := l.key(ref)
-	if !ok {
-		return 0
-	}
-	return l.withdrawKey(k)
-}
-
-// withdrawKey is WithdrawJob by key.
-func (l *Ledger) withdrawKey(k JobKey) int {
+func (l *Ledger) WithdrawKey(k JobKey) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	rec, ok := l.jobs[k]
 	if !ok {
 		return 0
@@ -836,7 +844,7 @@ func (l *Ledger) withdrawKey(k JobKey) int {
 	return l.withdrawRec(rec)
 }
 
-// withdrawRec is WithdrawJob after the job lookup.
+// withdrawRec is WithdrawKey after the job lookup.
 func (l *Ledger) withdrawRec(rec *jobRec) int {
 	n := 0
 	var touchedBuf [8]int
@@ -844,7 +852,6 @@ func (l *Ledger) withdrawRec(rec *jobRec) int {
 	for _, e := range rec.entries {
 		if e.removed == 0 {
 			e.removed = RemovedWithdrawal
-			l.procEntryRemove(e)
 			l.util[e.proc] -= e.amount
 			touched = touchProc(touched, e.proc)
 			n++
@@ -860,17 +867,10 @@ func (l *Ledger) withdrawRec(rec *jobRec) int {
 // RemoveTask withdraws every job of the task, a permanent per-task
 // reservation included (the task left the system). It returns the number of
 // contributions removed.
-func (l *Ledger) RemoveTask(task string) int {
-	tr, ok := l.tasks.Lookup(task)
-	if !ok {
-		return 0
-	}
-	return l.removeTaskRef(tr)
-}
-
-// removeTaskRef is RemoveTask by ref.
-func (l *Ledger) removeTaskRef(tr TaskRef) int {
-	if int(tr) >= len(l.taskHead) {
+func (l *Ledger) RemoveTask(tr TaskRef) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if tr < 0 || int(tr) >= len(l.taskHead) {
 		return 0
 	}
 	// Withdraw in job order, not list order: the per-processor subtraction
@@ -889,19 +889,8 @@ func (l *Ledger) removeTaskRef(tr TaskRef) int {
 	return n
 }
 
-// MarkComplete records that the subjob of the given stage finished
-// executing, making its contribution eligible for idle resetting. Unknown
-// references are ignored (the job may already have expired).
-func (l *Ledger) MarkComplete(ref JobRef, stage int) {
-	rec, ok := l.lookupJob(ref)
-	if !ok {
-		return
-	}
-	l.markCompleteRec(rec, stage)
-}
-
-// markCompleteRec is MarkComplete after the job lookup.
-func (l *Ledger) markCompleteRec(rec *jobRec, stage int) {
+// markComplete marks a job's stage complete.
+func (l *Ledger) markComplete(rec *jobRec, stage int) {
 	changed := false
 	for _, e := range rec.entries {
 		if e.stage == stage && !e.completed {
@@ -917,22 +906,8 @@ func (l *Ledger) markCompleteRec(rec *jobRec, stage int) {
 	}
 }
 
-// ResetEntry applies the idle resetting rule to a single reported
-// contribution: if the entry is known, completed, and still active, its
-// contribution is removed. It returns true if utilization was released.
-// Permanent (per-task reserved) entries are never reset: the per-task
-// admission strategy must keep the reservation, which is exactly why the
-// AC-per-task/IR-per-job combination is invalid.
-func (l *Ledger) ResetEntry(r EntryRef) bool {
-	rec, ok := l.lookupJob(r.Ref)
-	if !ok {
-		return false
-	}
-	return l.resetEntryRec(rec, r.Stage, r.Proc)
-}
-
-// resetEntryRec is ResetEntry after the job lookup.
-func (l *Ledger) resetEntryRec(rec *jobRec, stage, proc int) bool {
+// resetEntry applies the idle resetting rule to one contribution of a job.
+func (l *Ledger) resetEntry(rec *jobRec, stage, proc int) bool {
 	for _, e := range rec.entries {
 		if e.stage != stage || e.proc != proc {
 			continue
@@ -941,7 +916,6 @@ func (l *Ledger) resetEntryRec(rec *jobRec, stage, proc int) bool {
 			return false
 		}
 		e.removed = RemovedIdleReset
-		l.procEntryRemove(e)
 		l.addUtil(e.proc, -e.amount)
 		l.reindex(rec)
 		return true
@@ -949,90 +923,41 @@ func (l *Ledger) resetEntryRec(rec *jobRec, stage, proc int) bool {
 	return false
 }
 
-// ResetReported applies one idle-resetting report entry: MarkComplete
-// followed by ResetEntry, with a single job lookup. It is behaviorally
-// identical to calling the two methods in that order — the admission
-// controller's hot path for "Idle Resetting" events uses it, while the two
-// standalone methods remain the granular API (and the differential property
-// test's ground truth).
-func (l *Ledger) ResetReported(r EntryRef) bool {
-	k, ok := l.key(r.Ref)
-	if !ok {
-		return false
-	}
-	return l.resetReportedKey(Entry[JobKey]{Ref: k, Stage: r.Stage, Proc: r.Proc})
-}
-
-// resetReportedKey is ResetReported by key.
+// ResetReported applies one idle-resetting report entry in one critical
+// section: it marks the reported stage of the job complete (the job may
+// leave the in-flight set) and, if the entry is known, completed and still
+// active, removes its contribution. It returns true if utilization was
+// released. Permanent (per-task reserved) entries are never reset: the
+// per-task admission strategy must keep the reservation, which is exactly
+// why the AC-per-task/IR-per-job combination is invalid. Unknown jobs are
+// ignored (the job may already have expired).
 //
 //rtmw:noalloc
-func (l *Ledger) resetReportedKey(r Entry[JobKey]) bool {
+func (l *Ledger) ResetReported(r Entry[JobKey]) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	rec, ok := l.jobs[r.Ref]
 	if !ok {
 		return false
 	}
-	l.markCompleteRec(rec, r.Stage)
-	return l.resetEntryRec(rec, r.Stage, r.Proc)
-}
-
-// CompletedOn returns the completed, still-active contributions on the given
-// processor, optionally restricted to aperiodic tasks. Idle resetter
-// components use it (in the simulation binding) to build their report when
-// the processor goes idle. It reads the per-processor entry index, so the
-// cost scales with the processor's own entries rather than the whole job
-// map. Results are ordered deterministically.
-func (l *Ledger) CompletedOn(proc int, includePeriodic bool) []EntryRef {
-	if proc < 0 || proc >= len(l.procEntries) {
-		return nil
-	}
-	var out []EntryRef
-	for _, e := range l.procEntries[proc] {
-		if !e.completed || e.removed != 0 || e.permanent {
-			continue
-		}
-		if !includePeriodic && e.kind == Periodic {
-			continue
-		}
-		out = append(out, EntryRef{Ref: l.tasks.jobRef(e.key), Stage: e.stage, Proc: e.proc})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Ref.Task != out[j].Ref.Task {
-			return out[i].Ref.Task < out[j].Ref.Task
-		}
-		if out[i].Ref.Job != out[j].Ref.Job {
-			return out[i].Ref.Job < out[j].Ref.Job
-		}
-		return out[i].Stage < out[j].Stage
-	})
-	return out
+	l.markComplete(rec, r.Stage)
+	return l.resetEntry(rec, r.Stage, r.Proc)
 }
 
 // Relocate moves the active contributions of a job to a new placement (used
 // by AC-per-task with LB-per-job, where an admitted task's reservation
-// follows the jobs). Completed/removed entries are left as-is.
-func (l *Ledger) Relocate(ref JobRef, placement []PlacedStage) error {
-	rec, ok := l.lookupJob(ref)
-	if !ok {
-		return fmt.Errorf("sched: relocate: job %s not in ledger", ref)
-	}
-	return l.relocateRec(rec, placement)
-}
-
-// relocateKey is Relocate by key.
-func (l *Ledger) relocateKey(k JobKey, placement []PlacedStage) error {
+// follows the jobs). Completed/removed entries are left as-is; a stage
+// placed twice takes its last placement.
+func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	rec, ok := l.jobs[k]
 	if !ok {
-		return fmt.Errorf("sched: relocate: job %s not in ledger", l.tasks.jobRef(k))
+		return fmt.Errorf("sched: relocate: job %s not in ledger", k)
 	}
-	return l.relocateRec(rec, placement)
-}
-
-// relocateRec is Relocate after the job lookup. A stage placed twice takes
-// its last placement.
-func (l *Ledger) relocateRec(rec *jobRec, placement []PlacedStage) error {
 	for _, p := range placement {
 		if p.Proc < 0 || p.Proc >= len(l.util) {
-			return fmt.Errorf("sched: relocate: job %s stage %d on unknown processor %d", l.tasks.jobRef(rec.key), p.Stage, p.Proc)
+			return fmt.Errorf("sched: relocate: job %s stage %d on unknown processor %d", k, p.Stage, p.Proc)
 		}
 	}
 	var touchedBuf [8]int
@@ -1051,12 +976,10 @@ func (l *Ledger) relocateRec(rec *jobRec, placement []PlacedStage) error {
 			continue
 		}
 		p := placement[at]
-		l.procEntryRemove(e)
 		l.util[e.proc] -= e.amount
 		touched = touchProc(touched, e.proc)
 		e.proc = p.Proc
 		e.amount = p.Util
-		l.procEntryAdd(e)
 		l.util[e.proc] += p.Util
 		touched = touchProc(touched, e.proc)
 	}
@@ -1073,8 +996,7 @@ func (l *Ledger) relocateRec(rec *jobRec, placement []PlacedStage) error {
 // given placement: with the candidate's contributions tentatively added,
 // condition (1) must continue to hold for the candidate and for every
 // in-flight job in the current task set. It leaves the ledger's accounting
-// as it found it; it does write its scratch and the scan stamps, so like
-// every other method it needs the caller's serialization.
+// as it found it (it writes only its scratch and the scan stamps).
 //
 // The evaluation is indexed: jobs visiting none of the candidate's
 // processors keep their cached (already ≤ 1, else the violated counter
@@ -1087,6 +1009,15 @@ func (l *Ledger) relocateRec(rec *jobRec, placement []PlacedStage) error {
 //
 //rtmw:noalloc
 func (l *Ledger) Admissible(placement []PlacedStage) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.admissible(placement)
+}
+
+// admissible is Admissible under the lock.
+//
+//rtmw:noalloc
+func (l *Ledger) admissible(placement []PlacedStage) bool {
 	for _, p := range placement {
 		if p.Util < 0 {
 			// Negative candidates void the monotonicity the fast path
@@ -1229,44 +1160,37 @@ func (l *Ledger) referenceAdmissible(placement []PlacedStage) bool {
 	return true
 }
 
-// ActiveJobs returns the references of jobs that still hold at least one
-// active contribution, in deterministic order. Intended for tests and
-// instrumentation.
-func (l *Ledger) ActiveJobs() []JobRef {
-	var out []JobRef
+// ActiveJobs returns the keys of jobs that still hold at least one active
+// contribution, in key order. Intended for tests and instrumentation.
+func (l *Ledger) ActiveJobs() []JobKey {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []JobKey
 	for k, rec := range l.jobs {
 		if rec.active() {
-			out = append(out, l.tasks.jobRef(k))
+			out = append(out, k)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Task != out[j].Task {
-			return out[i].Task < out[j].Task
-		}
-		return out[i].Job < out[j].Job
-	})
+	slices.SortFunc(out, JobKey.compare)
 	return out
 }
 
 // CheckInvariants recomputes per-processor utilization from entry records
 // and verifies it matches the running sums within tolerance, that no
-// utilization is negative, and that every index (per-processor entries,
-// task→jobs, signature groups with their cached upper-bound sums and the
-// violated counter, recounted from fresh sums) agrees with the ground-truth
-// records. It also cross-checks the indexed Admissible against
+// utilization is negative, and that every index (task→jobs, signature
+// groups with their cached upper-bound sums and the violated counter,
+// recounted from fresh sums) agrees with the ground-truth records. It also cross-checks the indexed Admissible against
 // referenceAdmissible on the empty candidate. Property tests call it after
-// random operation sequences.
+// random operation sequences. It holds the lock throughout, so it is safe
+// while decisions are live.
 func (l *Ledger) CheckInvariants() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	recomputed := make([]float64, len(l.util))
-	activeEntries := 0
 	for _, rec := range l.jobs {
 		for _, e := range rec.entries {
 			if e.removed == 0 {
 				recomputed[e.proc] += e.amount
-				activeEntries++
-				if pe := l.procEntries[e.proc]; e.procPos < 0 || e.procPos >= len(pe) || pe[e.procPos] != e {
-					return fmt.Errorf("sched: active entry %s/%d missing from processor %d index", l.tasks.jobRef(e.key), e.stage, e.proc)
-				}
 			}
 		}
 	}
@@ -1281,22 +1205,6 @@ func (l *Ledger) CheckInvariants() error {
 			return fmt.Errorf("sched: processor %d has stale AUB term cache", p)
 		}
 	}
-	indexed := 0
-	for p := range l.procEntries {
-		indexed += len(l.procEntries[p])
-		for _, e := range l.procEntries[p] {
-			if e.removed != 0 {
-				return fmt.Errorf("sched: removed entry %s/%d still in processor %d index", l.tasks.jobRef(e.key), e.stage, p)
-			}
-			if e.proc != p {
-				return fmt.Errorf("sched: entry %s/%d indexed under processor %d but placed on %d", l.tasks.jobRef(e.key), e.stage, p, e.proc)
-			}
-		}
-	}
-	if indexed != activeEntries {
-		return fmt.Errorf("sched: processor index holds %d entries, records hold %d", indexed, activeEntries)
-	}
-
 	// Every task's list: back links consistent, each record filed under its
 	// own key, and together exactly the job map. The bound ends the walk on a
 	// cycle whatever the links say.
@@ -1304,15 +1212,14 @@ func (l *Ledger) CheckInvariants() error {
 	for tr, head := range l.taskHead {
 		var prev *jobRec
 		for rec := head; rec != nil; prev, rec = rec, rec.nextT {
-			name := l.tasks.Name(TaskRef(tr))
 			if taskIndexed++; taskIndexed > len(l.jobs) {
-				return fmt.Errorf("sched: task lists hold more than the job map's %d jobs (cycle or stale record in task %s)", len(l.jobs), name)
+				return fmt.Errorf("sched: task lists hold more than the job map's %d jobs (cycle or stale record in task %d)", len(l.jobs), tr)
 			}
 			if rec.prevT != prev {
-				return fmt.Errorf("sched: task list of %s: job %d has a wrong back link", name, rec.key.Job)
+				return fmt.Errorf("sched: task list of %d: job %d has a wrong back link", tr, rec.key.Job)
 			}
 			if rec.key.Task != TaskRef(tr) || l.jobs[rec.key] != rec {
-				return fmt.Errorf("sched: task list entry %s/%d does not match job map", name, rec.key.Job)
+				return fmt.Errorf("sched: task list entry %s does not match job map", rec.key)
 			}
 		}
 	}
@@ -1326,18 +1233,18 @@ func (l *Ledger) CheckInvariants() error {
 		procs, counts := appendSignature(nil, nil, rec)
 		switch {
 		case len(procs) == 0 && rec.group != nil:
-			return fmt.Errorf("sched: inactive job %s still grouped", l.tasks.jobRef(k))
+			return fmt.Errorf("sched: inactive job %s still grouped", k)
 		case len(procs) > 0 && rec.group == nil:
-			return fmt.Errorf("sched: active job %s has no signature group", l.tasks.jobRef(k))
+			return fmt.Errorf("sched: active job %s has no signature group", k)
 		case rec.group != nil && !rec.group.sameSig(procs, counts):
 			return fmt.Errorf("sched: job %s grouped under %v/%v, signature is %q",
-				l.tasks.jobRef(k), rec.group.procs, rec.group.counts, sigString(procs, counts))
+				k, rec.group.procs, rec.group.counts, sigString(procs, counts))
 		}
 		if rec.group != nil {
 			members[rec.group]++
 			want := rec.inFlight() && rec.active()
 			if rec.counted != want {
-				return fmt.Errorf("sched: job %s counted=%v, want %v", l.tasks.jobRef(k), rec.counted, want)
+				return fmt.Errorf("sched: job %s counted=%v, want %v", k, rec.counted, want)
 			}
 			if rec.counted {
 				counted[rec.group]++
@@ -1374,7 +1281,7 @@ func (l *Ledger) CheckInvariants() error {
 		return fmt.Errorf("sched: violated counter %d, recomputed %d", l.violated, wantViolated)
 	}
 
-	if fast, ref := l.Admissible(nil), l.referenceAdmissible(nil); fast != ref {
+	if fast, ref := l.admissible(nil), l.referenceAdmissible(nil); fast != ref {
 		// The indexed path sums count[p]·f(u_p) over sorted processors, the
 		// reference sums f(u_p) once per entry in record order; at a job sum
 		// within rounding distance of the bound the two can legitimately

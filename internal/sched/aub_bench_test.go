@@ -15,7 +15,7 @@ func populatedLedger(b *testing.B, n int) *Ledger {
 	b.Helper()
 	l := NewLedger(5)
 	for i := 0; i < n; i++ {
-		ref := JobRef{Task: "bg", Job: int64(i)}
+		ref := JobKey{Task: 0, Job: int64(i)}
 		pl := []PlacedStage{
 			{Stage: 0, Proc: i % 5, Util: 0.75 / float64(n)},
 			{Stage: 1, Proc: (i + 2) % 5, Util: 0.75 / float64(n)},
@@ -58,7 +58,7 @@ func BenchmarkCompletedOn(b *testing.B) {
 	for _, n := range []int{100, 10000} {
 		l := populatedLedger(b, n)
 		for i := 0; i < n; i += 2 {
-			l.MarkComplete(JobRef{Task: "bg", Job: int64(i)}, 0)
+			l.MarkComplete(JobKey{Task: 0, Job: int64(i)}, 0)
 		}
 		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -78,7 +78,7 @@ func BenchmarkLedgerChurn(b *testing.B) {
 		b.Run(fmt.Sprintf("inflight=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ref := JobRef{Task: "churn", Job: int64(i)}
+				ref := JobKey{Task: 1, Job: int64(i)}
 				pl := []PlacedStage{{Stage: 0, Proc: i % 5, Util: 0.001}}
 				if !l.Admissible(pl) {
 					b.Fatal("churn job rejected")
@@ -87,7 +87,7 @@ func BenchmarkLedgerChurn(b *testing.B) {
 					b.Fatal(err)
 				}
 				l.MarkComplete(ref, 0)
-				l.ResetEntry(EntryRef{Ref: ref, Stage: 0, Proc: i % 5})
+				l.ResetEntry(Entry[JobKey]{Ref: ref, Stage: 0, Proc: i % 5})
 				l.ExpireJob(ref)
 			}
 		})

@@ -103,7 +103,7 @@ func groupOf(l *Ledger, sig string) *sigGroup {
 
 func TestLedgerAddAndExpire(t *testing.T) {
 	l := NewLedger(3)
-	ref := JobRef{Task: "t1", Job: 0}
+	ref := JobKey{Task: 11, Job: 0}
 	pl := place(
 		PlacedStage{Stage: 0, Proc: 0, Util: 0.2},
 		PlacedStage{Stage: 1, Proc: 2, Util: 0.1},
@@ -144,11 +144,11 @@ func TestLedgerAddAndExpire(t *testing.T) {
 func TestLedgerAddJobErrors(t *testing.T) {
 	l := NewLedger(2)
 	bad := place(PlacedStage{Stage: 0, Proc: 5, Util: 0.1})
-	if err := l.AddJob(JobRef{Task: "x", Job: 0}, Periodic, bad, false, time.Second); err == nil {
+	if err := l.AddJob(JobKey{Task: 12, Job: 0}, Periodic, bad, false, time.Second); err == nil {
 		t.Error("AddJob accepted out-of-range processor")
 	}
 	neg := place(PlacedStage{Stage: 0, Proc: 0, Util: -0.1})
-	if err := l.AddJob(JobRef{Task: "y", Job: 0}, Periodic, neg, false, time.Second); err == nil {
+	if err := l.AddJob(JobKey{Task: 13, Job: 0}, Periodic, neg, false, time.Second); err == nil {
 		t.Error("AddJob accepted negative utilization")
 	}
 	if l.Admissible(neg) {
@@ -157,11 +157,18 @@ func TestLedgerAddJobErrors(t *testing.T) {
 	if NewShardedLedger(2, 2).Admissible(neg) {
 		t.Error("sharded Admissible accepted negative utilization")
 	}
+	ok := place(PlacedStage{Stage: 0, Proc: 0, Util: 0.1})
+	if err := l.AddJob(JobKey{Task: -1, Job: 0}, Periodic, ok, false, time.Second); err == nil {
+		t.Error("AddJob accepted a negative task ref")
+	}
+	if got := l.ActiveJobs(); len(got) != 0 {
+		t.Errorf("rejected jobs left records %v", got)
+	}
 }
 
 func TestLedgerPermanentReservation(t *testing.T) {
 	l := NewLedger(2)
-	ref := JobRef{Task: "p1", Job: 0}
+	ref := JobKey{Task: 9, Job: 0}
 	pl := place(PlacedStage{Stage: 0, Proc: 0, Util: 0.3})
 	if err := l.AddJob(ref, Periodic, pl, true, 0); err != nil {
 		t.Fatal(err)
@@ -175,11 +182,11 @@ func TestLedgerPermanentReservation(t *testing.T) {
 	}
 	// Idle resetting must not touch it either, even when completed.
 	l.MarkComplete(ref, 0)
-	if l.ResetEntry(EntryRef{Ref: ref, Stage: 0, Proc: 0}) {
+	if l.ResetEntry(Entry[JobKey]{Ref: ref, Stage: 0, Proc: 0}) {
 		t.Error("ResetEntry removed a permanent reservation")
 	}
 	// RemoveTask withdraws it.
-	if n := l.RemoveTask("p1"); n != 1 {
+	if n := l.RemoveTask(9); n != 1 {
 		t.Errorf("RemoveTask removed %d entries, want 1", n)
 	}
 	if got := l.Util(0); got != 0 {
@@ -189,8 +196,8 @@ func TestLedgerPermanentReservation(t *testing.T) {
 
 func TestLedgerIdleReset(t *testing.T) {
 	l := NewLedger(2)
-	ap := JobRef{Task: "a1", Job: 0}
-	per := JobRef{Task: "p1", Job: 3}
+	ap := JobKey{Task: 1, Job: 0}
+	per := JobKey{Task: 9, Job: 3}
 	if err := l.AddJob(ap, Aperiodic, place(PlacedStage{Stage: 0, Proc: 0, Util: 0.2}), false, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +209,7 @@ func TestLedgerIdleReset(t *testing.T) {
 	if refs := l.CompletedOn(0, true); len(refs) != 0 {
 		t.Fatalf("CompletedOn before completion = %v", refs)
 	}
-	if l.ResetEntry(EntryRef{Ref: ap, Stage: 0, Proc: 0}) {
+	if l.ResetEntry(Entry[JobKey]{Ref: ap, Stage: 0, Proc: 0}) {
 		t.Error("ResetEntry succeeded for uncompleted subjob")
 	}
 
@@ -220,14 +227,14 @@ func TestLedgerIdleReset(t *testing.T) {
 		t.Fatalf("CompletedOn(both) = %v, want 2 entries", refs)
 	}
 
-	if !l.ResetEntry(EntryRef{Ref: ap, Stage: 0, Proc: 0}) {
+	if !l.ResetEntry(Entry[JobKey]{Ref: ap, Stage: 0, Proc: 0}) {
 		t.Error("ResetEntry failed for completed aperiodic subjob")
 	}
 	if got := l.Util(0); !almostEqual(got, 0.25) {
 		t.Errorf("Util(0) = %g after aperiodic reset, want 0.25", got)
 	}
 	// Double reset is a no-op.
-	if l.ResetEntry(EntryRef{Ref: ap, Stage: 0, Proc: 0}) {
+	if l.ResetEntry(Entry[JobKey]{Ref: ap, Stage: 0, Proc: 0}) {
 		t.Error("second ResetEntry succeeded")
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -246,7 +253,7 @@ func TestLedgerAdmissible(t *testing.T) {
 	if !l.Admissible(base) {
 		t.Fatal("empty ledger rejected feasible two-stage job")
 	}
-	if err := l.AddJob(JobRef{Task: "bg", Job: 0}, Periodic, base, false, time.Second); err != nil {
+	if err := l.AddJob(JobKey{Task: 3, Job: 0}, Periodic, base, false, time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -275,7 +282,7 @@ func TestLedgerAdmissible(t *testing.T) {
 
 func TestLedgerAdmissibleSkipsCompletedJobs(t *testing.T) {
 	l := NewLedger(2)
-	done := JobRef{Task: "done", Job: 0}
+	done := JobKey{Task: 5, Job: 0}
 	if err := l.AddJob(done, Aperiodic, place(
 		PlacedStage{Stage: 0, Proc: 0, Util: 0.3},
 		PlacedStage{Stage: 1, Proc: 1, Util: 0.3},
@@ -296,7 +303,7 @@ func TestLedgerAdmissibleSkipsCompletedJobs(t *testing.T) {
 
 func TestLedgerRelocate(t *testing.T) {
 	l := NewLedger(3)
-	ref := JobRef{Task: "m1", Job: 0}
+	ref := JobKey{Task: 7, Job: 0}
 	if err := l.AddJob(ref, Periodic, place(
 		PlacedStage{Stage: 0, Proc: 0, Util: 0.2},
 		PlacedStage{Stage: 1, Proc: 1, Util: 0.1},
@@ -315,7 +322,7 @@ func TestLedgerRelocate(t *testing.T) {
 	if got := l.Util(2); !almostEqual(got, 0.2) {
 		t.Errorf("Util(2) = %g after relocation, want 0.2", got)
 	}
-	if err := l.Relocate(JobRef{Task: "nope", Job: 9}, nil); err == nil {
+	if err := l.Relocate(JobKey{Task: 8, Job: 9}, nil); err == nil {
 		t.Error("Relocate of unknown job succeeded")
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -325,13 +332,13 @@ func TestLedgerRelocate(t *testing.T) {
 
 func TestLedgerActiveJobsOrdering(t *testing.T) {
 	l := NewLedger(1)
-	for _, ref := range []JobRef{{Task: "b", Job: 1}, {Task: "a", Job: 2}, {Task: "a", Job: 0}} {
+	for _, ref := range []JobKey{{Task: 2, Job: 1}, {Task: 0, Job: 2}, {Task: 0, Job: 0}} {
 		if err := l.AddJob(ref, Aperiodic, place(PlacedStage{Proc: 0, Util: 0.01}), false, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := l.ActiveJobs()
-	want := []JobRef{{Task: "a", Job: 0}, {Task: "a", Job: 2}, {Task: "b", Job: 1}}
+	want := []JobKey{{Task: 0, Job: 0}, {Task: 0, Job: 2}, {Task: 2, Job: 1}}
 	if len(got) != len(want) {
 		t.Fatalf("ActiveJobs() = %v, want %v", got, want)
 	}
@@ -351,13 +358,13 @@ func TestLedgerRandomOps(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(42))
 	l := NewLedger(numProcs)
-	var live []JobRef
+	var live []JobKey
 	next := int64(0)
 
 	for op := 0; op < numOps; op++ {
 		switch rng.Intn(4) {
 		case 0: // admit
-			ref := JobRef{Task: "t", Job: next}
+			ref := JobKey{Task: 10, Job: next}
 			next++
 			stages := 1 + rng.Intn(3)
 			pl := make([]PlacedStage, stages)
@@ -419,7 +426,7 @@ func TestAdmissibleNeverBreaksCondition(t *testing.T) {
 		if !l.Admissible(pl) {
 			continue
 		}
-		ref := JobRef{Task: "t", Job: int64(i)}
+		ref := JobKey{Task: 10, Job: int64(i)}
 		if err := l.AddJob(ref, Aperiodic, pl, false, time.Hour); err != nil {
 			t.Fatal(err)
 		}
@@ -446,14 +453,14 @@ func TestAdmissibleNeverBreaksCondition(t *testing.T) {
 // each, so that every signature group is indexed under processor 0. Processor
 // 0 ends at synthetic utilization 0.2 and no other exceeds it, which leaves
 // every job's condition (≤ 3·f(0.2) = 0.675) comfortably satisfied.
-func addManyGroups(tb testing.TB, procs, groups int, add func(JobRef, []PlacedStage) error) {
+func addManyGroups(tb testing.TB, procs, groups int, add func(JobKey, []PlacedStage) error) {
 	tb.Helper()
 	x := 0.2 / float64(2*groups)
 	n := 0
 	for a := 1; a < procs && n < groups; a++ {
 		for b := a + 1; b < procs && n < groups; b++ {
 			for j := 0; j < 2; j++ {
-				ref := JobRef{Task: "bg", Job: int64(2*n + j)}
+				ref := JobKey{Task: 3, Job: int64(2*n + j)}
 				pl := place(PlacedStage{Stage: 0, Proc: 0, Util: x},
 					PlacedStage{Stage: 1, Proc: a, Util: x},
 					PlacedStage{Stage: 2, Proc: b, Util: x})
@@ -492,7 +499,7 @@ func TestAdmissibleManyGroups(t *testing.T) {
 	// it perturbs no group but counts toward the growth the bound allows for.
 	const spare = procs
 	l := NewLedger(procs + 1)
-	addManyGroups(t, procs, groups, func(ref JobRef, pl []PlacedStage) error {
+	addManyGroups(t, procs, groups, func(ref JobKey, pl []PlacedStage) error {
 		return l.AddJob(ref, Aperiodic, pl, false, time.Hour)
 	})
 	if got := len(l.procGroups[0]); got != groups {
@@ -596,15 +603,15 @@ func TestAdmissibleManyGroups(t *testing.T) {
 			t.Fatal("group {0,1,2} missing or not summed")
 		}
 		// {0,1,2} is the first signature addManyGroups makes: jobs 0 and 1.
-		l.ExpireJob(JobRef{Task: "bg", Job: 0})
-		l.ExpireJob(JobRef{Task: "bg", Job: 1})
+		l.ExpireJob(JobKey{Task: 3, Job: 0})
+		l.ExpireJob(JobKey{Task: 3, Job: 1})
 		if len(l.freeGroups) != 1 || l.freeGroups[0] != old {
 			t.Fatal("group {0,1,2} was not recycled")
 		}
 		// A job with a new signature takes the record over. It sits just
 		// under the bound (0.225 + 2·f(0.3) = 0.95) and is the only job the
 		// candidate breaks (f(0.25) + 2·f(0.3) = 1.02).
-		heavy := JobRef{Task: "heavy", Job: 0}
+		heavy := JobKey{Task: 6, Job: 0}
 		w := (0.3 - l.Util(3)) / 2
 		if err := l.AddJob(heavy, Aperiodic, place(
 			PlacedStage{Stage: 0, Proc: 0, Util: 0},
@@ -639,15 +646,15 @@ func TestAdmissibleManyGroups(t *testing.T) {
 	// utilization stage) must find it refreshed, not flagged violated.
 	t.Run("stale uncounted group joined", func(t *testing.T) {
 		l := NewLedger(1)
-		add := func(task string, util float64) JobRef {
-			ref := JobRef{Task: task, Job: 0}
+		add := func(task TaskRef, util float64) JobKey {
+			ref := JobKey{Task: task, Job: 0}
 			if err := l.AddJob(ref, Aperiodic, place(PlacedStage{Proc: 0, Util: util}), false, time.Hour); err != nil {
 				t.Fatal(err)
 			}
 			return ref
 		}
-		l.MarkComplete(add("done", 0.3), 0)
-		heavy := add("heavy", 0.4)
+		l.MarkComplete(add(0, 0.3), 0)
+		heavy := add(1, 0.4)
 		l.MarkComplete(heavy, 0)
 		l.ExpireJob(heavy)
 		g := groupOf(l, "0:1")
@@ -657,7 +664,7 @@ func TestAdmissibleManyGroups(t *testing.T) {
 		if err := l.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		add("joiner", 0)
+		add(2, 0)
 		if g.counted != 1 || g.cachedSum != AUBTerm(l.Util(0)) || l.violated != 0 {
 			t.Errorf("after the join: counted %d, cached sum %g (fresh %g), violated %d; want 1, the fresh sum, 0",
 				g.counted, g.cachedSum, AUBTerm(l.Util(0)), l.violated)
@@ -672,14 +679,14 @@ func TestAdmissibleManyGroups(t *testing.T) {
 	})
 }
 
-// TestShardedAdmissibleManyGroups reaches the same scan through the locked
-// ledger: its Admissible and TestAndAdd must decide as the plain ledger does
+// TestShardedAdmissibleManyGroups reaches the same scan through
+// NewShardedLedger: its Admissible and TestAndAddKey must decide as NewLedger does
 // at 66 groups on the candidate's processor, without allocating.
 func TestShardedAdmissibleManyGroups(t *testing.T) {
 	const procs, groups = 13, 66
 	plain := NewLedger(procs)
 	sl := NewShardedLedger(procs, 1)
-	addManyGroups(t, procs, groups, func(ref JobRef, pl []PlacedStage) error {
+	addManyGroups(t, procs, groups, func(ref JobKey, pl []PlacedStage) error {
 		if err := plain.AddJob(ref, Aperiodic, pl, false, time.Hour); err != nil {
 			return err
 		}
@@ -698,12 +705,12 @@ func TestShardedAdmissibleManyGroups(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { sl.Admissible(cand) }); allocs != 0 {
 			t.Errorf("sharded Admissible(%v) allocates %v times per call, want 0", cand, allocs)
 		}
-		ref := JobRef{Task: "cand", Job: 0}
-		got, err := sl.TestAndAdd(ref, Aperiodic, cand, false, time.Hour)
+		ref := JobKey{Task: 4, Job: 0}
+		got, err := sl.TestAndAddKey(ref, Aperiodic, cand, false, time.Hour)
 		if err != nil || got != want {
-			t.Errorf("TestAndAdd(%v) = %v, %v, plain Admissible = %v", cand, got, err, want)
+			t.Errorf("TestAndAddKey(%v) = %v, %v, plain Admissible = %v", cand, got, err, want)
 		}
-		sl.WithdrawJob(ref)
+		sl.WithdrawKey(ref)
 	}
 	if err := sl.CheckInvariants(); err != nil {
 		t.Fatal(err)

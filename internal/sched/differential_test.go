@@ -13,8 +13,8 @@ import (
 type diffShape struct {
 	procs                int
 	minStages, maxStages int
-	// tasks is the number of task names jobs are spread over; RemoveTask
-	// withdraws one name's jobs at a time.
+	// tasks is the number of tasks jobs are spread over; RemoveTask
+	// withdraws one task's jobs at a time.
 	tasks int
 	// prefill jobs are added before the random operations start.
 	prefill int
@@ -84,8 +84,14 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 	procs := shape.procs
 	l := NewLedger(procs)
 
-	var live []JobRef
+	var live []JobKey
 	nextJob := int64(0)
+	// cur holds each task's current ref; a re-add hands out the next one.
+	cur := make([]TaskRef, shape.tasks)
+	for i := range cur {
+		cur[i] = TaskRef(i)
+	}
+	readds := 0
 
 	randPlacement := func(maxUtil float64) []PlacedStage {
 		stages := shape.minStages + rng.Intn(shape.maxStages-shape.minStages+1)
@@ -128,7 +134,7 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 	// addJob skips the admission check unless the shape asks for it, so
 	// overloaded (violating) states are exercised too.
 	addJob := func(step int) {
-		ref := JobRef{Task: fmt.Sprintf("t%d", rng.Intn(shape.tasks)), Job: nextJob}
+		ref := JobKey{Task: cur[rng.Intn(shape.tasks)], Job: nextJob}
 		nextJob++
 		kind := Aperiodic
 		if rng.Intn(2) == 0 {
@@ -155,7 +161,7 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 			addJob(step)
 			op = "AddJob"
 		case 3, 4: // ExpireJob (sometimes of an unknown job).
-			ref := JobRef{Task: "nope", Job: -1}
+			ref := JobKey{Task: 999, Job: -1}
 			if len(live) > 0 && rng.Intn(8) != 0 {
 				i := rng.Intn(len(live))
 				ref = live[i]
@@ -179,7 +185,7 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 			if len(live) == 0 {
 				continue
 			}
-			l.ResetEntry(EntryRef{Ref: live[rng.Intn(len(live))], Stage: rng.Intn(shape.maxStages), Proc: rng.Intn(procs)})
+			l.ResetEntry(Entry[JobKey]{Ref: live[rng.Intn(len(live))], Stage: rng.Intn(shape.maxStages), Proc: rng.Intn(procs)})
 			op = "ResetEntry-raw"
 		case 8: // Relocate a live job.
 			if len(live) == 0 {
@@ -194,8 +200,8 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 				}
 			}
 			op = "Relocate"
-		case 9: // RemoveTask withdraws every job of one task name.
-			task := fmt.Sprintf("t%d", rng.Intn(shape.tasks))
+		case 9: // RemoveTask withdraws every job of one task.
+			task := cur[rng.Intn(shape.tasks)]
 			l.RemoveTask(task)
 			kept := live[:0]
 			for _, ref := range live {
@@ -208,18 +214,15 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 			}
 			live = kept
 			op = "RemoveTask"
-		case 10: // Re-add a removed name, then replay the removed incarnation.
-			task := fmt.Sprintf("t%d", rng.Intn(shape.tasks))
-			old, ok := l.tasks.Lookup(task)
-			if !ok {
-				continue
-			}
+		case 10: // Re-add a removed task under a fresh ref, then replay the removed incarnation.
+			i := rng.Intn(shape.tasks)
+			old := cur[i]
 			// The new incarnation's job takes a number one of the old one's
-			// jobs had, so a stale key that resolved by name would hit it.
+			// jobs had, so a stale operation that reached it would hit it.
 			job := nextJob
 			kept := live[:0]
 			for _, ref := range live {
-				if ref.Task != task {
+				if ref.Task != old {
 					kept = append(kept, ref)
 				} else if job == nextJob {
 					job = ref.Job
@@ -229,26 +232,27 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 				nextJob++
 			}
 			live = kept
-			l.RemoveTask(task)
-			l.tasks.Drop(task) // what a binding does, so the name gets a fresh ref
-			ref := JobRef{Task: task, Job: job}
+			l.RemoveTask(old)
+			cur[i] = TaskRef(shape.tasks + readds) // what a binding does: a ref never handed out
+			readds++
+			ref := JobKey{Task: cur[i], Job: job}
 			pl := randPlacement(shape.addUtil)
 			if !shape.admitOnly || l.Admissible(pl) {
 				if err := l.AddJob(ref, Aperiodic, pl, false, time.Duration(step)*time.Millisecond); err != nil {
-					t.Fatalf("step %d: AddJob(%s) after re-adding the name: %v", step, ref, err)
+					t.Fatalf("step %d: AddJob(%s) after the re-add: %v", step, ref, err)
 				}
 				live = append(live, ref)
 			}
 			utils, active := l.Utils(), l.ActiveJobs()
 			stale := JobKey{Task: old, Job: job}
-			if n := l.expireKey(stale); n != 0 {
-				t.Fatalf("step %d: ExpireJob of the removed incarnation's %s removed %d contributions", step, ref, n)
+			if n := l.ExpireJob(stale); n != 0 {
+				t.Fatalf("step %d: ExpireJob of the removed incarnation's %s removed %d contributions", step, stale, n)
 			}
-			if l.resetReportedKey(Entry[JobKey]{Ref: stale, Stage: 0, Proc: pl[0].Proc}) {
-				t.Fatalf("step %d: ResetReported of the removed incarnation's %s released utilization", step, ref)
+			if l.ResetReported(Entry[JobKey]{Ref: stale, Stage: 0, Proc: pl[0].Proc}) {
+				t.Fatalf("step %d: ResetReported of the removed incarnation's %s released utilization", step, stale)
 			}
-			if err := l.relocateKey(stale, randPlacement(shape.moveUtil)); err == nil {
-				t.Fatalf("step %d: Relocate of the removed incarnation's %s found a job", step, ref)
+			if err := l.Relocate(stale, randPlacement(shape.moveUtil)); err == nil {
+				t.Fatalf("step %d: Relocate of the removed incarnation's %s found a job", step, stale)
 			}
 			for p, u := range l.Utils() {
 				if math.Float64bits(u) != math.Float64bits(utils[p]) {
@@ -267,9 +271,9 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 
 // TestLedgerDifferentialAdmissible is the differential property test for the
 // indexed admission fast path: random AddJob/ExpireJob/MarkComplete/
-// ResetEntry/Relocate/RemoveTask sequences, and re-adds of a removed name
-// whose replayed stale operations must all be no-ops, must leave the indexed Admissible
-// decision-equivalent to the full-scan reference on every query, with all
+// ResetEntry/Relocate/RemoveTask sequences, and re-adds of a removed task
+// under a fresh ref whose replayed stale operations must all be no-ops, must
+// leave the indexed Admissible decision-equivalent to the full-scan reference on every query, with all
 // ledger indexes passing CheckInvariants at every step. The wide subtests
 // must actually reach the perturbed-group scan at group counts the narrow
 // ones never build, and the saturated ones must actually leave cached sums
@@ -337,13 +341,13 @@ func FuzzLedgerOps(f *testing.F) {
 // rejected by both evaluations, and draining the overload restores agreement.
 func TestLedgerAdmissibleOverload(t *testing.T) {
 	l := NewLedger(2)
-	ref := JobRef{Task: "x", Job: 0}
+	ref := JobKey{Task: 2, Job: 0}
 	pl := []PlacedStage{{Stage: 0, Proc: 0, Util: 0.5}}
 	if err := l.AddJob(ref, Aperiodic, pl, false, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	// Force the processor far past the bound without admission checks.
-	heavy := JobRef{Task: "y", Job: 0}
+	heavy := JobKey{Task: 3, Job: 0}
 	if err := l.AddJob(heavy, Aperiodic, []PlacedStage{{Stage: 0, Proc: 0, Util: 0.9}}, false, time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +380,7 @@ func TestLedgerAdmissibleOverload(t *testing.T) {
 func TestLedgerAdmissibleSkipsUntouchedJobs(t *testing.T) {
 	l := NewLedger(4)
 	for i := 0; i < 500; i++ {
-		ref := JobRef{Task: "bg", Job: int64(i)}
+		ref := JobKey{Task: 0, Job: int64(i)}
 		pl := []PlacedStage{{Stage: 0, Proc: i % 3, Util: 0.001}}
 		if err := l.AddJob(ref, Aperiodic, pl, false, time.Hour); err != nil {
 			t.Fatal(err)

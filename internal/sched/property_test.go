@@ -112,12 +112,12 @@ func TestLedgerAddExpireInverse(t *testing.T) {
 		// Background load.
 		for i := 0; i < rng.Intn(10); i++ {
 			pl := []PlacedStage{{Stage: 0, Proc: rng.Intn(4), Util: rng.Float64() * 0.2}}
-			if err := l.AddJob(JobRef{Task: "bg", Job: int64(i)}, Periodic, pl, false, time.Hour); err != nil {
+			if err := l.AddJob(JobKey{Task: 0, Job: int64(i)}, Periodic, pl, false, time.Hour); err != nil {
 				return false
 			}
 		}
 		before := l.Utils()
-		ref := JobRef{Task: "x", Job: 0}
+		ref := JobKey{Task: 1, Job: 0}
 		stages := 1 + rng.Intn(3)
 		pl := make([]PlacedStage, stages)
 		for s := range pl {

@@ -1,6 +1,10 @@
 package sched
 
-import "sync"
+import (
+	"cmp"
+	"fmt"
+	"sync"
+)
 
 // TaskRef is a task's dense identity inside one binding. The binding hands
 // one out when a task enters it and never hands the same one out twice: a
@@ -11,10 +15,21 @@ import "sync"
 type TaskRef int32
 
 // JobKey names one job by its task's ref, where JobRef names it by task
-// name: the ledger's job key.
+// name: the ledger's job key, and a job's identity on the live wire.
 type JobKey struct {
 	Task TaskRef
 	Job  int64
+}
+
+// String renders the key as "ref#job".
+func (k JobKey) String() string { return fmt.Sprintf("%d#%d", k.Task, k.Job) }
+
+// compare orders keys by task ref, then job number.
+func (k JobKey) compare(o JobKey) int {
+	if c := cmp.Compare(k.Task, o.Task); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Job, o.Job)
 }
 
 // Entry names one ledger contribution: a job, its stage and the processor
@@ -29,8 +44,8 @@ type Entry[J comparable] struct {
 	Proc int
 }
 
-// EntryRef is a contribution whose job is named by task name, as it travels
-// between nodes; the simulation reports Entry[JobKey].
+// EntryRef is a contribution whose job is named by task name: the name edge
+// of Controller.IdleReset. Every binding reports Entry[JobKey].
 type EntryRef = Entry[JobRef]
 
 // TaskTable is one binding's task identities: the task behind each ref, and
@@ -63,28 +78,21 @@ func (tt *TaskTable) Lookup(name string) (TaskRef, bool) {
 
 // Intern returns the ref bound to t's name, giving t a fresh one when the
 // name has none.
-func (tt *TaskTable) Intern(t *Task) TaskRef { return tt.intern(t.ID, t) }
-
-// intern is Intern by name; a nil t registers a task that carries only the
-// name (the ledger's name-keyed calls know no more).
-func (tt *TaskTable) intern(name string, t *Task) TaskRef {
-	if ref, ok := tt.Lookup(name); ok {
+func (tt *TaskTable) Intern(t *Task) TaskRef {
+	if ref, ok := tt.Lookup(t.ID); ok {
 		return ref
 	}
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	if ref, ok := tt.index[name]; ok {
+	if ref, ok := tt.index[t.ID]; ok {
 		return ref
-	}
-	if t == nil {
-		t = &Task{ID: name}
 	}
 	ref := TaskRef(len(tt.tasks))
 	tt.tasks = append(tt.tasks, t)
 	if tt.index == nil {
 		tt.index = make(map[string]TaskRef)
 	}
-	tt.index[name] = ref
+	tt.index[t.ID] = ref
 	return ref
 }
 
@@ -103,14 +111,27 @@ func (tt *TaskTable) Tasks() []*Task {
 	return tt.tasks
 }
 
-// Name returns the name of a ref's task.
-func (tt *TaskTable) Name(ref TaskRef) string {
-	tt.mu.RLock()
-	defer tt.mu.RUnlock()
-	return tt.tasks[ref].ID
+// Bind makes t the task of ref, a ref the binding handed out elsewhere (a
+// deployment plan), and binds t's name to it.
+func (tt *TaskTable) Bind(ref TaskRef, t *Task) {
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	if n := int(ref) + 1 - len(tt.tasks); n > 0 {
+		tt.tasks = append(tt.tasks, make([]*Task, n)...)
+	}
+	tt.tasks[ref] = t
+	if tt.index == nil {
+		tt.index = make(map[string]TaskRef)
+	}
+	tt.index[t.ID] = ref
 }
 
-// jobRef renders a job key as the name-keyed reference.
-func (tt *TaskTable) jobRef(k JobKey) JobRef {
-	return JobRef{Task: tt.Name(k.Task), Job: k.Job}
+// Task returns ref's task, or nil for a ref the table never held.
+func (tt *TaskTable) Task(ref TaskRef) *Task {
+	tt.mu.RLock()
+	defer tt.mu.RUnlock()
+	if ref < 0 || int(ref) >= len(tt.tasks) {
+		return nil
+	}
+	return tt.tasks[ref]
 }

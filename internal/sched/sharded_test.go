@@ -11,12 +11,13 @@ import (
 	"time"
 )
 
-// shardedTwinHarness drives a plain Ledger and a ShardedLedger through one
-// identical random operation sequence — admission-checked TestAndAdd, force
-// AddJob overloads, expiry, withdrawal, completion, idle resets, relocation
-// and task withdrawal — and after every mutation asserts that the two agree
-// bit for bit on utilizations, and on admission decisions and active jobs,
-// and that the locked ledger passes its invariant audit.
+// shardedTwinHarness drives a NewLedger and a NewShardedLedger through one
+// random operation sequence — TestAndAddKey on one against the
+// Admissible/AddJob pair on the other, force AddJob overloads, expiry,
+// withdrawal, completion, idle resets, relocation and task withdrawal — and
+// after every mutation asserts that the two agree bit for bit on
+// utilizations, and on admission decisions and active jobs, and that the
+// ledger passes its invariant audit.
 func shardedTwinHarness(t *testing.T, seed int64, shards, ops int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -24,7 +25,7 @@ func shardedTwinHarness(t *testing.T, seed int64, shards, ops int) {
 	ref := NewLedger(procs)
 	sl := NewShardedLedger(procs, shards)
 
-	var live []JobRef
+	var live []JobKey
 	nextJob := int64(0)
 
 	randPlacement := func(maxUtil float64) []PlacedStage {
@@ -69,7 +70,7 @@ func shardedTwinHarness(t *testing.T, seed int64, shards, ops int) {
 		var op string
 		switch rng.Intn(12) {
 		case 0, 1: // Force AddJob so overloaded (violating) states are exercised.
-			r := JobRef{Task: fmt.Sprintf("t%d", rng.Intn(5)), Job: nextJob}
+			r := JobKey{Task: TaskRef(rng.Intn(5)), Job: nextJob}
 			nextJob++
 			kind := Aperiodic
 			if rng.Intn(2) == 0 {
@@ -86,7 +87,7 @@ func shardedTwinHarness(t *testing.T, seed int64, shards, ops int) {
 			live = append(live, r)
 			op = "AddJob"
 		case 2, 3: // TestAndAdd against the plain test-then-add pair.
-			r := JobRef{Task: fmt.Sprintf("t%d", rng.Intn(5)), Job: nextJob}
+			r := JobKey{Task: TaskRef(rng.Intn(5)), Job: nextJob}
 			nextJob++
 			pl := randPlacement(0.4)
 			want := ref.Admissible(pl)
@@ -95,19 +96,19 @@ func shardedTwinHarness(t *testing.T, seed int64, shards, ops int) {
 					t.Fatalf("seed %d step %d: plain AddJob after admit: %v", seed, step, err)
 				}
 			}
-			got, err := sl.TestAndAdd(r, Aperiodic, pl, false, time.Duration(step)*time.Millisecond)
+			got, err := sl.TestAndAddKey(r, Aperiodic, pl, false, time.Duration(step)*time.Millisecond)
 			if err != nil {
 				t.Fatalf("seed %d step %d: TestAndAdd: %v", seed, step, err)
 			}
 			if got != want {
-				t.Fatalf("seed %d step %d: TestAndAdd(%v)=%v, plain admission=%v", seed, step, pl, got, want)
+				t.Fatalf("seed %d step %d: TestAndAddKey(%v)=%v, plain admission=%v", seed, step, pl, got, want)
 			}
 			if got {
 				live = append(live, r)
 			}
 			op = "TestAndAdd"
 		case 4: // ExpireJob (sometimes of an unknown job).
-			r := JobRef{Task: "nope", Job: -1}
+			r := JobKey{Task: 999, Job: -1}
 			if len(live) > 0 && rng.Intn(8) != 0 {
 				i := rng.Intn(len(live))
 				r = live[i]
@@ -124,8 +125,8 @@ func shardedTwinHarness(t *testing.T, seed int64, shards, ops int) {
 			i := rng.Intn(len(live))
 			r := live[i]
 			live = append(live[:i], live[i+1:]...)
-			if pn, sn := ref.WithdrawJob(r), sl.WithdrawJob(r); pn != sn {
-				t.Fatalf("seed %d step %d: WithdrawJob(%s) removed %d (plain) vs %d (sharded)", seed, step, r, pn, sn)
+			if pn, sn := ref.WithdrawKey(r), sl.WithdrawKey(r); pn != sn {
+				t.Fatalf("seed %d step %d: WithdrawKey(%s) removed %d (plain) vs %d (sharded)", seed, step, r, pn, sn)
 			}
 			op = "WithdrawJob"
 		case 6: // MarkComplete on a random live job and stage.
@@ -157,7 +158,7 @@ func shardedTwinHarness(t *testing.T, seed int64, shards, ops int) {
 			if len(live) == 0 {
 				continue
 			}
-			er := EntryRef{Ref: live[rng.Intn(len(live))], Stage: rng.Intn(3), Proc: rng.Intn(procs)}
+			er := Entry[JobKey]{Ref: live[rng.Intn(len(live))], Stage: rng.Intn(3), Proc: rng.Intn(procs)}
 			if pok, sok := ref.ResetReported(er), sl.ResetReported(er); pok != sok {
 				t.Fatalf("seed %d step %d: ResetReported(%v) %v (plain) vs %v (sharded)", seed, step, er, pok, sok)
 			}
@@ -175,9 +176,9 @@ func shardedTwinHarness(t *testing.T, seed int64, shards, ops int) {
 			}
 			op = "Relocate"
 		case 11: // RemoveTask withdraws every job of one task name.
-			task := fmt.Sprintf("t%d", rng.Intn(5))
+			task := TaskRef(rng.Intn(5))
 			if pn, sn := ref.RemoveTask(task), sl.RemoveTask(task); pn != sn {
-				t.Fatalf("seed %d step %d: RemoveTask(%s) removed %d (plain) vs %d (sharded)", seed, step, task, pn, sn)
+				t.Fatalf("seed %d step %d: RemoveTask(%d) removed %d (plain) vs %d (sharded)", seed, step, task, pn, sn)
 			}
 			kept := live[:0]
 			for _, r := range live {
@@ -216,8 +217,9 @@ func TestShardedLedgerSingleShardBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedLedgerConcurrentLinearizable holds TestAndAdd to one critical
-// section (run under -race in CI): in every round several goroutines,
+// TestShardedLedgerConcurrentLinearizable holds TestAndAdd, the name edge
+// the benchmark probe drives, to one critical section (run under -race in
+// CI): in every round several goroutines,
 // released together, race to admit a job onto a processor with room for
 // exactly one, and exactly one is admitted. A test and an add taken under
 // two separate locks would let a second candidate pass the test before the
@@ -283,7 +285,7 @@ func TestShardedLedgerConcurrentLinearizable(t *testing.T) {
 }
 
 // utilBits is a ledger's utilizations as bit patterns, for exact comparison.
-func utilBits(sl *ShardedLedger) []uint64 {
+func utilBits(sl *Ledger) []uint64 {
 	out := make([]uint64, sl.NumProcs())
 	for p, u := range sl.Utils() {
 		out[p] = math.Float64bits(u)
@@ -292,9 +294,9 @@ func utilBits(sl *ShardedLedger) []uint64 {
 }
 
 // TestShardedAdmitWithdrawAllocFree holds the admission round trip the AC
-// runs per job — TestAndAdd, then WithdrawJob — to zero allocations once the
-// task's job list exists, and the simulation's by ref — admit, idle reset,
-// expire — too. The repo benchmark's sched.admit_* rows time the first.
+// benchmark's sched.admit_* rows time — TestAndAdd, then WithdrawJob, by
+// name — to zero allocations once the name is bound, and the bindings' by
+// key — admit, idle reset, expire — too.
 func TestShardedAdmitWithdrawAllocFree(t *testing.T) {
 	sl := NewShardedLedger(8, 1)
 	placement := place(PlacedStage{Stage: 0, Proc: 3, Util: 0.001})
@@ -314,22 +316,21 @@ func TestShardedAdmitWithdrawAllocFree(t *testing.T) {
 	}
 	// The simulation's round trip by ref: admit, the idle report of the
 	// completed stage, then the deadline expiry.
-	tr, _ := sl.l.tasks.Lookup("churn")
 	admitResetExpire := func() {
-		k := JobKey{Task: tr, Job: job}
+		k := JobKey{Task: 7, Job: job}
 		job++
 		if ok, err := sl.TestAndAddKey(k, Aperiodic, placement, false, time.Hour); !ok || err != nil {
 			t.Fatalf("TestAndAddKey(%v) = %v, %v", k, ok, err)
 		}
-		if !sl.ResetReportedKey(Entry[JobKey]{Ref: k, Stage: 0, Proc: 3}) {
-			t.Fatalf("ResetReportedKey(%v) released nothing", k)
+		if !sl.ResetReported(Entry[JobKey]{Ref: k, Stage: 0, Proc: 3}) {
+			t.Fatalf("ResetReported(%v) released nothing", k)
 		}
-		if n := sl.ExpireKey(k); n != 0 {
-			t.Fatalf("ExpireKey(%v) removed %d contributions after the reset, want 0", k, n)
+		if n := sl.ExpireJob(k); n != 0 {
+			t.Fatalf("ExpireJob(%v) removed %d contributions after the reset, want 0", k, n)
 		}
 	}
 	if allocs := testing.AllocsPerRun(1000, admitResetExpire); allocs != 0 {
-		t.Errorf("TestAndAddKey + ResetReportedKey + ExpireKey allocates %v times per job, want 0", allocs)
+		t.Errorf("TestAndAddKey + ResetReported + ExpireJob allocates %v times per job, want 0", allocs)
 	}
 	if err := sl.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -347,14 +348,14 @@ func TestShardedDoubleAdmissionRefused(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			sl := NewShardedLedger(8, shards)
-			ref := JobRef{Task: "dup", Job: 3}
+			ref := JobKey{Task: 3, Job: 3}
 			pl := place(PlacedStage{Stage: 0, Proc: 0, Util: 0.1}, PlacedStage{Stage: 1, Proc: 1, Util: 0.2})
-			if ok, err := sl.TestAndAdd(ref, Aperiodic, pl, false, time.Hour); !ok || err != nil {
+			if ok, err := sl.TestAndAddKey(ref, Aperiodic, pl, false, time.Hour); !ok || err != nil {
 				t.Fatalf("first TestAndAdd = %v, %v", ok, err)
 			}
 			before := utilBits(sl)
-			const want = "sched: job dup#3 already in ledger"
-			if ok, err := sl.TestAndAdd(ref, Aperiodic, pl, false, time.Hour); ok || err == nil || err.Error() != want {
+			const want = "sched: job 3#3 already in ledger"
+			if ok, err := sl.TestAndAddKey(ref, Aperiodic, pl, false, time.Hour); ok || err == nil || err.Error() != want {
 				t.Errorf("second TestAndAdd = %v, %v; want false, %q", ok, err, want)
 			}
 			// Elsewhere in the ledger too: the reference is what is taken.
@@ -385,23 +386,23 @@ func TestShardedUnknownReference(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			sl := NewShardedLedger(8, shards)
-			if err := sl.AddJob(JobRef{Task: "here", Job: 0}, Aperiodic, place(PlacedStage{Stage: 0, Proc: 2, Util: 0.3}), false, time.Hour); err != nil {
+			if err := sl.AddJob(JobKey{Task: 4, Job: 0}, Aperiodic, place(PlacedStage{Stage: 0, Proc: 2, Util: 0.3}), false, time.Hour); err != nil {
 				t.Fatal(err)
 			}
 			before := utilBits(sl)
 			// A task the ledger never saw, and a job number it never saw of a
 			// task it knows.
-			for _, ref := range []JobRef{{Task: "nope", Job: 0}, {Task: "here", Job: 9}} {
+			for _, ref := range []JobKey{{Task: 5, Job: 0}, {Task: 4, Job: 9}} {
 				if n := sl.ExpireJob(ref); n != 0 {
 					t.Errorf("ExpireJob(%s) = %d, want 0", ref, n)
 				}
-				if n := sl.WithdrawJob(ref); n != 0 {
-					t.Errorf("WithdrawJob(%s) = %d, want 0", ref, n)
+				if n := sl.WithdrawKey(ref); n != 0 {
+					t.Errorf("WithdrawKey(%s) = %d, want 0", ref, n)
 				}
-				if sl.ResetReported(EntryRef{Ref: ref, Stage: 0, Proc: 2}) {
+				if sl.ResetReported(Entry[JobKey]{Ref: ref, Stage: 0, Proc: 2}) {
 					t.Errorf("ResetReported(%s) released utilization", ref)
 				}
-				if sl.ResetEntry(EntryRef{Ref: ref, Stage: 0, Proc: 2}) {
+				if sl.ResetEntry(Entry[JobKey]{Ref: ref, Stage: 0, Proc: 2}) {
 					t.Errorf("ResetEntry(%s) released utilization", ref)
 				}
 				sl.MarkComplete(ref, 0)
@@ -443,8 +444,8 @@ func TestShardedRemoveTaskVsParallelSubmit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < jobsPer; i++ {
-				ref := JobRef{Task: "burst", Job: int64(w)*jobsPer + int64(i)}
-				ok, err := sl.TestAndAdd(ref, Aperiodic, placement, false, time.Hour)
+				ref := JobKey{Task: 1, Job: int64(w)*jobsPer + int64(i)}
+				ok, err := sl.TestAndAddKey(ref, Aperiodic, placement, false, time.Hour)
 				if err != nil {
 					t.Errorf("worker %d: TestAndAdd: %v", w, err)
 					return
@@ -459,11 +460,11 @@ func TestShardedRemoveTaskVsParallelSubmit(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 25; i++ {
-			withdrawnEntries.Add(int64(sl.RemoveTask("burst")))
+			withdrawnEntries.Add(int64(sl.RemoveTask(1)))
 		}
 	}()
 	wg.Wait()
-	withdrawnEntries.Add(int64(sl.RemoveTask("burst")))
+	withdrawnEntries.Add(int64(sl.RemoveTask(1)))
 	if err := sl.CheckInvariants(); err != nil {
 		t.Fatalf("post-run audit: %v", err)
 	}

@@ -17,10 +17,10 @@
 //
 // # Concurrency
 //
-// The plain Ledger is not safe for concurrent use. ShardedLedger is that
-// Ledger behind one mutex: every method is one critical section, so it is
-// safe for any number of goroutines, and the paper's single centralized
-// admission controller decides one candidate at a time on both bindings.
+// Every exported Ledger method is one critical section under the ledger's
+// mutex, so a ledger is safe for any number of goroutines, and the paper's
+// single centralized admission controller decides one candidate at a time
+// on both bindings.
 package sched
 
 import (
@@ -108,9 +108,6 @@ type Task struct {
 	// Smaller values are higher priority. AssignEDMSPriorities fills it in.
 	Priority int
 }
-
-// NumStages returns the number of subtasks in the chain.
-func (t *Task) NumStages() int { return len(t.Subtasks) }
 
 // StageUtil returns the synthetic utilization contribution of stage i:
 // C_i / D (execution time over end-to-end deadline).

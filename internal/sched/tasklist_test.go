@@ -31,13 +31,13 @@ func TestRemoveTaskWithdrawsInJobOrder(t *testing.T) {
 	build := func(order []int) *Ledger {
 		l := NewLedger(3)
 		for p := 0; p < 3; p++ {
-			if err := l.AddJob(JobRef{Task: "stay", Job: int64(p)}, Aperiodic, []PlacedStage{{Stage: 0, Proc: p, Util: 0.07}}, false, time.Hour); err != nil {
+			if err := l.AddJob(JobKey{Task: 3, Job: int64(p)}, Aperiodic, []PlacedStage{{Stage: 0, Proc: p, Util: 0.07}}, false, time.Hour); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, i := range order {
 			j := fiveJobs[i]
-			if err := l.AddJob(JobRef{Task: "go", Job: j.job}, Aperiodic, j.pl, false, time.Hour); err != nil {
+			if err := l.AddJob(JobKey{Task: 2, Job: j.job}, Aperiodic, j.pl, false, time.Hour); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -57,14 +57,14 @@ func TestRemoveTaskWithdrawsInJobOrder(t *testing.T) {
 	orderShows := false
 	for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {2, 4, 0, 3, 1}, {1, 0, 4, 2, 3}} {
 		removed, oneByOne, listOrder := build(order), build(order), build(order)
-		if got := removed.RemoveTask("go"); got != 10 {
+		if got := removed.RemoveTask(2); got != 10 {
 			t.Fatalf("order %v: RemoveTask withdrew %d contributions, want 10", order, got)
 		}
 		for job := int64(0); job < 5; job++ {
-			oneByOne.WithdrawJob(JobRef{Task: "go", Job: job})
+			oneByOne.WithdrawKey(JobKey{Task: 2, Job: job})
 		}
 		for i := len(order) - 1; i >= 0; i-- {
-			listOrder.WithdrawJob(JobRef{Task: "go", Job: fiveJobs[order[i]].job})
+			listOrder.WithdrawKey(JobKey{Task: 2, Job: fiveJobs[order[i]].job})
 		}
 		if !sameBits(removed, oneByOne) {
 			t.Errorf("order %v: RemoveTask left %v, withdrawing in job order leaves %v", order, removed.Utils(), oneByOne.Utils())
@@ -75,7 +75,7 @@ func TestRemoveTaskWithdrawsInJobOrder(t *testing.T) {
 		if err := removed.CheckInvariants(); err != nil {
 			t.Fatalf("order %v after RemoveTask: %v", order, err)
 		}
-		if removed.RemoveTask("go") != 0 {
+		if removed.RemoveTask(2) != 0 {
 			t.Errorf("order %v: a second RemoveTask found jobs", order)
 		}
 	}
@@ -91,14 +91,14 @@ func TestCheckInvariantsAuditsTaskLists(t *testing.T) {
 		l := NewLedger(2)
 		var recs []*jobRec
 		for job := int64(0); job < 3; job++ {
-			ref := JobRef{Task: "a", Job: job}
+			ref := JobKey{Task: 0, Job: job}
 			if err := l.AddJob(ref, Aperiodic, []PlacedStage{{Stage: 0, Proc: 0, Util: 0.01}}, false, time.Hour); err != nil {
 				t.Fatal(err)
 			}
-			rec, _ := l.lookupJob(ref)
+			rec := l.jobs[ref]
 			recs = append(recs, rec)
 		}
-		if err := l.AddJob(JobRef{Task: "b", Job: 0}, Aperiodic, []PlacedStage{{Stage: 0, Proc: 1, Util: 0.01}}, false, time.Hour); err != nil {
+		if err := l.AddJob(JobKey{Task: 1, Job: 0}, Aperiodic, []PlacedStage{{Stage: 0, Proc: 1, Util: 0.01}}, false, time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.CheckInvariants(); err != nil {
@@ -117,7 +117,7 @@ func TestCheckInvariantsAuditsTaskLists(t *testing.T) {
 		{"dropped record", func(l *Ledger, recs []*jobRec) { recs[1].nextT = nil }, "task lists hold 3 jobs, job map holds 4"},
 		{"wrong key", func(l *Ledger, recs []*jobRec) { recs[1].key.Job = 7 }, "does not match job map"},
 		{"wrong task", func(l *Ledger, recs []*jobRec) {
-			b, _ := l.lookupJob(JobRef{Task: "b", Job: 0})
+			b := l.jobs[JobKey{Task: 1, Job: 0}]
 			l.taskHead[b.key.Task], l.taskHead[recs[0].key.Task] = l.taskHead[recs[0].key.Task], b
 		}, "does not match job map"},
 	} {

@@ -6,11 +6,11 @@ import (
 )
 
 // TestWithdrawJob pins the reconfiguration rebase primitive: unlike
-// ExpireJob, WithdrawJob removes permanent reservation entries too, and
+// ExpireJob, WithdrawKey removes permanent reservation entries too, and
 // leaves every ledger index consistent.
 func TestWithdrawJob(t *testing.T) {
 	l := NewLedger(2)
-	ref := JobRef{Task: "res", Job: 0}
+	ref := JobKey{Task: 2, Job: 0}
 	placement := []PlacedStage{
 		{Stage: 0, Proc: 0, Util: 0.3},
 		{Stage: 1, Proc: 1, Util: 0.2},
@@ -26,8 +26,8 @@ func TestWithdrawJob(t *testing.T) {
 		t.Errorf("util after expiry attempt = %g", got)
 	}
 	// ...but withdrawal removes it entirely.
-	if n := l.WithdrawJob(ref); n != 2 {
-		t.Errorf("WithdrawJob removed %d contributions, want 2", n)
+	if n := l.WithdrawKey(ref); n != 2 {
+		t.Errorf("WithdrawKey removed %d contributions, want 2", n)
 	}
 	if got := l.Util(0); got != 0 {
 		t.Errorf("util(0) after withdrawal = %g", got)
@@ -35,10 +35,10 @@ func TestWithdrawJob(t *testing.T) {
 	if got := l.Util(1); got != 0 {
 		t.Errorf("util(1) after withdrawal = %g", got)
 	}
-	if n := l.WithdrawJob(ref); n != 0 {
+	if n := l.WithdrawKey(ref); n != 0 {
 		t.Errorf("second withdrawal removed %d", n)
 	}
-	if n := l.WithdrawJob(JobRef{Task: "ghost", Job: 9}); n != 0 {
+	if n := l.WithdrawKey(JobKey{Task: 0, Job: 9}); n != 0 {
 		t.Errorf("unknown-job withdrawal removed %d", n)
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -50,7 +50,7 @@ func TestWithdrawJob(t *testing.T) {
 // partially completed and partially reset.
 func TestWithdrawJobMixedEntries(t *testing.T) {
 	l := NewLedger(2)
-	ref := JobRef{Task: "mix", Job: 1}
+	ref := JobKey{Task: 1, Job: 1}
 	placement := []PlacedStage{
 		{Stage: 0, Proc: 0, Util: 0.25},
 		{Stage: 1, Proc: 1, Util: 0.25},
@@ -59,12 +59,12 @@ func TestWithdrawJobMixedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.MarkComplete(ref, 0)
-	if !l.ResetEntry(EntryRef{Ref: ref, Stage: 0, Proc: 0}) {
+	if !l.ResetEntry(Entry[JobKey]{Ref: ref, Stage: 0, Proc: 0}) {
 		t.Fatal("reset failed")
 	}
 	// Only the stage-1 entry is still active.
-	if n := l.WithdrawJob(ref); n != 1 {
-		t.Errorf("WithdrawJob removed %d contributions, want 1", n)
+	if n := l.WithdrawKey(ref); n != 1 {
+		t.Errorf("WithdrawKey removed %d contributions, want 1", n)
 	}
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
