@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,9 +196,6 @@ func (c *Controller) Reconfigure(cfg Config) (int, error) {
 	released := 0
 	recs := c.records()
 	if c.cfg.AC == StrategyPerTask && cfg.AC != StrategyPerTask {
-		// Withdraw in sorted task order so the ledger's floating-point
-		// subtraction sequence is reproducible run to run.
-		sort.Slice(recs, func(i, j int) bool { return recs[i].task.ID < recs[j].task.ID })
 		for _, r := range recs {
 			if r.admitted {
 				released += c.ledger.WithdrawKey(sched.JobKey{Task: r.ref, Job: r.resJob})
@@ -223,16 +219,14 @@ func (c *Controller) Reconfigure(cfg Config) (int, error) {
 func (c *Controller) Ledger() *sched.Ledger { return c.ledger }
 
 // Reservations snapshots the permanent per-task reservation keys (AC-per-task
-// only) in the order a strategy swap away from per-task admission control
-// withdraws them (by task name). The live AC's replication stream uses it to
-// mirror exactly those withdrawals on the warm standby.
+// only) in ref order, the order a strategy swap away from per-task admission
+// control withdraws them. The live AC's replication stream uses it to mirror
+// exactly those withdrawals on the warm standby.
 func (c *Controller) Reservations() []sched.JobKey {
 	c.taskMu.Lock()
 	defer c.taskMu.Unlock()
-	recs := c.records()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].task.ID < recs[j].task.ID })
 	keys := []sched.JobKey{}
-	for _, r := range recs {
+	for _, r := range c.records() {
 		if r.admitted {
 			keys = append(keys, sched.JobKey{Task: r.ref, Job: r.resJob})
 		}

@@ -60,7 +60,7 @@ func TestPerTaskACAdmitsOnceAndReserves(t *testing.T) {
 	if !d.Accept || !d.Tested || !d.Reserved {
 		t.Fatalf("first arrival decision = %+v, want accepted+tested+reserved", d)
 	}
-	if got := c.Ledger().Util(0); !within(got, 0.4) {
+	if got := c.Ledger().Util(0); got != onGrid(0.4) {
 		t.Errorf("Util(0) = %g after admission, want 0.4", got)
 	}
 
@@ -69,7 +69,7 @@ func TestPerTaskACAdmitsOnceAndReserves(t *testing.T) {
 	if !d.Accept || d.Tested || d.Reserved {
 		t.Fatalf("second arrival decision = %+v, want accepted without test", d)
 	}
-	if got := c.Ledger().Util(0); !within(got, 0.4) {
+	if got := c.Ledger().Util(0); got != onGrid(0.4) {
 		t.Errorf("Util(0) = %g after second job, want 0.4 (reservation held)", got)
 	}
 	if c.Stats.Tests != 1 {
@@ -78,7 +78,7 @@ func TestPerTaskACAdmitsOnceAndReserves(t *testing.T) {
 
 	// Expiry must not release the reservation.
 	c.ExpireJob(sched.JobRef{Task: "p", Job: 0})
-	if got := c.Ledger().Util(0); !within(got, 0.4) {
+	if got := c.Ledger().Util(0); got != onGrid(0.4) {
 		t.Errorf("Util(0) = %g after expiry, want 0.4", got)
 	}
 }
@@ -195,6 +195,33 @@ func TestLBHomeWinsTies(t *testing.T) {
 	}
 }
 
+// TestLBHomeWinsTiesAfterDrain pins the tie rule on a drained processor:
+// two jobs admitted on the home processor and expired in admission order
+// leave it at exactly zero, so the next job, whose home and replica are both
+// idle, stays at home. A floating-point ledger read 0.1 + 0.2 − 0.1 − 0.2 =
+// 2.8e-17 there and sent the stage to the replica.
+func TestLBHomeWinsTiesAfterDrain(t *testing.T) {
+	cfg := Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyPerJob}
+	c := mustController(t, cfg, 2)
+	for _, tk := range []*sched.Task{
+		aperiodicTask("a", 0, 100*time.Millisecond, time.Second),
+		aperiodicTask("b", 0, 200*time.Millisecond, time.Second),
+	} {
+		if d := c.Arrive(tk, 0, 0); !d.Accept {
+			t.Fatalf("%s rejected", tk.ID)
+		}
+	}
+	c.ExpireJob(sched.JobRef{Task: "a", Job: 0})
+	c.ExpireJob(sched.JobRef{Task: "b", Job: 0})
+	if got := c.Ledger().Util(0); got != 0 {
+		t.Errorf("Util(0) = %g after the drain, want 0", got)
+	}
+	d := c.Arrive(aperiodicTask("c", 0, 200*time.Millisecond, time.Second, 1), 0, time.Second)
+	if !d.Accept || d.Placement[0].Proc != 0 || d.Relocated {
+		t.Errorf("decision = %+v, want home placement on the tie", d)
+	}
+}
+
 func TestLBPerTaskKeepsFirstAssignment(t *testing.T) {
 	cfg := Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyPerTask}
 	c := mustController(t, cfg, 2)
@@ -238,10 +265,10 @@ func TestPerTaskACWithLBPerJobRelocatesReservation(t *testing.T) {
 	if d.Placement[0].Proc != 1 {
 		t.Fatalf("placement = %+v, want relocation to processor 1", d.Placement)
 	}
-	if got := c.Ledger().Util(1); !within(got, 0.2) {
+	if got := c.Ledger().Util(1); got != onGrid(0.2) {
 		t.Errorf("Util(1) = %g, want 0.2 (reservation moved)", got)
 	}
-	if got := c.Ledger().Util(0); !within(got, 0.3) {
+	if got := c.Ledger().Util(0); got != onGrid(0.3) {
 		t.Errorf("Util(0) = %g, want 0.3 (background only)", got)
 	}
 }
@@ -268,6 +295,16 @@ func TestIdleResetPath(t *testing.T) {
 	if n := c.IdleReset([]sched.EntryRef{{Ref: sched.JobRef{Task: "x", Job: 1}, Stage: 0, Proc: 0}}); n != 0 {
 		t.Errorf("IdleReset of unknown job removed %d", n)
 	}
+}
+
+// onGrid is the utilization the ledger holds for one stage of C/D u: u
+// rounded up to the ledger's unit. Tests compare Util to it exactly.
+func onGrid(u float64) float64 {
+	l := sched.NewLedger(1)
+	if err := l.AddJob(sched.JobKey{}, sched.Aperiodic, []sched.PlacedStage{{Util: u}}, false, 0); err != nil {
+		panic(err)
+	}
+	return l.Util(0)
 }
 
 func within(got, want float64) bool {

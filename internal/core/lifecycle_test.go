@@ -479,7 +479,7 @@ func TestSimReaddedTaskKeepsItsContribution(t *testing.T) {
 			var util float64
 			at(tc.check, func() { util = sim.Controller().Ledger().Util(0) })
 			m := sim.Run()
-			if want := 0.1; !within(util, want) {
+			if want := onGrid(0.1); util != want {
 				t.Errorf("Util(0) at %v = %g, want the new job's %g", tc.check, util, want)
 			}
 			if m.Total.Released != 2 || m.Total.Completed != 2 {

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"math"
 	"slices"
 	"testing"
 	"time"
@@ -103,7 +102,7 @@ func TestLiveReaddedTaskKeepsItsContribution(t *testing.T) {
 		t.Fatalf("standby after %d records: %+v", emitted, st)
 	}
 	mirror := sb.Promote()
-	if got := mirror.ActiveJobs(); !slices.Equal(got, want) || math.Abs(mirror.Util(0)-util) > 1e-12 {
+	if got := mirror.ActiveJobs(); !slices.Equal(got, want) || mirror.Util(0) != util {
 		t.Errorf("standby mirror: active %v, Util(0) %g; want %v, %g", got, mirror.Util(0), want, util)
 	}
 }

@@ -3,7 +3,6 @@ package live
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -209,8 +208,8 @@ func TestStandbyMirrorMatchesSourceOverORB(t *testing.T) {
 				t.Errorf("mirror holds %d jobs, source %d:\n mirror %v\n source %v", len(got), len(want), got, want)
 			}
 			for p, u := range src.Utils() {
-				if m := mirror.Util(p); math.Abs(m-u) > 1e-9 {
-					t.Errorf("processor %d: mirror utilization %.12f, source %.12f", p, m, u)
+				if m := mirror.Util(p); m != u {
+					t.Errorf("processor %d: mirror utilization %g, source %g", p, m, u)
 				}
 			}
 			if err := src.CheckInvariants(); err != nil {

@@ -2,8 +2,10 @@ package live
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -205,4 +207,100 @@ func TestStandbyACRefusesRefsOutsideItsTable(t *testing.T) {
 	if st := sb.Stats(); st.Failed != 3 || st.Applied != 1 || st.ActiveJobs != 1 {
 		t.Fatalf("after the table grew to 3 refs: %+v", st)
 	}
+}
+
+// configuredStandby returns a standby over procs processors whose TaskRefs
+// table holds refs 0..refs-1, configured but not subscribed: tests hand it
+// records through deliverRep.
+func configuredStandby(t testing.TB, procs, refs int) *StandbyAC {
+	t.Helper()
+	names := make([]string, refs)
+	for i := range names {
+		names[i] = fmt.Sprint("t", i)
+	}
+	sb := NewStandbyAC()
+	if err := sb.Configure(map[string]string{AttrProcessors: fmt.Sprint(procs), AttrTaskRefs: FormatTaskRefs(names)}); err != nil {
+		t.Fatal(err)
+	}
+	return sb
+}
+
+// deliverRep hands one replication payload to the standby as its
+// subscription would.
+func deliverRep(sb *StandbyAC, payload []byte) {
+	sb.onReplicate(eventchan.Event{Type: EvReplicate, Payload: payload})
+}
+
+// TestStandbyACRefusesOutOfRangeUtil: an admit or relocate record whose
+// placement carries a C/D the ledger refuses (NaN, negative) counts as
+// failed and changes nothing, so the ledger a promotion hands over never
+// holds such a value.
+func TestStandbyACRefusesOutOfRangeUtil(t *testing.T) {
+	sb := configuredStandby(t, 2, 2)
+	held := sched.JobKey{Task: 0, Job: 0}
+	good := []sched.PlacedStage{{Stage: 0, Proc: 0, Util: 0.2}}
+	deliverRep(sb, AppendRepRecord(nil, &RepRecord{Seq: 1, Kind: RepAdmit, Ref: held,
+		TaskKind: sched.Periodic, Placement: good, Permanent: true}))
+	seq := int64(1)
+	for _, u := range []float64{math.NaN(), -0.25} {
+		bad := []sched.PlacedStage{{Stage: 0, Proc: 1, Util: u}}
+		seq++
+		deliverRep(sb, AppendRepRecord(nil, &RepRecord{Seq: seq, Kind: RepAdmit, Ref: sched.JobKey{Task: 1, Job: seq},
+			TaskKind: sched.Aperiodic, Placement: bad, ExpiryNanos: int64(time.Hour)}))
+		seq++
+		deliverRep(sb, AppendRepRecord(nil, &RepRecord{Seq: seq, Kind: RepRelocate, Ref: held, Placement: bad}))
+	}
+	if st := sb.Stats(); st.Applied != 1 || st.Failed != 4 || st.ActiveJobs != 1 {
+		t.Fatalf("after one admit and four out-of-range records: %+v", st)
+	}
+	if err := sb.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	want := sched.NewLedger(2)
+	if err := want.AddJob(held, sched.Periodic, good, true, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.Promote().Utils(); !slices.Equal(got, want.Utils()) {
+		t.Errorf("mirror utilizations %v, want the one admit's %v", got, want.Utils())
+	}
+}
+
+// FuzzStandbyReplicate feeds the standby's apply path a sequence of
+// replication payloads, each prefixed by its length in one byte. Contract:
+// no panic, the mirror ledger passes its audit after every record, and every
+// record delivered is counted once as applied, ignored or failed. The seeds
+// are the codec's golden RepRecord under each record kind, one by one and
+// as one admit-to-removal sequence.
+func FuzzStandbyReplicate(f *testing.F) {
+	var golden RepRecord
+	for _, c := range payloadCodecs {
+		if c.name == "RepRecord" {
+			golden = c.golden.(RepRecord)
+		}
+	}
+	var all []byte
+	for i, kind := range []string{RepAdmit, RepRelocate, RepReset, RepExpire, RepWithdraw, RepRemove} {
+		rec := golden
+		rec.Kind, rec.Seq = kind, int64(i+1)
+		one := AppendRepRecord(nil, &rec)
+		f.Add(append([]byte{byte(len(one))}, one...))
+		all = append(append(all, byte(len(one))), one...)
+	}
+	f.Add(all)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sb := configuredStandby(t, 4, 8)
+		delivered := int64(0)
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			deliverRep(sb, data[1:1+n])
+			data = data[1+n:]
+			delivered++
+			if err := sb.Audit(); err != nil {
+				t.Fatalf("record %d: %v", delivered, err)
+			}
+		}
+		if st := sb.Stats(); st.Applied+st.Ignored+st.Failed != delivered {
+			t.Fatalf("%d records delivered, stats count %+v", delivered, st)
+		}
+	})
 }

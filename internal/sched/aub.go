@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -91,7 +90,7 @@ type entry struct {
 	key       JobKey
 	stage     int
 	proc      int
-	amount    float64
+	amount    int64 // C/D in ledger units (toUnits)
 	kind      TaskKind
 	permanent bool
 	expiry    time.Duration // absolute virtual deadline; 0 when permanent
@@ -244,6 +243,36 @@ func (g *sigGroup) sameSig(procs, counts []int) bool {
 	return slices.Equal(g.procs, procs) && slices.Equal(g.counts, counts)
 }
 
+// unitShift fixes the ledger's unit of utilization at 2^-unitShift. Every
+// C/D enters as a whole number of units, so per-processor utilization is an
+// exact integer sum: adding and withdrawing the same contributions in any
+// order leaves the same count, and a drained processor reads exactly zero.
+// One unit is about 9.1e-13, far below any C/D a task set produces.
+const unitShift = 40
+
+// unitsPerOne is the count that stands for utilization 1. Scaling by it is
+// exact in float64, so rounding happens only in toUnits's Ceil.
+const unitsPerOne = 1 << unitShift
+
+// toUnits converts a stage's C/D to ledger units, rounded up so the ledger
+// never holds less utilization than the stage brings and the admission test
+// stays conservative. Only [0, 1] converts: NaN, ±Inf, negative values and
+// anything above 1 report false. A stage at 1 has an infinite AUB term and is
+// never admitted.
+//
+//rtmw:noalloc
+func toUnits(u float64) (int64, bool) {
+	if !(u >= 0 && u <= 1) {
+		return 0, false
+	}
+	return int64(math.Ceil(u * unitsPerOne)), true
+}
+
+// fromUnits is the utilization a count of ledger units stands for.
+//
+//rtmw:noalloc
+func fromUnits(n int64) float64 { return float64(n) / unitsPerOne }
+
 // boundMargin is the slack admitScan keeps below 1 when it passes a group on
 // its cached bound instead of summing it. The bound and the exact sum are
 // both sums of at most eight products of magnitude ≤ 1, so they differ from
@@ -274,8 +303,8 @@ const boundMargin = 1e-9
 // is what the paper's single centralized AC needs.
 type Ledger struct {
 	mu   sync.Mutex
-	util []float64
-	term []float64 // term[p] = AUBTerm(util[p]), maintained with util
+	util []int64   // per processor, in ledger units (toUnits)
+	term []float64 // term[p] = AUBTerm(fromUnits(util[p])), maintained with util
 	jobs map[JobKey]*jobRec
 	// names binds the task names of TestAndAdd and WithdrawJob to refs of
 	// this ledger's own; nil until the first.
@@ -306,10 +335,10 @@ type Ledger struct {
 	sigCounts []int
 
 	// candDelta/candTerm are Admissible's dense scratch: the candidate's
-	// per-processor utilization delta and the tentative AUB terms of the
-	// perturbed processors, computed once per test instead of once per
+	// per-processor utilization delta in units and the tentative AUB terms of
+	// the perturbed processors, computed once per test instead of once per
 	// signature-group visit. Zeroed (for the touched processors) on exit.
-	candDelta []float64
+	candDelta []int64
 	candTerm  []float64
 	// scan numbers the admission tests; see sigGroup.scanned. Starting at
 	// zero and incrementing before use, it never equals the stamp of a fresh
@@ -321,7 +350,7 @@ type Ledger struct {
 // 0..numProcs-1.
 func NewLedger(numProcs int) *Ledger {
 	return &Ledger{
-		util:       make([]float64, numProcs),
+		util:       make([]int64, numProcs),
 		term:       make([]float64, numProcs),
 		jobs:       make(map[JobKey]*jobRec),
 		groups:     make(map[uint64]*sigGroup),
@@ -472,38 +501,39 @@ func (l *Ledger) Util(proc int) float64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.util[proc]
+	return fromUnits(l.util[proc])
 }
 
 // Utils returns a copy of all per-processor synthetic utilizations.
 func (l *Ledger) Utils() []float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]float64(nil), l.util...)
+	out := make([]float64, len(l.util))
+	for p, n := range l.util {
+		out[p] = fromUnits(n)
+	}
+	return out
 }
 
 // addUtil changes a processor's utilization and settles its caches. Batch
 // mutations touching several entries use raw util adjustments plus one
 // settleProc per distinct processor instead, so shared signature groups are
 // refreshed once per processor rather than once per entry.
-func (l *Ledger) addUtil(proc int, amount float64) {
+func (l *Ledger) addUtil(proc int, amount int64) {
 	l.util[proc] += amount
 	l.settleProc(proc)
 }
 
 // settleProc finalizes a processor after raw utilization adjustments:
-// clamps tiny negative floating-point residue to zero, recaches the AUB
-// term, and refreshes the cached sums of the signature groups visiting the
-// processor — unless the term did not grow and nothing is violated. Then
-// every fresh sum can only have fallen (floating-point sums of products are
-// monotone in each term), so no counted group can have crossed 1 and the
-// cached sums, now stale, are still upper bounds: the walk is skipped.
+// recaches the AUB term, and refreshes the cached sums of the signature
+// groups visiting the processor — unless the term did not grow and nothing
+// is violated. Then every fresh sum can only have fallen (floating-point
+// sums of products are monotone in each term), so no counted group can have
+// crossed 1 and the cached sums, now stale, are still upper bounds: the walk
+// is skipped.
 func (l *Ledger) settleProc(proc int) {
-	if l.util[proc] < 0 && l.util[proc] > -1e-9 {
-		l.util[proc] = 0
-	}
 	old := l.term[proc]
-	l.term[proc] = AUBTerm(l.util[proc])
+	l.term[proc] = AUBTerm(fromUnits(l.util[proc]))
 	if l.term[proc] <= old && l.violated == 0 {
 		return
 	}
@@ -674,6 +704,9 @@ func (l *Ledger) forgetJob(rec *jobRec) {
 // already-present job is an error: the admission controller must not
 // double-admit.
 func (l *Ledger) AddJob(k JobKey, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) error {
+	if err := l.checkPlacement(k, placement); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.addJob(k, kind, placement, permanent, expiry)
@@ -738,7 +771,7 @@ func (l *Ledger) nameRef(name string) TaskRef {
 	return tr
 }
 
-// addJob is AddJob under the lock.
+// addJob is AddJob under the lock, after checkPlacement.
 func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) error {
 	if k.Task < 0 {
 		return fmt.Errorf("sched: job %s has a negative task ref", k)
@@ -746,23 +779,21 @@ func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 	if _, ok := l.jobs[k]; ok {
 		return fmt.Errorf("sched: job %s already in ledger", k)
 	}
-	if err := l.checkPlacement(k, placement); err != nil {
-		return err
-	}
 	rec := l.allocRec()
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
 	for _, p := range placement {
+		n, _ := toUnits(p.Util) // checkPlacement vouched for it
 		e := l.allocEntry()
 		e.key = k
 		e.stage = p.Stage
 		e.proc = p.Proc
-		e.amount = p.Util
+		e.amount = n
 		e.kind = kind
 		e.permanent = permanent
 		e.expiry = expiry
 		rec.entries = append(rec.entries, e)
-		l.util[p.Proc] += p.Util
+		l.util[p.Proc] += n
 		touched = touchProc(touched, p.Proc)
 	}
 	for _, p := range touched {
@@ -773,16 +804,16 @@ func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 	return nil
 }
 
-// checkPlacement is AddJob's argument check: every stage on a known
-// processor, no negative utilization. It reads only the processor count,
-// which never changes, so it needs no lock.
+// checkPlacement is the placement check of AddJob and Relocate: every stage
+// on a known processor, with a utilization toUnits accepts. It reads only the
+// processor count, which never changes, so it needs no lock.
 func (l *Ledger) checkPlacement(k JobKey, placement []PlacedStage) error {
 	for _, p := range placement {
 		if p.Proc < 0 || p.Proc >= len(l.util) {
 			return fmt.Errorf("sched: job %s stage %d placed on unknown processor %d", k, p.Stage, p.Proc)
 		}
-		if p.Util < 0 {
-			return fmt.Errorf("sched: job %s stage %d has negative utilization %g", k, p.Stage, p.Util)
+		if _, ok := toUnits(p.Util); !ok {
+			return fmt.Errorf("sched: job %s stage %d has utilization %g outside [0, 1]", k, p.Stage, p.Util)
 		}
 	}
 	return nil
@@ -873,17 +904,8 @@ func (l *Ledger) RemoveTask(tr TaskRef) int {
 	if tr < 0 || int(tr) >= len(l.taskHead) {
 		return 0
 	}
-	// Withdraw in job order, not list order: the per-processor subtraction
-	// sequence determines the exact floating-point residue, and a
-	// deterministic order keeps independently driven ledgers (replay
-	// harnesses, golden runs) bit-identical.
-	var recs []*jobRec
-	for rec := l.taskHead[tr]; rec != nil; rec = rec.nextT {
-		recs = append(recs, rec)
-	}
-	slices.SortFunc(recs, func(a, b *jobRec) int { return cmp.Compare(a.key.Job, b.key.Job) })
 	n := 0
-	for _, rec := range recs {
+	for rec := l.taskHead[tr]; rec != nil; rec = l.taskHead[tr] {
 		n += l.withdrawRec(rec)
 	}
 	return n
@@ -955,10 +977,8 @@ func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
 	if !ok {
 		return fmt.Errorf("sched: relocate: job %s not in ledger", k)
 	}
-	for _, p := range placement {
-		if p.Proc < 0 || p.Proc >= len(l.util) {
-			return fmt.Errorf("sched: relocate: job %s stage %d on unknown processor %d", k, p.Stage, p.Proc)
-		}
+	if err := l.checkPlacement(k, placement); err != nil {
+		return fmt.Errorf("sched: relocate: %w", err)
 	}
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
@@ -979,8 +999,8 @@ func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
 		l.util[e.proc] -= e.amount
 		touched = touchProc(touched, e.proc)
 		e.proc = p.Proc
-		e.amount = p.Util
-		l.util[e.proc] += p.Util
+		e.amount, _ = toUnits(p.Util)
+		l.util[e.proc] += e.amount
 		touched = touchProc(touched, e.proc)
 	}
 	if len(touched) > 0 {
@@ -1018,34 +1038,30 @@ func (l *Ledger) Admissible(placement []PlacedStage) bool {
 //
 //rtmw:noalloc
 func (l *Ledger) admissible(placement []PlacedStage) bool {
-	for _, p := range placement {
-		if p.Util < 0 {
-			// Negative candidates void the monotonicity the fast path
-			// relies on; AddJob rejects them, so the test does too.
-			return false
-		}
-	}
 	if l.candDelta == nil {
 		//rtmw:ignore noalloc one-time lazy scratch, amortized to zero over the ledger's life
-		l.candDelta = make([]float64, len(l.util))
+		l.candDelta = make([]int64, len(l.util))
 		//rtmw:ignore noalloc one-time lazy scratch, amortized to zero over the ledger's life
 		l.candTerm = make([]float64, len(l.util))
 	}
-	// Dense candidate deltas, accumulated in placement order so the sums
-	// are bit-identical to a per-processor candidateDelta walk, plus the
-	// tentative AUB term of each perturbed processor, computed once per
-	// test instead of once per signature-group visit.
+	// Dense candidate deltas in units, plus the tentative AUB term of each
+	// perturbed processor, computed once per test instead of once per
+	// signature-group visit. A stage toUnits refuses (NaN, negative, above
+	// 1) rejects the candidate, as AddJob would refuse it.
 	delta, tent := l.candDelta, l.candTerm
 	var procsBuf [8]int
 	touched := procsBuf[:0]
+	ok := true
 	for _, p := range placement {
-		delta[p.Proc] += p.Util
+		n, valid := toUnits(p.Util)
+		ok = ok && valid
+		delta[p.Proc] += n
 		touched = touchProc(touched, p.Proc)
 	}
 	for _, p := range touched {
-		tent[p] = AUBTerm(l.util[p] + delta[p])
+		tent[p] = AUBTerm(fromUnits(l.util[p] + delta[p]))
 	}
-	ok := l.admitScan(placement, delta, tent, touched)
+	ok = ok && l.admitScan(placement, delta, tent, touched)
 	for _, p := range touched {
 		delta[p] = 0
 		tent[p] = 0
@@ -1057,7 +1073,7 @@ func (l *Ledger) admissible(placement []PlacedStage) bool {
 // early return shares the caller's scratch cleanup.
 //
 //rtmw:noalloc
-func (l *Ledger) admitScan(placement []PlacedStage, delta, tent []float64, touched []int) bool {
+func (l *Ledger) admitScan(placement []PlacedStage, delta []int64, tent []float64, touched []int) bool {
 	// Candidate's own condition under the tentative utilizations.
 	var sum float64
 	for _, p := range placement {
@@ -1081,9 +1097,10 @@ func (l *Ledger) admitScan(placement []PlacedStage, delta, tent []float64, touch
 	// exceed 1 and is passed without summing. Every other group is summed
 	// afresh, so each rejection — and each acceptance the bound cannot give —
 	// comes from a fresh sum; unperturbed processors use the cached term
-	// (term[p] = AUBTerm(util[p]) by invariant), so that sum is bit-identical
-	// to recomputing every term. An Inf or NaN bound (a processor at or past
-	// full utilization) fails the comparison and falls through to the sum.
+	// (term[p] = AUBTerm(fromUnits(util[p])) by invariant), so that sum is
+	// bit-identical to recomputing every term. An Inf or NaN bound (a
+	// processor at or past full utilization) fails the comparison and falls
+	// through to the sum.
 	var grow float64
 	for _, pp := range touched {
 		grow += tent[pp] - l.term[pp]
@@ -1120,20 +1137,27 @@ func (l *Ledger) admitScan(placement []PlacedStage, delta, tent []float64, touch
 // referenceAdmissible is the paper-literal full-scan admission test: every
 // in-flight job's condition is recomputed from its entry records. It is the
 // behavioral reference for the indexed Admissible, kept for CheckInvariants
-// and the differential property tests.
+// and the differential property tests. It sums each job's terms in the
+// indexed path's canonical order — the job's visits to a processor times
+// the processor's term, in ascending processor order — so the two decisions
+// are bit-identical, at the bound too.
 func (l *Ledger) referenceAdmissible(placement []PlacedStage) bool {
-	delta := make(map[int]float64, len(placement))
+	delta := make(map[int]int64, len(placement))
 	for _, p := range placement {
-		delta[p.Proc] += p.Util
+		n, ok := toUnits(p.Util)
+		if !ok {
+			return false
+		}
+		delta[p.Proc] += n
 	}
-	utilAt := func(proc int) float64 {
-		return l.util[proc] + delta[proc]
+	termAt := func(proc int) float64 {
+		return AUBTerm(fromUnits(l.util[proc] + delta[proc]))
 	}
 
 	// Candidate's own condition.
 	var sum float64
 	for _, p := range placement {
-		sum += AUBTerm(utilAt(p.Proc))
+		sum += termAt(p.Proc)
 	}
 	if sum > 1 {
 		return false
@@ -1146,15 +1170,13 @@ func (l *Ledger) referenceAdmissible(placement []PlacedStage) bool {
 		if !rec.inFlight() || !rec.active() {
 			continue
 		}
+		procs, counts := appendSignature(nil, nil, rec)
 		var s float64
-		for _, e := range rec.entries {
-			if e.removed != 0 {
-				continue
-			}
-			s += AUBTerm(utilAt(e.proc))
-			if s > 1 {
-				return false
-			}
+		for i, p := range procs {
+			s += float64(counts[i]) * termAt(p)
+		}
+		if s > 1 {
+			return false
 		}
 	}
 	return true
@@ -1176,17 +1198,18 @@ func (l *Ledger) ActiveJobs() []JobKey {
 }
 
 // CheckInvariants recomputes per-processor utilization from entry records
-// and verifies it matches the running sums within tolerance, that no
-// utilization is negative, and that every index (task→jobs, signature
-// groups with their cached upper-bound sums and the violated counter,
-// recounted from fresh sums) agrees with the ground-truth records. It also cross-checks the indexed Admissible against
-// referenceAdmissible on the empty candidate. Property tests call it after
-// random operation sequences. It holds the lock throughout, so it is safe
-// while decisions are live.
+// and verifies it equals the running sums, that no utilization is negative,
+// and that every index (task→jobs,
+// signature groups with their cached upper-bound sums and the violated
+// counter, recounted from fresh sums) agrees with the ground-truth records.
+// It also requires the indexed Admissible to agree with referenceAdmissible
+// on the empty candidate. Property tests call it after random operation
+// sequences. It holds the lock throughout, so it is safe while decisions are
+// live.
 func (l *Ledger) CheckInvariants() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	recomputed := make([]float64, len(l.util))
+	recomputed := make([]int64, len(l.util))
 	for _, rec := range l.jobs {
 		for _, e := range rec.entries {
 			if e.removed == 0 {
@@ -1196,12 +1219,12 @@ func (l *Ledger) CheckInvariants() error {
 	}
 	for p := range l.util {
 		if l.util[p] < 0 {
-			return fmt.Errorf("sched: processor %d has negative utilization %g", p, l.util[p])
+			return fmt.Errorf("sched: processor %d has negative utilization (%d units)", p, l.util[p])
 		}
-		if diff := math.Abs(l.util[p] - recomputed[p]); diff > 1e-6 {
-			return fmt.Errorf("sched: processor %d utilization drift: running %g vs recomputed %g", p, l.util[p], recomputed[p])
+		if l.util[p] != recomputed[p] {
+			return fmt.Errorf("sched: processor %d utilization drift: running %d units vs recomputed %d", p, l.util[p], recomputed[p])
 		}
-		if l.term[p] != AUBTerm(l.util[p]) {
+		if l.term[p] != AUBTerm(fromUnits(l.util[p])) {
 			return fmt.Errorf("sched: processor %d has stale AUB term cache", p)
 		}
 	}
@@ -1282,13 +1305,7 @@ func (l *Ledger) CheckInvariants() error {
 	}
 
 	if fast, ref := l.admissible(nil), l.referenceAdmissible(nil); fast != ref {
-		// The indexed path sums count[p]·f(u_p) over sorted processors, the
-		// reference sums f(u_p) once per entry in record order; at a job sum
-		// within rounding distance of the bound the two can legitimately
-		// land on opposite sides, so only flag disagreements away from it.
-		if !l.nearAUBBoundary(1e-9) {
-			return fmt.Errorf("sched: indexed Admissible(nil)=%v disagrees with reference %v", fast, ref)
-		}
+		return fmt.Errorf("sched: indexed Admissible(nil)=%v disagrees with reference %v", fast, ref)
 	}
 	return nil
 }
@@ -1331,25 +1348,4 @@ func (l *Ledger) checkGroup(h uint64, g *sigGroup, members, counted int) error {
 		}
 	}
 	return nil
-}
-
-// nearAUBBoundary reports whether any in-flight job's AUB sum lies within
-// eps of the admission bound 1, where floating-point summation order can
-// flip the decision.
-func (l *Ledger) nearAUBBoundary(eps float64) bool {
-	for _, rec := range l.jobs {
-		if !rec.inFlight() || !rec.active() {
-			continue
-		}
-		var s float64
-		for _, e := range rec.entries {
-			if e.removed == 0 {
-				s += AUBTerm(l.util[e.proc])
-			}
-		}
-		if math.Abs(s-1) <= eps {
-			return true
-		}
-	}
-	return false
 }

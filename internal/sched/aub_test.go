@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -111,10 +112,10 @@ func TestLedgerAddAndExpire(t *testing.T) {
 	if err := l.AddJob(ref, Aperiodic, pl, false, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Util(0); !almostEqual(got, 0.2) {
+	if got := l.Util(0); got != onGrid(0.2) {
 		t.Errorf("Util(0) = %g, want 0.2", got)
 	}
-	if got := l.Util(2); !almostEqual(got, 0.1) {
+	if got := l.Util(2); got != onGrid(0.1) {
 		t.Errorf("Util(2) = %g, want 0.1", got)
 	}
 	if got := l.Util(1); got != 0 {
@@ -177,7 +178,7 @@ func TestLedgerPermanentReservation(t *testing.T) {
 	if n := l.ExpireJob(ref); n != 0 {
 		t.Errorf("ExpireJob removed %d permanent entries", n)
 	}
-	if got := l.Util(0); !almostEqual(got, 0.3) {
+	if got := l.Util(0); got != onGrid(0.3) {
 		t.Errorf("Util(0) = %g after expiry of permanent entry", got)
 	}
 	// Idle resetting must not touch it either, even when completed.
@@ -230,7 +231,7 @@ func TestLedgerIdleReset(t *testing.T) {
 	if !l.ResetEntry(Entry[JobKey]{Ref: ap, Stage: 0, Proc: 0}) {
 		t.Error("ResetEntry failed for completed aperiodic subjob")
 	}
-	if got := l.Util(0); !almostEqual(got, 0.25) {
+	if got := l.Util(0); got != onGrid(0.25) {
 		t.Errorf("Util(0) = %g after aperiodic reset, want 0.25", got)
 	}
 	// Double reset is a no-op.
@@ -301,6 +302,70 @@ func TestLedgerAdmissibleSkipsCompletedJobs(t *testing.T) {
 	}
 }
 
+// TestLedgerRefusesOutOfRangeUtil holds every entry point to C/D in [0, 1]:
+// a placement with a NaN, infinite, negative or above-1 stage is refused by
+// AddJob, TestAndAddKey, Relocate, Admissible and the reference, and leaves
+// the ledger as it was.
+func TestLedgerRefusesOutOfRangeUtil(t *testing.T) {
+	for _, u := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.25, math.Nextafter(1, 2), 5} {
+		l := NewLedger(2)
+		held := JobKey{Task: 0, Job: 0}
+		if err := l.AddJob(held, Periodic, place(PlacedStage{Stage: 0, Proc: 0, Util: 0.2}), true, 0); err != nil {
+			t.Fatal(err)
+		}
+		utils := l.Utils()
+		bad := place(PlacedStage{Stage: 0, Proc: 1, Util: 0.1}, PlacedStage{Stage: 1, Proc: 0, Util: u})
+		if err := l.AddJob(JobKey{Task: 1, Job: 0}, Aperiodic, bad, false, time.Hour); err == nil {
+			t.Errorf("C/D %g: AddJob accepted it", u)
+		}
+		if ok, err := l.TestAndAddKey(JobKey{Task: 1, Job: 1}, Aperiodic, bad, false, time.Hour); ok || err == nil {
+			t.Errorf("C/D %g: TestAndAddKey = %v, %v; want a refusal with an error", u, ok, err)
+		}
+		if l.Admissible(bad) || l.referenceAdmissible(bad) {
+			t.Errorf("C/D %g: admissible", u)
+		}
+		if err := l.Relocate(held, place(PlacedStage{Stage: 0, Proc: 1, Util: u})); err == nil {
+			t.Errorf("C/D %g: Relocate accepted it", u)
+		}
+		if got := l.Utils(); !slices.Equal(got, utils) || !slices.Equal(l.ActiveJobs(), []JobKey{held}) {
+			t.Errorf("C/D %g: the refusals left utilizations %v and jobs %v", u, got, l.ActiveJobs())
+		}
+		if err := l.CheckInvariants(); err != nil {
+			t.Errorf("C/D %g: %v", u, err)
+		}
+	}
+
+	// The ends of the range convert: 0 adds nothing, and a stage at 1 has an
+	// infinite term, so it can be recorded but never admitted.
+	l := NewLedger(1)
+	if err := l.AddJob(JobKey{Task: 0, Job: 0}, Aperiodic, place(PlacedStage{Util: 0}), false, time.Hour); err != nil || l.Util(0) != 0 {
+		t.Errorf("AddJob of C/D 0: %v, Util(0) = %g", err, l.Util(0))
+	}
+	if l.Admissible(place(PlacedStage{Util: 1})) {
+		t.Error("a stage at C/D 1 was admissible")
+	}
+	if err := l.AddJob(JobKey{Task: 0, Job: 1}, Aperiodic, place(PlacedStage{Util: 1}), false, time.Hour); err != nil || l.Util(0) != 1 {
+		t.Errorf("AddJob of C/D 1: %v, Util(0) = %g", err, l.Util(0))
+	}
+}
+
+// TestToUnitsRoundsUp pins the conversion: a C/D on the unit grid converts
+// exactly, and one between two grid points takes the upper one, so the
+// ledger never holds less than a stage brings.
+func TestToUnitsRoundsUp(t *testing.T) {
+	unit := 1.0 / unitsPerOne
+	for _, u := range []float64{0, unit, 0.25, 0.5, 1, 0.1, 0.3, 1e-17, 0.2 + 0.1, 1 - unit/2} {
+		n, ok := toUnits(u)
+		got := fromUnits(n)
+		if !ok || got < u || got-u >= unit {
+			t.Errorf("toUnits(%g) = %d (%g), %v; want the least grid value at or above it", u, n, got, ok)
+		}
+		if u == math.Floor(u*unitsPerOne)/unitsPerOne && got != u {
+			t.Errorf("grid value %g converted to %g", u, got)
+		}
+	}
+}
+
 func TestLedgerRelocate(t *testing.T) {
 	l := NewLedger(3)
 	ref := JobKey{Task: 7, Job: 0}
@@ -319,7 +384,7 @@ func TestLedgerRelocate(t *testing.T) {
 	if got := l.Util(0); got != 0 {
 		t.Errorf("Util(0) = %g after relocation, want 0", got)
 	}
-	if got := l.Util(2); !almostEqual(got, 0.2) {
+	if got := l.Util(2); got != onGrid(0.2) {
 		t.Errorf("Util(2) = %g after relocation, want 0.2", got)
 	}
 	if err := l.Relocate(JobKey{Task: 8, Job: 9}, nil); err == nil {

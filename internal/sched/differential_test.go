@@ -274,7 +274,8 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 // ResetEntry/Relocate/RemoveTask sequences, and re-adds of a removed task
 // under a fresh ref whose replayed stale operations must all be no-ops, must
 // leave the indexed Admissible decision-equivalent to the full-scan reference on every query, with all
-// ledger indexes passing CheckInvariants at every step. The wide subtests
+// ledger indexes passing CheckInvariants at every step. Each seed also runs
+// orderHarness's order property. The wide subtests
 // must actually reach the perturbed-group scan at group counts the narrow
 // ones never build, and the saturated ones must actually leave cached sums
 // stale.
@@ -284,6 +285,7 @@ func TestLedgerDifferentialAdmissible(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			_, _, _, _, many := differentialHarness(t, rand.New(rand.NewSource(seed)), 120, narrowShape)
 			removedMany += many
+			orderHarness(t, rand.New(rand.NewSource(seed)), narrowShape)
 		})
 	}
 	if removedMany < 30 {
@@ -292,6 +294,7 @@ func TestLedgerDifferentialAdmissible(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("wide/seed=%d", seed), func(t *testing.T) {
 			groups, accepted, rejected, _, _ := differentialHarness(t, rand.New(rand.NewSource(seed)), 120, wideShape)
+			orderHarness(t, rand.New(rand.NewSource(seed)), wideShape)
 			if groups <= 16 {
 				t.Errorf("at most %d groups on one processor, want more than 16", groups)
 			}
@@ -303,6 +306,7 @@ func TestLedgerDifferentialAdmissible(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("saturated/seed=%d", seed), func(t *testing.T) {
 			_, accepted, rejected, stale, _ := differentialHarness(t, rand.New(rand.NewSource(seed)), 300, saturatedShape)
+			orderHarness(t, rand.New(rand.NewSource(seed)), saturatedShape)
 			if accepted == 0 || rejected == 0 {
 				t.Errorf("%d candidates accepted, %d rejected: want both outcomes", accepted, rejected)
 			}
@@ -313,10 +317,90 @@ func TestLedgerDifferentialAdmissible(t *testing.T) {
 	}
 }
 
+// orderHarness applies one set of independent operations to two ledgers in
+// two orders: adds of distinct jobs, then the removal of some of them, by
+// expiry on one ledger and by withdrawal on the other, and of one whole
+// task, by RemoveTask on one and job by job on the other. After each phase
+// both must hold == utilizations, and after the last they must equal a
+// ledger that only ever held the survivors.
+func orderHarness(t *testing.T, rng opSource, shape diffShape) {
+	t.Helper()
+	type job struct {
+		key JobKey
+		pl  []PlacedStage
+	}
+	jobs := make([]job, 2+rng.Intn(40))
+	for i := range jobs {
+		pl := make([]PlacedStage, shape.minStages+rng.Intn(shape.maxStages-shape.minStages+1))
+		for s := range pl {
+			pl[s] = PlacedStage{Stage: s, Proc: rng.Intn(shape.procs), Util: rng.Float64() * shape.addUtil}
+		}
+		jobs[i] = job{JobKey{Task: TaskRef(rng.Intn(shape.tasks)), Job: int64(i)}, pl}
+	}
+	// perm is a second order of the jobs (an inside-out shuffle).
+	perm := make([]int, len(jobs))
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i], perm[j] = perm[j], i
+	}
+	a, b := NewLedger(shape.procs), NewLedger(shape.procs)
+	same := func(phase string, x, y *Ledger) {
+		t.Helper()
+		if ux, uy := x.Utils(), y.Utils(); !slices.Equal(ux, uy) {
+			t.Fatalf("%s: utilizations %v and %v", phase, ux, uy)
+		}
+		for _, l := range []*Ledger{x, y} {
+			if err := l.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", phase, err)
+			}
+		}
+	}
+	add := func(l *Ledger, j job) {
+		t.Helper()
+		if err := l.AddJob(j.key, Aperiodic, j.pl, false, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range jobs {
+		add(a, jobs[i])
+		add(b, jobs[perm[i]])
+	}
+	same("after the adds", a, b)
+	dropped := make([]bool, len(jobs))
+	for i := range dropped {
+		dropped[i] = rng.Intn(2) == 0
+	}
+	for i := range jobs {
+		if dropped[i] {
+			a.ExpireJob(jobs[i].key)
+		}
+		if k := perm[i]; dropped[k] {
+			b.WithdrawKey(jobs[k].key)
+		}
+	}
+	same("after the removals", a, b)
+	gone := TaskRef(rng.Intn(shape.tasks))
+	a.RemoveTask(gone)
+	for _, k := range perm {
+		if jobs[k].key.Task == gone {
+			b.WithdrawKey(jobs[k].key)
+		}
+	}
+	survivors := NewLedger(shape.procs)
+	for i, j := range jobs {
+		if !dropped[i] && j.key.Task != gone {
+			add(survivors, j)
+		}
+	}
+	same("after the task removal", a, b)
+	same("against the survivors alone", a, survivors)
+}
+
 // FuzzLedgerOps decodes the input into the harness's operation sequence —
 // the first byte picks the shape, the rest are its choices — and holds it to
-// the same per-step agreement. The seed corpus is one generated byte string
-// per shape.
+// the same per-step agreement. It then reads the same bytes again as
+// orderHarness's choices. The seed corpus is one generated byte string per
+// shape.
 func FuzzLedgerOps(f *testing.F) {
 	shapes := []diffShape{narrowShape, wideShape, saturatedShape}
 	for i := range shapes {
@@ -333,6 +417,7 @@ func FuzzLedgerOps(f *testing.F) {
 		// A step reads some forty bytes (an operation and four candidates).
 		ops := min(len(data)/40, 200)
 		differentialHarness(t, &byteSource{data[1:]}, ops, shape)
+		orderHarness(t, &byteSource{data[1:]}, shape)
 	})
 }
 

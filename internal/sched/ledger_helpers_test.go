@@ -50,3 +50,10 @@ func (l *Ledger) CompletedOn(proc int, includePeriodic bool) []Entry[JobKey] {
 	})
 	return out
 }
+
+// onGrid is the utilization the ledger holds for a stage of C/D u: u rounded
+// up to the ledger's unit. Tests compare Util to it exactly.
+func onGrid(u float64) float64 {
+	n, _ := toUnits(u)
+	return fromUnits(n)
+}

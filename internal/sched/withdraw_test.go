@@ -22,7 +22,7 @@ func TestWithdrawJob(t *testing.T) {
 	if n := l.ExpireJob(ref); n != 0 {
 		t.Errorf("ExpireJob removed %d permanent contributions", n)
 	}
-	if got := l.Util(0); got != 0.3 {
+	if got := l.Util(0); got != onGrid(0.3) {
 		t.Errorf("util after expiry attempt = %g", got)
 	}
 	// ...but withdrawal removes it entirely.
