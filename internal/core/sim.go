@@ -163,7 +163,8 @@ type SimSystem struct {
 	eng     *des.Engine
 	procs   []*des.Processor
 	irs     []*IdleResetter
-	links   *des.Link
+	links   *des.Link // every hop between nodes: one link delay
+	acDelay *des.Link // the task manager's processing delay before a decision
 	ctrl    *Controller
 	rng     *rand.Rand
 	tab     *sched.TaskTable
@@ -211,6 +212,12 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NumProcs <= 0 {
 		return nil, fmt.Errorf("core: sim needs at least one application processor")
+	}
+	if cfg.LinkDelay < 0 {
+		return nil, fmt.Errorf("core: sim link delay %v is negative", cfg.LinkDelay)
+	}
+	if cfg.ACDelay < 0 {
+		return nil, fmt.Errorf("core: sim AC delay %v is negative", cfg.ACDelay)
 	}
 	if err := cfg.Strategies.Validate(); err != nil {
 		return nil, err
@@ -277,6 +284,7 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 		eng:     eng,
 		ctrl:    ctrl,
 		links:   des.NewLink(eng, cfg.LinkDelay),
+		acDelay: des.NewLink(eng, cfg.ACDelay),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		tab:     tab,
 		tasks:   cloned,
@@ -746,7 +754,7 @@ func (s *SimSystem) HandleEvent(ev des.Event) {
 	case evManagerArrive:
 		// On the task manager: queue the LB Location call + admission test
 		// behind the AC processing delay.
-		s.eng.AfterEvent(s.cfg.ACDelay, s, des.Event{Kind: evDecide, A: ev.A, N: ev.N, D: ev.D})
+		s.acDelay.SendEvent(s, des.Event{Kind: evDecide, A: ev.A, N: ev.N, D: ev.D})
 	case evDecide:
 		s.decide(ev.A, ev.N, ev.D)
 	case evExpire:

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,128 +16,223 @@ type traceRec struct {
 	id int
 }
 
-// TestEngineDifferential drives random schedule/cancel/step/run-until
+// TestEngineDifferential drives random schedule/cancel/send/step/run-until
 // sequences through the pooled engine and the retained reference engine and
 // asserts identical (time, seq, fired) behavior, including nested scheduling
-// from inside callbacks, handles cancelled long after their slots have been
-// recycled, and Reserve calls (which the reference has no counterpart for)
-// at random points.
+// and sends from inside callbacks, handles cancelled long after their slots
+// have been recycled, and Reserve calls (which the reference has no
+// counterpart for) at random points. Sends go over three links, of delay
+// zero and two others; the reference receives each as After(delay).
 func TestEngineDifferential(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		eng := NewEngine()
-		ref := newRefEngine()
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			engineDifferential(t, rng, 200+rng.Intn(400))
+		})
+	}
+}
 
-		var gotNew, gotRef []traceRec
-		var handles []Timer
-		var refHandles []*refTimer
-		nextID := 0
+// FuzzEngineOps decodes the input into engineDifferential's choices and
+// holds the two engines to the same agreement. The seed corpus is a few
+// generated byte strings.
+func FuzzEngineOps(f *testing.F) {
+	for i := int64(0); i < 3; i++ {
+		data := make([]byte, 2048)
+		rand.New(rand.NewSource(i)).Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// An operation reads some ten bytes on average.
+		engineDifferential(t, &byteSource{data}, min(len(data)/10, 400))
+	})
+}
 
-		// schedule registers the same logical event on both engines; with
-		// probability 1/4 the callback schedules a follow-up event, so the
-		// trace exercises nested scheduling and slot reuse inside Step.
-		var schedule func(at time.Duration)
-		schedule = func(at time.Duration) {
-			id := nextID
-			nextID++
-			nested := rng.Intn(4) == 0
-			var nestedDelay time.Duration
-			if nested {
-				nestedDelay = time.Duration(rng.Intn(20)) * time.Millisecond
-			}
-			handles = append(handles, eng.At(at, func() {
-				gotNew = append(gotNew, traceRec{at: eng.Now(), id: id})
-				if nested {
-					// Nested events are recorded under a derived ID; both
-					// engines derive it identically.
-					nid := -id - 1
-					eng.After(nestedDelay, func() {
-						gotNew = append(gotNew, traceRec{at: eng.Now(), id: nid})
-					})
-				}
-			}))
-			refHandles = append(refHandles, ref.At(at, func() {
-				gotRef = append(gotRef, traceRec{at: ref.Now(), id: id})
-				if nested {
-					nid := -id - 1
-					ref.After(nestedDelay, func() {
-						gotRef = append(gotRef, traceRec{at: ref.Now(), id: nid})
-					})
-				}
-			}))
-		}
+// intSource supplies engineDifferential's choices: a seeded generator in the
+// test, the fuzzer's bytes in FuzzEngineOps.
+type intSource interface{ Intn(n int) int }
 
-		ops := 200 + rng.Intn(400)
-		for op := 0; op < ops; op++ {
-			// Reserve only moves storage: wherever it lands, the trace, the
-			// handles and the counters below must not notice.
-			if rng.Intn(16) == 0 {
-				eng.Reserve(rng.Intn(64))
-			}
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3:
-				schedule(eng.Now() + time.Duration(rng.Intn(500))*time.Millisecond)
-			case 4:
-				// Same-instant events must fire FIFO on both engines.
-				at := eng.Now() + time.Duration(rng.Intn(50))*time.Millisecond
-				for i := 0; i < 1+rng.Intn(4); i++ {
-					schedule(at)
-				}
-			case 5, 6:
-				if len(handles) > 0 {
-					i := rng.Intn(len(handles))
-					cNew := handles[i].Cancel()
-					cRef := refHandles[i].Cancel()
-					if cNew != cRef {
-						t.Fatalf("seed %d: Cancel disagreement on handle %d: pooled %v, reference %v", seed, i, cNew, cRef)
-					}
-				}
-			case 7:
-				for i := 0; i < 1+rng.Intn(10); i++ {
-					sNew := eng.Step()
-					sRef := ref.Step()
-					if sNew != sRef {
-						t.Fatalf("seed %d: Step disagreement: pooled %v, reference %v", seed, sNew, sRef)
-					}
-				}
-			case 8:
-				h := eng.Now() + time.Duration(rng.Intn(800))*time.Millisecond
-				eng.RunUntil(h)
-				ref.RunUntil(h)
-			case 9:
-				// Pending/PendingCount parity on a random handle plus the
-				// aggregate counter (O(1) pooled vs O(n) reference scan).
-				if len(handles) > 0 {
-					i := rng.Intn(len(handles))
-					if pNew, pRef := handles[i].Pending(), refHandles[i].Pending(); pNew != pRef {
-						t.Fatalf("seed %d: Pending disagreement on handle %d: pooled %v, reference %v", seed, i, pNew, pRef)
-					}
-				}
-				if eng.PendingCount() != ref.PendingCount() {
-					t.Fatalf("seed %d: PendingCount %d != reference %d", seed, eng.PendingCount(), ref.PendingCount())
-				}
-			}
-			if eng.Now() != ref.Now() {
-				t.Fatalf("seed %d: clock drift: pooled %v, reference %v", seed, eng.Now(), ref.Now())
-			}
-		}
-		eng.Run()
-		ref.Run()
+// byteSource reads choices off a byte string, and zeros once it is used up.
+type byteSource struct{ b []byte }
 
-		if eng.Fired() != ref.Fired() {
-			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, eng.Fired(), ref.Fired())
+func (s *byteSource) Intn(n int) int {
+	v := 0
+	for i := 0; i < 2 && len(s.b) > 0; i++ {
+		v = v<<8 | int(s.b[0])
+		s.b = s.b[1:]
+	}
+	return v % n
+}
+
+// What a differential event does when it fires, besides recording itself.
+const (
+	followNone  = iota
+	followTimer // schedules a timer follow-up with After
+	followSend  // sends a follow-up on a link
+)
+
+// follow is a differential event's follow-up: its kind, the timer's delay,
+// and the link a send goes on.
+type follow struct {
+	kind  int
+	delay time.Duration
+	link  int
+}
+
+// engineDiff is the state of one differential run: both engines, the
+// pooled engine's links and their delays, and the two traces. It is the
+// handler of every event sent on a link of the pooled engine.
+type engineDiff struct {
+	eng            *Engine
+	ref            *refEngine
+	links          []*Link
+	delays         []time.Duration
+	gotNew, gotRef []traceRec
+}
+
+// fireNew records event id on the pooled engine's trace and starts its
+// follow-up there, recorded under the derived ID -id-1.
+func (d *engineDiff) fireNew(id int, f follow) {
+	d.gotNew = append(d.gotNew, traceRec{at: d.eng.Now(), id: id})
+	nid := -id - 1
+	switch f.kind {
+	case followTimer:
+		d.eng.After(f.delay, func() { d.gotNew = append(d.gotNew, traceRec{at: d.eng.Now(), id: nid}) })
+	case followSend:
+		d.links[f.link].SendEvent(d, Event{N: int64(nid)})
+	}
+}
+
+// fireRef is fireNew on the reference engine, where a send is an After.
+func (d *engineDiff) fireRef(id int, f follow) {
+	d.gotRef = append(d.gotRef, traceRec{at: d.ref.Now(), id: id})
+	nid := -id - 1
+	switch f.kind {
+	case followTimer:
+		d.ref.After(f.delay, func() { d.gotRef = append(d.gotRef, traceRec{at: d.ref.Now(), id: nid}) })
+	case followSend:
+		d.ref.After(d.delays[f.link], func() { d.gotRef = append(d.gotRef, traceRec{at: d.ref.Now(), id: nid}) })
+	}
+}
+
+// HandleEvent fires a link send: N is its ID, and A, B and D its follow-up.
+func (d *engineDiff) HandleEvent(ev Event) {
+	d.fireNew(int(ev.N), follow{kind: int(ev.A), link: int(ev.B), delay: ev.D})
+}
+
+// engineDifferential runs ops random operations on a fresh pooled engine
+// and a fresh reference engine, then drains both, failing t at the first
+// disagreement in a return value, the clock, Fired, PendingCount or the
+// firing trace.
+func engineDifferential(t *testing.T, src intSource, ops int) {
+	t.Helper()
+	d := &engineDiff{eng: NewEngine(), ref: newRefEngine()}
+	eng, ref := d.eng, d.ref
+	d.delays = []time.Duration{0, time.Duration(1+src.Intn(50)) * time.Millisecond, time.Duration(1+src.Intn(200)) * time.Millisecond}
+	for _, delay := range d.delays {
+		d.links = append(d.links, NewLink(eng, delay))
+	}
+	var handles []Timer
+	var refHandles []*refTimer
+	nextID := 0
+
+	// One event in four has a follow-up, so the trace exercises nested
+	// scheduling, slot reuse inside Step and sends from inside callbacks.
+	randFollow := func() follow {
+		switch src.Intn(8) {
+		case 0:
+			return follow{kind: followTimer, delay: time.Duration(src.Intn(20)) * time.Millisecond}
+		case 1:
+			return follow{kind: followSend, link: src.Intn(len(d.links))}
 		}
-		if len(gotNew) != len(gotRef) {
-			t.Fatalf("seed %d: trace length %d != reference %d", seed, len(gotNew), len(gotRef))
+		return follow{}
+	}
+	// schedule registers the same logical timer on both engines.
+	schedule := func(at time.Duration) {
+		id, f := nextID, randFollow()
+		nextID++
+		handles = append(handles, eng.At(at, func() { d.fireNew(id, f) }))
+		refHandles = append(refHandles, ref.At(at, func() { d.fireRef(id, f) }))
+	}
+	// send puts the same logical message on link k of the pooled engine and
+	// after its delay on the reference.
+	send := func(k int) {
+		id, f := nextID, randFollow()
+		nextID++
+		d.links[k].SendEvent(d, Event{N: int64(id), A: int32(f.kind), B: int32(f.link), D: f.delay})
+		ref.After(d.delays[k], func() { d.fireRef(id, f) })
+	}
+
+	for op := 0; op < ops; op++ {
+		// Reserve only moves storage: wherever it lands, the trace, the
+		// handles and the counters below must not notice.
+		if src.Intn(16) == 0 {
+			eng.Reserve(src.Intn(64))
 		}
-		for i := range gotNew {
-			if gotNew[i] != gotRef[i] {
-				t.Fatalf("seed %d: trace diverges at %d: pooled %+v, reference %+v", seed, i, gotNew[i], gotRef[i])
+		switch src.Intn(12) {
+		case 0, 1, 2, 3:
+			schedule(eng.Now() + time.Duration(src.Intn(500))*time.Millisecond)
+		case 4:
+			// Same-instant events must fire FIFO on both engines.
+			at := eng.Now() + time.Duration(src.Intn(50))*time.Millisecond
+			for i := 0; i < 1+src.Intn(4); i++ {
+				schedule(at)
+			}
+		case 5, 6:
+			if len(handles) > 0 {
+				i := src.Intn(len(handles))
+				if cNew, cRef := handles[i].Cancel(), refHandles[i].Cancel(); cNew != cRef {
+					t.Fatalf("Cancel disagreement on handle %d: pooled %v, reference %v", i, cNew, cRef)
+				}
+			}
+		case 7:
+			for i := 0; i < 1+src.Intn(10); i++ {
+				if sNew, sRef := eng.Step(), ref.Step(); sNew != sRef {
+					t.Fatalf("Step disagreement: pooled %v, reference %v", sNew, sRef)
+				}
+			}
+		case 8:
+			h := eng.Now() + time.Duration(src.Intn(800))*time.Millisecond
+			eng.RunUntil(h)
+			ref.RunUntil(h)
+		case 9:
+			// Pending parity on a random handle.
+			if len(handles) > 0 {
+				i := src.Intn(len(handles))
+				if pNew, pRef := handles[i].Pending(), refHandles[i].Pending(); pNew != pRef {
+					t.Fatalf("Pending disagreement on handle %d: pooled %v, reference %v", i, pNew, pRef)
+				}
+			}
+		case 10, 11:
+			// A burst of sends on one link.
+			k := src.Intn(len(d.links))
+			for i := 0; i < 1+src.Intn(4); i++ {
+				send(k)
 			}
 		}
-		if eng.PendingCount() != 0 || ref.PendingCount() != 0 {
-			t.Fatalf("seed %d: events left pending after Run", seed)
+		if eng.Now() != ref.Now() {
+			t.Fatalf("op %d: clock drift: pooled %v, reference %v", op, eng.Now(), ref.Now())
 		}
+		// The aggregate counters: O(1) pooled against the reference's scan.
+		if eng.PendingCount() != ref.PendingCount() || eng.Fired() != ref.Fired() {
+			t.Fatalf("op %d: PendingCount %d, Fired %d; reference %d, %d", op, eng.PendingCount(), eng.Fired(), ref.PendingCount(), ref.Fired())
+		}
+	}
+	eng.Run()
+	ref.Run()
+
+	if eng.Fired() != ref.Fired() {
+		t.Fatalf("fired %d events, reference fired %d", eng.Fired(), ref.Fired())
+	}
+	if len(d.gotNew) != len(d.gotRef) {
+		t.Fatalf("trace length %d != reference %d", len(d.gotNew), len(d.gotRef))
+	}
+	for i := range d.gotNew {
+		if d.gotNew[i] != d.gotRef[i] {
+			t.Fatalf("trace diverges at %d: pooled %+v, reference %+v", i, d.gotNew[i], d.gotRef[i])
+		}
+	}
+	if eng.PendingCount() != 0 || ref.PendingCount() != 0 {
+		t.Fatal("events left pending after Run")
 	}
 }
 
@@ -309,6 +405,27 @@ func TestReserveKeepsHandlesAndAllocatesOnce(t *testing.T) {
 	}
 	if h.n != 2*n {
 		t.Errorf("typed events fired %d times, want %d", h.n, 2*n)
+	}
+}
+
+// TestLinkSendAllocFree pins the lane's steady state: once the lane has
+// grown, a send and its firing allocate nothing.
+func TestLinkSendAllocFree(t *testing.T) {
+	e := NewEngine()
+	l := NewLink(e, time.Millisecond)
+	var h recordingHandler
+	l.SendEvent(&h, Event{})
+	e.Run()
+	if allocs := testing.AllocsPerRun(100, func() {
+		l.SendEvent(&h, Event{N: 1})
+		if !e.Step() {
+			t.Fatal("the send did not fire")
+		}
+	}); allocs != 0 {
+		t.Errorf("a send and its firing allocate %v times, want 0", allocs)
+	}
+	if h.n != 102 {
+		t.Errorf("the handler saw %d sends, want 102", h.n)
 	}
 }
 

@@ -29,7 +29,10 @@
 //   - besides closure callbacks (At/After), events can carry a small typed
 //     payload (AtEvent/AfterEvent) dispatched to an EventHandler, so the
 //     dominant simulation paths schedule events without capturing state in
-//     a fresh closure.
+//     a fresh closure;
+//   - a send on a Link takes no slot and no heap entry: the link's FIFO lane
+//     is in (time, seq) order as pushed, and the engine fires the least of
+//     the heap top and the lane heads.
 //
 // The paper-simple implementation (heap-allocated timers boxed through
 // container/heap) is retained in reference_test.go; a differential property test
@@ -146,10 +149,11 @@ type Engine struct {
 	now   time.Duration
 	seq   int64
 	fired int64
-	live  int // scheduled, not-yet-cancelled events — O(1) PendingCount
+	live  int // scheduled, not-yet-cancelled events, lane sends included — O(1) PendingCount
 	slots []slot
 	free  []int32
 	heap  []heapEnt // 4-ary min-heap ordered by (at, seq)
+	links []*Link   // every link on the engine, each with its FIFO lane
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -160,8 +164,8 @@ func NewEngine() *Engine {
 // Now returns the current virtual time as an offset from simulation start.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Fired returns the number of callbacks executed so far. Intended for tests
-// and instrumentation.
+// Fired returns the number of callbacks executed so far, link deliveries
+// included. Intended for tests and instrumentation.
 func (e *Engine) Fired() int64 { return e.fired }
 
 // Reserve makes room for n more scheduled events than are outstanding now:
@@ -272,34 +276,68 @@ func (e *Engine) AfterEvent(d time.Duration, h EventHandler, ev Event) Timer {
 //
 //rtmw:noalloc
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ent := e.heapPop()
-		s := &e.slots[ent.idx]
-		if s.cancelled {
-			e.recycle(ent.idx)
+	at, lane, ok := e.next()
+	if ok {
+		e.fire(at, lane)
+	}
+	return ok
+}
+
+// next finds the pending event with the least (at, seq): the heap top, or
+// the head of the lane it returns. Cancelled heap tops are recycled on the
+// way. ok is false when nothing is pending.
+//
+//rtmw:noalloc
+func (e *Engine) next() (at time.Duration, lane *Link, ok bool) {
+	for len(e.heap) > 0 && e.slots[e.heap[0].idx].cancelled {
+		e.recycle(e.heapPop().idx)
+	}
+	var seq int64
+	if len(e.heap) > 0 {
+		at, seq, ok = e.heap[0].at, e.heap[0].seq, true
+	}
+	for _, l := range e.links {
+		if l.n == 0 {
 			continue
 		}
-		// Copy the dispatch fields and recycle before invoking, so the
-		// callback can schedule new events straight into this slot and the
-		// engine retains no reference to fired state.
-		dispatch, fn, h, proc, ev := s.dispatch, s.fn, s.h, s.proc, s.ev
-		e.recycle(ent.idx)
-		e.live--
-		e.now = ent.at
-		e.fired++
-		switch dispatch {
-		case dispatchFunc:
-			fn()
-		case dispatchHandler:
-			h.HandleEvent(ev)
-		case dispatchProcComplete:
-			proc.completeEvent(ev.A, uint32(ev.B))
-		case dispatchProcIdle:
-			proc.idleEvent()
+		h := &l.lane[l.head]
+		if !ok || h.at < at || (h.at == at && h.seq < seq) {
+			at, seq, lane, ok = h.at, h.seq, l, true
 		}
-		return true
 	}
-	return false
+	return at, lane, ok
+}
+
+// fire executes the event next found: the head of lane, or the heap top
+// when lane is nil.
+//
+//rtmw:noalloc
+func (e *Engine) fire(at time.Duration, lane *Link) {
+	e.live--
+	e.now = at
+	e.fired++
+	if lane != nil {
+		h, ev := lane.pop()
+		h.HandleEvent(ev)
+		return
+	}
+	idx := e.heapPop().idx
+	s := &e.slots[idx]
+	// Copy the dispatch fields and recycle before invoking, so the callback
+	// can schedule new events straight into this slot and the engine retains
+	// no reference to fired state.
+	dispatch, fn, h, proc, ev := s.dispatch, s.fn, s.h, s.proc, s.ev
+	e.recycle(idx)
+	switch dispatch {
+	case dispatchFunc:
+		fn()
+	case dispatchHandler:
+		h.HandleEvent(ev)
+	case dispatchProcComplete:
+		proc.completeEvent(ev.A, uint32(ev.B))
+	case dispatchProcIdle:
+		proc.idleEvent()
+	}
 }
 
 // RunUntil executes events in order until the queue is empty or the next
@@ -308,18 +346,12 @@ func (e *Engine) Step() bool {
 //
 //rtmw:noalloc
 func (e *Engine) RunUntil(horizon time.Duration) {
-	for len(e.heap) > 0 {
-		// Peek without popping: cancelled timers are recycled lazily.
-		top := e.heap[0]
-		if e.slots[top.idx].cancelled {
-			e.heapPop()
-			e.recycle(top.idx)
-			continue
-		}
-		if top.at > horizon {
+	for {
+		at, lane, ok := e.next()
+		if !ok || at > horizon {
 			break
 		}
-		e.Step()
+		e.fire(at, lane)
 	}
 	if e.now < horizon {
 		e.now = horizon
@@ -334,9 +366,9 @@ func (e *Engine) Run() {
 	}
 }
 
-// PendingCount returns the number of scheduled, not-yet-cancelled events.
-// It is O(1): the engine keeps a live counter instead of scanning the heap,
-// so invariant audits inside hot test loops stay cheap.
+// PendingCount returns the number of scheduled, not-yet-cancelled events,
+// link sends included. It is O(1): the engine keeps a live counter instead
+// of scanning the heap, so invariant audits inside hot test loops stay cheap.
 func (e *Engine) PendingCount() int { return e.live }
 
 // heapPush inserts an entry into the 4-ary heap.

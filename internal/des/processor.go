@@ -327,37 +327,77 @@ func (p *Processor) readyPop() readyEnt {
 }
 
 // Link models a point-to-point network path with a fixed one-way delay, used
-// for event pushes and remote invocations between simulated nodes.
+// for event pushes and remote invocations between simulated nodes. Its sends
+// wait in a FIFO lane: each fires at now + delay, and the clock never goes
+// back, so the lane is in (time, seq) order as pushed, and the engine fires
+// its head when that is the least pending event.
 type Link struct {
 	eng   *Engine
 	delay time.Duration
+	// lane is a ring of pending sends, len(lane) a power of two (or zero):
+	// head indexes the next to fire and n counts them.
+	lane    []laneEnt
+	head, n int
+}
 
-	// Messages counts sends, for overhead accounting in tests.
-	Messages int64
+// laneEnt is one pending send: its ordering key and its typed event.
+type laneEnt struct {
+	at  time.Duration
+	seq int64
+	h   EventHandler
+	ev  Event
 }
 
 // NewLink returns a link with the given one-way delay. The paper's testbed
 // measured a mean one-way delay of 322 µs on 100 Mbps Ethernet; simulation
-// configs default to that figure.
+// configs default to that figure. A negative delay panics.
 func NewLink(eng *Engine, delay time.Duration) *Link {
 	if delay < 0 {
 		panic("des: negative link delay")
 	}
-	return &Link{eng: eng, delay: delay}
+	l := &Link{eng: eng, delay: delay}
+	eng.links = append(eng.links, l)
+	return l
 }
 
 // Delay returns the one-way delay of the link.
 func (l *Link) Delay() time.Duration { return l.delay }
 
-// Send delivers fn after the link's one-way delay.
-func (l *Link) Send(fn func()) {
-	l.Messages++
-	l.eng.After(l.delay, fn)
+// SendEvent delivers a typed event to h after the link's one-way delay,
+// exactly where AfterEvent(delay, h, ev) would fire, but with no timer slot
+// or heap entry. A send cannot be cancelled.
+//
+//rtmw:noalloc
+func (l *Link) SendEvent(h EventHandler, ev Event) {
+	if h == nil {
+		panic("des: sending to a nil event handler")
+	}
+	e := l.eng
+	e.seq++
+	if l.n == len(l.lane) {
+		l.grow()
+	}
+	l.lane[(l.head+l.n)&(len(l.lane)-1)] = laneEnt{at: e.now + l.delay, seq: e.seq, h: h, ev: ev}
+	l.n++
+	e.live++
 }
 
-// SendEvent delivers a typed event to h after the link's one-way delay — the
-// allocation-free counterpart of Send.
-func (l *Link) SendEvent(h EventHandler, ev Event) {
-	l.Messages++
-	l.eng.AfterEvent(l.delay, h, ev)
+// grow doubles a full lane, unrolling the ring so head is 0 again.
+func (l *Link) grow() {
+	lane := make([]laneEnt, max(2*len(l.lane), 64))
+	k := copy(lane, l.lane[l.head:])
+	copy(lane[k:], l.lane[:l.head])
+	l.lane, l.head = lane, 0
+}
+
+// pop removes the lane's head, dropping the lane's reference to its handler.
+//
+//rtmw:noalloc
+func (l *Link) pop() (EventHandler, Event) {
+	ent := &l.lane[l.head]
+	h, ev := ent.h, ent.ev
+	ent.h = nil
+	l.head = (l.head + 1) & (len(l.lane) - 1)
+	l.n--
+	return h, ev
 }

@@ -178,17 +178,22 @@ func TestProcessorSubmitValidation(t *testing.T) {
 func TestLinkDelay(t *testing.T) {
 	e := NewEngine()
 	l := NewLink(e, 322*time.Microsecond)
-	var at time.Duration
+	var at []time.Duration
+	h := clockRecorder{e: e, at: &at}
 	e.At(time.Millisecond, func() {
-		l.Send(func() { at = e.Now() })
+		l.SendEvent(h, Event{})
+		l.SendEvent(h, Event{})
+		if got := e.PendingCount(); got != 2 {
+			t.Errorf("PendingCount = %d with two sends in flight, want 2", got)
+		}
 	})
 	e.Run()
 	want := time.Millisecond + 322*time.Microsecond
-	if at != want {
-		t.Errorf("message delivered at %v, want %v", at, want)
+	if len(at) != 2 || at[0] != want || at[1] != want {
+		t.Errorf("messages delivered at %v, want two at %v", at, want)
 	}
-	if l.Messages != 1 {
-		t.Errorf("Messages = %d, want 1", l.Messages)
+	if e.Fired() != 3 || e.PendingCount() != 0 {
+		t.Errorf("Fired = %d, PendingCount = %d; want 3 and 0", e.Fired(), e.PendingCount())
 	}
 	if l.Delay() != 322*time.Microsecond {
 		t.Errorf("Delay() = %v", l.Delay())
@@ -200,3 +205,12 @@ func TestLinkDelay(t *testing.T) {
 	}()
 	NewLink(e, -time.Second)
 }
+
+// clockRecorder appends the engine's clock to at for every event it is
+// handed.
+type clockRecorder struct {
+	e  *Engine
+	at *[]time.Duration
+}
+
+func (c clockRecorder) HandleEvent(Event) { *c.at = append(*c.at, c.e.Now()) }

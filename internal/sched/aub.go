@@ -208,22 +208,27 @@ type sigGroup struct {
 	// exactly the jobs the admission test must cover.
 	counted int
 	// scanned is the Ledger.scan value of the last admission test that
-	// summed the group, so a group indexed under several perturbed
-	// processors is summed once per test.
+	// summed the group, or of the last commit that updated it, so a group
+	// indexed under several perturbed processors is summed, and updated,
+	// once per test.
 	scanned uint64
 	// cachedSum is an upper bound on Σ_p count[p]·f(util[p]) under the
-	// current utilizations, written only by refreshGroupSum (always a fresh
-	// sum, never an incremental adjustment). It is exact after any of the
-	// group's processors grew, after the group's 0 → counted transition, and
-	// after every utilization change made while Ledger.violated > 0; a
-	// processor that shrinks while nothing is violated leaves it stale, which
-	// only ever leaves it too high. For a counted group it lies on the same
-	// side of 1 as the fresh sum, so Ledger.violated is an exact count.
+	// current utilizations, written only by refreshGroupSum (a fresh sum) and
+	// by commitAdmitted (a bound the admission test proved). It is exact after
+	// any utilization change outside an admission that grew one of the
+	// group's processors, after the group's 0 → counted transition, and after
+	// every utilization change made while Ledger.violated > 0; a processor
+	// that shrinks while nothing is violated leaves it stale, which only ever
+	// leaves it too high. For a counted group it lies on the same side of 1 as
+	// the fresh sum, so Ledger.violated is an exact count.
 	cachedSum float64
 	// maxCount is the signature's largest per-processor entry count, as a
 	// float64 for the scan's bound: a candidate raises the group's sum by at
 	// most maxCount times the total growth of the perturbed terms.
 	maxCount float64
+	// scanSum is the sum under the candidate's tentative terms of the test
+	// that stamped scanned; commitAdmitted caches it.
+	scanSum float64
 
 	// hash is sigHash of the signature, the group's key in Ledger.groups,
 	// and next chains the groups sharing that key.
@@ -279,6 +284,14 @@ func fromUnits(n int64) float64 { return float64(n) / unitsPerOne }
 // the real-number values by a few ulps (~1e-15); the margin is six orders of
 // magnitude above that, and a group within it of the bound is simply summed.
 const boundMargin = 1e-9
+
+// carrySlack is what commitAdmitted adds to a bound it carries across an
+// admission. The fresh sums before and after, grow and the bound's own
+// operations each land within n·2⁻⁵³ of their real values, for n ≤ NumProcs
+// products of a sum at most 1, and a rounded AUBTerm may dip by an ulp where
+// utilization grows; 1e-12 ≫ n·2⁻⁵³ keeps the carried bound above the fresh
+// sum, and below 1 − boundMargin + carrySlack < 1.
+const carrySlack = 1e-12
 
 // Ledger is the synthetic-utilization ledger maintained by the admission
 // controller. It tracks, per processor, the sum of C/D contributions of the
@@ -336,10 +349,13 @@ type Ledger struct {
 
 	// candDelta/candTerm are Admissible's dense scratch: the candidate's
 	// per-processor utilization delta in units and the tentative AUB terms of
-	// the perturbed processors, computed once per test instead of once per
-	// signature-group visit. Zeroed (for the touched processors) on exit.
+	// the perturbed processors (candProcs), computed once per test instead of
+	// once per signature-group visit. They hold the last test's values until
+	// the next prime, which zeroes candDelta for the processors it names.
 	candDelta []int64
 	candTerm  []float64
+	candProcs []int
+	candGrow  float64 // Σ (candTerm[p] − term[p]) over candProcs
 	// scan numbers the admission tests; see sigGroup.scanned. Starting at
 	// zero and incrementing before use, it never equals the stamp of a fresh
 	// or recycled group by accident: stamps only ever hold earlier values.
@@ -555,7 +571,8 @@ func touchProc(procs []int, proc int) []int {
 // refreshGroupSum recomputes a group's cached AUB sum from the current
 // per-processor terms (a fresh deterministic sum over the sorted signature,
 // never an incremental adjustment, so the cache cannot drift), maintaining
-// the violated counter. It is the only writer of cachedSum.
+// the violated counter. Outside an admission it is the only writer of
+// cachedSum.
 func (l *Ledger) refreshGroupSum(g *sigGroup) {
 	was := g.counted > 0 && g.cachedSum > 1
 	// freshSum spelled out: calling it puts this function past the inlining
@@ -709,7 +726,7 @@ func (l *Ledger) AddJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.addJob(k, kind, placement, permanent, expiry)
+	return l.addJob(k, kind, placement, permanent, expiry, false)
 }
 
 // TestAndAddKey runs the AUB admission test and, on success, records the
@@ -727,10 +744,10 @@ func (l *Ledger) TestAndAddKey(k JobKey, kind TaskKind, placement []PlacedStage,
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.admissible(placement) {
+	if !l.prime(placement) || !l.admitScan(placement) {
 		return false, nil
 	}
-	if err := l.addJob(k, kind, placement, permanent, expiry); err != nil {
+	if err := l.addJob(k, kind, placement, permanent, expiry, true); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -771,8 +788,11 @@ func (l *Ledger) nameRef(name string) TaskRef {
 	return tr
 }
 
-// addJob is AddJob under the lock, after checkPlacement.
-func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) error {
+// addJob is AddJob under the lock, after checkPlacement. When admitted, an
+// admission test has just passed the placement, and commitAdmitted applies
+// it from the test's scratch in place of settleProc. The job's own checks
+// come before anything is applied.
+func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration, admitted bool) error {
 	if k.Task < 0 {
 		return fmt.Errorf("sched: job %s has a negative task ref", k)
 	}
@@ -793,8 +813,13 @@ func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 		e.permanent = permanent
 		e.expiry = expiry
 		rec.entries = append(rec.entries, e)
-		l.util[p.Proc] += n
-		touched = touchProc(touched, p.Proc)
+		if !admitted {
+			l.util[p.Proc] += n
+			touched = touchProc(touched, p.Proc)
+		}
+	}
+	if admitted {
+		l.commitAdmitted()
 	}
 	for _, p := range touched {
 		l.settleProc(p)
@@ -1016,7 +1041,7 @@ func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
 // given placement: with the candidate's contributions tentatively added,
 // condition (1) must continue to hold for the candidate and for every
 // in-flight job in the current task set. It leaves the ledger's accounting
-// as it found it (it writes only its scratch and the scan stamps).
+// as it found it (it writes only its scratch, the scan stamps and scanSum).
 //
 // The evaluation is indexed: jobs visiting none of the candidate's
 // processors keep their cached (already ≤ 1, else the violated counter
@@ -1038,42 +1063,82 @@ func (l *Ledger) Admissible(placement []PlacedStage) bool {
 //
 //rtmw:noalloc
 func (l *Ledger) admissible(placement []PlacedStage) bool {
+	return l.prime(placement) && l.admitScan(placement)
+}
+
+// prime fills the test's scratch: it zeroes the last test's deltas, then
+// sets the candidate's, its perturbed processors, their tentative AUB terms
+// and candGrow. It returns false if a stage toUnits refuses, which rejects
+// the candidate as AddJob would refuse it.
+//
+//rtmw:noalloc
+func (l *Ledger) prime(placement []PlacedStage) bool {
 	if l.candDelta == nil {
 		//rtmw:ignore noalloc one-time lazy scratch, amortized to zero over the ledger's life
 		l.candDelta = make([]int64, len(l.util))
 		//rtmw:ignore noalloc one-time lazy scratch, amortized to zero over the ledger's life
 		l.candTerm = make([]float64, len(l.util))
 	}
-	// Dense candidate deltas in units, plus the tentative AUB term of each
-	// perturbed processor, computed once per test instead of once per
-	// signature-group visit. A stage toUnits refuses (NaN, negative, above
-	// 1) rejects the candidate, as AddJob would refuse it.
 	delta, tent := l.candDelta, l.candTerm
-	var procsBuf [8]int
-	touched := procsBuf[:0]
+	for _, p := range l.candProcs {
+		delta[p] = 0
+	}
+	l.candProcs = l.candProcs[:0]
 	ok := true
 	for _, p := range placement {
 		n, valid := toUnits(p.Util)
 		ok = ok && valid
 		delta[p.Proc] += n
-		touched = touchProc(touched, p.Proc)
+		l.candProcs = touchProc(l.candProcs, p.Proc)
 	}
-	for _, p := range touched {
+	l.candGrow = 0
+	for _, p := range l.candProcs {
 		tent[p] = AUBTerm(fromUnits(l.util[p] + delta[p]))
-	}
-	ok = ok && l.admitScan(placement, delta, tent, touched)
-	for _, p := range touched {
-		delta[p] = 0
-		tent[p] = 0
+		l.candGrow += tent[p] - l.term[p]
 	}
 	return ok
 }
 
-// admitScan is Admissible after the scratch is primed; split out so every
-// early return shares the caller's scratch cleanup.
+// commitAdmitted applies an admitted candidate from prime's scratch, keeping
+// what the test proved instead of summing again: util[p] += delta[p],
+// term[p] = tent[p], and each group on a perturbed processor updated once —
+// to the scan's sum if the scan summed it (its fresh sum under the new
+// terms), else to cachedSum + maxCount·grow + carrySlack. The scan found
+// every summed counted group at most 1 and passed the others on a bound
+// ≤ 1 − boundMargin, so nothing becomes violated.
 //
 //rtmw:noalloc
-func (l *Ledger) admitScan(placement []PlacedStage, delta []int64, tent []float64, touched []int) bool {
+func (l *Ledger) commitAdmitted() {
+	delta := l.candDelta
+	for _, p := range l.candProcs {
+		l.util[p] += delta[p]
+		l.term[p] = l.candTerm[p]
+	}
+	summed := l.scan
+	l.scan++
+	for _, pp := range l.candProcs {
+		if delta[pp] == 0 {
+			continue
+		}
+		for _, g := range l.procGroups[pp] {
+			switch g.scanned {
+			case l.scan:
+				continue
+			case summed:
+				g.cachedSum = g.scanSum
+			default:
+				g.cachedSum += g.maxCount*l.candGrow + carrySlack
+			}
+			g.scanned = l.scan
+		}
+	}
+}
+
+// admitScan is Admissible after prime.
+//
+//rtmw:noalloc
+func (l *Ledger) admitScan(placement []PlacedStage) bool {
+	delta, tent := l.candDelta, l.candTerm
 	// Candidate's own condition under the tentative utilizations.
 	var sum float64
 	for _, p := range placement {
@@ -1101,12 +1166,9 @@ func (l *Ledger) admitScan(placement []PlacedStage, delta []int64, tent []float6
 	// bit-identical to recomputing every term. An Inf or NaN bound (a
 	// processor at or past full utilization) fails the comparison and falls
 	// through to the sum.
-	var grow float64
-	for _, pp := range touched {
-		grow += tent[pp] - l.term[pp]
-	}
+	grow := l.candGrow
 	l.scan++
-	for _, pp := range touched {
+	for _, pp := range l.candProcs {
 		if delta[pp] == 0 {
 			continue
 		}
@@ -1129,6 +1191,7 @@ func (l *Ledger) admitScan(placement []PlacedStage, delta []int64, tent []float6
 					return false
 				}
 			}
+			g.scanSum = s
 		}
 	}
 	return true
@@ -1330,9 +1393,9 @@ func (l *Ledger) checkGroup(h uint64, g *sigGroup, members, counted int) error {
 		return fmt.Errorf("sched: group %q counts %d in-flight jobs, records show %d", sig, g.counted, counted)
 	}
 	s := l.freshSum(g)
-	// cachedSum is an upper bound on the fresh sum, and for a counted
-	// group on the same side of 1 (see sigGroup.cachedSum).
-	if s > g.cachedSum+1e-9 {
+	// cachedSum is an upper bound on the fresh sum, with no tolerance, and
+	// for a counted group on the same side of 1 (see sigGroup.cachedSum).
+	if s > g.cachedSum {
 		return fmt.Errorf("sched: group %q cached sum %g below the fresh sum %g", sig, g.cachedSum, s)
 	}
 	if g.counted > 0 && (g.cachedSum > 1) != (s > 1) {

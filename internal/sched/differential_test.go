@@ -21,9 +21,10 @@ type diffShape struct {
 	// addUtil, moveUtil and candUtil bound the per-stage utilization of
 	// added jobs, relocated jobs and admission candidates.
 	addUtil, moveUtil, candUtil float64
-	// admitOnly adds and relocates a job only where Admissible accepts its
-	// placement, as the admission controller does, so no job's condition is
-	// ever violated.
+	// admitOnly adds a job only through TestAndAddKey, and relocates one
+	// only where Admissible accepts the new placement, as the admission
+	// controller does, so no job's condition is ever violated and admissions
+	// carry proved bounds (see admitChecked).
 	admitOnly bool
 }
 
@@ -70,16 +71,31 @@ func (s *byteSource) Intn(n int) int { return (s.next()<<8 | s.next()) % n }
 
 func (s *byteSource) Float64() float64 { return float64(s.next()) / 255 }
 
+// harnessStats is what differentialHarness reports about the states it
+// reached.
+type harnessStats struct {
+	// maxGroups is the largest number of signature groups any processor
+	// indexed.
+	maxGroups int
+	// accepted and rejected count the candidates' decisions.
+	accepted, rejected int
+	// stale counts the times a step left a group's cached sum strictly above
+	// its fresh sum.
+	stale int
+	// removedMany counts the RemoveTask calls that withdrew a task holding
+	// several jobs (the per-task list walked past its head).
+	removedMany int
+	// summed and carried count, over the admissions of an admitOnly shape,
+	// the perturbed counted groups the commit gave their fresh sum and the
+	// ones it gave a carried bound.
+	summed, carried int
+}
+
 // differentialHarness drives one ledger through a random operation sequence
 // and, after every mutation, asserts that the indexed Admissible agrees with
 // the full-scan referenceAdmissible on a batch of random candidate
-// placements, and that CheckInvariants (which audits every index) holds. It
-// returns the largest number of signature groups any processor indexed, how
-// many candidates were accepted and rejected, how many times a step left a
-// group's cached sum stale (strictly above its fresh sum), and how many
-// RemoveTask calls withdrew a task holding several jobs (the per-task list
-// walked past its head).
-func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (maxGroups, accepted, rejected, stale, removedMany int) {
+// placements, and that CheckInvariants (which audits every index) holds.
+func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (st harnessStats) {
 	t.Helper()
 	procs := shape.procs
 	l := NewLedger(procs)
@@ -108,11 +124,11 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 			t.Fatalf("step %d after %s: %v", step, op, err)
 		}
 		for p := range l.procGroups {
-			maxGroups = max(maxGroups, len(l.procGroups[p]))
+			st.maxGroups = max(st.maxGroups, len(l.procGroups[p]))
 		}
 		for _, g := range allGroups(l) {
 			if g.cachedSum > l.freshSum(g) {
-				stale++
+				st.stale++
 			}
 		}
 		for q := 0; q < 4; q++ {
@@ -124,15 +140,35 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 					step, op, cand, fast, ref)
 			}
 			if fast {
-				accepted++
+				st.accepted++
 			} else {
-				rejected++
+				st.rejected++
 			}
 		}
 	}
 
-	// addJob skips the admission check unless the shape asks for it, so
-	// overloaded (violating) states are exercised too.
+	// add records a job: through TestAndAddKey, its decision held to the
+	// reference, when the shape admits only, and with AddJob otherwise, so
+	// overloaded (violating) states are exercised too. It reports whether the
+	// job went in.
+	add := func(step int, ref JobKey, kind TaskKind, pl []PlacedStage, permanent bool) bool {
+		t.Helper()
+		expiry := time.Duration(step) * time.Millisecond
+		if !shape.admitOnly {
+			if err := l.AddJob(ref, kind, pl, permanent, expiry); err != nil {
+				t.Fatalf("step %d: AddJob(%s): %v", step, ref, err)
+			}
+			return true
+		}
+		want := l.referenceAdmissible(pl)
+		ok, summed, carried := admitChecked(t, l, ref, kind, pl, permanent, expiry)
+		if ok != want {
+			t.Fatalf("step %d: TestAndAddKey(%s, %v) = %v, reference = %v", step, ref, pl, ok, want)
+		}
+		st.summed += summed
+		st.carried += carried
+		return ok
+	}
 	addJob := func(step int) {
 		ref := JobKey{Task: cur[rng.Intn(shape.tasks)], Job: nextJob}
 		nextJob++
@@ -141,14 +177,9 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 			kind = Periodic
 		}
 		permanent := rng.Intn(5) == 0
-		pl := randPlacement(shape.addUtil)
-		if shape.admitOnly && !l.Admissible(pl) {
-			return
+		if add(step, ref, kind, randPlacement(shape.addUtil), permanent) {
+			live = append(live, ref)
 		}
-		if err := l.AddJob(ref, kind, pl, permanent, time.Duration(step)*time.Millisecond); err != nil {
-			t.Fatalf("step %d: AddJob: %v", step, err)
-		}
-		live = append(live, ref)
 	}
 	for i := 0; i < shape.prefill; i++ {
 		addJob(0)
@@ -210,7 +241,7 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 				}
 			}
 			if len(live)-len(kept) > 1 {
-				removedMany++
+				st.removedMany++
 			}
 			live = kept
 			op = "RemoveTask"
@@ -237,10 +268,7 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 			readds++
 			ref := JobKey{Task: cur[i], Job: job}
 			pl := randPlacement(shape.addUtil)
-			if !shape.admitOnly || l.Admissible(pl) {
-				if err := l.AddJob(ref, Aperiodic, pl, false, time.Duration(step)*time.Millisecond); err != nil {
-					t.Fatalf("step %d: AddJob(%s) after the re-add: %v", step, ref, err)
-				}
+			if add(step, ref, Aperiodic, pl, false) {
 				live = append(live, ref)
 			}
 			utils, active := l.Utils(), l.ActiveJobs()
@@ -266,7 +294,56 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 		}
 		checkAgreement(step, op)
 	}
-	return maxGroups, accepted, rejected, stale, removedMany
+	return st
+}
+
+// admitChecked admits a job through TestAndAddKey and checks what the
+// commit left on every counted group indexed under a processor the
+// candidate grows: the fresh sum for a group the test summed, a carried
+// bound in [fresh, 1) for one it passed on its bound. It returns the
+// decision and how many such groups were summed and carried.
+func admitChecked(t *testing.T, l *Ledger, k JobKey, kind TaskKind, pl []PlacedStage, permanent bool, expiry time.Duration) (ok bool, summed, carried int) {
+	t.Helper()
+	// Admissible runs the scan TestAndAddKey runs next on the same state, so
+	// its stamps name the groups the admission will sum.
+	want := l.Admissible(pl)
+	wasSummed := make(map[*sigGroup]bool)
+	grows := make(map[int]bool)
+	for _, p := range pl {
+		if n, _ := toUnits(p.Util); n > 0 {
+			grows[p.Proc] = true
+		}
+	}
+	for p := range grows {
+		for _, g := range l.procGroups[p] {
+			if g.counted > 0 {
+				wasSummed[g] = g.scanned == l.scan
+			}
+		}
+	}
+	ok, err := l.TestAndAddKey(k, kind, pl, permanent, expiry)
+	if err != nil || ok != want {
+		t.Fatalf("TestAndAddKey(%s, %v) = %v, %v; Admissible said %v", k, pl, ok, err, want)
+	}
+	if !ok {
+		return false, 0, 0
+	}
+	for g, sum := range wasSummed {
+		fresh := l.freshSum(g)
+		sig := sigString(g.procs, g.counts)
+		switch {
+		case sum && g.cachedSum != fresh:
+			t.Fatalf("admitting %s left summed group %q at %g, fresh sum %g", k, sig, g.cachedSum, fresh)
+		case !sum && !(g.cachedSum >= fresh && g.cachedSum < 1):
+			t.Fatalf("admitting %s left carried group %q at %g, want in [%g, 1)", k, sig, g.cachedSum, fresh)
+		}
+		if sum {
+			summed++
+		} else {
+			carried++
+		}
+	}
+	return true, summed, carried
 }
 
 // TestLedgerDifferentialAdmissible is the differential property test for the
@@ -283,8 +360,7 @@ func TestLedgerDifferentialAdmissible(t *testing.T) {
 	removedMany := 0
 	for seed := int64(0); seed < 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			_, _, _, _, many := differentialHarness(t, rand.New(rand.NewSource(seed)), 120, narrowShape)
-			removedMany += many
+			removedMany += differentialHarness(t, rand.New(rand.NewSource(seed)), 120, narrowShape).removedMany
 			orderHarness(t, rand.New(rand.NewSource(seed)), narrowShape)
 		})
 	}
@@ -293,25 +369,28 @@ func TestLedgerDifferentialAdmissible(t *testing.T) {
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("wide/seed=%d", seed), func(t *testing.T) {
-			groups, accepted, rejected, _, _ := differentialHarness(t, rand.New(rand.NewSource(seed)), 120, wideShape)
+			st := differentialHarness(t, rand.New(rand.NewSource(seed)), 120, wideShape)
 			orderHarness(t, rand.New(rand.NewSource(seed)), wideShape)
-			if groups <= 16 {
-				t.Errorf("at most %d groups on one processor, want more than 16", groups)
+			if st.maxGroups <= 16 {
+				t.Errorf("at most %d groups on one processor, want more than 16", st.maxGroups)
 			}
-			if accepted == 0 || rejected == 0 {
-				t.Errorf("%d candidates accepted, %d rejected: want both outcomes", accepted, rejected)
+			if st.accepted == 0 || st.rejected == 0 {
+				t.Errorf("%d candidates accepted, %d rejected: want both outcomes", st.accepted, st.rejected)
 			}
 		})
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		t.Run(fmt.Sprintf("saturated/seed=%d", seed), func(t *testing.T) {
-			_, accepted, rejected, stale, _ := differentialHarness(t, rand.New(rand.NewSource(seed)), 300, saturatedShape)
+			st := differentialHarness(t, rand.New(rand.NewSource(seed)), 300, saturatedShape)
 			orderHarness(t, rand.New(rand.NewSource(seed)), saturatedShape)
-			if accepted == 0 || rejected == 0 {
-				t.Errorf("%d candidates accepted, %d rejected: want both outcomes", accepted, rejected)
+			if st.accepted == 0 || st.rejected == 0 {
+				t.Errorf("%d candidates accepted, %d rejected: want both outcomes", st.accepted, st.rejected)
 			}
-			if stale == 0 {
+			if st.stale == 0 {
 				t.Error("no cached sum was ever stale: the shape does not reach the regime it is for")
+			}
+			if st.summed == 0 || st.carried == 0 {
+				t.Errorf("admissions summed %d perturbed groups and carried %d: want both", st.summed, st.carried)
 			}
 		})
 	}
