@@ -153,3 +153,68 @@ func TestGoldenMetricsBitIdentical(t *testing.T) {
 		g.aperiodic.diff(t, label("aperiodic"), m.Aperiodic)
 	}
 }
+
+// sweepGolden pins every combination of the benchmark's sim-sweep shape (50
+// processors, 10 000 tasks at target utilization 0.9, set 1, to 500 ms):
+// arrived, released and completed jobs, the bits of the accepted-utilization
+// ratio, and the engine's Fired count. At this size the pending set holds
+// thousands of events and a task has many jobs in the ledger at once, which
+// the Figure 5/6 rows above never reach.
+var sweepGolden = []struct {
+	combo                        string
+	arrived, released, completed int64
+	ratioBits                    uint64
+	fired                        int64
+}{
+	{"T_N_N", 7690, 5332, 5332, 0x3fe4710f956f60f6, 44068},
+	{"T_N_T", 7690, 5416, 5416, 0x3fe4ad1bf75ad2ad, 44316},
+	{"T_N_J", 7690, 5010, 5010, 0x3fe49024020b0bd4, 48554},
+	{"T_T_N", 7690, 7093, 7093, 0x3fed1551feb8663c, 55771},
+	{"T_T_T", 7690, 7461, 7461, 0x3feec05f8e481030, 57062},
+	{"T_T_J", 7690, 7359, 7359, 0x3feeae256903da0b, 61670},
+	{"J_N_N", 7690, 5320, 5320, 0x3fe44313572f3758, 50878},
+	{"J_N_T", 7690, 5444, 5444, 0x3fe47401ec102b05, 51353},
+	{"J_N_J", 7690, 5464, 5464, 0x3fe46c3e15fdfd32, 51384},
+	{"J_T_N", 7690, 7133, 7133, 0x3fed2bdacda14f22, 63539},
+	{"J_T_T", 7690, 7500, 7500, 0x3feeef56bb0d8a72, 64984},
+	{"J_T_J", 7690, 7523, 7523, 0x3fef12b3708555e3, 65221},
+	{"J_J_N", 7690, 7528, 7528, 0x3fef1b4802b0e6b0, 65441},
+	{"J_J_T", 7690, 7690, 7690, 0x3ff0000000000000, 66926},
+	{"J_J_J", 7690, 7690, 7690, 0x3ff0000000000000, 67172},
+}
+
+// TestSweepScaleOutputsPinned runs all fifteen combinations at the sim-sweep
+// shape and holds each to its pinned outputs.
+func TestSweepScaleOutputsPinned(t *testing.T) {
+	p := workload.ScaleParams(50, 10000, 1)
+	p.TargetUtil = 0.9
+	tasks, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combos := AllCombinations()
+	if len(combos) != len(sweepGolden) {
+		t.Fatalf("%d combinations, %d pinned", len(combos), len(sweepGolden))
+	}
+	for i, c := range combos {
+		g := sweepGolden[i]
+		if c.String() != g.combo {
+			t.Fatalf("combination %d is %s, pinned %s", i, c, g.combo)
+		}
+		sim, err := NewSimSystem(SimConfig{Strategies: c, NumProcs: 50, Horizon: 500 * time.Millisecond, Seed: 1}, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := sim.Run()
+		if m.Total.Arrived != g.arrived || m.Total.Released != g.released || m.Total.Completed != g.completed {
+			t.Errorf("%s: arrived/released/completed %d/%d/%d, pinned %d/%d/%d", g.combo,
+				m.Total.Arrived, m.Total.Released, m.Total.Completed, g.arrived, g.released, g.completed)
+		}
+		if bits := math.Float64bits(m.AcceptedUtilizationRatio()); bits != g.ratioBits {
+			t.Errorf("%s: accepted-utilization ratio bits %#016x, pinned %#016x", g.combo, bits, g.ratioBits)
+		}
+		if got := sim.Engine().Fired(); got != g.fired {
+			t.Errorf("%s: %d events fired, pinned %d", g.combo, got, g.fired)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -16,13 +17,16 @@ type traceRec struct {
 	id int
 }
 
-// TestEngineDifferential drives random schedule/cancel/send/step/run-until
-// sequences through the pooled engine and the retained reference engine and
-// asserts identical (time, seq, fired) behavior, including nested scheduling
-// and sends from inside callbacks, handles cancelled long after their slots
-// have been recycled, and Reserve calls (which the reference has no
-// counterpart for) at random points. Sends go over three links, of delay
-// zero and two others; the reference receives each as After(delay).
+// TestEngineDifferential drives random schedule/cancel/send/submit/step/
+// run-until sequences through the pooled engine and the retained reference
+// engine and asserts identical (time, seq, fired) behavior, including nested
+// scheduling, sends and submits from inside callbacks, handles cancelled long
+// after their slots have been recycled, and Reserve calls (which the
+// reference has no counterpart for) at random points. Sends go over three
+// links, of delay zero and two others; the reference receives each as
+// After(delay). Work goes to two or three processors at random priorities,
+// so completions preempt one another and tie with timers and sends; the
+// reference runs refProcessors on its own engine.
 func TestEngineDifferential(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -65,64 +69,117 @@ func (s *byteSource) Intn(n int) int {
 
 // What a differential event does when it fires, besides recording itself.
 const (
-	followNone  = iota
-	followTimer // schedules a timer follow-up with After
-	followSend  // sends a follow-up on a link
+	followNone   = iota
+	followTimer  // schedules a timer follow-up with After
+	followSend   // sends a follow-up on a link
+	followSubmit // submits follow-up work to a processor
 )
 
-// follow is a differential event's follow-up: its kind, the timer's delay,
-// and the link a send goes on.
+// follow is a differential event's follow-up: its kind, the timer's delay
+// or the work's execution time, the link a send goes on, and the processor
+// and priority a submit goes to.
 type follow struct {
-	kind  int
-	delay time.Duration
-	link  int
+	kind       int
+	delay      time.Duration
+	link       int
+	proc, prio int
 }
 
+// idleID is the trace ID of processor k's idle callback.
+func idleID(k int) int { return math.MinInt32 - k }
+
 // engineDiff is the state of one differential run: both engines, the
-// pooled engine's links and their delays, and the two traces. It is the
-// handler of every event sent on a link of the pooled engine.
+// pooled engine's links and their delays, both engines' processors, the
+// follow-up of every event by ID, and the two traces. It is the handler of
+// every link send and every completion on the pooled engine; the event's N
+// is its ID.
 type engineDiff struct {
 	eng            *Engine
 	ref            *refEngine
 	links          []*Link
 	delays         []time.Duration
+	procs          []*Processor
+	refProcs       []*refProcessor
+	follows        []follow
 	gotNew, gotRef []traceRec
+	agreed         int // trace records agree has compared
 }
 
 // fireNew records event id on the pooled engine's trace and starts its
-// follow-up there, recorded under the derived ID -id-1.
-func (d *engineDiff) fireNew(id int, f follow) {
+// follow-up there, recorded under the derived ID -id-1, which has none.
+func (d *engineDiff) fireNew(id int) {
 	d.gotNew = append(d.gotNew, traceRec{at: d.eng.Now(), id: id})
-	nid := -id - 1
+	if id < 0 {
+		return
+	}
+	f, nid := d.follows[id], -id-1
 	switch f.kind {
 	case followTimer:
-		d.eng.After(f.delay, func() { d.gotNew = append(d.gotNew, traceRec{at: d.eng.Now(), id: nid}) })
+		d.eng.After(f.delay, func() { d.fireNew(nid) })
 	case followSend:
 		d.links[f.link].SendEvent(d, Event{N: int64(nid)})
+	case followSubmit:
+		d.procs[f.proc].SubmitEvent(f.prio, f.delay, d, Event{N: int64(nid)})
 	}
 }
 
 // fireRef is fireNew on the reference engine, where a send is an After.
-func (d *engineDiff) fireRef(id int, f follow) {
+func (d *engineDiff) fireRef(id int) {
 	d.gotRef = append(d.gotRef, traceRec{at: d.ref.Now(), id: id})
-	nid := -id - 1
+	if id < 0 {
+		return
+	}
+	f, nid := d.follows[id], -id-1
 	switch f.kind {
 	case followTimer:
-		d.ref.After(f.delay, func() { d.gotRef = append(d.gotRef, traceRec{at: d.ref.Now(), id: nid}) })
+		d.ref.After(f.delay, func() { d.fireRef(nid) })
 	case followSend:
-		d.ref.After(d.delays[f.link], func() { d.gotRef = append(d.gotRef, traceRec{at: d.ref.Now(), id: nid}) })
+		d.ref.After(d.delays[f.link], func() { d.fireRef(nid) })
+	case followSubmit:
+		d.refSubmit(f.proc, f.prio, f.delay, nid)
 	}
 }
 
-// HandleEvent fires a link send: N is its ID, and A, B and D its follow-up.
-func (d *engineDiff) HandleEvent(ev Event) {
-	d.fireNew(int(ev.N), follow{kind: int(ev.A), link: int(ev.B), delay: ev.D})
+// refSubmit submits work recorded as id to reference processor k.
+func (d *engineDiff) refSubmit(k, prio int, exec time.Duration, id int) {
+	d.refProcs[k].Submit(&refExecRequest{Priority: prio, Remaining: exec, OnComplete: func() { d.fireRef(id) }})
+}
+
+// HandleEvent fires a link send or a completion on the pooled engine.
+func (d *engineDiff) HandleEvent(ev Event) { d.fireNew(int(ev.N)) }
+
+// agree fails t unless both engines agree on the clock, Fired,
+// PendingCount, every processor's busy time and the trace records added
+// since the last call.
+func (d *engineDiff) agree(t *testing.T, when string) {
+	t.Helper()
+	if d.eng.Now() != d.ref.Now() {
+		t.Fatalf("%s: clock drift: pooled %v, reference %v", when, d.eng.Now(), d.ref.Now())
+	}
+	// The aggregate counters: O(1) pooled against the reference's scan.
+	if d.eng.PendingCount() != d.ref.PendingCount() || d.eng.Fired() != d.ref.Fired() {
+		t.Fatalf("%s: PendingCount %d, Fired %d; reference %d, %d", when, d.eng.PendingCount(), d.eng.Fired(), d.ref.PendingCount(), d.ref.Fired())
+	}
+	for k, p := range d.procs {
+		if p.BusyTime != d.refProcs[k].BusyTime {
+			t.Fatalf("%s: processor %d busy %v, reference %v", when, k, p.BusyTime, d.refProcs[k].BusyTime)
+		}
+	}
+	if len(d.gotNew) != len(d.gotRef) {
+		t.Fatalf("%s: trace length %d != reference %d", when, len(d.gotNew), len(d.gotRef))
+	}
+	for i := d.agreed; i < len(d.gotNew); i++ {
+		if d.gotNew[i] != d.gotRef[i] {
+			t.Fatalf("%s: trace diverges at %d: pooled %+v, reference %+v", when, i, d.gotNew[i], d.gotRef[i])
+		}
+	}
+	d.agreed = len(d.gotNew)
 }
 
 // engineDifferential runs ops random operations on a fresh pooled engine
 // and a fresh reference engine, then drains both, failing t at the first
-// disagreement in a return value, the clock, Fired, PendingCount or the
-// firing trace.
+// disagreement in a return value, the clock, Fired, PendingCount, a
+// processor's busy time or the firing trace.
 func engineDifferential(t *testing.T, src intSource, ops int) {
 	t.Helper()
 	d := &engineDiff{eng: NewEngine(), ref: newRefEngine()}
@@ -131,35 +188,59 @@ func engineDifferential(t *testing.T, src intSource, ops int) {
 	for _, delay := range d.delays {
 		d.links = append(d.links, NewLink(eng, delay))
 	}
+	for k := 0; k < 2+src.Intn(2); k++ {
+		p, rp := NewProcessor(eng, k), newRefProcessor(ref, k)
+		p.SetIdleCallback(func() { d.gotNew = append(d.gotNew, traceRec{at: eng.Now(), id: idleID(k)}) })
+		rp.SetIdleCallback(func() { d.gotRef = append(d.gotRef, traceRec{at: ref.Now(), id: idleID(k)}) })
+		d.procs, d.refProcs = append(d.procs, p), append(d.refProcs, rp)
+	}
 	var handles []Timer
 	var refHandles []*refTimer
-	nextID := 0
 
+	// randWork draws a submit's processor (k, unless negative), priority and
+	// execution time.
+	randWork := func(k int) follow {
+		if k < 0 {
+			k = src.Intn(len(d.procs))
+		}
+		return follow{kind: followSubmit, proc: k, prio: 1 + src.Intn(4), delay: time.Duration(1+src.Intn(30)) * time.Millisecond}
+	}
 	// One event in four has a follow-up, so the trace exercises nested
-	// scheduling, slot reuse inside Step and sends from inside callbacks.
-	randFollow := func() follow {
+	// scheduling, slot reuse inside Step, and sends and submits from inside
+	// callbacks. Work that completes submits its follow-up to its own
+	// processor (proc), as a simulated job hands a stage on locally.
+	newID := func(proc int) int {
+		var f follow
 		switch src.Intn(8) {
 		case 0:
-			return follow{kind: followTimer, delay: time.Duration(src.Intn(20)) * time.Millisecond}
+			f = follow{kind: followTimer, delay: time.Duration(src.Intn(20)) * time.Millisecond}
 		case 1:
-			return follow{kind: followSend, link: src.Intn(len(d.links))}
+			f = follow{kind: followSend, link: src.Intn(len(d.links))}
+		case 2:
+			f = randWork(proc)
 		}
-		return follow{}
+		d.follows = append(d.follows, f)
+		return len(d.follows) - 1
 	}
 	// schedule registers the same logical timer on both engines.
 	schedule := func(at time.Duration) {
-		id, f := nextID, randFollow()
-		nextID++
-		handles = append(handles, eng.At(at, func() { d.fireNew(id, f) }))
-		refHandles = append(refHandles, ref.At(at, func() { d.fireRef(id, f) }))
+		id := newID(-1)
+		handles = append(handles, eng.At(at, func() { d.fireNew(id) }))
+		refHandles = append(refHandles, ref.At(at, func() { d.fireRef(id) }))
 	}
 	// send puts the same logical message on link k of the pooled engine and
 	// after its delay on the reference.
 	send := func(k int) {
-		id, f := nextID, randFollow()
-		nextID++
-		d.links[k].SendEvent(d, Event{N: int64(id), A: int32(f.kind), B: int32(f.link), D: f.delay})
-		ref.After(d.delays[k], func() { d.fireRef(id, f) })
+		id := newID(-1)
+		d.links[k].SendEvent(d, Event{N: int64(id)})
+		ref.After(d.delays[k], func() { d.fireRef(id) })
+	}
+	// submit puts the same logical work on processor k of both engines.
+	submit := func(k int) {
+		w := randWork(k)
+		id := newID(k)
+		d.procs[k].SubmitEvent(w.prio, w.delay, d, Event{N: int64(id)})
+		d.refSubmit(k, w.prio, w.delay, id)
 	}
 
 	for op := 0; op < ops; op++ {
@@ -168,7 +249,7 @@ func engineDifferential(t *testing.T, src intSource, ops int) {
 		if src.Intn(16) == 0 {
 			eng.Reserve(src.Intn(64))
 		}
-		switch src.Intn(12) {
+		switch src.Intn(14) {
 		case 0, 1, 2, 3:
 			schedule(eng.Now() + time.Duration(src.Intn(500))*time.Millisecond)
 		case 4:
@@ -208,31 +289,25 @@ func engineDifferential(t *testing.T, src intSource, ops int) {
 			for i := 0; i < 1+src.Intn(4); i++ {
 				send(k)
 			}
+		case 12, 13:
+			// A burst of work on one processor; a higher priority preempts.
+			k := src.Intn(len(d.procs))
+			for i := 0; i < 1+src.Intn(3); i++ {
+				submit(k)
+			}
 		}
-		if eng.Now() != ref.Now() {
-			t.Fatalf("op %d: clock drift: pooled %v, reference %v", op, eng.Now(), ref.Now())
-		}
-		// The aggregate counters: O(1) pooled against the reference's scan.
-		if eng.PendingCount() != ref.PendingCount() || eng.Fired() != ref.Fired() {
-			t.Fatalf("op %d: PendingCount %d, Fired %d; reference %d, %d", op, eng.PendingCount(), eng.Fired(), ref.PendingCount(), ref.Fired())
-		}
+		d.agree(t, fmt.Sprintf("op %d", op))
 	}
 	eng.Run()
 	ref.Run()
-
-	if eng.Fired() != ref.Fired() {
-		t.Fatalf("fired %d events, reference fired %d", eng.Fired(), ref.Fired())
-	}
-	if len(d.gotNew) != len(d.gotRef) {
-		t.Fatalf("trace length %d != reference %d", len(d.gotNew), len(d.gotRef))
-	}
-	for i := range d.gotNew {
-		if d.gotNew[i] != d.gotRef[i] {
-			t.Fatalf("trace diverges at %d: pooled %+v, reference %+v", i, d.gotNew[i], d.gotRef[i])
-		}
-	}
+	d.agree(t, "drained")
 	if eng.PendingCount() != 0 || ref.PendingCount() != 0 {
 		t.Fatal("events left pending after Run")
+	}
+	for k, p := range d.procs {
+		if !p.Idle() || !d.refProcs[k].Idle() {
+			t.Fatalf("processor %d not idle after Run", k)
+		}
 	}
 }
 

@@ -23,16 +23,20 @@
 //     Timer handle is a value (engine, slot, generation) triple, and the
 //     generation counter keeps Cancel/Pending safe after the slot has been
 //     recycled for a later event;
-//   - the pending queue is an inlined 4-ary heap over (time, seq, slot)
-//     records — no container/heap, no interface boxing, no per-operation
-//     method values, and comparisons touch only inline fields;
+//   - timers wait in a monotone radix queue: a timer sits in the bucket of
+//     the highest bit in which its time differs from the last time popped,
+//     each bucket lists its timers in seq order with their times inline, and
+//     a timer moves to a lower bucket at most once per bit before it fires;
+//   - each busy processor holds its one pending completion itself, and the
+//     engine keeps the busy processors in a small indexed heap, so a
+//     preemption leaves nothing behind to pop;
 //   - besides closure callbacks (At/After), events can carry a small typed
 //     payload (AtEvent/AfterEvent) dispatched to an EventHandler, so the
 //     dominant simulation paths schedule events without capturing state in
 //     a fresh closure;
-//   - a send on a Link takes no slot and no heap entry: the link's FIFO lane
+//   - a send on a Link takes no slot and no queue entry: the link's FIFO lane
 //     is in (time, seq) order as pushed, and the engine fires the least of
-//     the heap top and the lane heads.
+//     the queue top, the earliest completion and the lane heads.
 //
 // The paper-simple implementation (heap-allocated timers boxed through
 // container/heap) is retained in reference_test.go; a differential property test
@@ -41,6 +45,8 @@ package des
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"time"
 )
@@ -73,7 +79,6 @@ const (
 	dispatchNone uint8 = iota // slot is free
 	dispatchFunc
 	dispatchHandler
-	dispatchProcComplete
 	dispatchProcIdle
 )
 
@@ -104,7 +109,7 @@ type Timer struct {
 // Cancel prevents the callback from firing. It reports whether the timer was
 // still pending. The slot's callback and payload references are dropped
 // immediately so a long drain cannot pin dead state; the slot itself is
-// recycled lazily when the heap pops it.
+// recycled lazily when the queue pops it.
 func (t Timer) Cancel() bool {
 	if t.e == nil {
 		return false
@@ -131,16 +136,19 @@ func (t Timer) Pending() bool {
 	return s.gen == t.gen && s.dispatch != dispatchNone && !s.cancelled
 }
 
-// heapEnt is one pending-queue record: the ordering key inline plus the slot
-// index, so heap comparisons never chase a pointer.
-type heapEnt struct {
-	at  time.Duration
-	seq int64
-	idx int32
+// qNode is a timer's place in the queue, indexed like its slot: its time,
+// inline so a bucket walk never touches the slot, and the next timer of its
+// bucket.
+type qNode struct {
+	at   time.Duration
+	next int32
 }
 
-func entLess(a, b heapEnt) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// bucket lists its timers in seq order from head to tail, and min is the
+// first at the least time. It is meaningful only while its bit is set in
+// Engine.nonEmpty.
+type bucket struct {
+	head, tail, min int32
 }
 
 // Engine is the simulation core. The zero value is not usable; call
@@ -149,11 +157,22 @@ type Engine struct {
 	now   time.Duration
 	seq   int64
 	fired int64
-	live  int // scheduled, not-yet-cancelled events, lane sends included — O(1) PendingCount
+	live  int // scheduled, not-yet-cancelled events, lane sends and completions included — O(1) PendingCount
 	slots []slot
 	free  []int32
-	heap  []heapEnt // 4-ary min-heap ordered by (at, seq)
-	links []*Link   // every link on the engine, each with its FIFO lane
+	links []*Link      // every link on the engine, each with its FIFO lane
+	busy  []*Processor // binary min-heap of running processors by (doneAt, doneSeq)
+
+	// The timer queue: a timer at time at is in bucket bits.Len64(at ^
+	// base), base being the last time popped (or now, when the queue was
+	// empty), so the lowest non-empty bucket's min is the queue's top. The
+	// base moves only on a pop: lanes and processors fire before the queue
+	// top and may schedule below it.
+	qnodes   []qNode // parallel to slots
+	base     time.Duration
+	buckets  [64]bucket
+	nonEmpty uint64 // bit b set when bucket b holds timers
+	queued   int    // timers in the queue, cancelled ones included
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -169,17 +188,18 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Fired() int64 { return e.fired }
 
 // Reserve makes room for n more scheduled events than are outstanding now:
-// the slot arena, the pending heap and the free list are each sized once, so
-// scheduling those events grows nothing. A caller that knows how many events
-// it is about to schedule (a simulation's first arrivals) saves the arena's
-// growth by doubling and the copies that come with it. Timer handles address
-// slots by index, so the ones taken before the arena moved stay valid.
+// the slot arena with its queue nodes and the free list are each sized
+// once, so scheduling those events grows nothing. A caller that knows how
+// many events it is about to schedule (a simulation's first arrivals) saves
+// the arena's growth by doubling and the copies that come with it. Timer
+// handles address slots by index, so the ones taken before the arena moved
+// stay valid.
 func (e *Engine) Reserve(n int) {
 	// Free slots are taken before the arena grows.
 	e.slots = slices.Grow(e.slots, max(n-len(e.free), 0))
-	e.heap = slices.Grow(e.heap, n)
 	// Every slot can be on the free list at once.
 	e.free = slices.Grow(e.free, cap(e.slots)-len(e.free))
+	e.qnodes = slices.Grow(e.qnodes, cap(e.slots)-len(e.qnodes))
 }
 
 // alloc takes a free slot, growing the arena when the free list is empty.
@@ -192,6 +212,7 @@ func (e *Engine) alloc() int32 {
 		return idx
 	}
 	e.slots = append(e.slots, slot{})
+	e.qnodes = append(e.qnodes, qNode{})
 	return int32(len(e.slots) - 1)
 }
 
@@ -232,7 +253,13 @@ func (e *Engine) schedule(at time.Duration, dispatch uint8, fn func(), h EventHa
 	s.h = h
 	s.proc = proc
 	s.ev = ev
-	e.heapPush(heapEnt{at: at, seq: e.seq, idx: idx})
+	// An empty queue rebases at the clock, which no later push goes below.
+	if e.queued == 0 {
+		e.base = e.now
+	}
+	e.queued++
+	e.qnodes[idx].at = at
+	e.bucketPush(bits.Len64(uint64(at^e.base)), idx)
 	e.live++
 	return Timer{e: e, idx: idx, gen: s.gen}
 }
@@ -276,43 +303,56 @@ func (e *Engine) AfterEvent(d time.Duration, h EventHandler, ev Event) Timer {
 //
 //rtmw:noalloc
 func (e *Engine) Step() bool {
-	at, lane, ok := e.next()
+	at, lane, proc, ok := e.next(math.MaxInt64)
 	if ok {
-		e.fire(at, lane)
+		e.fire(at, lane, proc)
 	}
 	return ok
 }
 
-// next finds the pending event with the least (at, seq): the heap top, or
-// the head of the lane it returns. Cancelled heap tops are recycled on the
-// way. ok is false when nothing is pending.
+// next finds the pending event with the least (at, seq): the queue top, the
+// completion of proc or the head of lane (at most one of them non-nil). A
+// cancelled queue top that is the least event at or before horizon is
+// recycled on the way; its pop moves the base no further than the clock is
+// about to go. ok is false when nothing is pending.
 //
 //rtmw:noalloc
-func (e *Engine) next() (at time.Duration, lane *Link, ok bool) {
-	for len(e.heap) > 0 && e.slots[e.heap[0].idx].cancelled {
-		e.recycle(e.heapPop().idx)
-	}
-	var seq int64
-	if len(e.heap) > 0 {
-		at, seq, ok = e.heap[0].at, e.heap[0].seq, true
-	}
-	for _, l := range e.links {
-		if l.n == 0 {
-			continue
+func (e *Engine) next(horizon time.Duration) (at time.Duration, lane *Link, proc *Processor, ok bool) {
+	for {
+		// The queue's top is the min of its lowest non-empty bucket.
+		var seq int64
+		var top int32
+		lane, proc, ok = nil, nil, e.nonEmpty != 0
+		if ok {
+			top = e.buckets[bits.TrailingZeros64(e.nonEmpty)].min
+			at, seq = e.qnodes[top].at, e.slots[top].seq
 		}
-		h := &l.lane[l.head]
-		if !ok || h.at < at || (h.at == at && h.seq < seq) {
-			at, seq, lane, ok = h.at, h.seq, l, true
+		if len(e.busy) > 0 {
+			if p := e.busy[0]; !ok || p.doneAt < at || (p.doneAt == at && p.doneSeq < seq) {
+				at, seq, proc, ok = p.doneAt, p.doneSeq, p, true
+			}
 		}
+		for _, l := range e.links {
+			if l.n == 0 {
+				continue
+			}
+			h := &l.lane[l.head]
+			if !ok || h.at < at || (h.at == at && h.seq < seq) {
+				at, seq, lane, proc, ok = h.at, h.seq, l, nil, true
+			}
+		}
+		if !ok || lane != nil || proc != nil || at > horizon || !e.slots[top].cancelled {
+			return at, lane, proc, ok
+		}
+		e.recycle(e.qpop())
 	}
-	return at, lane, ok
 }
 
-// fire executes the event next found: the head of lane, or the heap top
-// when lane is nil.
+// fire executes the event next found: the head of lane, the completion of
+// proc, or the queue top when both are nil.
 //
 //rtmw:noalloc
-func (e *Engine) fire(at time.Duration, lane *Link) {
+func (e *Engine) fire(at time.Duration, lane *Link, proc *Processor) {
 	e.live--
 	e.now = at
 	e.fired++
@@ -321,22 +361,25 @@ func (e *Engine) fire(at time.Duration, lane *Link) {
 		h.HandleEvent(ev)
 		return
 	}
-	idx := e.heapPop().idx
+	if proc != nil {
+		e.busyRemove(proc)
+		proc.finish()
+		return
+	}
+	idx := e.qpop()
 	s := &e.slots[idx]
 	// Copy the dispatch fields and recycle before invoking, so the callback
 	// can schedule new events straight into this slot and the engine retains
 	// no reference to fired state.
-	dispatch, fn, h, proc, ev := s.dispatch, s.fn, s.h, s.proc, s.ev
+	dispatch, fn, h, p, ev := s.dispatch, s.fn, s.h, s.proc, s.ev
 	e.recycle(idx)
 	switch dispatch {
 	case dispatchFunc:
 		fn()
 	case dispatchHandler:
 		h.HandleEvent(ev)
-	case dispatchProcComplete:
-		proc.completeEvent(ev.A, uint32(ev.B))
 	case dispatchProcIdle:
-		proc.idleEvent()
+		p.idleEvent()
 	}
 }
 
@@ -347,11 +390,11 @@ func (e *Engine) fire(at time.Duration, lane *Link) {
 //rtmw:noalloc
 func (e *Engine) RunUntil(horizon time.Duration) {
 	for {
-		at, lane, ok := e.next()
+		at, lane, proc, ok := e.next(horizon)
 		if !ok || at > horizon {
 			break
 		}
-		e.fire(at, lane)
+		e.fire(at, lane, proc)
 	}
 	if e.now < horizon {
 		e.now = horizon
@@ -367,63 +410,108 @@ func (e *Engine) Run() {
 }
 
 // PendingCount returns the number of scheduled, not-yet-cancelled events,
-// link sends included. It is O(1): the engine keeps a live counter instead
-// of scanning the heap, so invariant audits inside hot test loops stay cheap.
+// link sends and processor completions included. It is O(1): the engine
+// keeps a live counter instead of scanning the queue, so invariant audits
+// inside hot test loops stay cheap.
 func (e *Engine) PendingCount() int { return e.live }
 
-// heapPush inserts an entry into the 4-ary heap.
+// qpop removes the queue's top and returns its slot. Unless bucket 0 holds
+// it, the base moves to its time and its bucket's timers move down, in
+// order, into the empty buckets below; the top lands first in bucket 0,
+// whose timers are all at the base.
 //
 //rtmw:noalloc
-func (e *Engine) heapPush(x heapEnt) {
-	e.heap = append(e.heap, x)
-	h := e.heap
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !entLess(h[i], h[p]) {
-			break
+func (e *Engine) qpop() int32 {
+	if b := bits.TrailingZeros64(e.nonEmpty); b > 0 {
+		bk := e.buckets[b]
+		e.nonEmpty &^= 1 << b
+		e.base = e.qnodes[bk.min].at
+		for i := bk.head; ; {
+			next := e.qnodes[i].next
+			e.bucketPush(bits.Len64(uint64(e.qnodes[i].at^e.base)), i)
+			if i == bk.tail {
+				break
+			}
+			i = next
 		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+	}
+	e.queued--
+	bk := &e.buckets[0]
+	idx := bk.head
+	if idx == bk.tail {
+		e.nonEmpty &^= 1
+	} else {
+		bk.head = e.qnodes[idx].next
+		bk.min = bk.head
+	}
+	return idx
+}
+
+// bucketPush appends timer idx to bucket b.
+//
+//rtmw:noalloc
+func (e *Engine) bucketPush(b int, idx int32) {
+	bk := &e.buckets[b]
+	if e.nonEmpty&(1<<b) == 0 {
+		*bk = bucket{head: idx, tail: idx, min: idx}
+		e.nonEmpty |= 1 << b
+		return
+	}
+	e.qnodes[bk.tail].next = idx
+	bk.tail = idx
+	if e.qnodes[idx].at < e.qnodes[bk.min].at {
+		bk.min = idx
 	}
 }
 
-// heapPop removes and returns the minimum entry, sifting the former tail
-// down through a hole (one write per level instead of a swap). heapEnt holds
-// no pointers, so the vacated tail slot needs no zeroing.
+// busyLess orders running processors by their completion's (at, seq).
+func busyLess(a, b *Processor) bool {
+	return a.doneAt < b.doneAt || (a.doneAt == b.doneAt && a.doneSeq < b.doneSeq)
+}
+
+// busyPush enters a running processor into the busy heap.
 //
 //rtmw:noalloc
-func (e *Engine) heapPop() heapEnt {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			best, bv := c, h[c]
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if entLess(h[j], bv) {
-					best, bv = j, h[j]
-				}
-			}
-			if !entLess(bv, last) {
-				break
-			}
-			h[i] = bv
-			i = best
-		}
-		h[i] = last
+func (e *Engine) busyPush(p *Processor) {
+	e.busy = append(e.busy, p)
+	e.busyFix(len(e.busy) - 1)
+}
+
+// busyRemove takes a processor out of the busy heap.
+//
+//rtmw:noalloc
+func (e *Engine) busyRemove(p *Processor) {
+	n := len(e.busy) - 1
+	last := e.busy[n]
+	e.busy[n], e.busy = nil, e.busy[:n]
+	if i := p.busyPos; i < n {
+		e.busy[i] = last
+		e.busyFix(i)
 	}
-	e.heap = h
-	return top
+	p.busyPos = -1
+}
+
+// busyFix sifts the busy heap's entry at i up or down to its place.
+//
+//rtmw:noalloc
+func (e *Engine) busyFix(i int) {
+	p, n := e.busy[i], len(e.busy)
+	for i > 0 && busyLess(p, e.busy[(i-1)/2]) {
+		e.busy[i] = e.busy[(i-1)/2]
+		e.busy[i].busyPos = i
+		i = (i - 1) / 2
+	}
+	for c := 2*i + 1; c < n; c = 2*i + 1 {
+		if c+1 < n && busyLess(e.busy[c+1], e.busy[c]) {
+			c++
+		}
+		if !busyLess(e.busy[c], p) {
+			break
+		}
+		e.busy[i] = e.busy[c]
+		e.busy[i].busyPos = i
+		i = c
+	}
+	e.busy[i] = p
+	p.busyPos = i
 }

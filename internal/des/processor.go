@@ -30,14 +30,9 @@ type ExecRequest struct {
 	done bool
 }
 
-// reqSlot is one pooled execution record. gen increments on every recycle so
-// a stale completion event (impossible by construction, but cheap to check)
-// can never complete the slot's new occupant.
+// reqSlot is one pooled execution record.
 type reqSlot struct {
-	label      string
 	prio       int32
-	gen        uint32
-	active     bool
 	seq        int64
 	remaining  time.Duration
 	started    time.Duration
@@ -80,9 +75,14 @@ type Processor struct {
 	running int32      // slot index of the running request, -1 when idle
 	onIdle  func()
 
-	complete Timer
-	idleEvt  Timer
-	seq      int64
+	// While a request runs, its completion is due at (doneAt, doneSeq), the
+	// seq drawn from the engine's counter when it started, and the processor
+	// sits at busyPos in the engine's busy heap (-1 when idle).
+	doneAt  time.Duration
+	doneSeq int64
+	busyPos int
+	idleEvt Timer
+	seq     int64
 
 	// BusyTime accumulates total executed time, for utilization accounting
 	// in tests.
@@ -91,7 +91,7 @@ type Processor struct {
 
 // NewProcessor returns an idle processor bound to the engine.
 func NewProcessor(eng *Engine, id int) *Processor {
-	return &Processor{ID: id, eng: eng, running: -1}
+	return &Processor{ID: id, eng: eng, running: -1, busyPos: -1}
 }
 
 // SetIdleCallback installs fn to be called (via a zero-delay event) whenever
@@ -119,9 +119,6 @@ func (p *Processor) allocReq() int32 {
 // reference so finished requests never pin dead job state.
 func (p *Processor) freeReq(idx int32) {
 	s := &p.slots[idx]
-	s.gen++
-	s.active = false
-	s.label = ""
 	s.onComplete = nil
 	s.h = nil
 	s.ev = Event{}
@@ -141,7 +138,6 @@ func (p *Processor) Submit(r *ExecRequest) {
 	}
 	idx := p.allocReq()
 	s := &p.slots[idx]
-	s.label = r.Label
 	s.prio = int32(r.Priority)
 	s.remaining = r.Remaining
 	s.onComplete = r.OnComplete
@@ -163,7 +159,6 @@ func (p *Processor) SubmitEvent(priority int, exec time.Duration, h EventHandler
 	}
 	idx := p.allocReq()
 	s := &p.slots[idx]
-	s.label = ""
 	s.prio = int32(priority)
 	s.remaining = exec
 	s.onComplete = nil
@@ -178,7 +173,6 @@ func (p *Processor) submitSlot(idx int32) {
 	p.seq++
 	s := &p.slots[idx]
 	s.seq = p.seq
-	s.active = true
 	if p.running < 0 {
 		p.start(idx)
 		return
@@ -195,37 +189,33 @@ func (p *Processor) submitSlot(idx int32) {
 }
 
 // preempt stops the running request, charging it for the time executed so
-// far.
+// far, and withdraws its completion.
 func (p *Processor) preempt() {
 	run := &p.slots[p.running]
 	ran := p.eng.Now() - run.started
 	run.remaining -= ran
 	p.BusyTime += ran
-	p.complete.Cancel()
-	p.complete = Timer{}
+	p.eng.busyRemove(p)
+	p.eng.live--
 }
 
-// start begins executing the slot and schedules its completion as a typed
-// engine event carrying (slot, generation) — no closure.
+// start begins executing the slot and files its completion with the engine.
 func (p *Processor) start(idx int32) {
+	e := p.eng
 	p.running = idx
 	s := &p.slots[idx]
-	s.started = p.eng.Now()
-	p.complete = p.eng.schedule(p.eng.now+s.remaining, dispatchProcComplete, nil, nil, p, Event{A: idx, B: int32(s.gen)})
-}
-
-// completeEvent is the engine's dispatch target for completion timers.
-func (p *Processor) completeEvent(idx int32, gen uint32) {
-	s := &p.slots[idx]
-	if !s.active || s.gen != gen || p.running != idx {
-		panic(fmt.Sprintf("des: processor %d: completion for stale request slot %d", p.ID, idx))
-	}
-	p.finish(idx)
+	s.started = e.now
+	e.seq++
+	p.doneAt, p.doneSeq = e.now+s.remaining, e.seq
+	e.live++
+	e.busyPush(p)
 }
 
 // finish completes the running request, dispatches the next ready request,
-// and arms the idle callback if the processor drained.
-func (p *Processor) finish(idx int32) {
+// and arms the idle callback if the processor drained. The engine calls it
+// when the completion fires, after taking the processor out of its busy heap.
+func (p *Processor) finish() {
+	idx := p.running
 	s := &p.slots[idx]
 	p.BusyTime += p.eng.Now() - s.started
 	// Copy the completion dispatch and recycle before invoking, so the
@@ -233,7 +223,6 @@ func (p *Processor) finish(idx int32) {
 	// retains no reference to finished state.
 	onComplete, h, ev, ext := s.onComplete, s.h, s.ev, s.ext
 	p.running = -1
-	p.complete = Timer{}
 	p.freeReq(idx)
 	if ext != nil {
 		ext.Remaining = 0

@@ -71,12 +71,15 @@ func compile(s *Spec) (*compiled, error) {
 		id  string
 	}
 	var events []arrival
+	// One generator, reseeded per task: Seed resets the source and its read
+	// position, so each task's stream is what a fresh generator would give.
+	rng := rand.New(rand.NewSource(0))
 	for idx, t := range l.all {
 		blockIdx, claimed := l.block[t.ID]
 		if !claimed {
 			blockIdx = l.defaultBlock
 		}
-		rng := rand.New(rand.NewSource(taskSeed(s.Seed, blockIdx, t.ID)))
+		rng.Seed(taskSeed(s.Seed, blockIdx, t.ID))
 		var times []time.Duration
 		if blockIdx < 0 || s.Arrivals[blockIdx].Shape.Kind == string(workload.ShapeNatural) {
 			times = workload.NaturalTimes(t, horizon, rng)

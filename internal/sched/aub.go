@@ -87,7 +87,6 @@ type PlacedStage struct {
 
 // entry is one live or historical contribution record.
 type entry struct {
-	key       JobKey
 	stage     int
 	proc      int
 	amount    int64 // C/D in ledger units (toUnits)
@@ -98,11 +97,12 @@ type entry struct {
 	removed   RemovalReason // 0 while active
 }
 
-// jobRec groups the entries of one admitted job.
+// jobRec groups the entries of one admitted job, held by value; the slice
+// keeps its capacity when the record is recycled.
 type jobRec struct {
-	entries []*entry
-	// key is the job's place in Ledger.jobs, and prevT/nextT link it into its
-	// task's list (Ledger.taskHead): the per-task index is threaded through
+	entries []entry
+	// key names the job, and prevT/nextT link it into its task's list
+	// (Ledger.tasks), the ledger's one index of jobs: it is threaded through
 	// the records themselves, so a task's first job allocates no index.
 	key          JobKey
 	prevT, nextT *jobRec
@@ -117,8 +117,8 @@ type jobRec struct {
 // active reports whether the job still carries at least one non-removed
 // contribution.
 func (j *jobRec) active() bool {
-	for _, e := range j.entries {
-		if e.removed == 0 {
+	for i := range j.entries {
+		if j.entries[i].removed == 0 {
 			return true
 		}
 	}
@@ -129,8 +129,8 @@ func (j *jobRec) active() bool {
 // Only in-flight jobs can still miss their deadlines, so the admission test
 // is evaluated over in-flight jobs plus the candidate.
 func (j *jobRec) inFlight() bool {
-	for _, e := range j.entries {
-		if !e.completed {
+	for i := range j.entries {
+		if !j.entries[i].completed {
 			return true
 		}
 	}
@@ -144,7 +144,8 @@ func (j *jobRec) inFlight() bool {
 // admission test instead of once per job. Both come back empty for a job
 // with no active contribution.
 func appendSignature(procs, counts []int, j *jobRec) ([]int, []int) {
-	for _, e := range j.entries {
+	for ei := range j.entries {
+		e := &j.entries[ei]
 		if e.removed != 0 {
 			continue
 		}
@@ -241,6 +242,11 @@ type sigGroup struct {
 	procPos []int
 	// members is the number of jobRecs pointing at this group.
 	members int
+	// audit is the Ledger.audits value of the CheckInvariants run that last
+	// tallied the group's members and counted jobs in auditMembers and
+	// auditCounted.
+	audit                      uint64
+	auditMembers, auditCounted int
 }
 
 // sameSig reports whether the group's signature is exactly (procs, counts).
@@ -300,10 +306,10 @@ const carrySlack = 1e-12
 // the same records.
 //
 // Internally the ledger is fully indexed so the admission hot path never
-// scans the job map: a task→jobs list serves RemoveTask, and jobs are
-// aggregated into processor-visit signature groups with cached AUB sums so
-// Admissible only re-evaluates the groups whose processors a candidate
-// perturbs.
+// scans the jobs: each task's list of jobs finds a job by its key and serves
+// RemoveTask, and jobs are aggregated into processor-visit signature groups
+// with cached AUB sums so Admissible only re-evaluates the groups whose
+// processors a candidate perturbs.
 //
 // Jobs are keyed by JobKey, the task's ref from the binding that hands refs
 // out; the ledger never sees a task name, except through the two probes of
@@ -318,12 +324,12 @@ type Ledger struct {
 	mu   sync.Mutex
 	util []int64   // per processor, in ledger units (toUnits)
 	term []float64 // term[p] = AUBTerm(fromUnits(util[p])), maintained with util
-	jobs map[JobKey]*jobRec
 	// names binds the task names of TestAndAdd and WithdrawJob to refs of
 	// this ledger's own; nil until the first.
 	names map[string]TaskRef
 
-	taskHead   []*jobRec            // per task ref, its jobs, newest first (jobRec.prevT/nextT); grown on demand
+	tasks      []jobList            // per task ref, its jobs; grown on demand
+	njobs      int                  // jobs in the task lists
 	groups     map[uint64]*sigGroup // sigHash → groups with that hash, chained through sigGroup.next
 	procGroups [][]*sigGroup        // groups whose signature visits proc (swap-remove via sigGroup.procPos)
 	// violated counts groups with counted > 0 whose sum already exceeds 1
@@ -332,18 +338,17 @@ type Ledger struct {
 	// grow a group's sum).
 	violated int
 
-	// Record pools: entry, jobRec and sigGroup records cycle through free
-	// lists instead of the heap, so steady-state admission traffic (admit →
+	// Record pools: jobRec and sigGroup records cycle through free lists
+	// instead of the heap, so steady-state admission traffic (admit →
 	// reset/expire → forget) allocates nothing once the pools warm up, and
-	// the entry and jobRec pools warm up poolChunk records at a time.
-	// Recycling happens only in forgetJob/leaveGroup, after every index has
-	// dropped its pointer.
-	freeEntries []*entry
-	freeRecs    []*jobRec
-	freeGroups  []*sigGroup
+	// the jobRec pool warms up poolChunk records at a time. Recycling happens
+	// only in forgetJob/leaveGroup, after every index has dropped its pointer.
+	freeRecs   []*jobRec
+	freeGroups []*sigGroup
 
-	// Signature scratch for reindex: parallel (proc, count) arrays reused
-	// across calls, so deriving a job's signature allocates nothing.
+	// Signature scratch for reindex and the audits: parallel (proc, count)
+	// arrays reused across calls, so deriving a job's signature allocates
+	// nothing.
 	sigProcs  []int
 	sigCounts []int
 
@@ -360,6 +365,16 @@ type Ledger struct {
 	// zero and incrementing before use, it never equals the stamp of a fresh
 	// or recycled group by accident: stamps only ever hold earlier values.
 	scan uint64
+	// audits numbers the CheckInvariants runs; see sigGroup.audit.
+	audits uint64
+}
+
+// jobList is one task's jobs, linked through jobRec.prevT/nextT from the
+// highest job number (head) down to the lowest (tail). Both bindings admit a
+// task's jobs in job-number order, so a new job goes in at the head and one
+// expiring goes from the tail, each in one step.
+type jobList struct {
+	head, tail *jobRec
 }
 
 // NewLedger returns an empty ledger over numProcs processors numbered
@@ -368,7 +383,6 @@ func NewLedger(numProcs int) *Ledger {
 	return &Ledger{
 		util:       make([]int64, numProcs),
 		term:       make([]float64, numProcs),
-		jobs:       make(map[JobKey]*jobRec),
 		groups:     make(map[uint64]*sigGroup),
 		procGroups: make([][]*sigGroup, numProcs),
 	}
@@ -381,39 +395,21 @@ func NewShardedLedger(numProcs, shards int) *Ledger { return NewLedger(numProcs)
 // NumProcs returns the number of processors the ledger tracks.
 func (l *Ledger) NumProcs() int { return len(l.util) }
 
-// poolChunk is how many records an empty entry or jobRec pool allocates at
-// once: a run in which most jobs are a task's first pays the allocator once
-// per 64 records instead of once per record.
+// poolChunk is how many records an empty jobRec pool allocates at once: a
+// run in which most jobs are a task's first pays the allocator once per 64
+// records instead of once per record.
 const poolChunk = 64
 
-// refill restocks an empty record pool with poolChunk records cut from one
-// allocation.
-func refill[T any](free []*T) []*T {
-	chunk := make([]T, poolChunk)
-	free = slices.Grow(free, poolChunk)
-	for i := range chunk {
-		free = append(free, &chunk[i])
-	}
-	return free
-}
-
-// allocEntry takes a zeroed entry from the pool.
-func (l *Ledger) allocEntry() *entry {
-	if len(l.freeEntries) == 0 {
-		l.freeEntries = refill(l.freeEntries)
-	}
-	n := len(l.freeEntries)
-	e := l.freeEntries[n-1]
-	l.freeEntries = l.freeEntries[:n-1]
-	*e = entry{}
-	return e
-}
-
 // allocRec takes an empty job record from the pool, keeping its entries
-// capacity.
+// capacity; an empty pool is restocked with poolChunk records cut from one
+// allocation.
 func (l *Ledger) allocRec() *jobRec {
 	if len(l.freeRecs) == 0 {
-		l.freeRecs = refill(l.freeRecs)
+		chunk := make([]jobRec, poolChunk)
+		l.freeRecs = slices.Grow(l.freeRecs, poolChunk)
+		for i := range chunk {
+			l.freeRecs = append(l.freeRecs, &chunk[i])
+		}
 	}
 	n := len(l.freeRecs)
 	r := l.freeRecs[n-1]
@@ -431,20 +427,60 @@ func (l *Ledger) allocGroup() *sigGroup {
 	return &sigGroup{}
 }
 
-// indexJob enters a new job record into the job map and at the head of its
-// task's list, growing the per-task heads to cover the ref.
-func (l *Ledger) indexJob(k JobKey, rec *jobRec) {
-	if n := int(k.Task) + 1 - len(l.taskHead); n > 0 {
-		l.taskHead = append(l.taskHead, make([]*jobRec, n)...)
+// findJob returns the record of job k, or nil, walking its task's list from
+// the end nearer k's job number.
+func (l *Ledger) findJob(k JobKey) *jobRec {
+	if k.Task < 0 || int(k.Task) >= len(l.tasks) {
+		return nil
+	}
+	t := l.tasks[k.Task]
+	if t.head == nil || k.Job > t.head.key.Job || k.Job < t.tail.key.Job {
+		return nil
+	}
+	// Unsigned differences cannot overflow: tail ≤ k ≤ head, so either walk
+	// stops at the far end at the latest.
+	rec := t.head
+	if uint64(k.Job)-uint64(t.tail.key.Job) < uint64(t.head.key.Job)-uint64(k.Job) {
+		for rec = t.tail; rec.key.Job < k.Job; rec = rec.prevT {
+		}
+	} else {
+		for ; rec.key.Job > k.Job; rec = rec.nextT {
+		}
+	}
+	if rec.key.Job != k.Job {
+		return nil
+	}
+	return rec
+}
+
+// fileJob enters a new job record into its task's list, in job-number
+// order, growing the per-task lists to cover the ref.
+func (l *Ledger) fileJob(k JobKey, rec *jobRec) {
+	if n := int(k.Task) + 1 - len(l.tasks); n > 0 {
+		l.tasks = append(l.tasks, make([]jobList, n)...)
 	}
 	rec.key = k
-	l.jobs[k] = rec
-	head := l.taskHead[k.Task]
-	rec.prevT, rec.nextT = nil, head
-	if head != nil {
-		head.prevT = rec
+	t := &l.tasks[k.Task]
+	next := t.head // the record rec goes before
+	for next != nil && next.key.Job > k.Job {
+		next = next.nextT
 	}
-	l.taskHead[k.Task] = rec
+	prev := t.tail
+	if next != nil {
+		prev = next.prevT
+	}
+	rec.prevT, rec.nextT = prev, next
+	if prev != nil {
+		prev.nextT = rec
+	} else {
+		t.head = rec
+	}
+	if next != nil {
+		next.prevT = rec
+	} else {
+		t.tail = rec
+	}
+	l.njobs++
 }
 
 // procGroupAdd registers a group in the per-processor group index of every
@@ -691,21 +727,20 @@ func (l *Ledger) reindex(rec *jobRec) {
 // already settled the job's utilization contributions.
 func (l *Ledger) forgetJob(rec *jobRec) {
 	l.leaveGroup(rec)
-	delete(l.jobs, rec.key)
+	t := &l.tasks[rec.key.Task]
 	if rec.prevT != nil {
 		rec.prevT.nextT = rec.nextT
 	} else {
-		l.taskHead[rec.key.Task] = rec.nextT
+		t.head = rec.nextT
 	}
 	if rec.nextT != nil {
 		rec.nextT.prevT = rec.prevT
+	} else {
+		t.tail = rec.prevT
 	}
 	rec.prevT, rec.nextT = nil, nil
-	// Every index has dropped the record; recycle it and its entries.
-	for i, e := range rec.entries {
-		l.freeEntries = append(l.freeEntries, e)
-		rec.entries[i] = nil
-	}
+	l.njobs--
+	// Every index has dropped the record; recycle it.
 	rec.entries = rec.entries[:0]
 	rec.group = nil
 	rec.counted = false
@@ -796,7 +831,7 @@ func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 	if k.Task < 0 {
 		return fmt.Errorf("sched: job %s has a negative task ref", k)
 	}
-	if _, ok := l.jobs[k]; ok {
+	if l.findJob(k) != nil {
 		return fmt.Errorf("sched: job %s already in ledger", k)
 	}
 	rec := l.allocRec()
@@ -804,15 +839,7 @@ func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 	touched := touchedBuf[:0]
 	for _, p := range placement {
 		n, _ := toUnits(p.Util) // checkPlacement vouched for it
-		e := l.allocEntry()
-		e.key = k
-		e.stage = p.Stage
-		e.proc = p.Proc
-		e.amount = n
-		e.kind = kind
-		e.permanent = permanent
-		e.expiry = expiry
-		rec.entries = append(rec.entries, e)
+		rec.entries = append(rec.entries, entry{stage: p.Stage, proc: p.Proc, amount: n, kind: kind, permanent: permanent, expiry: expiry})
 		if !admitted {
 			l.util[p.Proc] += n
 			touched = touchProc(touched, p.Proc)
@@ -824,7 +851,7 @@ func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 	for _, p := range touched {
 		l.settleProc(p)
 	}
-	l.indexJob(k, rec)
+	l.fileJob(k, rec)
 	l.reindex(rec)
 	return nil
 }
@@ -854,15 +881,16 @@ func (l *Ledger) checkPlacement(k JobKey, placement []PlacedStage) error {
 func (l *Ledger) ExpireJob(k JobKey) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, ok := l.jobs[k]
-	if !ok {
+	rec := l.findJob(k)
+	if rec == nil {
 		return 0
 	}
 	n := 0
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
 	permanentOnly := true
-	for _, e := range rec.entries {
+	for i := range rec.entries {
+		e := &rec.entries[i]
 		if e.permanent {
 			continue
 		}
@@ -893,8 +921,8 @@ func (l *Ledger) ExpireJob(k JobKey) int {
 func (l *Ledger) WithdrawKey(k JobKey) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, ok := l.jobs[k]
-	if !ok {
+	rec := l.findJob(k)
+	if rec == nil {
 		return 0
 	}
 	return l.withdrawRec(rec)
@@ -905,8 +933,8 @@ func (l *Ledger) withdrawRec(rec *jobRec) int {
 	n := 0
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
-	for _, e := range rec.entries {
-		if e.removed == 0 {
+	for i := range rec.entries {
+		if e := &rec.entries[i]; e.removed == 0 {
 			e.removed = RemovedWithdrawal
 			l.util[e.proc] -= e.amount
 			touched = touchProc(touched, e.proc)
@@ -926,11 +954,11 @@ func (l *Ledger) withdrawRec(rec *jobRec) int {
 func (l *Ledger) RemoveTask(tr TaskRef) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if tr < 0 || int(tr) >= len(l.taskHead) {
+	if tr < 0 || int(tr) >= len(l.tasks) {
 		return 0
 	}
 	n := 0
-	for rec := l.taskHead[tr]; rec != nil; rec = l.taskHead[tr] {
+	for rec := l.tasks[tr].head; rec != nil; rec = l.tasks[tr].head {
 		n += l.withdrawRec(rec)
 	}
 	return n
@@ -939,8 +967,8 @@ func (l *Ledger) RemoveTask(tr TaskRef) int {
 // markComplete marks a job's stage complete.
 func (l *Ledger) markComplete(rec *jobRec, stage int) {
 	changed := false
-	for _, e := range rec.entries {
-		if e.stage == stage && !e.completed {
+	for i := range rec.entries {
+		if e := &rec.entries[i]; e.stage == stage && !e.completed {
 			e.completed = true
 			changed = true
 		}
@@ -955,7 +983,8 @@ func (l *Ledger) markComplete(rec *jobRec, stage int) {
 
 // resetEntry applies the idle resetting rule to one contribution of a job.
 func (l *Ledger) resetEntry(rec *jobRec, stage, proc int) bool {
-	for _, e := range rec.entries {
+	for i := range rec.entries {
+		e := &rec.entries[i]
 		if e.stage != stage || e.proc != proc {
 			continue
 		}
@@ -983,8 +1012,8 @@ func (l *Ledger) resetEntry(rec *jobRec, stage, proc int) bool {
 func (l *Ledger) ResetReported(r Entry[JobKey]) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, ok := l.jobs[r.Ref]
-	if !ok {
+	rec := l.findJob(r.Ref)
+	if rec == nil {
 		return false
 	}
 	l.markComplete(rec, r.Stage)
@@ -998,8 +1027,8 @@ func (l *Ledger) ResetReported(r Entry[JobKey]) bool {
 func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, ok := l.jobs[k]
-	if !ok {
+	rec := l.findJob(k)
+	if rec == nil {
 		return fmt.Errorf("sched: relocate: job %s not in ledger", k)
 	}
 	if err := l.checkPlacement(k, placement); err != nil {
@@ -1007,7 +1036,8 @@ func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
 	}
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
-	for _, e := range rec.entries {
+	for i := range rec.entries {
+		e := &rec.entries[i]
 		if e.removed != 0 {
 			continue
 		}
@@ -1205,16 +1235,20 @@ func (l *Ledger) admitScan(placement []PlacedStage) bool {
 // the processor's term, in ascending processor order — so the two decisions
 // are bit-identical, at the bound too.
 func (l *Ledger) referenceAdmissible(placement []PlacedStage) bool {
-	delta := make(map[int]int64, len(placement))
 	for _, p := range placement {
-		n, ok := toUnits(p.Util)
-		if !ok {
+		if _, ok := toUnits(p.Util); !ok {
 			return false
 		}
-		delta[p.Proc] += n
 	}
 	termAt := func(proc int) float64 {
-		return AUBTerm(fromUnits(l.util[proc] + delta[proc]))
+		u := l.util[proc]
+		for _, p := range placement {
+			if p.Proc == proc {
+				n, _ := toUnits(p.Util)
+				u += n
+			}
+		}
+		return AUBTerm(fromUnits(u))
 	}
 
 	// Candidate's own condition.
@@ -1229,17 +1263,20 @@ func (l *Ledger) referenceAdmissible(placement []PlacedStage) bool {
 	// Condition for every in-flight admitted job, over the processors its
 	// active contributions visit. Fully completed jobs cannot miss their
 	// deadlines anymore and are skipped.
-	for _, rec := range l.jobs {
-		if !rec.inFlight() || !rec.active() {
-			continue
-		}
-		procs, counts := appendSignature(nil, nil, rec)
-		var s float64
-		for i, p := range procs {
-			s += float64(counts[i]) * termAt(p)
-		}
-		if s > 1 {
-			return false
+	for _, t := range l.tasks {
+		for rec := t.head; rec != nil; rec = rec.nextT {
+			if !rec.inFlight() || !rec.active() {
+				continue
+			}
+			procs, counts := appendSignature(l.sigProcs[:0], l.sigCounts[:0], rec)
+			l.sigProcs, l.sigCounts = procs, counts
+			var s float64
+			for i, p := range procs {
+				s += float64(counts[i]) * termAt(p)
+			}
+			if s > 1 {
+				return false
+			}
 		}
 	}
 	return true
@@ -1251,9 +1288,11 @@ func (l *Ledger) ActiveJobs() []JobKey {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []JobKey
-	for k, rec := range l.jobs {
-		if rec.active() {
-			out = append(out, k)
+	for _, t := range l.tasks {
+		for rec := t.head; rec != nil; rec = rec.nextT {
+			if rec.active() {
+				out = append(out, rec.key)
+			}
 		}
 	}
 	slices.SortFunc(out, JobKey.compare)
@@ -1262,21 +1301,61 @@ func (l *Ledger) ActiveJobs() []JobKey {
 
 // CheckInvariants recomputes per-processor utilization from entry records
 // and verifies it equals the running sums, that no utilization is negative,
-// and that every index (task→jobs,
-// signature groups with their cached upper-bound sums and the violated
-// counter, recounted from fresh sums) agrees with the ground-truth records.
-// It also requires the indexed Admissible to agree with referenceAdmissible
-// on the empty candidate. Property tests call it after random operation
-// sequences. It holds the lock throughout, so it is safe while decisions are
-// live.
+// and that every index (the task lists, signature groups with their cached
+// upper-bound sums and the violated counter, recounted from fresh sums)
+// agrees with the ground-truth records. It also requires the indexed
+// Admissible to agree with referenceAdmissible on the empty candidate.
+// Property tests call it after random operation sequences, and the
+// simulation after every run; it allocates the same few times whatever the
+// ledger holds, more only to report a failure. It holds the lock throughout,
+// so it is safe while decisions are live.
 func (l *Ledger) CheckInvariants() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// Every task's list: back links consistent, each record filed under its
+	// own task and below the job numbers before it, the tail where the walk
+	// ends, and together the ledger's job count. The bound ends the walk on a
+	// cycle whatever the links say.
+	listed := 0
+	for tr, t := range l.tasks {
+		var prev *jobRec
+		for rec := t.head; rec != nil; prev, rec = rec, rec.nextT {
+			if listed++; listed > l.njobs {
+				return fmt.Errorf("sched: task lists hold more than the ledger's %d jobs (cycle or stale record in task %d)", l.njobs, tr)
+			}
+			if rec.prevT != prev {
+				return fmt.Errorf("sched: task list of %d: job %d has a wrong back link", tr, rec.key.Job)
+			}
+			if rec.key.Task != TaskRef(tr) {
+				return fmt.Errorf("sched: job %s filed in the task list of %d", rec.key, tr)
+			}
+			if prev != nil && rec.key.Job >= prev.key.Job {
+				return fmt.Errorf("sched: task list of %d: job %d follows job %d, out of job order", tr, rec.key.Job, prev.key.Job)
+			}
+		}
+		if t.tail != prev {
+			return fmt.Errorf("sched: task list of %d does not end at its tail", tr)
+		}
+	}
+	if listed != l.njobs {
+		return fmt.Errorf("sched: task lists hold %d jobs, the ledger counts %d", listed, l.njobs)
+	}
+
+	// Each job's entries against the running sums, its signature against its
+	// group, and its group's member and counted tallies, stamped by this
+	// audit.
+	l.audits++
 	recomputed := make([]int64, len(l.util))
-	for _, rec := range l.jobs {
-		for _, e := range rec.entries {
-			if e.removed == 0 {
-				recomputed[e.proc] += e.amount
+	referenced := 0
+	for _, t := range l.tasks {
+		for rec := t.head; rec != nil; rec = rec.nextT {
+			for i := range rec.entries {
+				if e := &rec.entries[i]; e.removed == 0 {
+					recomputed[e.proc] += e.amount
+				}
+			}
+			if err := l.auditJob(rec, &referenced); err != nil {
+				return err
 			}
 		}
 	}
@@ -1291,61 +1370,19 @@ func (l *Ledger) CheckInvariants() error {
 			return fmt.Errorf("sched: processor %d has stale AUB term cache", p)
 		}
 	}
-	// Every task's list: back links consistent, each record filed under its
-	// own key, and together exactly the job map. The bound ends the walk on a
-	// cycle whatever the links say.
-	taskIndexed := 0
-	for tr, head := range l.taskHead {
-		var prev *jobRec
-		for rec := head; rec != nil; prev, rec = rec, rec.nextT {
-			if taskIndexed++; taskIndexed > len(l.jobs) {
-				return fmt.Errorf("sched: task lists hold more than the job map's %d jobs (cycle or stale record in task %d)", len(l.jobs), tr)
-			}
-			if rec.prevT != prev {
-				return fmt.Errorf("sched: task list of %d: job %d has a wrong back link", tr, rec.key.Job)
-			}
-			if rec.key.Task != TaskRef(tr) || l.jobs[rec.key] != rec {
-				return fmt.Errorf("sched: task list entry %s does not match job map", rec.key)
-			}
-		}
-	}
-	if taskIndexed != len(l.jobs) {
-		return fmt.Errorf("sched: task lists hold %d jobs, job map holds %d", taskIndexed, len(l.jobs))
-	}
 
-	members := make(map[*sigGroup]int)
-	counted := make(map[*sigGroup]int)
-	for k, rec := range l.jobs {
-		procs, counts := appendSignature(nil, nil, rec)
-		switch {
-		case len(procs) == 0 && rec.group != nil:
-			return fmt.Errorf("sched: inactive job %s still grouped", k)
-		case len(procs) > 0 && rec.group == nil:
-			return fmt.Errorf("sched: active job %s has no signature group", k)
-		case rec.group != nil && !rec.group.sameSig(procs, counts):
-			return fmt.Errorf("sched: job %s grouped under %v/%v, signature is %q",
-				k, rec.group.procs, rec.group.counts, sigString(procs, counts))
-		}
-		if rec.group != nil {
-			members[rec.group]++
-			want := rec.inFlight() && rec.active()
-			if rec.counted != want {
-				return fmt.Errorf("sched: job %s counted=%v, want %v", k, rec.counted, want)
-			}
-			if rec.counted {
-				counted[rec.group]++
-			}
-		}
-	}
 	wantViolated, registered := 0, 0
 	for h, head := range l.groups {
 		for g := head; g != nil; g = g.next {
 			// Every registered group has a member job, so chains holding more
-			// groups than the job map has jobs have a cycle.
-			if registered++; registered > len(l.jobs) {
-				return fmt.Errorf("sched: group chains hold more than the job map's %d jobs (cycle under hash %#x)", len(l.jobs), h)
+			// groups than the ledger has jobs have a cycle.
+			if registered++; registered > l.njobs {
+				return fmt.Errorf("sched: group chains hold more than the ledger's %d jobs (cycle under hash %#x)", l.njobs, h)
 			}
-			if err := l.checkGroup(h, g, members[g], counted[g]); err != nil {
+			if g.audit != l.audits {
+				g.auditMembers, g.auditCounted = 0, 0
+			}
+			if err := l.checkGroup(h, g); err != nil {
 				return err
 			}
 			if g.counted > 0 && l.freshSum(g) > 1 {
@@ -1353,8 +1390,8 @@ func (l *Ledger) CheckInvariants() error {
 			}
 		}
 	}
-	if len(members) != registered {
-		return fmt.Errorf("sched: %d groups referenced by jobs, %d registered", len(members), registered)
+	if referenced != registered {
+		return fmt.Errorf("sched: %d groups referenced by jobs, %d registered", referenced, registered)
 	}
 	for p := range l.procGroups {
 		for _, g := range l.procGroups[p] {
@@ -1373,41 +1410,74 @@ func (l *Ledger) CheckInvariants() error {
 	return nil
 }
 
+// auditJob checks one job's signature group and counted flag, and tallies
+// the job on its group, counting in referenced each group it stamps first.
+func (l *Ledger) auditJob(rec *jobRec, referenced *int) error {
+	procs, counts := appendSignature(l.sigProcs[:0], l.sigCounts[:0], rec)
+	l.sigProcs, l.sigCounts = procs, counts
+	g, k := rec.group, rec.key
+	switch {
+	case len(procs) == 0 && g != nil:
+		return fmt.Errorf("sched: inactive job %s still grouped", k)
+	case len(procs) > 0 && g == nil:
+		return fmt.Errorf("sched: active job %s has no signature group", k)
+	case g != nil && !g.sameSig(procs, counts):
+		return fmt.Errorf("sched: job %s grouped under %v/%v, signature is %q",
+			k, g.procs, g.counts, sigString(procs, counts))
+	case g == nil:
+		return nil
+	}
+	if g.audit != l.audits {
+		if l.findGroup(g.hash, g.procs, g.counts) != g {
+			return fmt.Errorf("sched: job %s grouped under unregistered group %q", k, sigString(g.procs, g.counts))
+		}
+		g.audit, g.auditMembers, g.auditCounted = l.audits, 0, 0
+		*referenced++
+	}
+	g.auditMembers++
+	if want := rec.inFlight() && rec.active(); rec.counted != want {
+		return fmt.Errorf("sched: job %s counted=%v, want %v", k, rec.counted, want)
+	}
+	if rec.counted {
+		g.auditCounted++
+	}
+	return nil
+}
+
 // checkGroup audits one registered group, found on the chain of hash h,
-// against the member and counted tallies the job records give it.
-func (l *Ledger) checkGroup(h uint64, g *sigGroup, members, counted int) error {
+// against the member and counted tallies auditJob gave it.
+func (l *Ledger) checkGroup(h uint64, g *sigGroup) error {
 	if len(g.counts) != len(g.procs) {
 		return fmt.Errorf("sched: group %v has %d counts for %d processors", g.procs, len(g.counts), len(g.procs))
 	}
-	sig := sigString(g.procs, g.counts)
 	if got := sigHash(g.procs, g.counts); g.hash != h || got != h {
-		return fmt.Errorf("sched: group %q filed under hash %#x, records %#x, hashes to %#x", sig, h, g.hash, got)
+		return fmt.Errorf("sched: group %q filed under hash %#x, records %#x, hashes to %#x", sigString(g.procs, g.counts), h, g.hash, got)
 	}
 	if l.findGroup(h, g.procs, g.counts) != g {
-		return fmt.Errorf("sched: signature %q registered twice", sig)
+		return fmt.Errorf("sched: signature %q registered twice", sigString(g.procs, g.counts))
 	}
-	if g.members != members {
-		return fmt.Errorf("sched: group %q has %d members, records show %d", sig, g.members, members)
+	if g.members != g.auditMembers {
+		return fmt.Errorf("sched: group %q has %d members, records show %d", sigString(g.procs, g.counts), g.members, g.auditMembers)
 	}
-	if g.counted != counted {
-		return fmt.Errorf("sched: group %q counts %d in-flight jobs, records show %d", sig, g.counted, counted)
+	if g.counted != g.auditCounted {
+		return fmt.Errorf("sched: group %q counts %d in-flight jobs, records show %d", sigString(g.procs, g.counts), g.counted, g.auditCounted)
 	}
 	s := l.freshSum(g)
 	// cachedSum is an upper bound on the fresh sum, with no tolerance, and
 	// for a counted group on the same side of 1 (see sigGroup.cachedSum).
 	if s > g.cachedSum {
-		return fmt.Errorf("sched: group %q cached sum %g below the fresh sum %g", sig, g.cachedSum, s)
+		return fmt.Errorf("sched: group %q cached sum %g below the fresh sum %g", sigString(g.procs, g.counts), g.cachedSum, s)
 	}
 	if g.counted > 0 && (g.cachedSum > 1) != (s > 1) {
-		return fmt.Errorf("sched: counted group %q cached sum %g and fresh sum %g on opposite sides of 1", sig, g.cachedSum, s)
+		return fmt.Errorf("sched: counted group %q cached sum %g and fresh sum %g on opposite sides of 1", sigString(g.procs, g.counts), g.cachedSum, s)
 	}
 	if want := float64(slices.Max(g.counts)); g.maxCount != want {
-		return fmt.Errorf("sched: group %q max count %g, signature has %g", sig, g.maxCount, want)
+		return fmt.Errorf("sched: group %q max count %g, signature has %g", sigString(g.procs, g.counts), g.maxCount, want)
 	}
 	for i, p := range g.procs {
 		pg := l.procGroups[p]
 		if i >= len(g.procPos) || g.procPos[i] < 0 || g.procPos[i] >= len(pg) || pg[g.procPos[i]] != g {
-			return fmt.Errorf("sched: group %q missing from processor %d group index", sig, p)
+			return fmt.Errorf("sched: group %q missing from processor %d group index", sigString(g.procs, g.counts), p)
 		}
 	}
 	return nil

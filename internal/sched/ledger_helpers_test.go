@@ -15,7 +15,7 @@ import (
 func (l *Ledger) MarkComplete(k JobKey, stage int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if rec, ok := l.jobs[k]; ok {
+	if rec := l.findJob(k); rec != nil {
 		l.markComplete(rec, stage)
 	}
 }
@@ -26,8 +26,8 @@ func (l *Ledger) MarkComplete(k JobKey, stage int) {
 func (l *Ledger) ResetEntry(r Entry[JobKey]) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec, ok := l.jobs[r.Ref]
-	return ok && l.resetEntry(rec, r.Stage, r.Proc)
+	rec := l.findJob(r.Ref)
+	return rec != nil && l.resetEntry(rec, r.Stage, r.Proc)
 }
 
 // CompletedOn returns the completed, still-active, non-permanent
@@ -37,12 +37,14 @@ func (l *Ledger) CompletedOn(proc int, includePeriodic bool) []Entry[JobKey] {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []Entry[JobKey]
-	for _, rec := range l.jobs {
-		for _, e := range rec.entries {
-			if e.proc != proc || !e.completed || e.removed != 0 || e.permanent || (!includePeriodic && e.kind == Periodic) {
-				continue
+	for _, t := range l.tasks {
+		for rec := t.head; rec != nil; rec = rec.nextT {
+			for _, e := range rec.entries {
+				if e.proc != proc || !e.completed || e.removed != 0 || e.permanent || (!includePeriodic && e.kind == Periodic) {
+					continue
+				}
+				out = append(out, Entry[JobKey]{Ref: rec.key, Stage: e.stage, Proc: e.proc})
 			}
-			out = append(out, Entry[JobKey]{Ref: e.key, Stage: e.stage, Proc: e.proc})
 		}
 	}
 	slices.SortFunc(out, func(a, b Entry[JobKey]) int {
