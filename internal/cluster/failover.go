@@ -10,9 +10,8 @@
 // reconfiguration transaction through the same quiesce→delta→resume
 // machinery strategy swaps use: the configuration engine synthesizes a
 // processor-removal delta (dead stages re-home onto surviving replicas), the
-// launcher executes it skipping the dead node, the warm-standby admission
-// mirror is fenced at the new epoch, and every job stranded on the dead
-// processor is re-pushed onto the survivors with a remapped placement.
+// launcher executes it skipping the dead node, and every job stranded on the
+// dead processor is re-pushed onto the survivors with a remapped placement.
 // Submissions arriving mid-failover are deferred and replayed, like a
 // quiesce defers arrivals.
 package cluster
@@ -623,8 +622,8 @@ type FailoverReport struct {
 	// Node and Proc identify the failed node.
 	Node string `json:"node"`
 	Proc int    `json:"proc"`
-	// Epoch is the post-failover configuration epoch; replication records
-	// stamped below it are fenced out of the standby mirror.
+	// Epoch is the post-failover configuration epoch; task effectors cache
+	// no per-task decision stamped below it.
 	Epoch int64 `json:"epoch"`
 	// Duration is the whole transaction's wall time (delta synthesis through
 	// redelivery); Quiesce is the admission-quiesce span within it.
@@ -647,13 +646,11 @@ type FailoverReport struct {
 // admitted-job loss: the configuration engine synthesizes the
 // processor-removal delta (stages homed on the dead processor re-home onto
 // surviving replicas, EDMS priorities re-assigned), the launcher executes it
-// through the standard quiesce transaction — skipping the dead node — the
-// warm-standby admission mirror is fenced at the new epoch so straggling
-// pre-failover replication records are recognizably stale, and every job the
-// dead-letter tracker shows stranded on the dead processor is redelivered
-// onto the survivors. Submissions arriving during the transaction are
-// deferred and replayed at the end. The node must already be marked dead
-// (KillNode, or the detector's declaration).
+// through the standard quiesce transaction — skipping the dead node — and
+// every job the dead-letter tracker shows stranded on the dead processor is
+// redelivered onto the survivors. Submissions arriving during the
+// transaction are deferred and replayed at the end. The node must already be
+// marked dead (KillNode, or the detector's declaration).
 func (c *Cluster) Failover(proc int) (*FailoverReport, error) {
 	if proc < 0 || proc >= len(c.Apps) {
 		return nil, fmt.Errorf("cluster: failover: no processor %d", proc)
@@ -727,11 +724,6 @@ func (c *Cluster) runFailover(proc int) (*FailoverReport, error) {
 	if err := c.refreshTasks(); err != nil {
 		return nil, err
 	}
-	// Fence the warm standby: replication records stamped with a
-	// pre-failover epoch are decisions from the dead era.
-	if sb, err := c.Standby(); err == nil {
-		sb.Fence(outcome.Epoch)
-	}
 
 	redelivered, lost := 0, 0
 	for _, trg := range c.tracker.activate(proc) {
@@ -754,26 +746,15 @@ func (c *Cluster) runFailover(proc int) (*FailoverReport, error) {
 	}, nil
 }
 
-// Standby returns the warm-standby admission mirror on the manager.
-func (c *Cluster) Standby() (*live.StandbyAC, error) {
-	return component[*live.StandbyAC](c.Manager, "Standby-AC")
-}
-
-// AuditAdmissionState checks the active admission controller's ledger and
-// the warm-standby mirror for internal consistency — the post-failover
-// zero-loss proof obligation.
+// AuditAdmissionState checks the active admission controller's ledger for
+// internal consistency — the post-failover zero-loss proof obligation.
 func (c *Cluster) AuditAdmissionState() error {
-	if ac, err := c.AC(); err == nil {
-		if err := ac.AuditLedger(); err != nil {
-			return fmt.Errorf("cluster: active ledger: %w", err)
-		}
-	}
-	sb, err := c.Standby()
+	ac, err := c.AC()
 	if err != nil {
-		return nil
+		return err
 	}
-	if err := sb.Audit(); err != nil {
-		return fmt.Errorf("cluster: standby ledger: %w", err)
+	if err := ac.AuditLedger(); err != nil {
+		return fmt.Errorf("cluster: active ledger: %w", err)
 	}
 	return nil
 }

@@ -140,13 +140,6 @@ func TestClusterAddRemoveTasksLive(t *testing.T) {
 			t.Errorf("ledger holds contributions for removed task: %v", ref)
 		}
 	}
-	// The standby adopted each delta's refs table, so it mirrored the
-	// tenants' admissions too.
-	if sb, err := c.Standby(); err != nil {
-		t.Fatal(err)
-	} else if st := sb.Stats(); st.Failed != 0 || st.Applied == 0 {
-		t.Errorf("standby after churn: %+v", st)
-	}
 
 	// The watch stream observed the churn in order.
 	watch.Cancel()

@@ -12,7 +12,7 @@ import (
 // back — every TaskArrive, Accept, Release, Trigger and IdleReset handled on
 // a reader, many of them writing to another node from there, with socket
 // buffers and pending lists filling — must all be decided and every admitted
-// job must complete, inside the timeout, with clean ledgers. Two readers
+// job must complete, inside the timeout, with a clean ledger. Two readers
 // blocked on each other's full sockets would stop the count short. Heartbeats
 // ride the same connections as the storm, at the default detector timeout:
 // no node may be suspected while the manager keeps up.
@@ -89,11 +89,6 @@ func TestSubmitStormDrains(t *testing.T) {
 				jobs, s.Released, s.Skipped, decidedIn.Round(time.Millisecond))
 			if err := c.AuditAdmissionState(); err != nil {
 				t.Error(err)
-			}
-			if sb, err := c.Standby(); err != nil {
-				t.Error(err)
-			} else if st := sb.Stats(); st.OutOfOrder != 0 {
-				t.Errorf("standby saw %d replication records out of order: %+v", st.OutOfOrder, st)
 			}
 			// Every node must have been heard, or no suspicion says nothing.
 			for heard := false; !heard && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {

@@ -237,9 +237,7 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 	p.Nodes = append(p.Nodes, manager)
 	p.Nodes = append(p.Nodes, apps...)
 
-	// Central services on the task manager. The admission controller
-	// publishes its replication stream so the co-deployed warm standby can
-	// mirror admission state for failover.
+	// Central services on the task manager.
 	p.Instances = append(p.Instances, deploy.Instance{
 		ID: "Central-AC", Node: manager.Name, Implementation: live.ImplAdmissionController,
 		ConfigProperties: []deploy.ConfigProperty{
@@ -249,7 +247,6 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 			deploy.StringProperty(live.AttrProcessors, strconv.Itoa(w.Processors)),
 			deploy.StringProperty(live.AttrWorkload, workload),
 			deploy.StringProperty(live.AttrTaskRefs, refs),
-			deploy.StringProperty(live.AttrReplicate, "true"),
 		},
 	})
 	p.Instances = append(p.Instances, deploy.Instance{
@@ -257,13 +254,6 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 		ConfigProperties: []deploy.ConfigProperty{
 			deploy.StringProperty(live.AttrLBStrategy, cfg.LB.String()),
 			deploy.StringProperty(live.AttrWorkload, workload),
-			deploy.StringProperty(live.AttrTaskRefs, refs),
-		},
-	})
-	p.Instances = append(p.Instances, deploy.Instance{
-		ID: "Standby-AC", Node: manager.Name, Implementation: live.ImplStandbyAC,
-		ConfigProperties: []deploy.ConfigProperty{
-			deploy.StringProperty(live.AttrProcessors, strconv.Itoa(w.Processors)),
 			deploy.StringProperty(live.AttrTaskRefs, refs),
 		},
 	})
@@ -516,9 +506,6 @@ func taskSetDelta(p *deploy.Plan, st *planState, next []*sched.Task, names []str
 		switch inst.Implementation {
 		case live.ImplLoadBalancer, live.ImplTaskEffector:
 			d.Updates = append(d.Updates, deploy.InstanceUpdate{ID: inst.ID, Node: inst.Node, Attrs: maps.Clone(taskSet)})
-		case live.ImplStandbyAC:
-			d.Updates = append(d.Updates, deploy.InstanceUpdate{ID: inst.ID, Node: inst.Node,
-				Attrs: map[string]string{live.AttrTaskRefs: taskSet[live.AttrTaskRefs]}})
 		case live.ImplSubtask:
 			attrs := inst.Attrs()
 			newPrio, ok := prio[attrs[live.AttrTask]]

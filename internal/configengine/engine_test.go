@@ -582,8 +582,8 @@ func TestTaskRefsFreshAcrossReadd(t *testing.T) {
 			}
 			table = a[live.AttrTaskRefs]
 		}
-		if n != 5 { // the AC, the LB, the standby and two TEs
-			t.Fatalf("%s: %d instances carry the refs table, want 5", what, n)
+		if n != 4 { // the AC, the LB and two TEs
+			t.Fatalf("%s: %d instances carry the refs table, want 4", what, n)
 		}
 		names, err := live.ParseTaskRefs(table)
 		if err != nil {

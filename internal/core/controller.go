@@ -218,33 +218,6 @@ func (c *Controller) Reconfigure(cfg Config) (int, error) {
 // the idle-resetting path.
 func (c *Controller) Ledger() *sched.Ledger { return c.ledger }
 
-// Reservations snapshots the permanent per-task reservation keys (AC-per-task
-// only) in ref order, the order a strategy swap away from per-task admission
-// control withdraws them. The live AC's replication stream uses it to mirror
-// exactly those withdrawals on the warm standby.
-func (c *Controller) Reservations() []sched.JobKey {
-	c.taskMu.Lock()
-	defer c.taskMu.Unlock()
-	keys := []sched.JobKey{}
-	for _, r := range c.records() {
-		if r.admitted {
-			keys = append(keys, sched.JobKey{Task: r.ref, Job: r.resJob})
-		}
-	}
-	return keys
-}
-
-// Reservation returns the key of the permanent per-task reservation task
-// tr holds (AC-per-task only), if it holds one.
-func (c *Controller) Reservation(tr sched.TaskRef) (sched.JobKey, bool) {
-	c.taskMu.Lock()
-	defer c.taskMu.Unlock()
-	if r := c.loadRecord(tr); r != nil && r.admitted {
-		return sched.JobKey{Task: tr, Job: r.resJob}, true
-	}
-	return sched.JobKey{}, false
-}
-
 // loadRecord returns the task's record, or nil before its first arrival
 // that needs one.
 //

@@ -40,7 +40,9 @@ func allocatedBytes(bound uint64, f func()) uint64 {
 // length field for a hostile input to inflate. Its 8 KiB floor is the
 // payload codec's; Parse spends 0.6 KiB on empty input and about 1 KiB on
 // a one-element plan. The seeds are a generated plan, which carries the
-// task refs tables, and its prefixes.
+// task refs tables, the same plan after a task is removed and added again
+// (a retired ref in every table, new refs on the task's subtasks), and the
+// prefixes of both.
 func FuzzParsePlan(f *testing.F) {
 	w, err := spec.Parse([]byte(`{"name": "fuzz", "processors": 2, "tasks": [
 	  {"id": "flow", "kind": "periodic", "period": "1s", "deadline": "1s",
@@ -55,14 +57,32 @@ func FuzzParsePlan(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	enc, err := p.Encode()
+	addPlan := func() {
+		enc, err := p.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		for i := 0; i < len(enc); i += 97 {
+			f.Add(enc[:i])
+		}
+	}
+	addPlan()
+	tasks, err := w.SchedTasks()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(enc)
-	for i := 0; i < len(enc); i += 97 {
-		f.Add(enc[:i])
+	rm, err := configengine.RemoveTasksDelta(p, []string{"alert"})
+	if err != nil {
+		f.Fatal(err)
 	}
+	rm.Apply(p)
+	add, err := configengine.AddTasksDelta(p, tasks[1:])
+	if err != nil {
+		f.Fatal(err)
+	}
+	add.Apply(p)
+	addPlan()
 	f.Add([]byte(`<deploymentPlan name="p"><node name="n" address="a" processor="-1"></node></deploymentPlan>`))
 	f.Add([]byte(`<deploymentPlan name="p" xmlns="urn:x"><instance id="i" node="n" implementation="X"/></deploymentPlan>`))
 

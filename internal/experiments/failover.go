@@ -37,8 +37,8 @@ func failoverWorkload() *spec.Workload {
 }
 
 // FailoverTrialResult is one kill-a-node trial's outcome: the scenario result
-// (run totals after the drain, the admission-state audit of the active ledger
-// and the warm-standby mirror, the final epoch — the failover bumps it once),
+// (run totals after the drain, the admission-state audit of the active
+// ledger, the final epoch — the failover bumps it once),
 // whose single NodeFaults entry is the victim's record.
 type FailoverTrialResult struct {
 	// Victim is the killed processor.

@@ -31,10 +31,6 @@ const (
 	// coordinator into every Reconfigure attribute set: components adopt it
 	// so stale cross-epoch decisions are recognizable.
 	AttrEpoch = "Epoch"
-	// AttrReplicate ("true"/"false") turns on the AC's replication stream:
-	// every ledger mutation is published as an epoch-stamped EvReplicate
-	// record for a warm-standby mirror (StandbyAC).
-	AttrReplicate = "Replicate"
 )
 
 // ReconfigServantKey is the ORB object key of the admission controller's
@@ -78,15 +74,6 @@ type AdmissionController struct {
 	quiesced bool
 	deferMu  sync.Mutex
 	deferred []TaskArrive
-
-	// Replication state: when replicate is set, every ledger mutation is
-	// published as an EvReplicate record stamped with the current epoch and
-	// a strictly increasing sequence. Decisions emit under the shared lock,
-	// so repMu covers taking the next repSeq and handing the record to the
-	// channel as one step: records enter the channel in Seq order.
-	replicate bool
-	repMu     sync.Mutex
-	repSeq    int64
 
 	// DecisionDelay measures operation time from TaskArrive receipt to
 	// Accept push (manager-side total).
@@ -132,12 +119,6 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
-	replicate := false
-	if _, ok := attrs[AttrReplicate]; ok {
-		if replicate, err = attrBool(attrs, AttrReplicate); err != nil {
-			return err
-		}
-	}
 	index, err := ParseWorkload(attrs, true)
 	if err != nil {
 		return err
@@ -153,7 +134,6 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	ac.cfg = cfg
 	ac.ctrl = ctrl
 	ac.tasks = index
-	ac.replicate = replicate
 	ac.mu.Unlock()
 	return nil
 }
@@ -237,7 +217,6 @@ func (ac *AdmissionController) decideRLocked(arr TaskArrive) {
 		now := nowNanos()
 		k := sched.JobKey{Task: arr.Task, Job: arr.Job}
 		d, cache, expireAt := ac.ctrl.Decide(k, t, time.Duration(arr.ArrivalNanos), time.Duration(now))
-		ac.replicateDecision(t, k, arr.ArrivalNanos, d)
 		if expireAt > 0 {
 			ac.timerMu.Lock()
 			ac.timers[k] = time.AfterFunc(time.Duration(int64(expireAt)-now), func() { ac.expire(k) })
@@ -250,46 +229,6 @@ func (ac *AdmissionController) decideRLocked(arr TaskArrive) {
 		// Best effort: a dead effector node surfaces in its own metrics. Only
 		// the arrival processor's effector holds the wait (homeOf).
 		_ = ac.ch.PushTo(arr.Proc, eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &out)})
-	}
-}
-
-// replicateRLocked publishes one ledger mutation on the replication
-// stream, stamped with the current epoch and the next sequence number.
-// Callers hold mu (shared or exclusive). The push is best effort: a lost
-// record surfaces as mirror drift in the standby's audit, never as a
-// data-plane failure.
-func (ac *AdmissionController) replicateRLocked(rec RepRecord) {
-	if !ac.replicate || ac.ch == nil {
-		return
-	}
-	rec.Epoch = ac.epoch
-	ac.repMu.Lock()
-	ac.repSeq++
-	rec.Seq = ac.repSeq
-	_ = ac.ch.Push(eventchan.Event{Type: EvReplicate, Payload: AppendRepRecord(nil, &rec)})
-	ac.repMu.Unlock()
-}
-
-// replicateDecision emits the ledger mutation (if any) implied by one
-// admission decision: a tested accept added contributions (permanent for
-// per-task reservations, expiring otherwise), and an untested accept under
-// LB-per-job relocated the task's reservation. Untested accepts under the
-// other balancers touch no ledger state. Caller holds mu shared.
-func (ac *AdmissionController) replicateDecision(t *sched.Task, k sched.JobKey, arrivalNanos int64, d core.Decision) {
-	if !ac.replicate || !d.Accept {
-		return
-	}
-	switch {
-	case d.Tested:
-		rec := RepRecord{Kind: RepAdmit, Ref: k, TaskKind: t.Kind, Placement: d.Placement, Permanent: d.Reserved}
-		if !d.Reserved {
-			rec.ExpiryNanos = arrivalNanos + int64(t.Deadline)
-		}
-		ac.replicateRLocked(rec)
-	case ac.cfg.LB == core.StrategyPerJob:
-		if res, ok := ac.ctrl.Reservation(k.Task); ok {
-			ac.replicateRLocked(RepRecord{Kind: RepRelocate, Ref: res, Placement: d.Placement})
-		}
 	}
 }
 
@@ -386,24 +325,13 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 			return err
 		}
 	}
-	// A swap away from per-task admission withdraws the permanent
-	// reservations inside the controller; snapshot their refs first so the
-	// replication stream can mirror exactly those withdrawals.
-	var withdrawnReservations []sched.JobKey
-	if ac.replicate && ac.cfg.AC == core.StrategyPerTask && cfg.AC != core.StrategyPerTask {
-		withdrawnReservations = ac.ctrl.Reservations()
-	}
 	if _, err := ac.ctrl.Reconfigure(cfg); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidStrategy, err)
-	}
-	for _, ref := range withdrawnReservations {
-		ac.replicateRLocked(RepRecord{Kind: RepWithdraw, Ref: ref})
 	}
 	if newTasks != nil {
 		for ref := range ac.tasks {
 			if _, ok := newTasks[ref]; !ok {
 				ac.ctrl.RemoveTask(ref)
-				ac.replicateRLocked(RepRecord{Kind: RepRemove, Ref: sched.JobKey{Task: ref}})
 			}
 		}
 		ac.tasks = newTasks
@@ -478,9 +406,7 @@ func (ac *AdmissionController) expire(k sched.JobKey) {
 	ac.timerMu.Lock()
 	delete(ac.timers, k)
 	ac.timerMu.Unlock()
-	if ac.ctrl.ExpireKey(k) > 0 {
-		ac.replicateRLocked(RepRecord{Kind: RepExpire, Ref: k})
-	}
+	ac.ctrl.ExpireKey(k)
 }
 
 // onIdleReset applies an "Idle Resetting" report, accounting how many
@@ -501,7 +427,6 @@ func (ac *AdmissionController) onIdleReset(ev eventchan.Event) {
 	start := time.Now()
 	ac.ctrl.IdleResetKeys(rep.Entries)
 	elapsed := time.Since(start)
-	ac.replicateRLocked(RepRecord{Kind: RepReset, Entries: rep.Entries})
 	ac.mu.RUnlock()
 	ac.ResetApply.Add(elapsed)
 }

@@ -15,8 +15,8 @@ import (
 // reflection, no type descriptors on the wire) and allocates only what the
 // decoded value keeps: one buffer per encode, and per decode one backing
 // array per slice and one copy per non-empty string. Tasks travel as their
-// sched.TaskRef, so the only strings left are a RepRecord's Kind and a
-// Heartbeat's node name.
+// sched.TaskRef, so the only string left on the wire is a Heartbeat's node
+// name.
 //
 // Wire primitives:
 //
@@ -45,7 +45,7 @@ const (
 	tagIdleReset
 	tagComplete
 	tagHeartbeat
-	tagRepRecord
+	_ // 7 is retired (it tagged the replication record): no decoder takes it
 	tagDone
 )
 
@@ -238,39 +238,6 @@ func DecodeHeartbeat(b []byte) (Heartbeat, error) {
 		Proc:      r.int(),
 		Seq:       r.varint(),
 		SentNanos: r.varint(),
-	})
-}
-
-// AppendRepRecord appends the encoding of v to dst.
-//
-//rtmw:noalloc
-func AppendRepRecord(dst []byte, v *RepRecord) []byte {
-	dst = slices.Grow(dst, 1+maxString(v.Kind)+8*maxInt+1+len(v.Placement)*maxPlacedStage+4*maxInt*len(v.Entries))
-	dst = append(dst, tagRepRecord)
-	dst = binary.AppendVarint(dst, v.Epoch)
-	dst = binary.AppendVarint(dst, v.Seq)
-	dst = appendString(dst, v.Kind)
-	dst = appendJob(dst, v.Ref.Task, v.Ref.Job)
-	dst = binary.AppendVarint(dst, int64(v.TaskKind))
-	dst = appendPlacement(dst, v.Placement)
-	dst = appendBool(dst, v.Permanent)
-	dst = binary.AppendVarint(dst, v.ExpiryNanos)
-	return appendEntries(dst, v.Entries)
-}
-
-// DecodeRepRecord decodes a payload written by AppendRepRecord.
-func DecodeRepRecord(b []byte) (RepRecord, error) {
-	r := open(b, tagRepRecord)
-	return finish(&r, "RepRecord", RepRecord{
-		Epoch:       r.varint(),
-		Seq:         r.varint(),
-		Kind:        r.str(),
-		Ref:         r.jobKey(),
-		TaskKind:    sched.TaskKind(r.int()),
-		Placement:   r.placement(),
-		Permanent:   r.bool(),
-		ExpiryNanos: r.varint(),
-		Entries:     r.entries(),
 	})
 }
 

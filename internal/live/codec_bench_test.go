@@ -12,6 +12,13 @@ var benchPlacement = []sched.PlacedStage{
 	{Stage: 0, Proc: 1, Util: 0.04}, {Stage: 1, Proc: 3, Util: 0.025}, {Stage: 2, Proc: 0, Util: 0.0125},
 }
 
+// benchEntries is one idle report's completed subjobs: two jobs' stages on
+// one processor.
+var benchEntries = []sched.Entry[sched.JobKey]{
+	{Ref: sched.JobKey{Task: 17, Job: 4211}, Stage: 0, Proc: 2},
+	{Ref: sched.JobKey{Task: 9, Job: 880}, Stage: 1, Proc: 2},
+}
+
 func benchPayload[T any](b *testing.B, name string, v T, app func([]byte, *T) []byte, dec func([]byte) (T, error)) {
 	enc := app(nil, &v)
 	b.Run("encode/"+name, func(b *testing.B) {
@@ -51,8 +58,7 @@ func BenchmarkPayloadCodec(b *testing.B) {
 	benchPayload(b, "Trigger",
 		Trigger{Task: 17, Job: 4211, Stage: 1, Placement: benchPlacement, ArrivalNanos: now},
 		AppendTrigger, DecodeTrigger)
-	benchPayload(b, "RepRecord",
-		RepRecord{Epoch: 3, Seq: 90210, Kind: RepAdmit, Ref: sched.JobKey{Task: 17, Job: 4211},
-			TaskKind: sched.Aperiodic, Placement: benchPlacement, ExpiryNanos: now},
-		AppendRepRecord, DecodeRepRecord)
+	benchPayload(b, "IdleReset",
+		IdleReset{Proc: 2, Entries: benchEntries},
+		AppendIdleReset, DecodeIdleReset)
 }

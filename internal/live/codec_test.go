@@ -17,7 +17,7 @@ import (
 )
 
 // payloadCodec is one payload type's Append/Decode pair behind `any`, so the
-// tests below can sweep all eight types with one loop.
+// tests below can sweep all seven types with one loop.
 type payloadCodec struct {
 	name   string
 	encode func(v any) []byte
@@ -43,9 +43,10 @@ func codecOf[T any](name string, app func([]byte, *T) []byte, dec func([]byte) (
 
 var goldenPlacement = []sched.PlacedStage{{Stage: 0, Proc: 1, Util: 0.25}, {Stage: 1, Proc: 2, Util: 0.5}}
 
-// payloadCodecs lists the eight payload types. The goldenHex column pins the
+// payloadCodecs lists the seven payload types. The goldenHex column pins the
 // wire layout: a field reorder, a changed tag or a different integer coding
-// fails TestPayloadGoldenBytes. Reading guide for the first row:
+// fails TestPayloadGoldenBytes. Tag 7 is retired, so Done keeps 08. Reading
+// guide for the first row:
 // 01 tag | 02 Task ref 1 (zig-zag) | 06 Job 3 | 02 Proc 1 | d00f ArrivalNanos 1000.
 var payloadCodecs = []payloadCodec{
 	codecOf("TaskArrive", AppendTaskArrive, DecodeTaskArrive,
@@ -87,18 +88,6 @@ var payloadCodecs = []payloadCodec{
 		"06"+"056170702d31"+"02"+"12"+"d00f",
 		func(g *gen) Heartbeat {
 			return Heartbeat{Node: g.str(), Proc: g.int(), Seq: g.i64(), SentNanos: g.i64()}
-		}),
-	codecOf("RepRecord", AppendRepRecord, DecodeRepRecord,
-		RepRecord{Epoch: 7, Seq: 12, Kind: RepAdmit, Ref: sched.JobKey{Task: 1, Job: 3},
-			TaskKind: sched.Periodic, Placement: goldenPlacement, Permanent: true, ExpiryNanos: 2000,
-			Entries: []sched.Entry[sched.JobKey]{{Ref: sched.JobKey{Task: 4, Job: 4}, Stage: 1, Proc: 2}}},
-		"07"+"0e"+"18"+"0561646d6974"+"02"+"06"+"02"+
-			"02"+"0002"+"000000000000d03f"+"0204"+"000000000000e03f"+
-			"01"+"a01f"+"01"+"08"+"08"+"02"+"04",
-		func(g *gen) RepRecord {
-			return RepRecord{Epoch: g.i64(), Seq: g.i64(), Kind: g.str(), Ref: g.jobKey(),
-				TaskKind: sched.TaskKind(g.int()), Placement: g.placement(), Permanent: g.bool(),
-				ExpiryNanos: g.i64(), Entries: g.entries()}
 		}),
 	codecOf("Done", AppendDone, DecodeDone,
 		Done{Task: 1, Job: 3, ArrivalNanos: 1000, DoneNanos: 3000},
@@ -242,15 +231,14 @@ func TestPayloadRoundTripEdges(t *testing.T) {
 	t.Run("nil and empty slices", func(t *testing.T) {
 		// An empty slice and a nil one share one encoding (count 0) and both
 		// decode as nil, as they did under gob: no handler tells them apart.
-		nilEnc := AppendRepRecord(nil, &RepRecord{Kind: RepReset})
-		emptyEnc := AppendRepRecord(nil, &RepRecord{Kind: RepReset,
-			Placement: []sched.PlacedStage{}, Entries: []sched.Entry[sched.JobKey]{}})
+		nilEnc := AppendIdleReset(nil, &IdleReset{Proc: 1})
+		emptyEnc := AppendIdleReset(nil, &IdleReset{Proc: 1, Entries: []sched.Entry[sched.JobKey]{}})
 		if !bytes.Equal(nilEnc, emptyEnc) {
 			t.Fatalf("nil and empty slices encode differently: %x vs %x", nilEnc, emptyEnc)
 		}
-		got, err := DecodeRepRecord(emptyEnc)
-		if err != nil || got.Placement != nil || got.Entries != nil {
-			t.Errorf("empty slices decoded as %#v / %#v, err %v; want nil", got.Placement, got.Entries, err)
+		got, err := DecodeIdleReset(emptyEnc)
+		if err != nil || got.Entries != nil {
+			t.Errorf("empty Entries decoded as %#v, err %v; want nil", got.Entries, err)
 		}
 		acc, err := DecodeAccept(AppendAccept(nil, &Accept{Task: 1, Placement: []sched.PlacedStage{}}))
 		if err != nil || acc.Placement != nil {
@@ -329,24 +317,33 @@ func TestPayloadStrictness(t *testing.T) {
 	}
 	trigger := golden("Trigger")
 	accept := golden("Accept")
+	done := golden("Done")
 	cases := []struct {
 		name    string
 		payload []byte
+		// decode is DecodeTrigger unless set.
+		decode func([]byte) (any, error)
 	}{
-		{"empty", nil},
-		{"tag only", trigger[:1]},
-		{"another type's payload", golden("Done")},
-		{"trailing byte", append(bytes.Clone(trigger), 0)},
-		{"padded varint", append([]byte{tagTrigger, 0x82, 0x00}, trigger[2:]...)}, // ref 1 as 82 00
-		{"11-byte varint", append([]byte{tagTrigger}, bytes.Repeat([]byte{0xff}, 11)...)},
-		{"ref beyond 32 bits", append(binary.AppendVarint([]byte{tagTrigger}, 1<<31), trigger[2:]...)},
-		{"negative ref", append(binary.AppendVarint([]byte{tagTrigger}, -1), trigger[2:]...)},
-		{"count beyond payload", append(bytes.Clone(trigger[:4]), 0x7f)},
-		{"truncated float", trigger[:len(trigger)-4]},
+		{"empty", nil, nil},
+		{"tag only", trigger[:1], nil},
+		{"another type's payload", done, nil},
+		// Tag 7 tagged the retired replication record: Done's own decoder
+		// refuses its bytes under that tag.
+		{"retired tag 7", append([]byte{7}, done[1:]...), func(b []byte) (any, error) { return DecodeDone(b) }},
+		{"trailing byte", append(bytes.Clone(trigger), 0), nil},
+		{"padded varint", append([]byte{tagTrigger, 0x82, 0x00}, trigger[2:]...), nil}, // ref 1 as 82 00
+		{"11-byte varint", append([]byte{tagTrigger}, bytes.Repeat([]byte{0xff}, 11)...), nil},
+		{"ref beyond 32 bits", append(binary.AppendVarint([]byte{tagTrigger}, 1<<31), trigger[2:]...), nil},
+		{"negative ref", append(binary.AppendVarint([]byte{tagTrigger}, -1), trigger[2:]...), nil},
+		{"count beyond payload", append(bytes.Clone(trigger[:4]), 0x7f), nil},
+		{"truncated float", trigger[:len(trigger)-4], nil},
 	}
 	for _, tc := range cases {
-		if v, err := DecodeTrigger(tc.payload); !errors.Is(err, ErrPayload) {
-			t.Errorf("%s: DecodeTrigger = %+v, err %v; want ErrPayload", tc.name, v, err)
+		if tc.decode == nil {
+			tc.decode = func(b []byte) (any, error) { return DecodeTrigger(b) }
+		}
+		if v, err := tc.decode(tc.payload); !errors.Is(err, ErrPayload) {
+			t.Errorf("%s: decode = %+v, err %v; want ErrPayload", tc.name, v, err)
 		}
 	}
 	// Accept's Ok flag is the byte after Task and Job.
@@ -443,9 +440,8 @@ func TestPayloadCodecAllocs(t *testing.T) {
 		AppendAccept, DecodeAccept, 1)
 	checkCodecAllocs(t, "Trigger", Trigger{Task: 17, Job: 4211, Stage: 1, Placement: benchPlacement, ArrivalNanos: now},
 		AppendTrigger, DecodeTrigger, 1)
-	checkCodecAllocs(t, "RepRecord", RepRecord{Epoch: 3, Seq: 90210, Kind: RepAdmit, Ref: sched.JobKey{Task: 17, Job: 4211},
-		TaskKind: sched.Aperiodic, Placement: benchPlacement, ExpiryNanos: now},
-		AppendRepRecord, DecodeRepRecord, 2)
+	checkCodecAllocs(t, "IdleReset", IdleReset{Proc: 2, Entries: benchEntries},
+		AppendIdleReset, DecodeIdleReset, 1)
 }
 
 // allocatedBytes returns the heap bytes f allocates. A background goroutine
@@ -478,7 +474,8 @@ func FuzzDecodePayload(f *testing.F) {
 		f.Add(golden)
 		// A whole payload followed by a stray byte.
 		f.Add(append(bytes.Clone(golden), 0))
-		// The payload under every other type's tag.
+		// The payload under every other type's tag, and under retired tag 7.
+		f.Add(append([]byte{7}, golden[1:]...))
 		for _, other := range payloadCodecs {
 			if other.name != c.name {
 				o, _ := hex.DecodeString(other.goldenHex)
@@ -490,11 +487,16 @@ func FuzzDecodePayload(f *testing.F) {
 			// Every length and count field (and every other byte) replaced
 			// by the largest uvarint.
 			f.Add(slices.Concat(golden[:i], huge, golden[i+1:]))
+			// Every byte with its top bit flipped: a varint that ends early
+			// or runs on into the next field.
+			flipped := bytes.Clone(golden)
+			flipped[i] ^= 0x80
+			f.Add(flipped)
 		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// In memory a decoded entry is eight times its smallest encoding
-		// and a PlacedStage 2.4 times; the constant covers the eight boxed
+		// and a PlacedStage 2.4 times; the constant covers the seven boxed
 		// results and error values.
 		bound := uint64(16*len(b) + 8192)
 		type result struct {

@@ -219,7 +219,7 @@ func TestRegisterAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	impls := reg.Implementations()
-	want := []string{ImplAdmissionController, ImplHeartbeatBeacon, ImplIdleResetter, ImplLoadBalancer, ImplStandbyAC, ImplSubtask, ImplTaskEffector}
+	want := []string{ImplAdmissionController, ImplHeartbeatBeacon, ImplIdleResetter, ImplLoadBalancer, ImplSubtask, ImplTaskEffector}
 	if len(impls) != len(want) {
 		t.Fatalf("Implementations = %v", impls)
 	}

@@ -13,8 +13,13 @@
 //
 // Event payloads (the types below) travel in the fixed binary layout of
 // codec.go. They name tasks by the sched.TaskRef the deployment plan hands
-// out (AttrTaskRefs); only a Heartbeat carries a name, its node's. Only the cold ORB request/reply facets (reconfig, location) speak
-// gob, through the helpers in facetgob.go.
+// out (AttrTaskRefs); only a Heartbeat carries a name, its node's. Only the
+// cold ORB request/reply facets (reconfig, location) speak gob, through the
+// helpers in facetgob.go.
+//
+// The admission controller's one ledger lives on the manager node and is
+// never copied: the manager's only events are its Accepts, and losing the
+// manager loses every in-flight admission decision.
 package live
 
 import (
@@ -25,7 +30,8 @@ import (
 
 // Event type names routed through the federated event channel. TaskArrive,
 // Accept, Trigger and IdleReset cross the network (Figure 3's event
-// source/sink ports); Release, Complete, Skip and Done stay node-local.
+// source/sink ports), and so does Heartbeat; Release, Complete, Skip and
+// Done stay node-local.
 const (
 	// EvTaskArrive flows TE → AC when a job arrives.
 	EvTaskArrive = "TaskArrive"
@@ -52,9 +58,6 @@ const (
 	// EvHeartbeat flows node → manager: each application node's beacon
 	// announces liveness to the failure detector.
 	EvHeartbeat = "Heartbeat"
-	// EvReplicate flows AC → standby AC with one ledger mutation, so a warm
-	// standby mirrors admission state without a rebuild on promotion.
-	EvReplicate = "Replicate"
 )
 
 // TaskArrive announces a job arrival to the admission controller.
@@ -134,49 +137,6 @@ type Heartbeat struct {
 	Seq int64
 	// SentNanos is the send wall-clock time (UnixNano).
 	SentNanos int64
-}
-
-// Replication record kinds: each RepRecord applies exactly one ledger
-// mutation on the standby's mirror.
-const (
-	// RepAdmit adds an admitted job's contributions.
-	RepAdmit = "admit"
-	// RepExpire removes a job's unreported contributions at deadline expiry.
-	RepExpire = "expire"
-	// RepReset clears completed-and-reported contributions (idle reset).
-	RepReset = "reset"
-	// RepWithdraw removes every contribution of one job, a permanent
-	// reservation included (a strategy swap away from per-task admission).
-	RepWithdraw = "withdraw"
-	// RepRemove removes every contribution of a departing task.
-	RepRemove = "remove"
-	// RepRelocate moves a task's permanent reservation to a new placement
-	// (AC-per-task with LB-per-job: the reservation follows the jobs).
-	RepRelocate = "relocate"
-)
-
-// RepRecord is one epoch-stamped ledger mutation on the AC's replication
-// stream. The standby applies records in Seq order and ignores records
-// stamped with an epoch older than its fence, which makes pre-failover
-// decisions from a deposed AC detectable and discardable.
-type RepRecord struct {
-	// Epoch is the reconfiguration epoch the mutation happened under.
-	Epoch int64
-	// Seq is the AC-local emission sequence (strictly increasing).
-	Seq int64
-	// Kind is one of the Rep* constants.
-	Kind string
-	// Ref identifies the job (RepAdmit, RepExpire, RepWithdraw, RepRelocate)
-	// or, by its Task, the departing task (RepRemove).
-	Ref sched.JobKey
-	// TaskKind, Placement, Permanent and ExpiryNanos describe an admission
-	// (RepAdmit only). ExpiryNanos is zero for permanent reservations.
-	TaskKind    sched.TaskKind
-	Placement   []sched.PlacedStage
-	Permanent   bool
-	ExpiryNanos int64
-	// Entries are the contributions cleared by an idle reset (RepReset).
-	Entries []sched.Entry[sched.JobKey]
 }
 
 // Done announces the completion of a job's last subtask.

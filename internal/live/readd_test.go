@@ -16,7 +16,7 @@ import (
 // incarnation's straggler idle report for its job 0 arrives and that job's
 // expiry fires (the test runs the timer's callback, ac.expire, itself). Both
 // name the old ref, so the new job's contribution must stay in the admission
-// controller's ledger and in the standby mirror.
+// controller's ledger.
 func TestLiveReaddedTaskKeepsItsContribution(t *testing.T) {
 	node, err := NewNode("readd-test", -1, "127.0.0.1:0", 1)
 	if err != nil {
@@ -24,10 +24,6 @@ func TestLiveReaddedTaskKeepsItsContribution(t *testing.T) {
 	}
 	defer node.Close()
 	ctx := &ccm.Context{Node: "readd-test", ORB: node.ORB, Events: node.Channel}
-	sb := NewStandbyAC()
-	if err := sb.Configure(map[string]string{AttrProcessors: "2", AttrTaskRefs: testTaskRefs}); err != nil {
-		t.Fatal(err)
-	}
 	// p's deadline is an hour, so no expiry timer fires during the test.
 	const withP = `{"name": "unit", "processors": 2, "tasks": [
 	  {"id": "p", "kind": "aperiodic", "deadline": "1h", "subtasks": [{"exec": "6m", "processor": 0}]},
@@ -35,18 +31,15 @@ func TestLiveReaddedTaskKeepsItsContribution(t *testing.T) {
 	const onlyA = `{"name": "unit", "processors": 2, "tasks": [
 	  {"id": "a", "kind": "aperiodic", "deadline": "80ms", "subtasks": [{"exec": "4ms", "processor": 1}]}]}`
 	attrs := acAttrs()
-	attrs[AttrIRStrategy], attrs[AttrReplicate], attrs[AttrWorkload] = "J", "true", withP
+	attrs[AttrIRStrategy], attrs[AttrWorkload] = "J", withP
 	ac := NewAdmissionController()
 	if err := ac.Configure(attrs); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []ccm.Component{sb, ac} {
-		if err := c.Activate(ctx); err != nil {
-			t.Fatal(err)
-		}
+	if err := ac.Activate(ctx); err != nil {
+		t.Fatal(err)
 	}
 	defer ac.Passivate()
-	defer sb.Passivate()
 
 	arrive := func(task sched.TaskRef) {
 		t.Helper()
@@ -59,9 +52,6 @@ func TestLiveReaddedTaskKeepsItsContribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := ac.Reconfigure(map[string]string{AttrWorkload: workload, AttrTaskRefs: refs}); err != nil {
-			t.Fatal(err)
-		}
-		if err := sb.Reconfigure(map[string]string{AttrTaskRefs: refs}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ac.Resume(); err != nil {
@@ -90,19 +80,5 @@ func TestLiveReaddedTaskKeepsItsContribution(t *testing.T) {
 	}
 	if err := ledger.CheckInvariants(); err != nil {
 		t.Error(err)
-	}
-	ac.repMu.Lock()
-	emitted := ac.repSeq
-	ac.repMu.Unlock()
-	deadline := time.Now().Add(5 * time.Second)
-	for sb.Stats().LastSeq < emitted && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if st := sb.Stats(); st.LastSeq != emitted || st.Failed != 0 {
-		t.Fatalf("standby after %d records: %+v", emitted, st)
-	}
-	mirror := sb.Promote()
-	if got := mirror.ActiveJobs(); !slices.Equal(got, want) || mirror.Util(0) != util {
-		t.Errorf("standby mirror: active %v, Util(0) %g; want %v, %g", got, mirror.Util(0), want, util)
 	}
 }

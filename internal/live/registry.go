@@ -19,7 +19,6 @@ const (
 	ImplSubtask             = "Subtask"
 	ImplIdleResetter        = "IdleResetter"
 	ImplHeartbeatBeacon     = "HeartbeatBeacon"
-	ImplStandbyAC           = "StandbyAC"
 )
 
 // Register adds the live component implementations to a component
@@ -35,7 +34,6 @@ func Register(reg *ccm.Registry) error {
 		{ImplSubtask, func() ccm.Component { return NewSubtask() }},
 		{ImplIdleResetter, func() ccm.Component { return NewIdleResetter() }},
 		{ImplHeartbeatBeacon, func() ccm.Component { return NewHeartbeatBeacon() }},
-		{ImplStandbyAC, func() ccm.Component { return NewStandbyAC() }},
 	}
 	for _, p := range pairs {
 		if err := reg.Register(p.name, p.factory); err != nil {

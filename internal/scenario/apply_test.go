@@ -262,7 +262,7 @@ func TestReconfigsReportedOnBothBindings(t *testing.T) {
 }
 
 // checkedIn parses a spec from the repository's scenarios directory.
-func checkedIn(t *testing.T, name string) *Spec {
+func checkedIn(t testing.TB, name string) *Spec {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "scenarios", name))
 	if err != nil {

@@ -138,7 +138,10 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 		case line.Type == "header" && line.Header != nil:
 			j.Header = *line.Header
 		case line.Type == "op" && line.Op != nil:
-			j.Ops = append(j.Ops, *line.Op)
+			op := *line.Op
+			op.Tasks, op.Add, op.IDs = emptyAsNil(op.Tasks), emptyAsNil(op.Add), emptyAsNil(op.IDs)
+			replicasEmptyAsNil(op.Add)
+			j.Ops = append(j.Ops, op)
 		case line.Type == "event" && line.Event != nil:
 			j.Events = append(j.Events, *line.Event)
 		default:
@@ -157,7 +160,26 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 	if j.Header.Workload == nil {
 		return nil, fmt.Errorf("scenario: journal has no workload")
 	}
+	replicasEmptyAsNil(j.Header.Workload.Tasks)
 	return j, nil
+}
+
+// emptyAsNil gives an empty list one value however a journal spells it: the
+// recorder omits an empty list, so `[]` must decode as the omitted field does.
+func emptyAsNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
+// replicasEmptyAsNil applies emptyAsNil to every stage's replica list.
+func replicasEmptyAsNil(tasks []wspec.TaskSpec) {
+	for i := range tasks {
+		for k := range tasks[i].Subtasks {
+			tasks[i].Subtasks[k].Replicas = emptyAsNil(tasks[i].Subtasks[k].Replicas)
+		}
+	}
 }
 
 // ReplayResult is a deterministic re-execution's outcome: the simulation

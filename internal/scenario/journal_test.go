@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -88,4 +90,71 @@ func TestReadJournalRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// FuzzDecodeJournal feeds arbitrary bytes to DecodeJournal. It must not
+// panic, and a journal it accepts must survive the recorder: re-encoded line
+// by line as Recorder writes it, it decodes to an equal Journal. The seeds
+// are a thinned tenant-churn recording (the header, then each line until its
+// op or event kind has appeared twice: submits, both injections, admissions,
+// completions, rejections, task changes) cut at every line and mid-line.
+func FuzzDecodeJournal(f *testing.F) {
+	s := checkedIn(f, "tenant-churn.json")
+	h, err := RecordHeader(s, BindingSim, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var rec bytes.Buffer
+	if _, err := RunSim(s, NewRecorder(&rec, h)); err != nil {
+		f.Fatal(err)
+	}
+	var journal []byte
+	var cuts []int // where each kept line ends
+	seen := make(map[string]int)
+	for _, line := range bytes.SplitAfter(rec.Bytes(), []byte("\n")) {
+		var l journalLine
+		if err := json.Unmarshal(line, &l); err != nil {
+			continue
+		}
+		kind := l.Type
+		switch {
+		case l.Op != nil:
+			kind += "/" + l.Op.Op
+		case l.Event != nil:
+			kind += "/" + l.Event.Kind
+		}
+		if seen[kind]++; seen[kind] > 2 {
+			continue
+		}
+		cuts = append(cuts, len(journal)+len(line)/2, len(journal)+len(line))
+		journal = append(journal, line...)
+	}
+	f.Add(journal)
+	for _, n := range cuts[:len(cuts)-1] {
+		f.Add(journal[:n])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		j, err := DecodeJournal(b)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		rec := NewRecorder(&buf, j.Header)
+		for _, op := range j.Ops {
+			rec.Op(op)
+		}
+		for _, ev := range j.Events {
+			rec.write(journalLine{Type: "event", Event: &ev})
+		}
+		if err := rec.Err(); err != nil {
+			t.Fatalf("re-encoding an accepted journal: %v", err)
+		}
+		again, err := DecodeJournal(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded journal refused: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(again, j) {
+			t.Fatalf("round trip changed the journal:\n got %+v\nwant %+v", again, j)
+		}
+	})
 }

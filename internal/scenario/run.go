@@ -562,9 +562,7 @@ func RunLive(s *Spec, timeScale float64, rec *Recorder) (*Result, error) {
 	cl.Drain(10 * time.Second)
 	res.Wall = time.Since(start)
 
-	// The live audit covers the active ledger and the warm-standby mirror:
-	// replication is synchronous on the manager's local channel, so a clean
-	// run must leave both consistent.
+	// The live audit covers the AC's one ledger, on the manager.
 	res.LedgerClean = cl.AuditAdmissionState() == nil
 	r.finish(ap, cl.Collector().Missed())
 	if res.Arrived > 0 {

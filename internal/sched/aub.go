@@ -748,8 +748,8 @@ func (l *Ledger) forgetJob(rec *jobRec) {
 }
 
 // AddJob records the contributions of an admitted job placed per placement,
-// without an admission test (tests, the ablation replay and the standby
-// mirror build ledger states with it, overloaded ones included). When
+// without an admission test (tests and the ablation replay build ledger
+// states with it, overloaded ones included). When
 // permanent is true the contributions never expire (the per-task admission
 // strategy reserves a periodic task's synthetic utilization for its whole
 // lifetime); otherwise expiry is the job's absolute deadline. Adding an
