@@ -23,10 +23,6 @@ type Decision struct {
 	// task's home (arrival) processor, so the release must go to the
 	// duplicate's task effector.
 	Relocated bool
-	// Tested reports whether an admission test was actually evaluated for
-	// this arrival (per-task AC skips the test for jobs of already-admitted
-	// periodic tasks).
-	Tested bool
 	// Reserved reports that the accepted contributions are a permanent
 	// per-task reservation: the caller must not schedule a deadline-expiry
 	// removal for them.
@@ -468,14 +464,13 @@ func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Durati
 	}
 	if !admitted {
 		atomic.AddInt64(&c.Stats.Rejects, 1)
-		return Decision{Tested: true}
+		return Decision{}
 	}
 	atomic.AddInt64(&c.Stats.Accepts, 1)
 	d := Decision{
 		Accept:    true,
 		Placement: placement,
 		Relocated: placement[0].Proc != t.Subtasks[0].Processor,
-		Tested:    true,
 		Reserved:  permanent,
 	}
 	if d.Relocated {

@@ -57,8 +57,8 @@ func TestPerTaskACAdmitsOnceAndReserves(t *testing.T) {
 	tk := periodicTask("p", 0, 400*time.Millisecond, time.Second)
 
 	d := c.Arrive(tk, 0, 0)
-	if !d.Accept || !d.Tested || !d.Reserved {
-		t.Fatalf("first arrival decision = %+v, want accepted+tested+reserved", d)
+	if !d.Accept || !d.Reserved || c.Stats.Tests != 1 {
+		t.Fatalf("first arrival decision = %+v after %d tests, want accepted+reserved after one", d, c.Stats.Tests)
 	}
 	if got := c.Ledger().Util(0); got != onGrid(0.4) {
 		t.Errorf("Util(0) = %g after admission, want 0.4", got)
@@ -66,8 +66,8 @@ func TestPerTaskACAdmitsOnceAndReserves(t *testing.T) {
 
 	// Later jobs release without testing and without new contributions.
 	d = c.Arrive(tk, 1, time.Second)
-	if !d.Accept || d.Tested || d.Reserved {
-		t.Fatalf("second arrival decision = %+v, want accepted without test", d)
+	if !d.Accept || d.Reserved || c.Stats.Tests != 1 {
+		t.Fatalf("second arrival decision = %+v after %d tests, want accepted without a second", d, c.Stats.Tests)
 	}
 	if got := c.Ledger().Util(0); got != onGrid(0.4) {
 		t.Errorf("Util(0) = %g after second job, want 0.4 (reservation held)", got)
@@ -113,8 +113,8 @@ func TestPerJobACTestsEveryJobAndExpires(t *testing.T) {
 	tk := periodicTask("p", 0, 400*time.Millisecond, time.Second)
 
 	d := c.Arrive(tk, 0, 0)
-	if !d.Accept || !d.Tested || d.Reserved {
-		t.Fatalf("decision = %+v, want accepted+tested, not reserved", d)
+	if !d.Accept || d.Reserved || c.Stats.Tests != 1 {
+		t.Fatalf("decision = %+v after %d tests, want accepted after one, not reserved", d, c.Stats.Tests)
 	}
 	// Before expiry, an identical second job stacks to 0.8: f(0.8) > 1, so
 	// it is skipped.
@@ -140,8 +140,9 @@ func TestAperiodicAlwaysTested(t *testing.T) {
 		c := mustController(t, cfg, 1)
 		tk := aperiodicTask("a", 0, 300*time.Millisecond, time.Second)
 		for job := int64(0); job < 3; job++ {
+			before := c.Stats.Tests
 			d := c.Arrive(tk, job, time.Duration(job)*time.Second)
-			if !d.Tested {
+			if c.Stats.Tests != before+1 {
 				t.Errorf("AC=%v: aperiodic job %d not tested", ac, job)
 			}
 			if d.Reserved {
@@ -258,9 +259,10 @@ func TestPerTaskACWithLBPerJobRelocatesReservation(t *testing.T) {
 	if d := c.Arrive(bg, 0, 0); !d.Accept {
 		t.Fatal("background rejected")
 	}
+	tests := c.Stats.Tests
 	d := c.Arrive(tk, 1, time.Second)
-	if !d.Accept || d.Tested {
-		t.Fatalf("decision = %+v, want untested accept", d)
+	if !d.Accept || c.Stats.Tests != tests {
+		t.Fatalf("decision = %+v after %d tests, want an accept without one", d, c.Stats.Tests-tests)
 	}
 	if d.Placement[0].Proc != 1 {
 		t.Fatalf("placement = %+v, want relocation to processor 1", d.Placement)
@@ -327,8 +329,8 @@ func TestControllerConcurrentFirstArrivals(t *testing.T) {
 			periodicTask(fmt.Sprintf("p%d", i), i%procs, time.Microsecond, time.Second))
 	}
 	type summary struct {
-		accepted, tested, reserved int
-		placement                  []sched.PlacedStage
+		accepted, reserved int
+		placement          []sched.PlacedStage
 	}
 	// summarize folds one task's decisions, one per worker.
 	summarize := func(t *testing.T, ds []Decision) summary {
@@ -337,9 +339,6 @@ func TestControllerConcurrentFirstArrivals(t *testing.T) {
 		for _, d := range ds {
 			if d.Accept {
 				s.accepted++
-			}
-			if d.Tested {
-				s.tested++
 			}
 			if d.Reserved {
 				s.reserved++
@@ -388,12 +387,16 @@ func TestControllerConcurrentFirstArrivals(t *testing.T) {
 				wg.Wait()
 				return got
 			}
-			want := run(mustController(t, combo, procs), false)
+			serial := mustController(t, combo, procs)
+			want := run(serial, false)
 			c := mustController(t, combo, procs)
 			got := run(c, true)
+			if c.Stats.Tests != serial.Stats.Tests {
+				t.Errorf("%d admission tests, %d in a serial run", c.Stats.Tests, serial.Stats.Tests)
+			}
 			for i, task := range tasks {
 				w, g := summarize(t, want[i]), summarize(t, got[i])
-				if w.accepted != workers || g.accepted != w.accepted || g.tested != w.tested || g.reserved != w.reserved ||
+				if w.accepted != workers || g.accepted != w.accepted || g.reserved != w.reserved ||
 					!slices.Equal(g.placement, w.placement) {
 					t.Errorf("%s: concurrent %+v, serial %+v", task.ID, g, w)
 				}

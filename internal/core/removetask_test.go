@@ -51,7 +51,8 @@ func TestControllerRemoveTask(t *testing.T) {
 	}
 
 	// The task re-registers as new: its first arrival is tested again.
-	if d := ctrl.Arrive(task, 7, 0); !d.Accept || !d.Tested || !d.Reserved {
-		t.Fatalf("re-arrival decision = %+v, want a fresh tested reservation", d)
+	tests := ctrl.Stats.Tests
+	if d := ctrl.Arrive(task, 7, 0); !d.Accept || !d.Reserved || ctrl.Stats.Tests != tests+1 {
+		t.Fatalf("re-arrival decision = %+v after %d tests, want a fresh reservation after one", d, ctrl.Stats.Tests-tests)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/des"
@@ -168,7 +169,8 @@ type SimSystem struct {
 	ctrl    *Controller
 	rng     *rand.Rand
 	tab     *sched.TaskTable
-	tasks   []*sched.Task // tab's tasks, by ref
+	tasks   []*sched.Task // tab's tasks, by ref; the caller's, read only
+	prio    []int32       // EDMS priority, by ref
 	state   []*simTask    // by ref; nil until the task's first arrival
 	slab    []simTask
 	metrics Metrics
@@ -205,9 +207,12 @@ type SimSystem struct {
 	acts []Action
 }
 
-// NewSimSystem builds a simulation over the given tasks. Tasks are cloned;
-// EDMS priorities are assigned from end-to-end deadlines. Every referenced
-// processor must be within [0, NumProcs).
+// NewSimSystem builds a simulation over the given tasks. Every referenced
+// processor must be within [0, NumProcs). The binding reads the tasks in
+// place and never writes them: EDMS priorities, ranked from end-to-end
+// deadlines, go into a table of its own, and only the slice is copied. The
+// caller must leave the tasks unchanged until the binding stops; several
+// bindings may share one task set, on any goroutines.
 func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NumProcs <= 0 {
@@ -222,21 +227,6 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	if err := cfg.Strategies.Validate(); err != nil {
 		return nil, err
 	}
-	// One counting pass sizes three slabs (tasks, subtasks, replica lists), so
-	// a request costs the same few allocations whatever its task count. Each
-	// clone's Subtasks and Replicas are three-index sub-slices of the slabs:
-	// cap == len, so an append reallocates instead of writing into a neighbour.
-	var nSub, nRep int
-	for _, t := range tasks {
-		nSub += len(t.Subtasks)
-		for i := range t.Subtasks {
-			nRep += len(t.Subtasks[i].Replicas)
-		}
-	}
-	slab := make([]sched.Task, len(tasks))
-	subs := make([]sched.Subtask, nSub)
-	reps := make([]int, nRep)
-	cloned := make([]*sched.Task, len(tasks))
 	taskIdx := make(map[string]sched.TaskRef, len(tasks))
 	for i, t := range tasks {
 		if err := t.Validate(); err != nil {
@@ -247,32 +237,14 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 		if len(taskIdx) != i+1 {
 			return nil, fmt.Errorf("core: duplicate task ID %q", t.ID)
 		}
-		if err := checkProcs(t, cfg.NumProcs); err != nil {
+		if err := checkTask(t, cfg.NumProcs); err != nil {
 			return nil, err
 		}
-		if t.Kind == sched.Aperiodic && t.MeanInterarrival <= 0 {
-			return nil, fmt.Errorf("core: aperiodic task %s has no mean interarrival time", t.ID)
-		}
-		c := &slab[i]
-		*c = *t
-		n := len(t.Subtasks)
-		c.Subtasks = subs[:n:n]
-		subs = subs[n:]
-		for j := range t.Subtasks {
-			st := t.Subtasks[j]
-			if r := len(st.Replicas); r > 0 {
-				copy(reps, st.Replicas)
-				st.Replicas = reps[:r:r]
-				reps = reps[r:]
-			} else {
-				st.Replicas = nil
-			}
-			c.Subtasks[j] = st
-		}
-		cloned[i] = c
 	}
-	sched.AssignEDMSPriorities(cloned)
-	tab := sched.NewTaskTable(cloned, taskIdx)
+	// The table appends AddTasks' tasks to its slice: a copy keeps them out
+	// of the caller's backing array.
+	own := slices.Clone(tasks)
+	tab := sched.NewTaskTable(own, taskIdx)
 	ctrl, err := NewController(cfg.Strategies, cfg.NumProcs)
 	if err != nil {
 		return nil, err
@@ -287,9 +259,10 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 		acDelay: des.NewLink(eng, cfg.ACDelay),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		tab:     tab,
-		tasks:   cloned,
-		state:   make([]*simTask, len(cloned)),
-		removed: make([]bool, len(cloned)),
+		tasks:   own,
+		prio:    sched.EDMSRanks(own),
+		state:   make([]*simTask, len(own)),
+		removed: make([]bool, len(own)),
 	}
 	s.procs = make([]*des.Processor, cfg.NumProcs)
 	s.irs = make([]*IdleResetter, cfg.NumProcs)
@@ -304,9 +277,10 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	return s, nil
 }
 
-// checkProcs rejects a task that names a processor the simulation does not
-// have, looking at each stage's home processor and then its replicas.
-func checkProcs(t *sched.Task, numProcs int) error {
+// checkTask rejects a task the simulation cannot run: one that names a
+// processor it does not have (each stage's home processor, then its
+// replicas), or else an aperiodic task with no mean interarrival time.
+func checkTask(t *sched.Task, numProcs int) error {
 	outOfRange := func(p int) error {
 		return fmt.Errorf("core: task %s references processor %d but sim has %d", t.ID, p, numProcs)
 	}
@@ -320,6 +294,9 @@ func checkProcs(t *sched.Task, numProcs int) error {
 				return outOfRange(p)
 			}
 		}
+	}
+	if t.Kind == sched.Aperiodic && t.MeanInterarrival <= 0 {
+		return fmt.Errorf("core: aperiodic task %s has no mean interarrival time", t.ID)
 	}
 	return nil
 }
@@ -438,14 +415,16 @@ func (s *SimSystem) SubmitBatch(taskIDs []string) ([]Admission, error) {
 
 // AddTasks registers new tasks on the running binding: each task gets the
 // next ref (its runtime state is created at its first arrival),
-// EDMS priorities are re-assigned over the whole active set — jobs already
+// EDMS priorities are re-ranked over the whole active set — jobs already
 // queued keep the priority they were submitted with; subsequent releases use
 // the new assignment — and, when the run has started, the tasks' own arrival
 // processes are scheduled from the current virtual time. IDs are validated
 // against the active set before anything is registered, so the call is
 // all-or-nothing. A removed ID may be re-registered; it gets a fresh ref
 // and restarts job numbering at zero, and nothing still pending for the
-// removed incarnation (an expiry, an idle report) can reach it.
+// removed incarnation (an expiry, an idle report) can reach it. As with
+// NewSimSystem, the tasks are read in place and never written, and the
+// caller must leave them unchanged until the binding stops.
 func (s *SimSystem) AddTasks(tasks []*sched.Task) error {
 	if s.stopped {
 		return fmt.Errorf("core: sim: add tasks: %w", ErrStopped)
@@ -459,11 +438,8 @@ func (s *SimSystem) AddTasks(tasks []*sched.Task) error {
 			return fmt.Errorf("core: sim: add tasks: %w: %q", ErrTaskExists, t.ID)
 		}
 		seen[t.ID] = true
-		if err := checkProcs(t, s.cfg.NumProcs); err != nil {
+		if err := checkTask(t, s.cfg.NumProcs); err != nil {
 			return err
-		}
-		if t.Kind == sched.Aperiodic && t.MeanInterarrival <= 0 {
-			return fmt.Errorf("core: aperiodic task %s has no mean interarrival time", t.ID)
 		}
 	}
 	// A re-registered name's accumulator must find its first incarnation's.
@@ -471,7 +447,8 @@ func (s *SimSystem) AddTasks(tasks []*sched.Task) error {
 	base := int32(len(s.tasks))
 	now := s.eng.Now()
 	for _, t := range tasks {
-		s.tab.Intern(t.Clone())
+		s.tab.Intern(t)
+		s.prio = append(s.prio, 0)
 		s.state = append(s.state, nil)
 		s.removed = append(s.removed, false)
 	}
@@ -489,7 +466,7 @@ func (s *SimSystem) AddTasks(tasks []*sched.Task) error {
 // RemoveTasks withdraws tasks from the running binding: their remaining
 // ledger contributions (including permanent per-task reservations) are
 // released through the controller's task index, their arrival processes
-// stop, and EDMS priorities are re-assigned over the survivors. Jobs already
+// stop, and EDMS priorities are re-ranked over the survivors. Jobs already
 // released keep executing to completion — removal never loses an admitted
 // job — while arrivals still awaiting a decision resolve as rejected once
 // their in-flight round trip drains. IDs are validated first, so the call is
@@ -560,7 +537,8 @@ func (s *SimSystem) TaskIDs() []string {
 	return out
 }
 
-// reassignPriorities re-runs the EDMS assignment over the active task set.
+// reassignPriorities re-ranks the active task set into the priority table.
+// A removed task keeps its last priority for the jobs it still runs.
 func (s *SimSystem) reassignPriorities() {
 	active := make([]*sched.Task, 0, len(s.tasks))
 	for i, t := range s.tasks {
@@ -568,7 +546,12 @@ func (s *SimSystem) reassignPriorities() {
 			active = append(active, t)
 		}
 	}
-	sched.AssignEDMSPriorities(active)
+	ranks := sched.EDMSRanks(active)
+	for i := range s.tasks {
+		if !s.removed[i] {
+			s.prio[i], ranks = ranks[0], ranks[1:]
+		}
+	}
 }
 
 // Snapshot returns the binding's current configuration, epoch and aggregate
@@ -906,9 +889,8 @@ func (s *SimSystem) release(ti int32, job int64, placement []sched.PlacedStage, 
 // at no delay.
 func (s *SimSystem) startStage(ji, stage int32) {
 	j := &s.jobs[ji]
-	t := s.tasks[j.task]
 	proc := j.placement[stage].Proc
-	s.procs[proc].SubmitEvent(t.Priority, t.Subtasks[stage].Exec, s, des.Event{Kind: evStageDone, A: ji, B: stage})
+	s.procs[proc].SubmitEvent(int(s.prio[j.task]), s.tasks[j.task].Subtasks[stage].Exec, s, des.Event{Kind: evStageDone, A: ji, B: stage})
 }
 
 // stageDone handles one subjob completion: IR bookkeeping, then either the

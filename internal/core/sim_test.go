@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -354,63 +355,119 @@ func manyTasks(n, procs int) []*sched.Task {
 	return tasks
 }
 
-// TestNewSimSystemClonesItsInput holds the slab clone to what Task.Clone gave:
-// nothing the caller does to its tasks afterwards reaches the simulation, and
-// nothing done to one clone reaches its neighbour in the slab.
-func TestNewSimSystemClonesItsInput(t *testing.T) {
-	in := manyTasks(8, 4)
-	in[2].Subtasks[0].Replicas = []int{} // empty, not nil: cloned as nil, like Task.Clone
-	want := make([]*sched.Task, len(in))
-	for i, task := range in {
-		want[i] = task.Clone()
-	}
-	s := mustSim(t, simCfg(Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone}, 4), in)
-	sched.AssignEDMSPriorities(want)
+// TestSimLeavesItsTasksUntouched holds the binding to reading its tasks in
+// place: under every combination, through a run with a mid-run AddTasks,
+// RemoveTasks and Reconfigure, no input or added task changes, Priority
+// included, and the caller's slice is not written past its length either.
+func TestSimLeavesItsTasksUntouched(t *testing.T) {
+	const procs = 4
+	combos := AllCombinations()
+	for ci, combo := range combos {
+		t.Run(combo.String(), func(t *testing.T) {
+			// Spare capacity: a binding that appended to the caller's slice
+			// instead of its own copy would write into it.
+			in := append(make([]*sched.Task, 0, 48), manyTasks(40, procs)...)
+			slots := slices.Clone(in[:cap(in)])
+			add := []*sched.Task{
+				periodicTask("late-p", 1, 5*time.Millisecond, 200*time.Millisecond, 2),
+				aperiodicTask("late-a", 2, 5*time.Millisecond, 150*time.Millisecond, 3),
+			}
+			all := append(slices.Clone(in), add...)
+			want := make([]*sched.Task, len(all))
+			for i, task := range all {
+				want[i] = task.Clone()
+			}
 
-	for _, task := range in {
-		task.Deadline = time.Hour
-		task.ID += "-renamed"
-		for i := range task.Subtasks {
-			task.Subtasks[i].Processor = 3
-			task.Subtasks[i].Exec = time.Hour
-			for k := range task.Subtasks[i].Replicas {
-				task.Subtasks[i].Replicas[k] = 3
+			cfg := simCfg(combo, procs)
+			cfg.Horizon = 10 * time.Second
+			s := mustSim(t, cfg, in)
+			at := func(d time.Duration, op func() error) {
+				t.Helper()
+				if err := s.At(d, func() {
+					if err := op(); err != nil {
+						t.Error(err)
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		task.Subtasks = append(task.Subtasks, sched.Subtask{})
+			at(2*time.Second, func() error { return s.AddTasks(add) })
+			at(4*time.Second, func() error { return s.RemoveTasks([]string{"t1", "t2", "late-a"}) })
+			at(6*time.Second, func() error {
+				_, err := s.Reconfigure(combos[(ci+1)%len(combos)])
+				return err
+			})
+			m := s.Run()
+			if m.Task("late-p").Arrived == 0 || m.Task("late-a").Arrived == 0 || len(s.ReconfigReports()) != 1 {
+				t.Fatalf("the mid-run operations did not take: late-p %+v, late-a %+v, %d reconfigurations",
+					m.Task("late-p"), m.Task("late-a"), len(s.ReconfigReports()))
+			}
+
+			for i, task := range all {
+				if !reflect.DeepEqual(task, want[i]) {
+					t.Errorf("task %d changed in the binding:\n got %+v\nwant %+v", i, task, want[i])
+				}
+			}
+			if !slices.Equal(in[:cap(in)], slots) {
+				t.Error("the binding wrote into the caller's slice")
+			}
+		})
 	}
-	if !reflect.DeepEqual(s.tasks, want) {
-		t.Fatalf("the simulation's tasks changed with the caller's:\n got %+v\nwant %+v", s.tasks[0], want[0])
+}
+
+// TestSimsShareOneTaskSet runs bindings over one task slice at once, two per
+// combination on goroutines of their own, and holds each to the metrics and
+// event count of the same run made alone. Under -race it also shows that no
+// binding writes what another reads.
+func TestSimsShareOneTaskSet(t *testing.T) {
+	const procs = 8
+	tasks := manyTasks(200, procs)
+	type outcome struct {
+		total, periodic, aperiodic KindMetrics
+		fired                      int64
+	}
+	run := func(combo Config) (outcome, error) {
+		s, err := NewSimSystem(simCfg(combo, procs), tasks)
+		if err != nil {
+			return outcome{}, err
+		}
+		m := s.Run()
+		return outcome{m.Total, m.Periodic, m.Aperiodic, s.Engine().Fired()}, nil
+	}
+	var combos []Config
+	for i, combo := range AllCombinations() {
+		if i%3 == 0 {
+			combos = append(combos, combo)
+		}
+	}
+	serial := make([]outcome, len(combos))
+	for i, combo := range combos {
+		o, err := run(combo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = o
 	}
 
-	// cap == len on every sub-slice of the slabs: an append reallocates
-	// instead of writing into the next task's storage.
-	for i, task := range s.tasks {
-		if cap(task.Subtasks) != len(task.Subtasks) {
-			t.Errorf("task %d: Subtasks has cap %d for len %d", i, cap(task.Subtasks), len(task.Subtasks))
-		}
-		for j, st := range task.Subtasks {
-			if st.Replicas != nil && cap(st.Replicas) != len(st.Replicas) {
-				t.Errorf("task %d stage %d: Replicas has cap %d for len %d", i, j, cap(st.Replicas), len(st.Replicas))
-			}
-			if st.Replicas == nil != (len(want[i].Subtasks[j].Replicas) == 0) {
-				t.Errorf("task %d stage %d: Replicas nil = %v, Task.Clone's nil = %v", i, j, st.Replicas == nil, want[i].Subtasks[j].Replicas == nil)
-			}
-		}
+	const copies = 2
+	got := make([]outcome, copies*len(combos))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(combos[i%len(combos)])
+		}()
 	}
-	for _, task := range s.tasks {
-		task.Subtasks = append(task.Subtasks, sched.Subtask{Index: 99, Processor: 99})
-		for j := range task.Subtasks {
-			task.Subtasks[j].Replicas = append(task.Subtasks[j].Replicas, 99)
+	wg.Wait()
+	for i, o := range got {
+		combo := combos[i%len(combos)]
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", combo, errs[i])
 		}
-	}
-	for i, task := range s.tasks {
-		for j, w := range want[i].Subtasks {
-			got := task.Subtasks[j]
-			if got.Index != w.Index || got.Processor != w.Processor || got.Exec != w.Exec ||
-				!slices.Equal(got.Replicas[:len(w.Replicas)], w.Replicas) {
-				t.Errorf("task %d stage %d: an append to a neighbour overwrote it: %+v, want %+v", i, j, got, w)
-			}
+		if o != serial[i%len(combos)] {
+			t.Errorf("%s beside other bindings: %+v, alone: %+v", combo, o, serial[i%len(combos)])
 		}
 	}
 }
@@ -509,9 +566,10 @@ func TestNewSimSystemRejectsNegativeDelays(t *testing.T) {
 }
 
 // TestNewSimSystemAllocsFlat keeps the build's allocations independent of the
-// task count: three slabs, a pointer slice, the name index, the EDMS sort's
-// two key slices (the (deadline, index) keys and the radix passes' scratch
-// copy) and the per-task state arrays, plus what fifty processors cost. One
+// task count: the binding's copy of the task slice, the name index, the EDMS
+// order's two key slices (the (deadline, index) keys and the radix passes'
+// scratch copy), the priority table and the per-task state arrays, plus what
+// fifty processors cost. One
 // allocation per task, were it to come back, would read as thousands. The
 // name index is the one part that is not a single allocation: a Go map of
 // 10 000 strings is about 16 tables of two allocations each where one of
@@ -537,11 +595,11 @@ func TestNewSimSystemAllocsFlat(t *testing.T) {
 	}
 
 	// The bytes of one build at the sim-sweep shape: per-task state belongs
-	// to a task's first arrival, and moved into the build it would read as
-	// decision time. buildBytes is the build before task refs, when the TE
-	// memory, job counters and accumulator pointers were arrays sized at
-	// build (go1.24, amd64); the bound allows 3 % over it.
-	const buildBytes = 3706264
+	// to a task's first arrival, and a copy of the tasks would be 2 MB of
+	// the build; either would read as decision time. buildBytes is the build
+	// that reads its tasks in place (go1.24, amd64); the bound allows 3 %
+	// over it.
+	const buildBytes = 1002584
 	p := workload.ScaleParams(procs, 10000, 1)
 	p.TargetUtil = 0.9
 	tasks, err := workload.Generate(p)

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"sync"
 
 	"repro/internal/core"
@@ -138,10 +139,7 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 		case line.Type == "header" && line.Header != nil:
 			j.Header = *line.Header
 		case line.Type == "op" && line.Op != nil:
-			op := *line.Op
-			op.Tasks, op.Add, op.IDs = emptyAsNil(op.Tasks), emptyAsNil(op.Add), emptyAsNil(op.IDs)
-			replicasEmptyAsNil(op.Add)
-			j.Ops = append(j.Ops, op)
+			j.Ops = append(j.Ops, *line.Op)
 		case line.Type == "event" && line.Event != nil:
 			j.Events = append(j.Events, *line.Event)
 		default:
@@ -160,24 +158,29 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 	if j.Header.Workload == nil {
 		return nil, fmt.Errorf("scenario: journal has no workload")
 	}
-	replicasEmptyAsNil(j.Header.Workload.Tasks)
+	emptyListsAsNil(reflect.ValueOf(j))
 	return j, nil
 }
 
-// emptyAsNil gives an empty list one value however a journal spells it: the
-// recorder omits an empty list, so `[]` must decode as the omitted field does.
-func emptyAsNil[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	return s
-}
-
-// replicasEmptyAsNil applies emptyAsNil to every stage's replica list.
-func replicasEmptyAsNil(tasks []wspec.TaskSpec) {
-	for i := range tasks {
-		for k := range tasks[i].Subtasks {
-			tasks[i].Subtasks[k].Replicas = emptyAsNil(tasks[i].Subtasks[k].Replicas)
+// emptyListsAsNil sets every empty list reachable from v to nil. The
+// encoders omit an empty list, so a decoded journal or spec must read `[]`
+// as it reads the omitted field: one value however the input spells it.
+func emptyListsAsNil(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			emptyListsAsNil(v.Elem())
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			emptyListsAsNil(v.Field(i))
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			v.SetZero()
+		}
+		for i := range v.Len() {
+			emptyListsAsNil(v.Index(i))
 		}
 	}
 }

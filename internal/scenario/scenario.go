@@ -28,6 +28,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"time"
 
@@ -331,6 +332,7 @@ func Parse(data []byte) (*Spec, error) {
 	if err := jsonUnmarshalStrict(data, &s); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
+	emptyListsAsNil(reflect.ValueOf(&s))
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,11 @@
 package scenario
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -290,4 +294,42 @@ func TestNodeFaultValidationAndCompile(t *testing.T) {
 	if kills != 3 || recovers != 1 {
 		t.Fatalf("compiled %d kills and %d recovers, want 3 and 1", kills, recovers)
 	}
+}
+
+// FuzzParseScenario feeds the spec decoder arbitrary bytes, seeded with the
+// checked-in scenarios. It must not panic, must refuse with an error that
+// wraps ErrSpec, and a spec it accepts, encoded again with json.Marshal,
+// must parse to an equal spec.
+func FuzzParseScenario(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no checked-in scenarios: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			if !errors.Is(err, ErrSpec) {
+				t.Fatalf("error does not wrap ErrSpec: %v", err)
+			}
+			return
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("encoding an accepted spec: %v", err)
+		}
+		again, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("re-encoded spec refused: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(again, s) {
+			t.Fatalf("round trip changed the spec:\n got %+v\nwant %+v\n%s", again, s, enc)
+		}
+	})
 }

@@ -180,12 +180,19 @@ func (t *Task) Clone() *Task {
 	return &c
 }
 
-// AssignEDMSPriorities assigns End-to-end Deadline Monotonic Scheduling
-// priorities to the tasks in place: a subtask has higher priority (smaller
-// value) if it belongs to a task with a shorter end-to-end deadline. Ties
-// are broken by task ID and then by position in tasks, so the order is total
-// and deterministic: the one a stable sort on (Deadline, ID) gives.
-// Priorities start at one.
+// AssignEDMSPriorities writes EDMSRanks's order into each task's Priority.
+func AssignEDMSPriorities(tasks []*Task) {
+	for i, r := range EDMSRanks(tasks) {
+		tasks[i].Priority = int(r)
+	}
+}
+
+// EDMSRanks returns the End-to-end Deadline Monotonic Scheduling priority of
+// each task, by position, and writes no task: a subtask has higher priority
+// (smaller value) if it belongs to a task with a shorter end-to-end
+// deadline. Ties are broken by task ID and then by position in tasks, so the
+// order is total and deterministic: the one a stable sort on (Deadline, ID)
+// gives. Priorities start at one.
 //
 // The order costs linear time in the deadlines. The (deadline, index) keys
 // start in input order and take one stable LSD radix pass per byte of the
@@ -193,9 +200,9 @@ func (t *Task) Clone() *Task {
 // when the span is under 2^32 ns (≈ 4.29 s). Only inside a run of equal
 // deadlines are keys compared, by ID, with a stable sort, so equal IDs keep
 // input order.
-func AssignEDMSPriorities(tasks []*Task) {
+func EDMSRanks(tasks []*Task) []int32 {
 	if len(tasks) == 0 {
-		return
+		return nil
 	}
 	type key struct {
 		deadline time.Duration
@@ -242,9 +249,11 @@ func AssignEDMSPriorities(tasks []*Task) {
 		}
 		i = j
 	}
+	ranks := make([]int32, len(tasks))
 	for i, k := range order {
-		tasks[k.idx].Priority = i + 1
+		ranks[k.idx] = int32(i + 1)
 	}
+	return ranks
 }
 
 // JobRef identifies one release (job) of a task. Aperiodic arrivals are

@@ -132,8 +132,9 @@ func TestAssignEDMSPriorities(t *testing.T) {
 	}
 }
 
-// TestAssignEDMSPrioritiesMatchesSliceStable pins the ordering against the
-// stable sort on (Deadline, ID) the function used to make, on inputs that
+// TestAssignEDMSPrioritiesMatchesSliceStable pins the ordering, as EDMSRanks
+// returns it and as AssignEDMSPriorities writes it, against the stable sort
+// on (Deadline, ID) the function used to make, on inputs that
 // reach every part of the radix sort: no keys, one key, zero passes (every
 // deadline equal), spans of one, two, four and eight bytes, and full
 // (Deadline, ID) ties that fall to input position.
@@ -201,6 +202,12 @@ func TestAssignEDMSPrioritiesMatchesSliceStable(t *testing.T) {
 			want := make(map[*Task]int, len(order))
 			for i, tk := range order {
 				want[tk] = i + 1
+			}
+			ranks := EDMSRanks(tasks)
+			for i, tk := range tasks {
+				if int(ranks[i]) != want[tk] || tk.Priority != 0 {
+					t.Fatalf("task %d (%s, deadline %v): EDMSRanks gave %d and left Priority %d, want %d and 0", i, tk.ID, tk.Deadline, ranks[i], tk.Priority, want[tk])
+				}
 			}
 			AssignEDMSPriorities(tasks)
 			for i, tk := range tasks {

@@ -189,6 +189,10 @@ type (
 // tasks. Run executes the workload; ScheduleReconfig swaps strategies at a
 // virtual time mid-run; At drives open-world operations (Submit, AddTasks,
 // RemoveTasks) at exact virtual times.
+//
+// The binding reads the tasks, and those given to AddTasks, in place and
+// never writes them, Priority included; the caller must leave them unchanged
+// until the binding stops. One task set may back several bindings at once.
 func NewSimBinding(cfg SimConfig, tasks []*Task) (*SimSystem, error) {
 	return core.NewSimSystem(cfg, tasks)
 }
