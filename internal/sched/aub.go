@@ -3,39 +3,12 @@ package sched
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
 	"time"
 )
-
-// AUBTerm computes the per-processor term of the aperiodic utilization bound
-// condition: f(u) = u(1 - u/2) / (1 - u). The condition for task T_i under
-// EDMS is Σ_j f(U_Vij) ≤ 1 over the processors T_i visits (condition (1) in
-// the paper, after Abdelzaher et al.). For u ≥ 1 the term is +Inf: a fully
-// (or over-) utilized processor can never satisfy the condition.
-func AUBTerm(u float64) float64 {
-	if u >= 1 {
-		return math.Inf(1)
-	}
-	if u <= 0 {
-		return 0
-	}
-	return u * (1 - u/2) / (1 - u)
-}
-
-// PathFeasible reports whether a task visiting processors with the given
-// synthetic utilizations satisfies the AUB condition Σ f(u) ≤ 1.
-func PathFeasible(utils []float64) bool {
-	var sum float64
-	for _, u := range utils {
-		sum += AUBTerm(u)
-		if sum > 1 {
-			return false
-		}
-	}
-	return sum <= 1
-}
 
 // RemovalReason records why a contribution left the ledger.
 type RemovalReason int
@@ -209,27 +182,17 @@ type sigGroup struct {
 	// exactly the jobs the admission test must cover.
 	counted int
 	// scanned is the Ledger.scan value of the last admission test that
-	// summed the group, or of the last commit that updated it, so a group
-	// indexed under several perturbed processors is summed, and updated,
-	// once per test.
+	// summed the group, so a group indexed under several perturbed
+	// processors is summed once per test.
 	scanned uint64
-	// cachedSum is an upper bound on Σ_p count[p]·f(util[p]) under the
-	// current utilizations, written only by refreshGroupSum (a fresh sum) and
-	// by commitAdmitted (a bound the admission test proved). It is exact after
-	// any utilization change outside an admission that grew one of the
-	// group's processors, after the group's 0 → counted transition, and after
-	// every utilization change made while Ledger.violated > 0; a processor
-	// that shrinks while nothing is violated leaves it stale, which only ever
-	// leaves it too high. For a counted group it lies on the same side of 1 as
-	// the fresh sum, so Ledger.violated is an exact count.
-	cachedSum float64
-	// maxCount is the signature's largest per-processor entry count, as a
-	// float64 for the scan's bound: a candidate raises the group's sum by at
-	// most maxCount times the total growth of the perturbed terms.
-	maxCount float64
-	// scanSum is the sum under the candidate's tentative terms of the test
-	// that stamped scanned; commitAdmitted caches it.
-	scanSum float64
+	// cachedSum is Σ_p count[p]·term[p] in ledger units, exactly: every
+	// change δ of a term on one of the group's processors adds count·δ to it
+	// (setTerm), so it always equals the fresh sum.
+	cachedSum int64
+	// maxCount is the signature's largest per-processor entry count: a
+	// candidate raises the group's sum by at most maxCount times the total
+	// growth of the perturbed terms.
+	maxCount int64
 
 	// hash is sigHash of the signature, the group's key in Ledger.groups,
 	// and next chains the groups sharing that key.
@@ -284,20 +247,41 @@ func toUnits(u float64) (int64, bool) {
 //rtmw:noalloc
 func fromUnits(n int64) float64 { return float64(n) / unitsPerOne }
 
-// boundMargin is the slack admitScan keeps below 1 when it passes a group on
-// its cached bound instead of summing it. The bound and the exact sum are
-// both sums of at most eight products of magnitude ≤ 1, so they differ from
-// the real-number values by a few ulps (~1e-15); the margin is six orders of
-// magnitude above that, and a group within it of the bound is simply summed.
-const boundMargin = 1e-9
+// termCap is the largest AUB term the ledger holds: one unit above 1. A term
+// past 1 breaks every condition it enters on its own, so all such terms can
+// share one value without changing a decision.
+const termCap = unitsPerOne + 1
 
-// carrySlack is what commitAdmitted adds to a bound it carries across an
-// admission. The fresh sums before and after, grow and the bound's own
-// operations each land within n·2⁻⁵³ of their real values, for n ≤ NumProcs
-// products of a sum at most 1, and a rounded AUBTerm may dip by an ulp where
-// utilization grows; 1e-12 ≫ n·2⁻⁵³ keeps the carried bound above the fresh
-// sum, and below 1 − boundMargin + carrySlack < 1.
-const carrySlack = 1e-12
+// termUnits is the AUB term of condition (1), f(u) = u(1 − u/2)/(1 − u)
+// (after Abdelzaher et al.), of a processor holding n ledger units, in
+// ledger units and rounded up: the exact ceiling of
+// n(2^41 − n) / (2(2^40 − n)), capped at termCap (and termCap from n = 2^40
+// on, where f is infinite). The exact ceiling of an increasing function is
+// itself nondecreasing, so a processor that gains utilization never loses
+// term.
+//
+//rtmw:noalloc
+func termUnits(n int64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	if n >= unitsPerOne {
+		return termCap
+	}
+	hi, lo := bits.Mul64(uint64(n), uint64(2*unitsPerOne-n))
+	d := uint64(2 * (unitsPerOne - n))
+	if hi >= d { // the quotient needs more than 64 bits
+		return termCap
+	}
+	q, r := bits.Div64(hi, lo, d)
+	if q >= termCap {
+		return termCap
+	}
+	if r != 0 {
+		q++
+	}
+	return int64(q)
+}
 
 // Ledger is the synthetic-utilization ledger maintained by the admission
 // controller. It tracks, per processor, the sum of C/D contributions of the
@@ -322,8 +306,8 @@ const carrySlack = 1e-12
 // is what the paper's single centralized AC needs.
 type Ledger struct {
 	mu   sync.Mutex
-	util []int64   // per processor, in ledger units (toUnits)
-	term []float64 // term[p] = AUBTerm(fromUnits(util[p])), maintained with util
+	util []int64 // per processor, in ledger units (toUnits)
+	term []int64 // term[p] = termUnits(util[p]), maintained with util
 	// names binds the task names of TestAndAdd and WithdrawJob to refs of
 	// this ledger's own; nil until the first.
 	names map[string]TaskRef
@@ -331,11 +315,10 @@ type Ledger struct {
 	tasks      []jobList            // per task ref, its jobs; grown on demand
 	njobs      int                  // jobs in the task lists
 	groups     map[uint64]*sigGroup // sigHash → groups with that hash, chained through sigGroup.next
-	procGroups [][]*sigGroup        // groups whose signature visits proc (swap-remove via sigGroup.procPos)
-	// violated counts groups with counted > 0 whose sum already exceeds 1
-	// (for a counted group cachedSum and the fresh sum agree on that): while
-	// any exist, no candidate is admissible (adding utilization can only
-	// grow a group's sum).
+	procGroups [][]groupRef         // groups whose signature visits proc (swap-remove via sigGroup.procPos)
+	// violated counts groups with counted > 0 whose sum already exceeds 1:
+	// while any exist, no candidate is admissible (adding utilization can
+	// only grow a group's sum).
 	violated int
 
 	// Record pools: jobRec and sigGroup records cycle through free lists
@@ -358,15 +341,23 @@ type Ledger struct {
 	// once per signature-group visit. They hold the last test's values until
 	// the next prime, which zeroes candDelta for the processors it names.
 	candDelta []int64
-	candTerm  []float64
+	candTerm  []int64
 	candProcs []int
-	candGrow  float64 // Σ (candTerm[p] − term[p]) over candProcs
+	candGrow  int64 // Σ (candTerm[p] − term[p]) over candProcs
 	// scan numbers the admission tests; see sigGroup.scanned. Starting at
 	// zero and incrementing before use, it never equals the stamp of a fresh
 	// or recycled group by accident: stamps only ever hold earlier values.
 	scan uint64
 	// audits numbers the CheckInvariants runs; see sigGroup.audit.
 	audits uint64
+}
+
+// groupRef is one entry of a processor's group index: the group and its
+// signature's count on that processor, so a change of the processor's term
+// moves the group's sum without searching its signature.
+type groupRef struct {
+	g *sigGroup
+	c int64
 }
 
 // jobList is one task's jobs, linked through jobRec.prevT/nextT from the
@@ -382,9 +373,9 @@ type jobList struct {
 func NewLedger(numProcs int) *Ledger {
 	return &Ledger{
 		util:       make([]int64, numProcs),
-		term:       make([]float64, numProcs),
+		term:       make([]int64, numProcs),
 		groups:     make(map[uint64]*sigGroup),
-		procGroups: make([][]*sigGroup, numProcs),
+		procGroups: make([][]groupRef, numProcs),
 	}
 }
 
@@ -487,10 +478,10 @@ func (l *Ledger) fileJob(k JobKey, rec *jobRec) {
 // processor its signature visits.
 func (l *Ledger) procGroupAdd(g *sigGroup) {
 	g.procPos = g.procPos[:0]
-	for _, p := range g.procs {
+	for i, p := range g.procs {
 		s := l.procGroups[p]
 		g.procPos = append(g.procPos, len(s))
-		l.procGroups[p] = append(s, g)
+		l.procGroups[p] = append(s, groupRef{g, int64(g.counts[i])})
 	}
 }
 
@@ -503,15 +494,15 @@ func (l *Ledger) procGroupRemove(g *sigGroup) {
 		pos := g.procPos[i]
 		moved := s[last]
 		s[pos] = moved
-		if moved != g {
-			for j, mp := range moved.procs {
+		if moved.g != g {
+			for j, mp := range moved.g.procs {
 				if mp == p {
-					moved.procPos[j] = pos
+					moved.g.procPos[j] = pos
 					break
 				}
 			}
 		}
-		s[last] = nil
+		s[last] = groupRef{}
 		l.procGroups[p] = s[:last]
 	}
 }
@@ -576,21 +567,27 @@ func (l *Ledger) addUtil(proc int, amount int64) {
 	l.settleProc(proc)
 }
 
-// settleProc finalizes a processor after raw utilization adjustments:
-// recaches the AUB term, and refreshes the cached sums of the signature
-// groups visiting the processor — unless the term did not grow and nothing
-// is violated. Then every fresh sum can only have fallen (floating-point
-// sums of products are monotone in each term), so no counted group can have
-// crossed 1 and the cached sums, now stale, are still upper bounds: the walk
-// is skipped.
+// settleProc finalizes a processor after raw utilization adjustments: it
+// recomputes the processor's AUB term from its utilization.
 func (l *Ledger) settleProc(proc int) {
-	old := l.term[proc]
-	l.term[proc] = AUBTerm(fromUnits(l.util[proc]))
-	if l.term[proc] <= old && l.violated == 0 {
+	l.setTerm(proc, termUnits(l.util[proc]))
+}
+
+// setTerm sets a processor's AUB term to t and adds count·δ, δ the term's
+// change, to the sum of every signature group visiting the processor,
+// maintaining the violated counter. It is the only writer of a registered
+// group's cachedSum.
+func (l *Ledger) setTerm(proc int, t int64) {
+	d := t - l.term[proc]
+	if d == 0 {
 		return
 	}
-	for _, g := range l.procGroups[proc] {
-		l.refreshGroupSum(g)
+	l.term[proc] = t
+	for _, r := range l.procGroups[proc] {
+		g := r.g
+		was := g.counted > 0 && g.cachedSum > unitsPerOne
+		g.cachedSum += r.c * d
+		l.flipViolated(g, was)
 	}
 }
 
@@ -604,31 +601,12 @@ func touchProc(procs []int, proc int) []int {
 	return append(procs, proc)
 }
 
-// refreshGroupSum recomputes a group's cached AUB sum from the current
-// per-processor terms (a fresh deterministic sum over the sorted signature,
-// never an incremental adjustment, so the cache cannot drift), maintaining
-// the violated counter. Outside an admission it is the only writer of
-// cachedSum.
-func (l *Ledger) refreshGroupSum(g *sigGroup) {
-	was := g.counted > 0 && g.cachedSum > 1
-	// freshSum spelled out: calling it puts this function past the inlining
-	// budget, and settleProc's walk over a processor's groups is the hottest
-	// loop of a simulation run.
-	var s float64
+// freshSum is Σ_p count[p]·term[p] over the group's signature: the sum a
+// new group starts from, and what the audit holds cachedSum to.
+func (l *Ledger) freshSum(g *sigGroup) int64 {
+	var s int64
 	for i, p := range g.procs {
-		s += float64(g.counts[i]) * l.term[p]
-	}
-	g.cachedSum = s
-	l.flipViolated(g, was)
-}
-
-// freshSum is Σ_p count[p]·f(util[p]) over the group's sorted processors
-// under the current terms: what refreshGroupSum would cache. The audit and
-// the tests hold cachedSum against it.
-func (l *Ledger) freshSum(g *sigGroup) float64 {
-	var s float64
-	for i, p := range g.procs {
-		s += float64(g.counts[i]) * l.term[p]
+		s += int64(g.counts[i]) * l.term[p]
 	}
 	return s
 }
@@ -636,7 +614,7 @@ func (l *Ledger) freshSum(g *sigGroup) float64 {
 // flipViolated adjusts the violated counter after a group's counted or
 // cachedSum changed; was is the group's violation status before the change.
 func (l *Ledger) flipViolated(g *sigGroup, was bool) {
-	now := g.counted > 0 && g.cachedSum > 1
+	now := g.counted > 0 && g.cachedSum > unitsPerOne
 	if was && !now {
 		l.violated--
 	} else if !was && now {
@@ -644,20 +622,14 @@ func (l *Ledger) flipViolated(g *sigGroup, was bool) {
 	}
 }
 
-// setCounted flips a job's membership in its group's counted tally. A group
-// gaining its first counted job is refreshed first: while uncounted its
-// cachedSum may have gone stale above 1 (its processors shrank with nothing
-// violated), and from here on it feeds the violated counter.
+// setCounted flips a job's membership in its group's counted tally.
 func (l *Ledger) setCounted(rec *jobRec, counted bool) {
 	g := rec.group
 	if g == nil || rec.counted == counted {
 		rec.counted = counted && g != nil
 		return
 	}
-	if counted && g.counted == 0 {
-		l.refreshGroupSum(g)
-	}
-	was := g.counted > 0 && g.cachedSum > 1
+	was := g.counted > 0 && g.cachedSum > unitsPerOne
 	if counted {
 		g.counted++
 	} else {
@@ -708,13 +680,11 @@ func (l *Ledger) reindex(rec *jobRec) {
 				g.hash = h
 				g.procs = append(g.procs[:0], procs...)
 				g.counts = append(g.counts[:0], counts...)
-				g.maxCount = float64(slices.Max(g.counts))
+				g.maxCount = int64(slices.Max(g.counts))
+				g.cachedSum = l.freshSum(g)
 				g.next = l.groups[h]
 				l.groups[h] = g
 				l.procGroupAdd(g)
-				// Fill the cache; with no counted members yet the
-				// violated flip inside is a no-op.
-				l.refreshGroupSum(g)
 			}
 			g.members++
 			rec.group = g
@@ -825,8 +795,8 @@ func (l *Ledger) nameRef(name string) TaskRef {
 
 // addJob is AddJob under the lock, after checkPlacement. When admitted, an
 // admission test has just passed the placement, and commitAdmitted applies
-// it from the test's scratch in place of settleProc. The job's own checks
-// come before anything is applied.
+// it from the test's scratch, whose tentative terms are the new ones. The
+// job's own checks come before anything is applied.
 func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration, admitted bool) error {
 	if k.Task < 0 {
 		return fmt.Errorf("sched: job %s has a negative task ref", k)
@@ -1071,16 +1041,14 @@ func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
 // given placement: with the candidate's contributions tentatively added,
 // condition (1) must continue to hold for the candidate and for every
 // in-flight job in the current task set. It leaves the ledger's accounting
-// as it found it (it writes only its scratch, the scan stamps and scanSum).
+// as it found it (it writes only its scratch and the scan stamps).
 //
 // The evaluation is indexed: jobs visiting none of the candidate's
-// processors keep their cached (already ≤ 1, else the violated counter
-// short-circuits) sums untouched, and the perturbed jobs are looked at once
-// per distinct processor-visit signature instead of once per job — passed on
-// the cached bound where it leaves room for the candidate, summed afresh
-// otherwise — so the cost is linear in the groups indexed under the
-// perturbed processors. The decision is equivalent to the full-scan
-// referenceAdmissible.
+// processors keep their sums (already ≤ 1, else the violated counter
+// short-circuits), and the perturbed jobs are looked at once per distinct
+// processor-visit signature instead of once per job, so the cost is linear
+// in the groups indexed under the perturbed processors. The decision is the
+// full-scan referenceAdmissible's.
 //
 //rtmw:noalloc
 func (l *Ledger) Admissible(placement []PlacedStage) bool {
@@ -1107,7 +1075,7 @@ func (l *Ledger) prime(placement []PlacedStage) bool {
 		//rtmw:ignore noalloc one-time lazy scratch, amortized to zero over the ledger's life
 		l.candDelta = make([]int64, len(l.util))
 		//rtmw:ignore noalloc one-time lazy scratch, amortized to zero over the ledger's life
-		l.candTerm = make([]float64, len(l.util))
+		l.candTerm = make([]int64, len(l.util))
 	}
 	delta, tent := l.candDelta, l.candTerm
 	for _, p := range l.candProcs {
@@ -1123,44 +1091,22 @@ func (l *Ledger) prime(placement []PlacedStage) bool {
 	}
 	l.candGrow = 0
 	for _, p := range l.candProcs {
-		tent[p] = AUBTerm(fromUnits(l.util[p] + delta[p]))
+		tent[p] = termUnits(l.util[p] + delta[p])
 		l.candGrow += tent[p] - l.term[p]
 	}
 	return ok
 }
 
-// commitAdmitted applies an admitted candidate from prime's scratch, keeping
-// what the test proved instead of summing again: util[p] += delta[p],
-// term[p] = tent[p], and each group on a perturbed processor updated once —
-// to the scan's sum if the scan summed it (its fresh sum under the new
-// terms), else to cachedSum + maxCount·grow + carrySlack. The scan found
-// every summed counted group at most 1 and passed the others on a bound
-// ≤ 1 − boundMargin, so nothing becomes violated.
+// commitAdmitted applies an admitted candidate from prime's scratch:
+// util[p] += delta[p], and term[p] = tent[p] through setTerm's walk. The
+// test found every counted group's new sum at most 1, so nothing becomes
+// violated.
 //
 //rtmw:noalloc
 func (l *Ledger) commitAdmitted() {
-	delta := l.candDelta
 	for _, p := range l.candProcs {
-		l.util[p] += delta[p]
-		l.term[p] = l.candTerm[p]
-	}
-	summed := l.scan
-	l.scan++
-	for _, pp := range l.candProcs {
-		if delta[pp] == 0 {
-			continue
-		}
-		for _, g := range l.procGroups[pp] {
-			switch g.scanned {
-			case l.scan:
-				continue
-			case summed:
-				g.cachedSum = g.scanSum
-			default:
-				g.cachedSum += g.maxCount*l.candGrow + carrySlack
-			}
-			g.scanned = l.scan
-		}
+		l.util[p] += l.candDelta[p]
+		l.setTerm(p, l.candTerm[p])
 	}
 }
 
@@ -1170,11 +1116,11 @@ func (l *Ledger) commitAdmitted() {
 func (l *Ledger) admitScan(placement []PlacedStage) bool {
 	delta, tent := l.candDelta, l.candTerm
 	// Candidate's own condition under the tentative utilizations.
-	var sum float64
+	var sum int64
 	for _, p := range placement {
 		sum += tent[p.Proc]
 	}
-	if sum > 1 {
+	if sum > unitsPerOne {
 		return false
 	}
 
@@ -1185,43 +1131,35 @@ func (l *Ledger) admitScan(placement []PlacedStage) bool {
 	}
 
 	// Look only at the signature groups that visit a perturbed processor;
-	// every other in-flight job's sum is at most its cached sum, which the
-	// violated counter already vouches for. A perturbed group's sum grows by
-	// Σ count[q]·(tent[q] − term[q]) ≤ maxCount·grow, so one whose cached
-	// upper bound leaves room for that (and boundMargin for rounding) cannot
-	// exceed 1 and is passed without summing. Every other group is summed
-	// afresh, so each rejection — and each acceptance the bound cannot give —
-	// comes from a fresh sum; unperturbed processors use the cached term
-	// (term[p] = AUBTerm(fromUnits(util[p])) by invariant), so that sum is
-	// bit-identical to recomputing every term. An Inf or NaN bound (a
-	// processor at or past full utilization) fails the comparison and falls
-	// through to the sum.
+	// every other in-flight job's sum is unchanged, and the violated counter
+	// already vouches for it. A perturbed group's sum grows by
+	// Σ count[q]·(tent[q] − term[q]) ≤ maxCount·grow, so one whose sum leaves
+	// room for that cannot exceed 1 and is passed without summing. Every
+	// other group adds its own growth to its exact sum, and that decides.
 	grow := l.candGrow
 	l.scan++
 	for _, pp := range l.candProcs {
 		if delta[pp] == 0 {
 			continue
 		}
-		for _, g := range l.procGroups[pp] {
+		for _, r := range l.procGroups[pp] {
+			g := r.g
 			if g.counted == 0 || g.scanned == l.scan {
 				continue
 			}
-			if g.cachedSum+g.maxCount*grow <= 1-boundMargin {
+			if g.cachedSum+g.maxCount*grow <= unitsPerOne {
 				continue
 			}
 			g.scanned = l.scan
-			var s float64
+			s := g.cachedSum
 			for qi, q := range g.procs {
-				t := l.term[q]
 				if delta[q] != 0 {
-					t = tent[q]
-				}
-				s += float64(g.counts[qi]) * t
-				if s > 1 {
-					return false
+					s += int64(g.counts[qi]) * (tent[q] - l.term[q])
 				}
 			}
-			g.scanSum = s
+			if s > unitsPerOne {
+				return false
+			}
 		}
 	}
 	return true
@@ -1230,17 +1168,16 @@ func (l *Ledger) admitScan(placement []PlacedStage) bool {
 // referenceAdmissible is the paper-literal full-scan admission test: every
 // in-flight job's condition is recomputed from its entry records. It is the
 // behavioral reference for the indexed Admissible, kept for CheckInvariants
-// and the differential property tests. It sums each job's terms in the
-// indexed path's canonical order — the job's visits to a processor times
-// the processor's term, in ascending processor order — so the two decisions
-// are bit-identical, at the bound too.
+// and the differential property tests. Its terms and sums are the indexed
+// path's exact integers, so the two decisions agree by arithmetic, at the
+// bound too.
 func (l *Ledger) referenceAdmissible(placement []PlacedStage) bool {
 	for _, p := range placement {
 		if _, ok := toUnits(p.Util); !ok {
 			return false
 		}
 	}
-	termAt := func(proc int) float64 {
+	termAt := func(proc int) int64 {
 		u := l.util[proc]
 		for _, p := range placement {
 			if p.Proc == proc {
@@ -1248,15 +1185,15 @@ func (l *Ledger) referenceAdmissible(placement []PlacedStage) bool {
 				u += n
 			}
 		}
-		return AUBTerm(fromUnits(u))
+		return termUnits(u)
 	}
 
 	// Candidate's own condition.
-	var sum float64
+	var sum int64
 	for _, p := range placement {
 		sum += termAt(p.Proc)
 	}
-	if sum > 1 {
+	if sum > unitsPerOne {
 		return false
 	}
 
@@ -1270,11 +1207,11 @@ func (l *Ledger) referenceAdmissible(placement []PlacedStage) bool {
 			}
 			procs, counts := appendSignature(l.sigProcs[:0], l.sigCounts[:0], rec)
 			l.sigProcs, l.sigCounts = procs, counts
-			var s float64
+			var s int64
 			for i, p := range procs {
-				s += float64(counts[i]) * termAt(p)
+				s += int64(counts[i]) * termAt(p)
 			}
-			if s > 1 {
+			if s > unitsPerOne {
 				return false
 			}
 		}
@@ -1301,10 +1238,10 @@ func (l *Ledger) ActiveJobs() []JobKey {
 
 // CheckInvariants recomputes per-processor utilization from entry records
 // and verifies it equals the running sums, that no utilization is negative,
-// and that every index (the task lists, signature groups with their cached
-// upper-bound sums and the violated counter, recounted from fresh sums)
-// agrees with the ground-truth records. It also requires the indexed
-// Admissible to agree with referenceAdmissible on the empty candidate.
+// and that every index (the task lists, signature groups with their sums,
+// each equal to its fresh sum, and the violated counter) agrees with the
+// ground-truth records. It also requires the indexed Admissible to agree
+// with referenceAdmissible on the empty candidate.
 // Property tests call it after random operation sequences, and the
 // simulation after every run; it allocates the same few times whatever the
 // ledger holds, more only to report a failure. It holds the lock throughout,
@@ -1366,7 +1303,7 @@ func (l *Ledger) CheckInvariants() error {
 		if l.util[p] != recomputed[p] {
 			return fmt.Errorf("sched: processor %d utilization drift: running %d units vs recomputed %d", p, l.util[p], recomputed[p])
 		}
-		if l.term[p] != AUBTerm(fromUnits(l.util[p])) {
+		if l.term[p] != termUnits(l.util[p]) {
 			return fmt.Errorf("sched: processor %d has stale AUB term cache", p)
 		}
 	}
@@ -1385,7 +1322,7 @@ func (l *Ledger) CheckInvariants() error {
 			if err := l.checkGroup(h, g); err != nil {
 				return err
 			}
-			if g.counted > 0 && l.freshSum(g) > 1 {
+			if g.counted > 0 && g.cachedSum > unitsPerOne {
 				wantViolated++
 			}
 		}
@@ -1394,8 +1331,8 @@ func (l *Ledger) CheckInvariants() error {
 		return fmt.Errorf("sched: %d groups referenced by jobs, %d registered", referenced, registered)
 	}
 	for p := range l.procGroups {
-		for _, g := range l.procGroups[p] {
-			if l.findGroup(g.hash, g.procs, g.counts) != g {
+		for _, r := range l.procGroups[p] {
+			if g := r.g; l.findGroup(g.hash, g.procs, g.counts) != g {
 				return fmt.Errorf("sched: processor %d group index holds unregistered group %q", p, sigString(g.procs, g.counts))
 			}
 		}
@@ -1462,22 +1399,16 @@ func (l *Ledger) checkGroup(h uint64, g *sigGroup) error {
 	if g.counted != g.auditCounted {
 		return fmt.Errorf("sched: group %q counts %d in-flight jobs, records show %d", sigString(g.procs, g.counts), g.counted, g.auditCounted)
 	}
-	s := l.freshSum(g)
-	// cachedSum is an upper bound on the fresh sum, with no tolerance, and
-	// for a counted group on the same side of 1 (see sigGroup.cachedSum).
-	if s > g.cachedSum {
-		return fmt.Errorf("sched: group %q cached sum %g below the fresh sum %g", sigString(g.procs, g.counts), g.cachedSum, s)
+	if s := l.freshSum(g); g.cachedSum != s {
+		return fmt.Errorf("sched: group %q cached sum %d units, fresh sum %d", sigString(g.procs, g.counts), g.cachedSum, s)
 	}
-	if g.counted > 0 && (g.cachedSum > 1) != (s > 1) {
-		return fmt.Errorf("sched: counted group %q cached sum %g and fresh sum %g on opposite sides of 1", sigString(g.procs, g.counts), g.cachedSum, s)
-	}
-	if want := float64(slices.Max(g.counts)); g.maxCount != want {
-		return fmt.Errorf("sched: group %q max count %g, signature has %g", sigString(g.procs, g.counts), g.maxCount, want)
+	if want := int64(slices.Max(g.counts)); g.maxCount != want {
+		return fmt.Errorf("sched: group %q max count %d, signature has %d", sigString(g.procs, g.counts), g.maxCount, want)
 	}
 	for i, p := range g.procs {
 		pg := l.procGroups[p]
-		if i >= len(g.procPos) || g.procPos[i] < 0 || g.procPos[i] >= len(pg) || pg[g.procPos[i]] != g {
-			return fmt.Errorf("sched: group %q missing from processor %d group index", sigString(g.procs, g.counts), p)
+		if i >= len(g.procPos) || g.procPos[i] < 0 || g.procPos[i] >= len(pg) || pg[g.procPos[i]] != (groupRef{g, int64(g.counts[i])}) {
+			return fmt.Errorf("sched: group %q missing from processor %d group index, or filed there with a wrong count", sigString(g.procs, g.counts), p)
 		}
 	}
 	return nil

@@ -2,47 +2,105 @@ package sched
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
 func TestAUBTerm(t *testing.T) {
+	const one = unitsPerOne
 	tests := []struct {
-		u    float64
-		want float64
+		n    int64
+		want int64
 	}{
-		{u: 0, want: 0},
-		{u: -0.5, want: 0},
-		{u: 0.5, want: 0.75},
-		{u: 1, want: math.Inf(1)},
-		{u: 1.5, want: math.Inf(1)},
+		{n: 0, want: 0},
+		{n: -one / 2, want: 0},
+		// f(1/2) = 3/4 exactly; one unit above zero rounds up to two.
+		{n: one / 2, want: 3 * one / 4},
+		{n: 1, want: 2},
+		{n: one, want: termCap},
+		{n: 3 * one / 2, want: termCap},
 	}
 	for _, tt := range tests {
-		if got := AUBTerm(tt.u); got != tt.want {
-			t.Errorf("AUBTerm(%g) = %g, want %g", tt.u, got, tt.want)
+		if got := termUnits(tt.n); got != tt.want {
+			t.Errorf("termUnits(%d) = %d, want %d", tt.n, got, tt.want)
 		}
 	}
 }
 
 func TestAUBTermMonotonic(t *testing.T) {
-	// f is strictly increasing on [0, 1).
-	f := func(a, b float64) bool {
-		a = math.Abs(math.Mod(a, 1))
-		b = math.Abs(math.Mod(b, 1))
-		if a > b {
-			a, b = b, a
+	// f' ≥ 1 on [0, 1), so the term grows by at least a unit per unit of
+	// utilization: strictly increasing until it reaches the cap.
+	f := func(a, b uint64) bool {
+		x, y := int64(a%(unitsPerOne+2)), int64(b%(unitsPerOne+2))
+		if x > y {
+			x, y = y, x
 		}
-		if a == b {
-			return true
-		}
-		return AUBTerm(a) < AUBTerm(b)
+		tx, ty := termUnits(x), termUnits(y)
+		return x == y || tx < ty || tx == termCap
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzTermUnits holds termUnits to the exact ceiling of
+// n(2^41 − n) / (2(2^40 − n)), computed with math/big, wherever that is at
+// most termCap, and to termCap elsewhere (n ≥ 2^40 included; a negative n,
+// which no ledger holds, reads 0), and to termUnits(n) ≤ termUnits(n+1).
+// The seeds are the ends of the range, the cap crossover and random counts.
+func FuzzTermUnits(f *testing.F) {
+	const one = unitsPerOne
+	// cross is the smallest count whose term reaches the cap.
+	cross := sort.Search(one, func(n int) bool { return termUnits(int64(n)) == termCap })
+	for _, n := range []int64{0, 1, one - 1, one, one + 1, int64(cross) - 1, int64(cross), int64(cross) + 1} {
+		f.Add(n)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 8 {
+		f.Add(rng.Int63n(one))
+	}
+	f.Fuzz(func(t *testing.T, n int64) {
+		got := termUnits(n)
+		want := int64(termCap)
+		switch {
+		case n <= 0:
+			want = 0
+		case n < one:
+			num := new(big.Int).Mul(big.NewInt(n), big.NewInt(2*one-n))
+			den := big.NewInt(2 * (one - n))
+			q, r := new(big.Int).QuoRem(num, den, new(big.Int))
+			if r.Sign() != 0 {
+				q.Add(q, big.NewInt(1))
+			}
+			if q.Cmp(big.NewInt(termCap)) <= 0 {
+				want = q.Int64()
+			}
+		}
+		if got != want {
+			t.Fatalf("termUnits(%d) = %d, want %d", n, got, want)
+		}
+		if n < math.MaxInt64 && termUnits(n+1) < got {
+			t.Fatalf("termUnits(%d) = %d > termUnits(%d) = %d", n, got, n+1, termUnits(n+1))
+		}
+	})
+}
+
+// pathFeasible reports whether a task visiting processors with the given
+// synthetic utilizations satisfies condition (1), Σ f(u) ≤ 1, in the
+// ledger's units: each utilization rounded up to the grid as toUnits does,
+// each term by termUnits.
+func pathFeasible(utils []float64) bool {
+	var sum int64
+	for _, u := range utils {
+		n, _ := toUnits(min(u, 1))
+		sum += termUnits(n)
+	}
+	return sum <= unitsPerOne
 }
 
 func TestPathFeasible(t *testing.T) {
@@ -62,8 +120,8 @@ func TestPathFeasible(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := PathFeasible(tt.utils); got != tt.want {
-				t.Errorf("PathFeasible(%v) = %v, want %v", tt.utils, got, tt.want)
+			if got := pathFeasible(tt.utils); got != tt.want {
+				t.Errorf("pathFeasible(%v) = %v, want %v", tt.utils, got, tt.want)
 			}
 		})
 	}
@@ -499,12 +557,12 @@ func TestAdmissibleNeverBreaksCondition(t *testing.T) {
 		// Every admitted (never-completed) job must satisfy condition (1)
 		// under the post-admission utilizations.
 		for _, a := range adm {
-			var sum float64
+			var sum int64
 			for _, p := range a.procs {
-				sum += AUBTerm(l.Util(p))
+				sum += termUnits(l.util[p])
 			}
-			if sum > 1+1e-9 {
-				t.Fatalf("after admission %d: condition violated (sum=%g)", i, sum)
+			if sum > unitsPerOne {
+				t.Fatalf("after admission %d: condition violated (sum=%d units)", i, sum)
 			}
 		}
 	}
@@ -545,23 +603,25 @@ func addManyGroups(tb testing.TB, procs, groups int, add func(JobKey, []PlacedSt
 // its own condition under the tentative utilizations, i.e. whether a
 // rejection must have come from a perturbed in-flight job.
 func ownFeasible(l *Ledger, cand []PlacedStage) bool {
-	utils := make([]float64, len(cand))
-	for i, p := range cand {
-		utils[i] = l.Util(p.Proc) + p.Util
+	var sum int64
+	for _, p := range cand {
+		n, _ := toUnits(p.Util)
+		sum += termUnits(l.util[p.Proc] + n)
 	}
-	return PathFeasible(utils)
+	return sum <= unitsPerOne
 }
 
 // TestAdmissibleManyGroups runs the admission test where one processor
 // indexes 66 signature groups, past anything a fixed-size visited list would
 // hold: the test must not allocate, must agree with the full-scan reference
-// on each way a decision can fall, must pass on the cached bound exactly the
-// groups the bound can vouch for and sum the rest — a group indexed under two
-// perturbed processors once, and a group record recycled between two tests.
+// on each way a decision can fall, must pass on the maxCount·grow skip
+// exactly the groups it can vouch for and sum the rest — a group indexed
+// under two perturbed processors once, and a group record recycled between
+// two tests.
 func TestAdmissibleManyGroups(t *testing.T) {
 	const procs, groups = 13, 66
 	// One processor more than the signatures use: a candidate stage placed on
-	// it perturbs no group but counts toward the growth the bound allows for.
+	// it perturbs no group but counts toward the growth the skip allows for.
 	const spare = procs
 	l := NewLedger(procs + 1)
 	addManyGroups(t, procs, groups, func(ref JobKey, pl []PlacedStage) error {
@@ -578,9 +638,9 @@ func TestAdmissibleManyGroups(t *testing.T) {
 	met := func(cand []PlacedStage) int {
 		seen := make(map[*sigGroup]bool)
 		for _, p := range cand {
-			for _, g := range l.procGroups[p.Proc] {
-				if g.counted > 0 {
-					seen[g] = true
+			for _, r := range l.procGroups[p.Proc] {
+				if r.g.counted > 0 {
+					seen[r.g] = true
 				}
 			}
 		}
@@ -604,7 +664,7 @@ func TestAdmissibleManyGroups(t *testing.T) {
 		// before any group is looked at.
 		own bool
 		// met and summed are the groups an accepting scan comes across and
-		// the ones among them it cannot pass on the cached bound.
+		// the ones among them it cannot pass on the skip.
 		met, summed int
 	}{
 		// Every group sums to 0.29 and the candidate adds 0.015.
@@ -625,8 +685,8 @@ func TestAdmissibleManyGroups(t *testing.T) {
 			cand: place(PlacedStage{Stage: 0, Proc: 1, Util: 0.3}, PlacedStage{Stage: 1, Proc: 2, Util: 0.3}),
 			own:  true},
 		// The stage on the spare processor grows the candidate's terms by
-		// f(0.5) = 0.75, which no group's 0.29 leaves room for: the bound
-		// passes nothing, and every group's fresh sum (the spare processor
+		// f(0.5) = 0.75, which no group's 0.29 leaves room for: the skip
+		// passes nothing, and every group's exact sum (the spare processor
 		// is not in it) accepts.
 		{name: "accept with every group past the bound",
 			cand: place(PlacedStage{Stage: 0, Proc: 0, Util: 0.01}, PlacedStage{Stage: 1, Proc: spare, Util: 0.5}),
@@ -657,7 +717,7 @@ func TestAdmissibleManyGroups(t *testing.T) {
 
 	t.Run("recycled group", func(t *testing.T) {
 		// Stamp every group (the spare-processor stage puts them all past
-		// the bound), then retire {0,1,2}: its record goes to the free list
+		// the skip), then retire {0,1,2}: its record goes to the free list
 		// carrying the stamp of the test that just ran.
 		cand := place(PlacedStage{Proc: 0, Util: 0.05})
 		if !l.Admissible(place(PlacedStage{Stage: 0, Proc: 0, Util: 0.01}, PlacedStage{Stage: 1, Proc: spare, Util: 0.5})) {
@@ -705,11 +765,11 @@ func TestAdmissibleManyGroups(t *testing.T) {
 		}
 	})
 
-	// The one hazard of a cached sum that may be stale: a group left
-	// uncounted while its processor shrank keeps a sum above 1, and an
-	// in-flight job that joins it without growing the processor (a zero
-	// utilization stage) must find it refreshed, not flagged violated.
-	t.Run("stale uncounted group joined", func(t *testing.T) {
+	// A group left uncounted while its processor grew past the bound and
+	// shrank back keeps its exact sum, and an in-flight job that joins it
+	// without growing the processor (a zero utilization stage) finds it
+	// there, not flagged violated.
+	t.Run("uncounted group joined", func(t *testing.T) {
 		l := NewLedger(1)
 		add := func(task TaskRef, util float64) JobKey {
 			ref := JobKey{Task: task, Job: 0}
@@ -723,16 +783,13 @@ func TestAdmissibleManyGroups(t *testing.T) {
 		l.MarkComplete(heavy, 0)
 		l.ExpireJob(heavy)
 		g := groupOf(l, "0:1")
-		if g == nil || g.counted != 0 || g.cachedSum <= 1 || l.violated != 0 {
-			t.Fatalf("want group {0} uncounted with a stale sum above 1 and nothing violated, got %+v, violated %d", g, l.violated)
-		}
-		if err := l.CheckInvariants(); err != nil {
-			t.Fatal(err)
+		if g == nil || g.counted != 0 {
+			t.Fatalf("want group {0} uncounted, got %+v", g)
 		}
 		add(2, 0)
-		if g.counted != 1 || g.cachedSum != AUBTerm(l.Util(0)) || l.violated != 0 {
-			t.Errorf("after the join: counted %d, cached sum %g (fresh %g), violated %d; want 1, the fresh sum, 0",
-				g.counted, g.cachedSum, AUBTerm(l.Util(0)), l.violated)
+		if g.counted != 1 || g.cachedSum != termUnits(l.util[0]) || l.violated != 0 {
+			t.Errorf("after the join: counted %d, cached sum %d (fresh %d), violated %d; want 1, the fresh sum, 0",
+				g.counted, g.cachedSum, termUnits(l.util[0]), l.violated)
 		}
 		cand := place(PlacedStage{Proc: 0, Util: 0.1})
 		if got, ref := l.Admissible(cand), l.referenceAdmissible(cand); !got || !ref {

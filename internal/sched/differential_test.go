@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -23,8 +24,8 @@ type diffShape struct {
 	addUtil, moveUtil, candUtil float64
 	// admitOnly adds a job only through TestAndAddKey, and relocates one
 	// only where Admissible accepts the new placement, as the admission
-	// controller does, so no job's condition is ever violated and admissions
-	// carry proved bounds (see admitChecked).
+	// controller does, so no job's condition is ever violated (see
+	// admitChecked).
 	admitOnly bool
 }
 
@@ -33,10 +34,10 @@ type diffShape struct {
 // candidate's own condition decide. wideShape is the regime of the
 // simulation sweep: light multi-stage jobs over more processors, so every
 // processor indexes well over 16 groups and the perturbed-group scan decides.
-// saturatedShape is the regime the cached upper bounds live in: every job
-// comes in through the admission test, so nothing is ever violated, shrinking
-// processors leave cached sums stale across runs of ExpireJob and ResetEntry,
-// and few enough signatures that MarkComplete empties a group's counted tally
+// saturatedShape runs near the bound: every job comes in through the
+// admission test, so nothing is ever violated, groups sit close enough to 1
+// that the maxCount·grow skip fails and the exact sum decides, and there are
+// few enough signatures that MarkComplete empties a group's counted tally
 // and a later job fills it again.
 var (
 	narrowShape = diffShape{procs: 6, minStages: 1, maxStages: 3, tasks: 5,
@@ -79,16 +80,12 @@ type harnessStats struct {
 	maxGroups int
 	// accepted and rejected count the candidates' decisions.
 	accepted, rejected int
-	// stale counts the times a step left a group's cached sum strictly above
-	// its fresh sum.
-	stale int
 	// removedMany counts the RemoveTask calls that withdrew a task holding
 	// several jobs (the per-task list walked past its head).
 	removedMany int
-	// summed and carried count, over the admissions of an admitOnly shape,
-	// the perturbed counted groups the commit gave their fresh sum and the
-	// ones it gave a carried bound.
-	summed, carried int
+	// summedAccepts and summedRejects count the candidate tests that summed
+	// a group past the maxCount·grow skip, by their decision.
+	summedAccepts, summedRejects int
 }
 
 // differentialHarness drives one ledger through a random operation sequence
@@ -126,18 +123,23 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 		for p := range l.procGroups {
 			st.maxGroups = max(st.maxGroups, len(l.procGroups[p]))
 		}
-		for _, g := range allGroups(l) {
-			if g.cachedSum > l.freshSum(g) {
-				st.stale++
-			}
-		}
 		for q := 0; q < 4; q++ {
 			cand := randPlacement(shape.candUtil)
+			scan := l.scan
 			fast := l.Admissible(cand)
 			ref := l.referenceAdmissible(cand)
 			if fast != ref {
 				t.Fatalf("step %d after %s: Admissible(%v) = %v, reference = %v",
 					step, op, cand, fast, ref)
+			}
+			// A test that rejects before the scan leaves the last test's
+			// stamps, so only a test that advanced l.scan can have summed.
+			summed := l.scan != scan && slices.ContainsFunc(allGroups(l), func(g *sigGroup) bool { return g.scanned == l.scan })
+			switch {
+			case fast && summed:
+				st.summedAccepts++
+			case summed:
+				st.summedRejects++
 			}
 			if fast {
 				st.accepted++
@@ -161,12 +163,10 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 			return true
 		}
 		want := l.referenceAdmissible(pl)
-		ok, summed, carried := admitChecked(t, l, ref, kind, pl, permanent, expiry)
+		ok := admitChecked(t, l, ref, kind, pl, permanent, expiry)
 		if ok != want {
 			t.Fatalf("step %d: TestAndAddKey(%s, %v) = %v, reference = %v", step, ref, pl, ok, want)
 		}
-		st.summed += summed
-		st.carried += carried
 		return ok
 	}
 	addJob := func(step int) {
@@ -297,53 +297,28 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 	return st
 }
 
-// admitChecked admits a job through TestAndAddKey and checks what the
-// commit left on every counted group indexed under a processor the
-// candidate grows: the fresh sum for a group the test summed, a carried
-// bound in [fresh, 1) for one it passed on its bound. It returns the
-// decision and how many such groups were summed and carried.
-func admitChecked(t *testing.T, l *Ledger, k JobKey, kind TaskKind, pl []PlacedStage, permanent bool, expiry time.Duration) (ok bool, summed, carried int) {
+// admitChecked admits a job through TestAndAddKey, holds its decision to
+// Admissible's on the same state, and holds every group indexed under a
+// processor the candidate grows to its fresh sum after the commit. It
+// returns the decision.
+func admitChecked(t *testing.T, l *Ledger, k JobKey, kind TaskKind, pl []PlacedStage, permanent bool, expiry time.Duration) bool {
 	t.Helper()
-	// Admissible runs the scan TestAndAddKey runs next on the same state, so
-	// its stamps name the groups the admission will sum.
 	want := l.Admissible(pl)
-	wasSummed := make(map[*sigGroup]bool)
-	grows := make(map[int]bool)
-	for _, p := range pl {
-		if n, _ := toUnits(p.Util); n > 0 {
-			grows[p.Proc] = true
-		}
-	}
-	for p := range grows {
-		for _, g := range l.procGroups[p] {
-			if g.counted > 0 {
-				wasSummed[g] = g.scanned == l.scan
-			}
-		}
-	}
 	ok, err := l.TestAndAddKey(k, kind, pl, permanent, expiry)
 	if err != nil || ok != want {
 		t.Fatalf("TestAndAddKey(%s, %v) = %v, %v; Admissible said %v", k, pl, ok, err, want)
 	}
 	if !ok {
-		return false, 0, 0
+		return false
 	}
-	for g, sum := range wasSummed {
-		fresh := l.freshSum(g)
-		sig := sigString(g.procs, g.counts)
-		switch {
-		case sum && g.cachedSum != fresh:
-			t.Fatalf("admitting %s left summed group %q at %g, fresh sum %g", k, sig, g.cachedSum, fresh)
-		case !sum && !(g.cachedSum >= fresh && g.cachedSum < 1):
-			t.Fatalf("admitting %s left carried group %q at %g, want in [%g, 1)", k, sig, g.cachedSum, fresh)
-		}
-		if sum {
-			summed++
-		} else {
-			carried++
+	for _, p := range pl {
+		for _, r := range l.procGroups[p.Proc] {
+			if g := r.g; g.cachedSum != l.freshSum(g) {
+				t.Fatalf("admitting %s left group %q at %d units, fresh sum %d", k, sigString(g.procs, g.counts), g.cachedSum, l.freshSum(g))
+			}
 		}
 	}
-	return true, summed, carried
+	return true
 }
 
 // TestLedgerDifferentialAdmissible is the differential property test for the
@@ -354,8 +329,8 @@ func admitChecked(t *testing.T, l *Ledger, k JobKey, kind TaskKind, pl []PlacedS
 // ledger indexes passing CheckInvariants at every step. Each seed also runs
 // orderHarness's order property. The wide subtests
 // must actually reach the perturbed-group scan at group counts the narrow
-// ones never build, and the saturated ones must actually leave cached sums
-// stale.
+// ones never build, and the saturated ones must actually reach tests that
+// the maxCount·grow skip cannot pass, decided both ways by the exact sums.
 func TestLedgerDifferentialAdmissible(t *testing.T) {
 	removedMany := 0
 	for seed := int64(0); seed < 30; seed++ {
@@ -386,11 +361,8 @@ func TestLedgerDifferentialAdmissible(t *testing.T) {
 			if st.accepted == 0 || st.rejected == 0 {
 				t.Errorf("%d candidates accepted, %d rejected: want both outcomes", st.accepted, st.rejected)
 			}
-			if st.stale == 0 {
-				t.Error("no cached sum was ever stale: the shape does not reach the regime it is for")
-			}
-			if st.summed == 0 || st.carried == 0 {
-				t.Errorf("admissions summed %d perturbed groups and carried %d: want both", st.summed, st.carried)
+			if st.summedAccepts == 0 || st.summedRejects == 0 {
+				t.Errorf("%d tests that summed a group accepted, %d rejected: want both", st.summedAccepts, st.summedRejects)
 			}
 		})
 	}
@@ -400,8 +372,8 @@ func TestLedgerDifferentialAdmissible(t *testing.T) {
 // two orders: adds of distinct jobs, then the removal of some of them, by
 // expiry on one ledger and by withdrawal on the other, and of one whole
 // task, by RemoveTask on one and job by job on the other. After each phase
-// both must hold == utilizations, and after the last they must equal a
-// ledger that only ever held the survivors.
+// both must hold == utilizations and == signature group sums, and after the
+// last they must equal a ledger that only ever held the survivors.
 func orderHarness(t *testing.T, rng opSource, shape diffShape) {
 	t.Helper()
 	type job struct {
@@ -427,6 +399,9 @@ func orderHarness(t *testing.T, rng opSource, shape diffShape) {
 		t.Helper()
 		if ux, uy := x.Utils(), y.Utils(); !slices.Equal(ux, uy) {
 			t.Fatalf("%s: utilizations %v and %v", phase, ux, uy)
+		}
+		if sx, sy := groupSums(x), groupSums(y); !maps.Equal(sx, sy) {
+			t.Fatalf("%s: group sums %v and %v", phase, sx, sy)
 		}
 		for _, l := range []*Ledger{x, y} {
 			if err := l.CheckInvariants(); err != nil {
@@ -473,6 +448,15 @@ func orderHarness(t *testing.T, rng opSource, shape diffShape) {
 	}
 	same("after the task removal", a, b)
 	same("against the survivors alone", a, survivors)
+}
+
+// groupSums maps each signature group of the ledger to its sum.
+func groupSums(l *Ledger) map[string]int64 {
+	out := make(map[string]int64)
+	for _, g := range allGroups(l) {
+		out[sigString(g.procs, g.counts)] = g.cachedSum
+	}
+	return out
 }
 
 // FuzzLedgerOps decodes the input into the harness's operation sequence —

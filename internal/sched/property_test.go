@@ -85,19 +85,16 @@ func TestEDMSPrioritiesAreDense(t *testing.T) {
 }
 
 // TestAUBTermBounds property-checks that the AUB term stays within its
-// analytical envelope: u ≤ f(u) for u in [0,1) (pessimism) and f(u) < ∞
-// below 1.
+// analytical envelope, in ledger units: u ≤ f(u) below 1 (pessimism), and
+// termCap from 1 on, where f is infinite.
 func TestAUBTermBounds(t *testing.T) {
-	f := func(raw float64) bool {
-		u := raw - float64(int64(raw)) // fractional part in (-1, 1)
-		if u < 0 {
-			u = -u
+	f := func(raw uint64) bool {
+		n := int64(raw % (2 * unitsPerOne))
+		v := termUnits(n)
+		if n >= unitsPerOne {
+			return v == termCap
 		}
-		if u >= 1 {
-			return true
-		}
-		v := AUBTerm(u)
-		return v >= u && v < 1e18
+		return v >= n && v <= termCap
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
