@@ -72,10 +72,12 @@ type Controller struct {
 	slab   []taskRec
 	stages []sched.PlacedStage
 
-	// scratch pools balanced-placement accumulators (*[]float64, one slot per
-	// processor), so concurrent balanced placements neither allocate nor
-	// contend on a shared buffer.
-	scratch sync.Pool
+	// scratch is the balanced placement's accumulator, one slot per
+	// processor and all zero between placements, under scratchMu. It is a
+	// plain field, not a sync.Pool: the runtime's list of pools would keep a
+	// dropped controller, its ledger included, alive through one more GC.
+	scratchMu sync.Mutex
+	scratch   []float64
 
 	// Stats accumulate controller-side counters for the experiments. Fields
 	// are updated atomically; read them only after arrivals quiesce.
@@ -137,6 +139,10 @@ type ControllerStats struct {
 	// reservation rebases.
 	Reconfigs        int64
 	ReconfigReleased int64
+	// Ledger is the admission ledger's work counts, which the ledger adds
+	// to under its own lock; read them, like the rest, only after arrivals
+	// quiesce.
+	Ledger sched.Work
 }
 
 // NewController returns a controller for the given strategy configuration
@@ -149,14 +155,12 @@ func NewController(cfg Config, numProcs int) (*Controller, error) {
 		return nil, fmt.Errorf("core: controller needs at least one processor, got %d", numProcs)
 	}
 	c := &Controller{
-		cfg:    cfg,
-		ledger: sched.NewLedger(numProcs),
-		tasks:  sched.NewTaskTable(nil, nil),
+		cfg:     cfg,
+		ledger:  sched.NewLedger(numProcs),
+		tasks:   sched.NewTaskTable(nil, nil),
+		scratch: make([]float64, numProcs),
 	}
-	c.scratch.New = func() any {
-		buf := make([]float64, numProcs)
-		return &buf
-	}
+	c.ledger.CountWork(&c.Stats.Ledger)
 	return c, nil
 }
 
@@ -299,11 +303,12 @@ func homePlacement(out []sched.PlacedStage, t *sched.Task) []sched.PlacedStage {
 // synthetic utilization, accounting for the contributions already placed for
 // earlier stages of the same job. Ties go to the candidate listed first, so
 // the home processor wins ties deterministically. The per-job accumulator is
-// a pooled dense scratch slice, zeroed before it is returned to the pool.
+// the controller's dense scratch, held under scratchMu and zeroed again
+// before it is released.
 func (c *Controller) balancedPlacement(t *sched.Task) []sched.PlacedStage {
 	out := make([]sched.PlacedStage, len(t.Subtasks))
-	sp := c.scratch.Get().(*[]float64)
-	delta := *sp
+	c.scratchMu.Lock()
+	delta := c.scratch
 	for i, st := range t.Subtasks {
 		u := t.StageUtil(i)
 		best := st.Processor
@@ -319,7 +324,7 @@ func (c *Controller) balancedPlacement(t *sched.Task) []sched.PlacedStage {
 	for _, p := range out {
 		delta[p.Proc] = 0
 	}
-	c.scratch.Put(sp)
+	c.scratchMu.Unlock()
 	return out
 }
 

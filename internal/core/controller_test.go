@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 func periodicTask(id string, proc int, exec, deadline time.Duration, replicas ...int) *sched.Task {
@@ -409,4 +412,40 @@ func TestControllerConcurrentFirstArrivals(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDroppedControllerIsCollected runs a J_J_J simulation, whose every
+// placement is balanced, drops it, and requires its controller (and with it
+// the ledger) to be unreachable after one GC: nothing outside the system may
+// hold it, the runtime's list of sync.Pools included.
+func TestDroppedControllerIsCollected(t *testing.T) {
+	tasks, err := workload.Generate(workload.Figure5Params(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := runAndDropJJJ(t, tasks)
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("a dropped simulation's controller survived one GC")
+	}
+}
+
+// runAndDropJJJ runs tasks under J_J_J and returns only a weak pointer to
+// the simulation's controller.
+//
+//go:noinline
+func runAndDropJJJ(t *testing.T, tasks []*sched.Task) weak.Pointer[Controller] {
+	cfg, err := ParseConfig("J_J_J")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSimSystem(SimConfig{Strategies: cfg, NumProcs: 5, Horizon: 30 * time.Second, Seed: 1}, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	if sim.Controller().Stats.Tests == 0 {
+		t.Fatal("the simulation tested no job")
+	}
+	return weak.Make(sim.Controller())
 }

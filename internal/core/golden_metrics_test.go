@@ -218,3 +218,71 @@ func TestSweepScaleOutputsPinned(t *testing.T) {
 		}
 	}
 }
+
+// workRow is one combination's work counts.
+type workRow struct {
+	combo                         string
+	tests                         int64
+	queued, sent, pushes, removes int64
+	met, passed, summed, up, down int64
+	recs, groups                  int64
+}
+
+// sweepWork pins the work each combination of the sim-sweep shape does (the
+// sweepGolden runs): admission tests; the engine's timers queued, link sends
+// and busy-heap pushes and removes; and the ledger's groups met, passed by
+// the maxCount·grow skip and summed past it, group sums moved by rising and
+// falling terms, and job records and groups taken from the heap. The counts
+// do not depend on the host, so a change that moves one changed the work,
+// and its description states the delta.
+var sweepWork = []workRow{
+	{"T_N_N", 6477, 9738, 24155, 14425, 14425, 509255, 499259, 9973, 399743, 280306, 3456, 1677},
+	{"T_N_T", 6477, 9735, 24245, 14870, 14870, 508009, 483743, 24163, 436888, 294198, 3520, 1746},
+	{"T_N_J", 6477, 10698, 27913, 14338, 14338, 423306, 419640, 3647, 502862, 378685, 3136, 1749},
+	{"T_T_N", 6477, 13852, 27954, 21511, 21511, 594470, 593383, 1081, 557281, 339790, 5056, 1604},
+	{"T_T_T", 6477, 13879, 28421, 22781, 22781, 638426, 636384, 2035, 621318, 364487, 5376, 1736},
+	{"T_T_J", 6477, 15040, 31984, 22589, 22589, 614981, 614457, 522, 698416, 443692, 5312, 1742},
+	{"J_N_N", 7690, 13010, 27749, 14401, 14401, 687005, 665395, 21454, 576579, 566411, 3520, 1677},
+	{"J_N_T", 7690, 13134, 27874, 14913, 14913, 724089, 673780, 49858, 638776, 616952, 3584, 1752},
+	{"J_N_J", 7690, 13154, 27874, 14912, 14912, 728627, 683214, 45122, 640481, 619296, 3584, 1759},
+	{"J_T_N", 7690, 17887, 31606, 21671, 21671, 763074, 761653, 1416, 723381, 740554, 5120, 1607},
+	{"J_T_T", 7690, 18048, 32079, 23093, 23093, 813471, 810274, 3179, 799892, 811014, 5440, 1731},
+	{"J_T_J", 7690, 18162, 32151, 23057, 23057, 817900, 813759, 4117, 803271, 816070, 5440, 1736},
+	{"J_J_N", 7690, 17739, 32800, 23521, 23521, 177361, 177123, 237, 174289, 162998, 5504, 453},
+	{"J_J_T", 7690, 18272, 33367, 23631, 23631, 92096, 92096, 0, 92096, 89514, 5632, 276},
+	{"J_J_J", 7690, 18398, 33487, 23463, 23463, 87968, 87968, 0, 87968, 84514, 5632, 299},
+}
+
+// workOf reads a finished simulation's work counts.
+func workOf(combo string, sim *SimSystem) workRow {
+	d, l := sim.Engine().Work(), sim.Controller().Stats.Ledger
+	return workRow{combo, sim.Controller().Stats.Tests,
+		d.Queued, d.Sent, d.BusyPushes, d.BusyRemoves,
+		l.GroupsMet, l.GroupsPassed, l.GroupsSummed, l.SumMovesUp, l.SumMovesDown,
+		l.RecsAllocated, l.GroupsAllocated}
+}
+
+// TestSweepWorkPinned runs all fifteen combinations at the sim-sweep shape
+// and holds each to its pinned work counts.
+func TestSweepWorkPinned(t *testing.T) {
+	p := workload.ScaleParams(50, 10000, 1)
+	p.TargetUtil = 0.9
+	tasks, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combos := AllCombinations()
+	if len(combos) != len(sweepWork) {
+		t.Fatalf("%d combinations, %d pinned", len(combos), len(sweepWork))
+	}
+	for i, c := range combos {
+		sim, err := NewSimSystem(SimConfig{Strategies: c, NumProcs: 50, Horizon: 500 * time.Millisecond, Seed: 1}, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run()
+		if got := workOf(c.String(), sim); got != sweepWork[i] {
+			t.Errorf("work counts\n got    %+v\n pinned %+v", got, sweepWork[i])
+		}
+	}
+}

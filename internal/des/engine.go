@@ -173,6 +173,24 @@ type Engine struct {
 	buckets  [64]bucket
 	nonEmpty uint64 // bit b set when bucket b holds timers
 	queued   int    // timers in the queue, cancelled ones included
+
+	work Work
+}
+
+// Work counts the engine's work since it was made. The counts depend only
+// on what was scheduled, never on the host, so a change that alters them
+// changed the work done.
+type Work struct {
+	// Queued counts timers entered into the queue (At, AtEvent and the
+	// processors' idle detectors), cancelled ones included.
+	Queued int64
+	// Sent counts link sends.
+	Sent int64
+	// BusyPushes and BusyRemoves count running processors entered into and
+	// taken out of the busy heap: one each per start, and one remove per
+	// completion or preemption.
+	BusyPushes  int64
+	BusyRemoves int64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -186,6 +204,10 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Fired returns the number of callbacks executed so far, link deliveries
 // included. Intended for tests and instrumentation.
 func (e *Engine) Fired() int64 { return e.fired }
+
+// Work returns the engine's work counts. Intended for tests and
+// instrumentation.
+func (e *Engine) Work() Work { return e.work }
 
 // Reserve makes room for n more scheduled events than are outstanding now:
 // the slot arena with its queue nodes and the free list are each sized
@@ -258,6 +280,7 @@ func (e *Engine) schedule(at time.Duration, dispatch uint8, fn func(), h EventHa
 		e.base = e.now
 	}
 	e.queued++
+	e.work.Queued++
 	e.qnodes[idx].at = at
 	e.bucketPush(bits.Len64(uint64(at^e.base)), idx)
 	e.live++
@@ -473,6 +496,7 @@ func busyLess(a, b *Processor) bool {
 //
 //rtmw:noalloc
 func (e *Engine) busyPush(p *Processor) {
+	e.work.BusyPushes++
 	e.busy = append(e.busy, p)
 	e.busyFix(len(e.busy) - 1)
 }
@@ -481,6 +505,7 @@ func (e *Engine) busyPush(p *Processor) {
 //
 //rtmw:noalloc
 func (e *Engine) busyRemove(p *Processor) {
+	e.work.BusyRemoves++
 	n := len(e.busy) - 1
 	last := e.busy[n]
 	e.busy[n], e.busy = nil, e.busy[:n]

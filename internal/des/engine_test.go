@@ -129,3 +129,26 @@ func TestEngineNilCallbackPanics(t *testing.T) {
 	}()
 	e.At(time.Second, nil)
 }
+
+// TestEngineWorkCounts counts each kind of engine work over a small run:
+// two timers (one cancelled, still counted), one link send, two starts and
+// a preemption, which takes the running processor out of the busy heap
+// without a completion, and the idle detector's timer when the processor
+// drains.
+func TestEngineWorkCounts(t *testing.T) {
+	e := NewEngine()
+	p := NewProcessor(e, 0)
+	p.SetIdleCallback(func() {})
+	l := NewLink(e, time.Millisecond)
+	h := &recordingHandler{}
+	e.At(time.Millisecond, func() {})
+	e.At(2*time.Millisecond, func() {}).Cancel()
+	l.SendEvent(h, Event{})
+	p.SubmitEvent(2, 3*time.Millisecond, h, Event{})
+	e.At(time.Millisecond, func() { p.SubmitEvent(1, time.Millisecond, h, Event{}) })
+	e.Run()
+	want := Work{Queued: 4, Sent: 1, BusyPushes: 3, BusyRemoves: 3}
+	if got := e.Work(); got != want {
+		t.Errorf("Work() = %+v, want %+v", got, want)
+	}
+}

@@ -369,6 +369,7 @@ func (l *Link) SendEvent(h EventHandler, ev Event) {
 	l.lane[(l.head+l.n)&(len(l.lane)-1)] = laneEnt{at: e.now + l.delay, seq: e.seq, h: h, ev: ev}
 	l.n++
 	e.live++
+	e.work.Sent++
 }
 
 // grow doubles a full lane, unrolling the ring so head is 0 again.

@@ -350,6 +350,30 @@ type Ledger struct {
 	scan uint64
 	// audits numbers the CheckInvariants runs; see sigGroup.audit.
 	audits uint64
+
+	// work receives the ledger's work counts (CountWork).
+	work *Work
+}
+
+// Work counts a ledger's work. The counts depend only on the operations the
+// ledger was given, never on the host, so a change that alters them changed
+// the work done. The ledger adds to them under its lock.
+type Work struct {
+	// GroupsMet counts the entries admission scans met in the group indexes
+	// of the processors a candidate perturbs; GroupsPassed the groups among
+	// them passed by the maxCount·grow skip, and GroupsSummed those summed
+	// past it. The rest were uncounted or already summed by the same scan.
+	GroupsMet    int64
+	GroupsPassed int64
+	GroupsSummed int64
+	// SumMovesUp and SumMovesDown count the group sums setTerm moved, on
+	// processors whose AUB term rose and fell.
+	SumMovesUp   int64
+	SumMovesDown int64
+	// RecsAllocated and GroupsAllocated count the job records and signature
+	// groups taken from the heap rather than from the ledger's pools.
+	RecsAllocated   int64
+	GroupsAllocated int64
 }
 
 // groupRef is one entry of a processor's group index: the group and its
@@ -376,7 +400,17 @@ func NewLedger(numProcs int) *Ledger {
 		term:       make([]int64, numProcs),
 		groups:     make(map[uint64]*sigGroup),
 		procGroups: make([][]groupRef, numProcs),
+		work:       new(Work),
 	}
+}
+
+// CountWork makes the ledger add its work counts to w from now on; the
+// counts so far stay where they were. Read w only while no operation runs
+// on the ledger.
+func (l *Ledger) CountWork(w *Work) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.work = w
 }
 
 // NewShardedLedger is NewLedger; shards is ignored. The frozen benchmark
@@ -397,6 +431,7 @@ const poolChunk = 64
 func (l *Ledger) allocRec() *jobRec {
 	if len(l.freeRecs) == 0 {
 		chunk := make([]jobRec, poolChunk)
+		l.work.RecsAllocated += poolChunk
 		l.freeRecs = slices.Grow(l.freeRecs, poolChunk)
 		for i := range chunk {
 			l.freeRecs = append(l.freeRecs, &chunk[i])
@@ -415,6 +450,7 @@ func (l *Ledger) allocGroup() *sigGroup {
 		l.freeGroups = l.freeGroups[:n-1]
 		return g
 	}
+	l.work.GroupsAllocated++
 	return &sigGroup{}
 }
 
@@ -583,6 +619,11 @@ func (l *Ledger) setTerm(proc int, t int64) {
 		return
 	}
 	l.term[proc] = t
+	if d > 0 {
+		l.work.SumMovesUp += int64(len(l.procGroups[proc]))
+	} else {
+		l.work.SumMovesDown += int64(len(l.procGroups[proc]))
+	}
 	for _, r := range l.procGroups[proc] {
 		g := r.g
 		was := g.counted > 0 && g.cachedSum > unitsPerOne
@@ -1138,18 +1179,24 @@ func (l *Ledger) admitScan(placement []PlacedStage) bool {
 	// other group adds its own growth to its exact sum, and that decides.
 	grow := l.candGrow
 	l.scan++
+	var met, passed, summed int64
+	ok := true
+walk:
 	for _, pp := range l.candProcs {
 		if delta[pp] == 0 {
 			continue
 		}
 		for _, r := range l.procGroups[pp] {
+			met++
 			g := r.g
 			if g.counted == 0 || g.scanned == l.scan {
 				continue
 			}
 			if g.cachedSum+g.maxCount*grow <= unitsPerOne {
+				passed++
 				continue
 			}
+			summed++
 			g.scanned = l.scan
 			s := g.cachedSum
 			for qi, q := range g.procs {
@@ -1158,11 +1205,16 @@ func (l *Ledger) admitScan(placement []PlacedStage) bool {
 				}
 			}
 			if s > unitsPerOne {
-				return false
+				ok = false
+				break walk
 			}
 		}
 	}
-	return true
+	w := l.work
+	w.GroupsMet += met
+	w.GroupsPassed += passed
+	w.GroupsSummed += summed
+	return ok
 }
 
 // referenceAdmissible is the paper-literal full-scan admission test: every

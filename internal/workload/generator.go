@@ -11,6 +11,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/sched"
@@ -65,11 +67,13 @@ func (p Params) validate() error {
 		return fmt.Errorf("workload: invalid deadline bounds [%v, %v]", p.MinDeadline, p.MaxDeadline)
 	}
 	// A subtask needs at least one candidate replica different from any home
-	// processor choice.
-	if len(p.ReplicaProcs) == 1 {
+	// processor choice: a pool of one distinct processor that is also a home
+	// would leave the replica draw nothing to pick.
+	r := p.ReplicaProcs[0]
+	if !slices.ContainsFunc(p.ReplicaProcs, func(x int) bool { return x != r }) {
 		for _, h := range p.HomeProcs {
-			if h == p.ReplicaProcs[0] {
-				return fmt.Errorf("workload: replica pool {%d} collides with home processor %d", p.ReplicaProcs[0], h)
+			if h == r {
+				return fmt.Errorf("workload: replica pool {%d} collides with home processor %d", r, h)
 			}
 		}
 	}
@@ -176,79 +180,114 @@ func ScaleParams(procs, tasks, set int) Params {
 // makes an aperiodic task's long-run load comparable to a periodic task with
 // period = deadline (the paper normalizes both through the "if all tasks
 // arrive simultaneously" synthetic utilization).
+//
+// The generated tasks share backing arrays: the tasks, their subtask lists
+// and their replica lists are each cut from one slab, and the IDs from one
+// string. Every Subtasks and Replicas slice is capacity-limited to its own
+// elements, so appending to one reallocates it instead of writing into a
+// neighbour's.
 func Generate(p Params) ([]*sched.Task, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	total := p.NumAperiodic + p.NumPeriodic
-	tasks := make([]*sched.Task, 0, total)
 
-	type stageRef struct {
-		task  int
-		stage int
+	// slotOf maps a draw from HomeProcs (an index) to the running weight sum
+	// of its processor: duplicate entries share one sum.
+	slotOf := make([]int32, len(p.HomeProcs))
+	slotByProc := make(map[int]int32, len(p.HomeProcs))
+	for i, h := range p.HomeProcs {
+		s, ok := slotByProc[h]
+		if !ok {
+			s = int32(len(slotByProc))
+			slotByProc[h] = s
+		}
+		slotOf[i] = s
 	}
-	// Raw execution weights per stage; scaled per processor afterwards so
-	// each processor's synthetic utilization is exactly TargetUtil.
-	weights := make(map[stageRef]float64)
-	byProc := make(map[int][]stageRef)
+	sums := make([]float64, len(slotByProc))
 
+	// Each task's ID is sliced from one string: "A<i>" for the aperiodic
+	// tasks, then "P<i>" for the periodic ones.
+	idBuf := make([]byte, 0, total*(1+decimalLen(total)))
 	for i := 0; i < total; i++ {
-		kind := sched.Periodic
-		name := fmt.Sprintf("P%d", i-p.NumAperiodic)
+		idBuf = appendID(idBuf, i, p.NumAperiodic)
+	}
+	ids := string(idBuf)
+
+	// The stages of all tasks, in (task, stage) order, with a raw execution
+	// weight and the home processor's sum slot each. The weights are scaled
+	// per processor afterwards so each processor's synthetic utilization is
+	// exactly TargetUtil.
+	type stageDraw struct {
+		w    float64
+		slot int32
+	}
+	// The mean stage count plus a sixteenth: the total of thousands of
+	// uniform draws stays well inside it, so a large set's slabs do not grow.
+	expect := total*(p.MinStages+p.MaxStages)/2 + total/16 + 8
+	subs := make([]sched.Subtask, 0, expect)
+	reps := make([]int, 0, expect)
+	draws := make([]stageDraw, 0, expect)
+
+	slab := make([]sched.Task, total)
+	tasks := make([]*sched.Task, total)
+	off := 0
+	for i := range slab {
+		t := &slab[i]
+		tasks[i] = t
+		n := i - p.NumAperiodic
+		t.Kind = sched.Periodic
 		if i < p.NumAperiodic {
-			kind = sched.Aperiodic
-			name = fmt.Sprintf("A%d", i)
+			n = i
+			t.Kind = sched.Aperiodic
 		}
-		deadline := p.MinDeadline + time.Duration(rng.Int63n(int64(p.MaxDeadline-p.MinDeadline)+1))
-		t := &sched.Task{
-			ID:       name,
-			Kind:     kind,
-			Deadline: deadline,
-		}
-		if kind == sched.Periodic {
-			t.Period = deadline
+		idLen := 1 + decimalLen(n)
+		t.ID = ids[off : off+idLen]
+		off += idLen
+		t.Deadline = p.MinDeadline + time.Duration(rng.Int63n(int64(p.MaxDeadline-p.MinDeadline)+1))
+		if t.Kind == sched.Periodic {
+			t.Period = t.Deadline
 			t.Phase = time.Duration(rng.Int63n(int64(t.Period)))
 		} else {
-			t.MeanInterarrival = deadline
+			t.MeanInterarrival = t.Deadline
 		}
 		numStages := p.MinStages + rng.Intn(p.MaxStages-p.MinStages+1)
 		for s := 0; s < numStages; s++ {
-			home := p.HomeProcs[rng.Intn(len(p.HomeProcs))]
-			replica := pickReplica(rng, p.ReplicaProcs, home)
-			t.Subtasks = append(t.Subtasks, sched.Subtask{
-				Index:     s,
-				Processor: home,
-				Replicas:  []int{replica},
-				// Exec filled in after scaling.
-				Exec: time.Nanosecond,
-			})
-			ref := stageRef{task: i, stage: s}
+			hi := rng.Intn(len(p.HomeProcs))
+			home := p.HomeProcs[hi]
+			reps = append(reps, pickReplica(rng, p.ReplicaProcs, home))
+			subs = append(subs, sched.Subtask{Index: s, Processor: home})
 			w := rng.Float64()
 			for w == 0 {
 				w = rng.Float64()
 			}
-			weights[ref] = w
-			byProc[home] = append(byProc[home], ref)
+			slot := slotOf[hi]
+			sums[slot] += w
+			draws = append(draws, stageDraw{w: w, slot: slot})
 		}
-		tasks = append(tasks, t)
+		// Only the length counts until the slab stops growing.
+		t.Subtasks = subs[len(subs)-numStages:]
 	}
 
-	// Scale execution times so each processor's synthetic utilization (sum
-	// of C/D over home-placed stages) is exactly TargetUtil.
-	for _, refs := range byProc {
-		var sum float64
-		for _, r := range refs {
-			sum += weights[r]
-		}
-		for _, r := range refs {
-			t := tasks[r.task]
-			util := weights[r] / sum * p.TargetUtil
+	// Cut the subtask and replica lists from their slabs, and scale each
+	// stage's weight by its processor's sum.
+	k := 0
+	for i := range slab {
+		t := &slab[i]
+		n := len(t.Subtasks)
+		t.Subtasks = subs[k : k+n : k+n]
+		for s := range t.Subtasks {
+			st := &t.Subtasks[s]
+			st.Replicas = reps[k : k+1 : k+1]
+			d := draws[k]
+			util := d.w / sums[d.slot] * p.TargetUtil
 			exec := time.Duration(util * float64(t.Deadline))
 			if exec <= 0 {
 				exec = time.Microsecond
 			}
-			t.Subtasks[r.stage].Exec = exec
+			st.Exec = exec
+			k++
 		}
 	}
 
@@ -259,6 +298,24 @@ func Generate(p Params) ([]*sched.Task, error) {
 	}
 	sched.AssignEDMSPriorities(tasks)
 	return tasks, nil
+}
+
+// appendID appends the ID of task i: "A<i>" for the first numAperiodic
+// tasks, "P<i − numAperiodic>" for the rest.
+func appendID(buf []byte, i, numAperiodic int) []byte {
+	if i < numAperiodic {
+		return strconv.AppendInt(append(buf, 'A'), int64(i), 10)
+	}
+	return strconv.AppendInt(append(buf, 'P'), int64(i-numAperiodic), 10)
+}
+
+// decimalLen is the number of decimal digits of n ≥ 0.
+func decimalLen(n int) int {
+	l := 1
+	for ; n >= 10; n /= 10 {
+		l++
+	}
+	return l
 }
 
 // pickReplica draws a replica processor different from home.

@@ -209,7 +209,10 @@ type WorkloadParams = workload.Params
 // Figure6Params builds the paper's imbalanced Figure 6 workload parameters.
 var Figure6Params = workload.Figure6Params
 
-// GenerateWorkload produces a random task set per the parameters.
+// GenerateWorkload produces a random task set per the parameters. The
+// tasks share backing arrays, and their Subtasks and Replicas slices are
+// capacity-limited, so an append copies rather than overwriting a
+// neighbour (see workload.Generate).
 func GenerateWorkload(p WorkloadParams) ([]*Task, error) { return workload.Generate(p) }
 
 // Configuration engine re-exports.
