@@ -34,13 +34,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -116,34 +115,26 @@ func runHealth(args []string) error {
 
 	// The AC's reconfiguration facet answers Epoch and Config on the node
 	// hosting Central-AC.
-	managerAddr := ""
+	var manager deploy.Node
 	for _, inst := range plan.Instances {
 		if inst.Implementation == live.ImplAdmissionController {
-			for _, n := range plan.Nodes {
-				if n.Name == inst.Node {
-					managerAddr = n.Address
-				}
-			}
+			manager, _ = plan.NodeByName(inst.Node)
 		}
 	}
-	if managerAddr == "" {
+	if manager.Address == "" {
 		return fmt.Errorf("plan has no admission controller instance")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	var epoch int64
-	if reply, err := o.Invoke(ctx, managerAddr, live.ReconfigServantKey, "Epoch", nil); err != nil {
+	if reply, err := o.Invoke(ctx, manager.Address, live.ReconfigServantKey, "Epoch", nil); err != nil {
 		fmt.Printf("admission controller: UNREACHABLE (%v)\n", err)
 		down++
-	} else if err := gob.NewDecoder(bytes.NewReader(reply)).Decode(&epoch); err != nil {
-		return fmt.Errorf("decode epoch: %w", err)
+	} else if epoch, err := strconv.ParseInt(string(reply), 10, 64); err != nil {
+		return fmt.Errorf("decode epoch %q: %w", reply, err)
 	} else {
 		cfg := "unknown"
-		if reply, err := o.Invoke(ctx, managerAddr, live.ReconfigServantKey, "Config", nil); err == nil {
-			var s string
-			if gob.NewDecoder(bytes.NewReader(reply)).Decode(&s) == nil {
-				cfg = s
-			}
+		if reply, err := o.Invoke(ctx, manager.Address, live.ReconfigServantKey, "Config", nil); err == nil {
+			cfg = string(reply)
 		}
 		fmt.Printf("admission controller: epoch %d, configuration %s\n", epoch, cfg)
 	}
@@ -195,7 +186,7 @@ func runReconfigure(args []string) error {
 	defer o.Shutdown()
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	outcome, err := deploy.NewLauncher(o).ExecuteReconfig(ctx, delta)
+	outcome, err := deploy.NewLauncher(o).Execute(ctx, delta)
 	if err != nil {
 		return err
 	}

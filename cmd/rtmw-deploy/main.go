@@ -51,7 +51,11 @@ func run() error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	if err := deploy.NewLauncher(o).Execute(ctx, plan); err != nil {
+	d, err := plan.Deployment()
+	if err != nil {
+		return err
+	}
+	if _, err := deploy.NewLauncher(o).Execute(ctx, d); err != nil {
 		return err
 	}
 	fmt.Printf("deployed plan %q: %d nodes, %d instances, %d connections\n",

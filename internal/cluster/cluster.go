@@ -176,7 +176,11 @@ func Start(opts Options) (*Cluster, error) {
 	// The plan launcher runs as its own deployment tool with a client-only
 	// ORB, as DAnCE's Plan Launcher does.
 	c.launcher = orb.New("plan-launcher")
-	if err := deploy.NewLauncher(c.launcher).Execute(context.Background(), c.Plan); err != nil {
+	d, err := c.Plan.Deployment()
+	if err != nil {
+		return fail(err)
+	}
+	if _, err := deploy.NewLauncher(c.launcher).Execute(context.Background(), d); err != nil {
 		return fail(err)
 	}
 
@@ -342,22 +346,10 @@ func (c *Cluster) lifecycleGate(op string) error {
 func (c *Cluster) AddTasks(tasks []*sched.Task) error {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
-	if c.stopped {
-		return fmt.Errorf("cluster: add tasks: %w", core.ErrStopped)
-	}
-	if err := c.lifecycleGate("add tasks"); err != nil {
-		return err
-	}
-	delta, err := configengine.AddTasksDelta(c.Plan, tasks)
+	_, err := c.transact("add tasks", true, func() (*deploy.Delta, error) {
+		return configengine.AddTasksDelta(c.Plan, tasks)
+	})
 	if err != nil {
-		return err
-	}
-	outcome, err := c.executeDelta(delta)
-	if err != nil {
-		return err
-	}
-	c.epoch.Store(outcome.Epoch)
-	if err := c.refreshTasks(); err != nil {
 		return err
 	}
 	if c.hub.Active() {
@@ -379,22 +371,10 @@ func (c *Cluster) AddTasks(tasks []*sched.Task) error {
 func (c *Cluster) RemoveTasks(ids []string) error {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
-	if c.stopped {
-		return fmt.Errorf("cluster: remove tasks: %w", core.ErrStopped)
-	}
-	if err := c.lifecycleGate("remove tasks"); err != nil {
-		return err
-	}
-	delta, err := configengine.RemoveTasksDelta(c.Plan, ids)
+	_, err := c.transact("remove tasks", true, func() (*deploy.Delta, error) {
+		return configengine.RemoveTasksDelta(c.Plan, ids)
+	})
 	if err != nil {
-		return err
-	}
-	outcome, err := c.executeDelta(delta)
-	if err != nil {
-		return err
-	}
-	c.epoch.Store(outcome.Epoch)
-	if err := c.refreshTasks(); err != nil {
 		return err
 	}
 	if c.hub.Active() {
@@ -405,17 +385,34 @@ func (c *Cluster) RemoveTasks(ids []string) error {
 	return nil
 }
 
-// executeDelta runs one reconfiguration transaction against the live nodes
-// and folds it into the plan. Callers hold cfgMu.
-func (c *Cluster) executeDelta(delta *deploy.Delta) (*deploy.ReconfigOutcome, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	outcome, err := deploy.NewLauncher(c.launcher).ExecuteReconfig(ctx, delta)
+// transact runs one lifecycle transaction: it refuses on a stopped cluster
+// and, when gated, wherever lifecycleGate does; then it builds the delta,
+// executes it against the live nodes, folds it into the plan, adopts the
+// epoch it entered and re-reads the deployed task set. Reconfigure,
+// AddTasks, RemoveTasks and the failover each supply only their delta.
+// Callers hold cfgMu.
+func (c *Cluster) transact(op string, gated bool, delta func() (*deploy.Delta, error)) (*deploy.ReconfigOutcome, error) {
+	if c.stopped {
+		return nil, fmt.Errorf("cluster: %s: %w", op, core.ErrStopped)
+	}
+	if gated {
+		if err := c.lifecycleGate(op); err != nil {
+			return nil, err
+		}
+	}
+	d, err := delta()
 	if err != nil {
 		return nil, err
 	}
-	delta.Apply(c.Plan)
-	return outcome, nil
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	outcome, err := deploy.NewLauncher(c.launcher).Execute(ctx, d)
+	if err != nil {
+		return nil, err
+	}
+	d.Apply(c.Plan)
+	c.epoch.Store(outcome.Epoch)
+	return outcome, c.refreshTasks()
 }
 
 // refreshTasks re-reads the deployed task set (with its re-assigned EDMS
@@ -473,25 +470,6 @@ func (c *Cluster) configSnapshot() core.Config {
 	return core.Config{}
 }
 
-// tapRelease observes job releases on one application node's channel. Only
-// locally pushed events count: a federated re-delivery of a relocated
-// release carries the home node's source name and is skipped.
-func (c *Cluster) tapRelease(node string) eventchan.Handler {
-	return func(ev eventchan.Event) {
-		if !c.hub.Active() || ev.Source != node {
-			return
-		}
-		trg, err := live.DecodeTrigger(ev.Payload)
-		if err != nil {
-			return
-		}
-		c.emit(core.WatchEvent{
-			Kind: core.WatchAdmitted, Task: c.taskName(trg.Task), Job: trg.Job,
-			Placement: trg.Placement, Config: c.configSnapshot(),
-		})
-	}
-}
-
 // tapAccept observes rejections: Accept decisions on the manager's channel,
 // as soon as the AC makes them, and the effectors' Skip events for the jobs
 // no Accept named. Accepted decisions surface as releases on the
@@ -518,12 +496,32 @@ func (c *Cluster) tapAccept(node string) eventchan.Handler {
 // a relocated release or a trigger carries the origin's name, so each hop is
 // seen exactly once. The watch emissions are inert until a Watch subscribes.
 func (c *Cluster) observe(app *live.Node) {
-	hop := c.tracker.hopHandler(app.Name)
-	app.Channel.Subscribe(live.EvRelease, c.tapRelease(app.Name))
-	app.Channel.Subscribe(live.EvRelease, hop)
-	app.Channel.Subscribe(live.EvTrigger, hop)
+	app.Channel.Subscribe(live.EvRelease, c.observeHop(app.Name, true))
+	app.Channel.Subscribe(live.EvTrigger, c.observeHop(app.Name, false))
 	app.Channel.Subscribe(live.EvDone, c.observeDone(app.Name))
 	app.Channel.Subscribe(live.EvSkip, c.tapAccept(app.Name))
+}
+
+// observeHop is the one subscriber to a node's Release or Trigger events:
+// one decode, then a release is announced as WatchAdmitted (while a Watch is
+// open) and every hop is handed to the dead-letter tracker.
+func (c *Cluster) observeHop(node string, release bool) eventchan.Handler {
+	return func(ev eventchan.Event) {
+		if ev.Source != node {
+			return
+		}
+		trg, err := live.DecodeTrigger(ev.Payload)
+		if err != nil {
+			return
+		}
+		if release && c.hub.Active() {
+			c.emit(core.WatchEvent{
+				Kind: core.WatchAdmitted, Task: c.taskName(trg.Task), Job: trg.Job,
+				Placement: trg.Placement, Config: c.configSnapshot(),
+			})
+		}
+		c.tracker.hop(trg)
+	}
 }
 
 // completions is the cluster's job-completion accounting (see observeDone).
@@ -635,25 +633,16 @@ func (c *Cluster) counters() (arrived, released, skipped, completed int64) {
 func (c *Cluster) Reconfigure(to core.Config) (*core.ReconfigReport, error) {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
-	if c.stopped {
-		return nil, fmt.Errorf("cluster: reconfigure: %w", core.ErrStopped)
-	}
-	if err := c.lifecycleGate("reconfigure"); err != nil {
-		return nil, err
-	}
-	delta, err := configengine.ReconfigDelta(c.Plan, to)
-	if err != nil {
-		return nil, err
-	}
 	before := c.inFlight()
-	outcome, err := c.executeDelta(delta)
+	outcome, err := c.transact("reconfigure", true, func() (*deploy.Delta, error) {
+		return configengine.ReconfigDelta(c.Plan, to)
+	})
 	if err != nil {
 		return nil, err
 	}
 	from := c.cfg
 	c.cfg = to
 	c.cfgVal.Store(to)
-	c.epoch.Store(outcome.Epoch)
 	if c.hub.Active() {
 		c.emit(core.WatchEvent{
 			Kind: core.WatchReconfigured, Task: "", Job: -1,

@@ -275,44 +275,30 @@ func newTracker(c *Cluster) *tracker {
 	}
 }
 
-// hopHandler records a job entering a stage. If the stage's processor has
-// already been failed over, the trigger is a dead letter — the executor that
-// would run it is gone — and the job redelivers onto the survivors at once.
-func (tr *tracker) hopHandler(node string) eventchan.Handler {
-	return func(ev eventchan.Event) {
-		if ev.Source != node {
-			return
-		}
-		trg, err := live.DecodeTrigger(ev.Payload)
-		if err != nil {
-			return
-		}
-		if trg.Stage < 0 || trg.Stage >= len(trg.Placement) {
-			return
-		}
-		ref := sched.JobKey{Task: trg.Task, Job: trg.Job}
-		var stranded *live.Trigger
-		tr.mu.Lock()
-		j := tr.jobs[ref]
-		if j == nil {
-			j = &trackedJob{}
-			tr.jobs[ref] = j
-		}
-		j.placement = trg.Placement
-		j.arrivalNanos = trg.ArrivalNanos
-		j.nextStage = trg.Stage
-		j.redelivered = false
-		if tr.active[trg.Placement[trg.Stage].Proc] {
-			j.redelivered = true
-			t := trg
-			stranded = &t
-		}
-		tr.mu.Unlock()
-		if stranded != nil {
-			// Redeliver off the pusher's goroutine: the push into the
-			// survivor's channel may block on its gateway.
-			go tr.c.redeliver(*stranded)
-		}
+// hop records a job entering a stage. If the stage's processor has already
+// been failed over, the trigger is a dead letter — the executor that would
+// run it is gone — and the job redelivers onto the survivors at once.
+func (tr *tracker) hop(trg live.Trigger) {
+	if trg.Stage < 0 || trg.Stage >= len(trg.Placement) {
+		return
+	}
+	ref := sched.JobKey{Task: trg.Task, Job: trg.Job}
+	tr.mu.Lock()
+	j := tr.jobs[ref]
+	if j == nil {
+		j = &trackedJob{}
+		tr.jobs[ref] = j
+	}
+	j.placement = trg.Placement
+	j.arrivalNanos = trg.ArrivalNanos
+	j.nextStage = trg.Stage
+	stranded := tr.active[trg.Placement[trg.Stage].Proc]
+	j.redelivered = stranded
+	tr.mu.Unlock()
+	if stranded {
+		// Redeliver off the pusher's goroutine: the push into the
+		// survivor's channel may block on its gateway.
+		go tr.c.redeliver(trg)
 	}
 }
 
@@ -579,15 +565,22 @@ func (c *Cluster) RecoverNode(i int) error {
 		return err
 	}
 	deploy.NewNodeManager(node.ORB, c.registry, node.Container, node.Channel)
-	for j := range c.Plan.Nodes {
-		if c.Plan.Nodes[j].Name == old.Name {
-			c.Plan.Nodes[j].Address = node.Addr
+	setAddr := func(addr string) {
+		for j := range c.Plan.Nodes {
+			if c.Plan.Nodes[j].Name == old.Name {
+				c.Plan.Nodes[j].Address = addr
+			}
 		}
 	}
+	setAddr(node.Addr)
 	c.Apps[i] = node
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := deploy.NewLauncher(c.launcher).RedeployNode(ctx, c.Plan, old.Name); err != nil {
+	d, err := c.Plan.Redeployment(old.Name)
+	if err == nil {
+		_, err = deploy.NewLauncher(c.launcher).Execute(ctx, d)
+	}
+	if err != nil {
 		// The slot stays marked dead; a retry can replace the node again.
 		if failedOver {
 			for _, trg := range c.tracker.activate(i) {
@@ -596,11 +589,7 @@ func (c *Cluster) RecoverNode(i int) error {
 		}
 		_ = node.Close()
 		c.Apps[i] = old
-		for j := range c.Plan.Nodes {
-			if c.Plan.Nodes[j].Name == old.Name {
-				c.Plan.Nodes[j].Address = old.Addr
-			}
-		}
+		setAddr(old.Addr)
 		return err
 	}
 
@@ -701,27 +690,20 @@ func (c *Cluster) Failover(proc int) (*FailoverReport, error) {
 func (c *Cluster) runFailover(proc int) (*FailoverReport, error) {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
-	if c.stopped {
-		return nil, fmt.Errorf("cluster: failover: %w", core.ErrStopped)
-	}
 	start := time.Now()
 	name := c.Apps[proc].Name
-	// Announce exactly once, whichever of the detector and this transaction
-	// gets there first, and before the redelivered jobs' events.
-	if c.detector != nil && c.detector.markSuspect(name) {
-		c.emit(core.WatchEvent{Kind: core.WatchNodeDown, Task: name, Job: -1, Config: c.configSnapshot()})
-	}
-
-	delta, surgery, err := configengine.FailoverDelta(c.Plan, proc)
+	var surgery *configengine.FailoverOutcome
+	outcome, err := c.transact("failover", false, func() (d *deploy.Delta, err error) {
+		// Announce exactly once, whichever of the detector and this
+		// transaction gets there first, and before the redelivered jobs'
+		// events.
+		if c.detector != nil && c.detector.markSuspect(name) {
+			c.emit(core.WatchEvent{Kind: core.WatchNodeDown, Task: name, Job: -1, Config: c.configSnapshot()})
+		}
+		d, surgery, err = configengine.FailoverDelta(c.Plan, proc)
+		return d, err
+	})
 	if err != nil {
-		return nil, err
-	}
-	outcome, err := c.executeDelta(delta)
-	if err != nil {
-		return nil, err
-	}
-	c.epoch.Store(outcome.Epoch)
-	if err := c.refreshTasks(); err != nil {
 		return nil, err
 	}
 

@@ -45,8 +45,11 @@ func TestDeployToDeadNodeFails(t *testing.T) {
 	defer launcher.Shutdown()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	err = deploy.NewLauncher(launcher).Execute(ctx, plan)
-	if err == nil {
+	d, err := plan.Deployment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = deploy.NewLauncher(launcher).Execute(ctx, d); err == nil {
 		t.Fatal("deployment to dead nodes succeeded")
 	}
 	if !strings.Contains(err.Error(), "unreachable") {

@@ -394,18 +394,7 @@ func ReconfigDelta(p *deploy.Plan, to core.Config) (*deploy.Delta, error) {
 		}
 	}
 
-	// Federation routes the new configuration needs beyond the running
-	// plan's (the gateway ignores re-adds, so this subtraction is a pure
-	// optimization — and documentation of what actually changes).
-	have := make(map[deploy.Connection]bool, len(p.Connections))
-	for _, c := range p.Connections {
-		have[c] = true
-	}
-	for _, c := range planConnections(tasks, to, d.ManagerNode, nodeOf) {
-		if !have[c] {
-			d.Connections = append(d.Connections, c)
-		}
-	}
+	addRoutes(d, tasks, to, nodeOf)
 	return d, nil
 }
 
@@ -474,10 +463,9 @@ func readPlanState(p *deploy.Plan) (*planState, error) {
 
 // taskSetDelta builds the shared shape of an open-world task-set
 // reconfiguration: the strategy combination is untouched; the AC, LB and
-// every TE adopt the new workload with its refs table names, the warm
-// standby adopts the refs table (it mirrors only refs handed out), and
-// surviving subtask instances whose EDMS priority changed under the
-// re-assignment get priority updates.
+// every TE adopt the new workload with its refs table names, and surviving
+// subtask instances whose EDMS priority changed under the re-assignment get
+// priority updates.
 func taskSetDelta(p *deploy.Plan, st *planState, next []*sched.Task, names []string) (*deploy.Delta, error) {
 	nextSpec := spec.FromTasks(st.workload.Name, st.workload.Processors, next)
 	wlJSON, err := nextSpec.Encode()
@@ -581,17 +569,7 @@ func AddTasksDelta(p *deploy.Plan, add []*sched.Task) (*deploy.Delta, error) {
 		return nil, err
 	}
 	d.Installs = subtaskInstances(added, names, st.nodeOf)
-
-	// Federation routes the enlarged task set needs that the plan lacks.
-	have := make(map[deploy.Connection]bool, len(p.Connections))
-	for _, c := range p.Connections {
-		have[c] = true
-	}
-	for _, c := range planConnections(union, st.config, d.ManagerNode, st.nodeOf) {
-		if !have[c] {
-			d.Connections = append(d.Connections, c)
-		}
-	}
+	addRoutes(d, union, st.config, st.nodeOf)
 	return d, nil
 }
 
@@ -745,24 +723,25 @@ func FailoverDelta(p *deploy.Plan, deadProc int) (*deploy.Delta, *FailoverOutcom
 		return nil, nil, err
 	}
 	d.SkipNodes = []string{deadNode}
+	addRoutes(d, next, st.config, st.nodeOf)
+	return d, out, nil
+}
 
-	// Federation routes the re-homed task set needs beyond the running
-	// plan's; routes touching the dead node are pointless (the executor
-	// would skip them anyway) and are filtered here so the plan does not
-	// accumulate them either.
-	have := make(map[deploy.Connection]bool, len(p.Connections))
-	for _, c := range p.Connections {
+// addRoutes appends to d the federation routes tasks need under cfg beyond
+// the running plan's. The gateway ignores re-adds, so the subtraction only
+// keeps the delta minimal and says what actually changes. Routes touching a
+// skipped node are left out: the executor would skip them, and the plan
+// should not accumulate them either.
+func addRoutes(d *deploy.Delta, tasks []*sched.Task, cfg core.Config, nodeOf map[int]string) {
+	have := make(map[deploy.Connection]bool, len(d.Plan.Connections))
+	for _, c := range d.Plan.Connections {
 		have[c] = true
 	}
-	for _, c := range planConnections(next, st.config, d.ManagerNode, st.nodeOf) {
-		if c.SourceNode == deadNode || c.SinkNode == deadNode {
-			continue
-		}
-		if !have[c] {
+	for _, c := range planConnections(tasks, cfg, d.ManagerNode, nodeOf) {
+		if !have[c] && !slices.Contains(d.SkipNodes, c.SourceNode) && !slices.Contains(d.SkipNodes, c.SinkNode) {
 			d.Connections = append(d.Connections, c)
 		}
 	}
-	return d, out, nil
 }
 
 // planStrategy reads one strategy attribute from a plan instance.

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -10,9 +11,10 @@ import (
 )
 
 // TestConnectCarriesSinkProcessor checks that a launcher-wired connection
-// tells the source gateway which processor the sink is, and that a request
-// without the field — its zero value — leaves the sink a candidate for every
-// addressed event instead of binding it to processor 0.
+// tells the source gateway which processor the sink is (the manager's is
+// eventchan.NoProcessor, a candidate for every addressed event), and that a
+// request under an unknown version byte is refused with ErrRequest instead
+// of wiring anything.
 func TestConnectCarriesSinkProcessor(t *testing.T) {
 	got := make(chan string, 8)
 	node := func(name string) (*eventchan.Channel, string) {
@@ -42,30 +44,33 @@ func TestConnectCarriesSinkProcessor(t *testing.T) {
 	l := NewLauncher(orb.New("launcher"))
 	t.Cleanup(l.orb.Shutdown)
 	ctx := context.Background()
+	d := &Delta{Plan: p}
 	for _, sink := range []string{"p1", "p2", "mgr"} {
-		if err := l.connect(ctx, p, Connection{EventType: "E", SourceNode: "src", SinkNode: sink}); err != nil {
-			t.Fatal(err)
-		}
+		d.Connections = append(d.Connections, Connection{EventType: "E", SourceNode: "src", SinkNode: sink})
 	}
-	// A request from a launcher that predates the field.
-	body, err := gobEncode(ConnectRequest{EventType: "E", SinkAddr: oldAddr})
-	if err != nil {
+	if _, err := l.Execute(ctx, d); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.invoke(ctx, srcAddr, opConnect, body); err != nil {
-		t.Fatal(err)
+	// A request from a launcher built with another layout.
+	body := AppendConnect(nil, &ConnectRequest{EventType: "E", SinkAddr: oldAddr, SinkProc: eventchan.NoProcessor})
+	body[0]++
+	if _, err := DecodeConnect(body); !errors.Is(err, ErrRequest) {
+		t.Fatalf("unknown version decodes with err %v, want ErrRequest", err)
+	}
+	if _, err := l.invoke(ctx, srcAddr, NodeManagerKey, opConnect, body); err == nil {
+		t.Fatal("the node manager accepted a request under an unknown version")
 	}
 
 	if err := src.PushTo(2, eventchan.Event{Type: "E"}); err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[string]int)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		select {
 		case name := <-got:
 			seen[name]++
 		case <-time.After(2 * time.Second):
-			t.Fatalf("deliveries %v, want src, p2, mgr and old", seen)
+			t.Fatalf("deliveries %v, want src, p2 and mgr", seen)
 		}
 	}
 	select {
@@ -73,7 +78,7 @@ func TestConnectCarriesSinkProcessor(t *testing.T) {
 		t.Fatalf("event addressed to processor 2 also reached %s (after %v)", name, seen)
 	case <-time.After(100 * time.Millisecond):
 	}
-	if seen["src"] != 1 || seen["p2"] != 1 || seen["mgr"] != 1 || seen["old"] != 1 {
-		t.Errorf("deliveries %v, want src, p2, mgr and old once each", seen)
+	if seen["src"] != 1 || seen["p2"] != 1 || seen["mgr"] != 1 {
+		t.Errorf("deliveries %v, want src, p2 and mgr once each", seen)
 	}
 }

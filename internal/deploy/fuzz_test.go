@@ -2,10 +2,12 @@ package deploy_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/configengine"
@@ -114,6 +116,88 @@ func FuzzParsePlan(f *testing.F) {
 		}
 		if twice, err := back.Encode(); err != nil || !bytes.Equal(twice, again) {
 			t.Fatalf("encoding is not a fixed point: %q then %q (%v)", again, twice, err)
+		}
+	})
+}
+
+// requestCodecs lists the NodeManager requests' Decode/Append pairs behind
+// `any`, so FuzzDecodeRequest can sweep all three with one loop.
+var requestCodecs = []struct {
+	name   string
+	decode func([]byte) (any, error)
+	encode func(any) []byte
+}{
+	{"Install",
+		func(b []byte) (any, error) { v, err := deploy.DecodeInstall(b); return v, err },
+		func(v any) []byte { r := v.(deploy.InstallRequest); return deploy.AppendInstall(nil, &r) }},
+	{"Connect",
+		func(b []byte) (any, error) { v, err := deploy.DecodeConnect(b); return v, err },
+		func(v any) []byte { r := v.(deploy.ConnectRequest); return deploy.AppendConnect(nil, &r) }},
+	{"Reconfig",
+		func(b []byte) (any, error) { v, err := deploy.DecodeReconfig(b); return v, err },
+		func(v any) []byte { r := v.(deploy.ReconfigRequest); return deploy.AppendReconfig(nil, &r) }},
+}
+
+// FuzzDecodeRequest feeds arbitrary bytes to every NodeManager request
+// decoder under FuzzDecodePayload's contract: no panic; a failure always
+// wraps ErrRequest; bytes that decode re-encode to themselves; and the heap
+// the three decoders take together is at most 64 bytes per input byte plus
+// 8 KiB. The linear term is a string count that passes its check at one
+// string per byte left (16 bytes of string header each) plus the strings
+// and, for a body whose keys ascend, the attribute map; a count's parity
+// lets at most one of Install and Reconfigure reach the map. Measured above
+// 200 bytes: 16 bytes per byte on a maximal count of empty strings, up to
+// 35 on a valid body of short keys. The seeds are
+// each request kind, with and without attributes (an empty set and an
+// absent one encode alike), every truncation of each, maximal counts of
+// both parities and the largest uvarint as a count.
+func FuzzDecodeRequest(f *testing.F) {
+	seeds := [][]byte{
+		deploy.AppendInstall(nil, &deploy.InstallRequest{ID: "Sub-flow-0@P0", Implementation: "Subtask",
+			Attrs: map[string]string{"Task": "flow", "TaskRef": "0", "Stage": "0", "Exec": "50ms"}}),
+		deploy.AppendInstall(nil, &deploy.InstallRequest{ID: "HB-0", Implementation: "Heartbeat", Attrs: map[string]string{}}),
+		deploy.AppendConnect(nil, &deploy.ConnectRequest{EventType: "Trigger", SinkAddr: "127.0.0.1:9101", SinkProc: 1}),
+		deploy.AppendConnect(nil, &deploy.ConnectRequest{EventType: "TaskArrive", SinkAddr: "127.0.0.1:9100", SinkProc: -1}),
+		deploy.AppendReconfig(nil, &deploy.ReconfigRequest{ID: "Central-AC",
+			Attrs: map[string]string{"AC_Strategy": "J", "Epoch": "3", "IR_Strategy": "T", "LB_Strategy": "N"}}),
+		deploy.AppendReconfig(nil, &deploy.ReconfigRequest{ID: "TE-1"}),
+	}
+	for _, b := range seeds {
+		f.Add(b)
+		for i := range b {
+			f.Add(b[:i])
+		}
+	}
+	// Counts of exactly the bytes left, every string empty: the count check
+	// passes and the second key fails to ascend. Then the largest uvarint.
+	for _, n := range []int{64, 65} {
+		f.Add(slices.Concat([]byte{1, byte(n)}, make([]byte, n)))
+	}
+	f.Add(slices.Concat([]byte{1}, binary.AppendUvarint(nil, math.MaxUint64), make([]byte, 64)))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		bound := uint64(64*len(b) + 8<<10)
+		type result struct {
+			v   any
+			err error
+		}
+		results := make([]result, len(requestCodecs))
+		if got := allocatedBytes(bound, func() {
+			for i, c := range requestCodecs {
+				results[i].v, results[i].err = c.decode(b)
+			}
+		}); got > bound {
+			t.Errorf("decoding %d bytes allocated %d bytes, bound %d", len(b), got, bound)
+		}
+		for i, c := range requestCodecs {
+			switch r := results[i]; {
+			case r.err == nil:
+				if again := c.encode(r.v); !bytes.Equal(again, b) {
+					t.Errorf("%s: %x decodes to %+v, which re-encodes to %x", c.name, b, r.v, again)
+				}
+			case !errors.Is(r.err, deploy.ErrRequest):
+				t.Errorf("%s: error %v does not wrap ErrRequest", c.name, r.err)
+			}
 		}
 	})
 }

@@ -1,8 +1,6 @@
 package deploy
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
@@ -51,9 +49,8 @@ type ConnectRequest struct {
 	EventType string
 	// SinkAddr is the peer channel's ORB address.
 	SinkAddr string
-	// SinkProc is the sink node's Node.Processor plus one, so the zero value
-	// — a request that does not say, or a sink on the manager — means
-	// unknown, and the gateway then forwards every addressed event there.
+	// SinkProc is the sink node's processor, or eventchan.NoProcessor for
+	// the manager: the gateway then forwards every addressed event there.
 	SinkProc int
 }
 
@@ -82,25 +79,21 @@ func (nm *NodeManager) dispatch(op string, arg []byte) ([]byte, error) {
 	case opPing:
 		return []byte("pong"), nil
 	case opInstall:
-		var req InstallRequest
-		if err := gobDecode(arg, &req); err != nil {
+		req, err := DecodeInstall(arg)
+		if err != nil {
 			return nil, err
 		}
 		return nil, nm.install(req)
 	case opConnect:
-		var req ConnectRequest
-		if err := gobDecode(arg, &req); err != nil {
+		req, err := DecodeConnect(arg)
+		if err != nil {
 			return nil, err
 		}
-		proc := eventchan.NoProcessor
-		if req.SinkProc > 0 {
-			proc = req.SinkProc - 1
-		}
-		nm.channel.AddProcessorSink(req.EventType, req.SinkAddr, proc)
+		nm.channel.AddProcessorSink(req.EventType, req.SinkAddr, req.SinkProc)
 		return nil, nil
 	case opReconfigure:
-		var req ReconfigRequest
-		if err := gobDecode(arg, &req); err != nil {
+		req, err := DecodeReconfig(arg)
+		if err != nil {
 			return nil, err
 		}
 		nm.mu.Lock()
@@ -133,21 +126,4 @@ func (nm *NodeManager) install(req InstallRequest) error {
 		return err
 	}
 	return nm.container.Install(req.ID, comp, req.Attrs)
-}
-
-// gobEncode marshals a deployment request.
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("deploy: encode %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// gobDecode unmarshals a deployment request.
-func gobDecode(b []byte, out any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(out); err != nil {
-		return fmt.Errorf("deploy: decode %T: %w", out, err)
-	}
-	return nil
 }

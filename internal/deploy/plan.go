@@ -10,7 +10,6 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrPlan is wrapped by every error Parse returns: the bytes are not a
@@ -213,15 +212,5 @@ func (p *Plan) InstancesOn(node string) []Instance {
 			out = append(out, inst)
 		}
 	}
-	return out
-}
-
-// NodeNames returns the declared node names, sorted.
-func (p *Plan) NodeNames() []string {
-	out := make([]string, 0, len(p.Nodes))
-	for _, n := range p.Nodes {
-		out = append(out, n.Name)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -98,8 +98,4 @@ func TestPlanQueries(t *testing.T) {
 	if got := p.InstancesOn("manager"); len(got) != 1 || got[0].ID != "Central-AC" {
 		t.Errorf("InstancesOn(manager) = %+v", got)
 	}
-	names := p.NodeNames()
-	if len(names) != 2 || names[0] != "app0" || names[1] != "manager" {
-		t.Errorf("NodeNames() = %v", names)
-	}
 }

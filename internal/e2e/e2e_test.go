@@ -8,7 +8,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"os/exec"
@@ -17,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/orb"
 )
 
@@ -163,13 +163,12 @@ func TestCommandPipeline(t *testing.T) {
 	defer client.Shutdown()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	taskID := encodeGobString(t, "flow")
-	reply, err := client.Invoke(ctx, managerAddr, "lb", "Location", taskID)
+	reply, err := client.Invoke(ctx, managerAddr, "lb", "Location", []byte("flow"))
 	if err != nil {
 		t.Fatalf("Location facet: %v", err)
 	}
-	if len(reply) == 0 {
-		t.Error("Location facet returned empty placement")
+	if loc, err := live.DecodeAccept(reply); err != nil || len(loc.Placement) == 0 {
+		t.Errorf("Location facet replied %+v, err %v; want a placement", loc, err)
 	}
 
 	// Live reconfiguration against the running daemons: swap J_J_J → J_T_N
@@ -188,12 +187,8 @@ func TestCommandPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Config facet: %v", err)
 	}
-	var liveCfg string
-	if err := gob.NewDecoder(bytes.NewReader(cfgReply)).Decode(&liveCfg); err != nil {
-		t.Fatal(err)
-	}
-	if liveCfg != "J_T_N" {
-		t.Errorf("running config = %s, want J_T_N", liveCfg)
+	if string(cfgReply) != "J_T_N" {
+		t.Errorf("running config = %s, want J_T_N", cfgReply)
 	}
 	// The rewritten plan reads back the new combination too.
 	updated, err := os.ReadFile(planPath)
@@ -214,20 +209,7 @@ func TestCommandPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(cfgReply)).Decode(&liveCfg); err != nil {
-		t.Fatal(err)
+	if string(cfgReply) != "J_T_N" {
+		t.Errorf("config disturbed by rejected target: %s", cfgReply)
 	}
-	if liveCfg != "J_T_N" {
-		t.Errorf("config disturbed by rejected target: %s", liveCfg)
-	}
-}
-
-// encodeGobString gob-encodes a string the way the live components do.
-func encodeGobString(t *testing.T, s string) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -368,8 +369,10 @@ func (ac *AdmissionController) Resume() (int, error) {
 }
 
 // reconfigServant exposes the coordination half of the protocol over the
-// ORB, so deployment tools (the plan launcher's ExecuteReconfig, the
-// rtmw-config reconfigure subcommand) can drive a swap on a running node.
+// ORB, so deployment tools (the plan launcher's Execute, the rtmw-config
+// reconfigure and health subcommands) can drive a swap on a running node.
+// Quiesce, Resume and Epoch answer with a decimal integer, Config with the
+// AC_IR_LB tuple.
 func (ac *AdmissionController) reconfigServant(op string, arg []byte) ([]byte, error) {
 	switch op {
 	case "Quiesce":
@@ -377,23 +380,46 @@ func (ac *AdmissionController) reconfigServant(op string, arg []byte) ([]byte, e
 		if err != nil {
 			return nil, err
 		}
-		return gobEncode(epoch), nil
+		return strconv.AppendInt(nil, epoch, 10), nil
 	case "Resume":
 		n, err := ac.Resume()
 		if err != nil {
 			return nil, err
 		}
-		return gobEncode(int64(n)), nil
+		return strconv.AppendInt(nil, int64(n), 10), nil
 	case "Epoch":
-		return gobEncode(ac.Epoch()), nil
+		return strconv.AppendInt(nil, ac.Epoch(), 10), nil
 	case "Config":
 		ac.mu.RLock()
 		cfg := ac.cfg.String()
 		ac.mu.RUnlock()
-		return gobEncode(cfg), nil
+		return []byte(cfg), nil
 	default:
 		return nil, fmt.Errorf("live: reconfig: unknown operation %q", op)
 	}
+}
+
+// location answers the load balancer's Location facet from the task set the
+// controller decides with: the placement its balancer would produce for the
+// task bound to the ID, as an admitted, job-less Accept, so a client reads
+// it with DecodeAccept.
+func (ac *AdmissionController) location(taskID string) ([]byte, error) {
+	ac.mu.RLock()
+	defer ac.mu.RUnlock()
+	if ac.ctrl == nil {
+		return nil, fmt.Errorf("%w: lb: admission controller not configured", ErrNotConfigured)
+	}
+	for ref, t := range ac.tasks {
+		if t.ID == taskID {
+			return locationReply(ref, ac.ctrl.Location(ref, t)), nil
+		}
+	}
+	return nil, fmt.Errorf("live: lb: unknown task %q", taskID)
+}
+
+// locationReply encodes a Location answer.
+func locationReply(task sched.TaskRef, placement []sched.PlacedStage) []byte {
+	return AppendAccept(nil, &Accept{Task: task, Job: -1, Ok: true, Placement: placement})
 }
 
 // expire removes a job's contributions at its absolute deadline.
@@ -508,7 +534,6 @@ type LoadBalancer struct {
 	strategy   core.Strategy
 	acInstance string
 	ac         *AdmissionController
-	tasks      map[sched.TaskRef]*sched.Task
 }
 
 var _ ccm.Component = (*LoadBalancer)(nil)
@@ -523,13 +548,11 @@ func NewLoadBalancer() *LoadBalancer {
 	return &LoadBalancer{acInstance: "Central-AC"}
 }
 
-// Configure parses the LB strategy and workload.
+// Configure parses the LB strategy. The plan hands the balancer the workload
+// too, but the Location facet reads the task set the admission controller
+// decides with.
 func (lb *LoadBalancer) Configure(attrs map[string]string) error {
 	strategy, err := parseStrategyAttr(attrs, AttrLBStrategy)
-	if err != nil {
-		return err
-	}
-	index, err := ParseWorkload(attrs, true)
 	if err != nil {
 		return err
 	}
@@ -538,7 +561,6 @@ func (lb *LoadBalancer) Configure(attrs map[string]string) error {
 	if id, ok := attrs[AttrACInstance]; ok && id != "" {
 		lb.acInstance = id
 	}
-	lb.tasks = index
 	lb.mu.Unlock()
 	return nil
 }
@@ -571,30 +593,21 @@ func (lb *LoadBalancer) Activate(ctx *ccm.Context) error {
 // Passivate is a no-op; the ORB teardown retires the servant.
 func (lb *LoadBalancer) Passivate() error { return nil }
 
-// Reconfigure adopts a new LB strategy and/or workload attribute. The
+// Reconfigure adopts a new LB strategy, if the attributes carry one. The
 // placement heuristic itself lives in the admission controller's policy
 // object (swapped by the AC's Reconfigure); this keeps the component's
-// advertised strategy and task index in sync for the Location facet and
-// diagnostics.
+// advertised strategy in sync for diagnostics.
 func (lb *LoadBalancer) Reconfigure(attrs map[string]string) error {
-	newTasks, err := ParseWorkload(attrs, false)
+	if _, ok := attrs[AttrLBStrategy]; !ok {
+		return nil
+	}
+	strategy, err := parseStrategyAttr(attrs, AttrLBStrategy)
 	if err != nil {
 		return err
 	}
-	if _, ok := attrs[AttrLBStrategy]; ok {
-		strategy, err := parseStrategyAttr(attrs, AttrLBStrategy)
-		if err != nil {
-			return err
-		}
-		lb.mu.Lock()
-		lb.strategy = strategy
-		lb.mu.Unlock()
-	}
-	if newTasks != nil {
-		lb.mu.Lock()
-		lb.tasks = newTasks
-		lb.mu.Unlock()
-	}
+	lb.mu.Lock()
+	lb.strategy = strategy
+	lb.mu.Unlock()
 	return nil
 }
 
@@ -605,35 +618,17 @@ func (lb *LoadBalancer) Strategy() core.Strategy {
 	return lb.strategy
 }
 
-// servant answers Location(taskID) with the gob-encoded placement (a cold
-// request/reply facet: see facetgob.go).
+// servant answers Location with the placement the balancer would produce
+// for the task its argument names.
 func (lb *LoadBalancer) servant(op string, arg []byte) ([]byte, error) {
 	if op != "Location" {
 		return nil, fmt.Errorf("live: lb: unknown operation %q", op)
 	}
-	var taskID string
-	if err := gobDecode(arg, &taskID); err != nil {
-		return nil, err
-	}
 	lb.mu.Lock()
-	var ref sched.TaskRef
-	var t *sched.Task
-	for r, task := range lb.tasks {
-		if task.ID == taskID {
-			ref, t = r, task
-		}
-	}
 	ac := lb.ac
 	lb.mu.Unlock()
-	if t == nil {
-		return nil, fmt.Errorf("live: lb: unknown task %q", taskID)
-	}
 	if ac == nil {
 		return nil, errors.New("live: lb: not activated")
 	}
-	ctrl := ac.Controller()
-	if ctrl == nil {
-		return nil, errors.New("live: lb: admission controller not configured")
-	}
-	return gobEncode(ctrl.Location(ref, t)), nil
+	return ac.location(string(arg))
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"math"
@@ -295,7 +296,11 @@ func TestPayloadGoldenBytes(t *testing.T) {
 // decoder refuses it with the typed sentinel rather than misreading it.
 func TestPayloadRejectsGob(t *testing.T) {
 	for _, c := range payloadCodecs {
-		payload := gobEncode(c.golden)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(c.golden); err != nil {
+			t.Fatal(err)
+		}
+		payload := buf.Bytes()
 		for _, d := range payloadCodecs {
 			if v, err := d.decode(payload); !errors.Is(err, ErrPayload) {
 				t.Errorf("gob %s through Decode%s = %+v, err %v; want ErrPayload", c.name, d.name, v, err)
@@ -494,6 +499,8 @@ func FuzzDecodePayload(f *testing.F) {
 			f.Add(flipped)
 		}
 	}
+	// The load balancer's Location reply, a job-less Accept.
+	f.Add(locationReply(3, goldenPlacement))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// In memory a decoded entry is eight times its smallest encoding
 		// and a PlacedStage 2.4 times; the constant covers the seven boxed

@@ -13,9 +13,9 @@
 //
 // Event payloads (the types below) travel in the fixed binary layout of
 // codec.go. They name tasks by the sched.TaskRef the deployment plan hands
-// out (AttrTaskRefs); only a Heartbeat carries a name, its node's. Only the
-// cold ORB request/reply facets (reconfig, location) speak gob, through the
-// helpers in facetgob.go.
+// out (AttrTaskRefs); only a Heartbeat carries a name, its node's. The cold
+// ORB request/reply facets answer in decimal text (reconfig) or an Accept
+// payload (Location).
 //
 // The admission controller's one ledger lives on the manager node and is
 // never copied: the manager's only events are its Accepts, and losing the

@@ -4,9 +4,9 @@
 // named servants over persistent TCP connections with connection reuse.
 //
 // The wire protocol is a simple length-prefixed framing (see message.go);
-// argument bodies are opaque byte slices, encoded by callers (the event plane
-// carries the live binding's fixed-layout payloads; the cold request/reply
-// facets and the deployment tools use encoding/gob). The broker preserves the
+// argument bodies are opaque byte slices, encoded by callers (the live
+// binding's fixed-layout event payloads, the deployment requests' versioned
+// layout, decimal text on the AC's facets). The broker preserves the
 // properties the paper's services rely on: low per-call overhead and
 // concurrent dispatch of independent requests.
 //
