@@ -45,10 +45,6 @@ type Options struct {
 	// detector declares an application node dead (default
 	// DefaultHeartbeatTimeout).
 	HeartbeatTimeout time.Duration
-	// AutoFailover makes the detector run the failover transaction itself
-	// when it declares a node dead; without it the declaration only surfaces
-	// as a WatchNodeDown event and Failover is the caller's move.
-	AutoFailover bool
 }
 
 // Cluster is a running live deployment. It implements the unified Binding
@@ -197,7 +193,7 @@ func Start(opts Options) (*Cluster, error) {
 	if timeout <= 0 {
 		timeout = DefaultHeartbeatTimeout
 	}
-	c.detector = newDetector(c, timeout, opts.AutoFailover)
+	c.detector = newDetector(c, timeout)
 	c.detector.start()
 	return c, nil
 }

@@ -46,8 +46,7 @@ type NodeHealth struct {
 	// Node names the application node; Proc is its processor index.
 	Node string
 	Proc int
-	// Alive is false once the node is marked dead (killed, or declared by
-	// the detector).
+	// Alive is false from KillNode until RecoverNode.
 	Alive bool
 	// Suspect is true once the detector declared the node silent.
 	Suspect bool
@@ -62,13 +61,11 @@ type NodeHealth struct {
 type detector struct {
 	c       *Cluster
 	timeout time.Duration
-	auto    bool
 
 	mu       sync.Mutex
 	lastSeen map[string]time.Time
 	beats    map[string]int64
 	suspect  map[string]bool
-	procOf   map[string]int
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -76,21 +73,18 @@ type detector struct {
 
 // newDetector builds a detector over the cluster's application nodes. Every
 // node starts with a full timeout of grace before its first beat is due.
-func newDetector(c *Cluster, timeout time.Duration, auto bool) *detector {
+func newDetector(c *Cluster, timeout time.Duration) *detector {
 	d := &detector{
 		c:        c,
 		timeout:  timeout,
-		auto:     auto,
 		lastSeen: make(map[string]time.Time, len(c.Apps)),
 		beats:    make(map[string]int64, len(c.Apps)),
 		suspect:  make(map[string]bool, len(c.Apps)),
-		procOf:   make(map[string]int, len(c.Apps)),
 		stop:     make(chan struct{}),
 	}
 	now := time.Now()
 	for _, app := range c.Apps {
 		d.lastSeen[app.Name] = now
-		d.procOf[app.Name] = app.Proc
 	}
 	return d
 }
@@ -149,25 +143,22 @@ func (d *detector) monitor() {
 	}
 }
 
-// scan declares every newly silent node dead.
+// scan declares every newly silent node dead: one WatchNodeDown each.
+// Failover stays the caller's move.
 func (d *detector) scan() {
 	now := time.Now()
-	type down struct {
-		name string
-		proc int
-	}
-	var downs []down
+	var downs []string
 	d.mu.Lock()
 	for name, seen := range d.lastSeen {
 		if d.suspect[name] || now.Sub(seen) <= d.timeout {
 			continue
 		}
 		d.suspect[name] = true
-		downs = append(downs, down{name, d.procOf[name]})
+		downs = append(downs, name)
 	}
 	d.mu.Unlock()
-	for _, dn := range downs {
-		d.c.nodeDeclaredDown(dn.name, dn.proc, d.auto)
+	for _, name := range downs {
+		d.c.emit(core.WatchEvent{Kind: core.WatchNodeDown, Task: name, Job: -1, Config: d.c.configSnapshot()})
 	}
 }
 
@@ -209,24 +200,6 @@ func (d *detector) health() []NodeHealth {
 		})
 	}
 	return out
-}
-
-// nodeDeclaredDown is the detector's declaration callback: announce on the
-// watch stream and, under AutoFailover, run the failover transaction.
-func (c *Cluster) nodeDeclaredDown(name string, proc int, auto bool) {
-	c.emit(core.WatchEvent{Kind: core.WatchNodeDown, Task: name, Job: -1, Config: c.configSnapshot()})
-	if !auto {
-		return
-	}
-	c.failMu.Lock()
-	if c.deadProcs == nil {
-		c.deadProcs = make(map[int]bool)
-	}
-	c.deadProcs[proc] = true
-	c.failMu.Unlock()
-	go func() {
-		_, _ = c.Failover(proc)
-	}()
 }
 
 // Health reports per-node heartbeat status from the failure detector.
@@ -438,9 +411,9 @@ func (c *Cluster) isDead(proc int) bool {
 // KillNode is the chaos hook: it hard-stops application node i — container,
 // executor and transport — exactly as a crash would, halts its arrival
 // generator, and prunes the survivors' gateway routes to the dead address so
-// they stop dialing it. Detection, announcement and failover are left to the
-// failure detector (or an explicit Failover call): the kill itself is
-// silent, as a real crash is.
+// they stop dialing it. Detection and announcement are left to the failure
+// detector and failover to the caller's Failover: the kill itself is silent,
+// as a real crash is.
 func (c *Cluster) KillNode(i int) error {
 	if i < 0 || i >= len(c.Apps) {
 		return fmt.Errorf("cluster: kill node: no processor %d", i)
@@ -639,7 +612,7 @@ type FailoverReport struct {
 // every job the dead-letter tracker shows stranded on the dead processor is
 // redelivered onto the survivors. Submissions arriving during the
 // transaction are deferred and replayed at the end. The node must already be
-// marked dead (KillNode, or the detector's declaration).
+// marked dead by KillNode.
 func (c *Cluster) Failover(proc int) (*FailoverReport, error) {
 	if proc < 0 || proc >= len(c.Apps) {
 		return nil, fmt.Errorf("cluster: failover: no processor %d", proc)

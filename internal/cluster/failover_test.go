@@ -60,6 +60,32 @@ func submitAll(t *testing.T, c *Cluster, count int) int {
 	return len(adms)
 }
 
+// quietSnapshot drains the executors and returns a snapshot that is both
+// drained and quiet. Admission decisions resolve asynchronously, so
+// Released == Completed can hold transiently while the last burst is still
+// being decided.
+func quietSnapshot(t *testing.T, c *Cluster) core.BindingSnapshot {
+	t.Helper()
+	if !c.Drain(5 * time.Second) {
+		t.Fatal("executors never drained")
+	}
+	snap := c.Snapshot()
+	settle(t, 20*time.Second, func() bool {
+		s := c.Snapshot()
+		if s.Released != s.Completed {
+			snap = s
+			return false
+		}
+		// A loaded CI machine can sit on a pending decision for a while;
+		// demand half a second of total silence before trusting the counts.
+		time.Sleep(500 * time.Millisecond)
+		s2 := c.Snapshot()
+		snap = s2
+		return s2 == s
+	})
+	return snap
+}
+
 // TestFailoverZeroLossAndWatchSemantics drives the whole survival story on
 // one cluster — burst, kill, failover, burst, recover, burst, drain — and
 // checks the zero-loss obligations plus the watch stream's ordering
@@ -111,26 +137,7 @@ func TestFailoverZeroLossAndWatchSemantics(t *testing.T) {
 	}
 	submitAll(t, c, 3)
 
-	if !c.Drain(5 * time.Second) {
-		t.Fatal("executors never drained")
-	}
-	// Admission decisions resolve asynchronously, so Released == Completed
-	// can hold transiently while the last burst is still being decided:
-	// require a snapshot that is both drained and quiet.
-	snap := c.Snapshot()
-	settle(t, 20*time.Second, func() bool {
-		s := c.Snapshot()
-		if s.Released != s.Completed {
-			snap = s
-			return false
-		}
-		// A loaded CI machine can sit on a pending decision for a while;
-		// demand half a second of total silence before trusting the counts.
-		time.Sleep(500 * time.Millisecond)
-		s2 := c.Snapshot()
-		snap = s2
-		return s2 == s
-	})
+	snap := quietSnapshot(t, c)
 	if snap.Released != snap.Completed {
 		t.Errorf("lost jobs: released %d, completed %d", snap.Released, snap.Completed)
 	}
@@ -199,18 +206,17 @@ func TestFailoverZeroLossAndWatchSemantics(t *testing.T) {
 	}
 }
 
-// TestDetectorAutoFailover kills a node silently and lets the heartbeat
-// detector find it: the WatchNodeDown declaration must arrive, the automatic
-// failover must advance the epoch, and submissions to the re-homed task must
-// succeed afterwards.
-func TestDetectorAutoFailover(t *testing.T) {
+// TestDetectorAnnouncesCallerFailsOver kills a node silently with jobs in
+// flight and lets the heartbeat detector find it: the detector announces
+// WatchNodeDown and does nothing else, the caller's Failover re-homes the
+// node's stages without a second announcement, and no admitted job is lost.
+func TestDetectorAnnouncesCallerFailsOver(t *testing.T) {
 	cfg := core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyPerTask}
 	c, err := Start(Options{
 		Workload:         failoverWorkload(t),
 		Config:           cfg,
 		Seed:             13,
 		HeartbeatTimeout: 150 * time.Millisecond,
-		AutoFailover:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +227,8 @@ func TestDetectorAutoFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer watch.Cancel()
 
+	submitAll(t, c, 3)
 	if err := c.KillNode(0); err != nil {
 		t.Fatal(err)
 	}
@@ -234,20 +240,33 @@ func TestDetectorAutoFailover(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("detector never declared the silent node dead")
 	}
-
-	// The detector runs the failover itself; wait for the epoch to advance.
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Snapshot().Epoch < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("auto-failover never completed")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if epoch := c.Snapshot().Epoch; epoch != 0 {
+		t.Fatalf("epoch %d after detection alone, want 0: the detector must not fail over", epoch)
 	}
 
+	report, err := c.Failover(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Lost != 0 {
+		t.Errorf("failover lost %d stranded jobs", report.Lost)
+	}
 	// cam's home stage was on processor 0; after the failover it is re-homed
 	// and a fresh submission must be accepted without ErrNodeDown.
 	if _, err := c.Submit("cam"); err != nil {
-		t.Fatalf("submit to re-homed task after auto-failover: %v", err)
+		t.Fatalf("submit to re-homed task after failover: %v", err)
+	}
+	submitAll(t, c, 3)
+
+	snap := quietSnapshot(t, c)
+	if snap.Released != snap.Completed {
+		t.Errorf("lost jobs: released %d, completed %d", snap.Released, snap.Completed)
+	}
+	if _, lost := c.RedeliveryStats(); lost != 0 {
+		t.Errorf("redelivery lost %d jobs", lost)
+	}
+	if err := c.AuditAdmissionState(); err != nil {
+		t.Error(err)
 	}
 	var h *NodeHealth
 	health := c.Health()
@@ -261,6 +280,11 @@ func TestDetectorAutoFailover(t *testing.T) {
 	}
 	if h.Alive || !h.Suspect {
 		t.Errorf("health for killed node = %+v, want dead and suspect", *h)
+	}
+
+	watch.Cancel()
+	if n := len(watch.Events()); n != 0 {
+		t.Errorf("NodeDown announced %d more times after the detector's, want exactly once", n)
 	}
 }
 

@@ -370,7 +370,7 @@ func TestSimWatchOrderingAndFiltering(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sim.Run()
+	m := sim.Run()
 	if err := sim.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -404,6 +404,16 @@ func TestSimWatchOrderingAndFiltering(t *testing.T) {
 	}
 	if counts[WatchAdmitted] == 0 || counts[WatchCompleted] == 0 {
 		t.Errorf("missing job events: %v", counts)
+	}
+	// The stream is the per-job observation plane: one Admitted per
+	// released job, one Rejected per skipped one, one Completed per
+	// completion, and together they account for every arrival.
+	if int64(counts[WatchAdmitted]) != m.Total.Released || int64(counts[WatchRejected]) != m.Total.Skipped ||
+		int64(counts[WatchCompleted]) != m.Total.Completed {
+		t.Errorf("watch counts %v disagree with metrics %+v", counts, m.Total)
+	}
+	if int64(counts[WatchAdmitted]+counts[WatchRejected]) != m.Total.Arrived {
+		t.Errorf("admitted %d + rejected %d != arrived %d", counts[WatchAdmitted], counts[WatchRejected], m.Total.Arrived)
 	}
 	if counts[WatchTaskAdded] != 1 || counts[WatchTaskRemoved] != 1 {
 		t.Errorf("task lifecycle events = %v", counts)

@@ -34,8 +34,6 @@ type SimConfig struct {
 	// Seed drives aperiodic interarrival sampling. Runs with equal seeds and
 	// workloads are bit-identical.
 	Seed int64
-	// Trace records per-job lifecycle events (see Trace); off by default.
-	Trace bool
 	// ExternalArrivals disables the workload's own arrival processes: Run
 	// schedules no periodic releases or Poisson arrivals, and AddTasks
 	// registers tasks without starting theirs, so every job enters through
@@ -174,7 +172,6 @@ type SimSystem struct {
 	state   []*simTask    // by ref; nil until the task's first arrival
 	slab    []simTask
 	metrics Metrics
-	trace   []TraceEvent
 
 	// Open-world state: removed marks dense task slots withdrawn by
 	// RemoveTasks (slots are never reused — in-flight events address tasks by
@@ -192,7 +189,6 @@ type SimSystem struct {
 	quiescing bool
 	deferred  []deferredArrival
 	reconfigs []reconfigOp
-	reports   []ReconfigReport
 	inFlight  int64
 	stopped   bool
 
@@ -627,9 +623,6 @@ func (s *SimSystem) Reconfigure(to Config) (*ReconfigReport, error) {
 	return rep, nil
 }
 
-// ReconfigReports lists the completed reconfigurations in execution order.
-func (s *SimSystem) ReconfigReports() []ReconfigReport { return s.reports }
-
 // beginQuiesce starts a scheduled reconfiguration: admission quiesces (new
 // arrivals defer via routeArrival) and the swap is scheduled after the
 // quiesce window. If another reconfiguration is still draining, this one
@@ -695,7 +688,6 @@ func (s *SimSystem) swapConfig(idx int32) {
 		InFlightAfter:        s.inFlight,
 		ReservationsReleased: released,
 	}
-	s.reports = append(s.reports, *op.report)
 	s.emit(WatchReconfigured, -1, -1, nil, 0)
 	for _, d := range deferred {
 		s.routeArrival(d.task, d.job, d.arrival)
@@ -791,11 +783,10 @@ func (s *SimSystem) arrive(ti int32) {
 // admit numbers the next job of task ti, arrived at now, accounts it and
 // routes it.
 func (s *SimSystem) admit(ti int32, now time.Duration) (Action, bool) {
-	t, st := s.tasks[ti], s.task(ti)
+	st := s.task(ti)
 	job := st.nextJob
 	st.nextJob++
 	st.acc.Arrived()
-	s.record(TraceArrived, sched.JobRef{Task: t.ID, Job: job}, -1, t.Subtasks[0].Processor)
 	return s.routeArrival(ti, job, now)
 }
 
@@ -854,7 +845,6 @@ func (s *SimSystem) decide(ti int32, job int64, arrival time.Duration) {
 // skipJob accounts one not-released job and notifies watchers.
 func (s *SimSystem) skipJob(ti int32, job int64) {
 	s.state[ti].acc.Skipped()
-	s.record(TraceSkipped, sched.JobRef{Task: s.tasks[ti].ID, Job: job}, -1, -1)
 	s.emit(WatchRejected, ti, job, nil, 0)
 }
 
@@ -876,7 +866,6 @@ func (s *SimSystem) emit(kind WatchKind, ti int32, job int64, placement []sched.
 func (s *SimSystem) release(ti int32, job int64, placement []sched.PlacedStage, arrival time.Duration) {
 	s.state[ti].acc.Released()
 	s.inFlight++
-	s.record(TraceReleased, sched.JobRef{Task: s.tasks[ti].ID, Job: job}, -1, placement[0].Proc)
 	s.emit(WatchAdmitted, ti, job, placement, 0)
 	ji := s.allocJob(ti, job, arrival, placement)
 	s.startStage(ji, 0)
@@ -901,14 +890,11 @@ func (s *SimSystem) stageDone(ji, stage int32) {
 	t := s.tasks[ti]
 	now := s.eng.Now()
 	proc := j.placement[stage].Proc
-	ref := sched.JobRef{Task: t.ID, Job: j.job}
 	s.irs[proc].Complete(sched.JobKey{Task: sched.TaskRef(ti), Job: j.job}, int(stage), t.Kind, j.arrival+t.Deadline)
-	s.record(TraceStageDone, ref, int(stage), proc)
 	if int(stage) == len(j.placement)-1 {
 		resp := now - j.arrival
 		s.state[ti].acc.Completed(resp)
 		s.inFlight--
-		s.record(TraceCompleted, ref, -1, proc)
 		s.emit(WatchCompleted, ti, j.job, nil, resp)
 		if resp > t.Deadline {
 			s.emit(WatchDeadlineMiss, ti, j.job, nil, resp)

@@ -56,9 +56,6 @@ func TestSimReconfigureMidRunNoJobLoss(t *testing.T) {
 	if rep.Quiesce <= 0 {
 		t.Errorf("quiesce window = %v", rep.Quiesce)
 	}
-	if got := sim.ReconfigReports(); len(got) != 1 || got[0].Epoch != rep.Epoch || got[0].At != rep.At {
-		t.Errorf("ReconfigReports = %+v", got)
-	}
 	if snap := sim.Snapshot(); snap.Epoch != 1 || snap.Config != to || snap.InFlight != 0 {
 		t.Errorf("snapshot after drain = %+v", snap)
 	}
@@ -105,8 +102,8 @@ func TestSimReconfigureInvalidTargetRejected(t *testing.T) {
 	if got := sim.Controller().Config(); got != from {
 		t.Errorf("config disturbed by rejected target: %s", got)
 	}
-	if len(sim.ReconfigReports()) != 0 {
-		t.Errorf("rejected targets produced reports: %+v", sim.ReconfigReports())
+	if snap := sim.Snapshot(); snap.Epoch != 0 {
+		t.Errorf("rejected targets advanced the epoch: %+v", snap)
 	}
 	if m.Total.Released != m.Total.Completed {
 		t.Errorf("baseline run lost jobs: %+v", m.Total)
@@ -118,17 +115,18 @@ func TestSimReconfigureInvalidTargetRejected(t *testing.T) {
 // across both swaps.
 func TestSimReconfigureStrategySchedule(t *testing.T) {
 	sim := mustSim(t, simCfg(Config{AC: StrategyPerTask, IR: StrategyNone, LB: StrategyNone}, 2), reconfigWorkload())
-	if _, err := sim.ScheduleReconfig(10*time.Second, Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.ScheduleReconfig(20*time.Second, Config{AC: StrategyPerJob, IR: StrategyPerJob, LB: StrategyPerJob}); err != nil {
-		t.Fatal(err)
+	var reports []*ReconfigReport
+	for i, to := range []Config{
+		{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone},
+		{AC: StrategyPerJob, IR: StrategyPerJob, LB: StrategyPerJob},
+	} {
+		rep, err := sim.ScheduleReconfig(time.Duration(i+1)*10*time.Second, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep)
 	}
 	m := sim.Run()
-	reports := sim.ReconfigReports()
-	if len(reports) != 2 {
-		t.Fatalf("got %d reports, want 2", len(reports))
-	}
 	if reports[0].Epoch != 1 || reports[1].Epoch != 2 {
 		t.Errorf("epochs = %d, %d", reports[0].Epoch, reports[1].Epoch)
 	}

@@ -393,14 +393,15 @@ func TestSimLeavesItsTasksUntouched(t *testing.T) {
 			}
 			at(2*time.Second, func() error { return s.AddTasks(add) })
 			at(4*time.Second, func() error { return s.RemoveTasks([]string{"t1", "t2", "late-a"}) })
-			at(6*time.Second, func() error {
-				_, err := s.Reconfigure(combos[(ci+1)%len(combos)])
+			var rep *ReconfigReport
+			at(6*time.Second, func() (err error) {
+				rep, err = s.Reconfigure(combos[(ci+1)%len(combos)])
 				return err
 			})
 			m := s.Run()
-			if m.Task("late-p").Arrived == 0 || m.Task("late-a").Arrived == 0 || len(s.ReconfigReports()) != 1 {
-				t.Fatalf("the mid-run operations did not take: late-p %+v, late-a %+v, %d reconfigurations",
-					m.Task("late-p"), m.Task("late-a"), len(s.ReconfigReports()))
+			if m.Task("late-p").Arrived == 0 || m.Task("late-a").Arrived == 0 || rep == nil || rep.Epoch != 1 {
+				t.Fatalf("the mid-run operations did not take: late-p %+v, late-a %+v, reconfiguration %+v",
+					m.Task("late-p"), m.Task("late-a"), rep)
 			}
 
 			for i, task := range all {
@@ -619,5 +620,32 @@ func TestNewSimSystemAllocsFlat(t *testing.T) {
 		t.Errorf("NewSimSystem allocates %d bytes at the sim-sweep shape, want at most %d (3 %% over %d)", got, buildBytes*103/100, buildBytes)
 	} else {
 		t.Logf("NewSimSystem allocates %d bytes at the sim-sweep shape (bound %d)", got, buildBytes*103/100)
+	}
+}
+
+func TestMetricsPerTask(t *testing.T) {
+	tasks := []*sched.Task{
+		periodicTask("p1", 0, 10*time.Millisecond, 100*time.Millisecond),
+		aperiodicTask("a1", 0, 10*time.Millisecond, 200*time.Millisecond),
+	}
+	cfg := simCfg(Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone}, 1)
+	cfg.Horizon = time.Second
+	s := mustSim(t, cfg, tasks)
+	m := s.Run()
+
+	ids := m.TaskIDs()
+	if len(ids) != 2 || ids[0] != "a1" || ids[1] != "p1" {
+		t.Fatalf("TaskIDs = %v", ids)
+	}
+	p1 := m.Task("p1")
+	a1 := m.Task("a1")
+	if p1.Arrived+a1.Arrived != m.Total.Arrived {
+		t.Errorf("per-task arrivals %d+%d != total %d", p1.Arrived, a1.Arrived, m.Total.Arrived)
+	}
+	if p1.Arrived != m.Periodic.Arrived {
+		t.Errorf("p1 arrivals %d != periodic bucket %d", p1.Arrived, m.Periodic.Arrived)
+	}
+	if ghost := m.Task("nope"); ghost.Arrived != 0 {
+		t.Errorf("unknown task bucket = %+v", ghost)
 	}
 }

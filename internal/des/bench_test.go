@@ -23,10 +23,10 @@ func BenchmarkEngineChurn(b *testing.B) {
 			var tick func()
 			tick = func() {
 				if remaining--; remaining > 0 {
-					e.After(time.Microsecond, tick)
+					e.At(e.Now()+time.Microsecond, tick)
 				}
 			}
-			e.After(time.Microsecond, tick)
+			e.At(e.Now()+time.Microsecond, tick)
 			e.Run()
 			if e.Fired() != benchChurnDepth {
 				b.Fatalf("fired %d, want %d", e.Fired(), benchChurnDepth)

@@ -70,7 +70,7 @@ func (s *byteSource) Intn(n int) int {
 // What a differential event does when it fires, besides recording itself.
 const (
 	followNone   = iota
-	followTimer  // schedules a timer follow-up with After
+	followTimer  // schedules a timer follow-up at now+delay
 	followSend   // sends a follow-up on a link
 	followSubmit // submits follow-up work to a processor
 )
@@ -115,7 +115,7 @@ func (d *engineDiff) fireNew(id int) {
 	f, nid := d.follows[id], -id-1
 	switch f.kind {
 	case followTimer:
-		d.eng.After(f.delay, func() { d.fireNew(nid) })
+		d.eng.At(d.eng.Now()+f.delay, func() { d.fireNew(nid) })
 	case followSend:
 		d.links[f.link].SendEvent(d, Event{N: int64(nid)})
 	case followSubmit:

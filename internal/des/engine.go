@@ -30,10 +30,10 @@
 //   - each busy processor holds its one pending completion itself, and the
 //     engine keeps the busy processors in a small indexed heap, so a
 //     preemption leaves nothing behind to pop;
-//   - besides closure callbacks (At/After), events can carry a small typed
+//   - besides closure callbacks (At), events can carry a small typed
 //     payload (AtEvent/AfterEvent) dispatched to an EventHandler, so the
 //     dominant simulation paths schedule events without capturing state in
-//     a fresh closure;
+//     a fresh closure, and a processor's completions are typed events only;
 //   - a send on a Link takes no slot and no queue entry: the link's FIFO lane
 //     is in (time, seq) order as pushed, and the engine fires the least of
 //     the queue top, the earliest completion and the lane heads.
@@ -295,11 +295,6 @@ func (e *Engine) At(at time.Duration, fn func()) Timer {
 		panic("des: scheduling nil callback")
 	}
 	return e.schedule(at, dispatchFunc, fn, nil, nil, Event{})
-}
-
-// After schedules fn to run d from now. Negative d panics.
-func (e *Engine) After(d time.Duration, fn func()) Timer {
-	return e.At(e.now+d, fn)
 }
 
 // AtEvent schedules a typed event for h at the given absolute virtual time.

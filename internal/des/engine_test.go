@@ -44,7 +44,7 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	timer := e.After(time.Millisecond, func() { ran = true })
+	timer := e.At(e.Now()+time.Millisecond, func() { ran = true })
 	if !timer.Pending() {
 		t.Error("fresh timer not pending")
 	}
@@ -96,8 +96,8 @@ func TestEngineNestedScheduling(t *testing.T) {
 	var got []string
 	e.At(time.Millisecond, func() {
 		got = append(got, "a")
-		e.After(time.Millisecond, func() { got = append(got, "b") })
-		e.After(0, func() { got = append(got, "a2") })
+		e.At(e.Now()+time.Millisecond, func() { got = append(got, "b") })
+		e.At(e.Now(), func() { got = append(got, "a2") })
 	})
 	e.Run()
 	want := []string{"a", "a2", "b"}

@@ -5,41 +5,14 @@ import (
 	"time"
 )
 
-// ExecRequest is one unit of work submitted to a simulated processor: a
-// subjob with a fixed-priority dispatch thread, per the paper's F/I and Last
-// Subtask components.
-//
-// Submit copies the request into a pooled internal record, so the struct
-// itself is a parameter block: the processor does not retain it, and on
-// completion it writes Remaining = 0, sets done, and clears OnComplete so
-// the request never pins the callback's captured state. Hot simulation
-// paths use SubmitEvent instead, which takes no heap record at all.
-type ExecRequest struct {
-	// Label identifies the request in traces and tests.
-	Label string
-	// Priority orders requests; smaller values preempt larger ones (EDMS
-	// priorities start at one for the shortest deadline).
-	Priority int
-	// Remaining is the execution time still owed. It is set to zero when the
-	// request completes.
-	Remaining time.Duration
-	// OnComplete runs (inside the engine) when the request finishes. It is
-	// cleared after firing.
-	OnComplete func()
-
-	done bool
-}
-
 // reqSlot is one pooled execution record.
 type reqSlot struct {
-	prio       int32
-	seq        int64
-	remaining  time.Duration
-	started    time.Duration
-	onComplete func()
-	h          EventHandler
-	ev         Event
-	ext        *ExecRequest
+	prio      int32
+	seq       int64
+	remaining time.Duration
+	started   time.Duration
+	h         EventHandler
+	ev        Event
 }
 
 // readyEnt is one ready-queue record: the ordering key inline plus the slot
@@ -115,63 +88,37 @@ func (p *Processor) allocReq() int32 {
 	return int32(len(p.slots) - 1)
 }
 
-// freeReq recycles a completed slot, dropping every callback/payload
-// reference so finished requests never pin dead job state.
+// freeReq recycles a completed slot, dropping its handler and payload so
+// finished requests never pin dead job state.
 func (p *Processor) freeReq(idx int32) {
 	s := &p.slots[idx]
-	s.onComplete = nil
 	s.h = nil
 	s.ev = Event{}
-	s.ext = nil
 	p.free = append(p.free, idx)
 }
 
-// Submit enqueues a request, preempting the running request if the new one
-// has higher priority (smaller value). The request struct is copied into a
-// pooled record; see ExecRequest.
-func (p *Processor) Submit(r *ExecRequest) {
-	if r == nil || r.Remaining <= 0 {
-		panic(fmt.Sprintf("des: processor %d: invalid exec request %+v", p.ID, r))
-	}
-	if r.done {
-		panic(fmt.Sprintf("des: processor %d: resubmitting completed request %q", p.ID, r.Label))
-	}
-	idx := p.allocReq()
-	s := &p.slots[idx]
-	s.prio = int32(r.Priority)
-	s.remaining = r.Remaining
-	s.onComplete = r.OnComplete
-	s.h = nil
-	s.ev = Event{}
-	s.ext = r
-	p.submitSlot(idx)
-}
-
-// SubmitEvent enqueues a unit of work whose completion delivers a typed
-// event to h instead of invoking a closure. This is the allocation-free
-// submission path used by the simulation binding's hot loop.
+// SubmitEvent enqueues a unit of work, a subjob on its fixed-priority
+// dispatch thread, preempting the running request if the new one has higher
+// priority (smaller value). Its completion delivers the typed event ev to h;
+// the slot is pooled, so submission does not allocate.
+//
+//rtmw:noalloc
 func (p *Processor) SubmitEvent(priority int, exec time.Duration, h EventHandler, ev Event) {
 	if exec <= 0 {
+		//rtmw:ignore noalloc programmer-error panic path, never taken in steady state
 		panic(fmt.Sprintf("des: processor %d: invalid execution time %v", p.ID, exec))
 	}
 	if h == nil {
+		//rtmw:ignore noalloc programmer-error panic path, never taken in steady state
 		panic(fmt.Sprintf("des: processor %d: nil completion handler", p.ID))
 	}
 	idx := p.allocReq()
 	s := &p.slots[idx]
 	s.prio = int32(priority)
 	s.remaining = exec
-	s.onComplete = nil
 	s.h = h
 	s.ev = ev
-	s.ext = nil
-	p.submitSlot(idx)
-}
-
-// submitSlot dispatches a filled slot: start it, preempt for it, or queue it.
-func (p *Processor) submitSlot(idx int32) {
 	p.seq++
-	s := &p.slots[idx]
 	s.seq = p.seq
 	if p.running < 0 {
 		p.start(idx)
@@ -219,22 +166,13 @@ func (p *Processor) finish() {
 	s := &p.slots[idx]
 	p.BusyTime += p.eng.Now() - s.started
 	// Copy the completion dispatch and recycle before invoking, so the
-	// callback can submit new work that reuses this slot and the processor
+	// handler can submit new work that reuses this slot and the processor
 	// retains no reference to finished state.
-	onComplete, h, ev, ext := s.onComplete, s.h, s.ev, s.ext
+	h, ev := s.h, s.ev
 	p.running = -1
 	p.freeReq(idx)
-	if ext != nil {
-		ext.Remaining = 0
-		ext.done = true
-		ext.OnComplete = nil
-	}
-	if onComplete != nil {
-		onComplete()
-	} else if h != nil {
-		h.HandleEvent(ev)
-	}
-	// The completion callback may have submitted new local work
+	h.HandleEvent(ev)
+	// The completion handler may have submitted new local work
 	// synchronously.
 	if p.running < 0 && len(p.ready) > 0 {
 		next := p.readyPop()

@@ -10,12 +10,7 @@ func TestProcessorRunsInPriorityOrder(t *testing.T) {
 	p := NewProcessor(e, 0)
 	var got []string
 	submit := func(label string, prio int, exec time.Duration) {
-		p.Submit(&ExecRequest{
-			Label:      label,
-			Priority:   prio,
-			Remaining:  exec,
-			OnComplete: func() { got = append(got, label) },
-		})
+		p.SubmitEvent(prio, exec, completionRecorder{rec: func() { got = append(got, label) }}, Event{})
 	}
 	// All submitted at t=0; "low" starts first but completes last because
 	// higher-priority arrivals run before the ready queue is consulted.
@@ -39,16 +34,16 @@ func TestProcessorPreemption(t *testing.T) {
 	var events []string
 	var lowDone, highDone time.Duration
 	e.At(0, func() {
-		p.Submit(&ExecRequest{
-			Label: "low", Priority: 10, Remaining: 100 * time.Millisecond,
-			OnComplete: func() { events = append(events, "low"); lowDone = e.Now() },
-		})
+		p.SubmitEvent(10, 100*time.Millisecond, completionRecorder{rec: func() {
+			events = append(events, "low")
+			lowDone = e.Now()
+		}}, Event{})
 	})
 	e.At(30*time.Millisecond, func() {
-		p.Submit(&ExecRequest{
-			Label: "high", Priority: 1, Remaining: 20 * time.Millisecond,
-			OnComplete: func() { events = append(events, "high"); highDone = e.Now() },
-		})
+		p.SubmitEvent(1, 20*time.Millisecond, completionRecorder{rec: func() {
+			events = append(events, "high")
+			highDone = e.Now()
+		}}, Event{})
 	})
 	e.Run()
 	if len(events) != 2 || events[0] != "high" || events[1] != "low" {
@@ -74,10 +69,7 @@ func TestProcessorEqualPriorityFIFO(t *testing.T) {
 	e.At(0, func() {
 		for _, label := range []string{"a", "b", "c"} {
 			label := label
-			p.Submit(&ExecRequest{
-				Label: label, Priority: 2, Remaining: time.Millisecond,
-				OnComplete: func() { got = append(got, label) },
-			})
+			p.SubmitEvent(2, time.Millisecond, completionRecorder{rec: func() { got = append(got, label) }}, Event{})
 		}
 	})
 	e.Run()
@@ -94,20 +86,18 @@ func TestProcessorNoPreemptionByEqualPriority(t *testing.T) {
 	p := NewProcessor(e, 0)
 	var first string
 	e.At(0, func() {
-		p.Submit(&ExecRequest{Label: "running", Priority: 2, Remaining: 50 * time.Millisecond,
-			OnComplete: func() {
-				if first == "" {
-					first = "running"
-				}
-			}})
+		p.SubmitEvent(2, 50*time.Millisecond, completionRecorder{rec: func() {
+			if first == "" {
+				first = "running"
+			}
+		}}, Event{})
 	})
 	e.At(10*time.Millisecond, func() {
-		p.Submit(&ExecRequest{Label: "later", Priority: 2, Remaining: time.Millisecond,
-			OnComplete: func() {
-				if first == "" {
-					first = "later"
-				}
-			}})
+		p.SubmitEvent(2, time.Millisecond, completionRecorder{rec: func() {
+			if first == "" {
+				first = "later"
+			}
+		}}, Event{})
 	})
 	e.Run()
 	if first != "running" {
@@ -120,15 +110,12 @@ func TestProcessorIdleCallback(t *testing.T) {
 	p := NewProcessor(e, 0)
 	idles := 0
 	p.SetIdleCallback(func() { idles++ })
-	e.At(0, func() {
-		p.Submit(&ExecRequest{Label: "j1", Priority: 1, Remaining: 10 * time.Millisecond})
-	})
+	nop := completionRecorder{rec: func() {}}
+	e.At(0, func() { p.SubmitEvent(1, 10*time.Millisecond, nop, Event{}) })
 	// Back-to-back work arriving exactly at completion time: the idle
 	// detector runs at the same virtual instant but after the arrival, so no
 	// idle report happens in between.
-	e.At(10*time.Millisecond, func() {
-		p.Submit(&ExecRequest{Label: "j2", Priority: 1, Remaining: 5 * time.Millisecond})
-	})
+	e.At(10*time.Millisecond, func() { p.SubmitEvent(1, 5*time.Millisecond, nop, Event{}) })
 	e.Run()
 	if idles != 1 {
 		t.Errorf("idle callback fired %d times, want 1 (only after final drain)", idles)
@@ -143,13 +130,12 @@ func TestProcessorIdleNotSpuriousDuringChain(t *testing.T) {
 	p := NewProcessor(e, 0)
 	idles := 0
 	p.SetIdleCallback(func() { idles++ })
-	// A completion that immediately submits local follow-up work inside
-	// OnComplete must not trigger an idle report.
+	// A completion that immediately submits local follow-up work from its
+	// handler must not trigger an idle report.
 	e.At(0, func() {
-		p.Submit(&ExecRequest{Label: "first", Priority: 1, Remaining: time.Millisecond,
-			OnComplete: func() {
-				p.Submit(&ExecRequest{Label: "second", Priority: 1, Remaining: time.Millisecond})
-			}})
+		p.SubmitEvent(1, time.Millisecond, completionRecorder{rec: func() {
+			p.SubmitEvent(1, time.Millisecond, completionRecorder{rec: func() {}}, Event{})
+		}}, Event{})
 	})
 	e.Run()
 	if idles != 1 {
@@ -169,10 +155,13 @@ func TestProcessorSubmitValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("nil request", func() { p.Submit(nil) })
-	mustPanic("zero remaining", func() { p.Submit(&ExecRequest{Remaining: 0}) })
-	done := &ExecRequest{Remaining: time.Millisecond, done: true}
-	mustPanic("completed request", func() { p.Submit(done) })
+	h := completionRecorder{rec: func() {}}
+	mustPanic("zero execution time", func() { p.SubmitEvent(1, 0, h, Event{}) })
+	mustPanic("negative execution time", func() { p.SubmitEvent(1, -time.Millisecond, h, Event{}) })
+	mustPanic("nil handler", func() { p.SubmitEvent(1, time.Millisecond, nil, Event{}) })
+	if !p.Idle() {
+		t.Error("a refused submission left work on the processor")
+	}
 }
 
 func TestLinkDelay(t *testing.T) {

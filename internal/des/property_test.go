@@ -35,17 +35,13 @@ func TestProcessorWorkConservation(t *testing.T) {
 			totalExec += j.exec
 			prio := 1 + rng.Intn(5)
 			eng.At(j.arrival, func() {
-				p.Submit(&ExecRequest{
-					Priority:  prio,
-					Remaining: j.exec,
-					OnComplete: func() {
-						if j.finished {
-							t.Error("job completed twice")
-						}
-						j.finished = true
-						j.done = eng.Now()
-					},
-				})
+				p.SubmitEvent(prio, j.exec, completionRecorder{rec: func() {
+					if j.finished {
+						t.Error("job completed twice")
+					}
+					j.finished = true
+					j.done = eng.Now()
+				}}, Event{})
 			})
 		}
 		eng.Run()
@@ -84,11 +80,8 @@ func TestProcessorPriorityDominance(t *testing.T) {
 			perm := rng.Perm(n)
 			for _, prio := range perm {
 				prio := prio
-				p.Submit(&ExecRequest{
-					Priority:   prio,
-					Remaining:  time.Duration(1+rng.Intn(30)) * time.Millisecond,
-					OnComplete: func() { order = append(order, prio) },
-				})
+				exec := time.Duration(1+rng.Intn(30)) * time.Millisecond
+				p.SubmitEvent(prio, exec, completionRecorder{rec: func() { order = append(order, prio) }}, Event{})
 			}
 		})
 		eng.Run()

@@ -65,7 +65,7 @@ type FailoverReport struct {
 // recover_node, bursts again, the drain and the admission-state audit. One
 // trial per processor, so every placement geometry (home, replica target,
 // bystander) is exercised. The heartbeat detector's latency is not measured
-// here: cluster.TestDetectorAutoFailover pins detection.
+// here: cluster.TestDetectorAnnouncesCallerFailsOver pins detection.
 func RunFailover() (*FailoverReport, error) {
 	rep := &FailoverReport{Experiment: "failover", Verdict: true}
 	for victim := 0; victim < 3; victim++ {
