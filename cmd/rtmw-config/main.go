@@ -196,7 +196,7 @@ func runReconfigure(args []string) error {
 		fmt.Fprintf(os.Stderr, "  %-10s swap %v\n", node, d.Round(time.Microsecond))
 	}
 	if *out != "" {
-		delta.Apply(plan)
+		delta.Apply(plan, outcome.Epoch)
 		encoded, err := plan.Encode()
 		if err != nil {
 			return err

@@ -7,7 +7,7 @@ import (
 
 // NoAlloc rejects per-call allocation constructs inside functions annotated
 // `//rtmw:noalloc` — the static complement to the tier-1 AllocsPerRun pins
-// at 0 on the des event loop (TestReserveKeepsHandlesAndAllocatesOnce),
+// at 0 on the des event loop (TestReserveAllocatesOnce),
 // Ledger.Admissible/TestAndAdd (TestAdmissibleManyGroups,
 // TestShardedAdmitWithdrawAllocFree) and the autopilot ingest/tick path
 // (TestAutopilotHotPathsAllocFree), and to BenchmarkTECachedSubmit on the

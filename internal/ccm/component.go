@@ -132,11 +132,10 @@ type instance struct {
 
 // State is a container's lifecycle position. The machine is
 //
-//	Assembling → Active ⇄ Reconfiguring
-//	     └──────────┴────→ Stopped
+//	Assembling → Active → Stopped
+//	     └───────────────────┘
 //
-// Reconfiguring is entered while one or more instances apply a live
-// attribute change and left when the last one finishes; installs and
+// A live attribute change (Reconfigure) runs in Active; installs and
 // lookups keep working throughout, so a reconfiguration never blocks the
 // data plane.
 type State int
@@ -148,9 +147,6 @@ const (
 	StateAssembling State = iota
 	// StateActive means every installed instance is activated.
 	StateActive
-	// StateReconfiguring means at least one instance is applying a live
-	// attribute change; the container is still serving.
-	StateReconfiguring
 	// StateStopped means the container has shut down.
 	StateStopped
 )
@@ -162,8 +158,6 @@ func (s State) String() string {
 		return "Assembling"
 	case StateActive:
 		return "Active"
-	case StateReconfiguring:
-		return "Reconfiguring"
 	case StateStopped:
 		return "Stopped"
 	default:
@@ -182,9 +176,6 @@ type Container struct {
 	instances []instance
 	byID      map[string]Component
 	state     State
-	// reconfiguring counts in-progress Reconfigure calls; the container
-	// shows StateReconfiguring while it is non-zero.
-	reconfiguring int
 }
 
 // NewContainer returns a container bound to the node context.
@@ -227,7 +218,7 @@ func (c *Container) Install(id string, comp Component, attrs map[string]string) 
 	}
 	c.instances = append(c.instances, instance{id: id, comp: comp})
 	c.byID[id] = comp
-	activated := c.state == StateActive || c.state == StateReconfiguring
+	activated := c.state == StateActive
 	c.mu.Unlock()
 	// Activate outside the lock: components may look up peers in the
 	// container from Activate.
@@ -290,13 +281,11 @@ func (c *Container) Activate() error {
 // Reconfigure applies a live attribute change to one activated instance —
 // the container lifecycle's hot path for strategy swaps. The instance must
 // implement Reconfigurable; attribute maps are boundary-copied as in
-// Install. The container shows StateReconfiguring for the duration and
-// returns to StateActive when the last concurrent reconfiguration ends;
-// the component's own Reconfigure is responsible for atomicity with
-// respect to its event handlers.
+// Install. The container must be Active; the component's own Reconfigure
+// is responsible for atomicity with respect to its event handlers.
 func (c *Container) Reconfigure(id string, attrs map[string]string) error {
 	c.mu.Lock()
-	if c.state != StateActive && c.state != StateReconfiguring {
+	if c.state != StateActive {
 		c.mu.Unlock()
 		return fmt.Errorf("ccm: reconfigure %s: container is %s, not active", id, c.state)
 	}
@@ -305,28 +294,17 @@ func (c *Container) Reconfigure(id string, attrs map[string]string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("ccm: reconfigure: instance %q not installed", id)
 	}
+	c.mu.Unlock()
 	rc, ok := comp.(Reconfigurable)
 	if !ok {
-		c.mu.Unlock()
 		return fmt.Errorf("ccm: instance %q (%T) is not reconfigurable", id, comp)
 	}
-	c.reconfiguring++
-	c.state = StateReconfiguring
-	c.mu.Unlock()
 
 	copied := make(map[string]string, len(attrs))
 	for k, v := range attrs {
 		copied[k] = v
 	}
-	err := rc.Reconfigure(copied)
-
-	c.mu.Lock()
-	c.reconfiguring--
-	if c.reconfiguring == 0 && c.state == StateReconfiguring {
-		c.state = StateActive
-	}
-	c.mu.Unlock()
-	if err != nil {
+	if err := rc.Reconfigure(copied); err != nil {
 		return fmt.Errorf("ccm: reconfigure %s: %w", id, err)
 	}
 	return nil

@@ -284,8 +284,8 @@ func TestContainerReconfigureLifecycle(t *testing.T) {
 		t.Error("non-reconfigurable component reconfigured")
 	}
 
-	// A failing component reconfiguration surfaces and the container
-	// returns to Active.
+	// A failing component reconfiguration surfaces and the container stays
+	// Active.
 	rc.failReconfig = true
 	if err := c.Reconfigure("rc", nil); err == nil {
 		t.Error("component failure swallowed")
@@ -307,11 +307,10 @@ func TestContainerReconfigureLifecycle(t *testing.T) {
 
 func TestContainerStateStrings(t *testing.T) {
 	for s, want := range map[State]string{
-		StateAssembling:    "Assembling",
-		StateActive:        "Active",
-		StateReconfiguring: "Reconfiguring",
-		StateStopped:       "Stopped",
-		State(42):          "State(42)",
+		StateAssembling: "Assembling",
+		StateActive:     "Active",
+		StateStopped:    "Stopped",
+		State(42):       "State(42)",
 	} {
 		if got := s.String(); got != want {
 			t.Errorf("State(%d).String() = %q, want %q", int(s), got, want)

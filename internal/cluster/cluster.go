@@ -336,8 +336,8 @@ func (c *Cluster) lifecycleGate(op string) error {
 // configuration engine's task-set delta: the plan launcher quiesces
 // admission, installs the added tasks' subtask components on the running
 // nodes, wires the new federation routes, pushes the union workload — with
-// EDMS priorities re-assigned over it — to the admission controller, load
-// balancer and every task effector, and resumes. Arrivals buffered during
+// EDMS priorities re-assigned over it — to the admission controller and
+// every task effector, and resumes. Arrivals buffered during
 // the quiesce replay against the enlarged task set.
 func (c *Cluster) AddTasks(tasks []*sched.Task) error {
 	c.cfgMu.Lock()
@@ -406,7 +406,7 @@ func (c *Cluster) transact(op string, gated bool, delta func() (*deploy.Delta, e
 	if err != nil {
 		return nil, err
 	}
-	d.Apply(c.Plan)
+	d.Apply(c.Plan, outcome.Epoch)
 	c.epoch.Store(outcome.Epoch)
 	return outcome, c.refreshTasks()
 }

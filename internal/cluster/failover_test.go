@@ -511,6 +511,58 @@ func TestRecoverNodeWithoutFailoverDoesNotWait(t *testing.T) {
 	}
 }
 
+// TestRecoverNodeRejoinsAtRunningEpoch pins that a recovered node's task
+// effector enters the epoch the admission controller stamps its decisions
+// with, so its per-task cache fills as a survivor's does: after one round
+// trip, a periodic task's jobs resolve at Submit. A replacement configured
+// at epoch 0 never caches a decision stamped 1 and sends every job to the
+// manager.
+func TestRecoverNodeRejoinsAtRunningEpoch(t *testing.T) {
+	w, err := spec.Parse([]byte(`{
+	  "name": "rejoin",
+	  "processors": 2,
+	  "tasks": [
+	    {"id": "left", "kind": "periodic", "period": "1s", "deadline": "500ms",
+	     "subtasks": [{"exec": "100us", "processor": 0}]},
+	    {"id": "right", "kind": "periodic", "period": "1s", "deadline": "500ms",
+	     "subtasks": [{"exec": "100us", "processor": 1}]}
+	  ]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Start(Options{Workload: w, Config: core.Config{AC: core.StrategyPerTask, IR: core.StrategyNone, LB: core.StrategyNone}, Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if _, err := c.Reconfigure(core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyNone}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RecoverNode(1); err != nil {
+		t.Fatal(err)
+	}
+	ac, err := c.AC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range []string{"left", "right"} {
+		cached := settle(t, 2*time.Second, func() bool {
+			adm, err := c.Submit(task)
+			if err != nil {
+				t.Fatalf("submit %s: %v", task, err)
+			}
+			return adm.Outcome != core.AdmissionPending
+		})
+		if !cached {
+			t.Errorf("%s: no job resolved from the per-task cache within 2s (admission controller at epoch %d)", task, ac.Epoch())
+		}
+	}
+}
+
 // TestAddressedRoutingAcrossFailoverAndRecovery runs the kill → failover →
 // recover cycle with load-balanced placements, so Releases and Triggers
 // addressed to three different processors are in flight throughout: jobs

@@ -58,8 +58,8 @@ func TestClusterAddRemoveTasksLive(t *testing.T) {
 	}
 	time.Sleep(150 * time.Millisecond)
 
-	// Tenant joins: the plan gains the subtask instances and the AC, LB and
-	// TEs adopt the union workload.
+	// Tenant joins: the plan gains the subtask instances and the AC and TEs
+	// adopt the union workload.
 	if err := c.AddTasks(tenantTasksLive()); err != nil {
 		t.Fatal(err)
 	}

@@ -253,8 +253,6 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 		ID: "Central-LB", Node: manager.Name, Implementation: live.ImplLoadBalancer,
 		ConfigProperties: []deploy.ConfigProperty{
 			deploy.StringProperty(live.AttrLBStrategy, cfg.LB.String()),
-			deploy.StringProperty(live.AttrWorkload, workload),
-			deploy.StringProperty(live.AttrTaskRefs, refs),
 		},
 	})
 
@@ -462,8 +460,8 @@ func readPlanState(p *deploy.Plan) (*planState, error) {
 }
 
 // taskSetDelta builds the shared shape of an open-world task-set
-// reconfiguration: the strategy combination is untouched; the AC, LB and
-// every TE adopt the new workload with its refs table names, and surviving
+// reconfiguration: the strategy combination is untouched; the AC and every
+// TE adopt the new workload with its refs table names, and surviving
 // subtask instances whose EDMS priority changed under the re-assignment get
 // priority updates.
 func taskSetDelta(p *deploy.Plan, st *planState, next []*sched.Task, names []string) (*deploy.Delta, error) {
@@ -492,7 +490,7 @@ func taskSetDelta(p *deploy.Plan, st *planState, next []*sched.Task, names []str
 	}
 	for _, inst := range p.Instances {
 		switch inst.Implementation {
-		case live.ImplLoadBalancer, live.ImplTaskEffector:
+		case live.ImplTaskEffector:
 			d.Updates = append(d.Updates, deploy.InstanceUpdate{ID: inst.ID, Node: inst.Node, Attrs: maps.Clone(taskSet)})
 		case live.ImplSubtask:
 			attrs := inst.Attrs()
@@ -516,8 +514,8 @@ func taskSetDelta(p *deploy.Plan, st *planState, next []*sched.Task, names []str
 
 // AddTasksDelta computes the reconfiguration transaction that registers new
 // tasks on a running deployment: the union workload (with EDMS priorities
-// re-assigned over it) is pushed to the admission controller, the load
-// balancer and every task effector; the added tasks' subtask component
+// re-assigned over it) is pushed to the admission controller and every
+// task effector; the added tasks' subtask component
 // instances install onto the running nodes; surviving instances whose
 // priority changed under the re-assignment are updated in place; and the
 // federation routes the enlarged task set needs beyond the running plan's
@@ -576,8 +574,8 @@ func AddTasksDelta(p *deploy.Plan, add []*sched.Task) (*deploy.Delta, error) {
 // RemoveTasksDelta computes the reconfiguration transaction that withdraws
 // tasks from a running deployment: the shrunken workload (EDMS priorities
 // re-assigned over the survivors) is pushed to the admission controller —
-// which releases the departed tasks' remaining ledger contributions — the
-// load balancer and every task effector. The departed tasks' subtask
+// which releases the departed tasks' remaining ledger contributions — and
+// every task effector. The departed tasks' subtask
 // instances stay installed so their in-flight jobs drain; they go inert once
 // no effector can release jobs for them. Routes are never removed (a stale
 // route only forwards events nobody publishes).

@@ -405,7 +405,7 @@ func TestReconfigDelta(t *testing.T) {
 
 	// Applying the delta folds the new strategies into the plan, so a
 	// subsequent delta reads the new current config.
-	d.Apply(p)
+	d.Apply(p, 1)
 	d2, err := ReconfigDelta(p, from)
 	if err != nil {
 		t.Fatal(err)
@@ -582,8 +582,8 @@ func TestTaskRefsFreshAcrossReadd(t *testing.T) {
 			}
 			table = a[live.AttrTaskRefs]
 		}
-		if n != 4 { // the AC, the LB and two TEs
-			t.Fatalf("%s: %d instances carry the refs table, want 4", what, n)
+		if n != 3 { // the AC and two TEs
+			t.Fatalf("%s: %d instances carry the refs table, want 3", what, n)
 		}
 		names, err := live.ParseTaskRefs(table)
 		if err != nil {
@@ -631,7 +631,7 @@ func TestTaskRefsFreshAcrossReadd(t *testing.T) {
 		if slices.Contains(names, "alert") || names[0] != "flow" {
 			t.Fatalf("round %d: refs after the removal %q: want alert retired and flow kept at 0", round, names)
 		}
-		rm.Apply(p)
+		rm.Apply(p, int64(2*round+1))
 		add, err := AddTasksDelta(p, []*sched.Task{tasks[1]})
 		if err != nil {
 			t.Fatal(err)
@@ -645,7 +645,7 @@ func TestTaskRefsFreshAcrossReadd(t *testing.T) {
 			t.Errorf("round %d: the re-added alert's subtask installs carry refs %q, want %d", round, got, ref)
 		}
 		handedOut[strconv.Itoa(ref)] = true
-		add.Apply(p)
+		add.Apply(p, int64(2*round+2))
 		if got := tables("plan", planAttrs()); !slices.Equal(got, names) {
 			t.Errorf("round %d: plan refs %q after applying the delta, want %q", round, got, names)
 		}

@@ -11,6 +11,18 @@ import (
 	"repro/internal/sched"
 )
 
+// The simulated network and task manager are fixed. simLinkDelay is the
+// one-way event/invocation delay between nodes: 322 µs, the mean one-way
+// delay the paper measured on its 100 Mbps switch (Figure 8). simACDelay is
+// the task-manager-side processing time per admission decision (the
+// admission test plus, when enabled, the load balancer's Location call):
+// 150 µs, consistent with the paper's sub-millisecond AC-side operation
+// costs.
+const (
+	simLinkDelay = 322 * time.Microsecond
+	simACDelay   = 150 * time.Microsecond
+)
+
 // SimConfig parameterizes a simulated run of the middleware over a workload.
 type SimConfig struct {
 	// Strategies selects the AC/IR/LB combination under test.
@@ -18,15 +30,6 @@ type SimConfig struct {
 	// NumProcs is the number of application processors. The task manager
 	// (AC + LB) is a separate node, as in the paper's testbed.
 	NumProcs int
-	// LinkDelay is the one-way event/invocation delay between nodes. It
-	// defaults to 322 µs, the mean one-way delay the paper measured on its
-	// 100 Mbps switch (Figure 8).
-	LinkDelay time.Duration
-	// ACDelay is the task-manager-side processing time per admission
-	// decision (the admission test plus, when enabled, the load balancer's
-	// Location call). It defaults to 150 µs, consistent with the paper's
-	// sub-millisecond AC-side operation costs.
-	ACDelay time.Duration
 	// Horizon is the workload duration; arrivals stop at the horizon and the
 	// run drains in-flight jobs afterwards. Defaults to 5 minutes, the
 	// paper's experiment length.
@@ -45,12 +48,6 @@ type SimConfig struct {
 
 // withDefaults fills unset fields.
 func (c SimConfig) withDefaults() SimConfig {
-	if c.LinkDelay == 0 {
-		c.LinkDelay = 322 * time.Microsecond
-	}
-	if c.ACDelay == 0 {
-		c.ACDelay = 150 * time.Microsecond
-	}
 	if c.Horizon == 0 {
 		c.Horizon = 5 * time.Minute
 	}
@@ -214,12 +211,6 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	if cfg.NumProcs <= 0 {
 		return nil, fmt.Errorf("core: sim needs at least one application processor")
 	}
-	if cfg.LinkDelay < 0 {
-		return nil, fmt.Errorf("core: sim link delay %v is negative", cfg.LinkDelay)
-	}
-	if cfg.ACDelay < 0 {
-		return nil, fmt.Errorf("core: sim AC delay %v is negative", cfg.ACDelay)
-	}
 	if err := cfg.Strategies.Validate(); err != nil {
 		return nil, err
 	}
@@ -251,8 +242,8 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 		cfg:     cfg,
 		eng:     eng,
 		ctrl:    ctrl,
-		links:   des.NewLink(eng, cfg.LinkDelay),
-		acDelay: des.NewLink(eng, cfg.ACDelay),
+		links:   des.NewLink(eng, simLinkDelay),
+		acDelay: des.NewLink(eng, simACDelay),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		tab:     tab,
 		tasks:   own,
@@ -581,7 +572,7 @@ func (s *SimSystem) Stop() error {
 // quiesce, so by the swap instant no in-flight decision can be travelling.
 // The extra nanosecond orders the swap after same-instant deliveries.
 func (s *SimSystem) quiesceWindow() time.Duration {
-	return 2*s.cfg.LinkDelay + s.cfg.ACDelay + time.Nanosecond
+	return 2*simLinkDelay + simACDelay + time.Nanosecond
 }
 
 // ScheduleReconfig schedules a reconfiguration to the target combination at

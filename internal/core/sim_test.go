@@ -530,42 +530,6 @@ func TestNewSimSystemValidationOrder(t *testing.T) {
 	}
 }
 
-// TestNewSimSystemRejectsNegativeDelays holds a negative link or AC delay
-// to an error from the build, like every other invalid input, rather than a
-// panic in the build or, for the AC delay, one at the first decision of Run.
-func TestNewSimSystemRejectsNegativeDelays(t *testing.T) {
-	cfg := simCfg(Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone}, 4)
-	for _, tc := range []struct {
-		name string
-		edit func(*SimConfig)
-		want string
-	}{
-		{"link", func(c *SimConfig) { c.LinkDelay = -time.Microsecond }, "core: sim link delay -1µs is negative"},
-		{"AC", func(c *SimConfig) { c.ACDelay = -time.Microsecond }, "core: sim AC delay -1µs is negative"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := cfg
-			tc.edit(&c)
-			var s *SimSystem
-			var err error
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("NewSimSystem panicked: %v", r)
-					}
-				}()
-				s, err = NewSimSystem(c, manyTasks(10, 4))
-				if err == nil {
-					s.Run()
-				}
-			}()
-			if err == nil || err.Error() != tc.want || s != nil {
-				t.Fatalf("NewSimSystem = %v, %v; want nil and %q", s, err, tc.want)
-			}
-		})
-	}
-}
-
 // TestNewSimSystemAllocsFlat keeps the build's allocations independent of the
 // task count: the binding's copy of the task slice, the name index, the EDMS
 // order's two key slices (the (deadline, index) keys and the radix passes'

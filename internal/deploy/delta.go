@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 )
 
@@ -70,12 +71,14 @@ type Delta struct {
 	EpochAttr string
 }
 
-// Apply folds the delta into the plan in memory, so a plan kept alongside a
-// running deployment continues to describe it after the reconfiguration:
-// installed instances and added connections are appended and matching
-// configProperty values are replaced. The epoch attribute is not persisted —
-// it is coordination state, not configuration.
-func (d *Delta) Apply(p *Plan) {
+// Apply folds the delta, executed into the given epoch, into the plan in
+// memory, so a plan kept alongside a running deployment continues to
+// describe it after the reconfiguration: installed instances and added
+// connections are appended, matching configProperty values are replaced,
+// and every updated instance records the epoch under EpochAttr, as the
+// launcher stamped it. A node redeployed from the plan then rejoins at the
+// epoch its peers run.
+func (d *Delta) Apply(p *Plan, epoch int64) {
 	p.Instances = append(p.Instances, d.Installs...)
 	for _, up := range d.Updates {
 		for i := range p.Instances {
@@ -83,16 +86,19 @@ func (d *Delta) Apply(p *Plan) {
 			if inst.ID != up.ID {
 				continue
 			}
-			for name, value := range up.Attrs {
-				if name == d.EpochAttr {
-					continue
-				}
+			set := func(name, value string) {
 				prop := StringProperty(name, value)
 				if j := slices.IndexFunc(inst.ConfigProperties, func(c ConfigProperty) bool { return c.Name == name }); j >= 0 {
 					inst.ConfigProperties[j] = prop
 				} else {
 					inst.ConfigProperties = append(inst.ConfigProperties, prop)
 				}
+			}
+			for name, value := range up.Attrs {
+				set(name, value)
+			}
+			if d.EpochAttr != "" {
+				set(d.EpochAttr, strconv.FormatInt(epoch, 10))
 			}
 		}
 	}

@@ -43,8 +43,10 @@ func allocatedBytes(bound uint64, f func()) uint64 {
 // payload codec's; Parse spends 0.6 KiB on empty input and about 1 KiB on
 // a one-element plan. The seeds are a generated plan, which carries the
 // task refs tables, the same plan after a task is removed and added again
-// (a retired ref in every table, new refs on the task's subtasks), and the
-// prefixes of both.
+// (a retired ref in every table, new refs on the task's subtasks), that
+// plan after processor 0 fails over (the plan a recovered node is
+// redeployed from, every updated instance recording its epoch), and the
+// prefixes of all three.
 func FuzzParsePlan(f *testing.F) {
 	w, err := spec.Parse([]byte(`{"name": "fuzz", "processors": 2, "tasks": [
 	  {"id": "flow", "kind": "periodic", "period": "1s", "deadline": "1s",
@@ -78,12 +80,18 @@ func FuzzParsePlan(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rm.Apply(p)
+	rm.Apply(p, 1)
 	add, err := configengine.AddTasksDelta(p, tasks[1:])
 	if err != nil {
 		f.Fatal(err)
 	}
-	add.Apply(p)
+	add.Apply(p, 2)
+	addPlan()
+	fo, _, err := configengine.FailoverDelta(p, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fo.Apply(p, 3)
 	addPlan()
 	f.Add([]byte(`<deploymentPlan name="p"><node name="n" address="a" processor="-1"></node></deploymentPlan>`))
 	f.Add([]byte(`<deploymentPlan name="p" xmlns="urn:x"><instance id="i" node="n" implementation="X"/></deploymentPlan>`))

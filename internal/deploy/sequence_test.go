@@ -112,14 +112,15 @@ func TestLauncherCallSequence(t *testing.T) {
 	// writes down what the nodes received.
 	step := func(name string, d *deploy.Delta, err error) {
 		t.Helper()
+		var out *deploy.ReconfigOutcome
 		if err == nil {
-			_, err = l.Execute(context.Background(), d)
+			out, err = l.Execute(context.Background(), d)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if d.ManagerNode != "" {
-			d.Apply(p)
+			d.Apply(p, out.Epoch)
 		}
 		mu.Lock()
 		fmt.Fprintf(&got, "# %s\n%s\n", name, strings.Join(calls, "\n"))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -17,16 +18,15 @@ type traceRec struct {
 	id int
 }
 
-// TestEngineDifferential drives random schedule/cancel/send/submit/step/
-// run-until sequences through the pooled engine and the retained reference
-// engine and asserts identical (time, seq, fired) behavior, including nested
-// scheduling, sends and submits from inside callbacks, handles cancelled long
-// after their slots have been recycled, and Reserve calls (which the
-// reference has no counterpart for) at random points. Sends go over three
-// links, of delay zero and two others; the reference receives each as
-// After(delay). Work goes to two or three processors at random priorities,
-// so completions preempt one another and tie with timers and sends; the
-// reference runs refProcessors on its own engine.
+// TestEngineDifferential drives random schedule/send/submit/step/run-until
+// sequences through the pooled engine and the retained reference engine and
+// asserts identical (time, seq, fired) behavior, including nested
+// scheduling, sends and submits from inside callbacks, and Reserve calls
+// (which the reference has no counterpart for) at random points. Sends go
+// over three links, of delay zero and two others; the reference receives
+// each as After(delay). Work goes to two or three processors at random
+// priorities, so completions preempt one another and tie with timers and
+// sends; the reference runs refProcessors on its own engine.
 func TestEngineDifferential(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -194,9 +194,6 @@ func engineDifferential(t *testing.T, src intSource, ops int) {
 		rp.SetIdleCallback(func() { d.gotRef = append(d.gotRef, traceRec{at: ref.Now(), id: idleID(k)}) })
 		d.procs, d.refProcs = append(d.procs, p), append(d.refProcs, rp)
 	}
-	var handles []Timer
-	var refHandles []*refTimer
-
 	// randWork draws a submit's processor (k, unless negative), priority and
 	// execution time.
 	randWork := func(k int) follow {
@@ -225,8 +222,8 @@ func engineDifferential(t *testing.T, src intSource, ops int) {
 	// schedule registers the same logical timer on both engines.
 	schedule := func(at time.Duration) {
 		id := newID(-1)
-		handles = append(handles, eng.At(at, func() { d.fireNew(id) }))
-		refHandles = append(refHandles, ref.At(at, func() { d.fireRef(id) }))
+		eng.At(at, func() { d.fireNew(id) })
+		ref.At(at, func() { d.fireRef(id) })
 	}
 	// send puts the same logical message on link k of the pooled engine and
 	// after its delay on the reference.
@@ -244,12 +241,12 @@ func engineDifferential(t *testing.T, src intSource, ops int) {
 	}
 
 	for op := 0; op < ops; op++ {
-		// Reserve only moves storage: wherever it lands, the trace, the
-		// handles and the counters below must not notice.
+		// Reserve only moves storage: wherever it lands, the trace and the
+		// counters below must not notice.
 		if src.Intn(16) == 0 {
 			eng.Reserve(src.Intn(64))
 		}
-		switch src.Intn(14) {
+		switch src.Intn(11) {
 		case 0, 1, 2, 3:
 			schedule(eng.Now() + time.Duration(src.Intn(500))*time.Millisecond)
 		case 4:
@@ -258,38 +255,23 @@ func engineDifferential(t *testing.T, src intSource, ops int) {
 			for i := 0; i < 1+src.Intn(4); i++ {
 				schedule(at)
 			}
-		case 5, 6:
-			if len(handles) > 0 {
-				i := src.Intn(len(handles))
-				if cNew, cRef := handles[i].Cancel(), refHandles[i].Cancel(); cNew != cRef {
-					t.Fatalf("Cancel disagreement on handle %d: pooled %v, reference %v", i, cNew, cRef)
-				}
-			}
-		case 7:
+		case 5:
 			for i := 0; i < 1+src.Intn(10); i++ {
 				if sNew, sRef := eng.Step(), ref.Step(); sNew != sRef {
 					t.Fatalf("Step disagreement: pooled %v, reference %v", sNew, sRef)
 				}
 			}
-		case 8:
+		case 6:
 			h := eng.Now() + time.Duration(src.Intn(800))*time.Millisecond
 			eng.RunUntil(h)
 			ref.RunUntil(h)
-		case 9:
-			// Pending parity on a random handle.
-			if len(handles) > 0 {
-				i := src.Intn(len(handles))
-				if pNew, pRef := handles[i].Pending(), refHandles[i].Pending(); pNew != pRef {
-					t.Fatalf("Pending disagreement on handle %d: pooled %v, reference %v", i, pNew, pRef)
-				}
-			}
-		case 10, 11:
+		case 7, 8:
 			// A burst of sends on one link.
 			k := src.Intn(len(d.links))
 			for i := 0; i < 1+src.Intn(4); i++ {
 				send(k)
 			}
-		case 12, 13:
+		case 9, 10:
 			// A burst of work on one processor; a higher priority preempts.
 			k := src.Intn(len(d.procs))
 			for i := 0; i < 1+src.Intn(3); i++ {
@@ -405,44 +387,16 @@ type completionRecorder struct{ rec func() }
 
 func (c completionRecorder) HandleEvent(Event) { c.rec() }
 
-// TestTimerHandleSafetyAfterRecycle pins the generation-counter contract:
-// a handle whose slot has been recycled for a later event must stay inert —
-// Cancel returns false and must not cancel the slot's new occupant.
-func TestTimerHandleSafetyAfterRecycle(t *testing.T) {
+// TestReserveAllocatesOnce pins Reserve's promise: the timers scheduled
+// before it moved the arena still fire, and scheduling the reserved number
+// of events then grows nothing.
+func TestReserveAllocatesOnce(t *testing.T) {
 	e := NewEngine()
-	fired := 0
-	first := e.At(time.Millisecond, func() { fired++ })
-	if !e.Step() {
-		t.Fatal("no event to step")
-	}
-	// The slot is free now; the next timer reuses it.
-	second := e.At(2*time.Millisecond, func() { fired++ })
-	if first.Pending() {
-		t.Error("stale handle reports pending after recycle")
-	}
-	if first.Cancel() {
-		t.Error("stale handle cancelled a recycled slot")
-	}
-	if !second.Pending() {
-		t.Error("stale Cancel hit the slot's new occupant")
-	}
-	e.Run()
-	if fired != 2 {
-		t.Errorf("fired %d events, want 2", fired)
-	}
-}
-
-// TestReserveKeepsHandlesAndAllocatesOnce pins Reserve's two promises: timer
-// handles taken before it moved the arena still cancel and report Pending
-// correctly afterwards, and scheduling the reserved number of events then
-// grows nothing.
-func TestReserveKeepsHandlesAndAllocatesOnce(t *testing.T) {
-	e := NewEngine()
-	fired := map[string]bool{}
-	keep := e.At(3*time.Millisecond, func() { fired["keep"] = true })
-	drop := e.At(2*time.Millisecond, func() { fired["drop"] = true })
-	gone := e.At(time.Millisecond, func() { fired["gone"] = true })
-	e.Step() // gone fires; its slot goes to the free list
+	var fired []string
+	e.At(3*time.Millisecond, func() { fired = append(fired, "third") })
+	e.At(2*time.Millisecond, func() { fired = append(fired, "second") })
+	e.At(time.Millisecond, func() { fired = append(fired, "first") })
+	e.Step() // first fires; its slot goes to the free list
 
 	// AllocsPerRun below calls its function twice: once to warm up, once to
 	// measure.
@@ -452,18 +406,8 @@ func TestReserveKeepsHandlesAndAllocatesOnce(t *testing.T) {
 	if &e.slots[0] == before {
 		t.Fatal("Reserve did not move a three-slot arena: the test is not testing a move")
 	}
-	if !keep.Pending() || !drop.Pending() || gone.Pending() {
-		t.Errorf("after Reserve: keep pending %v, drop pending %v, fired handle pending %v; want true, true, false",
-			keep.Pending(), drop.Pending(), gone.Pending())
-	}
-	if !drop.Cancel() || drop.Cancel() || drop.Pending() {
-		t.Error("a handle from before Reserve did not cancel exactly once")
-	}
-	if gone.Cancel() {
-		t.Error("a fired handle cancelled something after Reserve")
-	}
-	if got := e.PendingCount(); got != 1 {
-		t.Errorf("PendingCount = %d, want 1", got)
+	if got := e.PendingCount(); got != 2 {
+		t.Errorf("PendingCount = %d, want 2", got)
 	}
 
 	var h recordingHandler
@@ -475,8 +419,8 @@ func TestReserveKeepsHandlesAndAllocatesOnce(t *testing.T) {
 		t.Errorf("scheduling the reserved events allocated %v times", allocs)
 	}
 	e.Run()
-	if !fired["keep"] || fired["drop"] || !fired["gone"] {
-		t.Errorf("fired %v, want keep and gone only", fired)
+	if want := []string{"first", "second", "third"}; !slices.Equal(fired, want) {
+		t.Errorf("fired %v, want %v", fired, want)
 	}
 	if h.n != 2*n {
 		t.Errorf("typed events fired %d times, want %d", h.n, 2*n)

@@ -1,6 +1,6 @@
 // Package des provides a deterministic discrete-event simulation substrate:
-// a virtual clock with cancellable timers, preemptive fixed-priority
-// processor models, and fixed-delay network links.
+// a virtual clock with one-shot timers, preemptive fixed-priority processor
+// models, and fixed-delay network links.
 //
 // The paper's schedulability experiments (Figures 5 and 6) ran on a
 // six-machine KURT-Linux testbed with kernel-supported real-time priorities.
@@ -12,17 +12,14 @@
 //
 // The engine is single-threaded: callbacks run inside Run, one at a time, in
 // (time, sequence) order. Events scheduled at equal times fire in the order
-// they were scheduled.
+// they were scheduled. Every scheduled event fires exactly once.
 //
 // # Allocation-free hot path
 //
 // The engine is built for large sweeps (hundreds of processors, tens of
 // thousands of tasks), so the per-event machinery avoids the heap entirely:
 //
-//   - timers live in a pooled slot arena recycled through a free list; a
-//     Timer handle is a value (engine, slot, generation) triple, and the
-//     generation counter keeps Cancel/Pending safe after the slot has been
-//     recycled for a later event;
+//   - timers live in a pooled slot arena recycled through a free list;
 //   - timers wait in a monotone radix queue: a timer sits in the bucket of
 //     the highest bit in which its time differs from the last time popped,
 //     each bucket lists its timers in seq order with their times inline, and
@@ -45,7 +42,6 @@ package des
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -76,64 +72,22 @@ type EventHandler interface {
 
 // dispatch kinds for pooled timer slots.
 const (
-	dispatchNone uint8 = iota // slot is free
+	dispatchNone uint8 = iota // the zero value: never scheduled
 	dispatchFunc
 	dispatchHandler
 	dispatchProcIdle
 )
 
-// slot is one pooled timer record. Slots are recycled through Engine.free;
-// gen increments on every recycle so stale Timer handles go inert instead of
-// touching the slot's new occupant.
+// slot is one pooled timer record, recycled through Engine.free once it
+// fires.
 type slot struct {
-	at        time.Duration
-	seq       int64
-	gen       uint32
-	dispatch  uint8
-	cancelled bool
-	ev        Event
-	fn        func()
-	h         EventHandler
-	proc      *Processor
-}
-
-// Timer is a handle to a scheduled callback. It is a plain value — copying
-// it is cheap and the zero value is inert. Cancelling an already-fired or
-// already-cancelled timer is a no-op.
-type Timer struct {
-	e   *Engine
-	idx int32
-	gen uint32
-}
-
-// Cancel prevents the callback from firing. It reports whether the timer was
-// still pending. The slot's callback and payload references are dropped
-// immediately so a long drain cannot pin dead state; the slot itself is
-// recycled lazily when the queue pops it.
-func (t Timer) Cancel() bool {
-	if t.e == nil {
-		return false
-	}
-	s := &t.e.slots[t.idx]
-	if s.gen != t.gen || s.dispatch == dispatchNone || s.cancelled {
-		return false
-	}
-	s.cancelled = true
-	s.fn = nil
-	s.h = nil
-	s.proc = nil
-	s.ev = Event{}
-	t.e.live--
-	return true
-}
-
-// Pending reports whether the timer is still scheduled to fire.
-func (t Timer) Pending() bool {
-	if t.e == nil {
-		return false
-	}
-	s := &t.e.slots[t.idx]
-	return s.gen == t.gen && s.dispatch != dispatchNone && !s.cancelled
+	at       time.Duration
+	seq      int64
+	dispatch uint8
+	ev       Event
+	fn       func()
+	h        EventHandler
+	proc     *Processor
 }
 
 // qNode is a timer's place in the queue, indexed like its slot: its time,
@@ -157,7 +111,7 @@ type Engine struct {
 	now   time.Duration
 	seq   int64
 	fired int64
-	live  int // scheduled, not-yet-cancelled events, lane sends and completions included — O(1) PendingCount
+	live  int // scheduled, not-yet-fired events, lane sends and completions included — O(1) PendingCount
 	slots []slot
 	free  []int32
 	links []*Link      // every link on the engine, each with its FIFO lane
@@ -172,7 +126,7 @@ type Engine struct {
 	base     time.Duration
 	buckets  [64]bucket
 	nonEmpty uint64 // bit b set when bucket b holds timers
-	queued   int    // timers in the queue, cancelled ones included
+	queued   int    // timers in the queue
 
 	work Work
 }
@@ -182,7 +136,7 @@ type Engine struct {
 // changed the work done.
 type Work struct {
 	// Queued counts timers entered into the queue (At, AtEvent and the
-	// processors' idle detectors), cancelled ones included.
+	// processors' idle detectors).
 	Queued int64
 	// Sent counts link sends.
 	Sent int64
@@ -213,9 +167,7 @@ func (e *Engine) Work() Work { return e.work }
 // the slot arena with its queue nodes and the free list are each sized
 // once, so scheduling those events grows nothing. A caller that knows how
 // many events it is about to schedule (a simulation's first arrivals) saves
-// the arena's growth by doubling and the copies that come with it. Timer
-// handles address slots by index, so the ones taken before the arena moved
-// stay valid.
+// the arena's growth by doubling and the copies that come with it.
 func (e *Engine) Reserve(n int) {
 	// Free slots are taken before the arena grows.
 	e.slots = slices.Grow(e.slots, max(n-len(e.free), 0))
@@ -238,16 +190,12 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// recycle returns a popped slot to the free list, bumping its generation so
-// outstanding handles go inert, and dropping every callback/payload
-// reference so fired or cancelled events never pin dead state.
+// recycle returns a popped slot to the free list, dropping every
+// callback/payload reference so fired events never pin dead state.
 //
 //rtmw:noalloc
 func (e *Engine) recycle(idx int32) {
 	s := &e.slots[idx]
-	s.gen++
-	s.dispatch = dispatchNone
-	s.cancelled = false
 	s.fn = nil
 	s.h = nil
 	s.proc = nil
@@ -259,7 +207,7 @@ func (e *Engine) recycle(idx int32) {
 // processor-internal event kinds.
 //
 //rtmw:noalloc
-func (e *Engine) schedule(at time.Duration, dispatch uint8, fn func(), h EventHandler, proc *Processor, ev Event) Timer {
+func (e *Engine) schedule(at time.Duration, dispatch uint8, fn func(), h EventHandler, proc *Processor, ev Event) {
 	if at < e.now {
 		//rtmw:ignore noalloc programmer-error panic path, never taken in steady state
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", at, e.now))
@@ -270,7 +218,6 @@ func (e *Engine) schedule(at time.Duration, dispatch uint8, fn func(), h EventHa
 	s.at = at
 	s.seq = e.seq
 	s.dispatch = dispatch
-	s.cancelled = false
 	s.fn = fn
 	s.h = h
 	s.proc = proc
@@ -284,17 +231,16 @@ func (e *Engine) schedule(at time.Duration, dispatch uint8, fn func(), h EventHa
 	e.qnodes[idx].at = at
 	e.bucketPush(bits.Len64(uint64(at^e.base)), idx)
 	e.live++
-	return Timer{e: e, idx: idx, gen: s.gen}
 }
 
 // At schedules fn to run at the given absolute virtual time. Scheduling in
 // the past (before Now) panics: it indicates a simulation logic bug, not a
 // recoverable condition.
-func (e *Engine) At(at time.Duration, fn func()) Timer {
+func (e *Engine) At(at time.Duration, fn func()) {
 	if fn == nil {
 		panic("des: scheduling nil callback")
 	}
-	return e.schedule(at, dispatchFunc, fn, nil, nil, Event{})
+	e.schedule(at, dispatchFunc, fn, nil, nil, Event{})
 }
 
 // AtEvent schedules a typed event for h at the given absolute virtual time.
@@ -302,18 +248,18 @@ func (e *Engine) At(at time.Duration, fn func()) Timer {
 // so steady-state scheduling does not allocate.
 //
 //rtmw:noalloc
-func (e *Engine) AtEvent(at time.Duration, h EventHandler, ev Event) Timer {
+func (e *Engine) AtEvent(at time.Duration, h EventHandler, ev Event) {
 	if h == nil {
 		panic("des: scheduling nil event handler")
 	}
-	return e.schedule(at, dispatchHandler, nil, h, nil, ev)
+	e.schedule(at, dispatchHandler, nil, h, nil, ev)
 }
 
 // AfterEvent schedules a typed event for h at d from now.
 //
 //rtmw:noalloc
-func (e *Engine) AfterEvent(d time.Duration, h EventHandler, ev Event) Timer {
-	return e.AtEvent(e.now+d, h, ev)
+func (e *Engine) AfterEvent(d time.Duration, h EventHandler, ev Event) {
+	e.AtEvent(e.now+d, h, ev)
 }
 
 // Step executes the next pending event, advancing the clock to its time. It
@@ -321,7 +267,7 @@ func (e *Engine) AfterEvent(d time.Duration, h EventHandler, ev Event) Timer {
 //
 //rtmw:noalloc
 func (e *Engine) Step() bool {
-	at, lane, proc, ok := e.next(math.MaxInt64)
+	at, lane, proc, ok := e.next()
 	if ok {
 		e.fire(at, lane, proc)
 	}
@@ -329,41 +275,32 @@ func (e *Engine) Step() bool {
 }
 
 // next finds the pending event with the least (at, seq): the queue top, the
-// completion of proc or the head of lane (at most one of them non-nil). A
-// cancelled queue top that is the least event at or before horizon is
-// recycled on the way; its pop moves the base no further than the clock is
-// about to go. ok is false when nothing is pending.
+// completion of proc or the head of lane (at most one of them non-nil). ok
+// is false when nothing is pending.
 //
 //rtmw:noalloc
-func (e *Engine) next(horizon time.Duration) (at time.Duration, lane *Link, proc *Processor, ok bool) {
-	for {
-		// The queue's top is the min of its lowest non-empty bucket.
-		var seq int64
-		var top int32
-		lane, proc, ok = nil, nil, e.nonEmpty != 0
-		if ok {
-			top = e.buckets[bits.TrailingZeros64(e.nonEmpty)].min
-			at, seq = e.qnodes[top].at, e.slots[top].seq
-		}
-		if len(e.busy) > 0 {
-			if p := e.busy[0]; !ok || p.doneAt < at || (p.doneAt == at && p.doneSeq < seq) {
-				at, seq, proc, ok = p.doneAt, p.doneSeq, p, true
-			}
-		}
-		for _, l := range e.links {
-			if l.n == 0 {
-				continue
-			}
-			h := &l.lane[l.head]
-			if !ok || h.at < at || (h.at == at && h.seq < seq) {
-				at, seq, lane, proc, ok = h.at, h.seq, l, nil, true
-			}
-		}
-		if !ok || lane != nil || proc != nil || at > horizon || !e.slots[top].cancelled {
-			return at, lane, proc, ok
-		}
-		e.recycle(e.qpop())
+func (e *Engine) next() (at time.Duration, lane *Link, proc *Processor, ok bool) {
+	// The queue's top is the min of its lowest non-empty bucket.
+	var seq int64
+	if ok = e.nonEmpty != 0; ok {
+		top := e.buckets[bits.TrailingZeros64(e.nonEmpty)].min
+		at, seq = e.qnodes[top].at, e.slots[top].seq
 	}
+	if len(e.busy) > 0 {
+		if p := e.busy[0]; !ok || p.doneAt < at || (p.doneAt == at && p.doneSeq < seq) {
+			at, seq, proc, ok = p.doneAt, p.doneSeq, p, true
+		}
+	}
+	for _, l := range e.links {
+		if l.n == 0 {
+			continue
+		}
+		h := &l.lane[l.head]
+		if !ok || h.at < at || (h.at == at && h.seq < seq) {
+			at, seq, lane, proc, ok = h.at, h.seq, l, nil, true
+		}
+	}
+	return at, lane, proc, ok
 }
 
 // fire executes the event next found: the head of lane, the completion of
@@ -408,7 +345,7 @@ func (e *Engine) fire(at time.Duration, lane *Link, proc *Processor) {
 //rtmw:noalloc
 func (e *Engine) RunUntil(horizon time.Duration) {
 	for {
-		at, lane, proc, ok := e.next(horizon)
+		at, lane, proc, ok := e.next()
 		if !ok || at > horizon {
 			break
 		}
@@ -427,8 +364,8 @@ func (e *Engine) Run() {
 	}
 }
 
-// PendingCount returns the number of scheduled, not-yet-cancelled events,
-// link sends and processor completions included. It is O(1): the engine
+// PendingCount returns the number of scheduled, not-yet-fired events, link
+// sends and processor completions included. It is O(1): the engine
 // keeps a live counter instead of scanning the queue, so invariant audits
 // inside hot test loops stay cheap.
 func (e *Engine) PendingCount() int { return e.live }

@@ -41,35 +41,6 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	timer := e.At(e.Now()+time.Millisecond, func() { ran = true })
-	if !timer.Pending() {
-		t.Error("fresh timer not pending")
-	}
-	if !timer.Cancel() {
-		t.Error("Cancel returned false for pending timer")
-	}
-	if timer.Cancel() {
-		t.Error("second Cancel returned true")
-	}
-	e.Run()
-	if ran {
-		t.Error("cancelled callback ran")
-	}
-	if timer.Pending() {
-		t.Error("cancelled timer still pending")
-	}
-	var zero Timer
-	if zero.Cancel() {
-		t.Error("zero-value timer Cancel returned true")
-	}
-	if zero.Pending() {
-		t.Error("zero-value timer reports pending")
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -131,10 +102,9 @@ func TestEngineNilCallbackPanics(t *testing.T) {
 }
 
 // TestEngineWorkCounts counts each kind of engine work over a small run:
-// two timers (one cancelled, still counted), one link send, two starts and
-// a preemption, which takes the running processor out of the busy heap
-// without a completion, and the idle detector's timer when the processor
-// drains.
+// two timers, one link send, two starts and a preemption, which takes the
+// running processor out of the busy heap without a completion, and the idle
+// detector's timer when the processor drains.
 func TestEngineWorkCounts(t *testing.T) {
 	e := NewEngine()
 	p := NewProcessor(e, 0)
@@ -142,7 +112,7 @@ func TestEngineWorkCounts(t *testing.T) {
 	l := NewLink(e, time.Millisecond)
 	h := &recordingHandler{}
 	e.At(time.Millisecond, func() {})
-	e.At(2*time.Millisecond, func() {}).Cancel()
+	e.At(2*time.Millisecond, func() {})
 	l.SendEvent(h, Event{})
 	p.SubmitEvent(2, 3*time.Millisecond, h, Event{})
 	e.At(time.Millisecond, func() { p.SubmitEvent(1, time.Millisecond, h, Event{}) })

@@ -54,8 +54,9 @@ type Processor struct {
 	doneAt  time.Duration
 	doneSeq int64
 	busyPos int
-	idleEvt Timer
-	seq     int64
+	// idleArmed is set while the idle detector's timer is queued.
+	idleArmed bool
+	seq       int64
 
 	// BusyTime accumulates total executed time, for utilization accounting
 	// in tests.
@@ -187,14 +188,16 @@ func (p *Processor) finish() {
 // callback re-checks idleness when it runs, like a lowest-priority idle
 // detector thread that only gets the CPU when nothing else is ready.
 func (p *Processor) armIdle() {
-	if p.idleEvt.Pending() {
+	if p.idleArmed {
 		return
 	}
-	p.idleEvt = p.eng.schedule(p.eng.now, dispatchProcIdle, nil, nil, p, Event{})
+	p.idleArmed = true
+	p.eng.schedule(p.eng.now, dispatchProcIdle, nil, nil, p, Event{})
 }
 
 // idleEvent is the engine's dispatch target for idle-detector timers.
 func (p *Processor) idleEvent() {
+	p.idleArmed = false
 	if p.Idle() && p.onIdle != nil {
 		p.onIdle()
 	}
@@ -292,7 +295,7 @@ func (l *Link) Delay() time.Duration { return l.delay }
 
 // SendEvent delivers a typed event to h after the link's one-way delay,
 // exactly where AfterEvent(delay, h, ev) would fire, but with no timer slot
-// or heap entry. A send cannot be cancelled.
+// or heap entry.
 //
 //rtmw:noalloc
 func (l *Link) SendEvent(h EventHandler, ev Event) {

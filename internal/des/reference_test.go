@@ -5,7 +5,7 @@ package des
 // container/heap's any interface, closure callbacks on every path, and a
 // binary heap. It is the ground truth for the differential property test
 // (TestEngineDifferential / TestProcessorDifferential drive random
-// schedule/cancel/preempt sequences through both implementations and assert
+// schedule/send/preempt sequences through both implementations and assert
 // identical (time, seq, fired) traces) and the baseline for the engine
 // microbenchmarks. It is an oracle, not product, so it lives in a test file.
 
@@ -16,27 +16,15 @@ import (
 )
 
 // refTimer is the reference engine's timer: one heap allocation per event,
-// holding its callback closure until the record is garbage collected.
+// holding its callback closure until the record is garbage collected. A
+// preempted processor marks its completion withdrawn, and the engine drops
+// it unfired.
 type refTimer struct {
-	at     time.Duration
-	seq    int64
-	fn     func()
-	cancel bool
-	fired  bool
+	at        time.Duration
+	seq       int64
+	fn        func()
+	withdrawn bool
 }
-
-// Cancel prevents the callback from firing. It reports whether the timer was
-// still pending.
-func (t *refTimer) Cancel() bool {
-	if t == nil || t.cancel || t.fired {
-		return false
-	}
-	t.cancel = true
-	return true
-}
-
-// Pending reports whether the timer is still scheduled to fire.
-func (t *refTimer) Pending() bool { return t != nil && !t.cancel && !t.fired }
 
 // refTimerHeap orders timers by (time, sequence).
 type refTimerHeap []*refTimer
@@ -95,11 +83,10 @@ func (e *refEngine) After(d time.Duration, fn func()) *refTimer {
 func (e *refEngine) Step() bool {
 	for e.pending.Len() > 0 {
 		t := heap.Pop(&e.pending).(*refTimer)
-		if t.cancel {
+		if t.withdrawn {
 			continue
 		}
 		e.now = t.at
-		t.fired = true
 		e.fired++
 		t.fn()
 		return true
@@ -112,7 +99,7 @@ func (e *refEngine) Step() bool {
 func (e *refEngine) RunUntil(horizon time.Duration) {
 	for e.pending.Len() > 0 {
 		t := e.pending[0]
-		if t.cancel {
+		if t.withdrawn {
 			heap.Pop(&e.pending)
 			continue
 		}
@@ -132,12 +119,12 @@ func (e *refEngine) Run() {
 	}
 }
 
-// PendingCount returns the number of scheduled, not-yet-cancelled events by
+// PendingCount returns the number of scheduled, not-yet-fired events by
 // scanning the heap — the O(n) cost the live counter replaced.
 func (e *refEngine) PendingCount() int {
 	n := 0
 	for _, t := range e.pending {
-		if !t.cancel {
+		if !t.withdrawn {
 			n++
 		}
 	}
@@ -181,13 +168,13 @@ func (h *refReqHeap) Pop() any {
 type refProcessor struct {
 	ID int
 
-	eng      *refEngine
-	ready    refReqHeap
-	running  *refExecRequest
-	complete *refTimer
-	seq      int64
-	onIdle   func()
-	idleEvt  *refTimer
+	eng       *refEngine
+	ready     refReqHeap
+	running   *refExecRequest
+	complete  *refTimer
+	seq       int64
+	onIdle    func()
+	idleArmed bool
 
 	BusyTime time.Duration
 }
@@ -231,7 +218,7 @@ func (p *refProcessor) preempt() {
 	ran := p.eng.Now() - p.running.started
 	p.running.Remaining -= ran
 	p.BusyTime += ran
-	p.complete.Cancel()
+	p.complete.withdrawn = true
 	p.complete = nil
 }
 
@@ -260,10 +247,12 @@ func (p *refProcessor) finish(r *refExecRequest) {
 }
 
 func (p *refProcessor) armIdle() {
-	if p.idleEvt != nil && p.idleEvt.Pending() {
+	if p.idleArmed {
 		return
 	}
-	p.idleEvt = p.eng.After(0, func() {
+	p.idleArmed = true
+	p.eng.After(0, func() {
+		p.idleArmed = false
 		if p.Idle() && p.onIdle != nil {
 			p.onIdle()
 		}

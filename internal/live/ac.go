@@ -99,9 +99,10 @@ func NewAdmissionController() *AdmissionController {
 	return &AdmissionController{timers: make(map[sched.JobKey]*time.Timer)}
 }
 
-// Configure parses the strategy tuple, processor count and workload. It is
-// the one-shot pre-activation stage; live strategy changes go through
-// Reconfigure.
+// Configure parses the strategy tuple, processor count, workload and epoch
+// (a plan folded through reconfigurations records the epoch its components
+// run). It is the one-shot pre-activation stage; live strategy changes go
+// through Reconfigure.
 func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	ac.mu.RLock()
 	active := ac.active
@@ -124,6 +125,10 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
+	epoch, err := attrEpoch(attrs, 0)
+	if err != nil {
+		return err
+	}
 	ctrl, err := core.NewController(cfg, procs)
 	if err != nil {
 		return err
@@ -132,7 +137,7 @@ func (ac *AdmissionController) Configure(attrs map[string]string) error {
 	// Publish under the lock the event handlers read through: ORB dispatch
 	// goroutines carry no other happens-before edge to them.
 	ac.mu.Lock()
-	ac.cfg = cfg
+	ac.cfg, ac.epoch = cfg, epoch
 	ac.ctrl = ctrl
 	ac.tasks = index
 	ac.mu.Unlock()
@@ -319,12 +324,9 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 	// Parse everything — including the epoch — before mutating: the
 	// controller rebase below is irreversible, so an error return must
 	// mean nothing changed.
-	epoch := ac.epoch + 1
-	if _, ok := attrs[AttrEpoch]; ok {
-		var err error
-		if epoch, err = attrInt64(attrs, AttrEpoch); err != nil {
-			return err
-		}
+	epoch, err := attrEpoch(attrs, ac.epoch+1)
+	if err != nil {
+		return err
 	}
 	if _, err := ac.ctrl.Reconfigure(cfg); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidStrategy, err)
@@ -530,27 +532,23 @@ func parseStrategyAttr(attrs map[string]string, key string) (core.Strategy, erro
 // balancer would produce, and carries the LB_Strategy attribute through the
 // deployment path.
 type LoadBalancer struct {
-	mu         sync.Mutex
-	strategy   core.Strategy
-	acInstance string
-	ac         *AdmissionController
+	mu       sync.Mutex
+	strategy core.Strategy
+	ac       *AdmissionController
 }
 
 var _ ccm.Component = (*LoadBalancer)(nil)
 
-// AttrACInstance names the admission controller instance the balancer
-// serves; it defaults to "Central-AC".
-const AttrACInstance = "AC_Instance"
+// acInstance names the admission controller instance the balancer serves.
+const acInstance = "Central-AC"
 
 // NewLoadBalancer returns an unconfigured LB component; the AC instance is
 // resolved from the container at activation.
-func NewLoadBalancer() *LoadBalancer {
-	return &LoadBalancer{acInstance: "Central-AC"}
-}
+func NewLoadBalancer() *LoadBalancer { return &LoadBalancer{} }
 
-// Configure parses the LB strategy. The plan hands the balancer the workload
-// too, but the Location facet reads the task set the admission controller
-// decides with.
+// Configure parses the LB strategy, the one attribute the balancer reads:
+// the Location facet reads the task set the admission controller decides
+// with.
 func (lb *LoadBalancer) Configure(attrs map[string]string) error {
 	strategy, err := parseStrategyAttr(attrs, AttrLBStrategy)
 	if err != nil {
@@ -558,9 +556,6 @@ func (lb *LoadBalancer) Configure(attrs map[string]string) error {
 	}
 	lb.mu.Lock()
 	lb.strategy = strategy
-	if id, ok := attrs[AttrACInstance]; ok && id != "" {
-		lb.acInstance = id
-	}
 	lb.mu.Unlock()
 	return nil
 }
@@ -572,9 +567,6 @@ func (lb *LoadBalancer) Activate(ctx *ccm.Context) error {
 	if container == nil {
 		return errors.New("live: LB requires the container service")
 	}
-	lb.mu.Lock()
-	acInstance := lb.acInstance
-	lb.mu.Unlock()
 	comp, ok := container.Lookup(acInstance)
 	if !ok {
 		return fmt.Errorf("live: LB: admission controller instance %q not installed", acInstance)

@@ -54,6 +54,13 @@ func TestAdmissionControllerConfigure(t *testing.T) {
 	if got := ac.Controller().Config().String(); got != "J_T_N" {
 		t.Errorf("config = %s", got)
 	}
+	// A plan folded through reconfigurations records the running epoch.
+	attrs := acAttrs()
+	attrs[AttrEpoch] = "3"
+	rejoined := NewAdmissionController()
+	if err := rejoined.Configure(attrs); err != nil || rejoined.Epoch() != 3 {
+		t.Errorf("Configure with epoch 3: %v, epoch %d", err, rejoined.Epoch())
+	}
 
 	tests := []struct {
 		name   string
@@ -65,6 +72,7 @@ func TestAdmissionControllerConfigure(t *testing.T) {
 		{"missing workload", func(m map[string]string) { delete(m, AttrWorkload) }},
 		{"broken workload", func(m map[string]string) { m[AttrWorkload] = "{" }},
 		{"contradictory combo", func(m map[string]string) { m[AttrACStrategy] = "T"; m[AttrIRStrategy] = "J" }},
+		{"bad epoch", func(m map[string]string) { m[AttrEpoch] = "x" }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

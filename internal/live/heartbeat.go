@@ -9,11 +9,8 @@ import (
 	"repro/internal/eventchan"
 )
 
-// AttrHeartbeatPeriod configures the beacon interval (Go duration string).
-const AttrHeartbeatPeriod = "HeartbeatPeriod"
-
-// DefaultHeartbeatPeriod is the beacon interval when the attribute is unset.
-const DefaultHeartbeatPeriod = 25 * time.Millisecond
+// heartbeatPeriod is the beacon interval.
+const heartbeatPeriod = 25 * time.Millisecond
 
 // HeartbeatBeacon is the liveness beacon component: one instance runs on
 // each application node and periodically pushes an EvHeartbeat event, which
@@ -21,12 +18,11 @@ const DefaultHeartbeatPeriod = 25 * time.Millisecond
 // ordinary push: it waits behind the frames its connection already carries,
 // which TestSubmitStormDrains holds short of the detector's timeout.
 type HeartbeatBeacon struct {
-	mu     sync.Mutex
-	proc   int
-	period time.Duration
-	node   string
-	ch     *eventchan.Channel
-	seq    atomic.Int64
+	mu   sync.Mutex
+	proc int
+	node string
+	ch   *eventchan.Channel
+	seq  atomic.Int64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -35,28 +31,16 @@ type HeartbeatBeacon struct {
 var _ ccm.Component = (*HeartbeatBeacon)(nil)
 
 // NewHeartbeatBeacon returns an unconfigured beacon.
-func NewHeartbeatBeacon() *HeartbeatBeacon {
-	return &HeartbeatBeacon{period: DefaultHeartbeatPeriod}
-}
+func NewHeartbeatBeacon() *HeartbeatBeacon { return &HeartbeatBeacon{} }
 
-// Configure parses the processor ID and optional beacon period.
+// Configure parses the processor ID.
 func (hb *HeartbeatBeacon) Configure(attrs map[string]string) error {
 	proc, err := attrInt(attrs, AttrProcessor)
 	if err != nil {
 		return err
 	}
-	period := DefaultHeartbeatPeriod
-	if _, ok := attrs[AttrHeartbeatPeriod]; ok {
-		period, err = attrDuration(attrs, AttrHeartbeatPeriod)
-		if err != nil {
-			return err
-		}
-	}
 	hb.mu.Lock()
 	hb.proc = proc
-	if period > 0 {
-		hb.period = period
-	}
 	hb.mu.Unlock()
 	return nil
 }
@@ -72,16 +56,16 @@ func (hb *HeartbeatBeacon) Activate(ctx *ccm.Context) error {
 	hb.ch = ctx.Events
 	hb.stop = make(chan struct{})
 	hb.wg.Add(1)
-	go hb.run(hb.ch, hb.node, hb.proc, hb.period, hb.stop)
+	go hb.run(hb.ch, hb.node, hb.proc, hb.stop)
 	return nil
 }
 
 // run pushes beacons until stopped. Push failures are ignored: a partitioned
 // or dying node simply stops being heard, which is exactly the signal the
 // detector consumes.
-func (hb *HeartbeatBeacon) run(ch *eventchan.Channel, node string, proc int, period time.Duration, stop chan struct{}) {
+func (hb *HeartbeatBeacon) run(ch *eventchan.Channel, node string, proc int, stop chan struct{}) {
 	defer hb.wg.Done()
-	ticker := time.NewTicker(period)
+	ticker := time.NewTicker(heartbeatPeriod)
 	defer ticker.Stop()
 	for {
 		select {

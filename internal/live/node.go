@@ -131,15 +131,15 @@ func attrInt(attrs map[string]string, key string) (int, error) {
 	return n, nil
 }
 
-// attrInt64 fetches a required 64-bit integer attribute.
-func attrInt64(attrs map[string]string, key string) (int64, error) {
-	s, err := attrString(attrs, key)
-	if err != nil {
-		return 0, err
+// attrEpoch fetches the optional Epoch attribute, def when it is absent.
+func attrEpoch(attrs map[string]string, def int64) (int64, error) {
+	s, ok := attrs[AttrEpoch]
+	if !ok {
+		return def, nil
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("live: attribute %q: %w", key, err)
+		return 0, fmt.Errorf("live: attribute %q: %w", AttrEpoch, err)
 	}
 	return n, nil
 }

@@ -116,8 +116,10 @@ type teIndex struct {
 // NewTaskEffector returns an unconfigured TE component.
 func NewTaskEffector() *TaskEffector { return &TaskEffector{} }
 
-// Configure parses the processor ID, the AC and LB strategies and the
-// workload.
+// Configure parses the processor ID, the AC and LB strategies, the workload
+// and the epoch: a plan folded through reconfigurations records the epoch
+// its effectors run, so an effector installed from it (a recovered node)
+// enters the epoch the admission controller stamps its decisions with.
 func (te *TaskEffector) Configure(attrs map[string]string) error {
 	te.mu.Lock()
 	if te.active {
@@ -140,12 +142,16 @@ func (te *TaskEffector) Configure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
+	epoch, err := attrEpoch(attrs, 0)
+	if err != nil {
+		return err
+	}
 	// Configuration and activation arrive over the ORB in dispatch
 	// goroutines; publish the fields under the lock (the index itself is
 	// an atomic pointer for the lock-free readers).
 	te.mu.Lock()
 	defer te.mu.Unlock()
-	te.proc, te.cfg = proc, cfg
+	te.proc, te.cfg, te.epoch = proc, cfg, epoch
 	te.installLocked(tasks)
 	return nil
 }
@@ -237,11 +243,9 @@ func (te *TaskEffector) Reconfigure(attrs map[string]string) error {
 	if err != nil {
 		return err
 	}
-	epoch := te.epoch + 1
-	if _, ok := attrs[AttrEpoch]; ok {
-		if epoch, err = attrInt64(attrs, AttrEpoch); err != nil {
-			return err
-		}
+	epoch, err := attrEpoch(attrs, te.epoch+1)
+	if err != nil {
+		return err
 	}
 	te.cfg, te.epoch = cfg, epoch
 	te.installLocked(newTasks)
