@@ -41,10 +41,6 @@ type Options struct {
 	ExecScale float64
 	// Seed drives the arrival generators.
 	Seed int64
-	// HeartbeatTimeout is the heartbeat silence span after which the failure
-	// detector declares an application node dead (default
-	// DefaultHeartbeatTimeout).
-	HeartbeatTimeout time.Duration
 }
 
 // Cluster is a running live deployment. It implements the unified Binding
@@ -189,11 +185,7 @@ func Start(opts Options) (*Cluster, error) {
 		c.observe(app)
 	}
 	c.Manager.Channel.Subscribe(live.EvAccept, c.tapAccept(c.Manager.Name))
-	timeout := opts.HeartbeatTimeout
-	if timeout <= 0 {
-		timeout = DefaultHeartbeatTimeout
-	}
-	c.detector = newDetector(c, timeout)
+	c.detector = newDetector(c)
 	c.detector.start()
 	return c, nil
 }

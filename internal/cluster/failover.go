@@ -59,8 +59,7 @@ type NodeHealth struct {
 // detector is the manager-side failure detector: it tails the heartbeat
 // stream and declares nodes dead after a silence timeout.
 type detector struct {
-	c       *Cluster
-	timeout time.Duration
+	c *Cluster
 
 	mu       sync.Mutex
 	lastSeen map[string]time.Time
@@ -73,10 +72,9 @@ type detector struct {
 
 // newDetector builds a detector over the cluster's application nodes. Every
 // node starts with a full timeout of grace before its first beat is due.
-func newDetector(c *Cluster, timeout time.Duration) *detector {
+func newDetector(c *Cluster) *detector {
 	d := &detector{
 		c:        c,
-		timeout:  timeout,
 		lastSeen: make(map[string]time.Time, len(c.Apps)),
 		beats:    make(map[string]int64, len(c.Apps)),
 		suspect:  make(map[string]bool, len(c.Apps)),
@@ -127,11 +125,7 @@ func (d *detector) onBeat(ev eventchan.Event) {
 // monitor periodically scans for silent nodes.
 func (d *detector) monitor() {
 	defer d.wg.Done()
-	period := d.timeout / 8
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	ticker := time.NewTicker(period)
+	ticker := time.NewTicker(DefaultHeartbeatTimeout / 8)
 	defer ticker.Stop()
 	for {
 		select {
@@ -150,7 +144,7 @@ func (d *detector) scan() {
 	var downs []string
 	d.mu.Lock()
 	for name, seen := range d.lastSeen {
-		if d.suspect[name] || now.Sub(seen) <= d.timeout {
+		if d.suspect[name] || now.Sub(seen) <= DefaultHeartbeatTimeout {
 			continue
 		}
 		d.suspect[name] = true

@@ -212,12 +212,7 @@ func TestFailoverZeroLossAndWatchSemantics(t *testing.T) {
 // node's stages without a second announcement, and no admitted job is lost.
 func TestDetectorAnnouncesCallerFailsOver(t *testing.T) {
 	cfg := core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyPerTask}
-	c, err := Start(Options{
-		Workload:         failoverWorkload(t),
-		Config:           cfg,
-		Seed:             13,
-		HeartbeatTimeout: 150 * time.Millisecond,
-	})
+	c, err := Start(Options{Workload: failoverWorkload(t), Config: cfg, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,5 +694,77 @@ func TestAddressedRoutingAcrossFailoverAndRecovery(t *testing.T) {
 		if n != 1 {
 			t.Errorf("job %s completed %d times", job, n)
 		}
+	}
+}
+
+// TestFailoverRehomedTaskAdmittedOnNewHome pins that a failover rebases
+// the admission controller's per-task memory for the tasks it re-homes: a
+// periodic and an aperiodic task homed on processor 1 with a replica on 0
+// each run one job, processor 1 dies and fails over, and every later job
+// must be placed on processor 0 — not on the dead processor's memoized
+// home or per-task placement, where it would run only because the
+// dead-letter tracker redelivers it — with no permanent reservation left on
+// the dead slot.
+func TestFailoverRehomedTaskAdmittedOnNewHome(t *testing.T) {
+	w, err := spec.Parse([]byte(`{"name": "rehome", "processors": 2, "tasks": [
+	  {"id": "per", "kind": "periodic", "period": "200ms", "deadline": "200ms",
+	   "subtasks": [{"exec": "8ms", "processor": 1, "replicas": [0]}]},
+	  {"id": "lidar", "kind": "aperiodic", "deadline": "400ms",
+	   "subtasks": [{"exec": "4ms", "processor": 1, "replicas": [0]}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tuple := range []string{"T_T_T", "T_N_N", "J_N_N"} {
+		t.Run(tuple, func(t *testing.T) {
+			cfg, err := core.ParseConfig(tuple)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := Start(Options{Workload: w, Config: cfg, Seed: 17})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			submitAll(t, c, 1)
+			quietSnapshot(t, c)
+			if err := c.KillNode(1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Failover(1); err != nil {
+				t.Fatal(err)
+			}
+			watch, err := c.Watch(core.WatchOptions{Kinds: []core.WatchKind{core.WatchAdmitted}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				submitAll(t, c, 1)
+				quietSnapshot(t, c)
+			}
+			watch.Cancel()
+			admitted := 0
+			for ev := range watch.Events() {
+				admitted++
+				if ev.Placement[0].Proc != 0 {
+					t.Errorf("%s job %d admitted with placement %v after processor 1 failed over", ev.Task, ev.Job, ev.Placement)
+				}
+			}
+			if admitted != 4 {
+				t.Errorf("%d jobs admitted after the failover, want 4", admitted)
+			}
+			if redelivered, _ := c.RedeliveryStats(); redelivered != 0 {
+				t.Errorf("tracker redelivered %d jobs: they were released to the dead processor", redelivered)
+			}
+			ac, err := c.AC()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if utils := ac.Controller().Ledger().Utils(); cfg.AC == core.StrategyPerTask && (utils[1] != 0 || utils[0] == 0) {
+				t.Errorf("ledger utilizations %v: the per-task reservation must move to processor 0", utils)
+			}
+			if err := c.AuditAdmissionState(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

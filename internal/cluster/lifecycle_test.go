@@ -161,6 +161,50 @@ func TestClusterAddRemoveTasksLive(t *testing.T) {
 	}
 }
 
+// TestReaddRemovedTaskLive adds a task, removes it and adds it again on a
+// running cluster. The re-added incarnation installs subtask instances of
+// its own beside the removed one's (instance IDs carry the task's ref), its
+// jobs complete, and the ledger audit stays clean.
+func TestReaddRemovedTaskLive(t *testing.T) {
+	c := startCluster(t, core.Config{AC: core.StrategyPerJob, IR: core.StrategyPerJob, LB: core.StrategyPerJob})
+	if err := c.AddTasks(tenantTasksLive()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SubmitBatch([]string{"tenant-a", "tenant-a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveTasks([]string{"tenant-a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddTasks(tenantTasksLive()[:1]); err != nil {
+		t.Fatalf("re-adding a removed task: %v", err)
+	}
+	if _, err := c.SubmitBatch([]string{"tenant-a", "tenant-a", "tenant-a"}); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Drain(3 * time.Second) {
+		t.Fatal("executors never drained")
+	}
+	if !settle(t, 2*time.Second, func() bool {
+		s := c.Snapshot()
+		return s.Released == s.Completed && s.Arrived == s.Released+s.Skipped
+	}) {
+		s := c.Snapshot()
+		t.Errorf("jobs lost across the re-add: arrived %d, released %d, skipped %d, completed %d",
+			s.Arrived, s.Released, s.Skipped, s.Completed)
+	}
+	if s := c.Snapshot(); s.Completed == 0 || s.Arrived != 5 {
+		t.Errorf("snapshot %+v: want 5 arrivals and completed jobs", s)
+	}
+	ac, err := c.AC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ac.AuditLedger(); err != nil {
+		t.Errorf("ledger audit after the re-add: %v", err)
+	}
+}
+
 // TestClusterSubmitBatchAmortizes pins the batch ingestion path: admissions
 // return in argument order with per-task job numbering, and the per-task
 // cached fast path resolves synchronously on the second round.

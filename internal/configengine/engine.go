@@ -14,7 +14,6 @@ package configengine
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -198,11 +197,9 @@ func RenderTable1() string {
 }
 
 // GeneratePlan builds the XML deployment plan for a workload under a
-// strategy combination over the given nodes: one task manager node hosting
-// the Central-AC and Central-LB instances, and one application node per
-// processor hosting a task effector, an idle resetter, and a subtask
-// component instance for every (task, stage) homed or replicated there. It
-// also emits the minimal event-channel federation routes.
+// strategy combination over the given nodes (planFor): one task manager
+// node hosting the Central-AC and Central-LB instances, and one
+// application node per processor. Task i of the workload holds ref i.
 func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy.Node, apps []deploy.Node) (*deploy.Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -214,32 +211,57 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 	if len(apps) != w.Processors {
 		return nil, fmt.Errorf("configengine: workload needs %d application nodes, got %d", w.Processors, len(apps))
 	}
-	nodeOf := make(map[int]string, len(apps))
 	for i, n := range apps {
 		if n.Processor != i {
 			return nil, fmt.Errorf("configengine: application node %d declares processor %d", i, n.Processor)
 		}
-		nodeOf[i] = n.Name
+	}
+	names := make([]string, len(tasks))
+	for i, t := range tasks {
+		names[i] = t.ID
+	}
+	p, err := planFor(name, w, names, cfg, append([]deploy.Node{manager}, apps...))
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// planFor renders the deployment plan for workload w under cfg over nodes —
+// the task manager, then the application nodes — with the task refs table
+// names (a task's ID at its ref, "" at a retired one). The task manager
+// hosts the Central-AC and Central-LB instances; every application node a
+// task effector, an idle resetter, a heartbeat beacon, and a subtask
+// component instance for every (task, stage) homed or replicated there,
+// carrying the task's EDMS priority (the engine "assigns priorities in
+// order of tasks' end-to-end deadlines"); and the connections are the
+// minimal event-channel federation routes. A subtask instance's ID names
+// its task's incarnation by the task's ref, so a task removed and added
+// again installs instances of its own beside the old ones still draining.
+// GeneratePlan renders a fresh deployment with it, and every
+// reconfiguration the deployment it moves to (deltaTo).
+func planFor(name string, w *spec.Workload, names []string, cfg core.Config, nodes []deploy.Node) (*deploy.Plan, error) {
+	tasks, err := w.SchedTasks()
+	if err != nil {
+		return nil, err
 	}
 	wlJSON, err := w.Encode()
 	if err != nil {
 		return nil, err
 	}
-	workload := string(wlJSON)
-	// Task i of the workload holds ref i.
-	names := make([]string, len(tasks))
-	for i, t := range tasks {
-		names[i] = t.ID
+	workload, refs := string(wlJSON), live.FormatTaskRefs(names)
+	manager := nodes[0].Name
+	nodeOf := make(map[int]string, len(nodes)-1)
+	for _, n := range nodes[1:] {
+		nodeOf[n.Processor] = n.Name
 	}
-	refs := live.FormatTaskRefs(names)
 
-	p := &deploy.Plan{Name: name}
-	p.Nodes = append(p.Nodes, manager)
-	p.Nodes = append(p.Nodes, apps...)
-
-	// Central services on the task manager.
+	p := &deploy.Plan{Name: name, Nodes: nodes}
 	p.Instances = append(p.Instances, deploy.Instance{
-		ID: "Central-AC", Node: manager.Name, Implementation: live.ImplAdmissionController,
+		ID: "Central-AC", Node: manager, Implementation: live.ImplAdmissionController,
 		ConfigProperties: []deploy.ConfigProperty{
 			deploy.StringProperty(live.AttrACStrategy, cfg.AC.String()),
 			deploy.StringProperty(live.AttrIRStrategy, cfg.IR.String()),
@@ -250,14 +272,12 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 		},
 	})
 	p.Instances = append(p.Instances, deploy.Instance{
-		ID: "Central-LB", Node: manager.Name, Implementation: live.ImplLoadBalancer,
+		ID: "Central-LB", Node: manager, Implementation: live.ImplLoadBalancer,
 		ConfigProperties: []deploy.ConfigProperty{
 			deploy.StringProperty(live.AttrLBStrategy, cfg.LB.String()),
 		},
 	})
-
-	// Per-processor task effectors, idle resetters, and heartbeat beacons.
-	for i := range apps {
+	for i := 0; i < w.Processors; i++ {
 		p.Instances = append(p.Instances, deploy.Instance{
 			ID: fmt.Sprintf("TE-%d", i), Node: nodeOf[i], Implementation: live.ImplTaskEffector,
 			ConfigProperties: []deploy.ConfigProperty{
@@ -282,40 +302,22 @@ func GeneratePlan(name string, w *spec.Workload, cfg core.Config, manager deploy
 			},
 		})
 	}
-
-	// Subtask component instances: home plus duplicates. EDMS priorities
-	// come from the deadline ordering (the engine "assigns priorities in
-	// order of tasks' end-to-end deadlines").
-	p.Instances = append(p.Instances, subtaskInstances(tasks, names, nodeOf)...)
-
-	p.Connections = planConnections(tasks, cfg, manager.Name, nodeOf)
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// subtaskInstances builds the Sub-* component instance declarations for the
-// given tasks: one per (task, stage, candidate processor), home plus
-// duplicates, carrying the task's ref in the refs table names and its
-// current EDMS priority.
-func subtaskInstances(tasks []*sched.Task, names []string, nodeOf map[int]string) []deploy.Instance {
 	refOf := make(map[string]int, len(names))
 	for i, name := range names {
 		refOf[name] = i
 	}
-	var out []deploy.Instance
 	for _, t := range tasks {
+		ref := refOf[t.ID]
 		for s, st := range t.Subtasks {
 			last := s == len(t.Subtasks)-1
 			for _, proc := range st.Candidates() {
-				out = append(out, deploy.Instance{
-					ID:             fmt.Sprintf("Sub-%s-%d@P%d", t.ID, s, proc),
+				p.Instances = append(p.Instances, deploy.Instance{
+					ID:             fmt.Sprintf("Sub-%s#%d-%d@P%d", t.ID, ref, s, proc),
 					Node:           nodeOf[proc],
 					Implementation: live.ImplSubtask,
 					ConfigProperties: []deploy.ConfigProperty{
 						deploy.StringProperty(live.AttrTask, t.ID),
-						deploy.StringProperty(live.AttrTaskRef, strconv.Itoa(refOf[t.ID])),
+						deploy.StringProperty(live.AttrTaskRef, strconv.Itoa(ref)),
 						deploy.StringProperty(live.AttrStage, strconv.Itoa(s)),
 						deploy.StringProperty(live.AttrExec, st.Exec.String()),
 						deploy.StringProperty(live.AttrPriority, strconv.Itoa(t.Priority)),
@@ -328,19 +330,161 @@ func subtaskInstances(tasks []*sched.Task, names []string, nodeOf map[int]string
 			}
 		}
 	}
-	return out
+	p.Connections = planConnections(tasks, cfg, manager, nodeOf)
+	return p, nil
+}
+
+// deltaTo returns the reconfiguration delta that moves the running
+// deployment to target, the plan planFor renders for what it should become,
+// with instances matched by ID:
+//
+//   - the target's instances the running plan lacks install;
+//   - every running instance the target keeps is updated with the
+//     attributes whose value the target changes, in running plan order (the
+//     Central-AC is rendered first, so the policy object swaps before the
+//     effector caches reset);
+//   - the target's routes the running plan lacks are wired, less those
+//     touching a skipped node: the executor would not send them, and the
+//     plan should not accumulate them either;
+//   - nothing is removed: a departed task's instances stay installed to
+//     drain their in-flight jobs and go inert, and a stale route only
+//     forwards events nobody publishes.
+func deltaTo(running, target *deploy.Plan, skip ...string) *deploy.Delta {
+	d := &deploy.Delta{Plan: running, SkipNodes: skip, ManagerKey: live.ReconfigServantKey, EpochAttr: live.AttrEpoch}
+	want := make(map[string]*deploy.Instance, len(target.Instances))
+	for i := range target.Instances {
+		want[target.Instances[i].ID] = &target.Instances[i]
+	}
+	for _, inst := range running.Instances {
+		next := want[inst.ID]
+		if next == nil {
+			continue
+		}
+		delete(want, inst.ID)
+		have, attrs := inst.Attrs(), make(map[string]string)
+		var refs string
+		for _, prop := range next.ConfigProperties {
+			v := prop.Value.Value.String
+			if old, ok := have[prop.Name]; !ok || old != v {
+				attrs[prop.Name] = v
+			}
+			if prop.Name == live.AttrTaskRefs {
+				refs = v
+			}
+		}
+		// A Workload always travels with its TaskRefs: the AC and the TEs
+		// bind the workload's tasks to refs through the table, and a
+		// failover that withdraws nothing changes the one but not the other.
+		if _, ok := attrs[live.AttrWorkload]; ok {
+			attrs[live.AttrTaskRefs] = refs
+		}
+		// The AC and every TE get an update in every delta: they enter the
+		// transaction's epoch (the TE dropping decisions cached under the
+		// old one) even when none of their attributes changes.
+		switch inst.Implementation {
+		case live.ImplAdmissionController:
+			d.ManagerNode = inst.Node
+		case live.ImplTaskEffector:
+		default:
+			if len(attrs) == 0 {
+				continue
+			}
+		}
+		d.Updates = append(d.Updates, deploy.InstanceUpdate{ID: inst.ID, Node: inst.Node, Attrs: attrs})
+	}
+	for _, inst := range target.Instances {
+		if want[inst.ID] != nil {
+			d.Installs = append(d.Installs, inst)
+		}
+	}
+	wired := make(map[deploy.Connection]bool, len(running.Connections))
+	for _, c := range running.Connections {
+		wired[c] = true
+	}
+	for _, c := range target.Connections {
+		if !wired[c] && !slices.Contains(skip, c.SourceNode) && !slices.Contains(skip, c.SinkNode) {
+			d.Connections = append(d.Connections, c)
+		}
+	}
+	return d
+}
+
+// planState is the running deployment read back from its plan: the plan,
+// the active strategy combination, the parsed workload with its
+// scheduling-model tasks, and the task refs table (live.ParseTaskRefs).
+type planState struct {
+	plan     *deploy.Plan
+	config   core.Config
+	workload *spec.Workload
+	tasks    []*sched.Task
+	names    []string
+}
+
+// readPlanState reads the running configuration and task set from the plan's
+// admission controller instance.
+func readPlanState(p *deploy.Plan) (*planState, error) {
+	i := slices.IndexFunc(p.Instances, func(inst deploy.Instance) bool {
+		return inst.Implementation == live.ImplAdmissionController
+	})
+	if i < 0 {
+		return nil, fmt.Errorf("configengine: plan %q has no admission controller instance", p.Name)
+	}
+	acAttrs := p.Instances[i].Attrs()
+	st := &planState{plan: p}
+	var err error
+	if st.config.AC, err = planStrategy(acAttrs, live.AttrACStrategy); err != nil {
+		return nil, err
+	}
+	if st.config.IR, err = planStrategy(acAttrs, live.AttrIRStrategy); err != nil {
+		return nil, err
+	}
+	if st.config.LB, err = planStrategy(acAttrs, live.AttrLBStrategy); err != nil {
+		return nil, err
+	}
+	wlJSON, ok := acAttrs[live.AttrWorkload]
+	if !ok {
+		return nil, fmt.Errorf("configengine: plan %q: admission controller has no workload attribute", p.Name)
+	}
+	if st.workload, err = spec.Parse([]byte(wlJSON)); err != nil {
+		return nil, err
+	}
+	if st.tasks, err = st.workload.SchedTasks(); err != nil {
+		return nil, err
+	}
+	if st.names, err = live.ParseTaskRefs(acAttrs[live.AttrTaskRefs]); err != nil {
+		return nil, fmt.Errorf("configengine: plan %q: %w", p.Name, err)
+	}
+	return st, nil
+}
+
+// retarget returns the delta that moves the running deployment to the plan
+// rendered over its nodes for the given task set (the running workload's
+// when nil), refs table names and strategy combination, skipping the named
+// nodes.
+func (st *planState) retarget(tasks []*sched.Task, names []string, cfg core.Config, skip ...string) (*deploy.Delta, error) {
+	w := st.workload
+	if tasks != nil {
+		w = spec.FromTasks(w.Name, w.Processors, tasks)
+	}
+	target, err := planFor(st.plan.Name, w, names, cfg, st.plan.Nodes)
+	if err != nil {
+		return nil, err
+	}
+	d := deltaTo(st.plan, target, skip...)
+	d.FromConfig, d.ToConfig = st.config.String(), cfg.String()
+	return d, nil
 }
 
 // ReconfigDelta computes the minimal reconfiguration transaction that moves
 // a running deployment — described by the plan it was launched from — to the
-// target strategy combination: per-instance attribute updates for the
-// strategy-bearing components (the central AC and LB, every idle resetter,
-// and every task effector's AC and LB) plus the federation routes the new
-// configuration needs that the plan does not already wire. The target is
-// validated through the same feasibility rules as a fresh configuration, so
-// a contradictory combination is rejected before anything touches the
-// running system. The current combination is read back from the plan's
-// admission controller instance.
+// target strategy combination: the running plan diffed against the plan
+// rendered for the same task set under the target (deltaTo), which updates
+// the strategy-bearing instances and wires the federation routes the new
+// configuration needs. The target is validated through the same
+// feasibility rules as a fresh configuration, so a contradictory
+// combination is rejected before anything touches the running system. The
+// current combination is read back from the plan's admission controller
+// instance.
 func ReconfigDelta(p *deploy.Plan, to core.Config) (*deploy.Delta, error) {
 	if err := to.Validate(); err != nil {
 		return nil, err
@@ -349,179 +493,19 @@ func ReconfigDelta(p *deploy.Plan, to core.Config) (*deploy.Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	acInst, from, tasks, nodeOf := st.ac, st.config, st.tasks, st.nodeOf
-
-	d := &deploy.Delta{
-		Plan:        p,
-		FromConfig:  from.String(),
-		ToConfig:    to.String(),
-		ManagerNode: acInst.Node,
-		ManagerKey:  live.ReconfigServantKey,
-		EpochAttr:   live.AttrEpoch,
-	}
-
-	// Manager-hosted instances first: the policy object must swap before
-	// the effector caches reset, so a reset cache can only refill with
-	// new-configuration decisions.
-	d.Updates = append(d.Updates, deploy.InstanceUpdate{
-		ID: acInst.ID, Node: acInst.Node,
-		Attrs: map[string]string{
-			live.AttrACStrategy: to.AC.String(),
-			live.AttrIRStrategy: to.IR.String(),
-			live.AttrLBStrategy: to.LB.String(),
-		},
-	})
-	for _, inst := range p.Instances {
-		switch inst.Implementation {
-		case live.ImplLoadBalancer:
-			d.Updates = append(d.Updates, deploy.InstanceUpdate{
-				ID: inst.ID, Node: inst.Node,
-				Attrs: map[string]string{live.AttrLBStrategy: to.LB.String()},
-			})
-		case live.ImplIdleResetter:
-			d.Updates = append(d.Updates, deploy.InstanceUpdate{
-				ID: inst.ID, Node: inst.Node,
-				Attrs: map[string]string{live.AttrIRStrategy: to.IR.String()},
-			})
-		case live.ImplTaskEffector:
-			// The hold rule and the per-task cache follow the AC and LB.
-			d.Updates = append(d.Updates, deploy.InstanceUpdate{
-				ID: inst.ID, Node: inst.Node,
-				Attrs: map[string]string{live.AttrACStrategy: to.AC.String(), live.AttrLBStrategy: to.LB.String()},
-			})
-		}
-	}
-
-	addRoutes(d, tasks, to, nodeOf)
-	return d, nil
-}
-
-// planState is the running deployment's configuration and task set, read
-// back from its plan: the admission controller instance, the active strategy
-// combination, the parsed workload, the scheduling-model tasks, the task
-// refs table (live.ParseTaskRefs) and the processor → node map.
-type planState struct {
-	ac       *deploy.Instance
-	config   core.Config
-	workload *spec.Workload
-	tasks    []*sched.Task
-	names    []string
-	nodeOf   map[int]string
-}
-
-// readPlanState reads the running configuration and task set from the plan's
-// admission controller instance.
-func readPlanState(p *deploy.Plan) (*planState, error) {
-	var acInst *deploy.Instance
-	for i := range p.Instances {
-		if p.Instances[i].Implementation == live.ImplAdmissionController {
-			acInst = &p.Instances[i]
-			break
-		}
-	}
-	if acInst == nil {
-		return nil, fmt.Errorf("configengine: plan %q has no admission controller instance", p.Name)
-	}
-	acAttrs := acInst.Attrs()
-	var from core.Config
-	var err error
-	if from.AC, err = planStrategy(acAttrs, live.AttrACStrategy); err != nil {
-		return nil, err
-	}
-	if from.IR, err = planStrategy(acAttrs, live.AttrIRStrategy); err != nil {
-		return nil, err
-	}
-	if from.LB, err = planStrategy(acAttrs, live.AttrLBStrategy); err != nil {
-		return nil, err
-	}
-	wlJSON, ok := acAttrs[live.AttrWorkload]
-	if !ok {
-		return nil, fmt.Errorf("configengine: plan %q: admission controller has no workload attribute", p.Name)
-	}
-	w, err := spec.Parse([]byte(wlJSON))
-	if err != nil {
-		return nil, err
-	}
-	tasks, err := w.SchedTasks()
-	if err != nil {
-		return nil, err
-	}
-	names, err := live.ParseTaskRefs(acAttrs[live.AttrTaskRefs])
-	if err != nil {
-		return nil, fmt.Errorf("configengine: plan %q: %w", p.Name, err)
-	}
-	nodeOf := make(map[int]string, len(p.Nodes))
-	for _, n := range p.Nodes {
-		if n.Processor >= 0 {
-			nodeOf[n.Processor] = n.Name
-		}
-	}
-	return &planState{ac: acInst, config: from, workload: w, tasks: tasks, names: names, nodeOf: nodeOf}, nil
-}
-
-// taskSetDelta builds the shared shape of an open-world task-set
-// reconfiguration: the strategy combination is untouched; the AC and every
-// TE adopt the new workload with its refs table names, and surviving
-// subtask instances whose EDMS priority changed under the re-assignment get
-// priority updates.
-func taskSetDelta(p *deploy.Plan, st *planState, next []*sched.Task, names []string) (*deploy.Delta, error) {
-	nextSpec := spec.FromTasks(st.workload.Name, st.workload.Processors, next)
-	wlJSON, err := nextSpec.Encode()
-	if err != nil {
-		return nil, err
-	}
-	taskSet := map[string]string{live.AttrWorkload: string(wlJSON), live.AttrTaskRefs: live.FormatTaskRefs(names)}
-
-	d := &deploy.Delta{
-		Plan:        p,
-		FromConfig:  st.config.String(),
-		ToConfig:    st.config.String(),
-		ManagerNode: st.ac.Node,
-		ManagerKey:  live.ReconfigServantKey,
-		EpochAttr:   live.AttrEpoch,
-	}
-	// Manager-hosted instances first (the AC must learn the new task set —
-	// and withdraw departed tasks' ledger contributions — before effector
-	// caches reset and refill).
-	d.Updates = append(d.Updates, deploy.InstanceUpdate{ID: st.ac.ID, Node: st.ac.Node, Attrs: maps.Clone(taskSet)})
-	prio := make(map[string]int, len(next))
-	for _, t := range next {
-		prio[t.ID] = t.Priority
-	}
-	for _, inst := range p.Instances {
-		switch inst.Implementation {
-		case live.ImplTaskEffector:
-			d.Updates = append(d.Updates, deploy.InstanceUpdate{ID: inst.ID, Node: inst.Node, Attrs: maps.Clone(taskSet)})
-		case live.ImplSubtask:
-			attrs := inst.Attrs()
-			newPrio, ok := prio[attrs[live.AttrTask]]
-			if !ok {
-				// A departed task's instance: it stays installed to drain its
-				// in-flight jobs and goes inert once they finish.
-				continue
-			}
-			if attrs[live.AttrPriority] == strconv.Itoa(newPrio) {
-				continue
-			}
-			d.Updates = append(d.Updates, deploy.InstanceUpdate{
-				ID: inst.ID, Node: inst.Node,
-				Attrs: map[string]string{live.AttrPriority: strconv.Itoa(newPrio)},
-			})
-		}
-	}
-	return d, nil
+	return st.retarget(nil, st.names, to)
 }
 
 // AddTasksDelta computes the reconfiguration transaction that registers new
-// tasks on a running deployment: the union workload (with EDMS priorities
-// re-assigned over it) is pushed to the admission controller and every
-// task effector; the added tasks' subtask component
-// instances install onto the running nodes; surviving instances whose
-// priority changed under the re-assignment are updated in place; and the
-// federation routes the enlarged task set needs beyond the running plan's
-// are wired. The launcher executes it under the same quiesce protocol as a
-// strategy swap, so no in-flight decision ever observes a half-updated task
-// set.
+// tasks on a running deployment: the target is the union task set (EDMS
+// priorities re-assigned over it), the added tasks taking the next refs —
+// so a removed task added again under its old ID gets a ref it never held.
+// The added tasks' subtask instances install onto the running nodes, the
+// admission controller and every task effector adopt the union workload,
+// surviving instances whose priority changed are updated in place, and the
+// routes the enlarged task set needs are wired. The launcher executes it
+// under the same quiesce protocol as a strategy swap, so no in-flight
+// decision ever observes a half-updated task set.
 func AddTasksDelta(p *deploy.Plan, add []*sched.Task) (*deploy.Delta, error) {
 	if len(add) == 0 {
 		return nil, fmt.Errorf("configengine: add tasks: empty task list")
@@ -534,7 +518,7 @@ func AddTasksDelta(p *deploy.Plan, add []*sched.Task) (*deploy.Delta, error) {
 	for _, t := range st.tasks {
 		existing[t.ID] = true
 	}
-	union := append([]*sched.Task{}, st.tasks...)
+	names := st.names
 	for _, t := range add {
 		if err := t.Validate(); err != nil {
 			return nil, err
@@ -543,42 +527,18 @@ func AddTasksDelta(p *deploy.Plan, add []*sched.Task) (*deploy.Delta, error) {
 			return nil, fmt.Errorf("configengine: add tasks: %w: %q", core.ErrTaskExists, t.ID)
 		}
 		existing[t.ID] = true
-		for _, sub := range t.Subtasks {
-			for _, proc := range sub.Candidates() {
-				if proc >= st.workload.Processors {
-					return nil, fmt.Errorf("configengine: add tasks: task %s references processor %d but deployment has %d",
-						t.ID, proc, st.workload.Processors)
-				}
-			}
-		}
-		union = append(union, t.Clone())
-	}
-	sched.AssignEDMSPriorities(union)
-
-	// The added tasks take the next refs: a removed task added again under
-	// its old ID gets one it never held.
-	added := union[len(st.tasks):]
-	names := slices.Clone(st.names)
-	for _, t := range added {
 		names = append(names, t.ID)
 	}
-	d, err := taskSetDelta(p, st, union, names)
-	if err != nil {
-		return nil, err
-	}
-	d.Installs = subtaskInstances(added, names, st.nodeOf)
-	addRoutes(d, union, st.config, st.nodeOf)
-	return d, nil
+	return st.retarget(append(st.tasks, add...), names, st.config)
 }
 
 // RemoveTasksDelta computes the reconfiguration transaction that withdraws
-// tasks from a running deployment: the shrunken workload (EDMS priorities
-// re-assigned over the survivors) is pushed to the admission controller —
-// which releases the departed tasks' remaining ledger contributions — and
-// every task effector. The departed tasks' subtask
-// instances stay installed so their in-flight jobs drain; they go inert once
-// no effector can release jobs for them. Routes are never removed (a stale
-// route only forwards events nobody publishes).
+// tasks from a running deployment: the target is the survivors (EDMS
+// priorities re-assigned over them) with the departed tasks' refs retired.
+// The admission controller — which releases the departed tasks'
+// remaining ledger contributions — and every task effector adopt the
+// shrunken workload; the departed tasks' subtask instances stay installed
+// so their in-flight jobs drain (deltaTo).
 func RemoveTasksDelta(p *deploy.Plan, ids []string) (*deploy.Delta, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("configengine: remove tasks: empty ID list")
@@ -612,8 +572,7 @@ func RemoveTasksDelta(p *deploy.Plan, ids []string) (*deploy.Delta, error) {
 	if len(remaining) == 0 {
 		return nil, fmt.Errorf("configengine: remove tasks: cannot remove every task from the deployment")
 	}
-	sched.AssignEDMSPriorities(remaining)
-	return taskSetDelta(p, st, remaining, retire(st.names, ids))
+	return st.retarget(remaining, retire(st.names, ids), st.config)
 }
 
 // retire returns a copy of a refs table with the given tasks' refs retired.
@@ -639,15 +598,15 @@ type FailoverOutcome struct {
 }
 
 // FailoverDelta computes the reconfiguration transaction that removes a dead
-// processor from a running deployment: every task stage homed on the dead
-// processor is re-homed onto its lowest-numbered surviving replica, the dead
-// processor disappears from every replica list, tasks with an unreplicated
-// stage on the dead processor are withdrawn (their admission state is
+// processor from a running deployment. Its target is the surviving task
+// set: every task stage homed on the dead processor is re-homed onto its
+// lowest-numbered surviving replica, the dead processor disappears from
+// every replica list, and tasks with an unreplicated stage on the dead
+// processor are withdrawn, their refs retired (their admission state is
 // released; in-flight jobs of such tasks are lost with the node — that is
-// what replication is for), EDMS priorities are re-assigned over the
-// survivors, and the dead node is listed in SkipNodes so the executor never
-// RPCs it while Apply still folds the full update set into the plan (a later
-// node recovery reinstalls from that plan state).
+// what replication is for). The dead node is listed in SkipNodes so the
+// executor never RPCs it while Apply still folds the full update set into
+// the plan (a later node recovery reinstalls from that plan state).
 //
 // The delta deliberately does not shrink the processor count: the dead
 // processor keeps its slot in the ledger (its residual contributions age out
@@ -657,89 +616,50 @@ func FailoverDelta(p *deploy.Plan, deadProc int) (*deploy.Delta, *FailoverOutcom
 	if err != nil {
 		return nil, nil, err
 	}
-	deadNode, ok := st.nodeOf[deadProc]
-	if !ok {
+	n := slices.IndexFunc(p.Nodes, func(n deploy.Node) bool { return n.Processor == deadProc })
+	if deadProc < 0 || n < 0 {
 		return nil, nil, fmt.Errorf("configengine: failover: no node hosts processor %d", deadProc)
 	}
 
 	out := &FailoverOutcome{Rehomed: make(map[string]map[int]int)}
 	var next []*sched.Task
 	for _, t := range st.tasks {
-		nt := t.Clone()
 		lost := false
-		for s := range nt.Subtasks {
-			sub := &nt.Subtasks[s]
-			survivors := make([]int, 0, len(sub.Replicas))
-			for _, r := range sub.Replicas {
-				if r != deadProc {
-					survivors = append(survivors, r)
-				}
+		for s := range t.Subtasks {
+			sub := &t.Subtasks[s]
+			sub.Replicas = slices.DeleteFunc(sub.Replicas, func(r int) bool { return r == deadProc })
+			if sub.Processor != deadProc {
+				continue
 			}
-			if sub.Processor == deadProc {
-				if len(survivors) == 0 {
-					lost = true
-					break
-				}
-				// Lowest-numbered surviving replica becomes the home:
-				// deterministic, and its subtask instance is already
-				// installed (duplicates deploy with the plan).
-				best := survivors[0]
-				for _, r := range survivors[1:] {
-					if r < best {
-						best = r
-					}
-				}
-				rest := make([]int, 0, len(survivors)-1)
-				for _, r := range survivors {
-					if r != best {
-						rest = append(rest, r)
-					}
-				}
-				sub.Processor = best
-				sub.Replicas = rest
-				if out.Rehomed[nt.ID] == nil {
-					out.Rehomed[nt.ID] = make(map[int]int)
-				}
-				out.Rehomed[nt.ID][s] = best
-			} else {
-				sub.Replicas = survivors
+			if len(sub.Replicas) == 0 {
+				lost = true
+				break
 			}
+			// Lowest-numbered surviving replica becomes the home:
+			// deterministic, and its subtask instance is already installed
+			// (duplicates deploy with the plan).
+			home := slices.Min(sub.Replicas)
+			sub.Processor = home
+			sub.Replicas = slices.DeleteFunc(sub.Replicas, func(r int) bool { return r == home })
+			if out.Rehomed[t.ID] == nil {
+				out.Rehomed[t.ID] = make(map[int]int)
+			}
+			out.Rehomed[t.ID][s] = home
 		}
 		if lost {
 			out.Withdrawn = append(out.Withdrawn, t.ID)
 			continue
 		}
-		next = append(next, nt)
+		next = append(next, t)
 	}
 	if len(next) == 0 {
 		return nil, nil, fmt.Errorf("configengine: failover: no task survives the loss of processor %d", deadProc)
 	}
-	sched.AssignEDMSPriorities(next)
-
-	d, err := taskSetDelta(p, st, next, retire(st.names, out.Withdrawn))
+	d, err := st.retarget(next, retire(st.names, out.Withdrawn), st.config, p.Nodes[n].Name)
 	if err != nil {
 		return nil, nil, err
 	}
-	d.SkipNodes = []string{deadNode}
-	addRoutes(d, next, st.config, st.nodeOf)
 	return d, out, nil
-}
-
-// addRoutes appends to d the federation routes tasks need under cfg beyond
-// the running plan's. The gateway ignores re-adds, so the subtraction only
-// keeps the delta minimal and says what actually changes. Routes touching a
-// skipped node are left out: the executor would skip them, and the plan
-// should not accumulate them either.
-func addRoutes(d *deploy.Delta, tasks []*sched.Task, cfg core.Config, nodeOf map[int]string) {
-	have := make(map[deploy.Connection]bool, len(d.Plan.Connections))
-	for _, c := range d.Plan.Connections {
-		have[c] = true
-	}
-	for _, c := range planConnections(tasks, cfg, d.ManagerNode, nodeOf) {
-		if !have[c] && !slices.Contains(d.SkipNodes, c.SourceNode) && !slices.Contains(d.SkipNodes, c.SinkNode) {
-			d.Connections = append(d.Connections, c)
-		}
-	}
 }
 
 // planStrategy reads one strategy attribute from a plan instance.

@@ -1,10 +1,12 @@
 package configengine
 
 import (
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/deploy"
@@ -226,12 +228,12 @@ func TestGeneratePlan(t *testing.T) {
 	}
 	// The last stage of flow is marked Last; EDMS priority of alert (400ms
 	// deadline) is higher (smaller) than flow (1s).
-	flowLast := byID["Sub-flow-1@P1"].Attrs()
+	flowLast := byID["Sub-flow#0-1@P1"].Attrs()
 	if flowLast["Last"] != "true" {
 		t.Errorf("flow stage 1 Last = %q", flowLast["Last"])
 	}
-	alertPrio := byID["Sub-alert-0@P1"].Attrs()["Priority"]
-	flowPrio := byID["Sub-flow-0@P0"].Attrs()["Priority"]
+	alertPrio := byID["Sub-alert#1-0@P1"].Attrs()["Priority"]
+	flowPrio := byID["Sub-flow#0-0@P0"].Attrs()["Priority"]
 	if !(alertPrio < flowPrio) {
 		t.Errorf("EDMS priorities: alert %s vs flow %s", alertPrio, flowPrio)
 	}
@@ -649,5 +651,155 @@ func TestTaskRefsFreshAcrossReadd(t *testing.T) {
 		if got := tables("plan", planAttrs()); !slices.Equal(got, names) {
 			t.Errorf("round %d: plan refs %q after applying the delta, want %q", round, got, names)
 		}
+	}
+}
+
+// TestDeltaIsPlanDifference pins that every reconfiguration delta is the
+// running plan diffed against the plan rendered for its target: through a
+// sequence of swaps (one IR-only), an add, a removal, the re-add of the
+// removed ID and a failover, each applied delta leaves a valid plan holding
+// every instance of the target with its attributes (Epoch aside) and every
+// target route not touching the skipped node. The AC and every TE hold an
+// update in every delta, a Workload update carries its TaskRefs, and a swap
+// sends no Workload.
+func TestDeltaIsPlanDifference(t *testing.T) {
+	w := testWorkload(t)
+	tasks, err := w.SchedTasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := &sched.Task{ID: "extra", Kind: sched.Aperiodic, Deadline: 500 * time.Millisecond,
+		Subtasks: []sched.Subtask{{Exec: 10 * time.Millisecond, Processor: 1}, {Index: 1, Exec: 10 * time.Millisecond, Processor: 0, Replicas: []int{1}}}}
+	manager, apps := planNodes()
+	p, err := GeneratePlan("delta-is-diff", w, core.Config{AC: core.StrategyPerJob, IR: core.StrategyNone, LB: core.StrategyNone}, manager, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := func(s string) core.Config {
+		c, err := core.ParseConfig(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	without := func(ts []*sched.Task, id string) []*sched.Task {
+		return slices.DeleteFunc(slices.Clone(ts), func(t *sched.Task) bool { return t.ID == id })
+	}
+	// Each step returns its delta and the target it moves to: a workload,
+	// a refs table and a configuration, computed from the state before it.
+	type target struct {
+		w     *spec.Workload
+		names []string
+		cfg   core.Config
+	}
+	of := func(ts []*sched.Task) *spec.Workload { return spec.FromTasks(w.Name, w.Processors, ts) }
+	swap := func(to core.Config) func(*planState) (*deploy.Delta, target, error) {
+		return func(st *planState) (*deploy.Delta, target, error) {
+			d, err := ReconfigDelta(p, to)
+			return d, target{st.workload, st.names, to}, err
+		}
+	}
+	steps := []struct {
+		name string
+		run  func(*planState) (*deploy.Delta, target, error)
+		swap bool
+	}{
+		{"IR-only swap", swap(cfg("J_J_N")), true},
+		{"swap", swap(cfg("T_T_T")), true},
+		{"add", func(st *planState) (*deploy.Delta, target, error) {
+			d, err := AddTasksDelta(p, []*sched.Task{extra})
+			return d, target{of(append(st.tasks, extra)), append(st.names, "extra"), st.config}, err
+		}, false},
+		{"swap after add", swap(cfg("J_J_J")), true},
+		{"remove", func(st *planState) (*deploy.Delta, target, error) {
+			d, err := RemoveTasksDelta(p, []string{"alert"})
+			return d, target{of(without(st.tasks, "alert")), retire(st.names, []string{"alert"}), st.config}, err
+		}, false},
+		{"swap after remove", swap(cfg("J_T_T")), true},
+		{"re-add", func(st *planState) (*deploy.Delta, target, error) {
+			d, err := AddTasksDelta(p, tasks[1:])
+			return d, target{of(append(st.tasks, tasks[1])), append(st.names, "alert"), st.config}, err
+		}, false},
+		{"failover", func(st *planState) (*deploy.Delta, target, error) {
+			d, _, err := FailoverDelta(p, 0)
+			// flow and extra each move a stage home off processor 0.
+			for _, task := range st.tasks {
+				for s := range task.Subtasks {
+					sub := &task.Subtasks[s]
+					sub.Replicas = slices.DeleteFunc(sub.Replicas, func(r int) bool { return r == 0 })
+					if sub.Processor == 0 {
+						sub.Processor, sub.Replicas = sub.Replicas[0], sub.Replicas[1:]
+					}
+				}
+			}
+			return d, target{of(st.tasks), st.names, st.config}, err
+		}, false},
+	}
+	for epoch, step := range steps {
+		st, err := readPlanState(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, to, err := step.run(st)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		want, err := planFor(p.Name, to.w, to.names, to.cfg, p.Nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		updated := make(map[string]bool, len(d.Updates))
+		for _, up := range d.Updates {
+			updated[up.ID] = true
+			_, wl := up.Attrs[live.AttrWorkload]
+			if _, refs := up.Attrs[live.AttrTaskRefs]; wl && !refs {
+				t.Errorf("%s: %s update sends the Workload without its TaskRefs", step.name, up.ID)
+			}
+			if wl && step.swap {
+				t.Errorf("%s: %s update sends the Workload", step.name, up.ID)
+			}
+		}
+		for _, id := range []string{"Central-AC", "TE-0", "TE-1"} {
+			if !updated[id] {
+				t.Errorf("%s: %s holds no update", step.name, id)
+			}
+		}
+
+		d.Apply(p, int64(epoch+1))
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: applied plan invalid: %v", step.name, err)
+		}
+		have := make(map[string]deploy.Instance, len(p.Instances))
+		for _, inst := range p.Instances {
+			have[inst.ID] = inst
+		}
+		for _, inst := range want.Instances {
+			got, ok := have[inst.ID]
+			if !ok {
+				t.Errorf("%s: plan lacks the target's %s", step.name, inst.ID)
+				continue
+			}
+			attrs := got.Attrs()
+			delete(attrs, live.AttrEpoch)
+			if got.Node != inst.Node || got.Implementation != inst.Implementation || !maps.Equal(attrs, inst.Attrs()) {
+				t.Errorf("%s: plan holds %s as %+v, target %+v", step.name, inst.ID, got, inst)
+			}
+		}
+		for _, c := range want.Connections {
+			if !slices.Contains(p.Connections, c) && !slices.Contains(d.SkipNodes, c.SourceNode) && !slices.Contains(d.SkipNodes, c.SinkNode) {
+				t.Errorf("%s: plan lacks the target's route %+v", step.name, c)
+			}
+		}
+	}
+	// The removed incarnation of alert (ref 1) keeps its instance, to drain,
+	// beside the re-added one's (ref 3).
+	var refs []string
+	for _, inst := range p.Instances {
+		if a := inst.Attrs(); a[live.AttrTask] == "alert" {
+			refs = append(refs, a[live.AttrTaskRef])
+		}
+	}
+	if !slices.Equal(refs, []string{"1", "3"}) {
+		t.Errorf("alert's instances carry refs %q, want 1 (removed) and 3 (re-added)", refs)
 	}
 }

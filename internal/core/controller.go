@@ -540,12 +540,38 @@ func (c *Controller) ExpireKey(k sched.JobKey) int {
 func (c *Controller) RemoveTask(tr sched.TaskRef) int {
 	n := c.ledger.RemoveTask(tr)
 	atomic.AddInt64(&c.Stats.TaskRemovals, int64(n))
+	c.dropRecord(tr)
+	return n
+}
+
+// RehomeTask rebases a task incarnation whose stage processors or replicas
+// changed under it (a failover re-homing a stage) as Reconfigure rebases
+// every task when LB changes or AC leaves per-task: its permanent per-task
+// reservation is withdrawn and its record — home placement, per-task
+// placement and admission memory — is cleared, so its next arrival is
+// placed and tested afresh on the new processors. In-flight jobs'
+// contributions stay and age out by expiry. It returns the number of
+// contributions released. The caller must quiesce arrivals first (see the
+// Controller comment).
+func (c *Controller) RehomeTask(tr sched.TaskRef) int {
+	c.taskMu.Lock()
+	defer c.taskMu.Unlock()
+	released := 0
+	if r := c.loadRecord(tr); r != nil && r.admitted {
+		released = c.ledger.WithdrawKey(sched.JobKey{Task: tr, Job: r.resJob})
+	}
+	c.dropRecord(tr)
+	atomic.AddInt64(&c.Stats.ReconfigReleased, int64(released))
+	return released
+}
+
+// dropRecord forgets a task's record; its next arrival creates a new one.
+func (c *Controller) dropRecord(tr sched.TaskRef) {
 	c.recMu.Lock()
 	if idx := c.recs.Load(); idx != nil && int(tr) < len(*idx) {
 		(*idx)[tr].Store(nil)
 	}
 	c.recMu.Unlock()
-	return n
 }
 
 // IdleReset is IdleResetKeys for a report naming jobs by task name; an

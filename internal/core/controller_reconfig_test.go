@@ -46,6 +46,32 @@ func TestControllerReconfigureRebasesReservations(t *testing.T) {
 	}
 }
 
+// TestControllerRehomeTask pins the rebase of a task whose home moved under
+// it: under per-task AC and LB none the permanent reservation leaves the old
+// home, and the next arrival is placed, tested and reserved on the new one.
+func TestControllerRehomeTask(t *testing.T) {
+	c := mustController(t, Config{AC: StrategyPerTask, IR: StrategyNone, LB: StrategyNone}, 2)
+	old := periodicTask("p", 1, 40*time.Millisecond, time.Second, 0)
+	if d := c.Arrive(old, 0, 0); !d.Accept || d.Placement[0].Proc != 1 {
+		t.Fatalf("first arrival = %+v", d)
+	}
+	ref, _ := c.tasks.Lookup("p")
+	if released := c.RehomeTask(ref); released != 1 {
+		t.Errorf("RehomeTask released %d contributions, want the reservation", released)
+	}
+	moved := periodicTask("p", 0, 40*time.Millisecond, time.Second)
+	d := c.Arrive(moved, 1, time.Second)
+	if !d.Accept || !d.Reserved || d.Placement[0].Proc != 0 {
+		t.Errorf("arrival after the rehome = %+v, want a fresh reservation on processor 0", d)
+	}
+	if c.Ledger().Util(1) != 0 || c.Ledger().Util(0) == 0 {
+		t.Errorf("utilizations %v, want the reservation on processor 0 only", c.Ledger().Utils())
+	}
+	if err := c.Ledger().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestControllerReconfigureKeepsReservationsWhenACUnchanged pins that a
 // swap not touching the AC axis leaves admitted tasks admitted.
 func TestControllerReconfigureKeepsReservationsWhenACUnchanged(t *testing.T) {

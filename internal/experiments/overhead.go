@@ -3,12 +3,15 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/eventchan"
+	"repro/internal/live"
+	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/workload"
 )
@@ -225,32 +228,33 @@ func measureRun(w *spec.Workload, cfg core.Config, opts OverheadOptions) (*runSt
 	// Stage-0 subtask instances measure release handling: home instances
 	// are operation 5 (release the task), duplicates operation 6 (release
 	// the duplicate task).
-	homes := make(map[string]int)
-	for _, t := range c.Tasks() {
-		homes[t.ID] = t.Subtasks[0].Processor
-	}
+	home := releaseHomes(c.Plan, c.Tasks())
 	for id, st := range c.Subtasks() {
-		parts := strings.SplitN(strings.TrimPrefix(id, "Sub-"), "@P", 2)
-		if len(parts) != 2 {
-			continue
-		}
-		nameStage := parts[0]
-		idx := strings.LastIndex(nameStage, "-")
-		if idx < 0 || nameStage[idx+1:] != "0" {
-			continue
-		}
-		taskID := nameStage[:idx]
-		var proc int
-		if _, err := fmt.Sscanf(parts[1], "%d", &proc); err != nil {
-			continue
-		}
-		if homes[taskID] == proc {
+		switch isHome, ok := home[id]; {
+		case ok && isHome:
 			rs.releaseHome = merge(rs.releaseHome, fromOp(&st.ReleaseHandle))
-		} else {
+		case ok:
 			rs.releaseDup = merge(rs.releaseDup, fromOp(&st.ReleaseHandle))
 		}
 	}
 	return rs, nil
+}
+
+// releaseHomes maps the ID of every stage-0 subtask instance in the plan
+// to whether it runs on its task's home processor in tasks, read from the
+// instance's task, stage and processor attributes.
+func releaseHomes(p *deploy.Plan, tasks []*sched.Task) map[string]bool {
+	homes := make(map[string]string, len(tasks))
+	for _, t := range tasks {
+		homes[t.ID] = strconv.Itoa(t.Subtasks[0].Processor)
+	}
+	out := make(map[string]bool)
+	for _, inst := range p.Instances {
+		if a := inst.Attrs(); inst.Implementation == live.ImplSubtask && a[live.AttrStage] == "0" {
+			out[inst.ID] = homes[a[live.AttrTask]] == a[live.AttrProcessor]
+		}
+	}
+	return out
 }
 
 // measureCommDelay pushes an event back and forth between application node 0

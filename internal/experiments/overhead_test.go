@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/configengine"
+	"repro/internal/core"
+	"repro/internal/deploy"
+	"repro/internal/spec"
 )
 
 func TestOverheadReportShape(t *testing.T) {
@@ -75,5 +81,44 @@ func TestOverheadReportShape(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered report missing %q", want)
 		}
+	}
+}
+
+// TestReleaseHomes pins the split of the stage-0 subtask instances into
+// operation 5 (home) and operation 6 (duplicate) on a plan with a
+// replicated task, before and after a failover moves its home.
+func TestReleaseHomes(t *testing.T) {
+	w, err := spec.Parse([]byte(`{"name": "homes", "processors": 2, "tasks": [
+	  {"id": "flow", "kind": "periodic", "period": "1s", "deadline": "1s",
+	   "subtasks": [{"exec": "50ms", "processor": 0, "replicas": [1]}, {"exec": "30ms", "processor": 1, "replicas": [0]}]},
+	  {"id": "alert", "kind": "aperiodic", "deadline": "400ms", "subtasks": [{"exec": "20ms", "processor": 1}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := w.SchedTasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := configengine.GeneratePlan("homes", w, core.Config{AC: core.StrategyPerJob, IR: core.StrategyNone, LB: core.StrategyPerJob},
+		deploy.Node{Name: "manager", Address: "127.0.0.1:1", Processor: -1},
+		[]deploy.Node{{Name: "app0", Address: "127.0.0.1:2", Processor: 0}, {Name: "app1", Address: "127.0.0.1:3", Processor: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"Sub-flow#0-0@P0": true, "Sub-flow#0-0@P1": false, "Sub-alert#1-0@P1": true}
+	if got := releaseHomes(p, tasks); !maps.Equal(got, want) {
+		t.Errorf("releaseHomes = %v, want %v", got, want)
+	}
+	// Processor 0 fails over: flow's first stage is re-homed onto its
+	// replica, whose instance becomes the home.
+	d, _, err := configengine.FailoverDelta(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Apply(p, 1)
+	tasks[0].Subtasks[0].Processor, tasks[0].Subtasks[0].Replicas = 1, nil
+	want = map[string]bool{"Sub-flow#0-0@P0": false, "Sub-flow#0-0@P1": true, "Sub-alert#1-0@P1": true}
+	if got := releaseHomes(p, tasks); !maps.Equal(got, want) {
+		t.Errorf("after the failover releaseHomes = %v, want %v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -287,7 +288,10 @@ func (ac *AdmissionController) Quiesce() (int64, error) {
 // to fire: they name the departed ref, which holds nothing any more, and a
 // task re-added under the same ID has a new one. Jobs of departed tasks that
 // were already released keep executing; withdrawal only frees the synthetic
-// utilization backing future admission decisions.
+// utilization backing future admission decisions. A task that stays under
+// its ref but whose stage processors changed (a failover re-homing a stage)
+// is rebased (core.Controller.RehomeTask), so the controller stops placing
+// and reserving it on the old ones.
 func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 	// Parse the new task set outside the lock; nothing mutates on error.
 	newTasks, err := ParseWorkload(attrs, false)
@@ -332,9 +336,11 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 		return fmt.Errorf("%w: %v", ErrInvalidStrategy, err)
 	}
 	if newTasks != nil {
-		for ref := range ac.tasks {
-			if _, ok := newTasks[ref]; !ok {
+		for ref, old := range ac.tasks {
+			if t, ok := newTasks[ref]; !ok {
 				ac.ctrl.RemoveTask(ref)
+			} else if !sameProcessors(old, t) {
+				ac.ctrl.RehomeTask(ref)
 			}
 		}
 		ac.tasks = newTasks
@@ -342,6 +348,14 @@ func (ac *AdmissionController) Reconfigure(attrs map[string]string) error {
 	ac.cfg = cfg
 	ac.epoch = epoch
 	return nil
+}
+
+// sameProcessors reports whether two definitions of a task place every
+// stage on the same home and replica processors.
+func sameProcessors(a, b *sched.Task) bool {
+	return slices.EqualFunc(a.Subtasks, b.Subtasks, func(x, y sched.Subtask) bool {
+		return x.Processor == y.Processor && slices.Equal(x.Replicas, y.Replicas)
+	})
 }
 
 // Resume is phase two's tail: admission reopens and every arrival buffered

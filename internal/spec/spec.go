@@ -146,9 +146,9 @@ func (w *Workload) SchedTasks() ([]*sched.Task, error) {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		// Deployment names a stage's instance by its task's ID, so two tasks
-		// sharing one would collide or install twice; the simulation binding
-		// rejects the same set.
+		// Submissions and the deployment's refs table name a task by its ID,
+		// so two tasks sharing one could not be told apart; the simulation
+		// binding rejects the same set.
 		ids[t.ID] = struct{}{}
 		if len(ids) == len(out) {
 			return nil, fmt.Errorf("spec: duplicate task ID %q", t.ID)
