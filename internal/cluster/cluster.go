@@ -70,24 +70,23 @@ type Cluster struct {
 	detector *detector
 	tracker  *tracker
 
-	// failMu guards the node-liveness and failover-deferral state. It is a
-	// leaf lock: Submit consults it without cfgMu, so a failover holding
-	// cfgMu across its network phase never blocks the submission path.
-	failMu          sync.Mutex
-	deadProcs       map[int]bool
-	failedOver      map[int]bool
-	failoverActive  bool
-	deferredSubmits []string
+	// failMu guards the node-liveness state. It is a leaf lock: Submit
+	// consults it without cfgMu, so a transaction holding cfgMu across its
+	// network phase never blocks the submission path.
+	failMu     sync.Mutex
+	deadProcs  map[int]bool
+	failedOver map[int]bool
 	// lostStats banks dead effectors' counters when RecoverNode replaces
 	// their node, keeping the binding counters monotonic across the swap.
 	lostStats map[int]live.TEStats
 
-	// cfgMu guards the active configuration, the stopped flag and
-	// serializes Reconfigure / AddTasks / RemoveTasks transactions (the AC
-	// additionally refuses overlapping quiesces).
-	cfgMu   sync.Mutex
-	cfg     core.Config
-	stopped bool
+	// cfgMu serializes the lifecycle transactions (Reconfigure, AddTasks,
+	// RemoveTasks, Failover), RecoverNode and Close; the AC additionally
+	// refuses overlapping quiesces. life is the configuration they leave
+	// running, which only transact and Close replace, under cfgMu, so its
+	// readers never wait on a transaction's network phase.
+	cfgMu sync.Mutex
+	life  atomic.Pointer[lifecycle]
 
 	// taskMu guards the deployed task set, which the open-world lifecycle
 	// calls swap while submissions read it. table is the plan's task
@@ -98,14 +97,17 @@ type Cluster struct {
 	tasks  []*sched.Task
 	table  *sched.TaskTable
 
-	// hub fans lifecycle events out to Watch streams; epoch and cfgVal
-	// mirror the reconfiguration epoch and active combination for event
-	// stamping — the watch taps run synchronously in event-plane pusher
-	// goroutines, so they must never wait on cfgMu (which lifecycle
-	// transactions hold across their network phase).
-	hub    core.WatchHub
-	epoch  atomic.Int64
-	cfgVal atomic.Value // core.Config
+	// hub fans lifecycle events out to Watch streams.
+	hub core.WatchHub
+}
+
+// lifecycle is one immutable view of the running deployment: the active
+// strategy combination, the epoch the last transaction entered, and whether
+// the cluster is closed.
+type lifecycle struct {
+	cfg     core.Config
+	epoch   int64
+	stopped bool
 }
 
 // Start builds, deploys and activates a cluster. Callers must Close it.
@@ -126,12 +128,11 @@ func Start(opts Options) (*Cluster, error) {
 
 	c := &Cluster{
 		seed:      opts.Seed,
-		cfg:       opts.Config,
 		registry:  registry,
 		execScale: opts.ExecScale,
 		table:     sched.NewTaskTable(nil, nil),
 	}
-	c.cfgVal.Store(opts.Config)
+	c.life.Store(&lifecycle{cfg: opts.Config})
 	fail := func(err error) (*Cluster, error) {
 		c.Close()
 		return nil, err
@@ -225,41 +226,25 @@ func (c *Cluster) taskName(ref sched.TaskRef) string {
 }
 
 // Config returns the currently active strategy combination.
-func (c *Cluster) Config() core.Config {
-	c.cfgMu.Lock()
-	defer c.cfgMu.Unlock()
-	return c.cfg
-}
+func (c *Cluster) Config() core.Config { return c.life.Load().cfg }
 
 // Submit injects one job arrival for the named task at its home (first
 // stage) processor's task effector — the live half of the unified Binding
 // surface. The returned Admission resolves synchronously for per-task
 // cached decisions and is Pending otherwise; the terminal outcome surfaces
-// on the binding's watch stream. During a failover the arrival is deferred
-// (Pending) and replayed against the re-homed task set when the transaction
-// completes; a submission homed on a dead processor that has not failed over
-// fails with ErrNodeDown.
+// on the binding's watch stream. During any transaction, a failover
+// included, the arrival waits in the admission controller's quiesce buffer;
+// a submission homed on a dead processor fails with ErrNodeDown until a
+// failover re-homes its task.
 func (c *Cluster) Submit(taskID string) (core.Admission, error) {
 	proc, err := c.homeProc(taskID)
 	if err != nil {
 		return core.Admission{Task: taskID, Job: -1}, err
 	}
-	c.failMu.Lock()
-	if c.failoverActive {
-		c.deferredSubmits = append(c.deferredSubmits, taskID)
-		c.failMu.Unlock()
-		return core.Admission{
-			Task: taskID, Job: -1,
-			Outcome: core.AdmissionPending,
-			Reason:  "failover in progress: arrival deferred",
-		}, nil
-	}
-	if c.deadProcs[proc] {
-		c.failMu.Unlock()
+	if c.isDead(proc) {
 		return core.Admission{Task: taskID, Job: -1},
 			fmt.Errorf("cluster: submit %q: processor %d: %w", taskID, proc, live.ErrNodeDown)
 	}
-	c.failMu.Unlock()
 	te, err := c.TE(proc)
 	if err != nil {
 		return core.Admission{Task: taskID, Job: -1}, err
@@ -308,22 +293,6 @@ func (c *Cluster) homeProc(taskID string) (int, error) {
 	return 0, fmt.Errorf("cluster: %w: %q", core.ErrUnknownTask, taskID)
 }
 
-// lifecycleGate rejects lifecycle transactions that cannot run: a failover
-// in flight (ErrFailoverInProgress — the transaction would queue behind it
-// on cfgMu and then act on a stale view), or a dead node that has not been
-// recovered (ErrNodeDown — the delta would RPC it). Callers hold cfgMu.
-func (c *Cluster) lifecycleGate(op string) error {
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
-	if c.failoverActive {
-		return fmt.Errorf("cluster: %s: %w", op, live.ErrFailoverInProgress)
-	}
-	for proc := range c.deadProcs {
-		return fmt.Errorf("cluster: %s: processor %d: %w", op, proc, live.ErrNodeDown)
-	}
-	return nil
-}
-
 // AddTasks registers new tasks on the running deployment through the
 // configuration engine's task-set delta: the plan launcher quiesces
 // admission, installs the added tasks' subtask components on the running
@@ -334,7 +303,7 @@ func (c *Cluster) lifecycleGate(op string) error {
 func (c *Cluster) AddTasks(tasks []*sched.Task) error {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
-	_, err := c.transact("add tasks", true, func() (*deploy.Delta, error) {
+	_, err := c.transact("add tasks", true, c.Config(), func() (*deploy.Delta, error) {
 		return configengine.AddTasksDelta(c.Plan, tasks)
 	})
 	if err != nil {
@@ -342,7 +311,7 @@ func (c *Cluster) AddTasks(tasks []*sched.Task) error {
 	}
 	if c.hub.Active() {
 		for _, t := range tasks {
-			c.emit(core.WatchEvent{Kind: core.WatchTaskAdded, Task: t.ID, Job: -1, Config: c.cfg})
+			c.emit(core.WatchEvent{Kind: core.WatchTaskAdded, Task: t.ID, Job: -1})
 		}
 	}
 	return nil
@@ -359,7 +328,7 @@ func (c *Cluster) AddTasks(tasks []*sched.Task) error {
 func (c *Cluster) RemoveTasks(ids []string) error {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
-	_, err := c.transact("remove tasks", true, func() (*deploy.Delta, error) {
+	_, err := c.transact("remove tasks", true, c.Config(), func() (*deploy.Delta, error) {
 		return configengine.RemoveTasksDelta(c.Plan, ids)
 	})
 	if err != nil {
@@ -367,25 +336,29 @@ func (c *Cluster) RemoveTasks(ids []string) error {
 	}
 	if c.hub.Active() {
 		for _, id := range ids {
-			c.emit(core.WatchEvent{Kind: core.WatchTaskRemoved, Task: id, Job: -1, Config: c.cfg})
+			c.emit(core.WatchEvent{Kind: core.WatchTaskRemoved, Task: id, Job: -1})
 		}
 	}
 	return nil
 }
 
 // transact runs one lifecycle transaction: it refuses on a stopped cluster
-// and, when gated, wherever lifecycleGate does; then it builds the delta,
-// executes it against the live nodes, folds it into the plan, adopts the
-// epoch it entered and re-reads the deployed task set. Reconfigure,
-// AddTasks, RemoveTasks and the failover each supply only their delta.
-// Callers hold cfgMu.
-func (c *Cluster) transact(op string, gated bool, delta func() (*deploy.Delta, error)) (*deploy.ReconfigOutcome, error) {
-	if c.stopped {
+// and, when gated, while any node is down (ErrNodeDown: the delta would RPC
+// it; only the failover runs ungated); then it builds the delta, executes it
+// against the live nodes, folds it into the plan, publishes the target
+// combination with the epoch it entered, and re-reads the deployed task set.
+// Reconfigure, AddTasks, RemoveTasks and Failover each supply only their
+// delta and target. Callers hold cfgMu.
+func (c *Cluster) transact(op string, gated bool, to core.Config, delta func() (*deploy.Delta, error)) (*deploy.ReconfigOutcome, error) {
+	if c.life.Load().stopped {
 		return nil, fmt.Errorf("cluster: %s: %w", op, core.ErrStopped)
 	}
 	if gated {
-		if err := c.lifecycleGate(op); err != nil {
-			return nil, err
+		c.failMu.Lock()
+		dead := slices.Sorted(maps.Keys(c.deadProcs))
+		c.failMu.Unlock()
+		if len(dead) > 0 {
+			return nil, fmt.Errorf("cluster: %s: processor %d: %w", op, dead[0], live.ErrNodeDown)
 		}
 	}
 	d, err := delta()
@@ -399,7 +372,7 @@ func (c *Cluster) transact(op string, gated bool, delta func() (*deploy.Delta, e
 		return nil, err
 	}
 	d.Apply(c.Plan, outcome.Epoch)
-	c.epoch.Store(outcome.Epoch)
+	c.life.Store(&lifecycle{cfg: to, epoch: outcome.Epoch})
 	return outcome, c.refreshTasks()
 }
 
@@ -428,34 +401,24 @@ func (c *Cluster) refreshTasks() error {
 // order; a consumer that falls behind loses newest events (counted) rather
 // than backpressuring the event plane.
 func (c *Cluster) Watch(opts core.WatchOptions) (*core.WatchStream, error) {
-	c.cfgMu.Lock()
-	stopped := c.stopped
-	c.cfgMu.Unlock()
-	if stopped {
+	if c.life.Load().stopped {
 		return nil, fmt.Errorf("cluster: watch: %w", core.ErrStopped)
 	}
 	return c.hub.Subscribe(opts), nil
 }
 
-// emit stamps and publishes one watch event. Callers fill Config themselves
-// (lifecycle paths hold cfgMu and use c.cfg; taps use the lock-free
-// configSnapshot mirror), so emit never takes the configuration lock.
+// emit stamps one watch event with the time and the running combination
+// (and epoch, unless the event carries its own) and publishes it. The taps
+// call it from event-plane pusher goroutines, so it reads the lifecycle
+// value and never waits on a transaction.
 func (c *Cluster) emit(ev core.WatchEvent) {
+	life := c.life.Load()
 	ev.At = time.Duration(time.Now().UnixNano())
+	ev.Config = life.cfg
 	if ev.Epoch == 0 {
-		ev.Epoch = c.epoch.Load()
+		ev.Epoch = life.epoch
 	}
 	c.hub.Emit(ev)
-}
-
-// configSnapshot reads the active combination without cfgMu: the watch taps
-// run synchronously in event-plane pusher goroutines and must not block on
-// a lifecycle transaction holding the lock across its network phase.
-func (c *Cluster) configSnapshot() core.Config {
-	if v, ok := c.cfgVal.Load().(core.Config); ok {
-		return v
-	}
-	return core.Config{}
 }
 
 // tapAccept observes rejections: Accept decisions on the manager's channel,
@@ -473,7 +436,7 @@ func (c *Cluster) tapAccept(node string) eventchan.Handler {
 		}
 		c.emit(core.WatchEvent{
 			Kind: core.WatchRejected, Task: c.taskName(dec.Task), Job: dec.Job,
-			Epoch: dec.Epoch, Config: c.configSnapshot(),
+			Epoch: dec.Epoch,
 		})
 	}
 }
@@ -505,7 +468,7 @@ func (c *Cluster) observeHop(node string, release bool) eventchan.Handler {
 		if release && c.hub.Active() {
 			c.emit(core.WatchEvent{
 				Kind: core.WatchAdmitted, Task: c.taskName(trg.Task), Job: trg.Job,
-				Placement: trg.Placement, Config: c.configSnapshot(),
+				Placement: trg.Placement,
 			})
 		}
 		c.tracker.hop(trg)
@@ -559,7 +522,7 @@ func (c *Cluster) observeDone(node string) eventchan.Handler {
 		}
 		out := core.WatchEvent{
 			Kind: core.WatchCompleted, Task: c.taskName(done.Task), Job: done.Job,
-			Response: resp, Config: c.configSnapshot(),
+			Response: resp,
 		}
 		c.emit(out)
 		if missed {
@@ -572,10 +535,8 @@ func (c *Cluster) observeDone(node string) eventchan.Handler {
 // Snapshot aggregates the effectors' counters and the completion count with
 // the active configuration and reconfiguration epoch.
 func (c *Cluster) Snapshot() core.BindingSnapshot {
-	snap := core.BindingSnapshot{Config: c.Config()}
-	if ac, err := c.AC(); err == nil {
-		snap.Epoch = ac.Epoch()
-	}
+	life := c.life.Load()
+	snap := core.BindingSnapshot{Config: life.cfg, Epoch: life.epoch}
 	snap.Arrived, snap.Released, snap.Skipped, snap.Completed = c.counters()
 	snap.InFlight = snap.Released - snap.Completed
 	snap.WatchDropped = c.hub.Dropped()
@@ -621,21 +582,15 @@ func (c *Cluster) counters() (arrived, released, skipped, completed int64) {
 func (c *Cluster) Reconfigure(to core.Config) (*core.ReconfigReport, error) {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
-	before := c.inFlight()
-	outcome, err := c.transact("reconfigure", true, func() (*deploy.Delta, error) {
+	before, from := c.inFlight(), c.Config()
+	outcome, err := c.transact("reconfigure", true, to, func() (*deploy.Delta, error) {
 		return configengine.ReconfigDelta(c.Plan, to)
 	})
 	if err != nil {
 		return nil, err
 	}
-	from := c.cfg
-	c.cfg = to
-	c.cfgVal.Store(to)
 	if c.hub.Active() {
-		c.emit(core.WatchEvent{
-			Kind: core.WatchReconfigured, Task: "", Job: -1,
-			Config: to, Epoch: outcome.Epoch,
-		})
+		c.emit(core.WatchEvent{Kind: core.WatchReconfigured, Task: "", Job: -1})
 	}
 	return &core.ReconfigReport{
 		From:           from,
@@ -771,7 +726,9 @@ func (c *Cluster) Drain(timeout time.Duration) bool {
 // Nodes already killed by the chaos hooks are skipped.
 func (c *Cluster) Close() {
 	c.cfgMu.Lock()
-	c.stopped = true
+	life := *c.life.Load()
+	life.stopped = true
+	c.life.Store(&life)
 	c.cfgMu.Unlock()
 	if c.detector != nil {
 		c.detector.halt()

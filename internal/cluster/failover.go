@@ -12,8 +12,8 @@
 // processor-removal delta (dead stages re-home onto surviving replicas), the
 // launcher executes it skipping the dead node, and every job stranded on the
 // dead processor is re-pushed onto the survivors with a remapped placement.
-// Submissions arriving mid-failover are deferred and replayed, like a
-// quiesce defers arrivals.
+// Submissions arriving mid-failover wait in the admission controller's
+// quiesce buffer, as they do during any reconfiguration.
 package cluster
 
 import (
@@ -152,7 +152,7 @@ func (d *detector) scan() {
 	}
 	d.mu.Unlock()
 	for _, name := range downs {
-		d.c.emit(core.WatchEvent{Kind: core.WatchNodeDown, Task: name, Job: -1, Config: d.c.configSnapshot()})
+		d.c.emit(core.WatchEvent{Kind: core.WatchNodeDown, Task: name, Job: -1})
 	}
 }
 
@@ -486,17 +486,13 @@ func (c *Cluster) RecoverNode(i int) error {
 	drained := c.drainFailedOver(i)
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
-	if c.stopped {
+	if c.life.Load().stopped {
 		return fmt.Errorf("cluster: recover node: %w", core.ErrStopped)
 	}
 	c.failMu.Lock()
 	dead := c.deadProcs[i]
-	busy := c.failoverActive
 	failedOver := c.failedOver[i]
 	c.failMu.Unlock()
-	if busy {
-		return fmt.Errorf("cluster: recover node: %w", live.ErrFailoverInProgress)
-	}
 	if !dead {
 		return fmt.Errorf("cluster: recover node: processor %d is not down", i)
 	}
@@ -569,7 +565,7 @@ func (c *Cluster) RecoverNode(i int) error {
 	if c.detector != nil {
 		c.detector.revive(node.Name)
 	}
-	c.emit(core.WatchEvent{Kind: core.WatchNodeRecovered, Task: node.Name, Job: -1, Config: c.configSnapshot()})
+	c.emit(core.WatchEvent{Kind: core.WatchNodeRecovered, Task: node.Name, Job: -1})
 	return nil
 }
 
@@ -589,9 +585,6 @@ type FailoverReport struct {
 	// Lost counts stranded jobs whose task did not survive (no replica).
 	Redelivered int `json:"redelivered"`
 	Lost        int `json:"redelivery_lost"`
-	// ReplayedSubmits counts submissions deferred during the failover and
-	// replayed after it.
-	ReplayedSubmits int `json:"replayed_submits"`
 	// Rehomed maps task IDs to the stages that moved off the dead processor
 	// (stage → new processor); Withdrawn lists tasks lost with the node.
 	Rehomed   map[string]map[int]int `json:"rehomed,omitempty"`
@@ -599,73 +592,38 @@ type FailoverReport struct {
 }
 
 // Failover removes a dead processor from the running deployment with no
-// admitted-job loss: the configuration engine synthesizes the
-// processor-removal delta (stages homed on the dead processor re-home onto
-// surviving replicas, EDMS priorities re-assigned), the launcher executes it
-// through the standard quiesce transaction — skipping the dead node — and
-// every job the dead-letter tracker shows stranded on the dead processor is
-// redelivered onto the survivors. Submissions arriving during the
-// transaction are deferred and replayed at the end. The node must already be
-// marked dead by KillNode.
+// admitted-job loss. It is a lifecycle transaction like Reconfigure: the
+// configuration engine synthesizes the processor-removal delta (stages homed
+// on the dead processor re-home onto surviving replicas, EDMS priorities
+// re-assigned), the launcher executes it through the standard quiesce
+// transaction — skipping the dead node — and every job the dead-letter
+// tracker shows stranded on the dead processor is redelivered onto the
+// survivors. Arrivals meanwhile wait in the admission controller's quiesce
+// buffer. The node must already be marked dead by KillNode.
 func (c *Cluster) Failover(proc int) (*FailoverReport, error) {
 	if proc < 0 || proc >= len(c.Apps) {
 		return nil, fmt.Errorf("cluster: failover: no processor %d", proc)
 	}
-	c.failMu.Lock()
-	if c.failoverActive {
-		c.failMu.Unlock()
-		return nil, fmt.Errorf("cluster: failover: %w", live.ErrFailoverInProgress)
-	}
-	if c.failedOver[proc] {
-		c.failMu.Unlock()
-		return nil, fmt.Errorf("cluster: failover: processor %d already failed over", proc)
-	}
-	if !c.deadProcs[proc] {
-		c.failMu.Unlock()
-		return nil, fmt.Errorf("cluster: failover: processor %d is not down", proc)
-	}
-	c.failoverActive = true
-	c.failMu.Unlock()
-
-	report, err := c.runFailover(proc)
-
-	c.failMu.Lock()
-	c.failoverActive = false
-	if err == nil {
-		if c.failedOver == nil {
-			c.failedOver = make(map[int]bool)
-		}
-		c.failedOver[proc] = true
-	}
-	replay := c.deferredSubmits
-	c.deferredSubmits = nil
-	c.failMu.Unlock()
-
-	// Replay the submissions deferred while the failover held admission —
-	// against the re-homed task set, exactly as a quiesce replays arrivals.
-	for _, id := range replay {
-		_, _ = c.Submit(id)
-	}
-	if report != nil {
-		report.ReplayedSubmits = len(replay)
-	}
-	return report, err
-}
-
-// runFailover executes the failover transaction body. The caller has set
-// failoverActive, which routes concurrent submissions to the deferral queue.
-func (c *Cluster) runFailover(proc int) (*FailoverReport, error) {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
+	c.failMu.Lock()
+	dead, failedOver := c.deadProcs[proc], c.failedOver[proc]
+	c.failMu.Unlock()
+	if failedOver {
+		return nil, fmt.Errorf("cluster: failover: processor %d already failed over", proc)
+	}
+	if !dead {
+		return nil, fmt.Errorf("cluster: failover: processor %d is not down", proc)
+	}
 	start := time.Now()
 	name := c.Apps[proc].Name
 	var surgery *configengine.FailoverOutcome
-	outcome, err := c.transact("failover", false, func() (d *deploy.Delta, err error) {
+	outcome, err := c.transact("failover", false, c.Config(), func() (d *deploy.Delta, err error) {
 		// Announce exactly once, whichever of the detector and this
 		// transaction gets there first, and before the redelivered jobs'
 		// events.
 		if c.detector != nil && c.detector.markSuspect(name) {
-			c.emit(core.WatchEvent{Kind: core.WatchNodeDown, Task: name, Job: -1, Config: c.configSnapshot()})
+			c.emit(core.WatchEvent{Kind: core.WatchNodeDown, Task: name, Job: -1})
 		}
 		d, surgery, err = configengine.FailoverDelta(c.Plan, proc)
 		return d, err
@@ -673,6 +631,12 @@ func (c *Cluster) runFailover(proc int) (*FailoverReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.failMu.Lock()
+	if c.failedOver == nil {
+		c.failedOver = make(map[int]bool)
+	}
+	c.failedOver[proc] = true
+	c.failMu.Unlock()
 
 	redelivered, lost := 0, 0
 	for _, trg := range c.tracker.activate(proc) {

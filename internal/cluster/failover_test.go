@@ -346,6 +346,101 @@ func TestFailoverErrorSurface(t *testing.T) {
 	}
 }
 
+// TestFailoverRacesSubmits submits from a goroutine every few milliseconds
+// across KillNode, Failover and more submissions. A failover is an ordinary
+// lifecycle transaction, so each arrival is either taken (one homed on a
+// live processor waits out the transaction in the admission controller's
+// quiesce buffer) or refused with ErrNodeDown while its home is down and
+// not yet re-homed; and no admitted job is lost.
+func TestFailoverRacesSubmits(t *testing.T) {
+	cfg := core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerTask, LB: core.StrategyPerTask}
+	c, err := Start(Options{Workload: failoverWorkload(t), Config: cfg, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	var taken, down int
+	var unexpected []error
+	go func() {
+		defer close(done)
+		ids := []string{"cam", "lidar", "fuse"}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			switch _, err := c.Submit(ids[i%len(ids)]); {
+			case err == nil:
+				taken++
+			case errors.Is(err, live.ErrNodeDown):
+				down++
+			default:
+				unexpected = append(unexpected, err)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+
+	time.Sleep(100 * time.Millisecond)
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	report, err := c.Failover(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	close(stop)
+	<-done
+
+	for _, err := range unexpected {
+		t.Errorf("Submit across the failover: %v, want an admission or ErrNodeDown", err)
+	}
+	if taken == 0 {
+		t.Fatal("no submission was taken")
+	}
+	t.Logf("%d submissions taken, %d refused with ErrNodeDown; failover quiesced %v", taken, down, report.Quiesce)
+	snap := quietSnapshot(t, c)
+	if snap.Released != snap.Completed {
+		t.Errorf("lost jobs: released %d, completed %d", snap.Released, snap.Completed)
+	}
+	if _, lost := c.RedeliveryStats(); lost != 0 {
+		t.Errorf("redelivery lost %d jobs", lost)
+	}
+	if err := c.AuditAdmissionState(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReadersDuringFailoverTransaction holds cfgMu, as a failover or any
+// other lifecycle transaction does across its network phase, and requires
+// Snapshot, Config and Watch to answer anyway.
+func TestReadersDuringFailoverTransaction(t *testing.T) {
+	c := startCluster(t, core.Config{AC: core.StrategyPerJob, IR: core.StrategyNone, LB: core.StrategyNone})
+	c.cfgMu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = c.Snapshot()
+		_ = c.Config()
+		if w, err := c.Watch(core.WatchOptions{}); err == nil {
+			w.Cancel()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Error("Snapshot, Config or Watch waited on the transaction lock")
+	}
+	c.cfgMu.Unlock()
+	<-done
+}
+
 // TestRecoverNodeMidChainExactlyOnce is the regression test for the traced
 // "job completed twice" failover bug: jobs admitted before the kill carry a
 // placement whose second stage is on the killed processor, and they keep

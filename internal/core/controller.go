@@ -123,6 +123,10 @@ type ControllerStats struct {
 	// Accepts and Rejects count decisions returned to task effectors.
 	Accepts int64
 	Rejects int64
+	// HeldKeys counts the rejections the ledger refused with an error: a
+	// job key it already held (the controller's own placements always pass
+	// the ledger's placement check).
+	HeldKeys int64
 	// Relocations counts accepted jobs whose first stage moved off the
 	// arrival processor.
 	Relocations int64
@@ -463,9 +467,12 @@ func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Durati
 		expiry = 0
 	}
 	atomic.AddInt64(&c.Stats.Tests, 1)
-	admitted, _ := c.ledger.TestAndAddKey(k, t.Kind, placement, permanent, expiry)
+	admitted, err := c.ledger.TestAndAddKey(k, t.Kind, placement, permanent, expiry)
 	if c.timing != nil {
 		c.timing.Test.Add(time.Since(t1))
+	}
+	if err != nil {
+		atomic.AddInt64(&c.Stats.HeldKeys, 1)
 	}
 	if !admitted {
 		atomic.AddInt64(&c.Stats.Rejects, 1)

@@ -449,3 +449,21 @@ func runAndDropJJJ(t *testing.T, tasks []*sched.Task) weak.Pointer[Controller] {
 	}
 	return weak.Make(sim.Controller())
 }
+
+// TestHeldKeyRefusalIsCounted decides one job key twice: the ledger still
+// holds the first admission, so the second is refused, and counted as a
+// held key as well as a rejection rather than passing as a bound refusal.
+func TestHeldKeyRefusalIsCounted(t *testing.T) {
+	c := mustController(t, Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone}, 1)
+	tk := aperiodicTask("a", 0, time.Millisecond, time.Second)
+	k := sched.JobKey{Task: 0, Job: 7}
+	if d, _, _ := c.Decide(k, tk, 0, 0); !d.Accept {
+		t.Fatalf("first decision = %+v, want accepted", d)
+	}
+	if d, _, _ := c.Decide(k, tk, time.Millisecond, time.Millisecond); d.Accept {
+		t.Fatalf("second decision of the same key = %+v, want refused", d)
+	}
+	if c.Stats.HeldKeys != 1 || c.Stats.Rejects != 1 || c.Stats.Accepts != 1 {
+		t.Errorf("stats = %+v, want one accept, one reject, one held key", c.Stats)
+	}
+}

@@ -80,9 +80,6 @@ type AdmissionController struct {
 	// DecisionDelay measures operation time from TaskArrive receipt to
 	// Accept push (manager-side total).
 	DecisionDelay core.OpStats
-	// ResetApply measures the manager-side time to apply one idle-resetting
-	// report to the ledger (operation 8's AC half).
-	ResetApply core.OpStats
 }
 
 // Compile-time interface checks: the strategy-bearing components are both
@@ -461,16 +458,10 @@ func (ac *AdmissionController) onIdleReset(ev eventchan.Event) {
 		return
 	}
 	ac.mu.RLock()
-	if ac.closed {
-		ac.mu.RUnlock()
-		return
+	defer ac.mu.RUnlock()
+	if !ac.closed {
+		ac.ctrl.IdleResetKeys(rep.Entries)
 	}
-	// Time only the ledger apply, not decode or lock acquisition.
-	start := time.Now()
-	ac.ctrl.IdleResetKeys(rep.Entries)
-	elapsed := time.Since(start)
-	ac.mu.RUnlock()
-	ac.ResetApply.Add(elapsed)
 }
 
 // ResetsApplied returns the number of ledger contributions removed through

@@ -27,10 +27,6 @@ var (
 	// ErrNodeDown marks an operation addressed to a node the failure
 	// detector has declared dead and no failover has re-homed yet.
 	ErrNodeDown = errors.New("live: node down")
-	// ErrFailoverInProgress marks a lifecycle operation refused while a
-	// failover reconfiguration is running; submits are deferred and
-	// replayed instead of failing.
-	ErrFailoverInProgress = errors.New("live: failover in progress")
 	// ErrPayload marks an event payload the codec refuses: truncated, the
 	// wrong type, a length that overruns the bytes, trailing bytes, or a
 	// payload in another format (a gob payload from an older build).
