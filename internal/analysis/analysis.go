@@ -24,6 +24,9 @@
 //	    On a function: map iteration without a sort is flagged inside it.
 //	//rtmw:deterministic file
 //	    Before the package clause: the whole file is determinism-critical.
+//	//rtmw:noscan
+//	    On a type declaration: the type holds no pointer words, so the
+//	    collector never scans it.
 //	//rtmw:ignore <analyzer> <reason>
 //	    On the flagged line or the line directly above: suppress one
 //	    analyzer's diagnostics for that line. The reason is mandatory.
@@ -86,7 +89,7 @@ func (d Diagnostic) String() string {
 // Directive is one parsed //rtmw: comment.
 type Directive struct {
 	Pos  token.Pos
-	Kind string   // "noalloc", "deterministic", "ignore"
+	Kind string   // "noalloc", "noscan", "deterministic", "ignore"
 	Args []string // whitespace-split arguments after the kind
 }
 
@@ -244,6 +247,7 @@ func init() {
 	Suite = []*Analyzer{
 		Directives,
 		NoAlloc,
+		NoScan,
 		MapOrder,
 		AtomicField,
 		SentinelWrap,
@@ -284,9 +288,9 @@ func runDirectives(pass *Pass) error {
 
 func checkDirective(pass *Pass, d Directive) {
 	switch d.Kind {
-	case "noalloc":
+	case "noalloc", "noscan":
 		if len(d.Args) != 0 {
-			pass.Reportf(d.Pos, "//rtmw:noalloc takes no arguments")
+			pass.Reportf(d.Pos, "//rtmw:%s takes no arguments", d.Kind)
 		}
 	case "deterministic":
 		if len(d.Args) > 1 || (len(d.Args) == 1 && d.Args[0] != "file") {

@@ -13,6 +13,7 @@ func fixture(name string) string {
 }
 
 func TestNoAlloc(t *testing.T)     { analysistest.Run(t, fixture("noalloc"), analysis.NoAlloc) }
+func TestNoScan(t *testing.T)      { analysistest.Run(t, fixture("noscan"), analysis.NoScan) }
 func TestMapOrder(t *testing.T)    { analysistest.Run(t, fixture("maporder"), analysis.MapOrder) }
 func TestAtomicField(t *testing.T) { analysistest.Run(t, fixture("atomicfield"), analysis.AtomicField) }
 func TestSentinelWrap(t *testing.T) {
@@ -23,7 +24,7 @@ func TestDirectives(t *testing.T) { analysistest.Run(t, fixture("directive"), an
 // TestLookup pins the analyzer registry the -only flag and //rtmw:ignore
 // grammar check resolve against.
 func TestLookup(t *testing.T) {
-	for _, name := range []string{"noalloc", "maporder", "atomicfield", "sentinelwrap", "directive"} {
+	for _, name := range []string{"noalloc", "noscan", "maporder", "atomicfield", "sentinelwrap", "directive"} {
 		if analysis.Lookup(name) == nil {
 			t.Errorf("Lookup(%q) = nil", name)
 		}
@@ -31,8 +32,8 @@ func TestLookup(t *testing.T) {
 	if analysis.Lookup("nope") != nil {
 		t.Errorf("Lookup(nope) != nil")
 	}
-	if len(analysis.Suite) != 5 {
-		t.Errorf("Suite has %d analyzers, want 5", len(analysis.Suite))
+	if len(analysis.Suite) != 6 {
+		t.Errorf("Suite has %d analyzers, want 6", len(analysis.Suite))
 	}
 }
 

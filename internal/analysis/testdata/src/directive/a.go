@@ -18,3 +18,9 @@ func badNoallocArg() {}
 
 //rtmw:noalloc
 func wellFormed() {}
+
+//rtmw:noscan words // want `takes no arguments`
+type badNoscanArg struct{}
+
+//rtmw:noscan
+type wellFormedType struct{}

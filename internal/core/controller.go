@@ -15,9 +15,13 @@ type Decision struct {
 	// Accept reports whether the job may be released.
 	Accept bool
 	// Placement is the processor assignment for each stage of the job. It is
-	// nil when Accept is false. Callers must treat it as read-only: under
-	// LB-none, and for a periodic task under LB-per-task, it aliases the
-	// controller's per-task memory.
+	// nil when Accept is false. Two placements alias the controller's
+	// per-task memory and must be treated as read-only: the home placement
+	// under LB-none, and a periodic task's memo under LB-per-task, which
+	// every job of the task shares. Every other placement (LB-per-job, and
+	// an aperiodic task's under LB-per-task) is the job's own: it is cut
+	// from a chunk the controller never hands out again, so it stays valid
+	// and unshared for as long as the caller keeps it.
 	Placement []sched.PlacedStage
 	// Relocated reports whether the first stage was assigned away from the
 	// task's home (arrival) processor, so the release must go to the
@@ -73,11 +77,13 @@ type Controller struct {
 	stages []sched.PlacedStage
 
 	// scratch is the balanced placement's accumulator, one slot per
-	// processor and all zero between placements, under scratchMu. It is a
-	// plain field, not a sync.Pool: the runtime's list of pools would keep a
+	// processor and all zero between placements, and placements the chunk
+	// balanced placements are cut from, both under scratchMu. They are plain
+	// fields, not a sync.Pool: the runtime's list of pools would keep a
 	// dropped controller, its ledger included, alive through one more GC.
-	scratchMu sync.Mutex
-	scratch   []float64
+	scratchMu  sync.Mutex
+	scratch    []float64
+	placements []sched.PlacedStage
 
 	// Stats accumulate controller-side counters for the experiments. Fields
 	// are updated atomically; read them only after arrivals quiesce.
@@ -308,10 +314,16 @@ func homePlacement(out []sched.PlacedStage, t *sched.Task) []sched.PlacedStage {
 // earlier stages of the same job. Ties go to the candidate listed first, so
 // the home processor wins ties deterministically. The per-job accumulator is
 // the controller's dense scratch, held under scratchMu and zeroed again
-// before it is released.
+// before it is released. The placement is cut from the controller's chunk
+// and never handed out again.
 func (c *Controller) balancedPlacement(t *sched.Task) []sched.PlacedStage {
-	out := make([]sched.PlacedStage, len(t.Subtasks))
+	n := len(t.Subtasks)
 	c.scratchMu.Lock()
+	if len(c.placements) < n {
+		c.placements = make([]sched.PlacedStage, max(stageChunk, n))
+	}
+	out := c.placements[:n:n]
+	c.placements = c.placements[n:]
 	delta := c.scratch
 	for i, st := range t.Subtasks {
 		u := t.StageUtil(i)

@@ -467,3 +467,49 @@ func TestHeldKeyRefusalIsCounted(t *testing.T) {
 		t.Errorf("stats = %+v, want one accept, one reject, one held key", c.Stats)
 	}
 }
+
+// TestDecisionPlacementAliasing pins what Decision.Placement promises about
+// ownership. Under LB-per-job each decision's placement is the job's own:
+// two consecutive decisions for one task share no memory, so writing one,
+// or appending to it, leaves the other as it was. Under LB-per-task a
+// periodic task's memo is the one slice every job of the task gets.
+func TestDecisionPlacementAliasing(t *testing.T) {
+	twoStage := func() *sched.Task {
+		tk := periodicTask("p", 0, time.Millisecond, time.Second, 1)
+		tk.Subtasks = append(tk.Subtasks, sched.Subtask{Index: 1, Exec: time.Millisecond, Processor: 2, Replicas: []int{3}})
+		return tk
+	}
+	t.Run("J_J_J", func(t *testing.T) {
+		c := mustController(t, Config{AC: StrategyPerJob, IR: StrategyPerJob, LB: StrategyPerJob}, 4)
+		tk := twoStage()
+		d0, d1 := c.Arrive(tk, 0, 0), c.Arrive(tk, 1, time.Millisecond)
+		if !d0.Accept || !d1.Accept {
+			t.Fatalf("decisions %+v and %+v, want both accepted", d0, d1)
+		}
+		want := slices.Clone(d1.Placement)
+		_ = append(d0.Placement, sched.PlacedStage{Stage: 9, Proc: 9, Util: 0.9})
+		for i := range d0.Placement {
+			d0.Placement[i] = sched.PlacedStage{Stage: -1, Proc: -1, Util: -1}
+		}
+		if !slices.Equal(d1.Placement, want) {
+			t.Errorf("writing job 0's placement changed job 1's: %+v, was %+v", d1.Placement, want)
+		}
+	})
+	t.Run("J_N_T", func(t *testing.T) {
+		c := mustController(t, Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyPerTask}, 4)
+		tk := twoStage()
+		var first []sched.PlacedStage
+		for job := int64(0); job < 4; job++ {
+			d := c.Arrive(tk, job, time.Duration(job)*time.Second)
+			if !d.Accept {
+				t.Fatalf("job %d rejected", job)
+			}
+			if job == 0 {
+				first = d.Placement
+			} else if &d.Placement[0] != &first[0] || len(d.Placement) != len(first) {
+				t.Errorf("job %d got placement %p, want the task's memo %p", job, &d.Placement[0], &first[0])
+			}
+			c.ExpireJob(sched.JobRef{Task: "p", Job: job})
+		}
+	})
+}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -283,6 +285,70 @@ func TestSweepWorkPinned(t *testing.T) {
 		sim.Run()
 		if got := workOf(c.String(), sim); got != sweepWork[i] {
 			t.Errorf("work counts\n got    %+v\n pinned %+v", got, sweepWork[i])
+		}
+	}
+}
+
+// sweepScanBefore is the scannable heap each combination of the sim-sweep
+// shape held when its job records and signature groups were linked by
+// pointers (go1.24, amd64): a finished simulation, its build included.
+var sweepScanBefore = map[string]uint64{
+	"T_N_N": 4274888, "T_N_T": 4145776, "T_N_J": 4116312,
+	"T_T_N": 4401272, "T_T_T": 4279456, "T_T_J": 4295624,
+	"J_N_N": 4315920, "J_N_T": 4185280, "J_N_J": 3831736,
+	"J_T_N": 4451864, "J_T_T": 4326528, "J_T_J": 3991952,
+	"J_J_N": 4257856, "J_J_T": 4032368, "J_J_J": 3681640,
+}
+
+// TestSweepRunHeap holds what one simulation of the sim-sweep shape costs
+// the collector, for each of the fifteen combinations: the objects Run
+// allocates (a run that allocates per job or per growth step reads in the
+// tens of thousands), the objects the finished simulation keeps live, and
+// the scannable bytes it holds, at least 0.6 MB under sweepScanBefore
+// because the ledger's records, groups and indexes hold no pointers.
+func TestSweepRunHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fifteen sweep-shape simulations")
+	}
+	const (
+		maxRunMallocs = 2000
+		maxLive       = 1000
+		scanCut       = 600 << 10
+	)
+	p := workload.ScaleParams(50, 10000, 1)
+	p.TargetUtil = 0.9
+	tasks, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := []metrics.Sample{{Name: "/gc/heap/objects:objects"}, {Name: "/gc/scan/heap:bytes"}}
+	heap := func() (objects, scan int64) {
+		runtime.GC()
+		metrics.Read(samples)
+		return int64(samples[0].Value.Uint64()), int64(samples[1].Value.Uint64())
+	}
+	for _, c := range AllCombinations() {
+		objects0, scan0 := heap()
+		sim, err := NewSimSystem(SimConfig{Strategies: c, NumProcs: 50, Horizon: 500 * time.Millisecond, Seed: 1}, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sim.Run()
+		runtime.ReadMemStats(&after)
+		objects1, scan1 := heap()
+		runtime.KeepAlive(sim)
+		mallocs, live, scan := after.Mallocs-before.Mallocs, objects1-objects0, scan1-scan0
+		t.Logf("%s: Run allocates %d objects; the simulation keeps %d live and %d scannable bytes", c, mallocs, live, scan)
+		if mallocs > maxRunMallocs {
+			t.Errorf("%s: Run allocates %d objects, want at most %d", c, mallocs, maxRunMallocs)
+		}
+		if live > maxLive {
+			t.Errorf("%s: the finished simulation keeps %d objects live, want at most %d", c, live, maxLive)
+		}
+		if want := int64(sweepScanBefore[c.String()]) - scanCut; scan > want {
+			t.Errorf("%s: the finished simulation holds %d scannable bytes, want at most %d (%d before, less %d)", c, scan, want, sweepScanBefore[c.String()], scanCut)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/sched"
@@ -29,6 +30,9 @@ type IdleResetter struct {
 	// Reports counts idle-resetting reports produced (non-empty only).
 	Reports int64
 }
+
+// pendingChunk is the least room the pending set grows by.
+const pendingChunk = 16
 
 // completion is one locally recorded completed subjob.
 type completion struct {
@@ -87,6 +91,11 @@ func (ir *IdleResetter) Complete(ref sched.JobKey, stage int, kind sched.TaskKin
 		}
 	case StrategyPerJob:
 		// Record everything.
+	}
+	if len(ir.pending) == cap(ir.pending) {
+		// Grow by a chunk at least: a busy processor's set reaches tens of
+		// completions between idle instants.
+		ir.pending = slices.Grow(ir.pending, pendingChunk)
 	}
 	ir.pending = append(ir.pending, completion{ref: ref, stage: stage, kind: kind, deadline: deadline})
 }

@@ -133,8 +133,9 @@ type verdict struct {
 
 // relJob is one released, in-flight job in the pooled job table: the state
 // the old closure chain used to capture, now indexed by slot so stage events
-// carry a single int32. The placement slice is copied in at release and its
-// capacity is reused across occupants.
+// carry a single int32. The placement is the decision's own: the controller
+// never writes a placement it has handed out (Decision.Placement), so the
+// slot keeps it without a copy.
 type relJob struct {
 	task      int32
 	job       int64
@@ -912,8 +913,7 @@ func (s *SimSystem) reportIdle(proc int) {
 	s.links.SendEvent(s, des.Event{Kind: evIdleReport, A: ri})
 }
 
-// allocJob takes a released-job slot and copies the placement into its
-// reusable buffer.
+// allocJob takes a released-job slot for the job.
 func (s *SimSystem) allocJob(ti int32, job int64, arrival time.Duration, placement []sched.PlacedStage) int32 {
 	var ji int32
 	if n := len(s.freeJobs); n > 0 {
@@ -927,11 +927,12 @@ func (s *SimSystem) allocJob(ti int32, job int64, arrival time.Duration, placeme
 	j.task = ti
 	j.job = job
 	j.arrival = arrival
-	j.placement = append(j.placement[:0], placement...)
+	j.placement = placement
 	return ji
 }
 
 func (s *SimSystem) freeJob(ji int32) {
+	s.jobs[ji].placement = nil
 	s.freeJobs = append(s.freeJobs, ji)
 }
 

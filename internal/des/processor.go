@@ -2,8 +2,24 @@ package des
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
+
+// poolChunk is the room a processor's request pool, free list and ready
+// heap take when they first grow: a processor's queue seldom outgrows it, so
+// a run grows each of them once or twice instead of once per doubling from
+// one.
+const poolChunk = 16
+
+// room returns s with room for one more element, growing it by at least
+// poolChunk when it is full.
+func room[T any](s []T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, poolChunk)
+	}
+	return s
+}
 
 // reqSlot is one pooled execution record.
 type reqSlot struct {
@@ -85,7 +101,7 @@ func (p *Processor) allocReq() int32 {
 		p.free = p.free[:n-1]
 		return idx
 	}
-	p.slots = append(p.slots, reqSlot{})
+	p.slots = append(room(p.slots), reqSlot{})
 	return int32(len(p.slots) - 1)
 }
 
@@ -95,7 +111,7 @@ func (p *Processor) freeReq(idx int32) {
 	s := &p.slots[idx]
 	s.h = nil
 	s.ev = Event{}
-	p.free = append(p.free, idx)
+	p.free = append(room(p.free), idx)
 }
 
 // SubmitEvent enqueues a unit of work, a subjob on its fixed-priority
@@ -205,7 +221,7 @@ func (p *Processor) idleEvent() {
 
 // readyPush inserts an entry into the 4-ary ready heap.
 func (p *Processor) readyPush(x readyEnt) {
-	h := append(p.ready, x)
+	h := append(room(p.ready), x)
 	i := len(h) - 1
 	for i > 0 {
 		par := (i - 1) / 4

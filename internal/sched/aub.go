@@ -11,7 +11,7 @@ import (
 )
 
 // RemovalReason records why a contribution left the ledger.
-type RemovalReason int
+type RemovalReason uint8
 
 // Removal reasons. Enums start at one; the zero value means "not removed".
 const (
@@ -58,114 +58,127 @@ type PlacedStage struct {
 	Util float64
 }
 
-// entry is one live or historical contribution record.
+// entry is one live or historical contribution record: one stage of a job.
+// A job's entries are one span of the ledger's entry arena (Ledger.ents).
+//
+//rtmw:noscan
 type entry struct {
-	stage     int
-	proc      int
 	amount    int64 // C/D in ledger units (toUnits)
-	kind      TaskKind
-	permanent bool
-	expiry    time.Duration // absolute virtual deadline; 0 when permanent
-	completed bool
+	stage     int
+	proc      int32
 	removed   RemovalReason // 0 while active
+	completed bool
 }
 
-// jobRec groups the entries of one admitted job, held by value; the slice
-// keeps its capacity when the record is recycled.
+// active reports whether a job's entries still carry at least one
+// non-removed contribution.
+func active(es []entry) bool {
+	for i := range es {
+		if es[i].removed == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// inFlight reports whether a job's entries still have at least one
+// uncompleted stage. Only in-flight jobs can still miss their deadlines, so
+// the admission test is evaluated over in-flight jobs plus the candidate.
+func inFlight(es []entry) bool {
+	for i := range es {
+		if !es[i].completed {
+			return true
+		}
+	}
+	return false
+}
+
+// jobRec is one admitted job, a slot of the record slab (Ledger.recs). It
+// links to records and groups by slab index, 0 standing for none, so it
+// holds no pointer.
+//
+//rtmw:noscan
 type jobRec struct {
-	entries []entry
-	// key names the job, and prevT/nextT link it into its task's list
-	// (Ledger.tasks), the ledger's one index of jobs: it is threaded through
-	// the records themselves, so a task's first job allocates no index.
+	// key names the job (freeKey while the slot is free), and prevT/nextT
+	// link it into its task's list (Ledger.tasks), the ledger's one index of
+	// jobs, or nextT into the free list.
 	key          JobKey
-	prevT, nextT *jobRec
-	// group is the signature group the job currently belongs to; nil while
-	// the job has no active contribution.
-	group *sigGroup
-	// counted reports whether the job is currently included in
-	// group.counted (it is in flight and active).
-	counted bool
+	prevT, nextT int32
+	group        int32 // the job's signature group; 0 while none is active
+	// The entries are l.ents[ec][eo:eo+nent]; the slot keeps the span's room
+	// entCap when it is recycled.
+	ec, eo, nent, entCap int32
+	periodic             bool
+	permanent            bool // a per-task reservation: expiry leaves it
+	counted              bool // in its group's counted tally
 }
 
-// active reports whether the job still carries at least one non-removed
-// contribution.
-func (j *jobRec) active() bool {
-	for i := range j.entries {
-		if j.entries[i].removed == 0 {
-			return true
-		}
-	}
-	return false
+// freeKey is the key of a free job record.
+var freeKey = JobKey{Task: -1}
+
+// sigEntry is one processor of a processor-visit signature: the processor,
+// the number of a job's active entries on it and, for a registered group,
+// the group's position in that processor's group index (procGroups).
+//
+//rtmw:noscan
+type sigEntry struct {
+	proc, count, pos int32
 }
 
-// inFlight reports whether the job still has at least one uncompleted stage.
-// Only in-flight jobs can still miss their deadlines, so the admission test
-// is evaluated over in-flight jobs plus the candidate.
-func (j *jobRec) inFlight() bool {
-	for i := range j.entries {
-		if !j.entries[i].completed {
-			return true
-		}
-	}
-	return false
-}
-
-// appendSignature appends the job's processor-visit signature to procs and
-// counts: the distinct processors its active (non-removed) entries occupy,
+// appendSignature appends the processor-visit signature of a job's entries
+// to sig: the distinct processors its active (non-removed) entries occupy,
 // sorted, with the number of entries on each. Jobs with equal signatures
 // have identical AUB sums, so the ledger evaluates each signature once per
-// admission test instead of once per job. Both come back empty for a job
-// with no active contribution.
-func appendSignature(procs, counts []int, j *jobRec) ([]int, []int) {
-	for ei := range j.entries {
-		e := &j.entries[ei]
+// admission test instead of once per job. It appends nothing for a job with
+// no active contribution.
+func appendSignature(sig []sigEntry, es []entry) []sigEntry {
+	base := len(sig)
+	for ei := range es {
+		e := &es[ei]
 		if e.removed != 0 {
 			continue
 		}
 		found := false
-		for i := range procs {
-			if procs[i] == e.proc {
-				counts[i]++
+		for i := base; i < len(sig); i++ {
+			if sig[i].proc == e.proc {
+				sig[i].count++
 				found = true
 				break
 			}
 		}
 		if !found {
-			procs = append(procs, e.proc)
-			counts = append(counts, 1)
+			sig = append(sig, sigEntry{proc: e.proc, count: 1})
 		}
 	}
-	// Insertion sort of the parallel arrays; a job has at most a handful of
-	// stages.
-	for i := 1; i < len(procs); i++ {
-		for k := i; k > 0 && procs[k] < procs[k-1]; k-- {
-			procs[k], procs[k-1] = procs[k-1], procs[k]
-			counts[k], counts[k-1] = counts[k-1], counts[k]
+	// Insertion sort; a job has at most a handful of stages.
+	for i := base + 1; i < len(sig); i++ {
+		for k := i; k > base && sig[k].proc < sig[k-1].proc; k-- {
+			sig[k], sig[k-1] = sig[k-1], sig[k]
 		}
 	}
-	return procs, counts
+	return sig
 }
 
 // sigHash hashes a signature's (processor, count) pairs: the signature
 // groups' map key. Equal signatures hash equal; groups whose hashes collide
 // share a chain and are told apart by sameSig.
-func sigHash(procs, counts []int) uint64 {
-	h := uint64(len(procs))
-	for i, p := range procs {
-		h = (h ^ uint64(p)<<32 ^ uint64(counts[i])) * 0x9e3779b97f4a7c15
+func sigHash(sig []sigEntry) uint64 {
+	h := uint64(len(sig))
+	for _, e := range sig {
+		h = (h ^ uint64(e.proc)<<32 ^ uint64(e.count)) * 0x9e3779b97f4a7c15
 		h ^= h >> 29
 	}
 	return h
 }
 
 // sigString renders a signature as "proc:count,...", for messages.
-func sigString(procs, counts []int) string {
+func sigString(sig []sigEntry) string {
 	var b strings.Builder
-	for i, p := range procs {
+	for i, e := range sig {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%d:%d", p, counts[i])
+		fmt.Fprintf(&b, "%d:%d", e.proc, e.count)
 	}
 	return b.String()
 }
@@ -173,49 +186,51 @@ func sigString(procs, counts []int) string {
 // sigGroup aggregates every ledger job sharing one processor-visit
 // signature. The AUB condition of a job depends only on its signature (the
 // per-processor terms are shared by all jobs), so one cached sum serves the
-// whole group and Admissible touches groups, not jobs.
+// whole group and Admissible touches groups, not jobs. A group is a slot of
+// the group slab (Ledger.sigGroups); its sum is l.sums under the same index.
 //
-// The four fields the admission scan reads to pass a group by come first, so
-// the skip touches one cache line of the record.
+//rtmw:noscan
 type sigGroup struct {
-	// counted is the number of member jobs that are in flight and active —
-	// exactly the jobs the admission test must cover.
-	counted int
+	// hash is sigHash of the signature, the group's key in Ledger.groups,
+	// and next chains the groups sharing that key, or the free groups.
+	hash uint64
 	// scanned is the Ledger.scan value of the last admission test that
-	// summed the group, so a group indexed under several perturbed
-	// processors is summed once per test.
+	// summed the group, so a group met under several perturbed processors is
+	// summed once per test. The skip's verdict holds for the whole test, so
+	// only a group past it reads the stamp.
 	scanned uint64
+	next    int32
+	// The signature is l.sigs[sc][so:so+nsig], sorted by processor; the
+	// slot keeps the span's room sigCap when it is recycled.
+	sc, so, nsig, sigCap int32
+	members              int32 // job records in the group
+	// auditMembers and auditCounted are CheckInvariants' tallies of the
+	// group's members and counted jobs.
+	auditMembers, auditCounted int32
+}
+
+// groupSum is the part of a signature group that every admission scan and
+// every term change touches, kept in one dense array indexed by group so
+// those walks read 16 bytes a group, four groups to a cache line.
+//
+//rtmw:noscan
+type groupSum struct {
 	// cachedSum is Σ_p count[p]·term[p] in ledger units, exactly: every
 	// change δ of a term on one of the group's processors adds count·δ to it
 	// (setTerm), so it always equals the fresh sum.
 	cachedSum int64
+	// counted is the number of member jobs that are in flight and active —
+	// exactly the jobs the admission test must cover.
+	counted int32
 	// maxCount is the signature's largest per-processor entry count: a
 	// candidate raises the group's sum by at most maxCount times the total
 	// growth of the perturbed terms.
-	maxCount int64
-
-	// hash is sigHash of the signature, the group's key in Ledger.groups,
-	// and next chains the groups sharing that key.
-	hash   uint64
-	next   *sigGroup
-	procs  []int // sorted distinct processors of the signature
-	counts []int // active entries per processor, parallel to procs
-	// procPos holds, parallel to procs, the group's position in each
-	// processor's procGroups slice, maintained by procGroupAdd/Remove.
-	procPos []int
-	// members is the number of jobRecs pointing at this group.
-	members int
-	// audit is the Ledger.audits value of the CheckInvariants run that last
-	// tallied the group's members and counted jobs in auditMembers and
-	// auditCounted.
-	audit                      uint64
-	auditMembers, auditCounted int
+	maxCount int32
 }
 
-// sameSig reports whether the group's signature is exactly (procs, counts).
-func (g *sigGroup) sameSig(procs, counts []int) bool {
-	return slices.Equal(g.procs, procs) && slices.Equal(g.counts, counts)
-}
+// violates reports whether the group holds a counted job whose sum already
+// exceeds 1.
+func (s *groupSum) violates() bool { return s.counted > 0 && s.cachedSum > unitsPerOne }
 
 // unitShift fixes the ledger's unit of utilization at 2^-unitShift. Every
 // C/D enters as a whole number of units, so per-processor utilization is an
@@ -295,6 +310,11 @@ func termUnits(n int64) int64 {
 // with cached AUB sums so Admissible only re-evaluates the groups whose
 // processors a candidate perturbs.
 //
+// Every index is pointer-free: job records and signature groups live in
+// slabs and link to each other by slab index, and a job's entries and a
+// group's signature are spans of two flat arenas, so the collector has
+// nothing to mark in the ledger whatever it holds.
+//
 // Jobs are keyed by JobKey, the task's ref from the binding that hands refs
 // out; the ledger never sees a task name, except through the two probes of
 // the frozen benchmark (TestAndAdd, WithdrawJob).
@@ -312,28 +332,37 @@ type Ledger struct {
 	// this ledger's own; nil until the first.
 	names map[string]TaskRef
 
-	tasks      []jobList            // per task ref, its jobs; grown on demand
-	njobs      int                  // jobs in the task lists
-	groups     map[uint64]*sigGroup // sigHash → groups with that hash, chained through sigGroup.next
-	procGroups [][]groupRef         // groups whose signature visits proc (swap-remove via sigGroup.procPos)
+	tasks []jobList // per task ref, its jobs; grown on demand
+	njobs int       // jobs in the task lists
+
+	// recs is the record slab (record r at position r-1) and ents the entry
+	// arena; both grow a chunk at a time and never move what they hold.
+	// freeRec heads the free records. A slot is freed only in forgetJob,
+	// after every index has dropped it.
+	recs    []*[poolChunk]jobRec
+	freeRec int32
+	ents    [][]entry
+
+	// sigGroups is the group slab, sums its hot half (one slot a group, so
+	// len(sums) counts the slots) and sigs the signature arena; the slab and
+	// the arena grow a chunk at a time. Slot 0 is the sentinel; freeGroup
+	// heads the free groups.
+	sigGroups []*[grpChunk]sigGroup
+	sums      []groupSum
+	freeGroup int32
+	sigs      [][]sigEntry
+	groups    map[uint64]int32 // sigHash → first group of that hash
+	// procGroups indexes, per processor, the groups whose signature visits
+	// it (swap-remove via sigEntry.pos).
+	procGroups [][]groupRef
 	// violated counts groups with counted > 0 whose sum already exceeds 1:
 	// while any exist, no candidate is admissible (adding utilization can
 	// only grow a group's sum).
 	violated int
 
-	// Record pools: jobRec and sigGroup records cycle through free lists
-	// instead of the heap, so steady-state admission traffic (admit →
-	// reset/expire → forget) allocates nothing once the pools warm up, and
-	// the jobRec pool warms up poolChunk records at a time. Recycling happens
-	// only in forgetJob/leaveGroup, after every index has dropped its pointer.
-	freeRecs   []*jobRec
-	freeGroups []*sigGroup
-
-	// Signature scratch for reindex and the audits: parallel (proc, count)
-	// arrays reused across calls, so deriving a job's signature allocates
-	// nothing.
-	sigProcs  []int
-	sigCounts []int
+	// sig is the signature scratch of reindex and the audits, reused across
+	// calls, so deriving a job's signature allocates nothing.
+	sig []sigEntry
 
 	// candDelta/candTerm are Admissible's dense scratch: the candidate's
 	// per-processor utilization delta in units and the tentative AUB terms of
@@ -348,8 +377,6 @@ type Ledger struct {
 	// zero and incrementing before use, it never equals the stamp of a fresh
 	// or recycled group by accident: stamps only ever hold earlier values.
 	scan uint64
-	// audits numbers the CheckInvariants runs; see sigGroup.audit.
-	audits uint64
 
 	// work receives the ledger's work counts (CountWork).
 	work *Work
@@ -371,25 +398,28 @@ type Work struct {
 	SumMovesUp   int64
 	SumMovesDown int64
 	// RecsAllocated and GroupsAllocated count the job records and signature
-	// groups taken from the heap rather than from the ledger's pools.
+	// groups created beyond the free lists, as the slabs grew.
 	RecsAllocated   int64
 	GroupsAllocated int64
 }
 
 // groupRef is one entry of a processor's group index: the group and its
 // signature's count on that processor, so a change of the processor's term
-// moves the group's sum without searching its signature.
+// moves the group's sum without reading its signature.
+//
+//rtmw:noscan
 type groupRef struct {
-	g *sigGroup
-	c int64
+	group, count int32
 }
 
 // jobList is one task's jobs, linked through jobRec.prevT/nextT from the
-// highest job number (head) down to the lowest (tail). Both bindings admit a
-// task's jobs in job-number order, so a new job goes in at the head and one
-// expiring goes from the tail, each in one step.
+// highest job number (head) down to the lowest (tail); 0 ends it. Both
+// bindings admit a task's jobs in job-number order, so a new job goes in at
+// the head and one expiring goes from the tail, each in one step.
+//
+//rtmw:noscan
 type jobList struct {
-	head, tail *jobRec
+	head, tail int32
 }
 
 // NewLedger returns an empty ledger over numProcs processors numbered
@@ -398,7 +428,7 @@ func NewLedger(numProcs int) *Ledger {
 	return &Ledger{
 		util:       make([]int64, numProcs),
 		term:       make([]int64, numProcs),
-		groups:     make(map[uint64]*sigGroup),
+		groups:     make(map[uint64]int32),
 		procGroups: make([][]groupRef, numProcs),
 		work:       new(Work),
 	}
@@ -420,157 +450,271 @@ func NewShardedLedger(numProcs, shards int) *Ledger { return NewLedger(numProcs)
 // NumProcs returns the number of processors the ledger tracks.
 func (l *Ledger) NumProcs() int { return len(l.util) }
 
-// poolChunk is how many records an empty jobRec pool allocates at once: a
-// run in which most jobs are a task's first pays the allocator once per 64
-// records instead of once per record.
-const poolChunk = 64
+// The chunks the ledger grows by: poolChunk records when the free list is
+// empty, grpChunk groups, entChunk entries and sigChunk signature entries (a
+// longer span gets a chunk of its own), and at least groupChunk entries of a
+// processor's group index.
+const (
+	recShift   = 6
+	poolChunk  = 1 << recShift
+	grpShift   = 6
+	grpChunk   = 1 << grpShift
+	entChunk   = 1024
+	sigChunk   = 1024
+	groupChunk = 64
+)
 
-// allocRec takes an empty job record from the pool, keeping its entries
-// capacity; an empty pool is restocked with poolChunk records cut from one
-// allocation.
-func (l *Ledger) allocRec() *jobRec {
-	if len(l.freeRecs) == 0 {
-		chunk := make([]jobRec, poolChunk)
-		l.work.RecsAllocated += poolChunk
-		l.freeRecs = slices.Grow(l.freeRecs, poolChunk)
-		for i := range chunk {
-			l.freeRecs = append(l.freeRecs, &chunk[i])
+// rec returns job record r. Chunks never move, so the pointer stays valid
+// for the ledger's life.
+func (l *Ledger) rec(r int32) *jobRec {
+	r--
+	return &l.recs[r>>recShift][r&(poolChunk-1)]
+}
+
+// allocRec takes a free job record, which keeps its entry span; an empty
+// free list is restocked with poolChunk new slots.
+func (l *Ledger) allocRec() int32 {
+	if l.freeRec == 0 {
+		l.recs = append(l.recs, new([poolChunk]jobRec))
+		top := int32(len(l.recs) * poolChunk)
+		for r := top; r > top-poolChunk; r-- {
+			rec := l.rec(r)
+			rec.key, rec.nextT, l.freeRec = freeKey, l.freeRec, r
 		}
+		l.work.RecsAllocated += poolChunk
 	}
-	n := len(l.freeRecs)
-	r := l.freeRecs[n-1]
-	l.freeRecs = l.freeRecs[:n-1]
+	r := l.freeRec
+	rec := l.rec(r)
+	l.freeRec, rec.nextT = rec.nextT, 0
 	return r
 }
 
-// allocGroup takes an empty signature group from the pool.
-func (l *Ledger) allocGroup() *sigGroup {
-	if n := len(l.freeGroups); n > 0 {
-		g := l.freeGroups[n-1]
-		l.freeGroups = l.freeGroups[:n-1]
-		return g
+// allocEntries sizes a record's entry span to n entries, cutting a new span
+// from the arena when the one it keeps is too small, and returns it.
+func (l *Ledger) allocEntries(rec *jobRec, n int) []entry {
+	if int(rec.entCap) < n || l.ents == nil {
+		rec.ec, rec.eo = cutSpan(&l.ents, n, entChunk)
+		rec.entCap = int32(n)
 	}
-	l.work.GroupsAllocated++
-	return &sigGroup{}
+	rec.nent = int32(n)
+	return l.ents[rec.ec][rec.eo : rec.eo+rec.nent]
 }
 
-// findJob returns the record of job k, or nil, walking its task's list from
+// cutSpan cuts a span of n elements from the last chunk of arena, starting
+// a chunk of max(chunk, n) when it has no room, and returns the span's
+// chunk and offset. Chunks never move, so a span stays where it is cut.
+func cutSpan[T any](arena *[][]T, n, chunk int) (c, off int32) {
+	last := len(*arena) - 1
+	if last < 0 || cap((*arena)[last])-len((*arena)[last]) < n {
+		*arena = append(*arena, make([]T, 0, max(chunk, n)))
+		last++
+	}
+	s := (*arena)[last]
+	(*arena)[last] = s[:len(s)+n]
+	return int32(last), int32(len(s))
+}
+
+// entries returns record r's entries, a span of the arena.
+func (l *Ledger) entries(r int32) []entry {
+	rec := l.rec(r)
+	return l.ents[rec.ec][rec.eo : rec.eo+rec.nent]
+}
+
+// group returns group slot g. Chunks never move, so the pointer stays
+// valid for the ledger's life.
+func (l *Ledger) group(g int32) *sigGroup {
+	return &l.sigGroups[g>>grpShift][g&(grpChunk-1)]
+}
+
+// allocGroup takes a free signature group, which keeps its signature span,
+// or the slab's next slot.
+func (l *Ledger) allocGroup() int32 {
+	if g := l.freeGroup; g != 0 {
+		gr := l.group(g)
+		l.freeGroup, gr.next = gr.next, 0
+		return g
+	}
+	if len(l.sums) == 0 {
+		l.sums = append(l.sums, groupSum{}) // the sentinel
+	}
+	g := int32(len(l.sums))
+	if int(g>>grpShift) == len(l.sigGroups) {
+		l.sigGroups = append(l.sigGroups, new([grpChunk]sigGroup))
+	}
+	l.sums = append(l.sums, groupSum{})
+	l.work.GroupsAllocated++
+	return g
+}
+
+// groupSig returns group g's signature, a span of the arena.
+func (l *Ledger) groupSig(g int32) []sigEntry {
+	gr := l.group(g)
+	return l.sigs[gr.sc][gr.so : gr.so+gr.nsig]
+}
+
+// sameSig reports whether group g's signature is exactly sig.
+func (l *Ledger) sameSig(g int32, sig []sigEntry) bool {
+	have := l.groupSig(g)
+	if len(have) != len(sig) {
+		return false
+	}
+	for i := range have {
+		if have[i].proc != sig[i].proc || have[i].count != sig[i].count {
+			return false
+		}
+	}
+	return true
+}
+
+// findJob returns the record of job k, or 0, walking its task's list from
 // the end nearer k's job number.
-func (l *Ledger) findJob(k JobKey) *jobRec {
+func (l *Ledger) findJob(k JobKey) int32 {
 	if k.Task < 0 || int(k.Task) >= len(l.tasks) {
-		return nil
+		return 0
 	}
 	t := l.tasks[k.Task]
-	if t.head == nil || k.Job > t.head.key.Job || k.Job < t.tail.key.Job {
-		return nil
+	if t.head == 0 {
+		return 0
+	}
+	head, tail := l.rec(t.head), l.rec(t.tail)
+	if k.Job > head.key.Job || k.Job < tail.key.Job {
+		return 0
 	}
 	// Unsigned differences cannot overflow: tail ≤ k ≤ head, so either walk
 	// stops at the far end at the latest.
-	rec := t.head
-	if uint64(k.Job)-uint64(t.tail.key.Job) < uint64(t.head.key.Job)-uint64(k.Job) {
-		for rec = t.tail; rec.key.Job < k.Job; rec = rec.prevT {
+	r, rec := t.head, head
+	if uint64(k.Job)-uint64(tail.key.Job) < uint64(head.key.Job)-uint64(k.Job) {
+		for r, rec = t.tail, tail; rec.key.Job < k.Job; rec = l.rec(r) {
+			r = rec.prevT
 		}
 	} else {
-		for ; rec.key.Job > k.Job; rec = rec.nextT {
+		for ; rec.key.Job > k.Job; rec = l.rec(r) {
+			r = rec.nextT
 		}
 	}
 	if rec.key.Job != k.Job {
-		return nil
+		return 0
 	}
-	return rec
+	return r
 }
 
 // fileJob enters a new job record into its task's list, in job-number
 // order, growing the per-task lists to cover the ref.
-func (l *Ledger) fileJob(k JobKey, rec *jobRec) {
+func (l *Ledger) fileJob(k JobKey, r int32) {
 	if n := int(k.Task) + 1 - len(l.tasks); n > 0 {
 		l.tasks = append(l.tasks, make([]jobList, n)...)
 	}
+	rec := l.rec(r)
 	rec.key = k
 	t := &l.tasks[k.Task]
-	next := t.head // the record rec goes before
-	for next != nil && next.key.Job > k.Job {
-		next = next.nextT
+	next := t.head // the record r goes before
+	for next != 0 && l.rec(next).key.Job > k.Job {
+		next = l.rec(next).nextT
 	}
 	prev := t.tail
-	if next != nil {
-		prev = next.prevT
+	if next != 0 {
+		prev = l.rec(next).prevT
 	}
 	rec.prevT, rec.nextT = prev, next
-	if prev != nil {
-		prev.nextT = rec
+	if prev != 0 {
+		l.rec(prev).nextT = r
 	} else {
-		t.head = rec
+		t.head = r
 	}
-	if next != nil {
-		next.prevT = rec
+	if next != 0 {
+		l.rec(next).prevT = r
 	} else {
-		t.tail = rec
+		t.tail = r
 	}
 	l.njobs++
 }
 
+// newGroup registers a group for signature sig under hash h: its span, its
+// fresh sum and maximum count, its hash chain and its processors' indexes.
+func (l *Ledger) newGroup(h uint64, sig []sigEntry) int32 {
+	g := l.allocGroup()
+	gr := l.group(g)
+	if n := int32(len(sig)); gr.sigCap < n || l.sigs == nil {
+		gr.sc, gr.so = cutSpan(&l.sigs, len(sig), sigChunk)
+		gr.sigCap = n
+	}
+	copy(l.sigs[gr.sc][gr.so:], sig)
+	gr.nsig, gr.hash = int32(len(sig)), h
+	gr.next, l.groups[h] = l.groups[h], g
+	var maxCount int32
+	for _, e := range sig {
+		maxCount = max(maxCount, e.count)
+	}
+	l.sums[g] = groupSum{cachedSum: l.freshSum(g), maxCount: maxCount}
+	l.procGroupAdd(g)
+	return g
+}
+
 // procGroupAdd registers a group in the per-processor group index of every
 // processor its signature visits.
-func (l *Ledger) procGroupAdd(g *sigGroup) {
-	g.procPos = g.procPos[:0]
-	for i, p := range g.procs {
-		s := l.procGroups[p]
-		g.procPos = append(g.procPos, len(s))
-		l.procGroups[p] = append(s, groupRef{g, int64(g.counts[i])})
+func (l *Ledger) procGroupAdd(g int32) {
+	sig := l.groupSig(g)
+	for i := range sig {
+		p := sig[i].proc
+		pg := l.procGroups[p]
+		if len(pg) == cap(pg) {
+			pg = slices.Grow(pg, groupChunk)
+		}
+		sig[i].pos = int32(len(pg))
+		l.procGroups[p] = append(pg, groupRef{g, sig[i].count})
 	}
 }
 
 // procGroupRemove swap-removes a group from every per-processor index it is
-// registered in, fixing the moved group's back-pointer for that processor.
-func (l *Ledger) procGroupRemove(g *sigGroup) {
-	for i, p := range g.procs {
-		s := l.procGroups[p]
+// registered in, fixing the moved group's position for that processor.
+func (l *Ledger) procGroupRemove(g int32) {
+	for _, e := range l.groupSig(g) {
+		s := l.procGroups[e.proc]
 		last := len(s) - 1
-		pos := g.procPos[i]
 		moved := s[last]
-		s[pos] = moved
-		if moved.g != g {
-			for j, mp := range moved.g.procs {
-				if mp == p {
-					moved.g.procPos[j] = pos
+		s[e.pos] = moved
+		if moved.group != g {
+			msig := l.groupSig(moved.group)
+			for j := range msig {
+				if msig[j].proc == e.proc {
+					msig[j].pos = e.pos
 					break
 				}
 			}
 		}
-		s[last] = groupRef{}
-		l.procGroups[p] = s[:last]
+		l.procGroups[e.proc] = s[:last]
 	}
 }
 
-// findGroup returns the registered group with signature (procs, counts)
-// under hash h, or nil.
-func (l *Ledger) findGroup(h uint64, procs, counts []int) *sigGroup {
-	for g := l.groups[h]; g != nil; g = g.next {
-		if g.sameSig(procs, counts) {
+// findGroup returns the registered group with signature sig under hash h,
+// or 0.
+func (l *Ledger) findGroup(h uint64, sig []sigEntry) int32 {
+	for g := l.groups[h]; g != 0; g = l.group(g).next {
+		if l.sameSig(g, sig) {
 			return g
 		}
 	}
-	return nil
+	return 0
 }
 
 // unlinkGroup takes a group off its hash chain.
-func (l *Ledger) unlinkGroup(g *sigGroup) {
-	if head := l.groups[g.hash]; head == g {
-		if g.next == nil {
-			delete(l.groups, g.hash)
+func (l *Ledger) unlinkGroup(g int32) {
+	gr := l.group(g)
+	if head := l.groups[gr.hash]; head == g {
+		if gr.next == 0 {
+			delete(l.groups, gr.hash)
 		} else {
-			l.groups[g.hash] = g.next
+			l.groups[gr.hash] = gr.next
 		}
 	} else {
-		for p := head; p != nil; p = p.next {
+		for p := l.group(head); p.next != 0; p = l.group(p.next) {
 			if p.next == g {
-				p.next = g.next
+				p.next = gr.next
 				break
 			}
 		}
 	}
-	g.next = nil
+	gr.next = 0
 }
 
 // Util returns the current synthetic utilization of the processor.
@@ -613,22 +757,34 @@ func (l *Ledger) settleProc(proc int) {
 // change, to the sum of every signature group visiting the processor,
 // maintaining the violated counter. It is the only writer of a registered
 // group's cachedSum.
+//
+//rtmw:noalloc
 func (l *Ledger) setTerm(proc int, t int64) {
 	d := t - l.term[proc]
 	if d == 0 {
 		return
 	}
 	l.term[proc] = t
+	refs := l.procGroups[proc]
 	if d > 0 {
-		l.work.SumMovesUp += int64(len(l.procGroups[proc]))
+		l.work.SumMovesUp += int64(len(refs))
 	} else {
-		l.work.SumMovesDown += int64(len(l.procGroups[proc]))
+		l.work.SumMovesDown += int64(len(refs))
 	}
-	for _, r := range l.procGroups[proc] {
-		g := r.g
-		was := g.counted > 0 && g.cachedSum > unitsPerOne
-		g.cachedSum += r.c * d
-		l.flipViolated(g, was)
+	sums := l.sums
+	for _, r := range refs {
+		s := &sums[r.group]
+		old := s.cachedSum
+		s.cachedSum = old + int64(r.count)*d
+		// The group's violation flips only where its sum crosses 1, and
+		// only a group with counted jobs is violated at all.
+		if (old > unitsPerOne) != (s.cachedSum > unitsPerOne) && s.counted > 0 {
+			if d > 0 {
+				l.violated++
+			} else {
+				l.violated--
+			}
+		}
 	}
 }
 
@@ -642,120 +798,113 @@ func touchProc(procs []int, proc int) []int {
 	return append(procs, proc)
 }
 
-// freshSum is Σ_p count[p]·term[p] over the group's signature: the sum a
-// new group starts from, and what the audit holds cachedSum to.
-func (l *Ledger) freshSum(g *sigGroup) int64 {
+// freshSum is Σ_p count[p]·term[p] over group g's signature: the sum a new
+// group starts from, and what the audit holds cachedSum to.
+func (l *Ledger) freshSum(g int32) int64 {
 	var s int64
-	for i, p := range g.procs {
-		s += int64(g.counts[i]) * l.term[p]
+	for _, e := range l.groupSig(g) {
+		s += int64(e.count) * l.term[e.proc]
 	}
 	return s
 }
 
 // flipViolated adjusts the violated counter after a group's counted or
 // cachedSum changed; was is the group's violation status before the change.
-func (l *Ledger) flipViolated(g *sigGroup, was bool) {
-	now := g.counted > 0 && g.cachedSum > unitsPerOne
-	if was && !now {
+func (l *Ledger) flipViolated(s *groupSum, was bool) {
+	if now := s.violates(); was && !now {
 		l.violated--
 	} else if !was && now {
 		l.violated++
 	}
 }
 
-// setCounted flips a job's membership in its group's counted tally.
-func (l *Ledger) setCounted(rec *jobRec, counted bool) {
+// setCounted flips job r's membership in its group's counted tally.
+func (l *Ledger) setCounted(r int32, counted bool) {
+	rec := l.rec(r)
 	g := rec.group
-	if g == nil || rec.counted == counted {
-		rec.counted = counted && g != nil
+	if g == 0 || rec.counted == counted {
+		rec.counted = counted && g != 0
 		return
 	}
-	was := g.counted > 0 && g.cachedSum > unitsPerOne
+	s := &l.sums[g]
+	was := s.violates()
 	if counted {
-		g.counted++
+		s.counted++
 	} else {
-		g.counted--
+		s.counted--
 	}
 	rec.counted = counted
-	l.flipViolated(g, was)
+	l.flipViolated(s, was)
 }
 
-// leaveGroup detaches a job from its current signature group, releasing the
+// leaveGroup detaches job r from its current signature group, releasing the
 // group when the last member leaves.
-func (l *Ledger) leaveGroup(rec *jobRec) {
+func (l *Ledger) leaveGroup(r int32) {
+	rec := l.rec(r)
 	g := rec.group
-	if g == nil {
+	if g == 0 {
 		return
 	}
-	l.setCounted(rec, false)
-	g.members--
-	if g.members == 0 {
-		l.unlinkGroup(g)
-		l.procGroupRemove(g)
-		// Recycle: an empty group can never be violated (that requires
-		// counted > 0), so dropping it does not touch the violated counter.
-		g.procs = g.procs[:0]
-		g.counts = g.counts[:0]
-		g.counted = 0
-		g.cachedSum = 0
-		g.maxCount = 0
-		l.freeGroups = append(l.freeGroups, g)
+	l.setCounted(r, false)
+	rec.group = 0
+	gr := l.group(g)
+	if gr.members--; gr.members > 0 {
+		return
 	}
-	rec.group = nil
+	l.unlinkGroup(g)
+	l.procGroupRemove(g)
+	// Recycle, keeping the signature span: an empty group can never be
+	// violated (that requires counted > 0), so dropping it does not touch
+	// the violated counter.
+	gr.nsig = 0
+	l.sums[g] = groupSum{}
+	gr.next, l.freeGroup = l.freeGroup, g
 }
 
-// reindex re-derives a job's signature group membership and counted status
+// reindex re-derives job r's signature group membership and counted status
 // after any mutation of its entries. It must run after the utilization
 // updates of the same mutation so a newly created group caches the final
 // sums.
-func (l *Ledger) reindex(rec *jobRec) {
-	procs, counts := appendSignature(l.sigProcs[:0], l.sigCounts[:0], rec)
-	l.sigProcs, l.sigCounts = procs, counts
-	if rec.group == nil || !rec.group.sameSig(procs, counts) {
-		l.leaveGroup(rec)
-		if len(procs) > 0 {
-			h := sigHash(procs, counts)
-			g := l.findGroup(h, procs, counts)
-			if g == nil {
-				g = l.allocGroup()
-				g.hash = h
-				g.procs = append(g.procs[:0], procs...)
-				g.counts = append(g.counts[:0], counts...)
-				g.maxCount = int64(slices.Max(g.counts))
-				g.cachedSum = l.freshSum(g)
-				g.next = l.groups[h]
-				l.groups[h] = g
-				l.procGroupAdd(g)
+func (l *Ledger) reindex(r int32) {
+	es := l.entries(r)
+	sig := appendSignature(l.sig[:0], es)
+	l.sig = sig
+	rec := l.rec(r)
+	if g := rec.group; g == 0 || !l.sameSig(g, sig) {
+		l.leaveGroup(r)
+		if len(sig) > 0 {
+			h := sigHash(sig)
+			g := l.findGroup(h, sig)
+			if g == 0 {
+				g = l.newGroup(h, sig)
 			}
-			g.members++
+			l.group(g).members++
 			rec.group = g
 		}
 	}
-	l.setCounted(rec, rec.group != nil && rec.inFlight() && rec.active())
+	l.setCounted(r, rec.group != 0 && inFlight(es) && active(es))
 }
 
-// forgetJob removes a job record and all its index state. The caller has
-// already settled the job's utilization contributions.
-func (l *Ledger) forgetJob(rec *jobRec) {
-	l.leaveGroup(rec)
+// forgetJob removes job record r and all its index state, and frees the
+// slot. The caller has already settled the job's utilization contributions.
+func (l *Ledger) forgetJob(r int32) {
+	l.leaveGroup(r)
+	rec := l.rec(r)
 	t := &l.tasks[rec.key.Task]
-	if rec.prevT != nil {
-		rec.prevT.nextT = rec.nextT
+	if rec.prevT != 0 {
+		l.rec(rec.prevT).nextT = rec.nextT
 	} else {
 		t.head = rec.nextT
 	}
-	if rec.nextT != nil {
-		rec.nextT.prevT = rec.prevT
+	if rec.nextT != 0 {
+		l.rec(rec.nextT).prevT = rec.prevT
 	} else {
 		t.tail = rec.prevT
 	}
-	rec.prevT, rec.nextT = nil, nil
 	l.njobs--
-	// Every index has dropped the record; recycle it.
-	rec.entries = rec.entries[:0]
-	rec.group = nil
-	rec.counted = false
-	l.freeRecs = append(l.freeRecs, rec)
+	// Every index has dropped the record; recycle it, keeping its span.
+	*rec = jobRec{key: freeKey, ec: rec.ec, eo: rec.eo, entCap: rec.entCap, nextT: l.freeRec}
+	l.freeRec = r
 }
 
 // AddJob records the contributions of an admitted job placed per placement,
@@ -763,9 +912,10 @@ func (l *Ledger) forgetJob(rec *jobRec) {
 // states with it, overloaded ones included). When
 // permanent is true the contributions never expire (the per-task admission
 // strategy reserves a periodic task's synthetic utilization for its whole
-// lifetime); otherwise expiry is the job's absolute deadline. Adding an
-// already-present job is an error: the admission controller must not
-// double-admit.
+// lifetime); otherwise expiry is the job's absolute deadline, at which the
+// caller calls ExpireJob (the ledger keeps no clock, so it does not store
+// it). Adding an already-present job is an error: the admission controller
+// must not double-admit.
 func (l *Ledger) AddJob(k JobKey, kind TaskKind, placement []PlacedStage, permanent bool, expiry time.Duration) error {
 	if err := l.checkPlacement(k, placement); err != nil {
 		return err
@@ -842,15 +992,18 @@ func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 	if k.Task < 0 {
 		return fmt.Errorf("sched: job %s has a negative task ref", k)
 	}
-	if l.findJob(k) != nil {
+	if l.findJob(k) != 0 {
 		return fmt.Errorf("sched: job %s already in ledger", k)
 	}
-	rec := l.allocRec()
+	r := l.allocRec()
+	rec := l.rec(r)
+	rec.periodic, rec.permanent = kind == Periodic, permanent
+	es := l.allocEntries(rec, len(placement))
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
-	for _, p := range placement {
+	for i, p := range placement {
 		n, _ := toUnits(p.Util) // checkPlacement vouched for it
-		rec.entries = append(rec.entries, entry{stage: p.Stage, proc: p.Proc, amount: n, kind: kind, permanent: permanent, expiry: expiry})
+		es[i] = entry{stage: p.Stage, proc: int32(p.Proc), amount: n}
 		if !admitted {
 			l.util[p.Proc] += n
 			touched = touchProc(touched, p.Proc)
@@ -862,8 +1015,8 @@ func (l *Ledger) addJob(k JobKey, kind TaskKind, placement []PlacedStage, perman
 	for _, p := range touched {
 		l.settleProc(p)
 	}
-	l.fileJob(k, rec)
-	l.reindex(rec)
+	l.fileJob(k, r)
+	l.reindex(r)
 	return nil
 }
 
@@ -883,43 +1036,22 @@ func (l *Ledger) checkPlacement(k JobKey, placement []PlacedStage) error {
 }
 
 // ExpireJob removes all remaining contributions of the job because its
-// absolute deadline passed, and forgets the job. Permanent entries are not
-// removed by expiry (per-task reservations outlive individual deadlines);
-// jobs made only of permanent entries are left in place. It returns the
-// number of contributions removed.
+// absolute deadline passed, and forgets the job. A permanent job is left in
+// place (per-task reservations outlive individual deadlines), and so is a
+// job with no stages. It returns the number of contributions removed.
 //
 //rtmw:noalloc
 func (l *Ledger) ExpireJob(k JobKey) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec := l.findJob(k)
-	if rec == nil {
+	r := l.findJob(k)
+	if r == 0 {
 		return 0
 	}
-	n := 0
-	var touchedBuf [8]int
-	touched := touchedBuf[:0]
-	permanentOnly := true
-	for i := range rec.entries {
-		e := &rec.entries[i]
-		if e.permanent {
-			continue
-		}
-		permanentOnly = false
-		if e.removed == 0 {
-			e.removed = RemovedExpiry
-			l.util[e.proc] -= e.amount
-			touched = touchProc(touched, e.proc)
-			n++
-		}
+	if rec := l.rec(r); rec.permanent || rec.nent == 0 {
+		return 0
 	}
-	for _, p := range touched {
-		l.settleProc(p)
-	}
-	if !permanentOnly {
-		l.forgetJob(rec)
-	}
-	return n
+	return l.dropJob(r)
 }
 
 // WithdrawKey removes every remaining contribution of one job — including
@@ -932,30 +1064,30 @@ func (l *Ledger) ExpireJob(k JobKey) int {
 func (l *Ledger) WithdrawKey(k JobKey) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec := l.findJob(k)
-	if rec == nil {
+	r := l.findJob(k)
+	if r == 0 {
 		return 0
 	}
-	return l.withdrawRec(rec)
+	return l.dropJob(r)
 }
 
-// withdrawRec is WithdrawKey after the job lookup.
-func (l *Ledger) withdrawRec(rec *jobRec) int {
+// dropJob withdraws job r's active contributions, settles their processors
+// and forgets the job, returning the number withdrawn.
+func (l *Ledger) dropJob(r int32) int {
 	n := 0
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
-	for i := range rec.entries {
-		if e := &rec.entries[i]; e.removed == 0 {
-			e.removed = RemovedWithdrawal
+	for _, e := range l.entries(r) {
+		if e.removed == 0 {
 			l.util[e.proc] -= e.amount
-			touched = touchProc(touched, e.proc)
+			touched = touchProc(touched, int(e.proc))
 			n++
 		}
 	}
 	for _, p := range touched {
 		l.settleProc(p)
 	}
-	l.forgetJob(rec)
+	l.forgetJob(r)
 	return n
 }
 
@@ -969,17 +1101,18 @@ func (l *Ledger) RemoveTask(tr TaskRef) int {
 		return 0
 	}
 	n := 0
-	for rec := l.tasks[tr].head; rec != nil; rec = l.tasks[tr].head {
-		n += l.withdrawRec(rec)
+	for r := l.tasks[tr].head; r != 0; r = l.tasks[tr].head {
+		n += l.dropJob(r)
 	}
 	return n
 }
 
-// markComplete marks a job's stage complete.
-func (l *Ledger) markComplete(rec *jobRec, stage int) {
+// markComplete marks a stage of job r complete.
+func (l *Ledger) markComplete(r int32, stage int) {
 	changed := false
-	for i := range rec.entries {
-		if e := &rec.entries[i]; e.stage == stage && !e.completed {
+	es := l.entries(r)
+	for i := range es {
+		if e := &es[i]; e.stage == stage && !e.completed {
 			e.completed = true
 			changed = true
 		}
@@ -988,23 +1121,24 @@ func (l *Ledger) markComplete(rec *jobRec, stage int) {
 		// The active set — and with it the signature group — is unchanged,
 		// but the job may have left the in-flight set, which drops it from
 		// the admission test.
-		l.setCounted(rec, rec.group != nil && rec.inFlight() && rec.active())
+		l.setCounted(r, l.rec(r).group != 0 && inFlight(es) && active(es))
 	}
 }
 
-// resetEntry applies the idle resetting rule to one contribution of a job.
-func (l *Ledger) resetEntry(rec *jobRec, stage, proc int) bool {
-	for i := range rec.entries {
-		e := &rec.entries[i]
-		if e.stage != stage || e.proc != proc {
+// resetEntry applies the idle resetting rule to one contribution of job r.
+func (l *Ledger) resetEntry(r int32, stage, proc int) bool {
+	es := l.entries(r)
+	for i := range es {
+		e := &es[i]
+		if e.stage != stage || int(e.proc) != proc {
 			continue
 		}
-		if e.permanent || !e.completed || e.removed != 0 {
+		if l.rec(r).permanent || !e.completed || e.removed != 0 {
 			return false
 		}
 		e.removed = RemovedIdleReset
-		l.addUtil(e.proc, -e.amount)
-		l.reindex(rec)
+		l.addUtil(proc, -e.amount)
+		l.reindex(r)
 		return true
 	}
 	return false
@@ -1020,15 +1154,15 @@ func (l *Ledger) resetEntry(rec *jobRec, stage, proc int) bool {
 // ignored (the job may already have expired).
 //
 //rtmw:noalloc
-func (l *Ledger) ResetReported(r Entry[JobKey]) bool {
+func (l *Ledger) ResetReported(re Entry[JobKey]) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec := l.findJob(r.Ref)
-	if rec == nil {
+	r := l.findJob(re.Ref)
+	if r == 0 {
 		return false
 	}
-	l.markComplete(rec, r.Stage)
-	return l.resetEntry(rec, r.Stage, r.Proc)
+	l.markComplete(r, re.Stage)
+	return l.resetEntry(r, re.Stage, re.Proc)
 }
 
 // Relocate moves the active contributions of a job to a new placement (used
@@ -1038,8 +1172,8 @@ func (l *Ledger) ResetReported(r Entry[JobKey]) bool {
 func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rec := l.findJob(k)
-	if rec == nil {
+	r := l.findJob(k)
+	if r == 0 {
 		return fmt.Errorf("sched: relocate: job %s not in ledger", k)
 	}
 	if err := l.checkPlacement(k, placement); err != nil {
@@ -1047,8 +1181,9 @@ func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
 	}
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
-	for i := range rec.entries {
-		e := &rec.entries[i]
+	es := l.entries(r)
+	for i := range es {
+		e := &es[i]
 		if e.removed != 0 {
 			continue
 		}
@@ -1058,22 +1193,22 @@ func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
 				at = i
 			}
 		}
-		if at < 0 || e.proc == placement[at].Proc {
+		if at < 0 || int(e.proc) == placement[at].Proc {
 			continue
 		}
 		p := placement[at]
 		l.util[e.proc] -= e.amount
-		touched = touchProc(touched, e.proc)
-		e.proc = p.Proc
+		touched = touchProc(touched, int(e.proc))
+		e.proc = int32(p.Proc)
 		e.amount, _ = toUnits(p.Util)
 		l.util[e.proc] += e.amount
-		touched = touchProc(touched, e.proc)
+		touched = touchProc(touched, p.Proc)
 	}
 	if len(touched) > 0 {
 		for _, p := range touched {
 			l.settleProc(p)
 		}
-		l.reindex(rec)
+		l.reindex(r)
 	}
 	return nil
 }
@@ -1155,11 +1290,10 @@ func (l *Ledger) commitAdmitted() {
 //
 //rtmw:noalloc
 func (l *Ledger) admitScan(placement []PlacedStage) bool {
-	delta, tent := l.candDelta, l.candTerm
 	// Candidate's own condition under the tentative utilizations.
 	var sum int64
 	for _, p := range placement {
-		sum += tent[p.Proc]
+		sum += l.candTerm[p.Proc]
 	}
 	if sum > unitsPerOne {
 		return false
@@ -1177,37 +1311,18 @@ func (l *Ledger) admitScan(placement []PlacedStage) bool {
 	// Σ count[q]·(tent[q] − term[q]) ≤ maxCount·grow, so one whose sum leaves
 	// room for that cannot exceed 1 and is passed without summing. Every
 	// other group adds its own growth to its exact sum, and that decides.
-	grow := l.candGrow
 	l.scan++
 	var met, passed, summed int64
 	ok := true
-walk:
-	for _, pp := range l.candProcs {
-		if delta[pp] == 0 {
+	for _, p := range l.candProcs {
+		if l.candDelta[p] == 0 {
 			continue
 		}
-		for _, r := range l.procGroups[pp] {
-			met++
-			g := r.g
-			if g.counted == 0 || g.scanned == l.scan {
-				continue
-			}
-			if g.cachedSum+g.maxCount*grow <= unitsPerOne {
-				passed++
-				continue
-			}
-			summed++
-			g.scanned = l.scan
-			s := g.cachedSum
-			for qi, q := range g.procs {
-				if delta[q] != 0 {
-					s += int64(g.counts[qi]) * (tent[q] - l.term[q])
-				}
-			}
-			if s > unitsPerOne {
-				ok = false
-				break walk
-			}
+		m, ps, sm, fits := l.scanGroups(l.procGroups[p])
+		met, passed, summed = met+m, passed+ps, summed+sm
+		if !fits {
+			ok = false
+			break
 		}
 	}
 	w := l.work
@@ -1215,6 +1330,56 @@ walk:
 	w.GroupsPassed += passed
 	w.GroupsSummed += summed
 	return ok
+}
+
+// scanGroups is admitScan's walk over one perturbed processor's group
+// index. It passes on the skip every counted group whose sum leaves room for
+// maxCount·candGrow, sums the rest (sumGroup) and stops at the first whose
+// sum would exceed 1. It returns the entries met, the groups passed and
+// summed, and whether every group fits. A function of its own, the walk
+// keeps its few values in registers; inside admitScan they spilled on
+// every pass.
+//
+//rtmw:noalloc
+func (l *Ledger) scanGroups(refs []groupRef) (met, passed, summed int64, fits bool) {
+	sums, grow := l.sums, l.candGrow
+	for i, r := range refs {
+		s := &sums[r.group]
+		if s.counted == 0 {
+			continue
+		}
+		if s.cachedSum+int64(s.maxCount)*grow <= unitsPerOne {
+			passed++
+			continue
+		}
+		if sum, over := l.sumGroup(r.group); sum {
+			summed++
+			if over {
+				return int64(i + 1), passed, summed, false
+			}
+		}
+	}
+	return int64(len(refs)), passed, summed, true
+}
+
+// sumGroup sums group g under the candidate's tentative terms, once per
+// test: sum reports whether it did (false when this test summed the group
+// already), over whether the sum exceeds 1.
+//
+//rtmw:noalloc
+func (l *Ledger) sumGroup(g int32) (sum, over bool) {
+	gr := l.group(g)
+	if gr.scanned == l.scan {
+		return false, false
+	}
+	gr.scanned = l.scan
+	total := l.sums[g].cachedSum
+	for _, e := range l.sigs[gr.sc][gr.so : gr.so+gr.nsig] {
+		if l.candDelta[e.proc] != 0 {
+			total += int64(e.count) * (l.candTerm[e.proc] - l.term[e.proc])
+		}
+	}
+	return true, total > unitsPerOne
 }
 
 // referenceAdmissible is the paper-literal full-scan admission test: every
@@ -1253,15 +1418,15 @@ func (l *Ledger) referenceAdmissible(placement []PlacedStage) bool {
 	// active contributions visit. Fully completed jobs cannot miss their
 	// deadlines anymore and are skipped.
 	for _, t := range l.tasks {
-		for rec := t.head; rec != nil; rec = rec.nextT {
-			if !rec.inFlight() || !rec.active() {
+		for r := t.head; r != 0; r = l.rec(r).nextT {
+			es := l.entries(r)
+			if !inFlight(es) || !active(es) {
 				continue
 			}
-			procs, counts := appendSignature(l.sigProcs[:0], l.sigCounts[:0], rec)
-			l.sigProcs, l.sigCounts = procs, counts
+			l.sig = appendSignature(l.sig[:0], es)
 			var s int64
-			for i, p := range procs {
-				s += int64(counts[i]) * termAt(p)
+			for _, e := range l.sig {
+				s += int64(e.count) * termAt(int(e.proc))
 			}
 			if s > unitsPerOne {
 				return false
@@ -1278,9 +1443,9 @@ func (l *Ledger) ActiveJobs() []JobKey {
 	defer l.mu.Unlock()
 	var out []JobKey
 	for _, t := range l.tasks {
-		for rec := t.head; rec != nil; rec = rec.nextT {
-			if rec.active() {
-				out = append(out, rec.key)
+		for r := t.head; r != 0; r = l.rec(r).nextT {
+			if active(l.entries(r)) {
+				out = append(out, l.rec(r).key)
 			}
 		}
 	}
@@ -1292,8 +1457,12 @@ func (l *Ledger) ActiveJobs() []JobKey {
 // and verifies it equals the running sums, that no utilization is negative,
 // and that every index (the task lists, signature groups with their sums,
 // each equal to its fresh sum, and the violated counter) agrees with the
-// ground-truth records. It also requires the indexed Admissible to agree
-// with referenceAdmissible on the empty candidate.
+// ground-truth records. It accounts for every slab slot: each job record is
+// in exactly one task list or on the free list, each group on a hash chain
+// (and in the group index of every processor its signature names) or on the
+// free list, never both, and live plus free fill the slab. It also requires
+// the indexed Admissible to agree with referenceAdmissible on the empty
+// candidate.
 // Property tests call it after random operation sequences, and the
 // simulation after every run; it allocates the same few times whatever the
 // ledger holds, more only to report a failure. It holds the lock throughout,
@@ -1301,50 +1470,28 @@ func (l *Ledger) ActiveJobs() []JobKey {
 func (l *Ledger) CheckInvariants() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Every task's list: back links consistent, each record filed under its
-	// own task and below the job numbers before it, the tail where the walk
-	// ends, and together the ledger's job count. The bound ends the walk on a
-	// cycle whatever the links say.
-	listed := 0
-	for tr, t := range l.tasks {
-		var prev *jobRec
-		for rec := t.head; rec != nil; prev, rec = rec, rec.nextT {
-			if listed++; listed > l.njobs {
-				return fmt.Errorf("sched: task lists hold more than the ledger's %d jobs (cycle or stale record in task %d)", l.njobs, tr)
-			}
-			if rec.prevT != prev {
-				return fmt.Errorf("sched: task list of %d: job %d has a wrong back link", tr, rec.key.Job)
-			}
-			if rec.key.Task != TaskRef(tr) {
-				return fmt.Errorf("sched: job %s filed in the task list of %d", rec.key, tr)
-			}
-			if prev != nil && rec.key.Job >= prev.key.Job {
-				return fmt.Errorf("sched: task list of %d: job %d follows job %d, out of job order", tr, rec.key.Job, prev.key.Job)
-			}
-		}
-		if t.tail != prev {
-			return fmt.Errorf("sched: task list of %d does not end at its tail", tr)
+	for _, c := range l.sigGroups {
+		for i := range c {
+			c[i].auditMembers, c[i].auditCounted = 0, 0
 		}
 	}
-	if listed != l.njobs {
-		return fmt.Errorf("sched: task lists hold %d jobs, the ledger counts %d", listed, l.njobs)
+	if err := l.auditRecords(); err != nil {
+		return err
 	}
 
 	// Each job's entries against the running sums, its signature against its
-	// group, and its group's member and counted tallies, stamped by this
-	// audit.
-	l.audits++
+	// group, and its group's member and counted tallies.
 	recomputed := make([]int64, len(l.util))
 	referenced := 0
 	for _, t := range l.tasks {
-		for rec := t.head; rec != nil; rec = rec.nextT {
-			for i := range rec.entries {
-				if e := &rec.entries[i]; e.removed == 0 {
+		for r := t.head; r != 0; r = l.rec(r).nextT {
+			if err := l.auditJob(r, &referenced); err != nil {
+				return err
+			}
+			for _, e := range l.entries(r) {
+				if e.removed == 0 {
 					recomputed[e.proc] += e.amount
 				}
-			}
-			if err := l.auditJob(rec, &referenced); err != nil {
-				return err
 			}
 		}
 	}
@@ -1360,107 +1507,191 @@ func (l *Ledger) CheckInvariants() error {
 		}
 	}
 
-	wantViolated, registered := 0, 0
-	for h, head := range l.groups {
-		for g := head; g != nil; g = g.next {
-			// Every registered group has a member job, so chains holding more
-			// groups than the ledger has jobs have a cycle.
-			if registered++; registered > l.njobs {
-				return fmt.Errorf("sched: group chains hold more than the ledger's %d jobs (cycle under hash %#x)", l.njobs, h)
-			}
-			if g.audit != l.audits {
-				g.auditMembers, g.auditCounted = 0, 0
-			}
-			if err := l.checkGroup(h, g); err != nil {
-				return err
-			}
-			if g.counted > 0 && g.cachedSum > unitsPerOne {
-				wantViolated++
-			}
-		}
+	if err := l.auditGroups(referenced); err != nil {
+		return err
 	}
-	if referenced != registered {
-		return fmt.Errorf("sched: %d groups referenced by jobs, %d registered", referenced, registered)
-	}
-	for p := range l.procGroups {
-		for _, r := range l.procGroups[p] {
-			if g := r.g; l.findGroup(g.hash, g.procs, g.counts) != g {
-				return fmt.Errorf("sched: processor %d group index holds unregistered group %q", p, sigString(g.procs, g.counts))
-			}
-		}
-	}
-	if l.violated != wantViolated {
-		return fmt.Errorf("sched: violated counter %d, recomputed %d", l.violated, wantViolated)
-	}
-
 	if fast, ref := l.admissible(nil), l.referenceAdmissible(nil); fast != ref {
 		return fmt.Errorf("sched: indexed Admissible(nil)=%v disagrees with reference %v", fast, ref)
 	}
 	return nil
 }
 
-// auditJob checks one job's signature group and counted flag, and tallies
-// the job on its group, counting in referenced each group it stamps first.
-func (l *Ledger) auditJob(rec *jobRec, referenced *int) error {
-	procs, counts := appendSignature(l.sigProcs[:0], l.sigCounts[:0], rec)
-	l.sigProcs, l.sigCounts = procs, counts
-	g, k := rec.group, rec.key
-	switch {
-	case len(procs) == 0 && g != nil:
-		return fmt.Errorf("sched: inactive job %s still grouped", k)
-	case len(procs) > 0 && g == nil:
-		return fmt.Errorf("sched: active job %s has no signature group", k)
-	case g != nil && !g.sameSig(procs, counts):
-		return fmt.Errorf("sched: job %s grouped under %v/%v, signature is %q",
-			k, g.procs, g.counts, sigString(procs, counts))
-	case g == nil:
-		return nil
-	}
-	if g.audit != l.audits {
-		if l.findGroup(g.hash, g.procs, g.counts) != g {
-			return fmt.Errorf("sched: job %s grouped under unregistered group %q", k, sigString(g.procs, g.counts))
+// auditRecords checks every task's list — no free record in it, back links
+// consistent, each record filed under its own task and below the job
+// numbers before it, the tail where the walk ends, and together the
+// ledger's job count — then the record slab: the free list holds only free
+// records (freeKey), so no slot is both listed and free, and listed plus
+// free records fill the slab. The bounds end every walk on a cycle whatever
+// the links say.
+func (l *Ledger) auditRecords() error {
+	slots := len(l.recs) * poolChunk
+	listed := 0
+	for tr, t := range l.tasks {
+		var prev int32
+		for r := t.head; r != 0; prev, r = r, l.rec(r).nextT {
+			if listed++; listed > l.njobs {
+				return fmt.Errorf("sched: task lists hold more than the ledger's %d jobs (cycle or stale record in task %d)", l.njobs, tr)
+			}
+			rec := l.rec(r)
+			if rec.key == freeKey {
+				return fmt.Errorf("sched: task list of %d holds slot %d, which is free", tr, r)
+			}
+			if rec.prevT != prev {
+				return fmt.Errorf("sched: task list of %d: job %d has a wrong back link", tr, rec.key.Job)
+			}
+			if rec.key.Task != TaskRef(tr) {
+				return fmt.Errorf("sched: job %s filed in the task list of %d", rec.key, tr)
+			}
+			if prev != 0 && rec.key.Job >= l.rec(prev).key.Job {
+				return fmt.Errorf("sched: task list of %d: job %d follows job %d, out of job order", tr, rec.key.Job, l.rec(prev).key.Job)
+			}
 		}
-		g.audit, g.auditMembers, g.auditCounted = l.audits, 0, 0
-		*referenced++
+		if t.tail != prev {
+			return fmt.Errorf("sched: task list of %d does not end at its tail", tr)
+		}
 	}
-	g.auditMembers++
-	if want := rec.inFlight() && rec.active(); rec.counted != want {
-		return fmt.Errorf("sched: job %s counted=%v, want %v", k, rec.counted, want)
+	if listed != l.njobs {
+		return fmt.Errorf("sched: task lists hold %d jobs, the ledger counts %d", listed, l.njobs)
 	}
-	if rec.counted {
-		g.auditCounted++
+	free := 0
+	for r := l.freeRec; r != 0; r = l.rec(r).nextT {
+		if rec := l.rec(r); rec.key != freeKey {
+			return fmt.Errorf("sched: free list holds slot %d, which is job %s", r, rec.key)
+		}
+		if free++; listed+free > slots {
+			return fmt.Errorf("sched: record free list holds more than the %d unlisted slots (cycle)", slots-listed)
+		}
+	}
+	if listed+free != slots {
+		return fmt.Errorf("sched: %d records listed and %d free, the slab holds %d", listed, free, slots)
 	}
 	return nil
 }
 
-// checkGroup audits one registered group, found on the chain of hash h,
-// against the member and counted tallies auditJob gave it.
-func (l *Ledger) checkGroup(h uint64, g *sigGroup) error {
-	if len(g.counts) != len(g.procs) {
-		return fmt.Errorf("sched: group %v has %d counts for %d processors", g.procs, len(g.counts), len(g.procs))
+// auditJob checks job r's signature group and counted flag, and tallies the
+// job on its group, counting in referenced each group it tallies first.
+func (l *Ledger) auditJob(r int32, referenced *int) error {
+	es := l.entries(r)
+	l.sig = appendSignature(l.sig[:0], es)
+	sig := l.sig
+	rec := l.rec(r)
+	g, k := rec.group, rec.key
+	switch {
+	case len(sig) == 0 && g != 0:
+		return fmt.Errorf("sched: inactive job %s still grouped", k)
+	case len(sig) > 0 && g == 0:
+		return fmt.Errorf("sched: active job %s has no signature group", k)
+	case g == 0:
+		return nil
+	case !l.sameSig(g, sig):
+		return fmt.Errorf("sched: job %s grouped under %q, signature is %q", k, sigString(l.groupSig(g)), sigString(sig))
 	}
-	if got := sigHash(g.procs, g.counts); g.hash != h || got != h {
-		return fmt.Errorf("sched: group %q filed under hash %#x, records %#x, hashes to %#x", sigString(g.procs, g.counts), h, g.hash, got)
+	gr := l.group(g)
+	if gr.auditMembers == 0 {
+		if l.findGroup(gr.hash, sig) != g {
+			return fmt.Errorf("sched: job %s grouped under unregistered group %q", k, sigString(sig))
+		}
+		*referenced++
 	}
-	if l.findGroup(h, g.procs, g.counts) != g {
-		return fmt.Errorf("sched: signature %q registered twice", sigString(g.procs, g.counts))
+	gr.auditMembers++
+	if want := inFlight(es) && active(es); rec.counted != want {
+		return fmt.Errorf("sched: job %s counted=%v, want %v", k, rec.counted, want)
 	}
-	if g.members != g.auditMembers {
-		return fmt.Errorf("sched: group %q has %d members, records show %d", sigString(g.procs, g.counts), g.members, g.auditMembers)
+	if rec.counted {
+		gr.auditCounted++
 	}
-	if g.counted != g.auditCounted {
-		return fmt.Errorf("sched: group %q counts %d in-flight jobs, records show %d", sigString(g.procs, g.counts), g.counted, g.auditCounted)
+	return nil
+}
+
+// auditGroups checks every group on a hash chain against the tallies
+// auditJob gave it, recounts the violated counter, and accounts for the
+// group slab: the chains hold exactly the groups jobs reference, every
+// processor's group index exactly their signatures' entries, the free list
+// none of them, and registered plus free groups fill the slab.
+func (l *Ledger) auditGroups(referenced int) error {
+	wantViolated, registered, indexed := 0, 0, 0
+	for h, head := range l.groups {
+		for g := head; g != 0; g = l.group(g).next {
+			// Every registered group has a member job, so chains holding more
+			// groups than the ledger has jobs have a cycle.
+			if registered++; registered > l.njobs {
+				return fmt.Errorf("sched: group chains hold more than the ledger's %d jobs (cycle under hash %#x)", l.njobs, h)
+			}
+			if err := l.checkGroup(h, g); err != nil {
+				return err
+			}
+			if l.sums[g].violates() {
+				wantViolated++
+			}
+			indexed += int(l.group(g).nsig)
+		}
 	}
-	if s := l.freshSum(g); g.cachedSum != s {
-		return fmt.Errorf("sched: group %q cached sum %d units, fresh sum %d", sigString(g.procs, g.counts), g.cachedSum, s)
+	if referenced != registered {
+		return fmt.Errorf("sched: %d groups referenced by jobs, %d registered", referenced, registered)
 	}
-	if want := int64(slices.Max(g.counts)); g.maxCount != want {
-		return fmt.Errorf("sched: group %q max count %d, signature has %d", sigString(g.procs, g.counts), g.maxCount, want)
+	// The chains hold exactly the referenced groups, each with a tally;
+	// checkGroup found each in its processors' indexes, so an index holding
+	// only tallied groups and no more entries than their signatures holds
+	// nothing else.
+	for p := range l.procGroups {
+		for _, r := range l.procGroups[p] {
+			if l.group(r.group).auditMembers == 0 {
+				return fmt.Errorf("sched: processor %d group index holds unregistered group slot %d", p, r.group)
+			}
+		}
+		indexed -= len(l.procGroups[p])
 	}
-	for i, p := range g.procs {
-		pg := l.procGroups[p]
-		if i >= len(g.procPos) || g.procPos[i] < 0 || g.procPos[i] >= len(pg) || pg[g.procPos[i]] != (groupRef{g, int64(g.counts[i])}) {
-			return fmt.Errorf("sched: group %q missing from processor %d group index, or filed there with a wrong count", sigString(g.procs, g.counts), p)
+	if indexed != 0 {
+		return fmt.Errorf("sched: processor group indexes hold %d entries more than the registered signatures", -indexed)
+	}
+	if l.violated != wantViolated {
+		return fmt.Errorf("sched: violated counter %d, recomputed %d", l.violated, wantViolated)
+	}
+	free, slots := 0, max(len(l.sums)-1, 0)
+	for g := l.freeGroup; g != 0; g = l.group(g).next {
+		if l.group(g).auditMembers != 0 {
+			return fmt.Errorf("sched: group slot %d is registered and on the free list", g)
+		}
+		if free++; registered+free > slots {
+			return fmt.Errorf("sched: group free list holds more than the %d unregistered slots (cycle)", slots-registered)
+		}
+	}
+	if registered+free != slots {
+		return fmt.Errorf("sched: %d groups registered and %d free, the slab holds %d", registered, free, slots)
+	}
+	return nil
+}
+
+// checkGroup audits group g, found on the chain of hash h, against the
+// member and counted tallies auditJob gave it.
+func (l *Ledger) checkGroup(h uint64, g int32) error {
+	gr, sig, s := l.group(g), l.groupSig(g), &l.sums[g]
+	if got := sigHash(sig); gr.hash != h || got != h {
+		return fmt.Errorf("sched: group %q filed under hash %#x, records %#x, hashes to %#x", sigString(sig), h, gr.hash, got)
+	}
+	if l.findGroup(h, sig) != g {
+		return fmt.Errorf("sched: signature %q registered twice", sigString(sig))
+	}
+	if gr.members != gr.auditMembers {
+		return fmt.Errorf("sched: group %q has %d members, records show %d", sigString(sig), gr.members, gr.auditMembers)
+	}
+	if s.counted != gr.auditCounted {
+		return fmt.Errorf("sched: group %q counts %d in-flight jobs, records show %d", sigString(sig), s.counted, gr.auditCounted)
+	}
+	if fresh := l.freshSum(g); s.cachedSum != fresh {
+		return fmt.Errorf("sched: group %q cached sum %d units, fresh sum %d", sigString(sig), s.cachedSum, fresh)
+	}
+	var maxCount int32
+	for _, e := range sig {
+		maxCount = max(maxCount, e.count)
+	}
+	if s.maxCount != maxCount {
+		return fmt.Errorf("sched: group %q max count %d, signature has %d", sigString(sig), s.maxCount, maxCount)
+	}
+	for _, e := range sig {
+		pg := l.procGroups[e.proc]
+		if e.pos < 0 || int(e.pos) >= len(pg) || pg[e.pos] != (groupRef{g, e.count}) {
+			return fmt.Errorf("sched: group %q missing from processor %d group index, or filed there with a wrong count", sigString(sig), e.proc)
 		}
 	}
 	return nil

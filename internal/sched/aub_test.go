@@ -140,10 +140,10 @@ func TestRemovalReasonString(t *testing.T) {
 func place(stages ...PlacedStage) []PlacedStage { return stages }
 
 // allGroups lists every registered signature group, down each hash chain.
-func allGroups(l *Ledger) []*sigGroup {
-	var out []*sigGroup
+func allGroups(l *Ledger) []int32 {
+	var out []int32
 	for _, head := range l.groups {
-		for g := head; g != nil; g = g.next {
+		for g := head; g != 0; g = l.group(g).next {
 			out = append(out, g)
 		}
 	}
@@ -151,13 +151,13 @@ func allGroups(l *Ledger) []*sigGroup {
 }
 
 // groupOf returns the registered group whose signature renders as sig.
-func groupOf(l *Ledger, sig string) *sigGroup {
+func groupOf(l *Ledger, sig string) int32 {
 	for _, g := range allGroups(l) {
-		if sigString(g.procs, g.counts) == sig {
+		if sigString(l.groupSig(g)) == sig {
 			return g
 		}
 	}
-	return nil
+	return 0
 }
 
 func TestLedgerAddAndExpire(t *testing.T) {
@@ -636,11 +636,11 @@ func TestAdmissibleManyGroups(t *testing.T) {
 	// met counts the distinct counted groups indexed under the candidate's
 	// processors, summed those the most recent test stamped.
 	met := func(cand []PlacedStage) int {
-		seen := make(map[*sigGroup]bool)
+		seen := make(map[int32]bool)
 		for _, p := range cand {
 			for _, r := range l.procGroups[p.Proc] {
-				if r.g.counted > 0 {
-					seen[r.g] = true
+				if l.sums[r.group].counted > 0 {
+					seen[r.group] = true
 				}
 			}
 		}
@@ -649,7 +649,7 @@ func TestAdmissibleManyGroups(t *testing.T) {
 	summed := func() int {
 		n := 0
 		for _, g := range allGroups(l) {
-			if g.scanned == l.scan {
+			if l.group(g).scanned == l.scan {
 				n++
 			}
 		}
@@ -724,13 +724,13 @@ func TestAdmissibleManyGroups(t *testing.T) {
 			t.Fatal("light candidate rejected")
 		}
 		old := groupOf(l, "0:1,1:1,2:1")
-		if old == nil || old.scanned != l.scan {
+		if old == 0 || l.group(old).scanned != l.scan {
 			t.Fatal("group {0,1,2} missing or not summed")
 		}
 		// {0,1,2} is the first signature addManyGroups makes: jobs 0 and 1.
 		l.ExpireJob(JobKey{Task: 3, Job: 0})
 		l.ExpireJob(JobKey{Task: 3, Job: 1})
-		if len(l.freeGroups) != 1 || l.freeGroups[0] != old {
+		if l.freeGroup != old || l.group(old).next != 0 {
 			t.Fatal("group {0,1,2} was not recycled")
 		}
 		// A job with a new signature takes the record over. It sits just
@@ -783,13 +783,13 @@ func TestAdmissibleManyGroups(t *testing.T) {
 		l.MarkComplete(heavy, 0)
 		l.ExpireJob(heavy)
 		g := groupOf(l, "0:1")
-		if g == nil || g.counted != 0 {
-			t.Fatalf("want group {0} uncounted, got %+v", g)
+		if g == 0 || l.sums[g].counted != 0 {
+			t.Fatalf("want group {0} uncounted, got slot %d", g)
 		}
 		add(2, 0)
-		if g.counted != 1 || g.cachedSum != termUnits(l.util[0]) || l.violated != 0 {
+		if s := l.sums[g]; s.counted != 1 || s.cachedSum != termUnits(l.util[0]) || l.violated != 0 {
 			t.Errorf("after the join: counted %d, cached sum %d (fresh %d), violated %d; want 1, the fresh sum, 0",
-				g.counted, g.cachedSum, termUnits(l.util[0]), l.violated)
+				s.counted, s.cachedSum, termUnits(l.util[0]), l.violated)
 		}
 		cand := place(PlacedStage{Proc: 0, Util: 0.1})
 		if got, ref := l.Admissible(cand), l.referenceAdmissible(cand); !got || !ref {

@@ -134,7 +134,7 @@ func differentialHarness(t *testing.T, rng opSource, ops int, shape diffShape) (
 			}
 			// A test that rejects before the scan leaves the last test's
 			// stamps, so only a test that advanced l.scan can have summed.
-			summed := l.scan != scan && slices.ContainsFunc(allGroups(l), func(g *sigGroup) bool { return g.scanned == l.scan })
+			summed := l.scan != scan && slices.ContainsFunc(allGroups(l), func(g int32) bool { return l.group(g).scanned == l.scan })
 			switch {
 			case fast && summed:
 				st.summedAccepts++
@@ -313,8 +313,8 @@ func admitChecked(t *testing.T, l *Ledger, k JobKey, kind TaskKind, pl []PlacedS
 	}
 	for _, p := range pl {
 		for _, r := range l.procGroups[p.Proc] {
-			if g := r.g; g.cachedSum != l.freshSum(g) {
-				t.Fatalf("admitting %s left group %q at %d units, fresh sum %d", k, sigString(g.procs, g.counts), g.cachedSum, l.freshSum(g))
+			if g := r.group; l.sums[g].cachedSum != l.freshSum(g) {
+				t.Fatalf("admitting %s left group %q at %d units, fresh sum %d", k, sigString(l.groupSig(g)), l.sums[g].cachedSum, l.freshSum(g))
 			}
 		}
 	}
@@ -454,7 +454,7 @@ func orderHarness(t *testing.T, rng opSource, shape diffShape) {
 func groupSums(l *Ledger) map[string]int64 {
 	out := make(map[string]int64)
 	for _, g := range allGroups(l) {
-		out[sigString(g.procs, g.counts)] = g.cachedSum
+		out[sigString(l.groupSig(g))] = l.sums[g].cachedSum
 	}
 	return out
 }

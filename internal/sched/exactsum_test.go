@@ -45,7 +45,7 @@ func TestAdmissionKeepsSumsExact(t *testing.T) {
 				pl := placement()
 				if l.Admissible(pl) {
 					for _, g := range allGroups(l) {
-						if g.scanned == l.scan {
+						if l.group(g).scanned == l.scan {
 							summedTests++
 							break
 						}
@@ -83,13 +83,13 @@ func TestAdmissionKeepsSumsExact(t *testing.T) {
 			violated := 0
 			for _, g := range allGroups(l) {
 				var fresh int64
-				for i, p := range g.procs {
-					fresh += int64(g.counts[i]) * termUnits(l.util[p])
+				for _, e := range l.groupSig(g) {
+					fresh += int64(e.count) * termUnits(l.util[e.proc])
 				}
-				if g.cachedSum != fresh {
-					t.Fatalf("seed %d step %d: group %q sum %d units, fresh sum %d", seed, step, sigString(g.procs, g.counts), g.cachedSum, fresh)
+				if s := l.sums[g]; s.cachedSum != fresh {
+					t.Fatalf("seed %d step %d: group %q sum %d units, fresh sum %d", seed, step, sigString(l.groupSig(g)), s.cachedSum, fresh)
 				}
-				if g.counted > 0 && fresh > unitsPerOne {
+				if l.sums[g].counted > 0 && fresh > unitsPerOne {
 					violated++
 				}
 			}
@@ -116,10 +116,10 @@ func TestAdmissionRefusalAppliesNothing(t *testing.T) {
 	if ok, err := l.TestAndAddKey(JobKey{Task: 3, Job: 3}, Aperiodic, pl, false, time.Hour); !ok || err != nil {
 		t.Fatalf("first admission = %v, %v", ok, err)
 	}
-	sums := func() map[*sigGroup]int64 {
-		out := make(map[*sigGroup]int64)
+	sums := func() map[int32]int64 {
+		out := make(map[int32]int64)
 		for _, g := range allGroups(l) {
-			out[g] = g.cachedSum
+			out[g] = l.sums[g].cachedSum
 		}
 		return out
 	}
@@ -144,7 +144,7 @@ func TestAdmissionRefusalAppliesNothing(t *testing.T) {
 		}
 		for g, s := range sums() {
 			if s != cached[g] {
-				t.Errorf("after %s: group %q sum %d units, was %d", tc.key, sigString(g.procs, g.counts), s, cached[g])
+				t.Errorf("after %s: group %q sum %d units, was %d", tc.key, sigString(l.groupSig(g)), s, cached[g])
 			}
 		}
 		if err := l.CheckInvariants(); err != nil {

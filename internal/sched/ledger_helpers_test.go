@@ -15,8 +15,8 @@ import (
 func (l *Ledger) MarkComplete(k JobKey, stage int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if rec := l.findJob(k); rec != nil {
-		l.markComplete(rec, stage)
+	if r := l.findJob(k); r != 0 {
+		l.markComplete(r, stage)
 	}
 }
 
@@ -27,7 +27,7 @@ func (l *Ledger) ResetEntry(r Entry[JobKey]) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rec := l.findJob(r.Ref)
-	return rec != nil && l.resetEntry(rec, r.Stage, r.Proc)
+	return rec != 0 && l.resetEntry(rec, r.Stage, r.Proc)
 }
 
 // CompletedOn returns the completed, still-active, non-permanent
@@ -38,12 +38,12 @@ func (l *Ledger) CompletedOn(proc int, includePeriodic bool) []Entry[JobKey] {
 	defer l.mu.Unlock()
 	var out []Entry[JobKey]
 	for _, t := range l.tasks {
-		for rec := t.head; rec != nil; rec = rec.nextT {
-			for _, e := range rec.entries {
-				if e.proc != proc || !e.completed || e.removed != 0 || e.permanent || (!includePeriodic && e.kind == Periodic) {
+		for r := t.head; r != 0; r = l.rec(r).nextT {
+			for _, e := range l.entries(r) {
+				if rec := l.rec(r); int(e.proc) != proc || !e.completed || e.removed != 0 || rec.permanent || (!includePeriodic && rec.periodic) {
 					continue
 				}
-				out = append(out, Entry[JobKey]{Ref: rec.key, Stage: e.stage, Proc: e.proc})
+				out = append(out, Entry[JobKey]{Ref: l.rec(r).key, Stage: e.stage, Proc: proc})
 			}
 		}
 	}
