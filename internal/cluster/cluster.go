@@ -130,7 +130,7 @@ func Start(opts Options) (*Cluster, error) {
 		seed:      opts.Seed,
 		registry:  registry,
 		execScale: opts.ExecScale,
-		table:     sched.NewTaskTable(nil, nil),
+		table:     new(sched.TaskTable),
 	}
 	c.life.Store(&lifecycle{cfg: opts.Config})
 	fail := func(err error) (*Cluster, error) {

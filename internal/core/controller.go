@@ -167,7 +167,7 @@ func NewController(cfg Config, numProcs int) (*Controller, error) {
 	c := &Controller{
 		cfg:     cfg,
 		ledger:  sched.NewLedger(numProcs),
-		tasks:   sched.NewTaskTable(nil, nil),
+		tasks:   new(sched.TaskTable),
 		scratch: make([]float64, numProcs),
 	}
 	c.ledger.CountWork(&c.Stats.Ledger)

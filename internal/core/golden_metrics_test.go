@@ -304,8 +304,9 @@ var sweepScanBefore = map[string]uint64{
 // the collector, for each of the fifteen combinations: the objects Run
 // allocates (a run that allocates per job or per growth step reads in the
 // tens of thousands), the objects the finished simulation keeps live, and
-// the scannable bytes it holds, at least 0.6 MB under sweepScanBefore
-// because the ledger's records, groups and indexes hold no pointers.
+// the scannable bytes it holds, at least 1 MB under sweepScanBefore
+// because the ledger's records, groups and indexes and the task table's
+// name index hold no pointers.
 func TestSweepRunHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fifteen sweep-shape simulations")
@@ -313,7 +314,7 @@ func TestSweepRunHeap(t *testing.T) {
 	const (
 		maxRunMallocs = 2000
 		maxLive       = 1000
-		scanCut       = 600 << 10
+		scanCut       = 1 << 20
 	)
 	p := workload.ScaleParams(50, 10000, 1)
 	p.TargetUtil = 0.9

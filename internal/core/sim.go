@@ -212,57 +212,70 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	if cfg.NumProcs <= 0 {
 		return nil, fmt.Errorf("core: sim needs at least one application processor")
 	}
-	if err := cfg.Strategies.Validate(); err != nil {
-		return nil, err
-	}
-	taskIdx := make(map[string]sched.TaskRef, len(tasks))
-	for i, t := range tasks {
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		// One hash per task: a duplicate ID does not grow the index.
-		taskIdx[t.ID] = sched.TaskRef(i)
-		if len(taskIdx) != i+1 {
-			return nil, fmt.Errorf("core: duplicate task ID %q", t.ID)
-		}
-		if err := checkTask(t, cfg.NumProcs); err != nil {
-			return nil, err
-		}
-	}
-	// The table appends AddTasks' tasks to its slice: a copy keeps them out
-	// of the caller's backing array.
-	own := slices.Clone(tasks)
-	tab := sched.NewTaskTable(own, taskIdx)
 	ctrl, err := NewController(cfg.Strategies, cfg.NumProcs)
 	if err != nil {
 		return nil, err
 	}
-
-	eng := des.NewEngine()
-	s := &SimSystem{
-		cfg:     cfg,
-		eng:     eng,
-		ctrl:    ctrl,
-		links:   des.NewLink(eng, simLinkDelay),
-		acDelay: des.NewLink(eng, simACDelay),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		tab:     tab,
-		tasks:   own,
-		prio:    sched.EDMSRanks(own),
-		state:   make([]*simTask, len(own)),
-		removed: make([]bool, len(own)),
+	if i := slices.Index(tasks, nil); i >= 0 {
+		return nil, fmt.Errorf("core: task %d is nil", i)
 	}
-	s.procs = make([]*des.Processor, cfg.NumProcs)
-	s.irs = make([]*IdleResetter, cfg.NumProcs)
-	for i := 0; i < cfg.NumProcs; i++ {
-		s.procs[i] = des.NewProcessor(eng, i)
-		s.irs[i] = NewIdleResetter(cfg.Strategies.IR, i)
-		if cfg.Strategies.IR != StrategyNone {
-			i := i
+	// The table appends AddTasks' tasks to its slice: a copy keeps them out
+	// of the caller's backing array.
+	own := slices.Clone(tasks)
+	s := &SimSystem{cfg: cfg, ctrl: ctrl, tasks: own}
+	// The rest of the system reads the tasks only for the EDMS order: a
+	// second goroutine ranks them and builds it while this one indexes and
+	// checks them, and is joined before any return.
+	built := make(chan struct{})
+	go func() {
+		s.build()
+		close(built)
+	}()
+	// Per task in order: Task.Validate, the duplicate ID, then checkTask;
+	// the first offending task wins. Only a task runnable rejects is
+	// walked again to name its fault.
+	tab, err := sched.NewTaskTable(own, func(ref sched.TaskRef, dup bool) error {
+		t := own[ref]
+		if !dup && runnable(t, cfg.NumProcs) {
+			return nil
+		}
+		if err := t.Validate(); err != nil {
+			return err
+		}
+		if dup {
+			return fmt.Errorf("core: duplicate task ID %q", t.ID)
+		}
+		return checkTask(t, cfg.NumProcs)
+	})
+	<-built
+	if err != nil {
+		return nil, err
+	}
+	s.tab = tab
+	return s, nil
+}
+
+// build makes everything of a new simulation but its task table and
+// controller: the EDMS priorities, the engine with its links, processors
+// and idle resetters, and the per-task state tables.
+func (s *SimSystem) build() {
+	n, procs := len(s.tasks), s.cfg.NumProcs
+	s.prio = sched.EDMSRanks(s.tasks)
+	s.state = make([]*simTask, n)
+	s.removed = make([]bool, n)
+	s.rng = rand.New(rand.NewSource(s.cfg.Seed))
+	s.eng = des.NewEngine()
+	s.links = des.NewLink(s.eng, simLinkDelay)
+	s.acDelay = des.NewLink(s.eng, simACDelay)
+	s.procs = make([]*des.Processor, procs)
+	s.irs = make([]*IdleResetter, procs)
+	for i := 0; i < procs; i++ {
+		s.procs[i] = des.NewProcessor(s.eng, i)
+		s.irs[i] = NewIdleResetter(s.cfg.Strategies.IR, i)
+		if s.cfg.Strategies.IR != StrategyNone {
 			s.procs[i].SetIdleCallback(func() { s.reportIdle(i) })
 		}
 	}
-	return s, nil
 }
 
 // checkTask rejects a task the simulation cannot run: one that names a
@@ -287,6 +300,35 @@ func checkTask(t *sched.Task, numProcs int) error {
 		return fmt.Errorf("core: aperiodic task %s has no mean interarrival time", t.ID)
 	}
 	return nil
+}
+
+// runnable reports whether t passes both Task.Validate and checkTask, in
+// one walk over its stages and without naming a fault: the build's path
+// for the tasks it accepts. TestRunnableAgreesWithChecks holds it to the
+// two checks.
+func runnable(t *sched.Task, numProcs int) bool {
+	switch {
+	case t.ID == "" || t.Deadline <= 0 || len(t.Subtasks) == 0:
+		return false
+	case t.Kind == sched.Periodic && t.Period <= 0:
+		return false
+	case t.Kind == sched.Aperiodic && (t.Period != 0 || t.MeanInterarrival <= 0):
+		return false
+	case t.Kind != sched.Periodic && t.Kind != sched.Aperiodic:
+		return false
+	}
+	for i := range t.Subtasks {
+		st := &t.Subtasks[i]
+		if st.Index != i || st.Exec <= 0 || uint(st.Processor) >= uint(numProcs) {
+			return false
+		}
+		for _, r := range st.Replicas {
+			if r == st.Processor || uint(r) >= uint(numProcs) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Metrics returns the run's accounting. Valid after Run.

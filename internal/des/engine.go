@@ -81,7 +81,6 @@ const (
 // slot is one pooled timer record, recycled through Engine.free once it
 // fires.
 type slot struct {
-	at       time.Duration
 	seq      int64
 	dispatch uint8
 	ev       Event
@@ -215,7 +214,6 @@ func (e *Engine) schedule(at time.Duration, dispatch uint8, fn func(), h EventHa
 	e.seq++
 	idx := e.alloc()
 	s := &e.slots[idx]
-	s.at = at
 	s.seq = e.seq
 	s.dispatch = dispatch
 	s.fn = fn

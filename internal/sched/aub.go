@@ -10,42 +10,6 @@ import (
 	"time"
 )
 
-// RemovalReason records why a contribution left the ledger.
-type RemovalReason uint8
-
-// Removal reasons. Enums start at one; the zero value means "not removed".
-const (
-	// RemovedExpiry marks contributions removed because the job's absolute
-	// deadline passed, at which point the task leaves the current task set
-	// S(t).
-	RemovedExpiry RemovalReason = iota + 1
-	// RemovedIdleReset marks contributions of completed subjobs removed
-	// early by the idle resetting rule.
-	RemovedIdleReset
-	// RemovedRelocation marks contributions withdrawn because the load
-	// balancer re-allocated the stage to a different processor.
-	RemovedRelocation
-	// RemovedWithdrawal marks contributions withdrawn because the whole
-	// task left the system (RemoveTask), before any deadline expired.
-	RemovedWithdrawal
-)
-
-// String returns the lowercase name of the reason.
-func (r RemovalReason) String() string {
-	switch r {
-	case RemovedExpiry:
-		return "expiry"
-	case RemovedIdleReset:
-		return "idle-reset"
-	case RemovedRelocation:
-		return "relocation"
-	case RemovedWithdrawal:
-		return "withdrawal"
-	default:
-		return fmt.Sprintf("RemovalReason(%d)", int(r))
-	}
-}
-
 // PlacedStage is one stage of a job bound to a concrete processor, with its
 // synthetic utilization amount. The admission controller obtains placements
 // from the load balancer and records them in the ledger.
@@ -66,7 +30,7 @@ type entry struct {
 	amount    int64 // C/D in ledger units (toUnits)
 	stage     int
 	proc      int32
-	removed   RemovalReason // 0 while active
+	removed   bool // by the idle resetting rule
 	completed bool
 }
 
@@ -74,7 +38,7 @@ type entry struct {
 // non-removed contribution.
 func active(es []entry) bool {
 	for i := range es {
-		if es[i].removed == 0 {
+		if !es[i].removed {
 			return true
 		}
 	}
@@ -135,7 +99,7 @@ func appendSignature(sig []sigEntry, es []entry) []sigEntry {
 	base := len(sig)
 	for ei := range es {
 		e := &es[ei]
-		if e.removed != 0 {
+		if e.removed {
 			continue
 		}
 		found := false
@@ -1078,7 +1042,7 @@ func (l *Ledger) dropJob(r int32) int {
 	var touchedBuf [8]int
 	touched := touchedBuf[:0]
 	for _, e := range l.entries(r) {
-		if e.removed == 0 {
+		if !e.removed {
 			l.util[e.proc] -= e.amount
 			touched = touchProc(touched, int(e.proc))
 			n++
@@ -1133,10 +1097,10 @@ func (l *Ledger) resetEntry(r int32, stage, proc int) bool {
 		if e.stage != stage || int(e.proc) != proc {
 			continue
 		}
-		if l.rec(r).permanent || !e.completed || e.removed != 0 {
+		if l.rec(r).permanent || !e.completed || e.removed {
 			return false
 		}
-		e.removed = RemovedIdleReset
+		e.removed = true
 		l.addUtil(proc, -e.amount)
 		l.reindex(r)
 		return true
@@ -1184,7 +1148,7 @@ func (l *Ledger) Relocate(k JobKey, placement []PlacedStage) error {
 	es := l.entries(r)
 	for i := range es {
 		e := &es[i]
-		if e.removed != 0 {
+		if e.removed {
 			continue
 		}
 		at := -1
@@ -1489,7 +1453,7 @@ func (l *Ledger) CheckInvariants() error {
 				return err
 			}
 			for _, e := range l.entries(r) {
-				if e.removed == 0 {
+				if !e.removed {
 					recomputed[e.proc] += e.amount
 				}
 			}

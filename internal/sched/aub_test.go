@@ -127,16 +127,6 @@ func TestPathFeasible(t *testing.T) {
 	}
 }
 
-func TestRemovalReasonString(t *testing.T) {
-	if RemovedExpiry.String() != "expiry" || RemovedIdleReset.String() != "idle-reset" ||
-		RemovedRelocation.String() != "relocation" || RemovedWithdrawal.String() != "withdrawal" {
-		t.Error("unexpected RemovalReason strings")
-	}
-	if RemovalReason(0).String() != "RemovalReason(0)" {
-		t.Error("zero RemovalReason should format numerically")
-	}
-}
-
 func place(stages ...PlacedStage) []PlacedStage { return stages }
 
 // allGroups lists every registered signature group, down each hash chain.

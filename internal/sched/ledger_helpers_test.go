@@ -40,7 +40,7 @@ func (l *Ledger) CompletedOn(proc int, includePeriodic bool) []Entry[JobKey] {
 	for _, t := range l.tasks {
 		for r := t.head; r != 0; r = l.rec(r).nextT {
 			for _, e := range l.entries(r) {
-				if rec := l.rec(r); int(e.proc) != proc || !e.completed || e.removed != 0 || rec.permanent || (!includePeriodic && rec.periodic) {
+				if rec := l.rec(r); int(e.proc) != proc || !e.completed || e.removed || rec.permanent || (!includePeriodic && rec.periodic) {
 					continue
 				}
 				out = append(out, Entry[JobKey]{Ref: l.rec(r).key, Stage: e.stage, Proc: proc})
