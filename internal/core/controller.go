@@ -31,6 +31,10 @@ type Decision struct {
 	// per-task reservation: the caller must not schedule a deadline-expiry
 	// removal for them.
 	Reserved bool
+	// fresh reports that Placement is the job's own, cut at span: a binding
+	// that drops its last use of it may hand it back (releasePlacement).
+	fresh bool
+	span  stageSpan
 }
 
 // Controller implements the centralized admission control and load balancing
@@ -68,22 +72,29 @@ type Controller struct {
 	// lock. recMu serializes creating a record: the creator re-checks the
 	// slot, grows the index by copying it when the ref is past its end, and
 	// publishes the record with an atomic store, so concurrent first arrivals
-	// of one task create one record.
+	// of one task create one record. slab is the chunk records are cut from,
+	// under recMu.
 	recs  atomic.Pointer[[]atomic.Pointer[taskRec]]
 	recMu sync.Mutex
-	// slab and stages are the chunks records and their home placements are
-	// cut from, under recMu.
-	slab   []taskRec
-	stages []sched.PlacedStage
+	slab  []taskRec
+
+	// The stage arena, under scratchMu: every placement the controller makes
+	// is cut from it, and records name theirs by span. stageList holds its
+	// chunks, each as long as it will ever be (fill counts the last one's
+	// stages in use), and stages publishes that list whole after each new
+	// chunk, so a reader holding a record resolves its spans without a lock.
+	// Chunks never move. freeSpans[n] lists the n-stage spans handed back.
+	stages    atomic.Pointer[[][]sched.PlacedStage]
+	stageList [][]sched.PlacedStage
+	fill      int
+	freeSpans [][]stageSpan
 
 	// scratch is the balanced placement's accumulator, one slot per
-	// processor and all zero between placements, and placements the chunk
-	// balanced placements are cut from, both under scratchMu. They are plain
-	// fields, not a sync.Pool: the runtime's list of pools would keep a
+	// processor and all zero between placements, under scratchMu. It is a
+	// plain field, not a sync.Pool: the runtime's list of pools would keep a
 	// dropped controller, its ledger included, alive through one more GC.
-	scratchMu  sync.Mutex
-	scratch    []float64
-	placements []sched.PlacedStage
+	scratchMu sync.Mutex
+	scratch   []float64
 
 	// Stats accumulate controller-side counters for the experiments. Fields
 	// are updated atomically; read them only after arrivals quiesce.
@@ -97,26 +108,37 @@ type Controller struct {
 // taskRec is the controller's memory of one task incarnation (one ref),
 // created at the first arrival that needs it: under LB-none, or for a
 // periodic task under per-task admission or balancing. Tasks that never get
-// there cost nothing.
+// there cost nothing. Its placements are spans of the stage arena, n stages
+// long, so it holds no pointer.
+//
+//rtmw:noscan
 type taskRec struct {
-	// task is the incarnation's definition, for its name, and ref its key.
-	task *sched.Task
-	ref  sched.TaskRef
+	// resJob is the job an admitted task's permanent reservation is held
+	// under.
+	resJob int64
+	n      int32
 	// home places every stage on its home processor: a pure function of the
 	// task, filled before the record is published and read-only after.
-	home []sched.PlacedStage
-	// placement is a periodic task's LB-per-task assignment, fixed at its
-	// first arrival and handed out read-only. admitted and rejected are the
-	// per-task AC decision (the test runs only "when a task first arrives");
-	// an admitted task's permanent reservation is held under job resJob.
-	placement []sched.PlacedStage
-	resJob    int64
-	admitted  bool
-	rejected  bool
+	home stageSpan
+	// memo, when memoized, is a periodic task's LB-per-task assignment,
+	// fixed at its first arrival and handed out read-only. admitted and
+	// rejected are the per-task AC decision (the test runs only "when a task
+	// first arrives").
+	memo     stageSpan
+	memoized bool
+	admitted bool
+	rejected bool
 }
 
-// Record and home-placement chunk sizes: a run in which most tasks arrive
-// once pays the allocator once per chunk.
+// stageSpan names a placement in the stage arena: its chunk and offset.
+//
+//rtmw:noscan
+type stageSpan struct {
+	chunk, off int32
+}
+
+// Record and stage-arena chunk sizes: a run in which most tasks arrive once
+// pays the allocator once per chunk.
 const (
 	recChunk   = 64
 	stageChunk = 256
@@ -204,18 +226,21 @@ func (c *Controller) Reconfigure(cfg Config) (int, error) {
 	c.taskMu.Lock()
 	defer c.taskMu.Unlock()
 	released := 0
-	recs := c.records()
-	if c.cfg.AC == StrategyPerTask && cfg.AC != StrategyPerTask {
-		for _, r := range recs {
+	leaveAC, leaveLB := c.cfg.AC == StrategyPerTask && cfg.AC != StrategyPerTask, c.cfg.LB != cfg.LB
+	var refs []sched.TaskRef
+	if leaveAC || leaveLB {
+		refs = c.records()
+	}
+	for _, ref := range refs {
+		r := c.loadRecord(ref)
+		if leaveAC {
 			if r.admitted {
-				released += c.ledger.WithdrawKey(sched.JobKey{Task: r.ref, Job: r.resJob})
+				released += c.ledger.WithdrawKey(sched.JobKey{Task: ref, Job: r.resJob})
 			}
 			r.admitted, r.rejected = false, false
 		}
-	}
-	if c.cfg.LB != cfg.LB {
-		for _, r := range recs {
-			r.placement = nil
+		if leaveLB {
+			r.memoized = false
 		}
 	}
 	c.cfg = cfg
@@ -250,23 +275,13 @@ func (c *Controller) record(ref sched.TaskRef, t *sched.Task) *taskRec {
 }
 
 // newRecord is record's slow path: under recMu it re-checks the slot, cuts
-// the record and its home placement from the chunks, and publishes it.
+// the record from the slab and its home placement from the stage arena, and
+// publishes it.
 func (c *Controller) newRecord(ref sched.TaskRef, t *sched.Task) *taskRec {
 	c.recMu.Lock()
 	defer c.recMu.Unlock()
-	idx := c.recs.Load()
-	if idx == nil || int(ref) >= len(*idx) {
-		var old []atomic.Pointer[taskRec]
-		if idx != nil {
-			old = *idx
-		}
-		grown := make([]atomic.Pointer[taskRec], max(2*len(old), int(ref)+1, recChunk))
-		for i := range old {
-			grown[i].Store(old[i].Load())
-		}
-		idx = &grown
-		c.recs.Store(idx)
-	} else if r := (*idx)[ref].Load(); r != nil {
+	idx := c.growRecords(int(ref) + 1)
+	if r := (*idx)[ref].Load(); r != nil {
 		return r
 	}
 	if len(c.slab) == 0 {
@@ -274,29 +289,97 @@ func (c *Controller) newRecord(ref sched.TaskRef, t *sched.Task) *taskRec {
 	}
 	r := &c.slab[0]
 	c.slab = c.slab[1:]
-	n := len(t.Subtasks)
-	if len(c.stages) < n {
-		c.stages = make([]sched.PlacedStage, max(stageChunk, n))
-	}
-	r.task, r.ref, r.home = t, ref, homePlacement(c.stages[:n:n], t)
-	c.stages = c.stages[n:]
+	c.scratchMu.Lock()
+	home, at := c.cutStages(len(t.Subtasks))
+	c.scratchMu.Unlock()
+	homePlacement(home, t)
+	*r = taskRec{n: int32(len(t.Subtasks)), home: at}
 	(*idx)[ref].Store(r)
 	return r
 }
 
-// records lists the live records in ref order.
-func (c *Controller) records() []*taskRec {
+// growRecords makes the record index cover refs below n, under recMu, and
+// returns it: a ref past its end grows it by copying, to twice its length
+// at least.
+func (c *Controller) growRecords(n int) *[]atomic.Pointer[taskRec] {
+	idx := c.recs.Load()
+	if idx != nil && n <= len(*idx) {
+		return idx
+	}
+	var old []atomic.Pointer[taskRec]
+	if idx != nil {
+		old = *idx
+	}
+	grown := make([]atomic.Pointer[taskRec], max(2*len(old), n, recChunk))
+	for i := range old {
+		grown[i].Store(old[i].Load())
+	}
+	c.recs.Store(&grown)
+	return &grown
+}
+
+// reserveTasks sizes the record index and the ledger's task lists for refs
+// below n at once, so a run over n tasks grows neither.
+func (c *Controller) reserveTasks(n int) {
+	c.recMu.Lock()
+	c.growRecords(n)
+	c.recMu.Unlock()
+	c.ledger.ReserveTasks(n)
+}
+
+// records lists the refs that have a record, in ref order.
+func (c *Controller) records() []sched.TaskRef {
 	idx := c.recs.Load()
 	if idx == nil {
 		return nil
 	}
-	var out []*taskRec
+	var out []sched.TaskRef
 	for i := range *idx {
-		if r := (*idx)[i].Load(); r != nil {
-			out = append(out, r)
+		if (*idx)[i].Load() != nil {
+			out = append(out, sched.TaskRef(i))
 		}
 	}
 	return out
+}
+
+// cutStages takes n stages from the stage arena, under scratchMu, and
+// returns them with their span: a span handed back, or else a new cut.
+func (c *Controller) cutStages(n int) ([]sched.PlacedStage, stageSpan) {
+	if n < len(c.freeSpans) {
+		if free := c.freeSpans[n]; len(free) > 0 {
+			at := free[len(free)-1]
+			c.freeSpans[n] = free[:len(free)-1]
+			return c.stageList[at.chunk][at.off : int(at.off)+n : int(at.off)+n], at
+		}
+	}
+	last := len(c.stageList) - 1
+	if last < 0 || len(c.stageList[last])-c.fill < n {
+		list := append(c.stageList, make([]sched.PlacedStage, max(stageChunk, n)))
+		c.stageList, c.fill, last = list, 0, len(list)-1
+		c.stages.Store(&list)
+	}
+	at := stageSpan{chunk: int32(last), off: int32(c.fill)}
+	c.fill += n
+	return c.stageList[last][c.fill-n : c.fill : c.fill], at
+}
+
+// releasePlacement hands back a fresh decision placement (Decision.fresh)
+// that nothing uses any more; a later placement of as many stages reuses
+// it.
+func (c *Controller) releasePlacement(at stageSpan, n int) {
+	c.scratchMu.Lock()
+	if n >= len(c.freeSpans) {
+		c.freeSpans = append(c.freeSpans, make([][]stageSpan, n+1-len(c.freeSpans))...)
+	}
+	c.freeSpans[n] = append(c.freeSpans[n], at)
+	c.scratchMu.Unlock()
+}
+
+// span returns the n stages of the arena at a.
+//
+//rtmw:noalloc
+func (c *Controller) span(a stageSpan, n int32) []sched.PlacedStage {
+	return (*c.stages.Load())[a.chunk][a.off : a.off+n : a.off+n]
 }
 
 // homePlacement places every stage of t on its home processor, into out
@@ -314,16 +397,11 @@ func homePlacement(out []sched.PlacedStage, t *sched.Task) []sched.PlacedStage {
 // earlier stages of the same job. Ties go to the candidate listed first, so
 // the home processor wins ties deterministically. The per-job accumulator is
 // the controller's dense scratch, held under scratchMu and zeroed again
-// before it is released. The placement is cut from the controller's chunk
-// and never handed out again.
-func (c *Controller) balancedPlacement(t *sched.Task) []sched.PlacedStage {
-	n := len(t.Subtasks)
+// before it is released. The placement is cut from the stage arena and
+// never handed out again; at is its span.
+func (c *Controller) balancedPlacement(t *sched.Task) (out []sched.PlacedStage, at stageSpan) {
 	c.scratchMu.Lock()
-	if len(c.placements) < n {
-		c.placements = make([]sched.PlacedStage, max(stageChunk, n))
-	}
-	out := c.placements[:n:n]
-	c.placements = c.placements[n:]
+	out, at = c.cutStages(len(t.Subtasks))
 	delta := c.scratch
 	for i, st := range t.Subtasks {
 		u := t.StageUtil(i)
@@ -341,29 +419,34 @@ func (c *Controller) balancedPlacement(t *sched.Task) []sched.PlacedStage {
 		delta[p.Proc] = 0
 	}
 	c.scratchMu.Unlock()
-	return out
+	return out, at
 }
 
-// placeFor computes the placement for an arriving job per the LB strategy.
+// placeFor computes the placement for an arriving job per the LB strategy:
+// a decision with it, and fresh when the placement is the job's own.
 // Callers hold taskMu when t is periodic (the per-task memo paths).
-func (c *Controller) placeFor(ref sched.TaskRef, t *sched.Task) []sched.PlacedStage {
+func (c *Controller) placeFor(ref sched.TaskRef, t *sched.Task) Decision {
 	switch c.cfg.LB {
 	case StrategyPerTask:
 		// Periodic tasks are assigned once, at first arrival; every
 		// aperiodic arrival is an independent task with a single release and
 		// is assigned at that arrival.
 		if t.Kind != sched.Periodic {
-			return c.balancedPlacement(t)
+			p, at := c.balancedPlacement(t)
+			return Decision{Placement: p, fresh: true, span: at}
 		}
 		r := c.record(ref, t)
-		if r.placement == nil {
-			r.placement = c.balancedPlacement(t)
+		if !r.memoized {
+			_, r.memo = c.balancedPlacement(t)
+			r.memoized = true
 		}
-		return r.placement
+		return Decision{Placement: c.span(r.memo, r.n)}
 	case StrategyPerJob:
-		return c.balancedPlacement(t)
+		p, at := c.balancedPlacement(t)
+		return Decision{Placement: p, fresh: true, span: at}
 	default:
-		return c.record(ref, t).home
+		r := c.record(ref, t)
+		return Decision{Placement: c.span(r.home, r.n)}
 	}
 }
 
@@ -438,7 +521,8 @@ func (c *Controller) arrivePerTask(t *sched.Task, k sched.JobKey, now time.Durat
 	// Subsequent jobs of an admitted task release without re-testing. Under
 	// LB-per-job the assignment plan may still change: the reservation
 	// follows the job to the new placement.
-	placement := c.placeFor(k.Task, t)
+	d := c.placeFor(k.Task, t)
+	placement := d.Placement
 	if c.cfg.LB == StrategyPerJob {
 		if err := c.ledger.Relocate(sched.JobKey{Task: k.Task, Job: r.resJob}, placement); err != nil {
 			// The reservation is always present for admitted tasks; an error
@@ -447,11 +531,8 @@ func (c *Controller) arrivePerTask(t *sched.Task, k sched.JobKey, now time.Durat
 		}
 	}
 	atomic.AddInt64(&c.Stats.Accepts, 1)
-	d := Decision{
-		Accept:    true,
-		Placement: placement,
-		Relocated: placement[0].Proc != t.Subtasks[0].Processor,
-	}
+	d.Accept = true
+	d.Relocated = placement[0].Proc != t.Subtasks[0].Processor
 	if d.Relocated {
 		atomic.AddInt64(&c.Stats.Relocations, 1)
 	}
@@ -468,7 +549,8 @@ func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Durati
 	if c.timing != nil {
 		t0 = time.Now()
 	}
-	placement := c.placeFor(k.Task, t)
+	d := c.placeFor(k.Task, t)
+	placement := d.Placement
 	var t1 time.Time
 	if c.timing != nil {
 		t1 = time.Now()
@@ -488,15 +570,15 @@ func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Durati
 	}
 	if !admitted {
 		atomic.AddInt64(&c.Stats.Rejects, 1)
+		if d.fresh {
+			c.releasePlacement(d.span, len(placement))
+		}
 		return Decision{}
 	}
 	atomic.AddInt64(&c.Stats.Accepts, 1)
-	d := Decision{
-		Accept:    true,
-		Placement: placement,
-		Relocated: placement[0].Proc != t.Subtasks[0].Processor,
-		Reserved:  permanent,
-	}
+	d.Accept = true
+	d.Relocated = placement[0].Proc != t.Subtasks[0].Processor
+	d.Reserved = permanent
 	if d.Relocated {
 		atomic.AddInt64(&c.Stats.Relocations, 1)
 	}
@@ -513,17 +595,19 @@ func (c *Controller) Location(tr sched.TaskRef, t *sched.Task) []sched.PlacedSta
 		if t.Kind == sched.Periodic {
 			c.taskMu.Lock()
 			var p []sched.PlacedStage
-			if r := c.loadRecord(tr); r != nil {
-				p = slices.Clone(r.placement)
+			if r := c.loadRecord(tr); r != nil && r.memoized {
+				p = slices.Clone(c.span(r.memo, r.n))
 			}
 			c.taskMu.Unlock()
 			if p != nil {
 				return p
 			}
 		}
-		return c.balancedPlacement(t)
+		p, _ := c.balancedPlacement(t)
+		return p
 	case StrategyPerJob:
-		return c.balancedPlacement(t)
+		p, _ := c.balancedPlacement(t)
+		return p
 	default:
 		return homePlacement(make([]sched.PlacedStage, len(t.Subtasks)), t)
 	}

@@ -301,20 +301,26 @@ var sweepScanBefore = map[string]uint64{
 }
 
 // TestSweepRunHeap holds what one simulation of the sim-sweep shape costs
-// the collector, for each of the fifteen combinations: the objects Run
-// allocates (a run that allocates per job or per growth step reads in the
-// tens of thousands), the objects the finished simulation keeps live, and
-// the scannable bytes it holds, at least 1 MB under sweepScanBefore
-// because the ledger's records, groups and indexes and the task table's
-// name index hold no pointers.
+// the collector, for each of the fifteen combinations: the bytes the whole
+// request allocates (NewSimSystem and Run, from a collected heap), the
+// objects Run allocates (a run that allocates per job or per growth step
+// reads in the tens of thousands), the objects the finished simulation
+// keeps live, and the scannable bytes it holds, at least 1 MB under
+// sweepScanBefore because the ledger's records, groups and indexes and the
+// task table's name index hold no pointers. The byte budget is what keeps a
+// run to one collector cycle (DESIGN.md "What a simulation request
+// allocates"): the forced collection before a request leaves the 2 MB task
+// set live, so the first cycle starts near 4 MB and the next near twice
+// what that one leaves live.
 func TestSweepRunHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fifteen sweep-shape simulations")
 	}
 	const (
-		maxRunMallocs = 2000
-		maxLive       = 1000
-		scanCut       = 1 << 20
+		maxRequestBytes = 3600000
+		maxRunMallocs   = 2000
+		maxLive         = 1000
+		scanCut         = 1 << 20
 	)
 	p := workload.ScaleParams(50, 10000, 1)
 	p.TargetUtil = 0.9
@@ -330,18 +336,22 @@ func TestSweepRunHeap(t *testing.T) {
 	}
 	for _, c := range AllCombinations() {
 		objects0, scan0 := heap()
+		var start, before, after runtime.MemStats
+		runtime.ReadMemStats(&start)
 		sim, err := NewSimSystem(SimConfig{Strategies: c, NumProcs: 50, Horizon: 500 * time.Millisecond, Seed: 1}, tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		sim.Run()
 		runtime.ReadMemStats(&after)
 		objects1, scan1 := heap()
 		runtime.KeepAlive(sim)
-		mallocs, live, scan := after.Mallocs-before.Mallocs, objects1-objects0, scan1-scan0
-		t.Logf("%s: Run allocates %d objects; the simulation keeps %d live and %d scannable bytes", c, mallocs, live, scan)
+		bytes, mallocs, live, scan := after.TotalAlloc-start.TotalAlloc, after.Mallocs-before.Mallocs, objects1-objects0, scan1-scan0
+		t.Logf("%s: the request allocates %d bytes, Run %d objects; the simulation keeps %d live and %d scannable bytes", c, bytes, mallocs, live, scan)
+		if bytes > maxRequestBytes && !raceEnabled {
+			t.Errorf("%s: NewSimSystem + Run allocate %d bytes, want at most %d", c, bytes, maxRequestBytes)
+		}
 		if mallocs > maxRunMallocs {
 			t.Errorf("%s: Run allocates %d objects, want at most %d", c, mallocs, maxRunMallocs)
 		}

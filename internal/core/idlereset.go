@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"time"
 
 	"repro/internal/sched"
@@ -25,21 +24,33 @@ import (
 type IdleResetter struct {
 	strategy Strategy
 	proc     int
-	pending  []completion
+	// pending holds the n completions not yet reported, in chunks that are
+	// kept for later completions once reported: a busy processor's set
+	// reaches hundreds between idle instants, and grows a chunk at a time
+	// without copying.
+	pending []*[pendingChunk]completion
+	n       int
 
 	// Reports counts idle-resetting reports produced (non-empty only).
 	Reports int64
 }
 
-// pendingChunk is the least room the pending set grows by.
-const pendingChunk = 16
+// pendingChunk is how many completions a chunk of the pending set holds.
+const pendingChunk = 64
 
 // completion is one locally recorded completed subjob.
+//
+//rtmw:noscan
 type completion struct {
-	ref      sched.JobKey
-	stage    int
-	kind     sched.TaskKind
-	deadline time.Duration // absolute virtual deadline
+	ref       sched.JobKey
+	deadline  time.Duration // absolute virtual deadline
+	stage     int32
+	aperiodic bool
+}
+
+// at returns the i-th pending completion.
+func (ir *IdleResetter) at(i int) *completion {
+	return &ir.pending[i/pendingChunk][i%pendingChunk]
 }
 
 // NewIdleResetter returns an IR component for the given processor using the
@@ -63,15 +74,16 @@ func (ir *IdleResetter) SetStrategy(s Strategy) {
 	ir.strategy = s
 	switch s {
 	case StrategyNone:
-		ir.pending = ir.pending[:0]
+		ir.n = 0
 	case StrategyPerTask:
-		kept := ir.pending[:0]
-		for _, c := range ir.pending {
-			if c.kind == sched.Aperiodic {
-				kept = append(kept, c)
+		kept := 0
+		for i := 0; i < ir.n; i++ {
+			if c := ir.at(i); c.aperiodic {
+				*ir.at(kept) = *c
+				kept++
 			}
 		}
-		ir.pending = kept
+		ir.n = kept
 	case StrategyPerJob:
 		// Everything already pending stays reportable.
 	}
@@ -92,12 +104,11 @@ func (ir *IdleResetter) Complete(ref sched.JobKey, stage int, kind sched.TaskKin
 	case StrategyPerJob:
 		// Record everything.
 	}
-	if len(ir.pending) == cap(ir.pending) {
-		// Grow by a chunk at least: a busy processor's set reaches tens of
-		// completions between idle instants.
-		ir.pending = slices.Grow(ir.pending, pendingChunk)
+	if ir.n == len(ir.pending)*pendingChunk {
+		ir.pending = append(ir.pending, new([pendingChunk]completion))
 	}
-	ir.pending = append(ir.pending, completion{ref: ref, stage: stage, kind: kind, deadline: deadline})
+	*ir.at(ir.n) = completion{ref: ref, deadline: deadline, stage: int32(stage), aperiodic: kind == sched.Aperiodic}
+	ir.n++
 }
 
 // Report returns the entries to push to the admission controller now that
@@ -115,17 +126,16 @@ func (ir *IdleResetter) Report(now time.Duration) []sched.Entry[sched.JobKey] {
 // returned unchanged when there is nothing pending, and the Reports counter
 // only advances when entries were produced.
 func (ir *IdleResetter) ReportInto(now time.Duration, buf []sched.Entry[sched.JobKey]) []sched.Entry[sched.JobKey] {
-	if len(ir.pending) == 0 {
+	if ir.n == 0 {
 		return buf
 	}
 	out := buf
-	for _, c := range ir.pending {
-		if c.deadline <= now {
-			continue
+	for i := 0; i < ir.n; i++ {
+		if c := ir.at(i); c.deadline > now {
+			out = append(out, sched.Entry[sched.JobKey]{Ref: c.ref, Stage: int(c.stage), Proc: ir.proc})
 		}
-		out = append(out, sched.Entry[sched.JobKey]{Ref: c.ref, Stage: c.stage, Proc: ir.proc})
 	}
-	ir.pending = ir.pending[:0]
+	ir.n = 0
 	if len(out) > len(buf) {
 		ir.Reports++
 	}
@@ -133,4 +143,4 @@ func (ir *IdleResetter) ReportInto(now time.Duration, buf []sched.Entry[sched.Jo
 }
 
 // PendingCount returns the number of completions waiting to be reported.
-func (ir *IdleResetter) PendingCount() int { return len(ir.pending) }
+func (ir *IdleResetter) PendingCount() int { return ir.n }

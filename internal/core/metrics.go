@@ -44,18 +44,13 @@ type Metrics struct {
 	Periodic  KindMetrics
 	Aperiodic KindMetrics
 
-	// accs holds every accumulator in creation order, in chunks of accChunk
-	// cut from one allocation each (only the last chunk has room left), so a
-	// handle stays put.
-	accs [][]MetricAcc
-	// byName maps each task name to the first accumulator made for it, whose
-	// own bucket is the name's. It is built on the first call that needs it
-	// and kept up from then on.
-	byName map[string]*MetricAcc
+	// sim is the run whose per-task records hold the task buckets, and
+	// byName maps each task name to the ref of the first incarnation to
+	// arrive, whose bucket is the name's. byName is built on the first call
+	// that needs it and kept up from then on.
+	sim    *SimSystem
+	byName map[string]int32
 }
-
-// accChunk is how many accumulators one allocation holds.
-const accChunk = 64
 
 // kind returns the per-kind bucket.
 func (m *Metrics) kind(k sched.TaskKind) *KindMetrics {
@@ -68,8 +63,8 @@ func (m *Metrics) kind(k sched.TaskKind) *KindMetrics {
 // Task returns the accounting for one task (zero value if it never
 // arrived). The returned copy is safe to retain.
 func (m *Metrics) Task(id string) KindMetrics {
-	if a, ok := m.names()[id]; ok {
-		return a.task
+	if ref, ok := m.names()[id]; ok {
+		return m.sim.state[ref].own
 	}
 	return KindMetrics{}
 }
@@ -86,86 +81,70 @@ func (m *Metrics) TaskIDs() []string {
 }
 
 // names returns the name index, building it on first use. A binding that
-// can give a name a second accumulator (a task re-registered after removal)
-// builds it before that, so the second one finds the first.
-func (m *Metrics) names() map[string]*MetricAcc {
+// can give a name a second incarnation (a task re-registered after
+// removal) builds it before that, so the second one accounts into the
+// first's bucket. The first to arrive is the one of least ref: a removed
+// incarnation's record is made before its removal or never.
+func (m *Metrics) names() map[string]int32 {
 	if m.byName == nil {
-		m.byName = make(map[string]*MetricAcc)
-		for _, chunk := range m.accs {
-			for i := range chunk {
-				if a := &chunk[i]; m.byName[a.name] == nil {
-					m.byName[a.name] = a
-				}
+		m.byName = make(map[string]int32)
+		for ref, st := range m.sim.state {
+			if id := m.sim.tasks[ref].ID; st != nil && st.acct == int32(ref) {
+				m.byName[id] = int32(ref)
 			}
 		}
 	}
 	return m.byName
 }
 
-// MetricAcc is a cached per-task accumulator: the task's own bucket, pointers
-// to the three buckets its jobs account into (total, per kind, per task) and
-// the task's per-job constants, in one object, so the simulation's hot path
-// records a job without a map lookup and a task's first job allocates once.
-type MetricAcc struct {
-	task     KindMetrics
-	buckets  [3]*KindMetrics
-	util     float64
-	deadline time.Duration
-	name     string
+// enter registers the first arrival of task ref and returns the ref whose
+// bucket its jobs account into: its name's, once the name index exists.
+func (m *Metrics) enter(ref int32) int32 {
+	if m.byName == nil {
+		return ref
+	}
+	id := m.sim.tasks[ref].ID
+	if first, ok := m.byName[id]; ok {
+		return first
+	}
+	m.byName[id] = ref
+	return ref
 }
 
-// Acc returns a new accumulator handle for the task, cut from the current
-// chunk. A later handle for the same ID (a task re-registered after removal)
-// carries the new task's constants and accounts into the first handle's
-// bucket, provided the name index exists by then (see names). The handle
-// stays valid for the lifetime of the Metrics value.
-func (m *Metrics) Acc(t *sched.Task) *MetricAcc {
-	last := len(m.accs) - 1
-	if last < 0 || len(m.accs[last]) == cap(m.accs[last]) {
-		m.accs = append(m.accs, make([]MetricAcc, 0, accChunk))
-		last++
-	}
-	m.accs[last] = append(m.accs[last], MetricAcc{util: t.TotalUtil(), deadline: t.Deadline, name: t.ID})
-	a := &m.accs[last][len(m.accs[last])-1]
-	own := &a.task
-	if m.byName != nil {
-		if first, ok := m.byName[t.ID]; ok {
-			own = &first.task
-		} else {
-			m.byName[t.ID] = a
-		}
-	}
-	a.buckets = [3]*KindMetrics{&m.Total, m.kind(t.Kind), own}
-	return a
+// buckets returns the three buckets a job of kind k accounts into.
+func (m *Metrics) buckets(k sched.TaskKind, own *KindMetrics) [3]*KindMetrics {
+	return [3]*KindMetrics{&m.Total, m.kind(k), own}
 }
 
-// Arrived records a job arrival.
-func (a *MetricAcc) Arrived() {
-	for _, b := range a.buckets {
+// arrived records a job arrival of task t.
+func (m *Metrics) arrived(t *sched.Task, own *KindMetrics) {
+	u := t.TotalUtil()
+	for _, b := range m.buckets(t.Kind, own) {
 		b.Arrived++
-		b.ArrivedUtil += a.util
+		b.ArrivedUtil += u
 	}
 }
 
-// Released records an accepted, released job.
-func (a *MetricAcc) Released() {
-	for _, b := range a.buckets {
+// released records an accepted, released job of task t.
+func (m *Metrics) released(t *sched.Task, own *KindMetrics) {
+	u := t.TotalUtil()
+	for _, b := range m.buckets(t.Kind, own) {
 		b.Released++
-		b.ReleasedUtil += a.util
+		b.ReleasedUtil += u
 	}
 }
 
-// Skipped records a job that was not released.
-func (a *MetricAcc) Skipped() {
-	for _, b := range a.buckets {
+// skipped records a job of task t that was not released.
+func (m *Metrics) skipped(t *sched.Task, own *KindMetrics) {
+	for _, b := range m.buckets(t.Kind, own) {
 		b.Skipped++
 	}
 }
 
-// Completed records a finished job and its response time.
-func (a *MetricAcc) Completed(response time.Duration) {
-	missed := response > a.deadline
-	for _, b := range a.buckets {
+// completed records a finished job of task t and its response time.
+func (m *Metrics) completed(response time.Duration, t *sched.Task, own *KindMetrics) {
+	missed := response > t.Deadline
+	for _, b := range m.buckets(t.Kind, own) {
 		b.Completed++
 		b.TotalResponse += response
 		if response > b.MaxResponse {

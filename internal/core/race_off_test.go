@@ -1,0 +1,7 @@
+//go:build !race
+
+package core
+
+// raceEnabled reports that the race detector instruments this build, whose
+// runtime allocates beside the program.
+const raceEnabled = false

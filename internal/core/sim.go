@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/des"
 	"repro/internal/sched"
@@ -55,17 +56,21 @@ func (c SimConfig) withDefaults() SimConfig {
 }
 
 // simTask is one task's runtime state in the simulation: its task effector
-// state machine, next job number and metric accumulator. It is created at
-// the task's first arrival, cut from a chunk of simChunk, so a task that
-// never arrives costs one nil pointer.
+// state machine, next job number and job accounting. It is created at the
+// task's first arrival, cut from a chunk of simChunk, so a task that never
+// arrives costs one nil pointer. Its jobs account into the total, their
+// kind's bucket and the own bucket of the task acct (see Metrics.Task):
+// itself, or the first incarnation of a re-registered name.
 type simTask struct {
 	eff     Effector
 	nextJob int64
-	acc     *MetricAcc
+	own     KindMetrics
+	acct    int32
 }
 
-// simChunk is how many simTask records one allocation holds.
-const simChunk = 64
+// simChunk is how many simTask records one allocation holds: as many as
+// fill a 16 KB size class.
+const simChunk = 16 << 10 / int(unsafe.Sizeof(simTask{}))
 
 // Typed simulation event kinds. Every hot-path transition of the simulated
 // middleware is a des.Event dispatched through SimSystem.HandleEvent, so
@@ -135,12 +140,15 @@ type verdict struct {
 // the old closure chain used to capture, now indexed by slot so stage events
 // carry a single int32. The placement is the decision's own: the controller
 // never writes a placement it has handed out (Decision.Placement), so the
-// slot keeps it without a copy.
+// slot keeps it without a copy. A job that holds the only use of a fresh
+// placement owns it, and hands it back to the controller when it completes.
 type relJob struct {
 	task      int32
 	job       int64
 	arrival   time.Duration
 	placement []sched.PlacedStage
+	span      stageSpan
+	owned     bool
 }
 
 // SimSystem wires the configurable components onto the discrete-event
@@ -202,11 +210,11 @@ type SimSystem struct {
 }
 
 // NewSimSystem builds a simulation over the given tasks. Every referenced
-// processor must be within [0, NumProcs). The binding reads the tasks in
-// place and never writes them: EDMS priorities, ranked from end-to-end
-// deadlines, go into a table of its own, and only the slice is copied. The
-// caller must leave the tasks unchanged until the binding stops; several
-// bindings may share one task set, on any goroutines.
+// processor must be within [0, NumProcs). The binding reads the tasks and
+// the slice in place and never writes them: EDMS priorities, ranked from
+// end-to-end deadlines, go into a table of its own. The caller must leave
+// the tasks unchanged until the binding stops; several bindings may share
+// one task set, on any goroutines.
 func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NumProcs <= 0 {
@@ -219,10 +227,11 @@ func NewSimSystem(cfg SimConfig, tasks []*sched.Task) (*SimSystem, error) {
 	if i := slices.Index(tasks, nil); i >= 0 {
 		return nil, fmt.Errorf("core: task %d is nil", i)
 	}
-	// The table appends AddTasks' tasks to its slice: a copy keeps them out
-	// of the caller's backing array.
-	own := slices.Clone(tasks)
+	// The table appends AddTasks' tasks to its slice: capped at its length,
+	// the first append copies it out of the caller's backing array.
+	own := tasks[:len(tasks):len(tasks)]
 	s := &SimSystem{cfg: cfg, ctrl: ctrl, tasks: own}
+	s.metrics.sim = s
 	// The rest of the system reads the tasks only for the EDMS order: a
 	// second goroutine ranks them and builds it while this one indexes and
 	// checks them, and is joined before any return.
@@ -340,9 +349,8 @@ func (s *SimSystem) Controller() *Controller { return s.ctrl }
 // Engine exposes the simulation engine (tests use it for clock access).
 func (s *SimSystem) Engine() *des.Engine { return s.eng }
 
-// task returns a task's runtime state, creating it (and with it the task's
-// metric accumulator, so idle tasks never appear in the per-task metrics) at
-// its first arrival.
+// task returns a task's runtime state, creating it at its first arrival
+// (so idle tasks never appear in the per-task metrics).
 func (s *SimSystem) task(ti int32) *simTask {
 	if st := s.state[ti]; st != nil {
 		return st
@@ -352,10 +360,16 @@ func (s *SimSystem) task(ti int32) *simTask {
 	}
 	st := &s.slab[0]
 	s.slab = s.slab[1:]
-	st.acc = s.metrics.Acc(s.tasks[ti])
+	st.acct = s.metrics.enter(ti)
 	st.eff.Epoch(s.epoch, s.cfg.Strategies, s.tasks[ti].Kind)
 	s.state[ti] = st
 	return st
+}
+
+// account returns task ti and the bucket its jobs account into besides
+// the total and their kind's.
+func (s *SimSystem) account(ti int32) (*sched.Task, *KindMetrics) {
+	return s.tasks[ti], &s.state[s.state[ti].acct].own
 }
 
 // Run executes the workload: arrivals from time zero to the horizon, then a
@@ -369,10 +383,11 @@ func (s *SimSystem) Run() *Metrics {
 	}
 	if !s.started {
 		s.started = true
+		s.ctrl.reserveTasks(len(s.tasks))
 		if !s.cfg.ExternalArrivals {
-			// At most one first arrival per task: size the event arena once
-			// instead of growing it by doubling under the loop.
-			s.eng.Reserve(len(s.tasks))
+			// The event arena grows a chunk at a time, so it ends sized to
+			// the timers that are ever pending at once: a first arrival past
+			// the horizon, or of a removed task, takes no slot.
 			for i := range s.tasks {
 				if !s.removed[i] {
 					s.scheduleFirstArrival(int32(i), 0)
@@ -772,8 +787,12 @@ func (s *SimSystem) HandleEvent(ev des.Event) {
 		v := s.decs[ev.B]
 		s.freeDec(ev.B)
 		s.acts = s.state[ev.A].eff.Decided(ev.N, v.d, v.cache, s.epoch, s.acts[:0])
+		var fresh *Decision
+		if v.d.fresh && s.releases(v.d.Placement) == 1 {
+			fresh = &v.d
+		}
 		for _, a := range s.acts {
-			s.do(ev.A, a)
+			s.do(ev.A, a, fresh)
 		}
 	case evStageDone:
 		s.stageDone(ev.A, ev.B)
@@ -820,7 +839,7 @@ func (s *SimSystem) admit(ti int32, now time.Duration) (Action, bool) {
 	st := s.task(ti)
 	job := st.nextJob
 	st.nextJob++
-	st.acc.Arrived()
+	s.metrics.arrived(s.account(ti))
 	return s.routeArrival(ti, job, now)
 }
 
@@ -836,22 +855,34 @@ func (s *SimSystem) routeArrival(ti int32, job int64, arrival time.Duration) (a 
 		return Action{Kind: ActHold, Job: job, Arrival: arrival}, true
 	}
 	a = s.state[ti].eff.Arrive(job, arrival)
-	s.do(ti, a)
+	s.do(ti, a, nil)
 	return a, false
 }
 
 // do carries out one effector action for task ti: a request is the TE
 // pushing a "Task Arrive" event to the AC, whose decision and "Accept" event
-// back are chained typed events.
-func (s *SimSystem) do(ti int32, a Action) {
+// back are chained typed events. fresh, when not nil, is a decision whose
+// fresh placement only this action's release uses.
+func (s *SimSystem) do(ti int32, a Action, fresh *Decision) {
 	switch a.Kind {
 	case ActRequest:
 		s.links.SendEvent(s, des.Event{Kind: evManagerArrive, A: ti, N: a.Job, D: a.Arrival})
 	case ActRelease:
-		s.release(ti, a.Job, a.Placement, a.Arrival)
+		s.release(ti, a.Job, a.Placement, a.Arrival, fresh)
 	case ActSkip:
 		s.skipJob(ti, a.Job)
 	}
+}
+
+// releases counts the release actions in s.acts that use placement p.
+func (s *SimSystem) releases(p []sched.PlacedStage) int {
+	n := 0
+	for _, a := range s.acts {
+		if a.Kind == ActRelease && &a.Placement[0] == &p[0] {
+			n++
+		}
+	}
+	return n
 }
 
 // decide runs the manager-side decide step and pushes the "Accept" (or
@@ -878,7 +909,7 @@ func (s *SimSystem) decide(ti int32, job int64, arrival time.Duration) {
 
 // skipJob accounts one not-released job and notifies watchers.
 func (s *SimSystem) skipJob(ti int32, job int64) {
-	s.state[ti].acc.Skipped()
+	s.metrics.skipped(s.account(ti))
 	s.emit(WatchRejected, ti, job, nil, 0)
 }
 
@@ -896,12 +927,16 @@ func (s *SimSystem) emit(kind WatchKind, ti int32, job int64, placement []sched.
 	s.hub.Emit(ev)
 }
 
-// release starts the job's first subjob on its assigned processor.
-func (s *SimSystem) release(ti int32, job int64, placement []sched.PlacedStage, arrival time.Duration) {
-	s.state[ti].acc.Released()
+// release starts the job's first subjob on its assigned processor. The job
+// owns fresh's placement unless a watch stream was shown it.
+func (s *SimSystem) release(ti int32, job int64, placement []sched.PlacedStage, arrival time.Duration, fresh *Decision) {
+	s.metrics.released(s.account(ti))
 	s.inFlight++
-	s.emit(WatchAdmitted, ti, job, placement, 0)
 	ji := s.allocJob(ti, job, arrival, placement)
+	if fresh != nil && !s.hub.Active() {
+		s.jobs[ji].span, s.jobs[ji].owned = fresh.span, true
+	}
+	s.emit(WatchAdmitted, ti, job, placement, 0)
 	s.startStage(ji, 0)
 }
 
@@ -927,7 +962,7 @@ func (s *SimSystem) stageDone(ji, stage int32) {
 	s.irs[proc].Complete(sched.JobKey{Task: sched.TaskRef(ti), Job: j.job}, int(stage), t.Kind, j.arrival+t.Deadline)
 	if int(stage) == len(j.placement)-1 {
 		resp := now - j.arrival
-		s.state[ti].acc.Completed(resp)
+		s.metrics.completed(resp, t, &s.state[s.state[ti].acct].own)
 		s.inFlight--
 		s.emit(WatchCompleted, ti, j.job, nil, resp)
 		if resp > t.Deadline {
@@ -965,16 +1000,16 @@ func (s *SimSystem) allocJob(ti int32, job int64, arrival time.Duration, placeme
 		s.jobs = append(s.jobs, relJob{})
 		ji = int32(len(s.jobs) - 1)
 	}
-	j := &s.jobs[ji]
-	j.task = ti
-	j.job = job
-	j.arrival = arrival
-	j.placement = placement
+	s.jobs[ji] = relJob{task: ti, job: job, arrival: arrival, placement: placement}
 	return ji
 }
 
 func (s *SimSystem) freeJob(ji int32) {
-	s.jobs[ji].placement = nil
+	j := &s.jobs[ji]
+	if j.owned {
+		s.ctrl.releasePlacement(j.span, len(j.placement))
+	}
+	*j = relJob{}
 	s.freeJobs = append(s.freeJobs, ji)
 }
 

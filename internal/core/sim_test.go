@@ -608,8 +608,9 @@ func TestNewSimSystemAllocsFlat(t *testing.T) {
 	// to a task's first arrival, and a copy of the tasks would be 2 MB of
 	// the build; either would read as decision time. buildBytes is the build
 	// that reads its tasks in place and indexes their names in one slot
-	// array (go1.24, amd64); the bound allows 3 % over it.
-	const buildBytes = 697528
+	// array, ranks EDMS keys packed in one uint64 each and shares the
+	// caller's task slice (go1.24, amd64); the bound allows 3 % over it.
+	const buildBytes = 453584
 	p := workload.ScaleParams(procs, 10000, 1)
 	p.TargetUtil = 0.9
 	tasks, err := workload.Generate(p)
@@ -656,5 +657,39 @@ func TestMetricsPerTask(t *testing.T) {
 	}
 	if ghost := m.Task("nope"); ghost.Arrived != 0 {
 		t.Errorf("unknown task bucket = %+v", ghost)
+	}
+}
+
+// TestReaddedTaskAccountsIntoFirstBucket removes a task mid-run and adds it
+// again under the same ID: both incarnations' jobs account into one bucket,
+// and the ID is listed once.
+func TestReaddedTaskAccountsIntoFirstBucket(t *testing.T) {
+	first := periodicTask("p", 0, time.Millisecond, 10*time.Millisecond)
+	second := periodicTask("p", 0, 2*time.Millisecond, 20*time.Millisecond)
+	cfg := simCfg(Config{AC: StrategyPerJob, IR: StrategyNone, LB: StrategyNone}, 1)
+	cfg.Horizon = time.Second
+	s := mustSim(t, cfg, []*sched.Task{first})
+	var before KindMetrics
+	if err := s.At(400*time.Millisecond, func() {
+		if err := s.RemoveTasks([]string{"p"}); err != nil {
+			t.Error(err)
+		}
+		before = s.Metrics().Task("p")
+		if err := s.AddTasks([]*sched.Task{second}); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m := s.Run()
+	got := m.Task("p")
+	if before.Arrived == 0 || got.Arrived <= before.Arrived {
+		t.Fatalf("arrivals %d before the re-add, %d after: want both incarnations", before.Arrived, got.Arrived)
+	}
+	if got.Arrived != m.Total.Arrived || got.Completed != m.Total.Completed || got.ReleasedUtil != m.Total.ReleasedUtil {
+		t.Errorf("bucket %+v, want the sum of both incarnations %+v", got, m.Total)
+	}
+	if ids := m.TaskIDs(); len(ids) != 1 || ids[0] != "p" {
+		t.Errorf("TaskIDs = %v, want [p]", ids)
 	}
 }

@@ -19,7 +19,10 @@
 // The engine is built for large sweeps (hundreds of processors, tens of
 // thousands of tasks), so the per-event machinery avoids the heap entirely:
 //
-//   - timers live in a pooled slot arena recycled through a free list;
+//   - timers live in a pooled slot arena recycled through a free list,
+//     grown a chunk at a time and never copied; a slot holds no pointer: it
+//     names its handler, processor or closure by index into small
+//     per-engine tables, so the collector never scans the arena;
 //   - timers wait in a monotone radix queue: a timer sits in the bucket of
 //     the highest bit in which its time differs from the last time popped,
 //     each bucket lists its timers in seq order with their times inline, and
@@ -43,7 +46,7 @@ package des
 import (
 	"fmt"
 	"math/bits"
-	"slices"
+	"reflect"
 	"time"
 )
 
@@ -79,19 +82,31 @@ const (
 )
 
 // slot is one pooled timer record, recycled through Engine.free once it
-// fires.
+// fires: its seq, its event's fields, and target, which names what it
+// dispatches to as four times an index plus the dispatch kind: the handler
+// entry (dispatchHandler), the processor (dispatchProcIdle) or the closure
+// (dispatchFunc).
+//
+//rtmw:noscan
 type slot struct {
-	seq      int64
-	dispatch uint8
-	ev       Event
-	fn       func()
-	h        EventHandler
-	proc     *Processor
+	seq, n     int64
+	d          time.Duration
+	kind, a, b int32
+	target     int32
+}
+
+// handlerEnt is one entry of the engine's handler table: a handler and the
+// number of pending timers that name it. An entry nothing names is free.
+type handlerEnt struct {
+	h    EventHandler
+	refs int32
 }
 
 // qNode is a timer's place in the queue, indexed like its slot: its time,
 // inline so a bucket walk never touches the slot, and the next timer of its
-// bucket.
+// bucket (of the free list, while the slot is free).
+//
+//rtmw:noscan
 type qNode struct {
 	at   time.Duration
 	next int32
@@ -111,17 +126,31 @@ type Engine struct {
 	seq   int64
 	fired int64
 	live  int // scheduled, not-yet-fired events, lane sends and completions included — O(1) PendingCount
-	slots []slot
-	free  []int32
-	links []*Link      // every link on the engine, each with its FIFO lane
-	busy  []*Processor // binary min-heap of running processors by (doneAt, doneSeq)
+	// The slot arena and its queue nodes, slotChunk of each a chunk: slots
+	// below cut have been used, and free heads the free ones (-1 for none).
+	slots  []*[slotChunk]slot
+	qnodes []*[slotChunk]qNode
+	cut    int32
+	free   int32
+	links  []*Link      // every link on the engine, each with its FIFO lane
+	procs  []*Processor // every processor on the engine, by Processor.idx
+	busy   []*Processor // binary min-heap of running processors by (doneAt, doneSeq)
+
+	// The tables slots name their targets in. handlers holds the handlers
+	// of pending typed timers (a simulation has one or two), freeHandlers
+	// its free entries and lastHandler the entry last taken; fns holds the
+	// closures of pending At timers and freeFns its free entries.
+	handlers     []handlerEnt
+	freeHandlers []int32
+	lastHandler  int32
+	fns          []func()
+	freeFns      []int32
 
 	// The timer queue: a timer at time at is in bucket bits.Len64(at ^
 	// base), base being the last time popped (or now, when the queue was
 	// empty), so the lowest non-empty bucket's min is the queue's top. The
 	// base moves only on a pop: lanes and processors fire before the queue
 	// top and may schedule below it.
-	qnodes   []qNode // parallel to slots
 	base     time.Duration
 	buckets  [64]bucket
 	nonEmpty uint64 // bit b set when bucket b holds timers
@@ -146,9 +175,15 @@ type Work struct {
 	BusyRemoves int64
 }
 
+// The slot arena grows by slotChunk slots, each chunk one allocation.
+const (
+	slotShift = 8
+	slotChunk = 1 << slotShift
+)
+
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{free: -1}
 }
 
 // Now returns the current virtual time as an offset from simulation start.
@@ -162,71 +197,117 @@ func (e *Engine) Fired() int64 { return e.fired }
 // instrumentation.
 func (e *Engine) Work() Work { return e.work }
 
-// Reserve makes room for n more scheduled events than are outstanding now:
-// the slot arena with its queue nodes and the free list are each sized
-// once, so scheduling those events grows nothing. A caller that knows how
-// many events it is about to schedule (a simulation's first arrivals) saves
-// the arena's growth by doubling and the copies that come with it.
+// Reserve makes room for n more timers than are queued now, so scheduling
+// them grows nothing. The arena grows a chunk at a time and never copies
+// what it holds, so this only moves when the chunks are allocated.
 func (e *Engine) Reserve(n int) {
-	// Free slots are taken before the arena grows.
-	e.slots = slices.Grow(e.slots, max(n-len(e.free), 0))
-	// Every slot can be on the free list at once.
-	e.free = slices.Grow(e.free, cap(e.slots)-len(e.free))
-	e.qnodes = slices.Grow(e.qnodes, cap(e.slots)-len(e.qnodes))
+	for len(e.slots)*slotChunk < e.queued+n {
+		e.grow()
+	}
 }
 
-// alloc takes a free slot, growing the arena when the free list is empty.
+// grow adds a chunk of slots and their queue nodes.
+func (e *Engine) grow() {
+	e.slots = append(e.slots, new([slotChunk]slot))
+	e.qnodes = append(e.qnodes, new([slotChunk]qNode))
+}
+
+// slot returns timer slot i.
+//
+//rtmw:noalloc
+func (e *Engine) slot(i int32) *slot { return &e.slots[i>>slotShift][i&(slotChunk-1)] }
+
+// qnode returns timer i's queue node.
+//
+//rtmw:noalloc
+func (e *Engine) qnode(i int32) *qNode { return &e.qnodes[i>>slotShift][i&(slotChunk-1)] }
+
+// alloc takes a free slot, cutting the next one when none is free.
 //
 //rtmw:noalloc
 func (e *Engine) alloc() int32 {
-	if n := len(e.free); n > 0 {
-		idx := e.free[n-1]
-		e.free = e.free[:n-1]
-		return idx
+	if i := e.free; i >= 0 {
+		e.free = e.qnode(i).next
+		return i
 	}
-	e.slots = append(e.slots, slot{})
-	e.qnodes = append(e.qnodes, qNode{})
-	return int32(len(e.slots) - 1)
+	if int(e.cut) == len(e.slots)*slotChunk {
+		//rtmw:ignore noalloc the arena grows a chunk per slotChunk slots, never per event
+		e.grow()
+	}
+	e.cut++
+	return e.cut - 1
 }
 
-// recycle returns a popped slot to the free list, dropping every
-// callback/payload reference so fired events never pin dead state.
+// sameHandler reports whether a and b are one handler. Handlers of a type
+// that == cannot compare are never the same, so each such timer takes an
+// entry of its own.
+func sameHandler(a, b EventHandler) bool {
+	t := reflect.TypeOf(a)
+	return t == reflect.TypeOf(b) && t.Comparable() && a == b
+}
+
+// holdHandler returns h's entry in the handler table, taking one when h has
+// none, and counts one more timer naming it.
 //
 //rtmw:noalloc
-func (e *Engine) recycle(idx int32) {
-	s := &e.slots[idx]
-	s.fn = nil
-	s.h = nil
-	s.proc = nil
-	s.ev = Event{}
-	e.free = append(e.free, idx)
+func (e *Engine) holdHandler(h EventHandler) int32 {
+	if i := e.lastHandler; int(i) < len(e.handlers) && e.handlers[i].refs > 0 && sameHandler(e.handlers[i].h, h) {
+		e.handlers[i].refs++
+		return i
+	}
+	for i := range e.handlers {
+		if ent := &e.handlers[i]; ent.refs > 0 && sameHandler(ent.h, h) {
+			ent.refs++
+			e.lastHandler = int32(i)
+			return int32(i)
+		}
+	}
+	var i int32
+	if n := len(e.freeHandlers); n > 0 {
+		i, e.freeHandlers = e.freeHandlers[n-1], e.freeHandlers[:n-1]
+	} else {
+		i = int32(len(e.handlers))
+		e.handlers = append(e.handlers, handlerEnt{})
+	}
+	e.handlers[i] = handlerEnt{h: h, refs: 1}
+	e.lastHandler = i
+	return i
+}
+
+// releaseHandler counts one timer fewer naming entry i and returns its
+// handler, freeing the entry when nothing names it any more.
+//
+//rtmw:noalloc
+func (e *Engine) releaseHandler(i int32) EventHandler {
+	ent := &e.handlers[i]
+	h := ent.h
+	if ent.refs--; ent.refs == 0 {
+		ent.h = nil
+		e.freeHandlers = append(e.freeHandlers, i)
+	}
+	return h
 }
 
 // schedule is the single scheduling entry point behind At/AtEvent and the
-// processor-internal event kinds.
+// processor-internal event kinds: target is the slot's index into the
+// table its dispatch kind names.
 //
 //rtmw:noalloc
-func (e *Engine) schedule(at time.Duration, dispatch uint8, fn func(), h EventHandler, proc *Processor, ev Event) {
+func (e *Engine) schedule(at time.Duration, dispatch uint8, target int32, ev Event) {
 	if at < e.now {
 		//rtmw:ignore noalloc programmer-error panic path, never taken in steady state
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", at, e.now))
 	}
 	e.seq++
 	idx := e.alloc()
-	s := &e.slots[idx]
-	s.seq = e.seq
-	s.dispatch = dispatch
-	s.fn = fn
-	s.h = h
-	s.proc = proc
-	s.ev = ev
+	*e.slot(idx) = slot{seq: e.seq, n: ev.N, d: ev.D, kind: ev.Kind, a: ev.A, b: ev.B, target: target<<2 | int32(dispatch)}
 	// An empty queue rebases at the clock, which no later push goes below.
 	if e.queued == 0 {
 		e.base = e.now
 	}
 	e.queued++
 	e.work.Queued++
-	e.qnodes[idx].at = at
+	e.qnode(idx).at = at
 	e.bucketPush(bits.Len64(uint64(at^e.base)), idx)
 	e.live++
 }
@@ -238,7 +319,15 @@ func (e *Engine) At(at time.Duration, fn func()) {
 	if fn == nil {
 		panic("des: scheduling nil callback")
 	}
-	e.schedule(at, dispatchFunc, fn, nil, nil, Event{})
+	var i int32
+	if n := len(e.freeFns); n > 0 {
+		i, e.freeFns = e.freeFns[n-1], e.freeFns[:n-1]
+		e.fns[i] = fn
+	} else {
+		i = int32(len(e.fns))
+		e.fns = append(e.fns, fn)
+	}
+	e.schedule(at, dispatchFunc, i, Event{})
 }
 
 // AtEvent schedules a typed event for h at the given absolute virtual time.
@@ -250,7 +339,7 @@ func (e *Engine) AtEvent(at time.Duration, h EventHandler, ev Event) {
 	if h == nil {
 		panic("des: scheduling nil event handler")
 	}
-	e.schedule(at, dispatchHandler, nil, h, nil, ev)
+	e.schedule(at, dispatchHandler, e.holdHandler(h), ev)
 }
 
 // AfterEvent schedules a typed event for h at d from now.
@@ -282,7 +371,7 @@ func (e *Engine) next() (at time.Duration, lane *Link, proc *Processor, ok bool)
 	var seq int64
 	if ok = e.nonEmpty != 0; ok {
 		top := e.buckets[bits.TrailingZeros64(e.nonEmpty)].min
-		at, seq = e.qnodes[top].at, e.slots[top].seq
+		at, seq = e.qnode(top).at, e.slot(top).seq
 	}
 	if len(e.busy) > 0 {
 		if p := e.busy[0]; !ok || p.doneAt < at || (p.doneAt == at && p.doneSeq < seq) {
@@ -320,19 +409,22 @@ func (e *Engine) fire(at time.Duration, lane *Link, proc *Processor) {
 		return
 	}
 	idx := e.qpop()
-	s := &e.slots[idx]
-	// Copy the dispatch fields and recycle before invoking, so the callback
-	// can schedule new events straight into this slot and the engine retains
-	// no reference to fired state.
-	dispatch, fn, h, p, ev := s.dispatch, s.fn, s.h, s.proc, s.ev
-	e.recycle(idx)
-	switch dispatch {
+	// Release the slot and its table entry before invoking, so the callback
+	// can schedule new events straight into them and the engine retains no
+	// reference to fired state.
+	s := *e.slot(idx)
+	e.qnode(idx).next, e.free = e.free, idx
+	i := s.target >> 2
+	switch uint8(s.target & 3) {
 	case dispatchFunc:
+		fn := e.fns[i]
+		e.fns[i] = nil
+		e.freeFns = append(e.freeFns, i)
 		fn()
 	case dispatchHandler:
-		h.HandleEvent(ev)
+		e.releaseHandler(i).HandleEvent(Event{Kind: s.kind, A: s.a, B: s.b, N: s.n, D: s.d})
 	case dispatchProcIdle:
-		p.idleEvent()
+		e.procs[i].idleEvent()
 	}
 }
 
@@ -378,10 +470,11 @@ func (e *Engine) qpop() int32 {
 	if b := bits.TrailingZeros64(e.nonEmpty); b > 0 {
 		bk := e.buckets[b]
 		e.nonEmpty &^= 1 << b
-		e.base = e.qnodes[bk.min].at
+		e.base = e.qnode(bk.min).at
 		for i := bk.head; ; {
-			next := e.qnodes[i].next
-			e.bucketPush(bits.Len64(uint64(e.qnodes[i].at^e.base)), i)
+			q := e.qnode(i)
+			next := q.next
+			e.bucketPush(bits.Len64(uint64(q.at^e.base)), i)
 			if i == bk.tail {
 				break
 			}
@@ -394,7 +487,7 @@ func (e *Engine) qpop() int32 {
 	if idx == bk.tail {
 		e.nonEmpty &^= 1
 	} else {
-		bk.head = e.qnodes[idx].next
+		bk.head = e.qnode(idx).next
 		bk.min = bk.head
 	}
 	return idx
@@ -410,9 +503,9 @@ func (e *Engine) bucketPush(b int, idx int32) {
 		e.nonEmpty |= 1 << b
 		return
 	}
-	e.qnodes[bk.tail].next = idx
+	e.qnode(bk.tail).next = idx
 	bk.tail = idx
-	if e.qnodes[idx].at < e.qnodes[bk.min].at {
+	if e.qnode(idx).at < e.qnode(bk.min).at {
 		bk.min = idx
 	}
 }

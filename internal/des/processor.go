@@ -58,6 +58,7 @@ type Processor struct {
 	ID int
 
 	eng     *Engine
+	idx     int32 // in the engine's processor table
 	slots   []reqSlot
 	free    []int32
 	ready   []readyEnt // 4-ary min-heap ordered by (priority, seq)
@@ -81,7 +82,9 @@ type Processor struct {
 
 // NewProcessor returns an idle processor bound to the engine.
 func NewProcessor(eng *Engine, id int) *Processor {
-	return &Processor{ID: id, eng: eng, running: -1, busyPos: -1}
+	p := &Processor{ID: id, eng: eng, idx: int32(len(eng.procs)), running: -1, busyPos: -1}
+	eng.procs = append(eng.procs, p)
+	return p
 }
 
 // SetIdleCallback installs fn to be called (via a zero-delay event) whenever
@@ -208,7 +211,7 @@ func (p *Processor) armIdle() {
 		return
 	}
 	p.idleArmed = true
-	p.eng.schedule(p.eng.now, dispatchProcIdle, nil, nil, p, Event{})
+	p.eng.schedule(p.eng.now, dispatchProcIdle, p.idx, Event{})
 }
 
 // idleEvent is the engine's dispatch target for idle-detector timers.

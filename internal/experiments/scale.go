@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"time"
 
@@ -70,6 +71,10 @@ type ScaleResult struct {
 	// JobsPerSec and EventsPerSec are the wall-clock throughputs.
 	JobsPerSec   float64 `json:"jobs_per_sec"`
 	EventsPerSec float64 `json:"events_per_sec"`
+	// AllocBytes and GCCycles are the bytes allocated and the collector
+	// cycles run across NewSimSystem and Run, from a collected heap.
+	AllocBytes uint64 `json:"alloc_bytes"`
+	GCCycles   uint32 `json:"gc_cycles"`
 }
 
 // RunScale executes the scalability sweep serially (each point is itself a
@@ -84,6 +89,9 @@ func RunScale(opts ScaleOptions) ([]ScaleResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scale %s: %w", pt, err)
 		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		sim, err := core.NewSimSystem(core.SimConfig{
 			Strategies: opts.Combo,
 			NumProcs:   pt.Procs,
@@ -96,6 +104,7 @@ func RunScale(opts ScaleOptions) ([]ScaleResult, error) {
 		start := time.Now()
 		m := sim.Run()
 		wall := time.Since(start)
+		runtime.ReadMemStats(&after)
 		if wall <= 0 {
 			wall = time.Nanosecond
 		}
@@ -109,6 +118,8 @@ func RunScale(opts ScaleOptions) ([]ScaleResult, error) {
 			Wall:         wall,
 			JobsPerSec:   float64(m.Total.Arrived) / wall.Seconds(),
 			EventsPerSec: float64(sim.Engine().Fired()) / wall.Seconds(),
+			AllocBytes:   after.TotalAlloc - before.TotalAlloc,
+			GCCycles:     after.NumGC - before.NumGC,
 		})
 	}
 	return results, nil
@@ -117,12 +128,12 @@ func RunScale(opts ScaleOptions) ([]ScaleResult, error) {
 // writeScale formats the sweep as a throughput table.
 func writeScale(w io.Writer, title string, results []ScaleResult) {
 	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-12s %10s %10s %10s %7s %12s %14s %14s %10s\n",
-		"procsxtasks", "jobs", "released", "events", "ratio", "wall", "jobs/sec", "events/sec", "")
+	fmt.Fprintf(w, "%-12s %10s %10s %10s %7s %12s %14s %14s %12s %4s\n",
+		"procsxtasks", "jobs", "released", "events", "ratio", "wall", "jobs/sec", "events/sec", "alloc bytes", "gcs")
 	for _, r := range results {
-		fmt.Fprintf(w, "%-12s %10d %10d %10d %7.3f %12s %14.0f %14.0f\n",
+		fmt.Fprintf(w, "%-12s %10d %10d %10d %7.3f %12s %14.0f %14.0f %12d %4d\n",
 			r.Point, r.Jobs, r.Released, r.Events, r.Ratio,
-			r.Wall.Round(time.Millisecond), r.JobsPerSec, r.EventsPerSec)
+			r.Wall.Round(time.Millisecond), r.JobsPerSec, r.EventsPerSec, r.AllocBytes, r.GCCycles)
 	}
 	fmt.Fprintln(w)
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,4 +114,34 @@ func TestParseScalePoints(t *testing.T) {
 	if pts, err := ParseScalePoints("  "); err != nil || pts != nil {
 		t.Errorf("blank list should be (nil, nil), got (%v, %v)", pts, err)
 	}
+}
+
+// TestScaleReportsAllocation holds the sweep to reporting what a request
+// allocates at the sim-sweep platform size, in its table and its JSON.
+func TestScaleReportsAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 10 000-task simulation")
+	}
+	res, err := RunScale(ScaleOptions{Points: []ScalePoint{{Procs: 50, Tasks: 10000}}, Horizon: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].AllocBytes == 0 {
+		t.Errorf("alloc_bytes is 0 at 50x10000: %+v", res[0])
+	}
+	doc, err := json.Marshal(res[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"alloc_bytes":`, `"gc_cycles":`} {
+		if !strings.Contains(string(doc), key) {
+			t.Errorf("scale JSON %s lacks %s", doc, key)
+		}
+	}
+	var table strings.Builder
+	writeScale(&table, "scale", res)
+	if !strings.Contains(table.String(), "alloc bytes") {
+		t.Errorf("scale table lacks the allocation column:\n%s", table.String())
+	}
+	t.Logf("50x10000: %d bytes, %d collector cycles", res[0].AllocBytes, res[0].GCCycles)
 }

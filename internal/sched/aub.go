@@ -124,8 +124,8 @@ func appendSignature(sig []sigEntry, es []entry) []sigEntry {
 }
 
 // sigHash hashes a signature's (processor, count) pairs: the signature
-// groups' map key. Equal signatures hash equal; groups whose hashes collide
-// share a chain and are told apart by sameSig.
+// groups' hash table key. Equal signatures hash equal; groups whose hashes
+// fall in one bucket share a chain and are told apart by hash and sameSig.
 func sigHash(sig []sigEntry) uint64 {
 	h := uint64(len(sig))
 	for _, e := range sig {
@@ -156,7 +156,7 @@ func sigString(sig []sigEntry) string {
 //rtmw:noscan
 type sigGroup struct {
 	// hash is sigHash of the signature, the group's key in Ledger.groups,
-	// and next chains the groups sharing that key, or the free groups.
+	// and next chains the groups sharing its bucket, or the free groups.
 	hash uint64
 	// scanned is the Ledger.scan value of the last admission test that
 	// summed the group, so a group met under several perturbed processors is
@@ -315,7 +315,12 @@ type Ledger struct {
 	sums      []groupSum
 	freeGroup int32
 	sigs      [][]sigEntry
-	groups    map[uint64]int32 // sigHash → first group of that hash
+	// groups is the signature hash table: bucket heads, a power of two of
+	// them (or none), each chaining through sigGroup.next the groups whose
+	// hash falls in it; ngroups counts the groups registered. It doubles
+	// when they outnumber its buckets.
+	groups  []int32
+	ngroups int
 	// procGroups indexes, per processor, the groups whose signature visits
 	// it (swap-remove via sigEntry.pos).
 	procGroups [][]groupRef
@@ -392,7 +397,6 @@ func NewLedger(numProcs int) *Ledger {
 	return &Ledger{
 		util:       make([]int64, numProcs),
 		term:       make([]int64, numProcs),
-		groups:     make(map[uint64]int32),
 		procGroups: make([][]groupRef, numProcs),
 		work:       new(Work),
 	}
@@ -410,6 +414,16 @@ func (l *Ledger) CountWork(w *Work) {
 // NewShardedLedger is NewLedger; shards is ignored. The frozen benchmark
 // probe benchmark/probe_sched.go calls it (ROADMAP item 1(a) renames it).
 func NewShardedLedger(numProcs, shards int) *Ledger { return NewLedger(numProcs) }
+
+// ReserveTasks sizes the per-task job lists for refs below n at once, so
+// that filing those tasks' jobs grows nothing.
+func (l *Ledger) ReserveTasks(n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n > len(l.tasks) {
+		l.tasks = append(l.tasks, make([]jobList, n-len(l.tasks))...)
+	}
+}
 
 // NumProcs returns the number of processors the ledger tracks.
 func (l *Ledger) NumProcs() int { return len(l.util) }
@@ -604,7 +618,12 @@ func (l *Ledger) newGroup(h uint64, sig []sigEntry) int32 {
 	}
 	copy(l.sigs[gr.sc][gr.so:], sig)
 	gr.nsig, gr.hash = int32(len(sig)), h
-	gr.next, l.groups[h] = l.groups[h], g
+	if l.ngroups == len(l.groups) {
+		l.rehash(max(groupChunk, 2*len(l.groups)))
+	}
+	b := l.bucket(h)
+	gr.next, l.groups[b] = l.groups[b], g
+	l.ngroups++
 	var maxCount int32
 	for _, e := range sig {
 		maxCount = max(maxCount, e.count)
@@ -650,11 +669,33 @@ func (l *Ledger) procGroupRemove(g int32) {
 	}
 }
 
+// bucket returns the hash table bucket of hash h.
+func (l *Ledger) bucket(h uint64) int {
+	return int(h & uint64(len(l.groups)-1))
+}
+
+// rehash spreads the registered groups over n buckets.
+func (l *Ledger) rehash(n int) {
+	old := l.groups
+	l.groups = make([]int32, n)
+	for _, head := range old {
+		for g := head; g != 0; {
+			gr := l.group(g)
+			next, b := gr.next, l.bucket(gr.hash)
+			gr.next, l.groups[b] = l.groups[b], g
+			g = next
+		}
+	}
+}
+
 // findGroup returns the registered group with signature sig under hash h,
 // or 0.
 func (l *Ledger) findGroup(h uint64, sig []sigEntry) int32 {
-	for g := l.groups[h]; g != 0; g = l.group(g).next {
-		if l.sameSig(g, sig) {
+	if len(l.groups) == 0 {
+		return 0
+	}
+	for g := l.groups[l.bucket(h)]; g != 0; g = l.group(g).next {
+		if l.group(g).hash == h && l.sameSig(g, sig) {
 			return g
 		}
 	}
@@ -664,19 +705,13 @@ func (l *Ledger) findGroup(h uint64, sig []sigEntry) int32 {
 // unlinkGroup takes a group off its hash chain.
 func (l *Ledger) unlinkGroup(g int32) {
 	gr := l.group(g)
-	if head := l.groups[gr.hash]; head == g {
-		if gr.next == 0 {
-			delete(l.groups, gr.hash)
-		} else {
-			l.groups[gr.hash] = gr.next
-		}
-	} else {
-		for p := l.group(head); p.next != 0; p = l.group(p.next) {
-			if p.next == g {
-				p.next = gr.next
-				break
-			}
-		}
+	at := &l.groups[l.bucket(gr.hash)]
+	for *at != g && *at != 0 {
+		at = &l.group(*at).next
+	}
+	if *at == g {
+		*at = gr.next
+		l.ngroups--
 	}
 	gr.next = 0
 }
@@ -1574,14 +1609,14 @@ func (l *Ledger) auditJob(r int32, referenced *int) error {
 // none of them, and registered plus free groups fill the slab.
 func (l *Ledger) auditGroups(referenced int) error {
 	wantViolated, registered, indexed := 0, 0, 0
-	for h, head := range l.groups {
+	for b, head := range l.groups {
 		for g := head; g != 0; g = l.group(g).next {
 			// Every registered group has a member job, so chains holding more
 			// groups than the ledger has jobs have a cycle.
 			if registered++; registered > l.njobs {
-				return fmt.Errorf("sched: group chains hold more than the ledger's %d jobs (cycle under hash %#x)", l.njobs, h)
+				return fmt.Errorf("sched: group chains hold more than the ledger's %d jobs (cycle in bucket %d)", l.njobs, b)
 			}
-			if err := l.checkGroup(h, g); err != nil {
+			if err := l.checkGroup(b, g); err != nil {
 				return err
 			}
 			if l.sums[g].violates() {
@@ -1590,8 +1625,8 @@ func (l *Ledger) auditGroups(referenced int) error {
 			indexed += int(l.group(g).nsig)
 		}
 	}
-	if referenced != registered {
-		return fmt.Errorf("sched: %d groups referenced by jobs, %d registered", referenced, registered)
+	if referenced != registered || l.ngroups != registered {
+		return fmt.Errorf("sched: %d groups referenced by jobs, %d registered, %d counted", referenced, registered, l.ngroups)
 	}
 	// The chains hold exactly the referenced groups, each with a tally;
 	// checkGroup found each in its processors' indexes, so an index holding
@@ -1626,14 +1661,14 @@ func (l *Ledger) auditGroups(referenced int) error {
 	return nil
 }
 
-// checkGroup audits group g, found on the chain of hash h, against the
+// checkGroup audits group g, found on the chain of bucket b, against the
 // member and counted tallies auditJob gave it.
-func (l *Ledger) checkGroup(h uint64, g int32) error {
+func (l *Ledger) checkGroup(b int, g int32) error {
 	gr, sig, s := l.group(g), l.groupSig(g), &l.sums[g]
-	if got := sigHash(sig); gr.hash != h || got != h {
-		return fmt.Errorf("sched: group %q filed under hash %#x, records %#x, hashes to %#x", sigString(sig), h, gr.hash, got)
+	if got := sigHash(sig); l.bucket(gr.hash) != b || got != gr.hash {
+		return fmt.Errorf("sched: group %q filed in bucket %d, records hash %#x, hashes to %#x", sigString(sig), b, gr.hash, got)
 	}
-	if l.findGroup(h, sig) != g {
+	if l.findGroup(gr.hash, sig) != g {
 		return fmt.Errorf("sched: signature %q registered twice", sigString(sig))
 	}
 	if gr.members != gr.auditMembers {

@@ -24,8 +24,10 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -194,36 +196,40 @@ func AssignEDMSPriorities(tasks []*Task) {
 // order is total and deterministic: the one a stable sort on (Deadline, ID)
 // gives. Priorities start at one.
 //
-// The order costs linear time in the deadlines. The (deadline, index) keys
-// start in input order and take one stable LSD radix pass per byte of the
-// deadline span (max − min): none when every deadline is equal, at most four
-// when the span is under 2^32 ns (≈ 4.29 s). Only inside a run of equal
-// deadlines are keys compared, by ID, with a stable sort, so equal IDs keep
-// input order.
+// The order costs linear time in the deadlines. Each task's key packs its
+// deadline's offset from the least one above its position, in one uint64;
+// the keys start in input order and take one stable LSD radix pass per byte
+// of the deadline span (max − min): none when every deadline is equal, at
+// most four when the span is under 2^32 ns (≈ 4.29 s). Only inside a run of
+// equal deadlines are keys compared, by ID, with a stable sort, so equal IDs
+// keep input order. A span too wide to pack beside the position (over 2^50
+// ns at 10 000 tasks, about 13 days) sorts by comparison instead.
 func EDMSRanks(tasks []*Task) []int32 {
 	if len(tasks) == 0 {
 		return nil
 	}
-	type key struct {
-		deadline time.Duration
-		idx      int
-	}
-	order := make([]key, len(tasks))
 	lo, hi := tasks[0].Deadline, tasks[0].Deadline
-	for i, t := range tasks {
-		order[i] = key{t.Deadline, i}
+	for _, t := range tasks {
 		lo, hi = min(lo, t.Deadline), max(hi, t.Deadline)
 	}
 	// Offsets from lo as unsigned: the span of any two int64s fits in uint64.
 	span := uint64(hi) - uint64(lo)
-	var tmp []key
-	if span > 0 {
-		tmp = make([]key, len(tasks))
+	pos := bits.Len(uint(len(tasks) - 1))
+	if bits.Len64(span)+pos > 64 {
+		return edmsRanksByComparison(tasks)
 	}
-	for shift := 0; shift < 64 && span>>shift != 0; shift += 8 {
+	order := make([]uint64, len(tasks))
+	for i, t := range tasks {
+		order[i] = (uint64(t.Deadline)-uint64(lo))<<pos | uint64(i)
+	}
+	var tmp []uint64
+	if span > 0 {
+		tmp = make([]uint64, len(tasks))
+	}
+	for shift := pos; shift < 64 && span>>(shift-pos) != 0; shift += 8 {
 		var start [256]int
 		for _, k := range order {
-			start[byte((uint64(k.deadline)-uint64(lo))>>shift)]++
+			start[byte(k>>shift)]++
 		}
 		sum := 0
 		for b, c := range start {
@@ -231,27 +237,45 @@ func EDMSRanks(tasks []*Task) []int32 {
 			sum += c
 		}
 		for _, k := range order {
-			b := byte((uint64(k.deadline) - uint64(lo)) >> shift)
+			b := byte(k >> shift)
 			tmp[start[b]] = k
 			start[b]++
 		}
 		order, tmp = tmp, order
 	}
+	idx := func(k uint64) int { return int(k & (1<<pos - 1)) }
 	for i := 0; i < len(order); {
 		j := i + 1
-		for j < len(order) && order[j].deadline == order[i].deadline {
+		for j < len(order) && order[j]>>pos == order[i]>>pos {
 			j++
 		}
 		if j-i > 1 {
-			slices.SortStableFunc(order[i:j], func(a, b key) int {
-				return strings.Compare(tasks[a.idx].ID, tasks[b.idx].ID)
+			slices.SortStableFunc(order[i:j], func(a, b uint64) int {
+				return strings.Compare(tasks[idx(a)].ID, tasks[idx(b)].ID)
 			})
 		}
 		i = j
 	}
 	ranks := make([]int32, len(tasks))
 	for i, k := range order {
-		ranks[k.idx] = int32(i + 1)
+		ranks[idx(k)] = int32(i + 1)
+	}
+	return ranks
+}
+
+// edmsRanksByComparison is EDMSRanks by a stable comparison sort, for a
+// deadline span too wide to pack.
+func edmsRanksByComparison(tasks []*Task) []int32 {
+	order := make([]int32, len(tasks))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(tasks[a].Deadline, tasks[b].Deadline), strings.Compare(tasks[a].ID, tasks[b].ID))
+	})
+	ranks := make([]int32, len(tasks))
+	for i, k := range order {
+		ranks[k] = int32(i + 1)
 	}
 	return ranks
 }
