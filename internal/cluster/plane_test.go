@@ -30,9 +30,16 @@ func TestManagerPushesOneEventPerDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// At least three bursts, and more until an idle report has reset a
+	// contribution: an idle instant reports only the completions recorded by
+	// then whose deadlines have not passed, and on a loaded host the last
+	// completion of a burst can reach the IR after the processor went idle
+	// and be past its deadline by the next idle instant.
 	const rounds = 3
+	stats := &ac.Controller().Stats
+	giveUp := time.Now().Add(20 * time.Second)
 	jobs := int64(0)
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < rounds || atomic.LoadInt64(&stats.IdleResets) == 0 && time.Now().Before(giveUp); r++ {
 		for i := 0; i < 30; i++ {
 			if _, err := c.Submit("alert"); err != nil {
 				t.Fatal(err)
@@ -58,7 +65,6 @@ func TestManagerPushesOneEventPerDecision(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	stats := &ac.Controller().Stats
 	accepts, expiries, resets := atomic.LoadInt64(&stats.Accepts), atomic.LoadInt64(&stats.Expiries), atomic.LoadInt64(&stats.IdleResets)
 	if accepts == 0 || expiries == 0 || resets == 0 {
 		t.Fatalf("want accepts, expiries and idle resets all exercised: %d, %d, %d", accepts, expiries, resets)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +18,10 @@ type Decision struct {
 	// per-task memory and must be treated as read-only: the home placement
 	// under LB-none, and a periodic task's memo under LB-per-task, which
 	// every job of the task shares. Every other placement (LB-per-job, and
-	// an aperiodic task's under LB-per-task) is the job's own: it is cut
-	// from a chunk the controller never hands out again, so it stays valid
-	// and unshared for as long as the caller keeps it.
+	// an aperiodic task's under LB-per-task) is the job's own: the
+	// controller hands its stages out again only once the caller hands them
+	// back (the simulation does, at the job's completion), so it stays
+	// valid and unshared for as long as the caller keeps it.
 	Placement []sched.PlacedStage
 	// Relocated reports whether the first stage was assigned away from the
 	// task's home (arrival) processor, so the release must go to the
@@ -31,10 +31,9 @@ type Decision struct {
 	// per-task reservation: the caller must not schedule a deadline-expiry
 	// removal for them.
 	Reserved bool
-	// fresh reports that Placement is the job's own, cut at span: a binding
-	// that drops its last use of it may hand it back (releasePlacement).
+	// fresh reports that Placement is the job's own: a binding that drops
+	// its last use of it may hand it back (releasePlacement).
 	fresh bool
-	span  stageSpan
 }
 
 // Controller implements the centralized admission control and load balancing
@@ -64,8 +63,9 @@ type Controller struct {
 	// tasks binds the names of the name edge to refs.
 	tasks *sched.TaskTable
 
-	// taskMu guards the per-task decision memory in the records (every field
-	// but task and home). Every periodic-task flow holds it.
+	// taskMu guards the per-task decision memory in the records: resv, and
+	// a placement filled after the record was published (taskRec). Every
+	// periodic-task flow holds it.
 	taskMu sync.Mutex
 
 	// recs indexes the per-task records by ref. Readers load it without a
@@ -78,23 +78,16 @@ type Controller struct {
 	recMu sync.Mutex
 	slab  []taskRec
 
-	// The stage arena, under scratchMu: every placement the controller makes
-	// is cut from it, and records name theirs by span. stageList holds its
-	// chunks, each as long as it will ever be (fill counts the last one's
-	// stages in use), and stages publishes that list whole after each new
-	// chunk, so a reader holding a record resolves its spans without a lock.
-	// Chunks never move. freeSpans[n] lists the n-stage spans handed back.
-	stages    atomic.Pointer[[][]sched.PlacedStage]
-	stageList [][]sched.PlacedStage
-	fill      int
-	freeSpans [][]stageSpan
-
 	// scratch is the balanced placement's accumulator, one slot per
-	// processor and all zero between placements, under scratchMu. It is a
-	// plain field, not a sync.Pool: the runtime's list of pools would keep a
+	// processor and all zero between placements; stages is the chunk every
+	// placement is cut from, and spare[n] lists the n-stage placements
+	// handed back (releasePlacement). All are under scratchMu, and plain
+	// fields, not a sync.Pool: the runtime's list of pools would keep a
 	// dropped controller, its ledger included, alive through one more GC.
 	scratchMu sync.Mutex
 	scratch   []float64
+	stages    []sched.PlacedStage
+	spare     [][][]sched.PlacedStage
 
 	// Stats accumulate controller-side counters for the experiments. Fields
 	// are updated atomically; read them only after arrivals quiesce.
@@ -108,39 +101,29 @@ type Controller struct {
 // taskRec is the controller's memory of one task incarnation (one ref),
 // created at the first arrival that needs it: under LB-none, or for a
 // periodic task under per-task admission or balancing. Tasks that never get
-// there cost nothing. Its placements are spans of the stage arena, n stages
-// long, so it holds no pointer.
-//
-//rtmw:noscan
+// there cost nothing.
 type taskRec struct {
-	// resJob is the job an admitted task's permanent reservation is held
-	// under.
-	resJob int64
-	n      int32
-	// home places every stage on its home processor: a pure function of the
-	// task, filled before the record is published and read-only after.
-	home stageSpan
-	// memo, when memoized, is a periodic task's LB-per-task assignment,
-	// fixed at its first arrival and handed out read-only. admitted and
-	// rejected are the per-task AC decision (the test runs only "when a task
-	// first arrives").
-	memo     stageSpan
-	memoized bool
-	admitted bool
-	rejected bool
+	// placement is handed out read-only to every job: under LB-none the
+	// task's home placement, under LB-per-task a periodic task's assignment
+	// fixed at its first arrival (taskPlacement). It is filled before the
+	// record is published, except in a record kept across a change of LB
+	// strategy, which the next arrival fills under taskMu (Reconfigure).
+	placement []sched.PlacedStage
+	// resv is the per-task AC decision (the test runs only "when a task
+	// first arrives"): 0 untested, resvRefused, or 1 + the job an admitted
+	// task's permanent reservation is held under.
+	resv int64
 }
 
-// stageSpan names a placement in the stage arena: its chunk and offset.
-//
-//rtmw:noscan
-type stageSpan struct {
-	chunk, off int32
-}
+// resvRefused marks a task the per-task admission test refused for its
+// lifetime (taskRec.resv).
+const resvRefused = -1
 
-// Record and stage-arena chunk sizes: a run in which most tasks arrive once
-// pays the allocator once per chunk.
+// Record and stage chunk sizes: a run in which most tasks arrive once pays
+// the allocator once per chunk. 63 records of 32 B and the 8-byte header
+// the allocator puts before an object with pointers fill a 2 KB size class.
 const (
-	recChunk   = 64
+	recChunk   = 63
 	stageChunk = 256
 )
 
@@ -227,20 +210,21 @@ func (c *Controller) Reconfigure(cfg Config) (int, error) {
 	defer c.taskMu.Unlock()
 	released := 0
 	leaveAC, leaveLB := c.cfg.AC == StrategyPerTask && cfg.AC != StrategyPerTask, c.cfg.LB != cfg.LB
-	var refs []sched.TaskRef
-	if leaveAC || leaveLB {
-		refs = c.records()
-	}
-	for _, ref := range refs {
+	for _, ref := range c.records() {
 		r := c.loadRecord(ref)
 		if leaveAC {
-			if r.admitted {
-				released += c.ledger.WithdrawKey(sched.JobKey{Task: ref, Job: r.resJob})
+			if r.resv > 0 {
+				released += c.ledger.WithdrawKey(sched.JobKey{Task: ref, Job: r.resv - 1})
 			}
-			r.admitted, r.rejected = false, false
+			r.resv = 0
 		}
-		if leaveLB {
-			r.memoized = false
+		// A record no per-task decision holds goes, and its next arrival
+		// makes it again under the new LB; the rest are periodic tasks',
+		// which every arrival reads under taskMu.
+		if leaveLB && r.resv == 0 {
+			c.dropRecord(ref)
+		} else if leaveLB {
+			r.placement = nil
 		}
 	}
 	c.cfg = cfg
@@ -275,8 +259,7 @@ func (c *Controller) record(ref sched.TaskRef, t *sched.Task) *taskRec {
 }
 
 // newRecord is record's slow path: under recMu it re-checks the slot, cuts
-// the record from the slab and its home placement from the stage arena, and
-// publishes it.
+// the record from the slab, places the task, and publishes it.
 func (c *Controller) newRecord(ref sched.TaskRef, t *sched.Task) *taskRec {
 	c.recMu.Lock()
 	defer c.recMu.Unlock()
@@ -289,11 +272,7 @@ func (c *Controller) newRecord(ref sched.TaskRef, t *sched.Task) *taskRec {
 	}
 	r := &c.slab[0]
 	c.slab = c.slab[1:]
-	c.scratchMu.Lock()
-	home, at := c.cutStages(len(t.Subtasks))
-	c.scratchMu.Unlock()
-	homePlacement(home, t)
-	*r = taskRec{n: int32(len(t.Subtasks)), home: at}
+	*r = taskRec{placement: c.taskPlacement(t)}
 	(*idx)[ref].Store(r)
 	return r
 }
@@ -342,44 +321,34 @@ func (c *Controller) records() []sched.TaskRef {
 	return out
 }
 
-// cutStages takes n stages from the stage arena, under scratchMu, and
-// returns them with their span: a span handed back, or else a new cut.
-func (c *Controller) cutStages(n int) ([]sched.PlacedStage, stageSpan) {
-	if n < len(c.freeSpans) {
-		if free := c.freeSpans[n]; len(free) > 0 {
-			at := free[len(free)-1]
-			c.freeSpans[n] = free[:len(free)-1]
-			return c.stageList[at.chunk][at.off : int(at.off)+n : int(at.off)+n], at
-		}
+// cutStages returns n stages for a placement: n handed back, or else a cut
+// from the chunk, which is dropped once used up.
+func (c *Controller) cutStages(n int) []sched.PlacedStage {
+	c.scratchMu.Lock()
+	defer c.scratchMu.Unlock()
+	if n < len(c.spare) && len(c.spare[n]) > 0 {
+		p := c.spare[n][len(c.spare[n])-1]
+		c.spare[n] = c.spare[n][:len(c.spare[n])-1]
+		return p
 	}
-	last := len(c.stageList) - 1
-	if last < 0 || len(c.stageList[last])-c.fill < n {
-		list := append(c.stageList, make([]sched.PlacedStage, max(stageChunk, n)))
-		c.stageList, c.fill, last = list, 0, len(list)-1
-		c.stages.Store(&list)
+	if len(c.stages) < n {
+		c.stages = make([]sched.PlacedStage, max(stageChunk, n))
 	}
-	at := stageSpan{chunk: int32(last), off: int32(c.fill)}
-	c.fill += n
-	return c.stageList[last][c.fill-n : c.fill : c.fill], at
+	p := c.stages[:n:n]
+	c.stages = c.stages[n:]
+	return p
 }
 
 // releasePlacement hands back a fresh decision placement (Decision.fresh)
 // that nothing uses any more; a later placement of as many stages reuses
 // it.
-func (c *Controller) releasePlacement(at stageSpan, n int) {
+func (c *Controller) releasePlacement(p []sched.PlacedStage) {
 	c.scratchMu.Lock()
-	if n >= len(c.freeSpans) {
-		c.freeSpans = append(c.freeSpans, make([][]stageSpan, n+1-len(c.freeSpans))...)
+	if n := len(p); n >= len(c.spare) {
+		c.spare = append(c.spare, make([][][]sched.PlacedStage, n+1-len(c.spare))...)
 	}
-	c.freeSpans[n] = append(c.freeSpans[n], at)
+	c.spare[len(p)] = append(c.spare[len(p)], p)
 	c.scratchMu.Unlock()
-}
-
-// span returns the n stages of the arena at a.
-//
-//rtmw:noalloc
-func (c *Controller) span(a stageSpan, n int32) []sched.PlacedStage {
-	return (*c.stages.Load())[a.chunk][a.off : a.off+n : a.off+n]
 }
 
 // homePlacement places every stage of t on its home processor, into out
@@ -397,11 +366,10 @@ func homePlacement(out []sched.PlacedStage, t *sched.Task) []sched.PlacedStage {
 // earlier stages of the same job. Ties go to the candidate listed first, so
 // the home processor wins ties deterministically. The per-job accumulator is
 // the controller's dense scratch, held under scratchMu and zeroed again
-// before it is released. The placement is cut from the stage arena and
-// never handed out again; at is its span.
-func (c *Controller) balancedPlacement(t *sched.Task) (out []sched.PlacedStage, at stageSpan) {
+// before it is released. It fills out, len(t.Subtasks) long, and returns
+// it.
+func (c *Controller) balancedPlacement(t *sched.Task, out []sched.PlacedStage) []sched.PlacedStage {
 	c.scratchMu.Lock()
-	out, at = c.cutStages(len(t.Subtasks))
 	delta := c.scratch
 	for i, st := range t.Subtasks {
 		u := t.StageUtil(i)
@@ -419,35 +387,36 @@ func (c *Controller) balancedPlacement(t *sched.Task) (out []sched.PlacedStage, 
 		delta[p.Proc] = 0
 	}
 	c.scratchMu.Unlock()
-	return out, at
+	return out
+}
+
+// taskPlacement places t for its record (taskRec.placement): home under
+// LB-none, balanced once under LB-per-task, and not at all under
+// LB-per-job, where every job is placed on its own.
+func (c *Controller) taskPlacement(t *sched.Task) []sched.PlacedStage {
+	switch c.cfg.LB {
+	case StrategyNone:
+		return homePlacement(c.cutStages(len(t.Subtasks)), t)
+	case StrategyPerTask:
+		return c.balancedPlacement(t, c.cutStages(len(t.Subtasks)))
+	}
+	return nil
 }
 
 // placeFor computes the placement for an arriving job per the LB strategy:
 // a decision with it, and fresh when the placement is the job's own.
 // Callers hold taskMu when t is periodic (the per-task memo paths).
 func (c *Controller) placeFor(ref sched.TaskRef, t *sched.Task) Decision {
-	switch c.cfg.LB {
-	case StrategyPerTask:
-		// Periodic tasks are assigned once, at first arrival; every
-		// aperiodic arrival is an independent task with a single release and
-		// is assigned at that arrival.
-		if t.Kind != sched.Periodic {
-			p, at := c.balancedPlacement(t)
-			return Decision{Placement: p, fresh: true, span: at}
-		}
-		r := c.record(ref, t)
-		if !r.memoized {
-			_, r.memo = c.balancedPlacement(t)
-			r.memoized = true
-		}
-		return Decision{Placement: c.span(r.memo, r.n)}
-	case StrategyPerJob:
-		p, at := c.balancedPlacement(t)
-		return Decision{Placement: p, fresh: true, span: at}
-	default:
-		r := c.record(ref, t)
-		return Decision{Placement: c.span(r.home, r.n)}
+	if c.cfg.LB == StrategyPerJob || c.cfg.LB == StrategyPerTask && t.Kind != sched.Periodic {
+		// Every aperiodic arrival is an independent task with a single
+		// release, assigned at that arrival.
+		return Decision{Placement: c.balancedPlacement(t, c.cutStages(len(t.Subtasks))), fresh: true}
 	}
+	r := c.record(ref, t)
+	if r.placement == nil {
+		r.placement = c.taskPlacement(t)
+	}
+	return Decision{Placement: r.placement}
 }
 
 // Arrive processes a "Task Arrive" event for job number job of task t at
@@ -501,19 +470,18 @@ func (c *Controller) arrive(k sched.JobKey, t *sched.Task, now time.Duration) De
 // Caller holds taskMu.
 func (c *Controller) arrivePerTask(t *sched.Task, k sched.JobKey, now time.Duration) Decision {
 	r := c.record(k.Task, t)
-	if r.rejected {
+	if r.resv == resvRefused {
 		atomic.AddInt64(&c.Stats.Rejects, 1)
 		return Decision{}
 	}
-	if !r.admitted {
+	if r.resv == 0 {
 		// First arrival: test once and reserve the task's synthetic
 		// utilization for its lifetime (permanent contribution under the
 		// first arrival's job number).
 		d := c.testAndAdmit(t, k, now, true)
+		r.resv = resvRefused
 		if d.Accept {
-			r.admitted, r.resJob = true, k.Job
-		} else {
-			r.rejected = true
+			r.resv = k.Job + 1
 		}
 		return d
 	}
@@ -524,7 +492,7 @@ func (c *Controller) arrivePerTask(t *sched.Task, k sched.JobKey, now time.Durat
 	d := c.placeFor(k.Task, t)
 	placement := d.Placement
 	if c.cfg.LB == StrategyPerJob {
-		if err := c.ledger.Relocate(sched.JobKey{Task: k.Task, Job: r.resJob}, placement); err != nil {
+		if err := c.ledger.Relocate(sched.JobKey{Task: k.Task, Job: r.resv - 1}, placement); err != nil {
 			// The reservation is always present for admitted tasks; an error
 			// here is a programming bug worth surfacing loudly in tests.
 			panic(fmt.Sprintf("core: relocate reservation for admitted task %s: %v", t.ID, err))
@@ -571,7 +539,7 @@ func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Durati
 	if !admitted {
 		atomic.AddInt64(&c.Stats.Rejects, 1)
 		if d.fresh {
-			c.releasePlacement(d.span, len(placement))
+			c.releasePlacement(placement)
 		}
 		return Decision{}
 	}
@@ -590,27 +558,20 @@ func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Durati
 // of task t (ref tr) without mutating any per-task assignment memory. The
 // admission path itself uses the internal (memoizing) placement.
 func (c *Controller) Location(tr sched.TaskRef, t *sched.Task) []sched.PlacedStage {
+	out := make([]sched.PlacedStage, len(t.Subtasks))
 	switch c.cfg.LB {
+	case StrategyNone:
+		return homePlacement(out, t)
 	case StrategyPerTask:
 		if t.Kind == sched.Periodic {
 			c.taskMu.Lock()
-			var p []sched.PlacedStage
-			if r := c.loadRecord(tr); r != nil && r.memoized {
-				p = slices.Clone(c.span(r.memo, r.n))
-			}
-			c.taskMu.Unlock()
-			if p != nil {
-				return p
+			defer c.taskMu.Unlock()
+			if r := c.loadRecord(tr); r != nil && r.placement != nil {
+				return append(out[:0], r.placement...)
 			}
 		}
-		p, _ := c.balancedPlacement(t)
-		return p
-	case StrategyPerJob:
-		p, _ := c.balancedPlacement(t)
-		return p
-	default:
-		return homePlacement(make([]sched.PlacedStage, len(t.Subtasks)), t)
 	}
+	return c.balancedPlacement(t, out)
 }
 
 // ExpireJob is ExpireKey for a job named by task name. Only the frozen
@@ -660,8 +621,8 @@ func (c *Controller) RehomeTask(tr sched.TaskRef) int {
 	c.taskMu.Lock()
 	defer c.taskMu.Unlock()
 	released := 0
-	if r := c.loadRecord(tr); r != nil && r.admitted {
-		released = c.ledger.WithdrawKey(sched.JobKey{Task: tr, Job: r.resJob})
+	if r := c.loadRecord(tr); r != nil && r.resv > 0 {
+		released = c.ledger.WithdrawKey(sched.JobKey{Task: tr, Job: r.resv - 1})
 	}
 	c.dropRecord(tr)
 	atomic.AddInt64(&c.Stats.ReconfigReleased, int64(released))

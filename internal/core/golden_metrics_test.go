@@ -317,7 +317,7 @@ func TestSweepRunHeap(t *testing.T) {
 		t.Skip("runs fifteen sweep-shape simulations")
 	}
 	const (
-		maxRequestBytes = 3600000
+		maxRequestBytes = 3500000
 		maxRunMallocs   = 2000
 		maxLive         = 1000
 		scanCut         = 1 << 20

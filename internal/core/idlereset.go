@@ -36,7 +36,7 @@ type IdleResetter struct {
 }
 
 // pendingChunk is how many completions a chunk of the pending set holds.
-const pendingChunk = 64
+const pendingChunk = 32
 
 // completion is one locally recorded completed subjob.
 //

@@ -44,12 +44,14 @@ type Metrics struct {
 	Periodic  KindMetrics
 	Aperiodic KindMetrics
 
-	// sim is the run whose per-task records hold the task buckets, and
-	// byName maps each task name to the ref of the first incarnation to
-	// arrive, whose bucket is the name's. byName is built on the first call
-	// that needs it and kept up from then on.
+	// sim is the run whose per-task records hold the task buckets. byName
+	// maps each task name to the ref of the first incarnation to arrive,
+	// whose bucket is the name's; it is built on the first call that needs
+	// it and kept up from then on. alias maps every later incarnation to
+	// that first one.
 	sim    *SimSystem
 	byName map[string]int32
+	alias  map[int32]int32
 }
 
 // kind returns the per-kind bucket.
@@ -89,62 +91,75 @@ func (m *Metrics) names() map[string]int32 {
 	if m.byName == nil {
 		m.byName = make(map[string]int32)
 		for ref, st := range m.sim.state {
-			if id := m.sim.tasks[ref].ID; st != nil && st.acct == int32(ref) {
-				m.byName[id] = int32(ref)
+			if _, later := m.alias[int32(ref)]; st != nil && !later {
+				m.byName[m.sim.tasks[ref].ID] = int32(ref)
 			}
 		}
 	}
 	return m.byName
 }
 
-// enter registers the first arrival of task ref and returns the ref whose
-// bucket its jobs account into: its name's, once the name index exists.
-func (m *Metrics) enter(ref int32) int32 {
+// enter registers the first arrival of task ref: once the name index
+// exists, a later incarnation of a name accounts into the first's bucket.
+func (m *Metrics) enter(ref int32) {
 	if m.byName == nil {
-		return ref
+		return
 	}
 	id := m.sim.tasks[ref].ID
-	if first, ok := m.byName[id]; ok {
-		return first
+	first, ok := m.byName[id]
+	if !ok {
+		m.byName[id] = ref
+		return
 	}
-	m.byName[id] = ref
-	return ref
+	if m.alias == nil {
+		m.alias = make(map[int32]int32)
+	}
+	m.alias[ref] = first
 }
 
-// buckets returns the three buckets a job of kind k accounts into.
-func (m *Metrics) buckets(k sched.TaskKind, own *KindMetrics) [3]*KindMetrics {
-	return [3]*KindMetrics{&m.Total, m.kind(k), own}
+// of returns the buckets a job of task ref accounts into, the total, its
+// kind's and its own (or its name's first incarnation's, alias), and the
+// task's utilization.
+func (m *Metrics) of(ref int32) ([3]*KindMetrics, float64) {
+	own := ref
+	if first, ok := m.alias[ref]; ok {
+		own = first
+	}
+	st := m.sim.state[ref]
+	return [3]*KindMetrics{&m.Total, m.kind(m.sim.tasks[ref].Kind), &m.sim.state[own].own}, st.util
 }
 
-// arrived records a job arrival of task t.
-func (m *Metrics) arrived(t *sched.Task, own *KindMetrics) {
-	u := t.TotalUtil()
-	for _, b := range m.buckets(t.Kind, own) {
+// arrived records a job arrival of task ref.
+func (m *Metrics) arrived(ref int32) {
+	buckets, u := m.of(ref)
+	for _, b := range buckets {
 		b.Arrived++
 		b.ArrivedUtil += u
 	}
 }
 
-// released records an accepted, released job of task t.
-func (m *Metrics) released(t *sched.Task, own *KindMetrics) {
-	u := t.TotalUtil()
-	for _, b := range m.buckets(t.Kind, own) {
+// released records an accepted, released job of task ref.
+func (m *Metrics) released(ref int32) {
+	buckets, u := m.of(ref)
+	for _, b := range buckets {
 		b.Released++
 		b.ReleasedUtil += u
 	}
 }
 
-// skipped records a job of task t that was not released.
-func (m *Metrics) skipped(t *sched.Task, own *KindMetrics) {
-	for _, b := range m.buckets(t.Kind, own) {
+// skipped records a job of task ref that was not released.
+func (m *Metrics) skipped(ref int32) {
+	buckets, _ := m.of(ref)
+	for _, b := range buckets {
 		b.Skipped++
 	}
 }
 
-// completed records a finished job of task t and its response time.
-func (m *Metrics) completed(response time.Duration, t *sched.Task, own *KindMetrics) {
-	missed := response > t.Deadline
-	for _, b := range m.buckets(t.Kind, own) {
+// completed records a finished job of task ref and its response time.
+func (m *Metrics) completed(ref int32, response time.Duration) {
+	buckets, _ := m.of(ref)
+	missed := response > m.sim.tasks[ref].Deadline
+	for _, b := range buckets {
 		b.Completed++
 		b.TotalResponse += response
 		if response > b.MaxResponse {

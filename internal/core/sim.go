@@ -56,16 +56,14 @@ func (c SimConfig) withDefaults() SimConfig {
 }
 
 // simTask is one task's runtime state in the simulation: its task effector
-// state machine, next job number and job accounting. It is created at the
-// task's first arrival, cut from a chunk of simChunk, so a task that never
-// arrives costs one nil pointer. Its jobs account into the total, their
-// kind's bucket and the own bucket of the task acct (see Metrics.Task):
-// itself, or the first incarnation of a re-registered name.
+// state machine, next job number, own metrics bucket and total utilization.
+// It is created at the task's first arrival, cut from a chunk of simChunk,
+// so a task that never arrives costs one nil pointer.
 type simTask struct {
 	eff     Effector
 	nextJob int64
 	own     KindMetrics
-	acct    int32
+	util    float64
 }
 
 // simChunk is how many simTask records one allocation holds: as many as
@@ -144,11 +142,10 @@ type verdict struct {
 // placement owns it, and hands it back to the controller when it completes.
 type relJob struct {
 	task      int32
+	owned     bool
 	job       int64
 	arrival   time.Duration
 	placement []sched.PlacedStage
-	span      stageSpan
-	owned     bool
 }
 
 // SimSystem wires the configurable components onto the discrete-event
@@ -166,6 +163,7 @@ type relJob struct {
 type SimSystem struct {
 	cfg     SimConfig
 	eng     *des.Engine
+	self    des.HandlerID // the binding, registered with eng
 	procs   []*des.Processor
 	irs     []*IdleResetter
 	links   *des.Link // every hop between nodes: one link delay
@@ -274,6 +272,7 @@ func (s *SimSystem) build() {
 	s.removed = make([]bool, n)
 	s.rng = rand.New(rand.NewSource(s.cfg.Seed))
 	s.eng = des.NewEngine()
+	s.self = s.eng.Register(s)
 	s.links = des.NewLink(s.eng, simLinkDelay)
 	s.acDelay = des.NewLink(s.eng, simACDelay)
 	s.procs = make([]*des.Processor, procs)
@@ -360,16 +359,11 @@ func (s *SimSystem) task(ti int32) *simTask {
 	}
 	st := &s.slab[0]
 	s.slab = s.slab[1:]
-	st.acct = s.metrics.enter(ti)
+	s.metrics.enter(ti)
+	st.util = s.tasks[ti].TotalUtil()
 	st.eff.Epoch(s.epoch, s.cfg.Strategies, s.tasks[ti].Kind)
 	s.state[ti] = st
 	return st
-}
-
-// account returns task ti and the bucket its jobs account into besides
-// the total and their kind's.
-func (s *SimSystem) account(ti int32) (*sched.Task, *KindMetrics) {
-	return s.tasks[ti], &s.state[s.state[ti].acct].own
 }
 
 // Run executes the workload: arrivals from time zero to the horizon, then a
@@ -650,7 +644,7 @@ func (s *SimSystem) ScheduleReconfig(at time.Duration, to Config) (*ReconfigRepo
 	}
 	rep := &ReconfigReport{From: s.cfg.Strategies, To: to}
 	s.reconfigs = append(s.reconfigs, reconfigOp{to: to, report: rep})
-	s.eng.AtEvent(at, s, des.Event{Kind: evReconfigQuiesce, A: int32(len(s.reconfigs) - 1)})
+	s.eng.AtID(at, s.self, des.Event{Kind: evReconfigQuiesce, A: int32(len(s.reconfigs) - 1)})
 	return rep, nil
 }
 
@@ -678,14 +672,14 @@ func (s *SimSystem) Reconfigure(to Config) (*ReconfigReport, error) {
 // retries right after its swap completes.
 func (s *SimSystem) beginQuiesce(idx int32) {
 	if s.quiescing {
-		s.eng.AfterEvent(s.quiesceWindow()+time.Nanosecond, s, des.Event{Kind: evReconfigQuiesce, A: idx})
+		s.eng.AfterID(s.quiesceWindow()+time.Nanosecond, s.self, des.Event{Kind: evReconfigQuiesce, A: idx})
 		return
 	}
 	op := &s.reconfigs[idx]
 	op.quiescedAt = s.eng.Now()
 	op.report.InFlightBefore = s.inFlight
 	s.quiescing = true
-	s.eng.AfterEvent(s.quiesceWindow(), s, des.Event{Kind: evReconfigSwap, A: idx})
+	s.eng.AfterID(s.quiesceWindow(), s.self, des.Event{Kind: evReconfigSwap, A: idx})
 }
 
 // swapConfig atomically installs the target configuration once the quiesce
@@ -755,7 +749,7 @@ func (s *SimSystem) scheduleFirstArrival(ti int32, base time.Duration) {
 	if at > s.cfg.Horizon {
 		return
 	}
-	s.eng.AtEvent(at, s, des.Event{Kind: evArrive, A: ti})
+	s.eng.AtID(at, s.self, des.Event{Kind: evArrive, A: ti})
 }
 
 // exp samples an exponential interarrival with the given mean (Poisson
@@ -787,12 +781,11 @@ func (s *SimSystem) HandleEvent(ev des.Event) {
 		v := s.decs[ev.B]
 		s.freeDec(ev.B)
 		s.acts = s.state[ev.A].eff.Decided(ev.N, v.d, v.cache, s.epoch, s.acts[:0])
-		var fresh *Decision
-		if v.d.fresh && s.releases(v.d.Placement) == 1 {
-			fresh = &v.d
-		}
+		// A fresh placement that settles one job alone, is not cached and
+		// is shown to no watch stream is that job's to hand back.
+		own := v.d.fresh && !v.cache && len(s.acts) == 1 && !s.hub.Active()
 		for _, a := range s.acts {
-			s.do(ev.A, a, fresh)
+			s.do(ev.A, a, own)
 		}
 	case evStageDone:
 		s.stageDone(ev.A, ev.B)
@@ -828,7 +821,7 @@ func (s *SimSystem) arrive(ti int32) {
 		next = now + s.exp(t.MeanInterarrival)
 	}
 	if next <= s.cfg.Horizon {
-		s.eng.AtEvent(next, s, des.Event{Kind: evArrive, A: ti})
+		s.eng.AtID(next, s.self, des.Event{Kind: evArrive, A: ti})
 	}
 	s.admit(ti, now)
 }
@@ -839,7 +832,7 @@ func (s *SimSystem) admit(ti int32, now time.Duration) (Action, bool) {
 	st := s.task(ti)
 	job := st.nextJob
 	st.nextJob++
-	s.metrics.arrived(s.account(ti))
+	s.metrics.arrived(ti)
 	return s.routeArrival(ti, job, now)
 }
 
@@ -855,34 +848,23 @@ func (s *SimSystem) routeArrival(ti int32, job int64, arrival time.Duration) (a 
 		return Action{Kind: ActHold, Job: job, Arrival: arrival}, true
 	}
 	a = s.state[ti].eff.Arrive(job, arrival)
-	s.do(ti, a, nil)
+	s.do(ti, a, false)
 	return a, false
 }
 
 // do carries out one effector action for task ti: a request is the TE
 // pushing a "Task Arrive" event to the AC, whose decision and "Accept" event
-// back are chained typed events. fresh, when not nil, is a decision whose
-// fresh placement only this action's release uses.
-func (s *SimSystem) do(ti int32, a Action, fresh *Decision) {
+// back are chained typed events. A job released with own set owns its
+// placement (relJob).
+func (s *SimSystem) do(ti int32, a Action, own bool) {
 	switch a.Kind {
 	case ActRequest:
 		s.links.SendEvent(s, des.Event{Kind: evManagerArrive, A: ti, N: a.Job, D: a.Arrival})
 	case ActRelease:
-		s.release(ti, a.Job, a.Placement, a.Arrival, fresh)
+		s.release(ti, a.Job, a.Placement, a.Arrival, own)
 	case ActSkip:
 		s.skipJob(ti, a.Job)
 	}
-}
-
-// releases counts the release actions in s.acts that use placement p.
-func (s *SimSystem) releases(p []sched.PlacedStage) int {
-	n := 0
-	for _, a := range s.acts {
-		if a.Kind == ActRelease && &a.Placement[0] == &p[0] {
-			n++
-		}
-	}
-	return n
 }
 
 // decide runs the manager-side decide step and pushes the "Accept" (or
@@ -899,7 +881,7 @@ func (s *SimSystem) decide(ti int32, job int64, arrival time.Duration) {
 			// event is an O(1) lookup (a no-op when idle resetting already
 			// drained the job), so the drain tail stays cheap even at large
 			// in-flight job counts.
-			s.eng.AtEvent(expireAt, s, des.Event{Kind: evExpire, A: ti, N: job})
+			s.eng.AtID(expireAt, s.self, des.Event{Kind: evExpire, A: ti, N: job})
 		}
 	}
 	// The decision waits in the pool while the event crosses the link.
@@ -909,7 +891,7 @@ func (s *SimSystem) decide(ti int32, job int64, arrival time.Duration) {
 
 // skipJob accounts one not-released job and notifies watchers.
 func (s *SimSystem) skipJob(ti int32, job int64) {
-	s.metrics.skipped(s.account(ti))
+	s.metrics.skipped(ti)
 	s.emit(WatchRejected, ti, job, nil, 0)
 }
 
@@ -927,17 +909,12 @@ func (s *SimSystem) emit(kind WatchKind, ti int32, job int64, placement []sched.
 	s.hub.Emit(ev)
 }
 
-// release starts the job's first subjob on its assigned processor. The job
-// owns fresh's placement unless a watch stream was shown it.
-func (s *SimSystem) release(ti int32, job int64, placement []sched.PlacedStage, arrival time.Duration, fresh *Decision) {
-	s.metrics.released(s.account(ti))
+// release starts the job's first subjob on its assigned processor.
+func (s *SimSystem) release(ti int32, job int64, placement []sched.PlacedStage, arrival time.Duration, own bool) {
+	s.metrics.released(ti)
 	s.inFlight++
-	ji := s.allocJob(ti, job, arrival, placement)
-	if fresh != nil && !s.hub.Active() {
-		s.jobs[ji].span, s.jobs[ji].owned = fresh.span, true
-	}
 	s.emit(WatchAdmitted, ti, job, placement, 0)
-	s.startStage(ji, 0)
+	s.startStage(s.allocJob(relJob{task: ti, owned: own, job: job, arrival: arrival, placement: placement}), 0)
 }
 
 // startStage submits the i-th subjob; completion and cross-processor trigger
@@ -962,7 +939,7 @@ func (s *SimSystem) stageDone(ji, stage int32) {
 	s.irs[proc].Complete(sched.JobKey{Task: sched.TaskRef(ti), Job: j.job}, int(stage), t.Kind, j.arrival+t.Deadline)
 	if int(stage) == len(j.placement)-1 {
 		resp := now - j.arrival
-		s.metrics.completed(resp, t, &s.state[s.state[ti].acct].own)
+		s.metrics.completed(ti, resp)
 		s.inFlight--
 		s.emit(WatchCompleted, ti, j.job, nil, resp)
 		if resp > t.Deadline {
@@ -981,7 +958,9 @@ func (s *SimSystem) stageDone(ji, stage int32) {
 // reportIdle pushes the processor's idle-resetting report to the AC.
 func (s *SimSystem) reportIdle(proc int) {
 	ri := s.allocReport()
-	out := s.irs[proc].ReportInto(s.eng.Now(), s.irReports[ri][:0])
+	// Sized once for the whole report, not grown by doubling as it fills.
+	buf := slices.Grow(s.irReports[ri][:0], s.irs[proc].PendingCount())
+	out := s.irs[proc].ReportInto(s.eng.Now(), buf)
 	s.irReports[ri] = out
 	if len(out) == 0 {
 		s.freeReport(ri)
@@ -990,26 +969,23 @@ func (s *SimSystem) reportIdle(proc int) {
 	s.links.SendEvent(s, des.Event{Kind: evIdleReport, A: ri})
 }
 
-// allocJob takes a released-job slot for the job.
-func (s *SimSystem) allocJob(ti int32, job int64, arrival time.Duration, placement []sched.PlacedStage) int32 {
-	var ji int32
+// allocJob parks a released job in a slot.
+func (s *SimSystem) allocJob(j relJob) int32 {
 	if n := len(s.freeJobs); n > 0 {
-		ji = s.freeJobs[n-1]
+		ji := s.freeJobs[n-1]
 		s.freeJobs = s.freeJobs[:n-1]
-	} else {
-		s.jobs = append(s.jobs, relJob{})
-		ji = int32(len(s.jobs) - 1)
+		s.jobs[ji] = j
+		return ji
 	}
-	s.jobs[ji] = relJob{task: ti, job: job, arrival: arrival, placement: placement}
-	return ji
+	s.jobs = append(s.jobs, j)
+	return int32(len(s.jobs) - 1)
 }
 
 func (s *SimSystem) freeJob(ji int32) {
-	j := &s.jobs[ji]
-	if j.owned {
-		s.ctrl.releasePlacement(j.span, len(j.placement))
+	if j := &s.jobs[ji]; j.owned {
+		s.ctrl.releasePlacement(j.placement)
 	}
-	*j = relJob{}
+	s.jobs[ji] = relJob{}
 	s.freeJobs = append(s.freeJobs, ji)
 }
 

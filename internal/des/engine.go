@@ -21,8 +21,9 @@
 //
 //   - timers live in a pooled slot arena recycled through a free list,
 //     grown a chunk at a time and never copied; a slot holds no pointer: it
-//     names its handler, processor or closure by index into small
-//     per-engine tables, so the collector never scans the arena;
+//     names a registered handler, its processor, or its closure or
+//     unregistered handler by index into small per-engine tables, so the
+//     collector never scans the arena;
 //   - timers wait in a monotone radix queue: a timer sits in the bucket of
 //     the highest bit in which its time differs from the last time popped,
 //     each bucket lists its timers in seq order with their times inline, and
@@ -31,7 +32,8 @@
 //     engine keeps the busy processors in a small indexed heap, so a
 //     preemption leaves nothing behind to pop;
 //   - besides closure callbacks (At), events can carry a small typed
-//     payload (AtEvent/AfterEvent) dispatched to an EventHandler, so the
+//     payload (AtEvent/AfterEvent, AtID/AfterID for a handler registered
+//     once) dispatched to an EventHandler, so the
 //     dominant simulation paths schedule events without capturing state in
 //     a fresh closure, and a processor's completions are typed events only;
 //   - a send on a Link takes no slot and no queue entry: the link's FIFO lane
@@ -46,7 +48,7 @@ package des
 import (
 	"fmt"
 	"math/bits"
-	"reflect"
+	"slices"
 	"time"
 )
 
@@ -66,26 +68,30 @@ type Event struct {
 	D time.Duration
 }
 
-// EventHandler consumes typed events scheduled with AtEvent/AfterEvent.
+// EventHandler consumes typed events scheduled with AtEvent/AfterEvent or,
+// once registered, AtID/AfterID.
 // Implementations are usually a single struct with a jump table over
 // Event.Kind.
 type EventHandler interface {
 	HandleEvent(ev Event)
 }
 
+// HandlerID names a handler registered with an engine (Engine.Register).
+type HandlerID int32
+
 // dispatch kinds for pooled timer slots.
 const (
 	dispatchNone uint8 = iota // the zero value: never scheduled
-	dispatchFunc
+	dispatchCall
 	dispatchHandler
 	dispatchProcIdle
 )
 
 // slot is one pooled timer record, recycled through Engine.free once it
 // fires: its seq, its event's fields, and target, which names what it
-// dispatches to as four times an index plus the dispatch kind: the handler
-// entry (dispatchHandler), the processor (dispatchProcIdle) or the closure
-// (dispatchFunc).
+// dispatches to as four times an index plus the dispatch kind: the
+// registered handler (dispatchHandler), the processor (dispatchProcIdle) or
+// the pending call, a closure or an unregistered handler (dispatchCall).
 //
 //rtmw:noscan
 type slot struct {
@@ -93,13 +99,6 @@ type slot struct {
 	d          time.Duration
 	kind, a, b int32
 	target     int32
-}
-
-// handlerEnt is one entry of the engine's handler table: a handler and the
-// number of pending timers that name it. An entry nothing names is free.
-type handlerEnt struct {
-	h    EventHandler
-	refs int32
 }
 
 // qNode is a timer's place in the queue, indexed like its slot: its time,
@@ -136,15 +135,13 @@ type Engine struct {
 	procs  []*Processor // every processor on the engine, by Processor.idx
 	busy   []*Processor // binary min-heap of running processors by (doneAt, doneSeq)
 
-	// The tables slots name their targets in. handlers holds the handlers
-	// of pending typed timers (a simulation has one or two), freeHandlers
-	// its free entries and lastHandler the entry last taken; fns holds the
-	// closures of pending At timers and freeFns its free entries.
-	handlers     []handlerEnt
-	freeHandlers []int32
-	lastHandler  int32
-	fns          []func()
-	freeFns      []int32
+	// The tables slots name their targets in: handlers holds the
+	// registered handlers, calls the closure (func()) or unregistered
+	// EventHandler of each pending At or AtEvent timer, and freeCalls the
+	// free entries of calls.
+	handlers  []EventHandler
+	calls     []any
+	freeCalls []int32
 
 	// The timer queue: a timer at time at is in bucket bits.Len64(at ^
 	// base), base being the last time popped (or now, when the queue was
@@ -204,6 +201,9 @@ func (e *Engine) Reserve(n int) {
 	for len(e.slots)*slotChunk < e.queued+n {
 		e.grow()
 	}
+	// Any of them may be a call, and every call entry may be free at once.
+	e.calls = slices.Grow(e.calls, max(n-len(e.freeCalls), 0))
+	e.freeCalls = slices.Grow(e.freeCalls, cap(e.calls)-len(e.freeCalls))
 }
 
 // grow adds a chunk of slots and their queue nodes.
@@ -238,54 +238,20 @@ func (e *Engine) alloc() int32 {
 	return e.cut - 1
 }
 
-// sameHandler reports whether a and b are one handler. Handlers of a type
-// that == cannot compare are never the same, so each such timer takes an
-// entry of its own.
-func sameHandler(a, b EventHandler) bool {
-	t := reflect.TypeOf(a)
-	return t == reflect.TypeOf(b) && t.Comparable() && a == b
-}
-
-// holdHandler returns h's entry in the handler table, taking one when h has
-// none, and counts one more timer naming it.
+// hold enters c, a closure or an unregistered handler, in the table of
+// pending calls and returns its entry.
 //
 //rtmw:noalloc
-func (e *Engine) holdHandler(h EventHandler) int32 {
-	if i := e.lastHandler; int(i) < len(e.handlers) && e.handlers[i].refs > 0 && sameHandler(e.handlers[i].h, h) {
-		e.handlers[i].refs++
+func (e *Engine) hold(c any) int32 {
+	if n := len(e.freeCalls); n > 0 {
+		i := e.freeCalls[n-1]
+		e.freeCalls = e.freeCalls[:n-1]
+		e.calls[i] = c
 		return i
 	}
-	for i := range e.handlers {
-		if ent := &e.handlers[i]; ent.refs > 0 && sameHandler(ent.h, h) {
-			ent.refs++
-			e.lastHandler = int32(i)
-			return int32(i)
-		}
-	}
-	var i int32
-	if n := len(e.freeHandlers); n > 0 {
-		i, e.freeHandlers = e.freeHandlers[n-1], e.freeHandlers[:n-1]
-	} else {
-		i = int32(len(e.handlers))
-		e.handlers = append(e.handlers, handlerEnt{})
-	}
-	e.handlers[i] = handlerEnt{h: h, refs: 1}
-	e.lastHandler = i
-	return i
-}
-
-// releaseHandler counts one timer fewer naming entry i and returns its
-// handler, freeing the entry when nothing names it any more.
-//
-//rtmw:noalloc
-func (e *Engine) releaseHandler(i int32) EventHandler {
-	ent := &e.handlers[i]
-	h := ent.h
-	if ent.refs--; ent.refs == 0 {
-		ent.h = nil
-		e.freeHandlers = append(e.freeHandlers, i)
-	}
-	return h
+	//rtmw:ignore noalloc the table grows to the most calls ever pending at once, never per event
+	e.calls = append(e.calls, c)
+	return int32(len(e.calls) - 1)
 }
 
 // schedule is the single scheduling entry point behind At/AtEvent and the
@@ -319,27 +285,45 @@ func (e *Engine) At(at time.Duration, fn func()) {
 	if fn == nil {
 		panic("des: scheduling nil callback")
 	}
-	var i int32
-	if n := len(e.freeFns); n > 0 {
-		i, e.freeFns = e.freeFns[n-1], e.freeFns[:n-1]
-		e.fns[i] = fn
-	} else {
-		i = int32(len(e.fns))
-		e.fns = append(e.fns, fn)
-	}
-	e.schedule(at, dispatchFunc, i, Event{})
+	e.schedule(at, dispatchCall, e.hold(fn), Event{})
 }
 
 // AtEvent schedules a typed event for h at the given absolute virtual time.
 // Unlike At, no closure is involved: the payload travels in the pooled slot,
-// so steady-state scheduling does not allocate.
+// so steady-state scheduling does not allocate. A handler that takes many
+// events is cheaper registered once and scheduled with AtID.
 //
 //rtmw:noalloc
 func (e *Engine) AtEvent(at time.Duration, h EventHandler, ev Event) {
 	if h == nil {
 		panic("des: scheduling nil event handler")
 	}
-	e.schedule(at, dispatchHandler, e.holdHandler(h), ev)
+	e.schedule(at, dispatchCall, e.hold(h), ev)
+}
+
+// Register adds h to the engine's handlers for the engine's lifetime and
+// returns the id AtID and AfterID name it by.
+func (e *Engine) Register(h EventHandler) HandlerID {
+	if h == nil {
+		panic("des: registering nil event handler")
+	}
+	e.handlers = append(e.handlers, h)
+	return HandlerID(len(e.handlers) - 1)
+}
+
+// AtID schedules a typed event for registered handler id at the given
+// absolute virtual time, as AtEvent does for its handler.
+//
+//rtmw:noalloc
+func (e *Engine) AtID(at time.Duration, id HandlerID, ev Event) {
+	e.schedule(at, dispatchHandler, int32(id), ev)
+}
+
+// AfterID schedules a typed event for registered handler id at d from now.
+//
+//rtmw:noalloc
+func (e *Engine) AfterID(d time.Duration, id HandlerID, ev Event) {
+	e.AtID(e.now+d, id, ev)
 }
 
 // AfterEvent schedules a typed event for h at d from now.
@@ -409,20 +393,26 @@ func (e *Engine) fire(at time.Duration, lane *Link, proc *Processor) {
 		return
 	}
 	idx := e.qpop()
-	// Release the slot and its table entry before invoking, so the callback
+	// Release the slot and its call entry before invoking, so the callback
 	// can schedule new events straight into them and the engine retains no
 	// reference to fired state.
 	s := *e.slot(idx)
 	e.qnode(idx).next, e.free = e.free, idx
 	i := s.target >> 2
+	ev := Event{Kind: s.kind, A: s.a, B: s.b, N: s.n, D: s.d}
 	switch uint8(s.target & 3) {
-	case dispatchFunc:
-		fn := e.fns[i]
-		e.fns[i] = nil
-		e.freeFns = append(e.freeFns, i)
-		fn()
+	case dispatchCall:
+		c := e.calls[i]
+		e.calls[i] = nil
+		//rtmw:ignore noalloc the free list holds at most every entry of calls, never grows per event
+		e.freeCalls = append(e.freeCalls, i)
+		if fn, ok := c.(func()); ok {
+			fn()
+		} else {
+			c.(EventHandler).HandleEvent(ev)
+		}
 	case dispatchHandler:
-		e.releaseHandler(i).HandleEvent(Event{Kind: s.kind, A: s.a, B: s.b, N: s.n, D: s.d})
+		e.handlers[i].HandleEvent(ev)
 	case dispatchProcIdle:
 		e.procs[i].idleEvent()
 	}
