@@ -179,11 +179,6 @@ func MapAnswers(a Answers) Result {
 // note appends one reasoning line.
 func (r *Result) note(s string) { r.Notes = append(r.Notes, s) }
 
-// ValidateConfig checks an explicitly chosen combination, for developers who
-// bypass the questionnaire. It is the feasibility check that "detects and
-// disallows" incompatible service configurations.
-func ValidateConfig(cfg core.Config) error { return cfg.Validate() }
-
 // RenderTable1 formats the paper's Table 1 (criteria → middleware
 // strategies).
 func RenderTable1() string {

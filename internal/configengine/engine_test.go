@@ -111,8 +111,8 @@ func TestMapAnswersAlwaysValid(t *testing.T) {
 
 func TestValidateConfigRejectsContradiction(t *testing.T) {
 	bad := core.Config{AC: core.StrategyPerTask, IR: core.StrategyPerJob, LB: core.StrategyNone}
-	if err := ValidateConfig(bad); err == nil {
-		t.Error("ValidateConfig accepted AC-per-task/IR-per-job")
+	if err := bad.Validate(); err == nil {
+		t.Error("Validate accepted AC-per-task/IR-per-job")
 	}
 }
 

@@ -48,49 +48,40 @@ type Decision struct {
 // name through the controller's own task table and runs the ref-keyed core.
 // A controller is driven through one of the two, never both.
 //
-// Concurrency: Arrive, ExpireJob, IdleReset, and Location are safe to call
-// from multiple goroutines. Every ledger operation takes the ledger's one
-// mutex (test and commit are one critical section there); aperiodic
-// arrivals take no other lock past a task's first arrival, and periodic-task
-// flows also serialize on an internal mutex protecting the per-task decision
-// memory. Reconfigure and RemoveTask mutate the strategy configuration and
-// decision memory and must not run concurrently with arrivals — callers
-// quiesce first (the live binding holds its reconfiguration write lock; the
-// DES engine is single-threaded).
+// Concurrency: a controller is safe for concurrent use, Reconfigure,
+// RemoveTask and RehomeTask against decisions included. Each decision,
+// reconfiguration, removal, Location call and placement hand-back is one
+// critical section under mu, which guards every field below but the ledger,
+// the task table and Stats; ExpireKey and IdleResetKeys touch only the
+// ledger. Lock order: mu, then the ledger's own mutex; the ledger never
+// calls back. Callers still quiesce arrivals around a reconfiguration, for
+// the protocol's sake (the live binding holds its reconfiguration write
+// lock; the DES engine is single-threaded).
 type Controller struct {
+	mu     sync.Mutex
 	cfg    Config
 	ledger *sched.Ledger
 	// tasks binds the names of the name edge to refs.
 	tasks *sched.TaskTable
 
-	// taskMu guards the per-task decision memory in the records: resv, and
-	// a placement filled after the record was published (taskRec). Every
-	// periodic-task flow holds it.
-	taskMu sync.Mutex
-
-	// recs indexes the per-task records by ref. Readers load it without a
-	// lock. recMu serializes creating a record: the creator re-checks the
-	// slot, grows the index by copying it when the ref is past its end, and
-	// publishes the record with an atomic store, so concurrent first arrivals
-	// of one task create one record. slab is the chunk records are cut from,
-	// under recMu.
-	recs  atomic.Pointer[[]atomic.Pointer[taskRec]]
-	recMu sync.Mutex
-	slab  []taskRec
+	// recs indexes the per-task records by ref; slab is the chunk records
+	// are cut from.
+	recs []*taskRec
+	slab []taskRec
 
 	// scratch is the balanced placement's accumulator, one slot per
 	// processor and all zero between placements; stages is the chunk every
 	// placement is cut from, and spare[n] lists the n-stage placements
-	// handed back (releasePlacement). All are under scratchMu, and plain
-	// fields, not a sync.Pool: the runtime's list of pools would keep a
-	// dropped controller, its ledger included, alive through one more GC.
-	scratchMu sync.Mutex
-	scratch   []float64
-	stages    []sched.PlacedStage
-	spare     [][][]sched.PlacedStage
+	// handed back (releasePlacement). They are plain fields, not a
+	// sync.Pool: the runtime's list of pools would keep a dropped
+	// controller, its ledger included, alive through one more GC.
+	scratch []float64
+	stages  []sched.PlacedStage
+	spare   [][][]sched.PlacedStage
 
 	// Stats accumulate controller-side counters for the experiments. Fields
-	// are updated atomically; read them only after arrivals quiesce.
+	// but Ledger are updated atomically, so they may be read atomically
+	// while decisions run.
 	Stats ControllerStats
 
 	// timing, when non-nil, measures operation durations with the real
@@ -105,9 +96,8 @@ type Controller struct {
 type taskRec struct {
 	// placement is handed out read-only to every job: under LB-none the
 	// task's home placement, under LB-per-task a periodic task's assignment
-	// fixed at its first arrival (taskPlacement). It is filled before the
-	// record is published, except in a record kept across a change of LB
-	// strategy, which the next arrival fills under taskMu (Reconfigure).
+	// fixed at its first arrival (taskPlacement). A record kept across a
+	// change of LB strategy has none until its next arrival (Reconfigure).
 	placement []sched.PlacedStage
 	// resv is the per-task AC decision (the test runs only "when a task
 	// first arrives"): 0 untested, resvRefused, or 1 + the job an admitted
@@ -155,8 +145,7 @@ type ControllerStats struct {
 	Reconfigs        int64
 	ReconfigReleased int64
 	// Ledger is the admission ledger's work counts, which the ledger adds
-	// to under its own lock; read them, like the rest, only after arrivals
-	// quiesce.
+	// to under its own lock; read them only after arrivals quiesce.
 	Ledger sched.Work
 }
 
@@ -180,7 +169,11 @@ func NewController(cfg Config, numProcs int) (*Controller, error) {
 }
 
 // Config returns the controller's strategy configuration.
-func (c *Controller) Config() Config { return c.cfg }
+func (c *Controller) Config() Config {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cfg
+}
 
 // Reconfigure swaps the controller's strategy combination in place while the
 // system keeps running: the admission ledger — and with it every in-flight
@@ -200,18 +193,20 @@ func (c *Controller) Config() Config { return c.cfg }
 //     the next job's relocation as usual.
 //
 // Invalid target combinations are rejected without touching any state. It
-// returns the number of ledger contributions released by the rebase. The
-// caller must quiesce arrivals first (see the Controller comment).
+// returns the number of ledger contributions released by the rebase.
 func (c *Controller) Reconfigure(cfg Config) (int, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	c.taskMu.Lock()
-	defer c.taskMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	released := 0
 	leaveAC, leaveLB := c.cfg.AC == StrategyPerTask && cfg.AC != StrategyPerTask, c.cfg.LB != cfg.LB
-	for _, ref := range c.records() {
-		r := c.loadRecord(ref)
+	for i, r := range c.recs {
+		if r == nil {
+			continue
+		}
+		ref := sched.TaskRef(i)
 		if leaveAC {
 			if r.resv > 0 {
 				released += c.ledger.WithdrawKey(sched.JobKey{Task: ref, Job: r.resv - 1})
@@ -220,9 +215,9 @@ func (c *Controller) Reconfigure(cfg Config) (int, error) {
 		}
 		// A record no per-task decision holds goes, and its next arrival
 		// makes it again under the new LB; the rest are periodic tasks',
-		// which every arrival reads under taskMu.
+		// whose next arrival places them afresh.
 		if leaveLB && r.resv == 0 {
-			c.dropRecord(ref)
+			c.recs[ref] = nil
 		} else if leaveLB {
 			r.placement = nil
 		}
@@ -237,95 +232,48 @@ func (c *Controller) Reconfigure(cfg Config) (int, error) {
 // the idle-resetting path.
 func (c *Controller) Ledger() *sched.Ledger { return c.ledger }
 
-// loadRecord returns the task's record, or nil before its first arrival
-// that needs one.
-//
-//rtmw:noalloc
-func (c *Controller) loadRecord(ref sched.TaskRef) *taskRec {
-	if idx := c.recs.Load(); idx != nil && int(ref) < len(*idx) {
-		return (*idx)[ref].Load()
-	}
-	return nil
-}
-
-// record returns the task's record, creating it on first use.
+// record returns the task's record, creating it on first use: cut from the
+// slab, placed, and indexed.
 //
 //rtmw:noalloc
 func (c *Controller) record(ref sched.TaskRef, t *sched.Task) *taskRec {
-	if r := c.loadRecord(ref); r != nil {
-		return r
-	}
-	return c.newRecord(ref, t)
-}
-
-// newRecord is record's slow path: under recMu it re-checks the slot, cuts
-// the record from the slab, places the task, and publishes it.
-func (c *Controller) newRecord(ref sched.TaskRef, t *sched.Task) *taskRec {
-	c.recMu.Lock()
-	defer c.recMu.Unlock()
-	idx := c.growRecords(int(ref) + 1)
-	if r := (*idx)[ref].Load(); r != nil {
+	c.growRecords(int(ref) + 1)
+	if r := c.recs[ref]; r != nil {
 		return r
 	}
 	if len(c.slab) == 0 {
+		//rtmw:ignore noalloc one chunk per recChunk records, never per job
 		c.slab = make([]taskRec, recChunk)
 	}
 	r := &c.slab[0]
 	c.slab = c.slab[1:]
 	*r = taskRec{placement: c.taskPlacement(t)}
-	(*idx)[ref].Store(r)
+	c.recs[ref] = r
 	return r
 }
 
-// growRecords makes the record index cover refs below n, under recMu, and
-// returns it: a ref past its end grows it by copying, to twice its length
-// at least.
-func (c *Controller) growRecords(n int) *[]atomic.Pointer[taskRec] {
-	idx := c.recs.Load()
-	if idx != nil && n <= len(*idx) {
-		return idx
+// growRecords makes the record index cover refs below n: a ref past its end
+// grows it by copying, to twice its length at least.
+func (c *Controller) growRecords(n int) {
+	if n > len(c.recs) {
+		grown := make([]*taskRec, max(2*len(c.recs), n, recChunk))
+		copy(grown, c.recs)
+		c.recs = grown
 	}
-	var old []atomic.Pointer[taskRec]
-	if idx != nil {
-		old = *idx
-	}
-	grown := make([]atomic.Pointer[taskRec], max(2*len(old), n, recChunk))
-	for i := range old {
-		grown[i].Store(old[i].Load())
-	}
-	c.recs.Store(&grown)
-	return &grown
 }
 
 // reserveTasks sizes the record index and the ledger's task lists for refs
 // below n at once, so a run over n tasks grows neither.
 func (c *Controller) reserveTasks(n int) {
-	c.recMu.Lock()
+	c.mu.Lock()
 	c.growRecords(n)
-	c.recMu.Unlock()
+	c.mu.Unlock()
 	c.ledger.ReserveTasks(n)
-}
-
-// records lists the refs that have a record, in ref order.
-func (c *Controller) records() []sched.TaskRef {
-	idx := c.recs.Load()
-	if idx == nil {
-		return nil
-	}
-	var out []sched.TaskRef
-	for i := range *idx {
-		if (*idx)[i].Load() != nil {
-			out = append(out, sched.TaskRef(i))
-		}
-	}
-	return out
 }
 
 // cutStages returns n stages for a placement: n handed back, or else a cut
 // from the chunk, which is dropped once used up.
 func (c *Controller) cutStages(n int) []sched.PlacedStage {
-	c.scratchMu.Lock()
-	defer c.scratchMu.Unlock()
 	if n < len(c.spare) && len(c.spare[n]) > 0 {
 		p := c.spare[n][len(c.spare[n])-1]
 		c.spare[n] = c.spare[n][:len(c.spare[n])-1]
@@ -343,12 +291,17 @@ func (c *Controller) cutStages(n int) []sched.PlacedStage {
 // that nothing uses any more; a later placement of as many stages reuses
 // it.
 func (c *Controller) releasePlacement(p []sched.PlacedStage) {
-	c.scratchMu.Lock()
+	c.mu.Lock()
+	c.spareStages(p)
+	c.mu.Unlock()
+}
+
+// spareStages is releasePlacement for a caller holding mu.
+func (c *Controller) spareStages(p []sched.PlacedStage) {
 	if n := len(p); n >= len(c.spare) {
 		c.spare = append(c.spare, make([][][]sched.PlacedStage, n+1-len(c.spare))...)
 	}
 	c.spare[len(p)] = append(c.spare[len(p)], p)
-	c.scratchMu.Unlock()
 }
 
 // homePlacement places every stage of t on its home processor, into out
@@ -365,11 +318,9 @@ func homePlacement(out []sched.PlacedStage, t *sched.Task) []sched.PlacedStage {
 // synthetic utilization, accounting for the contributions already placed for
 // earlier stages of the same job. Ties go to the candidate listed first, so
 // the home processor wins ties deterministically. The per-job accumulator is
-// the controller's dense scratch, held under scratchMu and zeroed again
-// before it is released. It fills out, len(t.Subtasks) long, and returns
-// it.
+// the controller's dense scratch, zeroed again before it returns. It fills
+// out, len(t.Subtasks) long, and returns it.
 func (c *Controller) balancedPlacement(t *sched.Task, out []sched.PlacedStage) []sched.PlacedStage {
-	c.scratchMu.Lock()
 	delta := c.scratch
 	for i, st := range t.Subtasks {
 		u := t.StageUtil(i)
@@ -386,7 +337,6 @@ func (c *Controller) balancedPlacement(t *sched.Task, out []sched.PlacedStage) [
 	for _, p := range out {
 		delta[p.Proc] = 0
 	}
-	c.scratchMu.Unlock()
 	return out
 }
 
@@ -405,7 +355,6 @@ func (c *Controller) taskPlacement(t *sched.Task) []sched.PlacedStage {
 
 // placeFor computes the placement for an arriving job per the LB strategy:
 // a decision with it, and fresh when the placement is the job's own.
-// Callers hold taskMu when t is periodic (the per-task memo paths).
 func (c *Controller) placeFor(ref sched.TaskRef, t *sched.Task) Decision {
 	if c.cfg.LB == StrategyPerJob || c.cfg.LB == StrategyPerTask && t.Kind != sched.Periodic {
 		// Every aperiodic arrival is an independent task with a single
@@ -427,7 +376,10 @@ func (c *Controller) placeFor(ref sched.TaskRef, t *sched.Task) Decision {
 // It is the name edge of Decide; the frozen benchmark probe
 // benchmark/probe_core.go calls it.
 func (c *Controller) Arrive(t *sched.Task, job int64, now time.Duration) Decision {
-	return c.arrive(sched.JobKey{Task: c.tasks.Intern(t), Job: job}, t, now)
+	k := sched.JobKey{Task: c.tasks.Intern(t), Job: job}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.arrive(k, t, now)
 }
 
 // Decide is the AC's decide step for job k of task t (k.Task is t's ref),
@@ -436,6 +388,8 @@ func (c *Controller) Arrive(t *sched.Task, job int64, now time.Duration) Decisio
 // instant the job's contributions expire: never before now, and zero when
 // nothing expires (a rejection, or a permanent per-task reservation).
 func (c *Controller) Decide(k sched.JobKey, t *sched.Task, arrival, now time.Duration) (Decision, bool, time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	d := c.arrive(k, t, arrival)
 	var expireAt time.Duration
 	if d.Accept && !d.Reserved {
@@ -445,17 +399,14 @@ func (c *Controller) Decide(k sched.JobKey, t *sched.Task, arrival, now time.Dur
 	return d, cached, expireAt
 }
 
-// arrive is Arrive for job k of task t, k.Task being t's ref.
+// arrive is Arrive for job k of task t, k.Task being t's ref. Caller holds
+// mu.
 func (c *Controller) arrive(k sched.JobKey, t *sched.Task, now time.Duration) Decision {
 	if t.Kind == sched.Aperiodic {
 		// Every aperiodic arrival is an independent task with one release:
-		// it is tested regardless of the AC strategy, and it touches no
-		// per-task decision memory, so it proceeds without taskMu.
+		// it is tested regardless of the AC strategy.
 		return c.testAndAdmit(t, k, now, false)
 	}
-
-	c.taskMu.Lock()
-	defer c.taskMu.Unlock()
 	switch c.cfg.AC {
 	case StrategyPerJob:
 		return c.testAndAdmit(t, k, now, false)
@@ -467,7 +418,6 @@ func (c *Controller) arrive(k sched.JobKey, t *sched.Task, now time.Duration) De
 }
 
 // arrivePerTask handles periodic arrivals under per-task admission control.
-// Caller holds taskMu.
 func (c *Controller) arrivePerTask(t *sched.Task, k sched.JobKey, now time.Duration) Decision {
 	r := c.record(k.Task, t)
 	if r.resv == resvRefused {
@@ -510,8 +460,7 @@ func (c *Controller) arrivePerTask(t *sched.Task, k sched.JobKey, now time.Durat
 // testAndAdmit runs the load balancer's Location call and the AUB admission
 // test, recording contributions when the job is accepted. The test and the
 // commit are one atomic ledger operation (TestAndAdd), so two concurrent
-// candidates can never both pass a test that only has room for one. Callers
-// hold taskMu when t is periodic.
+// candidates can never both pass a test that only has room for one.
 func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Duration, permanent bool) Decision {
 	var t0 time.Time
 	if c.timing != nil {
@@ -539,7 +488,7 @@ func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Durati
 	if !admitted {
 		atomic.AddInt64(&c.Stats.Rejects, 1)
 		if d.fresh {
-			c.releasePlacement(placement)
+			c.spareStages(placement)
 		}
 		return Decision{}
 	}
@@ -559,14 +508,14 @@ func (c *Controller) testAndAdmit(t *sched.Task, k sched.JobKey, now time.Durati
 // admission path itself uses the internal (memoizing) placement.
 func (c *Controller) Location(tr sched.TaskRef, t *sched.Task) []sched.PlacedStage {
 	out := make([]sched.PlacedStage, len(t.Subtasks))
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch c.cfg.LB {
 	case StrategyNone:
 		return homePlacement(out, t)
 	case StrategyPerTask:
-		if t.Kind == sched.Periodic {
-			c.taskMu.Lock()
-			defer c.taskMu.Unlock()
-			if r := c.loadRecord(tr); r != nil && r.placement != nil {
+		if t.Kind == sched.Periodic && int(tr) < len(c.recs) {
+			if r := c.recs[tr]; r != nil && r.placement != nil {
 				return append(out[:0], r.placement...)
 			}
 		}
@@ -599,9 +548,10 @@ func (c *Controller) ExpireKey(k sched.JobKey) int {
 // reservation) are released through the ledger's task index, and the
 // controller forgets its per-task decision memory. The ref is never handed
 // out again, so a task re-added under the same name is new. It returns the
-// number of contributions removed. The caller must quiesce arrivals first
-// (see the Controller comment).
+// number of contributions removed.
 func (c *Controller) RemoveTask(tr sched.TaskRef) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := c.ledger.RemoveTask(tr)
 	atomic.AddInt64(&c.Stats.TaskRemovals, int64(n))
 	c.dropRecord(tr)
@@ -615,14 +565,13 @@ func (c *Controller) RemoveTask(tr sched.TaskRef) int {
 // placement and admission memory — is cleared, so its next arrival is
 // placed and tested afresh on the new processors. In-flight jobs'
 // contributions stay and age out by expiry. It returns the number of
-// contributions released. The caller must quiesce arrivals first (see the
-// Controller comment).
+// contributions released.
 func (c *Controller) RehomeTask(tr sched.TaskRef) int {
-	c.taskMu.Lock()
-	defer c.taskMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	released := 0
-	if r := c.loadRecord(tr); r != nil && r.resv > 0 {
-		released = c.ledger.WithdrawKey(sched.JobKey{Task: tr, Job: r.resv - 1})
+	if int(tr) < len(c.recs) && c.recs[tr] != nil && c.recs[tr].resv > 0 {
+		released = c.ledger.WithdrawKey(sched.JobKey{Task: tr, Job: c.recs[tr].resv - 1})
 	}
 	c.dropRecord(tr)
 	atomic.AddInt64(&c.Stats.ReconfigReleased, int64(released))
@@ -630,12 +579,11 @@ func (c *Controller) RehomeTask(tr sched.TaskRef) int {
 }
 
 // dropRecord forgets a task's record; its next arrival creates a new one.
+// Caller holds mu.
 func (c *Controller) dropRecord(tr sched.TaskRef) {
-	c.recMu.Lock()
-	if idx := c.recs.Load(); idx != nil && int(tr) < len(*idx) {
-		(*idx)[tr].Store(nil)
+	if tr >= 0 && int(tr) < len(c.recs) {
+		c.recs[tr] = nil
 	}
-	c.recMu.Unlock()
 }
 
 // IdleReset is IdleResetKeys for a report naming jobs by task name; an

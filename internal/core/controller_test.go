@@ -404,13 +404,85 @@ func TestControllerConcurrentFirstArrivals(t *testing.T) {
 					t.Errorf("%s: concurrent %+v, serial %+v", task.ID, g, w)
 				}
 			}
-			if n := len(c.records()); n != len(tasks) {
+			n := 0
+			for _, r := range c.recs {
+				if r != nil {
+					n++
+				}
+			}
+			if n != len(tasks) {
 				t.Errorf("%d records for %d tasks", n, len(tasks))
 			}
 			if err := c.Ledger().CheckInvariants(); err != nil {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestControllerReconfigureDuringDecisions decides aperiodic and periodic
+// jobs on four goroutines while a fifth cycles the controller through all
+// three LB strategies, in and out of per-task admission, and removes other
+// tasks. Each decision, reconfiguration and removal is one critical section
+// under the controller's lock, so the run is free of data races (run it with
+// -race) and leaves the ledger consistent.
+func TestControllerReconfigureDuringDecisions(t *testing.T) {
+	const procs, workers, jobs, cycles = 4, 4, 100, 20
+	var tasks, removed []*sched.Task
+	for i := 0; i < 8; i++ {
+		tasks = append(tasks,
+			aperiodicTask(fmt.Sprintf("a%d", i), i%procs, time.Microsecond, time.Second, (i+1)%procs),
+			periodicTask(fmt.Sprintf("p%d", i), i%procs, time.Microsecond, time.Second, (i+1)%procs))
+		removed = append(removed, periodicTask(fmt.Sprintf("r%d", i), i%procs, time.Microsecond, time.Second, (i+1)%procs))
+	}
+	// Task i has ref i; the removed tasks follow the decided ones.
+	c := mustController(t, Config{AC: StrategyPerTask, IR: StrategyNone, LB: StrategyNone}, procs)
+	for i, task := range removed {
+		if d, _, _ := c.Decide(sched.JobKey{Task: sched.TaskRef(len(tasks) + i)}, task, 0, 0); !d.Accept {
+			t.Fatalf("%s rejected", task.ID)
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for n := 0; n < jobs; n++ {
+				for i, task := range tasks {
+					k := sched.JobKey{Task: sched.TaskRef(i), Job: int64(w*jobs + n)}
+					c.Decide(k, task, time.Duration(n)*time.Millisecond, time.Duration(n)*time.Millisecond)
+					c.Location(k.Task, task)
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for n := 0; n < cycles; n++ {
+			for _, lb := range []Strategy{StrategyNone, StrategyPerTask, StrategyPerJob} {
+				for _, ac := range []Strategy{StrategyPerTask, StrategyPerJob} {
+					if _, err := c.Reconfigure(Config{AC: ac, IR: StrategyNone, LB: lb}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			if n < len(removed) {
+				c.RemoveTask(sched.TaskRef(len(tasks) + n))
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	if c.Stats.Tests == 0 || c.Stats.Reconfigs != 6*cycles {
+		t.Errorf("%d admission tests and %d reconfigurations, want some and %d", c.Stats.Tests, c.Stats.Reconfigs, 6*cycles)
+	}
+	if err := c.Ledger().CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -187,12 +187,3 @@ func (k *KindMetrics) MeanResponse() time.Duration {
 	}
 	return k.TotalResponse / time.Duration(k.Completed)
 }
-
-// MissRatio returns the fraction of completed jobs that missed their
-// end-to-end deadline, or zero.
-func (k *KindMetrics) MissRatio() float64 {
-	if k.Completed == 0 {
-		return 0
-	}
-	return float64(k.Missed) / float64(k.Completed)
-}

@@ -21,12 +21,11 @@ type traceRec struct {
 // TestEngineDifferential drives random schedule/send/submit/step/run-until
 // sequences through the pooled engine and the retained reference engine and
 // asserts identical (time, seq, fired) behavior, including nested
-// scheduling, sends and submits from inside callbacks, and Reserve calls
-// (which the reference has no counterpart for) at random points. Sends go
-// over three links, of delay zero and two others; the reference receives
-// each as After(delay). Work goes to two or three processors at random
-// priorities, so completions preempt one another and tie with timers and
-// sends; the reference runs refProcessors on its own engine.
+// scheduling, sends and submits from inside callbacks. Sends go over three
+// links, of delay zero and two others; the reference receives each as
+// After(delay). Work goes to two or three processors at random priorities,
+// so completions preempt one another and tie with timers and sends; the
+// reference runs refProcessors on its own engine.
 func TestEngineDifferential(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -241,11 +240,6 @@ func engineDifferential(t *testing.T, src intSource, ops int) {
 	}
 
 	for op := 0; op < ops; op++ {
-		// Reserve only moves storage: wherever it lands, the trace and the
-		// counters below must not notice.
-		if src.Intn(16) == 0 {
-			eng.Reserve(src.Intn(64))
-		}
 		switch src.Intn(11) {
 		case 0, 1, 2, 3:
 			schedule(eng.Now() + time.Duration(src.Intn(500))*time.Millisecond)
@@ -387,10 +381,10 @@ type completionRecorder struct{ rec func() }
 
 func (c completionRecorder) HandleEvent(Event) { c.rec() }
 
-// TestReserveAllocatesOnce pins Reserve's promise: the timers scheduled
-// before it moved the arena still fire, and scheduling the reserved number
-// of events then grows nothing.
-func TestReserveAllocatesOnce(t *testing.T) {
+// TestPendingTimersSurviveGrowth grows the slot arena by two chunks while
+// timers wait in the first: they still fire, in time order, before the
+// later ones. The differential harness never queues a chunk's worth.
+func TestPendingTimersSurviveGrowth(t *testing.T) {
 	e := NewEngine()
 	var fired []string
 	e.At(3*time.Millisecond, func() { fired = append(fired, "third") })
@@ -398,32 +392,22 @@ func TestReserveAllocatesOnce(t *testing.T) {
 	e.At(time.Millisecond, func() { fired = append(fired, "first") })
 	e.Step() // first fires; its slot goes to the free list
 
-	// AllocsPerRun below calls its function twice: once to warm up, once to
-	// measure.
-	const n = 4096
-	before := &e.slots[0]
-	e.Reserve(2 * n)
-	if &e.slots[0] == before {
-		t.Fatal("Reserve did not move a three-slot arena: the test is not testing a move")
-	}
-	if got := e.PendingCount(); got != 2 {
-		t.Errorf("PendingCount = %d, want 2", got)
-	}
-
 	var h recordingHandler
-	if allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < n; i++ {
-			e.AtEvent(time.Second+time.Duration(i), &h, Event{})
-		}
-	}); allocs != 0 {
-		t.Errorf("scheduling the reserved events allocated %v times", allocs)
+	for i := 0; i < 2*slotChunk; i++ {
+		e.AtEvent(time.Second+time.Duration(i), &h, Event{})
+	}
+	if len(e.slots) != 3 {
+		t.Fatalf("%d chunks, want 3: the test is not testing growth", len(e.slots))
+	}
+	if got := e.PendingCount(); got != 2+2*slotChunk {
+		t.Errorf("PendingCount = %d, want %d", got, 2+2*slotChunk)
 	}
 	e.Run()
 	if want := []string{"first", "second", "third"}; !slices.Equal(fired, want) {
 		t.Errorf("fired %v, want %v", fired, want)
 	}
-	if h.n != 2*n {
-		t.Errorf("typed events fired %d times, want %d", h.n, 2*n)
+	if h.n != 2*slotChunk {
+		t.Errorf("typed events fired %d times, want %d", h.n, 2*slotChunk)
 	}
 }
 

@@ -48,7 +48,6 @@ package des
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"time"
 )
 
@@ -193,18 +192,6 @@ func (e *Engine) Fired() int64 { return e.fired }
 // Work returns the engine's work counts. Intended for tests and
 // instrumentation.
 func (e *Engine) Work() Work { return e.work }
-
-// Reserve makes room for n more timers than are queued now, so scheduling
-// them grows nothing. The arena grows a chunk at a time and never copies
-// what it holds, so this only moves when the chunks are allocated.
-func (e *Engine) Reserve(n int) {
-	for len(e.slots)*slotChunk < e.queued+n {
-		e.grow()
-	}
-	// Any of them may be a call, and every call entry may be free at once.
-	e.calls = slices.Grow(e.calls, max(n-len(e.freeCalls), 0))
-	e.freeCalls = slices.Grow(e.freeCalls, cap(e.calls)-len(e.freeCalls))
-}
 
 // grow adds a chunk of slots and their queue nodes.
 func (e *Engine) grow() {

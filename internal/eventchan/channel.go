@@ -8,9 +8,9 @@
 // type and filter further in their handlers (consumer-side filtering, as in
 // TAO's EC). The channel is built as a high-throughput event plane:
 //
-//   - The subscriber table is sharded by event type hash, so concurrent
-//     publishers of unrelated types never contend on one lock; handler
-//     lists are copy-on-write, so fan-out iterates without copying.
+//   - One read-write lock guards the subscriber and gateway tables. Their
+//     lists are copy-on-write, so fan-out iterates them after releasing it:
+//     no handler and no ORB call runs under the lock.
 //   - Local delivery is synchronous in the pusher's goroutine.
 //   - Remote forwarding is one one-way ORB push per event and sink. The
 //     ORB's per-connection writer is the plane's only queue: it coalesces
@@ -24,7 +24,6 @@ package eventchan
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -37,11 +36,6 @@ const ServantKey = "eventchannel"
 
 // opPush is the channel servant's one operation: deliver one event.
 const opPush = "push"
-
-// numShards fixes the subscriber-table shard count. Shard choice only needs
-// to spread event types; 32 keeps the footprint trivial while making
-// same-shard collisions of hot types unlikely.
-const numShards = 32
 
 // Event is one typed event. Payload encoding is up to the producing
 // component (the live binding uses its fixed-layout codec, live/codec.go).
@@ -85,15 +79,6 @@ type Subscription struct {
 // Cancel removes the subscription. It is idempotent.
 func (s *Subscription) Cancel() { s.ch.removeSub(s) }
 
-// shard is one slice of the subscriber and gateway tables. The slices it
-// holds are copy-on-write: readers grab them under RLock and iterate lock-
-// free; writers replace them wholesale.
-type shard struct {
-	mu    sync.RWMutex
-	subs  map[string][]*Subscription
-	sinks map[string][]*sink
-}
-
 // NoProcessor is the processor of a sink that was added without one: the
 // gateway does not know which processor the peer is (the manager node is
 // none), so every addressed push is still forwarded to it.
@@ -104,7 +89,8 @@ const NoProcessor = -1
 type sink struct {
 	addr string
 	// proc is the application processor the peer is, or NoProcessor. PushTo
-	// skips sinks known to be some other processor.
+	// skips sinks known to be some other processor; it reads proc outside
+	// the channel's lock.
 	proc atomic.Int64
 }
 
@@ -122,11 +108,14 @@ type Channel struct {
 	node string
 	orb  *orb.ORB
 
-	shards [numShards]shard
-	seed   maphash.Seed
-
-	sinksMu sync.Mutex
-	sinks   map[string]*sink // addr → shared gateway state
+	// mu guards the subscribers and sinks by event type and the sinks by
+	// address. The per-type slices are copy-on-write: readers take them
+	// under RLock and iterate them after releasing it; writers replace them
+	// wholesale.
+	mu     sync.RWMutex
+	subs   map[string][]*Subscription
+	sinks  map[string][]*sink
+	byAddr map[string]*sink // addr → shared gateway state
 
 	// names interns the Type and Source of received events.
 	names orb.Interner
@@ -149,14 +138,11 @@ func WithSinkPolicy(OverflowPolicy) Option { return func(*Channel) {} }
 // The options change nothing (see WithSinkPolicy).
 func New(node string, o *orb.ORB, _ ...Option) *Channel {
 	c := &Channel{
-		node:  node,
-		orb:   o,
-		seed:  maphash.MakeSeed(),
-		sinks: make(map[string]*sink),
-	}
-	for i := range c.shards {
-		c.shards[i].subs = make(map[string][]*Subscription)
-		c.shards[i].sinks = make(map[string][]*sink)
+		node:   node,
+		orb:    o,
+		subs:   make(map[string][]*Subscription),
+		sinks:  make(map[string][]*sink),
+		byAddr: make(map[string]*sink),
 	}
 	o.RegisterServant(ServantKey, c.servant)
 	return c
@@ -164,11 +150,6 @@ func New(node string, o *orb.ORB, _ ...Option) *Channel {
 
 // Node returns the owning node's name.
 func (c *Channel) Node() string { return c.node }
-
-// shardFor hashes an event type onto its shard.
-func (c *Channel) shardFor(eventType string) *shard {
-	return &c.shards[maphash.String(c.seed, eventType)%numShards]
-}
 
 // Subscribe registers a local consumer for an event type. The handler runs
 // synchronously in each pusher's goroutine. The returned subscription may be
@@ -178,32 +159,24 @@ func (c *Channel) Subscribe(eventType string, h Handler) *Subscription {
 		panic("eventchan: nil handler")
 	}
 	s := &Subscription{ch: c, eventType: eventType, h: h}
-	c.addSub(s)
-	if c.closed.Load() {
-		// Close may have scanned the shards before addSub landed; make the
-		// late registration inert.
-		s.Cancel()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Close marks the channel closed before it clears the table under mu,
+	// so a registration after the clear stays inert.
+	if !c.closed.Load() {
+		cur := c.subs[eventType]
+		next := make([]*Subscription, len(cur), len(cur)+1)
+		copy(next, cur)
+		c.subs[eventType] = append(next, s)
 	}
 	return s
 }
 
-// addSub installs a subscription copy-on-write.
-func (c *Channel) addSub(s *Subscription) {
-	sh := c.shardFor(s.eventType)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.subs[s.eventType]
-	next := make([]*Subscription, len(cur), len(cur)+1)
-	copy(next, cur)
-	sh.subs[s.eventType] = append(next, s)
-}
-
 // removeSub uninstalls a subscription copy-on-write.
 func (c *Channel) removeSub(s *Subscription) {
-	sh := c.shardFor(s.eventType)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.subs[s.eventType]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur := c.subs[s.eventType]
 	next := make([]*Subscription, 0, len(cur))
 	for _, other := range cur {
 		if other != s {
@@ -211,10 +184,10 @@ func (c *Channel) removeSub(s *Subscription) {
 		}
 	}
 	if len(next) == 0 {
-		delete(sh.subs, s.eventType)
+		delete(c.subs, s.eventType)
 		return
 	}
-	sh.subs[s.eventType] = next
+	c.subs[s.eventType] = next
 }
 
 // AddRemoteSink configures the gateway to forward events of the given type
@@ -229,22 +202,18 @@ func (c *Channel) AddRemoteSink(eventType, addr string) {
 // another processor. The processor belongs to the address, not to the event
 // type; NoProcessor leaves what is already known about the address alone.
 func (c *Channel) AddProcessorSink(eventType, addr string, proc int) {
-	c.sinksMu.Lock()
-	snk, ok := c.sinks[addr]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	snk, ok := c.byAddr[addr]
 	if !ok {
 		snk = &sink{addr: addr}
 		snk.proc.Store(NoProcessor)
-		c.sinks[addr] = snk
+		c.byAddr[addr] = snk
 	}
 	if proc != NoProcessor {
 		snk.proc.Store(int64(proc))
 	}
-	c.sinksMu.Unlock()
-
-	sh := c.shardFor(eventType)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.sinks[eventType]
+	cur := c.sinks[eventType]
 	for _, s := range cur {
 		if s.addr == addr {
 			return
@@ -252,7 +221,7 @@ func (c *Channel) AddProcessorSink(eventType, addr string, proc int) {
 	}
 	next := make([]*sink, len(cur), len(cur)+1)
 	copy(next, cur)
-	sh.sinks[eventType] = append(next, snk)
+	c.sinks[eventType] = append(next, snk)
 }
 
 // RemoveRemoteSink detaches the peer at addr from every event type — the
@@ -261,30 +230,24 @@ func (c *Channel) AddProcessorSink(eventType, addr string, proc int) {
 // forwarding to the removed sink may still fail (counted); no new events are
 // forwarded to it afterwards.
 func (c *Channel) RemoveRemoteSink(addr string) {
-	c.sinksMu.Lock()
-	_, ok := c.sinks[addr]
-	delete(c.sinks, addr)
-	c.sinksMu.Unlock()
-	if !ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.byAddr[addr]; !ok {
 		return
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for ev, cur := range sh.sinks {
-			next := make([]*sink, 0, len(cur))
-			for _, s := range cur {
-				if s.addr != addr {
-					next = append(next, s)
-				}
-			}
-			if len(next) == 0 {
-				delete(sh.sinks, ev)
-			} else if len(next) != len(cur) {
-				sh.sinks[ev] = next
+	delete(c.byAddr, addr)
+	for ev, cur := range c.sinks {
+		next := make([]*sink, 0, len(cur))
+		for _, s := range cur {
+			if s.addr != addr {
+				next = append(next, s)
 			}
 		}
-		sh.mu.Unlock()
+		if len(next) == 0 {
+			delete(c.sinks, ev)
+		} else if len(next) != len(cur) {
+			c.sinks[ev] = next
+		}
 	}
 }
 
@@ -319,11 +282,10 @@ func (c *Channel) PushTo(proc int, ev Event) error {
 	}
 	c.pushed.Add(1)
 
-	sh := c.shardFor(ev.Type)
-	sh.mu.RLock()
-	subs := sh.subs[ev.Type]
-	sinks := sh.sinks[ev.Type]
-	sh.mu.RUnlock()
+	c.mu.RLock()
+	subs := c.subs[ev.Type]
+	sinks := c.sinks[ev.Type]
+	c.mu.RUnlock()
 
 	for _, s := range subs {
 		s.h(ev)
@@ -378,10 +340,9 @@ func (c *Channel) servant(op string, arg []byte) ([]byte, error) {
 
 // deliverLocal fans one event out to the local subscribers only.
 func (c *Channel) deliverLocal(ev Event) {
-	sh := c.shardFor(ev.Type)
-	sh.mu.RLock()
-	subs := sh.subs[ev.Type]
-	sh.mu.RUnlock()
+	c.mu.RLock()
+	subs := c.subs[ev.Type]
+	c.mu.RUnlock()
 	for _, s := range subs {
 		s.h(ev)
 	}
@@ -391,18 +352,9 @@ func (c *Channel) deliverLocal(ev Event) {
 // ORB's shutdown tears down the transport.
 func (c *Channel) Close() {
 	c.closed.Store(true)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		var all []*Subscription
-		for _, subs := range sh.subs {
-			all = append(all, subs...)
-		}
-		sh.mu.Unlock()
-		for _, s := range all {
-			s.Cancel()
-		}
-	}
+	c.mu.Lock()
+	clear(c.subs)
+	c.mu.Unlock()
 }
 
 // PlaneStats snapshots the event-plane counters.

@@ -132,7 +132,7 @@ func TestSubscriptionCancelStopsDelivery(t *testing.T) {
 
 // TestEventPlaneChurnStress publishes from many goroutines across several
 // event types while subscribers churn (subscribe/unsubscribe mid-stream) on
-// the sharded table and a federated sink receives concurrent pushes — the
+// the subscriber table and a federated sink receives concurrent pushes — the
 // -race workout for the whole plane.
 func TestEventPlaneChurnStress(t *testing.T) {
 	producer, _ := newNode(t, "p")

@@ -160,8 +160,8 @@ func (ac *AdmissionController) Activate(ctx *ccm.Context) error {
 	ac.ch = ctx.Events
 	ac.active = true
 	ac.mu.Unlock()
-	// Subscribe outside the lock (delivery holds the shard lock, then
-	// handlers take ac.mu).
+	// Subscribe outside the lock. The channel runs no handler under its own
+	// lock, so no lock order couples the two.
 	ctx.Events.Subscribe(EvTaskArrive, ac.onTaskArrive)
 	ctx.Events.Subscribe(EvIdleReset, ac.onIdleReset)
 	ctx.ORB.RegisterServant(ReconfigServantKey, ac.reconfigServant)
@@ -231,7 +231,7 @@ func (ac *AdmissionController) decideRLocked(arr TaskArrive) {
 	ac.DecisionDelay.Add(time.Since(start))
 	if ac.ch != nil {
 		// Best effort: a dead effector node surfaces in its own metrics. Only
-		// the arrival processor's effector holds the wait (homeOf).
+		// the arrival processor's effector holds the wait (onAccept).
 		_ = ac.ch.PushTo(arr.Proc, eventchan.Event{Type: EvAccept, Payload: AppendAccept(nil, &out)})
 	}
 }

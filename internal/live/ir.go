@@ -86,8 +86,9 @@ func (ir *IdleResetter) Activate(ctx *ccm.Context) error {
 	ir.ch = ctx.Events
 	ir.executor = exec
 	ir.mu.Unlock()
-	// Subscribe and install the idle detector outside the lock (delivery
-	// holds the shard lock, then handlers take ir.mu).
+	// Subscribe and install the idle detector outside the lock. Neither the
+	// channel nor the executor calls a handler under its own lock, so no
+	// lock order couples either with ir.mu.
 	ctx.Events.Subscribe(EvComplete, ir.onComplete)
 	exec.SetIdleCallback(ir.onIdle)
 	return nil

@@ -13,22 +13,28 @@ import (
 )
 
 // teTask is the effector's per-task record: the task's ref, its (swappable)
-// definition, the job-number allocator, and the task's state machine with,
-// behind an atomic pointer, the action its cached decision settles arrivals
-// with. The record survives reconfigurations as long as its ref stays in the
-// workload, so job numbering never restarts or races across a swap; a task
-// re-added under its old ID has a new ref and a new record.
+// definition, the job-number allocator, and the task's state machine. The
+// record survives reconfigurations as long as its ref stays in the workload,
+// so job numbering never restarts across a swap; a task re-added under its
+// old ID has a new ref and a new record. Every field but ref is under the
+// effector's mu.
 type teTask struct {
 	ref     sched.TaskRef
-	task    atomic.Pointer[sched.Task]
-	nextJob atomic.Int64
-	cached  atomic.Pointer[core.Action]
+	task    *sched.Task
+	nextJob int64
 	// gone marks a task that left the workload while jobs still awaited a
 	// decision: it takes no arrivals, and is dropped once they settle.
-	gone atomic.Bool
+	gone bool
+	eff  core.Effector
+}
 
-	mu  sync.Mutex
-	eff core.Effector
+// teRoute is what carrying out a task's actions needs, read under mu with
+// the actions themselves: the channel, this processor, and the task's
+// record and home processor.
+type teRoute struct {
+	ch         *eventchan.Channel
+	tt         *teTask
+	proc, home int
 }
 
 // TaskEffector is the live TE component (paper Section 5): it holds arriving
@@ -44,14 +50,14 @@ type teTask struct {
 // to the node hosting the assigned first stage — when the first stage was
 // re-allocated, that is the duplicate's node (the paper's operation 6).
 //
-// Concurrency: a cached decision settles an arrival lock-free — the task
-// index is a copy-on-write map behind an atomic pointer, job numbers come
-// from per-task atomic counters, and the stats are atomic. Other arrivals
-// and decisions drive their task's state machine under its lock, and push
-// after releasing it. A cached submission racing a reconfiguration may
-// settle under the decision cached just before the swap; that matches the
-// decision-event semantics (a stale Accept still settles its own job, it
-// just is not re-cached as policy).
+// Concurrency: every arrival and decision drives its task's state machine
+// under mu, which guards the index and every record, and the effector
+// carries out the actions after releasing it: no push, ORB call or handler
+// runs under mu. onAccept takes closing before mu, and nothing takes them
+// the other way. The stats are atomic. A cached submission racing a
+// reconfiguration may settle under the decision cached just before the swap;
+// that matches the decision-event semantics (a stale Accept still settles
+// its own job, it just is not re-cached as policy).
 type TaskEffector struct {
 	mu   sync.Mutex
 	proc int
@@ -59,17 +65,18 @@ type TaskEffector struct {
 	// epoch is the reconfiguration epoch the state machines are in.
 	cfg   core.Config
 	epoch int64
-	// tasks is the COW task index. Writers replace it under te.mu; readers
-	// only Load.
-	tasks atomic.Pointer[teIndex]
+	// byRef holds every record, and byName the current tasks' records for
+	// SubmitJob, the one call that arrives by name.
+	byRef  map[sched.TaskRef]*teTask
+	byName map[string]*teTask
 	// maxDeadline bounds how long a request can still get a decision, and
 	// sweepAt is when SubmitJob next looks for requests older than that:
 	// one whose Task Arrive was lost in another sender's ORB flush (the
 	// failure surfaces on that flusher, not on the senders it carried)
 	// would otherwise hold its jobs forever.
-	maxDeadline atomic.Int64
-	sweepAt     atomic.Int64
-	ch          atomic.Pointer[eventchan.Channel]
+	maxDeadline time.Duration
+	sweepAt     int64
+	ch          *eventchan.Channel
 	active      bool
 	// closing orders Passivate after the releases in flight: the two paths
 	// that release (a cached SubmitJob, onAccept) hold it shared, so a
@@ -105,14 +112,6 @@ type TEStats struct {
 
 var _ ccm.Component = (*TaskEffector)(nil)
 
-// teIndex is the effector's task index: every record by ref, and the
-// current tasks' records by ID for SubmitJob, the one call that arrives by
-// name.
-type teIndex struct {
-	byRef  map[sched.TaskRef]*teTask
-	byName map[string]*teTask
-}
-
 // NewTaskEffector returns an unconfigured TE component.
 func NewTaskEffector() *TaskEffector { return &TaskEffector{} }
 
@@ -147,8 +146,7 @@ func (te *TaskEffector) Configure(attrs map[string]string) error {
 		return err
 	}
 	// Configuration and activation arrive over the ORB in dispatch
-	// goroutines; publish the fields under the lock (the index itself is
-	// an atomic pointer for the lock-free readers).
+	// goroutines; publish the fields under the lock.
 	te.mu.Lock()
 	defer te.mu.Unlock()
 	te.proc, te.cfg, te.epoch = proc, cfg, epoch
@@ -162,60 +160,45 @@ func (te *TaskEffector) Configure(attrs map[string]string) error {
 // gone, while jobs still await its decision. Every record then enters
 // te.epoch under te.cfg. Caller holds te.mu.
 func (te *TaskEffector) installLocked(tasks map[sched.TaskRef]*sched.Task) {
-	index := te.tasks.Load()
-	if index == nil {
-		index = &teIndex{}
-	}
 	if tasks != nil {
-		old := index.byRef
-		index = &teIndex{
-			byRef:  make(map[sched.TaskRef]*teTask, len(tasks)),
-			byName: make(map[string]*teTask, len(tasks)),
-		}
-		var maxDL time.Duration
+		old := te.byRef
+		te.byRef = make(map[sched.TaskRef]*teTask, len(tasks))
+		te.byName = make(map[string]*teTask, len(tasks))
+		te.maxDeadline = 0
 		for ref, t := range tasks {
 			tt, ok := old[ref]
 			if !ok {
 				tt = &teTask{ref: ref}
 			}
-			tt.task.Store(t)
-			tt.gone.Store(false)
-			index.byRef[ref], index.byName[t.ID] = tt, tt
-			maxDL = max(maxDL, t.Deadline)
+			tt.task, tt.gone = t, false
+			te.byRef[ref], te.byName[t.ID] = tt, tt
+			te.maxDeadline = max(te.maxDeadline, t.Deadline)
 		}
 		for ref, tt := range old {
-			if _, ok := index.byRef[ref]; !ok && tt.waiting() > 0 {
-				tt.gone.Store(true)
-				index.byRef[ref] = tt
+			if _, ok := te.byRef[ref]; !ok && tt.eff.Waiting() > 0 {
+				tt.gone = true
+				te.byRef[ref] = tt
 			}
 		}
-		te.maxDeadline.Store(int64(maxDL))
 	}
-	for _, tt := range index.byRef {
-		tt.mu.Lock()
-		tt.eff.Epoch(te.epoch, te.cfg, tt.task.Load().Kind)
-		tt.cached.Store(nil)
-		tt.mu.Unlock()
+	for _, tt := range te.byRef {
+		tt.eff.Epoch(te.epoch, te.cfg, tt.task.Kind)
 	}
-	te.tasks.Store(index)
 }
 
-// waiting reports how many of the task's jobs await a decision.
-func (tt *teTask) waiting() int {
-	tt.mu.Lock()
-	defer tt.mu.Unlock()
-	return tt.eff.Waiting()
+// routeLocked returns tt's route. Caller holds mu.
+func (te *TaskEffector) routeLocked(tt *teTask) teRoute {
+	return teRoute{ch: te.ch, tt: tt, proc: te.proc, home: tt.task.Subtasks[0].Processor}
 }
 
 // Activate subscribes to Accept events.
 func (te *TaskEffector) Activate(ctx *ccm.Context) error {
 	te.mu.Lock()
-	te.ch.Store(ctx.Events)
+	te.ch = ctx.Events
 	te.active = true
 	te.mu.Unlock()
-	// Subscribe outside the lock: delivery fan-out holds the channel's
-	// shard lock while handlers take te.mu, so the reverse order here
-	// could deadlock.
+	// Subscribe outside the lock: the effector makes no channel call under
+	// mu, and the channel runs no handler under its own lock.
 	ctx.Events.Subscribe(EvAccept, te.onAccept)
 	return nil
 }
@@ -236,7 +219,7 @@ func (te *TaskEffector) Reconfigure(attrs map[string]string) error {
 	}
 	te.mu.Lock()
 	defer te.mu.Unlock()
-	if te.tasks.Load() == nil {
+	if te.byRef == nil {
 		return fmt.Errorf("%w: TE reconfigured before configuration", ErrNotConfigured)
 	}
 	cfg, err := parseStrategies(attrs, te.cfg)
@@ -277,18 +260,6 @@ func (te *TaskEffector) StatsSnapshot() TEStats {
 	}
 }
 
-// settleCached resolves one arrival with the task's cached action without
-// taking a lock: job number from the task's atomic allocator, stats
-// atomically, and the release (if accepted) pushed directly.
-//
-//rtmw:noalloc
-func (te *TaskEffector) settleCached(taskID string, tt *teTask, a core.Action) core.Admission {
-	a.Job, a.Arrival = tt.nextJob.Add(1)-1, time.Duration(nowNanos())
-	atomic.AddInt64(&te.Stats.Arrived, 1)
-	_ = te.do(tt, a, -1)
-	return a.Admission(taskID)
-}
-
 // errPassivated is SubmitJob's refusal once the effector is closed.
 func errPassivated() error {
 	return fmt.Errorf("live: task effector passivated: %w", core.ErrStopped)
@@ -309,67 +280,82 @@ func (te *TaskEffector) SubmitJob(taskID string) (core.Admission, error) {
 	if te.closed.Load() {
 		return adm, errPassivated()
 	}
-	var tt *teTask
-	if index := te.tasks.Load(); index != nil {
-		tt = index.byName[taskID]
-	}
-	if tt == nil || tt.gone.Load() {
+	te.mu.Lock()
+	tt := te.byName[taskID]
+	if tt == nil || tt.gone {
+		te.mu.Unlock()
 		return adm, fmt.Errorf("live: te: %w: %q", core.ErrUnknownTask, taskID)
 	}
+	arrival := nowNanos()
+	a := tt.eff.Arrive(tt.nextJob, time.Duration(arrival))
+	tt.nextJob++
+	r := te.routeLocked(tt)
+	cached := a.Kind == core.ActRelease || a.Kind == core.ActSkip
+	maxDL := te.maxDeadline
+	sweep := !cached && maxDL > 0 && arrival >= te.sweepAt
+	if sweep {
+		te.sweepAt = arrival + int64(maxDL)
+	}
+	te.mu.Unlock()
 
-	// Per-task fast path: a cached decision releases or skips immediately,
-	// never touching a lock but the passivation guard.
-	if a := tt.cached.Load(); a != nil {
+	if cached {
+		// Settled from the task's cached decision, with no round trip;
+		// Passivate waits for the release.
 		te.closing.RLock()
 		defer te.closing.RUnlock()
 		if te.closed.Load() {
 			return adm, errPassivated()
 		}
-		return te.settleCached(taskID, tt, *a), nil
 	}
-
-	job := tt.nextJob.Add(1) - 1
 	atomic.AddInt64(&te.Stats.Arrived, 1)
-	arrival := nowNanos()
-	tt.mu.Lock()
-	a := tt.eff.Arrive(job, time.Duration(arrival))
-	tt.mu.Unlock()
 	adm = a.Admission(taskID)
-	err := te.do(tt, a, -1)
+	err := te.do(r, a, -1)
+	if cached {
+		return adm, nil
+	}
 	if err != nil {
 		adm.Outcome = core.AdmissionRejected
 		adm.Reason = "arrival not delivered: " + err.Error()
 	}
 	te.HoldPush.Add(time.Since(start))
-	te.sweep(arrival)
+	if sweep {
+		te.sweep(time.Duration(arrival) - maxDL)
+	}
 	return adm, err
 }
 
-// sweep runs at most once per longest task deadline: every request that has
-// waited that long is declared lost, and the jobs waiting on it are skipped.
-func (te *TaskEffector) sweep(now int64) {
-	next := te.sweepAt.Load()
-	maxDL := te.maxDeadline.Load()
-	if now < next || maxDL <= 0 || !te.sweepAt.CompareAndSwap(next, now+maxDL) {
-		return
-	}
-	for _, tt := range te.tasks.Load().byRef {
-		tt.mu.Lock()
-		acts := tt.eff.Expire(time.Duration(now-maxDL), nil)
-		tt.mu.Unlock()
-		for _, a := range acts {
-			_ = te.do(tt, a, -1)
+// sweep declares lost every request for a job that arrived before horizon,
+// and skips the jobs waiting on it. SubmitJob runs it at most once per
+// longest task deadline.
+func (te *TaskEffector) sweep(horizon time.Duration) {
+	var (
+		acts   []core.Action
+		routes []teRoute
+	)
+	te.mu.Lock()
+	for _, tt := range te.byRef {
+		acts = tt.eff.Expire(horizon, acts)
+		for len(routes) < len(acts) {
+			routes = append(routes, te.routeLocked(tt))
 		}
+	}
+	te.mu.Unlock()
+	for i, a := range acts {
+		_ = te.do(routes[i], a, -1)
 	}
 }
 
 // onAccept handles a decision event. Only the task's home effector acts: its
 // task's state machine settles the jobs the decision answers, and each
 // release is published as a Release event, which the federation routes to
-// the node hosting the assigned first stage.
+// the node hosting the assigned first stage. The admission controller
+// addresses an Accept to the arrival processor, but a gateway that does not
+// know which processor a sink is still broadcasts, so an effector may see
+// any Accept; one that is not home answers from the payload's header,
+// without decoding the placement.
 func (te *TaskEffector) onAccept(ev eventchan.Event) {
-	tt := te.homeOf(ev.Payload)
-	if tt == nil {
+	ref, ok := acceptTask(ev.Payload)
+	if !ok {
 		return
 	}
 	te.closing.RLock()
@@ -377,91 +363,66 @@ func (te *TaskEffector) onAccept(ev eventchan.Event) {
 	if te.closed.Load() {
 		return
 	}
-	dec, err := DecodeAccept(ev.Payload)
-	if err != nil {
+	te.mu.Lock()
+	tt := te.byRef[ref]
+	if tt == nil || tt.task.Subtasks[0].Processor != te.proc {
+		te.mu.Unlock()
 		return
 	}
-	tt.mu.Lock()
-	acts := tt.eff.Decided(dec.Job, core.Decision{Accept: dec.Ok, Placement: dec.Placement}, dec.PerTaskDecision, dec.Epoch, nil)
-	if a, ok := tt.eff.Cached(); ok && tt.cached.Load() == nil {
-		c := a
-		tt.cached.Store(&c)
+	dec, err := DecodeAccept(ev.Payload)
+	if err != nil {
+		te.mu.Unlock()
+		return
 	}
-	tt.mu.Unlock()
+	acts := tt.eff.Decided(dec.Job, core.Decision{Accept: dec.Ok, Placement: dec.Placement}, dec.PerTaskDecision, dec.Epoch, nil)
+	r := te.routeLocked(tt)
+	te.mu.Unlock()
 	for _, a := range acts {
-		_ = te.do(tt, a, dec.Job)
+		_ = te.do(r, a, dec.Job)
 	}
 }
 
-// do carries out one state-machine action for job a.Job of the task.
-// answered is the job the Accept being applied names (-1 for none): the
-// manager's watch tap reports that job's rejection, so only the other skips
-// are announced, as local EvSkip events. A request whose push fails is lost:
-// the jobs waiting on it are skipped, and the error is returned.
-func (te *TaskEffector) do(tt *teTask, a core.Action, answered int64) error {
-	ch := te.ch.Load()
+// do carries out one state-machine action for job a.Job of the task r
+// routes, after mu is released. answered is the job the Accept being applied
+// names (-1 for none): the manager's watch tap reports that job's rejection,
+// so only the other skips are announced, as local EvSkip events. A request
+// whose push fails is lost: the jobs waiting on it are skipped, and the
+// error is returned.
+func (te *TaskEffector) do(r teRoute, a core.Action, answered int64) error {
 	switch a.Kind {
 	case core.ActRequest:
-		te.mu.Lock()
-		proc := te.proc
-		te.mu.Unlock()
-		err := ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: AppendTaskArrive(nil, &TaskArrive{
-			Task:         tt.ref,
+		err := r.ch.Push(eventchan.Event{Type: EvTaskArrive, Payload: AppendTaskArrive(nil, &TaskArrive{
+			Task:         r.tt.ref,
 			Job:          a.Job,
-			Proc:         proc,
+			Proc:         r.proc,
 			ArrivalNanos: int64(a.Arrival),
 		})})
 		if err != nil {
-			tt.mu.Lock()
-			lost := tt.eff.Lost(a.Job, nil)
-			tt.mu.Unlock()
+			te.mu.Lock()
+			lost := r.tt.eff.Lost(a.Job, nil)
+			te.mu.Unlock()
 			for _, s := range lost {
-				_ = te.do(tt, s, -1)
+				_ = te.do(r, s, -1)
 			}
 		}
 		return err
 	case core.ActRelease:
 		atomic.AddInt64(&te.Stats.Released, 1)
-		if a.Placement[0].Proc != tt.task.Load().Subtasks[0].Processor {
+		if a.Placement[0].Proc != r.home {
 			atomic.AddInt64(&te.Stats.Relocated, 1)
 		}
 		// The channel delivers the Release locally and forwards it to the
 		// node of the first stage, where the subtask component picks it up.
-		_ = ch.PushTo(stageProc(a.Placement, 0), eventchan.Event{Type: EvRelease, Payload: AppendTrigger(nil, &Trigger{
-			Task: tt.ref, Job: a.Job, Placement: a.Placement, ArrivalNanos: int64(a.Arrival),
+		_ = r.ch.PushTo(stageProc(a.Placement, 0), eventchan.Event{Type: EvRelease, Payload: AppendTrigger(nil, &Trigger{
+			Task: r.tt.ref, Job: a.Job, Placement: a.Placement, ArrivalNanos: int64(a.Arrival),
 		})})
 	case core.ActSkip:
 		atomic.AddInt64(&te.Stats.Skipped, 1)
 		if a.Job != answered {
-			_ = ch.Push(eventchan.Event{Type: EvSkip, Payload: AppendAccept(nil, &Accept{
-				Task: tt.ref, Job: a.Job, ArrivalNanos: int64(a.Arrival),
+			_ = r.ch.Push(eventchan.Event{Type: EvSkip, Payload: AppendAccept(nil, &Accept{
+				Task: r.tt.ref, Job: a.Job, ArrivalNanos: int64(a.Arrival),
 			})})
 		}
 	}
 	return nil
-}
-
-// homeOf returns the record of the task an Accept payload decides when its
-// home (arrival) processor is this effector's, and nil otherwise. The
-// admission controller addresses an Accept to the arrival processor, but a
-// gateway that does not know which processor a sink is still broadcasts, so
-// an effector may see any Accept; one that is not home answers from the
-// payload's header, without decoding the placement.
-func (te *TaskEffector) homeOf(payload []byte) *teTask {
-	ref, ok := acceptTask(payload)
-	index := te.tasks.Load()
-	if !ok || index == nil {
-		return nil
-	}
-	tt := index.byRef[ref]
-	if tt == nil {
-		return nil
-	}
-	home := tt.task.Load().Subtasks[0].Processor
-	te.mu.Lock()
-	defer te.mu.Unlock()
-	if home != te.proc {
-		return nil
-	}
-	return tt
 }
